@@ -10,8 +10,11 @@
 //!    checksum fingerprints per world size. Byte-identical on rerun; CI
 //!    enforces this with a regenerate-and-`cmp` step.
 //! 2. `results/scale.json` — the host-dependent sidecar: wall-clock per
-//!    config, events/sec, and wall-ms per virtual second. Informative
-//!    only, never diffed.
+//!    config, events/sec, wall-ms per virtual second, and the clock's
+//!    wake accounting ([`simtime::WakeStats`]: notifies, alarms fired,
+//!    clock advances, and per wait label parks / wake-ups / successes —
+//!    the counts depend on how the OS schedules the woken threads).
+//!    Informative only, never diffed.
 //!
 //! The binary *asserts* the PR's acceptance bar in-process: Himeno M
 //! completes at world 256 and nanopowder at world 64 under the event
@@ -27,7 +30,7 @@ use clmpi::SystemConfig;
 use himeno::{run_himeno_with_faults_mode, GridSize, HimenoConfig, Variant};
 use minimpi::FaultPlan;
 use nanopowder::{run_nanopowder_mode, NanoConfig, NanoVariant};
-use simtime::ExecMode;
+use simtime::{ExecMode, WakeStats};
 
 /// Himeno covers the full ladder, including the 1,024-rank world: the
 /// stencil's communication is neighbor-local, so the simulated world
@@ -54,6 +57,8 @@ struct ConfigRow {
     /// Bit-exact payload fingerprints, name → f64 bits.
     fingerprints: Vec<(&'static str, u64)>,
     wall_ms: f64,
+    /// Host-dependent: sidecar only.
+    wake: WakeStats,
 }
 
 impl ConfigRow {
@@ -63,6 +68,29 @@ impl ConfigRow {
 
     fn wall_ms_per_vsec(&self) -> f64 {
         self.wall_ms / (self.elapsed_ns as f64 / 1e9).max(1e-12)
+    }
+
+    /// The wake accounting as sidecar JSON members (labels are static
+    /// identifiers-with-spaces; none needs escaping).
+    fn wake_json(&self) -> String {
+        let waits: Vec<String> = self
+            .wake
+            .labels
+            .iter()
+            .map(|(label, w)| {
+                format!(
+                    "\"{label}\": {{ \"parked\": {}, \"wakeups\": {}, \"successes\": {} }}",
+                    w.parked, w.wakeups, w.successes
+                )
+            })
+            .collect();
+        format!(
+            "\"notifies\": {}, \"alarms_fired\": {}, \"clock_advances\": {}, \"waits\": {{ {} }}",
+            self.wake.notifies,
+            self.wake.alarms_fired,
+            self.wake.advances,
+            waits.join(", ")
+        )
     }
 }
 
@@ -109,6 +137,7 @@ fn run_himeno_row(nodes: usize, mode: ExecMode) -> (ConfigRow, u64) {
                 ("obs_fnv1a", obs),
             ],
             wall_ms,
+            wake: r.wake,
         },
         obs,
     )
@@ -139,6 +168,7 @@ fn run_nano_row(nodes: usize, sections: usize, mode: ExecMode) -> ConfigRow {
         events: r.sched_events,
         fingerprints: vec![("final_n_sum_bits", n_sum.to_bits())],
         wall_ms,
+        wake: r.wake,
     }
 }
 
@@ -237,11 +267,12 @@ fn main() {
     let mut side = String::new();
     for (i, r) in rows.iter().enumerate() {
         side.push_str(&format!(
-            "  {{ \"config\": \"{}\", \"wall_ms\": {:.1}, \"events_per_sec\": {}, \"wall_ms_per_virtual_sec\": {:.1} }}{}\n",
+            "  {{ \"config\": \"{}\", \"wall_ms\": {:.1}, \"events_per_sec\": {}, \"wall_ms_per_virtual_sec\": {:.1}, {} }}{}\n",
             r.label,
             r.wall_ms,
             r.events_per_sec(),
             r.wall_ms_per_vsec(),
+            r.wake_json(),
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }

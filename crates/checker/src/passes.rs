@@ -455,11 +455,13 @@ pub const BLOCKING_CALLS: &[&str] = &[
     "wait_labeled",
     "wait_until",
     "wait_until_labeled",
+    "wait_on",
     "wait_result",
     "wait_delivered",
     "wait_idle",
     "pump",
     "quiesce_machines",
+    "wait_retired",
     "park",
     "sleep",
     "advance_until",

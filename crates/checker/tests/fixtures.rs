@@ -453,6 +453,67 @@ fn names(&self) -> String {
 }
 
 #[test]
+fn p6_and_p8_keyed_park_is_blocking_vocabulary() {
+    // `wait_on` parks the actor exactly like `wait_until`: a guard held
+    // across it is the PR-7 deadlock shape, and a machine body must not
+    // call it. `wait_retired` is the scheduler pool's own park.
+    let src = r#"
+fn f(&self, actor: &Actor) {
+    let st = self.state.lock();
+    actor.wait_on(&[self.key], "held", || self.ready());
+    drop(st);
+}
+fn q(&self) {
+    let g = self.shard.lock();
+    self.pool.wait_retired();
+}
+impl SimActor for Pumper {
+    fn poll(&mut self, now: SimNs, actor: &Actor) -> MachineStep {
+        actor.wait_on(&self.keys, "in poll", || self.done());
+        MachineStep::Done
+    }
+}
+"#;
+    let files = [("crates/minimpi/src/a.rs", src)];
+    let held = diags(pass_lock_lifetime, &files, "");
+    assert_eq!(
+        held.len(),
+        2,
+        "wait_on + wait_retired under a guard: {held:?}"
+    );
+    assert!(held.iter().any(|d| d.msg.contains("wait_on")));
+    assert!(held.iter().any(|d| d.msg.contains("wait_retired")));
+    let hygiene = diags(pass_actor_hygiene, &files, "");
+    assert_eq!(hygiene.len(), 1, "{hygiene:?}");
+    assert!(hygiene[0].msg.contains("wait_on") && hygiene[0].msg.contains("`poll`"));
+}
+
+#[test]
+fn p6_and_p8_keyed_park_clean_shapes() {
+    // Guard released first; the predicate's own short lock lives inside
+    // the closure argument, not across the park; naming keys or arming a
+    // keyed alarm from a machine body does not block.
+    let src = r#"
+fn f(&self, actor: &Actor) {
+    let keys = { let st = self.state.lock(); st.keys.clone() };
+    actor.wait_on(&keys, "released", || self.state.lock().take());
+}
+impl SimActor for Pumper {
+    fn poll(&mut self, now: SimNs, actor: &Actor) -> MachineStep {
+        let _keys = self.req.wake_keys();
+        self.slot.alarm_at(now + 1);
+        MachineStep::Pending(Some(now + 1))
+    }
+}
+"#;
+    let files = [("crates/minimpi/src/a.rs", src)];
+    let held = diags(pass_lock_lifetime, &files, "");
+    assert!(held.is_empty(), "{held:?}");
+    let hygiene = diags(pass_actor_hygiene, &files, "");
+    assert!(hygiene.is_empty(), "{hygiene:?}");
+}
+
+#[test]
 fn p6_allow_marker_with_rationale_suppresses() {
     let src = r#"
 fn pump(&self) {

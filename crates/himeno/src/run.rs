@@ -126,6 +126,9 @@ pub struct HimenoResult {
     /// Scheduler machine transitions over the whole run (simulator
     /// self-throughput numerator; mode-independent).
     pub sched_events: u64,
+    /// The clock's wake accounting over the whole run (host-scheduling
+    /// dependent diagnostic; see [`simtime::WakeStats`]).
+    pub wake: simtime::WakeStats,
 }
 
 pub(crate) struct Slab {
@@ -327,6 +330,7 @@ pub fn run_himeno_with_faults_mode(
         fault_counts: res.fault_counts,
         transfer_faults,
         sched_events: res.events,
+        wake: res.wake,
     }
 }
 

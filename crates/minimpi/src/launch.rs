@@ -1,7 +1,7 @@
 //! SPMD launcher: run `n` ranks as threads over a simulated cluster.
 
 use simnet::{ClusterSpec, FaultCounts, FaultPlan};
-use simtime::{ExecMode, SimClock, SimNs, Trace};
+use simtime::{ExecMode, SimClock, SimNs, Trace, WakeStats};
 
 use crate::world::{Process, World};
 
@@ -21,6 +21,10 @@ pub struct WorldResult<R> {
     /// numerator. Deterministic for a fixed scenario and identical in
     /// both executor modes.
     pub events: u64,
+    /// The clock's wake accounting over the whole run (notifies, and per
+    /// wait label parks / wake-ups / successes). Host-scheduling
+    /// dependent: a diagnostic, never part of a deterministic artifact.
+    pub wake: WakeStats,
 }
 
 /// Run `f` on every rank of a world sized to the full cluster preset.
@@ -134,6 +138,7 @@ where
         trace,
         fault_counts: world.fault_counts(),
         events: clock.events(),
+        wake: clock.wake_stats(),
     }
 }
 

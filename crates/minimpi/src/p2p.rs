@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use simnet::{DropReason, FaultOutcome};
-use simtime::{Actor, Monitor, SimNs};
+use simtime::{Actor, Monitor, SimNs, WakeKey};
 
 use crate::world::{Comm, World};
 use crate::{Datatype, Rank, Tag};
@@ -323,6 +323,18 @@ impl Request {
         world.inner.fabric.pump(world.inner.clock.now_ns());
     }
 
+    /// The wake keys a blocking wait on this request registers: the
+    /// monitor its state lives in (the send's outcome cell, the receiver's
+    /// rank state) and the fabric arbiter's key, because every such wait
+    /// pumps — the grant that fills the monitor in may be the waiter's own
+    /// job to run.
+    fn wake_keys(&self) -> [WakeKey; 2] {
+        match &self.kind {
+            ReqKind::Send { outcome, world } => [outcome.key(), world.inner.fabric.wake_key()],
+            ReqKind::Recv { state, world, .. } => [state.key(), world.inner.fabric.wake_key()],
+        }
+    }
+
     /// True for send requests.
     pub fn is_send(&self) -> bool {
         matches!(self.kind, ReqKind::Send { .. })
@@ -359,9 +371,10 @@ impl Request {
     /// the caller can still [`Request::wait`] for completion). Receives
     /// return `true` immediately.
     pub fn wait_delivered(&self, actor: &Actor) -> bool {
+        let keys = self.wake_keys();
         match &self.kind {
             ReqKind::Send { outcome, world } => {
-                let o = actor.wait_until_labeled("mpi send (fate)", || {
+                let o = actor.wait_on(&keys, "mpi send (fate)", || {
                     world.inner.fabric.pump(world.inner.clock.now_ns());
                     outcome.peek(|o| *o)
                 });
@@ -386,9 +399,10 @@ impl Request {
     /// Block the calling actor until the operation completes. Returns the
     /// payload for receives, `None` for sends.
     pub fn wait(self, actor: &Actor) -> Option<RecvResult> {
+        let keys = self.wake_keys();
         match self.kind {
             ReqKind::Send { outcome, world } => {
-                let done_at = actor.wait_until_labeled("mpi send", || {
+                let done_at = actor.wait_on(&keys, "mpi send", || {
                     world.inner.fabric.pump(world.inner.clock.now_ns());
                     outcome.peek(|o| o.map(|o| o.done_at))
                 });
@@ -405,7 +419,7 @@ impl Request {
                 // Pump *outside* the state lock: a grant callback posts
                 // into this very monitor, so pumping from inside its
                 // predicate would self-deadlock.
-                let res = actor.wait_until_labeled("mpi recv", || {
+                let res = actor.wait_on(&keys, "mpi recv", || {
                     world.inner.fabric.pump(clock.now_ns());
                     state.try_now(|st| {
                         let visible = st
@@ -444,10 +458,11 @@ impl Request {
         timeout_ns: SimNs,
     ) -> Result<Option<RecvResult>, MpiError> {
         let deadline = actor.now_ns() + timeout_ns;
+        let keys = self.wake_keys();
         match self.kind {
             ReqKind::Send { outcome, world } => {
-                world.inner.clock.schedule_alarm(deadline);
-                let res = actor.wait_until_labeled("mpi send (timeout)", || {
+                outcome.alarm_at(deadline);
+                let res = actor.wait_on(&keys, "mpi send (timeout)", || {
                     let now = world.inner.clock.now_ns();
                     world.inner.fabric.pump(now);
                     if let Some(o) = outcome.peek(|o| *o) {
@@ -475,8 +490,8 @@ impl Request {
                 world,
             } => {
                 let clock = state.clock().clone();
-                clock.schedule_alarm(deadline);
-                let res = actor.wait_until_labeled("mpi recv (timeout)", || {
+                state.alarm_at(deadline);
+                let res = actor.wait_on(&keys, "mpi recv (timeout)", || {
                     world.inner.fabric.pump(clock.now_ns());
                     state.try_now(|st| {
                         let now = clock.now_ns();
@@ -620,7 +635,8 @@ pub fn wait_any(
     actor: &Actor,
 ) -> (usize, Option<RecvResult>, Vec<Request>) {
     assert!(!requests.is_empty(), "wait_any needs at least one request");
-    let (idx, res) = actor.wait_until_labeled("mpi wait_any", || {
+    let keys: Vec<WakeKey> = requests.iter().flat_map(Request::wake_keys).collect();
+    let (idx, res) = actor.wait_on(&keys, "mpi wait_any", || {
         for (i, r) in requests.iter_mut().enumerate() {
             if let Some(res) = r.test(actor) {
                 return Some((i, res));
@@ -731,8 +747,8 @@ impl Comm {
                         let visible_at = res.arrival + extra_latency_ns;
                         inner.ranks[gdst]
                             .with(|st| st.post(src, context, tag, datatype, payload, visible_at));
-                        // Wake request waiters at arrival.
-                        inner.clock.schedule_alarm(visible_at);
+                        // Wake the receiver's request waiters at arrival.
+                        inner.ranks[gdst].alarm_at(visible_at);
                         None
                     }
                     FaultOutcome::Drop(reason) => {
@@ -745,8 +761,8 @@ impl Comm {
                         Some(reason)
                     }
                 };
-                // Wake request waiters at send completion.
-                inner.clock.schedule_alarm(res.end);
+                // Wake this request's waiters at send completion.
+                outcome.alarm_at(res.end);
                 outcome.with(|o| {
                     *o = Some(SendOutcome {
                         done_at: res.end,

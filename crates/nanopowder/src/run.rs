@@ -86,6 +86,9 @@ pub struct NanoResult {
     /// Scheduler machine transitions over the whole run (simulator
     /// self-throughput numerator; mode-independent).
     pub sched_events: u64,
+    /// The clock's wake accounting over the whole run (host-scheduling
+    /// dependent diagnostic; see [`simtime::WakeStats`]).
+    pub wake: simtime::WakeStats,
 }
 
 /// Run `variant` under `cfg`.
@@ -126,6 +129,7 @@ pub fn run_nanopowder_mode(variant: NanoVariant, cfg: NanoConfig, mode: ExecMode
         total_ns,
         final_n,
         sched_events: res.events,
+        wake: res.wake,
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::fault::{DropReason, FaultInjector, FaultOutcome, FaultPlan};
 use crate::link::{reserve_pair, Link, LinkSpec, Reservation};
 use simtime::plock::Mutex;
-use simtime::{SimClock, SimNs};
+use simtime::{SimClock, SimNs, WakeKey};
 
 /// Index of a node within a cluster.
 pub type NodeId = usize;
@@ -171,6 +171,8 @@ pub struct Fabric {
     faults: Option<Vec<FaultInjector>>,
     /// Deferred-reservation arbiter state (see [`Fabric::reserve_deferred`]).
     defer: Mutex<DeferQueue>,
+    /// Wake key of the arbiter ([`Fabric::wake_key`]).
+    key: WakeKey,
 }
 
 /// How much link time a deferred reservation claims.
@@ -246,6 +248,7 @@ impl Fabric {
                 .collect()
         });
         Fabric {
+            key: clock.new_pump_key(),
             spec,
             clock,
             tx,
@@ -477,8 +480,10 @@ impl Fabric {
     /// simulated timeline is exactly what an eager reservation in the
     /// canonical order would have produced.
     ///
-    /// Liveness: posting schedules a clock alarm just past `earliest`, so
-    /// blocked actors re-check (and pump) once the job is grantable.
+    /// Liveness: posting schedules an alarm just past `earliest` on the
+    /// arbiter's [`Fabric::wake_key`], so a blocked actor that pumps — one
+    /// of the waits registered on that key, and every wildcard wait —
+    /// re-checks (and pumps) once the job is grantable.
     pub fn reserve_deferred(
         &self,
         src: NodeId,
@@ -544,13 +549,24 @@ impl Fabric {
                 complete,
             });
         }
-        self.clock.schedule_alarm(earliest + 1);
+        self.clock.schedule_alarm_keyed(earliest + 1, self.key);
+    }
+
+    /// The arbiter's wake key, a pump key
+    /// ([`SimClock::new_pump_key`]): the alarm that makes a deferred job
+    /// grantable fires on it and wakes one of the waits registered on it
+    /// to pump for everybody. A wait registers it (next to the keys of
+    /// the state the grant callbacks fill in) exactly when its predicate
+    /// starts with [`Fabric::pump`].
+    pub fn wake_key(&self) -> WakeKey {
+        self.key
     }
 
     /// Grant every deferred reservation with `earliest < now`, in
     /// `(earliest, src, dst, tag, seq)` order. Idempotent and callable
     /// from any thread; the request and engine layers pump from their
-    /// wait predicates. Completions run under the queue lock so that the
+    /// wait predicates, which [`Fabric::wake_key`] wakes when a job comes
+    /// due. Completions run under the queue lock so that the
     /// grant order also fixes receiver-side message sequence numbers —
     /// the other place same-instant order is observable.
     pub fn pump(&self, now: SimNs) {

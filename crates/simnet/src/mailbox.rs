@@ -23,7 +23,8 @@ struct MailboxState<T> {
 
 /// A clock-aware mailbox with predicate-based selective receive.
 ///
-/// Posting schedules a clock alarm at `visible_at`, so a receiver blocked
+/// Posting schedules an alarm at `visible_at` on the mailbox's own wake
+/// key, so a receiver blocked
 /// on an envelope that is still "in flight" wakes exactly at its arrival —
 /// even if no other actor is active. This is how `minimpi` gives messages
 /// real network timing without a progress thread.
@@ -66,7 +67,7 @@ impl<T: Send> Mailbox<T> {
             });
             seq
         });
-        self.inner.clock().schedule_alarm(visible_at);
+        self.inner.alarm_at(visible_at);
         seq
     }
 

@@ -1,33 +1,72 @@
-//! The virtual clock and actor registration.
+//! The virtual clock, actor registration, and wake-by-dependency parking.
 //!
 //! See the crate docs for the model. Implementation notes:
 //!
-//! * A single `Mutex<ClockState>` + `Condvar` coordinates everything. The
-//!   scale of this workspace (tens of actors, thousands of events per run)
-//!   does not warrant anything finer-grained, and a single monitor keeps
-//!   the advancement invariant easy to audit.
+//! * One `Mutex<ClockState>` guards all bookkeeping, so the advancement
+//!   invariant stays easy to audit — but nobody *waits* on a shared
+//!   condition variable. Every actor owns a park token (a private
+//!   `Condvar` used with the clock mutex), and a wake-up names the token
+//!   it is for. A 256-rank world makes tens of thousands of notifies per
+//!   run; with one shared condvar each of them woke every blocked actor
+//!   to re-run a predicate that was false 97% of the time.
+//! * **Wake keys.** Cross-actor state is owned by something with a
+//!   [`WakeKey`] (every `Monitor`, the fabric's deferred arbiter). A
+//!   blocked actor registers the keys its predicate reads
+//!   ([`Actor::wait_on`]); [`SimClock::notify_key`] and keyed alarms flag
+//!   only the waiters registered on that key. [`WakeKey::ALL`] matches
+//!   everything in both directions: an unkeyed [`SimClock::notify`] /
+//!   [`SimClock::schedule_alarm`] flags every blocked waiter, and a
+//!   waiter registered on `ALL` ([`Actor::wait_until`]) is flagged by
+//!   every notify and alarm whatever its key — so a wait that has not
+//!   been taught its keys is slow, never wrong.
 //! * `runnable` counts actors currently executing user code. Whenever it
-//!   (together with `pending_wakes`) reaches zero, the decrementing thread
-//!   advances the clock to the earliest pending target (sleeper or alarm).
+//!   (together with `pending_wakes` and `recheck_pending`) reaches zero,
+//!   the decrementing thread advances the clock to the earliest pending
+//!   target (sleeper or alarm). *Any* due alarm drives the advance while
+//!   somebody is blocked, whatever its key: keys decide who is woken,
+//!   never where `now` goes.
 //! * `pending_wakes` closes the race between "the clock advanced to time t,
 //!   waking k sleepers" and "those k threads have not been scheduled by the
 //!   OS yet": until every due sleeper has resumed, the clock must not move
-//!   again.
+//!   again. `recheck_pending` does the same for predicate waiters: it
+//!   counts exactly the waiters that were flagged and have not resumed.
 //! * A generation counter (`gen`) implements lost-wakeup-free predicate
-//!   waiting: [`Actor::wait_until`] snapshots `gen`, evaluates the
-//!   predicate *outside* the clock lock, and only blocks if `gen` is
-//!   unchanged. Every cross-actor state change bumps `gen` via
-//!   [`SimClock::notify`].
+//!   waiting: a waiter snapshots `gen`, evaluates the predicate *outside*
+//!   the clock lock, and only parks if `gen` is unchanged. `gen` is
+//!   global — every notify of every key bumps it — because a runnable
+//!   waiter is not registered anywhere yet; the keys only matter once it
+//!   is parked.
 
 use crate::plock::{Condvar, Mutex};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::sched::{self, ExecMode, MachineHandle, SchedPool, ShardState, SimActor};
 use crate::SimNs;
+
+/// Names one source of wake-ups: a piece of cross-actor state (a
+/// `Monitor`) whose changes some blocked actor may be waiting for, or a
+/// queue of due jobs somebody blocked must run (the fabric's deferred
+/// arbiter). Obtain fresh keys from [`SimClock::new_key`] and
+/// [`SimClock::new_pump_key`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct WakeKey(u64);
+
+impl WakeKey {
+    /// Matches every key: notifying it wakes every blocked waiter, and a
+    /// waiter registered on it is woken by every notify and alarm.
+    pub const ALL: WakeKey = WakeKey(0);
+    /// A key no waiter registers, so it reaches only the [`WakeKey::ALL`]
+    /// waiters: the machine runners' own wake hints, which concern the
+    /// runner (a wildcard waiter) and nobody else.
+    pub(crate) const RUNNERS: WakeKey = WakeKey(1);
+    const FIRST_FRESH: u64 = 2;
+    /// Marks a pump key ([`SimClock::new_pump_key`]).
+    const PUMP: u64 = 1 << 63;
+}
 
 /// What an actor is doing right now; shown in deadlock diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,35 +75,70 @@ pub enum ActorStatus {
     Running,
     /// Sleeping in [`Actor::advance`] until the given virtual instant.
     Sleeping(SimNs),
-    /// Blocked in [`Actor::wait_until`] on the described predicate.
+    /// Blocked in [`Actor::wait_on`] on the described predicate.
     Blocked(&'static str),
+}
+
+/// Wake accounting of one wait label ([`WakeStats::labels`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LabelWakes {
+    /// Times a waiter with this label parked.
+    pub parked: u64,
+    /// Times a parked waiter was flagged and resumed to re-evaluate.
+    pub wakeups: u64,
+    /// Wake-ups after which the predicate held.
+    pub successes: u64,
+}
+
+/// Always-on wake accounting of one clock ([`SimClock::wake_stats`]).
+/// The counts depend on OS scheduling (how many notifies one resume
+/// absorbs), so they are diagnostics, never part of a deterministic
+/// artifact.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WakeStats {
+    /// [`SimClock::notify`] / [`SimClock::notify_key`] calls, including
+    /// alarms scheduled for an instant already reached.
+    pub notifies: u64,
+    /// Alarms that came due on a clock advance.
+    pub alarms_fired: u64,
+    /// Times the clock moved.
+    pub advances: u64,
+    /// Per wait label, in label order.
+    pub labels: BTreeMap<&'static str, LabelWakes>,
 }
 
 struct ActorInfo {
     label: String,
     status: ActorStatus,
+    /// The actor's park token (shared with its [`Actor`] handle).
+    token: Arc<Condvar>,
+    /// Set when a notify or alarm this blocked actor depends on happened;
+    /// cleared when it resumes. Counted in `recheck_pending` while set.
+    flagged: bool,
 }
 
 #[derive(Default)]
 struct ClockState {
     now: SimNs,
-    /// Bumped by [`SimClock::notify`] and by alarm firings.
+    /// Bumped by every notify and alarm firing, whatever the key.
     gen: u64,
     /// Actors currently executing user code.
     runnable: usize,
     /// Sleepers the clock has advanced to, that have not yet resumed.
     pending_wakes: usize,
-    /// Blocked waiters that have been notified (gen bumped) but have not
-    /// yet been scheduled to re-evaluate their predicates. While nonzero
-    /// the clock must not advance and a deadlock must not be declared.
+    /// Blocked waiters that have been flagged but have not yet been
+    /// scheduled to re-evaluate their predicates. While nonzero the clock
+    /// must not advance and a deadlock must not be declared.
     recheck_pending: usize,
-    /// Actors blocked in `wait_until` (for deadlock detection only).
+    /// Actors blocked in `wait_on` (for deadlock detection only).
     blocked: usize,
-    /// (wake_time, unique_seq) per sleeping actor.
+    /// (wake_time, actor id) per sleeping actor.
     sleepers: BinaryHeap<Reverse<(SimNs, u64)>>,
-    /// Thread-less wake-up targets (e.g. "a message becomes visible at t").
-    alarms: BinaryHeap<Reverse<SimNs>>,
-    next_seq: u64,
+    /// Thread-less wake-up targets (e.g. "a message becomes visible at
+    /// t"), each with the key whose dependants it wakes.
+    alarms: BinaryHeap<Reverse<(SimNs, WakeKey)>>,
+    /// (key, actor id) for every key a currently blocked actor registered.
+    waiting: BTreeSet<(WakeKey, u64)>,
     next_actor: u64,
     /// Registered actors by id. A `BTreeMap` so that any iteration (the
     /// deadlock report) is in deterministic id order by construction.
@@ -72,11 +146,72 @@ struct ClockState {
     /// Set when a registered actor panics or a deadlock is detected, so
     /// every other actor unblocks and fails fast instead of hanging.
     poisoned: bool,
+    stats: WakeStats,
+}
+
+impl ClockState {
+    /// Bump `gen` and flag the blocked waiters registered on `key` (one of
+    /// them for a pump key) and on [`WakeKey::ALL`] — every blocked waiter
+    /// when `key` is `ALL`.
+    fn wake_dependants(&mut self, key: WakeKey) {
+        self.gen += 1;
+        let Self {
+            waiting,
+            actors,
+            recheck_pending,
+            ..
+        } = self;
+        let mut flag = |&(_, id): &(WakeKey, u64)| {
+            // A deadlock panic can unwind an actor out of the map while
+            // its registrations are still in `waiting`.
+            let Some(a) = actors.get_mut(&id) else { return };
+            if !a.flagged {
+                a.flagged = true;
+                *recheck_pending += 1;
+                a.token.notify_one();
+            }
+        };
+        let of = |k: WakeKey| (k, 0)..=(k, u64::MAX);
+        if key == WakeKey::ALL {
+            waiting.iter().for_each(&mut flag);
+        } else {
+            // One pumper does a pump key's job for everybody: the first
+            // registered waiter, whether this flags it or an earlier
+            // notify did and it has yet to resume.
+            let one = if key.0 & WakeKey::PUMP != 0 {
+                1
+            } else {
+                usize::MAX
+            };
+            waiting.range(of(key)).take(one).for_each(&mut flag);
+            waiting.range(of(WakeKey::ALL)).for_each(&mut flag);
+        }
+    }
+
+    /// Poison the clock and unpark every waiter and sleeper so each fails
+    /// fast with the poison panic.
+    fn poison(&mut self) {
+        self.poisoned = true;
+        self.gen += 1;
+        for a in self.actors.values() {
+            a.token.notify_one();
+        }
+    }
+
+    fn label_stats(&mut self, label: &'static str) -> &mut LabelWakes {
+        self.stats.labels.entry(label).or_default()
+    }
 }
 
 struct ClockInner {
     state: Mutex<ClockState>,
-    cv: Condvar,
+    /// Lock-free mirror of `ClockState::now`, stored (Release) under the
+    /// clock lock whenever the clock moves and loaded (Acquire) by
+    /// [`SimClock::now_ns`]. A reader that is a runnable actor cannot see
+    /// it change: the clock only moves when nobody is runnable.
+    now: AtomicU64,
+    /// Next fresh [`WakeKey`].
+    next_key: AtomicU64,
     /// How spawned machines execute ([`SimClock::spawn_machine`]).
     mode: ExecMode,
     /// Event-mode shard pool (empty queues in thread mode).
@@ -92,9 +227,10 @@ impl ClockInner {
     /// path that decrements `runnable` (possibly) to zero.
     fn maybe_advance(&self, st: &mut ClockState) {
         // Loop: an alarm may fire at an instant where no sleeper is due and
-        // no waiter is blocked (e.g. a message arrives while its receiver
-        // is off sleeping past it); the clock must then keep advancing to
-        // the next target, because no other thread will re-drive it.
+        // none of its dependants is blocked (e.g. a message arrives while
+        // its receiver is off sleeping past it); the clock must then keep
+        // advancing to the next target, because no other thread will
+        // re-drive it.
         loop {
             if st.runnable > 0 || st.pending_wakes > 0 || st.recheck_pending > 0 {
                 return;
@@ -107,7 +243,7 @@ impl ClockInner {
             // stay queued: a sleeper may still wake and block on a
             // predicate whose wake-up is one of these alarms.
             let next_alarm = if st.blocked > 0 {
-                st.alarms.peek().map(|Reverse(t)| *t)
+                st.alarms.peek().map(|Reverse((t, _))| *t)
             } else {
                 None
             };
@@ -118,8 +254,7 @@ impl ClockInner {
                 (None, None) => {
                     if st.blocked > 0 {
                         let report = self.render_actors(st);
-                        st.poisoned = true;
-                        self.cv.notify_all();
+                        st.poison();
                         panic!(
                             "simtime: deadlock — all {} blocked actor(s) wait on predicates and \
                              no sleeper or alarm can advance the clock past t={}:\n{report}",
@@ -131,32 +266,58 @@ impl ClockInner {
             };
             debug_assert!(target >= st.now, "clock would move backwards");
             st.now = target;
-            while matches!(st.sleepers.peek(), Some(Reverse((t, _))) if *t <= target) {
+            self.now.store(target, Ordering::Release);
+            st.stats.advances += 1;
+            while let Some(&Reverse((t, id))) = st.sleepers.peek() {
+                if t > target {
+                    break;
+                }
                 st.sleepers.pop();
                 st.pending_wakes += 1;
+                if let Some(a) = st.actors.get(&id) {
+                    a.token.notify_one();
+                }
             }
-            let mut alarm_fired = false;
-            while matches!(st.alarms.peek(), Some(Reverse(t)) if *t <= target) {
+            // Alarms due at one instant pop grouped by key (a shard's
+            // machines all arm the runners' key): wake a key's dependants
+            // once, however many consecutive alarms share it.
+            let mut last_key = None;
+            while let Some(&Reverse((t, key))) = st.alarms.peek() {
+                if t > target {
+                    break;
+                }
                 st.alarms.pop();
-                alarm_fired = true;
+                st.stats.alarms_fired += 1;
+                if last_key.replace(key) != Some(key) {
+                    st.wake_dependants(key);
+                }
             }
-            if alarm_fired {
-                st.gen += 1;
-                st.recheck_pending = st.blocked;
-            }
-            self.cv.notify_all();
             if st.pending_wakes > 0 || st.recheck_pending > 0 {
                 return; // woken threads will drive further progress
             }
-            // Only alarms fired and nobody was listening: advance further.
+            // Only alarms fired and none of their dependants was parked:
+            // advance further.
         }
     }
 
     fn render_actors(&self, st: &ClockState) -> String {
         let mut lines: Vec<String> = st
             .actors
-            .values()
-            .map(|a| format!("  {:<24} {:?}", a.label, a.status))
+            .iter()
+            .map(|(id, a)| {
+                let mut line = format!("  {:<24} {:?}", a.label, a.status);
+                if matches!(a.status, ActorStatus::Blocked(_)) {
+                    // A wait converted with a missing key names itself
+                    // here: it is the keyed waiter nothing could reach.
+                    if st.waiting.contains(&(WakeKey::ALL, *id)) {
+                        line.push_str(" [wildcard: any key wakes it]");
+                    } else {
+                        let keys = st.waiting.iter().filter(|(_, w)| w == id).count();
+                        line.push_str(&format!(" [keyed: {keys} key(s)]"));
+                    }
+                }
+                line
+            })
             .collect();
         lines.sort();
         if self.mode == ExecMode::Events {
@@ -227,7 +388,8 @@ impl SimClock {
         SimClock {
             inner: Arc::new(ClockInner {
                 state: Mutex::new(ClockState::default()),
-                cv: Condvar::new(),
+                now: AtomicU64::new(0),
+                next_key: AtomicU64::new(WakeKey::FIRST_FRESH),
                 mode,
                 pool: SchedPool::new(sched::shard_count_from_env()),
                 events: AtomicU64::new(0),
@@ -256,10 +418,15 @@ impl SimClock {
         &self.inner.pool.shards[i]
     }
 
+    /// The event-mode pool (shard workers report their retirement to it).
+    pub(crate) fn pool(&self) -> &SchedPool {
+        &self.inner.pool
+    }
+
     /// Block (in real time) until the event-mode scheduler is fully
-    /// quiescent: every shard's machine queues are empty and its worker
-    /// has retired. A no-op in thread mode, where machines are joined by
-    /// their owners' drop paths.
+    /// quiescent: every shard worker has drained its machine queues,
+    /// retired and deregistered its actor. A no-op in thread mode, where
+    /// machines are joined by their owners' drop paths.
     ///
     /// Shard workers process machine shutdowns *asynchronously* after the
     /// spawning actors have exited: a queue's `Shutdown` transition and an
@@ -267,31 +434,25 @@ impl SimClock {
     /// contributions and any final alarm-driven advance — may run after
     /// the owners dropped their handles. A reader that wants the complete
     /// [`SimClock::events`] total or the final [`SimClock::now_ns`] must
-    /// quiesce first. Acquiring each shard lock orders the workers' last
-    /// counted pass before the caller's subsequent reads.
+    /// quiesce first. The caller parks on the pool's live-worker count;
+    /// the last worker to retire wakes it, and taking that count's lock
+    /// orders every worker's last counted pass before the caller's
+    /// subsequent reads.
     ///
     /// Preconditions: every spawned machine has been asked to shut down
     /// (its owner dropped), and the caller holds no registered actor —
     /// retiring machines may still need the clock to advance (trailing
     /// device reservations), which a runnable caller would stall.
+    ///
+    /// Panics if a worker panicked during that trailing drain (the clock
+    /// is poisoned), so the failure reaches the caller instead of a
+    /// half-drained total.
     pub fn quiesce_machines(&self) {
         if self.exec_mode() != ExecMode::Events {
             return;
         }
-        loop {
-            let drained = self.inner.pool.shards.iter().all(|s| {
-                let st = s.lock();
-                st.resident.is_empty() && st.incoming.is_empty() && !st.running
-            });
-            if drained {
-                return;
-            }
-            // Workers retire on their own (shutdown notifications are
-            // already in flight, and blocked workers still drive the
-            // clock through their scheduled alarms); the wait is a few
-            // final shard passes, so yielding the OS slice is enough.
-            std::thread::yield_now();
-        }
+        self.inner.pool.wait_retired();
+        SimClock::check_poison(&self.inner.state.lock());
     }
 
     /// Spawn a resumable machine according to this clock's [`ExecMode`].
@@ -333,14 +494,16 @@ impl SimClock {
                 };
                 if needs_worker {
                     let actor = self.register(format!("sched:shard{shard}"));
+                    self.inner.pool.worker_started();
                     let clock = self.clone();
                     std::thread::Builder::new()
                         .name(format!("sim-shard{shard}"))
                         .spawn(move || sched::shard_worker(actor, clock, shard))
                         .expect("spawn shard worker");
                 }
-                // An already-parked worker re-polls only on notification.
-                self.notify();
+                // An already-parked worker re-polls only on notification;
+                // workers are wildcard waiters, and nobody else cares.
+                self.notify_key(WakeKey::RUNNERS);
                 MachineHandle::event()
             }
         }
@@ -357,6 +520,7 @@ impl SimClock {
     /// Otherwise the clock may advance before the newcomer is accounted
     /// for.
     pub fn register(&self, label: impl Into<String>) -> Actor {
+        let token = Arc::new(Condvar::new());
         let mut st = self.inner.state.lock();
         let id = st.next_actor;
         st.next_actor += 1;
@@ -366,42 +530,79 @@ impl SimClock {
             ActorInfo {
                 label: label.into(),
                 status: ActorStatus::Running,
+                token: token.clone(),
+                flagged: false,
             },
         );
         Actor {
             clock: self.clone(),
             id,
+            token,
         }
     }
 
-    /// Current virtual time in nanoseconds.
+    /// Current virtual time in nanoseconds (lock-free).
     pub fn now_ns(&self) -> SimNs {
-        self.inner.state.lock().now
+        self.inner.now.load(Ordering::Acquire)
     }
 
-    /// Announce that cross-actor state changed: every blocked actor will
-    /// re-evaluate its predicate. Called automatically by [`crate::sync`].
+    /// A fresh wake key, distinct from every other key of this clock.
+    pub fn new_key(&self) -> WakeKey {
+        // Relaxed: the counter publishes nothing but its own value.
+        WakeKey(self.inner.next_key.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// A fresh **pump key**: one that names not state but a queue of
+    /// jobs (the fabric's deferred arbiter) which any registered waiter's
+    /// predicate drains on behalf of all — the state a job fills in
+    /// notifies its own key when it runs. A notify or alarm on a pump
+    /// key therefore flags just one of the waiters registered on it
+    /// (plus, as always, the [`WakeKey::ALL`] waiters). Every wait that
+    /// registers a pump key must drain the queue in its predicate.
+    pub fn new_pump_key(&self) -> WakeKey {
+        WakeKey(self.new_key().0 | WakeKey::PUMP)
+    }
+
+    /// Announce that cross-actor state changed without saying which:
+    /// every blocked actor will re-evaluate its predicate.
     pub fn notify(&self) {
-        let mut st = self.inner.state.lock();
-        st.gen += 1;
-        st.recheck_pending = st.blocked;
-        self.inner.cv.notify_all();
+        self.notify_key(WakeKey::ALL);
     }
 
-    /// Schedule a thread-less wake-up: at virtual time `at`, blocked actors
-    /// re-evaluate their predicates. Use this when an *event in the future*
-    /// (e.g. a message arrival) may unblock a waiter, but no thread will be
-    /// sleeping until then. If `at` is not in the future this is just
-    /// [`SimClock::notify`].
+    /// Announce that the state `key` names changed: the blocked actors
+    /// registered on `key` (and the [`WakeKey::ALL`] waiters) re-evaluate
+    /// their predicates. Called automatically by [`crate::sync`].
+    pub fn notify_key(&self, key: WakeKey) {
+        let mut st = self.inner.state.lock();
+        st.stats.notifies += 1;
+        st.wake_dependants(key);
+    }
+
+    /// Schedule a thread-less wake-up: at virtual time `at`, every blocked
+    /// actor re-evaluates its predicate. Use this when an *event in the
+    /// future* (e.g. a message arrival) may unblock a waiter, but no
+    /// thread will be sleeping until then. If `at` is not in the future
+    /// this is just [`SimClock::notify`].
     pub fn schedule_alarm(&self, at: SimNs) {
+        self.schedule_alarm_keyed(at, WakeKey::ALL);
+    }
+
+    /// [`SimClock::schedule_alarm`] waking only the dependants of `key`
+    /// (and the [`WakeKey::ALL`] waiters). The alarm still drives the
+    /// clock to `at` like any other while somebody is blocked.
+    pub fn schedule_alarm_keyed(&self, at: SimNs, key: WakeKey) {
         let mut st = self.inner.state.lock();
         if at <= st.now {
-            st.gen += 1;
-            st.recheck_pending = st.blocked;
-            self.inner.cv.notify_all();
+            st.stats.notifies += 1;
+            st.wake_dependants(key);
         } else {
-            st.alarms.push(Reverse(at));
+            st.alarms.push(Reverse((at, key)));
         }
+    }
+
+    /// Snapshot of the wake accounting since the clock was created.
+    pub fn wake_stats(&self) -> WakeStats {
+        self.inner.state.lock().stats.clone()
     }
 
     /// Number of currently registered actors (diagnostics / tests).
@@ -429,6 +630,9 @@ impl SimClock {
 pub struct Actor {
     clock: SimClock,
     id: u64,
+    /// Where this actor parks, sleeping or blocked: its own condition
+    /// variable on the clock mutex, so a wake-up reaches it alone.
+    token: Arc<Condvar>,
 }
 
 impl Actor {
@@ -456,16 +660,14 @@ impl Actor {
         let mut st = inner.state.lock();
         SimClock::check_poison(&st);
         let wake = st.now + ns;
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.sleepers.push(Reverse((wake, seq)));
+        st.sleepers.push(Reverse((wake, self.id)));
         st.runnable -= 1;
         if let Some(a) = st.actors.get_mut(&self.id) {
             a.status = ActorStatus::Sleeping(wake);
         }
         inner.maybe_advance(&mut st);
         while st.now < wake && !st.poisoned {
-            inner.cv.wait(&mut st);
+            self.token.wait(&mut st);
         }
         if st.poisoned {
             // Our sleeper entry may or may not have been consumed; the run
@@ -488,20 +690,39 @@ impl Actor {
     }
 
     /// Block until `pred` returns `Some`, re-evaluating whenever any actor
-    /// calls [`SimClock::notify`] (directly or through [`crate::sync`]) or
-    /// an alarm fires. The predicate is evaluated **without** the clock
-    /// lock held, so it may freely take other locks.
+    /// notifies the clock (directly or through [`crate::sync`]) or any
+    /// alarm fires — the [`WakeKey::ALL`] case of [`Actor::wait_on`].
     pub fn wait_until<T>(&self, pred: impl FnMut() -> Option<T>) -> T {
         self.wait_until_labeled("<predicate>", pred)
     }
 
     /// [`Actor::wait_until`] with a label shown in deadlock diagnostics.
-    pub fn wait_until_labeled<T>(
+    pub fn wait_until_labeled<T>(&self, label: &'static str, pred: impl FnMut() -> Option<T>) -> T {
+        self.wait_on(&[WakeKey::ALL], label, pred)
+    }
+
+    /// Block until `pred` returns `Some`, re-evaluating whenever one of
+    /// `keys` is notified or an alarm carrying one of them fires (and on
+    /// every unkeyed notify and alarm). `keys` must name **everything**
+    /// the predicate reads that another actor can change — each monitor
+    /// it looks into, and the key of each alarm standing for an instant
+    /// it compares `now` against; a change behind a missing key is a
+    /// wake-up this waiter never gets. `label` is shown in deadlock
+    /// diagnostics and names the wait in [`SimClock::wake_stats`].
+    ///
+    /// The predicate is evaluated **without** the clock lock held, so it
+    /// may freely take other locks.
+    pub fn wait_on<T>(
         &self,
+        keys: &[WakeKey],
         label: &'static str,
         mut pred: impl FnMut() -> Option<T>,
     ) -> T {
+        assert!(!keys.is_empty(), "a wait with no keys can never be woken");
         let inner = &self.clock.inner;
+        // Whether the evaluation about to run follows a wake-up that has
+        // not yet been accounted as futile (re-parked) or successful.
+        let mut woken = false;
         loop {
             let gen = {
                 let st = inner.state.lock();
@@ -509,6 +730,9 @@ impl Actor {
                 st.gen
             };
             if let Some(v) = pred() {
+                if woken {
+                    inner.state.lock().label_stats(label).successes += 1;
+                }
                 return v;
             }
             let mut st = inner.state.lock();
@@ -518,20 +742,31 @@ impl Actor {
             }
             st.runnable -= 1;
             st.blocked += 1;
+            for &k in keys {
+                st.waiting.insert((k, self.id));
+            }
             if let Some(a) = st.actors.get_mut(&self.id) {
                 a.status = ActorStatus::Blocked(label);
             }
+            st.label_stats(label).parked += 1;
             inner.maybe_advance(&mut st);
-            while st.gen == gen && !st.poisoned {
-                inner.cv.wait(&mut st);
+            while !st.poisoned && !st.actors.get(&self.id).is_some_and(|a| a.flagged) {
+                self.token.wait(&mut st);
             }
-            st.recheck_pending = st.recheck_pending.saturating_sub(1);
+            for &k in keys {
+                st.waiting.remove(&(k, self.id));
+            }
             st.blocked -= 1;
             st.runnable += 1;
             if let Some(a) = st.actors.get_mut(&self.id) {
                 a.status = ActorStatus::Running;
+                if std::mem::take(&mut a.flagged) {
+                    st.recheck_pending -= 1;
+                }
             }
             SimClock::check_poison(&st);
+            st.label_stats(label).wakeups += 1;
+            woken = true;
         }
     }
 }
@@ -541,20 +776,22 @@ impl Drop for Actor {
         let inner = &self.clock.inner;
         let mut st = inner.state.lock();
         // An actor normally drops while Running; during a panic unwind it
-        // may drop while Blocked (or Sleeping, whose counter lives in the
-        // sleeper heap / pending_wakes and no longer matters once
-        // poisoned). Adjust the counter its status actually holds.
+        // may drop while Blocked (the deadlock panic fires inside its own
+        // park) or Sleeping, whose counter lives in the sleeper heap /
+        // pending_wakes and no longer matters once poisoned. Adjust the
+        // counter its status actually holds.
         if let Some(info) = st.actors.remove(&self.id) {
             match info.status {
                 ActorStatus::Running => st.runnable -= 1,
-                ActorStatus::Blocked(_) => st.blocked -= 1,
+                ActorStatus::Blocked(_) => {
+                    st.blocked -= 1;
+                    st.waiting.retain(|&(_, id)| id != self.id);
+                }
                 ActorStatus::Sleeping(_) => {}
             }
         }
         if std::thread::panicking() {
-            st.poisoned = true;
-            st.gen += 1;
-            inner.cv.notify_all();
+            st.poison();
         } else if !st.poisoned {
             inner.maybe_advance(&mut st);
         }
@@ -733,6 +970,15 @@ mod tests {
         let c = SimClock::new();
         let a = c.register("stuck");
         a.wait_until(|| None::<()>);
+    }
+
+    #[test]
+    #[should_panic(expected = "Blocked(\"lost\") [keyed: 2 key(s)]")]
+    fn deadlock_report_says_how_each_waiter_is_keyed() {
+        let c = SimClock::new();
+        let a = c.register("stuck");
+        let keys = [c.new_key(), c.new_key()];
+        a.wait_on(&keys, "lost", || None::<()>);
     }
 
     #[test]

@@ -21,9 +21,13 @@
 //! ## Contract
 //!
 //! Any mutation of state that another actor may be blocked on **must** be
-//! followed by [`SimClock::notify`]. The synchronization primitives in
-//! [`sync`] ([`Monitor`], [`SimChannel`], [`SimBarrier`]) uphold this
-//! automatically; use them instead of raw locks for cross-actor state.
+//! followed by a notify that reaches it: [`SimClock::notify_key`] with the
+//! [`WakeKey`] the waiter registered ([`Actor::wait_on`]), or the unkeyed
+//! [`SimClock::notify`], which reaches everybody. The synchronization
+//! primitives in [`sync`] ([`Monitor`], [`SimChannel`], [`SimBarrier`])
+//! uphold this automatically — each monitor owns a key, notifies it on
+//! every mutation and registers it for its waiters; use them instead of
+//! raw locks for cross-actor state.
 //!
 //! ## Example
 //!
@@ -50,7 +54,7 @@ pub mod sched;
 pub mod sync;
 pub mod trace;
 
-pub use clock::{Actor, ActorStatus, SimClock};
+pub use clock::{Actor, ActorStatus, LabelWakes, SimClock, WakeKey, WakeStats};
 pub use progress::{Completion, CompletionState};
 pub use rng::XorShift64;
 pub use sched::{on_pool_worker, ExecMode, MachineHandle, MachineStep, SimActor};

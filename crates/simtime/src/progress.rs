@@ -18,6 +18,7 @@
 //!   known instant when there is one, so pollers can park on an alarm
 //!   instead of spinning.
 
+use crate::clock::WakeKey;
 use crate::{Actor, SimNs};
 
 /// Lifecycle snapshot of an asynchronous operation, as seen at one
@@ -84,7 +85,8 @@ pub fn block_on(actor: &Actor, c: &dyn Completion) -> CompletionState {
             return Some(st);
         }
         if let Some(at) = c.wake_hint(now) {
-            clock.schedule_alarm(at);
+            // This wait is a wildcard one; the hint is for it alone.
+            clock.schedule_alarm_keyed(at, WakeKey::RUNNERS);
         }
         None
     })

@@ -24,7 +24,10 @@
 //!   worker polls every resident machine at each frozen instant; between
 //!   instants it is one blocked actor, so the conservative-advance
 //!   invariant (`runnable`/`pending_wakes`/`recheck_pending` bookkeeping,
-//!   alarms, deadlock detection) is untouched.
+//!   alarms, deadlock detection) is untouched. A worker waits on every
+//!   wake key (its machines read state it cannot enumerate), and the wake
+//!   hints it schedules carry a key that reaches such wildcard waiters
+//!   only.
 //!
 //! Because the *same machine code* runs under both modes, the virtual
 //! timings and observability fingerprints must be identical — the
@@ -44,8 +47,8 @@
 use std::cell::Cell;
 use std::thread::JoinHandle;
 
-use crate::clock::{Actor, SimClock};
-use crate::plock::Mutex;
+use crate::clock::{Actor, SimClock, WakeKey};
+use crate::plock::{Condvar, Mutex};
 use crate::SimNs;
 
 /// Verdict of one [`SimActor::poll`]/[`SimActor::on_wake`] step.
@@ -174,7 +177,9 @@ fn step_slot(slot: &mut Slot, now: SimNs, actor: &Actor, clock: &SimClock) -> bo
             if let Some(t) = hint {
                 debug_assert!(t > now, "machines must progress, not park, when due");
                 if t > now && !slot.alarms.contains(&t) {
-                    clock.schedule_alarm(t);
+                    // The hint concerns this machine's runner only, and
+                    // runners are wildcard waiters.
+                    clock.schedule_alarm_keyed(t, WakeKey::RUNNERS);
                     slot.alarms.push(t);
                 }
             }
@@ -215,6 +220,10 @@ pub(crate) struct ShardState {
 /// reach it through their own `SimClock` clones.
 pub(crate) struct SchedPool {
     pub(crate) shards: Vec<Mutex<ShardState>>,
+    /// Worker threads spawned and not yet retired;
+    /// [`SimClock::quiesce_machines`] parks on `retired` until it is zero.
+    live_workers: Mutex<usize>,
+    retired: Condvar,
 }
 
 impl SchedPool {
@@ -223,6 +232,37 @@ impl SchedPool {
             shards: (0..shards)
                 .map(|_| Mutex::new(ShardState::default()))
                 .collect(),
+            live_workers: Mutex::new(0),
+            retired: Condvar::new(),
+        }
+    }
+
+    /// Count a worker about to be spawned (before its thread starts, so a
+    /// quiescing caller can never observe zero between spawn and start).
+    pub(crate) fn worker_started(&self) {
+        *self.live_workers.lock() += 1;
+    }
+
+    /// Park the calling thread until every counted worker has retired.
+    pub(crate) fn wait_retired(&self) {
+        let mut live = self.live_workers.lock();
+        while *live > 0 {
+            self.retired.wait(&mut live);
+        }
+    }
+}
+
+/// Reports a shard worker's retirement when dropped — after the worker's
+/// actor, and also when the worker unwinds from a panicking machine, so a
+/// quiescing caller is released to observe the poison instead of hanging.
+struct Retire<'a>(&'a SchedPool);
+
+impl Drop for Retire<'_> {
+    fn drop(&mut self) {
+        let mut live = self.0.live_workers.lock();
+        *live -= 1;
+        if *live == 0 {
+            self.0.retired.notify_all();
         }
     }
 }
@@ -234,6 +274,10 @@ impl SchedPool {
 /// The worker retires (clearing `running`) once the shard drains.
 pub(crate) fn shard_worker(actor: Actor, clock: SimClock, shard: usize) {
     ON_POOL_WORKER.with(|f| f.set(true));
+    // Locals drop in reverse order: the actor deregisters (its last clock
+    // advance included) before the retirement is reported.
+    let _retire = Retire(clock.pool());
+    let actor = actor;
     actor.wait_until_labeled("sched shard", || {
         let mut st = clock.shard(shard).lock();
         let now = clock.now_ns();

@@ -8,17 +8,26 @@ use crate::plock::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::{Actor, SimClock};
+use crate::{Actor, SimClock, SimNs, WakeKey};
 
-/// A monitor: shared mutable state whose mutations wake blocked actors.
+/// A monitor: shared mutable state whose mutations wake the actors blocked
+/// on it.
 ///
 /// `Monitor<T>` is the building block for everything cross-actor in this
 /// workspace (mailboxes, event statuses, link timelines). Use
 /// [`Monitor::with`] for mutations, [`Monitor::peek`] for pure reads, and
 /// [`Monitor::wait`] to block an actor until the state satisfies a
 /// predicate.
+///
+/// Every monitor owns a [`WakeKey`]: its mutations notify that key only,
+/// and its waits register on that key only. A predicate waited on through
+/// [`Monitor::wait`] must therefore read nothing but this monitor's state
+/// and instants announced with [`Monitor::alarm_at`]; a wait that reads
+/// more registers the other keys itself through [`Actor::wait_on`] and
+/// [`Monitor::key`].
 pub struct Monitor<T> {
     clock: SimClock,
+    key: WakeKey,
     state: Mutex<T>,
 }
 
@@ -26,6 +35,7 @@ impl<T> Monitor<T> {
     /// Create a monitor bound to `clock` holding `value`.
     pub fn new(clock: SimClock, value: T) -> Self {
         Monitor {
+            key: clock.new_key(),
             clock,
             state: Mutex::new(value),
         }
@@ -36,10 +46,23 @@ impl<T> Monitor<T> {
         &self.clock
     }
 
-    /// Mutate the state and wake every blocked actor to re-evaluate.
+    /// The key this monitor's mutations notify.
+    pub fn key(&self) -> WakeKey {
+        self.key
+    }
+
+    /// Wake this monitor's waiters at the future instant `at` (now, if
+    /// `at` has passed): the alarm for a predicate that compares the
+    /// clock against an instant stored in this monitor.
+    pub fn alarm_at(&self, at: SimNs) {
+        self.clock.schedule_alarm_keyed(at, self.key);
+    }
+
+    /// Mutate the state and wake the actors blocked on this monitor to
+    /// re-evaluate.
     pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         let r = f(&mut self.state.lock());
-        self.clock.notify();
+        self.clock.notify_key(self.key);
         r
     }
 
@@ -49,13 +72,11 @@ impl<T> Monitor<T> {
     }
 
     /// Block `actor` until `f` returns `Some`. `f` may mutate the state
-    /// when it succeeds (e.g. pop a queue entry); other actors are notified
-    /// after a successful return, since the state changed.
-    pub fn wait<R>(&self, actor: &Actor, mut f: impl FnMut(&mut T) -> Option<R>) -> R {
-        let r = actor.wait_until_labeled("monitor", || f(&mut self.state.lock()));
-        // The successful predicate may have mutated state others wait on.
-        self.clock.notify();
-        r
+    /// when it succeeds (e.g. pop a queue entry); the monitor's other
+    /// waiters are notified after a successful return, since the state
+    /// changed.
+    pub fn wait<R>(&self, actor: &Actor, f: impl FnMut(&mut T) -> Option<R>) -> R {
+        self.wait_labeled(actor, "monitor", f)
     }
 
     /// Like [`Monitor::wait`] with a diagnostic label for deadlock reports.
@@ -65,8 +86,9 @@ impl<T> Monitor<T> {
         label: &'static str,
         mut f: impl FnMut(&mut T) -> Option<R>,
     ) -> R {
-        let r = actor.wait_until_labeled(label, || f(&mut self.state.lock()));
-        self.clock.notify();
+        let r = actor.wait_on(&[self.key], label, || f(&mut self.state.lock()));
+        // The successful predicate may have mutated state others wait on.
+        self.clock.notify_key(self.key);
         r
     }
 
@@ -74,7 +96,7 @@ impl<T> Monitor<T> {
     pub fn try_now<R>(&self, mut f: impl FnMut(&mut T) -> Option<R>) -> Option<R> {
         let r = f(&mut self.state.lock());
         if r.is_some() {
-            self.clock.notify();
+            self.clock.notify_key(self.key);
         }
         r
     }

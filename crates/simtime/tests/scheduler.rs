@@ -323,6 +323,10 @@ fn event_mode_deadlock_report_names_shards() {
         report.contains("stuck"),
         "report names the parked machine:\n{report}"
     );
+    assert!(
+        report.contains("[wildcard"),
+        "report says the blocked waiters take any key:\n{report}"
+    );
 }
 
 #[test]

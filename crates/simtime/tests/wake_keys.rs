@@ -1,0 +1,293 @@
+//! Wake-by-dependency: keyed notifies and alarms reach their dependants
+//! and nobody else, unkeyed ones still reach everybody, and neither the
+//! clock's trajectory nor the lost-wake-up and poison guarantees depend
+//! on keys.
+//!
+//! Interleavings are forced through virtual time itself: an actor that
+//! has `advance_ns`'d to instant t only runs once every other actor is
+//! parked, so "the waiters are parked before the driver acts" needs no
+//! sleeps or barriers.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread;
+
+use simtime::plock::Mutex;
+use simtime::{LabelWakes, Monitor, SimClock, SimNs};
+
+/// Join a worker, re-raising its own panic (with its message) if it died.
+fn join<T>(h: thread::JoinHandle<T>) -> T {
+    h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+}
+
+fn label(clock: &SimClock, name: &str) -> LabelWakes {
+    clock
+        .wake_stats()
+        .labels
+        .get(name)
+        .copied()
+        .unwrap_or_default()
+}
+
+#[test]
+fn keyed_notify_does_not_wake_a_waiter_on_another_monitor() {
+    let clock = SimClock::new();
+    let a = Arc::new(Monitor::new(clock.clone(), 0u32));
+    let b = Arc::new(Monitor::new(clock.clone(), 0u32));
+    let wa = clock.register("on-a");
+    let wb = clock.register("on-b");
+    let driver = clock.register("driver");
+
+    let (a1, b1) = (a.clone(), b.clone());
+    let ta = thread::spawn(move || a1.wait_labeled(&wa, "on a", |v| (*v == 1).then_some(())));
+    let tb = thread::spawn(move || b1.wait_labeled(&wb, "on b", |v| (*v == 5).then_some(())));
+    // t=10: both waiters are parked (or the clock could not have moved).
+    driver.advance_ns(10);
+    for _ in 0..5 {
+        b.with(|v| *v += 1);
+    }
+    // t=20: `on b` has finished; `on a` must have slept through all of it.
+    driver.advance_ns(10);
+    assert_eq!(
+        label(&clock, "on a"),
+        LabelWakes {
+            parked: 1,
+            wakeups: 0,
+            successes: 0
+        },
+        "five notifies of b's key must not reach a's waiter"
+    );
+    a.with(|v| *v = 1);
+    join(ta);
+    join(tb);
+    drop(driver);
+
+    assert_eq!(
+        label(&clock, "on a"),
+        LabelWakes {
+            parked: 1,
+            wakeups: 1,
+            successes: 1
+        }
+    );
+    let on_b = label(&clock, "on b");
+    assert!(
+        (1..=5).contains(&on_b.wakeups) && on_b.successes == 1,
+        "b's waiter absorbs its own five notifies in one to five wake-ups: {on_b:?}"
+    );
+    assert_eq!(
+        clock.wake_stats().notifies,
+        6 + 2,
+        "6 `with` + 2 wait exits"
+    );
+}
+
+#[test]
+fn unkeyed_notify_and_alarm_still_wake_keyed_waiters() {
+    let clock = SimClock::new();
+    let m = Arc::new(Monitor::new(clock.clone(), ()));
+    let flag = Arc::new(AtomicBool::new(false));
+    let waiter = clock.register("keyed");
+    let driver = clock.register("driver");
+
+    let (m1, f1, c1) = (m.clone(), flag.clone(), clock.clone());
+    let t = thread::spawn(move || {
+        // Registered on m's key only, but reading state m does not own:
+        // legal exactly because its writers notify unkeyed.
+        waiter.wait_on(&[m1.key()], "raw flag", || {
+            f1.load(Ordering::SeqCst).then_some(())
+        });
+        let at_flag = waiter.now_ns();
+        waiter.wait_on(&[m1.key()], "raw deadline", || {
+            (c1.now_ns() >= 5_000).then_some(())
+        });
+        (at_flag, waiter.now_ns())
+    });
+    driver.advance_ns(100);
+    flag.store(true, Ordering::SeqCst);
+    clock.notify();
+    clock.schedule_alarm(5_000);
+    drop(driver);
+    assert_eq!(join(t), (100, 5_000));
+    assert_eq!(label(&clock, "raw flag").successes, 1);
+    assert_eq!(label(&clock, "raw deadline").successes, 1);
+}
+
+/// Alarms at 100 and 200 that concern nobody parked, one at 300 for the
+/// waiter on `a`; a wildcard observer logs every instant it is woken at.
+/// Returns (observer's log, a-waiter's wake accounting, final time).
+fn alarm_trajectory(keyed: bool) -> (Vec<SimNs>, LabelWakes, SimNs) {
+    let clock = SimClock::new();
+    let a = Arc::new(Monitor::new(clock.clone(), ()));
+    let b = Monitor::new(clock.clone(), ());
+    let wa = clock.register("on-a");
+    let observer = clock.register("observer");
+    if keyed {
+        b.alarm_at(100);
+        b.alarm_at(200);
+        a.alarm_at(300);
+    } else {
+        for t in [100, 200, 300] {
+            clock.schedule_alarm(t);
+        }
+    }
+    let (a1, c1) = (a.clone(), clock.clone());
+    let ta =
+        thread::spawn(move || a1.wait_labeled(&wa, "on a", |_| (c1.now_ns() >= 300).then_some(())));
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let (l1, c2) = (log.clone(), clock.clone());
+    let to = thread::spawn(move || {
+        observer.wait_until(|| {
+            let now = c2.now_ns();
+            let mut log = l1.lock();
+            if log.last() != Some(&now) {
+                log.push(now);
+            }
+            (now >= 300).then_some(())
+        })
+    });
+    join(ta);
+    join(to);
+    let seen = log.lock().clone();
+    (seen, label(&clock, "on a"), clock.now_ns())
+}
+
+#[test]
+fn keyed_alarm_drives_the_clock_like_an_unkeyed_one_but_wakes_only_dependants() {
+    let (seen_k, on_a_k, end_k) = alarm_trajectory(true);
+    let (seen_u, on_a_u, end_u) = alarm_trajectory(false);
+    assert_eq!(seen_k, vec![0, 100, 200, 300], "every due alarm drives");
+    assert_eq!(seen_k, seen_u, "keys never change where `now` goes");
+    assert_eq!((end_k, end_u), (300, 300));
+    assert_eq!(
+        on_a_k.wakeups, 1,
+        "b's alarms pass a's waiter by: {on_a_k:?}"
+    );
+    assert_eq!(on_a_u.wakeups, 3, "unkeyed alarms wake it each time");
+    assert_eq!((on_a_k.successes, on_a_u.successes), (1, 1));
+}
+
+#[test]
+fn pump_key_alarm_wakes_one_pumper_who_serves_everybody() {
+    // Three waiters, each on its own flag plus a shared pump key whose
+    // "queue" holds two jobs: at t=50 set c, at t=100 set a and b. Every
+    // predicate pumps first, as the contract demands. Each alarm must
+    // wake one pumper (the first registered: a); the others are woken
+    // only by the notify of their own flag when the job runs.
+    let clock = SimClock::new();
+    let flags: Vec<Arc<Monitor<bool>>> = (0..3)
+        .map(|_| Arc::new(Monitor::new(clock.clone(), false)))
+        .collect();
+    let pump_key = clock.new_pump_key();
+    clock.schedule_alarm_keyed(50, pump_key);
+    clock.schedule_alarm_keyed(100, pump_key);
+    let set = |m: &Monitor<bool>| {
+        if !m.peek(|v| *v) {
+            m.with(|v| *v = true);
+        }
+    };
+    // Register every actor before any thread starts (see `register`).
+    let labels = ["pump a", "pump b", "pump c"];
+    let actors: Vec<_> = labels.iter().map(|&l| clock.register(l)).collect();
+    let handles: Vec<_> = actors
+        .into_iter()
+        .zip(labels)
+        .enumerate()
+        .map(|(i, (actor, label))| {
+            let (flags, clock) = (flags.clone(), clock.clone());
+            thread::spawn(move || {
+                actor.wait_on(&[flags[i].key(), pump_key], label, || {
+                    let now = clock.now_ns();
+                    if now >= 50 {
+                        set(&flags[2]);
+                    }
+                    if now >= 100 {
+                        set(&flags[0]);
+                        set(&flags[1]);
+                    }
+                    flags[i].peek(|v| v.then_some(()))
+                });
+                actor.now_ns()
+            })
+        })
+        .collect();
+    let done_at: Vec<SimNs> = handles.into_iter().map(join).collect();
+    assert_eq!(done_at, vec![100, 100, 50]);
+    let woken = |l| label(&clock, l).wakeups;
+    assert_eq!(woken("pump a"), 2, "the pumper of both alarms");
+    assert_eq!(woken("pump b"), 1, "slept through the t=50 alarm");
+    assert_eq!(woken("pump c"), 1, "woken by its flag, not by the alarm");
+}
+
+#[test]
+fn lost_wakeup_hammer_on_two_monitors_at_once() {
+    // Two producer/consumer pairs, each handing 100 tokens one at a time
+    // through its own monitor, on one clock: a wake-up delivered to the
+    // wrong pair (or dropped) wedges a pair and trips deadlock detection.
+    let clock = SimClock::new();
+    // Register every actor before any thread starts (see `register`).
+    let pairs: Vec<_> = (0..2)
+        .map(|pair| {
+            (
+                clock.register(format!("producer{pair}")),
+                clock.register(format!("consumer{pair}")),
+            )
+        })
+        .collect();
+    let mut handles = Vec::new();
+    for (p, c) in pairs {
+        let slot: Arc<Monitor<Option<u32>>> = Arc::new(Monitor::new(clock.clone(), None));
+        let s1 = slot.clone();
+        handles.push(thread::spawn(move || {
+            for i in 0..100u32 {
+                p.advance_ns(1);
+                s1.wait(&p, |s| s.is_none().then_some(()));
+                s1.with(|s| *s = Some(i));
+            }
+            Vec::new()
+        }));
+        handles.push(thread::spawn(move || {
+            (0..100).map(|_| slot.wait(&c, |s| s.take())).collect()
+        }));
+    }
+    let got: Vec<Vec<u32>> = handles.into_iter().map(join).collect();
+    let all: Vec<u32> = (0..100).collect();
+    assert_eq!(got[1], all);
+    assert_eq!(got[3], all);
+    assert_eq!(clock.now_ns(), 100);
+}
+
+#[test]
+fn panicking_actor_unparks_every_keyed_waiter_and_sleeper() {
+    let clock = SimClock::new();
+    let a = Arc::new(Monitor::new(clock.clone(), ()));
+    let b = Arc::new(Monitor::new(clock.clone(), ()));
+    let on_a = clock.register("on-a");
+    let on_b = clock.register("on-b");
+    let wildcard = clock.register("wildcard");
+    let sleeper = clock.register("sleeper");
+    let panicker = clock.register("panicker");
+    let parked = vec![
+        thread::spawn(move || a.wait(&on_a, |_| None::<()>)),
+        thread::spawn(move || b.wait(&on_b, |_| None::<()>)),
+        thread::spawn(move || wildcard.wait_until(|| None::<()>)),
+        thread::spawn(move || sleeper.advance_ns(1_000_000_000)),
+    ];
+    let boom = thread::spawn(move || {
+        // Reaching t=10 proves the other four are parked.
+        panicker.advance_ns(10);
+        std::panic::panic_any("boom");
+    });
+    assert!(boom.join().is_err());
+    for h in parked {
+        let payload = h.join().expect_err("every parked actor must fail fast");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("<non-string payload>");
+        assert!(msg.contains("poisoned"), "poison panic, got: {msg}");
+    }
+    assert!(clock.is_poisoned());
+    assert_eq!(clock.now_ns(), 10, "the sleeper's target was never reached");
+}
