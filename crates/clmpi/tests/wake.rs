@@ -1,7 +1,8 @@
 //! Wake-by-dependency at world level: the virtual result of a Himeno
 //! world does not depend on how many shard workers serve its machines,
-//! and at 256 ranks the rank threads' waits are woken for their own
-//! dependencies, not for everybody's.
+//! at 256 ranks the rank threads' waits are woken for their own
+//! dependencies, not for everybody's, and a shard worker makes a pass
+//! per settle round, not per notify.
 
 use std::process::Command;
 
@@ -103,4 +104,21 @@ fn himeno_w256_rank_waits_wake_for_their_own_dependencies() {
             w.successes
         );
     }
+    // Shard workers are held until every rank thread has parked, so a
+    // frozen instant costs each flagged worker one pass per settle round
+    // whatever the OS interleaving: 3,500–4,100 here. Signalled on every
+    // notify they made 12,000–77,000, depending on how often the OS
+    // let one in between the rank threads.
+    let shard = r
+        .wake
+        .labels
+        .get("sched shard")
+        .copied()
+        .unwrap_or_default();
+    assert!(shard.successes > 0, "no shard worker ran? {shard:?}");
+    assert!(
+        shard.wakeups <= 8_000,
+        "sched shard: {} wake-ups in one Himeno w256 run",
+        shard.wakeups
+    );
 }

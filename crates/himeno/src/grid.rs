@@ -100,14 +100,22 @@ impl HimenoGrid {
 /// what keeps 256-rank scale runs (each rank holding a few planes of a
 /// 17 MB grid) feasible in one process.
 pub fn init_planes(size: GridSize, lo: usize, hi: usize) -> Vec<f32> {
+    let (_, mj, mk) = size.dims();
+    let mut p = vec![0.0f32; (hi - lo) * mj * mk];
+    fill_planes(&mut p, size, lo);
+    p
+}
+
+/// [`init_planes`] in place: `p` holds whole planes of the standard grid
+/// starting at plane `lo`. A rank fills its device buffers through this,
+/// so slab set-up allocates and copies nothing.
+pub fn fill_planes(p: &mut [f32], size: GridSize, lo: usize) {
     let (mi, mj, mk) = size.dims();
     let denom = ((mi - 1) * (mi - 1)) as f32;
-    let mut p = vec![0.0f32; (hi - lo) * mj * mk];
-    for i in lo..hi {
-        let v = (i * i) as f32 / denom;
-        p[(i - lo) * mj * mk..(i - lo + 1) * mj * mk].fill(v);
+    debug_assert_eq!(p.len() % (mj * mk), 0, "whole planes");
+    for (i, plane) in (lo..).zip(p.chunks_exact_mut(mj * mk)) {
+        plane.fill((i * i) as f32 / denom);
     }
-    p
 }
 
 /// One Jacobi sweep over planes `i_lo..i_hi` (local indices, interior

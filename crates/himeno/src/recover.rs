@@ -48,7 +48,7 @@ use minimpi::{run_world_faulty, FaultPlan, Process, Tag};
 use simtime::plock::Mutex;
 use simtime::SimNs;
 
-use crate::grid::{GridSize, HimenoGrid};
+use crate::grid::{init_planes, GridSize};
 use crate::run::{enqueue_half_kernel, exchange_clmpi, HimenoConfig, Slab, TAG_DOWN, TAG_UP};
 
 /// User tag of the per-iteration residual allreduce.
@@ -281,18 +281,7 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
     let stats = rt.enable_stats();
     let ctx = rt.context().clone();
     let slab = Slab::new(&hcfg, me);
-    let start = Slab::global_start(&hcfg, me);
-    let init = {
-        let g = HimenoGrid::new(cfg.size);
-        g.planes(start - 1, start + slab.n + 1).to_vec()
-    };
-    let bufs = [
-        ctx.create_buffer(slab.slab_bytes()),
-        ctx.create_buffer(slab.slab_bytes()),
-    ];
-    for b in &bufs {
-        b.store(0, f32_as_bytes(&init)).expect("slab fits");
-    }
+    let bufs = slab.pressure_buffers(&ctx, cfg.size, Slab::global_start(&hcfg, me));
     let gosa_acc: Arc<Vec<Mutex<f64>>> =
         Arc::new((0..cfg.iters).map(|_| Mutex::new(0.0)).collect());
     let gbuf = ctx.create_buffer(8);
@@ -403,17 +392,7 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
     };
     let slab2 = Slab::new(&cfg2, me2);
     let start2 = Slab::global_start(&cfg2, me2);
-    let init2 = {
-        let g = HimenoGrid::new(cfg.size);
-        g.planes(start2 - 1, start2 + slab2.n + 1).to_vec()
-    };
-    let bufs2 = [
-        ctx2.create_buffer(slab2.slab_bytes()),
-        ctx2.create_buffer(slab2.slab_bytes()),
-    ];
-    for b in &bufs2 {
-        b.store(0, f32_as_bytes(&init2)).expect("slab fits");
-    }
+    let bufs2 = slab2.pressure_buffers(&ctx2, cfg.size, start2);
     let gbuf2 = ctx2.create_buffer(8);
     let q2 = ctx2.create_queue(0, format!("r{me}q2"));
     q2.set_trace(p.comm.world().trace().clone(), format!("r{me}.gpu"));
@@ -429,7 +408,6 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
             slot,
             &slab2,
             start2,
-            init2,
             &bufs2[resume_iter % 2],
         );
     }
@@ -490,10 +468,9 @@ fn restore_slab(
     slot: usize,
     slab2: &Slab,
     start2: usize,
-    init2: Vec<f32>,
     target: &Buffer,
 ) {
-    let mut assembled = init2;
+    let mut assembled = init_planes(cfg.size, start2 - 1, start2 + slab2.n + 1);
     let plane_f32 = slab2.mj * slab2.mk;
     let scratch_bytes = (0..cfg.nodes)
         .map(|g| Slab::new(hcfg, g).slab_bytes())

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use clmpi::{ClMpi, PackMode, SystemConfig, TransferStrategy};
-use minicl::{Buffer, CommandQueue, Event, HostBuffer};
+use minicl::{Buffer, CommandQueue, Context, Event, HostBuffer};
 use minimpi::{run_world_faulty_mode, CommittedType, DerivedType, FaultPlan, Process, Tag};
 use simtime::plock::Mutex;
 use simtime::SimNs;
@@ -181,6 +181,22 @@ impl Slab {
 
     pub(crate) fn slab_bytes(&self) -> usize {
         (self.n + 2) * self.plane_bytes
+    }
+
+    /// Both pressure buffers of the slab whose first interior plane is
+    /// global plane `start`, each filled in place (halo planes included)
+    /// with the standard grid's values.
+    pub(crate) fn pressure_buffers(
+        &self,
+        ctx: &Context,
+        size: GridSize,
+        start: usize,
+    ) -> [Buffer; 2] {
+        [(); 2].map(|()| {
+            let b = ctx.create_buffer(self.slab_bytes());
+            b.write(|d| crate::grid::fill_planes(d.as_f32_mut(), size, start - 1));
+            b
+        })
     }
 
     pub(crate) fn plane_off(&self, local_plane: usize) -> usize {
@@ -345,16 +361,7 @@ fn rank_main(variant: Variant, cfg: &HimenoConfig, p: Process) -> RankOut {
         rt.set_forced_strategy(Some(s));
     }
     let ctx = rt.context().clone();
-    // Initialize both pressure buffers from the identical global grid.
-    let start = Slab::global_start(cfg, rank);
-    let init = crate::grid::init_planes(cfg.size, start - 1, start + slab.n + 1);
-    let bufs = [
-        ctx.create_buffer(slab.slab_bytes()),
-        ctx.create_buffer(slab.slab_bytes()),
-    ];
-    for b in &bufs {
-        b.store(0, minimpi::datatype::f32_as_bytes(&init)).unwrap();
-    }
+    let bufs = slab.pressure_buffers(&ctx, cfg.size, Slab::global_start(cfg, rank));
     let gosa_acc: Arc<Vec<Mutex<f64>>> =
         Arc::new((0..cfg.iters).map(|_| Mutex::new(0.0)).collect());
 

@@ -85,6 +85,7 @@ where
     R: Send + 'static,
     F: Fn(Process) -> R + Send + Sync + 'static,
 {
+    crate::heap::keep_freed();
     let clock = SimClock::with_mode(mode);
     let world = World::with_faults(clock.clone(), spec, nodes, plan);
     let trace = world.trace().clone();

@@ -37,10 +37,16 @@
 //! * `irecv` returns the payload from `wait` instead of writing through a
 //!   held `&mut` borrow (Rust aliasing); `recv`/`recv_into` copy into a
 //!   caller buffer.
+//! * The first launch in a process tells glibc to keep freed memory
+//!   (`mallopt`, as MVAPICH2 and Open MPI's `leave_pinned` do at
+//!   `MPI_Init`): a world frees hundreds of megabytes when its ranks
+//!   return and the next one would fault them back in. The process then
+//!   holds its high-water mark.
 
 pub mod collectives;
 pub mod datatype;
 mod ft;
+mod heap;
 mod launch;
 mod p2p;
 pub mod rma;

@@ -157,9 +157,13 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
     // Baseline stages coefficients through pageable memory (the naive
     // pattern); the collective path pins its staging buffer once, as the
     // real application would, to seed the device-resident broadcast.
+    // Only ranks that stage coefficients get the 4·K² bytes: every rank
+    // in the baseline, the root alone under the broadcast, nobody under
+    // the fan-out (its receives land in device memory).
     let c_stage = match variant {
-        NanoVariant::ClMpi => HostBuffer::pinned(full_bytes),
-        _ => HostBuffer::pageable(full_bytes),
+        NanoVariant::Baseline => HostBuffer::pageable(full_bytes),
+        NanoVariant::ClMpi if rank == 0 => HostBuffer::pinned(full_bytes),
+        NanoVariant::ClMpi | NanoVariant::ClMpiFanout => HostBuffer::pageable(0),
     };
 
     // Rank 0 owns the model; workers only hold per-step snapshots.

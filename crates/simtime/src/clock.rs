@@ -19,6 +19,20 @@
 //!   waiter registered on `ALL` ([`Actor::wait_until`]) is flagged by
 //!   every notify and alarm whatever its key — so a wait that has not
 //!   been taught its keys is slow, never wrong.
+//! * **Held waiters and settle rounds.** A shard worker registers on a
+//!   crate-private flavour of `ALL` (`ALL_WHEN_IDLE`): every notify and
+//!   alarm flags it and counts it in `recheck_pending` like any wildcard
+//!   waiter — so the clock cannot move and no deadlock can be declared
+//!   over its head — but its token is not signalled. `release_held`
+//!   signals all held waiters once `runnable` and `pending_wakes` are
+//!   zero and the held ones are the only flagged waiters left. A frozen
+//!   instant thus settles in rounds — the other actors run until they
+//!   park, the flagged workers make one pass each, repeat until nobody
+//!   is flagged — and reaches the fixpoint it always did. The release
+//!   check runs wherever a flag can be set or a counter can fall with
+//!   nobody runnable: at the top of every `maybe_advance` round (alarms
+//!   fired by the advance itself may flag only held waiters) and after a
+//!   notify (its caller may hold no actor).
 //! * `runnable` counts actors currently executing user code. Whenever it
 //!   (together with `pending_wakes` and `recheck_pending`) reaches zero,
 //!   the decrementing thread advances the clock to the earliest pending
@@ -63,9 +77,20 @@ impl WakeKey {
     /// waiters: the machine runners' own wake hints, which concern the
     /// runner (a wildcard waiter) and nobody else.
     pub(crate) const RUNNERS: WakeKey = WakeKey(1);
-    const FIRST_FRESH: u64 = 2;
+    /// [`WakeKey::ALL`] for a waiter that can wait its turn (a shard
+    /// worker): flagged by every notify and alarm like an `ALL` waiter,
+    /// but *held* — left parked — until every other actor has parked too
+    /// (`ClockState::release_held`). Never for a waiter somebody joins
+    /// while still runnable (`run_on_thread`): it would be held for ever.
+    pub(crate) const ALL_WHEN_IDLE: WakeKey = WakeKey(2);
+    const FIRST_FRESH: u64 = 3;
     /// Marks a pump key ([`SimClock::new_pump_key`]).
     const PUMP: u64 = 1 << 63;
+
+    /// The range of `ClockState::waiting` holding this key's waiters.
+    fn waiters(self) -> std::ops::RangeInclusive<(WakeKey, u64)> {
+        (self, 0)..=(self, u64::MAX)
+    }
 }
 
 /// What an actor is doing right now; shown in deadlock diagnostics.
@@ -115,6 +140,9 @@ struct ActorInfo {
     /// Set when a notify or alarm this blocked actor depends on happened;
     /// cleared when it resumes. Counted in `recheck_pending` while set.
     flagged: bool,
+    /// Flagged through [`WakeKey::ALL_WHEN_IDLE`] and not yet released:
+    /// its token has not been signalled. Counted in `held` while set.
+    held: bool,
 }
 
 #[derive(Default)]
@@ -130,6 +158,9 @@ struct ClockState {
     /// scheduled to re-evaluate their predicates. While nonzero the clock
     /// must not advance and a deadlock must not be declared.
     recheck_pending: usize,
+    /// How many of `recheck_pending` are held
+    /// ([`WakeKey::ALL_WHEN_IDLE`]) waiters nobody has signalled yet.
+    held: usize,
     /// Actors blocked in `wait_on` (for deadlock detection only).
     blocked: usize,
     /// (wake_time, actor id) per sleeping actor.
@@ -151,27 +182,35 @@ struct ClockState {
 
 impl ClockState {
     /// Bump `gen` and flag the blocked waiters registered on `key` (one of
-    /// them for a pump key) and on [`WakeKey::ALL`] — every blocked waiter
-    /// when `key` is `ALL`.
+    /// them for a pump key) and on the two wildcards — every blocked
+    /// waiter when `key` is `ALL`. A flagged waiter is signalled unless it
+    /// registered as [`WakeKey::ALL_WHEN_IDLE`]: that one is held. Any
+    /// caller that may run with nobody runnable must follow up with
+    /// [`ClockState::release_held`], or the held waiters never resume.
     fn wake_dependants(&mut self, key: WakeKey) {
         self.gen += 1;
         let Self {
             waiting,
             actors,
             recheck_pending,
+            held,
             ..
         } = self;
-        let mut flag = |&(_, id): &(WakeKey, u64)| {
+        let mut flag = |&(registered, id): &(WakeKey, u64)| {
             // A deadlock panic can unwind an actor out of the map while
             // its registrations are still in `waiting`.
             let Some(a) = actors.get_mut(&id) else { return };
             if !a.flagged {
                 a.flagged = true;
                 *recheck_pending += 1;
-                a.token.notify_one();
+                if registered == WakeKey::ALL_WHEN_IDLE {
+                    a.held = true;
+                    *held += 1;
+                } else {
+                    a.token.notify_one();
+                }
             }
         };
-        let of = |k: WakeKey| (k, 0)..=(k, u64::MAX);
         if key == WakeKey::ALL {
             waiting.iter().for_each(&mut flag);
         } else {
@@ -183,8 +222,32 @@ impl ClockState {
             } else {
                 usize::MAX
             };
-            waiting.range(of(key)).take(one).for_each(&mut flag);
-            waiting.range(of(WakeKey::ALL)).for_each(&mut flag);
+            waiting.range(key.waiters()).take(one).for_each(&mut flag);
+            for wildcard in [WakeKey::ALL, WakeKey::ALL_WHEN_IDLE] {
+                waiting.range(wildcard.waiters()).for_each(&mut flag);
+            }
+        }
+    }
+
+    /// Signal the held waiters once they are all that is left to run:
+    /// nobody runnable, no sleeper or signalled waiter still to resume.
+    /// They stay counted in `recheck_pending` until each has resumed, so
+    /// the clock cannot move and no deadlock can be declared meanwhile.
+    fn release_held(&mut self) {
+        if self.held == 0
+            || self.runnable > 0
+            || self.pending_wakes > 0
+            || self.recheck_pending > self.held
+        {
+            return;
+        }
+        self.held = 0;
+        for (_, id) in self.waiting.range(WakeKey::ALL_WHEN_IDLE.waiters()) {
+            if let Some(a) = self.actors.get_mut(id) {
+                if std::mem::take(&mut a.held) {
+                    a.token.notify_one();
+                }
+            }
         }
     }
 
@@ -230,8 +293,10 @@ impl ClockInner {
         // none of its dependants is blocked (e.g. a message arrives while
         // its receiver is off sleeping past it); the clock must then keep
         // advancing to the next target, because no other thread will
-        // re-drive it.
+        // re-drive it. Each round starts at the release check: the alarms
+        // fired below may have flagged nobody but held waiters.
         loop {
+            st.release_held();
             if st.runnable > 0 || st.pending_wakes > 0 || st.recheck_pending > 0 {
                 return;
             }
@@ -292,11 +357,9 @@ impl ClockInner {
                     st.wake_dependants(key);
                 }
             }
-            if st.pending_wakes > 0 || st.recheck_pending > 0 {
-                return; // woken threads will drive further progress
-            }
-            // Only alarms fired and none of their dependants was parked:
-            // advance further.
+            // Round again: woken threads drive further progress, held
+            // waiters are released, and if only alarms fired and none of
+            // their dependants was parked the clock advances further.
         }
     }
 
@@ -311,6 +374,14 @@ impl ClockInner {
                     // here: it is the keyed waiter nothing could reach.
                     if st.waiting.contains(&(WakeKey::ALL, *id)) {
                         line.push_str(" [wildcard: any key wakes it]");
+                    } else if st.waiting.contains(&(WakeKey::ALL_WHEN_IDLE, *id)) {
+                        line.push_str(" [wildcard: any key wakes it once all else is parked]");
+                        // Never seen unless a release was missed: a held
+                        // waiter keeps `recheck_pending` above zero, and
+                        // no deadlock is declared over that.
+                        if a.held {
+                            line.push_str(" [held until idle]");
+                        }
                     } else {
                         let keys = st.waiting.iter().filter(|(_, w)| w == id).count();
                         line.push_str(&format!(" [keyed: {keys} key(s)]"));
@@ -377,8 +448,9 @@ impl Default for SimClock {
 
 impl SimClock {
     /// Create a new clock at virtual time zero with no registered actors.
-    /// The execution mode for spawned machines comes from `SIM_EXEC_MODE`
-    /// ([`ExecMode::from_env`]); use [`SimClock::with_mode`] to pin it.
+    /// Spawned machines run on the event core unless `SIM_EXEC_MODE` says
+    /// otherwise ([`ExecMode::from_env`]); use [`SimClock::with_mode`] to
+    /// pin the executor.
     pub fn new() -> Self {
         Self::with_mode(ExecMode::from_env())
     }
@@ -532,6 +604,7 @@ impl SimClock {
                 status: ActorStatus::Running,
                 token: token.clone(),
                 flagged: false,
+                held: false,
             },
         );
         Actor {
@@ -576,6 +649,8 @@ impl SimClock {
         let mut st = self.inner.state.lock();
         st.stats.notifies += 1;
         st.wake_dependants(key);
+        // The caller may be a thread that holds no runnable actor.
+        st.release_held();
     }
 
     /// Schedule a thread-less wake-up: at virtual time `at`, every blocked
@@ -595,6 +670,7 @@ impl SimClock {
         if at <= st.now {
             st.stats.notifies += 1;
             st.wake_dependants(key);
+            st.release_held();
         } else {
             st.alarms.push(Reverse((at, key)));
         }
@@ -750,7 +826,12 @@ impl Actor {
             }
             st.label_stats(label).parked += 1;
             inner.maybe_advance(&mut st);
-            while !st.poisoned && !st.actors.get(&self.id).is_some_and(|a| a.flagged) {
+            while !st.poisoned
+                && !st
+                    .actors
+                    .get(&self.id)
+                    .is_some_and(|a| a.flagged && !a.held)
+            {
                 self.token.wait(&mut st);
             }
             for &k in keys {
@@ -760,9 +841,11 @@ impl Actor {
             st.runnable += 1;
             if let Some(a) = st.actors.get_mut(&self.id) {
                 a.status = ActorStatus::Running;
-                if std::mem::take(&mut a.flagged) {
-                    st.recheck_pending -= 1;
-                }
+                // `held` can still be set here: poison resumes a held
+                // waiter without a release.
+                let (flagged, held) = (std::mem::take(&mut a.flagged), std::mem::take(&mut a.held));
+                st.recheck_pending -= usize::from(flagged);
+                st.held -= usize::from(held);
             }
             SimClock::check_poison(&st);
             st.label_stats(label).wakeups += 1;
@@ -979,6 +1062,31 @@ mod tests {
         let a = c.register("stuck");
         let keys = [c.new_key(), c.new_key()];
         a.wait_on(&keys, "lost", || None::<()>);
+    }
+
+    #[test]
+    fn deadlock_report_marks_a_held_waiter() {
+        let c = SimClock::new();
+        let driver = c.register("driver");
+        let worker = c.register("worker");
+        let go = Arc::new(Mutex::new(false));
+        let g1 = go.clone();
+        let t = thread::spawn(move || {
+            worker.wait_on(&[WakeKey::ALL_WHEN_IDLE], "sched shard", || {
+                g1.lock().then_some(())
+            })
+        });
+        driver.advance_ns(10); // the worker is parked
+        let report = |c: &SimClock| c.inner.render_actors(&c.inner.state.lock());
+        let idle = "Blocked(\"sched shard\") [wildcard: any key wakes it once all else is parked]";
+        assert!(report(&c).contains(idle), "{}", report(&c));
+        assert!(!report(&c).contains("[held until idle]"));
+        *go.lock() = true;
+        c.notify(); // flags the worker; the driver is still runnable
+        let held = format!("{idle} [held until idle]");
+        assert!(report(&c).contains(&held), "{}", report(&c));
+        drop(driver); // the last runnable actor leaves: released
+        assert!(t.join().is_ok(), "worker thread panicked");
     }
 
     #[test]

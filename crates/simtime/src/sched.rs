@@ -14,20 +14,27 @@
 //! wake hint instead of blocking. [`SimClock::spawn_machine`] then places
 //! the machine according to the clock's [`ExecMode`]:
 //!
-//! * [`ExecMode::Threads`] — the **oracle**: one OS thread per machine,
-//!   driven by `run_on_thread`. This is byte-for-byte the historical
-//!   thread-per-actor semantics (the machine's whole life happens inside
-//!   one labeled predicate wait).
-//! * [`ExecMode::Events`] — the **event core**: machines are distributed
-//!   over a fixed set of shards (`hint % SIM_SHARDS`), and each shard is
-//!   served by a single worker thread registered as one clock actor. The
-//!   worker polls every resident machine at each frozen instant; between
-//!   instants it is one blocked actor, so the conservative-advance
-//!   invariant (`runnable`/`pending_wakes`/`recheck_pending` bookkeeping,
-//!   alarms, deadlock detection) is untouched. A worker waits on every
-//!   wake key (its machines read state it cannot enumerate), and the wake
-//!   hints it schedules carry a key that reaches such wildcard waiters
-//!   only.
+//! * [`ExecMode::Events`] — the **event core**, and the default: machines
+//!   are distributed over a fixed set of shards (`hint % SIM_SHARDS`), and
+//!   each shard is served by a single worker thread registered as one
+//!   clock actor. The worker polls every resident machine at each frozen
+//!   instant; between passes it is one blocked actor, so the
+//!   conservative-advance invariant (`runnable`/`pending_wakes`/
+//!   `recheck_pending` bookkeeping, alarms, deadlock detection) is
+//!   untouched. A worker waits on every wake key (its machines read state
+//!   it cannot enumerate) but is **held until idle**: a notify or alarm
+//!   flags it, and it resumes once every other actor has parked — one
+//!   pass per *settle round* of a frozen instant (rank threads run until
+//!   they park → flagged workers make a pass each → repeat until nobody
+//!   is flagged → the clock advances), not one per notify. The wake hints
+//!   it schedules carry a key that reaches wildcard waiters only.
+//! * [`ExecMode::Threads`] — the **oracle** (`SIM_EXEC_MODE=threads`): one
+//!   OS thread per machine, driven by `run_on_thread`. This is
+//!   byte-for-byte the historical thread-per-actor semantics (the
+//!   machine's whole life happens inside one labeled predicate wait). It
+//!   is signalled by every notify and never held: its owner joins it
+//!   while still a runnable actor (`CommandQueue::drop`), so "until every
+//!   other actor has parked" would never come.
 //!
 //! Because the *same machine code* runs under both modes, the virtual
 //! timings and observability fingerprints must be identical — the
@@ -99,15 +106,14 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// Read the mode from `SIM_EXEC_MODE` (`threads` \[default\] or
-    /// `events`). Unknown values panic: a typo must not silently fall
-    /// back to the oracle and void a scale run.
+    /// Read the mode from `SIM_EXEC_MODE` (`events` \[default, also
+    /// when unset or empty\] or `threads`). Unknown values panic: a typo
+    /// must not silently pick a core and void a differential run.
     pub fn from_env() -> Self {
-        match std::env::var("SIM_EXEC_MODE") {
-            Ok(v) if v == "events" || v == "event" => ExecMode::Events,
-            Ok(v) if v == "threads" || v == "thread" || v.is_empty() => ExecMode::Threads,
+        match std::env::var("SIM_EXEC_MODE").as_deref() {
+            Ok("events" | "event" | "") | Err(_) => ExecMode::Events,
+            Ok("threads" | "thread") => ExecMode::Threads,
             Ok(v) => panic!("SIM_EXEC_MODE={v:?}: expected \"threads\" or \"events\""),
-            Err(_) => ExecMode::Threads,
         }
     }
 }
@@ -278,7 +284,9 @@ pub(crate) fn shard_worker(actor: Actor, clock: SimClock, shard: usize) {
     // advance included) before the retirement is reported.
     let _retire = Retire(clock.pool());
     let actor = actor;
-    actor.wait_until_labeled("sched shard", || {
+    // Held until idle: a pass is worth making once every actor that could
+    // still change what the machines read at this instant has parked.
+    actor.wait_on(&[WakeKey::ALL_WHEN_IDLE], "sched shard", || {
         let mut st = clock.shard(shard).lock();
         let now = clock.now_ns();
         // Adopt machines spawned since the last pass. They are polled at

@@ -7,13 +7,19 @@
 //! has `advance_ns`'d to instant t only runs once every other actor is
 //! parked, so "the waiters are parked before the driver acts" needs no
 //! sleeps or barriers.
+//!
+//! The second half is about shard workers, which are *held*: flagged by
+//! every notify and alarm, but resumed only once every other actor has
+//! parked. Those tests run under a wall-clock watchdog, because what a
+//! missed release looks like is a world that never ends.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
+use std::time::Duration;
 
 use simtime::plock::Mutex;
-use simtime::{LabelWakes, Monitor, SimClock, SimNs};
+use simtime::{Actor, ExecMode, LabelWakes, MachineStep, Monitor, SimActor, SimClock, SimNs};
 
 /// Join a worker, re-raising its own panic (with its message) if it died.
 fn join<T>(h: thread::JoinHandle<T>) -> T {
@@ -290,4 +296,215 @@ fn panicking_actor_unparks_every_keyed_waiter_and_sleeper() {
     }
     assert!(clock.is_poisoned());
     assert_eq!(clock.now_ns(), 10, "the sleeper's target was never reached");
+}
+
+/// Run `f` on a thread of its own and fail, instead of wedging the test
+/// run, if it has not returned after ten seconds of wall-clock time.
+fn within_watchdog(f: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = mpsc::channel();
+    let h = thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    let timed_out =
+        rx.recv_timeout(Duration::from_secs(10)) == Err(mpsc::RecvTimeoutError::Timeout);
+    assert!(
+        !timed_out,
+        "still running after 10 s: a held shard worker was never released"
+    );
+    join(h); // re-raises `f`'s own panic, if that is how it ended
+}
+
+/// A machine that counts its polls. It asks to be woken at each of
+/// `ticks` and retires at the last one, or — with no ticks — when `stop`
+/// is set (a raw flag: whoever sets it notifies the clock unkeyed).
+struct Watcher {
+    polls: Arc<AtomicU64>,
+    stop: Arc<AtomicBool>,
+    ticks: Vec<SimNs>,
+}
+
+impl SimActor for Watcher {
+    fn wait_label(&self) -> &'static str {
+        "watcher"
+    }
+
+    fn poll(&mut self, now: SimNs, _actor: &Actor) -> MachineStep {
+        self.polls.fetch_add(1, Ordering::SeqCst);
+        if self.stop.load(Ordering::SeqCst) || self.ticks.last().is_some_and(|&t| now >= t) {
+            return MachineStep::Done;
+        }
+        MachineStep::Pending(self.ticks.iter().copied().find(|&t| t > now))
+    }
+}
+
+/// Put one [`Watcher`] — hence one shard worker — on `clock`; returns the
+/// watcher's poll counter and stop flag.
+fn spawn_watcher(clock: &SimClock, ticks: &[SimNs]) -> (Arc<AtomicU64>, Arc<AtomicBool>) {
+    let polls = Arc::new(AtomicU64::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let watcher = Watcher {
+        polls: polls.clone(),
+        stop: stop.clone(),
+        ticks: ticks.to_vec(),
+    };
+    clock.spawn_machine(0, "watcher", Box::new(watcher)).reap();
+    (polls, stop)
+}
+
+const SHARD: &str = "sched shard";
+
+#[test]
+fn held_worker_resumes_when_the_last_runnable_actor_parks_and_not_before() {
+    within_watchdog(|| {
+        let clock = SimClock::with_mode(ExecMode::Events);
+        let driver = clock.register("driver");
+        let (polls, stop) = spawn_watcher(&clock, &[]);
+        // t=10: the worker is parked (or the clock could not have moved).
+        driver.advance_ns(10);
+        let (before, polled) = (label(&clock, SHARD), polls.load(Ordering::SeqCst));
+        for _ in 0..5 {
+            clock.notify();
+        }
+        // The worker is flagged now. Give the OS every chance to run it:
+        // it must stay parked for as long as the driver is runnable.
+        thread::sleep(Duration::from_millis(50));
+        assert_eq!(
+            label(&clock, SHARD),
+            before,
+            "resumed beside a runnable actor"
+        );
+        assert_eq!(polls.load(Ordering::SeqCst), polled);
+        // The driver parks: the worker makes one pass for all five
+        // notifies, and only then can the clock reach t=20.
+        driver.advance_ns(10);
+        let after = label(&clock, SHARD);
+        assert_eq!(
+            (after.wakeups, after.parked),
+            (before.wakeups + 1, before.parked + 1)
+        );
+        assert_eq!(polls.load(Ordering::SeqCst), polled + 1);
+        stop.store(true, Ordering::SeqCst);
+        clock.notify();
+        drop(driver);
+        clock.quiesce_machines();
+        assert_eq!(clock.now_ns(), 20);
+    });
+}
+
+#[test]
+fn alarm_firing_during_a_clock_advance_releases_the_held_worker() {
+    // Nobody but the worker is left: it parks, its own park advances the
+    // clock to the watcher's next tick, and the alarm firing there — in
+    // the middle of `maybe_advance`, with nobody runnable — flags only
+    // the worker that is held. Whoever advances must also release.
+    within_watchdog(|| {
+        let clock = SimClock::with_mode(ExecMode::Events);
+        let main = clock.register("main");
+        let (polls, _) = spawn_watcher(&clock, &[100, 200, 300]);
+        drop(main);
+        clock.quiesce_machines();
+        assert_eq!(clock.now_ns(), 300);
+        assert_eq!(clock.wake_stats().alarms_fired, 3);
+        let polls = polls.load(Ordering::SeqCst);
+        assert!((4..=5).contains(&polls), "one poll per tick: {polls}");
+    });
+}
+
+#[test]
+fn notify_from_a_thread_without_an_actor_reaches_the_held_worker() {
+    // The notifier owns no actor, so it never parks and never passes
+    // through `maybe_advance`. With every actor parked such a notify
+    // cannot be staged — the clock has moved on, or declared a deadlock,
+    // before it arrives — so the driver here is runnable but stuck on a
+    // real-time gate: the worker is held, and released by the driver's
+    // park with all three notifies absorbed in one pass.
+    within_watchdog(|| {
+        let clock = SimClock::with_mode(ExecMode::Events);
+        let driver = clock.register("driver");
+        let (polls, stop) = spawn_watcher(&clock, &[]);
+        let (open_gate, gate) = mpsc::channel::<()>();
+        let t = thread::spawn(move || {
+            driver.advance_ns(10);
+            let _ = gate.recv();
+            driver.advance_ns(10);
+            driver
+        });
+        // Wait (real time) until the driver stands at the gate at t=10;
+        // the worker has been parked since before the clock got there.
+        while clock.now_ns() < 10 {
+            thread::yield_now();
+        }
+        let (before, polled) = (label(&clock, SHARD), polls.load(Ordering::SeqCst));
+        stop.store(true, Ordering::SeqCst);
+        for _ in 0..3 {
+            clock.notify();
+        }
+        thread::sleep(Duration::from_millis(50));
+        assert_eq!(
+            label(&clock, SHARD),
+            before,
+            "resumed beside a runnable actor"
+        );
+        assert!(open_gate.send(()).is_ok(), "the driver waits at the gate");
+        let driver = join(t);
+        assert_eq!(label(&clock, SHARD).wakeups, before.wakeups + 1);
+        assert_eq!(polls.load(Ordering::SeqCst), polled + 1);
+        drop(driver);
+        clock.quiesce_machines();
+    });
+}
+
+#[test]
+fn poison_unparks_a_held_worker() {
+    within_watchdog(|| {
+        let clock = SimClock::with_mode(ExecMode::Events);
+        let driver = clock.register("driver");
+        let _ = spawn_watcher(&clock, &[]);
+        let c1 = clock.clone();
+        let boom = thread::spawn(move || {
+            driver.advance_ns(10);
+            c1.notify(); // the worker is flagged and held: we are runnable
+            std::panic::panic_any("boom");
+        });
+        assert!(boom.join().is_err());
+        // The worker fails fast with the poison panic and retires, which
+        // is what lets a quiescing caller through to see the poison.
+        let c2 = clock.clone();
+        let quiesce = thread::spawn(move || c2.quiesce_machines());
+        assert!(quiesce.join().is_err(), "quiesce reports the poison");
+        assert!(clock.is_poisoned());
+        assert_eq!(clock.actor_count(), 0, "the held worker deregistered");
+    });
+}
+
+#[test]
+fn actor_dropped_while_a_worker_is_held_keeps_the_clock_advancing() {
+    // The driver flags the worker and leaves without ever parking; a
+    // sleeper is waiting for t=100. The drop must release the worker,
+    // and the worker's resume must leave `recheck_pending` at zero, or
+    // the clock never reaches the sleeper.
+    within_watchdog(|| {
+        let clock = SimClock::with_mode(ExecMode::Events);
+        let driver = clock.register("driver");
+        let sleeper = clock.register("sleeper");
+        let (polls, stop) = spawn_watcher(&clock, &[]);
+        let (c1, s1) = (clock.clone(), stop.clone());
+        let t = thread::spawn(move || {
+            sleeper.advance_ns(100);
+            s1.store(true, Ordering::SeqCst);
+            c1.notify();
+            sleeper.now_ns()
+        });
+        driver.advance_ns(10);
+        let (before, polled) = (label(&clock, SHARD), polls.load(Ordering::SeqCst));
+        clock.notify();
+        drop(driver);
+        assert_eq!(join(t), 100);
+        clock.quiesce_machines();
+        // One pass released by the drop, one by the sleeper's exit.
+        assert_eq!(label(&clock, SHARD).wakeups, before.wakeups + 2);
+        assert_eq!(polls.load(Ordering::SeqCst), polled + 2);
+        assert_eq!(clock.actor_count(), 0);
+    });
 }
