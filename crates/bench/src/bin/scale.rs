@@ -12,8 +12,9 @@
 //! 2. `results/scale.json` — the host-dependent sidecar: wall-clock per
 //!    config, events/sec, wall-ms per virtual second, and the clock's
 //!    wake accounting ([`simtime::WakeStats`]: notifies, alarms fired,
-//!    clock advances, and per wait label parks / wake-ups / successes —
-//!    the counts depend on how the OS schedules the woken threads).
+//!    clock advances, shard passes, machine polls and ready marks, and
+//!    per wait label parks / wake-ups / successes — the counts depend on
+//!    how the OS schedules the woken threads).
 //!    Informative only, never diffed.
 //!
 //! The binary *asserts* the PR's acceptance bar in-process: Himeno M
@@ -85,10 +86,15 @@ impl ConfigRow {
             })
             .collect();
         format!(
-            "\"notifies\": {}, \"alarms_fired\": {}, \"clock_advances\": {}, \"waits\": {{ {} }}",
+            "\"notifies\": {}, \"alarms_fired\": {}, \"clock_advances\": {}, \
+             \"shard_passes\": {}, \"machine_polls\": {}, \"machine_readies\": {}, \
+             \"waits\": {{ {} }}",
             self.wake.notifies,
             self.wake.alarms_fired,
             self.wake.advances,
+            self.wake.shard_passes,
+            self.wake.machine_polls,
+            self.wake.machine_readies,
             waits.join(", ")
         )
     }

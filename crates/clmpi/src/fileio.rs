@@ -14,7 +14,7 @@ use std::sync::Arc;
 use minicl::{Buffer, ClResult, CommandQueue, Device, Event, UserEvent, CL_MPI_TRANSFER_ERROR};
 use simnet::{Link, LinkSpec};
 use simtime::plock::Mutex;
-use simtime::{Actor, SimClock, SimNs};
+use simtime::{Actor, Monitor, SimClock, SimNs, WakeKey};
 
 use crate::engine::{deps_settled, record_envelope, EngineOp, Step};
 use crate::obs::ChildIds;
@@ -29,7 +29,15 @@ pub struct SimStorage {
     link: Arc<Link>,
     clock: SimClock,
     defer: Arc<Mutex<StorageDefer>>,
+    /// Wake key of the arbiter, a pump key like the fabric's: the alarm
+    /// that makes a job grantable wakes one of the machines that pump.
+    key: WakeKey,
 }
+
+/// Where a deferred reservation's arrival instant lands once granted. A
+/// `Monitor`, so a grant made by another rank's pump wakes the op that
+/// owns the cell.
+type GrantCell = Arc<Monitor<Option<SimNs>>>;
 
 /// A deferred storage reservation, granted later in canonical order.
 /// Several ranks share one storage device (the shared-PFS model), and
@@ -44,7 +52,7 @@ struct StorageJob {
     earliest: SimNs,
     seq: u64,
     /// Filled with the reservation's arrival instant at grant time.
-    cell: Arc<Mutex<Option<SimNs>>>,
+    cell: GrantCell,
 }
 
 #[derive(Default)]
@@ -72,6 +80,7 @@ impl SimStorage {
         SimStorage {
             files: Arc::new(Mutex::new(BTreeMap::new())),
             link: Arc::new(Link::new(clock.clone(), spec)),
+            key: clock.new_pump_key(),
             clock,
             defer: Arc::new(Mutex::new(StorageDefer::default())),
         }
@@ -105,19 +114,14 @@ impl SimStorage {
     /// filled with the arrival instant once [`SimStorage::pump`] grants
     /// the job; poll it after pumping. `prio` breaks same-instant ties
     /// canonically (pass the poster's global rank).
-    pub(crate) fn reserve_deferred(
-        &self,
-        prio: u64,
-        bytes: usize,
-        earliest: SimNs,
-    ) -> Arc<Mutex<Option<SimNs>>> {
+    pub(crate) fn reserve_deferred(&self, prio: u64, bytes: usize, earliest: SimNs) -> GrantCell {
         let mut q = self.defer.lock();
         // Clamp stale instants up to now. Grant batches are frozen: the
         // poster is runnable, so the clock cannot advance while this job
         // is posted — every later post lands at `earliest` ≥ any instant
         // a pump has already granted through.
         let earliest = earliest.max(self.clock.now_ns());
-        let cell = Arc::new(Mutex::new(None));
+        let cell = Arc::new(Monitor::new(self.clock.clone(), None));
         let seq = q.next_seq;
         q.next_seq += 1;
         q.pending.push(StorageJob {
@@ -129,7 +133,7 @@ impl SimStorage {
         });
         // Drive the clock past the grant threshold even if every actor
         // is parked waiting on this very reservation.
-        self.clock.schedule_alarm(earliest + 1);
+        self.clock.schedule_alarm_keyed(earliest + 1, self.key);
         cell
     }
 
@@ -141,8 +145,9 @@ impl SimStorage {
         // checker-allow(lock-lifetime): defer is the serialization point
         // for the canonical (earliest, prio, seq) grant order — releasing
         // it mid-grant would let a racing pump interleave reservations.
-        // The nested `cell` lock is a per-job leaf that is never held
-        // across any other acquisition.
+        // The nested `cell` monitor is a per-job leaf whose mutation
+        // takes nothing but the clock lock (its notify).
+        simtime::note_read(self.key);
         let mut q = self.defer.lock();
         if !q.pending.iter().any(|j| j.earliest < now) {
             return;
@@ -159,7 +164,7 @@ impl SimStorage {
         due.sort_by_key(|j| (j.earliest, j.prio, j.seq));
         for j in due {
             let r = self.link.reserve(j.bytes, j.earliest);
-            *j.cell.lock() = Some(r.arrival);
+            j.cell.with(|g| *g = Some(r.arrival));
         }
     }
 }
@@ -390,7 +395,7 @@ enum FileState {
     WaitDeps,
     /// Storage reservation posted; polling the arbiter for the grant.
     WaitDisk {
-        cell: Arc<Mutex<Option<SimNs>>>,
+        cell: GrantCell,
         earliest: SimNs,
         payload: Vec<u8>,
     },
@@ -430,7 +435,7 @@ impl EngineOp for FileWriteOp {
             } = self.state
             {
                 self.storage.pump(now);
-                let granted: Option<SimNs> = *cell.lock();
+                let granted: Option<SimNs> = cell.peek(|g| *g);
                 let Some(durable_at) = granted else {
                     return Step::Park(Some(now.max(earliest) + 1));
                 };
@@ -519,7 +524,7 @@ impl EngineOp for FileReadOp {
             } = self.state
             {
                 self.storage.pump(now);
-                let granted: Option<SimNs> = *cell.lock();
+                let granted: Option<SimNs> = cell.peek(|g| *g);
                 let Some(read_done) = granted else {
                     return Step::Park(Some(now.max(earliest) + 1));
                 };
@@ -590,7 +595,7 @@ enum CkptState {
     /// Storage reservation posted (torn file already on disk); polling
     /// the arbiter for the durable instant.
     WaitDisk {
-        cell: Arc<Mutex<Option<SimNs>>>,
+        cell: GrantCell,
         write_start: SimNs,
         full: Vec<u8>,
     },
@@ -638,7 +643,7 @@ impl EngineOp for CheckpointWriteOp {
             } = self.state
             {
                 self.storage.pump(now);
-                let granted: Option<SimNs> = *cell.lock();
+                let granted: Option<SimNs> = cell.peek(|g| *g);
                 let Some(durable_at) = granted else {
                     return Step::Park(Some(now.max(write_start) + 1));
                 };
@@ -745,7 +750,7 @@ enum RestoreState {
     /// Storage read (or missing-file probe, `data == None`) posted to
     /// the arbiter; polling for the grant.
     WaitDisk {
-        cell: Arc<Mutex<Option<SimNs>>>,
+        cell: GrantCell,
         earliest: SimNs,
         data: Option<Vec<u8>>,
     },
@@ -822,7 +827,7 @@ impl EngineOp for RestoreOp {
             } = self.state
             {
                 self.storage.pump(now);
-                let granted: Option<SimNs> = *cell.lock();
+                let granted: Option<SimNs> = cell.peek(|g| *g);
                 let Some(read_done) = granted else {
                     return Step::Park(Some(now.max(earliest) + 1));
                 };

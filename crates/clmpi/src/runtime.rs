@@ -75,8 +75,9 @@ pub(crate) struct Inner {
     pub(crate) obs: Mutex<ObsCounters>,
     /// Communicator-local ranks explicitly reported failed
     /// ([`ClMpi::notify_proc_failure`]); machines consult this set in
-    /// addition to the fault plan's schedule.
-    pub(crate) failed: Mutex<std::collections::BTreeSet<Rank>>,
+    /// addition to the fault plan's schedule. A `Monitor`: a report
+    /// re-polls the engine ops that looked here.
+    pub(crate) failed: Monitor<std::collections::BTreeSet<Rank>>,
 }
 
 impl Inner {
@@ -120,7 +121,7 @@ impl Inner {
     /// dead per the fabric's fault-plan schedule (the deterministic
     /// ground truth the ULFM-style layer classifies against).
     pub(crate) fn peer_failed(&self, local: Rank, t: SimNs) -> bool {
-        if self.failed.lock().contains(&local) {
+        if self.failed.peek(|f| f.contains(&local)) {
             return true;
         }
         self.comm.is_proc_failed(local, t)
@@ -158,6 +159,7 @@ impl ClMpi {
             format!("clmpi-engine-r{}", comm.rank()),
             comm.rank() as u64,
         );
+        let failed = Monitor::new(clock.clone(), std::collections::BTreeSet::new());
         ClMpi {
             inner: Arc::new(Inner {
                 comm,
@@ -177,7 +179,7 @@ impl ClMpi {
                 fault_state: Mutex::new(FaultState::default()),
                 op_seq: Mutex::new(0),
                 obs: Mutex::new(ObsCounters::default()),
-                failed: Mutex::new(std::collections::BTreeSet::new()),
+                failed,
             }),
         }
     }
@@ -351,7 +353,7 @@ impl ClMpi {
     /// future machines touching it abort-and-poison instead of waiting
     /// out their patience; recorded as an `op.failure` span. Idempotent.
     pub fn notify_proc_failure(&self, rank: Rank) {
-        if !self.inner.failed.lock().insert(rank) {
+        if !self.inner.failed.with(|f| f.insert(rank)) {
             return;
         }
         let now = self.inner.clock.now_ns();
@@ -374,7 +376,7 @@ impl ClMpi {
     /// notifications plus the fault plan's node-kill schedule.
     pub fn failed_ranks(&self, t: SimNs) -> Vec<Rank> {
         let mut out: std::collections::BTreeSet<Rank> =
-            self.inner.failed.lock().iter().copied().collect();
+            self.inner.failed.peek(|f| f.iter().copied().collect());
         out.extend(self.inner.comm.failed_ranks(t));
         out.into_iter().collect()
     }

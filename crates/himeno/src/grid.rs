@@ -128,6 +128,14 @@ pub fn fill_planes(p: &mut [f32], size: GridSize, lo: usize) {
 /// avoiding 11 all-constant array streams in host memory. The *device
 /// time* model still charges the full array traffic via
 /// [`BYTES_PER_POINT`].
+///
+/// Never inlined: this loop nest is where a Himeno repetition's host
+/// time goes, and whether rustc folds it into its callers depends on how
+/// it happens to partition the crate — which moved, and cost the
+/// reference solve 8%, when generic `simtime` code instantiated here
+/// grew by a few instructions (PR 16). Standing alone it compiles the
+/// same whatever changes around it.
+#[inline(never)]
 pub fn jacobi_sweep(
     old: &[f32],
     new: &mut [f32],

@@ -271,7 +271,7 @@ impl RmaInner {
                 let arrival = res.arrival + extra_latency_ns;
                 let data = self.apply();
                 self.slot.with(|s| *s = RmaSlot::Done { at: arrival, data });
-                w.clock.schedule_alarm(arrival);
+                self.slot.alarm_at(arrival);
             }
             FaultOutcome::Drop(reason) => {
                 w.trace.record(
@@ -286,7 +286,7 @@ impl RmaInner {
                         at: res.end,
                     }
                 });
-                w.clock.schedule_alarm(res.end + 1);
+                self.slot.alarm_at(res.end + 1);
             }
         }
     }
@@ -462,8 +462,11 @@ impl RmaHandle {
     /// Block until the op settles; on success the calling actor's clock
     /// reaches the completion instant.
     pub fn wait(&self, actor: &Actor) -> Result<SimNs, MpiError> {
-        let clock = self.inner.comm.world().clock().clone();
-        let r = actor.wait_until_labeled("rma op", || match self.poll(clock.now_ns()) {
+        let world = self.inner.comm.world();
+        let clock = world.clock().clone();
+        // `poll` pumps the arbiter and reads this op's slot.
+        let keys = [self.inner.slot.key(), world.inner.fabric.wake_key()];
+        let r = actor.wait_on(&keys, "rma op", || match self.poll(clock.now_ns()) {
             RmaPoll::Pending => None,
             RmaPoll::Done { at } => Some(Ok(at)),
             RmaPoll::Failed { err, .. } => Some(Err(err)),
@@ -744,6 +747,30 @@ impl Win {
         MpiError::Timeout { waited_ns }
     }
 
+    /// Block until the ops of the current epoch that `which` selects
+    /// have settled: the closing call's half of "complete what was issued
+    /// before me". The wait is registered on exactly those ops' slots
+    /// and on the arbiter every poll pumps; an op another thread of this
+    /// rank issues meanwhile belongs to the next closing call.
+    fn settle(&self, actor: &Actor, label: &'static str, which: impl Fn(&RmaHandle) -> bool) {
+        let world = self.comm.world();
+        let clock = world.clock().clone();
+        let pending = self.epoch.lock().pending.clone();
+        let hs: Vec<RmaHandle> = pending.into_iter().filter(|h| which(h)).collect();
+        let mut keys = vec![world.inner.fabric.wake_key()];
+        keys.extend(hs.iter().map(|h| h.inner.slot.key()));
+        actor.wait_on(&keys, label, || {
+            let now = clock.now_ns();
+            // Poll every op, settled or not: a poll is also what
+            // re-posts a dropped transfer.
+            let busy = hs
+                .iter()
+                .filter(|h| matches!(h.poll(now), RmaPoll::Pending))
+                .count();
+            (busy == 0).then_some(())
+        });
+    }
+
     /// Close the current epoch and open the next (`MPI_Win_fence`):
     /// settles this rank's pending ops, then synchronizes with every
     /// rank's matching fence. Under a fault plan the synchronization
@@ -751,18 +778,20 @@ impl Win {
     /// failures latched during the epoch are reported here.
     pub fn fence(&self, actor: &Actor) -> Result<(), MpiError> {
         let clock = self.comm.world().clock().clone();
-        actor.wait_until_labeled("rma fence ops", || {
-            self.poll_pending(clock.now_ns()).then_some(())
-        });
+        self.settle(actor, "rma fence ops", |_| true);
+        // Latch the epoch's first failure and forget the settled ops.
+        self.poll_pending(clock.now_ns());
         let op_err = self.take_epoch_err();
         let start = clock.now_ns();
         let gen = self.fence_enter(start);
+        let ctrl = &self.shared.ctrl;
         let deadline = self.comm.world().has_faults().then(|| {
             let d = start + RMA_PATIENCE_NS;
-            clock.schedule_alarm(d);
+            ctrl.alarm_at(d);
             d
         });
-        let sync = actor.wait_until_labeled("rma fence", || {
+        let keys = [ctrl.key(), self.comm.world().inner.fabric.wake_key()];
+        let sync = actor.wait_on(&keys, "rma fence", || {
             let now = clock.now_ns();
             self.comm.world().inner.fabric.pump(now);
             if self.fence_ready(gen) {
@@ -798,7 +827,8 @@ impl Win {
         self.shared
             .ctrl
             .with(|c| c.locks[target].queue.push((now, me)));
-        clock.schedule_alarm(now + 1);
+        // The request is grantable once the clock has passed `now`.
+        self.shared.ctrl.alarm_at(now + 1);
         Ok(now)
     }
 
@@ -826,12 +856,15 @@ impl Win {
     pub fn lock(&self, actor: &Actor, target: Rank) -> Result<(), MpiError> {
         let start = self.lock_request(target)?;
         let clock = self.comm.world().clock().clone();
+        let ctrl = &self.shared.ctrl;
         let deadline = self.comm.world().has_faults().then(|| {
             let d = start + RMA_PATIENCE_NS;
-            clock.schedule_alarm(d);
+            ctrl.alarm_at(d);
             d
         });
-        actor.wait_until_labeled("rma lock", || {
+        // `lock_ready` pumps the arbiter and reads the control block.
+        let keys = [ctrl.key(), self.comm.world().inner.fabric.wake_key()];
+        actor.wait_on(&keys, "rma lock", || {
             let now = clock.now_ns();
             if self.lock_ready(target, now) {
                 return Some(Ok(()));
@@ -854,18 +887,7 @@ impl Win {
         if !self.epoch.lock().locked.contains(&target) {
             return Err(MpiError::RmaNotLocked { target });
         }
-        let clock = self.comm.world().clock().clone();
-        actor.wait_until_labeled("rma unlock ops", || {
-            let now = clock.now_ns();
-            let hs: Vec<RmaHandle> = self.epoch.lock().pending.clone();
-            let mut busy = false;
-            for h in hs.iter().filter(|h| h.target() == target) {
-                if matches!(h.poll(now), RmaPoll::Pending) {
-                    busy = true;
-                }
-            }
-            (!busy).then_some(())
-        });
+        self.settle(actor, "rma unlock ops", |h| h.target() == target);
         let mut first_err = None;
         {
             let mut ep = self.epoch.lock();

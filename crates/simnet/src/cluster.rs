@@ -283,7 +283,18 @@ impl Fabric {
 
     /// True if `node` is scheduled dead at virtual instant `t` (the
     /// deterministic ground truth higher layers classify timeouts with).
+    ///
+    /// No alarm announces a kill instant: a machine that asks with `t =
+    /// now` finds out the first time *anything* wakes it past the kill.
+    /// So under a plan that kills nodes the asker reads
+    /// [`WakeKey::ALL`] — it stays a wildcard, polled at every instant an
+    /// alarm stops the clock at, as every machine was before read-sets.
+    /// A known modelling impurity (DESIGN.md §14 "Ready machines");
+    /// worlds without kills pay nothing.
     pub fn node_down_at(&self, node: NodeId, t: SimNs) -> bool {
+        if !self.plan.node_down.is_empty() {
+            simtime::note_read(WakeKey::ALL);
+        }
         self.plan.node_down_at(node, t)
     }
 
@@ -570,6 +581,9 @@ impl Fabric {
     /// grant order also fixes receiver-side message sequence numbers —
     /// the other place same-instant order is observable.
     pub fn pump(&self, now: SimNs) {
+        // The queue is not a `Monitor`: tell a recording shard worker
+        // that this machine pumps, so a grant alarm can pick it.
+        simtime::note_read(self.key);
         let mut q = self.defer.lock();
         if !q.pending.iter().any(|j| j.earliest < now) {
             return;

@@ -19,11 +19,12 @@
 //!   waiter registered on `ALL` ([`Actor::wait_until`]) is flagged by
 //!   every notify and alarm whatever its key — so a wait that has not
 //!   been taught its keys is slow, never wrong.
-//! * **Held waiters and settle rounds.** A shard worker registers on a
-//!   crate-private flavour of `ALL` (`ALL_WHEN_IDLE`): every notify and
-//!   alarm flags it and counts it in `recheck_pending` like any wildcard
-//!   waiter — so the clock cannot move and no deadlock can be declared
-//!   over its head — but its token is not signalled. `release_held`
+//! * **Held waiters and settle rounds.** A shard worker's actor is
+//!   registered as a *worker* (`SimClock::register_as`): whatever
+//!   flags it — an alarm on its shard's own key, a machine it owns being
+//!   marked ready — counts it in `recheck_pending` like any flagged
+//!   waiter, so the clock cannot move and no deadlock can be declared
+//!   over its head, but its token is not signalled. `release_held`
 //!   signals all held waiters once `runnable` and `pending_wakes` are
 //!   zero and the held ones are the only flagged waiters left. A frozen
 //!   instant thus settles in rounds — the other actors run until they
@@ -33,6 +34,17 @@
 //!   nobody runnable: at the top of every `maybe_advance` round (alarms
 //!   fired by the advance itself may flag only held waiters) and after a
 //!   notify (its caller may hold no actor).
+//! * **Ready machines.** A shard worker is not woken by everything: the
+//!   keys a machine's last poll read (recorded by `sched`, see there) are
+//!   registered as `(key, shard, machine)` in `ClockState::machines`,
+//!   next to `waiting`. `wake_dependants(key)` marks the matching
+//!   machines on their shard's `ReadyList` and flags only those shards'
+//!   workers; an `ALL` notify or alarm marks every machine of every
+//!   shard. A registration stays in place while its machine is being
+//!   polled, so a notify of a key the machine already read is never
+//!   lost; a key it reads for the first time is registered only after the
+//!   pass, and `Registry::reregister` closes that window by comparing
+//!   `gen` with its value when the pass took its batch.
 //! * `runnable` counts actors currently executing user code. Whenever it
 //!   (together with `pending_wakes` and `recheck_pending`) reaches zero,
 //!   the decrementing thread advances the clock to the earliest pending
@@ -51,7 +63,7 @@
 //!   waiter is not registered anywhere yet; the keys only matter once it
 //!   is parked.
 
-use crate::plock::{Condvar, Mutex};
+use crate::plock::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,22 +86,34 @@ impl WakeKey {
     /// waiter registered on it is woken by every notify and alarm.
     pub const ALL: WakeKey = WakeKey(0);
     /// A key no waiter registers, so it reaches only the [`WakeKey::ALL`]
-    /// waiters: the machine runners' own wake hints, which concern the
-    /// runner (a wildcard waiter) and nobody else.
+    /// waiters: the wake hints of a thread-mode machine runner and of
+    /// `block_on`, which concern that (wildcard) waiter and nobody else.
     pub(crate) const RUNNERS: WakeKey = WakeKey(1);
-    /// [`WakeKey::ALL`] for a waiter that can wait its turn (a shard
-    /// worker): flagged by every notify and alarm like an `ALL` waiter,
-    /// but *held* — left parked — until every other actor has parked too
-    /// (`ClockState::release_held`). Never for a waiter somebody joins
-    /// while still runnable (`run_on_thread`): it would be held for ever.
-    pub(crate) const ALL_WHEN_IDLE: WakeKey = WakeKey(2);
-    const FIRST_FRESH: u64 = 3;
+    /// Shard `i`'s worker waits on `FIRST_SHARD + i`; fresh keys start
+    /// after the last shard's.
+    const FIRST_SHARD: u64 = 2;
     /// Marks a pump key ([`SimClock::new_pump_key`]).
     const PUMP: u64 = 1 << 63;
+
+    /// The key shard `shard`'s worker parks on: its timer alarms and the
+    /// notify of a machine spawned onto it carry this key, and marking
+    /// one of its machines ready flags whoever waits on it.
+    pub(crate) fn shard(shard: usize) -> WakeKey {
+        WakeKey(Self::FIRST_SHARD + shard as u64)
+    }
+
+    fn is_pump(self) -> bool {
+        self.0 & Self::PUMP != 0
+    }
 
     /// The range of `ClockState::waiting` holding this key's waiters.
     fn waiters(self) -> std::ops::RangeInclusive<(WakeKey, u64)> {
         (self, 0)..=(self, u64::MAX)
+    }
+
+    /// The range of `ClockState::machines` holding this key's machines.
+    fn machines(self) -> std::ops::RangeInclusive<(WakeKey, u32, MachineId)> {
+        (self, 0, 0)..=(self, u32::MAX, MachineId::MAX)
     }
 }
 
@@ -128,6 +152,14 @@ pub struct WakeStats {
     pub alarms_fired: u64,
     /// Times the clock moved.
     pub advances: u64,
+    /// Times a shard worker looked for ready machines (one per evaluation
+    /// of its wait predicate, whether or not it found any).
+    pub shard_passes: u64,
+    /// Machine steps (`poll` or `on_wake`) taken by shard workers.
+    pub machine_polls: u64,
+    /// Ready marks: times a notify or alarm put a parked machine on its
+    /// shard's ready list (an unkeyed one counts every resident).
+    pub machine_readies: u64,
     /// Per wait label, in label order.
     pub labels: BTreeMap<&'static str, LabelWakes>,
 }
@@ -140,9 +172,24 @@ struct ActorInfo {
     /// Set when a notify or alarm this blocked actor depends on happened;
     /// cleared when it resumes. Counted in `recheck_pending` while set.
     flagged: bool,
-    /// Flagged through [`WakeKey::ALL_WHEN_IDLE`] and not yet released:
-    /// its token has not been signalled. Counted in `held` while set.
+    /// A shard worker ([`SimClock::register_as`]): a flag holds it
+    /// instead of signalling it.
+    worker: bool,
+    /// A flagged worker not yet released: its token has not been
+    /// signalled, and its id is in `ClockState::held`.
     held: bool,
+}
+
+/// A machine's index in its shard's slab (`sched::ShardState::resident`).
+pub(crate) type MachineId = u32;
+
+/// The machines of one shard that a notify or alarm has marked since the
+/// shard's worker last took its batch ([`SimClock::take_ready`]).
+#[derive(Default)]
+struct ReadyList {
+    ids: BTreeSet<MachineId>,
+    /// An unkeyed notify or alarm happened: every resident is ready.
+    all: bool,
 }
 
 #[derive(Default)]
@@ -158,9 +205,9 @@ struct ClockState {
     /// scheduled to re-evaluate their predicates. While nonzero the clock
     /// must not advance and a deadlock must not be declared.
     recheck_pending: usize,
-    /// How many of `recheck_pending` are held
-    /// ([`WakeKey::ALL_WHEN_IDLE`]) waiters nobody has signalled yet.
-    held: usize,
+    /// The flagged workers nobody has signalled yet (each is counted in
+    /// `recheck_pending`).
+    held: Vec<u64>,
     /// Actors blocked in `wait_on` (for deadlock detection only).
     blocked: usize,
     /// (wake_time, actor id) per sleeping actor.
@@ -170,6 +217,11 @@ struct ClockState {
     alarms: BinaryHeap<Reverse<(SimNs, WakeKey)>>,
     /// (key, actor id) for every key a currently blocked actor registered.
     waiting: BTreeSet<(WakeKey, u64)>,
+    /// (key, shard, machine) for every key the last fruitless poll of an
+    /// event-mode machine read: what the machine is parked on.
+    machines: BTreeSet<(WakeKey, u32, MachineId)>,
+    /// Per shard, the machines marked ready.
+    ready: Vec<ReadyList>,
     next_actor: u64,
     /// Registered actors by id. A `BTreeMap` so that any iteration (the
     /// deadlock report) is in deterministic id order by construction.
@@ -181,31 +233,44 @@ struct ClockState {
 }
 
 impl ClockState {
-    /// Bump `gen` and flag the blocked waiters registered on `key` (one of
-    /// them for a pump key) and on the two wildcards — every blocked
-    /// waiter when `key` is `ALL`. A flagged waiter is signalled unless it
-    /// registered as [`WakeKey::ALL_WHEN_IDLE`]: that one is held. Any
-    /// caller that may run with nobody runnable must follow up with
-    /// [`ClockState::release_held`], or the held waiters never resume.
+    fn new(shards: usize) -> Self {
+        ClockState {
+            ready: (0..shards).map(|_| ReadyList::default()).collect(),
+            ..Default::default()
+        }
+    }
+
+    /// Bump `gen`, flag the blocked waiters registered on `key` and on
+    /// the wildcard, and mark the parked machines registered on either —
+    /// every waiter and every machine when `key` is `ALL`. A pump key
+    /// reaches one dependant: the first registered waiter (whether this
+    /// flags it or an earlier notify did and it has yet to resume), or,
+    /// when no actor waits on it, the first registered machine. A flagged
+    /// waiter is signalled unless it is a shard worker: that one is held.
+    /// Any caller that may run with nobody runnable must follow up with
+    /// [`ClockState::release_held`], or the held workers never resume.
     fn wake_dependants(&mut self, key: WakeKey) {
         self.gen += 1;
         let Self {
             waiting,
+            machines,
+            ready,
             actors,
             recheck_pending,
             held,
+            stats,
             ..
         } = self;
-        let mut flag = |&(registered, id): &(WakeKey, u64)| {
+        let mut flag = |&(_, id): &(WakeKey, u64)| {
             // A deadlock panic can unwind an actor out of the map while
             // its registrations are still in `waiting`.
             let Some(a) = actors.get_mut(&id) else { return };
             if !a.flagged {
                 a.flagged = true;
                 *recheck_pending += 1;
-                if registered == WakeKey::ALL_WHEN_IDLE {
+                if a.worker {
                     a.held = true;
-                    *held += 1;
+                    held.push(id);
                 } else {
                     a.token.notify_one();
                 }
@@ -213,40 +278,49 @@ impl ClockState {
         };
         if key == WakeKey::ALL {
             waiting.iter().for_each(&mut flag);
-        } else {
-            // One pumper does a pump key's job for everybody: the first
-            // registered waiter, whether this flags it or an earlier
-            // notify did and it has yet to resume.
-            let one = if key.0 & WakeKey::PUMP != 0 {
-                1
-            } else {
-                usize::MAX
-            };
-            waiting.range(key.waiters()).take(one).for_each(&mut flag);
-            for wildcard in [WakeKey::ALL, WakeKey::ALL_WHEN_IDLE] {
-                waiting.range(wildcard.waiters()).for_each(&mut flag);
+            ready.iter_mut().for_each(|r| r.all = true);
+            return;
+        }
+        let one = if key.is_pump() { 1 } else { usize::MAX };
+        let mut waiters = 0;
+        for w in waiting.range(key.waiters()).take(one) {
+            waiters += 1;
+            flag(w);
+        }
+        waiting.range(WakeKey::ALL.waiters()).for_each(&mut flag);
+        // One pumper does a pump key's job for everybody.
+        let keyed = if key.is_pump() && waiters > 0 { 0 } else { one };
+        let dependants = machines
+            .range(key.machines())
+            .take(keyed)
+            .chain(machines.range(WakeKey::ALL.machines()));
+        for &(_, shard, m) in dependants {
+            // Marked already: its worker was flagged then, or was running
+            // and has yet to pass the `gen` check on its way to parking.
+            if ready[shard as usize].ids.insert(m) {
+                stats.machine_readies += 1;
+                let worker = WakeKey::shard(shard as usize);
+                waiting.range(worker.waiters()).for_each(&mut flag);
             }
         }
     }
 
-    /// Signal the held waiters once they are all that is left to run:
+    /// Signal the held workers once they are all that is left to run:
     /// nobody runnable, no sleeper or signalled waiter still to resume.
     /// They stay counted in `recheck_pending` until each has resumed, so
     /// the clock cannot move and no deadlock can be declared meanwhile.
     fn release_held(&mut self) {
-        if self.held == 0
+        if self.held.is_empty()
             || self.runnable > 0
             || self.pending_wakes > 0
-            || self.recheck_pending > self.held
+            || self.recheck_pending > self.held.len()
         {
             return;
         }
-        self.held = 0;
-        for (_, id) in self.waiting.range(WakeKey::ALL_WHEN_IDLE.waiters()) {
-            if let Some(a) = self.actors.get_mut(id) {
-                if std::mem::take(&mut a.held) {
-                    a.token.notify_one();
-                }
+        for id in self.held.drain(..) {
+            if let Some(a) = self.actors.get_mut(&id) {
+                a.held = false;
+                a.token.notify_one();
             }
         }
     }
@@ -283,6 +357,9 @@ struct ClockInner {
     /// simulator self-throughput metric (events/sec). Deterministic for a
     /// fixed scenario: only actual transitions count, never idle re-polls.
     events: AtomicU64,
+    /// [`WakeStats::machine_polls`]: shard workers add to it once per
+    /// pass, outside the clock lock.
+    machine_polls: AtomicU64,
 }
 
 impl ClockInner {
@@ -343,9 +420,8 @@ impl ClockInner {
                     a.token.notify_one();
                 }
             }
-            // Alarms due at one instant pop grouped by key (a shard's
-            // machines all arm the runners' key): wake a key's dependants
-            // once, however many consecutive alarms share it.
+            // Alarms due at one instant pop grouped by key: wake a key's
+            // dependants once, however many consecutive alarms share it.
             let mut last_key = None;
             while let Some(&Reverse((t, key))) = st.alarms.peek() {
                 if t > target {
@@ -372,16 +448,16 @@ impl ClockInner {
                 if matches!(a.status, ActorStatus::Blocked(_)) {
                     // A wait converted with a missing key names itself
                     // here: it is the keyed waiter nothing could reach.
-                    if st.waiting.contains(&(WakeKey::ALL, *id)) {
-                        line.push_str(" [wildcard: any key wakes it]");
-                    } else if st.waiting.contains(&(WakeKey::ALL_WHEN_IDLE, *id)) {
-                        line.push_str(" [wildcard: any key wakes it once all else is parked]");
+                    if a.worker {
+                        line.push_str(" [shard worker: woken through its machines, below]");
                         // Never seen unless a release was missed: a held
-                        // waiter keeps `recheck_pending` above zero, and
+                        // worker keeps `recheck_pending` above zero, and
                         // no deadlock is declared over that.
                         if a.held {
-                            line.push_str(" [held until idle]");
+                            line.push_str(" [held]");
                         }
+                    } else if st.waiting.contains(&(WakeKey::ALL, *id)) {
+                        line.push_str(" [wildcard: any key wakes it]");
                     } else {
                         let keys = st.waiting.iter().filter(|(_, w)| w == id).count();
                         line.push_str(&format!(" [keyed: {keys} key(s)]"));
@@ -392,42 +468,19 @@ impl ClockInner {
             .collect();
         lines.sort();
         if self.mode == ExecMode::Events {
-            // Per-shard view: which machines each worker holds and the
-            // earliest wake hint it has armed. `try_lock` because this
-            // runs under the clock lock; at deadlock time every worker is
+            // Per-shard view: each machine a worker holds, how many keys
+            // it is parked on and the earliest timer it has armed — a
+            // lost wake-up must name the machine and what it waited on.
+            // `try_lock` because this runs under the clock lock (the lock
+            // order is shard → clock); at deadlock time every worker is
             // parked outside its shard lock, so contention means a bug
             // elsewhere and is reported rather than deadlocking the
             // reporter.
             for (i, shard) in self.pool.shards.iter().enumerate() {
-                let Some(s) = shard.try_lock() else {
-                    lines.push(format!("  shard {i}: <locked — worker mid-pass?>"));
-                    continue;
-                };
-                if s.resident.is_empty() && s.incoming.is_empty() && !s.running {
-                    continue;
+                match shard.try_lock() {
+                    Some(s) => lines.extend(s.report(i)),
+                    None => lines.push(format!("  shard {i}: <locked — worker mid-pass?>")),
                 }
-                let labels: Vec<&str> = s
-                    .resident
-                    .iter()
-                    .chain(s.incoming.iter())
-                    .map(|m| m.label.as_str())
-                    .collect();
-                let earliest = s
-                    .resident
-                    .iter()
-                    .chain(s.incoming.iter())
-                    .flat_map(|m| m.alarms.iter().copied())
-                    .min();
-                lines.push(format!(
-                    "  shard {i}: {} resident + {} queued machine(s) [{}], earliest alarm {}",
-                    s.resident.len(),
-                    s.incoming.len(),
-                    labels.join(", "),
-                    match earliest {
-                        Some(t) => format!("t={t}"),
-                        None => "none".into(),
-                    },
-                ));
             }
         }
         lines.join("\n")
@@ -457,14 +510,16 @@ impl SimClock {
 
     /// Create a new clock with an explicit machine execution mode.
     pub fn with_mode(mode: ExecMode) -> Self {
+        let shards = sched::shard_count_from_env();
         SimClock {
             inner: Arc::new(ClockInner {
-                state: Mutex::new(ClockState::default()),
+                state: Mutex::new(ClockState::new(shards)),
                 now: AtomicU64::new(0),
-                next_key: AtomicU64::new(WakeKey::FIRST_FRESH),
+                next_key: AtomicU64::new(WakeKey::shard(shards).0),
                 mode,
-                pool: SchedPool::new(sched::shard_count_from_env()),
+                pool: SchedPool::new(shards),
                 events: AtomicU64::new(0),
+                machine_polls: AtomicU64::new(0),
             }),
         }
     }
@@ -559,13 +614,9 @@ impl SimClock {
             ExecMode::Events => {
                 let shards = self.inner.pool.shards.len();
                 let shard = (hint % shards as u64) as usize;
-                let needs_worker = {
-                    let mut st = self.shard(shard).lock();
-                    st.incoming.push(sched::Slot::new(label, body));
-                    !std::mem::replace(&mut st.running, true)
-                };
+                let needs_worker = self.shard(shard).lock().enqueue(label, body);
                 if needs_worker {
-                    let actor = self.register(format!("sched:shard{shard}"));
+                    let actor = self.register_as(format!("sched:shard{shard}"), true);
                     self.inner.pool.worker_started();
                     let clock = self.clone();
                     std::thread::Builder::new()
@@ -573,9 +624,9 @@ impl SimClock {
                         .spawn(move || sched::shard_worker(actor, clock, shard))
                         .expect("spawn shard worker");
                 }
-                // An already-parked worker re-polls only on notification;
-                // workers are wildcard waiters, and nobody else cares.
-                self.notify_key(WakeKey::RUNNERS);
+                // An already-parked worker adopts only on notification,
+                // and nobody but this shard's worker cares.
+                self.notify_key(WakeKey::shard(shard));
                 MachineHandle::event()
             }
         }
@@ -592,6 +643,14 @@ impl SimClock {
     /// Otherwise the clock may advance before the newcomer is accounted
     /// for.
     pub fn register(&self, label: impl Into<String>) -> Actor {
+        self.register_as(label.into(), false)
+    }
+
+    /// [`SimClock::register`]; a `worker` (a shard worker's actor) is
+    /// held, not signalled, when flagged ([`ClockState::release_held`]).
+    /// Never for a waiter somebody joins while still runnable
+    /// (`run_on_thread`): it would be held for ever.
+    fn register_as(&self, label: String, worker: bool) -> Actor {
         let token = Arc::new(Condvar::new());
         let mut st = self.inner.state.lock();
         let id = st.next_actor;
@@ -600,10 +659,11 @@ impl SimClock {
         st.actors.insert(
             id,
             ActorInfo {
-                label: label.into(),
+                label,
                 status: ActorStatus::Running,
                 token: token.clone(),
                 flagged: false,
+                worker,
                 held: false,
             },
         );
@@ -678,7 +738,47 @@ impl SimClock {
 
     /// Snapshot of the wake accounting since the clock was created.
     pub fn wake_stats(&self) -> WakeStats {
-        self.inner.state.lock().stats.clone()
+        let mut stats = self.inner.state.lock().stats.clone();
+        stats.machine_polls = self.inner.machine_polls.load(Ordering::Relaxed);
+        stats
+    }
+
+    /// Start a pass of shard `shard`'s worker: move the machines marked
+    /// ready since its last pass into `batch` and return the registry
+    /// generation the pass starts from, plus whether an unkeyed notify or
+    /// alarm readied every one of the shard's `residents` machines.
+    pub(crate) fn take_ready(
+        &self,
+        shard: usize,
+        residents: usize,
+        batch: &mut Vec<MachineId>,
+    ) -> (u64, bool) {
+        let mut st = self.inner.state.lock();
+        let st = &mut *st;
+        st.stats.shard_passes += 1;
+        let r = &mut st.ready[shard];
+        batch.extend(std::mem::take(&mut r.ids));
+        let all = std::mem::take(&mut r.all);
+        if all {
+            st.stats.machine_readies += residents as u64;
+        }
+        (st.gen, all)
+    }
+
+    /// End a pass that took `polls` machine steps.
+    pub(crate) fn count_polls(&self, polls: u64) {
+        self.inner.machine_polls.fetch_add(polls, Ordering::Relaxed);
+    }
+
+    /// Lock the machine registry for shard `shard`, at the end of a pass
+    /// whose batch was taken at generation `gen`.
+    pub(crate) fn registry(&self, shard: usize, gen: u64) -> Registry<'_> {
+        let st = self.inner.state.lock();
+        Registry {
+            moved: st.gen != gen,
+            shard: shard as u32,
+            st,
+        }
     }
 
     /// Number of currently registered actors (diagnostics / tests).
@@ -696,6 +796,62 @@ impl SimClock {
         if st.poisoned {
             panic!("simtime: clock poisoned by a panicking actor or detected deadlock");
         }
+    }
+}
+
+/// The clock lock, held by a shard worker to bring `ClockState::machines`
+/// up to date with what its machines read during the pass just made.
+pub(crate) struct Registry<'a> {
+    st: MutexGuard<'a, ClockState>,
+    shard: u32,
+    /// `gen` moved since the pass took its batch: a notify may have
+    /// landed between a machine's poll and this registration.
+    moved: bool,
+}
+
+impl Registry<'_> {
+    /// Machine `m` is now parked on `new` instead of `old` (both sorted,
+    /// duplicate-free). A key read for the first time was registered
+    /// nowhere while its notify may already have happened, so if `gen`
+    /// moved during the pass the machine goes back on the ready list —
+    /// "something changed while we evaluated; recheck", per machine. A
+    /// pump key it leaves passes its wake-up on: it may have been the one
+    /// pumper an alarm of this instant picked.
+    pub(crate) fn reregister(&mut self, m: MachineId, old: &[WakeKey], new: &[WakeKey]) {
+        let (st, shard) = (&mut *self.st, self.shard);
+        let mut added = false;
+        for &k in new {
+            if old.binary_search(&k).is_err() {
+                st.machines.insert((k, shard, m));
+                added = true;
+            }
+        }
+        // The caller is this shard's worker, running: the `gen` check on
+        // its way to parking sends it round again.
+        if added && self.moved && st.ready[shard as usize].ids.insert(m) {
+            st.stats.machine_readies += 1;
+        }
+        for &k in old {
+            if new.binary_search(&k).is_err() {
+                st.machines.remove(&(k, shard, m));
+                if k.is_pump() {
+                    st.wake_dependants(k);
+                }
+            }
+        }
+    }
+
+    /// Machine `m`, parked on `keys`, finished.
+    pub(crate) fn retire(&mut self, m: MachineId, keys: &[WakeKey]) {
+        self.reregister(m, keys, &[]);
+        self.st.ready[self.shard as usize].ids.remove(&m);
+    }
+
+    /// Forget every machine of the shard (its worker is unwinding).
+    pub(crate) fn clear(&mut self) {
+        let (st, shard) = (&mut *self.st, self.shard);
+        st.machines.retain(|&(_, s, _)| s != shard);
+        st.ready[shard as usize] = ReadyList::default();
     }
 }
 
@@ -841,11 +997,12 @@ impl Actor {
             st.runnable += 1;
             if let Some(a) = st.actors.get_mut(&self.id) {
                 a.status = ActorStatus::Running;
-                // `held` can still be set here: poison resumes a held
-                // waiter without a release.
                 let (flagged, held) = (std::mem::take(&mut a.flagged), std::mem::take(&mut a.held));
                 st.recheck_pending -= usize::from(flagged);
-                st.held -= usize::from(held);
+                if held {
+                    // Poison resumes a held worker without a release.
+                    st.held.retain(|&id| id != self.id);
+                }
             }
             SimClock::check_poison(&st);
             st.label_stats(label).wakeups += 1;
@@ -1065,28 +1222,68 @@ mod tests {
     }
 
     #[test]
-    fn deadlock_report_marks_a_held_waiter() {
+    fn deadlock_report_marks_a_held_worker() {
         let c = SimClock::new();
         let driver = c.register("driver");
-        let worker = c.register("worker");
+        let worker = c.register_as("worker".into(), true);
         let go = Arc::new(Mutex::new(false));
         let g1 = go.clone();
         let t = thread::spawn(move || {
-            worker.wait_on(&[WakeKey::ALL_WHEN_IDLE], "sched shard", || {
+            worker.wait_on(&[WakeKey::shard(0)], "sched shard", || {
                 g1.lock().then_some(())
             })
         });
         driver.advance_ns(10); // the worker is parked
         let report = |c: &SimClock| c.inner.render_actors(&c.inner.state.lock());
-        let idle = "Blocked(\"sched shard\") [wildcard: any key wakes it once all else is parked]";
+        let idle = "Blocked(\"sched shard\") [shard worker: woken through its machines, below]";
         assert!(report(&c).contains(idle), "{}", report(&c));
-        assert!(!report(&c).contains("[held until idle]"));
+        assert!(!report(&c).contains("[held]"));
         *go.lock() = true;
-        c.notify(); // flags the worker; the driver is still runnable
-        let held = format!("{idle} [held until idle]");
+        c.notify_key(WakeKey::shard(0)); // flags the worker; the driver is still runnable
+        let held = format!("{idle} [held]");
         assert!(report(&c).contains(&held), "{}", report(&c));
         drop(driver); // the last runnable actor leaves: released
         assert!(t.join().is_ok(), "worker thread panicked");
+    }
+
+    #[test]
+    fn report_names_each_parked_machine_and_what_it_is_parked_on() {
+        use crate::{MachineStep, Monitor, SimActor};
+        /// Parks on `m` (if any) and on a timer at t=900, where it ends.
+        struct Parked(Option<Arc<Monitor<u32>>>);
+        impl SimActor for Parked {
+            fn wait_label(&self) -> &'static str {
+                "parked"
+            }
+            fn poll(&mut self, now: SimNs, _actor: &Actor) -> MachineStep {
+                match &self.0 {
+                    Some(m) => m.peek(|_| ()),
+                    None => crate::note_read(WakeKey::ALL),
+                }
+                if now >= 900 {
+                    return MachineStep::Done;
+                }
+                MachineStep::Pending(Some(900))
+            }
+        }
+        let c = SimClock::with_mode(ExecMode::Events);
+        let m = Arc::new(Monitor::new(c.clone(), 0u32));
+        let driver = c.register("driver");
+        c.spawn_machine(0, "engine:r3", Box::new(Parked(Some(m))))
+            .reap();
+        c.spawn_machine(0, "queue:r3", Box::new(Parked(None)))
+            .reap();
+        driver.advance_ns(10); // both machines are parked
+        let report = c.inner.render_actors(&c.inner.state.lock());
+        for line in [
+            "  shard 0: 2 parked + 0 queued machine(s)",
+            "    engine:r3 [keyed: 1 key(s), timer t=900]",
+            "    queue:r3 [wildcard, timer t=900]",
+        ] {
+            assert!(report.contains(line), "no {line:?} in\n{report}");
+        }
+        drop(driver);
+        c.quiesce_machines();
     }
 
     #[test]

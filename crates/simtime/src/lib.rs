@@ -57,7 +57,7 @@ pub mod trace;
 pub use clock::{Actor, ActorStatus, LabelWakes, SimClock, WakeKey, WakeStats};
 pub use progress::{Completion, CompletionState};
 pub use rng::XorShift64;
-pub use sched::{on_pool_worker, ExecMode, MachineHandle, MachineStep, SimActor};
+pub use sched::{note_read, on_pool_worker, ExecMode, MachineHandle, MachineStep, SimActor};
 pub use sync::{Monitor, SimBarrier, SimChannel};
 pub use trace::{OpSpan, Span, Trace};
 

@@ -17,17 +17,18 @@
 //! * [`ExecMode::Events`] — the **event core**, and the default: machines
 //!   are distributed over a fixed set of shards (`hint % SIM_SHARDS`), and
 //!   each shard is served by a single worker thread registered as one
-//!   clock actor. The worker polls every resident machine at each frozen
-//!   instant; between passes it is one blocked actor, so the
+//!   clock actor. Between passes the worker is one blocked actor, so the
 //!   conservative-advance invariant (`runnable`/`pending_wakes`/
 //!   `recheck_pending` bookkeeping, alarms, deadlock detection) is
-//!   untouched. A worker waits on every wake key (its machines read state
-//!   it cannot enumerate) but is **held until idle**: a notify or alarm
-//!   flags it, and it resumes once every other actor has parked — one
-//!   pass per *settle round* of a frozen instant (rank threads run until
-//!   they park → flagged workers make a pass each → repeat until nobody
-//!   is flagged → the clock advances), not one per notify. The wake hints
-//!   it schedules carry a key that reaches wildcard waiters only.
+//!   untouched. A pass steps the machines with something to look at —
+//!   those a notify or alarm marked **ready**, those whose own wake hint
+//!   came due, those just adopted — not every resident (see "Ready
+//!   machines" below). The worker is **held until idle**: what readies
+//!   one of its machines flags it, and it resumes once every other actor
+//!   has parked — one pass per *settle round* of a frozen instant (rank
+//!   threads run until they park → flagged workers make a pass each →
+//!   repeat until nobody is flagged → the clock advances), not one per
+//!   notify.
 //! * [`ExecMode::Threads`] — the **oracle** (`SIM_EXEC_MODE=threads`): one
 //!   OS thread per machine, driven by `run_on_thread`. This is
 //!   byte-for-byte the historical thread-per-actor semantics (the
@@ -50,11 +51,51 @@
 //! communicate exclusively through clock-notifying monitors, and every
 //! poll pass runs at a frozen instant, so the fixpoint the shard reaches
 //! is the same one the thread-per-actor oracle reaches.
+//!
+//! ### Ready machines: parked on what the last poll read
+//!
+//! Nobody annotates a machine with its wake keys. While a worker steps a
+//! machine, every [`crate::Monitor`] access (`with`, `peek`, `try_now`)
+//! and every explicit [`note_read`] notes its [`WakeKey`] into a
+//! thread-local read-set; the set the last fruitless step touched *is*
+//! what the machine is parked on, and the worker registers it with the
+//! clock (`Registry::reregister`). A notify or alarm of one of those
+//! keys marks the machine ready and flags its shard's worker; an unkeyed
+//! one readies every machine. A wake hint (`Pending(Some(t))`) is a
+//! per-machine timer in the shard (`Timers`), with one clock alarm on
+//! the shard's own key per distinct instant; its machine is stepped
+//! through `on_wake`, a readied one through `poll`.
+//!
+//! Why that is enough: a step is a deterministic function of the state it
+//! reads and of `now`. If nothing it read has been notified and no
+//! instant it asked for has come, stepping it again would read the same
+//! values, return the same verdict and change nothing — so not stepping
+//! it reaches the same fixpoint. What recording **cannot** see, and what
+//! therefore needs a note by hand:
+//!
+//! * *State outside a `Monitor`* — a raw atomic, a plain mutex, a job
+//!   queue. Whoever changes it must notify a key the reader noted:
+//!   `simnet::Fabric::pump` notes the arbiter's pump key, and a writer of
+//!   raw state that calls the unkeyed [`SimClock::notify`] reaches every
+//!   machine whatever it noted.
+//! * *Instants nobody announces* — a verdict that flips when `now` passes
+//!   some instant for which the machine returned no hint and nobody
+//!   scheduled an alarm (a fault plan's kill instants). Such a step was
+//!   only ever re-run "whenever something else woke the worker past that
+//!   instant".
+//!
+//! The rule: **if a step's outcome can change without a notify or an
+//! alarm on something it read, it notes [`WakeKey::ALL`]** and the
+//! machine stays a wildcard — stepped on every notify and at every
+//! instant an alarm stops the clock, exactly as every machine was before
+//! read-sets. Slow, never wrong. The thread-mode oracle records nothing:
+//! `run_on_thread` is a [`WakeKey::ALL`] waiter.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::thread::JoinHandle;
 
-use crate::clock::{Actor, SimClock, WakeKey};
+use crate::clock::{Actor, MachineId, SimClock, WakeKey};
 use crate::plock::{Condvar, Mutex};
 use crate::SimNs;
 
@@ -62,9 +103,9 @@ use crate::SimNs;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MachineStep {
     /// The machine cannot progress further at this instant. `Some(t)`
-    /// requests a wake-up at the strictly-future instant `t` (scheduled
-    /// as a thread-less clock alarm); `None` relies on cross-actor
-    /// notifications alone. A machine that could settle now must keep
+    /// requests a wake-up at the strictly-future instant `t` (a timer of
+    /// the machine's own, in addition to whatever it read); `None` relies
+    /// on notifies and alarms of what the step read alone. A machine that could settle now must keep
     /// stepping internally instead of parking.
     Pending(Option<SimNs>),
     /// The machine finished; the scheduler retires it.
@@ -77,7 +118,8 @@ pub enum MachineStep {
 /// machine advances its internal state as far as it can (to a fixpoint)
 /// and then parks. All cross-machine communication goes through the
 /// clock-notifying primitives in [`crate::sync`], which is what guarantees
-/// a parked machine is re-polled whenever anything it may wait on changes.
+/// a parked machine is re-polled whenever anything it read changes (see
+/// the module notes for what a step must [`note_read`] by hand).
 pub trait SimActor: Send {
     /// Label shown in deadlock diagnostics while the machine is parked.
     fn wait_label(&self) -> &'static str;
@@ -140,6 +182,8 @@ std::thread_local! {
     /// must not block the scheduler (e.g. the clMPI runtime's self-drain
     /// guard) recognize they are running *on* the pool.
     static ON_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// The read-set of the machine this pool worker is polling.
+    static READS: RefCell<Vec<WakeKey>> = const { RefCell::new(Vec::new()) };
 }
 
 /// True when the current thread is an event-mode shard worker.
@@ -147,78 +191,221 @@ pub fn on_pool_worker() -> bool {
     ON_POOL_WORKER.with(|f| f.get())
 }
 
-/// One spawned machine plus its runner-side alarm bookkeeping.
-pub(crate) struct Slot {
-    pub(crate) label: String,
-    /// Wake hints already scheduled as clock alarms, so repeated parks at
-    /// the same target do not flood the alarm heap.
-    pub(crate) alarms: Vec<SimNs>,
-    body: Box<dyn SimActor>,
-}
-
-impl Slot {
-    pub(crate) fn new(label: String, body: Box<dyn SimActor>) -> Self {
-        Slot {
-            label,
-            alarms: Vec::new(),
-            body,
-        }
-    }
-}
-
-/// Drive one machine at the frozen instant `now`. Returns `true` when the
-/// machine finished. Shared verbatim between the thread-mode runner and
-/// the shard workers — this function *is* the mode-equivalence argument.
-fn step_slot(slot: &mut Slot, now: SimNs, actor: &Actor, clock: &SimClock) -> bool {
-    let due = slot.alarms.iter().any(|&t| t <= now);
-    slot.alarms.retain(|&t| t > now);
-    let step = if due {
-        slot.body.on_wake(now, actor)
-    } else {
-        slot.body.poll(now, actor)
-    };
-    match step {
-        MachineStep::Done => true,
-        MachineStep::Pending(hint) => {
-            if let Some(t) = hint {
-                debug_assert!(t > now, "machines must progress, not park, when due");
-                if t > now && !slot.alarms.contains(&t) {
-                    // The hint concerns this machine's runner only, and
-                    // runners are wildcard waiters.
-                    clock.schedule_alarm_keyed(t, WakeKey::RUNNERS);
-                    slot.alarms.push(t);
-                }
+/// Note that the code running now read the state `key` names, for state
+/// that lives outside a [`crate::Monitor`] (which notes its own key): if
+/// a shard worker is polling a machine, the machine will be polled again
+/// when `key` is notified or an alarm carrying it fires. Note
+/// [`WakeKey::ALL`] where the outcome depends on something no notify or
+/// alarm announces. Costs one thread-local load anywhere else.
+pub fn note_read(key: WakeKey) {
+    if on_pool_worker() {
+        READS.with(|r| {
+            let mut r = r.borrow_mut();
+            if r.last() != Some(&key) {
+                r.push(key);
             }
-            false
+        });
+    }
+}
+
+/// Wake hints machines asked for and have not been stepped for yet: per
+/// instant, the machines to step then. A machine may be listed twice for
+/// one instant (callers skip only an immediate repeat, see [`Armed`]);
+/// whoever pops sorts that out.
+#[derive(Default)]
+pub(crate) struct Timers {
+    at: BTreeMap<SimNs, Vec<MachineId>>,
+    /// The list of the instant popped last, kept for the next new one.
+    spare: Vec<MachineId>,
+}
+
+/// The instant a machine armed last: a machine that parks on the same
+/// hint poll after poll — the common case — arms it once.
+type Armed = Option<SimNs>;
+
+impl Timers {
+    /// Move the machines with a hint due at `now` into `due`.
+    fn pop_due(&mut self, now: SimNs, due: &mut Vec<MachineId>) {
+        while let Some(first) = self.at.first_entry().filter(|e| *e.key() <= now) {
+            self.spare = first.remove();
+            due.append(&mut self.spare);
         }
     }
+
+    /// Arm `m`'s hint `t` unless it is the one `m` armed last. True when
+    /// no machine had a hint for that instant yet, i.e. the caller owes
+    /// the clock an alarm for it.
+    fn arm(&mut self, t: SimNs, m: MachineId, armed: &mut Armed) -> bool {
+        if armed.replace(t) == Some(t) {
+            return false;
+        }
+        match self.at.entry(t) {
+            Entry::Vacant(e) => {
+                let list = e.insert(std::mem::take(&mut self.spare));
+                list.push(m);
+                true
+            }
+            Entry::Occupied(mut e) => {
+                e.get_mut().push(m);
+                false
+            }
+        }
+    }
+
+    fn earliest_of(&self, m: MachineId) -> Option<SimNs> {
+        let mut armed = self.at.iter().filter(|(_, list)| list.contains(&m));
+        armed.next().map(|(&t, _)| t)
+    }
+
+    /// Drop the hints of a machine that finished.
+    fn forget(&mut self, m: MachineId) {
+        for list in self.at.values_mut() {
+            list.retain(|&id| id != m);
+        }
+    }
+}
+
+/// Drive one machine at the frozen instant `now`; `due` says a wake hint
+/// it asked for has come. Shared between the thread-mode runner and the
+/// shard workers, as is [`Timers`], which decides `due` and which hints
+/// become clock alarms — together they are the mode-equivalence argument.
+fn step(body: &mut dyn SimActor, due: bool, now: SimNs, actor: &Actor) -> MachineStep {
+    let step = if due {
+        body.on_wake(now, actor)
+    } else {
+        body.poll(now, actor)
+    };
+    debug_assert!(
+        !matches!(step, MachineStep::Pending(Some(t)) if t <= now),
+        "machines must progress, not park, when due"
+    );
+    step
 }
 
 /// Thread-mode runner: the machine's whole life inside one predicate
-/// wait, exactly like the hand-written service loops it replaces.
-pub(crate) fn run_on_thread(actor: Actor, body: Box<dyn SimActor>) {
+/// wait, exactly like the hand-written service loops it replaces. A
+/// wildcard waiter: nothing records what the machine reads here.
+pub(crate) fn run_on_thread(actor: Actor, mut body: Box<dyn SimActor>) {
     let clock = actor.clock().clone();
     let label = body.wait_label();
-    let mut slot = Slot::new(String::new(), body);
+    let (mut timers, mut armed, mut due) = (Timers::default(), None, Vec::new());
     actor.wait_until_labeled(label, || {
         let now = clock.now_ns();
-        step_slot(&mut slot, now, &actor, &clock).then_some(())
+        due.clear();
+        timers.pop_due(now, &mut due);
+        match step(body.as_mut(), !due.is_empty(), now, &actor) {
+            MachineStep::Done => Some(()),
+            MachineStep::Pending(hint) => {
+                if let Some(t) = hint.filter(|&t| t > now) {
+                    if timers.arm(t, 0, &mut armed) {
+                        // The hint concerns this runner only, and it is a
+                        // wildcard waiter.
+                        clock.schedule_alarm_keyed(t, WakeKey::RUNNERS);
+                    }
+                }
+                None
+            }
+        }
     });
+}
+
+/// One machine resident on a shard.
+struct Slot {
+    label: String,
+    body: Box<dyn SimActor>,
+    /// The hint it armed last.
+    armed: Armed,
+    /// What the machine is parked on: the keys its last registered poll
+    /// read, sorted — its entries in the clock's machine registry.
+    keys: Vec<WakeKey>,
+    /// The read-set of the poll just made (scratch; swapped with the
+    /// thread-local buffer and with `keys`, so steady state allocates
+    /// nothing).
+    read: Vec<WakeKey>,
 }
 
 /// State of one shard: machines waiting to be adopted plus machines
 /// resident on the worker. Guarded by its own mutex so spawners never
 /// contend on the clock lock, and so the deadlock reporter can inspect
-/// shard queues (via `try_lock`) while holding the clock lock.
+/// shard queues (via `try_lock`) while holding the clock lock. Lock
+/// order: shard, then clock — a worker holds its shard across a pass and
+/// takes the clock lock inside it; nothing takes them the other way.
 #[derive(Default)]
 pub(crate) struct ShardState {
     /// Machines handed to the shard, not yet polled.
-    pub(crate) incoming: Vec<Slot>,
-    /// Machines the worker is actively polling.
-    pub(crate) resident: Vec<Slot>,
+    incoming: Vec<(String, Box<dyn SimActor>)>,
+    /// Machines the worker serves, by [`MachineId`]; `None` is a free id.
+    resident: Vec<Option<Slot>>,
+    /// How many of `resident` are `Some`.
+    live: usize,
+    /// The residents' pending wake hints. The clock holds one alarm on
+    /// this shard's key per distinct instant in here.
+    timers: Timers,
     /// Whether a worker thread currently owns this shard. Workers retire
     /// when their shard drains; the flag makes the next spawn revive one.
-    pub(crate) running: bool,
+    running: bool,
+}
+
+impl ShardState {
+    /// Queue a machine for adoption; true when the shard needs a worker.
+    pub(crate) fn enqueue(&mut self, label: String, body: Box<dyn SimActor>) -> bool {
+        self.incoming.push((label, body));
+        !std::mem::replace(&mut self.running, true)
+    }
+
+    /// Give a machine the lowest free id.
+    fn adopt(&mut self, label: String, body: Box<dyn SimActor>) -> MachineId {
+        let slot = Some(Slot {
+            label,
+            body,
+            armed: None,
+            keys: Vec::new(),
+            read: Vec::new(),
+        });
+        self.live += 1;
+        match self.resident.iter().position(Option::is_none) {
+            Some(free) => {
+                self.resident[free] = slot;
+                free as MachineId
+            }
+            None => {
+                self.resident.push(slot);
+                (self.resident.len() - 1) as MachineId
+            }
+        }
+    }
+
+    /// Deadlock-report lines for shard `i`: every parked machine with
+    /// what it is parked on. Empty for an idle shard.
+    pub(crate) fn report(&self, i: usize) -> Vec<String> {
+        if self.live == 0 && self.incoming.is_empty() && !self.running {
+            return Vec::new();
+        }
+        let mut lines = vec![format!(
+            "  shard {i}: {} parked + {} queued machine(s)",
+            self.live,
+            self.incoming.len()
+        )];
+        for (m, slot) in self.resident.iter().enumerate() {
+            let Some(slot) = slot else { continue };
+            let on = if slot.keys.first() == Some(&WakeKey::ALL) {
+                "wildcard".to_string()
+            } else {
+                format!("keyed: {} key(s)", slot.keys.len())
+            };
+            let timer = match self.timers.earliest_of(m as MachineId) {
+                Some(t) => format!("timer t={t}"),
+                None => "no timer".into(),
+            };
+            lines.push(format!("    {} [{on}, {timer}]", slot.label));
+        }
+        lines.extend(
+            self.incoming
+                .iter()
+                .map(|(label, _)| format!("    {label} [queued]")),
+        );
+        lines
+    }
 }
 
 /// The event-mode worker pool: a fixed array of shards. Held by the clock
@@ -261,57 +448,179 @@ impl SchedPool {
 /// Reports a shard worker's retirement when dropped — after the worker's
 /// actor, and also when the worker unwinds from a panicking machine, so a
 /// quiescing caller is released to observe the poison instead of hanging.
-struct Retire<'a>(&'a SchedPool);
+/// An unwinding worker leaves machines behind; what they were parked on
+/// leaves the registry with it.
+struct Retire<'a> {
+    clock: &'a SimClock,
+    shard: usize,
+}
 
 impl Drop for Retire<'_> {
     fn drop(&mut self) {
-        let mut live = self.0.live_workers.lock();
+        if std::thread::panicking() {
+            self.clock.registry(self.shard, 0).clear();
+        }
+        let pool = self.clock.pool();
+        let mut live = pool.live_workers.lock();
         *live -= 1;
         if *live == 0 {
-            self.0.retired.notify_all();
+            pool.retired.notify_all();
         }
+    }
+}
+
+/// Sort a recorded read-set into the form the registry keeps: no
+/// duplicates, and `ALL` alone when it is there (it covers the rest).
+fn normalise(read: &mut Vec<WakeKey>) {
+    read.sort_unstable();
+    read.dedup();
+    if read.first() == Some(&WakeKey::ALL) {
+        read.truncate(1);
+    }
+}
+
+/// A shard worker's scratch lists, kept across passes.
+#[derive(Default)]
+struct Pass {
+    /// The machines this pass steps, in id order.
+    batch: Vec<MachineId>,
+    /// Those of them with a wake hint due.
+    due: Vec<MachineId>,
+    /// Those whose read-set differs from what the registry holds.
+    changed: Vec<MachineId>,
+    /// Those that finished.
+    done: Vec<MachineId>,
+}
+
+impl Pass {
+    /// One frozen-instant pass over shard `shard`: step the machines that
+    /// were marked ready, those with a hint due and those just adopted —
+    /// not every resident — and register what each is now parked on.
+    /// True when the shard has drained.
+    ///
+    /// Machines progressing mid-pass notify the clock themselves (monitor
+    /// mutations bump `gen`), which makes the surrounding `wait_on`
+    /// re-evaluate this predicate — that re-pass over whatever they
+    /// readied, not an inner loop, is what drives same-instant
+    /// cross-machine chains, exactly as notify does for separate threads
+    /// in oracle mode.
+    fn run(&mut self, actor: &Actor, clock: &SimClock, shard: usize) -> bool {
+        let Pass {
+            batch,
+            due,
+            changed,
+            done,
+        } = self;
+        let mut st = clock.shard(shard).lock();
+        let now = clock.now_ns();
+        batch.clear();
+        due.clear();
+        // Adopt machines spawned since the last pass. They are polled at
+        // this very instant: the spawner is still runnable, so the clock
+        // cannot have advanced past the spawn instant.
+        for (label, body) in std::mem::take(&mut st.incoming) {
+            batch.push(st.adopt(label, body));
+        }
+        st.timers.pop_due(now, due);
+        due.sort_unstable();
+        due.dedup();
+        let (gen, all) = clock.take_ready(shard, st.live, batch);
+        if all {
+            batch.clear();
+            let live = st.resident.iter().enumerate().filter(|(_, s)| s.is_some());
+            batch.extend(live.map(|(m, _)| m as MachineId));
+        } else {
+            batch.extend_from_slice(due);
+            batch.sort_unstable();
+            batch.dedup();
+        }
+        let ShardState {
+            resident,
+            timers,
+            live,
+            ..
+        } = &mut *st;
+        let mut polls = 0;
+        for &m in batch.iter() {
+            // Retirement takes a machine off every list batches are built
+            // from, so the slot is always there.
+            let Some(slot) = resident[m as usize].as_mut() else {
+                continue;
+            };
+            READS.with(|r| r.borrow_mut().clear());
+            polls += 1;
+            match step(
+                slot.body.as_mut(),
+                due.binary_search(&m).is_ok(),
+                now,
+                actor,
+            ) {
+                MachineStep::Done => done.push(m),
+                MachineStep::Pending(hint) => {
+                    if let Some(t) = hint.filter(|&t| t > now) {
+                        if timers.arm(t, m, &mut slot.armed) {
+                            clock.schedule_alarm_keyed(t, WakeKey::shard(shard));
+                        }
+                    }
+                    READS.with(|r| std::mem::swap(&mut *r.borrow_mut(), &mut slot.read));
+                    normalise(&mut slot.read);
+                    if slot.read != slot.keys {
+                        changed.push(m);
+                    }
+                }
+            }
+        }
+        clock.count_polls(polls);
+        // A poll that read what its machine is registered on already
+        // needs nothing: the registration stood all along, so no notify
+        // of those keys was lost. Most passes end without this lock.
+        if !(changed.is_empty() && done.is_empty()) {
+            let mut registry = clock.registry(shard, gen);
+            for m in changed.drain(..) {
+                if let Some(slot) = resident[m as usize].as_mut() {
+                    registry.reregister(m, &slot.keys, &slot.read);
+                    std::mem::swap(&mut slot.keys, &mut slot.read);
+                }
+            }
+            for &m in done.iter() {
+                if let Some(slot) = resident[m as usize].as_ref() {
+                    registry.retire(m, &slot.keys);
+                }
+            }
+        }
+        // Dropped outside the clock lock: a machine's drop may notify.
+        for m in done.drain(..) {
+            resident[m as usize] = None;
+            timers.forget(m);
+            *live -= 1;
+        }
+        if st.live == 0 && st.incoming.is_empty() {
+            st.running = false;
+            return true;
+        }
+        false
     }
 }
 
 /// The shard worker loop: one registered clock actor serving every
 /// machine of one shard. Each predicate evaluation is one frozen-instant
-/// pass over the resident machines; between passes the worker is a single
-/// blocked actor whose scheduled alarms are eligible to drive the clock.
+/// pass over the machines with something to look at; between passes the
+/// worker is a single blocked actor, *held* when flagged — through its
+/// shard's key (a timer alarm, a spawn) or through a machine of its that
+/// a notify or alarm marked ready — until every other actor has parked.
 /// The worker retires (clearing `running`) once the shard drains.
 pub(crate) fn shard_worker(actor: Actor, clock: SimClock, shard: usize) {
     ON_POOL_WORKER.with(|f| f.set(true));
     // Locals drop in reverse order: the actor deregisters (its last clock
     // advance included) before the retirement is reported.
-    let _retire = Retire(clock.pool());
+    let _retire = Retire {
+        clock: &clock,
+        shard,
+    };
     let actor = actor;
-    // Held until idle: a pass is worth making once every actor that could
-    // still change what the machines read at this instant has parked.
-    actor.wait_on(&[WakeKey::ALL_WHEN_IDLE], "sched shard", || {
-        let mut st = clock.shard(shard).lock();
-        let now = clock.now_ns();
-        // Adopt machines spawned since the last pass. They are polled at
-        // this very instant: the spawner is still runnable, so the clock
-        // cannot have advanced past the spawn instant.
-        let mut newly = std::mem::take(&mut st.incoming);
-        st.resident.append(&mut newly);
-        let mut i = 0;
-        while i < st.resident.len() {
-            if step_slot(&mut st.resident[i], now, &actor, &clock) {
-                st.resident.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        // Machines progressing mid-pass notify the clock themselves
-        // (monitor mutations bump `gen`), which makes the surrounding
-        // `wait_until` re-evaluate this predicate — that re-pass, not an
-        // inner loop, is what drives same-instant cross-machine chains,
-        // exactly as notify does for separate threads in oracle mode.
-        if st.resident.is_empty() && st.incoming.is_empty() {
-            st.running = false;
-            return Some(());
-        }
-        None
+    let mut pass = Pass::default();
+    actor.wait_on(&[WakeKey::shard(shard)], "sched shard", || {
+        pass.run(&actor, &clock, shard).then_some(())
     });
 }
 

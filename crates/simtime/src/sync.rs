@@ -8,7 +8,7 @@ use crate::plock::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::{Actor, SimClock, SimNs, WakeKey};
+use crate::{note_read, Actor, SimClock, SimNs, WakeKey};
 
 /// A monitor: shared mutable state whose mutations wake the actors blocked
 /// on it.
@@ -25,6 +25,13 @@ use crate::{Actor, SimClock, SimNs, WakeKey};
 /// and instants announced with [`Monitor::alarm_at`]; a wait that reads
 /// more registers the other keys itself through [`Actor::wait_on`] and
 /// [`Monitor::key`].
+///
+/// A machine polled by a shard worker registers nothing by hand: `with`,
+/// `peek` and `try_now` note this monitor's key into the worker's
+/// read-set ([`crate::note_read`]), and the machine is parked on whatever
+/// its last step noted. What that cannot see is state kept *outside* a
+/// monitor and instants no alarm announces — `sched`'s module notes say
+/// what to do about those.
 pub struct Monitor<T> {
     clock: SimClock,
     key: WakeKey,
@@ -61,6 +68,7 @@ impl<T> Monitor<T> {
     /// Mutate the state and wake the actors blocked on this monitor to
     /// re-evaluate.
     pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        note_read(self.key);
         let r = f(&mut self.state.lock());
         self.clock.notify_key(self.key);
         r
@@ -68,6 +76,7 @@ impl<T> Monitor<T> {
 
     /// Read the state without notifying (must not mutate observable state).
     pub fn peek<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        note_read(self.key);
         f(&self.state.lock())
     }
 
@@ -94,6 +103,7 @@ impl<T> Monitor<T> {
 
     /// Try the predicate once without blocking.
     pub fn try_now<R>(&self, mut f: impl FnMut(&mut T) -> Option<R>) -> Option<R> {
+        note_read(self.key);
         let r = f(&mut self.state.lock());
         if r.is_some() {
             self.clock.notify_key(self.key);

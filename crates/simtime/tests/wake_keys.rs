@@ -8,18 +8,28 @@
 //! parked, so "the waiters are parked before the driver acts" needs no
 //! sleeps or barriers.
 //!
-//! The second half is about shard workers, which are *held*: flagged by
-//! every notify and alarm, but resumed only once every other actor has
-//! parked. Those tests run under a wall-clock watchdog, because what a
-//! missed release looks like is a world that never ends.
+//! The second half is about shard workers, which are *held*: flagged
+//! when a machine of theirs is readied (by a notify or alarm of a key it
+//! read, or by any unkeyed one), but resumed only once every other actor
+//! has parked. Those tests run under a wall-clock watchdog, because what
+//! a missed release looks like is a world that never ends.
+//!
+//! The third part is about the machines themselves: a machine is parked
+//! on the keys its last poll read, and is polled again when one of them
+//! is notified, when a hint it asked for comes due, and at no other
+//! time. It ends with a generated differential against the
+//! thread-per-machine oracle.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
 use simtime::plock::Mutex;
-use simtime::{Actor, ExecMode, LabelWakes, MachineStep, Monitor, SimActor, SimClock, SimNs};
+use simtime::{
+    note_read, Actor, ExecMode, LabelWakes, MachineStep, Monitor, SimActor, SimChannel, SimClock,
+    SimNs, XorShift64,
+};
 
 /// Join a worker, re-raising its own panic (with its message) if it died.
 fn join<T>(h: thread::JoinHandle<T>) -> T {
@@ -507,4 +517,557 @@ fn actor_dropped_while_a_worker_is_held_keeps_the_clock_advancing() {
         assert_eq!(polls.load(Ordering::SeqCst), polled + 2);
         assert_eq!(clock.actor_count(), 0);
     });
+}
+
+// ---------------------------------------------------------------------
+// Ready machines: parked on what the last poll read
+// ---------------------------------------------------------------------
+
+/// A machine whose step is a closure `(woken, now) -> MachineStep`;
+/// `woken` says the step is an `on_wake` (a hint came due), not a `poll`.
+struct FnMachine<F>(F);
+
+impl<F: FnMut(bool, SimNs) -> MachineStep + Send> SimActor for FnMachine<F> {
+    fn wait_label(&self) -> &'static str {
+        "fn machine"
+    }
+
+    fn poll(&mut self, now: SimNs, _actor: &Actor) -> MachineStep {
+        (self.0)(false, now)
+    }
+
+    fn on_wake(&mut self, now: SimNs, _actor: &Actor) -> MachineStep {
+        (self.0)(true, now)
+    }
+}
+
+fn spawn_fn(
+    clock: &SimClock,
+    shard: u64,
+    label: &str,
+    step: impl FnMut(bool, SimNs) -> MachineStep + Send + 'static,
+) {
+    clock
+        .spawn_machine(shard, label, Box::new(FnMachine(step)))
+        .reap();
+}
+
+/// A machine that finishes once `m` holds 1; its polls are counted.
+fn spawn_until_one(clock: &SimClock, shard: u64, m: &Arc<Monitor<u32>>) -> Arc<AtomicU64> {
+    let polls = Arc::new(AtomicU64::new(0));
+    let (m, p) = (m.clone(), polls.clone());
+    spawn_fn(clock, shard, "until one", move |_, _| {
+        p.fetch_add(1, Ordering::SeqCst);
+        if m.peek(|v| *v == 1) {
+            MachineStep::Done
+        } else {
+            MachineStep::Pending(None)
+        }
+    });
+    polls
+}
+
+/// (`sched shard` wake-ups, machine polls, ready marks) so far.
+fn machine_stats(clock: &SimClock) -> (u64, u64, u64) {
+    let w = clock.wake_stats();
+    (
+        w.labels.get(SHARD).map_or(0, |l| l.wakeups),
+        w.machine_polls,
+        w.machine_readies,
+    )
+}
+
+#[test]
+fn notify_of_a_key_no_machine_read_leaves_the_worker_parked() {
+    within_watchdog(|| {
+        let clock = SimClock::with_mode(ExecMode::Events);
+        let a = Arc::new(Monitor::new(clock.clone(), 0u32));
+        let b = Monitor::new(clock.clone(), 0u32);
+        let driver = clock.register("driver");
+        let polls = spawn_until_one(&clock, 0, &a);
+        driver.advance_ns(10); // the worker is parked, its machine on `a`
+        let before = machine_stats(&clock);
+        for _ in 0..5 {
+            b.with(|v| *v += 1);
+        }
+        // Parking is what would release a held worker, had b flagged it.
+        driver.advance_ns(10);
+        assert_eq!(machine_stats(&clock), before, "b is none of its business");
+        a.with(|v| *v = 1);
+        drop(driver);
+        clock.quiesce_machines();
+        let after = machine_stats(&clock);
+        assert_eq!(
+            (after.0, after.1, after.2),
+            (before.0 + 1, before.1 + 1, before.2 + 1),
+            "one ready mark, one release, one poll for a's notify"
+        );
+        assert_eq!(polls.load(Ordering::SeqCst), 2, "adoption + a's notify");
+    });
+}
+
+#[test]
+fn machine_that_reparks_on_another_monitor_is_reregistered() {
+    within_watchdog(|| {
+        let clock = SimClock::with_mode(ExecMode::Events);
+        let which = Arc::new(Monitor::new(clock.clone(), 0usize));
+        let mons: Vec<_> = (0..2)
+            .map(|_| Arc::new(Monitor::new(clock.clone(), 0u32)))
+            .collect();
+        let driver = clock.register("driver");
+        let (w, ms) = (which.clone(), mons.clone());
+        spawn_fn(&clock, 0, "follower", move |_, _| {
+            if ms[w.peek(|i| *i)].peek(|v| *v == 1) {
+                MachineStep::Done
+            } else {
+                MachineStep::Pending(None)
+            }
+        });
+        driver.advance_ns(10); // parked on {which, mons[0]}
+        which.with(|i| *i = 1);
+        driver.advance_ns(10); // polled once, parked on {which, mons[1]}
+        let before = machine_stats(&clock);
+        for _ in 0..3 {
+            mons[0].with(|v| *v += 1);
+        }
+        driver.advance_ns(10);
+        assert_eq!(
+            machine_stats(&clock),
+            before,
+            "the monitor it no longer reads no longer readies it"
+        );
+        mons[1].with(|v| *v = 1);
+        drop(driver);
+        clock.quiesce_machines();
+        assert_eq!(machine_stats(&clock).1, before.1 + 1, "the new one does");
+    });
+}
+
+#[test]
+fn notify_between_a_poll_and_its_registration_is_not_lost() {
+    // The machine's first poll reads `m` (0) and then stands at a real
+    // barrier while the driver sets `m` to 1: the notify happens after
+    // the read and before the worker has registered the machine on m's
+    // key. Without the generation check at registration the worker parks
+    // on an empty ready list and nothing ever wakes it.
+    within_watchdog(|| {
+        let clock = SimClock::with_mode(ExecMode::Events);
+        let m = Arc::new(Monitor::new(clock.clone(), 0u32));
+        let gate = Arc::new(Barrier::new(2));
+        let polls = Arc::new(AtomicU64::new(0));
+        let driver = clock.register("driver");
+        let (m1, g1, p1) = (m.clone(), gate.clone(), polls.clone());
+        spawn_fn(&clock, 0, "racer", move |_, _| {
+            let first = p1.fetch_add(1, Ordering::SeqCst) == 0;
+            let seen = m1.peek(|v| *v);
+            if first {
+                g1.wait(); // read done
+                g1.wait(); // notify done
+            }
+            if seen == 1 {
+                MachineStep::Done
+            } else {
+                MachineStep::Pending(None)
+            }
+        });
+        gate.wait();
+        m.with(|v| *v = 1);
+        gate.wait();
+        drop(driver);
+        clock.quiesce_machines();
+        assert_eq!(polls.load(Ordering::SeqCst), 2);
+        assert_eq!(clock.wake_stats().machine_readies, 1, "the re-queue");
+    });
+}
+
+/// Three machines (one shard each) that each wait for a flag of their
+/// own and pump a queue of two jobs first: at t=50 set flag 2, at t=100
+/// set flags 0 and 1 (and 3, the flag an actor waits for when
+/// `with_actor`). Returns the instants each machine was stepped at.
+fn pump_world(with_actor: bool) -> Vec<Vec<SimNs>> {
+    let clock = SimClock::with_mode(ExecMode::Events);
+    let flags: Vec<Arc<Monitor<bool>>> = (0..4)
+        .map(|_| Arc::new(Monitor::new(clock.clone(), false)))
+        .collect();
+    let pump_key = clock.new_pump_key();
+    clock.schedule_alarm_keyed(50, pump_key);
+    clock.schedule_alarm_keyed(100, pump_key);
+    let pump = move |flags: &[Arc<Monitor<bool>>], now: SimNs| {
+        let set = |m: &Monitor<bool>| {
+            if !m.peek(|v| *v) {
+                m.with(|v| *v = true);
+            }
+        };
+        if now >= 50 {
+            set(&flags[2]);
+        }
+        if now >= 100 {
+            [0, 1, 3].iter().for_each(|&i| set(&flags[i]));
+        }
+    };
+    let main = clock.register("main");
+    let pumper = with_actor.then(|| clock.register("pumper"));
+    let logs: Vec<Arc<Mutex<Vec<SimNs>>>> = (0..3).map(|_| Arc::default()).collect();
+    for (i, log) in logs.iter().enumerate() {
+        let (flags, log) = (flags.clone(), log.clone());
+        spawn_fn(&clock, i as u64, "pumping machine", move |_, now| {
+            let mut log = log.lock();
+            if log.last() != Some(&now) {
+                log.push(now);
+            }
+            note_read(pump_key); // the queue lives outside any monitor
+            pump(&flags, now);
+            if flags[i].peek(|v| *v) {
+                MachineStep::Done
+            } else {
+                MachineStep::Pending(None)
+            }
+        });
+    }
+    let t = pumper.map(|actor| {
+        let (flags, clock) = (flags.clone(), clock.clone());
+        thread::spawn(move || {
+            actor.wait_on(&[flags[3].key(), pump_key], "pump actor", || {
+                pump(&flags, clock.now_ns());
+                flags[3].peek(|v| v.then_some(()))
+            })
+        })
+    });
+    drop(main);
+    if let Some(t) = t {
+        join(t);
+    }
+    clock.quiesce_machines();
+    logs.iter().map(|l| l.lock().clone()).collect()
+}
+
+#[test]
+fn pump_key_alarm_readies_one_machine_and_none_when_an_actor_pumps() {
+    within_watchdog(|| {
+        // Every machine is registered on the pump key; each alarm picks
+        // the first. The others are stepped when their own flag is set.
+        assert_eq!(
+            pump_world(false),
+            vec![vec![0, 50, 100], vec![0, 100], vec![0, 50]],
+            "machine 0 pumps both alarms; machine 1 sleeps through t=50"
+        );
+        // A blocked actor registered on the key is the pumper instead.
+        assert_eq!(
+            pump_world(true),
+            vec![vec![0, 100], vec![0, 100], vec![0, 50]],
+            "no machine is readied by an alarm the actor takes"
+        );
+    });
+}
+
+#[test]
+fn hint_steps_through_on_wake_and_key_through_poll() {
+    within_watchdog(|| {
+        let clock = SimClock::with_mode(ExecMode::Events);
+        let m = Arc::new(Monitor::new(clock.clone(), 0u32));
+        let log: Arc<Mutex<Vec<(bool, SimNs, u32)>>> = Arc::default();
+        let driver = clock.register("driver");
+        let (m1, l1) = (m.clone(), log.clone());
+        spawn_fn(&clock, 0, "timed reader", move |woken, now| {
+            l1.lock().push((woken, now, m1.peek(|v| *v)));
+            if now >= 100 {
+                MachineStep::Done
+            } else {
+                MachineStep::Pending(Some(100))
+            }
+        });
+        driver.advance_ns(10);
+        m.with(|v| *v = 7);
+        drop(driver);
+        clock.quiesce_machines();
+        assert_eq!(
+            *log.lock(),
+            vec![(false, 0, 0), (false, 10, 7), (true, 100, 7)],
+            "adopted by poll, readied by m's key through poll, timer through on_wake"
+        );
+        assert_eq!(
+            clock.wake_stats().alarms_fired,
+            1,
+            "one alarm for one instant"
+        );
+    });
+}
+
+#[test]
+fn unkeyed_notify_and_alarm_still_ready_every_machine() {
+    // Three machines on three shards that read nothing a monitor owns: a
+    // raw flag and the clock. Only the wildcard forms can reach them.
+    within_watchdog(|| {
+        let clock = SimClock::with_mode(ExecMode::Events);
+        let flag = Arc::new(AtomicBool::new(false));
+        let seen: Vec<Arc<Mutex<Vec<SimNs>>>> = (0..3).map(|_| Arc::default()).collect();
+        let driver = clock.register("driver");
+        for (i, seen) in seen.iter().enumerate() {
+            let (flag, seen) = (flag.clone(), seen.clone());
+            spawn_fn(&clock, i as u64, "raw reader", move |_, now| {
+                seen.lock().push(now);
+                if flag.load(Ordering::SeqCst) && now >= 500 {
+                    MachineStep::Done
+                } else {
+                    MachineStep::Pending(None)
+                }
+            });
+        }
+        driver.advance_ns(10);
+        let before = machine_stats(&clock);
+        flag.store(true, Ordering::SeqCst);
+        clock.notify();
+        driver.advance_ns(10);
+        let after = machine_stats(&clock);
+        assert_eq!((after.1, after.2), (before.1 + 3, before.2 + 3));
+        clock.schedule_alarm(500);
+        drop(driver);
+        clock.quiesce_machines();
+        assert_eq!(clock.now_ns(), 500);
+        for seen in &seen {
+            assert_eq!(*seen.lock(), vec![0, 10, 500]);
+        }
+    });
+}
+
+#[test]
+fn retired_machine_and_poisoned_worker_leave_the_registry() {
+    within_watchdog(|| {
+        let clock = SimClock::with_mode(ExecMode::Events);
+        let a = Arc::new(Monitor::new(clock.clone(), 0u32));
+        let b = Arc::new(Monitor::new(clock.clone(), 0u32));
+        let driver = clock.register("driver");
+        // Same shard: the survivor keeps the worker — and the shard's
+        // ready list — alive after the first machine has gone.
+        let _ = spawn_until_one(&clock, 0, &a);
+        let _ = spawn_until_one(&clock, 0, &b);
+        driver.advance_ns(10);
+        a.with(|v| *v = 1);
+        driver.advance_ns(10); // a's machine has retired
+        let before = machine_stats(&clock);
+        for _ in 0..3 {
+            a.with(|v| *v += 1);
+        }
+        driver.advance_ns(10);
+        assert_eq!(
+            machine_stats(&clock),
+            before,
+            "a retired machine's key readies nobody"
+        );
+        // Now the worker dies with b's machine still parked on b.
+        let boom = thread::spawn(move || {
+            let _driver = driver;
+            std::panic::panic_any("boom");
+        });
+        assert!(boom.join().is_err());
+        let c1 = clock.clone();
+        let quiesce = thread::spawn(move || c1.quiesce_machines());
+        assert!(quiesce.join().is_err(), "quiesce reports the poison");
+        let before = machine_stats(&clock);
+        b.with(|v| *v = 1);
+        assert_eq!(
+            machine_stats(&clock).2,
+            before.2,
+            "an unwound worker's machines are parked on nothing"
+        );
+    });
+}
+
+// ---------------------------------------------------------------------
+// Generated differential: event core against the thread oracle
+// ---------------------------------------------------------------------
+
+/// One step of a toy machine's script.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// Put a token into machine `to`'s inbox (never blocks).
+    Send { to: usize },
+    /// Take a token from the own inbox.
+    Recv,
+    /// Add one to counter `c`.
+    Bump { c: usize },
+    /// Wait until counter `c` has reached `k`.
+    Await { c: usize, k: u32 },
+    /// Let `d` virtual nanoseconds pass.
+    Sleep { d: SimNs },
+}
+
+/// Scripts for `n` participants, projected from one random global order
+/// of operations in which every receive follows its send and every
+/// await the bumps it counts — so the order itself is a valid execution
+/// and no network generated here can deadlock.
+fn scripts(rng: &mut XorShift64, n: usize, counters: usize, ops: usize) -> Vec<Vec<Op>> {
+    let mut out = vec![Vec::new(); n];
+    let mut bumps = vec![0u32; counters];
+    for _ in 0..ops {
+        let who = rng.gen_range_usize(0, n);
+        match rng.gen_range_usize(0, 4) {
+            0 => {
+                let to = rng.gen_range_usize(0, n);
+                out[who].push(Op::Send { to });
+                out[to].push(Op::Recv);
+            }
+            1 => {
+                let c = rng.gen_range_usize(0, counters);
+                bumps[c] += 1;
+                out[who].push(Op::Bump { c });
+            }
+            2 => {
+                let c = rng.gen_range_usize(0, counters);
+                if bumps[c] > 0 {
+                    let k = rng.gen_range_u64(1, u64::from(bumps[c]) + 1) as u32;
+                    out[who].push(Op::Await { c, k });
+                }
+            }
+            _ => out[who].push(Op::Sleep {
+                d: rng.gen_range_u64(1, 400),
+            }),
+        }
+    }
+    out
+}
+
+/// What the participants of one toy network share.
+#[derive(Clone)]
+struct Net {
+    inboxes: Vec<SimChannel<()>>,
+    counters: Vec<Arc<Monitor<u32>>>,
+    finished: Arc<Monitor<usize>>,
+}
+
+/// `(instant, op index)` of every op a participant completed.
+type StepLog = Arc<Mutex<Vec<(SimNs, usize)>>>;
+
+/// A script run as a machine: steps until an op cannot complete at this
+/// instant, and logs `(instant, op index)` for every op that does.
+struct Node {
+    me: usize,
+    net: Net,
+    script: Vec<Op>,
+    pc: usize,
+    /// End of the `Sleep` in progress.
+    until: Option<SimNs>,
+    log: StepLog,
+}
+
+impl SimActor for Node {
+    fn wait_label(&self) -> &'static str {
+        "toy node"
+    }
+
+    fn poll(&mut self, now: SimNs, _actor: &Actor) -> MachineStep {
+        while let Some(&op) = self.script.get(self.pc) {
+            let done = match op {
+                Op::Send { to } => {
+                    self.net.inboxes[to].send(());
+                    true
+                }
+                Op::Recv => self.net.inboxes[self.me].try_recv().is_some(),
+                Op::Bump { c } => {
+                    self.net.counters[c].with(|v| *v += 1);
+                    true
+                }
+                Op::Await { c, k } => self.net.counters[c].peek(|v| *v >= k),
+                Op::Sleep { d } => {
+                    let until = *self.until.get_or_insert(now + d);
+                    if now < until {
+                        return MachineStep::Pending(Some(until));
+                    }
+                    self.until = None;
+                    true
+                }
+            };
+            if !done {
+                return MachineStep::Pending(None);
+            }
+            self.log.lock().push((now, self.pc));
+            self.pc += 1;
+        }
+        self.net.finished.with(|f| *f += 1);
+        MachineStep::Done
+    }
+}
+
+/// Run one generated network (`n` machines plus a scripted driver
+/// thread) under `mode`; returns every participant's transition log.
+fn run_network(mode: ExecMode, seed: u64) -> Vec<Vec<(SimNs, usize)>> {
+    let mut rng = XorShift64::new(seed);
+    let n = rng.gen_range_usize(2, 7);
+    let counters = rng.gen_range_usize(1, 4);
+    let ops = rng.gen_range_usize(10, 60);
+    // Few shards' worth of hints, so machines share workers.
+    let spread = rng.gen_range_u64(1, 5);
+    let mut scripts = scripts(&mut rng, n + 1, counters, ops);
+    let clock = SimClock::with_mode(mode);
+    let net = Net {
+        inboxes: (0..=n).map(|_| SimChannel::new(clock.clone())).collect(),
+        counters: (0..counters)
+            .map(|_| Arc::new(Monitor::new(clock.clone(), 0)))
+            .collect(),
+        finished: Arc::new(Monitor::new(clock.clone(), 0)),
+    };
+    let driver = clock.register("driver");
+    let driver_script = scripts.pop().unwrap_or_default();
+    let logs: Vec<StepLog> = (0..=n).map(|_| Arc::default()).collect();
+    let handles: Vec<_> = scripts
+        .into_iter()
+        .enumerate()
+        .map(|(me, script)| {
+            let node = Node {
+                me,
+                net: net.clone(),
+                script,
+                pc: 0,
+                until: None,
+                log: logs[me].clone(),
+            };
+            clock.spawn_machine(me as u64 % spread, format!("node{me}"), Box::new(node))
+        })
+        .collect();
+    // The driver is participant `n`: the same ops, blocking.
+    for (pc, op) in driver_script.into_iter().enumerate() {
+        match op {
+            Op::Send { to } => net.inboxes[to].send(()),
+            Op::Recv => drop(net.inboxes[n].recv(&driver)),
+            Op::Bump { c } => net.counters[c].with(|v| *v += 1),
+            Op::Await { c, k } => net.counters[c].wait(&driver, |v| (*v >= k).then_some(())),
+            Op::Sleep { d } => driver.advance_ns(d),
+        }
+        logs[n].lock().push((driver.now_ns(), pc));
+    }
+    net.finished.wait(&driver, |f| (*f == n).then_some(()));
+    drop(driver);
+    for h in handles {
+        h.reap();
+    }
+    clock.quiesce_machines();
+    logs.iter().map(|l| l.lock().clone()).collect()
+}
+
+#[test]
+fn generated_networks_step_identically_on_the_event_core_and_the_thread_oracle() {
+    let mut transitions = 0;
+    for seed in 0..240 {
+        let (tx, rx) = mpsc::channel();
+        let h = thread::spawn(move || {
+            let _ = tx.send((
+                run_network(ExecMode::Events, seed),
+                run_network(ExecMode::Threads, seed),
+            ));
+        });
+        let got = rx.recv_timeout(Duration::from_secs(20));
+        assert!(
+            got != Err(mpsc::RecvTimeoutError::Timeout),
+            "seed {seed}: still running after 20 s"
+        );
+        join(h); // re-raises a deadlock report or a panicking machine
+        let (events, threads) = got.unwrap_or_default();
+        assert_eq!(events, threads, "seed {seed}: per-machine transition logs");
+        assert!(!events.is_empty(), "seed {seed}: the worlds never reported");
+        transitions += events.iter().map(Vec::len).sum::<usize>();
+    }
+    assert!(
+        transitions > 5_000,
+        "the generator went quiet: {transitions}"
+    );
 }
