@@ -490,3 +490,170 @@ fn dead_link_poisons_every_rank_and_dependents_then_quiesces() {
         );
     }
 }
+
+// ----------------------------------------------------------------------
+// A failed collective leaves no posted receive behind
+// ----------------------------------------------------------------------
+
+/// While the data plane is down every rank's broadcast and allreduce
+/// fails with a receive still posted — the non-roots' broadcast by
+/// running out of patience, the ring round when its own injection
+/// exhausts the retry budget first. Once the link is back, the same
+/// collectives on the same user tags among the same ranks deliver the
+/// right bytes: a receive left behind by a dead machine would have been
+/// posted first and swallowed the new collective's first chunk.
+#[test]
+fn failed_collectives_withdraw_their_receives_so_the_tag_is_reusable() {
+    const SIZE: usize = 64 << 10;
+    const COUNT: usize = 1024;
+    const LINK_BACK: u64 = 50_000_000;
+    let plan = data_plane_faults(FaultPlan::none().with_down_window(0, LINK_BACK));
+    let cluster = SystemConfig::ricc().cluster.clone();
+    let res = run_world_faulty(cluster, 3, plan, move |p: Process| {
+        let rt = ClMpi::new(&p, SystemConfig::ricc());
+        rt.set_retry_policy(RetryPolicy {
+            chunk_timeout_ns: 5_000_000,
+            ..RetryPolicy::new(2, 5_000)
+        });
+        let q = rt.context().create_queue(0, format!("r{}", p.rank()));
+        let buf = rt.context().create_buffer(SIZE);
+        let rbuf = rt.context().create_buffer(COUNT * 8);
+        let mut codes = Vec::new();
+        for round in 0..2 {
+            buf.store(0, &vec![0u8; SIZE]).unwrap();
+            if p.rank() == 0 {
+                buf.store(0, &pattern(SIZE, 21)).unwrap();
+            }
+            rbuf.store(0, &f64s_to_bytes(&contrib(p.rank(), COUNT)))
+                .unwrap();
+            let eb = rt
+                .enqueue_bcast_buffer_as(
+                    &q,
+                    &buf,
+                    0,
+                    SIZE,
+                    0,
+                    1,
+                    CollAlgo::Ring,
+                    16 << 10,
+                    &[],
+                    &p.actor,
+                )
+                .unwrap();
+            let er = rt
+                .enqueue_allreduce_buffer_as(
+                    &q,
+                    &rbuf,
+                    0,
+                    COUNT,
+                    ReduceOp::Sum,
+                    1,
+                    2048,
+                    &[],
+                    &p.actor,
+                )
+                .unwrap();
+            eb.wait(&p.actor);
+            er.wait(&p.actor);
+            codes.push((eb.error_code(), er.error_code()));
+            if round == 0 {
+                // Sit out the rest of the outage, then line the ranks up.
+                q.enqueue_kernel("outage", LINK_BACK, &[], || {})
+                    .wait(&p.actor);
+                p.comm.barrier(&p.actor);
+            }
+        }
+        let got = (
+            buf.load(0, SIZE).unwrap(),
+            bytes_to_f64s(&rbuf.load(0, COUNT * 8).unwrap()),
+        );
+        rt.shutdown(&p.actor);
+        (codes, got)
+    });
+    for (rank, (codes, (bytes, sums))) in res.outputs.iter().enumerate() {
+        let dead = Some(CL_MPI_TRANSFER_ERROR);
+        assert_eq!(codes[0], (dead, dead), "rank {rank}: outage fails both");
+        assert_eq!(codes[1], (None, None), "rank {rank}: second round clean");
+        assert!(bytes == &pattern(SIZE, 21), "rank {rank}: broadcast bytes");
+        assert_eq!(
+            sums,
+            &reduced(3, COUNT, ReduceOp::Sum),
+            "rank {rank}: reduced vector"
+        );
+    }
+}
+
+/// Ring broadcast 0 → 1 → 2 with node 2 dead: rank 1's forward of the
+/// first chunk is undeliverable while it awaits a later chunk from the
+/// (healthy) root, so its machine dies with that receive posted. The
+/// root keeps streaming; a plain `irecv` on the broadcast's wire tag must
+/// then see exactly the first chunk the dead machine did not store — a
+/// receive left posted (or a matched message not handed back) would have
+/// swallowed it and the plain receive would see the one after.
+#[test]
+fn forward_failure_mid_stream_hands_the_next_chunk_to_a_later_receive() {
+    const SIZE: usize = 256 << 10;
+    const CHUNK: usize = 16 << 10;
+    const TAG: i32 = 4;
+    let plan = FaultPlan::none().with_node_down(2, 0);
+    let cluster = SystemConfig::ricc().cluster.clone();
+    let res = run_world_faulty(cluster, 3, plan, move |p: Process| {
+        let rt = ClMpi::new(&p, SystemConfig::ricc());
+        rt.set_retry_policy(RetryPolicy {
+            chunk_timeout_ns: 5_000_000,
+            ..RetryPolicy::new(2, 5_000)
+        });
+        let q = rt.context().create_queue(0, format!("r{}", p.rank()));
+        let buf = rt.context().create_buffer(SIZE);
+        buf.store(0, &vec![0u8; SIZE]).unwrap();
+        if p.rank() == 0 {
+            buf.store(0, &pattern(SIZE, 33)).unwrap();
+        }
+        let e = rt
+            .enqueue_bcast_buffer_as(
+                &q,
+                &buf,
+                0,
+                SIZE,
+                0,
+                TAG,
+                CollAlgo::Ring,
+                CHUNK,
+                &[],
+                &p.actor,
+            )
+            .unwrap();
+        e.wait(&p.actor);
+        let next = (p.rank() == 1).then(|| {
+            // Chunks land in the buffer as they arrive: the stored prefix
+            // says which chunk the dead machine was waiting for.
+            let have = buf.load(0, SIZE).unwrap();
+            let want = pattern(SIZE, 33);
+            let stored = (0..SIZE / CHUNK)
+                .take_while(|k| have[k * CHUNK..][..CHUNK] == want[k * CHUNK..][..CHUNK])
+                .count();
+            let wire_tag = clmpi::CLMPI_COLL_TAG_BASE + TAG;
+            let msg = p
+                .comm
+                .irecv(&p.actor, Some(0), Some(wire_tag))
+                .wait(&p.actor)
+                .expect("a receive yields a payload");
+            (stored, msg.data)
+        });
+        rt.shutdown(&p.actor);
+        (e.error_code(), next)
+    });
+    assert_eq!(res.outputs[0].0, None, "the root's only child is alive");
+    let (code, next) = &res.outputs[1];
+    assert_eq!(*code, Some(CL_MPI_TRANSFER_ERROR), "the forward failed");
+    let (stored, msg) = next.as_ref().expect("rank 1 probed");
+    assert!(
+        (1..SIZE / CHUNK).contains(stored),
+        "the machine died mid-stream, after {stored} chunk(s)"
+    );
+    assert_eq!(msg[0], 3, "ring algorithm header");
+    assert!(
+        msg[1..] == pattern(SIZE, 33)[stored * CHUNK..][..CHUNK],
+        "the later receive sees chunk {stored}, the first one not stored"
+    );
+}

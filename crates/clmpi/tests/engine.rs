@@ -222,3 +222,587 @@ fn lossy_runs_are_deterministic_across_reruns() {
         );
     }
 }
+
+// ----------------------------------------------------------------------
+// The settlement protocol, pinned per entry point
+// ----------------------------------------------------------------------
+
+mod protocol {
+    use std::sync::Arc;
+
+    use clmpi::{
+        data_plane_faults, encode_checkpoint, AdaptiveSelector, ClMpi, ClWindow, CollAlgo,
+        CollTuning, CollectiveSelector, PackMode, PeerSelector, ReduceOp, RetryPolicy, SimStorage,
+        SystemConfig, TransferStrategy,
+    };
+    use minicl::{
+        Buffer, CommandQueue, Event, CL_MPI_TRANSFER_ERROR,
+        EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST,
+    };
+    use minimpi::{run_world_faulty, DerivedType, FaultPlan, Process};
+
+    /// Payload of every row: one size class for all four selectors.
+    const SIZE: usize = 16 << 10;
+
+    /// When the dead-link scenario kills a one-sided row's target node:
+    /// after the collective window creation, before the command is issued.
+    const KILL_AT: u64 = 1_000_000;
+
+    /// Everything a row needs to issue its command on one rank.
+    struct Cx<'a> {
+        rt: &'a ClMpi,
+        q: &'a CommandQueue,
+        buf: &'a Buffer,
+        win: &'a ClWindow,
+        disk: &'a SimStorage,
+        p: &'a Process,
+    }
+
+    /// How a row's entry point treats a failed wait-list event.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Gate {
+        /// The command is poisoned with −14 (the nine gating machines).
+        Poisons,
+        /// The file commands only order on settlement and run anyway.
+        RunsAnyway,
+        /// The entry point takes no wait list.
+        None,
+    }
+
+    /// One entry point (or the two halves of a matched pair: rank 0
+    /// issues the first, rank 1 the second).
+    struct Row {
+        name: &'static str,
+        /// `op.*` category of the envelope each rank's command leaves;
+        /// `None` where the rank issues nothing or the command is
+        /// untraced (write / read file).
+        cat: [Option<&'static str>; 2],
+        gate: Gate,
+        /// Does the rank's command fail in [`Scenario::DeadLink`]?
+        wire: [bool; 2],
+        /// Does the rank's command report to an installed selector?
+        told: [bool; 2],
+        /// Issue the command gated on `wait`, see it settle, and return
+        /// its error code (`Some(None)`: success; `None`: nothing issued).
+        issue: fn(&Cx, &[Event]) -> Option<Option<i32>>,
+    }
+
+    fn settled(e: Event, cx: &Cx) -> Option<Option<i32>> {
+        e.wait(&cx.p.actor);
+        Some(e.error_code())
+    }
+
+    fn code(r: minicl::ClResult<()>) -> Option<Option<i32>> {
+        Some(r.err().map(|_| CL_MPI_TRANSFER_ERROR))
+    }
+
+    fn strided() -> minimpi::CommittedType {
+        DerivedType::Vector {
+            count: 16,
+            blocklen: 256,
+            stride: 1024,
+            extent: SIZE,
+        }
+        .commit()
+        .expect("valid shape")
+    }
+
+    fn datatype(cx: &Cx, w: &[Event], mode: PackMode) -> Option<Option<i32>> {
+        let (rt, q, buf, a) = (cx.rt, cx.q, cx.buf, &cx.p.actor);
+        let e = if cx.p.rank() == 0 {
+            rt.enqueue_send_datatype(q, buf, false, 0, &strided(), mode, 1, 3, w, a)
+        } else {
+            rt.enqueue_recv_datatype(q, buf, false, 0, &strided(), mode, 0, 3, w, a)
+        };
+        settled(e.unwrap(), cx)
+    }
+
+    fn rows() -> Vec<Row> {
+        const BOTH: [bool; 2] = [true, true];
+        const NEITHER: [bool; 2] = [false, false];
+        const ORIGIN: [bool; 2] = [true, false];
+        vec![
+            Row {
+                name: "enqueue_send_buffer | enqueue_recv_buffer",
+                cat: [Some("op.send"), Some("op.recv")],
+                gate: Gate::Poisons,
+                wire: BOTH,
+                told: BOTH,
+                issue: |cx, w| {
+                    let (rt, q, buf, a) = (cx.rt, cx.q, cx.buf, &cx.p.actor);
+                    let e = if cx.p.rank() == 0 {
+                        rt.enqueue_send_buffer(q, buf, false, 0, SIZE, 1, 3, w, a)
+                    } else {
+                        rt.enqueue_recv_buffer(q, buf, false, 0, SIZE, 0, 3, w, a)
+                    };
+                    settled(e.unwrap(), cx)
+                },
+            },
+            // The datatype paths pick their wire strategy from the pack
+            // mode, never from the selector, so nobody is told.
+            Row {
+                name: "enqueue_send_datatype | enqueue_recv_datatype (host-pack)",
+                cat: [Some("op.send"), Some("op.recv")],
+                gate: Gate::Poisons,
+                wire: BOTH,
+                told: NEITHER,
+                issue: |cx, w| datatype(cx, w, PackMode::HostPack),
+            },
+            Row {
+                name: "enqueue_send_datatype | enqueue_recv_datatype (device-pack)",
+                cat: [Some("op.send"), Some("op.recv")],
+                gate: Gate::Poisons,
+                wire: BOTH,
+                told: NEITHER,
+                issue: |cx, w| datatype(cx, w, PackMode::DevicePack),
+            },
+            Row {
+                name: "enqueue_send_datatype | enqueue_recv_datatype (pipelined-pack)",
+                cat: [Some("op.send"), Some("op.recv")],
+                gate: Gate::Poisons,
+                wire: BOTH,
+                told: NEITHER,
+                issue: |cx, w| datatype(cx, w, PackMode::PipelinedPack),
+            },
+            Row {
+                name: "gpu_aware_send | gpu_aware_recv",
+                cat: [Some("op.send"), Some("op.recv")],
+                gate: Gate::None,
+                wire: BOTH,
+                told: BOTH,
+                issue: |cx, _| {
+                    let (rt, q, buf, a) = (cx.rt, cx.q, cx.buf, &cx.p.actor);
+                    code(if cx.p.rank() == 0 {
+                        rt.gpu_aware_send(a, q, buf, 0, SIZE, 1, 3)
+                    } else {
+                        rt.gpu_aware_recv(a, q, buf, 0, SIZE, 0, 3)
+                    })
+                },
+            },
+            Row {
+                name: "isend_cl | irecv_cl",
+                cat: [Some("op.isend"), Some("op.irecv")],
+                gate: Gate::None,
+                wire: BOTH,
+                told: NEITHER,
+                issue: |cx, _| {
+                    if cx.p.rank() == 0 {
+                        let req = cx.rt.isend_cl(&cx.p.actor, 1, 3, &[7u8; SIZE]);
+                        code(req.wait_result(&cx.p.actor))
+                    } else {
+                        settled(cx.rt.irecv_cl(&cx.p.actor, 0, 3, SIZE).event, cx)
+                    }
+                },
+            },
+            Row {
+                name: "event_from_request",
+                cat: [Some("op.request"), Some("op.request")],
+                gate: Gate::None,
+                wire: NEITHER, // plain MPI tags sit below the data plane
+                told: NEITHER,
+                issue: |cx, _| {
+                    let a = &cx.p.actor;
+                    let req = if cx.p.rank() == 0 {
+                        cx.p.comm.isend(a, 1, 9, &[1u8; 64])
+                    } else {
+                        cx.p.comm.irecv(a, Some(0), Some(9))
+                    };
+                    settled(cx.rt.event_from_request(req).0, cx)
+                },
+            },
+            Row {
+                name: "enqueue_put_buffer",
+                cat: [Some("op.put"), None],
+                gate: Gate::Poisons,
+                wire: ORIGIN,
+                told: ORIGIN,
+                issue: |cx, w| {
+                    (cx.p.rank() == 0).then(|| {
+                        let e = cx.rt.enqueue_put_buffer(
+                            cx.q,
+                            cx.win,
+                            false,
+                            0,
+                            0,
+                            SIZE,
+                            1,
+                            w,
+                            &cx.p.actor,
+                        );
+                        settled(e.unwrap(), cx).unwrap()
+                    })
+                },
+            },
+            Row {
+                name: "enqueue_get_buffer",
+                cat: [Some("op.get"), None],
+                gate: Gate::Poisons,
+                wire: ORIGIN,
+                told: NEITHER,
+                issue: |cx, w| {
+                    (cx.p.rank() == 0).then(|| {
+                        let e = cx.rt.enqueue_get_buffer(
+                            cx.q,
+                            cx.win,
+                            false,
+                            0,
+                            0,
+                            SIZE,
+                            1,
+                            w,
+                            &cx.p.actor,
+                        );
+                        settled(e.unwrap(), cx).unwrap()
+                    })
+                },
+            },
+            Row {
+                name: "enqueue_accumulate_buffer",
+                cat: [Some("op.acc"), None],
+                gate: Gate::Poisons,
+                wire: ORIGIN,
+                told: NEITHER,
+                issue: |cx, w| {
+                    (cx.p.rank() == 0).then(|| {
+                        let e = cx.rt.enqueue_accumulate_buffer(
+                            cx.q,
+                            cx.win,
+                            false,
+                            0,
+                            0,
+                            SIZE,
+                            1,
+                            ReduceOp::Sum,
+                            w,
+                            &cx.p.actor,
+                        );
+                        settled(e.unwrap(), cx).unwrap()
+                    })
+                },
+            },
+            Row {
+                name: "enqueue_win_fence",
+                cat: [Some("op.fence"), Some("op.fence")],
+                gate: Gate::Poisons,
+                wire: NEITHER, // an empty epoch synchronizes on control blocks
+                told: NEITHER,
+                issue: |cx, w| {
+                    let e = cx.rt.enqueue_win_fence(cx.win, false, w, &cx.p.actor);
+                    settled(e.unwrap(), cx)
+                },
+            },
+            Row {
+                name: "enqueue_bcast_buffer (root | non-root)",
+                cat: [Some("op.bcast"), Some("op.bcast")],
+                gate: Gate::Poisons,
+                wire: BOTH,
+                told: ORIGIN, // only the root chose, only the root reports
+                issue: |cx, w| {
+                    let e = cx
+                        .rt
+                        .enqueue_bcast_buffer(cx.q, cx.buf, 0, SIZE, 0, 3, w, &cx.p.actor);
+                    settled(e.unwrap(), cx)
+                },
+            },
+            Row {
+                name: "enqueue_allreduce_buffer",
+                cat: [Some("op.allreduce"), Some("op.allreduce")],
+                gate: Gate::Poisons,
+                wire: BOTH,
+                told: BOTH,
+                issue: |cx, w| {
+                    let e = cx.rt.enqueue_allreduce_buffer(
+                        cx.q,
+                        cx.buf,
+                        0,
+                        SIZE / 8,
+                        ReduceOp::Sum,
+                        3,
+                        w,
+                        &cx.p.actor,
+                    );
+                    settled(e.unwrap(), cx)
+                },
+            },
+            Row {
+                name: "enqueue_reduce_buffer",
+                cat: [Some("op.reduce"), Some("op.reduce")],
+                gate: Gate::Poisons,
+                wire: BOTH,
+                told: NEITHER,
+                issue: |cx, w| {
+                    let e = cx.rt.enqueue_reduce_buffer(
+                        cx.q,
+                        cx.buf,
+                        0,
+                        SIZE / 8,
+                        ReduceOp::Sum,
+                        0,
+                        3,
+                        w,
+                        &cx.p.actor,
+                    );
+                    settled(e.unwrap(), cx)
+                },
+            },
+            Row {
+                name: "enqueue_write_file",
+                cat: [None, None],
+                gate: Gate::RunsAnyway,
+                wire: NEITHER,
+                told: NEITHER,
+                issue: |cx, w| {
+                    let e = cx.rt.enqueue_write_file(
+                        cx.q,
+                        cx.buf,
+                        0,
+                        SIZE,
+                        cx.disk,
+                        "out",
+                        w,
+                        &cx.p.actor,
+                    );
+                    settled(e.unwrap(), cx)
+                },
+            },
+            Row {
+                name: "enqueue_read_file",
+                cat: [None, None],
+                gate: Gate::RunsAnyway,
+                wire: NEITHER,
+                told: NEITHER,
+                issue: |cx, w| {
+                    let e = cx.rt.enqueue_read_file(
+                        cx.q,
+                        cx.buf,
+                        0,
+                        SIZE,
+                        cx.disk,
+                        "raw",
+                        w,
+                        &cx.p.actor,
+                    );
+                    settled(e.unwrap(), cx)
+                },
+            },
+            Row {
+                name: "enqueue_checkpoint_buffer",
+                cat: [Some("op.ckpt"), Some("op.ckpt")],
+                gate: Gate::RunsAnyway,
+                wire: NEITHER,
+                told: NEITHER,
+                issue: |cx, w| {
+                    let e = cx.rt.enqueue_checkpoint_buffer(
+                        cx.q,
+                        cx.buf,
+                        0,
+                        SIZE,
+                        cx.disk,
+                        "out",
+                        w,
+                        &cx.p.actor,
+                    );
+                    settled(e.unwrap(), cx)
+                },
+            },
+            Row {
+                name: "enqueue_restore_buffer",
+                cat: [Some("op.restore"), Some("op.restore")],
+                gate: Gate::RunsAnyway,
+                wire: NEITHER,
+                told: NEITHER,
+                issue: |cx, w| {
+                    let e = cx.rt.enqueue_restore_buffer(
+                        cx.q,
+                        cx.buf,
+                        0,
+                        SIZE,
+                        cx.disk,
+                        "ck",
+                        w,
+                        &cx.p.actor,
+                    );
+                    settled(e.unwrap(), cx)
+                },
+            },
+        ]
+    }
+
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Scenario {
+        /// Perfect fabric, empty wait list.
+        Clean,
+        /// Perfect fabric, a failed user event in the wait list.
+        PoisonedGate,
+        /// Every data-plane chunk is dropped (and a one-sided command's
+        /// target is dead); empty wait list.
+        DeadLink,
+    }
+
+    /// What one rank saw: its command's error code, the live counters
+    /// after shutdown, and whether a selector heard a success / retired a
+    /// candidate.
+    type Seen = (Option<Option<i32>>, clmpi::ObsCounters, bool, bool);
+
+    fn run(row: &Row, scenario: Scenario) -> (Vec<Seen>, simtime::Trace) {
+        let issue = row.issue;
+        let plan = match scenario {
+            // A one-sided row (rank 1 issues nothing) also loses its
+            // target's node once the window is up: a dead target fails a
+            // flight at once, where a merely lossy link would burn
+            // `minimpi::rma`'s thirty attempts first. The other rows keep
+            // rank 1 alive — a node kill spares no tag, and their control
+            // traffic must get through.
+            Scenario::DeadLink if row.cat[1].is_none() && row.wire[0] => {
+                data_plane_faults(FaultPlan::drops(5, 1.0)).with_node_down(1, KILL_AT)
+            }
+            Scenario::DeadLink => data_plane_faults(FaultPlan::drops(5, 1.0)),
+            _ => FaultPlan::none(),
+        };
+        let cluster = SystemConfig::ricc().cluster.clone();
+        let res = run_world_faulty(cluster, 2, plan, move |p: Process| {
+            let rt = ClMpi::new(&p, SystemConfig::ricc());
+            rt.set_retry_policy(RetryPolicy {
+                chunk_timeout_ns: 2_000_000,
+                ..RetryPolicy::new(2, 5_000)
+            });
+            // One candidate each: `choose` is a constant, one `observe`
+            // locks the winner, one `observe_failure` retires it.
+            let p2p = Arc::new(AdaptiveSelector::with_candidates(vec![
+                TransferStrategy::Pinned,
+            ]));
+            let rma = Arc::new(PeerSelector::with_candidates(vec![TransferStrategy::Rma]));
+            let coll = |algo| {
+                let chunk = 4 << 10;
+                Arc::new(CollectiveSelector::with_candidates(vec![CollTuning {
+                    algo,
+                    chunk,
+                }]))
+            };
+            // The allreduce topology is a fixed ring: only a ring
+            // candidate is ever reported back.
+            let (bcast, allreduce) = (coll(CollAlgo::Flat), coll(CollAlgo::Ring));
+            rt.set_adaptive(Some(p2p.clone()));
+            rt.set_rma_adaptive(Some(rma.clone()));
+            rt.set_bcast_adaptive(Some(bcast.clone()));
+            rt.set_allreduce_adaptive(Some(allreduce.clone()));
+            let q = rt.context().create_queue(0, format!("r{}", p.rank()));
+            let buf = rt.context().create_buffer(SIZE);
+            let win = rt.expose_buffer_as_window(&buf, SIZE, &p.actor).unwrap();
+            let disk = SimStorage::node_local_disk(p.clock().clone());
+            disk.write_file("raw", vec![3u8; SIZE]);
+            disk.write_file("ck", encode_checkpoint(&[4u8; SIZE]));
+            let wait = if scenario == Scenario::PoisonedGate {
+                let ue = rt.context().create_user_event("poison");
+                ue.set_failed(p.actor.now_ns(), -5).unwrap();
+                vec![ue.event()]
+            } else {
+                Vec::new()
+            };
+            let cx = Cx {
+                rt: &rt,
+                q: &q,
+                buf: &buf,
+                win: &win,
+                disk: &disk,
+                p: &p,
+            };
+            q.enqueue_kernel("setup-done", 2 * KILL_AT, &[], || {})
+                .wait(&p.actor);
+            let outcome = issue(&cx, &wait);
+            rt.shutdown(&p.actor);
+            // (winner locked, candidate retired) per selector. With one
+            // candidate a retirement also locks the all-fail fallback, so
+            // "heard a success" is a winner without a retirement.
+            let heard = [
+                (p2p.winner_for(SIZE), p2p.failures_for(SIZE).len()),
+                (rma.winner_for(1, SIZE), rma.failures_for(1, SIZE).len()),
+            ]
+            .map(|(w, f)| (w.is_some(), f > 0))
+            .into_iter()
+            .chain([&bcast, &allreduce].map(|s| {
+                (
+                    s.winner_for(SIZE, 2).is_some(),
+                    !s.failures_for(SIZE, 2).is_empty(),
+                )
+            }));
+            let (mut heard_ok, mut heard_failure) = (false, false);
+            for (winner, retired) in heard {
+                heard_ok |= winner && !retired;
+                heard_failure |= retired;
+            }
+            (outcome, rt.obs_counters(), heard_ok, heard_failure)
+        });
+        (res.outputs, res.trace)
+    }
+
+    /// Every entry point settles by one protocol: a failed wait-list
+    /// event poisons with −14 (or, for the four file commands, is
+    /// ignored); a traced command leaves exactly one `op.*` envelope
+    /// whose `ok` matches its event and moves `completed` / `failed` by
+    /// one; and a selector hears of a success or of a transfer failure,
+    /// never of a poisoned gate.
+    #[test]
+    fn every_op_settles_by_one_protocol() {
+        for row in rows() {
+            for scenario in [Scenario::Clean, Scenario::PoisonedGate, Scenario::DeadLink] {
+                if scenario == Scenario::PoisonedGate && row.gate == Gate::None {
+                    continue;
+                }
+                let (seen, trace) = run(&row, scenario);
+                for (rank, &(outcome, counters, heard_ok, heard_failure)) in seen.iter().enumerate()
+                {
+                    let at = format!("{} / {scenario:?} / rank {rank}", row.name);
+                    let want = match scenario {
+                        Scenario::Clean => None,
+                        Scenario::PoisonedGate if row.gate == Gate::Poisons => {
+                            Some(EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
+                        }
+                        Scenario::PoisonedGate => None,
+                        Scenario::DeadLink if row.wire[rank] => Some(CL_MPI_TRANSFER_ERROR),
+                        Scenario::DeadLink => None,
+                    };
+                    let issued = row.cat[rank].is_some() || row.gate == Gate::RunsAnyway;
+                    assert_eq!(outcome, issued.then_some(want), "{at}: event status");
+
+                    let envelopes: Vec<_> = trace
+                        .ops()
+                        .into_iter()
+                        .filter(|o| {
+                            o.rank == rank as u32 && o.parent.is_none() && o.cat.starts_with("op.")
+                        })
+                        .collect();
+                    let traced = u64::from(row.cat[rank].is_some());
+                    assert_eq!(envelopes.len() as u64, traced, "{at}: one envelope");
+                    for e in &envelopes {
+                        assert_eq!(Some(e.cat.as_str()), row.cat[rank], "{at}: category");
+                        assert_eq!(e.ok, want.is_none(), "{at}: envelope outcome");
+                    }
+                    assert_eq!(counters.submitted, traced, "{at}: submitted");
+                    assert_eq!(
+                        (counters.completed, counters.failed),
+                        if want.is_none() {
+                            (traced, 0)
+                        } else {
+                            (0, traced)
+                        },
+                        "{at}: completed / failed"
+                    );
+                    assert_eq!(counters.in_flight(), 0, "{at}: quiescent after shutdown");
+
+                    let told = row.told[rank];
+                    assert_eq!(
+                        heard_ok,
+                        told && want.is_none(),
+                        "{at}: a success reaches observe"
+                    );
+                    assert_eq!(
+                        heard_failure,
+                        told && want == Some(CL_MPI_TRANSFER_ERROR),
+                        "{at}: only a transfer failure retires a candidate"
+                    );
+                }
+            }
+        }
+    }
+}
