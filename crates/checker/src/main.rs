@@ -70,11 +70,13 @@ const EXPLANATIONS: [(&str, &str); 9] = [
     ),
     (
         "actor-hygiene",
-        "poll/on_wake of every `impl SimActor` and step of every `impl EngineOp`\n\
-         run on shard workers at a frozen virtual instant. They must stay\n\
-         resumable: no OS-blocking primitive and no direct thread::spawn —\n\
-         machines return Pending with a wake hint and spawn through the clock\n\
-         so the scheduler can account for them. (DESIGN.md §9 P8)",
+        "poll/on_wake of every `impl SimActor`, step of every `impl EngineOp`\n\
+         and advance of every `impl OpBody` (a clMPI operation is a body run\n\
+         by the one op frame's step) run on shard workers at a frozen virtual\n\
+         instant. They must stay resumable: no OS-blocking primitive and no\n\
+         direct thread::spawn — machines return Pending (bodies: Park) with a\n\
+         wake hint and spawn through the clock so the scheduler can account\n\
+         for them. (DESIGN.md §9 P8)",
     ),
     (
         "wildcard-wake",

@@ -614,8 +614,10 @@ pub fn pass_lock_order(ws: &Workspace, out: &mut Vec<Diag>) {
 // ----------------------------------------------------------------------
 
 /// DESIGN.md §9 P8: machine bodies — `poll`/`on_wake` of any
-/// `impl SimActor`, and `step` of any `impl EngineOp` — run on shard
-/// workers at a frozen virtual instant and must stay *resumable*: no
+/// `impl SimActor`, `step` of any `impl EngineOp`, and `advance` of any
+/// `impl OpBody` (the part of a clMPI operation its frame's `step` runs)
+/// — run on shard workers at a frozen virtual instant and must stay
+/// *resumable*: no
 /// OS-blocking primitive (the [`BLOCKING_CALLS`] vocabulary) and no
 /// direct `thread::spawn` (machines are spawned through the clock so
 /// the scheduler can account for them). Test code is exempt — fixtures
@@ -681,7 +683,8 @@ pub fn pass_actor_hygiene(ws: &Workspace, out: &mut Vec<Diag>) {
 
 /// Machine-body regions of a file: for each `impl SimActor …` block the
 /// bodies of `poll` and `on_wake`; for each `impl EngineOp …` block the
-/// body of `step`. Returns `(fn name, body token range)` pairs.
+/// body of `step`; for each `impl OpBody …` block the body of `advance`.
+/// Returns `(fn name, body token range)` pairs.
 fn machine_regions(f: &SourceFile) -> Vec<(String, (usize, usize))> {
     let mut out = Vec::new();
     let defs = f.fn_defs();
@@ -712,6 +715,8 @@ fn machine_regions(f: &SourceFile) -> Vec<(String, (usize, usize))> {
             &["poll", "on_wake"]
         } else if header_names.contains(&"EngineOp") {
             &["step"]
+        } else if header_names.contains(&"OpBody") {
+            &["advance"]
         } else {
             continue;
         };

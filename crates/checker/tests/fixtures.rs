@@ -646,13 +646,24 @@ impl EngineOp for Copy2D {
         Step::Done
     }
 }
+impl OpBody for Copy2DBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
+        self.grant.wait_labeled(actor, "grant", |g| g.take());
+        Advance::Done(now)
+    }
+}
 "#;
     let out = diags(
         pass_actor_hygiene,
         &[("crates/minicl/src/queue.rs", src)],
         "",
     );
-    assert_eq!(out.len(), 3, "{out:?}");
+    assert_eq!(out.len(), 4, "{out:?}");
+    assert!(
+        out.iter()
+            .any(|d| d.msg.contains("wait_labeled") && d.msg.contains("`advance`")),
+        "an op body is a machine body: {out:?}"
+    );
     assert!(out
         .iter()
         .any(|d| d.msg.contains("`recv`(") || d.msg.contains("recv(")));
@@ -680,6 +691,21 @@ impl QueueCore {
         self.done.recv();
     }
 }
+impl OpBody for Copy2DBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
+        // Parking on a future instant is how a body waits.
+        if now < self.end {
+            return Advance::Park(Some(self.end));
+        }
+        Advance::Done(self.end)
+    }
+}
+impl Copy2DBody {
+    // Same type, but not `advance`: not a machine body.
+    fn submit_blocking(&self, actor: &Actor) {
+        self.event.wait(actor);
+    }
+}
 "#;
     let out = diags(
         pass_actor_hygiene,
@@ -698,6 +724,13 @@ impl SimActor for Probe {
         // guarantees a dedicated shard for it.
         self.chan.recv();
         MachineStep::Pending
+    }
+}
+impl OpBody for ProbeBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
+        // checker-allow(actor-hygiene): same probe, as an op body.
+        self.chan.recv();
+        Advance::Park(None)
     }
 }
 #[cfg(test)]

@@ -8,9 +8,14 @@
 //! sticks with the fastest — so applications inherit the best path on
 //! systems no preset exists for, without any code change (the paper's
 //! performance-portability argument, §IV advantage 1).
+//!
+//! There is one tuner, [`Selector`], and three uses of it that differ
+//! only in what a class of "similar transfers" is keyed by and in what
+//! is being chosen: [`AdaptiveSelector`] (message size → transfer
+//! strategy), [`PeerSelector`] ((peer, size) → one-sided wire lowering)
+//! and [`CollectiveSelector`] ((size, world) → algorithm × chunk).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use simtime::plock::Mutex;
 use simtime::SimNs;
@@ -25,28 +30,134 @@ fn size_class(size: usize) -> u32 {
     (usize::BITS - size.max(1).leading_zeros()).max(1)
 }
 
-#[derive(Default)]
-struct ClassState {
-    /// Strategies not yet probed for this class.
-    pending: Vec<TransferStrategy>,
-    /// (strategy, observed ns) of finished probes.
-    observed: Vec<(TransferStrategy, SimNs)>,
-    /// Strategies whose probe failed permanently (retired from rotation).
-    failed: Vec<TransferStrategy>,
+/// Which class a key falls in: `(scope, size class)`, the scope being
+/// whatever besides magnitude separates one class from another.
+type Class = (usize, u32);
+
+struct ClassState<C> {
+    /// Candidates not yet probed for this class.
+    pending: Vec<C>,
+    /// (candidate, observed ns) of finished probes.
+    observed: Vec<(C, SimNs)>,
+    /// Candidates whose probe failed permanently (retired from rotation).
+    failed: Vec<C>,
     /// Chosen winner once probing is done.
-    winner: Option<TransferStrategy>,
+    winner: Option<C>,
 }
 
-/// An online per-size-class strategy tuner.
+/// An online per-class tuner over candidates `C`, asked with keys `K`.
 ///
-/// `choose(size)` returns the strategy to use now; `observe(size,
-/// strategy, ns)` feeds back the measured duration. During the probe
+/// `choose(key)` returns the candidate to use now; `observe(key,
+/// candidate, ns)` feeds back the measured duration. During the probe
 /// phase each candidate runs once (in rotation); afterwards the winner is
-/// locked in for that class.
-pub struct AdaptiveSelector {
-    candidates: Vec<TransferStrategy>,
-    classes: Arc<Mutex<BTreeMap<u32, ClassState>>>,
+/// locked in for that class. Classes tune independently.
+pub struct Selector<K, C> {
+    candidates: Vec<C>,
+    class_of: fn(K) -> Class,
+    classes: Mutex<BTreeMap<Class, ClassState<C>>>,
 }
+
+impl<K, C: Copy + PartialEq> Selector<K, C> {
+    fn new(candidates: Vec<C>, class_of: fn(K) -> Class) -> Self {
+        assert!(!candidates.is_empty(), "need at least one candidate");
+        Selector {
+            candidates,
+            class_of,
+            classes: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The candidate to use for a transfer keyed `key`.
+    pub fn choose(&self, key: K) -> C {
+        let mut st = self.classes.lock();
+        let cs = st
+            .entry((self.class_of)(key))
+            .or_insert_with(|| ClassState {
+                pending: self.candidates.clone(),
+                observed: Vec::new(),
+                failed: Vec::new(),
+                winner: None,
+            });
+        // Probe phase: hand out the next unprobed candidate (it stays in
+        // `pending` until its observation arrives, so concurrent chooses
+        // of the same class re-probe rather than starve).
+        cs.winner
+            .or(cs.pending.first().copied())
+            .unwrap_or(self.candidates[0])
+    }
+
+    /// Retire `candidate` from `key`'s probe rotation — measured in
+    /// `dur_ns`, or failed (`None`) — and lock the class's winner once
+    /// nothing is left to probe. Candidates never offered, and anything
+    /// after the winner is locked, are ignored.
+    fn retire(&self, key: K, candidate: C, dur_ns: Option<SimNs>) {
+        let mut st = self.classes.lock();
+        let Some(cs) = st.get_mut(&(self.class_of)(key)) else {
+            return;
+        };
+        if cs.winner.is_some() {
+            return;
+        }
+        if let Some(pos) = cs.pending.iter().position(|&c| c == candidate) {
+            cs.pending.remove(pos);
+            match dur_ns {
+                Some(ns) => cs.observed.push((candidate, ns)),
+                None => cs.failed.push(candidate),
+            }
+        }
+        if cs.pending.is_empty() {
+            let fastest = cs
+                .observed
+                .iter()
+                .min_by_key(|(_, ns)| *ns)
+                .map(|(c, _)| *c);
+            // All candidates failed: pick the primary candidate rather
+            // than probing a known-bad set forever.
+            cs.winner = fastest.or(Some(self.candidates[0]));
+        }
+    }
+
+    /// Feed back a measured duration.
+    pub fn observe(&self, key: K, candidate: C, dur_ns: SimNs) {
+        self.retire(key, candidate, Some(dur_ns));
+    }
+
+    /// Feed back a permanent probe failure (retry budget exhausted,
+    /// receiver timeout, dead peer). The candidate is retired from the
+    /// class's probe rotation — without this, a failed probe never
+    /// reaches [`Selector::observe`], so it stays `pending` forever and
+    /// `choose` re-hands the failing candidate indefinitely (probe
+    /// starvation). If *every* candidate fails, the class falls back to
+    /// `candidates[0]` as its winner so callers still get a deterministic
+    /// answer instead of an endless probe loop.
+    pub fn observe_failure(&self, key: K, candidate: C) {
+        self.retire(key, candidate, None);
+    }
+
+    /// Candidates retired by [`Selector::observe_failure`] for `key`'s
+    /// class (diagnostics and tests).
+    pub fn failures_for(&self, key: K) -> Vec<C> {
+        let st = self.classes.lock();
+        st.get(&(self.class_of)(key))
+            .map_or_else(Vec::new, |c| c.failed.clone())
+    }
+
+    /// The locked-in winner for `key`'s class, if probing finished.
+    pub fn winner_for(&self, key: K) -> Option<C> {
+        let st = self.classes.lock();
+        st.get(&(self.class_of)(key)).and_then(|c| c.winner)
+    }
+}
+
+fn assert_concrete(candidates: &[TransferStrategy]) {
+    assert!(
+        !candidates.contains(&TransferStrategy::Auto),
+        "candidates must be concrete"
+    );
+}
+
+/// The two-sided transfer tuner, keyed on the message `size`.
+pub type AdaptiveSelector = Selector<usize, TransferStrategy>;
 
 impl AdaptiveSelector {
     /// Tuner over the standard candidate set for `sys`: pinned, mapped,
@@ -61,120 +172,17 @@ impl AdaptiveSelector {
 
     /// Tuner over an explicit candidate set (must be concrete strategies).
     pub fn with_candidates(candidates: Vec<TransferStrategy>) -> Self {
-        assert!(!candidates.is_empty(), "need at least one candidate");
-        assert!(
-            !candidates.contains(&TransferStrategy::Auto),
-            "candidates must be concrete"
-        );
-        AdaptiveSelector {
-            candidates,
-            classes: Arc::new(Mutex::new(BTreeMap::new())),
-        }
-    }
-
-    /// The strategy to use for a transfer of `size` bytes.
-    pub fn choose(&self, size: usize) -> TransferStrategy {
-        let class = size_class(size);
-        let mut st = self.classes.lock();
-        let cs = st.entry(class).or_insert_with(|| ClassState {
-            pending: self.candidates.clone(),
-            ..Default::default()
-        });
-        if let Some(w) = cs.winner {
-            return w;
-        }
-        // Probe phase: hand out the next unprobed candidate (it stays in
-        // `pending` until its observation arrives, so concurrent chooses
-        // of the same class re-probe rather than starve).
-        cs.pending
-            .first()
-            .copied()
-            .unwrap_or_else(|| self.candidates[0])
-    }
-
-    /// Feed back a measured duration.
-    pub fn observe(&self, size: usize, strategy: TransferStrategy, dur_ns: SimNs) {
-        let class = size_class(size);
-        let mut st = self.classes.lock();
-        let Some(cs) = st.get_mut(&class) else { return };
-        if cs.winner.is_some() {
-            return;
-        }
-        if let Some(pos) = cs.pending.iter().position(|&s| s == strategy) {
-            cs.pending.remove(pos);
-            cs.observed.push((strategy, dur_ns));
-        }
-        if cs.pending.is_empty() {
-            cs.winner = cs
-                .observed
-                .iter()
-                .min_by_key(|(_, ns)| *ns)
-                .map(|(s, _)| *s);
-        }
-    }
-
-    /// Feed back a permanent probe failure (retry budget exhausted,
-    /// receiver timeout). The strategy is retired from the class's probe
-    /// rotation — without this, a failed probe never reaches
-    /// [`AdaptiveSelector::observe`], so it stays `pending` forever and
-    /// `choose` re-hands the failing candidate indefinitely (probe
-    /// starvation). If *every* candidate fails, the class falls back to
-    /// `candidates[0]` as its winner so callers still get a deterministic
-    /// strategy instead of an endless probe loop.
-    pub fn observe_failure(&self, size: usize, strategy: TransferStrategy) {
-        let class = size_class(size);
-        let mut st = self.classes.lock();
-        let Some(cs) = st.get_mut(&class) else { return };
-        if cs.winner.is_some() {
-            return;
-        }
-        if let Some(pos) = cs.pending.iter().position(|&s| s == strategy) {
-            cs.pending.remove(pos);
-            cs.failed.push(strategy);
-        }
-        if cs.pending.is_empty() {
-            cs.winner = cs
-                .observed
-                .iter()
-                .min_by_key(|(_, ns)| *ns)
-                .map(|(s, _)| *s)
-                // All candidates failed: pick the primary candidate rather
-                // than probing a known-bad set forever.
-                .or(Some(self.candidates[0]));
-        }
-    }
-
-    /// Strategies retired by [`AdaptiveSelector::observe_failure`] for
-    /// `size`'s class (diagnostics and tests).
-    pub fn failures_for(&self, size: usize) -> Vec<TransferStrategy> {
-        self.classes
-            .lock()
-            .get(&size_class(size))
-            .map(|c| c.failed.clone())
-            .unwrap_or_default()
-    }
-
-    /// The locked-in winner for `size`'s class, if probing finished.
-    pub fn winner_for(&self, size: usize) -> Option<TransferStrategy> {
-        self.classes
-            .lock()
-            .get(&size_class(size))
-            .and_then(|c| c.winner)
+        assert_concrete(&candidates);
+        Self::new(candidates, |size| (0, size_class(size)))
     }
 }
 
-/// The one-sided analogue of [`AdaptiveSelector`]: a tuner over the wire
-/// route of a window put, keyed on **(peer node distance, message-size
-/// class)** — in practice keyed by the peer rank's node, since the win of
-/// the RMA path depends entirely on whether the peer shares a CXL pool.
-/// A co-located peer's 1 MiB class locks `Rma` (the pool port at 28 GB/s
-/// dwarfs the NIC); a cross-pod peer's class locks a NIC-side strategy.
-/// Probe, observe, failure-retirement and all-fail fallback semantics are
-/// identical to the transfer selector.
-pub struct PeerSelector {
-    candidates: Vec<TransferStrategy>,
-    classes: Arc<Mutex<BTreeMap<(usize, u32), ClassState>>>,
-}
+/// The one-sided analogue: a tuner over the wire route of a window put,
+/// keyed on **`(peer, size)`** — the win of the RMA path depends entirely
+/// on whether the peer shares a CXL pool. A co-located peer's 1 MiB
+/// class locks `Rma` (the pool port at 28 GB/s dwarfs the NIC); a
+/// cross-pod peer's class locks a NIC-side strategy.
+pub type PeerSelector = Selector<(usize, usize), TransferStrategy>;
 
 impl PeerSelector {
     /// Tuner over the standard one-sided candidate set for `sys`: the
@@ -190,254 +198,42 @@ impl PeerSelector {
 
     /// Tuner over an explicit candidate set (must be concrete strategies).
     pub fn with_candidates(candidates: Vec<TransferStrategy>) -> Self {
-        assert!(!candidates.is_empty(), "need at least one candidate");
-        assert!(
-            !candidates.contains(&TransferStrategy::Auto),
-            "candidates must be concrete"
-        );
-        PeerSelector {
-            candidates,
-            classes: Arc::new(Mutex::new(BTreeMap::new())),
-        }
-    }
-
-    /// The strategy to use for a `size`-byte one-sided transfer to `peer`.
-    pub fn choose(&self, peer: usize, size: usize) -> TransferStrategy {
-        let key = (peer, size_class(size));
-        let mut st = self.classes.lock();
-        let cs = st.entry(key).or_insert_with(|| ClassState {
-            pending: self.candidates.clone(),
-            ..Default::default()
-        });
-        if let Some(w) = cs.winner {
-            return w;
-        }
-        cs.pending
-            .first()
-            .copied()
-            .unwrap_or_else(|| self.candidates[0])
-    }
-
-    /// Feed back a measured duration for a transfer to `peer`.
-    pub fn observe(&self, peer: usize, size: usize, strategy: TransferStrategy, dur_ns: SimNs) {
-        let key = (peer, size_class(size));
-        let mut st = self.classes.lock();
-        let Some(cs) = st.get_mut(&key) else { return };
-        if cs.winner.is_some() {
-            return;
-        }
-        if let Some(pos) = cs.pending.iter().position(|&s| s == strategy) {
-            cs.pending.remove(pos);
-            cs.observed.push((strategy, dur_ns));
-        }
-        if cs.pending.is_empty() {
-            cs.winner = cs
-                .observed
-                .iter()
-                .min_by_key(|(_, ns)| *ns)
-                .map(|(s, _)| *s);
-        }
-    }
-
-    /// Feed back a permanent probe failure (retry budget exhausted or the
-    /// peer's node died). Retirement and all-fail fallback semantics match
-    /// [`AdaptiveSelector::observe_failure`].
-    pub fn observe_failure(&self, peer: usize, size: usize, strategy: TransferStrategy) {
-        let key = (peer, size_class(size));
-        let mut st = self.classes.lock();
-        let Some(cs) = st.get_mut(&key) else { return };
-        if cs.winner.is_some() {
-            return;
-        }
-        if let Some(pos) = cs.pending.iter().position(|&s| s == strategy) {
-            cs.pending.remove(pos);
-            cs.failed.push(strategy);
-        }
-        if cs.pending.is_empty() {
-            cs.winner = cs
-                .observed
-                .iter()
-                .min_by_key(|(_, ns)| *ns)
-                .map(|(s, _)| *s)
-                .or(Some(self.candidates[0]));
-        }
-    }
-
-    /// Strategies retired for `(peer, size)`'s class (diagnostics).
-    pub fn failures_for(&self, peer: usize, size: usize) -> Vec<TransferStrategy> {
-        self.classes
-            .lock()
-            .get(&(peer, size_class(size)))
-            .map(|c| c.failed.clone())
-            .unwrap_or_default()
-    }
-
-    /// The locked-in winner for `(peer, size)`'s class, if probing
-    /// finished.
-    pub fn winner_for(&self, peer: usize, size: usize) -> Option<TransferStrategy> {
-        self.classes
-            .lock()
-            .get(&(peer, size_class(size)))
-            .and_then(|c| c.winner)
+        assert_concrete(&candidates);
+        Self::new(candidates, |(peer, size)| (peer, size_class(size)))
     }
 }
 
-#[derive(Default)]
-struct CollClassState {
-    pending: Vec<CollTuning>,
-    observed: Vec<(CollTuning, SimNs)>,
-    failed: Vec<CollTuning>,
-    winner: Option<CollTuning>,
-}
-
-/// The collective analogue of [`AdaptiveSelector`]: an online tuner over
-/// [`CollTuning`] (algorithm × pipeline chunk) candidates, keyed on
-/// **(message-size class, world size)** — a tree that wins at 4 ranks
-/// may lose at 13, so world sizes tune independently. Probe, observe,
-/// failure-retirement and all-fail fallback semantics are identical to
-/// the transfer selector (including the PR 4 starvation fix: a probe
-/// that fails permanently is retired via
-/// [`CollectiveSelector::observe_failure`] instead of being re-offered
-/// forever).
-pub struct CollectiveSelector {
-    candidates: Vec<CollTuning>,
-    classes: Arc<Mutex<BTreeMap<(u32, usize), CollClassState>>>,
-}
+/// The collective analogue: a tuner over [`CollTuning`] (algorithm ×
+/// pipeline chunk) candidates, keyed on **`(size, world)`** — a tree that
+/// wins at 4 ranks may lose at 13, so world sizes tune independently.
+pub type CollectiveSelector = Selector<(usize, usize), CollTuning>;
 
 impl CollectiveSelector {
     /// Broadcast tuner over the standard candidate set for `sys`: flat,
     /// binomial tree, and pipelined ring, all at the system's default
     /// pipeline block.
     pub fn bcast_for_system(sys: &SystemConfig) -> Self {
-        let b = sys.default_pipeline_block;
-        Self::with_candidates(vec![
-            CollTuning {
-                algo: CollAlgo::Flat,
-                chunk: b,
-            },
-            CollTuning {
-                algo: CollAlgo::Tree,
-                chunk: b,
-            },
-            CollTuning {
-                algo: CollAlgo::Ring,
-                chunk: b,
-            },
-        ])
+        let chunk = sys.default_pipeline_block;
+        let algos = [CollAlgo::Flat, CollAlgo::Tree, CollAlgo::Ring];
+        Self::with_candidates(algos.map(|algo| CollTuning { algo, chunk }).to_vec())
     }
 
     /// Allreduce tuner for `sys`: the topology is a fixed ring, so the
     /// candidates only vary the pipeline chunk.
     pub fn allreduce_for_system(sys: &SystemConfig) -> Self {
         let b = sys.default_pipeline_block;
-        Self::with_candidates(vec![
-            CollTuning {
-                algo: CollAlgo::Ring,
-                chunk: b,
-            },
-            CollTuning {
-                algo: CollAlgo::Ring,
-                chunk: (b / 4).max(4 << 10),
-            },
-            CollTuning {
-                algo: CollAlgo::Ring,
-                chunk: b * 4,
-            },
-        ])
+        let algo = CollAlgo::Ring;
+        let chunks = [b, (b / 4).max(4 << 10), b * 4];
+        Self::with_candidates(chunks.map(|chunk| CollTuning { algo, chunk }).to_vec())
     }
 
     /// Tuner over an explicit candidate set (chunks must be ≥ 1).
     pub fn with_candidates(candidates: Vec<CollTuning>) -> Self {
-        assert!(!candidates.is_empty(), "need at least one candidate");
         assert!(
             candidates.iter().all(|c| c.chunk > 0),
             "candidate chunks must be ≥ 1"
         );
-        CollectiveSelector {
-            candidates,
-            classes: Arc::new(Mutex::new(BTreeMap::new())),
-        }
-    }
-
-    /// The tuning to use for a `size`-byte collective over `world` ranks.
-    pub fn choose(&self, size: usize, world: usize) -> CollTuning {
-        let key = (size_class(size), world);
-        let mut st = self.classes.lock();
-        let cs = st.entry(key).or_insert_with(|| CollClassState {
-            pending: self.candidates.clone(),
-            ..Default::default()
-        });
-        if let Some(w) = cs.winner {
-            return w;
-        }
-        cs.pending
-            .first()
-            .copied()
-            .unwrap_or_else(|| self.candidates[0])
-    }
-
-    /// Feed back a measured collective duration.
-    pub fn observe(&self, size: usize, world: usize, tuning: CollTuning, dur_ns: SimNs) {
-        let key = (size_class(size), world);
-        let mut st = self.classes.lock();
-        let Some(cs) = st.get_mut(&key) else { return };
-        if cs.winner.is_some() {
-            return;
-        }
-        if let Some(pos) = cs.pending.iter().position(|&c| c == tuning) {
-            cs.pending.remove(pos);
-            cs.observed.push((tuning, dur_ns));
-        }
-        if cs.pending.is_empty() {
-            cs.winner = cs
-                .observed
-                .iter()
-                .min_by_key(|(_, ns)| *ns)
-                .map(|(c, _)| *c);
-        }
-    }
-
-    /// Feed back a permanent probe failure: the tuning is retired from
-    /// the class's rotation; if every candidate fails the class locks
-    /// `candidates[0]` so callers still get a deterministic answer.
-    pub fn observe_failure(&self, size: usize, world: usize, tuning: CollTuning) {
-        let key = (size_class(size), world);
-        let mut st = self.classes.lock();
-        let Some(cs) = st.get_mut(&key) else { return };
-        if cs.winner.is_some() {
-            return;
-        }
-        if let Some(pos) = cs.pending.iter().position(|&c| c == tuning) {
-            cs.pending.remove(pos);
-            cs.failed.push(tuning);
-        }
-        if cs.pending.is_empty() {
-            cs.winner = cs
-                .observed
-                .iter()
-                .min_by_key(|(_, ns)| *ns)
-                .map(|(c, _)| *c)
-                .or(Some(self.candidates[0]));
-        }
-    }
-
-    /// Tunings retired by [`CollectiveSelector::observe_failure`] for
-    /// the (size, world) class.
-    pub fn failures_for(&self, size: usize, world: usize) -> Vec<CollTuning> {
-        self.classes
-            .lock()
-            .get(&(size_class(size), world))
-            .map(|c| c.failed.clone())
-            .unwrap_or_default()
-    }
-
-    /// The locked-in winner for the (size, world) class, if probing
-    /// finished.
-    pub fn winner_for(&self, size: usize, world: usize) -> Option<CollTuning> {
-        self.classes
-            .lock()
-            .get(&(size_class(size), world))
-            .and_then(|c| c.winner)
+        Self::new(candidates, |(size, world)| (world, size_class(size)))
     }
 }
 
@@ -542,24 +338,24 @@ mod tests {
         let sel =
             PeerSelector::with_candidates(vec![TransferStrategy::Rma, TransferStrategy::Pinned]);
         // Peer 1 (co-located): the RMA probe measures faster.
-        assert_eq!(sel.choose(1, 1 << 20), TransferStrategy::Rma);
-        sel.observe(1, 1 << 20, TransferStrategy::Rma, 100);
-        sel.observe(1, 1 << 20, sel.choose(1, 1 << 20), 900);
+        assert_eq!(sel.choose((1, 1 << 20)), TransferStrategy::Rma);
+        sel.observe((1, 1 << 20), TransferStrategy::Rma, 100);
+        sel.observe((1, 1 << 20), sel.choose((1, 1 << 20)), 900);
         // Peer 7 (cross-pod): the NIC-side strategy wins.
-        sel.observe(7, 1 << 20, sel.choose(7, 1 << 20), 900);
-        sel.observe(7, 1 << 20, sel.choose(7, 1 << 20), 100);
-        assert_eq!(sel.winner_for(1, 1 << 20), Some(TransferStrategy::Rma));
-        assert_eq!(sel.winner_for(7, 1 << 20), Some(TransferStrategy::Pinned));
+        sel.observe((7, 1 << 20), sel.choose((7, 1 << 20)), 900);
+        sel.observe((7, 1 << 20), sel.choose((7, 1 << 20)), 100);
+        assert_eq!(sel.winner_for((1, 1 << 20)), Some(TransferStrategy::Rma));
+        assert_eq!(sel.winner_for((7, 1 << 20)), Some(TransferStrategy::Pinned));
     }
 
     #[test]
     fn peer_selector_retires_failed_probe() {
         let sel =
             PeerSelector::with_candidates(vec![TransferStrategy::Rma, TransferStrategy::Pinned]);
-        sel.observe_failure(3, 1 << 20, sel.choose(3, 1 << 20));
-        assert_eq!(sel.failures_for(3, 1 << 20), vec![TransferStrategy::Rma]);
-        sel.observe(3, 1 << 20, sel.choose(3, 1 << 20), 50);
-        assert_eq!(sel.winner_for(3, 1 << 20), Some(TransferStrategy::Pinned));
+        sel.observe_failure((3, 1 << 20), sel.choose((3, 1 << 20)));
+        assert_eq!(sel.failures_for((3, 1 << 20)), vec![TransferStrategy::Rma]);
+        sel.observe((3, 1 << 20), sel.choose((3, 1 << 20)), 50);
+        assert_eq!(sel.winner_for((3, 1 << 20)), Some(TransferStrategy::Pinned));
     }
 
     #[test]

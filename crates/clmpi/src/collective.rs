@@ -45,21 +45,15 @@
 //! `data_plane_faults` plans exercise it and user/control tags never
 //! collide with it.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
-use minicl::{
-    Buffer, ClError, ClResult, CommandQueue, Device, Event, UserEvent, WaitListStatus,
-    CL_MPI_TRANSFER_ERROR, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST,
-};
-use minimpi::{MpiError, Rank, ReduceOp, Request, Tag};
+use minicl::{Buffer, ClError, ClResult, CommandQueue, Device, Event};
+use minimpi::{Rank, RecvResult, ReduceOp, Tag};
 use simtime::{Actor, SimNs};
 
 use crate::engine::{
-    poll_deps, record_child, record_envelope, record_failure, ChunkStep, EngineOp,
-    ReliableChunkSend, Step,
+    Advance, ChunkRecv, Envelope, Hop, OpBody, OpCx, RecvPoll, ReliableChunkSend, SendQueue,
 };
-use crate::obs::ChildIds;
 use crate::runtime::{ClMpi, Inner};
 use crate::strategy::chunk_layout;
 use crate::system::SystemConfig;
@@ -210,112 +204,6 @@ pub(crate) fn seg_bounds(count: usize, n: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Receive-patience deadline for one collective chunk: only armed when
-/// the world actually injects faults, so fault-free runs park
-/// indefinitely on matching instead of waking on dead timers. Free
-/// function (not a method) so machines can call it while their state
-/// enum is mutably borrowed.
-fn chunk_deadline_for(inner: &Inner, now: SimNs) -> Option<(SimNs, SimNs)> {
-    inner.comm.world().has_faults().then(|| {
-        let patience = inner.retry.lock().chunk_timeout_ns;
-        (now + patience, patience)
-    })
-}
-
-fn merge_hint(a: Option<SimNs>, b: Option<SimNs>) -> Option<SimNs> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
-    }
-}
-
-// ----------------------------------------------------------------------
-// Serial reliable-send queue (the store-and-forward engine primitive)
-// ----------------------------------------------------------------------
-
-struct QueuedSend {
-    send: ReliableChunkSend,
-    /// Span start for the recorded child (the instant the injection was
-    /// armed / allowed to begin).
-    start: SimNs,
-    name: String,
-    cat: &'static str,
-}
-
-/// A FIFO of [`ReliableChunkSend`]s driven head-first: on a perfect
-/// fabric every queued injection resolves in the same engine pass (the
-/// fate of an `isend_raw` is known at injection), so serial stepping
-/// equals the old burst; under faults the head's backoff timer
-/// serializes the retries deterministically.
-struct SendQueue {
-    q: VecDeque<QueuedSend>,
-    /// Latest injection end among completed sends.
-    done_at: SimNs,
-}
-
-impl SendQueue {
-    fn new() -> Self {
-        SendQueue {
-            q: VecDeque::new(),
-            done_at: 0,
-        }
-    }
-
-    fn push(&mut self, send: ReliableChunkSend, start: SimNs, name: String, cat: &'static str) {
-        self.q.push_back(QueuedSend {
-            send,
-            start,
-            name,
-            cat,
-        });
-    }
-
-    fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
-    /// Step the head injection as far as possible at `now`. `Ok(None)`:
-    /// queue drained (all injections delivered; the last ends at
-    /// `done_at`). `Ok(Some(t))`: head is waiting until `t`. `Err`: head
-    /// exhausted its retry budget at the carried instant.
-    fn drive(
-        &mut self,
-        inner: &Inner,
-        ids: &mut ChildIds,
-        now: SimNs,
-        actor: &Actor,
-    ) -> Result<Option<SimNs>, (SimNs, ClError)> {
-        while let Some(head) = self.q.front_mut() {
-            match head.send.step(inner, ids, now, actor) {
-                ChunkStep::Progressed => continue,
-                ChunkStep::Park(t) => return Ok(Some(t)),
-                ChunkStep::Sent(done) => {
-                    record_child(
-                        inner,
-                        ids,
-                        "net",
-                        std::mem::take(&mut head.name),
-                        head.cat,
-                        head.start,
-                        done,
-                        head.send.len() as u64,
-                        true,
-                    );
-                    self.done_at = self.done_at.max(done);
-                    self.q.pop_front();
-                }
-                ChunkStep::Failed(at) => {
-                    let e = head.send.exhaustion_error();
-                    self.q.clear();
-                    return Err((at, e));
-                }
-            }
-        }
-        Ok(None)
-    }
-}
-
 // ----------------------------------------------------------------------
 // Public API
 // ----------------------------------------------------------------------
@@ -343,12 +231,12 @@ impl ClMpi {
         root: Rank,
         tag: Tag,
         wait_list: &[Event],
-        actor: &Actor,
+        _actor: &Actor,
     ) -> ClResult<Event> {
         let n = self.comm().size();
         let tuning = if self.rank() == root {
             if let Some(sel) = self.inner.coll_bcast.lock().as_ref() {
-                sel.choose(size, n)
+                sel.choose((size, n))
             } else {
                 default_bcast_tuning(&self.inner.cfg, size, n)
             }
@@ -358,7 +246,7 @@ impl ClMpi {
         };
         let report = self.inner.coll_bcast.lock().is_some();
         self.submit_bcast(
-            queue, buf, offset, size, root, tag, tuning, report, wait_list, actor,
+            queue, buf, offset, size, root, tag, tuning, report, wait_list,
         )
     }
 
@@ -378,7 +266,7 @@ impl ClMpi {
         algo: CollAlgo,
         chunk: usize,
         wait_list: &[Event],
-        actor: &Actor,
+        _actor: &Actor,
     ) -> ClResult<Event> {
         if chunk == 0 {
             return Err(ClError::InvalidValue("collective chunk must be ≥ 1".into()));
@@ -393,7 +281,6 @@ impl ClMpi {
             CollTuning { algo, chunk },
             false,
             wait_list,
-            actor,
         )
     }
 
@@ -409,68 +296,48 @@ impl ClMpi {
         tuning: CollTuning,
         report: bool,
         wait_list: &[Event],
-        actor: &Actor,
     ) -> ClResult<Event> {
-        let _ = actor;
         buf.check_range(offset, size)?;
         if root >= self.comm().size() {
             return Err(ClError::InvalidValue(format!("root {root} out of range")));
         }
         let wire_tag = crate::checked_coll_tag(crate::COLL_SPACE_BCAST, tag)?;
-        let me = self.rank();
-        let ue = self
-            .context()
-            .create_user_event(format!("bcast@{root}#{tag}"));
-        let event = ue.event();
-        let ids = self.inner.new_op();
-        let submit_ns = self.inner.clock.now_ns();
-        if me == root {
-            self.inner.engine.submit(Box::new(BcastRootOp {
-                inner: self.inner.clone(),
-                device: queue.device().clone(),
-                buf: buf.clone(),
+        let label = format!("bcast@{root}#{tag}");
+        let (sz, at_root) = (size as u64, self.rank() == root);
+        let env = Envelope {
+            cat: "op.bcast",
+            name: label.clone(),
+            bytes: sz,
+            peer: (!at_root).then_some(root),
+            tag: Some(wire_tag),
+            sent: if at_root { sz } else { 0 },
+            received: if at_root { 0 } else { sz },
+        };
+        let (device, buf) = (queue.device().clone(), buf.clone());
+        Ok(if at_root {
+            let body = BcastRootBody {
+                device,
+                buf,
                 offset,
                 size,
                 wire_tag,
-                user_tag: tag,
                 tuning,
                 report,
-                wait: wait_list.to_vec(),
-                ue,
-                label: format!("clmpi-bcast-root-r{me}-t{tag}"),
-                ids,
-                submit_ns,
-                t0: 0,
-                queue: SendQueue::new(),
-                state: RootState::WaitDeps,
-            }));
+                run: Default::default(),
+            };
+            self.submit_gated(label, env, wait_list, body)
         } else {
-            self.inner.engine.submit(Box::new(BcastRecvOp {
-                inner: self.inner.clone(),
-                device: queue.device().clone(),
-                buf: buf.clone(),
+            let body = BcastRecvBody {
+                device,
+                buf,
                 offset,
                 size,
                 root,
                 wire_tag,
-                user_tag: tag,
-                wait: wait_list.to_vec(),
-                ue,
-                label: format!("clmpi-bcast-recv-r{me}-t{tag}"),
-                ids,
-                submit_ns,
-                t0: 0,
-                algo: None,
-                parent: None,
-                children: Vec::new(),
-                received: 0,
-                chunk_idx: 0,
-                last_h2d_end: 0,
-                queue: SendQueue::new(),
-                state: RecvBcastState::WaitDeps,
-            }));
-        }
-        Ok(event)
+                run: Default::default(),
+            };
+            self.submit_gated(label, env, wait_list, body)
+        })
     }
 
     /// All-reduce `count` `f64` elements at byte `offset` of `buf` under
@@ -489,14 +356,14 @@ impl ClMpi {
         op: ReduceOp,
         tag: Tag,
         wait_list: &[Event],
-        actor: &Actor,
+        _actor: &Actor,
     ) -> ClResult<Event> {
         let n = self.comm().size();
         let size = count
             .checked_mul(8)
             .ok_or_else(|| ClError::InvalidValue(format!("allreduce count {count} overflows")))?;
         let (chunk, report) = if let Some(sel) = self.inner.coll_allreduce.lock().as_ref() {
-            (sel.choose(size, n).chunk, true)
+            (sel.choose((size, n)).chunk, true)
         } else {
             (self.inner.cfg.default_pipeline_block, false)
         };
@@ -511,7 +378,6 @@ impl ClMpi {
             chunk,
             report,
             wait_list,
-            actor,
         )
     }
 
@@ -528,7 +394,7 @@ impl ClMpi {
         tag: Tag,
         chunk: usize,
         wait_list: &[Event],
-        actor: &Actor,
+        _actor: &Actor,
     ) -> ClResult<Event> {
         if chunk == 0 {
             return Err(ClError::InvalidValue("collective chunk must be ≥ 1".into()));
@@ -544,7 +410,6 @@ impl ClMpi {
             chunk,
             false,
             wait_list,
-            actor,
         )
     }
 
@@ -564,7 +429,7 @@ impl ClMpi {
         root: Rank,
         tag: Tag,
         wait_list: &[Event],
-        actor: &Actor,
+        _actor: &Actor,
     ) -> ClResult<Event> {
         if root >= self.comm().size() {
             return Err(ClError::InvalidValue(format!("root {root} out of range")));
@@ -580,7 +445,6 @@ impl ClMpi {
             self.inner.cfg.default_pipeline_block,
             false,
             wait_list,
-            actor,
         )
     }
 
@@ -597,9 +461,7 @@ impl ClMpi {
         chunk: usize,
         report: bool,
         wait_list: &[Event],
-        actor: &Actor,
     ) -> ClResult<Event> {
-        let _ = actor;
         let size = count
             .checked_mul(8)
             .ok_or_else(|| ClError::InvalidValue(format!("reduce count {count} overflows")))?;
@@ -609,18 +471,30 @@ impl ClMpi {
             RingKind::ReduceToRoot(_) => crate::COLL_SPACE_REDUCE,
         };
         let wire_tag = crate::checked_coll_tag(space, tag)?;
-        let me = self.rank();
-        let (what, peer) = match kind {
-            RingKind::Allreduce => ("allreduce".to_string(), String::new()),
-            RingKind::ReduceToRoot(root) => ("reduce".to_string(), format!("@{root}")),
+        let sz = size as u64;
+        let (cat, label, peer, sent, received) = match kind {
+            RingKind::Allreduce => ("op.allreduce", format!("allreduce#{tag}"), None, sz, sz),
+            // MPI_Reduce semantics: only the root ends up with the vector.
+            RingKind::ReduceToRoot(root) => {
+                let (sent, received) = if self.rank() == root {
+                    (0, sz)
+                } else {
+                    (sz, 0)
+                };
+                let label = format!("reduce@{root}#{tag}");
+                ("op.reduce", label, Some(root), sent, received)
+            }
         };
-        let ue = self
-            .context()
-            .create_user_event(format!("{what}{peer}#{tag}"));
-        let event = ue.event();
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(RingReduceOp {
-            inner: self.inner.clone(),
+        let env = Envelope {
+            cat,
+            name: label.clone(),
+            bytes: sz,
+            peer,
+            tag: Some(wire_tag),
+            sent,
+            received,
+        };
+        let body = RingReduceBody {
             device: queue.device().clone(),
             buf: buf.clone(),
             offset,
@@ -628,218 +502,139 @@ impl ClMpi {
             op,
             kind,
             wire_tag,
-            user_tag: tag,
             chunk: chunk.max(1),
             report,
-            wait: wait_list.to_vec(),
-            ue,
-            label: format!("clmpi-{what}-r{me}-t{tag}"),
-            ids,
-            submit_ns: self.inner.clock.now_ns(),
-            t0: 0,
-            host: Vec::new(),
-            queue: SendQueue::new(),
-            state: RingState::WaitDeps,
-        }));
-        Ok(event)
+            run: Default::default(),
+        };
+        Ok(self.submit_gated(label, env, wait_list, body))
     }
 }
 
 // ----------------------------------------------------------------------
-// Broadcast: root machine
+// Telling the tuner
 // ----------------------------------------------------------------------
 
-/// The root side of a broadcast: wait list → per-chunk d2h staging →
-/// reliable injections to each direct child (pipelined: chunk *k*'s
-/// sends are armed as soon as its staging reservation lands) →
-/// completion at the last delivered injection.
-struct BcastRootOp {
-    inner: Arc<Inner>,
+/// Tell the stats — and, when the root (or ring rank) was tuned by the
+/// collective's selector `sel`, the selector — how a collective of
+/// `size` bytes under `tuning` went: `Some(duration)` when its last chunk
+/// landed, `None` on a transfer failure. A poisoned gate never gets here.
+fn report_outcome(
+    cx: &OpCx,
+    sel: Option<&crate::adaptive::CollectiveSelector>,
+    what: &str,
+    size: usize,
+    tuning: CollTuning,
+    dur: Option<SimNs>,
+) {
+    let key = (size, cx.inner.comm.size());
+    match (sel, dur) {
+        (Some(sel), Some(dur)) => sel.observe(key, tuning, dur),
+        (Some(sel), None) => sel.observe_failure(key, tuning),
+        (None, _) => {}
+    }
+    if let Some(dur) = dur {
+        cx.inner
+            .with_stats(|s| s.record(what, tuning.algo.name(), size, dur));
+    }
+}
+
+// ----------------------------------------------------------------------
+// Broadcast: root body
+// ----------------------------------------------------------------------
+
+/// The root side of a broadcast: per-chunk d2h staging, every chunk
+/// reserved at the gate instant → reliable injections to each direct
+/// child (pipelined: chunk *k*'s sends are armed from the end of its
+/// staging reservation) → completion at the last delivered injection.
+struct BcastRootBody {
     device: Device,
     buf: Buffer,
     offset: usize,
     size: usize,
     wire_tag: Tag,
-    user_tag: Tag,
     tuning: CollTuning,
+    /// Was `tuning` the attached selector's choice (so it hears back)?
     report: bool,
-    wait: Vec<Event>,
-    ue: UserEvent,
-    label: String,
-    ids: ChildIds,
-    submit_ns: SimNs,
-    t0: SimNs,
+    run: BcastRootRun,
+}
+
+#[derive(Default)]
+struct BcastRootRun {
+    armed: bool,
     queue: SendQueue,
-    state: RootState,
 }
 
-enum RootState {
-    WaitDeps,
-    Drive,
-    Finish { done_at: SimNs },
-    Done,
-}
-
-impl BcastRootOp {
-    fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        let ok = outcome.is_ok();
-        if self.report && !matches!(outcome, Err(ClError::EventFailed { .. })) {
-            if let Some(sel) = self.inner.coll_bcast.lock().as_ref() {
-                let n = self.inner.comm.size();
-                if ok {
-                    sel.observe(self.size, n, self.tuning, at.saturating_sub(self.t0));
-                } else {
-                    sel.observe_failure(self.size, n, self.tuning);
-                }
-            }
+impl BcastRootBody {
+    /// Stage every chunk and queue its injection to every child.
+    fn arm(&mut self, cx: &mut OpCx, now: SimNs) {
+        let me = cx.inner.comm.rank();
+        let children = bcast_children(self.tuning.algo, me, cx.inner.comm.size(), me);
+        if children.is_empty() {
+            return; // World of one: nothing on the wire.
         }
-        if ok {
-            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                stats.record(
-                    "bcast",
-                    self.tuning.algo.name(),
-                    self.size,
-                    at.saturating_sub(self.t0),
+        let pin_setup_ns = self.device.spec().pcie.pin_setup_ns;
+        let mut first = true;
+        let layout = chunk_layout(self.size, self.tuning.chunk.max(1));
+        for (k, &(coff, clen)) in layout.iter().enumerate() {
+            let payload = self
+                .buf
+                .load(self.offset + coff, clen)
+                .expect("range checked at enqueue");
+            let send_from = if clen == 0 {
+                now
+            } else {
+                let from = now + if first { pin_setup_ns } else { 0 };
+                first = false;
+                Hop::D2h.stage(cx, &self.device, clen, from).1
+            };
+            let mut msg = Vec::with_capacity(clen + 1);
+            msg.push(self.tuning.algo.id());
+            msg.extend_from_slice(&payload);
+            for &c in &children {
+                let send = ReliableChunkSend::new(
+                    &cx.inner,
+                    c,
+                    self.wire_tag,
+                    msg.clone(),
+                    send_from,
+                    None,
                 );
+                let name = format!("bcast[{k}]→r{c}");
+                self.run.queue.push(send, send_from, name, "chunk");
             }
         }
-        let me = self.inner.comm.rank();
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.bcast",
-            format!("bcast@{me}#{}", self.user_tag),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            None,
-            Some(self.wire_tag),
-        );
-        self.inner
-            .note_settled(ok, if ok { self.size as u64 } else { 0 }, 0);
-        match outcome {
-            Ok(()) => self
-                .ue
-                .set_complete(at)
-                .expect("bcast event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("bcast event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("bcast event settled once"),
-        }
-        self.state = RootState::Done;
-        Step::Done
+    }
+
+    fn report(&self, cx: &OpCx, dur: Option<SimNs>) {
+        let sel = self.report.then(|| cx.inner.coll_bcast.lock().clone());
+        let sel = sel.flatten();
+        report_outcome(cx, sel.as_deref(), "bcast", self.size, self.tuning, dur);
     }
 }
 
-impl EngineOp for BcastRootOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
-        loop {
-            match &self.state {
-                RootState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => {
-                        self.t0 = now;
-                        let n = self.inner.comm.size();
-                        let me = self.inner.comm.rank();
-                        let children = bcast_children(self.tuning.algo, me, n, me);
-                        if children.is_empty() {
-                            // World of one: nothing on the wire.
-                            self.state = RootState::Finish { done_at: now };
-                            continue;
-                        }
-                        let pcie = self.device.spec().pcie;
-                        let mut first = true;
-                        for (k, &(coff, clen)) in chunk_layout(self.size, self.tuning.chunk.max(1))
-                            .iter()
-                            .enumerate()
-                        {
-                            let payload = self
-                                .buf
-                                .load(self.offset + coff, clen)
-                                .expect("range checked at enqueue");
-                            let send_from = if clen == 0 {
-                                now
-                            } else {
-                                let earliest = if first { now + pcie.pin_setup_ns } else { now };
-                                first = false;
-                                let d2h = self
-                                    .device
-                                    .d2h_link()
-                                    .reserve_duration(pcie.staged_ns(clen, true), earliest);
-                                record_child(
-                                    &self.inner,
-                                    &mut self.ids,
-                                    "dev",
-                                    "d2h".into(),
-                                    "stage.d2h",
-                                    d2h.start,
-                                    d2h.end,
-                                    clen as u64,
-                                    true,
-                                );
-                                d2h.end
-                            };
-                            let mut msg = Vec::with_capacity(clen + 1);
-                            msg.push(self.tuning.algo.id());
-                            msg.extend_from_slice(&payload);
-                            for &c in &children {
-                                self.queue.push(
-                                    ReliableChunkSend::new(
-                                        &self.inner,
-                                        c,
-                                        self.wire_tag,
-                                        msg.clone(),
-                                        send_from,
-                                        None,
-                                    ),
-                                    send_from,
-                                    format!("bcast[{k}]→r{c}"),
-                                    "chunk",
-                                );
-                            }
-                        }
-                        self.state = RootState::Drive;
-                    }
-                },
-                RootState::Drive => {
-                    match self.queue.drive(&self.inner, &mut self.ids, now, actor) {
-                        Err((at, e)) => return self.settle(Err(e), at.max(now)),
-                        Ok(Some(t)) => return Step::Park(Some(t)),
-                        Ok(None) => {
-                            self.state = RootState::Finish {
-                                done_at: self.queue.done_at.max(now),
-                            };
-                        }
-                    }
-                }
-                RootState::Finish { done_at } => {
-                    let d = *done_at;
-                    if now < d {
-                        return Step::Park(Some(d));
-                    }
-                    return self.settle(Ok(()), d);
-                }
-                RootState::Done => return Step::Done,
+impl OpBody for BcastRootBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
+        if !self.run.armed {
+            self.run.armed = true;
+            self.arm(cx, now);
+        }
+        match self.run.queue.drive(cx, now, actor) {
+            Err((at, e)) => {
+                self.report(cx, None);
+                Advance::Failed(e, at.max(now))
+            }
+            Ok(Some(t)) => Advance::Park(Some(t)),
+            Ok(None) => {
+                let done_at = self.run.queue.done_at.max(now);
+                self.report(cx, Some(done_at - cx.t0));
+                Advance::Done(done_at)
             }
         }
     }
 }
 
 // ----------------------------------------------------------------------
-// Broadcast: non-root store-and-forward machine
+// Broadcast: non-root store-and-forward body
 // ----------------------------------------------------------------------
 
 /// A non-root broadcast participant: posts a wildcard-source receive,
@@ -847,22 +642,21 @@ impl EngineOp for BcastRootOp {
 /// arriving chunk simultaneously stages it to the device **and**
 /// re-forwards the verbatim wire message to its derived children — the
 /// store-and-forward pipeline that lets chunk *k* travel downstream
-/// while chunk *k+1* is still inbound.
-struct BcastRecvOp {
-    inner: Arc<Inner>,
+/// while chunk *k+1* is still inbound. Tells no selector: only the root
+/// chose.
+struct BcastRecvBody {
     device: Device,
     buf: Buffer,
     offset: usize,
     size: usize,
     root: Rank,
     wire_tag: Tag,
-    user_tag: Tag,
-    wait: Vec<Event>,
-    ue: UserEvent,
-    label: String,
-    ids: ChildIds,
-    submit_ns: SimNs,
-    t0: SimNs,
+    run: BcastRecvRun,
+}
+
+#[derive(Default)]
+struct BcastRecvRun {
+    state: BcastRecvState,
     algo: Option<CollAlgo>,
     parent: Option<Rank>,
     children: Vec<Rank>,
@@ -870,307 +664,150 @@ struct BcastRecvOp {
     chunk_idx: usize,
     last_h2d_end: SimNs,
     queue: SendQueue,
-    state: RecvBcastState,
 }
 
-enum RecvBcastState {
-    WaitDeps,
+#[derive(Default)]
+enum BcastRecvState {
+    #[default]
+    Start,
     Setup {
         resume_at: SimNs,
     },
-    AwaitChunk {
-        req: Request,
-        deadline: Option<(SimNs, SimNs)>, // (expiry instant, patience)
-    },
+    Await(ChunkRecv),
     /// Payload complete; flush the remaining forwards.
     Drain,
-    Finish {
-        done_at: SimNs,
-    },
-    Done,
 }
 
-impl BcastRecvOp {
-    fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        let ok = outcome.is_ok();
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.bcast",
-            format!("bcast@{}#{}", self.root, self.user_tag),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            Some(self.root),
-            Some(self.wire_tag),
-        );
-        self.inner
-            .note_settled(ok, 0, if ok { self.size as u64 } else { 0 });
-        match outcome {
-            Ok(()) => self
-                .ue
-                .set_complete(at)
-                .expect("bcast event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("bcast event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("bcast event settled once"),
-        }
-        self.state = RecvBcastState::Done;
-        Step::Done
-    }
-
+impl BcastRecvBody {
     /// Post the receive for the next wire chunk. The first post is
     /// wildcard-source (the parent is unknown until the header arrives);
     /// later posts pin the learned parent.
-    fn post_chunk(&mut self, now: SimNs, actor: &Actor) {
-        let req = self
-            .inner
-            .comm
-            .irecv(actor, self.parent, Some(self.wire_tag));
-        let deadline = self.inner.comm.world().has_faults().then(|| {
-            let patience = self.inner.retry.lock().chunk_timeout_ns;
-            (now + patience, patience)
-        });
-        self.state = RecvBcastState::AwaitChunk { req, deadline };
+    fn post(&self, cx: &OpCx, actor: &Actor, now: SimNs) -> BcastRecvState {
+        let src = self.run.parent;
+        BcastRecvState::Await(ChunkRecv::post(&cx.inner, actor, src, self.wire_tag, now))
     }
 
-    /// Cancel the posted receive (failure paths) so the matcher does not
-    /// hand a later message to a dead machine.
-    fn abandon_recv(&mut self) {
-        if let RecvBcastState::AwaitChunk { req, .. } =
-            std::mem::replace(&mut self.state, RecvBcastState::Done)
-        {
-            req.cancel();
+    /// Take one arrived wire message: learn or check the topology, land
+    /// the payload, and forward the message downstream.
+    fn take_chunk(&mut self, cx: &mut OpCx, r: RecvResult, now: SimNs) -> Result<(), String> {
+        let msg = r.data;
+        let Some(&id) = msg.first() else {
+            return Err("broadcast chunk missing its algorithm header".into());
+        };
+        match self.run.algo {
+            Some(algo) if algo.id() != id => {
+                let was = algo.id();
+                return Err(format!(
+                    "broadcast algorithm id changed mid-stream ({was} → {id})"
+                ));
+            }
+            Some(_) => {}
+            None => {
+                let Some(algo) = CollAlgo::from_id(id) else {
+                    return Err(format!("unknown broadcast algorithm id {id}"));
+                };
+                let (n, me) = (cx.inner.comm.size(), cx.inner.comm.rank());
+                self.run.algo = Some(algo);
+                self.run.parent = Some(r.status.source);
+                self.run.children = bcast_children(algo, self.root, n, me);
+            }
         }
+        let payload = &msg[1..];
+        let upto = self.run.received + payload.len();
+        if upto > self.size {
+            return Err(format!(
+                "broadcast overflow: got {upto} bytes into a {}-byte region",
+                self.size
+            ));
+        }
+        if !payload.is_empty() {
+            self.buf
+                .store(self.offset + self.run.received, payload)
+                .expect("range checked at enqueue");
+            let h2d = Hop::H2d.stage(cx, &self.device, payload.len(), now);
+            self.run.last_h2d_end = self.run.last_h2d_end.max(h2d.1);
+        }
+        // Store-and-forward: re-inject the verbatim wire message (header
+        // included) to every child now — while later chunks are still
+        // inbound.
+        for &c in &self.run.children {
+            let send = ReliableChunkSend::new(&cx.inner, c, self.wire_tag, msg.clone(), now, None);
+            let name = format!("fwd[{}]→r{c}", self.run.chunk_idx);
+            self.run.queue.push(send, now, name, "forward");
+        }
+        self.run.chunk_idx += 1;
+        self.run.received = upto;
+        Ok(())
     }
 }
 
-impl EngineOp for BcastRecvOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
+impl OpBody for BcastRecvBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
         loop {
-            match &mut self.state {
-                RecvBcastState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => {
-                        self.t0 = now;
-                        let pcie = self.device.spec().pcie;
-                        self.state = RecvBcastState::Setup {
-                            resume_at: now + pcie.pin_setup_ns,
-                        };
-                    }
-                },
-                RecvBcastState::Setup { resume_at } => {
-                    let r = *resume_at;
-                    if now < r {
-                        return Step::Park(Some(r));
-                    }
-                    self.post_chunk(now, actor);
+            match &mut self.run.state {
+                BcastRecvState::Start => {
+                    let resume_at = now + self.device.spec().pcie.pin_setup_ns;
+                    self.run.state = BcastRecvState::Setup { resume_at };
                 }
-                RecvBcastState::AwaitChunk { .. } => {
+                &mut BcastRecvState::Setup { resume_at } => {
+                    if now < resume_at {
+                        return Advance::Park(Some(resume_at));
+                    }
+                    self.run.state = self.post(cx, actor, now);
+                }
+                BcastRecvState::Await(recv) => {
                     // Forwards first: a forward failure poisons the whole
-                    // collective on this rank.
-                    let fwd_hint = match self.queue.drive(&self.inner, &mut self.ids, now, actor) {
-                        Ok(h) => h,
-                        Err((at, e)) => {
-                            self.abandon_recv();
-                            return self.settle(Err(e), at.max(now));
+                    // collective on this rank (and withdraws the receive:
+                    // the frame drops the body before settling).
+                    let fwd_hint = match self.run.queue.drive(cx, now, actor) {
+                        Ok(hint) => hint,
+                        Err((at, e)) => return Advance::Failed(e, at.max(now)),
+                    };
+                    // The upstream process: the learned parent, or the
+                    // root before the first chunk reveals one.
+                    let upstream = self.run.parent.unwrap_or(self.root);
+                    let dead = |inner: &Inner| inner.peer_failed(upstream, now).then_some(upstream);
+                    let taken = match recv.poll(cx, now, actor, dead) {
+                        Ok(RecvPoll::Ready(r)) => self.take_chunk(cx, r, now),
+                        Ok(RecvPoll::Pending(hint)) => {
+                            return Advance::Park(fwd_hint.into_iter().chain(hint).min());
+                        }
+                        Err(f) => {
+                            let from = self
+                                .run
+                                .parent
+                                .map_or("any".into(), |p| format!("rank {p}"));
+                            let what =
+                                format!("broadcast chunk from {from} (tag {})", self.wire_tag);
+                            return Advance::Failed(f.into_error(&what), now);
                         }
                     };
-                    let RecvBcastState::AwaitChunk { req, deadline } = &mut self.state else {
-                        unreachable!("matched above")
-                    };
-                    let deadline = *deadline;
-                    if let Some(result) = req.test(actor) {
-                        let r = result.expect("matched receive yields a payload");
-                        let msg = r.data;
-                        if msg.is_empty() {
-                            return self.settle(
-                                Err(ClError::TransferFailed(
-                                    "broadcast chunk missing its algorithm header".into(),
-                                )),
-                                now,
-                            );
-                        }
-                        if let Some(algo) = self.algo {
-                            if algo.id() != msg[0] {
-                                return self.settle(
-                                    Err(ClError::TransferFailed(format!(
-                                        "broadcast algorithm id changed mid-stream ({} → {})",
-                                        algo.id(),
-                                        msg[0]
-                                    ))),
-                                    now,
-                                );
-                            }
-                        } else {
-                            let Some(algo) = CollAlgo::from_id(msg[0]) else {
-                                return self.settle(
-                                    Err(ClError::TransferFailed(format!(
-                                        "unknown broadcast algorithm id {}",
-                                        msg[0]
-                                    ))),
-                                    now,
-                                );
-                            };
-                            self.algo = Some(algo);
-                            self.parent = Some(r.status.source);
-                            self.children = bcast_children(
-                                algo,
-                                self.root,
-                                self.inner.comm.size(),
-                                self.inner.comm.rank(),
-                            );
-                        }
-                        let payload_len = msg.len() - 1;
-                        if self.received + payload_len > self.size {
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "broadcast overflow: got {} bytes into a {}-byte region",
-                                    self.received + payload_len,
-                                    self.size
-                                ))),
-                                now,
-                            );
-                        }
-                        if payload_len > 0 {
-                            self.buf
-                                .store(self.offset + self.received, &msg[1..])
-                                .expect("range checked at enqueue");
-                            let pcie = self.device.spec().pcie;
-                            let h2d = self
-                                .device
-                                .h2d_link()
-                                .reserve_duration(pcie.staged_ns(payload_len, true), now);
-                            record_child(
-                                &self.inner,
-                                &mut self.ids,
-                                "dev",
-                                "h2d".into(),
-                                "stage.h2d",
-                                h2d.start,
-                                h2d.end,
-                                payload_len as u64,
-                                true,
-                            );
-                            self.last_h2d_end = self.last_h2d_end.max(h2d.end);
-                        }
-                        // Store-and-forward: re-inject the verbatim wire
-                        // message (header included) to every child now —
-                        // while later chunks are still inbound.
-                        for i in 0..self.children.len() {
-                            let c = self.children[i];
-                            self.queue.push(
-                                ReliableChunkSend::new(
-                                    &self.inner,
-                                    c,
-                                    self.wire_tag,
-                                    msg.clone(),
-                                    now,
-                                    None,
-                                ),
-                                now,
-                                format!("fwd[{}]→r{c}", self.chunk_idx),
-                                "forward",
-                            );
-                        }
-                        self.chunk_idx += 1;
-                        self.received += payload_len;
-                        if self.received >= self.size {
-                            self.state = RecvBcastState::Drain;
-                        } else {
-                            self.post_chunk(now, actor);
-                        }
-                    } else if let Some(at) = req.known_completion() {
-                        // Matched, in flight: arrival is committed.
-                        return Step::Park(merge_hint(fwd_hint, Some(at.max(now + 1))));
-                    } else if self
-                        .inner
-                        .peer_failed(self.parent.unwrap_or(self.root), now)
-                    {
-                        // The upstream process (the learned parent, or
-                        // the root before the first chunk reveals one)
-                        // is dead and nothing is in flight: no further
-                        // chunk can arrive. Abort-and-poison now instead
-                        // of waiting out the chunk patience (ULFM lets a
-                        // failed peer fail pending communication).
-                        let upstream = self.parent.unwrap_or(self.root);
-                        self.abandon_recv();
-                        if let Some(stats) = self.inner.stats.lock().as_ref() {
-                            stats.note_proc_failure();
-                        }
-                        record_failure(&self.inner, &mut self.ids, upstream, now);
-                        return self.settle(
-                            Err(ClError::TransferFailed(format!(
-                                "broadcast chunk from rank {upstream} (tag {}): {}",
-                                self.wire_tag,
-                                MpiError::ProcFailed { rank: upstream }
-                            ))),
-                            now,
-                        );
-                    } else if let Some((at, patience)) = deadline {
-                        if now >= at {
-                            self.abandon_recv();
-                            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                                stats.note_failure();
-                            }
-                            let e = MpiError::Timeout {
-                                waited_ns: patience,
-                            };
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "broadcast chunk from {} (tag {}) gave up: {e}",
-                                    self.parent
-                                        .map(|p| p.to_string())
-                                        .unwrap_or_else(|| "any".into()),
-                                    self.wire_tag
-                                ))),
-                                now,
-                            );
-                        }
-                        return Step::Park(merge_hint(fwd_hint, Some(at)));
+                    if let Err(why) = taken {
+                        return Advance::Failed(ClError::TransferFailed(why), now);
+                    }
+                    self.run.state = if self.run.received >= self.size {
+                        BcastRecvState::Drain
                     } else {
-                        return Step::Park(fwd_hint);
-                    }
+                        self.post(cx, actor, now)
+                    };
                 }
-                RecvBcastState::Drain => {
-                    match self.queue.drive(&self.inner, &mut self.ids, now, actor) {
-                        Err((at, e)) => return self.settle(Err(e), at.max(now)),
-                        Ok(Some(t)) => return Step::Park(Some(t)),
+                BcastRecvState::Drain => {
+                    return match self.run.queue.drive(cx, now, actor) {
+                        Err((at, e)) => Advance::Failed(e, at.max(now)),
+                        Ok(Some(t)) => Advance::Park(Some(t)),
                         Ok(None) => {
-                            self.state = RecvBcastState::Finish {
-                                done_at: self.last_h2d_end.max(self.queue.done_at).max(now),
-                            };
+                            let sent = self.run.queue.done_at;
+                            Advance::Done(self.run.last_h2d_end.max(sent).max(now))
                         }
-                    }
+                    };
                 }
-                RecvBcastState::Finish { done_at } => {
-                    let d = *done_at;
-                    if now < d {
-                        return Step::Park(Some(d));
-                    }
-                    return self.settle(Ok(()), d);
-                }
-                RecvBcastState::Done => return Step::Done,
             }
         }
     }
 }
 
 // ----------------------------------------------------------------------
-// Ring reduction machine (allreduce and reduce-to-root)
+// Ring reduction body (allreduce and reduce-to-root)
 // ----------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1188,28 +825,17 @@ enum RingPhase {
 /// The in-progress receive of one ring segment (possibly several wire
 /// chunks; the receiver drains by byte count).
 struct SegRecv {
-    req: Request,
-    deadline: Option<(SimNs, SimNs)>,
+    recv: ChunkRecv,
     seg: usize,
     got: usize,
     data: Vec<u8>,
-}
-
-enum SegVerdict {
-    /// Segment complete (fold charged); effective completion instant.
-    Complete(SimNs),
-    /// Still waiting; wake hint.
-    Pending(Option<SimNs>),
-    /// Receive failed permanently.
-    Fail(ClError, SimNs),
 }
 
 /// Root-side state of the reduce-to-root segment gather: every other
 /// rank streams its owned reduced segment; chunks are written straight
 /// into a byte image of the full region.
 struct GatherState {
-    req: Request,
-    deadline: Option<(SimNs, SimNs)>,
+    recv: ChunkRecv,
     /// Bytes received so far per source (chunk offset within its
     /// segment).
     per_src: BTreeMap<Rank, usize>,
@@ -1218,7 +844,7 @@ struct GatherState {
     image: Vec<u8>,
 }
 
-/// `enqueue_allreduce_buffer` / `enqueue_reduce_buffer` as one machine:
+/// `enqueue_allreduce_buffer` / `enqueue_reduce_buffer` as one body:
 /// d2h load → n−1 reduce-scatter rounds (send segment `(me−k) mod n` to
 /// the successor, receive and fold segment `(me−k−1) mod n` from the
 /// predecessor) → either n−1 allgather rounds + h2d store (allreduce)
@@ -1226,8 +852,7 @@ struct GatherState {
 /// round *k+1*'s sends are armed no earlier than round *k*'s
 /// completion, which is what makes the folded data available to
 /// forward (a conservative but deterministic pipeline).
-struct RingReduceOp {
-    inner: Arc<Inner>,
+struct RingReduceBody {
     device: Device,
     buf: Buffer,
     offset: usize,
@@ -1235,26 +860,25 @@ struct RingReduceOp {
     op: ReduceOp,
     kind: RingKind,
     wire_tag: Tag,
-    user_tag: Tag,
     chunk: usize,
+    /// Was `chunk` the attached allreduce selector's choice?
     report: bool,
-    wait: Vec<Event>,
-    ue: UserEvent,
-    label: String,
-    ids: ChildIds,
-    submit_ns: SimNs,
-    t0: SimNs,
+    run: RingRun,
+}
+
+#[derive(Default)]
+struct RingRun {
     host: Vec<f64>,
     queue: SendQueue,
     state: RingState,
 }
 
+#[derive(Default)]
 enum RingState {
-    WaitDeps,
+    #[default]
+    Start,
     /// The d2h load of the local contribution is crossing PCIe.
-    Load {
-        end: SimNs,
-    },
+    Load { end: SimNs },
     Round {
         phase: RingPhase,
         idx: usize,
@@ -1265,638 +889,370 @@ enum RingState {
     /// Non-root reduce: the owned segment is streaming to the root.
     GatherSend,
     /// Root reduce: collecting every other rank's owned segment.
-    GatherRoot {
-        gs: Box<GatherState>,
-    },
+    GatherRoot(Box<GatherState>),
     /// The final h2d store is crossing PCIe.
-    Store {
-        end: SimNs,
-    },
-    Finish {
-        done_at: SimNs,
-    },
-    Done,
+    Store { end: SimNs },
 }
 
-impl RingReduceOp {
+fn f64s_of(bytes: &[u8]) -> Vec<f64> {
+    bytes
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunks")))
+        .collect()
+}
+
+fn bytes_of(vals: &[f64]) -> Vec<u8> {
+    vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+}
+
+/// Host-side fold charge for `bytes` bytes of reduction arithmetic.
+fn fold_ns(bytes: usize) -> SimNs {
+    (bytes as f64 * 1e9 / REDUCE_BPS).round() as SimNs
+}
+
+impl SegRecv {
+    /// Drain as many wire chunks of the segment from `prev` as are ready
+    /// at `now`; `Ready` once the segment is complete.
+    fn drive(
+        &mut self,
+        cx: &mut OpCx,
+        now: SimNs,
+        actor: &Actor,
+        (prev, wire_tag): (Rank, Tag),
+    ) -> Result<RecvPoll<()>, ClError> {
+        loop {
+            // A dead predecessor with nothing in flight breaks the ring:
+            // no segment chunk can ever arrive.
+            let dead = |inner: &Inner| inner.peer_failed(prev, now).then_some(prev);
+            let chunk = match self.recv.poll(cx, now, actor, dead) {
+                Ok(RecvPoll::Ready(r)) => r.data,
+                Ok(RecvPoll::Pending(hint)) => return Ok(RecvPoll::Pending(hint)),
+                Err(f) => {
+                    let what = format!("ring segment from rank {prev} (tag {wire_tag})");
+                    return Err(f.into_error(&what));
+                }
+            };
+            let upto = self.got + chunk.len();
+            if upto > self.data.len() {
+                return Err(ClError::TransferFailed(format!(
+                    "ring segment overflow: got {upto} bytes into a {}-byte segment",
+                    self.data.len()
+                )));
+            }
+            self.data[self.got..upto].copy_from_slice(&chunk);
+            self.got = upto;
+            if upto == self.data.len() {
+                return Ok(RecvPoll::Ready(()));
+            }
+            // More wire chunks of this segment to come.
+            self.recv = ChunkRecv::post(&cx.inner, actor, Some(prev), wire_tag, now);
+        }
+    }
+}
+
+impl RingReduceBody {
     fn size(&self) -> usize {
         self.count * 8
     }
 
-    fn prev(&self) -> Rank {
-        let n = self.inner.comm.size();
-        (self.inner.comm.rank() + n - 1) % n
-    }
-
-    fn chunk_deadline(&self, now: SimNs) -> Option<(SimNs, SimNs)> {
-        chunk_deadline_for(&self.inner, now)
-    }
-
-    fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        let ok = outcome.is_ok();
-        let n = self.inner.comm.size();
-        if self.report && !matches!(outcome, Err(ClError::EventFailed { .. })) {
-            if let Some(sel) = self.inner.coll_allreduce.lock().as_ref() {
-                let tuning = CollTuning {
-                    algo: CollAlgo::Ring,
-                    chunk: self.chunk,
-                };
-                if ok {
-                    sel.observe(self.size(), n, tuning, at.saturating_sub(self.t0));
-                } else {
-                    sel.observe_failure(self.size(), n, tuning);
-                }
-            }
-        }
-        let (cat, name, peer, what) = match self.kind {
-            RingKind::Allreduce => (
-                "op.allreduce",
-                format!("allreduce#{}", self.user_tag),
-                None,
-                "allreduce",
-            ),
-            RingKind::ReduceToRoot(root) => (
-                "op.reduce",
-                format!("reduce@{root}#{}", self.user_tag),
-                Some(root),
-                "reduce",
-            ),
+    fn report(&self, cx: &OpCx, dur: Option<SimNs>) {
+        let sel = self.report.then(|| cx.inner.coll_allreduce.lock().clone());
+        let sel = sel.flatten();
+        let what = match self.kind {
+            RingKind::Allreduce => "allreduce",
+            RingKind::ReduceToRoot(_) => "reduce",
         };
-        if ok {
-            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                stats.record(what, "ring", self.size(), at.saturating_sub(self.t0));
-            }
-        }
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            cat,
-            name,
-            self.submit_ns,
-            at,
-            self.size() as u64,
-            ok,
-            peer,
-            Some(self.wire_tag),
-        );
-        let me = self.inner.comm.rank();
-        let (sent, received) = match self.kind {
-            RingKind::Allreduce => (self.size() as u64, self.size() as u64),
-            RingKind::ReduceToRoot(root) if me == root => (0, self.size() as u64),
-            RingKind::ReduceToRoot(_) => (self.size() as u64, 0),
+        let tuning = CollTuning {
+            algo: CollAlgo::Ring,
+            chunk: self.chunk,
         };
-        self.inner
-            .note_settled(ok, if ok { sent } else { 0 }, if ok { received } else { 0 });
-        match outcome {
-            Ok(()) => self
-                .ue
-                .set_complete(at)
-                .expect("reduce event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("reduce event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("reduce event settled once"),
-        }
-        self.state = RingState::Done;
-        Step::Done
+        report_outcome(cx, sel.as_deref(), what, self.size(), tuning, dur);
     }
 
-    /// Cancel whatever receive the current state holds (failure paths).
-    fn abandon_recv(&mut self) {
-        match std::mem::replace(&mut self.state, RingState::Done) {
-            RingState::Round { recv: Some(sr), .. } => {
-                sr.req.cancel();
-            }
-            RingState::GatherRoot { gs } => {
-                gs.req.cancel();
-            }
-            _ => {}
+    fn fail(&self, cx: &OpCx, e: ClError, at: SimNs) -> Advance {
+        self.report(cx, None);
+        Advance::Failed(e, at)
+    }
+
+    fn finish(&self, cx: &OpCx, done_at: SimNs) -> Advance {
+        self.report(cx, Some(done_at.saturating_sub(cx.t0)));
+        Advance::Done(done_at)
+    }
+
+    /// Queue the elements `[off, off + len)` of the host vector for
+    /// `dst`, in wire chunks armed at `at` and named by `name(k)`.
+    fn queue_segment(
+        &mut self,
+        cx: &OpCx,
+        (off, len): (usize, usize),
+        dst: Rank,
+        at: SimNs,
+        name: impl Fn(usize) -> String,
+    ) {
+        if len == 0 {
+            return;
+        }
+        let bytes = bytes_of(&self.run.host[off..off + len]);
+        for (k, &(coff, clen)) in chunk_layout(bytes.len(), self.chunk).iter().enumerate() {
+            let chunk = bytes[coff..coff + clen].to_vec();
+            let send = ReliableChunkSend::new(&cx.inner, dst, self.wire_tag, chunk, at, None);
+            self.run.queue.push(send, at, name(k), "chunk");
         }
     }
 
     /// Arm round `idx` of `phase` starting at `start`: queue the send
     /// segment's chunks and post the receive for the inbound segment.
-    fn begin_round(&mut self, phase: RingPhase, idx: usize, start: SimNs, actor: &Actor) {
-        let n = self.inner.comm.size();
-        let me = self.inner.comm.rank();
-        let next = (me + 1) % n;
+    fn begin_round(
+        &mut self,
+        cx: &OpCx,
+        phase: RingPhase,
+        idx: usize,
+        start: SimNs,
+        actor: &Actor,
+    ) {
+        let (n, me) = (cx.inner.comm.size(), cx.inner.comm.rank());
+        let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
         let segs = seg_bounds(self.count, n);
-        let (send_seg, recv_seg) = match phase {
-            RingPhase::ReduceScatter => ((me + n - idx) % n, (me + 2 * n - idx - 1) % n),
-            RingPhase::Allgather => ((me + n + 1 - idx) % n, (me + n - idx) % n),
+        let (send_seg, recv_seg, tagn) = match phase {
+            RingPhase::ReduceScatter => ((me + n - idx) % n, (me + 2 * n - idx - 1) % n, "rs"),
+            RingPhase::Allgather => ((me + n + 1 - idx) % n, (me + n - idx) % n, "ag"),
         };
-        let tagn = match phase {
-            RingPhase::ReduceScatter => "rs",
-            RingPhase::Allgather => "ag",
-        };
-        let (soff_el, slen_el) = segs[send_seg];
-        if slen_el > 0 {
-            let sdata: Vec<u8> = self.host[soff_el..soff_el + slen_el]
-                .iter()
-                .flat_map(|v| v.to_le_bytes())
-                .collect();
-            for (k, &(coff, clen)) in chunk_layout(sdata.len(), self.chunk).iter().enumerate() {
-                self.queue.push(
-                    ReliableChunkSend::new(
-                        &self.inner,
-                        next,
-                        self.wire_tag,
-                        sdata[coff..coff + clen].to_vec(),
-                        start,
-                        None,
-                    ),
-                    start,
-                    format!("{tagn}[{idx}][{k}]→r{next}"),
-                    "chunk",
-                );
-            }
-        }
+        self.queue_segment(cx, segs[send_seg], next, start, |k| {
+            format!("{tagn}[{idx}][{k}]→r{next}")
+        });
         let (_, rlen_el) = segs[recv_seg];
-        let (recv, recv_done) = if rlen_el > 0 {
-            let req = self
-                .inner
-                .comm
-                .irecv(actor, Some(self.prev()), Some(self.wire_tag));
-            (
-                Some(SegRecv {
-                    req,
-                    deadline: self.chunk_deadline(start),
-                    seg: recv_seg,
-                    got: 0,
-                    data: vec![0u8; rlen_el * 8],
-                }),
-                None,
-            )
-        } else {
-            (None, Some(start))
-        };
-        self.state = RingState::Round {
+        let recv = (rlen_el > 0).then(|| SegRecv {
+            recv: ChunkRecv::post(&cx.inner, actor, Some(prev), self.wire_tag, start),
+            seg: recv_seg,
+            got: 0,
+            data: vec![0u8; rlen_el * 8],
+        });
+        self.run.state = RingState::Round {
             phase,
             idx,
             start,
+            recv_done: recv.is_none().then_some(start),
             recv,
-            recv_done,
         };
-    }
-
-    /// Drain as many wire chunks of the inbound segment as are ready at
-    /// `now`; fold (reduce-scatter) or copy (allgather) when complete.
-    fn drive_seg_recv(
-        &mut self,
-        sr: &mut SegRecv,
-        phase: RingPhase,
-        now: SimNs,
-        actor: &Actor,
-    ) -> SegVerdict {
-        loop {
-            if let Some(result) = sr.req.test(actor) {
-                let r = result.expect("matched receive yields a payload");
-                if sr.got + r.data.len() > sr.data.len() {
-                    return SegVerdict::Fail(
-                        ClError::TransferFailed(format!(
-                            "ring segment overflow: got {} bytes into a {}-byte segment",
-                            sr.got + r.data.len(),
-                            sr.data.len()
-                        )),
-                        now,
-                    );
-                }
-                sr.data[sr.got..sr.got + r.data.len()].copy_from_slice(&r.data);
-                sr.got += r.data.len();
-                if sr.got == sr.data.len() {
-                    let n = self.inner.comm.size();
-                    let (off_el, len_el) = seg_bounds(self.count, n)[sr.seg];
-                    let vals: Vec<f64> = sr
-                        .data
-                        .chunks_exact(8)
-                        .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunks")))
-                        .collect();
-                    return match phase {
-                        RingPhase::ReduceScatter => {
-                            self.op.fold(&mut self.host[off_el..off_el + len_el], &vals);
-                            let fold_ns = (sr.got as f64 * 1e9 / REDUCE_BPS).round() as SimNs;
-                            record_child(
-                                &self.inner,
-                                &mut self.ids,
-                                "dev",
-                                format!("reduce[{}]", sr.seg),
-                                "reduce",
-                                now,
-                                now + fold_ns,
-                                sr.got as u64,
-                                true,
-                            );
-                            SegVerdict::Complete(now + fold_ns)
-                        }
-                        RingPhase::Allgather => {
-                            self.host[off_el..off_el + len_el].copy_from_slice(&vals);
-                            SegVerdict::Complete(now)
-                        }
-                    };
-                }
-                // More wire chunks of this segment to come.
-                sr.req = self
-                    .inner
-                    .comm
-                    .irecv(actor, Some(self.prev()), Some(self.wire_tag));
-                sr.deadline = self.chunk_deadline(now);
-                continue;
-            }
-            if let Some(at) = sr.req.known_completion() {
-                return SegVerdict::Pending(Some(at.max(now + 1)));
-            }
-            if self.inner.peer_failed(self.prev(), now) {
-                // The predecessor is dead and nothing is in flight: the
-                // ring is broken, no segment chunk can ever arrive.
-                let prev = self.prev();
-                if let Some(stats) = self.inner.stats.lock().as_ref() {
-                    stats.note_proc_failure();
-                }
-                record_failure(&self.inner, &mut self.ids, prev, now);
-                return SegVerdict::Fail(
-                    ClError::TransferFailed(format!(
-                        "ring segment from rank {prev} (tag {}): {}",
-                        self.wire_tag,
-                        MpiError::ProcFailed { rank: prev }
-                    )),
-                    now,
-                );
-            }
-            if let Some((at, patience)) = sr.deadline {
-                if now >= at {
-                    if let Some(stats) = self.inner.stats.lock().as_ref() {
-                        stats.note_failure();
-                    }
-                    let e = MpiError::Timeout {
-                        waited_ns: patience,
-                    };
-                    return SegVerdict::Fail(
-                        ClError::TransferFailed(format!(
-                            "ring segment from rank {} (tag {}) gave up: {e}",
-                            self.prev(),
-                            self.wire_tag
-                        )),
-                        now,
-                    );
-                }
-                return SegVerdict::Pending(Some(at));
-            }
-            return SegVerdict::Pending(None);
-        }
     }
 
     /// The round is fully done (sends delivered, segment folded); move
     /// to the next round or the terminal phase.
-    fn advance_round(&mut self, phase: RingPhase, idx: usize, at: SimNs, actor: &Actor) {
-        let n = self.inner.comm.size();
-        let me = self.inner.comm.rank();
-        match phase {
-            RingPhase::ReduceScatter if idx + 1 < n - 1 => {
-                self.begin_round(RingPhase::ReduceScatter, idx + 1, at, actor);
+    fn advance_round(
+        &mut self,
+        cx: &mut OpCx,
+        phase: RingPhase,
+        idx: usize,
+        at: SimNs,
+        actor: &Actor,
+    ) {
+        let (n, me) = (cx.inner.comm.size(), cx.inner.comm.rank());
+        if idx + 1 < n - 1 {
+            return self.begin_round(cx, phase, idx + 1, at, actor);
+        }
+        match (phase, self.kind) {
+            // Reduce-scatter done: this rank owns the fully reduced
+            // segment (me+1) mod n.
+            (RingPhase::ReduceScatter, RingKind::Allreduce) => {
+                self.begin_round(cx, RingPhase::Allgather, 0, at, actor)
             }
-            RingPhase::ReduceScatter => {
-                // Reduce-scatter done: this rank owns the fully reduced
-                // segment (me+1) mod n.
-                match self.kind {
-                    RingKind::Allreduce => self.begin_round(RingPhase::Allgather, 0, at, actor),
-                    RingKind::ReduceToRoot(root) if me == root => self.begin_gather_root(at, actor),
-                    RingKind::ReduceToRoot(root) => {
-                        let segs = seg_bounds(self.count, n);
-                        let own = (me + 1) % n;
-                        let (ooff, olen) = segs[own];
-                        if olen > 0 {
-                            let bytes: Vec<u8> = self.host[ooff..ooff + olen]
-                                .iter()
-                                .flat_map(|v| v.to_le_bytes())
-                                .collect();
-                            for (k, &(coff, clen)) in
-                                chunk_layout(bytes.len(), self.chunk).iter().enumerate()
-                            {
-                                self.queue.push(
-                                    ReliableChunkSend::new(
-                                        &self.inner,
-                                        root,
-                                        self.wire_tag,
-                                        bytes[coff..coff + clen].to_vec(),
-                                        at,
-                                        None,
-                                    ),
-                                    at,
-                                    format!("gather[{k}]→r{root}"),
-                                    "chunk",
-                                );
-                            }
-                        }
-                        self.state = RingState::GatherSend;
-                    }
-                }
+            (RingPhase::ReduceScatter, RingKind::ReduceToRoot(root)) if me == root => {
+                self.begin_gather_root(cx, at, actor)
             }
-            RingPhase::Allgather if idx + 1 < n - 1 => {
-                self.begin_round(RingPhase::Allgather, idx + 1, at, actor);
+            (RingPhase::ReduceScatter, RingKind::ReduceToRoot(root)) => {
+                let own = seg_bounds(self.count, n)[(me + 1) % n];
+                self.queue_segment(cx, own, root, at, |k| format!("gather[{k}]→r{root}"));
+                self.run.state = RingState::GatherSend;
             }
-            RingPhase::Allgather => {
-                let bytes: Vec<u8> = self.host.iter().flat_map(|v| v.to_le_bytes()).collect();
-                self.begin_store(bytes, at);
+            (RingPhase::Allgather, _) => {
+                let bytes = bytes_of(&self.run.host);
+                self.begin_store(cx, bytes, at);
             }
         }
     }
 
     /// Root side of reduce-to-root: collect every other rank's owned
     /// segment into a byte image of the region.
-    fn begin_gather_root(&mut self, at: SimNs, actor: &Actor) {
-        let n = self.inner.comm.size();
-        let me = self.inner.comm.rank();
-        let segs = seg_bounds(self.count, n);
-        let own = (me + 1) % n;
-        let expect = (self.count - segs[own].1) * 8;
+    fn begin_gather_root(&mut self, cx: &mut OpCx, at: SimNs, actor: &Actor) {
+        let (n, me) = (cx.inner.comm.size(), cx.inner.comm.rank());
+        let own = seg_bounds(self.count, n)[(me + 1) % n];
+        let expect = (self.count - own.1) * 8;
+        let image = bytes_of(&self.run.host);
         if expect == 0 {
             // Degenerate split: every foreign segment is empty.
-            let bytes: Vec<u8> = self.host.iter().flat_map(|v| v.to_le_bytes()).collect();
-            self.begin_store(bytes, at);
-            return;
+            return self.begin_store(cx, image, at);
         }
-        let image: Vec<u8> = self.host.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let req = self.inner.comm.irecv(actor, None, Some(self.wire_tag));
-        self.state = RingState::GatherRoot {
-            gs: Box::new(GatherState {
-                req,
-                deadline: self.chunk_deadline(at),
-                per_src: BTreeMap::new(),
-                got: 0,
-                expect,
-                image,
-            }),
-        };
+        self.run.state = RingState::GatherRoot(Box::new(GatherState {
+            recv: ChunkRecv::post(&cx.inner, actor, None, self.wire_tag, at),
+            per_src: BTreeMap::new(),
+            got: 0,
+            expect,
+            image,
+        }));
     }
 
     /// Write the final region bytes to the device: buffer store plus one
     /// h2d staging reservation.
-    fn begin_store(&mut self, bytes: Vec<u8>, at: SimNs) {
+    fn begin_store(&mut self, cx: &mut OpCx, bytes: Vec<u8>, at: SimNs) {
         self.buf
             .store(self.offset, &bytes)
             .expect("range checked at enqueue");
-        let pcie = self.device.spec().pcie;
-        let h2d = self
-            .device
-            .h2d_link()
-            .reserve_duration(pcie.staged_ns(bytes.len(), true), at);
-        record_child(
-            &self.inner,
-            &mut self.ids,
-            "dev",
-            "h2d".into(),
-            "stage.h2d",
-            h2d.start,
-            h2d.end,
-            bytes.len() as u64,
-            true,
-        );
-        self.state = RingState::Store { end: h2d.end };
+        let h2d = Hop::H2d.stage(cx, &self.device, bytes.len(), at);
+        self.run.state = RingState::Store { end: h2d.1 };
     }
 }
 
-impl EngineOp for RingReduceOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
+impl OpBody for RingReduceBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
+        let (n, me) = (cx.inner.comm.size(), cx.inner.comm.rank());
         loop {
-            match &mut self.state {
-                RingState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
+            match &mut self.run.state {
+                RingState::Start => {
+                    if n == 1 || self.count == 0 {
+                        // Identity reduction: the local contribution is
+                        // already the result, in place.
+                        return self.finish(cx, now);
                     }
-                    WaitListStatus::Ready => {
-                        self.t0 = now;
-                        let n = self.inner.comm.size();
-                        if n == 1 || self.count == 0 {
-                            // Identity reduction: the local contribution
-                            // is already the result, in place.
-                            self.state = RingState::Finish { done_at: now };
-                            continue;
-                        }
-                        let bytes = self
-                            .buf
-                            .load(self.offset, self.size())
-                            .expect("range checked at enqueue");
-                        self.host = bytes
-                            .chunks_exact(8)
-                            .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunks")))
-                            .collect();
-                        let sz = self.size() as u64;
-                        let pcie = self.device.spec().pcie;
-                        let d2h = self.device.d2h_link().reserve_duration(
-                            pcie.staged_ns(self.size(), true),
-                            now + pcie.pin_setup_ns,
-                        );
-                        record_child(
-                            &self.inner,
-                            &mut self.ids,
-                            "dev",
-                            "d2h".into(),
-                            "stage.d2h",
-                            d2h.start,
-                            d2h.end,
-                            sz,
-                            true,
-                        );
-                        self.state = RingState::Load { end: d2h.end };
-                    }
-                },
-                RingState::Load { end } => {
-                    let e = *end;
-                    if now < e {
-                        return Step::Park(Some(e));
-                    }
-                    self.begin_round(RingPhase::ReduceScatter, 0, e.max(now), actor);
+                    let bytes = self
+                        .buf
+                        .load(self.offset, self.size())
+                        .expect("range checked at enqueue");
+                    self.run.host = f64s_of(&bytes);
+                    let from = now + self.device.spec().pcie.pin_setup_ns;
+                    let d2h = Hop::D2h.stage(cx, &self.device, bytes.len(), from);
+                    self.run.state = RingState::Load { end: d2h.1 };
                 }
-                RingState::Round { .. } => {
-                    let send_hint = match self.queue.drive(&self.inner, &mut self.ids, now, actor) {
-                        Ok(h) => h,
-                        Err((at, e)) => {
-                            self.abandon_recv();
-                            return self.settle(Err(e), at.max(now));
-                        }
-                    };
-                    let (phase, idx, start) = match &self.state {
-                        RingState::Round {
-                            phase, idx, start, ..
-                        } => (*phase, *idx, *start),
-                        _ => unreachable!("matched above"),
-                    };
-                    // Take the pending receive out of the state so the
-                    // fold can borrow host/op/ids freely.
-                    let taken = match &mut self.state {
-                        RingState::Round { recv, .. } => recv.take(),
-                        _ => unreachable!("matched above"),
+                &mut RingState::Load { end } => {
+                    if now < end {
+                        return Advance::Park(Some(end));
+                    }
+                    self.begin_round(cx, RingPhase::ReduceScatter, 0, now, actor);
+                }
+                RingState::Round {
+                    phase,
+                    idx,
+                    start,
+                    recv,
+                    recv_done,
+                } => {
+                    // A send failure fails the round with its receive
+                    // still posted; dropping the body withdraws it.
+                    let send_hint = match self.run.queue.drive(cx, now, actor) {
+                        Ok(hint) => hint,
+                        Err((at, e)) => return self.fail(cx, e, at.max(now)),
                     };
                     let mut recv_hint = None;
-                    if let Some(mut sr) = taken {
-                        match self.drive_seg_recv(&mut sr, phase, now, actor) {
-                            SegVerdict::Complete(at) => {
-                                if let RingState::Round { recv_done, .. } = &mut self.state {
-                                    *recv_done = Some(at);
-                                }
-                            }
-                            SegVerdict::Pending(hint) => {
-                                recv_hint = hint;
-                                if let RingState::Round { recv, .. } = &mut self.state {
-                                    *recv = Some(sr);
-                                }
-                            }
-                            SegVerdict::Fail(e, at) => {
-                                sr.req.cancel();
-                                return self.settle(Err(e), at.max(now));
+                    if let Some(sr) = recv.as_mut() {
+                        let prev = (me + n - 1) % n;
+                        match sr.drive(cx, now, actor, (prev, self.wire_tag)) {
+                            Err(e) => return self.fail(cx, e, now),
+                            Ok(RecvPoll::Pending(hint)) => recv_hint = hint,
+                            Ok(RecvPoll::Ready(())) => {
+                                // Fold (reduce-scatter) or copy
+                                // (allgather) the complete segment.
+                                let (off, len) = seg_bounds(self.count, n)[sr.seg];
+                                let mine = &mut self.run.host[off..off + len];
+                                let vals = f64s_of(&sr.data);
+                                *recv_done = Some(match *phase {
+                                    RingPhase::ReduceScatter => {
+                                        self.op.fold(mine, &vals);
+                                        let end = now + fold_ns(sr.got);
+                                        let name = format!("reduce[{}]", sr.seg);
+                                        let bytes = sr.got as u64;
+                                        cx.child("dev", name, "reduce", (now, end), bytes, true);
+                                        end
+                                    }
+                                    RingPhase::Allgather => {
+                                        mine.copy_from_slice(&vals);
+                                        now
+                                    }
+                                });
+                                *recv = None;
                             }
                         }
                     }
-                    let recv_done = match &self.state {
-                        RingState::Round { recv_done, .. } => *recv_done,
-                        _ => unreachable!("matched above"),
+                    let round_end = (*recv_done)
+                        .filter(|_| self.run.queue.is_empty())
+                        .map(|rd| rd.max(self.run.queue.done_at).max(*start));
+                    let Some(round_end) = round_end else {
+                        return Advance::Park(send_hint.into_iter().chain(recv_hint).min());
                     };
-                    if self.queue.is_empty() {
-                        if let Some(rd) = recv_done {
-                            let round_end = rd.max(self.queue.done_at).max(start);
-                            if now < round_end {
-                                return Step::Park(Some(round_end));
-                            }
-                            self.advance_round(phase, idx, round_end.max(now), actor);
-                            continue;
-                        }
+                    if now < round_end {
+                        return Advance::Park(Some(round_end));
                     }
-                    return Step::Park(merge_hint(send_hint, recv_hint));
+                    let (phase, idx) = (*phase, *idx);
+                    self.advance_round(cx, phase, idx, now, actor);
                 }
                 RingState::GatherSend => {
-                    match self.queue.drive(&self.inner, &mut self.ids, now, actor) {
-                        Err((at, e)) => return self.settle(Err(e), at.max(now)),
-                        Ok(Some(t)) => return Step::Park(Some(t)),
-                        Ok(None) => {
-                            // MPI_Reduce semantics: a non-root buffer is
-                            // left untouched — no device store.
-                            self.state = RingState::Finish {
-                                done_at: self.queue.done_at.max(now),
-                            };
-                        }
-                    }
-                }
-                RingState::GatherRoot { gs } => {
-                    if let Some(result) = gs.req.test(actor) {
-                        let r = result.expect("matched receive yields a payload");
-                        let n = self.inner.comm.size();
-                        let src = r.status.source;
-                        let seg = (src + 1) % n;
-                        let (off_el, len_el) = seg_bounds(self.count, n)[seg];
-                        let within = gs.per_src.entry(src).or_insert(0);
-                        if *within + r.data.len() > len_el * 8 {
-                            let got = *within + r.data.len();
-                            self.abandon_recv();
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "reduce gather overflow from rank {src}: {got} bytes \
-                                     into a {}-byte segment",
-                                    len_el * 8
-                                ))),
-                                now,
-                            );
-                        }
-                        let base = off_el * 8 + *within;
-                        gs.image[base..base + r.data.len()].copy_from_slice(&r.data);
-                        *within += r.data.len();
-                        gs.got += r.data.len();
-                        if gs.got == gs.expect {
-                            let fold_ns = (gs.expect as f64 * 1e9 / REDUCE_BPS).round() as SimNs;
-                            let bytes = std::mem::take(&mut gs.image);
-                            record_child(
-                                &self.inner,
-                                &mut self.ids,
-                                "dev",
-                                "reduce[gather]".into(),
-                                "reduce",
-                                now,
-                                now + fold_ns,
-                                bytes.len() as u64,
-                                true,
-                            );
-                            self.begin_store(bytes, now + fold_ns);
-                            continue;
-                        }
-                        gs.req = self.inner.comm.irecv(actor, None, Some(self.wire_tag));
-                        gs.deadline = chunk_deadline_for(&self.inner, now);
-                    } else if let Some(at) = gs.req.known_completion() {
-                        return Step::Park(Some(at.max(now + 1)));
-                    } else if let Some(dead) = {
-                        // A contributor whose segment is still incomplete
-                        // and whose process is dead can never finish the
-                        // gather; nothing is in flight, so fail fast.
-                        let n = self.inner.comm.size();
-                        let me = self.inner.comm.rank();
-                        let segs = seg_bounds(self.count, n);
-                        (0..n).find(|&r| {
-                            r != me
-                                && segs[(r + 1) % n].1 > 0
-                                && gs.per_src.get(&r).copied().unwrap_or(0)
-                                    < segs[(r + 1) % n].1 * 8
-                                && self.inner.peer_failed(r, now)
-                        })
-                    } {
-                        self.abandon_recv();
-                        if let Some(stats) = self.inner.stats.lock().as_ref() {
-                            stats.note_proc_failure();
-                        }
-                        record_failure(&self.inner, &mut self.ids, dead, now);
-                        return self.settle(
-                            Err(ClError::TransferFailed(format!(
-                                "reduce gather (tag {}): {}",
-                                self.wire_tag,
-                                MpiError::ProcFailed { rank: dead }
-                            ))),
-                            now,
-                        );
-                    } else if let Some((at, patience)) = gs.deadline {
-                        if now >= at {
-                            self.abandon_recv();
-                            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                                stats.note_failure();
-                            }
-                            let e = MpiError::Timeout {
-                                waited_ns: patience,
-                            };
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "reduce gather (tag {}) gave up: {e}",
-                                    self.wire_tag
-                                ))),
-                                now,
-                            );
-                        }
-                        return Step::Park(Some(at));
-                    } else {
-                        return Step::Park(None);
-                    }
-                }
-                RingState::Store { end } => {
-                    let e = *end;
-                    if now < e {
-                        return Step::Park(Some(e));
-                    }
-                    self.state = RingState::Finish {
-                        done_at: e.max(self.queue.done_at),
+                    return match self.run.queue.drive(cx, now, actor) {
+                        Err((at, e)) => self.fail(cx, e, at.max(now)),
+                        Ok(Some(t)) => Advance::Park(Some(t)),
+                        // MPI_Reduce semantics: a non-root buffer is left
+                        // untouched — no device store.
+                        Ok(None) => self.finish(cx, self.run.queue.done_at.max(now)),
                     };
                 }
-                RingState::Finish { done_at } => {
-                    let d = *done_at;
-                    if now < d {
-                        return Step::Park(Some(d));
+                RingState::GatherRoot(gs) => {
+                    let gs = &mut **gs;
+                    let segs = seg_bounds(self.count, n);
+                    // A contributor whose segment is still incomplete and
+                    // whose process is dead can never finish the gather.
+                    let per_src = &gs.per_src;
+                    let dead = |inner: &Inner| {
+                        (0..n).find(|&r| {
+                            let want = segs[(r + 1) % n].1 * 8;
+                            r != me
+                                && per_src.get(&r).copied().unwrap_or(0) < want
+                                && inner.peer_failed(r, now)
+                        })
+                    };
+                    let r = match gs.recv.poll(cx, now, actor, dead) {
+                        Ok(RecvPoll::Ready(r)) => r,
+                        Ok(RecvPoll::Pending(hint)) => return Advance::Park(hint),
+                        Err(f) => {
+                            let what = format!("reduce gather (tag {})", self.wire_tag);
+                            return self.fail(cx, f.into_error(&what), now);
+                        }
+                    };
+                    let src = r.status.source;
+                    let (off_el, len_el) = segs[(src + 1) % n];
+                    let within = gs.per_src.entry(src).or_insert(0);
+                    let upto = *within + r.data.len();
+                    if upto > len_el * 8 {
+                        let e = ClError::TransferFailed(format!(
+                            "reduce gather overflow from rank {src}: {upto} bytes \
+                             into a {}-byte segment",
+                            len_el * 8
+                        ));
+                        return self.fail(cx, e, now);
                     }
-                    return self.settle(Ok(()), d);
+                    let base = off_el * 8 + *within;
+                    gs.image[base..base + r.data.len()].copy_from_slice(&r.data);
+                    *within = upto;
+                    gs.got += r.data.len();
+                    if gs.got < gs.expect {
+                        gs.recv = ChunkRecv::post(&cx.inner, actor, None, self.wire_tag, now);
+                        continue;
+                    }
+                    let end = now + fold_ns(gs.expect);
+                    let bytes = std::mem::take(&mut gs.image);
+                    let len = bytes.len() as u64;
+                    cx.child(
+                        "dev",
+                        "reduce[gather]".into(),
+                        "reduce",
+                        (now, end),
+                        len,
+                        true,
+                    );
+                    self.begin_store(cx, bytes, end);
                 }
-                RingState::Done => return Step::Done,
+                &mut RingState::Store { end } => {
+                    if now < end {
+                        return Advance::Park(Some(end));
+                    }
+                    return self.finish(cx, end.max(self.run.queue.done_at));
+                }
             }
         }
     }

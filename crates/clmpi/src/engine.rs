@@ -13,14 +13,14 @@
 //!
 //! ### Execution model
 //!
-//! Each operation implements [`EngineOp`]: a `step` function that runs at
-//! the engine's current virtual instant and returns a [`Step`] verdict.
-//! The engine actor evaluates all registered machines to a fixpoint at
-//! one frozen instant, then blocks until either a clock notification
-//! (event completed, message matched, new submission) or one of the
-//! future instants the machines asked to be woken at (retry backoff
-//! expiry, injection end, staging completion) — scheduled as thread-less
-//! clock alarms, never as a parked thread.
+//! What the engine steps is an [`EngineOp`]: a `step` function that runs
+//! at the engine's current virtual instant and returns a [`Step`]
+//! verdict. The engine actor evaluates all registered machines to a
+//! fixpoint at one frozen instant, then blocks until either a clock
+//! notification (event completed, message matched, new submission) or
+//! one of the future instants the machines asked to be woken at (retry
+//! backoff expiry, injection end, staging completion) — scheduled as
+//! thread-less clock alarms, never as a parked thread.
 //!
 //! **The engine never blocks inside a machine.** A machine that needs a
 //! future instant *parks* with a wake hint; a machine that needs another
@@ -29,6 +29,41 @@
 //! contain no blocking wait, no blocking receive, and no virtual-time
 //! sleep — the only places the data plane may touch virtual time are
 //! reservation timelines and alarms.
+//!
+//! ### One frame, many bodies
+//!
+//! The paper's runtime treats every command the same way — wait for the
+//! event list, move the data by the chosen strategy, complete the user
+//! event — and so does this file: every event-backed command is an
+//! [`OpBody`] run by the one [`OpFrame`], which owns, exactly once,
+//!
+//! * the **gate**: the wait list is polled until every event settles; a
+//!   failed dependency poisons the command with −14 without running the
+//!   body (the four file commands carry `poison: false` and are only
+//!   ordered by their list);
+//! * **when an outcome becomes visible**: a success at its instant (the
+//!   frame parks until then), a failure at once, stamped with its instant;
+//! * the **settlement**: result slot, envelope span, `ObsCounters`, and
+//!   the user event with its `CL_MPI_TRANSFER_ERROR` / −14 mapping. The
+//!   body is dropped *before* that, so a receive it still has posted
+//!   ([`ChunkRecv`] cancels on drop) is withdrawn before anyone can see
+//!   the outcome and reuse the tag.
+//!
+//! A body is ordinary Rust, not a stage list — a broadcast relay drains
+//! its forward queue *while* awaiting the next chunk, a ring round
+//! advances a send queue and a segment receive together — composing the
+//! shared primitives: [`SendQueue`] of [`ReliableChunkSend`]s (the one
+//! chunk loop with retry, backoff and degradation), [`ChunkRecv`] (posted
+//! receive + patience + dead-peer fast-fail), [`Hop`] (reserve a PCIe or
+//! pack-kernel hop, record its `stage.*` span), and `fileio`'s
+//! `DiskWait`. Bodies tell the stats and selectors themselves, where the
+//! last chunk lands or the transfer fails; a poisoned gate never reaches
+//! a body, so it reaches no selector. DESIGN.md §8c has the table of all
+//! operations and the traps (what is byte-visible about *when* a body
+//! reserves, posts and records).
+//!
+//! [`HostSendOp`] (`isend_cl`) is the one operation that keeps its own
+//! `impl EngineOp`; its doc says why.
 //!
 //! ### Determinism
 //!
@@ -39,6 +74,7 @@
 //! which makes same-instant resource reservations deterministic per rank
 //! (the previous one-thread-per-command design raced them).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use minicl::{
@@ -60,30 +96,6 @@ use crate::retry::RetryPolicy;
 use crate::runtime::Inner;
 use crate::strategy::{PackMode, ResolvedStrategy, TransferStrategy};
 
-/// A derived-datatype lowering attached to a transfer machine: the
-/// committed type map plus the pack canonicalization mode (the TEMPI
-/// axis). When present, `offset`/`size` on the op describe the *region
-/// base* and the *packed wire size*; the type map routes bytes between
-/// the strided device region and the contiguous wire chunks.
-pub(crate) struct Lowering {
-    pub ty: CommittedType,
-    pub mode: PackMode,
-}
-
-impl Lowering {
-    /// Cost of gathering/scattering the packed range `[lo, hi)` across
-    /// PCIe segment-by-segment (the host-pack baseline): every type-map
-    /// segment pays the full staged latency, which is exactly why real
-    /// MPI implementations lose to device-side packing on strided types.
-    fn host_staged_ns(&self, pcie: &minicl::PcieModel, lo: usize, hi: usize) -> SimNs {
-        self.ty
-            .segments_for_packed_range(lo, hi)
-            .iter()
-            .map(|&(_, len)| pcie.staged_ns(len, true))
-            .sum()
-    }
-}
-
 // ----------------------------------------------------------------------
 // Engine core
 // ----------------------------------------------------------------------
@@ -91,15 +103,13 @@ impl Lowering {
 /// Verdict of one [`EngineOp::step`] call at the engine's current instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
-    /// The machine changed state and wants to be stepped again at the
-    /// same instant (e.g. it finished one phase and the next phase can
-    /// start immediately).
-    Progressed,
     /// Nothing to do right now. `Some(t)` asks for a wake-up at the
     /// strictly-future instant `t` (a retry backoff expiry, an injection
     /// end); `None` means "wake me on any cross-actor notification"
-    /// (an event completing, a message matching). A machine that could
-    /// settle at the current instant must progress instead of parking.
+    /// (an event completing, a message matching). A machine that can do
+    /// more at the current instant does it before returning — a `step`
+    /// runs as far as it can — so every operation is worth exactly one
+    /// scheduler event, its `Done`.
     Park(Option<SimNs>),
     /// The operation finished (its event settled, its result landed);
     /// the engine unregisters it.
@@ -110,8 +120,7 @@ pub enum Step {
 /// state machines: `step` runs at a frozen virtual instant, must never
 /// block, and reports how the engine should treat the machine next.
 pub trait EngineOp: Send {
-    /// Diagnostic label (mirrors the thread names of the old
-    /// one-thread-per-command design).
+    /// Diagnostic label (a framed operation's is its user event's).
     fn label(&self) -> &str;
 
     /// Advance the machine as far as possible at virtual instant `now`.
@@ -239,10 +248,9 @@ impl SimActor for EngineCore {
         }) {
             self.ops.append(&mut newly);
         }
-        // Count only actual op-state transitions (progress and
-        // completions): idle re-polls of parked ops are free, so the
-        // count is a deterministic property of the scenario, not of the
-        // host's wake-up pattern.
+        // Count only completions: idle re-polls of parked ops are free, so
+        // the count is a deterministic property of the scenario, not of
+        // the host's wake-up pattern.
         let mut transitions: u64 = 0;
         // The wake hint reported upward: the earliest future instant any
         // op asked for *in the final, progress-free pass* (earlier passes
@@ -255,11 +263,6 @@ impl SimActor for EngineCore {
             let mut i = 0;
             while i < self.ops.len() {
                 match self.ops[i].step(now, actor) {
-                    Step::Progressed => {
-                        transitions += 1;
-                        made_progress = true;
-                        i += 1;
-                    }
                     Step::Park(h) => {
                         if let Some(t) = h {
                             debug_assert!(t > now, "machines must progress, not park, when due");
@@ -294,38 +297,55 @@ impl SimActor for EngineCore {
 }
 
 // ----------------------------------------------------------------------
-// Shared building blocks
+// The op frame
 // ----------------------------------------------------------------------
 
-/// Poll a wait list the way the old runtime threads waited on it, but
-/// without blocking: `Pending` until *every* event settles, then the
-/// first failure in list order (poisoning), or `Ready`.
-pub(crate) fn poll_deps(wait: &[Event]) -> WaitListStatus {
-    Event::poll_wait_list(wait)
+/// Where a machine reports its final result when a caller is blocked on
+/// it (the gpu-aware comparator paths). The event carries the same
+/// outcome for event-ordered callers.
+pub(crate) type ResultSlot = Arc<Monitor<Option<ClResult<()>>>>;
+
+/// What an operation leaves behind when it settles: its envelope span on
+/// the rank's `host` track — the span exporters pair into causal
+/// send→recv links — and the payload bytes a success adds to
+/// [`crate::obs::ObsCounters`].
+pub(crate) struct Envelope {
+    pub(crate) cat: &'static str,
+    pub(crate) name: String,
+    pub(crate) bytes: u64,
+    pub(crate) peer: Option<Rank>,
+    pub(crate) tag: Option<Tag>,
+    /// Payload bytes counted as sent / received when the op succeeds.
+    pub(crate) sent: u64,
+    pub(crate) received: u64,
 }
 
-/// Like [`poll_deps`] but ignoring failures — the collective and file
-/// commands historically only ordered on settlement, not success.
-pub(crate) fn deps_settled(wait: &[Event]) -> bool {
-    !matches!(Event::poll_wait_list(wait), WaitListStatus::Pending)
+impl Envelope {
+    /// An envelope with no payload and no wire tag — all a control-plane
+    /// span (failure notice, revoke, shrink) or a fence has; transfers
+    /// fill the rest in.
+    pub(crate) fn new(cat: &'static str, name: String, peer: Option<Rank>) -> Self {
+        Envelope {
+            cat,
+            name,
+            bytes: 0,
+            peer,
+            tag: None,
+            sent: 0,
+            received: 0,
+        }
+    }
 }
 
-/// Record a top-level operation envelope on the rank's `host` track:
-/// submit instant → settlement instant, with the op's stable id,
-/// category, payload size, outcome, and transfer endpoints. This is the
-/// span exporters pair into causal send→recv links.
-#[allow(clippy::too_many_arguments)]
+/// Record a top-level envelope on the rank's `host` track: `start` →
+/// `end` under the id block `ids`, with the outcome `ok`.
 pub(crate) fn record_envelope(
     inner: &Inner,
     ids: &ChildIds,
-    cat: &str,
-    name: String,
+    env: Envelope,
     start: SimNs,
     end: SimNs,
-    bytes: u64,
     ok: bool,
-    peer: Option<Rank>,
-    tag: Option<Tag>,
 ) {
     let rank = inner.comm.rank();
     inner.trace.record_op(OpSpan {
@@ -333,72 +353,289 @@ pub(crate) fn record_envelope(
         parent: None,
         rank: rank as u32,
         track: format!("r{rank}.host"),
-        name,
-        cat: cat.into(),
+        name: env.name,
+        cat: env.cat.into(),
         start,
         end: end.max(start),
-        bytes,
+        bytes: env.bytes,
         ok,
-        peer: peer.map(|p| p as u32),
-        tag,
+        peer: env.peer.map(|p| p as u32),
+        tag: env.tag,
     });
 }
 
-/// Record an `op.failure` span: the instant an operation observed a dead
-/// peer process (ULFM `MPI_ERR_PROC_FAILED` class), attributed to the
-/// op's id block. Summarized into the recovery counters of
-/// [`crate::obs::ObsSummary`], separately from the ordinary op counters.
-pub(crate) fn record_failure(inner: &Inner, ids: &mut ChildIds, peer: Rank, at: SimNs) {
-    record_child(
-        inner,
-        ids,
-        "host",
-        format!("proc-failure r{peer}"),
-        "op.failure",
-        at,
-        at,
-        0,
-        false,
-    );
+/// The observability identity of one operation.
+struct OpObs {
+    ids: ChildIds,
+    submit_ns: SimNs,
+    env: Envelope,
 }
 
-/// Record a child span (a chunk, retry, drop, or staging hop) under its
-/// operation's id block, on the rank's `net` or `dev` track.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn record_child(
-    inner: &Inner,
-    ids: &mut ChildIds,
-    track_kind: &str,
-    name: String,
-    cat: &str,
-    start: SimNs,
-    end: SimNs,
-    bytes: u64,
-    ok: bool,
-) {
-    let rank = inner.comm.rank();
-    inner.trace.record_op(OpSpan {
-        id: ids.child(),
-        parent: Some(ids.op()),
-        rank: rank as u32,
-        track: format!("r{rank}.{track_kind}"),
-        name,
-        cat: cat.into(),
-        start,
-        end: end.max(start),
-        bytes,
-        ok,
-        peer: None,
-        tag: None,
-    });
+/// What a body — and every primitive it calls — knows of the operation
+/// it belongs to: the runtime, the instant its gate opened, and where its
+/// spans go.
+pub(crate) struct OpCx {
+    pub(crate) inner: Arc<Inner>,
+    /// The instant the wait list let the body run (every duration the
+    /// stats and selectors hear is measured from here).
+    pub(crate) t0: SimNs,
+    /// `None` for the two untraced file commands (`enqueue_write_file` /
+    /// `enqueue_read_file`): no id block, no envelope, no counters.
+    obs: Option<OpObs>,
 }
+
+impl OpCx {
+    /// Context of a traced operation: allocates its id block (and counts
+    /// the submission) on the calling — submitting — thread.
+    pub(crate) fn traced(inner: &Arc<Inner>, env: Envelope) -> Self {
+        OpCx {
+            inner: inner.clone(),
+            t0: 0,
+            obs: Some(OpObs {
+                ids: inner.new_op(),
+                submit_ns: inner.clock.now_ns(),
+                env,
+            }),
+        }
+    }
+
+    /// The envelope, for the few bodies that only learn part of it while
+    /// running (a wrapped request's payload size, why a restore failed).
+    pub(crate) fn env_mut(&mut self) -> Option<&mut Envelope> {
+        self.obs.as_mut().map(|o| &mut o.env)
+    }
+
+    /// Record a child span (a chunk, retry, drop, or staging hop) under
+    /// the operation's id block, on the rank's `net` or `dev` track.
+    pub(crate) fn child(
+        &mut self,
+        track_kind: &str,
+        name: String,
+        cat: &str,
+        (start, end): (SimNs, SimNs),
+        bytes: u64,
+        ok: bool,
+    ) {
+        let Some(obs) = self.obs.as_mut() else { return };
+        let rank = self.inner.comm.rank();
+        self.inner.trace.record_op(OpSpan {
+            id: obs.ids.child(),
+            parent: Some(obs.ids.op()),
+            rank: rank as u32,
+            track: format!("r{rank}.{track_kind}"),
+            name,
+            cat: cat.into(),
+            start,
+            end: end.max(start),
+            bytes,
+            ok,
+            peer: None,
+            tag: None,
+        });
+    }
+
+    /// The operation observed a dead peer process at `at` (ULFM
+    /// `MPI_ERR_PROC_FAILED` class): count it and record the `op.failure`
+    /// span that [`crate::obs::ObsSummary`] folds into the recovery
+    /// counters, separately from the ordinary op counters.
+    pub(crate) fn proc_failure(&mut self, peer: Rank, at: SimNs) {
+        self.inner.with_stats(|s| s.note_proc_failure());
+        let name = format!("proc-failure r{peer}");
+        self.child("host", name, "op.failure", (at, at), 0, false);
+    }
+
+    /// Close the operation's books, once: its envelope (submit instant →
+    /// `at`) and the live counters.
+    pub(crate) fn close(&mut self, ok: bool, at: SimNs) {
+        let Some(OpObs {
+            ids,
+            submit_ns,
+            env,
+        }) = self.obs.take()
+        else {
+            return;
+        };
+        let (sent, received) = if ok { (env.sent, env.received) } else { (0, 0) };
+        record_envelope(&self.inner, &ids, env, submit_ns, at, ok);
+        self.inner.note_settled(ok, sent, received);
+    }
+}
+
+/// What a body reports from one [`OpBody::advance`] call.
+pub(crate) enum Advance {
+    /// Nothing more to do at this instant: `Some(t)` asks for a wake-up at
+    /// the strictly-future instant `t`, `None` waits for a notification.
+    Park(Option<SimNs>),
+    /// The work is done and becomes observable at the carried instant
+    /// (the frame parks until then before completing the event).
+    Done(SimNs),
+    /// The work failed; the failure settles at once, stamped with the
+    /// carried instant (which may lie ahead of `now` — dependants poll
+    /// wait lists, so parking a failure would move time).
+    Failed(ClError, SimNs),
+}
+
+/// The part of an operation that differs from every other one: what it
+/// moves and how. Run by an [`OpFrame`] once the wait list has let it; a
+/// body is ordinary Rust composing the shared primitives below
+/// ([`SendQueue`], [`ChunkRecv`], [`Hop`]) and never touches the user
+/// event, the envelope or the counters itself.
+pub(crate) trait OpBody: Send {
+    /// Run as far as possible at the frozen instant `now`. Never blocks;
+    /// `actor` is the engine's own clock actor, for posting non-blocking
+    /// MPI calls.
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance;
+}
+
+/// How an operation is submitted: everything about it that is not its
+/// body.
+pub(crate) struct OpSpec<'a> {
+    /// Label of the user event handed back to the caller.
+    pub(crate) event: String,
+    pub(crate) wait: &'a [Event],
+    /// Gate kind: does a failed dependency poison the command with −14
+    /// (`true`), or does the wait list only order it (`false` — the four
+    /// file commands, which historically run regardless)?
+    pub(crate) poison: bool,
+    /// `None` submits the command untraced (see [`OpCx`]).
+    pub(crate) env: Option<Envelope>,
+    pub(crate) result: Option<ResultSlot>,
+}
+
+impl<'a> OpSpec<'a> {
+    /// The protocol of every command but the file ones: traced, and
+    /// poisoned by a failed dependency.
+    pub(crate) fn gated(event: String, env: Envelope, wait: &'a [Event]) -> Self {
+        OpSpec {
+            event,
+            wait,
+            poison: true,
+            env: Some(env),
+            result: None,
+        }
+    }
+}
+
+/// Every event-backed operation: the one place that owns the wait-list
+/// gate, the rule for when an outcome becomes visible, and the
+/// settlement (envelope, counters, result slot, user event and its
+/// error-code mapping). Each of these used to be written out per
+/// machine.
+pub(crate) struct OpFrame<B> {
+    cx: OpCx,
+    label: String,
+    wait: Vec<Event>,
+    poison: bool,
+    gated: bool,
+    ue: UserEvent,
+    result: Option<ResultSlot>,
+    /// `Some` until the body reports. Dropped the moment it does, so what
+    /// it still holds — a posted receive above all — is released *before*
+    /// the outcome is visible to anyone who might reuse the tag.
+    body: Option<B>,
+    done_at: SimNs,
+}
+
+impl<B: OpBody + 'static> OpFrame<B> {
+    /// Wrap `body` in a frame, hand it to `inner`'s engine and return
+    /// the event that will carry its outcome.
+    pub(crate) fn submit(inner: &Arc<Inner>, spec: OpSpec<'_>, body: B) -> Event {
+        let label = spec.event.clone();
+        let ue = inner.ctx.create_user_event(spec.event);
+        let event = ue.event();
+        let cx = match spec.env {
+            Some(env) => OpCx::traced(inner, env),
+            None => OpCx {
+                inner: inner.clone(),
+                t0: 0,
+                obs: None,
+            },
+        };
+        inner.engine.submit(Box::new(OpFrame {
+            cx,
+            label,
+            wait: spec.wait.to_vec(),
+            poison: spec.poison,
+            gated: false,
+            ue,
+            result: spec.result,
+            body: Some(body),
+            done_at: 0,
+        }));
+        event
+    }
+
+    fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
+        if let Some(slot) = &self.result {
+            slot.with(|s| *s = Some(outcome.clone()));
+        }
+        self.cx.close(outcome.is_ok(), at);
+        let settled = match outcome {
+            Ok(()) => self.ue.set_complete(at),
+            // A failed dependency poisons this command, as the queue
+            // executor does for ordinary commands.
+            Err(ClError::EventFailed { .. }) => self
+                .ue
+                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST),
+            Err(_) => self.ue.set_failed(at, CL_MPI_TRANSFER_ERROR),
+        };
+        settled.expect("an operation's event settles once");
+        Step::Done
+    }
+}
+
+impl<B: OpBody + 'static> EngineOp for OpFrame<B> {
+    fn label(&self) -> &str {
+        &self.label
+    }
+
+    fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
+        if !self.gated {
+            // `Pending` until *every* event settles, then the first
+            // failure in list order, or `Ready`. An empty list is `Ready`.
+            match Event::poll_wait_list(&self.wait) {
+                WaitListStatus::Pending => return Step::Park(None),
+                WaitListStatus::Failed { code, label } if self.poison => {
+                    // The body never runs: a poisoned gate says nothing
+                    // about the strategy, so no selector hears of it.
+                    return self.settle(Err(ClError::EventFailed { code, label }), now);
+                }
+                WaitListStatus::Failed { .. } | WaitListStatus::Ready => {
+                    self.gated = true;
+                    self.cx.t0 = now;
+                }
+            }
+        }
+        if let Some(body) = self.body.as_mut() {
+            match body.advance(&mut self.cx, now, actor) {
+                Advance::Park(hint) => return Step::Park(hint),
+                Advance::Failed(e, at) => {
+                    self.body = None;
+                    return self.settle(Err(e), at);
+                }
+                Advance::Done(at) => {
+                    self.body = None;
+                    self.done_at = at;
+                }
+            }
+        }
+        if now < self.done_at {
+            return Step::Park(Some(self.done_at));
+        }
+        self.settle(Ok(()), self.done_at)
+    }
+}
+
+// ----------------------------------------------------------------------
+// Send primitive: one reliable chunk, and the serial queue of them
+// ----------------------------------------------------------------------
 
 /// One wire chunk injected reliably: on sender-observed loss (the
 /// fabric's link-layer NACK model) the machine enters a virtual-time
 /// backoff and retransmits when the engine wakes it, up to the policy's
 /// attempt budget. Feeds the degradation latch and the fault counters.
-/// This replaces the old eager retry loop: the backoff is now a real
-/// engine-scheduled timer instead of a pre-dated reservation.
+/// The backoff is a real engine-scheduled timer, not a pre-dated
+/// reservation.
 pub(crate) struct ReliableChunkSend {
     dst: Rank,
     wire_tag: Tag,
@@ -428,7 +665,7 @@ enum ChunkState {
 }
 
 /// Verdict of one [`ReliableChunkSend::step`].
-pub(crate) enum ChunkStep {
+enum ChunkStep {
     /// State changed; step again at the same instant.
     Progressed,
     /// Waiting for a future instant (backoff expiry or failure charge).
@@ -462,15 +699,10 @@ impl ReliableChunkSend {
         }
     }
 
-    /// Payload size of this chunk in bytes.
-    pub(crate) fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
     /// The error the old path returned on budget exhaustion; a dead-peer
     /// failure is classified as an `MPI_ERR_PROC_FAILED`-class error
     /// instead.
-    pub(crate) fn exhaustion_error(&self) -> ClError {
+    fn exhaustion_error(&self) -> ClError {
         if self.peer_dead {
             return ClError::TransferFailed(format!(
                 "{}: chunk on tag {} undeliverable",
@@ -484,32 +716,25 @@ impl ReliableChunkSend {
         ))
     }
 
-    pub(crate) fn step(
-        &mut self,
-        inner: &Inner,
-        ids: &mut ChildIds,
-        now: SimNs,
-        actor: &Actor,
-    ) -> ChunkStep {
-        if let ChunkState::Injecting { ref req, earliest } = self.state {
-            // `known_completion` pumps the arbiter; `None` means the
-            // grant instant has not passed yet. The arbiter clamps a
-            // stale `earliest` up to the posting instant, so the park
-            // hint must be strictly future relative to `now` — one tick
-            // later the pump's strict `earliest < now` test admits the
-            // grant.
-            let Some(done) = req.known_completion() else {
-                return ChunkStep::Park(now.max(earliest) + 1);
-            };
-            let delivered = req.delivered();
-            let reason = req.drop_reason();
-            return self.settle_injection(inner, ids, earliest, done, delivered, reason);
-        }
-        match self.state {
-            ChunkState::Injecting { .. } => unreachable!("handled above"),
-            ChunkState::Ready { earliest } => {
+    fn step(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> ChunkStep {
+        match &self.state {
+            ChunkState::Injecting { req, earliest } => {
+                let earliest = *earliest;
+                // `known_completion` pumps the arbiter; `None` means the
+                // grant instant has not passed yet. The arbiter clamps a
+                // stale `earliest` up to the posting instant, so the park
+                // hint must be strictly future relative to `now` — one tick
+                // later the pump's strict `earliest < now` test admits the
+                // grant.
+                let Some(done) = req.known_completion() else {
+                    return ChunkStep::Park(now.max(earliest) + 1);
+                };
+                let (delivered, reason) = (req.delivered(), req.drop_reason());
+                self.settle_injection(cx, earliest, done, delivered, reason)
+            }
+            &ChunkState::Ready { earliest } => {
                 self.attempt += 1;
-                let req = inner.comm.isend_raw(
+                let req = cx.inner.comm.isend_raw(
                     actor,
                     self.dst,
                     self.wire_tag,
@@ -521,7 +746,7 @@ impl ReliableChunkSend {
                 self.state = ChunkState::Injecting { req, earliest };
                 ChunkStep::Progressed
             }
-            ChunkState::Backoff { resume_at } => {
+            &ChunkState::Backoff { resume_at } => {
                 if now >= resume_at {
                     self.state = ChunkState::Ready {
                         earliest: resume_at,
@@ -531,8 +756,8 @@ impl ReliableChunkSend {
                     ChunkStep::Park(resume_at)
                 }
             }
-            ChunkState::Sent { done_at } => ChunkStep::Sent(done_at),
-            ChunkState::Failed { at } => {
+            &ChunkState::Sent { done_at } => ChunkStep::Sent(done_at),
+            &ChunkState::Failed { at } => {
                 if now >= at {
                     ChunkStep::Failed(at)
                 } else {
@@ -550,49 +775,34 @@ impl ReliableChunkSend {
     /// latch, retry budget.
     fn settle_injection(
         &mut self,
-        inner: &Inner,
-        ids: &mut ChildIds,
+        cx: &mut OpCx,
         earliest: SimNs,
         done: SimNs,
         delivered: bool,
         reason: Option<DropReason>,
     ) -> ChunkStep {
         if delivered {
-            inner.fault_state.lock().consecutive_drops = 0;
+            cx.inner.fault_state.lock().consecutive_drops = 0;
             self.state = ChunkState::Sent { done_at: done };
             return ChunkStep::Progressed;
         }
         // The chunk burned link time but never reached the peer.
         let reason = reason.unwrap_or(DropReason::Random);
-        if let Some(stats) = inner.stats.lock().as_ref() {
-            stats.note_drop(reason);
-        }
-        record_child(
-            inner,
-            ids,
-            "net",
-            format!("drop#{}→r{}", self.attempt, self.dst),
-            "drop",
-            earliest,
-            done,
-            self.bytes.len() as u64,
-            false,
-        );
+        cx.inner.with_stats(|s| s.note_drop(reason));
+        let len = self.bytes.len() as u64;
+        let name = format!("drop#{}→r{}", self.attempt, self.dst);
+        cx.child("net", name, "drop", (earliest, done), len, false);
         if reason == DropReason::NodeDown {
-            // Dead endpoint: no retransmission can ever succeed.
-            // Fail the transfer now — this is what keeps
-            // machines from hanging out a full retry budget per
-            // chunk after a rank failure.
-            if let Some(stats) = inner.stats.lock().as_ref() {
-                stats.note_proc_failure();
-            }
-            record_failure(inner, ids, self.dst, done);
+            // Dead endpoint: no retransmission can ever succeed. Fail the
+            // transfer now — this is what keeps machines from hanging out
+            // a full retry budget per chunk after a rank failure.
+            cx.proc_failure(self.dst, done);
             self.peer_dead = true;
             self.state = ChunkState::Failed { at: done };
             return ChunkStep::Progressed;
         }
         let newly_degraded = {
-            let mut fs = inner.fault_state.lock();
+            let mut fs = cx.inner.fault_state.lock();
             fs.consecutive_drops += 1;
             if !fs.degraded && fs.consecutive_drops >= self.policy.degrade_after {
                 fs.degraded = true;
@@ -601,184 +811,381 @@ impl ReliableChunkSend {
                 false
             }
         };
-        let fault_lane = format!("r{}.fault", inner.comm.rank());
+        let fault_lane = format!("r{}.fault", cx.inner.comm.rank());
         if newly_degraded {
-            if let Some(stats) = inner.stats.lock().as_ref() {
-                stats.note_degraded();
-            }
-            inner
-                .trace
-                .record(fault_lane.as_str(), "degrade pipelined→pinned", done, done);
-            record_child(
-                inner,
-                ids,
-                "net",
-                "degrade pipelined→pinned".into(),
-                "degrade",
-                done,
-                done,
-                0,
-                false,
-            );
+            let name = "degrade pipelined→pinned";
+            cx.inner.with_stats(|s| s.note_degraded());
+            cx.inner.trace.record(fault_lane.as_str(), name, done, done);
+            cx.child("net", name.into(), "degrade", (done, done), 0, false);
         }
         if self.attempt == self.policy.max_attempts {
-            if let Some(stats) = inner.stats.lock().as_ref() {
-                stats.note_failure();
-            }
+            cx.inner.with_stats(|s| s.note_failure());
             self.state = ChunkState::Failed { at: done };
             return ChunkStep::Progressed;
         }
-        let backoff = self.policy.backoff_ns(self.attempt);
-        inner.trace.record(
-            fault_lane.as_str(),
-            format!("retry#{}→r{}", self.attempt, self.dst),
-            done,
-            done.saturating_add(backoff),
-        );
-        if let Some(stats) = inner.stats.lock().as_ref() {
-            stats.note_retry();
-        }
-        record_child(
-            inner,
-            ids,
-            "net",
-            format!("retry#{}→r{}", self.attempt, self.dst),
-            "retry",
-            done,
-            done.saturating_add(backoff),
-            self.bytes.len() as u64,
-            true,
-        );
-        self.state = ChunkState::Backoff {
-            resume_at: done.saturating_add(backoff),
-        };
+        let resume_at = done.saturating_add(self.policy.backoff_ns(self.attempt));
+        let name = format!("retry#{}→r{}", self.attempt, self.dst);
+        cx.inner
+            .trace
+            .record(fault_lane.as_str(), name.as_str(), done, resume_at);
+        cx.inner.with_stats(|s| s.note_retry());
+        cx.child("net", name, "retry", (done, resume_at), len, true);
+        self.state = ChunkState::Backoff { resume_at };
         ChunkStep::Progressed
     }
 }
 
+struct QueuedSend {
+    send: ReliableChunkSend,
+    /// Start of the recorded wire span (the instant the injection was
+    /// armed / allowed to begin).
+    start: SimNs,
+    name: String,
+    cat: &'static str,
+    /// `SendBody` only — what is recorded when the chunk *lands*, ahead
+    /// of its wire span: the staging hops reserved when it was armed,
+    /// and everything also as a span on the `r{N}.comm` lane.
+    lane: Option<[Option<(Hop, Span)>; 2]>,
+}
+
+/// A FIFO of [`ReliableChunkSend`]s driven head-first — the one chunk
+/// loop every sending body shares. On a perfect fabric every queued
+/// injection resolves in the same engine pass (the fate of an
+/// `isend_raw` is known at injection), so serial stepping equals a
+/// burst; under faults the head's backoff timer serializes the retries
+/// deterministically.
+#[derive(Default)]
+pub(crate) struct SendQueue {
+    q: VecDeque<QueuedSend>,
+    /// Latest injection end among completed sends.
+    pub(crate) done_at: SimNs,
+}
+
+impl SendQueue {
+    /// Queue `send`; its wire span is recorded as `name` / `cat` from
+    /// `start` once it is delivered.
+    pub(crate) fn push(
+        &mut self,
+        send: ReliableChunkSend,
+        start: SimNs,
+        name: String,
+        cat: &'static str,
+    ) {
+        self.q.push_back(QueuedSend {
+            send,
+            start,
+            name,
+            cat,
+            lane: None,
+        });
+    }
+
+    /// [`SendQueue::push`] for the one body whose chunks also show on
+    /// the `r{N}.comm` lane: `staged` are the hops reserved when the chunk
+    /// was armed, recorded — with the lane spans — when it lands.
+    fn push_staged(
+        &mut self,
+        send: ReliableChunkSend,
+        start: SimNs,
+        name: String,
+        staged: [Option<(Hop, Span)>; 2],
+    ) {
+        self.q.push_back(QueuedSend {
+            send,
+            start,
+            name,
+            cat: "chunk",
+            lane: Some(staged),
+        });
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.q.is_empty()
+    }
+
+    /// Step the head injection as far as possible at `now`. `Ok(None)`:
+    /// queue drained (all injections delivered; the last ends at
+    /// `done_at`). `Ok(Some(t))`: head is waiting until `t`. `Err`: head
+    /// exhausted its retry budget at the carried instant.
+    pub(crate) fn drive(
+        &mut self,
+        cx: &mut OpCx,
+        now: SimNs,
+        actor: &Actor,
+    ) -> Result<Option<SimNs>, (SimNs, ClError)> {
+        while let Some(head) = self.q.front_mut() {
+            match head.send.step(cx, now, actor) {
+                ChunkStep::Progressed => continue,
+                ChunkStep::Park(t) => return Ok(Some(t)),
+                ChunkStep::Sent(done) => {
+                    let len = head.send.bytes.len();
+                    let name = std::mem::take(&mut head.name);
+                    if let Some(staged) = head.lane {
+                        for (hop, span) in staged.into_iter().flatten() {
+                            hop.record(cx, span, len, true);
+                        }
+                        let lane = format!("r{}.comm", cx.inner.comm.rank());
+                        cx.inner.trace.record(lane, name.as_str(), head.start, done);
+                    }
+                    cx.child("net", name, head.cat, (head.start, done), len as u64, true);
+                    self.done_at = self.done_at.max(done);
+                    self.q.pop_front();
+                }
+                ChunkStep::Failed(at) => {
+                    let e = head.send.exhaustion_error();
+                    self.q.clear();
+                    return Err((at, e));
+                }
+            }
+        }
+        Ok(None)
+    }
+}
+
 // ----------------------------------------------------------------------
-// Device-buffer transfer machines (enqueue_send/recv_buffer, gpu-aware)
+// Receive primitive: one posted chunk
 // ----------------------------------------------------------------------
 
-/// Where a machine reports its final result when a caller is blocked on
-/// it (the gpu-aware comparator paths). The event carries the same
-/// outcome for event-ordered callers.
-pub(crate) type ResultSlot = Arc<Monitor<Option<ClResult<()>>>>;
-
-/// `clEnqueueSendBuffer` as a state machine: wait list → chunked
-/// device→host staging and reliable network injection → completion at
-/// the last injection's end.
-pub(crate) struct SendOp {
-    inner: Arc<Inner>,
-    device: Device,
-    buf: Buffer,
-    offset: usize,
-    size: usize,
-    dst: Rank,
-    user_tag: Tag,
-    wire_tag: Tag,
-    strategy: TransferStrategy,
-    /// Derived-datatype lowering: `Some` routes every chunk through the
-    /// type map (and, for the device modes, through a pack kernel).
-    lowering: Option<Lowering>,
-    wait: Vec<Event>,
-    ue: UserEvent,
-    result: Option<ResultSlot>,
-    label: String,
-    ids: ChildIds,
-    submit_ns: SimNs,
-    state: SendState,
+/// One posted matched receive — the receive-side twin of
+/// [`ReliableChunkSend`]: the request, the retry policy's per-chunk
+/// patience (armed only when the world injects faults, so a perfect
+/// fabric waits indefinitely, the seed's blocking-recv semantics, and
+/// never wakes on dead timers) and the dead-peer fast-fail. Dropping it
+/// while the message has not been taken withdraws the receive, so no
+/// failure path can leave one behind for the matcher to feed.
+pub(crate) struct ChunkRecv {
+    /// `None` once the message has been taken.
+    req: Option<Request>,
+    /// (expiry instant, patience), read per chunk from the policy.
+    deadline: Option<(SimNs, SimNs)>,
 }
 
-enum SendState {
-    WaitDeps,
-    // Boxed: the in-flight chunk machine dwarfs the other variants.
-    // With a device-pack lowering each chunk first runs a PackStage (a
-    // pack kernel reserved on the compute timeline) before its d2h hop;
-    // the reservation is backdated, so chunk k's pack overlaps chunk
-    // k−1's wire time without the machine ever blocking.
-    Transfer(Box<SendTransfer>),
-    Finish { done_at: SimNs },
-    Done,
+/// What a receive has for its body at one instant: for a [`ChunkRecv`]
+/// the chunk, for a multi-chunk receive built on it whatever it yields.
+pub(crate) enum RecvPoll<T = RecvResult> {
+    /// It is here.
+    Ready(T),
+    /// Not yet; the wake hint to park with.
+    Pending(Option<SimNs>),
 }
 
-struct SendTransfer {
-    t0: SimNs,
-    chunks: Vec<(usize, usize)>,
-    next_chunk: usize,
-    first: bool,
-    /// The in-flight chunk and the trace spans to record once it lands.
-    current: Option<(ReliableChunkSend, ChunkTrace)>,
-    done_at: SimNs,
+/// Why a [`ChunkRecv`] gave up; already counted (and, for a dead peer,
+/// recorded) when it is returned.
+pub(crate) enum RecvFail {
+    PeerDead(Rank),
+    TimedOut(SimNs),
 }
 
-enum ChunkTrace {
-    /// Mapped path: one fused map+send span from `t0`.
-    Mapped { t0: SimNs },
-    /// Staged path: the d2h span, then a net span from `d2h.1`.
-    Staged { d2h: (SimNs, SimNs) },
-    /// Device-pack path: the pack-kernel span, its d2h hop, then the net
-    /// span from `d2h.1`.
-    Packed {
-        pack: (SimNs, SimNs),
-        d2h: (SimNs, SimNs),
-    },
+impl RecvFail {
+    /// The transfer error for a receive described as `what` ("receive
+    /// from rank 3 (tag 7)").
+    pub(crate) fn into_error(self, what: &str) -> ClError {
+        ClError::TransferFailed(match self {
+            RecvFail::PeerDead(rank) => format!("{what}: {}", MpiError::ProcFailed { rank }),
+            RecvFail::TimedOut(waited_ns) => {
+                format!("{what} gave up: {}", MpiError::Timeout { waited_ns })
+            }
+        })
+    }
 }
 
-impl SendOp {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        inner: Arc<Inner>,
-        device: Device,
-        buf: Buffer,
-        offset: usize,
-        size: usize,
-        dst: Rank,
-        user_tag: Tag,
+impl ChunkRecv {
+    /// Post the receive for the next wire chunk from `src` (`None`: any
+    /// source) at `now`.
+    pub(crate) fn post(
+        inner: &Inner,
+        actor: &Actor,
+        src: Option<Rank>,
         wire_tag: Tag,
-        strategy: TransferStrategy,
-        lowering: Option<Lowering>,
-        wait: Vec<Event>,
-        ue: UserEvent,
-        result: Option<ResultSlot>,
-        ids: ChildIds,
-        submit_ns: SimNs,
+        now: SimNs,
     ) -> Self {
-        let label = format!("clmpi-send-r{}-t{user_tag}", inner.comm.rank());
-        SendOp {
-            inner,
-            device,
-            buf,
-            offset,
-            size,
-            dst,
-            user_tag,
-            wire_tag,
-            strategy,
-            lowering,
-            wait,
-            ue,
-            result,
-            label,
-            ids,
-            submit_ns,
-            state: SendState::WaitDeps,
+        let req = inner.comm.irecv(actor, src, Some(wire_tag));
+        let deadline = inner.comm.world().has_faults().then(|| {
+            let patience = inner.retry.lock().chunk_timeout_ns;
+            (now + patience, patience)
+        });
+        ChunkRecv {
+            req: Some(req),
+            deadline,
         }
     }
 
-    /// Gather the packed range `[lo, hi)` of the lowered type out of the
-    /// device buffer (the simulated pack kernel's data movement; timing
-    /// is charged separately on the relevant resource timeline).
-    /// Associated fn: callable while `self.state` is mutably borrowed.
-    fn gather_packed(
-        buf: &Buffer,
-        offset: usize,
-        ty: &CommittedType,
-        lo: usize,
-        hi: usize,
-    ) -> Vec<u8> {
+    /// Look for the chunk at `now`. `upstream_dead` names a dead process
+    /// without which it can never arrive; it is only asked — in this
+    /// order, because what a poll reads is what the machine is parked on
+    /// — when nothing has arrived and nothing is in flight, and before
+    /// the deadline is looked at.
+    pub(crate) fn poll(
+        &mut self,
+        cx: &mut OpCx,
+        now: SimNs,
+        actor: &Actor,
+        upstream_dead: impl FnOnce(&Inner) -> Option<Rank>,
+    ) -> Result<RecvPoll, RecvFail> {
+        let req = self
+            .req
+            .as_mut()
+            .expect("a taken receive is replaced before the next poll");
+        if let Some(result) = req.test(actor) {
+            self.req = None;
+            return Ok(RecvPoll::Ready(
+                result.expect("matched receive yields a payload"),
+            ));
+        }
+        if let Some(at) = req.known_completion() {
+            // Matched, in flight: the arrival instant is committed (even
+            // past a deadline — retrying a message the fabric already
+            // delivered would duplicate it).
+            return Ok(RecvPoll::Pending(Some(at.max(now + 1))));
+        }
+        if let Some(rank) = upstream_dead(&cx.inner) {
+            // Nothing in flight and the source is gone: abort now
+            // instead of waiting out the chunk patience (ULFM lets a
+            // failed peer fail pending communication).
+            cx.proc_failure(rank, now);
+            return Err(RecvFail::PeerDead(rank));
+        }
+        match self.deadline {
+            Some((at, patience)) if now >= at => {
+                cx.inner.with_stats(|s| s.note_failure());
+                Err(RecvFail::TimedOut(patience))
+            }
+            Some((at, _)) => Ok(RecvPoll::Pending(Some(at))),
+            None => Ok(RecvPoll::Pending(None)),
+        }
+    }
+}
+
+impl Drop for ChunkRecv {
+    /// Withdraw a receive nobody will take. (`Request::cancel` hands an
+    /// already matched, not yet visible message back to the inbox.)
+    fn drop(&mut self) {
+        if let Some(req) = self.req.take() {
+            req.cancel();
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Stage primitive: one hop across PCIe or through a pack kernel
+// ----------------------------------------------------------------------
+
+/// `[start, end)` of a reservation on a link timeline.
+pub(crate) type Span = (SimNs, SimNs);
+
+/// A staging hop between device memory and the pinned host image the
+/// wire reads and writes: across PCIe, or through an on-device pack /
+/// unpack kernel.
+#[derive(Clone, Copy)]
+pub(crate) enum Hop {
+    D2h,
+    H2d,
+    Pack,
+    Unpack,
+}
+
+impl Hop {
+    fn name(self) -> &'static str {
+        match self {
+            Hop::D2h => "d2h",
+            Hop::H2d => "h2d",
+            Hop::Pack => "pack",
+            Hop::Unpack => "unpack",
+        }
+    }
+
+    fn cat(self) -> &'static str {
+        match self {
+            Hop::D2h => "stage.d2h",
+            Hop::H2d => "stage.h2d",
+            Hop::Pack => "stage.pack",
+            Hop::Unpack => "stage.unpack",
+        }
+    }
+
+    /// Reserve `cost` ns of the hop's timeline on `device`, no earlier
+    /// than `earliest`. Links are FIFO busy-until timelines: *when* a
+    /// body reserves is part of the model.
+    pub(crate) fn reserve(self, device: &Device, cost: SimNs, earliest: SimNs) -> Span {
+        let link = match self {
+            Hop::D2h => device.d2h_link(),
+            Hop::H2d => device.h2d_link(),
+            // The pack engine's own timeline: pack and unpack kernels
+            // serialize with each other, not with the app's kernels.
+            Hop::Pack | Hop::Unpack => device.pack_link(),
+        };
+        let r = link.reserve_duration(cost, earliest);
+        (r.start, r.end)
+    }
+
+    /// Record the hop's `stage.*` child span on the `dev` track — and,
+    /// with `lane`, first its span on the `r{N}.comm` lane (only the
+    /// two-sided device transfers have one; it feeds `OverlapReport`).
+    /// Child ids are allocated by call order, so *when* a body records is
+    /// part of the trace.
+    pub(crate) fn record(self, cx: &mut OpCx, span: Span, bytes: usize, lane: bool) {
+        if lane {
+            let lane = format!("r{}.comm", cx.inner.comm.rank());
+            cx.inner.trace.record(lane, self.name(), span.0, span.1);
+        }
+        cx.child(
+            "dev",
+            self.name().into(),
+            self.cat(),
+            span,
+            bytes as u64,
+            true,
+        );
+    }
+
+    /// Reserve a staged copy of `bytes` bytes and record it at once.
+    pub(crate) fn stage(
+        self,
+        cx: &mut OpCx,
+        device: &Device,
+        bytes: usize,
+        earliest: SimNs,
+    ) -> Span {
+        let cost = device.spec().pcie.staged_ns(bytes, true);
+        let span = self.reserve(device, cost, earliest);
+        self.record(cx, span, bytes, false);
+        span
+    }
+}
+
+// ----------------------------------------------------------------------
+// Device-buffer transfer bodies (enqueue_send/recv_buffer, gpu-aware)
+// ----------------------------------------------------------------------
+
+/// A derived-datatype lowering attached to a transfer body: the
+/// committed type map plus the pack canonicalization mode (the TEMPI
+/// axis). When present, `offset`/`size` on the body describe the *region
+/// base* and the *packed wire size*; the type map routes bytes between
+/// the strided device region and the contiguous wire chunks.
+pub(crate) struct Lowering {
+    pub(crate) ty: CommittedType,
+    pub(crate) mode: PackMode,
+}
+
+impl Lowering {
+    /// Cost of gathering/scattering the packed range `[lo, hi)` across
+    /// PCIe segment-by-segment (the host-pack baseline): every type-map
+    /// segment pays the full staged latency, which is exactly why real
+    /// MPI implementations lose to device-side packing on strided types.
+    fn host_staged_ns(&self, pcie: &minicl::PcieModel, lo: usize, hi: usize) -> SimNs {
+        self.ty
+            .segments_for_packed_range(lo, hi)
+            .iter()
+            .map(|&(_, len)| pcie.staged_ns(len, true))
+            .sum()
+    }
+
+    /// Gather the packed range `[lo, hi)` out of the device buffer (the
+    /// simulated pack kernel's data movement; timing is charged
+    /// separately on the relevant resource timeline).
+    fn gather(&self, buf: &Buffer, offset: usize, lo: usize, hi: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(hi - lo);
-        for (soff, slen) in ty.segments_for_packed_range(lo, hi) {
+        for (soff, slen) in self.ty.segments_for_packed_range(lo, hi) {
             out.extend_from_slice(
                 &buf.load(offset + soff, slen)
                     .expect("range checked at enqueue"),
@@ -787,849 +1194,390 @@ impl SendOp {
         out
     }
 
-    fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        if let Some(slot) = &self.result {
-            slot.with(|s| *s = Some(outcome.clone()));
+    /// Scatter an arrived packed chunk (packed offset `lo`) into the
+    /// strided destination region through the type map.
+    fn scatter(&self, buf: &Buffer, offset: usize, lo: usize, data: &[u8]) {
+        let mut pos = 0usize;
+        for (soff, slen) in self.ty.segments_for_packed_range(lo, lo + data.len()) {
+            buf.store(offset + soff, &data[pos..pos + slen])
+                .expect("range checked at enqueue");
+            pos += slen;
         }
-        let ok = outcome.is_ok();
-        // A transfer-level failure is a completed (failed) probe: report
-        // it so the adaptive tuner retires the strategy instead of
-        // starving on it. A poisoned wait list says nothing about the
-        // strategy, so it is not reported.
-        if !ok && !matches!(outcome, Err(ClError::EventFailed { .. })) {
-            if let Some(sel) = self.inner.adaptive.lock().as_ref() {
-                sel.observe_failure(self.size, self.strategy);
+    }
+}
+
+/// `clEnqueueSendBuffer`: chunked device→host staging and reliable
+/// network injection → completion at the last injection's end. Chunk
+/// k+1's staging is reserved only once chunk k is known delivered;
+/// retransmits re-inject from the host staging copy — the d2h stage (and
+/// any pack kernel) is not repeated.
+pub(crate) struct SendBody {
+    pub(crate) device: Device,
+    pub(crate) buf: Buffer,
+    pub(crate) offset: usize,
+    pub(crate) size: usize,
+    pub(crate) dst: Rank,
+    pub(crate) wire_tag: Tag,
+    pub(crate) strategy: TransferStrategy,
+    /// Derived-datatype lowering: `Some` routes every chunk through the
+    /// type map (and, for the device modes, through a pack kernel).
+    pub(crate) lowering: Option<Lowering>,
+    pub(crate) run: SendRun,
+}
+
+#[derive(Default)]
+pub(crate) struct SendRun {
+    /// The strategy's chunk plan (never empty), made at the gate instant.
+    chunks: Vec<(usize, usize)>,
+    next: usize,
+    queue: SendQueue,
+}
+
+impl SendBody {
+    /// Stage chunk `k` and queue its injection.
+    fn arm(&mut self, cx: &mut OpCx, k: usize) {
+        let (coff, clen) = self.run.chunks[k];
+        let pcie = self.device.spec().pcie;
+        let load = || {
+            self.buf
+                .load(self.offset + coff, clen)
+                .expect("range checked at enqueue")
+        };
+        // (payload, hops staged, wire-span start, injection earliest,
+        // duration override, wire-span name)
+        let (bytes, staged, start, earliest, duration, what) = match self.strategy {
+            TransferStrategy::Mapped => {
+                // Map the whole region once; the NIC streams straight
+                // through PCIe, fused with the injection — one span from
+                // the gate instant.
+                let stream = (clen as f64 * 1e9 / pcie.mapped_bps).round() as SimNs;
+                let fused = cx.inner.cfg.cluster.link.injection_ns(clen).max(stream);
+                let earliest = cx.t0 + pcie.map_setup_ns;
+                (
+                    load(),
+                    [None, None],
+                    cx.t0,
+                    earliest,
+                    Some(fused),
+                    "map+send",
+                )
             }
-        }
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.send",
-            format!("send→{}#{}", self.dst, self.user_tag),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            Some(self.dst),
-            Some(self.wire_tag),
+            TransferStrategy::Pinned | TransferStrategy::Pipelined(_) => {
+                // Staged path: chunks flow d2h (pinned staging) then
+                // network.
+                let from = cx.t0 + if k == 0 { pcie.pin_setup_ns } else { 0 };
+                let (bytes, staged, end) = match &self.lowering {
+                    None => {
+                        let cost = pcie.staged_ns(clen, true);
+                        let d2h = Hop::D2h.reserve(&self.device, cost, from);
+                        (load(), [Some((Hop::D2h, d2h)), None], d2h.1)
+                    }
+                    Some(l) if l.mode == PackMode::HostPack => {
+                        // Host-pack baseline: the type map is gathered
+                        // segment-by-segment across PCIe — every segment
+                        // pays the staged latency.
+                        let cost = l.host_staged_ns(&pcie, coff, coff + clen);
+                        let bytes = l.gather(&self.buf, self.offset, coff, coff + clen);
+                        let d2h = Hop::D2h.reserve(&self.device, cost, from);
+                        (bytes, [Some((Hop::D2h, d2h)), None], d2h.1)
+                    }
+                    Some(l) => {
+                        // An on-device pack kernel canonicalizes this
+                        // chunk's type-map slice into contiguous staging
+                        // memory (reads strided + writes packed = 2× the
+                        // bytes through device memory), then a single d2h
+                        // hop moves the packed bytes. Both are backdated
+                        // reservations, so chunk k's pack overlaps chunk
+                        // k−1's wire time without the body ever blocking.
+                        let cost = self.device.spec().membound_kernel_ns(2 * clen);
+                        let pack = Hop::Pack.reserve(&self.device, cost, from);
+                        let bytes = l.gather(&self.buf, self.offset, coff, coff + clen);
+                        let cost = pcie.staged_ns(clen, true);
+                        let d2h = Hop::D2h.reserve(&self.device, cost, pack.1);
+                        let staged = [Some((Hop::Pack, pack)), Some((Hop::D2h, d2h))];
+                        (bytes, staged, d2h.1)
+                    }
+                };
+                (bytes, staged, end, end, None, "net")
+            }
+            TransferStrategy::Auto | TransferStrategy::Rma => {
+                unreachable!("strategy resolved before dispatch; rma is one-sided")
+            }
+        };
+        let send = ReliableChunkSend::new(
+            &cx.inner,
+            self.dst,
+            self.wire_tag,
+            bytes,
+            earliest,
+            duration,
         );
-        self.inner
-            .note_settled(ok, if ok { self.size as u64 } else { 0 }, 0);
-        match outcome {
-            Ok(()) => self.ue.set_complete(at).expect("send event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("send event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("send event settled once"),
-        }
-        self.state = SendState::Done;
-        Step::Done
+        let name = format!("{what}→{}", self.dst);
+        self.run.queue.push_staged(send, start, name, staged);
     }
 }
 
-impl EngineOp for SendOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
+impl OpBody for SendBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
+        if self.run.chunks.is_empty() {
+            self.run.chunks = ResolvedStrategy::plan(self.strategy, self.size).chunks;
+        }
         loop {
-            match &mut self.state {
-                SendState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        // A failed dependency poisons this command, as
-                        // the queue executor does for ordinary commands.
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
+            match self.run.queue.drive(cx, now, actor) {
+                Err((at, e)) => {
+                    // A transfer-level failure is a completed (failed)
+                    // probe: report it so the adaptive tuner retires the
+                    // strategy instead of starving on it.
+                    if let Some(sel) = cx.inner.adaptive.lock().as_ref() {
+                        sel.observe_failure(self.size, self.strategy);
                     }
-                    WaitListStatus::Ready => {
-                        let plan = ResolvedStrategy::plan(self.strategy, self.size);
-                        self.state = SendState::Transfer(Box::new(SendTransfer {
-                            t0: now,
-                            chunks: plan.chunks,
-                            next_chunk: 0,
-                            first: true,
-                            current: None,
-                            done_at: now,
-                        }));
-                    }
-                },
-                SendState::Transfer(tr) => {
-                    if tr.current.is_none()
-                        && tr.first
-                        && tr.next_chunk >= tr.chunks.len()
-                        && !matches!(self.strategy, TransferStrategy::Mapped)
-                    {
-                        // Zero-byte staged send: nothing to inject.
-                        let (t0, done_at) = (tr.t0, tr.done_at);
-                        if let Some(stats) = self.inner.stats.lock().as_ref() {
-                            stats.record(
-                                "send",
-                                &self.strategy.name(),
-                                self.size,
-                                done_at.saturating_sub(t0),
-                            );
-                        }
-                        if let Some(sel) = self.inner.adaptive.lock().as_ref() {
-                            sel.observe(self.size, self.strategy, done_at.saturating_sub(t0));
-                        }
-                        self.state = SendState::Finish { done_at };
-                        continue;
-                    }
-                    if tr.current.is_none() {
-                        let pcie = self.device.spec().pcie;
-                        let (chunk, spans) = match self.strategy {
-                            TransferStrategy::Mapped => {
-                                // Map the whole region once; the NIC
-                                // streams straight through PCIe, fused
-                                // with the injection.
-                                let bytes = self
-                                    .buf
-                                    .load(self.offset, self.size)
-                                    .expect("range checked at enqueue");
-                                let stream =
-                                    (self.size as f64 * 1e9 / pcie.mapped_bps).round() as SimNs;
-                                let fused = self
-                                    .inner
-                                    .cfg
-                                    .cluster
-                                    .link
-                                    .injection_ns(self.size)
-                                    .max(stream);
-                                tr.next_chunk = tr.chunks.len(); // single fused transfer
-                                (
-                                    ReliableChunkSend::new(
-                                        &self.inner,
-                                        self.dst,
-                                        self.wire_tag,
-                                        bytes,
-                                        tr.t0 + pcie.map_setup_ns,
-                                        Some(fused),
-                                    ),
-                                    ChunkTrace::Mapped { t0: tr.t0 },
-                                )
-                            }
-                            TransferStrategy::Pinned | TransferStrategy::Pipelined(_) => {
-                                // Staged path: chunks flow d2h (pinned
-                                // staging) then network. Retransmits
-                                // re-inject from the host staging copy —
-                                // the d2h stage (and any pack kernel) is
-                                // not repeated.
-                                let (coff, clen) = tr.chunks[tr.next_chunk];
-                                tr.next_chunk += 1;
-                                let earliest = if tr.first {
-                                    tr.t0 + pcie.pin_setup_ns
-                                } else {
-                                    tr.t0
-                                };
-                                tr.first = false;
-                                match &self.lowering {
-                                    None => {
-                                        let bytes = self
-                                            .buf
-                                            .load(self.offset + coff, clen)
-                                            .expect("range checked at enqueue");
-                                        let d2h = self
-                                            .device
-                                            .d2h_link()
-                                            .reserve_duration(pcie.staged_ns(clen, true), earliest);
-                                        (
-                                            ReliableChunkSend::new(
-                                                &self.inner,
-                                                self.dst,
-                                                self.wire_tag,
-                                                bytes,
-                                                d2h.end,
-                                                None,
-                                            ),
-                                            ChunkTrace::Staged {
-                                                d2h: (d2h.start, d2h.end),
-                                            },
-                                        )
-                                    }
-                                    Some(l) if l.mode == PackMode::HostPack => {
-                                        // Host-pack baseline: the type
-                                        // map is gathered segment-by-
-                                        // segment across PCIe — every
-                                        // segment pays the staged
-                                        // latency.
-                                        let cost = l.host_staged_ns(&pcie, coff, coff + clen);
-                                        let bytes = Self::gather_packed(
-                                            &self.buf,
-                                            self.offset,
-                                            &l.ty,
-                                            coff,
-                                            coff + clen,
-                                        );
-                                        let d2h =
-                                            self.device.d2h_link().reserve_duration(cost, earliest);
-                                        (
-                                            ReliableChunkSend::new(
-                                                &self.inner,
-                                                self.dst,
-                                                self.wire_tag,
-                                                bytes,
-                                                d2h.end,
-                                                None,
-                                            ),
-                                            ChunkTrace::Staged {
-                                                d2h: (d2h.start, d2h.end),
-                                            },
-                                        )
-                                    }
-                                    Some(_) => {
-                                        // PackStage: an on-device pack
-                                        // kernel canonicalizes this
-                                        // chunk's type-map slice into
-                                        // contiguous staging memory
-                                        // (reads strided + writes packed
-                                        // = 2× the bytes through device
-                                        // memory), then a single d2h hop
-                                        // moves the packed bytes. Both
-                                        // are backdated reservations, so
-                                        // chunk k's pack overlaps chunk
-                                        // k−1's wire time.
-                                        let spec = self.device.spec();
-                                        let pack = self.device.pack_link().reserve_duration(
-                                            spec.membound_kernel_ns(2 * clen),
-                                            earliest,
-                                        );
-                                        let l = self.lowering.as_ref().expect("lowered op");
-                                        let bytes = Self::gather_packed(
-                                            &self.buf,
-                                            self.offset,
-                                            &l.ty,
-                                            coff,
-                                            coff + clen,
-                                        );
-                                        let d2h = self
-                                            .device
-                                            .d2h_link()
-                                            .reserve_duration(pcie.staged_ns(clen, true), pack.end);
-                                        (
-                                            ReliableChunkSend::new(
-                                                &self.inner,
-                                                self.dst,
-                                                self.wire_tag,
-                                                bytes,
-                                                d2h.end,
-                                                None,
-                                            ),
-                                            ChunkTrace::Packed {
-                                                pack: (pack.start, pack.end),
-                                                d2h: (d2h.start, d2h.end),
-                                            },
-                                        )
-                                    }
-                                }
-                            }
-                            TransferStrategy::Auto | TransferStrategy::Rma => {
-                                unreachable!("strategy resolved before dispatch; rma is one-sided")
-                            }
-                        };
-                        tr.current = Some((chunk, spans));
-                    }
-                    let (chunk, _) = tr.current.as_mut().expect("chunk armed above");
-                    match chunk.step(&self.inner, &mut self.ids, now, actor) {
-                        ChunkStep::Progressed => continue,
-                        ChunkStep::Park(t) => return Step::Park(Some(t)),
-                        ChunkStep::Failed(at) => {
-                            let (chunk, _) = tr.current.take().expect("chunk present");
-                            return self.settle(Err(chunk.exhaustion_error()), at);
-                        }
-                        ChunkStep::Sent(done) => {
-                            let lane = format!("r{}.comm", self.inner.comm.rank());
-                            let (chunk, spans) = tr.current.take().expect("chunk present");
-                            let clen = chunk.bytes.len() as u64;
-                            match spans {
-                                ChunkTrace::Mapped { t0 } => {
-                                    self.inner.trace.record(
-                                        lane.as_str(),
-                                        format!("map+send→{}", self.dst),
-                                        t0,
-                                        done,
-                                    );
-                                    record_child(
-                                        &self.inner,
-                                        &mut self.ids,
-                                        "net",
-                                        format!("map+send→{}", self.dst),
-                                        "chunk",
-                                        t0,
-                                        done,
-                                        clen,
-                                        true,
-                                    );
-                                }
-                                ChunkTrace::Staged { d2h } => {
-                                    self.inner.trace.record(lane.as_str(), "d2h", d2h.0, d2h.1);
-                                    self.inner.trace.record(
-                                        lane.as_str(),
-                                        format!("net→{}", self.dst),
-                                        d2h.1,
-                                        done,
-                                    );
-                                    record_child(
-                                        &self.inner,
-                                        &mut self.ids,
-                                        "dev",
-                                        "d2h".into(),
-                                        "stage.d2h",
-                                        d2h.0,
-                                        d2h.1,
-                                        clen,
-                                        true,
-                                    );
-                                    record_child(
-                                        &self.inner,
-                                        &mut self.ids,
-                                        "net",
-                                        format!("net→{}", self.dst),
-                                        "chunk",
-                                        d2h.1,
-                                        done,
-                                        clen,
-                                        true,
-                                    );
-                                }
-                                ChunkTrace::Packed { pack, d2h } => {
-                                    self.inner
-                                        .trace
-                                        .record(lane.as_str(), "pack", pack.0, pack.1);
-                                    self.inner.trace.record(lane.as_str(), "d2h", d2h.0, d2h.1);
-                                    self.inner.trace.record(
-                                        lane.as_str(),
-                                        format!("net→{}", self.dst),
-                                        d2h.1,
-                                        done,
-                                    );
-                                    record_child(
-                                        &self.inner,
-                                        &mut self.ids,
-                                        "dev",
-                                        "pack".into(),
-                                        "stage.pack",
-                                        pack.0,
-                                        pack.1,
-                                        clen,
-                                        true,
-                                    );
-                                    record_child(
-                                        &self.inner,
-                                        &mut self.ids,
-                                        "dev",
-                                        "d2h".into(),
-                                        "stage.d2h",
-                                        d2h.0,
-                                        d2h.1,
-                                        clen,
-                                        true,
-                                    );
-                                    record_child(
-                                        &self.inner,
-                                        &mut self.ids,
-                                        "net",
-                                        format!("net→{}", self.dst),
-                                        "chunk",
-                                        d2h.1,
-                                        done,
-                                        clen,
-                                        true,
-                                    );
-                                }
-                            }
-                            tr.done_at = done;
-                            if tr.next_chunk < tr.chunks.len() {
-                                continue; // arm the next chunk at this instant
-                            }
-                            let (t0, done_at) = (tr.t0, tr.done_at);
-                            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                                stats.record(
-                                    "send",
-                                    &self.strategy.name(),
-                                    self.size,
-                                    done_at.saturating_sub(t0),
-                                );
-                            }
-                            if let Some(sel) = self.inner.adaptive.lock().as_ref() {
-                                sel.observe(self.size, self.strategy, done_at.saturating_sub(t0));
-                            }
-                            self.state = SendState::Finish { done_at };
-                        }
-                    }
+                    return Advance::Failed(e, at);
                 }
-                SendState::Finish { done_at } => {
-                    let done_at = *done_at;
-                    if now >= done_at {
-                        return self.settle(Ok(()), done_at);
-                    }
-                    return Step::Park(Some(done_at));
+                Ok(Some(t)) => return Advance::Park(Some(t)),
+                Ok(None) if self.run.next == self.run.chunks.len() => break,
+                // The previous chunk is delivered: arm the next one at
+                // this instant.
+                Ok(None) => {
+                    self.arm(cx, self.run.next);
+                    self.run.next += 1;
                 }
-                SendState::Done => return Step::Done,
             }
         }
+        let done_at = self.run.queue.done_at.max(cx.t0);
+        let dur = done_at - cx.t0;
+        cx.inner
+            .with_stats(|s| s.record("send", &self.strategy.name(), self.size, dur));
+        if let Some(sel) = cx.inner.adaptive.lock().as_ref() {
+            sel.observe(self.size, self.strategy, dur);
+        }
+        Advance::Done(done_at)
     }
 }
 
-/// `clEnqueueRecvBuffer` as a state machine: wait list → staging setup →
-/// per-chunk matched receive (with the retry policy's patience under a
-/// fault plan) → host→device staging → completion with the data in
-/// device memory.
-pub(crate) struct RecvOp {
-    inner: Arc<Inner>,
-    device: Device,
-    buf: Buffer,
-    offset: usize,
-    size: usize,
-    src: Rank,
-    user_tag: Tag,
-    wire_tag: Tag,
-    strategy: TransferStrategy,
+/// `clEnqueueRecvBuffer`: staging setup → per-chunk matched receive →
+/// host→device staging (and unpack) → completion with the data in
+/// device memory. Chunk k+1's receive is posted only after chunk k's
+/// staging ends.
+pub(crate) struct RecvBody {
+    pub(crate) device: Device,
+    pub(crate) buf: Buffer,
+    pub(crate) offset: usize,
+    pub(crate) size: usize,
+    pub(crate) src: Rank,
+    pub(crate) wire_tag: Tag,
+    pub(crate) strategy: TransferStrategy,
     /// Derived-datatype lowering: `Some` scatters every arrived chunk
     /// through the type map (and, for the device modes, through an
     /// unpack kernel first).
-    lowering: Option<Lowering>,
-    wait: Vec<Event>,
-    ue: UserEvent,
-    result: Option<ResultSlot>,
-    label: String,
-    ids: ChildIds,
-    submit_ns: SimNs,
+    pub(crate) lowering: Option<Lowering>,
+    pub(crate) run: RecvRun,
+}
+
+#[derive(Default)]
+pub(crate) struct RecvRun {
     received: usize,
-    recv_t0: SimNs,
     state: RecvState,
 }
 
+#[derive(Default)]
 enum RecvState {
-    WaitDeps,
+    #[default]
+    Start,
     /// One-time staging setup cost, paid up front (it overlaps the wait
     /// for the first chunk, which it precedes).
     Setup {
         resume_at: SimNs,
     },
-    /// A posted matched-receive; `deadline` is the per-chunk patience
-    /// under a fault plan (never set on a perfect fabric, keeping the
-    /// zero-fault path exactly the seed's).
-    AwaitChunk {
-        req: Request,
-        deadline: Option<(SimNs, SimNs)>, // (expiry instant, patience)
-    },
-    /// Staged path: the chunk is crossing PCIe until `end`.
+    Await(ChunkRecv),
+    /// Staged path: the chunk is crossing PCIe.
     Stage {
         data: Vec<u8>,
-        start: SimNs,
-        end: SimNs,
+        span: Span,
     },
     /// Device-unpack lowering: the packed chunk landed in device staging
     /// memory at the end of its h2d hop; an unpack kernel scatters it
-    /// through the type map until `end` (reserved on the compute
-    /// timeline, so it serializes with the app's own kernels).
-    UnpackStage {
+    /// through the type map (reserved on the pack timeline, so it
+    /// serializes with the other pack kernels).
+    Unpack {
         data: Vec<u8>,
-        start: SimNs,
-        end: SimNs,
+        span: Span,
     },
     /// Mapped path: the post-transfer unmap cost.
     Unmap {
         resume_at: SimNs,
     },
-    Done,
 }
 
-impl RecvOp {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        inner: Arc<Inner>,
-        device: Device,
-        buf: Buffer,
-        offset: usize,
-        size: usize,
-        src: Rank,
-        user_tag: Tag,
-        wire_tag: Tag,
-        strategy: TransferStrategy,
-        lowering: Option<Lowering>,
-        wait: Vec<Event>,
-        ue: UserEvent,
-        result: Option<ResultSlot>,
-        ids: ChildIds,
-        submit_ns: SimNs,
-    ) -> Self {
-        let label = format!("clmpi-recv-r{}-t{user_tag}", inner.comm.rank());
-        RecvOp {
-            inner,
-            device,
-            buf,
-            offset,
-            size,
-            src,
-            user_tag,
-            wire_tag,
-            strategy,
-            lowering,
-            wait,
-            ue,
-            result,
-            label,
-            ids,
-            submit_ns,
-            received: 0,
-            recv_t0: 0,
-            state: RecvState::WaitDeps,
+impl RecvBody {
+    /// As on the send side: a transfer failure (receiver timeout,
+    /// overflow) retires the probed strategy.
+    fn fail(&self, cx: &OpCx, e: ClError, at: SimNs) -> Advance {
+        if let Some(sel) = cx.inner.adaptive.lock().as_ref() {
+            sel.observe_failure(self.size, self.strategy);
         }
+        Advance::Failed(e, at)
     }
 
-    /// Scatter an arrived packed chunk (packed offset `lo`) into the
-    /// strided destination region through the type map.
-    fn scatter_packed(&self, lo: usize, data: &[u8]) {
-        let l = self.lowering.as_ref().expect("lowered op");
-        let mut pos = 0usize;
-        for (soff, slen) in l.ty.segments_for_packed_range(lo, lo + data.len()) {
-            self.buf
-                .store(self.offset + soff, &data[pos..pos + slen])
-                .expect("range checked at enqueue");
-            pos += slen;
-        }
-    }
-
-    fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        if let Some(slot) = &self.result {
-            slot.with(|s| *s = Some(outcome.clone()));
-        }
-        let ok = outcome.is_ok();
-        // As on the send side: a transfer failure (receiver timeout,
-        // overflow) retires the probed strategy; a poisoned wait list
-        // does not.
-        if !ok && !matches!(outcome, Err(ClError::EventFailed { .. })) {
-            if let Some(sel) = self.inner.adaptive.lock().as_ref() {
-                sel.observe_failure(self.size, self.strategy);
-            }
-        }
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.recv",
-            format!("recv←{}#{}", self.src, self.user_tag),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            Some(self.src),
-            Some(self.wire_tag),
-        );
-        self.inner
-            .note_settled(ok, 0, if ok { self.size as u64 } else { 0 });
-        match outcome {
-            Ok(()) => self.ue.set_complete(at).expect("recv event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("recv event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("recv event settled once"),
-        }
-        self.state = RecvState::Done;
-        Step::Done
-    }
-
-    /// Post the matched receive for the next wire chunk. On a perfect
-    /// fabric the machine waits indefinitely (the seed's blocking-recv
-    /// semantics); under a fault plan it applies the policy's per-chunk
-    /// patience, read per chunk as the old path did.
-    fn post_chunk(&mut self, now: SimNs, actor: &Actor) {
-        let req = self
-            .inner
-            .comm
-            .irecv(actor, Some(self.src), Some(self.wire_tag));
-        let deadline = self.inner.comm.world().has_faults().then(|| {
-            let patience = self.inner.retry.lock().chunk_timeout_ns;
-            (now + patience, patience)
-        });
-        self.state = RecvState::AwaitChunk { req, deadline };
-    }
-
-    /// Store a fully arrived-and-staged chunk, then either post the next
-    /// receive or finish the command.
-    fn chunk_done(&mut self, len: usize, now: SimNs, actor: &Actor) -> Option<Step> {
-        self.received += len;
-        if self.received < self.size {
-            self.post_chunk(now, actor);
+    /// A chunk of `len` bytes is in device memory: post the next receive,
+    /// or finish the command.
+    fn chunk_done(&mut self, cx: &OpCx, len: usize, now: SimNs, actor: &Actor) -> Option<Advance> {
+        self.run.received += len;
+        if self.run.received < self.size {
+            let recv = ChunkRecv::post(&cx.inner, actor, Some(self.src), self.wire_tag, now);
+            self.run.state = RecvState::Await(recv);
             return None;
         }
         if self.strategy == TransferStrategy::Mapped {
             // Unmap after the MPI transfer completes (map → MPI → unmap,
             // the paper's mapped implementation).
-            let pcie = self.device.spec().pcie;
-            self.state = RecvState::Unmap {
-                resume_at: now + pcie.map_setup_ns,
-            };
+            let resume_at = now + self.device.spec().pcie.map_setup_ns;
+            self.run.state = RecvState::Unmap { resume_at };
             return None;
         }
-        Some(self.finish(now))
+        Some(self.finish(cx, now))
     }
 
-    fn finish(&mut self, now: SimNs) -> Step {
-        if let Some(stats) = self.inner.stats.lock().as_ref() {
-            stats.record(
-                "recv",
-                &self.strategy.name(),
-                self.size,
-                now.saturating_sub(self.recv_t0),
-            );
+    fn finish(&self, cx: &OpCx, now: SimNs) -> Advance {
+        let dur = now.saturating_sub(cx.t0);
+        cx.inner
+            .with_stats(|s| s.record("recv", &self.strategy.name(), self.size, dur));
+        if let Some(sel) = cx.inner.adaptive.lock().as_ref() {
+            sel.observe(self.size, self.strategy, dur);
         }
-        if let Some(sel) = self.inner.adaptive.lock().as_ref() {
-            sel.observe(self.size, self.strategy, now.saturating_sub(self.recv_t0));
-        }
-        self.settle(Ok(()), now)
+        Advance::Done(now)
     }
 }
 
-impl EngineOp for RecvOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
+impl OpBody for RecvBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
+        let pcie = self.device.spec().pcie;
         loop {
-            match &mut self.state {
-                RecvState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => {
-                        self.recv_t0 = now;
-                        let pcie = self.device.spec().pcie;
-                        let setup = match self.strategy {
-                            TransferStrategy::Mapped => pcie.map_setup_ns,
-                            TransferStrategy::Pinned | TransferStrategy::Pipelined(_) => {
-                                pcie.pin_setup_ns
-                            }
-                            TransferStrategy::Auto | TransferStrategy::Rma => {
-                                unreachable!("strategy resolved before dispatch; rma is one-sided")
-                            }
-                        };
-                        self.state = RecvState::Setup {
-                            resume_at: now + setup,
-                        };
-                    }
-                },
-                RecvState::Setup { resume_at } => {
-                    let resume_at = *resume_at;
-                    if now < resume_at {
-                        return Step::Park(Some(resume_at));
-                    }
-                    // `chunk_done(0)` posts the first receive, or — for a
-                    // zero-byte transfer — goes straight to completion.
-                    if let Some(step) = self.chunk_done(0, now, actor) {
-                        return step;
-                    }
-                }
-                RecvState::AwaitChunk { req, deadline } => {
-                    let deadline = *deadline;
-                    if let Some(result) = req.test(actor) {
-                        let r = result.expect("matched receive yields a payload");
-                        if self.received + r.data.len() > self.size {
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "clMPI transfer overflow: got {} bytes into a {}-byte receive",
-                                    self.received + r.data.len(),
-                                    self.size
-                                ))),
-                                now,
-                            );
+            match &mut self.run.state {
+                RecvState::Start => {
+                    let setup = match self.strategy {
+                        TransferStrategy::Mapped => pcie.map_setup_ns,
+                        TransferStrategy::Pinned | TransferStrategy::Pipelined(_) => {
+                            pcie.pin_setup_ns
                         }
-                        match self.strategy {
-                            TransferStrategy::Mapped => {
-                                // Zero-copy: the NIC already wrote through
-                                // PCIe during the sender-fused stream; the
-                                // data is usable at arrival.
-                                self.buf
-                                    .store(self.offset + self.received, &r.data)
-                                    .expect("range checked at enqueue");
-                                if let Some(step) = self.chunk_done(r.data.len(), now, actor) {
-                                    return step;
-                                }
-                            }
-                            TransferStrategy::Pinned | TransferStrategy::Pipelined(_) => {
-                                let pcie = self.device.spec().pcie;
-                                // Host-unpack baseline: the chunk's
-                                // type-map segments are scattered one by
-                                // one across PCIe, each paying the
-                                // staged latency. Every other path moves
-                                // the packed bytes in one hop.
-                                let cost = match &self.lowering {
-                                    Some(l) if l.mode == PackMode::HostPack => l.host_staged_ns(
-                                        &pcie,
-                                        self.received,
-                                        self.received + r.data.len(),
-                                    ),
-                                    _ => pcie.staged_ns(r.data.len(), true),
-                                };
-                                let h2d = self.device.h2d_link().reserve_duration(cost, now);
-                                self.state = RecvState::Stage {
-                                    data: r.data,
-                                    start: h2d.start,
-                                    end: h2d.end,
-                                };
-                            }
-                            TransferStrategy::Auto | TransferStrategy::Rma => unreachable!(),
+                        TransferStrategy::Auto | TransferStrategy::Rma => {
+                            unreachable!("strategy resolved before dispatch; rma is one-sided")
                         }
-                    } else if let Some(at) = req.known_completion() {
-                        // Matched, in flight: the arrival instant is
-                        // committed (even past a deadline — retrying a
-                        // message the fabric already delivered would
-                        // duplicate it).
-                        return Step::Park(Some(at.max(now + 1)));
-                    } else if self.inner.peer_failed(self.src, now) {
-                        // The source process is dead and nothing is in
-                        // flight: no chunk can ever match. Abort now
-                        // instead of waiting out the chunk patience.
-                        let state = std::mem::replace(&mut self.state, RecvState::Done);
-                        if let RecvState::AwaitChunk { req, .. } = state {
-                            req.cancel();
-                        }
-                        if let Some(stats) = self.inner.stats.lock().as_ref() {
-                            stats.note_proc_failure();
-                        }
-                        record_failure(&self.inner, &mut self.ids, self.src, now);
-                        return self.settle(
-                            Err(ClError::TransferFailed(format!(
-                                "receive from rank {} (tag {}): {}",
-                                self.src,
-                                self.wire_tag,
-                                MpiError::ProcFailed { rank: self.src }
-                            ))),
-                            now,
-                        );
-                    } else if let Some((at, patience)) = deadline {
-                        if now >= at {
-                            let state = std::mem::replace(&mut self.state, RecvState::Done);
-                            if let RecvState::AwaitChunk { req, .. } = state {
-                                req.cancel();
-                            }
-                            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                                stats.note_failure();
-                            }
-                            let e = MpiError::Timeout {
-                                waited_ns: patience,
-                            };
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "receive from rank {} (tag {}) gave up: {e}",
-                                    self.src, self.wire_tag
-                                ))),
-                                now,
-                            );
-                        }
-                        return Step::Park(Some(at));
-                    } else {
-                        return Step::Park(None);
-                    }
-                }
-                RecvState::Stage { end, .. } => {
-                    let end = *end;
-                    if now < end {
-                        return Step::Park(Some(end));
-                    }
-                    let state = std::mem::replace(&mut self.state, RecvState::Done);
-                    let RecvState::Stage { data, start, end } = state else {
-                        unreachable!("matched above")
                     };
-                    let lane = format!("r{}.comm", self.inner.comm.rank());
-                    self.inner.trace.record(lane.as_str(), "h2d", start, end);
-                    record_child(
-                        &self.inner,
-                        &mut self.ids,
-                        "dev",
-                        "h2d".into(),
-                        "stage.h2d",
-                        start,
-                        end,
-                        data.len() as u64,
-                        true,
-                    );
-                    match &self.lowering {
-                        None => {
-                            self.buf
-                                .store(self.offset + self.received, &data)
-                                .expect("range checked at enqueue");
+                    self.run.state = RecvState::Setup {
+                        resume_at: now + setup,
+                    };
+                }
+                &mut RecvState::Setup { resume_at } => {
+                    if now < resume_at {
+                        return Advance::Park(Some(resume_at));
+                    }
+                    // Posts the first receive, or — for a zero-byte
+                    // transfer — goes straight to completion.
+                    if let Some(done) = self.chunk_done(cx, 0, now, actor) {
+                        return done;
+                    }
+                }
+                &mut RecvState::Unmap { resume_at } => {
+                    if now < resume_at {
+                        return Advance::Park(Some(resume_at));
+                    }
+                    return self.finish(cx, now);
+                }
+                RecvState::Await(recv) => {
+                    let src = self.src;
+                    let dead = |inner: &Inner| inner.peer_failed(src, now).then_some(src);
+                    let data = match recv.poll(cx, now, actor, dead) {
+                        Ok(RecvPoll::Ready(r)) => r.data,
+                        Ok(RecvPoll::Pending(hint)) => return Advance::Park(hint),
+                        Err(f) => {
+                            let what = format!("receive from rank {src} (tag {})", self.wire_tag);
+                            return self.fail(cx, f.into_error(&what), now);
                         }
+                    };
+                    let upto = self.run.received + data.len();
+                    if upto > self.size {
+                        let e = ClError::TransferFailed(format!(
+                            "clMPI transfer overflow: got {upto} bytes into a {}-byte receive",
+                            self.size
+                        ));
+                        return self.fail(cx, e, now);
+                    }
+                    if self.strategy == TransferStrategy::Mapped {
+                        // Zero-copy: the NIC already wrote through PCIe
+                        // during the sender-fused stream; the data is
+                        // usable at arrival.
+                        self.buf
+                            .store(self.offset + self.run.received, &data)
+                            .expect("range checked at enqueue");
+                        if let Some(done) = self.chunk_done(cx, data.len(), now, actor) {
+                            return done;
+                        }
+                        continue;
+                    }
+                    // Host-unpack baseline: the chunk's type-map segments
+                    // are scattered one by one across PCIe, each paying
+                    // the staged latency. Every other path moves the
+                    // packed bytes in one hop.
+                    let cost = match &self.lowering {
                         Some(l) if l.mode == PackMode::HostPack => {
-                            // The host already scattered segment-by-
-                            // segment during the h2d hop.
-                            self.scatter_packed(self.received, &data);
+                            l.host_staged_ns(&pcie, self.run.received, upto)
+                        }
+                        _ => pcie.staged_ns(data.len(), true),
+                    };
+                    let span = Hop::H2d.reserve(&self.device, cost, now);
+                    self.run.state = RecvState::Stage { data, span };
+                }
+                RecvState::Stage { data, span } => {
+                    if now < span.1 {
+                        return Advance::Park(Some(span.1));
+                    }
+                    let (data, span) = (std::mem::take(data), *span);
+                    Hop::H2d.record(cx, span, data.len(), true);
+                    match &self.lowering {
+                        None => self
+                            .buf
+                            .store(self.offset + self.run.received, &data)
+                            .expect("range checked at enqueue"),
+                        // The host already scattered segment-by-segment
+                        // during the h2d hop.
+                        Some(l) if l.mode == PackMode::HostPack => {
+                            l.scatter(&self.buf, self.offset, self.run.received, &data)
                         }
                         Some(_) => {
-                            // UnpackStage: the packed chunk landed in
-                            // device staging memory; an unpack kernel
-                            // (2× the bytes through device memory)
-                            // scatters it through the type map.
-                            let spec = self.device.spec();
-                            let unpack = self
-                                .device
-                                .pack_link()
-                                .reserve_duration(spec.membound_kernel_ns(2 * data.len()), end);
-                            self.state = RecvState::UnpackStage {
-                                data,
-                                start: unpack.start,
-                                end: unpack.end,
-                            };
+                            // The packed chunk landed in device staging
+                            // memory; an unpack kernel (2× the bytes
+                            // through device memory) scatters it through
+                            // the type map.
+                            let cost = self.device.spec().membound_kernel_ns(2 * data.len());
+                            let span = Hop::Unpack.reserve(&self.device, cost, span.1);
+                            self.run.state = RecvState::Unpack { data, span };
                             continue;
                         }
                     }
-                    if let Some(step) = self.chunk_done(data.len(), now, actor) {
-                        return step;
+                    if let Some(done) = self.chunk_done(cx, data.len(), now, actor) {
+                        return done;
                     }
                 }
-                RecvState::UnpackStage { end, .. } => {
-                    let end = *end;
-                    if now < end {
-                        return Step::Park(Some(end));
+                RecvState::Unpack { data, span } => {
+                    if now < span.1 {
+                        return Advance::Park(Some(span.1));
                     }
-                    let state = std::mem::replace(&mut self.state, RecvState::Done);
-                    let RecvState::UnpackStage { data, start, end } = state else {
-                        unreachable!("matched above")
-                    };
-                    self.scatter_packed(self.received, &data);
-                    let lane = format!("r{}.comm", self.inner.comm.rank());
-                    self.inner.trace.record(lane.as_str(), "unpack", start, end);
-                    record_child(
-                        &self.inner,
-                        &mut self.ids,
-                        "dev",
-                        "unpack".into(),
-                        "stage.unpack",
-                        start,
-                        end,
-                        data.len() as u64,
-                        true,
-                    );
-                    if let Some(step) = self.chunk_done(data.len(), now, actor) {
-                        return step;
+                    let (data, span) = (std::mem::take(data), *span);
+                    if let Some(l) = &self.lowering {
+                        l.scatter(&self.buf, self.offset, self.run.received, &data);
+                    }
+                    Hop::Unpack.record(cx, span, data.len(), true);
+                    if let Some(done) = self.chunk_done(cx, data.len(), now, actor) {
+                        return done;
                     }
                 }
-                RecvState::Unmap { resume_at } => {
-                    let resume_at = *resume_at;
-                    if now < resume_at {
-                        return Step::Park(Some(resume_at));
-                    }
-                    return self.finish(now);
-                }
-                RecvState::Done => return Step::Done,
             }
         }
     }
 }
 
 // ----------------------------------------------------------------------
-// Host-buffer MPI_CL_MEM machines (isend_cl / irecv_cl) and
+// Host-buffer MPI_CL_MEM operations (isend_cl / irecv_cl) and
 // clCreateEventFromMPIRequest
 // ----------------------------------------------------------------------
 
@@ -1638,135 +1586,69 @@ impl EngineOp for RecvOp {
 pub(crate) type SendSlot = Arc<Monitor<Option<ClResult<SimNs>>>>;
 
 /// `MPI_Isend` on `MPI_CL_MEM` (`isend_cl`): the payload chunks are
-/// injected reliably from the submission instant. In a zero-fault run
-/// every chunk is accepted in the first burst and the machine retires
-/// immediately — an un-awaited request never delays shutdown, exactly as
-/// before. Under faults, retries continue on engine timers after the
-/// caller has resumed.
+/// injected reliably from the submission instant, each armed once its
+/// predecessor is delivered. In a zero-fault run every chunk is accepted
+/// in the first burst and the machine retires immediately. Under
+/// faults, retries continue on engine timers after the caller has
+/// resumed.
+///
+/// The one operation that is not an [`OpFrame`] body: it has no event
+/// and no wait list, reports through a [`SendSlot`], owes its caller the
+/// `issued` handshake, and — unlike every framed op — retires a success
+/// at once instead of parking until its instant, because an un-awaited
+/// request must never delay shutdown. It shares the chunk loop
+/// ([`SendQueue`]) and the settlement of its envelope and counters
+/// ([`OpCx::close`]).
 pub(crate) struct HostSendOp {
-    inner: Arc<Inner>,
-    dst: Rank,
-    wire_tag: Tag,
+    pub(crate) cx: OpCx,
+    pub(crate) dst: Rank,
+    pub(crate) wire_tag: Tag,
     /// Per-chunk payload and duration override, prepared on the caller.
-    chunks: Vec<(Vec<u8>, Option<SimNs>)>,
-    next_chunk: usize,
-    current: Option<ReliableChunkSend>,
-    done_at: SimNs,
-    t0: Option<SimNs>,
+    pub(crate) chunks: Vec<(Vec<u8>, Option<SimNs>)>,
     /// Handshake: flipped after the machine's first pass so the caller
     /// resumes only once the initial injection burst is on the wire
-    /// (keeping the fabric reservation order of the old inline path).
-    issued: Arc<Monitor<bool>>,
-    issued_done: bool,
-    slot: SendSlot,
-    label: String,
-    ids: ChildIds,
-    submit_ns: SimNs,
-    total_bytes: u64,
+    /// (keeping the fabric reservation order of an inline send).
+    pub(crate) issued: Arc<Monitor<bool>>,
+    pub(crate) slot: SendSlot,
+    pub(crate) label: String,
+    pub(crate) run: HostSendRun,
+}
+
+#[derive(Default)]
+pub(crate) struct HostSendRun {
+    t0: Option<SimNs>,
+    next: usize,
+    queue: SendQueue,
+    issued: bool,
 }
 
 impl HostSendOp {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        inner: Arc<Inner>,
-        dst: Rank,
-        wire_tag: Tag,
-        chunks: Vec<(Vec<u8>, Option<SimNs>)>,
-        issued: Arc<Monitor<bool>>,
-        slot: SendSlot,
-        ids: ChildIds,
-        submit_ns: SimNs,
-    ) -> Self {
-        let label = format!("clmpi-isend-r{}", inner.comm.rank());
-        let total_bytes = chunks.iter().map(|(b, _)| b.len() as u64).sum();
-        HostSendOp {
-            inner,
-            dst,
-            wire_tag,
-            chunks,
-            next_chunk: 0,
-            current: None,
-            done_at: 0,
-            t0: None,
-            issued,
-            issued_done: false,
-            slot,
-            label,
-            ids,
-            submit_ns,
-            total_bytes,
-        }
-    }
-
-    /// Record the operation envelope and counters at settlement.
-    fn finish(&mut self, ok: bool, at: SimNs) {
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.isend",
-            format!("isend→{}", self.dst),
-            self.submit_ns,
-            at,
-            self.total_bytes,
-            ok,
-            Some(self.dst),
-            Some(self.wire_tag),
-        );
-        self.inner
-            .note_settled(ok, if ok { self.total_bytes } else { 0 }, 0);
-    }
-
     fn drive(&mut self, now: SimNs, actor: &Actor) -> Step {
-        let t0 = *self.t0.get_or_insert(now);
-        loop {
-            if self.current.is_none() {
-                if self.next_chunk == self.chunks.len() {
-                    self.finish(true, self.done_at.max(self.submit_ns));
-                    self.slot.with(|s| *s = Some(Ok(self.done_at)));
-                    return Step::Done;
-                }
-                let (bytes, duration) = {
-                    let entry = &mut self.chunks[self.next_chunk];
-                    (std::mem::take(&mut entry.0), entry.1)
-                };
-                self.next_chunk += 1;
-                self.current = Some(ReliableChunkSend::new(
-                    &self.inner,
-                    self.dst,
-                    self.wire_tag,
-                    bytes,
-                    t0,
-                    duration,
-                ));
-            }
-            let chunk = self.current.as_mut().expect("chunk armed above");
-            match chunk.step(&self.inner, &mut self.ids, now, actor) {
-                ChunkStep::Progressed => continue,
-                ChunkStep::Park(at) => return Step::Park(Some(at)),
-                ChunkStep::Sent(done) => {
-                    let clen = chunk.bytes.len() as u64;
-                    record_child(
-                        &self.inner,
-                        &mut self.ids,
-                        "net",
-                        format!("net→{}", self.dst),
-                        "chunk",
+        let t0 = *self.run.t0.get_or_insert(now);
+        let (outcome, at) = loop {
+            match self.run.queue.drive(&mut self.cx, now, actor) {
+                Ok(Some(t)) => return Step::Park(Some(t)),
+                Ok(None) if self.run.next < self.chunks.len() => {
+                    let (bytes, duration) = std::mem::take(&mut self.chunks[self.run.next]);
+                    self.run.next += 1;
+                    let send = ReliableChunkSend::new(
+                        &self.cx.inner,
+                        self.dst,
+                        self.wire_tag,
+                        bytes,
                         t0,
-                        done,
-                        clen,
-                        true,
+                        duration,
                     );
-                    self.done_at = self.done_at.max(done);
-                    self.current = None;
+                    let name = format!("net→{}", self.dst);
+                    self.run.queue.push(send, t0, name, "chunk");
                 }
-                ChunkStep::Failed(at) => {
-                    let chunk = self.current.take().expect("chunk armed above");
-                    self.finish(false, at);
-                    self.slot.with(|s| *s = Some(Err(chunk.exhaustion_error())));
-                    return Step::Done;
-                }
+                Ok(None) => break (Ok(self.run.queue.done_at), self.run.queue.done_at),
+                Err((at, e)) => break (Err(e), at),
             }
-        }
+        };
+        self.cx.close(outcome.is_ok(), at);
+        self.slot.with(|s| *s = Some(outcome));
+        Step::Done
     }
 }
 
@@ -1777,8 +1659,8 @@ impl EngineOp for HostSendOp {
 
     fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
         let verdict = self.drive(now, actor);
-        if !self.issued_done {
-            self.issued_done = true;
+        if !self.run.issued {
+            self.run.issued = true;
             self.issued.with(|i| *i = true);
         }
         verdict
@@ -1786,269 +1668,95 @@ impl EngineOp for HostSendOp {
 }
 
 /// `MPI_Irecv` into `MPI_CL_MEM` (`irecv_cl`): matched receives are
-/// posted back-to-back into the pinned host landing buffer; the returned
-/// event completes when the full payload has arrived.
-pub(crate) struct IrecvClOp {
-    inner: Arc<Inner>,
-    src: Rank,
-    wire_tag: Tag,
-    size: usize,
-    host: HostBuffer,
+/// posted back-to-back into the pinned host landing buffer; the event
+/// completes when the full payload has arrived.
+pub(crate) struct IrecvBody {
+    pub(crate) src: Rank,
+    pub(crate) wire_tag: Tag,
+    pub(crate) size: usize,
+    pub(crate) host: HostBuffer,
+    pub(crate) run: IrecvRun,
+}
+
+#[derive(Default)]
+pub(crate) struct IrecvRun {
     received: usize,
-    ue: UserEvent,
-    label: String,
-    ids: ChildIds,
-    submit_ns: SimNs,
-    state: IrecvState,
+    recv: Option<ChunkRecv>,
 }
 
-enum IrecvState {
-    Start,
-    AwaitChunk {
-        req: Request,
-        deadline: Option<(SimNs, SimNs)>, // (expiry instant, patience)
-    },
-    Done,
-}
-
-impl IrecvClOp {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        inner: Arc<Inner>,
-        src: Rank,
-        wire_tag: Tag,
-        size: usize,
-        host: HostBuffer,
-        ue: UserEvent,
-        ids: ChildIds,
-        submit_ns: SimNs,
-    ) -> Self {
-        let label = format!("clmpi-irecv-r{}", inner.comm.rank());
-        IrecvClOp {
-            inner,
-            src,
-            wire_tag,
-            size,
-            host,
-            received: 0,
-            ue,
-            label,
-            ids,
-            submit_ns,
-            state: IrecvState::Start,
-        }
-    }
-
-    /// Record the operation envelope and counters at settlement.
-    fn finish_obs(&mut self, ok: bool, at: SimNs) {
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.irecv",
-            format!("irecv←{}", self.src),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            Some(self.src),
-            Some(self.wire_tag),
-        );
-        self.inner
-            .note_settled(ok, 0, if ok { self.size as u64 } else { 0 });
-    }
-
-    fn post_chunk(&mut self, now: SimNs, actor: &Actor) {
-        let req = self
-            .inner
-            .comm
-            .irecv(actor, Some(self.src), Some(self.wire_tag));
-        let deadline = self.inner.comm.world().has_faults().then(|| {
-            let patience = self.inner.retry.lock().chunk_timeout_ns;
-            (now + patience, patience)
-        });
-        self.state = IrecvState::AwaitChunk { req, deadline };
-    }
-
-    fn fail(&mut self, at: SimNs, dead_peer: bool) -> Step {
-        if let Some(stats) = self.inner.stats.lock().as_ref() {
-            if dead_peer {
-                stats.note_proc_failure();
-            } else {
-                stats.note_failure();
-            }
-        }
-        if dead_peer {
-            record_failure(&self.inner, &mut self.ids, self.src, at);
-        }
-        self.finish_obs(false, at);
-        self.ue
-            .set_failed(at, CL_MPI_TRANSFER_ERROR)
-            .expect("irecv event settled once");
-        self.state = IrecvState::Done;
-        Step::Done
-    }
-}
-
-impl EngineOp for IrecvClOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
-        loop {
-            match &mut self.state {
-                IrecvState::Start => {
-                    if self.received == self.size {
-                        // Zero-byte receive: complete immediately.
-                        self.finish_obs(true, now);
-                        self.ue
-                            .set_complete(now)
-                            .expect("irecv event completed once");
-                        self.state = IrecvState::Done;
-                        return Step::Done;
-                    }
-                    self.post_chunk(now, actor);
+impl OpBody for IrecvBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
+        // A zero-byte receive completes immediately.
+        while self.run.received < self.size {
+            let (src, tag) = (self.src, self.wire_tag);
+            let recv = self
+                .run
+                .recv
+                .get_or_insert_with(|| ChunkRecv::post(&cx.inner, actor, Some(src), tag, now));
+            let dead = |inner: &Inner| inner.peer_failed(src, now).then_some(src);
+            let data = match recv.poll(cx, now, actor, dead) {
+                Ok(RecvPoll::Ready(r)) => r.data,
+                Ok(RecvPoll::Pending(hint)) => return Advance::Park(hint),
+                Err(f) => {
+                    let what = format!("irecv_cl from rank {src} (tag {tag})");
+                    return Advance::Failed(f.into_error(&what), now);
                 }
-                IrecvState::AwaitChunk { req, deadline } => {
-                    let deadline = *deadline;
-                    if let Some(result) = req.test(actor) {
-                        let r = result.expect("matched receive yields a payload");
-                        let len = r.data.len();
-                        if self.received + len > self.size {
-                            self.finish_obs(false, now);
-                            self.ue
-                                .set_failed(now, CL_MPI_TRANSFER_ERROR)
-                                .expect("irecv event settled once");
-                            self.state = IrecvState::Done;
-                            return Step::Done;
-                        }
-                        let at = self.received;
-                        self.host
-                            .write(|h| h.as_mut_slice()[at..at + len].copy_from_slice(&r.data));
-                        self.received += len;
-                        if self.received == self.size {
-                            self.finish_obs(true, now);
-                            self.ue
-                                .set_complete(now)
-                                .expect("irecv event completed once");
-                            self.state = IrecvState::Done;
-                            return Step::Done;
-                        }
-                        self.post_chunk(now, actor);
-                    } else if let Some(at) = req.known_completion() {
-                        return Step::Park(Some(at.max(now + 1)));
-                    } else if self.inner.peer_failed(self.src, now) {
-                        // Dead source, nothing in flight: abort-and-poison
-                        // without waiting out the patience.
-                        let state = std::mem::replace(&mut self.state, IrecvState::Done);
-                        if let IrecvState::AwaitChunk { req, .. } = state {
-                            req.cancel();
-                        }
-                        return self.fail(now, true);
-                    } else if let Some((at, _patience)) = deadline {
-                        if now >= at {
-                            let state = std::mem::replace(&mut self.state, IrecvState::Done);
-                            if let IrecvState::AwaitChunk { req, .. } = state {
-                                req.cancel();
-                            }
-                            return self.fail(now, false);
-                        }
-                        return Step::Park(Some(at));
-                    } else {
-                        return Step::Park(None);
-                    }
-                }
-                IrecvState::Done => return Step::Done,
+            };
+            self.run.recv = None;
+            let at = self.run.received;
+            if at + data.len() > self.size {
+                let e = ClError::TransferFailed(format!(
+                    "irecv_cl overflow: got {} bytes into a {}-byte receive",
+                    at + data.len(),
+                    self.size
+                ));
+                return Advance::Failed(e, now);
             }
+            self.host
+                .write(|h| h.as_mut_slice()[at..at + data.len()].copy_from_slice(&data));
+            self.run.received += data.len();
         }
+        Advance::Done(now)
     }
 }
 
 /// `clCreateEventFromMPIRequest`: adapts a plain MPI request into an
-/// event. The machine polls the request's completion signal and, once it
-/// settles, publishes the payload (if any) and completes the event at
-/// the settlement instant.
-pub(crate) struct EventFromRequestOp {
-    inner: Arc<Inner>,
-    req: Option<Request>,
-    ue: UserEvent,
-    slot: Arc<Monitor<Option<RecvResult>>>,
-    label: String,
-    ids: ChildIds,
-    submit_ns: SimNs,
+/// event. The body polls the request's completion signal and, once it
+/// settles, publishes the payload (if any); the event completes at the
+/// settlement instant.
+pub(crate) struct EventFromRequestBody {
+    pub(crate) req: Request,
+    pub(crate) slot: Arc<Monitor<Option<RecvResult>>>,
 }
 
-impl EventFromRequestOp {
-    pub(crate) fn new(
-        inner: Arc<Inner>,
-        req: Request,
-        ue: UserEvent,
-        slot: Arc<Monitor<Option<RecvResult>>>,
-        ids: ChildIds,
-        submit_ns: SimNs,
-    ) -> Self {
-        let label = format!("clmpi-event-from-request-r{}", inner.comm.rank());
-        EventFromRequestOp {
-            inner,
-            req: Some(req),
-            ue,
-            slot,
-            label,
-            ids,
-            submit_ns,
+impl OpBody for EventFromRequestBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
+        if let CompletionState::Pending = self.req.poll(now) {
+            return Advance::Park(self.req.wake_hint(now).filter(|&t| t > now));
         }
-    }
-}
-
-impl EngineOp for EventFromRequestOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
-        let req = self.req.as_mut().expect("stepped after completion");
-        match req.poll(now) {
-            CompletionState::Pending => Step::Park(req.wake_hint(now).filter(|&t| t > now)),
-            CompletionState::Complete(_) | CompletionState::Failed(..) => {
-                let mut req = self.req.take().expect("present above");
-                let result = req.test(actor).expect("completion signalled above");
-                let bytes = result.as_ref().map(|r| r.data.len() as u64).unwrap_or(0);
-                record_envelope(
-                    &self.inner,
-                    &self.ids,
-                    "op.request",
-                    "mpi-request".into(),
-                    self.submit_ns,
-                    now,
-                    bytes,
-                    true,
-                    None,
-                    None,
-                );
-                self.inner.note_settled(true, 0, bytes);
-                self.slot.with(|s| *s = result);
-                self.ue
-                    .set_complete(now)
-                    .expect("request event completed once");
-                Step::Done
-            }
+        let result = self.req.test(actor).expect("completion signalled above");
+        let bytes = result.as_ref().map_or(0, |r| r.data.len() as u64);
+        if let Some(env) = cx.env_mut() {
+            (env.bytes, env.received) = (bytes, bytes);
         }
+        self.slot.with(|s| *s = result);
+        Advance::Done(now)
     }
 }
 
 // ----------------------------------------------------------------------
-// One-sided window machines (MPI_CL_MEM exposed as MPI_Win)
+// One-sided window bodies (MPI_CL_MEM exposed as MPI_Win)
 // ----------------------------------------------------------------------
 //
-// These machines drive `minimpi`'s non-blocking RMA handles from the
+// These bodies drive `minimpi`'s non-blocking RMA handles from the
 // engine. Liveness note: a handle's grant only lands when *someone*
 // pumps the fabric arbiter past the reservation's earliest instant, and
 // for one-sided traffic the issuing machine is usually the only pumper
-// — so a machine with a pending flight always parks with an explicit
-// time hint. Before the first grant the wire-claim earliest is known
+// — so a body with a pending flight always parks with an explicit time
+// hint. Before the first grant the wire-claim earliest is known
 // exactly; after a retransmit has been re-posted, the claim instant is
-// arbiter-internal, so the machine falls back to a fixed virtual
-// polling quantum.
+// arbiter-internal, so the body falls back to a fixed virtual polling
+// quantum.
 
 /// Virtual polling cadence for an RMA flight whose next wake instant is
 /// unknowable from outside the arbiter (post-retransmit).
@@ -2056,7 +1764,7 @@ const RMA_POLL_QUANTUM_NS: SimNs = 100_000;
 
 /// One in-flight one-sided op plus the bookkeeping needed to park
 /// precisely and to convert retransmit deltas into drop/retry spans.
-struct RmaFlight {
+pub(crate) struct RmaFlight {
     handle: RmaHandle,
     /// Wire-claim earliest of the initial post: the park target before
     /// the first grant (one tick later the pump's strict `earliest <
@@ -2083,56 +1791,42 @@ impl RmaFlight {
     /// per-attempt wire times or reasons (a `NodeDown` drop is terminal,
     /// never a retry, so retried drops are counted as random loss), and
     /// the spans are instantaneous at the observing instant.
-    fn note_attempts(&mut self, inner: &Inner, ids: &mut ChildIds, now: SimNs) {
+    fn note_attempts(&mut self, cx: &mut OpCx, now: SimNs) {
         let target = self.handle.target();
+        let len = self.handle.len() as u64;
         while self.attempts_seen < self.handle.attempts() {
             self.attempts_seen += 1;
-            if let Some(stats) = inner.stats.lock().as_ref() {
-                stats.note_drop(DropReason::Random);
-                stats.note_retry();
-            }
-            record_child(
-                inner,
-                ids,
-                "net",
-                format!("rma-drop#{}→r{target}", self.attempts_seen),
-                "drop",
-                now,
-                now,
-                self.handle.len() as u64,
-                false,
-            );
-            record_child(
-                inner,
-                ids,
-                "net",
-                format!("rma-retry#{}→r{target}", self.attempts_seen),
-                "retry",
-                now,
-                now,
-                self.handle.len() as u64,
-                true,
-            );
+            cx.inner.with_stats(|s| {
+                s.note_drop(DropReason::Random);
+                s.note_retry();
+            });
+            let k = self.attempts_seen;
+            let name = format!("rma-drop#{k}→r{target}");
+            cx.child("net", name, "drop", (now, now), len, false);
+            let name = format!("rma-retry#{k}→r{target}");
+            cx.child("net", name, "retry", (now, now), len, true);
         }
     }
 }
 
-/// Collective verdict of one polling pass over a machine's flights.
+/// Collective verdict of one polling pass over an operation's flights.
 enum FlightsVerdict {
     /// Every flight delivered; `at` is the last arrival instant.
     Done { at: SimNs },
-    /// Some flight failed terminally (first failure in issue order).
+    /// Some flight failed terminally (first failure in issue order);
+    /// already accounted, and stamped no earlier than the polling instant.
     Failed { err: MpiError, at: SimNs },
     /// Still in flight; `wake` is the earliest useful re-poll instant
     /// (strictly future).
     Pending { wake: SimNs },
 }
 
-/// Drive every unfinished flight once at `now`.
+/// Drive every unfinished flight of an operation on `target` once at
+/// `now`.
 fn poll_flights(
-    inner: &Inner,
-    ids: &mut ChildIds,
+    cx: &mut OpCx,
     flights: &mut [RmaFlight],
+    target: Rank,
     now: SimNs,
 ) -> FlightsVerdict {
     let mut done_at = 0;
@@ -2144,16 +1838,14 @@ fn poll_flights(
             continue;
         }
         let verdict = f.handle.poll(now);
-        f.note_attempts(inner, ids, now);
+        f.note_attempts(cx, now);
         match verdict {
             RmaPoll::Done { at } => {
                 f.done_at = Some(at);
                 done_at = done_at.max(at);
             }
             RmaPoll::Failed { err, at } => {
-                if failed.is_none() {
-                    failed = Some((err, at));
-                }
+                failed.get_or_insert((err, at));
             }
             RmaPoll::Pending => {
                 let next = if f.handle.attempts() == 0 {
@@ -2166,10 +1858,15 @@ fn poll_flights(
         }
     }
     if let Some((err, at)) = failed {
-        FlightsVerdict::Failed {
-            err,
-            at: at.max(now),
+        // A dead target is a ULFM-class process failure, anything else
+        // a transfer failure.
+        let at = at.max(now);
+        if matches!(err, MpiError::ProcFailed { .. }) {
+            cx.proc_failure(target, at);
+        } else {
+            cx.inner.with_stats(|s| s.note_failure());
         }
+        FlightsVerdict::Failed { err, at }
     } else if let Some(wake) = wake {
         FlightsVerdict::Pending { wake }
     } else {
@@ -2177,32 +1874,11 @@ fn poll_flights(
     }
 }
 
-/// Terminal-failure accounting shared by the one-sided machines: a dead
-/// target is a ULFM-class process failure, anything else a transfer
-/// failure.
-fn note_rma_failure(inner: &Inner, ids: &mut ChildIds, err: &MpiError, target: Rank, at: SimNs) {
-    if matches!(err, MpiError::ProcFailed { .. }) {
-        if let Some(stats) = inner.stats.lock().as_ref() {
-            stats.note_proc_failure();
-        }
-        record_failure(inner, ids, target, at);
-    } else if let Some(stats) = inner.stats.lock().as_ref() {
-        stats.note_failure();
-    }
-}
-
-/// States shared by the put machine (accumulate has an extra staging
-/// phase and its own enum).
-enum PutState {
-    WaitDeps,
-    Transfer { t0: SimNs, flights: Vec<RmaFlight> },
-    Finish { done_at: SimNs },
-    Done,
-}
-
 /// `clEnqueuePutBuffer`: one-sided write of a device-buffer range into a
-/// peer rank's exposed window — wait list → per-chunk d2h staging +
-/// routed wire flights → completion at the last flight's arrival.
+/// peer rank's exposed window — per-chunk d2h staging + routed wire
+/// flights, all reserved and posted at the gate instant (overlap
+/// between staging and wire time falls out of the resource timelines) →
+/// completion at the last flight's arrival.
 ///
 /// The resolved strategy picks the *wire lowering*, which is what the
 /// per-(peer, size) tuner sweeps:
@@ -2214,656 +1890,245 @@ enum PutState {
 ///   k's wire time overlaps chunk k+1's staging, as on the send path.
 /// * `Mapped` — no staging: one fused stream of duration
 ///   max(injection, PCIe mapped stream) forced onto the NIC path.
-pub(crate) struct PutOp {
-    inner: Arc<Inner>,
-    device: Device,
-    win: Win,
-    buf: Buffer,
-    offset: usize,
-    win_offset: usize,
-    size: usize,
-    target: Rank,
-    strategy: TransferStrategy,
-    wait: Vec<Event>,
-    ue: UserEvent,
-    label: String,
-    ids: ChildIds,
-    submit_ns: SimNs,
-    state: PutState,
+pub(crate) struct PutBody {
+    pub(crate) device: Device,
+    pub(crate) win: Win,
+    pub(crate) buf: Buffer,
+    pub(crate) offset: usize,
+    pub(crate) win_offset: usize,
+    pub(crate) size: usize,
+    pub(crate) target: Rank,
+    pub(crate) strategy: TransferStrategy,
+    /// One per chunk of the strategy's plan (never empty) once posted.
+    pub(crate) flights: Vec<RmaFlight>,
 }
 
-impl PutOp {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        inner: Arc<Inner>,
-        device: Device,
-        win: Win,
-        buf: Buffer,
-        offset: usize,
-        win_offset: usize,
-        size: usize,
-        target: Rank,
-        strategy: TransferStrategy,
-        wait: Vec<Event>,
-        ue: UserEvent,
-        ids: ChildIds,
-        submit_ns: SimNs,
-    ) -> Self {
-        let label = format!("clmpi-put-r{}-to-{}", inner.comm.rank(), target);
-        PutOp {
-            inner,
-            device,
-            win,
-            buf,
-            offset,
-            win_offset,
-            size,
-            target,
-            strategy,
-            wait,
-            ue,
-            label,
-            ids,
-            submit_ns,
-            state: PutState::WaitDeps,
-        }
-    }
-
+impl PutBody {
     /// Stage and post every chunk of the put according to the strategy
-    /// lowering. All reservations are made at `t0`; overlap between
-    /// staging and wire time falls out of the resource timelines.
-    fn arm(&mut self, t0: SimNs) -> ClResult<Vec<RmaFlight>> {
+    /// lowering.
+    fn arm(&self, cx: &mut OpCx) -> Result<Vec<RmaFlight>, MpiError> {
         let pcie = self.device.spec().pcie;
         let plan = ResolvedStrategy::plan(self.strategy, self.size);
         let mut flights = Vec::with_capacity(plan.chunks.len());
-        let mut first = true;
-        for &(coff, clen) in &plan.chunks {
+        for (k, &(coff, clen)) in plan.chunks.iter().enumerate() {
             let (wire_earliest, route) = match self.strategy {
                 TransferStrategy::Mapped => {
                     let stream = (clen as f64 * 1e9 / pcie.mapped_bps).round() as SimNs;
-                    let fused = self.inner.cfg.cluster.link.injection_ns(clen).max(stream);
-                    (t0 + pcie.map_setup_ns, RmaRoute::NicDuration(fused))
+                    let fused = cx.inner.cfg.cluster.link.injection_ns(clen).max(stream);
+                    (cx.t0 + pcie.map_setup_ns, RmaRoute::NicDuration(fused))
                 }
                 TransferStrategy::Rma
                 | TransferStrategy::Pinned
                 | TransferStrategy::Pipelined(_) => {
-                    let earliest = if first { t0 + pcie.pin_setup_ns } else { t0 };
-                    let d2h = self
-                        .device
-                        .d2h_link()
-                        .reserve_duration(pcie.staged_ns(clen, true), earliest);
-                    record_child(
-                        &self.inner,
-                        &mut self.ids,
-                        "dev",
-                        "d2h".into(),
-                        "stage.d2h",
-                        d2h.start,
-                        d2h.end,
-                        clen as u64,
-                        true,
-                    );
+                    let from = cx.t0 + if k == 0 { pcie.pin_setup_ns } else { 0 };
+                    let d2h = Hop::D2h.stage(cx, &self.device, clen, from);
                     let route = if self.strategy == TransferStrategy::Rma {
                         RmaRoute::Auto
                     } else {
                         RmaRoute::Nic
                     };
-                    (d2h.end, route)
+                    (d2h.1, route)
                 }
                 TransferStrategy::Auto => unreachable!("strategy resolved before dispatch"),
             };
-            first = false;
             let bytes = self
                 .buf
                 .load(self.offset + coff, clen)
                 .expect("range checked at enqueue");
+            let at = self.win_offset + coff;
             let h = self
                 .win
-                .put_routed(
-                    self.target,
-                    self.win_offset + coff,
-                    &bytes,
-                    route,
-                    wire_earliest,
-                )
-                .map_err(|e| {
-                    ClError::TransferFailed(format!("put to rank {}: {e}", self.target))
-                })?;
+                .put_routed(self.target, at, &bytes, route, wire_earliest)?;
             flights.push(RmaFlight::new(h, wire_earliest));
         }
         Ok(flights)
     }
 
-    fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        let ok = outcome.is_ok();
-        // A transfer-level failure retires the probed lowering for this
-        // (peer, size) class; a poisoned wait list says nothing about it.
-        if !ok && !matches!(outcome, Err(ClError::EventFailed { .. })) {
-            if let Some(sel) = self.inner.rma_adaptive.lock().as_ref() {
-                sel.observe_failure(self.target, self.size, self.strategy);
-            }
+    /// A transfer-level failure retires the probed lowering for this
+    /// (peer, size) class.
+    fn fail(&self, cx: &OpCx, err: MpiError, at: SimNs) -> Advance {
+        if let Some(sel) = cx.inner.rma_adaptive.lock().as_ref() {
+            sel.observe_failure((self.target, self.size), self.strategy);
         }
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.put",
-            format!("put→{}@{}", self.target, self.win_offset),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            Some(self.target),
-            None,
-        );
-        self.inner
-            .note_settled(ok, if ok { self.size as u64 } else { 0 }, 0);
-        match outcome {
-            Ok(()) => self.ue.set_complete(at).expect("put event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("put event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("put event settled once"),
-        }
-        self.state = PutState::Done;
-        Step::Done
+        let e = ClError::TransferFailed(format!("put to rank {}: {err}", self.target));
+        Advance::Failed(e, at)
     }
 }
 
-impl EngineOp for PutOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
-        loop {
-            match &mut self.state {
-                PutState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => match self.arm(now) {
-                        Ok(flights) => self.state = PutState::Transfer { t0: now, flights },
-                        Err(e) => return self.settle(Err(e), now),
-                    },
-                },
-                PutState::Transfer { t0, flights } => {
-                    let t0 = *t0;
-                    let verdict = poll_flights(&self.inner, &mut self.ids, flights, now);
-                    match verdict {
-                        FlightsVerdict::Pending { wake } => return Step::Park(Some(wake)),
-                        FlightsVerdict::Failed { err, at } => {
-                            note_rma_failure(&self.inner, &mut self.ids, &err, self.target, at);
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "put to rank {}: {err}",
-                                    self.target
-                                ))),
-                                at,
-                            );
-                        }
-                        FlightsVerdict::Done { at } => {
-                            let done_at = at.max(t0);
-                            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                                stats.record(
-                                    "put",
-                                    &self.strategy.name(),
-                                    self.size,
-                                    done_at.saturating_sub(t0),
-                                );
-                            }
-                            if let Some(sel) = self.inner.rma_adaptive.lock().as_ref() {
-                                sel.observe(
-                                    self.target,
-                                    self.size,
-                                    self.strategy,
-                                    done_at.saturating_sub(t0),
-                                );
-                            }
-                            self.state = PutState::Finish { done_at };
-                        }
-                    }
+impl OpBody for PutBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, _actor: &Actor) -> Advance {
+        if self.flights.is_empty() {
+            match self.arm(cx) {
+                Ok(flights) => self.flights = flights,
+                Err(e) => return self.fail(cx, e, now),
+            }
+        }
+        match poll_flights(cx, &mut self.flights, self.target, now) {
+            FlightsVerdict::Pending { wake } => Advance::Park(Some(wake)),
+            FlightsVerdict::Failed { err, at } => self.fail(cx, err, at),
+            FlightsVerdict::Done { at } => {
+                let done_at = at.max(cx.t0);
+                let dur = done_at - cx.t0;
+                cx.inner
+                    .with_stats(|s| s.record("put", &self.strategy.name(), self.size, dur));
+                if let Some(sel) = cx.inner.rma_adaptive.lock().as_ref() {
+                    sel.observe((self.target, self.size), self.strategy, dur);
                 }
-                PutState::Finish { done_at } => {
-                    let done_at = *done_at;
-                    if now >= done_at {
-                        return self.settle(Ok(()), done_at);
-                    }
-                    return Step::Park(Some(done_at));
-                }
-                PutState::Done => return Step::Done,
+                Advance::Done(done_at)
             }
         }
     }
-}
-
-enum GetState {
-    WaitDeps,
-    Transfer {
-        t0: SimNs,
-        flight: RmaFlight,
-    },
-    Stage {
-        t0: SimNs,
-        data: Vec<u8>,
-        end: SimNs,
-    },
-    Done,
 }
 
 /// `clEnqueueGetBuffer`: one-sided read from a peer rank's window into a
-/// device buffer — wait list → class-routed wire flight → h2d staging →
-/// completion with the data in device memory. The window's staging
-/// memory is registered at `Win_create`, so the landing pays the staged
-/// copy but no per-transfer pin setup.
-pub(crate) struct GetOp {
-    inner: Arc<Inner>,
-    device: Device,
-    win: Win,
-    buf: Buffer,
-    offset: usize,
-    win_offset: usize,
-    size: usize,
-    target: Rank,
-    wait: Vec<Event>,
-    ue: UserEvent,
-    label: String,
-    ids: ChildIds,
-    submit_ns: SimNs,
-    state: GetState,
+/// device buffer — class-routed wire flight → h2d staging → completion
+/// with the data in device memory. The window's staging memory is
+/// registered at `Win_create`, so the landing pays the staged copy but
+/// no per-transfer pin setup.
+pub(crate) struct GetBody {
+    pub(crate) device: Device,
+    pub(crate) win: Win,
+    pub(crate) buf: Buffer,
+    pub(crate) offset: usize,
+    pub(crate) win_offset: usize,
+    pub(crate) size: usize,
+    pub(crate) target: Rank,
+    pub(crate) state: GetState,
 }
 
-impl GetOp {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        inner: Arc<Inner>,
-        device: Device,
-        win: Win,
-        buf: Buffer,
-        offset: usize,
-        win_offset: usize,
-        size: usize,
-        target: Rank,
-        wait: Vec<Event>,
-        ue: UserEvent,
-        ids: ChildIds,
-        submit_ns: SimNs,
-    ) -> Self {
-        let label = format!("clmpi-get-r{}-from-{}", inner.comm.rank(), target);
-        GetOp {
-            inner,
-            device,
-            win,
-            buf,
-            offset,
-            win_offset,
-            size,
-            target,
-            wait,
-            ue,
-            label,
-            ids,
-            submit_ns,
-            state: GetState::WaitDeps,
-        }
-    }
-
-    fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        let ok = outcome.is_ok();
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.get",
-            format!("get←{}@{}", self.target, self.win_offset),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            Some(self.target),
-            None,
-        );
-        self.inner
-            .note_settled(ok, 0, if ok { self.size as u64 } else { 0 });
-        match outcome {
-            Ok(()) => self.ue.set_complete(at).expect("get event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("get event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("get event settled once"),
-        }
-        self.state = GetState::Done;
-        Step::Done
-    }
+#[derive(Default)]
+pub(crate) enum GetState {
+    #[default]
+    Start,
+    Transfer(RmaFlight),
+    /// The payload is crossing PCIe until `end`.
+    Stage {
+        data: Vec<u8>,
+        end: SimNs,
+    },
 }
 
-impl EngineOp for GetOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
+impl OpBody for GetBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, _actor: &Actor) -> Advance {
+        let fail = |err: MpiError, at| {
+            let e = ClError::TransferFailed(format!("get from rank {}: {err}", self.target));
+            Advance::Failed(e, at)
+        };
         loop {
             match &mut self.state {
-                GetState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => {
-                        match self.win.get(self.target, self.win_offset, self.size) {
-                            Ok(h) => {
-                                self.state = GetState::Transfer {
-                                    t0: now,
-                                    flight: RmaFlight::new(h, now),
-                                };
-                            }
-                            Err(e) => {
-                                return self.settle(
-                                    Err(ClError::TransferFailed(format!(
-                                        "get from rank {}: {e}",
-                                        self.target
-                                    ))),
-                                    now,
-                                );
-                            }
-                        }
-                    }
+                GetState::Start => match self.win.get(self.target, self.win_offset, self.size) {
+                    Ok(h) => self.state = GetState::Transfer(RmaFlight::new(h, now)),
+                    Err(e) => return fail(e, now),
                 },
-                GetState::Transfer { t0, flight } => {
-                    let t0 = *t0;
-                    let verdict = poll_flights(
-                        &self.inner,
-                        &mut self.ids,
-                        std::slice::from_mut(flight),
-                        now,
-                    );
-                    match verdict {
-                        FlightsVerdict::Pending { wake } => return Step::Park(Some(wake)),
-                        FlightsVerdict::Failed { err, at } => {
-                            note_rma_failure(&self.inner, &mut self.ids, &err, self.target, at);
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "get from rank {}: {err}",
-                                    self.target
-                                ))),
-                                at,
-                            );
-                        }
+                GetState::Transfer(flight) => {
+                    let flights = std::slice::from_mut(flight);
+                    match poll_flights(cx, flights, self.target, now) {
+                        FlightsVerdict::Pending { wake } => return Advance::Park(Some(wake)),
+                        FlightsVerdict::Failed { err, at } => return fail(err, at),
                         FlightsVerdict::Done { at } => {
                             let data = flight
                                 .handle
                                 .take_data()
                                 .expect("settled get yields its payload");
-                            let pcie = self.device.spec().pcie;
-                            let h2d = self
-                                .device
-                                .h2d_link()
-                                .reserve_duration(pcie.staged_ns(data.len(), true), at.max(t0));
-                            record_child(
-                                &self.inner,
-                                &mut self.ids,
-                                "dev",
-                                "h2d".into(),
-                                "stage.h2d",
-                                h2d.start,
-                                h2d.end,
-                                data.len() as u64,
-                                true,
-                            );
-                            self.state = GetState::Stage {
-                                t0,
-                                data,
-                                end: h2d.end,
-                            };
+                            let from = at.max(cx.t0);
+                            let h2d = Hop::H2d.stage(cx, &self.device, data.len(), from);
+                            self.state = GetState::Stage { data, end: h2d.1 };
                         }
                     }
                 }
-                GetState::Stage { t0, data, end } => {
-                    let (t0, end) = (*t0, *end);
+                GetState::Stage { data, end } => {
+                    let end = *end;
                     if now < end {
-                        return Step::Park(Some(end));
+                        return Advance::Park(Some(end));
                     }
                     self.buf
                         .store(self.offset, data)
                         .expect("range checked at enqueue");
-                    if let Some(stats) = self.inner.stats.lock().as_ref() {
-                        stats.record("get", "rma", self.size, end.saturating_sub(t0));
-                    }
-                    return self.settle(Ok(()), end);
+                    let dur = end.saturating_sub(cx.t0);
+                    cx.inner
+                        .with_stats(|s| s.record("get", "rma", self.size, dur));
+                    return Advance::Done(end);
                 }
-                GetState::Done => return Step::Done,
             }
         }
     }
 }
 
-enum AccState {
-    WaitDeps,
-    Stage { t0: SimNs, end: SimNs },
-    Transfer { t0: SimNs, flight: RmaFlight },
-    Finish { done_at: SimNs },
-    Done,
-}
-
 /// `clEnqueueAccumulateBuffer`: one-sided read-modify-write of f64s from
-/// a device buffer into a peer rank's window — wait list → d2h staging →
-/// class-routed wire flight applied in the arbiter's canonical grant
-/// order → completion. The operand must leave the device before the op
-/// can be posted (the fold reads the payload at grant time), so staging
-/// and wire time serialize here, unlike the put path.
-pub(crate) struct AccumulateOp {
-    inner: Arc<Inner>,
-    device: Device,
-    win: Win,
-    buf: Buffer,
-    offset: usize,
-    win_offset: usize,
-    size: usize,
-    target: Rank,
-    op: ReduceOp,
-    wait: Vec<Event>,
-    ue: UserEvent,
-    label: String,
-    ids: ChildIds,
-    submit_ns: SimNs,
-    state: AccState,
+/// a device buffer into a peer rank's window — d2h staging → class-routed
+/// wire flight applied in the arbiter's canonical grant order →
+/// completion. The operand must leave the device before the op can be
+/// posted (the fold reads the payload at grant time), so staging and
+/// wire time serialize here, unlike the put path.
+pub(crate) struct AccumulateBody {
+    pub(crate) device: Device,
+    pub(crate) win: Win,
+    pub(crate) buf: Buffer,
+    pub(crate) offset: usize,
+    pub(crate) win_offset: usize,
+    pub(crate) size: usize,
+    pub(crate) target: Rank,
+    pub(crate) op: ReduceOp,
+    pub(crate) state: AccState,
 }
 
-impl AccumulateOp {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        inner: Arc<Inner>,
-        device: Device,
-        win: Win,
-        buf: Buffer,
-        offset: usize,
-        win_offset: usize,
-        size: usize,
-        target: Rank,
-        op: ReduceOp,
-        wait: Vec<Event>,
-        ue: UserEvent,
-        ids: ChildIds,
-        submit_ns: SimNs,
-    ) -> Self {
-        let label = format!("clmpi-acc-r{}-to-{}", inner.comm.rank(), target);
-        AccumulateOp {
-            inner,
-            device,
-            win,
-            buf,
-            offset,
-            win_offset,
-            size,
-            target,
-            op,
-            wait,
-            ue,
-            label,
-            ids,
-            submit_ns,
-            state: AccState::WaitDeps,
-        }
-    }
-
-    fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        let ok = outcome.is_ok();
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.acc",
-            format!("acc→{}@{}", self.target, self.win_offset),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            Some(self.target),
-            None,
-        );
-        self.inner
-            .note_settled(ok, if ok { self.size as u64 } else { 0 }, 0);
-        match outcome {
-            Ok(()) => self.ue.set_complete(at).expect("acc event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("acc event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("acc event settled once"),
-        }
-        self.state = AccState::Done;
-        Step::Done
-    }
+#[derive(Default)]
+pub(crate) enum AccState {
+    #[default]
+    Start,
+    /// The operand is crossing PCIe until `end`.
+    Stage {
+        end: SimNs,
+    },
+    Transfer(RmaFlight),
 }
 
-impl EngineOp for AccumulateOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
+impl OpBody for AccumulateBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, _actor: &Actor) -> Advance {
+        let fail = |err: MpiError, at| {
+            let e = ClError::TransferFailed(format!("accumulate to rank {}: {err}", self.target));
+            Advance::Failed(e, at)
+        };
         loop {
             match &mut self.state {
-                AccState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => {
-                        let pcie = self.device.spec().pcie;
-                        let d2h = self.device.d2h_link().reserve_duration(
-                            pcie.staged_ns(self.size, true),
-                            now + pcie.pin_setup_ns,
-                        );
-                        record_child(
-                            &self.inner,
-                            &mut self.ids,
-                            "dev",
-                            "d2h".into(),
-                            "stage.d2h",
-                            d2h.start,
-                            d2h.end,
-                            self.size as u64,
-                            true,
-                        );
-                        self.state = AccState::Stage {
-                            t0: now,
-                            end: d2h.end,
-                        };
-                    }
-                },
-                AccState::Stage { t0, end } => {
-                    let (t0, end) = (*t0, *end);
+                AccState::Start => {
+                    let from = now + self.device.spec().pcie.pin_setup_ns;
+                    let d2h = Hop::D2h.stage(cx, &self.device, self.size, from);
+                    self.state = AccState::Stage { end: d2h.1 };
+                }
+                &mut AccState::Stage { end } => {
                     if now < end {
-                        return Step::Park(Some(end));
+                        return Advance::Park(Some(end));
                     }
                     let bytes = self
                         .buf
                         .load(self.offset, self.size)
                         .expect("range checked at enqueue");
-                    match self
+                    let posted = self
                         .win
-                        .accumulate(self.target, self.win_offset, &bytes, self.op)
-                    {
-                        Ok(h) => {
-                            self.state = AccState::Transfer {
-                                t0,
-                                flight: RmaFlight::new(h, now),
-                            };
-                        }
-                        Err(e) => {
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "accumulate to rank {}: {e}",
-                                    self.target
-                                ))),
-                                now,
-                            );
-                        }
+                        .accumulate(self.target, self.win_offset, &bytes, self.op);
+                    match posted {
+                        Ok(h) => self.state = AccState::Transfer(RmaFlight::new(h, now)),
+                        Err(e) => return fail(e, now),
                     }
                 }
-                AccState::Transfer { t0, flight } => {
-                    let t0 = *t0;
-                    let verdict = poll_flights(
-                        &self.inner,
-                        &mut self.ids,
-                        std::slice::from_mut(flight),
-                        now,
-                    );
-                    match verdict {
-                        FlightsVerdict::Pending { wake } => return Step::Park(Some(wake)),
-                        FlightsVerdict::Failed { err, at } => {
-                            note_rma_failure(&self.inner, &mut self.ids, &err, self.target, at);
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "accumulate to rank {}: {err}",
-                                    self.target
-                                ))),
-                                at,
-                            );
-                        }
+                AccState::Transfer(flight) => {
+                    let flights = std::slice::from_mut(flight);
+                    return match poll_flights(cx, flights, self.target, now) {
+                        FlightsVerdict::Pending { wake } => Advance::Park(Some(wake)),
+                        FlightsVerdict::Failed { err, at } => fail(err, at),
                         FlightsVerdict::Done { at } => {
-                            let done_at = at.max(t0);
-                            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                                stats.record("acc", "rma", self.size, done_at.saturating_sub(t0));
-                            }
-                            self.state = AccState::Finish { done_at };
+                            let done_at = at.max(cx.t0);
+                            let dur = done_at - cx.t0;
+                            cx.inner
+                                .with_stats(|s| s.record("acc", "rma", self.size, dur));
+                            Advance::Done(done_at)
                         }
-                    }
+                    };
                 }
-                AccState::Finish { done_at } => {
-                    let done_at = *done_at;
-                    if now >= done_at {
-                        return self.settle(Ok(()), done_at);
-                    }
-                    return Step::Park(Some(done_at));
-                }
-                AccState::Done => return Step::Done,
             }
         }
     }
-}
-
-enum FenceState {
-    WaitDeps,
-    Drain,
-    Await {
-        start: SimNs,
-        gen: u64,
-        op_err: Option<MpiError>,
-        deadline: Option<SimNs>,
-    },
-    Done,
 }
 
 /// `clEnqueueWinFence`: close the window's current access epoch and open
@@ -2878,120 +2143,39 @@ enum FenceState {
 /// await phase parks on notification — a peer's fence arrival is a
 /// control-block write that notifies — plus the patience deadline when a
 /// fault plan is armed.
-pub(crate) struct WinFenceOp {
-    inner: Arc<Inner>,
-    win: Win,
-    wait: Vec<Event>,
-    ue: UserEvent,
-    label: String,
-    ids: ChildIds,
-    submit_ns: SimNs,
-    state: FenceState,
+pub(crate) struct FenceBody {
+    pub(crate) win: Win,
+    pub(crate) state: FenceState,
 }
 
-impl WinFenceOp {
-    pub(crate) fn new(
-        inner: Arc<Inner>,
-        win: Win,
-        wait: Vec<Event>,
-        ue: UserEvent,
-        ids: ChildIds,
-        submit_ns: SimNs,
-    ) -> Self {
-        let label = format!("clmpi-win-fence-r{}", inner.comm.rank());
-        WinFenceOp {
-            inner,
-            win,
-            wait,
-            ue,
-            label,
-            ids,
-            submit_ns,
-            state: FenceState::WaitDeps,
-        }
-    }
-
-    fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        let ok = outcome.is_ok();
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.fence",
-            "win-fence".into(),
-            self.submit_ns,
-            at,
-            0,
-            ok,
-            None,
-            None,
-        );
-        self.inner.note_settled(ok, 0, 0);
-        match outcome {
-            Ok(()) => self
-                .ue
-                .set_complete(at)
-                .expect("fence event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("fence event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("fence event settled once"),
-        }
-        self.state = FenceState::Done;
-        Step::Done
-    }
-
-    fn settle_epoch(&mut self, err: MpiError, at: SimNs) -> Step {
-        if let MpiError::ProcFailed { rank } = err {
-            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                stats.note_proc_failure();
-            }
-            record_failure(&self.inner, &mut self.ids, rank, at);
-        } else if let Some(stats) = self.inner.stats.lock().as_ref() {
-            stats.note_failure();
-        }
-        self.settle(
-            Err(ClError::TransferFailed(format!("rma epoch: {err}"))),
-            at,
-        )
-    }
+#[derive(Default)]
+pub(crate) enum FenceState {
+    #[default]
+    Drain,
+    Await {
+        start: SimNs,
+        gen: u64,
+        op_err: Option<MpiError>,
+        deadline: Option<SimNs>,
+    },
 }
 
-impl EngineOp for WinFenceOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
-        loop {
+impl OpBody for FenceBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, _actor: &Actor) -> Advance {
+        let err = loop {
             match &mut self.state {
-                FenceState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => self.state = FenceState::Drain,
-                },
                 FenceState::Drain => {
                     if !self.win.poll_pending(now) {
-                        return Step::Park(Some(now + RMA_POLL_QUANTUM_NS));
+                        return Advance::Park(Some(now + RMA_POLL_QUANTUM_NS));
                     }
                     let op_err = self.win.take_epoch_err();
                     let gen = self.win.fence_enter(now);
-                    let deadline = self
-                        .win
-                        .comm()
-                        .world()
-                        .has_faults()
-                        .then(|| now + RMA_PATIENCE_NS);
+                    let faulty = self.win.comm().world().has_faults();
                     self.state = FenceState::Await {
                         start: now,
                         gen,
                         op_err,
-                        deadline,
+                        deadline: faulty.then(|| now + RMA_PATIENCE_NS),
                     };
                 }
                 FenceState::Await {
@@ -3000,29 +2184,32 @@ impl EngineOp for WinFenceOp {
                     op_err,
                     deadline,
                 } => {
-                    let (start, gen, deadline) = (*start, *gen, *deadline);
-                    if self.win.fence_ready(gen) {
+                    if self.win.fence_ready(*gen) {
                         // Epoch op failures outrank a clean sync (the
                         // blocking fence's `op_err.map_or(sync, Err)`).
-                        return match op_err.take() {
-                            None => self.settle(Ok(()), now),
-                            Some(e) => self.settle_epoch(e, now),
-                        };
-                    }
-                    match deadline {
-                        Some(d) if now >= d => {
-                            let laggards = self.win.fence_laggards(gen);
-                            let sync = self.win.classify_stall(&laggards, now, now - start);
-                            let err = op_err.take().unwrap_or(sync);
-                            return self.settle_epoch(err, now);
+                        match op_err.take() {
+                            None => return Advance::Done(now),
+                            Some(e) => break e,
                         }
-                        Some(d) => return Step::Park(Some(d)),
-                        None => return Step::Park(None),
+                    }
+                    match *deadline {
+                        Some(d) if now >= d => {
+                            let laggards = self.win.fence_laggards(*gen);
+                            let sync = self.win.classify_stall(&laggards, now, now - *start);
+                            break op_err.take().unwrap_or(sync);
+                        }
+                        deadline => return Advance::Park(deadline),
                     }
                 }
-                FenceState::Done => return Step::Done,
             }
+        };
+        if let MpiError::ProcFailed { rank } = err {
+            cx.proc_failure(rank, now);
+        } else {
+            cx.inner.with_stats(|s| s.note_failure());
         }
+        let e = ClError::TransferFailed(format!("rma epoch: {err}"));
+        Advance::Failed(e, now)
     }
 }
 

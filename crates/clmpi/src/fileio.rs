@@ -11,14 +11,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use minicl::{Buffer, ClResult, CommandQueue, Device, Event, UserEvent, CL_MPI_TRANSFER_ERROR};
+use minicl::{Buffer, ClError, ClResult, CommandQueue, Device, Event};
 use simnet::{Link, LinkSpec};
 use simtime::plock::Mutex;
 use simtime::{Actor, Monitor, SimClock, SimNs, WakeKey};
 
-use crate::engine::{deps_settled, record_envelope, EngineOp, Step};
-use crate::obs::ChildIds;
-use crate::runtime::Inner;
+use crate::engine::{Advance, Envelope, Hop, OpBody, OpCx, OpFrame, OpSpec};
+use crate::obs::fnv1a;
 
 /// A simulated node-local storage device: an in-memory "filesystem" plus
 /// a serialized bandwidth/latency timeline (one head, like a real disk or
@@ -178,15 +177,6 @@ pub const CKPT_MAGIC: [u8; 8] = *b"CLMPICKP";
 /// Framing overhead: magic + payload length + FNV-1a checksum.
 pub const CKPT_HEADER_LEN: usize = 24;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Frame `payload` as a checkpoint file: magic, length, checksum,
 /// payload. [`decode_checkpoint`] rejects anything torn or corrupted.
 pub fn encode_checkpoint(payload: &[u8]) -> Vec<u8> {
@@ -247,29 +237,24 @@ impl crate::runtime::ClMpi {
         _actor: &Actor,
     ) -> ClResult<Event> {
         buf.check_range(offset, size)?;
-        let ue = self
-            .context()
-            .create_user_event(format!("write-file {size}B"));
-        let event = ue.event();
-        self.inner.engine.submit(Box::new(FileWriteOp {
+        let body = FileStoreBody {
             device: queue.device().clone(),
             buf: buf.clone(),
             offset,
             size,
             storage: storage.clone(),
             path: path.into(),
-            wait: wait_list.to_vec(),
-            ue,
-            label: format!("clmpi-fwrite-r{}", self.rank()),
-            prio: self.inner.comm.global_rank(self.inner.comm.rank()) as u64,
-            state: FileState::WaitDeps,
-        }));
-        Ok(event)
+            framed: false,
+            state: Default::default(),
+        };
+        Ok(self.submit_file(format!("write-file {size}B"), None, wait_list, body))
     }
 
     /// Read a file from `storage` into `offset` of device buffer `buf`.
     /// The file must hold at least `size` bytes *by the time the command
-    /// runs* (its wait list has completed).
+    /// runs* (its wait list has completed); a missing or short file pays
+    /// the storage access and fails the event with
+    /// `CL_MPI_TRANSFER_ERROR`, leaving the buffer untouched.
     #[allow(clippy::too_many_arguments)]
     pub fn enqueue_read_file(
         &self,
@@ -283,24 +268,17 @@ impl crate::runtime::ClMpi {
         _actor: &Actor,
     ) -> ClResult<Event> {
         buf.check_range(offset, size)?;
-        let ue = self
-            .context()
-            .create_user_event(format!("read-file {size}B"));
-        let event = ue.event();
-        self.inner.engine.submit(Box::new(FileReadOp {
+        let body = FileLoadBody {
             device: queue.device().clone(),
             buf: buf.clone(),
             offset,
             size,
             storage: storage.clone(),
             path: path.into(),
-            wait: wait_list.to_vec(),
-            ue,
-            label: format!("clmpi-fread-r{}", self.rank()),
-            prio: self.inner.comm.global_rank(self.inner.comm.rank()) as u64,
-            state: FileState::WaitDeps,
-        }));
-        Ok(event)
+            framed: false,
+            state: Default::default(),
+        };
+        Ok(self.submit_file(format!("read-file {size}B"), None, wait_list, body))
     }
 
     /// `clEnqueueCheckpointBuffer`: write `size` bytes at `offset` of
@@ -325,25 +303,22 @@ impl crate::runtime::ClMpi {
         _actor: &Actor,
     ) -> ClResult<Event> {
         buf.check_range(offset, size)?;
-        let ue = self.context().create_user_event(format!("ckpt {size}B"));
-        let event = ue.event();
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(CheckpointWriteOp {
-            inner: self.inner.clone(),
+        let path = path.into();
+        let env = Envelope {
+            bytes: size as u64,
+            ..Envelope::new("op.ckpt", format!("ckpt {path}"), None)
+        };
+        let body = FileStoreBody {
             device: queue.device().clone(),
             buf: buf.clone(),
             offset,
             size,
             storage: storage.clone(),
-            path: path.into(),
-            wait: wait_list.to_vec(),
-            ue,
-            label: format!("clmpi-ckpt-r{}", self.rank()),
-            ids,
-            submit_ns: self.inner.clock.now_ns(),
-            state: CkptState::WaitDeps,
-        }));
-        Ok(event)
+            path,
+            framed: true,
+            state: Default::default(),
+        };
+        Ok(self.submit_file(format!("ckpt {size}B"), Some(env), wait_list, body))
     }
 
     /// `clEnqueueRestoreBuffer`: read the checkpoint at `path` from
@@ -366,551 +341,293 @@ impl crate::runtime::ClMpi {
         _actor: &Actor,
     ) -> ClResult<Event> {
         buf.check_range(offset, size)?;
-        let ue = self.context().create_user_event(format!("restore {size}B"));
-        let event = ue.event();
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(RestoreOp {
-            inner: self.inner.clone(),
+        let path = path.into();
+        let env = Envelope {
+            bytes: size as u64,
+            ..Envelope::new("op.restore", format!("restore {path}"), None)
+        };
+        let body = FileLoadBody {
             device: queue.device().clone(),
             buf: buf.clone(),
             offset,
             size,
             storage: storage.clone(),
-            path: path.into(),
-            wait: wait_list.to_vec(),
-            ue,
-            label: format!("clmpi-restore-r{}", self.rank()),
-            ids,
-            submit_ns: self.inner.clock.now_ns(),
-            state: RestoreState::WaitDeps,
-        }));
-        Ok(event)
+            path,
+            framed: true,
+            state: Default::default(),
+        };
+        Ok(self.submit_file(format!("restore {size}B"), Some(env), wait_list, body))
+    }
+
+    /// The four file commands share an irregular gate: their wait list
+    /// only orders them — a failed dependency is ignored, as this
+    /// future-work prototype always did. `env` is `None` for the two
+    /// unframed commands, which are also untraced (no envelope, no
+    /// counters).
+    fn submit_file(
+        &self,
+        event: String,
+        env: Option<Envelope>,
+        wait: &[Event],
+        body: impl OpBody + 'static,
+    ) -> Event {
+        let spec = OpSpec {
+            event,
+            wait,
+            poison: false,
+            env,
+            result: None,
+        };
+        OpFrame::submit(&self.inner, spec, body)
     }
 }
 
-/// Shared shape of both file machines: wait for the dependency list,
-/// post the storage reservation to the arbiter, poll for the grant,
-/// then park until the terminal instant and publish the payload.
-enum FileState {
-    WaitDeps,
-    /// Storage reservation posted; polling the arbiter for the grant.
-    WaitDisk {
-        cell: GrantCell,
-        earliest: SimNs,
-        payload: Vec<u8>,
-    },
-    Finish {
-        at: SimNs,
-        payload: Vec<u8>,
-    },
-    Done,
+/// A storage reservation posted to the arbiter and not granted yet.
+struct DiskWait {
+    cell: GrantCell,
+    earliest: SimNs,
 }
 
-/// `enqueue_write_file`: device→host staging (pinned path), then the
-/// storage stream; the bytes become durable — and the event completes —
-/// at the storage timeline's arrival instant.
-struct FileWriteOp {
+impl DiskWait {
+    /// Post `bytes` bytes of storage time from `earliest` on behalf of
+    /// the rank behind `cx`.
+    fn post(storage: &SimStorage, cx: &OpCx, bytes: usize, earliest: SimNs) -> Self {
+        let prio = cx.inner.comm.global_rank(cx.inner.comm.rank()) as u64;
+        DiskWait {
+            cell: storage.reserve_deferred(prio, bytes, earliest),
+            earliest,
+        }
+    }
+
+    /// Pump the arbiter: the reservation's arrival instant once granted,
+    /// else the instant to look again.
+    fn poll(&self, storage: &SimStorage, now: SimNs) -> Result<SimNs, SimNs> {
+        storage.pump(now);
+        self.cell.peek(|g| *g).ok_or(now.max(self.earliest) + 1)
+    }
+}
+
+/// `enqueue_write_file` and, `framed`, `clEnqueueCheckpointBuffer`:
+/// device→host staging (pinned path), then the storage stream; the bytes
+/// become durable — and the event completes — at the storage timeline's
+/// arrival instant.
+///
+/// Framed, the file carries the checkpoint header and is crash
+/// consistent: the torn intermediate file is published when the storage
+/// write begins, and a node kill inside `[write_start, durable)` leaves
+/// it there and poisons the event.
+struct FileStoreBody {
     device: Device,
     buf: Buffer,
     offset: usize,
     size: usize,
     storage: SimStorage,
     path: String,
-    wait: Vec<Event>,
-    ue: UserEvent,
-    label: String,
-    prio: u64,
-    state: FileState,
+    framed: bool,
+    state: FileStoreState,
 }
 
-impl EngineOp for FileWriteOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
+#[derive(Default)]
+enum FileStoreState {
+    #[default]
+    Start,
+    /// Storage reservation posted; the file's bytes are held here until
+    /// they are durable.
+    Disk { wait: DiskWait, file: Vec<u8> },
+    /// Granted: the write is in flight until `at`.
+    Written {
+        at: SimNs,
+        write_start: SimNs,
+        file: Vec<u8>,
+    },
+}
 
-    fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
+impl OpBody for FileStoreBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, _actor: &Actor) -> Advance {
         loop {
-            if let FileState::WaitDisk {
-                ref cell, earliest, ..
-            } = self.state
-            {
-                self.storage.pump(now);
-                let granted: Option<SimNs> = cell.peek(|g| *g);
-                let Some(durable_at) = granted else {
-                    return Step::Park(Some(now.max(earliest) + 1));
-                };
-                let state = std::mem::replace(&mut self.state, FileState::Done);
-                let FileState::WaitDisk { payload, .. } = state else {
-                    unreachable!("matched above")
-                };
-                self.state = FileState::Finish {
-                    at: durable_at,
-                    payload,
-                };
-            }
-            match self.state {
-                FileState::WaitDeps => {
-                    // Like the collective prototype, this future-work
-                    // command ignores dependency failures.
-                    if !deps_settled(&self.wait) {
-                        return Step::Park(None);
-                    }
+            match &mut self.state {
+                FileStoreState::Start => {
                     let pcie = self.device.spec().pcie;
-                    let staged = self
-                        .device
-                        .d2h_link()
-                        .reserve_duration(pcie.staged_ns(self.size, true), now + pcie.pin_setup_ns);
+                    let cost = pcie.staged_ns(self.size, true);
+                    let staged = Hop::D2h.reserve(&self.device, cost, now + pcie.pin_setup_ns);
                     // Snapshot the region when staging starts: later
-                    // device-side writes do not leak into the checkpoint.
-                    let bytes = self
-                        .buf
-                        .load(self.offset, self.size)
-                        .expect("range checked at enqueue");
-                    let cell = self
-                        .storage
-                        .reserve_deferred(self.prio, self.size, staged.end);
-                    self.state = FileState::WaitDisk {
-                        cell,
-                        earliest: staged.end,
-                        payload: bytes,
-                    };
-                }
-                FileState::WaitDisk { .. } => unreachable!("handled above"),
-                FileState::Finish { at, .. } => {
-                    if now < at {
-                        return Step::Park(Some(at));
-                    }
-                    let state = std::mem::replace(&mut self.state, FileState::Done);
-                    let FileState::Finish { payload, .. } = state else {
-                        unreachable!("matched above")
-                    };
-                    self.storage.write_file(&self.path, payload);
-                    self.ue.set_complete(at).expect("file write completed once");
-                    return Step::Done;
-                }
-                FileState::Done => return Step::Done,
-            }
-        }
-    }
-}
-
-/// `enqueue_read_file`: the storage stream, then host→device staging;
-/// the event completes with the data in device memory. A missing or
-/// short file is a programming error and panics (poisoning the world,
-/// like any rank panic).
-struct FileReadOp {
-    device: Device,
-    buf: Buffer,
-    offset: usize,
-    size: usize,
-    storage: SimStorage,
-    path: String,
-    wait: Vec<Event>,
-    ue: UserEvent,
-    label: String,
-    prio: u64,
-    state: FileState,
-}
-
-impl EngineOp for FileReadOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
-        loop {
-            if let FileState::WaitDisk {
-                ref cell, earliest, ..
-            } = self.state
-            {
-                self.storage.pump(now);
-                let granted: Option<SimNs> = cell.peek(|g| *g);
-                let Some(read_done) = granted else {
-                    return Step::Park(Some(now.max(earliest) + 1));
-                };
-                let state = std::mem::replace(&mut self.state, FileState::Done);
-                let FileState::WaitDisk { payload, .. } = state else {
-                    unreachable!("matched above")
-                };
-                // The per-rank h2d link has a single driving thread, so
-                // the synchronous reservation stays deterministic.
-                let pcie = self.device.spec().pcie;
-                let h2d = self.device.h2d_link().reserve_duration(
-                    pcie.staged_ns(self.size, true),
-                    read_done + pcie.pin_setup_ns,
-                );
-                self.state = FileState::Finish {
-                    at: h2d.end,
-                    payload,
-                };
-            }
-            match self.state {
-                FileState::WaitDeps => {
-                    if !deps_settled(&self.wait) {
-                        return Step::Park(None);
-                    }
-                    let path = &self.path;
-                    // Snapshot the file when the read starts (the old
-                    // behavior): later writes do not leak into it.
-                    let data = self
-                        .storage
-                        .read_file(path)
-                        .unwrap_or_else(|| panic!("enqueue_read_file: no file '{path}'"));
-                    assert!(
-                        data.len() >= self.size,
-                        "file '{path}' holds {} bytes, {} requested",
-                        data.len(),
-                        self.size
-                    );
-                    let cell = self.storage.reserve_deferred(self.prio, self.size, now);
-                    self.state = FileState::WaitDisk {
-                        cell,
-                        earliest: now,
-                        payload: data,
-                    };
-                }
-                FileState::WaitDisk { .. } => unreachable!("handled above"),
-                FileState::Finish { at, .. } => {
-                    if now < at {
-                        return Step::Park(Some(at));
-                    }
-                    let state = std::mem::replace(&mut self.state, FileState::Done);
-                    let FileState::Finish { payload, .. } = state else {
-                        unreachable!("matched above")
-                    };
-                    self.buf
-                        .store(self.offset, &payload[..self.size])
-                        .expect("range checked");
-                    self.ue.set_complete(at).expect("file read completed once");
-                    return Step::Done;
-                }
-                FileState::Done => return Step::Done,
-            }
-        }
-    }
-}
-
-enum CkptState {
-    WaitDeps,
-    /// Storage reservation posted (torn file already on disk); polling
-    /// the arbiter for the durable instant.
-    WaitDisk {
-        cell: GrantCell,
-        write_start: SimNs,
-        full: Vec<u8>,
-    },
-    /// Write in flight: a torn file is already on disk; the complete
-    /// framed file replaces it at `at` unless the node dies first.
-    Finish {
-        at: SimNs,
-        write_start: SimNs,
-        full: Vec<u8>,
-    },
-    Done,
-}
-
-/// `clEnqueueCheckpointBuffer`: the [`FileWriteOp`] pipeline plus
-/// checkpoint framing and crash consistency. The torn intermediate file
-/// is published when the storage write begins; a node kill inside
-/// `[write_start, durable)` leaves it there and poisons the event.
-struct CheckpointWriteOp {
-    inner: Arc<Inner>,
-    device: Device,
-    buf: Buffer,
-    offset: usize,
-    size: usize,
-    storage: SimStorage,
-    path: String,
-    wait: Vec<Event>,
-    ue: UserEvent,
-    label: String,
-    ids: ChildIds,
-    submit_ns: SimNs,
-    state: CkptState,
-}
-
-impl EngineOp for CheckpointWriteOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
-        loop {
-            if let CkptState::WaitDisk {
-                ref cell,
-                write_start,
-                ..
-            } = self.state
-            {
-                self.storage.pump(now);
-                let granted: Option<SimNs> = cell.peek(|g| *g);
-                let Some(durable_at) = granted else {
-                    return Step::Park(Some(now.max(write_start) + 1));
-                };
-                let state = std::mem::replace(&mut self.state, CkptState::Done);
-                let CkptState::WaitDisk { full, .. } = state else {
-                    unreachable!("matched above")
-                };
-                self.state = CkptState::Finish {
-                    at: durable_at,
-                    write_start,
-                    full,
-                };
-            }
-            match self.state {
-                CkptState::WaitDeps => {
-                    if !deps_settled(&self.wait) {
-                        return Step::Park(None);
-                    }
-                    let pcie = self.device.spec().pcie;
-                    let staged = self
-                        .device
-                        .d2h_link()
-                        .reserve_duration(pcie.staged_ns(self.size, true), now + pcie.pin_setup_ns);
-                    // Snapshot the region when staging starts, as
-                    // `enqueue_write_file` does.
+                    // device-side writes do not leak into the file.
                     let payload = self
                         .buf
                         .load(self.offset, self.size)
                         .expect("range checked at enqueue");
-                    let full = encode_checkpoint(&payload);
-                    let prio = self.inner.comm.global_rank(self.inner.comm.rank()) as u64;
-                    let cell = self.storage.reserve_deferred(prio, full.len(), staged.end);
-                    // The file exists — torn — from the moment the
-                    // storage write begins, like a file growing on a
-                    // real disk. Header plus half the payload: enough
-                    // for restore to see the promise it cannot keep.
-                    let torn =
-                        full[..CKPT_HEADER_LEN + (full.len() - CKPT_HEADER_LEN) / 2].to_vec();
-                    self.storage.write_file(&self.path, torn);
-                    self.state = CkptState::WaitDisk {
-                        cell,
-                        write_start: staged.end,
-                        full,
+                    let file = if self.framed {
+                        encode_checkpoint(&payload)
+                    } else {
+                        payload
                     };
-                }
-                CkptState::WaitDisk { .. } => unreachable!("handled above"),
-                CkptState::Finish {
-                    at, write_start, ..
-                } => {
-                    if now < at {
-                        return Step::Park(Some(at));
+                    let wait = DiskWait::post(&self.storage, cx, file.len(), staged.1);
+                    if self.framed {
+                        // The file exists — torn — from the moment the
+                        // storage write begins, like a file growing on a
+                        // real disk. Header plus half the payload: enough
+                        // for restore to see the promise it cannot keep.
+                        let torn = CKPT_HEADER_LEN + (file.len() - CKPT_HEADER_LEN) / 2;
+                        self.storage.write_file(&self.path, file[..torn].to_vec());
                     }
-                    let state = std::mem::replace(&mut self.state, CkptState::Done);
-                    let CkptState::Finish { full, .. } = state else {
-                        unreachable!("matched above")
-                    };
-                    let me = self.inner.comm.global_rank(self.inner.comm.rank());
-                    if self.inner.comm.world().node_down_in(me, write_start, at) {
+                    self.state = FileStoreState::Disk { wait, file };
+                }
+                FileStoreState::Disk { wait, file } => match wait.poll(&self.storage, now) {
+                    Err(again) => return Advance::Park(Some(again)),
+                    Ok(at) => {
+                        self.state = FileStoreState::Written {
+                            at,
+                            write_start: wait.earliest,
+                            file: std::mem::take(file),
+                        };
+                    }
+                },
+                FileStoreState::Written {
+                    at,
+                    write_start,
+                    file,
+                } => {
+                    let (at, write_start) = (*at, *write_start);
+                    if now < at {
+                        return Advance::Park(Some(at));
+                    }
+                    let me = cx.inner.comm.global_rank(cx.inner.comm.rank());
+                    if self.framed && cx.inner.comm.world().node_down_in(me, write_start, at) {
                         // Killed mid-write: the torn file is what the
                         // survivors find on the shared storage.
-                        record_envelope(
-                            &self.inner,
-                            &self.ids,
-                            "op.ckpt",
-                            format!("ckpt torn {}", self.path),
-                            self.submit_ns,
-                            at,
-                            self.size as u64,
-                            false,
-                            None,
-                            None,
-                        );
-                        self.inner.note_settled(false, 0, 0);
-                        self.ue
-                            .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                            .expect("ckpt event settled once");
-                        return Step::Done;
+                        let why = format!("ckpt torn {}", self.path);
+                        if let Some(env) = cx.env_mut() {
+                            env.name = why.clone();
+                        }
+                        return Advance::Failed(ClError::TransferFailed(why), at);
                     }
-                    self.storage.write_file(&self.path, full);
-                    record_envelope(
-                        &self.inner,
-                        &self.ids,
-                        "op.ckpt",
-                        format!("ckpt {}", self.path),
-                        self.submit_ns,
-                        at,
-                        self.size as u64,
-                        true,
-                        None,
-                        None,
-                    );
-                    self.inner.note_settled(true, 0, 0);
-                    self.ue.set_complete(at).expect("ckpt event completed once");
-                    return Step::Done;
+                    self.storage.write_file(&self.path, std::mem::take(file));
+                    return Advance::Done(at);
                 }
-                CkptState::Done => return Step::Done,
             }
         }
     }
 }
 
-enum RestoreState {
-    WaitDeps,
-    /// Storage read (or missing-file probe, `data == None`) posted to
-    /// the arbiter; polling for the grant.
-    WaitDisk {
-        cell: GrantCell,
-        earliest: SimNs,
-        data: Option<Vec<u8>>,
-    },
-    /// Validated: the payload lands in device memory at `at`.
-    Land {
-        at: SimNs,
-        payload: Vec<u8>,
-    },
-    /// Rejected (missing/torn/corrupt/mis-sized): poison at `at`.
-    Fail {
-        at: SimNs,
-        why: String,
-    },
-    Done,
-}
-
-/// `clEnqueueRestoreBuffer`: storage stream, framing validation, then
-/// host→device staging. Every rejection settles the event as failed —
-/// never a panic — so recovery code can probe candidate checkpoints.
-struct RestoreOp {
-    inner: Arc<Inner>,
+/// `enqueue_read_file` and, `framed`, `clEnqueueRestoreBuffer`: the
+/// storage stream, validation, then host→device staging; the event
+/// completes with the data in device memory. Every rejection — missing,
+/// short, torn, corrupt or mis-sized — pays the storage access and
+/// settles the event as failed, never a panic, so recovery code can
+/// probe candidate files.
+struct FileLoadBody {
     device: Device,
     buf: Buffer,
     offset: usize,
     size: usize,
     storage: SimStorage,
     path: String,
-    wait: Vec<Event>,
-    ue: UserEvent,
-    label: String,
-    ids: ChildIds,
-    submit_ns: SimNs,
-    state: RestoreState,
+    /// Is the file a checkpoint ([`decode_checkpoint`]) whose payload must
+    /// be exactly `size` bytes, or raw bytes of which the first `size`
+    /// are wanted?
+    framed: bool,
+    state: FileLoadState,
 }
 
-impl RestoreOp {
-    fn settle(&mut self, ok: bool, name: String, at: SimNs) -> Step {
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.restore",
-            name,
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            None,
-            None,
-        );
-        self.inner.note_settled(ok, 0, 0);
-        if ok {
-            self.ue
-                .set_complete(at)
-                .expect("restore event completed once");
-        } else {
-            self.ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("restore event settled once");
+#[derive(Default)]
+enum FileLoadState {
+    #[default]
+    Start,
+    /// Storage read (or missing-file probe, `data == None`) posted to
+    /// the arbiter.
+    Disk {
+        wait: DiskWait,
+        data: Option<Vec<u8>>,
+    },
+    /// Validated: the payload lands in device memory at `at`.
+    Land { at: SimNs, payload: Vec<u8> },
+    /// Rejected: poison at `at`.
+    Fail { at: SimNs, why: String },
+}
+
+impl FileLoadBody {
+    /// The `size` payload bytes of the file, or why it is unusable.
+    fn validate(&self, data: Option<Vec<u8>>) -> Result<Vec<u8>, String> {
+        let mut data = data.ok_or_else(|| format!("no file '{}'", self.path))?;
+        if self.framed {
+            let payload = decode_checkpoint(&data)?;
+            return if payload.len() == self.size {
+                Ok(payload.to_vec())
+            } else {
+                Err(format!(
+                    "payload holds {} bytes, {} requested",
+                    payload.len(),
+                    self.size
+                ))
+            };
         }
-        self.state = RestoreState::Done;
-        Step::Done
+        if data.len() < self.size {
+            return Err(format!(
+                "file holds {} bytes, {} requested",
+                data.len(),
+                self.size
+            ));
+        }
+        data.truncate(self.size);
+        Ok(data)
     }
 }
 
-impl EngineOp for RestoreOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
+impl OpBody for FileLoadBody {
+    fn advance(&mut self, cx: &mut OpCx, now: SimNs, _actor: &Actor) -> Advance {
         loop {
-            if let RestoreState::WaitDisk {
-                ref cell, earliest, ..
-            } = self.state
-            {
-                self.storage.pump(now);
-                let granted: Option<SimNs> = cell.peek(|g| *g);
-                let Some(read_done) = granted else {
-                    return Step::Park(Some(now.max(earliest) + 1));
-                };
-                let state = std::mem::replace(&mut self.state, RestoreState::Done);
-                let RestoreState::WaitDisk { data, .. } = state else {
-                    unreachable!("matched above")
-                };
-                let Some(data) = data else {
-                    // The probe came back empty; it still paid the
-                    // access latency.
-                    self.state = RestoreState::Fail {
-                        at: read_done,
-                        why: format!("no file '{}'", self.path),
-                    };
-                    continue;
-                };
-                let verdict = match decode_checkpoint(&data) {
-                    Err(why) => Err(why),
-                    Ok(p) if p.len() != self.size => Err(format!(
-                        "payload holds {} bytes, {} requested",
-                        p.len(),
-                        self.size
-                    )),
-                    Ok(p) => Ok(p.to_vec()),
-                };
-                match verdict {
-                    Err(why) => self.state = RestoreState::Fail { at: read_done, why },
-                    Ok(payload) => {
-                        let pcie = self.device.spec().pcie;
-                        let h2d = self.device.h2d_link().reserve_duration(
-                            pcie.staged_ns(self.size, true),
-                            read_done + pcie.pin_setup_ns,
-                        );
-                        self.state = RestoreState::Land {
-                            at: h2d.end,
-                            payload,
-                        };
-                    }
-                }
-            }
-            match self.state {
-                RestoreState::WaitDeps => {
-                    if !deps_settled(&self.wait) {
-                        return Step::Park(None);
-                    }
-                    // Snapshot the file when the read starts; a missing
-                    // file still pays the access latency before the
-                    // probe fails.
+            match &mut self.state {
+                FileLoadState::Start => {
+                    // Snapshot the file when the read starts: later
+                    // writes do not leak into it. A checkpoint streams
+                    // whole; a raw read streams the bytes asked for — or
+                    // what there is of them: a missing file still pays
+                    // the access latency before the probe fails.
                     let data = self.storage.read_file(&self.path);
-                    let bytes = data.as_ref().map_or(0, Vec::len);
-                    let prio = self.inner.comm.global_rank(self.inner.comm.rank()) as u64;
-                    let cell = self.storage.reserve_deferred(prio, bytes, now);
-                    self.state = RestoreState::WaitDisk {
-                        cell,
-                        earliest: now,
-                        data,
+                    let len = data.as_ref().map_or(0, Vec::len);
+                    let bytes = if self.framed { len } else { len.min(self.size) };
+                    let wait = DiskWait::post(&self.storage, cx, bytes, now);
+                    self.state = FileLoadState::Disk { wait, data };
+                }
+                FileLoadState::Disk { wait, data } => {
+                    let read_done = match wait.poll(&self.storage, now) {
+                        Err(again) => return Advance::Park(Some(again)),
+                        Ok(at) => at,
+                    };
+                    let data = data.take();
+                    self.state = match self.validate(data) {
+                        Err(why) => FileLoadState::Fail { at: read_done, why },
+                        Ok(payload) => {
+                            // The per-rank h2d link has a single driving
+                            // thread, so the synchronous reservation
+                            // stays deterministic.
+                            let pcie = self.device.spec().pcie;
+                            let cost = pcie.staged_ns(self.size, true);
+                            let from = read_done + pcie.pin_setup_ns;
+                            let h2d = Hop::H2d.reserve(&self.device, cost, from);
+                            FileLoadState::Land { at: h2d.1, payload }
+                        }
                     };
                 }
-                RestoreState::WaitDisk { .. } => unreachable!("handled above"),
-                RestoreState::Land { at, .. } => {
-                    if now < at {
-                        return Step::Park(Some(at));
+                FileLoadState::Land { at, payload } => {
+                    if now < *at {
+                        return Advance::Park(Some(*at));
                     }
-                    let state = std::mem::replace(&mut self.state, RestoreState::Done);
-                    let RestoreState::Land { payload, .. } = state else {
-                        unreachable!("matched above")
-                    };
                     self.buf
-                        .store(self.offset, &payload)
+                        .store(self.offset, payload)
                         .expect("range checked at enqueue");
-                    return self.settle(true, format!("restore {}", self.path), at);
+                    return Advance::Done(*at);
                 }
-                RestoreState::Fail { at, .. } => {
-                    if now < at {
-                        return Step::Park(Some(at));
+                FileLoadState::Fail { at, why } => {
+                    if now < *at {
+                        return Advance::Park(Some(*at));
                     }
-                    let state = std::mem::replace(&mut self.state, RestoreState::Done);
-                    let RestoreState::Fail { why, .. } = state else {
-                        unreachable!("matched above")
-                    };
-                    return self.settle(false, format!("restore {}: {why}", self.path), at);
+                    if let Some(env) = cx.env_mut() {
+                        env.name = format!("{}: {why}", env.name);
+                    }
+                    let e = ClError::TransferFailed(format!("{}: {why}", self.path));
+                    return Advance::Failed(e, *at);
                 }
-                RestoreState::Done => return Step::Done,
             }
         }
     }
@@ -920,6 +637,7 @@ impl EngineOp for RestoreOp {
 mod tests {
     use super::*;
     use crate::SystemConfig;
+    use minicl::{CL_MPI_TRANSFER_ERROR, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST};
     use minimpi::run_world_sized;
 
     #[test]
@@ -1062,18 +780,39 @@ mod tests {
         });
     }
 
+    /// A missing or short file fails the read the way a bad checkpoint
+    /// fails a restore: the probe pays the storage access, the event
+    /// settles −1100, a dependant gets −14, the buffer is untouched and
+    /// the world finishes.
     #[test]
-    #[should_panic(expected = "clock poisoned by a panicking actor")]
     fn reading_missing_file_fails() {
         run_world_sized(SystemConfig::ricc().cluster.clone(), 1, |p| {
             let rt = crate::ClMpi::new(&p, SystemConfig::ricc());
             let q = rt.context().create_queue(0, "q");
             let storage = SimStorage::node_local_disk(p.clock().clone());
+            storage.write_file("short", vec![1u8; 63]);
             let buf = rt.context().create_buffer(64);
-            let e = rt
-                .enqueue_read_file(&q, &buf, 0, 64, &storage, "nope", &[], &p.actor)
-                .expect("enqueue accepted");
-            e.wait(&p.actor);
+            buf.store(0, &[7u8; 64]).expect("store in range");
+            for path in ["nope", "short"] {
+                let t0 = p.actor.now_ns();
+                let e = rt
+                    .enqueue_read_file(&q, &buf, 0, 64, &storage, path, &[], &p.actor)
+                    .expect("enqueue accepted");
+                let dep = q.enqueue_kernel("after-read", 1_000, std::slice::from_ref(&e), || {});
+                dep.wait(&p.actor);
+                assert_eq!(e.error_code(), Some(CL_MPI_TRANSFER_ERROR), "{path}");
+                assert_eq!(
+                    dep.error_code(),
+                    Some(EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST),
+                    "{path}: dependant poisoned"
+                );
+                let now = p.actor.now_ns();
+                assert!(
+                    now >= t0 + 4_000_000,
+                    "{path}: the probe paid the 4 ms access ({t0} → {now})"
+                );
+            }
+            assert_eq!(buf.load(0, 64).expect("load in range"), vec![7u8; 64]);
             rt.shutdown(&p.actor);
         });
     }

@@ -31,8 +31,9 @@ use simtime::{Actor, Monitor, SimClock, SimNs, Trace};
 
 use crate::data_tag;
 use crate::engine::{
-    record_envelope, AccumulateOp, Engine, EventFromRequestOp, GetOp, HostSendOp, IrecvClOp,
-    Lowering, PutOp, RecvOp, ResultSlot, SendOp, SendSlot, WinFenceOp,
+    record_envelope, AccumulateBody, Engine, Envelope, EventFromRequestBody, FenceBody, GetBody,
+    HostSendOp, IrecvBody, Lowering, OpCx, OpFrame, OpSpec, PutBody, RecvBody, ResultSlot,
+    SendBody, SendSlot,
 };
 use crate::obs::{ChildIds, ObsCounters};
 use crate::retry::RetryPolicy;
@@ -103,6 +104,13 @@ impl Inner {
     /// Count an operation settlement (engine-side).
     pub(crate) fn note_settled(&self, ok: bool, sent: u64, received: u64) {
         self.obs.lock().note_settled(ok, sent, received);
+    }
+
+    /// Run `f` on the attached statistics collector, if there is one.
+    pub(crate) fn with_stats(&self, f: impl FnOnce(&crate::stats::TransferStats)) {
+        if let Some(stats) = self.stats.lock().as_ref() {
+            f(stats);
+        }
     }
 
     /// Allocate an id block for a control-plane recovery span (failure
@@ -327,7 +335,7 @@ impl ClMpi {
             return self.inner.cfg.resolve(forced, size);
         }
         let chosen = if let Some(sel) = self.inner.rma_adaptive.lock().as_ref() {
-            self.inner.cfg.resolve(sel.choose(peer, size), size)
+            self.inner.cfg.resolve(sel.choose((peer, size)), size)
         } else {
             TransferStrategy::Rma
         };
@@ -358,18 +366,8 @@ impl ClMpi {
         }
         let now = self.inner.clock.now_ns();
         let ids = self.inner.new_span_ids();
-        record_envelope(
-            &self.inner,
-            &ids,
-            "op.failure",
-            format!("proc-failure r{rank}"),
-            now,
-            now,
-            0,
-            false,
-            Some(rank),
-            None,
-        );
+        let env = Envelope::new("op.failure", format!("proc-failure r{rank}"), Some(rank));
+        record_envelope(&self.inner, &ids, env, now, now, false);
     }
 
     /// Communicator-local ranks known failed at instant `t`: explicit
@@ -388,18 +386,8 @@ impl ClMpi {
         self.inner.comm.revoke();
         let now = self.inner.clock.now_ns();
         let ids = self.inner.new_span_ids();
-        record_envelope(
-            &self.inner,
-            &ids,
-            "op.revoke",
-            "revoke".into(),
-            now,
-            now,
-            0,
-            true,
-            None,
-            None,
-        );
+        let env = Envelope::new("op.revoke", "revoke".into(), None);
+        record_envelope(&self.inner, &ids, env, now, now, true);
     }
 
     /// `MPI_Comm_shrink`: run the fault-tolerant agreement over the
@@ -417,19 +405,79 @@ impl ClMpi {
             Ok(c) => format!("shrink {}→{}", self.inner.comm.size(), c.size()),
             Err(e) => format!("shrink failed: {e}"),
         };
-        record_envelope(
-            &self.inner,
-            &ids,
-            "op.shrink",
-            name,
-            t0,
-            now,
-            0,
-            res.is_ok(),
-            None,
-            None,
-        );
+        let env = Envelope::new("op.shrink", name, None);
+        record_envelope(&self.inner, &ids, env, t0, now, res.is_ok());
         res
+    }
+
+    // ------------------------------------------------------------------
+    // Submission (every command below is a body handed to the op frame)
+    // ------------------------------------------------------------------
+
+    /// Submit `body` as a traced command whose wait list poisons it —
+    /// the protocol of every command but the file ones.
+    pub(crate) fn submit_gated(
+        &self,
+        event: String,
+        env: Envelope,
+        wait: &[Event],
+        body: impl crate::engine::OpBody + 'static,
+    ) -> Event {
+        OpFrame::submit(&self.inner, OpSpec::gated(event, env, wait), body)
+    }
+
+    /// The three device-buffer send entry points (plain, datatype,
+    /// gpu-aware) differ in the event's label, the lowering in `body`,
+    /// the wait list and who listens on a result slot.
+    fn submit_send(
+        &self,
+        event: String,
+        body: SendBody,
+        tag: Tag,
+        wait: &[Event],
+        result: Option<ResultSlot>,
+    ) -> Event {
+        let env = Envelope {
+            bytes: body.size as u64,
+            tag: Some(body.wire_tag),
+            sent: body.size as u64,
+            ..Envelope::new(
+                "op.send",
+                format!("send→{}#{tag}", body.dst),
+                Some(body.dst),
+            )
+        };
+        let spec = OpSpec {
+            result,
+            ..OpSpec::gated(event, env, wait)
+        };
+        OpFrame::submit(&self.inner, spec, body)
+    }
+
+    /// The receive-side twin of [`ClMpi::submit_send`].
+    fn submit_recv(
+        &self,
+        event: String,
+        body: RecvBody,
+        tag: Tag,
+        wait: &[Event],
+        result: Option<ResultSlot>,
+    ) -> Event {
+        let env = Envelope {
+            bytes: body.size as u64,
+            tag: Some(body.wire_tag),
+            received: body.size as u64,
+            ..Envelope::new(
+                "op.recv",
+                format!("recv←{}#{tag}", body.src),
+                Some(body.src),
+            )
+        };
+        let spec = OpSpec {
+            result,
+            ..OpSpec::gated(event, env, wait)
+        };
+        OpFrame::submit(&self.inner, spec, body)
     }
 
     // ------------------------------------------------------------------
@@ -461,31 +509,18 @@ impl ClMpi {
         if dst >= self.inner.comm.size() {
             return Err(ClError::InvalidValue(format!("rank {dst} out of range")));
         }
-        let wire_tag = crate::checked_data_tag(tag)?;
-        let ue = self
-            .inner
-            .ctx
-            .create_user_event(format!("send→{dst}#{tag}"));
-        let event = ue.event();
-        let strategy = self.resolve(size);
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(SendOp::new(
-            self.inner.clone(),
-            queue.device().clone(),
-            buf.clone(),
+        let body = SendBody {
+            device: queue.device().clone(),
+            buf: buf.clone(),
             offset,
             size,
             dst,
-            tag,
-            wire_tag,
-            strategy,
-            None,
-            wait_list.to_vec(),
-            ue,
-            None,
-            ids,
-            self.inner.clock.now_ns(),
-        )));
+            wire_tag: crate::checked_data_tag(tag)?,
+            strategy: self.resolve(size),
+            lowering: None,
+            run: Default::default(),
+        };
+        let event = self.submit_send(format!("send→{dst}#{tag}"), body, tag, wait_list, None);
         if blocking {
             event.wait(actor); // blocking-api: explicit blocking enqueue flag
         }
@@ -512,31 +547,18 @@ impl ClMpi {
         if src >= self.inner.comm.size() {
             return Err(ClError::InvalidValue(format!("rank {src} out of range")));
         }
-        let wire_tag = crate::checked_data_tag(tag)?;
-        let ue = self
-            .inner
-            .ctx
-            .create_user_event(format!("recv←{src}#{tag}"));
-        let event = ue.event();
-        let strategy = self.resolve(size);
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(RecvOp::new(
-            self.inner.clone(),
-            queue.device().clone(),
-            buf.clone(),
+        let body = RecvBody {
+            device: queue.device().clone(),
+            buf: buf.clone(),
             offset,
             size,
             src,
-            tag,
-            wire_tag,
-            strategy,
-            None,
-            wait_list.to_vec(),
-            ue,
-            None,
-            ids,
-            self.inner.clock.now_ns(),
-        )));
+            wire_tag: crate::checked_data_tag(tag)?,
+            strategy: self.resolve(size),
+            lowering: None,
+            run: Default::default(),
+        };
+        let event = self.submit_recv(format!("recv←{src}#{tag}"), body, tag, wait_list, None);
         if blocking {
             event.wait(actor); // blocking-api: explicit blocking enqueue flag
         }
@@ -642,35 +664,22 @@ impl ClMpi {
         if dst >= self.inner.comm.size() {
             return Err(ClError::InvalidValue(format!("rank {dst} out of range")));
         }
-        let wire_tag = crate::checked_data_tag(tag)?;
         let packed = ty.packed_size();
-        let ue = self
-            .inner
-            .ctx
-            .create_user_event(format!("send-dt→{dst}#{tag}"));
-        let event = ue.event();
-        let strategy = self.pack_wire_strategy(mode, packed);
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(SendOp::new(
-            self.inner.clone(),
-            queue.device().clone(),
-            buf.clone(),
+        let body = SendBody {
+            device: queue.device().clone(),
+            buf: buf.clone(),
             offset,
-            packed,
+            size: packed,
             dst,
-            tag,
-            wire_tag,
-            strategy,
-            Some(Lowering {
+            wire_tag: crate::checked_data_tag(tag)?,
+            strategy: self.pack_wire_strategy(mode, packed),
+            lowering: Some(Lowering {
                 ty: ty.clone(),
                 mode,
             }),
-            wait_list.to_vec(),
-            ue,
-            None,
-            ids,
-            self.inner.clock.now_ns(),
-        )));
+            run: Default::default(),
+        };
+        let event = self.submit_send(format!("send-dt→{dst}#{tag}"), body, tag, wait_list, None);
         if blocking {
             event.wait(actor); // blocking-api: explicit blocking enqueue flag
         }
@@ -714,35 +723,22 @@ impl ClMpi {
         if src >= self.inner.comm.size() {
             return Err(ClError::InvalidValue(format!("rank {src} out of range")));
         }
-        let wire_tag = crate::checked_data_tag(tag)?;
         let packed = ty.packed_size();
-        let ue = self
-            .inner
-            .ctx
-            .create_user_event(format!("recv-dt←{src}#{tag}"));
-        let event = ue.event();
-        let strategy = self.pack_wire_strategy(mode, packed);
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(RecvOp::new(
-            self.inner.clone(),
-            queue.device().clone(),
-            buf.clone(),
+        let body = RecvBody {
+            device: queue.device().clone(),
+            buf: buf.clone(),
             offset,
-            packed,
+            size: packed,
             src,
-            tag,
-            wire_tag,
-            strategy,
-            Some(Lowering {
+            wire_tag: crate::checked_data_tag(tag)?,
+            strategy: self.pack_wire_strategy(mode, packed),
+            lowering: Some(Lowering {
                 ty: ty.clone(),
                 mode,
             }),
-            wait_list.to_vec(),
-            ue,
-            None,
-            ids,
-            self.inner.clock.now_ns(),
-        )));
+            run: Default::default(),
+        };
+        let event = self.submit_recv(format!("recv-dt←{src}#{tag}"), body, tag, wait_list, None);
         if blocking {
             event.wait(actor); // blocking-api: explicit blocking enqueue flag
         }
@@ -773,30 +769,20 @@ impl ClMpi {
         tag: Tag,
     ) -> ClResult<()> {
         buf.check_range(offset, size)?;
-        let strategy = self.resolve(size);
-        let ue = self
-            .inner
-            .ctx
-            .create_user_event(format!("gpu-send→{dst}#{tag}"));
-        let slot: ResultSlot = Arc::new(Monitor::new(self.inner.clock.clone(), None));
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(SendOp::new(
-            self.inner.clone(),
-            queue.device().clone(),
-            buf.clone(),
+        let body = SendBody {
+            device: queue.device().clone(),
+            buf: buf.clone(),
             offset,
             size,
             dst,
-            tag,
-            data_tag(tag),
-            strategy,
-            None,
-            Vec::new(),
-            ue,
-            Some(slot.clone()),
-            ids,
-            self.inner.clock.now_ns(),
-        )));
+            wire_tag: data_tag(tag),
+            strategy: self.resolve(size),
+            lowering: None,
+            run: Default::default(),
+        };
+        let slot: ResultSlot = Arc::new(Monitor::new(self.inner.clock.clone(), None));
+        let label = format!("gpu-send→{dst}#{tag}");
+        self.submit_send(label, body, tag, &[], Some(slot.clone()));
         // blocking-api: GPU-aware MPI is synchronous by definition.
         slot.wait_labeled(actor, "gpu-aware send", |s| s.take())
     }
@@ -815,30 +801,20 @@ impl ClMpi {
         tag: Tag,
     ) -> ClResult<()> {
         buf.check_range(offset, size)?;
-        let strategy = self.resolve(size);
-        let ue = self
-            .inner
-            .ctx
-            .create_user_event(format!("gpu-recv←{src}#{tag}"));
-        let slot: ResultSlot = Arc::new(Monitor::new(self.inner.clock.clone(), None));
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(RecvOp::new(
-            self.inner.clone(),
-            queue.device().clone(),
-            buf.clone(),
+        let body = RecvBody {
+            device: queue.device().clone(),
+            buf: buf.clone(),
             offset,
             size,
             src,
-            tag,
-            data_tag(tag),
-            strategy,
-            None,
-            Vec::new(),
-            ue,
-            Some(slot.clone()),
-            ids,
-            self.inner.clock.now_ns(),
-        )));
+            wire_tag: data_tag(tag),
+            strategy: self.resolve(size),
+            lowering: None,
+            run: Default::default(),
+        };
+        let slot: ResultSlot = Arc::new(Monitor::new(self.inner.clock.clone(), None));
+        let label = format!("gpu-recv←{src}#{tag}");
+        self.submit_recv(label, body, tag, &[], Some(slot.clone()));
         // blocking-api: GPU-aware MPI is synchronous by definition.
         slot.wait_labeled(actor, "gpu-aware recv", |s| s.take())
     }
@@ -851,20 +827,17 @@ impl ClMpi {
     /// an event so OpenCL commands can depend on it. For receives, the
     /// payload lands in the returned [`RequestOutcome`].
     pub fn event_from_request(&self, req: Request) -> (Event, RequestOutcome) {
-        let ue = self.inner.ctx.create_user_event("mpi-request");
-        let event = ue.event();
         let outcome = RequestOutcome {
             slot: Arc::new(Monitor::new(self.inner.clock.clone(), None)),
         };
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(EventFromRequestOp::new(
-            self.inner.clone(),
+        // Payload size and received bytes are the body's to fill in: only
+        // the settled request knows them.
+        let env = Envelope::new("op.request", "mpi-request".into(), None);
+        let body = EventFromRequestBody {
             req,
-            ue,
-            outcome.slot.clone(),
-            ids,
-            self.inner.clock.now_ns(),
-        )));
+            slot: outcome.slot.clone(),
+        };
+        let event = self.submit_gated("mpi-request".into(), env, &[], body);
         (event, outcome)
     }
 
@@ -895,17 +868,23 @@ impl ClMpi {
             .collect();
         let issued = Arc::new(Monitor::new(self.inner.clock.clone(), false));
         let slot: SendSlot = Arc::new(Monitor::new(self.inner.clock.clone(), None));
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(HostSendOp::new(
-            self.inner.clone(),
+        let total = data.len() as u64;
+        let env = Envelope {
+            bytes: total,
+            tag: Some(wire_tag),
+            sent: total,
+            ..Envelope::new("op.isend", format!("isend→{dst}"), Some(dst))
+        };
+        self.inner.engine.submit(Box::new(HostSendOp {
+            cx: OpCx::traced(&self.inner, env),
             dst,
             wire_tag,
             chunks,
-            issued.clone(),
-            slot.clone(),
-            ids,
-            self.inner.clock.now_ns(),
-        )));
+            issued: issued.clone(),
+            slot: slot.clone(),
+            label: format!("clmpi-isend-r{}", self.rank()),
+            run: Default::default(),
+        }));
         // Hand-off handshake: resume once the engine has pushed the first
         // injection burst onto the wire, keeping the fabric reservation
         // order identical to an inline send (costs no virtual time — the
@@ -928,20 +907,21 @@ impl ClMpi {
         // Map the tag on the calling thread: a bad tag is the caller's
         // error and must not panic the engine.
         let wire_tag = data_tag(tag);
-        let ue = self.inner.ctx.create_user_event(format!("irecv_cl←{src}"));
-        let event = ue.event();
         let host = HostBuffer::pinned(size);
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(IrecvClOp::new(
-            self.inner.clone(),
+        let env = Envelope {
+            bytes: size as u64,
+            tag: Some(wire_tag),
+            received: size as u64,
+            ..Envelope::new("op.irecv", format!("irecv←{src}"), Some(src))
+        };
+        let body = IrecvBody {
             src,
             wire_tag,
             size,
-            host.clone(),
-            ue,
-            ids,
-            self.inner.clock.now_ns(),
-        )));
+            host: host.clone(),
+            run: Default::default(),
+        };
+        let event = self.submit_gated(format!("irecv_cl←{src}"), env, &[], body);
         ClRecvRequest { event, data: host }
     }
 
@@ -996,25 +976,23 @@ impl ClMpi {
     ) -> ClResult<Event> {
         win.buf.check_range(offset, size)?;
         self.check_win_range(win, target, win_offset, size)?;
-        let ue = self.inner.ctx.create_user_event(format!("put→{target}"));
-        let event = ue.event();
-        let strategy = self.resolve_rma(target, size);
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(PutOp::new(
-            self.inner.clone(),
-            queue.device().clone(),
-            win.win.clone(),
-            win.buf.clone(),
+        let body = PutBody {
+            device: queue.device().clone(),
+            win: win.win.clone(),
+            buf: win.buf.clone(),
             offset,
             win_offset,
             size,
             target,
-            strategy,
-            wait_list.to_vec(),
-            ue,
-            ids,
-            self.inner.clock.now_ns(),
-        )));
+            strategy: self.resolve_rma(target, size),
+            flights: Vec::new(),
+        };
+        let env = Envelope {
+            bytes: size as u64,
+            sent: size as u64,
+            ..Envelope::new("op.put", format!("put→{target}@{win_offset}"), Some(target))
+        };
+        let event = self.submit_gated(format!("put→{target}"), env, wait_list, body);
         if blocking {
             event.wait(actor); // blocking-api: explicit blocking enqueue flag
         }
@@ -1040,23 +1018,22 @@ impl ClMpi {
     ) -> ClResult<Event> {
         win.buf.check_range(offset, size)?;
         self.check_win_range(win, target, win_offset, size)?;
-        let ue = self.inner.ctx.create_user_event(format!("get←{target}"));
-        let event = ue.event();
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(GetOp::new(
-            self.inner.clone(),
-            queue.device().clone(),
-            win.win.clone(),
-            win.buf.clone(),
+        let body = GetBody {
+            device: queue.device().clone(),
+            win: win.win.clone(),
+            buf: win.buf.clone(),
             offset,
             win_offset,
             size,
             target,
-            wait_list.to_vec(),
-            ue,
-            ids,
-            self.inner.clock.now_ns(),
-        )));
+            state: Default::default(),
+        };
+        let env = Envelope {
+            bytes: size as u64,
+            received: size as u64,
+            ..Envelope::new("op.get", format!("get←{target}@{win_offset}"), Some(target))
+        };
+        let event = self.submit_gated(format!("get←{target}"), env, wait_list, body);
         if blocking {
             event.wait(actor); // blocking-api: explicit blocking enqueue flag
         }
@@ -1089,24 +1066,23 @@ impl ClMpi {
                 "accumulate size {size} is not a multiple of 8 (f64 elements)"
             )));
         }
-        let ue = self.inner.ctx.create_user_event(format!("acc→{target}"));
-        let event = ue.event();
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(AccumulateOp::new(
-            self.inner.clone(),
-            queue.device().clone(),
-            win.win.clone(),
-            win.buf.clone(),
+        let body = AccumulateBody {
+            device: queue.device().clone(),
+            win: win.win.clone(),
+            buf: win.buf.clone(),
             offset,
             win_offset,
             size,
             target,
             op,
-            wait_list.to_vec(),
-            ue,
-            ids,
-            self.inner.clock.now_ns(),
-        )));
+            state: Default::default(),
+        };
+        let env = Envelope {
+            bytes: size as u64,
+            sent: size as u64,
+            ..Envelope::new("op.acc", format!("acc→{target}@{win_offset}"), Some(target))
+        };
+        let event = self.submit_gated(format!("acc→{target}"), env, wait_list, body);
         if blocking {
             event.wait(actor); // blocking-api: explicit blocking enqueue flag
         }
@@ -1126,17 +1102,12 @@ impl ClMpi {
         wait_list: &[Event],
         actor: &Actor,
     ) -> ClResult<Event> {
-        let ue = self.inner.ctx.create_user_event("win-fence".to_string());
-        let event = ue.event();
-        let ids = self.inner.new_op();
-        self.inner.engine.submit(Box::new(WinFenceOp::new(
-            self.inner.clone(),
-            win.win.clone(),
-            wait_list.to_vec(),
-            ue,
-            ids,
-            self.inner.clock.now_ns(),
-        )));
+        let body = FenceBody {
+            win: win.win.clone(),
+            state: Default::default(),
+        };
+        let env = Envelope::new("op.fence", "win-fence".into(), None);
+        let event = self.submit_gated("win-fence".into(), env, wait_list, body);
         if blocking {
             event.wait(actor); // blocking-api: explicit blocking enqueue flag
         }

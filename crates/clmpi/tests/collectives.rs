@@ -520,12 +520,12 @@ fn failed_collectives_withdraw_their_receives_so_the_tag_is_reusable() {
         let rbuf = rt.context().create_buffer(COUNT * 8);
         let mut codes = Vec::new();
         for round in 0..2 {
-            buf.store(0, &vec![0u8; SIZE]).unwrap();
+            buf.store(0, &vec![0u8; SIZE]).expect("in range");
             if p.rank() == 0 {
-                buf.store(0, &pattern(SIZE, 21)).unwrap();
+                buf.store(0, &pattern(SIZE, 21)).expect("in range");
             }
             rbuf.store(0, &f64s_to_bytes(&contrib(p.rank(), COUNT)))
-                .unwrap();
+                .expect("in range");
             let eb = rt
                 .enqueue_bcast_buffer_as(
                     &q,
@@ -539,7 +539,7 @@ fn failed_collectives_withdraw_their_receives_so_the_tag_is_reusable() {
                     &[],
                     &p.actor,
                 )
-                .unwrap();
+                .expect("enqueue accepted");
             let er = rt
                 .enqueue_allreduce_buffer_as(
                     &q,
@@ -552,7 +552,7 @@ fn failed_collectives_withdraw_their_receives_so_the_tag_is_reusable() {
                     &[],
                     &p.actor,
                 )
-                .unwrap();
+                .expect("enqueue accepted");
             eb.wait(&p.actor);
             er.wait(&p.actor);
             codes.push((eb.error_code(), er.error_code()));
@@ -564,8 +564,8 @@ fn failed_collectives_withdraw_their_receives_so_the_tag_is_reusable() {
             }
         }
         let got = (
-            buf.load(0, SIZE).unwrap(),
-            bytes_to_f64s(&rbuf.load(0, COUNT * 8).unwrap()),
+            buf.load(0, SIZE).expect("in range"),
+            bytes_to_f64s(&rbuf.load(0, COUNT * 8).expect("in range")),
         );
         rt.shutdown(&p.actor);
         (codes, got)
@@ -605,9 +605,9 @@ fn forward_failure_mid_stream_hands_the_next_chunk_to_a_later_receive() {
         });
         let q = rt.context().create_queue(0, format!("r{}", p.rank()));
         let buf = rt.context().create_buffer(SIZE);
-        buf.store(0, &vec![0u8; SIZE]).unwrap();
+        buf.store(0, &vec![0u8; SIZE]).expect("in range");
         if p.rank() == 0 {
-            buf.store(0, &pattern(SIZE, 33)).unwrap();
+            buf.store(0, &pattern(SIZE, 33)).expect("in range");
         }
         let e = rt
             .enqueue_bcast_buffer_as(
@@ -622,12 +622,12 @@ fn forward_failure_mid_stream_hands_the_next_chunk_to_a_later_receive() {
                 &[],
                 &p.actor,
             )
-            .unwrap();
+            .expect("enqueue accepted");
         e.wait(&p.actor);
         let next = (p.rank() == 1).then(|| {
             // Chunks land in the buffer as they arrive: the stored prefix
             // says which chunk the dead machine was waiting for.
-            let have = buf.load(0, SIZE).unwrap();
+            let have = buf.load(0, SIZE).expect("in range");
             let want = pattern(SIZE, 33);
             let stored = (0..SIZE / CHUNK)
                 .take_while(|k| have[k * CHUNK..][..CHUNK] == want[k * CHUNK..][..CHUNK])

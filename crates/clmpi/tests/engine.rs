@@ -282,12 +282,16 @@ mod protocol {
         wire: [bool; 2],
         /// Does the rank's command report to an installed selector?
         told: [bool; 2],
+        /// Is the command's own input unusable (a missing file), so that
+        /// it fails with −1100 whatever the scenario?
+        rejects: bool,
         /// Issue the command gated on `wait`, see it settle, and return
         /// its error code (`Some(None)`: success; `None`: nothing issued).
         issue: fn(&Cx, &[Event]) -> Option<Option<i32>>,
     }
 
-    fn settled(e: Event, cx: &Cx) -> Option<Option<i32>> {
+    fn settled(e: minicl::ClResult<Event>, cx: &Cx) -> Option<Option<i32>> {
+        let e = e.expect("enqueue accepted");
         e.wait(&cx.p.actor);
         Some(e.error_code())
     }
@@ -314,7 +318,7 @@ mod protocol {
         } else {
             rt.enqueue_recv_datatype(q, buf, false, 0, &strided(), mode, 0, 3, w, a)
         };
-        settled(e.unwrap(), cx)
+        settled(e, cx)
     }
 
     fn rows() -> Vec<Row> {
@@ -328,6 +332,7 @@ mod protocol {
                 gate: Gate::Poisons,
                 wire: BOTH,
                 told: BOTH,
+                rejects: false,
                 issue: |cx, w| {
                     let (rt, q, buf, a) = (cx.rt, cx.q, cx.buf, &cx.p.actor);
                     let e = if cx.p.rank() == 0 {
@@ -335,7 +340,7 @@ mod protocol {
                     } else {
                         rt.enqueue_recv_buffer(q, buf, false, 0, SIZE, 0, 3, w, a)
                     };
-                    settled(e.unwrap(), cx)
+                    settled(e, cx)
                 },
             },
             // The datatype paths pick their wire strategy from the pack
@@ -346,6 +351,7 @@ mod protocol {
                 gate: Gate::Poisons,
                 wire: BOTH,
                 told: NEITHER,
+                rejects: false,
                 issue: |cx, w| datatype(cx, w, PackMode::HostPack),
             },
             Row {
@@ -354,6 +360,7 @@ mod protocol {
                 gate: Gate::Poisons,
                 wire: BOTH,
                 told: NEITHER,
+                rejects: false,
                 issue: |cx, w| datatype(cx, w, PackMode::DevicePack),
             },
             Row {
@@ -362,6 +369,7 @@ mod protocol {
                 gate: Gate::Poisons,
                 wire: BOTH,
                 told: NEITHER,
+                rejects: false,
                 issue: |cx, w| datatype(cx, w, PackMode::PipelinedPack),
             },
             Row {
@@ -370,6 +378,7 @@ mod protocol {
                 gate: Gate::None,
                 wire: BOTH,
                 told: BOTH,
+                rejects: false,
                 issue: |cx, _| {
                     let (rt, q, buf, a) = (cx.rt, cx.q, cx.buf, &cx.p.actor);
                     code(if cx.p.rank() == 0 {
@@ -385,12 +394,13 @@ mod protocol {
                 gate: Gate::None,
                 wire: BOTH,
                 told: NEITHER,
+                rejects: false,
                 issue: |cx, _| {
                     if cx.p.rank() == 0 {
                         let req = cx.rt.isend_cl(&cx.p.actor, 1, 3, &[7u8; SIZE]);
                         code(req.wait_result(&cx.p.actor))
                     } else {
-                        settled(cx.rt.irecv_cl(&cx.p.actor, 0, 3, SIZE).event, cx)
+                        settled(Ok(cx.rt.irecv_cl(&cx.p.actor, 0, 3, SIZE).event), cx)
                     }
                 },
             },
@@ -400,6 +410,7 @@ mod protocol {
                 gate: Gate::None,
                 wire: NEITHER, // plain MPI tags sit below the data plane
                 told: NEITHER,
+                rejects: false,
                 issue: |cx, _| {
                     let a = &cx.p.actor;
                     let req = if cx.p.rank() == 0 {
@@ -407,7 +418,7 @@ mod protocol {
                     } else {
                         cx.p.comm.irecv(a, Some(0), Some(9))
                     };
-                    settled(cx.rt.event_from_request(req).0, cx)
+                    settled(Ok(cx.rt.event_from_request(req).0), cx)
                 },
             },
             Row {
@@ -416,21 +427,23 @@ mod protocol {
                 gate: Gate::Poisons,
                 wire: ORIGIN,
                 told: ORIGIN,
+                rejects: false,
                 issue: |cx, w| {
-                    (cx.p.rank() == 0).then(|| {
-                        let e = cx.rt.enqueue_put_buffer(
-                            cx.q,
-                            cx.win,
-                            false,
-                            0,
-                            0,
-                            SIZE,
-                            1,
-                            w,
-                            &cx.p.actor,
-                        );
-                        settled(e.unwrap(), cx).unwrap()
-                    })
+                    if cx.p.rank() != 0 {
+                        return None;
+                    }
+                    let e = cx.rt.enqueue_put_buffer(
+                        cx.q,
+                        cx.win,
+                        false,
+                        0,
+                        0,
+                        SIZE,
+                        1,
+                        w,
+                        &cx.p.actor,
+                    );
+                    settled(e, cx)
                 },
             },
             Row {
@@ -439,21 +452,23 @@ mod protocol {
                 gate: Gate::Poisons,
                 wire: ORIGIN,
                 told: NEITHER,
+                rejects: false,
                 issue: |cx, w| {
-                    (cx.p.rank() == 0).then(|| {
-                        let e = cx.rt.enqueue_get_buffer(
-                            cx.q,
-                            cx.win,
-                            false,
-                            0,
-                            0,
-                            SIZE,
-                            1,
-                            w,
-                            &cx.p.actor,
-                        );
-                        settled(e.unwrap(), cx).unwrap()
-                    })
+                    if cx.p.rank() != 0 {
+                        return None;
+                    }
+                    let e = cx.rt.enqueue_get_buffer(
+                        cx.q,
+                        cx.win,
+                        false,
+                        0,
+                        0,
+                        SIZE,
+                        1,
+                        w,
+                        &cx.p.actor,
+                    );
+                    settled(e, cx)
                 },
             },
             Row {
@@ -462,22 +477,24 @@ mod protocol {
                 gate: Gate::Poisons,
                 wire: ORIGIN,
                 told: NEITHER,
+                rejects: false,
                 issue: |cx, w| {
-                    (cx.p.rank() == 0).then(|| {
-                        let e = cx.rt.enqueue_accumulate_buffer(
-                            cx.q,
-                            cx.win,
-                            false,
-                            0,
-                            0,
-                            SIZE,
-                            1,
-                            ReduceOp::Sum,
-                            w,
-                            &cx.p.actor,
-                        );
-                        settled(e.unwrap(), cx).unwrap()
-                    })
+                    if cx.p.rank() != 0 {
+                        return None;
+                    }
+                    let e = cx.rt.enqueue_accumulate_buffer(
+                        cx.q,
+                        cx.win,
+                        false,
+                        0,
+                        0,
+                        SIZE,
+                        1,
+                        ReduceOp::Sum,
+                        w,
+                        &cx.p.actor,
+                    );
+                    settled(e, cx)
                 },
             },
             Row {
@@ -486,9 +503,10 @@ mod protocol {
                 gate: Gate::Poisons,
                 wire: NEITHER, // an empty epoch synchronizes on control blocks
                 told: NEITHER,
+                rejects: false,
                 issue: |cx, w| {
                     let e = cx.rt.enqueue_win_fence(cx.win, false, w, &cx.p.actor);
-                    settled(e.unwrap(), cx)
+                    settled(e, cx)
                 },
             },
             Row {
@@ -497,11 +515,12 @@ mod protocol {
                 gate: Gate::Poisons,
                 wire: BOTH,
                 told: ORIGIN, // only the root chose, only the root reports
+                rejects: false,
                 issue: |cx, w| {
                     let e = cx
                         .rt
                         .enqueue_bcast_buffer(cx.q, cx.buf, 0, SIZE, 0, 3, w, &cx.p.actor);
-                    settled(e.unwrap(), cx)
+                    settled(e, cx)
                 },
             },
             Row {
@@ -510,6 +529,7 @@ mod protocol {
                 gate: Gate::Poisons,
                 wire: BOTH,
                 told: BOTH,
+                rejects: false,
                 issue: |cx, w| {
                     let e = cx.rt.enqueue_allreduce_buffer(
                         cx.q,
@@ -521,7 +541,7 @@ mod protocol {
                         w,
                         &cx.p.actor,
                     );
-                    settled(e.unwrap(), cx)
+                    settled(e, cx)
                 },
             },
             Row {
@@ -530,6 +550,7 @@ mod protocol {
                 gate: Gate::Poisons,
                 wire: BOTH,
                 told: NEITHER,
+                rejects: false,
                 issue: |cx, w| {
                     let e = cx.rt.enqueue_reduce_buffer(
                         cx.q,
@@ -542,7 +563,7 @@ mod protocol {
                         w,
                         &cx.p.actor,
                     );
-                    settled(e.unwrap(), cx)
+                    settled(e, cx)
                 },
             },
             Row {
@@ -551,6 +572,7 @@ mod protocol {
                 gate: Gate::RunsAnyway,
                 wire: NEITHER,
                 told: NEITHER,
+                rejects: false,
                 issue: |cx, w| {
                     let e = cx.rt.enqueue_write_file(
                         cx.q,
@@ -562,7 +584,7 @@ mod protocol {
                         w,
                         &cx.p.actor,
                     );
-                    settled(e.unwrap(), cx)
+                    settled(e, cx)
                 },
             },
             Row {
@@ -571,6 +593,7 @@ mod protocol {
                 gate: Gate::RunsAnyway,
                 wire: NEITHER,
                 told: NEITHER,
+                rejects: false,
                 issue: |cx, w| {
                     let e = cx.rt.enqueue_read_file(
                         cx.q,
@@ -582,7 +605,51 @@ mod protocol {
                         w,
                         &cx.p.actor,
                     );
-                    settled(e.unwrap(), cx)
+                    settled(e, cx)
+                },
+            },
+            // Read behaves like restore: a missing file pays the storage
+            // access and fails the event, it does not panic the world.
+            Row {
+                name: "enqueue_read_file (missing file)",
+                cat: [None, None],
+                gate: Gate::RunsAnyway,
+                wire: NEITHER,
+                told: NEITHER,
+                rejects: true,
+                issue: |cx, w| {
+                    let e = cx.rt.enqueue_read_file(
+                        cx.q,
+                        cx.buf,
+                        0,
+                        SIZE,
+                        cx.disk,
+                        "absent",
+                        w,
+                        &cx.p.actor,
+                    );
+                    settled(e, cx)
+                },
+            },
+            Row {
+                name: "enqueue_restore_buffer (missing file)",
+                cat: [Some("op.restore"), Some("op.restore")],
+                gate: Gate::RunsAnyway,
+                wire: NEITHER,
+                told: NEITHER,
+                rejects: true,
+                issue: |cx, w| {
+                    let e = cx.rt.enqueue_restore_buffer(
+                        cx.q,
+                        cx.buf,
+                        0,
+                        SIZE,
+                        cx.disk,
+                        "absent",
+                        w,
+                        &cx.p.actor,
+                    );
+                    settled(e, cx)
                 },
             },
             Row {
@@ -591,6 +658,7 @@ mod protocol {
                 gate: Gate::RunsAnyway,
                 wire: NEITHER,
                 told: NEITHER,
+                rejects: false,
                 issue: |cx, w| {
                     let e = cx.rt.enqueue_checkpoint_buffer(
                         cx.q,
@@ -602,7 +670,7 @@ mod protocol {
                         w,
                         &cx.p.actor,
                     );
-                    settled(e.unwrap(), cx)
+                    settled(e, cx)
                 },
             },
             Row {
@@ -611,6 +679,7 @@ mod protocol {
                 gate: Gate::RunsAnyway,
                 wire: NEITHER,
                 told: NEITHER,
+                rejects: false,
                 issue: |cx, w| {
                     let e = cx.rt.enqueue_restore_buffer(
                         cx.q,
@@ -622,7 +691,7 @@ mod protocol {
                         w,
                         &cx.p.actor,
                     );
-                    settled(e.unwrap(), cx)
+                    settled(e, cx)
                 },
             },
         ]
@@ -688,13 +757,15 @@ mod protocol {
             rt.set_allreduce_adaptive(Some(allreduce.clone()));
             let q = rt.context().create_queue(0, format!("r{}", p.rank()));
             let buf = rt.context().create_buffer(SIZE);
-            let win = rt.expose_buffer_as_window(&buf, SIZE, &p.actor).unwrap();
+            let win = rt
+                .expose_buffer_as_window(&buf, SIZE, &p.actor)
+                .expect("window exposed");
             let disk = SimStorage::node_local_disk(p.clock().clone());
             disk.write_file("raw", vec![3u8; SIZE]);
             disk.write_file("ck", encode_checkpoint(&[4u8; SIZE]));
             let wait = if scenario == Scenario::PoisonedGate {
                 let ue = rt.context().create_user_event("poison");
-                ue.set_failed(p.actor.now_ns(), -5).unwrap();
+                ue.set_failed(p.actor.now_ns(), -5).expect("fresh event");
                 vec![ue.event()]
             } else {
                 Vec::new()
@@ -716,14 +787,14 @@ mod protocol {
             // "heard a success" is a winner without a retirement.
             let heard = [
                 (p2p.winner_for(SIZE), p2p.failures_for(SIZE).len()),
-                (rma.winner_for(1, SIZE), rma.failures_for(1, SIZE).len()),
+                (rma.winner_for((1, SIZE)), rma.failures_for((1, SIZE)).len()),
             ]
             .map(|(w, f)| (w.is_some(), f > 0))
             .into_iter()
             .chain([&bcast, &allreduce].map(|s| {
                 (
-                    s.winner_for(SIZE, 2).is_some(),
-                    !s.failures_for(SIZE, 2).is_empty(),
+                    s.winner_for((SIZE, 2)).is_some(),
+                    !s.failures_for((SIZE, 2)).is_empty(),
                 )
             }));
             let (mut heard_ok, mut heard_failure) = (false, false);
@@ -754,6 +825,7 @@ mod protocol {
                 {
                     let at = format!("{} / {scenario:?} / rank {rank}", row.name);
                     let want = match scenario {
+                        _ if row.rejects => Some(CL_MPI_TRANSFER_ERROR),
                         Scenario::Clean => None,
                         Scenario::PoisonedGate if row.gate == Gate::Poisons => {
                             Some(EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)

@@ -208,8 +208,8 @@ fn world_16_mixed_rma_and_two_sided_converges_per_peer() {
             f.wait_result(&p.actor).expect("round fence");
         }
         let verdict = (
-            sel.winner_for(colo, RMA_SIZE),
-            sel.winner_for(remote, RMA_SIZE),
+            sel.winner_for((colo, RMA_SIZE)),
+            sel.winner_for((remote, RMA_SIZE)),
         );
         rt.shutdown(&p.actor);
         verdict
