@@ -2,6 +2,7 @@
 //! physics as the single-threaded reference, and their relative timing
 //! must reflect the paper's overlap story.
 
+use clmpi::obs::{chrome_trace, fnv1a, ObsSummary};
 use clmpi::{PackMode, SystemConfig};
 use himeno::{
     reference_jacobi, run_himeno, run_himeno_with_faults_mode, GridSize, HaloMode, HimenoConfig,
@@ -296,4 +297,97 @@ fn device_pack_halo_beats_host_pack_halo() {
         device < host,
         "device-pack face ({device}) must beat host-pack face ({host})"
     );
+}
+
+/// One pinned run: variant, world, halo mode, and the four numbers it
+/// must reproduce — `[elapsed_ns, sched_events, ObsSummary::hash,
+/// fnv1a(chrome_trace)]`. World `0` is Himeno S on 4 Cichlid nodes (every
+/// slab ≥ 15 planes); any other value is that many ranks over the 7-plane
+/// interior of `degenerate_slabs_match_reference` (3: slabs of 3, 2, 2
+/// planes; 5: 2, 2, 1, 1, 1; 7: all 1; 10: seven of 1 and three of 0).
+type Golden = (Variant, usize, HaloMode, [u64; 4]);
+
+const PLANE: HaloMode = HaloMode::Plane;
+const DEVICE_PACK: HaloMode = HaloMode::Datatype(PackMode::DevicePack);
+
+#[rustfmt::skip]
+const GOLDEN: &[Golden] = &[
+    (Variant::Serial, 0, PLANE, [4583086, 208, 0x08cd6f3b01758eff, 0x618f8d5c952b2732]),
+    (Variant::HandOptimized, 0, PLANE, [3154104, 272, 0x7fcee4d88d02b975, 0x333f3d0d5bc3f5dc]),
+    (Variant::ClMpi, 0, PLANE, [2753576, 196, 0xe7bc5961e910a03c, 0x7c6f1d637c6a488f]),
+    (Variant::ClMpiBlocked, 0, PLANE, [2963576, 196, 0xb42b20f8acf6b8a2, 0x4ab54a8836a9586d]),
+    (Variant::GpuAwareMpi, 0, PLANE, [3123576, 176, 0x51510b92d835f900, 0xecc23967a57cdd13]),
+    (Variant::Serial, 3, PLANE, [843049, 144, 0x9614f591e5b70149, 0x7c7059f1652ca608]),
+    (Variant::HandOptimized, 3, PLANE, [812004, 192, 0x5a6250c03b8ed3af, 0x51678a179b7eb814]),
+    (Variant::ClMpi, 3, PLANE, [637775, 143, 0xe4febd178fd0fc02, 0x1d940982c1357064]),
+    (Variant::ClMpiBlocked, 3, PLANE, [693755, 143, 0xef861436e5f03b08, 0xf00a95a05d08a167]),
+    (Variant::GpuAwareMpi, 3, PLANE, [805692, 128, 0xc05a0a9ff65216f2, 0x0754ff6734923e8d]),
+    (Variant::Serial, 5, PLANE, [1228149, 272, 0x1799b354ac591056, 0xa0fc070f13ada5d8]),
+    (Variant::HandOptimized, 5, PLANE, [1008015, 316, 0x6afa7e51e9500668, 0x41956b4284a448c0]),
+    (Variant::ClMpi, 5, PLANE, [935465, 213, 0x631ceeffb56ac039, 0x37568792fdc2d040]),
+    (Variant::ClMpiBlocked, 5, PLANE, [945047, 213, 0x141f629eaac737a4, 0x21584630c8724295]),
+    (Variant::GpuAwareMpi, 5, PLANE, [1058319, 188, 0x55449bc957f0afee, 0xdde73f7ad652b0eb]),
+    (Variant::Serial, 7, PLANE, [1454633, 400, 0x712430c080bd03ba, 0x265490a80c0e8093]),
+    (Variant::HandOptimized, 7, PLANE, [1051846, 428, 0xa4b2a0436e4dd824, 0xe70caed6f69b3c13]),
+    (Variant::ClMpi, 7, PLANE, [1015883, 271, 0x85544a36a7747804, 0x64f1d968f3a11f57]),
+    (Variant::ClMpiBlocked, 7, PLANE, [1070256, 271, 0xb17cabf060e1285b, 0xf3d8e9c4087deff0]),
+    (Variant::GpuAwareMpi, 7, PLANE, [1090256, 236, 0xe185554fcd77f8a5, 0x88eef1a98f4509a4]),
+    (Variant::Serial, 10, PLANE, [1534633, 448, 0x62644dd665eee530, 0xe12f05428a915309]),
+    (Variant::HandOptimized, 10, PLANE, [1139858, 488, 0xff9c25828b5249d1, 0x8c1395a601c503af]),
+    (Variant::ClMpi, 10, PLANE, [1141528, 346, 0x58f0ab3fac01aadf, 0x69b74f9398dc4d6d]),
+    (Variant::ClMpiBlocked, 10, PLANE, [1150692, 346, 0x381e760ed0e403f4, 0x6add08ba88f58bb6]),
+    (Variant::GpuAwareMpi, 10, PLANE, [1170692, 296, 0xd0acd6903849ca60, 0x75de1859a1bdb31a]),
+    (Variant::ClMpi, 0, DEVICE_PACK, [2730918, 196, 0x31463ab963c4fc36, 0x87cf04536d2d697c]),
+    (Variant::ClMpi, 5, DEVICE_PACK, [1247956, 213, 0xa6cf38af6a3fd882, 0x0f3bad583de7afbc]),
+];
+
+#[test]
+fn every_variant_reproduces_its_pinned_schedule() {
+    // The enqueue order and the wait lists of every variant are bytes:
+    // they fix op ids, child-span order, virtual time and the scheduler's
+    // transition count. Checksums cannot see a reordered enqueue; these
+    // fingerprints can. Executor- and shard-count-independent.
+    let iters = 4;
+    let mut table = String::new();
+    let mut moved = 0;
+    for &(variant, world, halo, want) in GOLDEN {
+        let mut sys = SystemConfig::cichlid();
+        let (size, nodes) = match world {
+            0 => (GridSize::S, 4),
+            n => (GridSize::Custom(9, 9, 17), n),
+        };
+        sys.cluster.nodes = sys.cluster.nodes.max(nodes);
+        let res = run_himeno(
+            variant,
+            HimenoConfig {
+                size,
+                iters,
+                sys,
+                nodes,
+                strategy: None,
+                halo,
+            },
+        );
+        let got = [
+            res.elapsed_ns,
+            res.sched_events,
+            ObsSummary::from_trace(&res.trace).hash(),
+            fnv1a(chrome_trace(&res.trace).as_bytes()),
+        ];
+        moved += usize::from(got != want);
+        table.push_str(&format!(
+            "    (Variant::{variant:?}, {world}, {}, [{}, {}, {:#018x}, {:#018x}]),{}\n",
+            if halo == PLANE {
+                "PLANE"
+            } else {
+                "DEVICE_PACK"
+            },
+            got[0],
+            got[1],
+            got[2],
+            got[3],
+            if got == want { "" } else { " // moved" }
+        ));
+    }
+    assert_eq!(moved, 0, "{moved} pinned run(s) moved; measured:\n{table}");
 }
