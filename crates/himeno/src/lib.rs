@@ -25,6 +25,8 @@
 //! the single-threaded [`reference_jacobi`] solver (bitwise for `p`, tolerance
 //! for the `gosa` reduction), which the tests verify.
 
+#![forbid(clippy::too_many_arguments)]
+
 mod grid;
 mod recover;
 mod reference;

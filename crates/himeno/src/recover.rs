@@ -45,11 +45,10 @@ use clmpi::{decode_checkpoint, ClMpi, ReduceOp, SimStorage, SystemConfig};
 use minicl::{Buffer, ClError, CommandQueue};
 use minimpi::datatype::{bytes_to_f32, f32_as_bytes};
 use minimpi::{run_world_faulty, FaultPlan, Process, Tag};
-use simtime::plock::Mutex;
 use simtime::SimNs;
 
 use crate::grid::{init_planes, GridSize};
-use crate::run::{enqueue_half_kernel, exchange_clmpi, HimenoConfig, Slab, TAG_DOWN, TAG_UP};
+use crate::run::{HimenoConfig, RankCx, Slab};
 
 /// User tag of the per-iteration residual allreduce.
 const TAG_GOSA: Tag = 7;
@@ -171,80 +170,35 @@ fn ckpt_path(epoch: usize, grank: usize, iter: usize) -> String {
     format!("ckpt/e{epoch}/r{grank}/i{iter}")
 }
 
-fn interior_checksum(buf: &Buffer, slab: &Slab) -> f64 {
-    buf.read(|d| {
-        let f = d.as_f32();
-        let plane = slab.mj * slab.mk;
-        let mut sum = 0.0f64;
-        for i in 1..=slab.n {
-            for j in 1..slab.mj - 1 {
-                for k in 1..slab.mk - 1 {
-                    sum += f[i * plane + j * slab.mk + k].abs() as f64;
-                }
-            }
-        }
-        sum
-    })
-}
-
-/// One solver iteration on whichever communicator `rt` is built on:
+/// One solver iteration on whichever communicator `cx.rt` is built on:
 /// full-slab kernel, halo exchanges of the freshly-written buffer, the
 /// residual allreduce (the failure detector), and — on checkpoint
 /// iterations — a crash-consistent slab checkpoint. Any rank failure
 /// surfaces here as an `Err` within bounded virtual time.
-#[allow(clippy::too_many_arguments)]
 fn step_iter(
-    rt: &ClMpi,
+    cx: &RankCx,
     q: &CommandQueue,
-    p: &Process,
-    slab: &Slab,
-    bufs: &[Buffer; 2],
-    gosa_acc: &Arc<Vec<Mutex<f64>>>,
     gbuf: &Buffer,
     storage: &SimStorage,
     t: usize,
     epoch: usize,
-    grank: usize,
     ckpt_every: usize,
 ) -> Result<f64, ClError> {
-    let (old, new) = (&bufs[t % 2], &bufs[(t + 1) % 2]);
-    let ek = enqueue_half_kernel(
-        q,
-        "jacobi",
-        old,
-        new,
-        slab,
-        1,
-        slab.n + 1,
-        gosa_acc.clone(),
-        t,
-        &[],
-    );
-    ek.wait(&p.actor); // kernels are local; they never fail
-                       // Both exchanges enqueued before any wait (non-blocking pairs).
-    let x_down = exchange_clmpi(rt, q, p, new, slab, slab.down, 1, 0, TAG_DOWN, &[], None);
-    let x_up = exchange_clmpi(
-        rt,
-        q,
-        p,
-        new,
-        slab,
-        slab.up,
-        slab.n,
-        slab.n + 1,
-        TAG_UP,
-        &[],
-        None,
-    );
+    let (rt, actor, slab) = (cx.rt, &cx.p.actor, &cx.slab);
+    let (_, new) = cx.generation(t);
+    // Kernels are local; they never fail.
+    cx.enqueue_half_kernel(q, &slab.whole(), t, &[]).wait(actor);
+    // Both exchanges enqueued before any wait (non-blocking pairs).
+    let x_down = cx.exchange_clmpi(q, new, &slab.edge_down(), &[], None);
+    let x_up = cx.exchange_clmpi(q, new, &slab.edge_up(), &[], None);
     for e in x_down.iter().chain(x_up.iter()) {
-        e.wait_result(&p.actor)?;
+        e.wait_result(actor)?;
     }
     // Residual allreduce: one f64 cell through the device collective.
-    let local = *gosa_acc[t].lock();
-    gbuf.store(0, &local.to_le_bytes())
+    gbuf.store(0, &cx.residual(t).to_le_bytes())
         .expect("8-byte gosa cell");
-    let ea = rt.enqueue_allreduce_buffer(q, gbuf, 0, 1, ReduceOp::Sum, TAG_GOSA, &[], &p.actor)?;
-    ea.wait_result(&p.actor)?;
+    let ea = rt.enqueue_allreduce_buffer(q, gbuf, 0, 1, ReduceOp::Sum, TAG_GOSA, &[], actor)?;
+    ea.wait_result(actor)?;
     let g = f64::from_le_bytes(
         gbuf.load(0, 8)
             .expect("8-byte gosa cell")
@@ -252,17 +206,10 @@ fn step_iter(
             .expect("sliced"),
     );
     if (t + 1).is_multiple_of(ckpt_every) {
-        let ec = rt.enqueue_checkpoint_buffer(
-            q,
-            new,
-            0,
-            slab.slab_bytes(),
-            storage,
-            ckpt_path(epoch, grank, t),
-            &[],
-            &p.actor,
-        )?;
-        ec.wait_result(&p.actor)?;
+        let path = ckpt_path(epoch, cx.p.rank(), t);
+        let ec =
+            rt.enqueue_checkpoint_buffer(q, new, 0, slab.slab_bytes(), storage, path, &[], actor)?;
+        ec.wait_result(actor)?;
     }
     Ok(g)
 }
@@ -279,14 +226,9 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
     let me = p.rank();
     let rt = ClMpi::new(&p, cfg.sys.clone());
     let stats = rt.enable_stats();
-    let ctx = rt.context().clone();
-    let slab = Slab::new(&hcfg, me);
-    let bufs = slab.pressure_buffers(&ctx, cfg.size, Slab::global_start(&hcfg, me));
-    let gosa_acc: Arc<Vec<Mutex<f64>>> =
-        Arc::new((0..cfg.iters).map(|_| Mutex::new(0.0)).collect());
-    let gbuf = ctx.create_buffer(8);
-    let q = ctx.create_queue(0, format!("r{me}q"));
-    q.set_trace(p.comm.world().trace().clone(), format!("r{me}.gpu"));
+    let cx = RankCx::new(&hcfg, &p, &rt, me);
+    let gbuf = rt.context().create_buffer(8);
+    let q = cx.traced_queue("q", "gpu");
 
     p.comm.barrier(&p.actor);
     let t0 = p.actor.now_ns();
@@ -295,20 +237,7 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
     let mut failed_at = None;
     let mut last_gosa = 0.0;
     for t in 0..cfg.iters {
-        match step_iter(
-            &rt,
-            &q,
-            &p,
-            &slab,
-            &bufs,
-            &gosa_acc,
-            &gbuf,
-            &storage,
-            t,
-            0,
-            me,
-            cfg.ckpt_every,
-        ) {
+        match step_iter(&cx, &q, &gbuf, &storage, t, 0, cfg.ckpt_every) {
             Ok(g) => last_gosa = g,
             Err(_) => {
                 failed_at = Some(t);
@@ -334,10 +263,9 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
         .expect("completion agreement");
     if clean == 1 {
         let loop_ns = p.actor.now_ns() - t0;
-        let checksum = interior_checksum(&bufs[cfg.iters % 2], &slab);
         return RankOut::Alive {
             gosa: last_gosa,
-            checksum,
+            checksum: cx.checksum(),
             recovered: false,
             resumed_from: None,
             loop_ns,
@@ -382,67 +310,35 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
     let resume_iter = resume_slot.map_or(0, |s| s + 1);
 
     // ---- Rebuild on the survivor communicator ---------------------------
+    // A fresh context also means fresh residual cells: the aborted epoch's
+    // may hold partial sums of the iterations being recomputed.
     let rt2 = ClMpi::with_comm(sub.clone(), cfg.sys.clone());
     let stats2 = rt2.enable_stats();
-    let ctx2 = rt2.context().clone();
-    let me2 = sub.rank();
     let cfg2 = HimenoConfig {
         nodes: sub.size(),
         ..hcfg.clone()
     };
-    let slab2 = Slab::new(&cfg2, me2);
-    let start2 = Slab::global_start(&cfg2, me2);
-    let bufs2 = slab2.pressure_buffers(&ctx2, cfg.size, start2);
-    let gbuf2 = ctx2.create_buffer(8);
-    let q2 = ctx2.create_queue(0, format!("r{me}q2"));
-    q2.set_trace(p.comm.world().trace().clone(), format!("r{me}.gpu"));
+    let cx2 = RankCx::new(&cfg2, &p, &rt2, sub.rank());
+    let gbuf2 = rt2.context().create_buffer(8);
+    let q2 = cx2.traced_queue("q2", "gpu");
 
     if let Some(slot) = resume_slot {
-        restore_slab(
-            cfg,
-            &hcfg,
-            &rt2,
-            &q2,
-            &p,
-            &storage,
-            slot,
-            &slab2,
-            start2,
-            &bufs2[resume_iter % 2],
-        );
-    }
-    // Residual cells of the iterations being recomputed may hold partial
-    // sums from the aborted epoch; recompute from zero.
-    for t in resume_iter..cfg.iters {
-        *gosa_acc[t].lock() = 0.0;
+        let (target, _) = cx2.generation(resume_iter);
+        restore_slab(&hcfg, &cx2, &q2, &storage, slot, target);
     }
 
     // ---- Epoch 1: resume ------------------------------------------------
     let mut last2 = last_gosa;
     for t in resume_iter..cfg.iters {
-        last2 = step_iter(
-            &rt2,
-            &q2,
-            &p,
-            &slab2,
-            &bufs2,
-            &gosa_acc,
-            &gbuf2,
-            &storage,
-            t,
-            1,
-            me,
-            cfg.ckpt_every,
-        )
-        .expect("recovered run completes");
+        last2 = step_iter(&cx2, &q2, &gbuf2, &storage, t, 1, cfg.ckpt_every)
+            .expect("recovered run completes");
     }
     rt2.shutdown(&p.actor);
     sub.barrier(&p.actor);
     let loop_ns = p.actor.now_ns() - t0;
-    let checksum = interior_checksum(&bufs2[cfg.iters % 2], &slab2);
     RankOut::Alive {
         gosa: last2,
-        checksum,
+        checksum: cx2.checksum(),
         recovered: true,
         resumed_from: resume_slot,
         loop_ns,
@@ -450,60 +346,61 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
     }
 }
 
-/// Reassemble this survivor's new slab (decomposed over the *shrunken*
-/// world) from the epoch-0 checkpoints (decomposed over the *original*
-/// world): every global interior plane is restored from its old owner's
-/// validated checkpoint via `enqueue_restore_buffer`; shell and physical
-/// boundary planes keep their initial values (the stencil never writes
-/// them). The result lands in `target` bitwise-identical to the state
-/// the old world checkpointed.
-#[allow(clippy::too_many_arguments)]
+/// Reassemble this survivor's new slab (`cx2`, decomposed over the
+/// *shrunken* world) from the epoch-0 checkpoints (decomposed over the
+/// *original* world, `old_world`): every global interior plane is
+/// restored from its old owner's validated checkpoint via
+/// `enqueue_restore_buffer`; shell and physical boundary planes keep
+/// their initial values (the stencil never writes them). The result lands
+/// in `target` bitwise-identical to the state the old world checkpointed.
 fn restore_slab(
-    cfg: &RecoverConfig,
-    hcfg: &HimenoConfig,
-    rt2: &ClMpi,
+    old_world: &HimenoConfig,
+    cx2: &RankCx,
     q2: &CommandQueue,
-    p: &Process,
     storage: &SimStorage,
     slot: usize,
-    slab2: &Slab,
-    start2: usize,
     target: &Buffer,
 ) {
-    let mut assembled = init_planes(cfg.size, start2 - 1, start2 + slab2.n + 1);
+    let (slab2, start2) = (&cx2.slab, cx2.slab.start);
+    let mut assembled = init_planes(old_world.size, start2 - 1, start2 + slab2.n + 1);
     let plane_f32 = slab2.mj * slab2.mk;
-    let scratch_bytes = (0..cfg.nodes)
-        .map(|g| Slab::new(hcfg, g).slab_bytes())
+    let old_slabs: Vec<Slab> = (0..old_world.nodes)
+        .map(|g| Slab::new(old_world, g))
+        .collect();
+    let scratch_bytes = old_slabs
+        .iter()
+        .map(Slab::slab_bytes)
         .max()
         .expect("at least one rank");
-    let scratch = rt2.context().create_buffer(scratch_bytes);
-    for g in 0..cfg.nodes {
-        let s0 = Slab::new(hcfg, g);
-        let gs0 = Slab::global_start(hcfg, g);
+    let scratch = cx2.rt.context().create_buffer(scratch_bytes);
+    for (g, s0) in old_slabs.iter().enumerate() {
         // Intersection of old rank g's interior planes with the planes
         // (ghosts included) the new slab needs.
-        let lo = (start2 - 1).max(gs0);
-        let hi = (start2 + slab2.n + 1).min(gs0 + s0.n);
+        let lo = (start2 - 1).max(s0.start);
+        let hi = (start2 + slab2.n + 1).min(s0.start + s0.n);
         if lo >= hi {
             continue;
         }
-        let e = rt2
+        let path = ckpt_path(0, g, slot);
+        let e = cx2
+            .rt
             .enqueue_restore_buffer(
                 q2,
                 &scratch,
                 0,
                 s0.slab_bytes(),
                 storage,
-                ckpt_path(0, g, slot),
+                path,
                 &[],
-                &p.actor,
+                &cx2.p.actor,
             )
             .expect("enqueue restore");
-        e.wait_result(&p.actor).expect("agreed checkpoint restores");
+        e.wait_result(&cx2.p.actor)
+            .expect("agreed checkpoint restores");
         let payload = scratch.load(0, s0.slab_bytes()).expect("range checked");
         let f = bytes_to_f32(&payload);
         for gp in lo..hi {
-            let src = (gp - (gs0 - 1)) * plane_f32;
+            let src = (gp - (s0.start - 1)) * plane_f32;
             let dst = (gp - (start2 - 1)) * plane_f32;
             assembled[dst..dst + plane_f32].copy_from_slice(&f[src..src + plane_f32]);
         }

@@ -1,4 +1,5 @@
-//! The three distributed Himeno implementations (paper Fig. 1/2/6).
+//! The distributed Himeno implementations (paper Fig. 1/2/6 and the §II
+//! GPU-aware comparator).
 //!
 //! ## Decomposition (paper Fig. 3)
 //!
@@ -7,29 +8,42 @@
 //! index `0` (from the lower neighbor) and `n+1` (from the upper one).
 //! The slab is halved: **B** = lower planes `[1, ha)`, **A** = upper
 //! planes `[ha, n+1)` ("the top plane of A and the bottom plane of B are
-//! halo regions"). Even ranks compute A first, odd ranks B first, so each
-//! phase pairs neighbors exchanging the same boundary.
+//! halo regions").
+//!
+//! ## The overlap schedule
+//!
+//! An iteration has two phases, each a [`Half`] to compute and an
+//! [`Edge`] to exchange while it computes: phase 1 exchanges the *other*
+//! half's halo on the buffer being read, phase 2 the first half's
+//! freshly written boundary on the buffer being written. Even ranks take
+//! (A, down edge) then (B, up edge), odd ranks (B, up edge) then (A, down
+//! edge), so phase *k* of two neighbors names the same boundary on the
+//! same buffer generation. [`Slab::phases`] is the only place that knows
+//! this; the variants differ only in how a kernel is gated and how an
+//! edge travels. A slab of fewer than two planes has no independent
+//! half: its whole-slab kernel reads both ghosts, so every variant runs
+//! it as exchange → kernel → exchange over the same two edges.
 //!
 //! ## Buffering
 //!
 //! Double-buffered pressure (`old`/`new` swap each iteration): kernels
 //! read `old` and write `new`, halo exchanges carry freshly-written
 //! boundary planes into the ghost planes of the same buffer generation.
-//! All three variants perform identical arithmetic, so their pressure
-//! fields match the single-threaded reference bitwise.
+//! All variants perform identical arithmetic, so their pressure fields
+//! match the single-threaded reference bitwise.
 
 use std::sync::Arc;
 
 use clmpi::{ClMpi, PackMode, SystemConfig, TransferStrategy};
-use minicl::{Buffer, CommandQueue, Context, Event, HostBuffer};
+use minicl::{Buffer, CommandQueue, Event, HostBuffer};
 use minimpi::{run_world_faulty_mode, CommittedType, DerivedType, FaultPlan, Process, Tag};
 use simtime::plock::Mutex;
 use simtime::SimNs;
 
 use crate::grid::{jacobi_sweep, GridSize, BYTES_PER_POINT, FLOPS_PER_POINT};
 
-pub(crate) const TAG_DOWN: Tag = 100; // payload travels towards rank 0
-pub(crate) const TAG_UP: Tag = 101; // payload travels towards rank P-1
+const TAG_DOWN: Tag = 100; // payload travels towards rank 0
+const TAG_UP: Tag = 101; // payload travels towards rank P-1
 
 /// Which implementation to run (paper §V-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,17 +145,35 @@ pub struct HimenoResult {
     pub wake: simtime::WakeStats,
 }
 
+/// One kernel's plane range `[lo, hi)` and its trace name.
+pub(crate) struct Half {
+    pub(crate) name: &'static str,
+    pub(crate) lo: usize,
+    pub(crate) hi: usize,
+}
+
+/// One halo face: who is across it, which plane leaves, which ghost
+/// plane fills, and under which tags. A plane travelling down is sent
+/// with `TAG_DOWN` and received, by the rank below, with `TAG_DOWN` too.
+pub(crate) struct Edge {
+    pub(crate) neighbor: Option<usize>,
+    pub(crate) send_plane: usize,
+    pub(crate) ghost_plane: usize,
+    pub(crate) send_tag: Tag,
+    pub(crate) recv_tag: Tag,
+}
+
 pub(crate) struct Slab {
+    rank: usize,
     /// Interior planes owned by this rank.
     pub(crate) n: usize,
-    /// First local plane of the upper half A (`B = [1, ha)`,
-    /// `A = [ha, n+1)`).
-    pub(crate) ha: usize,
+    /// Global index of the first interior plane.
+    pub(crate) start: usize,
     pub(crate) mj: usize,
     pub(crate) mk: usize,
     pub(crate) plane_bytes: usize,
-    pub(crate) down: Option<usize>,
-    pub(crate) up: Option<usize>,
+    down: Option<usize>,
+    up: Option<usize>,
 }
 
 impl Slab {
@@ -160,8 +192,9 @@ impl Slab {
         let n = base + usize::from(rank < rem);
         let up_has_planes = base > 0 || rank + 1 < rem;
         Slab {
+            rank,
             n,
-            ha: n / 2 + 1,
+            start: 1 + rank * base + rank.min(rem),
             mj,
             mk,
             plane_bytes: mj * mk * 4,
@@ -170,123 +203,247 @@ impl Slab {
         }
     }
 
-    pub(crate) fn global_start(cfg: &HimenoConfig, rank: usize) -> usize {
-        let (mi, _, _) = cfg.size.dims();
-        let interior = mi - 2;
-        let p = cfg.nodes;
-        let base = interior / p;
-        let rem = interior % p;
-        1 + rank * base + rank.min(rem)
-    }
-
     pub(crate) fn slab_bytes(&self) -> usize {
         (self.n + 2) * self.plane_bytes
     }
 
-    /// Both pressure buffers of the slab whose first interior plane is
-    /// global plane `start`, each filled in place (halo planes included)
-    /// with the standard grid's values.
-    pub(crate) fn pressure_buffers(
-        &self,
-        ctx: &Context,
-        size: GridSize,
-        start: usize,
-    ) -> [Buffer; 2] {
-        [(); 2].map(|()| {
-            let b = ctx.create_buffer(self.slab_bytes());
-            b.write(|d| crate::grid::fill_planes(d.as_f32_mut(), size, start - 1));
+    fn plane_off(&self, local_plane: usize) -> usize {
+        local_plane * self.plane_bytes
+    }
+
+    /// The whole slab as one kernel (serial, recovery, and slabs of fewer
+    /// than two planes).
+    pub(crate) fn whole(&self) -> Half {
+        Half {
+            name: "jacobi",
+            lo: 1,
+            hi: self.n + 1,
+        }
+    }
+
+    /// The face shared with the rank below: plane 1 leaves, ghost 0 fills.
+    pub(crate) fn edge_down(&self) -> Edge {
+        Edge {
+            neighbor: self.down,
+            send_plane: 1,
+            ghost_plane: 0,
+            send_tag: TAG_DOWN,
+            recv_tag: TAG_UP,
+        }
+    }
+
+    /// The face shared with the rank above: plane `n` leaves, ghost `n+1`
+    /// fills.
+    pub(crate) fn edge_up(&self) -> Edge {
+        Edge {
+            neighbor: self.up,
+            send_plane: self.n,
+            ghost_plane: self.n + 1,
+            send_tag: TAG_UP,
+            recv_tag: TAG_DOWN,
+        }
+    }
+
+    /// This rank's two phases: the half to compute and the edge to
+    /// exchange meanwhile (module docs, "The overlap schedule").
+    fn phases(&self) -> [(Half, Edge); 2] {
+        let ha = self.n / 2 + 1;
+        let a = Half {
+            name: "jacobi A",
+            lo: ha,
+            hi: self.n + 1,
+        };
+        let b = Half {
+            name: "jacobi B",
+            lo: 1,
+            hi: ha,
+        };
+        if self.rank.is_multiple_of(2) {
+            [(a, self.edge_down()), (b, self.edge_up())]
+        } else {
+            [(b, self.edge_up()), (a, self.edge_down())]
+        }
+    }
+}
+
+/// What every variant's rank body works on: the run's parameters, this
+/// rank's endpoint and runtime, its slab, the two pressure buffers and
+/// the per-iteration residual cells.
+pub(crate) struct RankCx<'a> {
+    pub(crate) cfg: &'a HimenoConfig,
+    pub(crate) p: &'a Process,
+    pub(crate) rt: &'a ClMpi,
+    pub(crate) slab: Slab,
+    bufs: [Buffer; 2],
+    gosa: Arc<Vec<Mutex<f64>>>,
+}
+
+impl<'a> RankCx<'a> {
+    /// Decompose `cfg`'s grid for `rank` of `rt`'s communicator and fill
+    /// both pressure buffers in place (halo planes included) with the
+    /// standard grid's values; residual cells start at zero.
+    pub(crate) fn new(cfg: &'a HimenoConfig, p: &'a Process, rt: &'a ClMpi, rank: usize) -> Self {
+        let slab = Slab::new(cfg, rank);
+        let bufs = [(); 2].map(|()| {
+            let b = rt.context().create_buffer(slab.slab_bytes());
+            b.write(|d| crate::grid::fill_planes(d.as_f32_mut(), cfg.size, slab.start - 1));
             b
+        });
+        RankCx {
+            cfg,
+            p,
+            rt,
+            slab,
+            bufs,
+            gosa: Arc::new((0..cfg.iters).map(|_| Mutex::new(0.0)).collect()),
+        }
+    }
+
+    /// Iteration `t`'s `(old, new)` pressure buffers.
+    pub(crate) fn generation(&self, t: usize) -> (&Buffer, &Buffer) {
+        (&self.bufs[t % 2], &self.bufs[(t + 1) % 2])
+    }
+
+    /// Queue `r{rank}{name}` on device 0, traced on lane `r{rank}.{lane}`.
+    pub(crate) fn traced_queue(&self, name: &str, lane: &str) -> CommandQueue {
+        let rank = self.p.rank();
+        let q = self.rt.context().create_queue(0, format!("r{rank}{name}"));
+        q.set_trace(
+            self.p.comm.world().trace().clone(),
+            format!("r{rank}.{lane}"),
+        );
+        q
+    }
+
+    /// Iteration `t`'s local residual so far.
+    pub(crate) fn residual(&self, t: usize) -> f64 {
+        *self.gosa[t].lock()
+    }
+
+    /// Order-tolerant checksum of the final field's interior: it lives in
+    /// the last iteration's `new` buffer.
+    pub(crate) fn checksum(&self) -> f64 {
+        let slab = &self.slab;
+        self.bufs[self.cfg.iters % 2].read(|d| {
+            let f = d.as_f32();
+            let plane = slab.mj * slab.mk;
+            let mut sum = 0.0f64;
+            for i in 1..=slab.n {
+                for j in 1..slab.mj - 1 {
+                    for k in 1..slab.mk - 1 {
+                        sum += f[i * plane + j * slab.mk + k].abs() as f64;
+                    }
+                }
+            }
+            sum
         })
     }
 
-    pub(crate) fn plane_off(&self, local_plane: usize) -> usize {
-        local_plane * self.plane_bytes
+    /// Enqueue iteration `t`'s kernel over `half`; the body performs the
+    /// real stencil and adds the partial residual to cell `t`.
+    pub(crate) fn enqueue_half_kernel(
+        &self,
+        q: &CommandQueue,
+        half: &Half,
+        t: usize,
+        waits: &[Event],
+    ) -> Event {
+        let (mj, mk) = (self.slab.mj, self.slab.mk);
+        let &Half { name, lo, hi } = half;
+        let points = (hi - lo) * (mj - 2) * (mk - 2);
+        let cost = q.device().spec().stencil_kernel_ns(points, BYTES_PER_POINT);
+        let (old, new) = self.generation(t);
+        let (old, new, gosa) = (old.clone(), new.clone(), self.gosa.clone());
+        q.enqueue_kernel(name, cost, waits, move || {
+            let g = old
+                .read(|o| new.write(|n| jacobi_sweep(o.as_f32(), n.as_f32_mut(), mj, mk, lo, hi)));
+            *gosa[t].lock() += g;
+        })
     }
-}
 
-/// Enqueue one half-sweep kernel; the body performs the real stencil and
-/// records the partial residual into `gosa_acc[iter]`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn enqueue_half_kernel(
-    q: &CommandQueue,
-    name: &'static str,
-    old: &Buffer,
-    new: &Buffer,
-    slab: &Slab,
-    lo: usize,
-    hi: usize,
-    gosa_acc: Arc<Vec<Mutex<f64>>>,
-    iter: usize,
-    waits: &[Event],
-) -> Event {
-    let (mj, mk) = (slab.mj, slab.mk);
-    let points = (hi - lo) * (mj - 2) * (mk - 2);
-    let cost = q.device().spec().stencil_kernel_ns(points, BYTES_PER_POINT);
-    let old = old.clone();
-    let new = new.clone();
-    q.enqueue_kernel(name, cost, waits, move || {
-        let g =
-            old.read(|o| new.write(|n| jacobi_sweep(o.as_f32(), n.as_f32_mut(), mj, mk, lo, hi)));
-        *gosa_acc[iter].lock() += g;
-    })
-}
+    /// Host-side staged halo exchange (serial & hand-optimized variants):
+    /// blocking device→host read of the edge's boundary plane,
+    /// `MPI_Sendrecv`, blocking host→device write into its ghost plane.
+    /// Stages through a reusable pinned buffer, exactly the conventional
+    /// joint-programming pattern of Fig. 1.
+    fn host_exchange(&self, q: &CommandQueue, buf: &Buffer, edge: &Edge, stage: &HostBuffer) {
+        let Some(nb) = edge.neighbor else { return };
+        let (p, actor, slab, bytes) = (self.p, &self.p.actor, &self.slab, self.slab.plane_bytes);
+        let t0 = actor.now_ns();
+        let send_off = slab.plane_off(edge.send_plane);
+        q.enqueue_read_buffer(actor, buf, true, send_off, bytes, stage, 0, &[])
+            .expect("read boundary plane");
+        let out = stage.to_vec();
+        let (comm, send_tag, recv_tag) = (&p.comm, edge.send_tag, edge.recv_tag);
+        let got = comm.sendrecv(actor, nb, send_tag, &out, Some(nb), Some(recv_tag));
+        assert_eq!(got.data.len(), bytes, "halo plane size");
+        stage.fill_from(&got.data);
+        let ghost_off = slab.plane_off(edge.ghost_plane);
+        q.enqueue_write_buffer(actor, buf, true, ghost_off, bytes, stage, 0, &[])
+            .expect("write ghost plane");
+        // The whole staged exchange blocks the host, so one comm-lane span
+        // covers it; this is what the overlap accounting (and Fig. 4 a/b)
+        // sees as the variant's exposed communication.
+        comm.world().trace().record(
+            format!("r{}.comm", p.rank()),
+            format!("d2h+sendrecv⇄{nb}+h2d"),
+            t0,
+            actor.now_ns(),
+        );
+    }
 
-/// Host-side staged halo exchange (serial & hand-optimized variants):
-/// blocking device→host read of `send_plane`, `MPI_Sendrecv`, blocking
-/// host→device write into `ghost_plane`. Stages through reusable pinned
-/// buffers, exactly the conventional joint-programming pattern of Fig. 1.
-#[allow(clippy::too_many_arguments)]
-fn host_exchange(
-    p: &Process,
-    q: &CommandQueue,
-    buf: &Buffer,
-    slab: &Slab,
-    neighbor: Option<usize>,
-    send_plane: usize,
-    ghost_plane: usize,
-    send_tag: Tag,
-    recv_tag: Tag,
-    stage: &HostBuffer,
-) {
-    let Some(nb) = neighbor else { return };
-    let t0 = p.actor.now_ns();
-    q.enqueue_read_buffer(
-        &p.actor,
-        buf,
-        true,
-        slab.plane_off(send_plane),
-        slab.plane_bytes,
-        stage,
-        0,
-        &[],
-    )
-    .expect("read boundary plane");
-    let out = stage.to_vec();
-    let got = p
-        .comm
-        .sendrecv(&p.actor, nb, send_tag, &out, Some(nb), Some(recv_tag));
-    assert_eq!(got.data.len(), slab.plane_bytes, "halo plane size");
-    stage.fill_from(&got.data);
-    q.enqueue_write_buffer(
-        &p.actor,
-        buf,
-        true,
-        slab.plane_off(ghost_plane),
-        slab.plane_bytes,
-        stage,
-        0,
-        &[],
-    )
-    .expect("write ghost plane");
-    // The whole staged exchange blocks the host, so one comm-lane span
-    // covers it; this is what the overlap accounting (and Fig. 4 a/b)
-    // sees as the variant's exposed communication.
-    p.comm.world().trace().record(
-        format!("r{}.comm", p.rank()),
-        format!("d2h+sendrecv⇄{nb}+h2d"),
-        t0,
-        p.actor.now_ns(),
-    );
+    /// One clMPI halo exchange: `enqueue_send_buffer` of the edge's
+    /// boundary plane and `enqueue_recv_buffer` into its ghost plane, both
+    /// gated on `gate`. With a `face`, only the plane's interior window
+    /// travels and the runtime packs it per the mode (host gather / device
+    /// pack kernel). Returns the exchange's events (empty if no neighbor).
+    pub(crate) fn exchange_clmpi(
+        &self,
+        q: &CommandQueue,
+        buf: &Buffer,
+        edge: &Edge,
+        gate: &[Event],
+        face: Option<&(CommittedType, PackMode)>,
+    ) -> Vec<Event> {
+        let Some(nb) = edge.neighbor else {
+            return Vec::new();
+        };
+        let (rt, actor, bytes) = (self.rt, &self.p.actor, self.slab.plane_bytes);
+        let send_off = self.slab.plane_off(edge.send_plane);
+        let ghost_off = self.slab.plane_off(edge.ghost_plane);
+        let (send_tag, recv_tag) = (edge.send_tag, edge.recv_tag);
+        let (es, er) = match face {
+            Some((ty, mode)) => (
+                rt.enqueue_send_datatype(
+                    q, buf, false, send_off, ty, *mode, nb, send_tag, gate, actor,
+                ),
+                rt.enqueue_recv_datatype(
+                    q, buf, false, ghost_off, ty, *mode, nb, recv_tag, gate, actor,
+                ),
+            ),
+            None => (
+                rt.enqueue_send_buffer(q, buf, false, send_off, bytes, nb, send_tag, gate, actor),
+                rt.enqueue_recv_buffer(q, buf, false, ghost_off, bytes, nb, recv_tag, gate, actor),
+            ),
+        };
+        vec![
+            es.expect("send boundary plane"),
+            er.expect("recv ghost plane"),
+        ]
+    }
+
+    /// One GPU-aware halo exchange: blocking device-buffer send + receive
+    /// on the host thread.
+    fn exchange_gpu_aware(&self, q: &CommandQueue, buf: &Buffer, edge: &Edge) {
+        let Some(nb) = edge.neighbor else { return };
+        let (rt, actor, bytes) = (self.rt, &self.p.actor, self.slab.plane_bytes);
+        let send_off = self.slab.plane_off(edge.send_plane);
+        rt.gpu_aware_send(actor, q, buf, send_off, bytes, nb, edge.send_tag)
+            .expect("gpu-aware send");
+        let ghost_off = self.slab.plane_off(edge.ghost_plane);
+        rt.gpu_aware_recv(actor, q, buf, ghost_off, bytes, nb, edge.recv_tag)
+            .expect("gpu-aware recv");
+    }
 }
 
 /// Run `variant` under `cfg`; aggregates per-rank measurements.
@@ -353,100 +510,57 @@ pub fn run_himeno_with_faults_mode(
 type RankOut = (f64, f64, SimNs, SimNs, SimNs, clmpi::FaultStats);
 
 fn rank_main(variant: Variant, cfg: &HimenoConfig, p: Process) -> RankOut {
-    let rank = p.rank();
-    let slab = Slab::new(cfg, rank);
     let rt = ClMpi::new(&p, cfg.sys.clone());
     let stats = rt.enable_stats();
     if let Some(s) = cfg.strategy {
         rt.set_forced_strategy(Some(s));
     }
-    let ctx = rt.context().clone();
-    let bufs = slab.pressure_buffers(&ctx, cfg.size, Slab::global_start(cfg, rank));
-    let gosa_acc: Arc<Vec<Mutex<f64>>> =
-        Arc::new((0..cfg.iters).map(|_| Mutex::new(0.0)).collect());
+    let cx = RankCx::new(cfg, &p, &rt, p.rank());
 
     // Warm-up alignment, then the timed loop.
     p.comm.barrier(&p.actor);
     let t0 = p.actor.now_ns();
     let (comp_ns, comm_ns) = match variant {
-        Variant::Serial => run_serial(cfg, &p, &rt, &slab, &bufs, &gosa_acc),
-        Variant::HandOptimized => run_hand(cfg, &p, &rt, &slab, &bufs, &gosa_acc),
-        Variant::ClMpi => run_clmpi(cfg, &p, &rt, &slab, &bufs, &gosa_acc, false),
-        Variant::ClMpiBlocked => run_clmpi(cfg, &p, &rt, &slab, &bufs, &gosa_acc, true),
-        Variant::GpuAwareMpi => run_gpu_aware(cfg, &p, &rt, &slab, &bufs, &gosa_acc),
+        Variant::Serial => run_serial(&cx),
+        Variant::HandOptimized => run_hand(&cx),
+        Variant::ClMpi => run_clmpi(&cx, false),
+        Variant::ClMpiBlocked => run_clmpi(&cx, true),
+        Variant::GpuAwareMpi => run_gpu_aware(&cx),
     };
     rt.shutdown(&p.actor);
     p.comm.barrier(&p.actor);
     let loop_ns = p.actor.now_ns() - t0;
 
-    // Validation data: final field lives in bufs[iters % 2] (the last
-    // "new"), interior planes only.
-    let final_buf = &bufs[cfg.iters % 2];
-    let checksum = final_buf.read(|d| {
-        let f = d.as_f32();
-        let plane = slab.mj * slab.mk;
-        let mut sum = 0.0f64;
-        for i in 1..=slab.n {
-            for j in 1..slab.mj - 1 {
-                for k in 1..slab.mk - 1 {
-                    sum += f[i * plane + j * slab.mk + k].abs() as f64;
-                }
-            }
-        }
-        sum
-    });
-    let gosa = *gosa_acc[cfg.iters - 1].lock();
-    (gosa, checksum, comp_ns, comm_ns, loop_ns, stats.faults())
+    let gosa = cx.residual(cfg.iters - 1);
+    (
+        gosa,
+        cx.checksum(),
+        comp_ns,
+        comm_ns,
+        loop_ns,
+        stats.faults(),
+    )
 }
 
 /// Fig. 1 structure: kernel, halo reads, MPI, halo writes — serialized.
-fn run_serial(
-    cfg: &HimenoConfig,
-    p: &Process,
-    rt: &ClMpi,
-    slab: &Slab,
-    bufs: &[Buffer; 2],
-    gosa: &Arc<Vec<Mutex<f64>>>,
-) -> (SimNs, SimNs) {
-    let q = rt.context().create_queue(0, format!("r{}q0", p.rank()));
-    q.set_trace(p.comm.world().trace().clone(), format!("r{}.gpu", p.rank()));
-    let stage = HostBuffer::pinned(slab.plane_bytes);
+fn run_serial(cx: &RankCx) -> (SimNs, SimNs) {
+    let actor = &cx.p.actor;
+    let q = cx.traced_queue("q0", "gpu");
+    let stage = HostBuffer::pinned(cx.slab.plane_bytes);
+    let (whole, down, up) = (cx.slab.whole(), cx.slab.edge_down(), cx.slab.edge_up());
     let (mut comp, mut comm) = (0, 0);
-    for t in 0..cfg.iters {
-        let (old, new) = (&bufs[t % 2], &bufs[(t + 1) % 2]);
-        let k0 = p.actor.now_ns();
-        let e = enqueue_half_kernel(
-            &q,
-            "jacobi",
-            old,
-            new,
-            slab,
-            1,
-            slab.n + 1,
-            gosa.clone(),
-            t,
-            &[],
-        );
-        e.wait(&p.actor);
-        comp += p.actor.now_ns() - k0;
-        let c0 = p.actor.now_ns();
+    for t in 0..cx.cfg.iters {
+        let (_, new) = cx.generation(t);
+        let k0 = actor.now_ns();
+        cx.enqueue_half_kernel(&q, &whole, t, &[]).wait(actor);
+        comp += actor.now_ns() - k0;
+        let c0 = actor.now_ns();
         // Exchange the freshly-written buffer's boundary planes.
-        host_exchange(p, &q, new, slab, slab.down, 1, 0, TAG_DOWN, TAG_UP, &stage);
-        host_exchange(
-            p,
-            &q,
-            new,
-            slab,
-            slab.up,
-            slab.n,
-            slab.n + 1,
-            TAG_UP,
-            TAG_DOWN,
-            &stage,
-        );
-        comm += p.actor.now_ns() - c0;
+        cx.host_exchange(&q, new, &down, &stage);
+        cx.host_exchange(&q, new, &up, &stage);
+        comm += actor.now_ns() - c0;
     }
-    q.finish(&p.actor);
+    q.finish(actor);
     (comp, comm)
 }
 
@@ -454,219 +568,63 @@ fn run_serial(
 /// the first half while the host exchanges the other half's halo (on the
 /// *old* buffer); phase 2 computes the second half while exchanging the
 /// first half's product (on the *new* buffer).
-fn run_hand(
-    cfg: &HimenoConfig,
-    p: &Process,
-    rt: &ClMpi,
-    slab: &Slab,
-    bufs: &[Buffer; 2],
-    gosa: &Arc<Vec<Mutex<f64>>>,
-) -> (SimNs, SimNs) {
-    let rank = p.rank();
-    let even = rank.is_multiple_of(2);
-    let q0 = rt.context().create_queue(0, format!("r{rank}q0"));
-    let q1 = rt.context().create_queue(0, format!("r{rank}q1"));
-    q0.set_trace(p.comm.world().trace().clone(), format!("r{rank}.gpu0"));
-    q1.set_trace(p.comm.world().trace().clone(), format!("r{rank}.gpu1"));
-    let stage0 = HostBuffer::pinned(slab.plane_bytes);
-    let stage1 = HostBuffer::pinned(slab.plane_bytes);
+fn run_hand(cx: &RankCx) -> (SimNs, SimNs) {
+    let actor = &cx.p.actor;
+    let q0 = cx.traced_queue("q0", "gpu0");
+    let q1 = cx.traced_queue("q1", "gpu1");
+    let stage0 = HostBuffer::pinned(cx.slab.plane_bytes);
+    let stage1 = HostBuffer::pinned(cx.slab.plane_bytes);
+    let [(first, edge1), (second, edge2)] = cx.slab.phases();
     // Cross-queue ordering events from the previous iteration.
     let mut e_first_prev: Option<Event> = None;
     let mut e_second_prev: Option<Event> = None;
-    for t in 0..cfg.iters {
-        let (old, new) = (&bufs[t % 2], &bufs[(t + 1) % 2]);
-        if slab.n < 2 {
-            // Degenerate slab (0 or 1 interior plane): `ha == 1` leaves
-            // no independent half — the whole slab is one kernel that
-            // reads *both* ghost planes, so the phase-1 exchange must
-            // fully precede it instead of overlapping with it. The
-            // per-edge protocol (old-buffer edges in phase 1, new-buffer
-            // edges in phase 2, by parity) is unchanged, so a 2-plane
-            // overlap slab neighboring a 1-plane slab still pairs.
-            if even {
-                host_exchange(
-                    p, &q1, old, slab, slab.down, 1, 0, TAG_DOWN, TAG_UP, &stage1,
-                );
-            } else {
-                host_exchange(
-                    p,
-                    &q1,
-                    old,
-                    slab,
-                    slab.up,
-                    slab.n,
-                    slab.n + 1,
-                    TAG_UP,
-                    TAG_DOWN,
-                    &stage1,
-                );
-            }
-            let e = enqueue_half_kernel(
-                &q0,
-                "jacobi",
-                old,
-                new,
-                slab,
-                1,
-                slab.n + 1,
-                gosa.clone(),
-                t,
-                &[],
-            );
-            e.wait(&p.actor);
-            if even {
-                host_exchange(
-                    p,
-                    &q0,
-                    new,
-                    slab,
-                    slab.up,
-                    slab.n,
-                    slab.n + 1,
-                    TAG_UP,
-                    TAG_DOWN,
-                    &stage0,
-                );
-            } else {
-                host_exchange(
-                    p, &q0, new, slab, slab.down, 1, 0, TAG_DOWN, TAG_UP, &stage0,
-                );
-            }
-            e_first_prev = Some(e.clone());
-            e_second_prev = Some(e);
+    for t in 0..cx.cfg.iters {
+        let (old, new) = cx.generation(t);
+        if cx.slab.n < 2 {
+            // Degenerate slab: the whole-slab kernel reads *both* ghost
+            // planes, so the phase-1 exchange must fully precede it
+            // instead of overlapping with it. The edges are the phase
+            // table's, so a 2-plane overlap slab neighboring a 1-plane
+            // slab still pairs.
+            cx.host_exchange(&q1, old, &edge1, &stage1);
+            cx.enqueue_half_kernel(&q0, &cx.slab.whole(), t, &[])
+                .wait(actor);
+            cx.host_exchange(&q0, new, &edge2, &stage0);
             continue;
         }
-        let waits_first: Vec<Event> = e_second_prev.iter().cloned().collect();
-        let mut waits_second: Vec<Event> = e_first_prev.iter().cloned().collect();
         // Phase 1: first-half kernel on q0; host exchanges the second
         // half's halo of `old` through q1 (which serializes after the
         // previous second-half kernel).
-        let e_first = if even {
-            enqueue_half_kernel(
-                &q0,
-                "jacobi A",
-                old,
-                new,
-                slab,
-                slab.ha,
-                slab.n + 1,
-                gosa.clone(),
-                t,
-                &waits_first,
-            )
-        } else {
-            enqueue_half_kernel(
-                &q0,
-                "jacobi B",
-                old,
-                new,
-                slab,
-                1,
-                slab.ha,
-                gosa.clone(),
-                t,
-                &waits_first,
-            )
-        };
-        if even {
-            // B's halo: bottom ghost of `old` from the down neighbor.
-            host_exchange(
-                p, &q1, old, slab, slab.down, 1, 0, TAG_DOWN, TAG_UP, &stage1,
-            );
-        } else {
-            // A's halo: top ghost of `old` from the up neighbor.
-            host_exchange(
-                p,
-                &q1,
-                old,
-                slab,
-                slab.up,
-                slab.n,
-                slab.n + 1,
-                TAG_UP,
-                TAG_DOWN,
-                &stage1,
-            );
-        }
+        let waits_first: Vec<Event> = e_second_prev.iter().cloned().collect();
+        let e_first = cx.enqueue_half_kernel(&q0, &first, t, &waits_first);
+        cx.host_exchange(&q1, old, &edge1, &stage1);
         // Phase 2: second-half kernel on q1; host exchanges the first
         // half's product (boundary of `new`) through q0.
         // Gate the second kernel on the first: a single compute engine
         // dispatches kernels in issue order on real GPUs, and the overlap
         // scheme relies on phase 1 executing first.
+        let mut waits_second: Vec<Event> = e_first_prev.iter().cloned().collect();
         waits_second.push(e_first.clone());
-        let e_second = if even {
-            enqueue_half_kernel(
-                &q1,
-                "jacobi B",
-                old,
-                new,
-                slab,
-                1,
-                slab.ha,
-                gosa.clone(),
-                t,
-                &waits_second,
-            )
-        } else {
-            enqueue_half_kernel(
-                &q1,
-                "jacobi A",
-                old,
-                new,
-                slab,
-                slab.ha,
-                slab.n + 1,
-                gosa.clone(),
-                t,
-                &waits_second,
-            )
-        };
-        if even {
-            host_exchange(
-                p,
-                &q0,
-                new,
-                slab,
-                slab.up,
-                slab.n,
-                slab.n + 1,
-                TAG_UP,
-                TAG_DOWN,
-                &stage0,
-            );
-        } else {
-            host_exchange(
-                p, &q0, new, slab, slab.down, 1, 0, TAG_DOWN, TAG_UP, &stage0,
-            );
-        }
+        let e_second = cx.enqueue_half_kernel(&q1, &second, t, &waits_second);
+        cx.host_exchange(&q0, new, &edge2, &stage0);
         e_first_prev = Some(e_first);
         e_second_prev = Some(e_second);
     }
-    q0.finish(&p.actor);
-    q1.finish(&p.actor);
+    q0.finish(actor);
+    q1.finish(actor);
     (0, 0)
 }
 
 /// Fig. 6 structure: one in-order queue, every dependency expressed as an
 /// event, all calls non-blocking; the host thread only calls `clFinish`
 /// at the end of each iteration.
-fn run_clmpi(
-    cfg: &HimenoConfig,
-    p: &Process,
-    rt: &ClMpi,
-    slab: &Slab,
-    bufs: &[Buffer; 2],
-    gosa: &Arc<Vec<Mutex<f64>>>,
-    block_each_iter: bool,
-) -> (SimNs, SimNs) {
-    let rank = p.rank();
-    let even = rank.is_multiple_of(2);
-    let q = rt.context().create_queue(0, format!("r{rank}q"));
-    q.set_trace(p.comm.world().trace().clone(), format!("r{rank}.gpu"));
+fn run_clmpi(cx: &RankCx, block_each_iter: bool) -> (SimNs, SimNs) {
+    let (actor, slab) = (&cx.p.actor, &cx.slab);
+    let q = cx.traced_queue("q", "gpu");
     // The face datatype, committed once per rank: the plane's interior
     // (mj−2)×(mk−2) f32 window at starts (1,1) — the only bytes the
     // neighbor's stencil reads.
-    let face: Option<(CommittedType, PackMode)> = match cfg.halo {
+    let face: Option<(CommittedType, PackMode)> = match cx.cfg.halo {
         HaloMode::Plane => None,
         HaloMode::Datatype(mode) => Some((
             DerivedType::Subarray {
@@ -681,298 +639,68 @@ fn run_clmpi(
         )),
     };
     let face = face.as_ref();
+    let [(first, edge1), (second, edge2)] = slab.phases();
     // Events of the previous iteration's exchanges and kernels.
     let mut e_phase2_xfer: Vec<Event> = Vec::new(); // gate next first kernel
     let mut e_first_prev: Option<Event> = None;
     let mut e_second_prev: Option<Event> = None;
-    for t in 0..cfg.iters {
-        let (old, new) = (&bufs[t % 2], &bufs[(t + 1) % 2]);
+    for t in 0..cx.cfg.iters {
+        let (old, new) = cx.generation(t);
+        let x1;
         if slab.n < 2 {
             // Degenerate slab: the whole slab is one kernel reading both
             // ghost planes, so the phase-1 exchange is enqueued *first*
             // and the kernel waits on it (plus the previous phase-2
-            // exchange, which filled the other ghost). The per-edge
-            // protocol by parity is the same as the overlap path, so
-            // mixed worlds pair correctly; only the intra-rank ordering
-            // changes. The previous whole-slab kernel produced the plane
-            // x1 sends and last read the ghost x1 overwrites, so it is
-            // x1's gate.
+            // exchange, which filled the other ghost). The edges are the
+            // phase table's, so mixed worlds pair correctly; only the
+            // intra-rank ordering changes. The previous whole-slab kernel
+            // produced the plane x1 sends and last read the ghost x1
+            // overwrites, so it is x1's gate.
             let gate1: Vec<Event> = e_first_prev.iter().cloned().collect();
-            let x1 = if even {
-                exchange_clmpi(
-                    rt, &q, p, old, slab, slab.down, 1, 0, TAG_DOWN, &gate1, face,
-                )
-            } else {
-                exchange_clmpi(
-                    rt,
-                    &q,
-                    p,
-                    old,
-                    slab,
-                    slab.up,
-                    slab.n,
-                    slab.n + 1,
-                    TAG_UP,
-                    &gate1,
-                    face,
-                )
-            };
+            x1 = cx.exchange_clmpi(&q, old, &edge1, &gate1, face);
             let mut w: Vec<Event> = std::mem::take(&mut e_phase2_xfer);
             w.extend(x1.iter().cloned());
-            w.extend(e_first_prev.iter().cloned());
-            let e = enqueue_half_kernel(
-                &q,
-                "jacobi",
-                old,
-                new,
-                slab,
-                1,
-                slab.n + 1,
-                gosa.clone(),
-                t,
-                &w,
-            );
-            let gate2 = vec![e.clone()];
-            let x2 = if even {
-                exchange_clmpi(
-                    rt,
-                    &q,
-                    p,
-                    new,
-                    slab,
-                    slab.up,
-                    slab.n,
-                    slab.n + 1,
-                    TAG_UP,
-                    &gate2,
-                    face,
-                )
-            } else {
-                exchange_clmpi(
-                    rt, &q, p, new, slab, slab.down, 1, 0, TAG_DOWN, &gate2, face,
-                )
-            };
-            e_phase2_xfer = x2;
-            e_first_prev = Some(e.clone());
-            e_second_prev = Some(e);
-            q.finish(&p.actor);
-            if block_each_iter {
-                Event::wait_all(&x1, &p.actor);
-                Event::wait_all(&e_phase2_xfer, &p.actor);
-            }
-            continue;
+            w.extend(gate1);
+            let e = cx.enqueue_half_kernel(&q, &slab.whole(), t, &w);
+            e_phase2_xfer = cx.exchange_clmpi(&q, new, &edge2, std::slice::from_ref(&e), face);
+            e_first_prev = Some(e);
+        } else {
+            // Phase 1 kernel: waits the previous phase-2 exchange (it
+            // filled the ghost this kernel reads / sent the planes it
+            // overwrites) and the previous second-half kernel (internal
+            // boundary plane).
+            let mut w1: Vec<Event> = std::mem::take(&mut e_phase2_xfer);
+            w1.extend(e_second_prev.iter().cloned());
+            let e_first = cx.enqueue_half_kernel(&q, &first, t, &w1);
+            // Phase 1 exchange on `old` (the other half's halo), gated on
+            // the previous iteration's second-half kernel which produced
+            // the data.
+            let gate1: Vec<Event> = e_second_prev.iter().cloned().collect();
+            x1 = cx.exchange_clmpi(&q, old, &edge1, &gate1, face);
+            // Phase 2 kernel: waits the phase-1 exchange (its ghost/planes)
+            // and the previous first-half kernel (internal boundary).
+            let mut w2: Vec<Event> = x1.clone();
+            w2.extend(e_first_prev.iter().cloned());
+            let e_second = cx.enqueue_half_kernel(&q, &second, t, &w2);
+            // Phase 2 exchange on `new` (first half's freshly computed
+            // boundary), gated on this iteration's first kernel.
+            e_phase2_xfer =
+                cx.exchange_clmpi(&q, new, &edge2, std::slice::from_ref(&e_first), face);
+            e_first_prev = Some(e_first);
+            e_second_prev = Some(e_second);
         }
-        // Phase 1 kernel: waits the previous phase-2 exchange (it filled
-        // the ghost this kernel reads / sent the planes it overwrites)
-        // and the previous second-half kernel (internal boundary plane).
-        let mut w1: Vec<Event> = std::mem::take(&mut e_phase2_xfer);
-        w1.extend(e_second_prev.iter().cloned());
-        let e_first = if even {
-            enqueue_half_kernel(
-                &q,
-                "jacobi A",
-                old,
-                new,
-                slab,
-                slab.ha,
-                slab.n + 1,
-                gosa.clone(),
-                t,
-                &w1,
-            )
-        } else {
-            enqueue_half_kernel(
-                &q,
-                "jacobi B",
-                old,
-                new,
-                slab,
-                1,
-                slab.ha,
-                gosa.clone(),
-                t,
-                &w1,
-            )
-        };
-        // Phase 1 exchange on `old` (the other half's halo), gated on the
-        // previous iteration's second-half kernel which produced the data.
-        let gate1: Vec<Event> = e_second_prev.iter().cloned().collect();
-        let x1 = if even {
-            exchange_clmpi(
-                rt, &q, p, old, slab, slab.down, 1, 0, TAG_DOWN, &gate1, face,
-            )
-        } else {
-            exchange_clmpi(
-                rt,
-                &q,
-                p,
-                old,
-                slab,
-                slab.up,
-                slab.n,
-                slab.n + 1,
-                TAG_UP,
-                &gate1,
-                face,
-            )
-        };
-        // Phase 2 kernel: waits the phase-1 exchange (its ghost/planes)
-        // and the previous first-half kernel (internal boundary).
-        let mut w2: Vec<Event> = x1.clone();
-        w2.extend(e_first_prev.iter().cloned());
-        let e_second = if even {
-            enqueue_half_kernel(
-                &q,
-                "jacobi B",
-                old,
-                new,
-                slab,
-                1,
-                slab.ha,
-                gosa.clone(),
-                t,
-                &w2,
-            )
-        } else {
-            enqueue_half_kernel(
-                &q,
-                "jacobi A",
-                old,
-                new,
-                slab,
-                slab.ha,
-                slab.n + 1,
-                gosa.clone(),
-                t,
-                &w2,
-            )
-        };
-        // Phase 2 exchange on `new` (first half's freshly computed
-        // boundary), gated on this iteration's first kernel.
-        let gate2 = vec![e_first.clone()];
-        let x2 = if even {
-            exchange_clmpi(
-                rt,
-                &q,
-                p,
-                new,
-                slab,
-                slab.up,
-                slab.n,
-                slab.n + 1,
-                TAG_UP,
-                &gate2,
-                face,
-            )
-        } else {
-            exchange_clmpi(
-                rt, &q, p, new, slab, slab.down, 1, 0, TAG_DOWN, &gate2, face,
-            )
-        };
-        e_phase2_xfer = x2;
-        e_first_prev = Some(e_first);
-        e_second_prev = Some(e_second);
         // The host's only synchronization: drain the queue (kernels); the
         // exchanges keep flowing on their event chains (paper Fig. 4(c)).
-        q.finish(&p.actor);
+        q.finish(actor);
         if block_each_iter {
             // Ablation: serialize the host on every exchange completion.
-            Event::wait_all(&x1, &p.actor);
-            Event::wait_all(&e_phase2_xfer, &p.actor);
+            Event::wait_all(&x1, actor);
+            Event::wait_all(&e_phase2_xfer, actor);
         }
     }
     // Drain the final exchanges before validation.
-    Event::wait_all(&e_phase2_xfer, &p.actor);
+    Event::wait_all(&e_phase2_xfer, actor);
     (0, 0)
-}
-
-/// One clMPI halo exchange: `enqueue_send_buffer` of the boundary plane
-/// and `enqueue_recv_buffer` into the ghost plane, both gated on `gate`.
-/// Returns the exchange's events (empty if no neighbor).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exchange_clmpi(
-    rt: &ClMpi,
-    q: &CommandQueue,
-    p: &Process,
-    buf: &Buffer,
-    slab: &Slab,
-    neighbor: Option<usize>,
-    send_plane: usize,
-    ghost_plane: usize,
-    dir_tag: Tag,
-    gate: &[Event],
-    face: Option<&(CommittedType, PackMode)>,
-) -> Vec<Event> {
-    let Some(nb) = neighbor else {
-        return Vec::new();
-    };
-    // Tag convention: a plane travelling down is sent with TAG_DOWN and
-    // received (from the up-neighbor's perspective) with TAG_DOWN too.
-    let (send_tag, recv_tag) = if dir_tag == TAG_DOWN {
-        (TAG_DOWN, TAG_UP)
-    } else {
-        (TAG_UP, TAG_DOWN)
-    };
-    if let Some((ty, mode)) = face {
-        // Datatype path: ship only the plane's interior window; the
-        // runtime packs it per `mode` (host gather / device pack kernel).
-        let es = rt
-            .enqueue_send_datatype(
-                q,
-                buf,
-                false,
-                slab.plane_off(send_plane),
-                ty,
-                *mode,
-                nb,
-                send_tag,
-                gate,
-                &p.actor,
-            )
-            .expect("send boundary face");
-        let er = rt
-            .enqueue_recv_datatype(
-                q,
-                buf,
-                false,
-                slab.plane_off(ghost_plane),
-                ty,
-                *mode,
-                nb,
-                recv_tag,
-                gate,
-                &p.actor,
-            )
-            .expect("recv ghost face");
-        return vec![es, er];
-    }
-    let es = rt
-        .enqueue_send_buffer(
-            q,
-            buf,
-            false,
-            slab.plane_off(send_plane),
-            slab.plane_bytes,
-            nb,
-            send_tag,
-            gate,
-            &p.actor,
-        )
-        .expect("send boundary plane");
-    let er = rt
-        .enqueue_recv_buffer(
-            q,
-            buf,
-            false,
-            slab.plane_off(ghost_plane),
-            slab.plane_bytes,
-            nb,
-            recv_tag,
-            gate,
-            &p.actor,
-        )
-        .expect("recv ghost plane");
-    vec![es, er]
 }
 
 /// GPU-aware-MPI comparator (paper §II): the same two-queue overlap
@@ -981,178 +709,129 @@ pub(crate) fn exchange_clmpi(
 /// [`ClMpi::gpu_aware_recv`]) — no manual staging, optimized transfer
 /// paths — executed by the host thread, which must first wait on the
 /// producing kernel's event (the serialization clMPI's events remove).
-fn run_gpu_aware(
-    cfg: &HimenoConfig,
-    p: &Process,
-    rt: &ClMpi,
-    slab: &Slab,
-    bufs: &[Buffer; 2],
-    gosa: &Arc<Vec<Mutex<f64>>>,
-) -> (SimNs, SimNs) {
-    let rank = p.rank();
-    let even = rank.is_multiple_of(2);
-    let q0 = rt.context().create_queue(0, format!("r{rank}q0"));
-    let q1 = rt.context().create_queue(0, format!("r{rank}q1"));
+fn run_gpu_aware(cx: &RankCx) -> (SimNs, SimNs) {
+    let actor = &cx.p.actor;
+    let rank = cx.p.rank();
+    let q0 = cx.rt.context().create_queue(0, format!("r{rank}q0"));
+    let q1 = cx.rt.context().create_queue(0, format!("r{rank}q1"));
+    let [(first, edge1), (second, edge2)] = cx.slab.phases();
     let mut e_first_prev: Option<Event> = None;
     let mut e_second_prev: Option<Event> = None;
-    for t in 0..cfg.iters {
-        let (old, new) = (&bufs[t % 2], &bufs[(t + 1) % 2]);
-        if slab.n < 2 {
+    for t in 0..cx.cfg.iters {
+        let (old, new) = cx.generation(t);
+        if cx.slab.n < 2 {
             // Degenerate slab: exchange first (the whole-slab kernel
-            // reads both ghosts), same per-edge protocol as the overlap
-            // path. The previous kernel produced the plane this exchange
-            // sends, so the host waits on it first (§II's limitation).
-            if let Some(e) = &e_first_prev {
-                e.wait(&p.actor);
-            }
-            if even {
-                exchange_gpu_aware(rt, &q1, p, old, slab, slab.down, 1, 0, TAG_DOWN);
-            } else {
-                exchange_gpu_aware(rt, &q1, p, old, slab, slab.up, slab.n, slab.n + 1, TAG_UP);
-            }
-            let e = enqueue_half_kernel(
-                &q0,
-                "jacobi",
-                old,
-                new,
-                slab,
-                1,
-                slab.n + 1,
-                gosa.clone(),
-                t,
-                &[],
-            );
-            e.wait(&p.actor);
-            if even {
-                exchange_gpu_aware(rt, &q0, p, new, slab, slab.up, slab.n, slab.n + 1, TAG_UP);
-            } else {
-                exchange_gpu_aware(rt, &q0, p, new, slab, slab.down, 1, 0, TAG_DOWN);
-            }
-            e_first_prev = Some(e.clone());
-            e_second_prev = Some(e);
+            // reads both ghosts), over the phase table's edges. The host
+            // has already waited on the previous kernel, which produced
+            // the plane the first exchange sends (§II's limitation).
+            cx.exchange_gpu_aware(&q1, old, &edge1);
+            cx.enqueue_half_kernel(&q0, &cx.slab.whole(), t, &[])
+                .wait(actor);
+            cx.exchange_gpu_aware(&q0, new, &edge2);
             continue;
         }
         let waits_first: Vec<Event> = e_second_prev.iter().cloned().collect();
-        let e_first = if even {
-            enqueue_half_kernel(
-                &q0,
-                "jacobi A",
-                old,
-                new,
-                slab,
-                slab.ha,
-                slab.n + 1,
-                gosa.clone(),
-                t,
-                &waits_first,
-            )
-        } else {
-            enqueue_half_kernel(
-                &q0,
-                "jacobi B",
-                old,
-                new,
-                slab,
-                1,
-                slab.ha,
-                gosa.clone(),
-                t,
-                &waits_first,
-            )
-        };
+        let e_first = cx.enqueue_half_kernel(&q0, &first, t, &waits_first);
         // Phase-1 exchange on `old`: the host must wait for the kernel
         // that produced the boundary plane (§II's limitation), then the
         // GPU-aware MPI calls transfer device memory directly.
         if let Some(e) = &e_second_prev {
-            e.wait(&p.actor);
+            e.wait(actor);
         }
-        if even {
-            exchange_gpu_aware(rt, &q1, p, old, slab, slab.down, 1, 0, TAG_DOWN);
-        } else {
-            exchange_gpu_aware(rt, &q1, p, old, slab, slab.up, slab.n, slab.n + 1, TAG_UP);
-        }
+        cx.exchange_gpu_aware(&q1, old, &edge1);
         let mut waits_second: Vec<Event> = e_first_prev.iter().cloned().collect();
         waits_second.push(e_first.clone());
-        let e_second = if even {
-            enqueue_half_kernel(
-                &q1,
-                "jacobi B",
-                old,
-                new,
-                slab,
-                1,
-                slab.ha,
-                gosa.clone(),
-                t,
-                &waits_second,
-            )
-        } else {
-            enqueue_half_kernel(
-                &q1,
-                "jacobi A",
-                old,
-                new,
-                slab,
-                slab.ha,
-                slab.n + 1,
-                gosa.clone(),
-                t,
-                &waits_second,
-            )
-        };
+        let e_second = cx.enqueue_half_kernel(&q1, &second, t, &waits_second);
         // Phase-2 exchange on `new`: wait the first kernel, then transfer.
-        e_first.wait(&p.actor);
-        if even {
-            exchange_gpu_aware(rt, &q0, p, new, slab, slab.up, slab.n, slab.n + 1, TAG_UP);
-        } else {
-            exchange_gpu_aware(rt, &q0, p, new, slab, slab.down, 1, 0, TAG_DOWN);
-        }
+        e_first.wait(actor);
+        cx.exchange_gpu_aware(&q0, new, &edge2);
         e_first_prev = Some(e_first);
         e_second_prev = Some(e_second);
     }
-    q0.finish(&p.actor);
-    q1.finish(&p.actor);
+    q0.finish(actor);
+    q1.finish(actor);
     (0, 0)
 }
 
-/// One GPU-aware halo exchange: blocking device-buffer send + receive on
-/// the host thread.
-#[allow(clippy::too_many_arguments)]
-fn exchange_gpu_aware(
-    rt: &ClMpi,
-    q: &CommandQueue,
-    p: &Process,
-    buf: &Buffer,
-    slab: &Slab,
-    neighbor: Option<usize>,
-    send_plane: usize,
-    ghost_plane: usize,
-    dir_tag: Tag,
-) {
-    let Some(nb) = neighbor else { return };
-    let (send_tag, recv_tag) = if dir_tag == TAG_DOWN {
-        (TAG_DOWN, TAG_UP)
-    } else {
-        (TAG_UP, TAG_DOWN)
-    };
-    rt.gpu_aware_send(
-        &p.actor,
-        q,
-        buf,
-        slab.plane_off(send_plane),
-        slab.plane_bytes,
-        nb,
-        send_tag,
-    )
-    .expect("gpu-aware send");
-    rt.gpu_aware_recv(
-        &p.actor,
-        q,
-        buf,
-        slab.plane_off(ghost_plane),
-        slab.plane_bytes,
-        nb,
-        recv_tag,
-    )
-    .expect("gpu-aware recv");
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn slabs(size: GridSize, nodes: usize) -> Vec<Slab> {
+        let cfg = HimenoConfig {
+            size,
+            iters: 1,
+            sys: SystemConfig::cichlid(),
+            nodes,
+            strategy: None,
+            halo: HaloMode::Plane,
+        };
+        (0..nodes).map(|r| Slab::new(&cfg, r)).collect()
+    }
+
+    #[test]
+    fn the_two_halves_tile_the_interior_exactly_once() {
+        for n in 0..=5 {
+            // Two ranks over 2n planes: an even and an odd rank of n each.
+            for slab in slabs(GridSize::Custom(2 * n + 2, 3, 3), 2) {
+                assert_eq!(slab.n, n);
+                let [(first, _), (second, _)] = slab.phases();
+                let mut planes: Vec<usize> =
+                    (first.lo..first.hi).chain(second.lo..second.hi).collect();
+                planes.sort_unstable();
+                assert_eq!(planes, (1..=n).collect::<Vec<_>>(), "n={n}");
+                let (a, b) = if slab.rank.is_multiple_of(2) {
+                    (first, second)
+                } else {
+                    (second, first)
+                };
+                assert_eq!((a.name, b.name), ("jacobi A", "jacobi B"));
+                assert_eq!(b.hi, a.lo, "B is the lower half");
+                let whole = slab.whole();
+                assert_eq!((whole.lo, whole.hi), (1, n + 1));
+                if n < 2 {
+                    // No independent half: A is the whole slab.
+                    assert_eq!((a.lo, a.hi, b.lo, b.hi), (1, n + 1, 1, 1));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn phase_k_of_two_neighbors_names_the_same_boundary() {
+        let worlds = [
+            (GridSize::S, 4),
+            (GridSize::M, 256),
+            (GridSize::Custom(9, 9, 17), 3),
+            (GridSize::Custom(9, 9, 17), 5),
+            (GridSize::Custom(9, 9, 17), 7),
+            (GridSize::Custom(9, 9, 17), 10),
+        ];
+        for (size, nodes) in worlds {
+            let slabs = slabs(size, nodes);
+            for (r, pair) in slabs.windows(2).enumerate() {
+                let (lower, upper) = (&pair[0], &pair[1]);
+                // The boundary exists iff both sides own planes.
+                let joined = lower.n > 0 && upper.n > 0;
+                assert_eq!(lower.edge_up().neighbor, joined.then_some(r + 1));
+                assert_eq!(upper.edge_down().neighbor, joined.then_some(r));
+                // Same phase index = same buffer generation (phase 1
+                // exchanges `old`, phase 2 `new`).
+                let mut phases_naming_it = 0;
+                for ((_, up), (_, down)) in lower.phases().iter().zip(upper.phases().iter()) {
+                    if up.ghost_plane == 0 {
+                        // The lower rank's down edge: then the upper
+                        // rank must be on its up edge.
+                        assert_eq!(down.ghost_plane, upper.n + 1, "{nodes} ranks, r={r}");
+                        continue;
+                    }
+                    phases_naming_it += 1;
+                    assert_eq!((up.send_plane, up.ghost_plane), (lower.n, lower.n + 1));
+                    assert_eq!((down.send_plane, down.ghost_plane), (1, 0));
+                    assert_eq!((up.send_tag, up.recv_tag), (down.recv_tag, down.send_tag));
+                }
+                assert_eq!(phases_naming_it, 1, "{nodes} ranks, r={r}");
+            }
+        }
+    }
 }
