@@ -796,13 +796,12 @@ mod tests {
     fn t(c: &SimClock, a: &Actor) { c.notify(); a.wait_until(|| None::<()>); }
 }
 "#;
-    let inside =
-        "fn block_on(a: &Actor, c: &SimClock) { c.notify(); a.wait_until(|| None::<()>); }";
+    let inside = "fn settle(a: &Actor, c: &SimClock) { c.notify(); a.wait_until(|| None::<()>); }";
     let out = diags(
         pass_wildcard_wake,
         &[
             ("crates/minimpi/src/rma.rs", keyed),
-            ("crates/simtime/src/progress.rs", inside),
+            ("crates/simtime/src/sync.rs", inside),
             ("crates/clmpi/tests/wake.rs", inside),
         ],
         "",

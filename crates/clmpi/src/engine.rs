@@ -86,10 +86,7 @@ use minimpi::{
     RmaPoll, RmaRoute, Tag, Win, RMA_PATIENCE_NS,
 };
 use simtime::plock::Mutex;
-use simtime::{
-    Actor, Completion, CompletionState, MachineHandle, MachineStep, Monitor, OpSpan, SimActor,
-    SimClock, SimNs,
-};
+use simtime::{Actor, MachineHandle, MachineStep, Monitor, OpSpan, SimActor, SimClock, SimNs};
 
 use crate::obs::ChildIds;
 use crate::retry::RetryPolicy;
@@ -1721,9 +1718,9 @@ impl OpBody for IrecvBody {
 }
 
 /// `clCreateEventFromMPIRequest`: adapts a plain MPI request into an
-/// event. The body polls the request's completion signal and, once it
-/// settles, publishes the payload (if any); the event completes at the
-/// settlement instant.
+/// event. The body asks the request for its completion instant and, once
+/// that is due, publishes the payload (if any); the event completes at
+/// the settlement instant.
 pub(crate) struct EventFromRequestBody {
     pub(crate) req: Request,
     pub(crate) slot: Arc<Monitor<Option<RecvResult>>>,
@@ -1731,10 +1728,11 @@ pub(crate) struct EventFromRequestBody {
 
 impl OpBody for EventFromRequestBody {
     fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
-        if let CompletionState::Pending = self.req.poll(now) {
-            return Advance::Park(self.req.wake_hint(now).filter(|&t| t > now));
+        let done_at = self.req.known_completion();
+        if done_at.is_none_or(|at| at > now) {
+            return Advance::Park(done_at);
         }
-        let result = self.req.test(actor).expect("completion signalled above");
+        let result = self.req.test(actor).expect("completion is due");
         let bytes = result.as_ref().map_or(0, |r| r.data.len() as u64);
         if let Some(env) = cx.env_mut() {
             (env.bytes, env.received) = (bytes, bytes);

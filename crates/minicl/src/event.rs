@@ -285,22 +285,6 @@ pub enum WaitListStatus {
     },
 }
 
-impl simtime::Completion for Event {
-    /// An event is a completion: settled status maps directly, with the
-    /// recorded settling timestamp. A `Pending` event offers no wake hint
-    /// (its settling is driven by whoever executes the command, which
-    /// notifies the clock through the event's `Monitor`).
-    fn poll(&self, _now: SimNs) -> simtime::CompletionState {
-        self.core.peek(|st| match st.status {
-            CommandStatus::Complete => simtime::CompletionState::Complete(st.profiling.completed),
-            CommandStatus::Failed(code) => {
-                simtime::CompletionState::Failed(code, st.profiling.completed)
-            }
-            _ => simtime::CompletionState::Pending,
-        })
-    }
-}
-
 /// A user event (`clCreateUserEvent`): an [`Event`] completable from
 /// application code. The clMPI runtime returns these from its inter-node
 /// communication commands.
@@ -500,19 +484,5 @@ mod tests {
             }
         );
         assert_eq!(Event::poll_wait_list(&[]), WaitListStatus::Ready);
-    }
-
-    #[test]
-    fn event_implements_completion() {
-        use simtime::{Completion, CompletionState};
-        let clock = SimClock::new();
-        let ok = Event::new_queued(clock.clone(), "ok");
-        let bad = Event::new_queued(clock.clone(), "bad");
-        assert_eq!(ok.poll(0), CompletionState::Pending);
-        ok.complete(42);
-        use crate::status::EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST as WAIT_LIST_ERR;
-        bad.fail(43, WAIT_LIST_ERR);
-        assert_eq!(ok.poll(100), CompletionState::Complete(42));
-        assert_eq!(bad.poll(100), CompletionState::Failed(WAIT_LIST_ERR, 43));
     }
 }

@@ -66,16 +66,6 @@ pub struct CommandQueue {
     joiner: Mutex<Option<MachineHandle>>,
 }
 
-/// FNV-1a over the queue label: a host-independent shard-placement hint.
-fn label_hint(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl CommandQueue {
     pub(crate) fn new(clock: SimClock, device: Device, label: String) -> Self {
         let shared = Arc::new(QueueShared {
@@ -89,8 +79,9 @@ impl CommandQueue {
             shared: shared.clone(),
             state: ExecState::Idle,
         };
-        let joiner =
-            clock.spawn_machine(label_hint(&label), format!("queue:{label}"), Box::new(core));
+        // Shard placement by label hash: host-independent.
+        let hint = simtime::fnv1a(label.as_bytes());
+        let joiner = clock.spawn_machine(hint, format!("queue:{label}"), Box::new(core));
         CommandQueue {
             shared,
             joiner: Mutex::new(Some(joiner)),

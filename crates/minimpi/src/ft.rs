@@ -188,14 +188,8 @@ impl Comm {
         let seq = self
             .split_seq
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut h: u64 = 0xcbf29ce484222325;
-        for v in [self.context, seq, agreed, SHRINK_MARKER] {
-            for byte in v.to_ne_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-        Ok(self.derive(h | 1, members))
+        let words = [self.context, seq, agreed, SHRINK_MARKER].map(u64::to_ne_bytes);
+        Ok(self.derive(simtime::fnv1a(words.as_flattened()) | 1, members))
     }
 }
 

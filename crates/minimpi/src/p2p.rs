@@ -192,6 +192,29 @@ pub(crate) struct RankState {
 }
 
 impl RankState {
+    /// Claim receive `id`'s matched message once it is visible at `now`:
+    /// the ready [`RecvResult`], its source in `members`' numbering.
+    fn take_visible(
+        &mut self,
+        id: u64,
+        now: SimNs,
+        members: &Option<Arc<Vec<Rank>>>,
+    ) -> Option<RecvResult> {
+        if self.matched.get(&id)?.visible_at > now {
+            return None;
+        }
+        let msg = self.matched.remove(&id).expect("matched entry vanished");
+        Some(RecvResult {
+            status: Status {
+                source: to_local(members, msg.src),
+                tag: msg.tag,
+                len: msg.payload.len(),
+                datatype: msg.datatype,
+            },
+            data: msg.payload,
+        })
+    }
+
     /// Pair posted receives (posting order) with inbox messages
     /// (lowest sequence matching each). Called after every state change.
     fn try_match(&mut self) {
@@ -421,25 +444,7 @@ impl Request {
                 // predicate would self-deadlock.
                 let res = actor.wait_on(&keys, "mpi recv", || {
                     world.inner.fabric.pump(clock.now_ns());
-                    state.try_now(|st| {
-                        let visible = st
-                            .matched
-                            .get(&id)
-                            .map(|m| m.visible_at <= clock.now_ns())?;
-                        if !visible {
-                            return None;
-                        }
-                        let msg = st.matched.remove(&id).expect("matched entry vanished");
-                        Some(RecvResult {
-                            status: Status {
-                                source: to_local(&members, msg.src),
-                                tag: msg.tag,
-                                len: msg.payload.len(),
-                                datatype: msg.datatype,
-                            },
-                            data: msg.payload,
-                        })
-                    })
+                    state.try_now(|st| st.take_visible(id, clock.now_ns(), &members))
                 });
                 Some(res)
             }
@@ -495,28 +500,17 @@ impl Request {
                     world.inner.fabric.pump(clock.now_ns());
                     state.try_now(|st| {
                         let now = clock.now_ns();
-                        match st.matched.get(&id) {
-                            Some(m) if m.visible_at <= now => {
-                                let msg = st.matched.remove(&id).expect("matched entry vanished");
-                                Some(Ok(RecvResult {
-                                    status: Status {
-                                        source: to_local(&members, msg.src),
-                                        tag: msg.tag,
-                                        len: msg.payload.len(),
-                                        datatype: msg.datatype,
-                                    },
-                                    data: msg.payload,
-                                }))
-                            }
-                            Some(_) => None, // matched, in flight: arrival committed
-                            None if now >= deadline => {
-                                st.pending.retain(|p| p.id != id);
-                                Some(Err(MpiError::Timeout {
-                                    waited_ns: timeout_ns,
-                                }))
-                            }
-                            None => None,
+                        if let Some(r) = st.take_visible(id, now, &members) {
+                            return Some(Ok(r));
                         }
+                        // Matched and in flight: the arrival is committed.
+                        if st.matched.contains_key(&id) || now < deadline {
+                            return None;
+                        }
+                        st.pending.retain(|p| p.id != id);
+                        Some(Err(MpiError::Timeout {
+                            waited_ns: timeout_ns,
+                        }))
                     })
                 });
                 res.map(Some)
@@ -564,61 +558,10 @@ impl Request {
             },
             ReqKind::Recv {
                 id, state, members, ..
-            } => {
-                let now = actor.now_ns();
-                let id = *id;
-                let members = members.clone();
-                state
-                    .try_now(|st| {
-                        let ready = st.matched.get(&id).map(|m| m.visible_at <= now)?;
-                        if !ready {
-                            return None;
-                        }
-                        let msg = st.matched.remove(&id).expect("matched entry vanished");
-                        Some(RecvResult {
-                            status: Status {
-                                source: to_local(&members, msg.src),
-                                tag: msg.tag,
-                                len: msg.payload.len(),
-                                datatype: msg.datatype,
-                            },
-                            data: msg.payload,
-                        })
-                    })
-                    .map(Some)
-            }
+            } => state
+                .try_now(|st| st.take_visible(*id, actor.now_ns(), members))
+                .map(Some),
         }
-    }
-}
-
-impl simtime::Completion for Request {
-    /// Non-consuming progress-engine view of a request: a send completes
-    /// at its injection end (successful or dropped — delivery fate is a
-    /// separate query, [`Request::delivered`]); a receive completes once
-    /// its matched message is visible. Unlike [`Request::test`], polling
-    /// leaves the payload in place — the engine consumes it with `test`
-    /// once the state machine is ready for it.
-    fn poll(&self, now: SimNs) -> simtime::CompletionState {
-        self.pump();
-        match &self.kind {
-            ReqKind::Send { outcome, .. } => match outcome.peek(|o| o.map(|o| o.done_at)) {
-                Some(at) if at <= now => simtime::CompletionState::Complete(at),
-                _ => simtime::CompletionState::Pending,
-            },
-            ReqKind::Recv { id, state, .. } => {
-                match state.peek(|st| st.matched.get(id).map(|m| m.visible_at)) {
-                    Some(at) if at <= now => simtime::CompletionState::Complete(at),
-                    _ => simtime::CompletionState::Pending,
-                }
-            }
-        }
-    }
-
-    /// A send's completion instant is always known; a receive's is the
-    /// matched message's arrival (`None` while unmatched — the matcher's
-    /// `Monitor` notifies on every match).
-    fn wake_hint(&self, _now: SimNs) -> Option<SimNs> {
-        self.known_completion()
     }
 }
 

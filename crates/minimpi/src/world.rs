@@ -276,14 +276,8 @@ impl Comm {
         let members: Vec<Rank> = members.into_iter().map(|(_, g)| g).collect();
         // Deterministic child context: all members compute the same value
         // (FNV-1a over parent context, call sequence, and color).
-        let mut h: u64 = 0xcbf29ce484222325;
-        for v in [self.context, seq, my_color as u64] {
-            for byte in v.to_ne_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-        let context = h | 1; // never collide with the world context 0
+        let words = [self.context, seq, my_color as u64].map(u64::to_ne_bytes);
+        let context = simtime::fnv1a(words.as_flattened()) | 1; // never the world context 0
         Some(self.derive(context, members))
     }
 }

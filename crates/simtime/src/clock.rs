@@ -86,8 +86,8 @@ impl WakeKey {
     /// waiter registered on it is woken by every notify and alarm.
     pub const ALL: WakeKey = WakeKey(0);
     /// A key no waiter registers, so it reaches only the [`WakeKey::ALL`]
-    /// waiters: the wake hints of a thread-mode machine runner and of
-    /// `block_on`, which concern that (wildcard) waiter and nobody else.
+    /// waiters: the wake hints of a thread-mode machine runner, which
+    /// concern that (wildcard) waiter and nobody else.
     pub(crate) const RUNNERS: WakeKey = WakeKey(1);
     /// Shard `i`'s worker waits on `FIRST_SHARD + i`; fresh keys start
     /// after the last shard's.

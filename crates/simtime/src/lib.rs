@@ -48,15 +48,13 @@
 
 mod clock;
 pub mod plock;
-pub mod progress;
 pub mod rng;
 pub mod sched;
 pub mod sync;
 pub mod trace;
 
 pub use clock::{Actor, ActorStatus, LabelWakes, SimClock, WakeKey, WakeStats};
-pub use progress::{Completion, CompletionState};
-pub use rng::XorShift64;
+pub use rng::{fnv1a, XorShift64};
 pub use sched::{note_read, on_pool_worker, ExecMode, MachineHandle, MachineStep, SimActor};
 pub use sync::{Monitor, SimBarrier, SimChannel};
 pub use trace::{OpSpan, Span, Trace};

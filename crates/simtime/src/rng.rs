@@ -1,10 +1,23 @@
-//! A small, seeded, deterministic PRNG (xorshift64*).
+//! A small, seeded, deterministic PRNG (xorshift64*) and the workspace's
+//! one stable hash ([`fnv1a`]).
 //!
 //! Used by the fault injector (`simnet`'s `FaultPlan`) and by the
 //! seeded-loop property tests, replacing the external `rand` crate. The
 //! stream is a pure function of the seed, so any run that records its seed
 //! is exactly replayable — a requirement for deterministic fault
 //! injection in virtual time.
+
+/// FNV-1a over a byte stream: the workspace's stable fingerprint and its
+/// host-independent way to derive an id (communicator contexts, shard
+/// placement, checkpoint checksums, every `*_fnv1a` artifact field).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
 
 /// Deterministic xorshift64* generator.
 ///
@@ -82,6 +95,13 @@ impl XorShift64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        assert_ne!(fnv1a(b""), fnv1a(b"\0"));
+    }
 
     #[test]
     fn same_seed_same_stream() {
