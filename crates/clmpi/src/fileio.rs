@@ -12,9 +12,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use minicl::{Buffer, ClError, ClResult, CommandQueue, Device, Event};
-use simnet::{Link, LinkSpec};
+use simnet::{DeferredArbiter, Link, LinkSpec};
 use simtime::plock::Mutex;
-use simtime::{Actor, Monitor, SimClock, SimNs, WakeKey};
+use simtime::{Actor, Monitor, SimClock, SimNs};
 
 use crate::engine::{Advance, Envelope, Hop, OpBody, OpCx, OpFrame, OpSpec};
 use crate::obs::fnv1a;
@@ -27,38 +27,18 @@ pub struct SimStorage {
     files: Arc<Mutex<BTreeMap<String, Vec<u8>>>>,
     link: Arc<Link>,
     clock: SimClock,
-    defer: Arc<Mutex<StorageDefer>>,
-    /// Wake key of the arbiter, a pump key like the fabric's: the alarm
-    /// that makes a job grantable wakes one of the machines that pump.
-    key: WakeKey,
+    /// Several ranks share one storage device (the shared-PFS model), and
+    /// their engine threads hit the timeline at the same virtual instant;
+    /// granting in real call order would leak host scheduling into virtual
+    /// time. Same-instant posters sort by global rank (unique per shared
+    /// storage); a job is the byte count and the cell its grant fills.
+    defer: Arc<DeferredArbiter<u64, (usize, GrantCell)>>,
 }
 
 /// Where a deferred reservation's arrival instant lands once granted. A
 /// `Monitor`, so a grant made by another rank's pump wakes the op that
 /// owns the cell.
 type GrantCell = Arc<Monitor<Option<SimNs>>>;
-
-/// A deferred storage reservation, granted later in canonical order.
-/// Several ranks share one storage device (the shared-PFS model), and
-/// their engine threads hit the timeline at the same virtual instant;
-/// granting in real call order would leak host scheduling into virtual
-/// time. Same design as the fabric's deferred-send arbiter.
-struct StorageJob {
-    /// Canonical tiebreak between posters at the same instant (the
-    /// poster's global rank — unique per shared storage).
-    prio: u64,
-    bytes: usize,
-    earliest: SimNs,
-    seq: u64,
-    /// Filled with the reservation's arrival instant at grant time.
-    cell: GrantCell,
-}
-
-#[derive(Default)]
-struct StorageDefer {
-    pending: Vec<StorageJob>,
-    next_seq: u64,
-}
 
 impl SimStorage {
     /// A ~2012 cluster-node local disk array: ~200 MB/s streaming,
@@ -79,9 +59,8 @@ impl SimStorage {
         SimStorage {
             files: Arc::new(Mutex::new(BTreeMap::new())),
             link: Arc::new(Link::new(clock.clone(), spec)),
-            key: clock.new_pump_key(),
+            defer: Arc::new(DeferredArbiter::new(clock.clone())),
             clock,
-            defer: Arc::new(Mutex::new(StorageDefer::default())),
         }
     }
 
@@ -114,25 +93,8 @@ impl SimStorage {
     /// the job; poll it after pumping. `prio` breaks same-instant ties
     /// canonically (pass the poster's global rank).
     pub(crate) fn reserve_deferred(&self, prio: u64, bytes: usize, earliest: SimNs) -> GrantCell {
-        let mut q = self.defer.lock();
-        // Clamp stale instants up to now. Grant batches are frozen: the
-        // poster is runnable, so the clock cannot advance while this job
-        // is posted — every later post lands at `earliest` ≥ any instant
-        // a pump has already granted through.
-        let earliest = earliest.max(self.clock.now_ns());
         let cell = Arc::new(Monitor::new(self.clock.clone(), None));
-        let seq = q.next_seq;
-        q.next_seq += 1;
-        q.pending.push(StorageJob {
-            prio,
-            bytes,
-            earliest,
-            seq,
-            cell: cell.clone(),
-        });
-        // Drive the clock past the grant threshold even if every actor
-        // is parked waiting on this very reservation.
-        self.clock.schedule_alarm_keyed(earliest + 1, self.key);
+        self.defer.post(earliest, prio, (bytes, cell.clone()));
         cell
     }
 
@@ -141,30 +103,10 @@ impl SimStorage {
     /// backdated to their (clamped) post instants, so the timeline is
     /// identical to the eager first-come order — minus the race.
     pub(crate) fn pump(&self, now: SimNs) {
-        // checker-allow(lock-lifetime): defer is the serialization point
-        // for the canonical (earliest, prio, seq) grant order — releasing
-        // it mid-grant would let a racing pump interleave reservations.
-        // The nested `cell` monitor is a per-job leaf whose mutation
-        // takes nothing but the clock lock (its notify).
-        simtime::note_read(self.key);
-        let mut q = self.defer.lock();
-        if !q.pending.iter().any(|j| j.earliest < now) {
-            return;
-        }
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < q.pending.len() {
-            if q.pending[i].earliest < now {
-                due.push(q.pending.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        due.sort_by_key(|j| (j.earliest, j.prio, j.seq));
-        for j in due {
-            let r = self.link.reserve(j.bytes, j.earliest);
-            j.cell.with(|g| *g = Some(r.arrival));
-        }
+        self.defer.pump(now, |earliest, _prio, (bytes, cell)| {
+            let r = self.link.reserve(bytes, earliest);
+            cell.with(|g| *g = Some(r.arrival));
+        });
     }
 }
 

@@ -1,9 +1,9 @@
 //! Cluster topology: nodes with per-direction NIC timelines over a shared
 //! fabric spec, with presets for the paper's two systems (Table I).
 
+use crate::arbiter::DeferredArbiter;
 use crate::fault::{DropReason, FaultInjector, FaultOutcome, FaultPlan};
 use crate::link::{reserve_pair, Link, LinkSpec, Reservation};
-use simtime::plock::Mutex;
 use simtime::{SimClock, SimNs, WakeKey};
 
 /// Index of a node within a cluster.
@@ -157,7 +157,6 @@ impl ClusterSpec {
 /// distribution cost grow with node count, Fig. 10).
 pub struct Fabric {
     spec: ClusterSpec,
-    clock: SimClock,
     tx: Vec<Link>,
     rx: Vec<Link>,
     /// One shared load/store timeline per CXL pool (empty without a
@@ -169,10 +168,11 @@ pub struct Fabric {
     /// One fault injector per source node's tx link (None: perfect fabric,
     /// zero overhead on the hot path).
     faults: Option<Vec<FaultInjector>>,
-    /// Deferred-reservation arbiter state (see [`Fabric::reserve_deferred`]).
-    defer: Mutex<DeferQueue>,
-    /// Wake key of the arbiter ([`Fabric::wake_key`]).
-    key: WakeKey,
+    /// Deferred-reservation arbiter (see [`Fabric::reserve_deferred`]).
+    /// Same-instant jobs sort by `(src, dst, tag)`: one node's engine and
+    /// app threads may post same-instant jobs to the same peer, and their
+    /// flows (distinct tags) must not be ordered by which OS thread won.
+    defer: DeferredArbiter<(NodeId, NodeId, i32), DeferredSend>,
 }
 
 /// How much link time a deferred reservation claims.
@@ -186,30 +186,9 @@ enum DeferSize {
     RmaBytes(usize),
 }
 
-/// A reservation posted to the arbiter: what to claim, the instant it may
-/// start, and the completion to run once granted.
-struct DeferredSend {
-    src: NodeId,
-    dst: NodeId,
-    /// Flow tag, part of the grant sort key: one node's engine and app
-    /// threads may post same-instant jobs to the same peer, and their
-    /// flows (distinct tags) must not be ordered by which OS thread won.
-    tag: i32,
-    size: DeferSize,
-    earliest: SimNs,
-    /// Posting order, the final tie-break. Within one OS thread it is
-    /// program order; across threads it only decides between jobs of the
-    /// same flow at the same instant, where either order yields the same
-    /// timeline.
-    seq: u64,
-    complete: Box<dyn FnOnce(Reservation) + Send>,
-}
-
-#[derive(Default)]
-struct DeferQueue {
-    pending: Vec<DeferredSend>,
-    next_seq: u64,
-}
+/// A reservation posted to the arbiter: what to claim and the completion
+/// to run once granted.
+type DeferredSend = (DeferSize, Box<dyn FnOnce(Reservation) + Send>);
 
 impl Fabric {
     /// Build a fabric for the first `nodes` nodes of `spec`.
@@ -248,15 +227,13 @@ impl Fabric {
                 .collect()
         });
         Fabric {
-            key: clock.new_pump_key(),
+            defer: DeferredArbiter::new(clock),
             spec,
-            clock,
             tx,
             rx,
             pools,
             plan,
             faults,
-            defer: Mutex::new(DeferQueue::default()),
         }
     }
 
@@ -541,26 +518,7 @@ impl Fabric {
             src < self.nodes() && dst < self.nodes(),
             "node out of range"
         );
-        // Clamp to the present. A poster is runnable, so the clock cannot
-        // advance during this call — every job later posted carries
-        // `earliest >= now >= any instant already pumped`, which is what
-        // freezes each grant batch before it is sorted.
-        let earliest = earliest.max(self.clock.now_ns());
-        {
-            let mut q = self.defer.lock();
-            let seq = q.next_seq;
-            q.next_seq += 1;
-            q.pending.push(DeferredSend {
-                src,
-                dst,
-                tag,
-                size,
-                earliest,
-                seq,
-                complete,
-            });
-        }
-        self.clock.schedule_alarm_keyed(earliest + 1, self.key);
+        self.defer.post(earliest, (src, dst, tag), (size, complete));
     }
 
     /// The arbiter's wake key, a pump key
@@ -570,7 +528,7 @@ impl Fabric {
     /// the state the grant callbacks fill in) exactly when its predicate
     /// starts with [`Fabric::pump`].
     pub fn wake_key(&self) -> WakeKey {
-        self.key
+        self.defer.key()
     }
 
     /// Grant every deferred reservation with `earliest < now`, in
@@ -581,36 +539,19 @@ impl Fabric {
     /// grant order also fixes receiver-side message sequence numbers —
     /// the other place same-instant order is observable.
     pub fn pump(&self, now: SimNs) {
-        // The queue is not a `Monitor`: tell a recording shard worker
-        // that this machine pumps, so a grant alarm can pick it.
-        simtime::note_read(self.key);
-        let mut q = self.defer.lock();
-        if !q.pending.iter().any(|j| j.earliest < now) {
-            return;
-        }
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < q.pending.len() {
-            if q.pending[i].earliest < now {
-                due.push(q.pending.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        due.sort_by_key(|j| (j.earliest, j.src, j.dst, j.tag, j.seq));
-        for j in due {
-            let r = match j.size {
-                DeferSize::Bytes(b) => self.reserve(j.src, j.dst, b, j.earliest),
-                DeferSize::Duration(d) => self.reserve_duration(j.src, j.dst, d, j.earliest),
-                DeferSize::RmaBytes(b) => self.reserve_rma(j.src, j.dst, b, j.earliest),
-            };
-            (j.complete)(r);
-        }
+        self.defer
+            .pump(now, |earliest, (src, dst, _tag), (size, complete)| {
+                complete(match size {
+                    DeferSize::Bytes(b) => self.reserve(src, dst, b, earliest),
+                    DeferSize::Duration(d) => self.reserve_duration(src, dst, d, earliest),
+                    DeferSize::RmaBytes(b) => self.reserve_rma(src, dst, b, earliest),
+                });
+            });
     }
 
     /// Number of posted-but-ungranted deferred reservations (diagnostics).
     pub fn deferred_pending(&self) -> usize {
-        self.defer.lock().pending.len()
+        self.defer.pending()
     }
 }
 

@@ -15,11 +15,13 @@
 //! lets `MPI_Isend` proceed with no host involvement — the property the
 //! paper's clMPI relies on).
 
+mod arbiter;
 mod cluster;
 mod fault;
 mod link;
 mod mailbox;
 
+pub use arbiter::DeferredArbiter;
 pub use cluster::{ClusterSpec, CxlSpec, Fabric, FabricClass, NodeId};
 pub use fault::{
     DropReason, FaultCounts, FaultInjector, FaultOutcome, FaultPlan, FaultPlanError, NodeDownWindow,
