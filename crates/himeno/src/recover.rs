@@ -361,7 +361,7 @@ fn restore_slab(
     slot: usize,
     target: &Buffer,
 ) {
-    let (slab2, start2) = (&cx2.slab, cx2.slab.start);
+    let (rt2, actor, slab2, start2) = (cx2.rt, &cx2.p.actor, &cx2.slab, cx2.slab.start);
     let mut assembled = init_planes(old_world.size, start2 - 1, start2 + slab2.n + 1);
     let plane_f32 = slab2.mj * slab2.mk;
     let old_slabs: Vec<Slab> = (0..old_world.nodes)
@@ -372,7 +372,7 @@ fn restore_slab(
         .map(Slab::slab_bytes)
         .max()
         .expect("at least one rank");
-    let scratch = cx2.rt.context().create_buffer(scratch_bytes);
+    let scratch = rt2.context().create_buffer(scratch_bytes);
     for (g, s0) in old_slabs.iter().enumerate() {
         // Intersection of old rank g's interior planes with the planes
         // (ghosts included) the new slab needs.
@@ -381,23 +381,12 @@ fn restore_slab(
         if lo >= hi {
             continue;
         }
-        let path = ckpt_path(0, g, slot);
-        let e = cx2
-            .rt
-            .enqueue_restore_buffer(
-                q2,
-                &scratch,
-                0,
-                s0.slab_bytes(),
-                storage,
-                path,
-                &[],
-                &cx2.p.actor,
-            )
+        let (bytes, path) = (s0.slab_bytes(), ckpt_path(0, g, slot));
+        let e = rt2
+            .enqueue_restore_buffer(q2, &scratch, 0, bytes, storage, path, &[], actor)
             .expect("enqueue restore");
-        e.wait_result(&cx2.p.actor)
-            .expect("agreed checkpoint restores");
-        let payload = scratch.load(0, s0.slab_bytes()).expect("range checked");
+        e.wait_result(actor).expect("agreed checkpoint restores");
+        let payload = scratch.load(0, bytes).expect("range checked");
         let f = bytes_to_f32(&payload);
         for gp in lo..hi {
             let src = (gp - (s0.start - 1)) * plane_f32;

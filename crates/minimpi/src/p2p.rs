@@ -503,7 +503,8 @@ impl Request {
                         if let Some(r) = st.take_visible(id, now, &members) {
                             return Some(Ok(r));
                         }
-                        // Matched and in flight: the arrival is committed.
+                        // Keep waiting inside the deadline — and past it
+                        // once matched: an in-flight arrival is committed.
                         if st.matched.contains_key(&id) || now < deadline {
                             return None;
                         }
