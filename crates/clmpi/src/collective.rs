@@ -54,6 +54,7 @@ use simtime::{Actor, SimNs};
 use crate::engine::{
     Advance, ChunkRecv, Envelope, Hop, OpBody, OpCx, RecvPoll, ReliableChunkSend, SendQueue,
 };
+use crate::obs::Via;
 use crate::runtime::{ClMpi, Inner};
 use crate::strategy::chunk_layout;
 use crate::system::SystemConfig;
@@ -66,7 +67,7 @@ pub(crate) const REDUCE_BPS: f64 = 8e9;
 
 /// A broadcast algorithm choice (the collective analogue of
 /// [`crate::TransferStrategy`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CollAlgo {
     /// Root sends the full payload to every rank, serialized on the
     /// root's NIC. Optimal at world ≤ 2, pathological beyond.
@@ -514,14 +515,14 @@ impl ClMpi {
 // Telling the tuner
 // ----------------------------------------------------------------------
 
-/// Tell the stats — and, when the root (or ring rank) was tuned by the
+/// Tell the ledger — and, when the root (or ring rank) was tuned by the
 /// collective's selector `sel`, the selector — how a collective of
 /// `size` bytes under `tuning` went: `Some(duration)` when its last chunk
 /// landed, `None` on a transfer failure. A poisoned gate never gets here.
 fn report_outcome(
     cx: &OpCx,
     sel: Option<&crate::adaptive::CollectiveSelector>,
-    what: &str,
+    what: &'static str,
     size: usize,
     tuning: CollTuning,
     dur: Option<SimNs>,
@@ -533,8 +534,7 @@ fn report_outcome(
         (None, _) => {}
     }
     if let Some(dur) = dur {
-        cx.inner
-            .with_stats(|s| s.record(what, tuning.algo.name(), size, dur));
+        cx.landed(what, Via::Algo(tuning.algo), size, dur);
     }
 }
 

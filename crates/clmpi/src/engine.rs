@@ -88,7 +88,7 @@ use minimpi::{
 use simtime::plock::Mutex;
 use simtime::{Actor, MachineHandle, MachineStep, Monitor, OpSpan, SimActor, SimClock, SimNs};
 
-use crate::obs::ChildIds;
+use crate::obs::{ChildIds, FaultStats, Via};
 use crate::retry::RetryPolicy;
 use crate::runtime::Inner;
 use crate::strategy::{PackMode, ResolvedStrategy, TransferStrategy};
@@ -245,10 +245,6 @@ impl SimActor for EngineCore {
         }) {
             self.ops.append(&mut newly);
         }
-        // Count only completions: idle re-polls of parked ops are free, so
-        // the count is a deterministic property of the scenario, not of
-        // the host's wake-up pattern.
-        let mut transitions: u64 = 0;
         // The wake hint reported upward: the earliest future instant any
         // op asked for *in the final, progress-free pass* (earlier passes
         // recompute it — a parked op re-reports its hint every pass).
@@ -271,19 +267,21 @@ impl SimActor for EngineCore {
                     }
                     Step::Done => {
                         let op = self.ops.remove(i);
+                        // Count only completions: idle re-polls of parked
+                        // ops are free, so the count is a property of the
+                        // scenario, not of the host's wake-up pattern. And
+                        // count before `active` says so: a rank that sees
+                        // zero may return and let the world read the sum.
+                        actor.clock().count_events(1);
                         // Decrement while the op is still alive: dropping
                         // it may release the last handle on the runtime,
                         // whose drop path reads this counter.
                         self.shared.with(|s| s.active -= 1);
                         drop(op);
-                        transitions += 1;
                         made_progress = true;
                     }
                 }
             }
-        }
-        if transitions > 0 {
-            actor.clock().count_events(transitions);
         }
         if self.ops.is_empty() && self.shared.peek(|s| s.shutdown && s.incoming.is_empty()) {
             MachineStep::Done
@@ -431,14 +429,71 @@ impl OpCx {
         });
     }
 
+    // One writer per kind of fault: each bumps the rank's ledger and
+    // records the child span, so counters and spans cannot disagree.
+
+    fn faults(&self, f: impl FnOnce(&mut FaultStats)) {
+        f(&mut self.inner.ledger.lock().counters.faults);
+    }
+
+    /// A wire chunk of `bytes` bytes was lost over `span`.
+    fn dropped(&mut self, reason: DropReason, name: String, span: Span, bytes: u64) {
+        self.faults(|f| f.note_drop(reason));
+        self.child("net", name, "drop", span, bytes, false);
+    }
+
+    /// A lost chunk is retransmitted; `span` is its backoff.
+    fn retried(&mut self, name: String, span: Span, bytes: u64) {
+        self.faults(|f| f.retries += 1);
+        self.child("net", name, "retry", span, bytes, true);
+    }
+
+    /// The loss streak latched pipelined→pinned resolution at `at`.
+    fn degraded(&mut self, at: SimNs) {
+        let name = "degrade pipelined→pinned";
+        self.faults(|f| f.degraded += 1);
+        self.inner.trace.record(self.fault_lane(), name, at, at);
+        self.child("net", name.into(), "degrade", (at, at), 0, false);
+    }
+
     /// The operation observed a dead peer process at `at` (ULFM
-    /// `MPI_ERR_PROC_FAILED` class): count it and record the `op.failure`
-    /// span that [`crate::obs::ObsSummary`] folds into the recovery
-    /// counters, separately from the ordinary op counters.
+    /// `MPI_ERR_PROC_FAILED` class): a permanent failure, with the
+    /// `op.failure` span that [`crate::obs::ObsSummary`] folds into the
+    /// recovery counters, separately from the ordinary op counters.
     pub(crate) fn proc_failure(&mut self, peer: Rank, at: SimNs) {
-        self.inner.with_stats(|s| s.note_proc_failure());
+        self.faults(|f| {
+            f.failures += 1;
+            f.proc_failures += 1;
+        });
         let name = format!("proc-failure r{peer}");
         self.child("host", name, "op.failure", (at, at), 0, false);
+    }
+
+    /// The transfer failed permanently for any other reason — retry
+    /// budget exhausted, receiver or epoch patience expired. The failed
+    /// envelope is its span.
+    fn gave_up(&self) {
+        self.faults(|f| f.failures += 1);
+    }
+
+    /// A one-sided operation ended with `err` at `at`: a dead peer is a
+    /// ULFM-class process failure, anything else is giving up.
+    fn rma_failed(&mut self, err: &MpiError, at: SimNs) {
+        match *err {
+            MpiError::ProcFailed { rank } => self.proc_failure(rank, at),
+            _ => self.gave_up(),
+        }
+    }
+
+    /// The operation's last chunk landed `dur_ns` after its gate opened:
+    /// book which path carried its `bytes` bytes.
+    pub(crate) fn landed(&self, direction: &'static str, via: Via, bytes: usize, dur_ns: SimNs) {
+        let mut ledger = self.inner.ledger.lock();
+        ledger.counters.note_transfer(direction, via, bytes, dur_ns);
+    }
+
+    fn fault_lane(&self) -> String {
+        format!("r{}.fault", self.inner.comm.rank())
     }
 
     /// Close the operation's books, once: its envelope (submit instant →
@@ -454,7 +509,8 @@ impl OpCx {
         };
         let (sent, received) = if ok { (env.sent, env.received) } else { (0, 0) };
         record_envelope(&self.inner, &ids, env, submit_ns, at, ok);
-        self.inner.note_settled(ok, sent, received);
+        let mut ledger = self.inner.ledger.lock();
+        ledger.counters.note_settled(ok, sent, received);
     }
 }
 
@@ -779,16 +835,15 @@ impl ReliableChunkSend {
         reason: Option<DropReason>,
     ) -> ChunkStep {
         if delivered {
-            cx.inner.fault_state.lock().consecutive_drops = 0;
+            cx.inner.ledger.lock().chunk_delivered();
             self.state = ChunkState::Sent { done_at: done };
             return ChunkStep::Progressed;
         }
         // The chunk burned link time but never reached the peer.
         let reason = reason.unwrap_or(DropReason::Random);
-        cx.inner.with_stats(|s| s.note_drop(reason));
         let len = self.bytes.len() as u64;
         let name = format!("drop#{}→r{}", self.attempt, self.dst);
-        cx.child("net", name, "drop", (earliest, done), len, false);
+        cx.dropped(reason, name, (earliest, done), len);
         if reason == DropReason::NodeDown {
             // Dead endpoint: no retransmission can ever succeed. Fail the
             // transfer now — this is what keeps machines from hanging out
@@ -798,35 +853,20 @@ impl ReliableChunkSend {
             self.state = ChunkState::Failed { at: done };
             return ChunkStep::Progressed;
         }
-        let newly_degraded = {
-            let mut fs = cx.inner.fault_state.lock();
-            fs.consecutive_drops += 1;
-            if !fs.degraded && fs.consecutive_drops >= self.policy.degrade_after {
-                fs.degraded = true;
-                true
-            } else {
-                false
-            }
-        };
-        let fault_lane = format!("r{}.fault", cx.inner.comm.rank());
-        if newly_degraded {
-            let name = "degrade pipelined→pinned";
-            cx.inner.with_stats(|s| s.note_degraded());
-            cx.inner.trace.record(fault_lane.as_str(), name, done, done);
-            cx.child("net", name.into(), "degrade", (done, done), 0, false);
+        let latched = cx.inner.ledger.lock().chunk_lost(self.policy.degrade_after);
+        if latched {
+            cx.degraded(done);
         }
         if self.attempt == self.policy.max_attempts {
-            cx.inner.with_stats(|s| s.note_failure());
+            cx.gave_up();
             self.state = ChunkState::Failed { at: done };
             return ChunkStep::Progressed;
         }
         let resume_at = done.saturating_add(self.policy.backoff_ns(self.attempt));
         let name = format!("retry#{}→r{}", self.attempt, self.dst);
-        cx.inner
-            .trace
-            .record(fault_lane.as_str(), name.as_str(), done, resume_at);
-        cx.inner.with_stats(|s| s.note_retry());
-        cx.child("net", name, "retry", (done, resume_at), len, true);
+        let lane = cx.fault_lane();
+        cx.inner.trace.record(lane, name.as_str(), done, resume_at);
+        cx.retried(name, (done, resume_at), len);
         self.state = ChunkState::Backoff { resume_at };
         ChunkStep::Progressed
     }
@@ -1044,7 +1084,7 @@ impl ChunkRecv {
         }
         match self.deadline {
             Some((at, patience)) if now >= at => {
-                cx.inner.with_stats(|s| s.note_failure());
+                cx.gave_up();
                 Err(RecvFail::TimedOut(patience))
             }
             Some((at, _)) => Ok(RecvPoll::Pending(Some(at))),
@@ -1342,8 +1382,7 @@ impl OpBody for SendBody {
         }
         let done_at = self.run.queue.done_at.max(cx.t0);
         let dur = done_at - cx.t0;
-        cx.inner
-            .with_stats(|s| s.record("send", &self.strategy.name(), self.size, dur));
+        cx.landed("send", Via::Strategy(self.strategy), self.size, dur);
         if let Some(sel) = cx.inner.adaptive.lock().as_ref() {
             sel.observe(self.size, self.strategy, dur);
         }
@@ -1436,8 +1475,7 @@ impl RecvBody {
 
     fn finish(&self, cx: &OpCx, now: SimNs) -> Advance {
         let dur = now.saturating_sub(cx.t0);
-        cx.inner
-            .with_stats(|s| s.record("recv", &self.strategy.name(), self.size, dur));
+        cx.landed("recv", Via::Strategy(self.strategy), self.size, dur);
         if let Some(sel) = cx.inner.adaptive.lock().as_ref() {
             sel.observe(self.size, self.strategy, dur);
         }
@@ -1794,15 +1832,10 @@ impl RmaFlight {
         let len = self.handle.len() as u64;
         while self.attempts_seen < self.handle.attempts() {
             self.attempts_seen += 1;
-            cx.inner.with_stats(|s| {
-                s.note_drop(DropReason::Random);
-                s.note_retry();
-            });
             let k = self.attempts_seen;
             let name = format!("rma-drop#{k}→r{target}");
-            cx.child("net", name, "drop", (now, now), len, false);
-            let name = format!("rma-retry#{k}→r{target}");
-            cx.child("net", name, "retry", (now, now), len, true);
+            cx.dropped(DropReason::Random, name, (now, now), len);
+            cx.retried(format!("rma-retry#{k}→r{target}"), (now, now), len);
         }
     }
 }
@@ -1819,14 +1852,8 @@ enum FlightsVerdict {
     Pending { wake: SimNs },
 }
 
-/// Drive every unfinished flight of an operation on `target` once at
-/// `now`.
-fn poll_flights(
-    cx: &mut OpCx,
-    flights: &mut [RmaFlight],
-    target: Rank,
-    now: SimNs,
-) -> FlightsVerdict {
+/// Drive every unfinished flight of an operation once at `now`.
+fn poll_flights(cx: &mut OpCx, flights: &mut [RmaFlight], now: SimNs) -> FlightsVerdict {
     let mut done_at = 0;
     let mut wake: Option<SimNs> = None;
     let mut failed: Option<(MpiError, SimNs)> = None;
@@ -1856,14 +1883,8 @@ fn poll_flights(
         }
     }
     if let Some((err, at)) = failed {
-        // A dead target is a ULFM-class process failure, anything else
-        // a transfer failure.
         let at = at.max(now);
-        if matches!(err, MpiError::ProcFailed { .. }) {
-            cx.proc_failure(target, at);
-        } else {
-            cx.inner.with_stats(|s| s.note_failure());
-        }
+        cx.rma_failed(&err, at);
         FlightsVerdict::Failed { err, at }
     } else if let Some(wake) = wake {
         FlightsVerdict::Pending { wake }
@@ -1961,14 +1982,13 @@ impl OpBody for PutBody {
                 Err(e) => return self.fail(cx, e, now),
             }
         }
-        match poll_flights(cx, &mut self.flights, self.target, now) {
+        match poll_flights(cx, &mut self.flights, now) {
             FlightsVerdict::Pending { wake } => Advance::Park(Some(wake)),
             FlightsVerdict::Failed { err, at } => self.fail(cx, err, at),
             FlightsVerdict::Done { at } => {
                 let done_at = at.max(cx.t0);
                 let dur = done_at - cx.t0;
-                cx.inner
-                    .with_stats(|s| s.record("put", &self.strategy.name(), self.size, dur));
+                cx.landed("put", Via::Strategy(self.strategy), self.size, dur);
                 if let Some(sel) = cx.inner.rma_adaptive.lock().as_ref() {
                     sel.observe((self.target, self.size), self.strategy, dur);
                 }
@@ -2020,7 +2040,7 @@ impl OpBody for GetBody {
                 },
                 GetState::Transfer(flight) => {
                     let flights = std::slice::from_mut(flight);
-                    match poll_flights(cx, flights, self.target, now) {
+                    match poll_flights(cx, flights, now) {
                         FlightsVerdict::Pending { wake } => return Advance::Park(Some(wake)),
                         FlightsVerdict::Failed { err, at } => return fail(err, at),
                         FlightsVerdict::Done { at } => {
@@ -2043,8 +2063,7 @@ impl OpBody for GetBody {
                         .store(self.offset, data)
                         .expect("range checked at enqueue");
                     let dur = end.saturating_sub(cx.t0);
-                    cx.inner
-                        .with_stats(|s| s.record("get", "rma", self.size, dur));
+                    cx.landed("get", Via::Strategy(TransferStrategy::Rma), self.size, dur);
                     return Advance::Done(end);
                 }
             }
@@ -2112,14 +2131,14 @@ impl OpBody for AccumulateBody {
                 }
                 AccState::Transfer(flight) => {
                     let flights = std::slice::from_mut(flight);
-                    return match poll_flights(cx, flights, self.target, now) {
+                    return match poll_flights(cx, flights, now) {
                         FlightsVerdict::Pending { wake } => Advance::Park(Some(wake)),
                         FlightsVerdict::Failed { err, at } => fail(err, at),
                         FlightsVerdict::Done { at } => {
                             let done_at = at.max(cx.t0);
                             let dur = done_at - cx.t0;
-                            cx.inner
-                                .with_stats(|s| s.record("acc", "rma", self.size, dur));
+                            let rma = Via::Strategy(TransferStrategy::Rma);
+                            cx.landed("acc", rma, self.size, dur);
                             Advance::Done(done_at)
                         }
                     };
@@ -2201,11 +2220,7 @@ impl OpBody for FenceBody {
                 }
             }
         };
-        if let MpiError::ProcFailed { rank } = err {
-            cx.proc_failure(rank, now);
-        } else {
-            cx.inner.with_stats(|s| s.note_failure());
-        }
+        cx.rma_failed(&err, now);
         let e = ClError::TransferFailed(format!("rma epoch: {err}"));
         Advance::Failed(e, now)
     }

@@ -57,7 +57,6 @@ mod fileio;
 pub mod obs;
 mod retry;
 mod runtime;
-pub mod stats;
 mod strategy;
 mod system;
 
@@ -65,10 +64,11 @@ pub use adaptive::{AdaptiveSelector, CollectiveSelector, PeerSelector};
 pub use collective::{CollAlgo, CollTuning};
 pub use engine::{Engine, EngineOp, Step};
 pub use fileio::{decode_checkpoint, encode_checkpoint, SimStorage, CKPT_HEADER_LEN, CKPT_MAGIC};
-pub use obs::{chrome_trace, validate_json, ObsCounters, ObsSummary, OverlapReport, RankOverlap};
+pub use obs::{
+    chrome_trace, validate_json, FaultStats, ObsCounters, ObsSummary, OverlapReport, RankOverlap,
+};
 pub use retry::RetryPolicy;
 pub use runtime::{ClMpi, ClRecvRequest, ClSendRequest, ClWindow, RequestOutcome};
-pub use stats::{FaultStats, TransferStats};
 pub use strategy::{analytic, chunk_layout, PackMode, ResolvedStrategy, TransferStrategy};
 pub use system::SystemConfig;
 

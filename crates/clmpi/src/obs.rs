@@ -31,6 +31,11 @@ use std::collections::BTreeMap;
 pub use simtime::fnv1a;
 use simtime::{OpSpan, SimNs, Trace};
 
+use minimpi::DropReason;
+
+use crate::collective::CollAlgo;
+use crate::strategy::TransferStrategy;
+
 // ----------------------------------------------------------------------
 // Stable op ids
 // ----------------------------------------------------------------------
@@ -83,13 +88,87 @@ impl ChildIds {
 // Live per-rank counters
 // ----------------------------------------------------------------------
 
-/// Live per-rank operation counters, maintained by the runtime as
-/// operations are submitted and settle. Snapshot via
-/// [`crate::ClMpi::obs_counters`]. At quiescent points (after
-/// `shutdown`) the values are deterministic; mid-run `max_in_flight`
-/// may observe either side of a same-instant submit/settle pair, so the
-/// exported summary recomputes queue depth from spans instead.
+/// Per-(direction, strategy) accumulator of [`ObsCounters::transfers`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StrategyStats {
+    /// Transfers recorded.
+    pub count: u64,
+    /// Payload bytes moved.
+    pub bytes: u64,
+    /// Summed virtual duration (start of execution to completion).
+    pub total_ns: SimNs,
+}
+
+/// Fault/retry counters ([`ObsCounters::faults`]); all zero on a perfect
+/// fabric. Each is bumped by the `OpCx` writer that records the matching
+/// child span, so `chunk_drops` / `retries` equal the `drop` / `retry`
+/// span counts of [`RankSummary`] by construction.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultStats {
+    /// Wire chunks the sender observed as lost (each may be retried).
+    /// Total across every drop reason.
+    pub chunk_drops: u64,
+    /// Chunks lost to random (Bernoulli) corruption — retryable.
+    pub drops_random: u64,
+    /// Chunks lost inside a scheduled link-down window — retryable.
+    pub drops_link_down: u64,
+    /// Chunks lost because an endpoint's node is dead — never retried;
+    /// each such drop fails its transfer immediately.
+    pub drops_node_down: u64,
+    /// Retransmissions issued.
+    pub retries: u64,
+    /// Pipelined→pinned degradation switches taken.
+    pub degraded: u64,
+    /// Transfers that failed permanently (retry budget exhausted or the
+    /// receiver timed out).
+    pub failures: u64,
+    /// Failures classified as a dead peer process (ULFM
+    /// `MPI_ERR_PROC_FAILED` class) — a subset of `failures`.
+    pub proc_failures: u64,
+}
+
+impl FaultStats {
+    /// Field-wise sum (aggregating per-rank counters).
+    pub fn merge(self, other: FaultStats) -> FaultStats {
+        FaultStats {
+            chunk_drops: self.chunk_drops + other.chunk_drops,
+            drops_random: self.drops_random + other.drops_random,
+            drops_link_down: self.drops_link_down + other.drops_link_down,
+            drops_node_down: self.drops_node_down + other.drops_node_down,
+            retries: self.retries + other.retries,
+            degraded: self.degraded + other.degraded,
+            failures: self.failures + other.failures,
+            proc_failures: self.proc_failures + other.proc_failures,
+        }
+    }
+
+    pub(crate) fn note_drop(&mut self, reason: DropReason) {
+        self.chunk_drops += 1;
+        match reason {
+            DropReason::Random => self.drops_random += 1,
+            DropReason::LinkDown => self.drops_link_down += 1,
+            DropReason::NodeDown => self.drops_node_down += 1,
+        }
+    }
+}
+
+/// What carried a recorded transfer: the resolved point-to-point / window
+/// strategy or the collective algorithm. `Copy`, so booking a transfer
+/// allocates nothing; only [`ObsCounters::transfers`] renders the name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Via {
+    Strategy(TransferStrategy),
+    Algo(CollAlgo),
+}
+
+/// Live per-rank counters — the rank's one always-on ledger, maintained
+/// by the runtime as operations are submitted, lose chunks and settle.
+/// Snapshot via [`crate::ClMpi::obs_counters`]. At quiescent points
+/// (after `shutdown`) the values are deterministic; mid-run
+/// `max_in_flight` may observe either side of a same-instant
+/// submit/settle pair, so the exported summary recomputes queue depth
+/// from spans instead.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsCounters {
     /// Operations submitted to the engine (transfer + interop machines).
     pub submitted: u64,
@@ -103,6 +182,12 @@ pub struct ObsCounters {
     pub bytes_sent: u64,
     /// Payload bytes of successfully completed receives.
     pub bytes_received: u64,
+    /// Chunk losses, retransmissions, degradations and permanent
+    /// failures this rank's operations observed.
+    pub faults: FaultStats,
+    /// Successful transfers per (direction, path) — the audit of which
+    /// strategy the automatic selection actually took.
+    transfers: BTreeMap<(&'static str, Via), StrategyStats>,
 }
 
 impl ObsCounters {
@@ -124,6 +209,75 @@ impl ObsCounters {
         } else {
             self.failed += 1;
         }
+    }
+
+    /// Book one successful transfer of `bytes` bytes that took `dur_ns`.
+    pub(crate) fn note_transfer(
+        &mut self,
+        direction: &'static str,
+        via: Via,
+        bytes: usize,
+        dur_ns: SimNs,
+    ) {
+        let e = self.transfers.entry((direction, via)).or_default();
+        e.count += 1;
+        e.bytes += bytes as u64;
+        e.total_ns += dur_ns;
+    }
+
+    /// Successful transfers as `(direction, strategy, totals)` rows —
+    /// direction is `send` / `recv` / `put` / `get` / `acc` / `bcast` /
+    /// `allreduce` / `reduce`, strategy the resolved
+    /// [`TransferStrategy::name`] or [`CollAlgo::name`] — sorted by
+    /// direction then strategy.
+    pub fn transfers(&self) -> Vec<(&'static str, String, StrategyStats)> {
+        let mut rows: Vec<_> = self
+            .transfers
+            .iter()
+            .map(|(&(direction, via), &stats)| {
+                let strategy = match via {
+                    Via::Strategy(s) => s.name(),
+                    Via::Algo(a) => a.name().into(),
+                };
+                (direction, strategy, stats)
+            })
+            .collect();
+        rows.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        rows
+    }
+
+    /// Render the transfer table, and the fault counters when any is
+    /// non-zero.
+    pub fn report(&self) -> String {
+        let mut out =
+            String::from("direction  strategy            count        bytes     avg MB/s\n");
+        for (dir, strat, e) in self.transfers() {
+            let mbps = if e.total_ns > 0 {
+                e.bytes as f64 * 1e3 / e.total_ns as f64
+            } else {
+                f64::INFINITY
+            };
+            out.push_str(&format!(
+                "{dir:<9}  {strat:<18}  {:>5}  {:>11}  {mbps:>11.1}\n",
+                e.count, e.bytes
+            ));
+        }
+        let f = self.faults;
+        if f != FaultStats::default() {
+            out.push_str(&format!(
+                "faults: chunk_drops={} (random={} link_down={} node_down={}) \
+                 retries={} degraded={} failures={} proc_failures={}\n",
+                f.chunk_drops,
+                f.drops_random,
+                f.drops_link_down,
+                f.drops_node_down,
+                f.retries,
+                f.degraded,
+                f.failures,
+                f.proc_failures
+            ));
+        }
+        out
     }
 }
 
@@ -1101,5 +1255,68 @@ mod tests {
         assert_eq!(c.max_in_flight, 2);
         assert_eq!((c.completed, c.failed), (2, 1));
         assert_eq!((c.bytes_sent, c.bytes_received), (100, 50));
+    }
+
+    #[test]
+    fn transfer_table_aggregates_per_direction_and_path_and_renders_sorted() {
+        let mut c = ObsCounters::default();
+        let piped = Via::Strategy(TransferStrategy::Pipelined(4 << 20));
+        c.note_transfer("send", piped, 4 << 20, 4_000_000);
+        c.note_transfer(
+            "send",
+            Via::Strategy(TransferStrategy::Pinned),
+            1000,
+            10_000,
+        );
+        c.note_transfer(
+            "send",
+            Via::Strategy(TransferStrategy::Pinned),
+            3000,
+            30_000,
+        );
+        c.note_transfer("recv", Via::Strategy(TransferStrategy::Mapped), 500, 5_000);
+        c.note_transfer("bcast", Via::Algo(CollAlgo::Ring), 64, 0);
+        let rows = c.transfers();
+        let keys: Vec<_> = rows.iter().map(|(d, s, _)| (*d, s.as_str())).collect();
+        assert_eq!(
+            keys,
+            [
+                ("bcast", "ring"),
+                ("recv", "mapped"),
+                ("send", "pinned"),
+                ("send", "pipelined(4M)")
+            ]
+        );
+        let pinned = rows[2].2;
+        assert_eq!(
+            (pinned.count, pinned.bytes, pinned.total_ns),
+            (2, 4000, 40_000)
+        );
+        assert_eq!(rows.iter().map(|r| r.2.count).sum::<u64>(), 5);
+        let report = c.report();
+        assert!(report.contains("send       pipelined(4M)"), "{report}");
+        assert!(!report.contains("faults:"), "no fault line on a clean run");
+    }
+
+    #[test]
+    fn fault_counters_accumulate_merge_and_render() {
+        let mut c = ObsCounters::default();
+        c.faults.note_drop(DropReason::Random);
+        c.faults.note_drop(DropReason::NodeDown);
+        c.faults.retries += 1;
+        let f = c.faults;
+        assert_eq!(
+            (
+                f.chunk_drops,
+                f.drops_random,
+                f.drops_link_down,
+                f.drops_node_down
+            ),
+            (2, 1, 0, 1)
+        );
+        assert!(c.report().contains("chunk_drops=2"));
+        assert!(c.report().contains("node_down=1"));
+        let merged = f.merge(f);
+        assert_eq!((merged.chunk_drops, merged.retries), (4, 2));
     }
 }

@@ -40,14 +40,41 @@ use crate::retry::RetryPolicy;
 use crate::strategy::{PackMode, ResolvedStrategy, TransferStrategy};
 use crate::system::SystemConfig;
 
-/// Loss bookkeeping behind the degradation heuristic.
+/// One rank's books, under one lock: what every operation draws its id
+/// from and reports to. Always on — there is no second set of counters.
 #[derive(Default)]
-pub(crate) struct FaultState {
+pub(crate) struct Ledger {
+    /// Next per-rank operation sequence number (stable op ids).
+    next_seq: u64,
+    /// The live counters ([`ClMpi::obs_counters`] snapshots them).
+    pub(crate) counters: ObsCounters,
     /// Chunk losses observed since the last successful delivery.
-    pub(crate) consecutive_drops: u32,
+    consecutive_drops: u32,
     /// Once set, pipelined transfers resolve to pinned (fewer wire
     /// messages → fewer loss draws) until [`ClMpi::reset_degradation`].
-    pub(crate) degraded: bool,
+    degraded: bool,
+}
+
+impl Ledger {
+    fn next_ids(&mut self, rank: Rank) -> ChildIds {
+        let ids = ChildIds::new(crate::obs::op_id(rank, self.next_seq));
+        self.next_seq += 1;
+        ids
+    }
+
+    /// A wire chunk was delivered: the loss streak ends.
+    pub(crate) fn chunk_delivered(&mut self) {
+        self.consecutive_drops = 0;
+    }
+
+    /// A wire chunk was lost; is this the loss that latches the
+    /// degradation?
+    pub(crate) fn chunk_lost(&mut self, degrade_after: u32) -> bool {
+        self.consecutive_drops += 1;
+        let latches = !self.degraded && self.consecutive_drops >= degrade_after;
+        self.degraded |= latches;
+        latches
+    }
 }
 
 pub(crate) struct Inner {
@@ -59,7 +86,6 @@ pub(crate) struct Inner {
     pub(crate) engine: Engine,
     pub(crate) forced: Mutex<Option<TransferStrategy>>,
     pub(crate) trace: Trace,
-    pub(crate) stats: Mutex<Option<crate::stats::TransferStats>>,
     pub(crate) adaptive: Mutex<Option<Arc<crate::adaptive::AdaptiveSelector>>>,
     /// Per-(peer, size) tuner for one-sided wire lowerings; `None` means
     /// window traffic takes the class-routed RMA path unconditionally.
@@ -69,11 +95,7 @@ pub(crate) struct Inner {
     pub(crate) coll_bcast: Mutex<Option<Arc<crate::adaptive::CollectiveSelector>>>,
     pub(crate) coll_allreduce: Mutex<Option<Arc<crate::adaptive::CollectiveSelector>>>,
     pub(crate) retry: Mutex<RetryPolicy>,
-    pub(crate) fault_state: Mutex<FaultState>,
-    /// Next per-rank operation sequence number (stable op ids).
-    pub(crate) op_seq: Mutex<u64>,
-    /// Live per-rank operation counters (see [`crate::obs::ObsCounters`]).
-    pub(crate) obs: Mutex<ObsCounters>,
+    pub(crate) ledger: Mutex<Ledger>,
     /// Communicator-local ranks explicitly reported failed
     /// ([`ClMpi::notify_proc_failure`]); machines consult this set in
     /// addition to the fault plan's schedule. A `Monitor`: a report
@@ -87,30 +109,9 @@ impl Inner {
     /// numbering follows its own program order — never the real-time
     /// interleaving of engine threads.
     pub(crate) fn new_op(&self) -> ChildIds {
-        // Allocate under op_seq alone, then count under obs alone — the
-        // submission counter does not need to be atomic with the id
-        // allocation, and holding both guards would order op_seq before
-        // obs for every submitter.
-        let ids = {
-            let mut seq = self.op_seq.lock();
-            let ids = ChildIds::new(crate::obs::op_id(self.comm.rank(), *seq));
-            *seq += 1;
-            ids
-        };
-        self.obs.lock().note_submitted();
-        ids
-    }
-
-    /// Count an operation settlement (engine-side).
-    pub(crate) fn note_settled(&self, ok: bool, sent: u64, received: u64) {
-        self.obs.lock().note_settled(ok, sent, received);
-    }
-
-    /// Run `f` on the attached statistics collector, if there is one.
-    pub(crate) fn with_stats(&self, f: impl FnOnce(&crate::stats::TransferStats)) {
-        if let Some(stats) = self.stats.lock().as_ref() {
-            f(stats);
-        }
+        let mut ledger = self.ledger.lock();
+        ledger.counters.note_submitted();
+        ledger.next_ids(self.comm.rank())
     }
 
     /// Allocate an id block for a control-plane recovery span (failure
@@ -118,10 +119,7 @@ impl Inner {
     /// submission — recovery spans are summarized into the recovery
     /// counters of [`crate::obs::ObsSummary`], not the op counters.
     pub(crate) fn new_span_ids(&self) -> ChildIds {
-        let mut seq = self.op_seq.lock();
-        let ids = ChildIds::new(crate::obs::op_id(self.comm.rank(), *seq));
-        *seq += 1;
-        ids
+        self.ledger.lock().next_ids(self.comm.rank())
     }
 
     /// True if communicator-local rank `local` is known failed at `t`:
@@ -178,15 +176,12 @@ impl ClMpi {
                 engine,
                 forced: Mutex::new(None),
                 trace,
-                stats: Mutex::new(None),
                 adaptive: Mutex::new(None),
                 rma_adaptive: Mutex::new(None),
                 coll_bcast: Mutex::new(None),
                 coll_allreduce: Mutex::new(None),
                 retry: Mutex::new(RetryPolicy::default()),
-                fault_state: Mutex::new(FaultState::default()),
-                op_seq: Mutex::new(0),
-                obs: Mutex::new(ObsCounters::default()),
+                ledger: Mutex::new(Ledger::default()),
                 failed,
             }),
         }
@@ -278,34 +273,27 @@ impl ClMpi {
     /// True once repeated chunk loss has degraded pipelined transfers to
     /// pinned (see [`RetryPolicy::degrade_after`]).
     pub fn is_degraded(&self) -> bool {
-        self.inner.fault_state.lock().degraded
+        self.inner.ledger.lock().degraded
     }
 
     /// Clear the degradation latch (e.g. after the operator restored the
     /// link), letting pipelined transfers resolve normally again.
     pub fn reset_degradation(&self) {
-        let mut fs = self.inner.fault_state.lock();
-        fs.degraded = false;
-        fs.consecutive_drops = 0;
+        let mut ledger = self.inner.ledger.lock();
+        ledger.degraded = false;
+        ledger.consecutive_drops = 0;
     }
 
-    /// Attach (and return) a transfer-statistics collector: every
-    /// subsequent transfer records its direction, resolved strategy,
-    /// bytes, and virtual duration.
-    pub fn enable_stats(&self) -> crate::stats::TransferStats {
-        let stats = crate::stats::TransferStats::new();
-        *self.inner.stats.lock() = Some(stats.clone());
-        stats
-    }
-
-    /// Snapshot this rank's live observability counters: operations
-    /// submitted/completed/failed, peak queue depth, payload bytes. The
-    /// values are deterministic at quiescent points (after
-    /// [`ClMpi::shutdown`]); mid-run reads are best-effort introspection
-    /// — the exported [`crate::obs::ObsSummary`] recomputes everything
-    /// from spans instead.
+    /// Snapshot this rank's live counters: operations
+    /// submitted/completed/failed, peak queue depth, payload bytes, the
+    /// fault/retry counters, and which strategy every transfer took
+    /// ([`ObsCounters::report`]). The values are deterministic at
+    /// quiescent points (after [`ClMpi::shutdown`]); mid-run reads are
+    /// best-effort introspection — the exported
+    /// [`crate::obs::ObsSummary`] recomputes what spans can tell from
+    /// spans instead.
     pub fn obs_counters(&self) -> ObsCounters {
-        *self.inner.obs.lock()
+        self.inner.ledger.lock().counters.clone()
     }
 
     pub(crate) fn resolve(&self, size: usize) -> TransferStrategy {
@@ -319,9 +307,12 @@ impl ClMpi {
         } else {
             self.inner.cfg.resolve(TransferStrategy::Auto, size)
         };
-        if matches!(chosen, TransferStrategy::Pipelined(_))
-            && self.inner.fault_state.lock().degraded
-        {
+        self.degrade(chosen, size)
+    }
+
+    /// Under the degradation latch a pipelined choice becomes pinned.
+    fn degrade(&self, chosen: TransferStrategy, size: usize) -> TransferStrategy {
+        if matches!(chosen, TransferStrategy::Pipelined(_)) && self.is_degraded() {
             return self.inner.cfg.resolve(TransferStrategy::Pinned, size);
         }
         chosen
@@ -339,12 +330,7 @@ impl ClMpi {
         } else {
             TransferStrategy::Rma
         };
-        if matches!(chosen, TransferStrategy::Pipelined(_))
-            && self.inner.fault_state.lock().degraded
-        {
-            return self.inner.cfg.resolve(TransferStrategy::Pinned, size);
-        }
-        chosen
+        self.degrade(chosen, size)
     }
 
     /// Wait (in virtual time) until every outstanding command's machine

@@ -20,7 +20,7 @@
 use simtime::SimNs;
 
 /// A data-transfer implementation choice (paper §III / §V-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TransferStrategy {
     /// Stage through pinned host memory, then network (two stages).
     Pinned,

@@ -376,7 +376,6 @@ fn lossy_ring_collectives_retry_and_complete() {
     let cluster = SystemConfig::ricc().cluster.clone();
     let res = run_world_faulty(cluster, 5, plan, move |p: Process| {
         let rt = ClMpi::new(&p, SystemConfig::ricc());
-        let stats = rt.enable_stats();
         rt.set_retry_policy(RetryPolicy::new(12, 50_000));
         let q = rt.context().create_queue(0, format!("r{}", p.rank()));
         let buf = rt.context().create_buffer(SIZE);
@@ -413,7 +412,7 @@ fn lossy_ring_collectives_retry_and_complete() {
             reduced(5, COUNT, ReduceOp::Min)
         );
         rt.shutdown(&p.actor);
-        let f = stats.faults();
+        let f = rt.obs_counters().faults;
         (f.retries, f.failures)
     });
     assert!(

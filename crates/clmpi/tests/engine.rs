@@ -821,8 +821,9 @@ mod protocol {
                     continue;
                 }
                 let (seen, trace) = run(&row, scenario);
-                for (rank, &(outcome, counters, heard_ok, heard_failure)) in seen.iter().enumerate()
+                for (rank, (outcome, counters, heard_ok, heard_failure)) in seen.iter().enumerate()
                 {
+                    let (outcome, heard_ok, heard_failure) = (*outcome, *heard_ok, *heard_failure);
                     let at = format!("{} / {scenario:?} / rank {rank}", row.name);
                     let want = match scenario {
                         _ if row.rejects => Some(CL_MPI_TRANSFER_ERROR),

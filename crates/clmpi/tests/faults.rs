@@ -21,7 +21,6 @@ fn lossy_pipelined_transfer_delivers_intact_with_retries() {
     let res = run_world_faulty(cluster, 2, plan, move |p: Process| {
         let rt = ClMpi::new(&p, SystemConfig::ricc());
         rt.set_forced_strategy(Some(TransferStrategy::Pipelined(1 << 18)));
-        let stats = rt.enable_stats();
         let q = rt.context().create_queue(0, format!("r{}", p.rank()));
         let buf = rt.context().create_buffer(size);
         let ok = if p.rank() == 0 {
@@ -41,7 +40,7 @@ fn lossy_pipelined_transfer_delivers_intact_with_retries() {
             buf.load(0, size).unwrap() == pattern(size, 9)
         };
         rt.shutdown(&p.actor);
-        let f = stats.faults();
+        let f = rt.obs_counters().faults;
         (ok, f.retries, f.failures)
     });
     assert!(res.outputs.iter().all(|&(ok, _, _)| ok));
@@ -65,7 +64,6 @@ fn repeated_loss_degrades_pipelined_to_pinned() {
     let cluster = SystemConfig::ricc().cluster.clone();
     let res = run_world_faulty(cluster, 2, plan, move |p: Process| {
         let rt = ClMpi::new(&p, SystemConfig::ricc());
-        let stats = rt.enable_stats();
         rt.set_retry_policy(RetryPolicy {
             degrade_after: 2,
             ..RetryPolicy::new(3, 10_000)
@@ -76,7 +74,7 @@ fn repeated_loss_degrades_pipelined_to_pinned() {
             let err = req.wait_result(&p.actor);
             assert!(err.is_err(), "total loss must exhaust the retry budget");
             assert!(rt.is_degraded(), "consecutive drops must latch degradation");
-            let f = stats.faults();
+            let f = rt.obs_counters().faults;
             assert!(f.chunk_drops >= 2);
             assert_eq!(f.degraded, 1);
             assert!(f.failures >= 1);

@@ -4,8 +4,8 @@
 //! adaptive probe-starvation regression under fault injection.
 
 use clmpi::{
-    data_plane_faults, obs, AdaptiveSelector, ClMpi, ObsSummary, RetryPolicy, SystemConfig,
-    TransferStrategy,
+    data_plane_faults, obs, AdaptiveSelector, ClMpi, ObsCounters, ObsSummary, RetryPolicy,
+    SystemConfig, TransferStrategy,
 };
 use minimpi::{run_world_faulty, FaultPlan, Process, WorldResult};
 use simtime::XorShift64;
@@ -19,8 +19,8 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
 /// One traced 2-rank workload: a kernel on each rank's GPU lane, then a
 /// pipelined device→device transfer under a mildly lossy fabric — enough
 /// structure to exercise host/dev/net tracks, compute overlap, and the
-/// drop/retry child spans.
-fn traced_exchange(seed: u64) -> WorldResult<u64> {
+/// drop/retry child spans. Every rank returns its live counters.
+fn traced_exchange(seed: u64) -> WorldResult<ObsCounters> {
     let size = 256 << 10;
     let plan = data_plane_faults(FaultPlan::drops(seed, 0.05));
     let cluster = SystemConfig::ricc().cluster.clone();
@@ -53,7 +53,7 @@ fn traced_exchange(seed: u64) -> WorldResult<u64> {
         assert_eq!(c.failed, 0);
         assert_eq!(c.in_flight(), 0);
         assert_eq!(c.max_in_flight, 1);
-        p.actor.now_ns()
+        c
     })
 }
 
@@ -132,6 +132,38 @@ fn exports_are_byte_identical_across_same_seed_runs() {
         let h2 = ObsSummary::from_trace(&traced_exchange(seed).trace).hash();
         assert_eq!(h1, h2, "summary hash diverged for seed {seed}");
     }
+}
+
+/// The live ledger and the span-derived summary are two readings of the
+/// same events: every fault is counted where its span is recorded, so per
+/// rank they agree exactly. (`proc_failures` only where nobody calls
+/// `notify_proc_failure`, which records a span without a failed transfer.)
+#[test]
+fn live_fault_counters_match_the_span_derived_summary_per_rank() {
+    let mut drops = 0;
+    for seed in 0..16u64 {
+        let res = traced_exchange(seed);
+        let summary = ObsSummary::from_trace(&res.trace);
+        for (rank, live) in res.outputs.iter().enumerate() {
+            let (derived, f) = (summary.ranks[&(rank as u32)], live.faults);
+            let at = format!("seed {seed} rank {rank}");
+            assert_eq!(f.chunk_drops, derived.chunk_drops, "{at}: drops");
+            assert_eq!(
+                f.chunk_drops,
+                f.drops_random + f.drops_link_down + f.drops_node_down,
+                "{at}: every drop has one reason"
+            );
+            assert_eq!(f.retries, derived.chunk_retries, "{at}: retries");
+            assert_eq!(f.proc_failures, derived.proc_failures, "{at}: dead peers");
+            assert_eq!(
+                (live.completed, live.failed),
+                (derived.ops_ok, derived.ops_failed),
+                "{at}: settlements"
+            );
+            drops += f.chunk_drops;
+        }
+    }
+    assert!(drops > 0, "the lossy world must lose something");
 }
 
 /// Regression (adaptive probe starvation): a probe transfer that fails

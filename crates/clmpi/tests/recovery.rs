@@ -151,7 +151,6 @@ fn world_collectives_poison_not_hang_with_dead_member() {
                 return (0u64, 0u64);
             }
             let rt = ClMpi::new(&p, SystemConfig::ricc());
-            let stats = rt.enable_stats();
             let q = rt.context().create_queue(0, format!("r{}", p.rank()));
             let buf = rt.context().create_buffer(SIZE);
             buf.store(0, &pattern(SIZE, 99)).unwrap();
@@ -170,7 +169,7 @@ fn world_collectives_poison_not_hang_with_dead_member() {
             );
             // The engine drains: no machine leaks waiting on the dead rank.
             rt.shutdown(&p.actor);
-            (stats.faults().proc_failures, 1)
+            (rt.obs_counters().faults.proc_failures, 1)
         },
     );
     let (failures, survivors): (u64, u64) = res
@@ -201,7 +200,6 @@ fn recovery_fingerprint(seed: u64, t_kill: SimNs) -> (u64, bool) {
         plan,
         move |p: Process| {
             let rt = ClMpi::new(&p, SystemConfig::ricc());
-            rt.enable_stats();
             let q = rt.context().create_queue(0, format!("r{}", p.rank()));
             let vals: Vec<f64> = (0..COUNT).map(|i| (p.rank() + i) as f64).collect();
             let buf = rt.context().create_buffer(COUNT * 8);
@@ -237,7 +235,6 @@ fn recovery_fingerprint(seed: u64, t_kill: SimNs) -> (u64, bool) {
                     .shrink_comm(&p.actor, PATIENCE)
                     .expect("survivors agree on the shrunken communicator");
                 let rt2 = ClMpi::with_comm(sub, SystemConfig::ricc());
-                rt2.enable_stats();
                 let q2 = rt2.context().create_queue(0, format!("r{}b", p.rank()));
                 for _ in 0..2 {
                     buf.store(0, minimpi::datatype::f64_as_bytes(&vals))

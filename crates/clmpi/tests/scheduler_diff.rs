@@ -110,7 +110,6 @@ fn lossy_fingerprint(mode: ExecMode, seed: u64) -> (u64, SimNs) {
         mode,
         move |p: Process| {
             let rt = ClMpi::new(&p, SystemConfig::ricc());
-            rt.enable_stats();
             let q = rt.context().create_queue(0, format!("r{}", p.rank()));
             let vals: Vec<f64> = (0..COUNT).map(|i| (p.rank() + i) as f64).collect();
             let buf = rt.context().create_buffer(COUNT * 8);
@@ -150,7 +149,6 @@ fn recovery_fingerprint(mode: ExecMode, seed: u64, t_kill: SimNs) -> (u64, bool)
         mode,
         move |p: Process| {
             let rt = ClMpi::new(&p, SystemConfig::ricc());
-            rt.enable_stats();
             let q = rt.context().create_queue(0, format!("r{}", p.rank()));
             let vals: Vec<f64> = (0..COUNT).map(|i| (p.rank() + i) as f64).collect();
             let buf = rt.context().create_buffer(COUNT * 8);
@@ -183,7 +181,6 @@ fn recovery_fingerprint(mode: ExecMode, seed: u64, t_kill: SimNs) -> (u64, bool)
                     .shrink_comm(&p.actor, PATIENCE)
                     .expect("survivors agree on the shrunken communicator");
                 let rt2 = ClMpi::with_comm(sub, SystemConfig::ricc());
-                rt2.enable_stats();
                 let q2 = rt2.context().create_queue(0, format!("r{}b", p.rank()));
                 for _ in 0..2 {
                     buf.store(0, minimpi::datatype::f64_as_bytes(&vals))

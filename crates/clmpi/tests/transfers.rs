@@ -490,10 +490,9 @@ fn timed_bcast(nodes: usize, size: usize, algo: clmpi::CollAlgo, chunk: usize) -
 }
 
 #[test]
-fn stats_collector_audits_strategy_selection() {
+fn transfer_table_audits_strategy_selection() {
     let res = run_world_sized(SystemConfig::ricc().cluster.clone(), 2, |p: Process| {
         let rt = ClMpi::new(&p, SystemConfig::ricc());
-        let stats = rt.enable_stats();
         let q = rt.context().create_queue(0, format!("r{}", p.rank()));
         let small = rt.context().create_buffer(64 << 10);
         let large = rt.context().create_buffer(8 << 20);
@@ -511,19 +510,23 @@ fn stats_collector_audits_strategy_selection() {
         rt.shutdown(&p.actor);
         let dir = if p.rank() == 0 { "send" } else { "recv" };
         // RICC auto policy: pinned below 1 MiB, pipelined above.
-        let pinned = stats.get(dir, "pinned").expect("small used pinned");
-        assert_eq!(pinned.count, 1);
-        assert_eq!(pinned.bytes, 64 << 10);
-        let piped = stats
-            .get(
-                dir,
-                &clmpi::TransferStrategy::Pipelined(SystemConfig::ricc().auto_block(8 << 20))
-                    .name(),
-            )
-            .expect("large used pipelined");
-        assert_eq!(piped.bytes, 8 << 20);
-        assert!(stats.report().contains("pinned"));
-        stats.total_count()
+        let piped =
+            clmpi::TransferStrategy::Pipelined(SystemConfig::ricc().auto_block(8 << 20)).name();
+        let counters = rt.obs_counters();
+        let rows = counters.transfers();
+        let took: Vec<_> = rows
+            .iter()
+            .map(|(d, s, e)| (*d, s.as_str(), e.count, e.bytes))
+            .collect();
+        assert_eq!(
+            took,
+            [
+                (dir, "pinned", 1, 64 << 10),
+                (dir, piped.as_str(), 1, 8 << 20)
+            ]
+        );
+        assert!(counters.report().contains("pinned"));
+        rows.iter().map(|r| r.2.count).sum::<u64>()
     });
     assert_eq!(res.outputs, vec![2, 2]);
 }

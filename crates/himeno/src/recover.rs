@@ -225,7 +225,6 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
     };
     let me = p.rank();
     let rt = ClMpi::new(&p, cfg.sys.clone());
-    let stats = rt.enable_stats();
     let cx = RankCx::new(&hcfg, &p, &rt, me);
     let gbuf = rt.context().create_buffer(8);
     let q = cx.traced_queue("q", "gpu");
@@ -269,7 +268,7 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
             recovered: false,
             resumed_from: None,
             loop_ns,
-            faults: stats.faults(),
+            faults: rt.obs_counters().faults,
         };
     }
 
@@ -313,7 +312,6 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
     // A fresh context also means fresh residual cells: the aborted epoch's
     // may hold partial sums of the iterations being recomputed.
     let rt2 = ClMpi::with_comm(sub.clone(), cfg.sys.clone());
-    let stats2 = rt2.enable_stats();
     let cfg2 = HimenoConfig {
         nodes: sub.size(),
         ..hcfg.clone()
@@ -342,7 +340,7 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
         recovered: true,
         resumed_from: resume_slot,
         loop_ns,
-        faults: stats.faults().merge(stats2.faults()),
+        faults: rt.obs_counters().faults.merge(rt2.obs_counters().faults),
     }
 }
 

@@ -511,7 +511,6 @@ type RankOut = (f64, f64, SimNs, SimNs, SimNs, clmpi::FaultStats);
 
 fn rank_main(variant: Variant, cfg: &HimenoConfig, p: Process) -> RankOut {
     let rt = ClMpi::new(&p, cfg.sys.clone());
-    let stats = rt.enable_stats();
     if let Some(s) = cfg.strategy {
         rt.set_forced_strategy(Some(s));
     }
@@ -538,7 +537,7 @@ fn rank_main(variant: Variant, cfg: &HimenoConfig, p: Process) -> RankOut {
         comp_ns,
         comm_ns,
         loop_ns,
-        stats.faults(),
+        rt.obs_counters().faults,
     )
 }
 

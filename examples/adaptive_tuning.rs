@@ -18,7 +18,6 @@ fn tune_on(mk: fn() -> SystemConfig) {
         let rt = ClMpi::new(&p, mk());
         let sel = Arc::new(AdaptiveSelector::for_system(rt.config()));
         rt.set_adaptive(Some(sel.clone()));
-        let stats = rt.enable_stats();
         let q = rt.context().create_queue(0, format!("r{}", p.rank()));
         let size = 256 << 10;
         let buf = rt.context().create_buffer(size);
@@ -33,7 +32,10 @@ fn tune_on(mk: fn() -> SystemConfig) {
             p.comm.barrier(&p.actor);
         }
         rt.shutdown(&p.actor);
-        (p.rank() == 0).then(|| (sel.winner_for(size).map(|s| s.name()), stats.report()))
+        (p.rank() == 0).then(|| {
+            let winner = sel.winner_for(size).map(|s| s.name());
+            (winner, rt.obs_counters().report())
+        })
     });
     let (winner, report) = res.outputs[0].clone().expect("rank 0 reports");
     println!(

@@ -23,7 +23,6 @@ fn main() {
         let rt = ClMpi::new(&p, SystemConfig::ricc());
         rt.set_forced_strategy(Some(TransferStrategy::Pipelined(1 << 18)));
         rt.set_retry_policy(RetryPolicy::new(5, 200_000));
-        let stats = rt.enable_stats();
         let q = rt.context().create_queue(0, format!("rank{}", p.rank()));
         let buf = rt.context().create_buffer(BYTES);
         if p.rank() == 0 {
@@ -41,7 +40,7 @@ fn main() {
             assert_eq!(buf.load(0, BYTES).unwrap(), vec![7u8; BYTES], "data intact");
         }
         rt.shutdown(&p.actor);
-        (p.rank(), stats.faults(), rt.is_degraded())
+        (p.rank(), rt.obs_counters().faults, rt.is_degraded())
     });
 
     println!("8 MiB pipelined transfer over a 5% lossy link (seed 42):");
