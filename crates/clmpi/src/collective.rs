@@ -299,9 +299,7 @@ impl ClMpi {
         wait_list: &[Event],
     ) -> ClResult<Event> {
         buf.check_range(offset, size)?;
-        if root >= self.comm().size() {
-            return Err(ClError::InvalidValue(format!("root {root} out of range")));
-        }
+        self.check_peer(root)?;
         let wire_tag = crate::checked_coll_tag(crate::COLL_SPACE_BCAST, tag)?;
         let label = format!("bcast@{root}#{tag}");
         let (sz, at_root) = (size as u64, self.rank() == root);
@@ -432,9 +430,7 @@ impl ClMpi {
         wait_list: &[Event],
         _actor: &Actor,
     ) -> ClResult<Event> {
-        if root >= self.comm().size() {
-            return Err(ClError::InvalidValue(format!("root {root} out of range")));
-        }
+        self.check_peer(root)?;
         self.submit_ring_reduce(
             queue,
             buf,

@@ -117,9 +117,6 @@ pub enum Step {
 /// state machines: `step` runs at a frozen virtual instant, must never
 /// block, and reports how the engine should treat the machine next.
 pub trait EngineOp: Send {
-    /// Diagnostic label (a framed operation's is its user event's).
-    fn label(&self) -> &str;
-
     /// Advance the machine as far as possible at virtual instant `now`.
     /// `actor` is the engine's own clock actor: machines may use it to
     /// post non-blocking MPI calls, but must never park it.
@@ -380,17 +377,19 @@ pub(crate) struct OpCx {
 }
 
 impl OpCx {
-    /// Context of a traced operation: allocates its id block (and counts
-    /// the submission) on the calling — submitting — thread.
-    pub(crate) fn traced(inner: &Arc<Inner>, env: Envelope) -> Self {
+    /// Context of an operation — traced when it has an envelope, which
+    /// allocates its id block (and counts the submission) on the calling
+    /// — submitting — thread.
+    pub(crate) fn new(inner: &Arc<Inner>, env: Option<Envelope>) -> Self {
+        let obs = env.map(|env| OpObs {
+            ids: inner.new_op(),
+            submit_ns: inner.clock.now_ns(),
+            env,
+        });
         OpCx {
             inner: inner.clone(),
             t0: 0,
-            obs: Some(OpObs {
-                ids: inner.new_op(),
-                submit_ns: inner.clock.now_ns(),
-                env,
-            }),
+            obs,
         }
     }
 
@@ -576,7 +575,6 @@ impl<'a> OpSpec<'a> {
 /// machine.
 pub(crate) struct OpFrame<B> {
     cx: OpCx,
-    label: String,
     wait: Vec<Event>,
     poison: bool,
     gated: bool,
@@ -593,20 +591,10 @@ impl<B: OpBody + 'static> OpFrame<B> {
     /// Wrap `body` in a frame, hand it to `inner`'s engine and return
     /// the event that will carry its outcome.
     pub(crate) fn submit(inner: &Arc<Inner>, spec: OpSpec<'_>, body: B) -> Event {
-        let label = spec.event.clone();
         let ue = inner.ctx.create_user_event(spec.event);
         let event = ue.event();
-        let cx = match spec.env {
-            Some(env) => OpCx::traced(inner, env),
-            None => OpCx {
-                inner: inner.clone(),
-                t0: 0,
-                obs: None,
-            },
-        };
         inner.engine.submit(Box::new(OpFrame {
-            cx,
-            label,
+            cx: OpCx::new(inner, spec.env),
             wait: spec.wait.to_vec(),
             poison: spec.poison,
             gated: false,
@@ -638,10 +626,6 @@ impl<B: OpBody + 'static> OpFrame<B> {
 }
 
 impl<B: OpBody + 'static> EngineOp for OpFrame<B> {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
     fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
         if !self.gated {
             // `Pending` until *every* event settles, then the first
@@ -1243,24 +1227,54 @@ impl Lowering {
     }
 }
 
+/// One device-buffer transfer with `peer` as its entry point describes
+/// it — the same for both directions — plus the direction's run state.
+pub(crate) struct TransferBody<R> {
+    pub(crate) device: Device,
+    pub(crate) buf: Buffer,
+    pub(crate) offset: usize,
+    pub(crate) size: usize,
+    pub(crate) peer: Rank,
+    pub(crate) wire_tag: Tag,
+    pub(crate) strategy: TransferStrategy,
+    /// Derived-datatype lowering: `Some` routes every chunk through the
+    /// type map (and, for the device modes, through a pack / unpack
+    /// kernel).
+    pub(crate) lowering: Option<Lowering>,
+    run: R,
+}
+
+impl<R: Default> TransferBody<R> {
+    /// A contiguous transfer of `size` bytes at `offset` of `buf`.
+    pub(crate) fn new(
+        device: &Device,
+        buf: &Buffer,
+        offset: usize,
+        size: usize,
+        peer: Rank,
+        wire_tag: Tag,
+        strategy: TransferStrategy,
+    ) -> Self {
+        TransferBody {
+            device: device.clone(),
+            buf: buf.clone(),
+            offset,
+            size,
+            peer,
+            wire_tag,
+            strategy,
+            lowering: None,
+            run: R::default(),
+        }
+    }
+}
+
 /// `clEnqueueSendBuffer`: chunked device→host staging and reliable
 /// network injection → completion at the last injection's end. Chunk
 /// k+1's staging is reserved only once chunk k is known delivered;
 /// retransmits re-inject from the host staging copy — the d2h stage (and
 /// any pack kernel) is not repeated.
-pub(crate) struct SendBody {
-    pub(crate) device: Device,
-    pub(crate) buf: Buffer,
-    pub(crate) offset: usize,
-    pub(crate) size: usize,
-    pub(crate) dst: Rank,
-    pub(crate) wire_tag: Tag,
-    pub(crate) strategy: TransferStrategy,
-    /// Derived-datatype lowering: `Some` routes every chunk through the
-    /// type map (and, for the device modes, through a pack kernel).
-    pub(crate) lowering: Option<Lowering>,
-    pub(crate) run: SendRun,
-}
+pub(crate) type SendBody = TransferBody<SendRun>;
 
 #[derive(Default)]
 pub(crate) struct SendRun {
@@ -1287,8 +1301,7 @@ impl SendBody {
                 // Map the whole region once; the NIC streams straight
                 // through PCIe, fused with the injection — one span from
                 // the gate instant.
-                let stream = (clen as f64 * 1e9 / pcie.mapped_bps).round() as SimNs;
-                let fused = cx.inner.cfg.cluster.link.injection_ns(clen).max(stream);
+                let fused = cx.inner.cfg.mapped_wire_ns(clen);
                 let earliest = cx.t0 + pcie.map_setup_ns;
                 (
                     load(),
@@ -1343,13 +1356,13 @@ impl SendBody {
         };
         let send = ReliableChunkSend::new(
             &cx.inner,
-            self.dst,
+            self.peer,
             self.wire_tag,
             bytes,
             earliest,
             duration,
         );
-        let name = format!("{what}→{}", self.dst);
+        let name = format!("{what}→{}", self.peer);
         self.run.queue.push_staged(send, start, name, staged);
     }
 }
@@ -1394,20 +1407,7 @@ impl OpBody for SendBody {
 /// host→device staging (and unpack) → completion with the data in
 /// device memory. Chunk k+1's receive is posted only after chunk k's
 /// staging ends.
-pub(crate) struct RecvBody {
-    pub(crate) device: Device,
-    pub(crate) buf: Buffer,
-    pub(crate) offset: usize,
-    pub(crate) size: usize,
-    pub(crate) src: Rank,
-    pub(crate) wire_tag: Tag,
-    pub(crate) strategy: TransferStrategy,
-    /// Derived-datatype lowering: `Some` scatters every arrived chunk
-    /// through the type map (and, for the device modes, through an
-    /// unpack kernel first).
-    pub(crate) lowering: Option<Lowering>,
-    pub(crate) run: RecvRun,
-}
+pub(crate) type RecvBody = TransferBody<RecvRun>;
 
 #[derive(Default)]
 pub(crate) struct RecvRun {
@@ -1459,7 +1459,7 @@ impl RecvBody {
     fn chunk_done(&mut self, cx: &OpCx, len: usize, now: SimNs, actor: &Actor) -> Option<Advance> {
         self.run.received += len;
         if self.run.received < self.size {
-            let recv = ChunkRecv::post(&cx.inner, actor, Some(self.src), self.wire_tag, now);
+            let recv = ChunkRecv::post(&cx.inner, actor, Some(self.peer), self.wire_tag, now);
             self.run.state = RecvState::Await(recv);
             return None;
         }
@@ -1519,7 +1519,7 @@ impl OpBody for RecvBody {
                     return self.finish(cx, now);
                 }
                 RecvState::Await(recv) => {
-                    let src = self.src;
+                    let src = self.peer;
                     let dead = |inner: &Inner| inner.peer_failed(src, now).then_some(src);
                     let data = match recv.poll(cx, now, actor, dead) {
                         Ok(RecvPoll::Ready(r)) => r.data,
@@ -1645,7 +1645,6 @@ pub(crate) struct HostSendOp {
     /// (keeping the fabric reservation order of an inline send).
     pub(crate) issued: Arc<Monitor<bool>>,
     pub(crate) slot: SendSlot,
-    pub(crate) label: String,
     pub(crate) run: HostSendRun,
 }
 
@@ -1688,10 +1687,6 @@ impl HostSendOp {
 }
 
 impl EngineOp for HostSendOp {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
     fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
         let verdict = self.drive(now, actor);
         if !self.run.issued {
@@ -1932,8 +1927,7 @@ impl PutBody {
         for (k, &(coff, clen)) in plan.chunks.iter().enumerate() {
             let (wire_earliest, route) = match self.strategy {
                 TransferStrategy::Mapped => {
-                    let stream = (clen as f64 * 1e9 / pcie.mapped_bps).round() as SimNs;
-                    let fused = cx.inner.cfg.cluster.link.injection_ns(clen).max(stream);
+                    let fused = cx.inner.cfg.mapped_wire_ns(clen);
                     (cx.t0 + pcie.map_setup_ns, RmaRoute::NicDuration(fused))
                 }
                 TransferStrategy::Rma
@@ -2239,10 +2233,6 @@ mod tests {
     }
 
     impl EngineOp for TimerOp {
-        fn label(&self) -> &str {
-            "timer"
-        }
-
         fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
             if now < self.fire_at {
                 return Step::Park(Some(self.fire_at));
@@ -2282,9 +2272,6 @@ mod tests {
             order: Arc<Monitor<Vec<SimNs>>>,
         }
         impl EngineOp for LoggingTimer {
-            fn label(&self) -> &str {
-                "logging-timer"
-            }
             fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
                 if now < self.fire_at {
                     return Step::Park(Some(self.fire_at));

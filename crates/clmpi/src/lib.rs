@@ -107,41 +107,30 @@ pub(crate) const COLL_SPACE_BCAST: minimpi::Tag = 0;
 pub(crate) const COLL_SPACE_ALLREDUCE: minimpi::Tag = 1;
 pub(crate) const COLL_SPACE_REDUCE: minimpi::Tag = 2;
 
-/// Map a user collective tag into `space`'s sub-region of the collective
-/// tag plane, validating the user range up front (like
-/// [`checked_data_tag`]).
-pub(crate) fn checked_coll_tag(
-    space: minimpi::Tag,
-    user: minimpi::Tag,
-) -> Result<minimpi::Tag, minicl::ClError> {
+/// A tag of the user range, or `CL_INVALID_VALUE`. Every entry point
+/// validates tags up front, so a bad tag surfaces on the calling thread
+/// instead of panicking a runtime thread.
+fn checked_user_tag(user: minimpi::Tag) -> Result<minimpi::Tag, minicl::ClError> {
     if (0..=minimpi::MAX_USER_TAG).contains(&user) {
-        Ok(CLMPI_COLL_TAG_BASE + space * (minimpi::MAX_USER_TAG + 1) + user)
-    } else {
-        Err(minicl::ClError::InvalidValue(format!(
-            "clMPI collective tag {user} out of user range (0..={})",
-            minimpi::MAX_USER_TAG
-        )))
-    }
-}
-
-pub(crate) fn data_tag(user: minimpi::Tag) -> minimpi::Tag {
-    assert!(
-        (0..=minimpi::MAX_USER_TAG).contains(&user),
-        "clMPI tag {user} out of user range"
-    );
-    CLMPI_TAG_BASE + user
-}
-
-/// Non-panicking [`data_tag`]: the public enqueue API validates tags up
-/// front so a bad tag surfaces as `CL_INVALID_VALUE` on the calling
-/// thread instead of panicking a runtime thread.
-pub(crate) fn checked_data_tag(user: minimpi::Tag) -> Result<minimpi::Tag, minicl::ClError> {
-    if (0..=minimpi::MAX_USER_TAG).contains(&user) {
-        Ok(CLMPI_TAG_BASE + user)
+        Ok(user)
     } else {
         Err(minicl::ClError::InvalidValue(format!(
             "clMPI tag {user} out of user range (0..={})",
             minimpi::MAX_USER_TAG
         )))
     }
+}
+
+/// Map a user collective tag into `space`'s sub-region of the collective
+/// tag plane.
+pub(crate) fn checked_coll_tag(
+    space: minimpi::Tag,
+    user: minimpi::Tag,
+) -> Result<minimpi::Tag, minicl::ClError> {
+    Ok(CLMPI_COLL_TAG_BASE + space * (minimpi::MAX_USER_TAG + 1) + checked_user_tag(user)?)
+}
+
+/// Map a user tag into the point-to-point data plane.
+pub(crate) fn checked_data_tag(user: minimpi::Tag) -> Result<minimpi::Tag, minicl::ClError> {
+    Ok(CLMPI_TAG_BASE + checked_user_tag(user)?)
 }

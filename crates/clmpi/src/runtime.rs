@@ -29,7 +29,6 @@ use minimpi::{
 };
 use simtime::{Actor, Monitor, SimClock, SimNs, Trace};
 
-use crate::data_tag;
 use crate::engine::{
     record_envelope, AccumulateBody, Engine, Envelope, EventFromRequestBody, FenceBody, GetBody,
     HostSendOp, IrecvBody, Lowering, OpCx, OpFrame, OpSpec, PutBody, RecvBody, ResultSlot,
@@ -112,14 +111,6 @@ impl Inner {
         let mut ledger = self.ledger.lock();
         ledger.counters.note_submitted();
         ledger.next_ids(self.comm.rank())
-    }
-
-    /// Allocate an id block for a control-plane recovery span (failure
-    /// notification, revoke, shrink) without counting an operation
-    /// submission — recovery spans are summarized into the recovery
-    /// counters of [`crate::obs::ObsSummary`], not the op counters.
-    pub(crate) fn new_span_ids(&self) -> ChildIds {
-        self.ledger.lock().next_ids(self.comm.rank())
     }
 
     /// True if communicator-local rank `local` is known failed at `t`:
@@ -351,9 +342,17 @@ impl ClMpi {
             return;
         }
         let now = self.inner.clock.now_ns();
-        let ids = self.inner.new_span_ids();
         let env = Envelope::new("op.failure", format!("proc-failure r{rank}"), Some(rank));
-        record_envelope(&self.inner, &ids, env, now, now, false);
+        self.record_recovery(env, now, now, false);
+    }
+
+    /// Record a control-plane recovery span (failure notification, revoke,
+    /// shrink): an id block of its own but no operation submission —
+    /// recovery spans are summarized into the recovery counters of
+    /// [`crate::obs::ObsSummary`], not the op counters.
+    fn record_recovery(&self, env: Envelope, start: SimNs, end: SimNs, ok: bool) {
+        let ids = self.inner.ledger.lock().next_ids(self.rank());
+        record_envelope(&self.inner, &ids, env, start, end, ok);
     }
 
     /// Communicator-local ranks known failed at instant `t`: explicit
@@ -371,9 +370,12 @@ impl ClMpi {
     pub fn revoke(&self) {
         self.inner.comm.revoke();
         let now = self.inner.clock.now_ns();
-        let ids = self.inner.new_span_ids();
-        let env = Envelope::new("op.revoke", "revoke".into(), None);
-        record_envelope(&self.inner, &ids, env, now, now, true);
+        self.record_recovery(
+            Envelope::new("op.revoke", "revoke".into(), None),
+            now,
+            now,
+            true,
+        );
     }
 
     /// `MPI_Comm_shrink`: run the fault-tolerant agreement over the
@@ -385,14 +387,12 @@ impl ClMpi {
     pub fn shrink_comm(&self, actor: &Actor, patience_ns: SimNs) -> Result<Comm, MpiError> {
         let t0 = actor.now_ns();
         let res = self.inner.comm.shrink(actor, patience_ns);
-        let now = actor.now_ns();
-        let ids = self.inner.new_span_ids();
         let name = match &res {
             Ok(c) => format!("shrink {}→{}", self.inner.comm.size(), c.size()),
             Err(e) => format!("shrink failed: {e}"),
         };
         let env = Envelope::new("op.shrink", name, None);
-        record_envelope(&self.inner, &ids, env, t0, now, res.is_ok());
+        self.record_recovery(env, t0, actor.now_ns(), res.is_ok());
         res
     }
 
@@ -412,30 +412,46 @@ impl ClMpi {
         OpFrame::submit(&self.inner, OpSpec::gated(event, env, wait), body)
     }
 
+    /// Misuse is the caller's `CL_INVALID_VALUE`, found on the calling
+    /// thread — never a panic on an engine or scheduler thread, which
+    /// would take the whole world down: `peer` must be a rank of the
+    /// communicator.
+    pub(crate) fn check_peer(&self, peer: Rank) -> ClResult<()> {
+        if peer >= self.inner.comm.size() {
+            return Err(ClError::InvalidValue(format!("rank {peer} out of range")));
+        }
+        Ok(())
+    }
+
+    /// [`ClMpi::check_peer`], and `tag` must be a user tag; returns it
+    /// mapped into the data plane.
+    fn check_peer_tag(&self, peer: Rank, tag: Tag) -> ClResult<Tag> {
+        self.check_peer(peer)?;
+        crate::checked_data_tag(tag)
+    }
+
     /// The three device-buffer send entry points (plain, datatype,
-    /// gpu-aware) differ in the event's label, the lowering in `body`,
-    /// the wait list and who listens on a result slot.
+    /// gpu-aware) differ in the `kind` their event is labelled with, the
+    /// strategy and lowering in `body`, the wait list and who listens on a
+    /// result slot.
     fn submit_send(
         &self,
-        event: String,
+        kind: &str,
         body: SendBody,
         tag: Tag,
         wait: &[Event],
         result: Option<ResultSlot>,
     ) -> Event {
+        let (dst, size) = (body.peer, body.size as u64);
         let env = Envelope {
-            bytes: body.size as u64,
+            bytes: size,
             tag: Some(body.wire_tag),
-            sent: body.size as u64,
-            ..Envelope::new(
-                "op.send",
-                format!("send→{}#{tag}", body.dst),
-                Some(body.dst),
-            )
+            sent: size,
+            ..Envelope::new("op.send", format!("send→{dst}#{tag}"), Some(dst))
         };
         let spec = OpSpec {
             result,
-            ..OpSpec::gated(event, env, wait)
+            ..OpSpec::gated(format!("{kind}→{dst}#{tag}"), env, wait)
         };
         OpFrame::submit(&self.inner, spec, body)
     }
@@ -443,25 +459,22 @@ impl ClMpi {
     /// The receive-side twin of [`ClMpi::submit_send`].
     fn submit_recv(
         &self,
-        event: String,
+        kind: &str,
         body: RecvBody,
         tag: Tag,
         wait: &[Event],
         result: Option<ResultSlot>,
     ) -> Event {
+        let (src, size) = (body.peer, body.size as u64);
         let env = Envelope {
-            bytes: body.size as u64,
+            bytes: size,
             tag: Some(body.wire_tag),
-            received: body.size as u64,
-            ..Envelope::new(
-                "op.recv",
-                format!("recv←{}#{tag}", body.src),
-                Some(body.src),
-            )
+            received: size,
+            ..Envelope::new("op.recv", format!("recv←{src}#{tag}"), Some(src))
         };
         let spec = OpSpec {
             result,
-            ..OpSpec::gated(event, env, wait)
+            ..OpSpec::gated(format!("{kind}←{src}#{tag}"), env, wait)
         };
         OpFrame::submit(&self.inner, spec, body)
     }
@@ -492,25 +505,11 @@ impl ClMpi {
         actor: &Actor,
     ) -> ClResult<Event> {
         buf.check_range(offset, size)?;
-        if dst >= self.inner.comm.size() {
-            return Err(ClError::InvalidValue(format!("rank {dst} out of range")));
-        }
-        let body = SendBody {
-            device: queue.device().clone(),
-            buf: buf.clone(),
-            offset,
-            size,
-            dst,
-            wire_tag: crate::checked_data_tag(tag)?,
-            strategy: self.resolve(size),
-            lowering: None,
-            run: Default::default(),
-        };
-        let event = self.submit_send(format!("send→{dst}#{tag}"), body, tag, wait_list, None);
-        if blocking {
-            event.wait(actor); // blocking-api: explicit blocking enqueue flag
-        }
-        Ok(event)
+        let wire_tag = self.check_peer_tag(dst, tag)?;
+        let strategy = self.resolve(size);
+        let body = SendBody::new(queue.device(), buf, offset, size, dst, wire_tag, strategy);
+        let event = self.submit_send("send", body, tag, wait_list, None);
+        Ok(waited_if(blocking, event, actor))
     }
 
     /// `clEnqueueRecvBuffer`: receive `size` bytes into `offset` of device
@@ -530,25 +529,11 @@ impl ClMpi {
         actor: &Actor,
     ) -> ClResult<Event> {
         buf.check_range(offset, size)?;
-        if src >= self.inner.comm.size() {
-            return Err(ClError::InvalidValue(format!("rank {src} out of range")));
-        }
-        let body = RecvBody {
-            device: queue.device().clone(),
-            buf: buf.clone(),
-            offset,
-            size,
-            src,
-            wire_tag: crate::checked_data_tag(tag)?,
-            strategy: self.resolve(size),
-            lowering: None,
-            run: Default::default(),
-        };
-        let event = self.submit_recv(format!("recv←{src}#{tag}"), body, tag, wait_list, None);
-        if blocking {
-            event.wait(actor); // blocking-api: explicit blocking enqueue flag
-        }
-        Ok(event)
+        let wire_tag = self.check_peer_tag(src, tag)?;
+        let strategy = self.resolve(size);
+        let body = RecvBody::new(queue.device(), buf, offset, size, src, wire_tag, strategy);
+        let event = self.submit_recv("recv", body, tag, wait_list, None);
+        Ok(waited_if(blocking, event, actor))
     }
 
     /// Combined halo-exchange convenience: enqueue a send of
@@ -599,17 +584,29 @@ impl ClMpi {
     // Derived-datatype transfers (TEMPI-style device-side packing)
     // ------------------------------------------------------------------
 
-    /// The wire strategy a pack mode lowers to: the contiguous packed
-    /// payload is staged (pinned) for the one-shot modes, or chunked
-    /// (pipelined) so pack kernels overlap earlier chunks' wire time.
-    fn pack_wire_strategy(&self, mode: PackMode, packed: usize) -> TransferStrategy {
-        match mode {
+    /// How the committed type `ty` travels under `mode`: `(event label
+    /// suffix, wire strategy, lowering)`. A contiguous type takes the
+    /// plain contiguous path unchanged. Otherwise the packed payload is
+    /// staged (pinned) for the one-shot modes, or chunked (pipelined) so
+    /// pack kernels overlap earlier chunks' wire time.
+    fn lower(
+        &self,
+        ty: &CommittedType,
+        mode: PackMode,
+    ) -> (&'static str, TransferStrategy, Option<Lowering>) {
+        let packed = ty.packed_size();
+        if ty.is_contiguous() {
+            return ("", self.resolve(packed), None);
+        }
+        let strategy = match mode {
             PackMode::HostPack | PackMode::DevicePack => TransferStrategy::Pinned,
             PackMode::PipelinedPack => self
                 .inner
                 .cfg
                 .resolve(TransferStrategy::Pipelined(0), packed.max(1)),
-        }
+        };
+        let ty = ty.clone();
+        ("-dt", strategy, Some(Lowering { ty, mode }))
     }
 
     /// `clEnqueueSendBufferDatatype`: send the committed derived type
@@ -634,42 +631,13 @@ impl ClMpi {
         actor: &Actor,
     ) -> ClResult<Event> {
         buf.check_range(offset, ty.extent())?;
-        if ty.is_contiguous() {
-            return self.enqueue_send_buffer(
-                queue,
-                buf,
-                blocking,
-                offset,
-                ty.packed_size(),
-                dst,
-                tag,
-                wait_list,
-                actor,
-            );
-        }
-        if dst >= self.inner.comm.size() {
-            return Err(ClError::InvalidValue(format!("rank {dst} out of range")));
-        }
-        let packed = ty.packed_size();
-        let body = SendBody {
-            device: queue.device().clone(),
-            buf: buf.clone(),
-            offset,
-            size: packed,
-            dst,
-            wire_tag: crate::checked_data_tag(tag)?,
-            strategy: self.pack_wire_strategy(mode, packed),
-            lowering: Some(Lowering {
-                ty: ty.clone(),
-                mode,
-            }),
-            run: Default::default(),
-        };
-        let event = self.submit_send(format!("send-dt→{dst}#{tag}"), body, tag, wait_list, None);
-        if blocking {
-            event.wait(actor); // blocking-api: explicit blocking enqueue flag
-        }
-        Ok(event)
+        let wire_tag = self.check_peer_tag(dst, tag)?;
+        let (dt, strategy, lowering) = self.lower(ty, mode);
+        let (device, packed) = (queue.device(), ty.packed_size());
+        let mut body = SendBody::new(device, buf, offset, packed, dst, wire_tag, strategy);
+        body.lowering = lowering;
+        let event = self.submit_send(&format!("send{dt}"), body, tag, wait_list, None);
+        Ok(waited_if(blocking, event, actor))
     }
 
     /// `clEnqueueRecvBufferDatatype`: receive the committed derived type
@@ -693,42 +661,13 @@ impl ClMpi {
         actor: &Actor,
     ) -> ClResult<Event> {
         buf.check_range(offset, ty.extent())?;
-        if ty.is_contiguous() {
-            return self.enqueue_recv_buffer(
-                queue,
-                buf,
-                blocking,
-                offset,
-                ty.packed_size(),
-                src,
-                tag,
-                wait_list,
-                actor,
-            );
-        }
-        if src >= self.inner.comm.size() {
-            return Err(ClError::InvalidValue(format!("rank {src} out of range")));
-        }
-        let packed = ty.packed_size();
-        let body = RecvBody {
-            device: queue.device().clone(),
-            buf: buf.clone(),
-            offset,
-            size: packed,
-            src,
-            wire_tag: crate::checked_data_tag(tag)?,
-            strategy: self.pack_wire_strategy(mode, packed),
-            lowering: Some(Lowering {
-                ty: ty.clone(),
-                mode,
-            }),
-            run: Default::default(),
-        };
-        let event = self.submit_recv(format!("recv-dt←{src}#{tag}"), body, tag, wait_list, None);
-        if blocking {
-            event.wait(actor); // blocking-api: explicit blocking enqueue flag
-        }
-        Ok(event)
+        let wire_tag = self.check_peer_tag(src, tag)?;
+        let (dt, strategy, lowering) = self.lower(ty, mode);
+        let (device, packed) = (queue.device(), ty.packed_size());
+        let mut body = RecvBody::new(device, buf, offset, packed, src, wire_tag, strategy);
+        body.lowering = lowering;
+        let event = self.submit_recv(&format!("recv{dt}"), body, tag, wait_list, None);
+        Ok(waited_if(blocking, event, actor))
     }
 
     // ------------------------------------------------------------------
@@ -755,20 +694,11 @@ impl ClMpi {
         tag: Tag,
     ) -> ClResult<()> {
         buf.check_range(offset, size)?;
-        let body = SendBody {
-            device: queue.device().clone(),
-            buf: buf.clone(),
-            offset,
-            size,
-            dst,
-            wire_tag: data_tag(tag),
-            strategy: self.resolve(size),
-            lowering: None,
-            run: Default::default(),
-        };
+        let wire_tag = self.check_peer_tag(dst, tag)?;
+        let strategy = self.resolve(size);
+        let body = SendBody::new(queue.device(), buf, offset, size, dst, wire_tag, strategy);
         let slot: ResultSlot = Arc::new(Monitor::new(self.inner.clock.clone(), None));
-        let label = format!("gpu-send→{dst}#{tag}");
-        self.submit_send(label, body, tag, &[], Some(slot.clone()));
+        self.submit_send("gpu-send", body, tag, &[], Some(slot.clone()));
         // blocking-api: GPU-aware MPI is synchronous by definition.
         slot.wait_labeled(actor, "gpu-aware send", |s| s.take())
     }
@@ -787,20 +717,11 @@ impl ClMpi {
         tag: Tag,
     ) -> ClResult<()> {
         buf.check_range(offset, size)?;
-        let body = RecvBody {
-            device: queue.device().clone(),
-            buf: buf.clone(),
-            offset,
-            size,
-            src,
-            wire_tag: data_tag(tag),
-            strategy: self.resolve(size),
-            lowering: None,
-            run: Default::default(),
-        };
+        let wire_tag = self.check_peer_tag(src, tag)?;
+        let strategy = self.resolve(size);
+        let body = RecvBody::new(queue.device(), buf, offset, size, src, wire_tag, strategy);
         let slot: ResultSlot = Arc::new(Monitor::new(self.inner.clock.clone(), None));
-        let label = format!("gpu-recv←{src}#{tag}");
-        self.submit_recv(label, body, tag, &[], Some(slot.clone()));
+        self.submit_recv("gpu-recv", body, tag, &[], Some(slot.clone()));
         // blocking-api: GPU-aware MPI is synchronous by definition.
         slot.wait_labeled(actor, "gpu-aware recv", |s| s.take())
     }
@@ -831,29 +752,32 @@ impl ClMpi {
     /// communicator device: the runtime chunks the payload so the remote
     /// side can overlap its host→device stage with the network (§V-A's
     /// wrapper functions). The send progresses on the engine; the caller
-    /// resumes as soon as the initial injection burst is on the wire.
+    /// resumes as soon as the initial injection burst is on the wire. A
+    /// `dst` outside the communicator or a `tag` outside the user range
+    /// submits nothing: the returned request's
+    /// [`ClSendRequest::wait_result`] is the `InvalidValue` error.
     pub fn isend_cl(&self, actor: &Actor, dst: Rank, tag: Tag, data: &[u8]) -> ClSendRequest {
+        let clock = &self.inner.clock;
+        let wire_tag = match self.check_peer_tag(dst, tag) {
+            Ok(wire_tag) => wire_tag,
+            Err(e) => {
+                let slot = Arc::new(Monitor::new(clock.clone(), Some(Err(e))));
+                return ClSendRequest { slot };
+            }
+        };
         let strategy = self.resolve(data.len());
         let plan = ResolvedStrategy::plan(strategy, data.len());
-        let net = &self.inner.cfg.cluster.link;
-        let pcie = &self.inner.cfg.device.pcie;
-        let wire_tag = data_tag(tag);
         let chunks: Vec<(Vec<u8>, Option<SimNs>)> = plan
             .chunks
             .iter()
             .map(|&(off, len)| {
-                let duration = match strategy {
-                    TransferStrategy::Mapped => {
-                        let stream = (len as f64 * 1e9 / pcie.mapped_bps).round() as SimNs;
-                        Some(net.injection_ns(len).max(stream))
-                    }
-                    _ => None,
-                };
+                let duration = (strategy == TransferStrategy::Mapped)
+                    .then(|| self.inner.cfg.mapped_wire_ns(len));
                 (data[off..off + len].to_vec(), duration)
             })
             .collect();
-        let issued = Arc::new(Monitor::new(self.inner.clock.clone(), false));
-        let slot: SendSlot = Arc::new(Monitor::new(self.inner.clock.clone(), None));
+        let issued = Arc::new(Monitor::new(clock.clone(), false));
+        let slot: SendSlot = Arc::new(Monitor::new(clock.clone(), None));
         let total = data.len() as u64;
         let env = Envelope {
             bytes: total,
@@ -862,13 +786,12 @@ impl ClMpi {
             ..Envelope::new("op.isend", format!("isend→{dst}"), Some(dst))
         };
         self.inner.engine.submit(Box::new(HostSendOp {
-            cx: OpCx::traced(&self.inner, env),
+            cx: OpCx::new(&self.inner, Some(env)),
             dst,
             wire_tag,
             chunks,
             issued: issued.clone(),
             slot: slot.clone(),
-            label: format!("clmpi-isend-r{}", self.rank()),
             run: Default::default(),
         }));
         // Hand-off handshake: resume once the engine has pushed the first
@@ -888,12 +811,21 @@ impl ClMpi {
     /// `MPI_Irecv` with `MPI_CL_MEM` into **host** memory from a remote
     /// communicator device: drains the sender's wire chunks into a host
     /// buffer; the returned request's event completes when all `size`
-    /// bytes have arrived.
-    pub fn irecv_cl(&self, _actor: &Actor, src: Rank, tag: Tag, size: usize) -> ClRecvRequest {
-        // Map the tag on the calling thread: a bad tag is the caller's
-        // error and must not panic the engine.
-        let wire_tag = data_tag(tag);
-        let host = HostBuffer::pinned(size);
+    /// bytes have arrived. A `src` outside the communicator or a `tag`
+    /// outside the user range posts no receive: the event fails at the
+    /// call instant with `CL_MPI_TRANSFER_ERROR`.
+    pub fn irecv_cl(&self, actor: &Actor, src: Rank, tag: Tag, size: usize) -> ClRecvRequest {
+        let data = HostBuffer::pinned(size);
+        let label = format!("irecv_cl←{src}");
+        let Ok(wire_tag) = self.check_peer_tag(src, tag) else {
+            let ue = self.inner.ctx.create_user_event(label);
+            ue.set_failed(actor.now_ns(), crate::CL_MPI_TRANSFER_ERROR)
+                .expect("a fresh event settles once");
+            return ClRecvRequest {
+                event: ue.event(),
+                data,
+            };
+        };
         let env = Envelope {
             bytes: size as u64,
             tag: Some(wire_tag),
@@ -904,11 +836,11 @@ impl ClMpi {
             src,
             wire_tag,
             size,
-            host: host.clone(),
+            host: data.clone(),
             run: Default::default(),
         };
-        let event = self.submit_gated(format!("irecv_cl←{src}"), env, &[], body);
-        ClRecvRequest { event, data: host }
+        let event = self.submit_gated(label, env, &[], body);
+        ClRecvRequest { event, data }
     }
 
     // ------------------------------------------------------------------
@@ -931,7 +863,7 @@ impl ClMpi {
         buf.check_range(0, size)?;
         let win = Win::create(&self.inner.comm, actor, size) // blocking-api: collective window creation
             .map_err(|e| ClError::TransferFailed(format!("win_create: {e}")))?;
-        let image = buf.load(0, size).expect("range checked above");
+        let image = buf.load(0, size)?;
         win.write_local(0, &image);
         win.fence(actor) // blocking-api: opens the first access epoch collectively
             .map_err(|e| ClError::TransferFailed(format!("win_create fence: {e}")))?;
@@ -979,10 +911,7 @@ impl ClMpi {
             ..Envelope::new("op.put", format!("put→{target}@{win_offset}"), Some(target))
         };
         let event = self.submit_gated(format!("put→{target}"), env, wait_list, body);
-        if blocking {
-            event.wait(actor); // blocking-api: explicit blocking enqueue flag
-        }
-        Ok(event)
+        Ok(waited_if(blocking, event, actor))
     }
 
     /// `clEnqueueGetBuffer`: one-sided read of `size` bytes from
@@ -1020,10 +949,7 @@ impl ClMpi {
             ..Envelope::new("op.get", format!("get←{target}@{win_offset}"), Some(target))
         };
         let event = self.submit_gated(format!("get←{target}"), env, wait_list, body);
-        if blocking {
-            event.wait(actor); // blocking-api: explicit blocking enqueue flag
-        }
-        Ok(event)
+        Ok(waited_if(blocking, event, actor))
     }
 
     /// `clEnqueueAccumulateBuffer`: one-sided read-modify-write of the
@@ -1069,10 +995,7 @@ impl ClMpi {
             ..Envelope::new("op.acc", format!("acc→{target}@{win_offset}"), Some(target))
         };
         let event = self.submit_gated(format!("acc→{target}"), env, wait_list, body);
-        if blocking {
-            event.wait(actor); // blocking-api: explicit blocking enqueue flag
-        }
-        Ok(event)
+        Ok(waited_if(blocking, event, actor))
     }
 
     /// `clEnqueueWinFence`: close the window's current access epoch and
@@ -1094,10 +1017,7 @@ impl ClMpi {
         };
         let env = Envelope::new("op.fence", "win-fence".into(), None);
         let event = self.submit_gated("win-fence".into(), env, wait_list, body);
-        if blocking {
-            event.wait(actor); // blocking-api: explicit blocking enqueue flag
-        }
-        Ok(event)
+        Ok(waited_if(blocking, event, actor))
     }
 
     /// Sync `size` bytes of the window's local segment at `win_offset`
@@ -1113,10 +1033,7 @@ impl ClMpi {
                 seg.len()
             )));
         }
-        win.buf
-            .store(offset, &seg[offset..offset + size])
-            .expect("range checked above");
-        Ok(())
+        win.buf.store(offset, &seg[offset..offset + size])
     }
 
     fn check_win_range(
@@ -1126,9 +1043,7 @@ impl ClMpi {
         win_offset: usize,
         size: usize,
     ) -> ClResult<()> {
-        if target >= self.inner.comm.size() {
-            return Err(ClError::InvalidValue(format!("rank {target} out of range")));
-        }
+        self.check_peer(target)?;
         let exposed = win.win.size_of(target);
         if win_offset.checked_add(size).is_none_or(|end| end > exposed) {
             return Err(ClError::InvalidValue(format!(
@@ -1137,6 +1052,15 @@ impl ClMpi {
         }
         Ok(())
     }
+}
+
+/// The `blocking` flag of an enqueue call: wait for the command on
+/// `actor` before handing its event back.
+fn waited_if(blocking: bool, event: Event, actor: &Actor) -> Event {
+    if blocking {
+        event.wait(actor); // blocking-api: explicit blocking enqueue flag
+    }
+    event
 }
 
 /// An `MPI_CL_MEM` device buffer exposed as an `MPI_Win` (created by
@@ -1199,33 +1123,28 @@ pub struct ClSendRequest {
 
 impl ClSendRequest {
     /// Block until the send's injection completes (buffer reusable).
-    /// Panics if the transfer failed permanently; use
-    /// [`ClSendRequest::wait_result`] to handle that gracefully.
+    /// Panics if the transfer failed permanently or the call was
+    /// rejected; use [`ClSendRequest::wait_result`] to handle that
+    /// gracefully.
     pub fn wait(&self, actor: &Actor) {
-        // blocking-api: the whole point of waiting a send request.
-        let outcome = self
-            .slot
-            .wait_labeled(actor, "isend_cl done", |s| s.clone());
-        match outcome {
-            Ok(done_at) => actor.advance_until(done_at),
-            Err(e) => panic!("{e}"),
+        if let Err(e) = self.outcome(actor) {
+            panic!("{e}");
         }
     }
 
-    /// Block until the send completes, or return the transfer error if
-    /// the retry budget was exhausted.
+    /// Block until the send completes, or return the error: the retry
+    /// budget was exhausted, or `isend_cl` rejected its arguments.
     pub fn wait_result(self, actor: &Actor) -> ClResult<()> {
+        self.outcome(actor)
+    }
+
+    fn outcome(&self, actor: &Actor) -> ClResult<()> {
         // blocking-api: the whole point of waiting a send request.
-        let outcome = self
+        let done_at = self
             .slot
-            .wait_labeled(actor, "isend_cl done", |s| s.clone());
-        match outcome {
-            Ok(done_at) => {
-                actor.advance_until(done_at);
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
+            .wait_labeled(actor, "isend_cl done", |s| s.clone())?;
+        actor.advance_until(done_at);
+        Ok(())
     }
 }
 

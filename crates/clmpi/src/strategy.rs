@@ -154,9 +154,7 @@ pub mod analytic {
                     + pcie.staged_ns(size, true) // h2d
             }
             TransferStrategy::Mapped => {
-                let stream = (size as f64 * 1e9 / pcie.mapped_bps).round() as SimNs;
-                let fused = net.injection_ns(size).max(stream);
-                2 * pcie.map_setup_ns + fused + net.latency_ns
+                2 * pcie.map_setup_ns + sys.mapped_wire_ns(size) + net.latency_ns
             }
             TransferStrategy::Pipelined(block) => {
                 let plan = ResolvedStrategy::plan(TransferStrategy::Pipelined(block), size);

@@ -2,6 +2,7 @@
 
 use minicl::DeviceSpec;
 use simnet::ClusterSpec;
+use simtime::SimNs;
 
 use crate::strategy::TransferStrategy;
 
@@ -92,6 +93,15 @@ impl SystemConfig {
             TransferStrategy::Pipelined(0) => TransferStrategy::Pipelined(self.auto_block(size)),
             other => other,
         }
+    }
+
+    /// Wire time of a `bytes`-byte chunk under the mapped strategy: the
+    /// NIC streams straight through PCIe, so the injection and the
+    /// zero-copy stream fuse into one stage at the slower one's pace. The
+    /// engine and the closed form ([`crate::analytic`]) both ask here.
+    pub fn mapped_wire_ns(&self, bytes: usize) -> SimNs {
+        let stream = self.device.pcie.mapped_stream_ns(bytes);
+        self.cluster.link.injection_ns(bytes).max(stream)
     }
 
     /// Automatic pipeline block size: grows with the message (paper §V-B:

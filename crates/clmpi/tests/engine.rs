@@ -236,10 +236,11 @@ mod protocol {
         SystemConfig, TransferStrategy,
     };
     use minicl::{
-        Buffer, CommandQueue, Event, CL_MPI_TRANSFER_ERROR,
+        Buffer, ClError, CommandQueue, Event, CL_MPI_TRANSFER_ERROR,
         EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST,
     };
-    use minimpi::{run_world_faulty, DerivedType, FaultPlan, Process};
+    use minimpi::{run_world_faulty, DerivedType, FaultPlan, Process, Tag};
+    use simtime::Actor;
 
     /// Payload of every row: one size class for all four selectors.
     const SIZE: usize = 16 << 10;
@@ -805,6 +806,68 @@ mod protocol {
             (outcome, rt.obs_counters(), heard_ok, heard_failure)
         });
         (res.outputs, res.trace)
+    }
+
+    /// A misused host-side entry point, called with `(peer, tag)`: did it
+    /// say so, at once, to its caller?
+    type Misuse = fn(&ClMpi, &CommandQueue, &Buffer, &Actor, usize, Tag) -> bool;
+
+    /// The four host-side entry points that used to hand a bad peer or
+    /// tag to an engine thread (`enqueue_*` always validated).
+    const MISUSES: [(&str, Misuse); 4] = [
+        ("gpu_aware_send", |rt, q, buf, a, peer, tag| {
+            let r = rt.gpu_aware_send(a, q, buf, 0, SIZE, peer, tag);
+            matches!(r, Err(ClError::InvalidValue(_)))
+        }),
+        ("gpu_aware_recv", |rt, q, buf, a, peer, tag| {
+            let r = rt.gpu_aware_recv(a, q, buf, 0, SIZE, peer, tag);
+            matches!(r, Err(ClError::InvalidValue(_)))
+        }),
+        // The signature has no `Result`: the request is born failed.
+        ("isend_cl", |rt, _, _, a, peer, tag| {
+            let r = rt.isend_cl(a, peer, tag, &[7u8; SIZE]).wait_result(a);
+            matches!(r, Err(ClError::InvalidValue(_)))
+        }),
+        // Likewise: the event has failed by the time the call returns.
+        ("irecv_cl", |rt, _, _, a, peer, tag| {
+            let e = rt.irecv_cl(a, peer, tag, SIZE).event;
+            e.error_code() == Some(CL_MPI_TRANSFER_ERROR)
+        }),
+    ];
+
+    /// Misuse must not poison the world: a peer outside the communicator
+    /// or a tag outside the user range is the calling rank's error —
+    /// nothing is submitted, no virtual time passes — and the other rank,
+    /// and the caller's next command, finish normally. (Both used to
+    /// panic: the scheduler thread in `minimpi::p2p` with a poisoned clock
+    /// for every rank, or the caller in `data_tag`.)
+    #[test]
+    fn misuse_is_the_callers_error_and_the_world_goes_on() {
+        for (name, misuse) in MISUSES {
+            for (peer, tag) in [(9, 1), (1, -5), (1, minimpi::MAX_USER_TAG + 1)] {
+                let cluster = SystemConfig::ricc().cluster.clone();
+                let res = run_world_faulty(cluster, 2, FaultPlan::none(), move |p: Process| {
+                    let (rt, a) = (ClMpi::new(&p, SystemConfig::ricc()), &p.actor);
+                    let q = rt.context().create_queue(0, format!("r{}", p.rank()));
+                    let buf = rt.context().create_buffer(SIZE);
+                    let t0 = a.now_ns();
+                    let rejected = p.rank() != 0 || misuse(&rt, &q, &buf, a, peer, tag);
+                    let on_the_spot = a.now_ns() == t0;
+                    // The world is intact: a matched transfer still works.
+                    let e = if p.rank() == 0 {
+                        rt.enqueue_send_buffer(&q, &buf, true, 0, SIZE, 1, 3, &[], a)
+                    } else {
+                        rt.enqueue_recv_buffer(&q, &buf, true, 0, SIZE, 0, 3, &[], a)
+                    };
+                    let went_on = e.is_ok_and(|e| e.is_complete());
+                    rt.shutdown(a);
+                    (rejected, on_the_spot, went_on, rt.obs_counters().submitted)
+                });
+                let at = format!("{name}(peer {peer}, tag {tag})");
+                assert_eq!(res.outputs, vec![(true, true, true, 1); 2], "{at}");
+                assert_eq!(res.trace.ops().iter().filter(|o| !o.ok).count(), 0, "{at}");
+            }
+        }
     }
 
     /// Every entry point settles by one protocol: a failed wait-list

@@ -41,6 +41,12 @@ impl PcieModel {
         };
         self.latency_ns + (bytes as f64 * 1e9 / rate).round() as SimNs
     }
+
+    /// Zero-copy streaming duration for `bytes` through a mapped buffer
+    /// (excluding the map/unmap bookkeeping).
+    pub fn mapped_stream_ns(&self, bytes: usize) -> SimNs {
+        (bytes as f64 * 1e9 / self.mapped_bps).round() as SimNs
+    }
 }
 
 /// Static performance description of a compute device.

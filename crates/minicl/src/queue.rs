@@ -208,7 +208,7 @@ impl CommandQueue {
         buf.check_range(offset, size)?;
         let host = HostBuffer::pageable(size);
         let spec = self.shared.device.spec().pcie;
-        let cost = spec.map_setup_ns + (size as f64 * 1e9 / spec.mapped_bps).round() as SimNs;
+        let cost = spec.map_setup_ns + spec.mapped_stream_ns(size);
         let event = Event::new_queued(self.shared.clock.clone(), "map-buffer");
         let buf2 = buf.clone();
         let host2 = host.clone();
@@ -240,7 +240,7 @@ impl CommandQueue {
         let size = mapped.size();
         buf.check_range(offset, size)?;
         let spec = self.shared.device.spec().pcie;
-        let cost = spec.map_setup_ns + (size as f64 * 1e9 / spec.mapped_bps).round() as SimNs;
+        let cost = spec.map_setup_ns + spec.mapped_stream_ns(size);
         let event = Event::new_queued(self.shared.clock.clone(), "unmap");
         let buf2 = buf.clone();
         let mapped2 = mapped.clone();
