@@ -20,8 +20,9 @@
 //!
 //! Usage: `coll [--out path] [--trace-out path] [--results path]`
 
-use clmpi::obs::{chrome_trace, fnv1a, validate_json, ObsSummary};
+use clmpi::obs::{chrome_trace, ObsSummary};
 use clmpi::{analytic, ClMpi, CollAlgo, SystemConfig};
+use clmpi_bench::{fnv1a_f32s, write_artifact};
 use minimpi::{run_world_sized, Process};
 use nanopowder::{run_nanopowder, NanoConfig, NanoVariant};
 use simtime::Trace;
@@ -109,14 +110,7 @@ fn main() {
     };
     let fanout = nano(NanoVariant::ClMpiFanout);
     let bcast = nano(NanoVariant::ClMpi);
-    let n_fnv = |r: &nanopowder::NanoResult| {
-        fnv1a(
-            &r.final_n
-                .iter()
-                .flat_map(|v| v.to_bits().to_le_bytes())
-                .collect::<Vec<u8>>(),
-        )
-    };
+    let n_fnv = |r: &nanopowder::NanoResult| fnv1a_f32s(&r.final_n);
     assert_eq!(
         n_fnv(&fanout),
         n_fnv(&bcast),
@@ -155,14 +149,10 @@ fn main() {
         summary.to_json().trim_end(),
         summary.hash(),
     );
-    validate_json(&bench_json).expect("BENCH_coll json must be well-formed");
-    std::fs::write(&out, &bench_json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("(deterministic bench json written to {out})");
+    write_artifact(&out, &bench_json);
 
     let trace_json = chrome_trace(&ring_trace);
-    validate_json(&trace_json).expect("chrome trace must be well-formed");
-    std::fs::write(&trace_out, &trace_json).unwrap_or_else(|e| panic!("write {trace_out}: {e}"));
-    eprintln!("(chrome trace written to {trace_out} — open in chrome://tracing)");
+    write_artifact(&trace_out, &trace_json); // open in chrome://tracing
 
     let ms = |ns: u64| ns as f64 / 1e6;
     let gbps = |ns: u64| bps(ns) as f64 / 1e9;

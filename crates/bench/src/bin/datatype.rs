@@ -18,8 +18,9 @@
 //!
 //! Usage: `datatype [--out path] [--results path]`
 
-use clmpi::obs::{validate_json, ObsSummary};
+use clmpi::obs::ObsSummary;
 use clmpi::{ClMpi, PackMode, SystemConfig};
+use clmpi_bench::write_artifact;
 use himeno::{run_himeno, GridSize, HaloMode, HimenoConfig, Variant};
 use minimpi::{run_world_sized, DerivedType, Process};
 use simtime::Trace;
@@ -201,9 +202,7 @@ fn main() {
         summary.to_json().trim_end(),
         summary.hash(),
     );
-    validate_json(&bench_json).expect("BENCH_datatype json must be well-formed");
-    std::fs::write(&out, &bench_json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("(deterministic bench json written to {out})");
+    write_artifact(&out, &bench_json);
 
     let ms = |ns: u64| ns as f64 / 1e6;
     let mut table = String::new();

@@ -9,18 +9,11 @@
 //!
 //! Usage: `fig8 [cichlid|ricc] [--quick] [--bench-out path]`
 
-use clmpi::obs::validate_json;
 use clmpi::{analytic, SystemConfig};
-use clmpi_bench::{fig8_sizes, fig8_strategies, fmt_size, measure_p2p, CsvOut};
-
-/// One measured point, as persisted to `BENCH_p2p.json`.
-struct Point {
-    system: String,
-    size: usize,
-    strategy: String,
-    per_transfer_ns: u64,
-    mbps_bits: u64,
-}
+use clmpi_bench::{
+    fig8_sizes, fig8_strategies, fmt_size, measure_p2p, write_bench_json, CsvOut,
+    PersistedPoint as Point,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -54,7 +47,7 @@ fn main() {
         run_system(&sys, quick, &mut csv, &mut points);
     }
     csv.finish();
-    write_bench_json(&bench_out, quick, &points);
+    write_bench_json(&bench_out, "p2p_bandwidth", "strategy", quick, &points);
 }
 
 fn run_system(sys: &SystemConfig, quick: bool, csv: &mut CsvOut, points: &mut Vec<Point>) {
@@ -93,13 +86,7 @@ fn run_system(sys: &SystemConfig, quick: bool, csv: &mut CsvOut, points: &mut Ve
                 st.name(),
                 format!("{:.2}", bp.mbps),
             ]);
-            points.push(Point {
-                system: sys.cluster.name.to_string(),
-                size: bp.size,
-                strategy: st.name(),
-                per_transfer_ns: bp.per_transfer_ns,
-                mbps_bits: bp.mbps.to_bits(),
-            });
+            points.push(Point::new(sys, st.name(), &bp));
             print!("  {:>15.1}", bp.mbps);
         }
         // Cross-check: analytic model of the best fixed strategy.
@@ -115,29 +102,4 @@ fn run_system(sys: &SystemConfig, quick: bool, csv: &mut CsvOut, points: &mut Ve
         sys.small_message_strategy.name(),
         sys.pipeline_threshold >> 20
     );
-}
-
-/// Persist every measured point as deterministic JSON. `mbps` is stored
-/// as an IEEE-754 bit pattern (exact equality across runs); the
-/// human-readable rate is recoverable as `f64::from_bits`.
-fn write_bench_json(path: &str, quick: bool, points: &[Point]) {
-    let mut body = String::new();
-    for (i, p) in points.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{ \"system\": \"{}\", \"size\": {}, \"strategy\": \"{}\", \
-             \"per_transfer_ns\": {}, \"mbps_bits\": {} }}{}\n",
-            p.system,
-            p.size,
-            p.strategy,
-            p.per_transfer_ns,
-            p.mbps_bits,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"p2p_bandwidth\",\n  \"quick\": {quick},\n  \"points\": [\n{body}  ]\n}}\n"
-    );
-    validate_json(&json).expect("BENCH json must be well-formed");
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("(deterministic bench json written to {path})");
 }

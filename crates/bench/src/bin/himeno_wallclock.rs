@@ -19,9 +19,9 @@
 //!                          [--bench-out path] [--trace-out path]
 //!                          [--samples N] [--iters N] [--nodes N]`
 
-use clmpi::obs::{chrome_trace, fnv1a, validate_json, ObsSummary};
+use clmpi::obs::{chrome_trace, ObsSummary};
 use clmpi::SystemConfig;
-use clmpi_bench::wallclock_samples;
+use clmpi_bench::{fnv1a_f32s, wallclock_samples, write_artifact};
 use himeno::{run_himeno, GridSize, HimenoConfig, Variant};
 use nanopowder::{run_nanopowder, NanoConfig, NanoVariant};
 
@@ -73,13 +73,7 @@ fn main() {
             nodes: 4,
         },
     );
-    let nano_fnv = fnv1a(
-        &nano
-            .final_n
-            .iter()
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .collect::<Vec<u8>>(),
-    );
+    let nano_fnv = fnv1a_f32s(&nano.final_n);
 
     // -- Deterministic artifacts (BENCH_* + Chrome trace) ---------------
     let summary = ObsSummary::from_trace(&him.trace);
@@ -106,14 +100,10 @@ fn main() {
         summary.to_json().trim_end(),
         summary.hash(),
     );
-    validate_json(&bench_json).expect("BENCH json must be well-formed");
-    std::fs::write(&bench_out, &bench_json).unwrap_or_else(|e| panic!("write {bench_out}: {e}"));
-    eprintln!("(deterministic bench json written to {bench_out})");
+    write_artifact(&bench_out, &bench_json);
 
     let trace_json = chrome_trace(&him.trace);
-    validate_json(&trace_json).expect("chrome trace must be well-formed");
-    std::fs::write(&trace_out, &trace_json).unwrap_or_else(|e| panic!("write {trace_out}: {e}"));
-    eprintln!("(chrome trace written to {trace_out} — open in chrome://tracing)");
+    write_artifact(&trace_out, &trace_json); // open in chrome://tracing
 
     println!("overlap accounting (quantitative Fig. 4, himeno M / clMPI):");
     println!("{}", summary.overlap.render());
@@ -140,6 +130,5 @@ fn main() {
         ms(times[times.len() - 1]),
     );
     println!("{json}");
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("(bench json written to {out})");
+    write_artifact(&out, &json); // wall-clock fields: host-dependent, gitignored
 }

@@ -19,8 +19,9 @@
 //!
 //! Usage: `recovery [--out path] [--results path]`
 
-use clmpi::obs::{validate_json, ObsSummary};
+use clmpi::obs::ObsSummary;
 use clmpi::SystemConfig;
+use clmpi_bench::write_artifact;
 use himeno::{reference_jacobi, run_himeno_recover, GridSize, RecoverConfig};
 use minimpi::FaultPlan;
 
@@ -189,9 +190,7 @@ fn main() {
         summary.to_json().trim_end(),
         summary.hash(),
     );
-    validate_json(&bench_json).expect("BENCH_recovery json must be well-formed");
-    std::fs::write(&out, &bench_json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("(deterministic bench json written to {out})");
+    write_artifact(&out, &bench_json);
 
     let ms = |ns: u64| ns as f64 / 1e6;
     let mut table = String::new();

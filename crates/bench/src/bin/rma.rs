@@ -15,18 +15,10 @@
 //!
 //! Usage: `rma [cichlid|ricc|cxl-pod] [--quick] [--bench-out path]`
 
-use clmpi::obs::validate_json;
 use clmpi::{SystemConfig, TransferStrategy};
-use clmpi_bench::{fmt_size, measure_p2p, measure_rma, CsvOut};
-
-/// One measured point, as persisted to `BENCH_rma.json`.
-struct Point {
-    system: String,
-    size: usize,
-    path: String,
-    per_transfer_ns: u64,
-    mbps_bits: u64,
-}
+use clmpi_bench::{
+    fmt_size, measure_p2p, measure_rma, write_bench_json, CsvOut, PersistedPoint as Point,
+};
 
 /// The (world, origin, target, label) pairs swept per system: every
 /// fabric gets the adjacent pair; CXL-Pod adds a cross-pod pair so the
@@ -72,7 +64,7 @@ fn main() {
     }
     csv.finish();
     assert_colocated_rma_wins(&points);
-    write_bench_json(&bench_out, quick, &points);
+    write_bench_json(&bench_out, "rma_bandwidth", "path", quick, &points);
 }
 
 fn run_system(sys: &SystemConfig, quick: bool, csv: &mut CsvOut, points: &mut Vec<Point>) {
@@ -132,13 +124,7 @@ fn record(
         path.to_string(),
         format!("{:.2}", bp.mbps),
     ]);
-    points.push(Point {
-        system: sys.cluster.name.to_string(),
-        size: bp.size,
-        path: path.to_string(),
-        per_transfer_ns: bp.per_transfer_ns,
-        mbps_bits: bp.mbps.to_bits(),
-    });
+    points.push(Point::new(sys, path.to_string(), bp));
 }
 
 /// Tentpole acceptance: on CXL-Pod every co-located RMA point of
@@ -146,11 +132,11 @@ fn record(
 fn assert_colocated_rma_wins(points: &[Point]) {
     for p in points
         .iter()
-        .filter(|p| p.system == "CXL-Pod" && p.path == "rma" && p.size >= 1 << 20)
+        .filter(|p| p.system == "CXL-Pod" && p.label == "rma" && p.size >= 1 << 20)
     {
         let two = points
             .iter()
-            .find(|q| q.system == p.system && q.size == p.size && q.path == "two-sided")
+            .find(|q| q.system == p.system && q.size == p.size && q.label == "two-sided")
             .expect("matching two-sided point");
         let (rma, base) = (f64::from_bits(p.mbps_bits), f64::from_bits(two.mbps_bits));
         assert!(
@@ -159,29 +145,4 @@ fn assert_colocated_rma_wins(points: &[Point]) {
             fmt_size(p.size)
         );
     }
-}
-
-/// Persist every measured point as deterministic JSON. `mbps` is stored
-/// as an IEEE-754 bit pattern (exact equality across runs); the
-/// human-readable rate is recoverable as `f64::from_bits`.
-fn write_bench_json(path: &str, quick: bool, points: &[Point]) {
-    let mut body = String::new();
-    for (i, p) in points.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{ \"system\": \"{}\", \"size\": {}, \"path\": \"{}\", \
-             \"per_transfer_ns\": {}, \"mbps_bits\": {} }}{}\n",
-            p.system,
-            p.size,
-            p.path,
-            p.per_transfer_ns,
-            p.mbps_bits,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"rma_bandwidth\",\n  \"quick\": {quick},\n  \"points\": [\n{body}  ]\n}}\n"
-    );
-    validate_json(&json).expect("BENCH json must be well-formed");
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("(deterministic bench json written to {path})");
 }

@@ -26,8 +26,9 @@
 
 use std::time::Instant;
 
-use clmpi::obs::{validate_json, ObsSummary};
+use clmpi::obs::ObsSummary;
 use clmpi::SystemConfig;
+use clmpi_bench::write_artifact;
 use himeno::{run_himeno_with_faults_mode, GridSize, HimenoConfig, Variant};
 use minimpi::FaultPlan;
 use nanopowder::{run_nanopowder_mode, NanoConfig, NanoVariant};
@@ -265,9 +266,7 @@ fn main() {
          \"oracle_match_world64\": true,\n\
          \"configs\": [\n{configs}]\n}}\n"
     );
-    validate_json(&bench_json).expect("BENCH_scale json must be well-formed");
-    std::fs::write(&out, &bench_json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("(deterministic bench json written to {out})");
+    write_artifact(&out, &bench_json);
 
     // -- Host-dependent sidecar ------------------------------------------
     let mut side = String::new();
@@ -283,9 +282,7 @@ fn main() {
         ));
     }
     let side_json = format!("{{\n\"bench\": \"scale-wallclock\",\n\"configs\": [\n{side}]\n}}\n");
-    validate_json(&side_json).expect("scale sidecar json must be well-formed");
-    std::fs::write(&results, &side_json).unwrap_or_else(|e| panic!("write {results}: {e}"));
-    eprintln!("(wall-clock sidecar written to {results})");
+    write_artifact(&results, &side_json); // the host-dependent wall-clock sidecar
 
     for r in &rows {
         println!(

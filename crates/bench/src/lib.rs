@@ -223,6 +223,77 @@ impl CsvOut {
     }
 }
 
+/// Write one JSON artifact: refuse to write malformed JSON (the workspace
+/// has no serde — every artifact is hand-rolled), then say where it went.
+pub fn write_artifact(path: &str, json: &str) {
+    clmpi::validate_json(json).unwrap_or_else(|e| panic!("{path} must be well-formed JSON: {e}"));
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    eprintln!("(artifact written to {path})");
+}
+
+/// One measured bandwidth point as `BENCH_p2p.json` / `BENCH_rma.json`
+/// persist it. `mbps` is stored as an IEEE-754 bit pattern (exact
+/// equality across runs); the human-readable rate is recoverable as
+/// `f64::from_bits`.
+pub struct PersistedPoint {
+    pub system: String,
+    pub size: usize,
+    /// What the point varies besides size: the strategy, or the path.
+    pub label: String,
+    pub per_transfer_ns: u64,
+    pub mbps_bits: u64,
+}
+
+impl PersistedPoint {
+    pub fn new(sys: &SystemConfig, label: String, bp: &BandwidthPoint) -> Self {
+        PersistedPoint {
+            system: sys.cluster.name.to_string(),
+            size: bp.size,
+            label,
+            per_transfer_ns: bp.per_transfer_ns,
+            mbps_bits: bp.mbps.to_bits(),
+        }
+    }
+}
+
+/// Persist every measured point of `bench` as deterministic JSON, each
+/// point's label under the key `label_key`.
+pub fn write_bench_json(
+    path: &str,
+    bench: &str,
+    label_key: &str,
+    quick: bool,
+    points: &[PersistedPoint],
+) {
+    let mut body = String::new();
+    for (i, p) in points.iter().enumerate() {
+        body.push_str(&format!(
+            "    {{ \"system\": \"{}\", \"size\": {}, \"{label_key}\": \"{}\", \
+             \"per_transfer_ns\": {}, \"mbps_bits\": {} }}{}\n",
+            p.system,
+            p.size,
+            p.label,
+            p.per_transfer_ns,
+            p.mbps_bits,
+            if i + 1 < points.len() { "," } else { "" }
+        ));
+    }
+    let json = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"quick\": {quick},\n  \"points\": [\n{body}  ]\n}}\n"
+    );
+    write_artifact(path, &json);
+}
+
+/// FNV-1a over the bit patterns of `values` — the fingerprint the
+/// artifacts keep of nanopowder's `final_n`.
+pub fn fnv1a_f32s(values: &[f32]) -> u64 {
+    let bytes: Vec<u8> = values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    clmpi::obs::fnv1a(&bytes)
+}
+
 /// Render a fixed-width table row.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
     cells
