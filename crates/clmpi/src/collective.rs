@@ -52,7 +52,8 @@ use minimpi::{Rank, RecvResult, ReduceOp, Tag};
 use simtime::{Actor, SimNs};
 
 use crate::engine::{
-    Advance, ChunkRecv, Envelope, Hop, OpBody, OpCx, RecvPoll, ReliableChunkSend, SendQueue,
+    load, store, Advance, ChunkRecv, Envelope, Hop, OpBody, OpCx, RecvPoll, ReliableChunkSend,
+    SendQueue,
 };
 use crate::obs::Via;
 use crate::runtime::{ClMpi, Inner};
@@ -235,17 +236,14 @@ impl ClMpi {
         _actor: &Actor,
     ) -> ClResult<Event> {
         let n = self.comm().size();
-        let tuning = if self.rank() == root {
-            if let Some(sel) = self.inner.coll_bcast.lock().as_ref() {
-                sel.choose((size, n))
-            } else {
-                default_bcast_tuning(&self.inner.cfg, size, n)
-            }
-        } else {
-            // Receivers take the topology from the wire header.
-            default_bcast_tuning(&self.inner.cfg, size, n)
+        let tuner = self.inner.coll_bcast.lock().clone();
+        // Only the root chooses: receivers take the topology from the wire
+        // header.
+        let tuning = match &tuner {
+            Some(sel) if self.rank() == root => sel.choose((size, n)),
+            _ => default_bcast_tuning(&self.inner.cfg, size, n),
         };
-        let report = self.inner.coll_bcast.lock().is_some();
+        let report = tuner.is_some();
         self.submit_bcast(
             queue, buf, offset, size, root, tag, tuning, report, wait_list,
         )
@@ -572,10 +570,7 @@ impl BcastRootBody {
         let mut first = true;
         let layout = chunk_layout(self.size, self.tuning.chunk.max(1));
         for (k, &(coff, clen)) in layout.iter().enumerate() {
-            let payload = self
-                .buf
-                .load(self.offset + coff, clen)
-                .expect("range checked at enqueue");
+            let payload = load(&self.buf, self.offset + coff, clen);
             let send_from = if clen == 0 {
                 now
             } else {
@@ -717,9 +712,7 @@ impl BcastRecvBody {
             ));
         }
         if !payload.is_empty() {
-            self.buf
-                .store(self.offset + self.run.received, payload)
-                .expect("range checked at enqueue");
+            store(&self.buf, self.offset + self.run.received, payload);
             let h2d = Hop::H2d.stage(cx, &self.device, payload.len(), now);
             self.run.last_h2d_end = self.run.last_h2d_end.max(h2d.1);
         }
@@ -1090,9 +1083,7 @@ impl RingReduceBody {
     /// Write the final region bytes to the device: buffer store plus one
     /// h2d staging reservation.
     fn begin_store(&mut self, cx: &mut OpCx, bytes: Vec<u8>, at: SimNs) {
-        self.buf
-            .store(self.offset, &bytes)
-            .expect("range checked at enqueue");
+        store(&self.buf, self.offset, &bytes);
         let h2d = Hop::H2d.stage(cx, &self.device, bytes.len(), at);
         self.run.state = RingState::Store { end: h2d.1 };
     }
@@ -1109,10 +1100,7 @@ impl OpBody for RingReduceBody {
                         // already the result, in place.
                         return self.finish(cx, now);
                     }
-                    let bytes = self
-                        .buf
-                        .load(self.offset, self.size())
-                        .expect("range checked at enqueue");
+                    let bytes = load(&self.buf, self.offset, self.size());
                     self.run.host = f64s_of(&bytes);
                     let from = now + self.device.spec().pcie.pin_setup_ns;
                     let d2h = Hop::D2h.stage(cx, &self.device, bytes.len(), from);

@@ -56,7 +56,7 @@
 //! chunk loop with retry, backoff and degradation), [`ChunkRecv`] (posted
 //! receive + patience + dead-peer fast-fail), [`Hop`] (reserve a PCIe or
 //! pack-kernel hop, record its `stage.*` span), and `fileio`'s
-//! `DiskWait`. Bodies tell the stats and selectors themselves, where the
+//! `DiskWait`. Bodies tell the ledger and selectors themselves, where the
 //! last chunk lands or the transfer fails; a poisoned gate never reaches
 //! a body, so it reaches no selector. DESIGN.md §8c has the table of all
 //! operations and the traps (what is byte-visible about *when* a body
@@ -369,7 +369,7 @@ struct OpObs {
 pub(crate) struct OpCx {
     pub(crate) inner: Arc<Inner>,
     /// The instant the wait list let the body run (every duration the
-    /// stats and selectors hear is measured from here).
+    /// ledger and selectors hear is measured from here).
     pub(crate) t0: SimNs,
     /// `None` for the two untraced file commands (`enqueue_write_file` /
     /// `enqueue_read_file`): no id block, no envelope, no counters.
@@ -1178,6 +1178,18 @@ impl Hop {
 // Device-buffer transfer bodies (enqueue_send/recv_buffer, gpu-aware)
 // ----------------------------------------------------------------------
 
+/// Read a body's source bytes. Every entry point range-checks its buffer
+/// region on the calling thread, so a body's loads and stores cannot
+/// miss — here is the one place that relies on it.
+pub(crate) fn load(buf: &Buffer, offset: usize, len: usize) -> Vec<u8> {
+    buf.load(offset, len).expect("range checked at enqueue")
+}
+
+/// Land bytes in a body's destination region (see [`load`]).
+pub(crate) fn store(buf: &Buffer, offset: usize, data: &[u8]) {
+    buf.store(offset, data).expect("range checked at enqueue");
+}
+
 /// A derived-datatype lowering attached to a transfer body: the
 /// committed type map plus the pack canonicalization mode (the TEMPI
 /// axis). When present, `offset`/`size` on the body describe the *region
@@ -1207,10 +1219,7 @@ impl Lowering {
     fn gather(&self, buf: &Buffer, offset: usize, lo: usize, hi: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(hi - lo);
         for (soff, slen) in self.ty.segments_for_packed_range(lo, hi) {
-            out.extend_from_slice(
-                &buf.load(offset + soff, slen)
-                    .expect("range checked at enqueue"),
-            );
+            out.extend_from_slice(&load(buf, offset + soff, slen));
         }
         out
     }
@@ -1220,8 +1229,7 @@ impl Lowering {
     fn scatter(&self, buf: &Buffer, offset: usize, lo: usize, data: &[u8]) {
         let mut pos = 0usize;
         for (soff, slen) in self.ty.segments_for_packed_range(lo, lo + data.len()) {
-            buf.store(offset + soff, &data[pos..pos + slen])
-                .expect("range checked at enqueue");
+            store(buf, offset + soff, &data[pos..pos + slen]);
             pos += slen;
         }
     }
@@ -1269,6 +1277,27 @@ impl<R: Default> TransferBody<R> {
     }
 }
 
+impl<R> TransferBody<R> {
+    /// Who is told when the last chunk lands `dur` after the gate opened:
+    /// the ledger and the attached tuner.
+    fn landed(&self, cx: &OpCx, direction: &'static str, dur: SimNs) {
+        cx.landed(direction, Via::Strategy(self.strategy), self.size, dur);
+        if let Some(sel) = cx.inner.adaptive.lock().as_ref() {
+            sel.observe(self.size, self.strategy, dur);
+        }
+    }
+
+    /// A transfer-level failure (retry budget, receiver timeout,
+    /// overflow) is a completed — failed — probe: tell the tuner, so it
+    /// retires the strategy instead of starving on it.
+    fn fail(&self, cx: &OpCx, e: ClError, at: SimNs) -> Advance {
+        if let Some(sel) = cx.inner.adaptive.lock().as_ref() {
+            sel.observe_failure(self.size, self.strategy);
+        }
+        Advance::Failed(e, at)
+    }
+}
+
 /// `clEnqueueSendBuffer`: chunked device→host staging and reliable
 /// network injection → completion at the last injection's end. Chunk
 /// k+1's staging is reserved only once chunk k is known delivered;
@@ -1289,11 +1318,7 @@ impl SendBody {
     fn arm(&mut self, cx: &mut OpCx, k: usize) {
         let (coff, clen) = self.run.chunks[k];
         let pcie = self.device.spec().pcie;
-        let load = || {
-            self.buf
-                .load(self.offset + coff, clen)
-                .expect("range checked at enqueue")
-        };
+        let plain = || load(&self.buf, self.offset + coff, clen);
         // (payload, hops staged, wire-span start, injection earliest,
         // duration override, wire-span name)
         let (bytes, staged, start, earliest, duration, what) = match self.strategy {
@@ -1304,7 +1329,7 @@ impl SendBody {
                 let fused = cx.inner.cfg.mapped_wire_ns(clen);
                 let earliest = cx.t0 + pcie.map_setup_ns;
                 (
-                    load(),
+                    plain(),
                     [None, None],
                     cx.t0,
                     earliest,
@@ -1320,7 +1345,7 @@ impl SendBody {
                     None => {
                         let cost = pcie.staged_ns(clen, true);
                         let d2h = Hop::D2h.reserve(&self.device, cost, from);
-                        (load(), [Some((Hop::D2h, d2h)), None], d2h.1)
+                        (plain(), [Some((Hop::D2h, d2h)), None], d2h.1)
                     }
                     Some(l) if l.mode == PackMode::HostPack => {
                         // Host-pack baseline: the type map is gathered
@@ -1374,15 +1399,7 @@ impl OpBody for SendBody {
         }
         loop {
             match self.run.queue.drive(cx, now, actor) {
-                Err((at, e)) => {
-                    // A transfer-level failure is a completed (failed)
-                    // probe: report it so the adaptive tuner retires the
-                    // strategy instead of starving on it.
-                    if let Some(sel) = cx.inner.adaptive.lock().as_ref() {
-                        sel.observe_failure(self.size, self.strategy);
-                    }
-                    return Advance::Failed(e, at);
-                }
+                Err((at, e)) => return self.fail(cx, e, at),
                 Ok(Some(t)) => return Advance::Park(Some(t)),
                 Ok(None) if self.run.next == self.run.chunks.len() => break,
                 // The previous chunk is delivered: arm the next one at
@@ -1394,11 +1411,7 @@ impl OpBody for SendBody {
             }
         }
         let done_at = self.run.queue.done_at.max(cx.t0);
-        let dur = done_at - cx.t0;
-        cx.landed("send", Via::Strategy(self.strategy), self.size, dur);
-        if let Some(sel) = cx.inner.adaptive.lock().as_ref() {
-            sel.observe(self.size, self.strategy, dur);
-        }
+        self.landed(cx, "send", done_at - cx.t0);
         Advance::Done(done_at)
     }
 }
@@ -1445,15 +1458,6 @@ enum RecvState {
 }
 
 impl RecvBody {
-    /// As on the send side: a transfer failure (receiver timeout,
-    /// overflow) retires the probed strategy.
-    fn fail(&self, cx: &OpCx, e: ClError, at: SimNs) -> Advance {
-        if let Some(sel) = cx.inner.adaptive.lock().as_ref() {
-            sel.observe_failure(self.size, self.strategy);
-        }
-        Advance::Failed(e, at)
-    }
-
     /// A chunk of `len` bytes is in device memory: post the next receive,
     /// or finish the command.
     fn chunk_done(&mut self, cx: &OpCx, len: usize, now: SimNs, actor: &Actor) -> Option<Advance> {
@@ -1474,11 +1478,7 @@ impl RecvBody {
     }
 
     fn finish(&self, cx: &OpCx, now: SimNs) -> Advance {
-        let dur = now.saturating_sub(cx.t0);
-        cx.landed("recv", Via::Strategy(self.strategy), self.size, dur);
-        if let Some(sel) = cx.inner.adaptive.lock().as_ref() {
-            sel.observe(self.size, self.strategy, dur);
-        }
+        self.landed(cx, "recv", now.saturating_sub(cx.t0));
         Advance::Done(now)
     }
 }
@@ -1541,9 +1541,7 @@ impl OpBody for RecvBody {
                         // Zero-copy: the NIC already wrote through PCIe
                         // during the sender-fused stream; the data is
                         // usable at arrival.
-                        self.buf
-                            .store(self.offset + self.run.received, &data)
-                            .expect("range checked at enqueue");
+                        store(&self.buf, self.offset + self.run.received, &data);
                         if let Some(done) = self.chunk_done(cx, data.len(), now, actor) {
                             return done;
                         }
@@ -1569,10 +1567,7 @@ impl OpBody for RecvBody {
                     let (data, span) = (std::mem::take(data), *span);
                     Hop::H2d.record(cx, span, data.len(), true);
                     match &self.lowering {
-                        None => self
-                            .buf
-                            .store(self.offset + self.run.received, &data)
-                            .expect("range checked at enqueue"),
+                        None => store(&self.buf, self.offset + self.run.received, &data),
                         // The host already scattered segment-by-segment
                         // during the h2d hop.
                         Some(l) if l.mode == PackMode::HostPack => {
@@ -1944,10 +1939,7 @@ impl PutBody {
                 }
                 TransferStrategy::Auto => unreachable!("strategy resolved before dispatch"),
             };
-            let bytes = self
-                .buf
-                .load(self.offset + coff, clen)
-                .expect("range checked at enqueue");
+            let bytes = load(&self.buf, self.offset + coff, clen);
             let at = self.win_offset + coff;
             let h = self
                 .win
@@ -2053,9 +2045,7 @@ impl OpBody for GetBody {
                     if now < end {
                         return Advance::Park(Some(end));
                     }
-                    self.buf
-                        .store(self.offset, data)
-                        .expect("range checked at enqueue");
+                    store(&self.buf, self.offset, data);
                     let dur = end.saturating_sub(cx.t0);
                     cx.landed("get", Via::Strategy(TransferStrategy::Rma), self.size, dur);
                     return Advance::Done(end);
@@ -2111,10 +2101,7 @@ impl OpBody for AccumulateBody {
                     if now < end {
                         return Advance::Park(Some(end));
                     }
-                    let bytes = self
-                        .buf
-                        .load(self.offset, self.size)
-                        .expect("range checked at enqueue");
+                    let bytes = load(&self.buf, self.offset, self.size);
                     let posted = self
                         .win
                         .accumulate(self.target, self.win_offset, &bytes, self.op);

@@ -16,7 +16,7 @@ use simnet::{DeferredArbiter, Link, LinkSpec};
 use simtime::plock::Mutex;
 use simtime::{Actor, Monitor, SimClock, SimNs};
 
-use crate::engine::{Advance, Envelope, Hop, OpBody, OpCx, OpFrame, OpSpec};
+use crate::engine::{load, store, Advance, Envelope, Hop, OpBody, OpCx, OpFrame, OpSpec};
 use crate::obs::fnv1a;
 
 /// A simulated node-local storage device: an in-memory "filesystem" plus
@@ -394,10 +394,7 @@ impl OpBody for FileStoreBody {
                     let staged = Hop::D2h.reserve(&self.device, cost, now + pcie.pin_setup_ns);
                     // Snapshot the region when staging starts: later
                     // device-side writes do not leak into the file.
-                    let payload = self
-                        .buf
-                        .load(self.offset, self.size)
-                        .expect("range checked at enqueue");
+                    let payload = load(&self.buf, self.offset, self.size);
                     let file = if self.framed {
                         encode_checkpoint(&payload)
                     } else {
@@ -555,9 +552,7 @@ impl OpBody for FileLoadBody {
                     if now < *at {
                         return Advance::Park(Some(*at));
                     }
-                    self.buf
-                        .store(self.offset, payload)
-                        .expect("range checked at enqueue");
+                    store(&self.buf, self.offset, payload);
                     return Advance::Done(*at);
                 }
                 FileLoadState::Fail { at, why } => {

@@ -118,10 +118,7 @@ impl Inner {
     /// dead per the fabric's fault-plan schedule (the deterministic
     /// ground truth the ULFM-style layer classifies against).
     pub(crate) fn peer_failed(&self, local: Rank, t: SimNs) -> bool {
-        if self.failed.peek(|f| f.contains(&local)) {
-            return true;
-        }
-        self.comm.is_proc_failed(local, t)
+        self.failed.peek(|f| f.contains(&local)) || self.comm.is_proc_failed(local, t)
     }
 }
 
