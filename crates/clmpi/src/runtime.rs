@@ -367,12 +367,8 @@ impl ClMpi {
     pub fn revoke(&self) {
         self.inner.comm.revoke();
         let now = self.inner.clock.now_ns();
-        self.record_recovery(
-            Envelope::new("op.revoke", "revoke".into(), None),
-            now,
-            now,
-            true,
-        );
+        let env = Envelope::new("op.revoke", "revoke".into(), None);
+        self.record_recovery(env, now, now, true);
     }
 
     /// `MPI_Comm_shrink`: run the fault-tolerant agreement over the
