@@ -1,6 +1,8 @@
-//! The panic-path ratchet baseline: a committed per-crate count of
-//! `unwrap(` / `expect(` / `panic!` occurrences, stored in
-//! `crates/checker/baseline.toml` and parsed by this hand-rolled reader
+//! The panic-path ratchet baseline: a committed count of `unwrap(` /
+//! `expect(` / `panic!` / `unreachable!` occurrences per crate — what it
+//! ships (`[<crate>]`: `src/` outside `#[cfg(test)]` modules) apart from
+//! its test code (`[<crate>.tests]`: those modules and `tests/`) — stored
+//! in `crates/checker/baseline.toml` and parsed by this hand-rolled reader
 //! (the workspace has zero external dependencies, so no `toml` crate).
 //!
 //! Grammar — a strict subset of TOML, enough for the ratchet:
@@ -12,6 +14,9 @@
 //! expect = 3
 //! panic = 1
 //! unreachable = 0
+//!
+//! [crate-name.tests]
+//! unwrap = 40
 //!
 //! [allow]
 //! lock-lifetime = 2
@@ -33,9 +38,10 @@ pub struct Counts {
     pub unreachable: usize,
 }
 
-/// Baseline table, ordered by crate name so serialization is canonical.
+/// Baseline table, ordered by section name so serialization is canonical.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Baseline {
+    /// Keyed by section name: `<crate>` or `<crate>.tests`.
     pub crates: BTreeMap<String, Counts>,
     /// `checker-allow(<pass>)` marker counts, keyed by pass id.
     pub allows: BTreeMap<String, usize>,
@@ -93,7 +99,8 @@ impl Baseline {
         let mut s = String::from(
             "# Panic-path and allow-marker ratchet baseline (checker pass 3).\n\
              # Counts of unwrap( / expect( / panic! / unreachable! tokens per library\n\
-             # crate, src/ and tests/ included, comments and strings excluded; plus\n\
+             # crate, comments and strings excluded: [<crate>] is src/ outside\n\
+             # #[cfg(test)] modules, [<crate>.tests] those modules and tests/; plus\n\
              # checker-allow(<pass>) marker counts in [allow].\n\
              # New code may only move these numbers DOWN. After an improvement,\n\
              # regenerate with: cargo run -p checker -- --write-baseline\n",

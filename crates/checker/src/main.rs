@@ -28,7 +28,9 @@ const EXPLANATIONS: [(&str, &str); 9] = [
     (
         "panic-ratchet",
         "Counts of unwrap( / expect( / panic! / unreachable! per library crate —\n\
-         and of checker-allow(<pass>) markers per pass — are pinned in\n\
+         what it ships ([<crate>]: src/ outside #[cfg(test)] modules) apart from\n\
+         its test code ([<crate>.tests]: those modules and tests/) — and of\n\
+         checker-allow(<pass>) markers per pass are pinned in\n\
          crates/checker/baseline.toml and may only move DOWN. Improvements are\n\
          locked in with --write-baseline; regressions fail CI. (DESIGN.md §9 P3)",
     ),

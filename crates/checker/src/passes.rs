@@ -183,11 +183,12 @@ pub fn pass_blocking_markers(ws: &Workspace, out: &mut Vec<Diag>) {
 // ----------------------------------------------------------------------
 
 /// Count `unwrap(` / `expect(` / `panic!` / `unreachable!` code tokens
-/// per library crate — and `// checker-allow(<pass>)` markers per pass —
-/// and compare against the committed `crates/checker/baseline.toml`.
-/// Counts may only move down; an improvement must be locked in by
-/// regenerating the baseline, and a regression is an error naming the
-/// crate (or pass) and the delta.
+/// per library crate — shipped code and test code in sections of their
+/// own, see [`crate::baseline`] — and `// checker-allow(<pass>)` markers
+/// per pass, and compare against the committed
+/// `crates/checker/baseline.toml`. Counts may only move down; an
+/// improvement must be locked in by regenerating the baseline, and a
+/// regression is an error naming the section (or pass) and the delta.
 pub fn pass_panic_ratchet(ws: &Workspace, out: &mut Vec<Diag>) {
     const PASS: &str = "panic-ratchet";
     let baseline = match Baseline::parse(&ws.baseline_text) {
@@ -202,9 +203,9 @@ pub fn pass_panic_ratchet(ws: &Workspace, out: &mut Vec<Diag>) {
             return;
         }
     };
-    for krate in LIBRARY_CRATES {
-        let actual = count_panic_paths(ws, krate);
-        let base = baseline.crates.get(krate).copied().unwrap_or_default();
+    for (section, krate, tests) in ratchet_sections() {
+        let actual = count_panic_paths(ws, krate, tests);
+        let base = baseline.crates.get(&section).copied().unwrap_or_default();
         for (kind, got, want) in [
             ("unwrap(", actual.unwrap, base.unwrap),
             ("expect(", actual.expect, base.expect),
@@ -217,9 +218,9 @@ pub fn pass_panic_ratchet(ws: &Workspace, out: &mut Vec<Diag>) {
                     file: format!("crates/{krate}"),
                     line: 0,
                     msg: format!(
-                        "`{kind}` count ratcheted UP: {got} > baseline {want} — new code \
-                         must not add panic paths; return a Result or justify with \
-                         context via expect() *and* lower another site (DESIGN.md §9 P3)"
+                        "[{section}] `{kind}` count ratcheted UP: {got} > baseline {want} — \
+                         new code must not add panic paths; return a Result or justify \
+                         with context via expect() *and* lower another site (DESIGN.md §9 P3)"
                     ),
                 });
             } else if got < want {
@@ -228,8 +229,8 @@ pub fn pass_panic_ratchet(ws: &Workspace, out: &mut Vec<Diag>) {
                     file: format!("crates/{krate}"),
                     line: 0,
                     msg: format!(
-                        "`{kind}` count improved: {got} < baseline {want} — lock it in \
-                         with `cargo run -p checker -- --write-baseline` and commit \
+                        "[{section}] `{kind}` count improved: {got} < baseline {want} — lock \
+                         it in with `cargo run -p checker -- --write-baseline` and commit \
                          crates/checker/baseline.toml"
                     ),
                 });
@@ -264,11 +265,25 @@ pub fn pass_panic_ratchet(ws: &Workspace, out: &mut Vec<Diag>) {
     }
 }
 
-/// The counting half of pass 3, also used by `--write-baseline`.
-pub fn count_panic_paths(ws: &Workspace, krate: &str) -> Counts {
+/// The baseline sections of pass 3: `(section name, crate, test side?)`.
+fn ratchet_sections() -> impl Iterator<Item = (String, &'static str, bool)> {
+    LIBRARY_CRATES.into_iter().flat_map(|krate| {
+        [
+            (krate.to_string(), krate, false),
+            (format!("{krate}.tests"), krate, true),
+        ]
+    })
+}
+
+/// The counting half of pass 3, also used by `--write-baseline`: the
+/// panic paths of `krate`'s test code (`tests`) or of what it ships.
+pub fn count_panic_paths(ws: &Workspace, krate: &str, tests: bool) -> Counts {
     let mut c = Counts::default();
     for f in ws.files.iter().filter(|f| f.krate == krate) {
         for idx in 0..f.tokens.len() {
+            if f.is_test_token(idx) != tests {
+                continue;
+            }
             if f.any_call_at(idx, &["unwrap"]).is_some() {
                 c.unwrap += 1;
             } else if f.any_call_at(idx, &["expect"]).is_some() {
@@ -308,9 +323,9 @@ pub fn count_allow_markers(ws: &Workspace, pass: &str) -> usize {
 /// Compute the full baseline for the current tree.
 pub fn current_baseline(ws: &Workspace) -> Baseline {
     let mut b = Baseline::default();
-    for krate in LIBRARY_CRATES {
+    for (section, krate, tests) in ratchet_sections() {
         b.crates
-            .insert(krate.to_string(), count_panic_paths(ws, krate));
+            .insert(section, count_panic_paths(ws, krate, tests));
     }
     for pass in PASS_IDS {
         let n = count_allow_markers(ws, pass);

@@ -200,6 +200,61 @@ fn t() {}
     assert!(diags(pass_panic_ratchet, &files, zero).is_empty());
 }
 
+/// One panic path a side: shipped code, a `#[cfg(test)]` module in
+/// `src/`, an integration test.
+const RATCHET_SIDES: [(&str, &str); 2] = [
+    (
+        "crates/simtime/src/a.rs",
+        "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
+         #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1).unwrap(); }\n}\n",
+    ),
+    (
+        "crates/simtime/tests/t.rs",
+        "#[test]\nfn t() { Some(1).expect(\"one\"); }\n",
+    ),
+];
+
+#[test]
+fn p3_shipped_code_and_test_code_are_counted_apart() {
+    let exact = "[simtime]\nunwrap = 1\n\n[simtime.tests]\nunwrap = 1\nexpect = 1\n";
+    assert!(diags(pass_panic_ratchet, &RATCHET_SIDES, exact).is_empty());
+    // The sum of both sides under the crate's name fits neither side.
+    let summed = "[simtime]\nunwrap = 2\nexpect = 1\n";
+    let out = diags(pass_panic_ratchet, &RATCHET_SIDES, summed);
+    let msgs: Vec<&str> = out.iter().map(|d| d.msg.as_str()).collect();
+    assert_eq!(out.len(), 4, "{msgs:?}");
+    for (section, kind, way) in [
+        ("simtime", "unwrap(", "improved"),
+        ("simtime", "expect(", "improved"),
+        ("simtime.tests", "unwrap(", "ratcheted UP"),
+        ("simtime.tests", "expect(", "ratcheted UP"),
+    ] {
+        let want = format!("[{section}] `{kind}` count {way}");
+        assert!(
+            msgs.iter().any(|m| m.starts_with(&want)),
+            "{want}: {msgs:?}"
+        );
+    }
+}
+
+#[test]
+fn p3_a_test_side_allowance_does_not_cover_shipped_code() {
+    // What the tests may do, `src/` may not: an `unwrap(` that moves out
+    // of a test module trips the crate's own section.
+    let moved = "[simtime]\nunwrap = 0\n\n[simtime.tests]\nunwrap = 2\nexpect = 1\n";
+    let out = diags(pass_panic_ratchet, &RATCHET_SIDES, moved);
+    let msgs: Vec<&str> = out.iter().map(|d| d.msg.as_str()).collect();
+    assert_eq!(out.len(), 2, "{msgs:?}");
+    assert!(
+        msgs[0].starts_with("[simtime] `unwrap(` count ratcheted UP: 1 > baseline 0"),
+        "{msgs:?}"
+    );
+    assert!(
+        msgs[1].starts_with("[simtime.tests] `unwrap(` count improved: 1 < baseline 2"),
+        "{msgs:?}"
+    );
+}
+
 // ------------------------------------------------------------------
 // P4 — determinism
 // ------------------------------------------------------------------

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use simtime::plock::Mutex;
 use simtime::SimNs;
 
-use crate::collective::{CollAlgo, CollTuning};
+use crate::collective::CollTuning;
 use crate::strategy::TransferStrategy;
 use crate::system::SystemConfig;
 
@@ -209,24 +209,6 @@ impl PeerSelector {
 pub type CollectiveSelector = Selector<(usize, usize), CollTuning>;
 
 impl CollectiveSelector {
-    /// Broadcast tuner over the standard candidate set for `sys`: flat,
-    /// binomial tree, and pipelined ring, all at the system's default
-    /// pipeline block.
-    pub fn bcast_for_system(sys: &SystemConfig) -> Self {
-        let chunk = sys.default_pipeline_block;
-        let algos = [CollAlgo::Flat, CollAlgo::Tree, CollAlgo::Ring];
-        Self::with_candidates(algos.map(|algo| CollTuning { algo, chunk }).to_vec())
-    }
-
-    /// Allreduce tuner for `sys`: the topology is a fixed ring, so the
-    /// candidates only vary the pipeline chunk.
-    pub fn allreduce_for_system(sys: &SystemConfig) -> Self {
-        let b = sys.default_pipeline_block;
-        let algo = CollAlgo::Ring;
-        let chunks = [b, (b / 4).max(4 << 10), b * 4];
-        Self::with_candidates(chunks.map(|chunk| CollTuning { algo, chunk }).to_vec())
-    }
-
     /// Tuner over an explicit candidate set (chunks must be ≥ 1).
     pub fn with_candidates(candidates: Vec<CollTuning>) -> Self {
         assert!(

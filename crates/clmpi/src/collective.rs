@@ -9,7 +9,7 @@
 //!
 //! * [`ClMpi::enqueue_bcast_buffer`] — broadcast a device buffer region
 //!   from a root rank to every rank's device. Three algorithms
-//!   ([`CollAlgo`]): a **flat** fan-out (the historical prototype,
+//!   ([`CollAlgo`]): a **flat** fan-out (the plain shape,
 //!   serialized on the root's NIC), a **binomial tree**, and a
 //!   **pipelined ring** in which every non-root rank store-and-forwards
 //!   each chunk as it arrives — chunk *k* goes back on the wire while
@@ -48,12 +48,13 @@
 use std::collections::BTreeMap;
 
 use minicl::{Buffer, ClError, ClResult, CommandQueue, Device, Event};
+use minimpi::datatype::{bytes_to_f64, f64_as_bytes};
 use minimpi::{Rank, RecvResult, ReduceOp, Tag};
 use simtime::{Actor, SimNs};
 
 use crate::engine::{
-    load, store, Advance, ChunkRecv, Envelope, Hop, OpBody, OpCx, RecvPoll, ReliableChunkSend,
-    SendQueue,
+    load_behind, store, Advance, ChunkRecv, CountedRecv, Envelope, Hop, OpBody, OpCx, RecvPoll,
+    ReliableChunkSend, SendQueue,
 };
 use crate::obs::Via;
 use crate::runtime::{ClMpi, Inner};
@@ -533,6 +534,35 @@ fn report_outcome(
 }
 
 // ----------------------------------------------------------------------
+// Broadcast: fan-out, shared by the root and every relay
+// ----------------------------------------------------------------------
+
+/// Queue the wire message `msg` for every child, armed at `at` and named
+/// `{what}→r{child}`. The last child gets the message itself; a clone is
+/// made only where the topology has a second edge to feed (a ring has
+/// none).
+fn fan_out(
+    queue: &mut SendQueue,
+    cx: &OpCx,
+    (children, wire_tag): (&[Rank], Tag),
+    msg: Vec<u8>,
+    at: SimNs,
+    (what, cat): (String, &'static str),
+) {
+    let Some((&last, others)) = children.split_last() else {
+        return;
+    };
+    let mut push = |c: Rank, msg: Vec<u8>| {
+        let send = ReliableChunkSend::new(&cx.inner, c, wire_tag, msg, at, None);
+        queue.push(send, at, format!("{what}→r{c}"), cat);
+    };
+    for &c in others {
+        push(c, msg.clone());
+    }
+    push(last, msg);
+}
+
+// ----------------------------------------------------------------------
 // Broadcast: root body
 // ----------------------------------------------------------------------
 
@@ -570,7 +600,12 @@ impl BcastRootBody {
         let mut first = true;
         let layout = chunk_layout(self.size, self.tuning.chunk.max(1));
         for (k, &(coff, clen)) in layout.iter().enumerate() {
-            let payload = load(&self.buf, self.offset + coff, clen);
+            let msg = load_behind(
+                &[self.tuning.algo.id()],
+                &self.buf,
+                self.offset + coff,
+                clen,
+            );
             let send_from = if clen == 0 {
                 now
             } else {
@@ -578,21 +613,9 @@ impl BcastRootBody {
                 first = false;
                 Hop::D2h.stage(cx, &self.device, clen, from).1
             };
-            let mut msg = Vec::with_capacity(clen + 1);
-            msg.push(self.tuning.algo.id());
-            msg.extend_from_slice(&payload);
-            for &c in &children {
-                let send = ReliableChunkSend::new(
-                    &cx.inner,
-                    c,
-                    self.wire_tag,
-                    msg.clone(),
-                    send_from,
-                    None,
-                );
-                let name = format!("bcast[{k}]→r{c}");
-                self.run.queue.push(send, send_from, name, "chunk");
-            }
+            let to = (&children[..], self.wire_tag);
+            let named = (format!("bcast[{k}]"), "chunk");
+            fan_out(&mut self.run.queue, cx, to, msg, send_from, named);
         }
     }
 
@@ -651,7 +674,11 @@ struct BcastRecvRun {
     algo: Option<CollAlgo>,
     parent: Option<Rank>,
     children: Vec<Rank>,
-    received: usize,
+    /// Of `size` payload bytes, each wire message one header byte longer
+    /// than its share of them (set up when the body starts). Polled
+    /// wildcard-source until the first chunk reveals the parent, from the
+    /// parent afterwards.
+    recv: CountedRecv,
     chunk_idx: usize,
     last_h2d_end: SimNs,
     queue: SendQueue,
@@ -664,23 +691,21 @@ enum BcastRecvState {
     Setup {
         resume_at: SimNs,
     },
-    Await(ChunkRecv),
+    Await,
     /// Payload complete; flush the remaining forwards.
     Drain,
 }
 
 impl BcastRecvBody {
-    /// Post the receive for the next wire chunk. The first post is
-    /// wildcard-source (the parent is unknown until the header arrives);
-    /// later posts pin the learned parent.
-    fn post(&self, cx: &OpCx, actor: &Actor, now: SimNs) -> BcastRecvState {
-        let src = self.run.parent;
-        BcastRecvState::Await(ChunkRecv::post(&cx.inner, actor, src, self.wire_tag, now))
-    }
-
-    /// Take one arrived wire message: learn or check the topology, land
-    /// the payload, and forward the message downstream.
-    fn take_chunk(&mut self, cx: &mut OpCx, r: RecvResult, now: SimNs) -> Result<(), String> {
+    /// Take one arrived wire message, whose payload belongs at `at`: learn
+    /// or check the topology, land the payload, and forward the message
+    /// downstream.
+    fn take_chunk(
+        &mut self,
+        cx: &mut OpCx,
+        (at, r): (usize, RecvResult),
+        now: SimNs,
+    ) -> Result<(), String> {
         let msg = r.data;
         let Some(&id) = msg.first() else {
             return Err("broadcast chunk missing its algorithm header".into());
@@ -704,28 +729,18 @@ impl BcastRecvBody {
             }
         }
         let payload = &msg[1..];
-        let upto = self.run.received + payload.len();
-        if upto > self.size {
-            return Err(format!(
-                "broadcast overflow: got {upto} bytes into a {}-byte region",
-                self.size
-            ));
-        }
         if !payload.is_empty() {
-            store(&self.buf, self.offset + self.run.received, payload);
+            store(&self.buf, self.offset + at, payload);
             let h2d = Hop::H2d.stage(cx, &self.device, payload.len(), now);
             self.run.last_h2d_end = self.run.last_h2d_end.max(h2d.1);
         }
         // Store-and-forward: re-inject the verbatim wire message (header
         // included) to every child now — while later chunks are still
         // inbound.
-        for &c in &self.run.children {
-            let send = ReliableChunkSend::new(&cx.inner, c, self.wire_tag, msg.clone(), now, None);
-            let name = format!("fwd[{}]→r{c}", self.run.chunk_idx);
-            self.run.queue.push(send, now, name, "forward");
-        }
+        let to = (&self.run.children[..], self.wire_tag);
+        let named = (format!("fwd[{}]", self.run.chunk_idx), "forward");
+        fan_out(&mut self.run.queue, cx, to, msg, now, named);
         self.run.chunk_idx += 1;
-        self.run.received = upto;
         Ok(())
     }
 }
@@ -736,15 +751,16 @@ impl OpBody for BcastRecvBody {
             match &mut self.run.state {
                 BcastRecvState::Start => {
                     let resume_at = now + self.device.spec().pcie.pin_setup_ns;
+                    self.run.recv = CountedRecv::new(self.size, 1);
                     self.run.state = BcastRecvState::Setup { resume_at };
                 }
                 &mut BcastRecvState::Setup { resume_at } => {
                     if now < resume_at {
                         return Advance::Park(Some(resume_at));
                     }
-                    self.run.state = self.post(cx, actor, now);
+                    self.run.state = BcastRecvState::Await;
                 }
-                BcastRecvState::Await(recv) => {
+                BcastRecvState::Await => {
                     // Forwards first: a forward failure poisons the whole
                     // collective on this rank (and withdraws the receive:
                     // the frame drops the body before settling).
@@ -756,8 +772,9 @@ impl OpBody for BcastRecvBody {
                     // root before the first chunk reveals one.
                     let upstream = self.run.parent.unwrap_or(self.root);
                     let dead = |inner: &Inner| inner.peer_failed(upstream, now).then_some(upstream);
-                    let taken = match recv.poll(cx, now, actor, dead) {
-                        Ok(RecvPoll::Ready(r)) => self.take_chunk(cx, r, now),
+                    let from = (self.run.parent, self.wire_tag);
+                    let taken = match self.run.recv.poll(cx, now, actor, from, dead) {
+                        Ok(RecvPoll::Ready(chunk)) => self.take_chunk(cx, chunk, now),
                         Ok(RecvPoll::Pending(hint)) => {
                             return Advance::Park(fwd_hint.into_iter().chain(hint).min());
                         }
@@ -774,11 +791,10 @@ impl OpBody for BcastRecvBody {
                     if let Err(why) = taken {
                         return Advance::Failed(ClError::TransferFailed(why), now);
                     }
-                    self.run.state = if self.run.received >= self.size {
-                        BcastRecvState::Drain
-                    } else {
-                        self.post(cx, actor, now)
-                    };
+                    // Even an empty broadcast is one (header-only) message.
+                    if self.run.recv.is_complete() {
+                        self.run.state = BcastRecvState::Drain;
+                    }
                 }
                 BcastRecvState::Drain => {
                     return match self.run.queue.drive(cx, now, actor) {
@@ -814,9 +830,10 @@ enum RingPhase {
 /// The in-progress receive of one ring segment (possibly several wire
 /// chunks; the receiver drains by byte count).
 struct SegRecv {
-    recv: ChunkRecv,
+    recv: CountedRecv,
     seg: usize,
-    got: usize,
+    /// The segment's bytes so far: the first chunk's own allocation, any
+    /// further chunks appended.
     data: Vec<u8>,
 }
 
@@ -883,17 +900,6 @@ enum RingState {
     Store { end: SimNs },
 }
 
-fn f64s_of(bytes: &[u8]) -> Vec<f64> {
-    bytes
-        .chunks_exact(8)
-        .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunks")))
-        .collect()
-}
-
-fn bytes_of(vals: &[f64]) -> Vec<u8> {
-    vals.iter().flat_map(|v| v.to_le_bytes()).collect()
-}
-
 /// Host-side fold charge for `bytes` bytes of reduction arithmetic.
 fn fold_ns(bytes: usize) -> SimNs {
     (bytes as f64 * 1e9 / REDUCE_BPS).round() as SimNs
@@ -909,33 +915,27 @@ impl SegRecv {
         actor: &Actor,
         (prev, wire_tag): (Rank, Tag),
     ) -> Result<RecvPoll<()>, ClError> {
-        loop {
+        while !self.recv.is_complete() {
             // A dead predecessor with nothing in flight breaks the ring:
             // no segment chunk can ever arrive.
             let dead = |inner: &Inner| inner.peer_failed(prev, now).then_some(prev);
-            let chunk = match self.recv.poll(cx, now, actor, dead) {
-                Ok(RecvPoll::Ready(r)) => r.data,
+            let from = (Some(prev), wire_tag);
+            let chunk = match self.recv.poll(cx, now, actor, from, dead) {
+                Ok(RecvPoll::Ready((_, chunk))) => chunk.data,
                 Ok(RecvPoll::Pending(hint)) => return Ok(RecvPoll::Pending(hint)),
                 Err(f) => {
                     let what = format!("ring segment from rank {prev} (tag {wire_tag})");
                     return Err(f.into_error(&what));
                 }
             };
-            let upto = self.got + chunk.len();
-            if upto > self.data.len() {
-                return Err(ClError::TransferFailed(format!(
-                    "ring segment overflow: got {upto} bytes into a {}-byte segment",
-                    self.data.len()
-                )));
+            // Per-(source, tag) FIFO: chunks arrive in offset order.
+            if self.data.is_empty() {
+                self.data = chunk;
+            } else {
+                self.data.extend_from_slice(&chunk);
             }
-            self.data[self.got..upto].copy_from_slice(&chunk);
-            self.got = upto;
-            if upto == self.data.len() {
-                return Ok(RecvPoll::Ready(()));
-            }
-            // More wire chunks of this segment to come.
-            self.recv = ChunkRecv::post(&cx.inner, actor, Some(prev), wire_tag, now);
         }
+        Ok(RecvPoll::Ready(()))
     }
 }
 
@@ -981,7 +981,8 @@ impl RingReduceBody {
         if len == 0 {
             return;
         }
-        let bytes = bytes_of(&self.run.host[off..off + len]);
+        // Serialised here, once, a wire chunk at a time.
+        let bytes = f64_as_bytes(&self.run.host[off..off + len]);
         for (k, &(coff, clen)) in chunk_layout(bytes.len(), self.chunk).iter().enumerate() {
             let chunk = bytes[coff..coff + clen].to_vec();
             let send = ReliableChunkSend::new(&cx.inner, dst, self.wire_tag, chunk, at, None);
@@ -990,17 +991,11 @@ impl RingReduceBody {
     }
 
     /// Arm round `idx` of `phase` starting at `start`: queue the send
-    /// segment's chunks and post the receive for the inbound segment.
-    fn begin_round(
-        &mut self,
-        cx: &OpCx,
-        phase: RingPhase,
-        idx: usize,
-        start: SimNs,
-        actor: &Actor,
-    ) {
+    /// segment's chunks and set up the receive of the inbound segment
+    /// (posted by the round's first poll, at this same instant).
+    fn begin_round(&mut self, cx: &OpCx, phase: RingPhase, idx: usize, start: SimNs) {
         let (n, me) = (cx.inner.comm.size(), cx.inner.comm.rank());
-        let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
+        let next = (me + 1) % n;
         let segs = seg_bounds(self.count, n);
         let (send_seg, recv_seg, tagn) = match phase {
             RingPhase::ReduceScatter => ((me + n - idx) % n, (me + 2 * n - idx - 1) % n, "rs"),
@@ -1011,10 +1006,9 @@ impl RingReduceBody {
         });
         let (_, rlen_el) = segs[recv_seg];
         let recv = (rlen_el > 0).then(|| SegRecv {
-            recv: ChunkRecv::post(&cx.inner, actor, Some(prev), self.wire_tag, start),
+            recv: CountedRecv::new(rlen_el * 8, 0),
             seg: recv_seg,
-            got: 0,
-            data: vec![0u8; rlen_el * 8],
+            data: Vec::new(),
         });
         self.run.state = RingState::Round {
             phase,
@@ -1037,13 +1031,13 @@ impl RingReduceBody {
     ) {
         let (n, me) = (cx.inner.comm.size(), cx.inner.comm.rank());
         if idx + 1 < n - 1 {
-            return self.begin_round(cx, phase, idx + 1, at, actor);
+            return self.begin_round(cx, phase, idx + 1, at);
         }
         match (phase, self.kind) {
             // Reduce-scatter done: this rank owns the fully reduced
             // segment (me+1) mod n.
             (RingPhase::ReduceScatter, RingKind::Allreduce) => {
-                self.begin_round(cx, RingPhase::Allgather, 0, at, actor)
+                self.begin_round(cx, RingPhase::Allgather, 0, at)
             }
             (RingPhase::ReduceScatter, RingKind::ReduceToRoot(root)) if me == root => {
                 self.begin_gather_root(cx, at, actor)
@@ -1054,8 +1048,8 @@ impl RingReduceBody {
                 self.run.state = RingState::GatherSend;
             }
             (RingPhase::Allgather, _) => {
-                let bytes = bytes_of(&self.run.host);
-                self.begin_store(cx, bytes, at);
+                let host = std::mem::take(&mut self.run.host);
+                self.begin_store(cx, f64_as_bytes(&host), at);
             }
         }
     }
@@ -1066,24 +1060,24 @@ impl RingReduceBody {
         let (n, me) = (cx.inner.comm.size(), cx.inner.comm.rank());
         let own = seg_bounds(self.count, n)[(me + 1) % n];
         let expect = (self.count - own.1) * 8;
-        let image = bytes_of(&self.run.host);
         if expect == 0 {
             // Degenerate split: every foreign segment is empty.
-            return self.begin_store(cx, image, at);
+            let host = std::mem::take(&mut self.run.host);
+            return self.begin_store(cx, f64_as_bytes(&host), at);
         }
         self.run.state = RingState::GatherRoot(Box::new(GatherState {
             recv: ChunkRecv::post(&cx.inner, actor, None, self.wire_tag, at),
             per_src: BTreeMap::new(),
             got: 0,
             expect,
-            image,
+            image: f64_as_bytes(&self.run.host).to_vec(),
         }));
     }
 
     /// Write the final region bytes to the device: buffer store plus one
     /// h2d staging reservation.
-    fn begin_store(&mut self, cx: &mut OpCx, bytes: Vec<u8>, at: SimNs) {
-        store(&self.buf, self.offset, &bytes);
+    fn begin_store(&mut self, cx: &mut OpCx, bytes: &[u8], at: SimNs) {
+        store(&self.buf, self.offset, bytes);
         let h2d = Hop::H2d.stage(cx, &self.device, bytes.len(), at);
         self.run.state = RingState::Store { end: h2d.1 };
     }
@@ -1100,17 +1094,17 @@ impl OpBody for RingReduceBody {
                         // already the result, in place.
                         return self.finish(cx, now);
                     }
-                    let bytes = load(&self.buf, self.offset, self.size());
-                    self.run.host = f64s_of(&bytes);
+                    let region = self.offset..self.offset + self.size();
+                    self.run.host = self.buf.read(|d| bytes_to_f64(&d.as_slice()[region]));
                     let from = now + self.device.spec().pcie.pin_setup_ns;
-                    let d2h = Hop::D2h.stage(cx, &self.device, bytes.len(), from);
+                    let d2h = Hop::D2h.stage(cx, &self.device, self.size(), from);
                     self.run.state = RingState::Load { end: d2h.1 };
                 }
                 &mut RingState::Load { end } => {
                     if now < end {
                         return Advance::Park(Some(end));
                     }
-                    self.begin_round(cx, RingPhase::ReduceScatter, 0, now, actor);
+                    self.begin_round(cx, RingPhase::ReduceScatter, 0, now);
                 }
                 RingState::Round {
                     phase,
@@ -1136,13 +1130,13 @@ impl OpBody for RingReduceBody {
                                 // (allgather) the complete segment.
                                 let (off, len) = seg_bounds(self.count, n)[sr.seg];
                                 let mine = &mut self.run.host[off..off + len];
-                                let vals = f64s_of(&sr.data);
+                                let vals = bytes_to_f64(&sr.data);
                                 *recv_done = Some(match *phase {
                                     RingPhase::ReduceScatter => {
                                         self.op.fold(mine, &vals);
-                                        let end = now + fold_ns(sr.got);
+                                        let end = now + fold_ns(sr.data.len());
                                         let name = format!("reduce[{}]", sr.seg);
-                                        let bytes = sr.got as u64;
+                                        let bytes = sr.data.len() as u64;
                                         cx.child("dev", name, "reduce", (now, end), bytes, true);
                                         end
                                     }
@@ -1229,7 +1223,7 @@ impl OpBody for RingReduceBody {
                         len,
                         true,
                     );
-                    self.begin_store(cx, bytes, end);
+                    self.begin_store(cx, &bytes, end);
                 }
                 &mut RingState::Store { end } => {
                     if now < end {

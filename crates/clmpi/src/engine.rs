@@ -4,12 +4,11 @@
 //! ### Why an engine (paper §V-A, revisited)
 //!
 //! The paper's runtime executes communication commands on an internal
-//! thread so the host thread is never blocked. Earlier revisions of this
-//! reproduction spawned one short-lived runtime thread per command; this
-//! module replaces them with the paper's actual architecture: a single
-//! per-rank progress thread that multiplexes **all** outstanding work —
-//! chunked transfers, MPI request wrappers, collective fan-outs, file
-//! I/O, and retry/backoff timers — as cooperative state machines.
+//! thread so the host thread is never blocked. This module is that
+//! architecture: a single per-rank progress thread that multiplexes
+//! **all** outstanding work — chunked transfers, MPI request wrappers,
+//! collective fan-outs, file I/O, and retry/backoff timers — as
+//! cooperative state machines.
 //!
 //! ### Execution model
 //!
@@ -54,13 +53,20 @@
 //! advances a send queue and a segment receive together — composing the
 //! shared primitives: [`SendQueue`] of [`ReliableChunkSend`]s (the one
 //! chunk loop with retry, backoff and degradation), [`ChunkRecv`] (posted
-//! receive + patience + dead-peer fast-fail), [`Hop`] (reserve a PCIe or
-//! pack-kernel hop, record its `stage.*` span), and `fileio`'s
-//! `DiskWait`. Bodies tell the ledger and selectors themselves, where the
-//! last chunk lands or the transfer fails; a poisoned gate never reaches
-//! a body, so it reaches no selector. DESIGN.md §8c has the table of all
-//! operations and the traps (what is byte-visible about *when* a body
-//! reserves, posts and records).
+//! receive + patience + dead-peer fast-fail) and the [`CountedRecv`] built
+//! on it (a payload drained by byte count: the one bound check, repost,
+//! `(offset, chunk)` to the body), [`Hop`] (reserve a PCIe or pack-kernel
+//! hop, record its `stage.*` span), and `fileio`'s `DiskWait`. Bodies
+//! tell the ledger and selectors themselves, where the last chunk lands
+//! or the transfer fails; a poisoned gate never reaches a body, so it
+//! reaches no selector. DESIGN.md §8c has the table of all operations and
+//! the traps (what is byte-visible about *when* a body reserves, posts
+//! and records).
+//!
+//! A payload has one owner at a time: a body loads it ([`load`]), hands
+//! it to the wire by value, and has it back only if the fabric refuses it
+//! — so a byte is copied where the model has a hop and nowhere else
+//! (DESIGN.md §8d has the count per operation).
 //!
 //! [`HostSendOp`] (`isend_cl`) is the one operation that keeps its own
 //! `impl EngineOp`; its doc says why.
@@ -72,7 +78,7 @@
 //! until every blocked actor — the engine included — has re-evaluated its
 //! predicate. Within one engine, machines step in FIFO submission order,
 //! which makes same-instant resource reservations deterministic per rank
-//! (the previous one-thread-per-command design raced them).
+//! (one thread per command would race them).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -547,7 +553,7 @@ pub(crate) struct OpSpec<'a> {
     pub(crate) wait: &'a [Event],
     /// Gate kind: does a failed dependency poison the command with −14
     /// (`true`), or does the wait list only order it (`false` — the four
-    /// file commands, which historically run regardless)?
+    /// file commands, which run whatever their dependencies came to)?
     pub(crate) poison: bool,
     /// `None` submits the command untraced (see [`OpCx`]).
     pub(crate) env: Option<Envelope>,
@@ -571,8 +577,7 @@ impl<'a> OpSpec<'a> {
 /// Every event-backed operation: the one place that owns the wait-list
 /// gate, the rule for when an outcome becomes visible, and the
 /// settlement (envelope, counters, result slot, user event and its
-/// error-code mapping). Each of these used to be written out per
-/// machine.
+/// error-code mapping).
 pub(crate) struct OpFrame<B> {
     cx: OpCx,
     wait: Vec<Event>,
@@ -676,7 +681,11 @@ impl<B: OpBody + 'static> EngineOp for OpFrame<B> {
 pub(crate) struct ReliableChunkSend {
     dst: Rank,
     wire_tag: Tag,
+    /// The payload while this side owns it: an injection hands it to the
+    /// wire, a refusal hands it back for the retransmit (empty meanwhile).
     bytes: Vec<u8>,
+    /// Its length, for the spans recorded while the wire has it.
+    len: usize,
     duration: Option<SimNs>,
     policy: RetryPolicy,
     attempt: u32,
@@ -696,8 +705,8 @@ enum ChunkState {
     Backoff { resume_at: SimNs },
     /// Injection succeeded; the wire is busy until `done_at`.
     Sent { done_at: SimNs },
-    /// Retry budget exhausted; the failure settles at `at` (the end of
-    /// the last burned injection, as the old path charged it).
+    /// Retry budget exhausted; the failure is charged at `at`, the end
+    /// of the last burned injection.
     Failed { at: SimNs },
 }
 
@@ -714,8 +723,8 @@ enum ChunkStep {
 }
 
 impl ReliableChunkSend {
-    /// Snapshot the runtime's current retry policy (per chunk, as the
-    /// old path read it per call) and arm the first injection.
+    /// Take the chunk's payload, snapshot the runtime's current retry
+    /// policy (it is read per chunk) and arm the first injection.
     pub(crate) fn new(
         inner: &Inner,
         dst: Rank,
@@ -727,6 +736,7 @@ impl ReliableChunkSend {
         ReliableChunkSend {
             dst,
             wire_tag,
+            len: bytes.len(),
             bytes,
             duration,
             policy: *inner.retry.lock(),
@@ -736,9 +746,8 @@ impl ReliableChunkSend {
         }
     }
 
-    /// The error the old path returned on budget exhaustion; a dead-peer
-    /// failure is classified as an `MPI_ERR_PROC_FAILED`-class error
-    /// instead.
+    /// The error of a spent retry budget — or, for a dead peer, of the
+    /// `MPI_ERR_PROC_FAILED` class.
     fn exhaustion_error(&self) -> ClError {
         if self.peer_dead {
             return ClError::TransferFailed(format!(
@@ -766,8 +775,8 @@ impl ReliableChunkSend {
                 let Some(done) = req.known_completion() else {
                     return ChunkStep::Park(now.max(earliest) + 1);
                 };
-                let (delivered, reason) = (req.delivered(), req.drop_reason());
-                self.settle_injection(cx, earliest, done, delivered, reason)
+                let refused = req.take_refused();
+                self.settle_injection(cx, earliest, done, refused)
             }
             &ChunkState::Ready { earliest } => {
                 self.attempt += 1;
@@ -776,7 +785,7 @@ impl ReliableChunkSend {
                     self.dst,
                     self.wire_tag,
                     Datatype::ClMem,
-                    &self.bytes,
+                    std::mem::take(&mut self.bytes),
                     earliest,
                     self.duration,
                 );
@@ -798,34 +807,32 @@ impl ReliableChunkSend {
                 if now >= at {
                     ChunkStep::Failed(at)
                 } else {
-                    // Charge the time actually spent trying before the
-                    // failure becomes observable (the old path slept to
-                    // the last injection's end before erroring).
+                    // The time spent trying is charged before the failure
+                    // becomes observable.
                     ChunkStep::Park(at)
                 }
             }
         }
     }
 
-    /// The injection's grant arrived: run the fate logic the eager path
-    /// used to run inline — delivery, dead-peer fast-fail, degradation
+    /// The injection's grant arrived: delivery, or — with the payload the
+    /// fabric `refused` back in hand — dead-peer fast-fail, degradation
     /// latch, retry budget.
     fn settle_injection(
         &mut self,
         cx: &mut OpCx,
         earliest: SimNs,
         done: SimNs,
-        delivered: bool,
-        reason: Option<DropReason>,
+        refused: Option<(DropReason, Vec<u8>)>,
     ) -> ChunkStep {
-        if delivered {
+        let Some((reason, bytes)) = refused else {
             cx.inner.ledger.lock().chunk_delivered();
             self.state = ChunkState::Sent { done_at: done };
             return ChunkStep::Progressed;
-        }
+        };
         // The chunk burned link time but never reached the peer.
-        let reason = reason.unwrap_or(DropReason::Random);
-        let len = self.bytes.len() as u64;
+        self.bytes = bytes;
+        let len = self.len as u64;
         let name = format!("drop#{}→r{}", self.attempt, self.dst);
         cx.dropped(reason, name, (earliest, done), len);
         if reason == DropReason::NodeDown {
@@ -939,7 +946,7 @@ impl SendQueue {
                 ChunkStep::Progressed => continue,
                 ChunkStep::Park(t) => return Ok(Some(t)),
                 ChunkStep::Sent(done) => {
-                    let len = head.send.bytes.len();
+                    let len = head.send.len;
                     let name = std::mem::take(&mut head.name);
                     if let Some(staged) = head.lane {
                         for (hop, span) in staged.into_iter().flatten() {
@@ -990,11 +997,13 @@ pub(crate) enum RecvPoll<T = RecvResult> {
     Pending(Option<SimNs>),
 }
 
-/// Why a [`ChunkRecv`] gave up; already counted (and, for a dead peer,
-/// recorded) when it is returned.
+/// Why a receive gave up. A dead peer and a timeout are already counted
+/// (and the dead peer recorded) when returned; an overflow — the peer
+/// sent more than was posted — is misuse, no fault of the fabric.
 pub(crate) enum RecvFail {
     PeerDead(Rank),
     TimedOut(SimNs),
+    Overflow { got: usize, want: usize },
 }
 
 impl RecvFail {
@@ -1005,6 +1014,9 @@ impl RecvFail {
             RecvFail::PeerDead(rank) => format!("{what}: {}", MpiError::ProcFailed { rank }),
             RecvFail::TimedOut(waited_ns) => {
                 format!("{what} gave up: {}", MpiError::Timeout { waited_ns })
+            }
+            RecvFail::Overflow { got, want } => {
+                format!("{what} overflowed: got {got} bytes into a {want}-byte receive")
             }
         })
     }
@@ -1084,6 +1096,69 @@ impl Drop for ChunkRecv {
         if let Some(req) = self.req.take() {
             req.cancel();
         }
+    }
+}
+
+/// A receive of `want` payload bytes, drained as however many wire chunks
+/// their sender chose to cut them into (`minimpi` delivers per (source,
+/// tag) in order). Owns the posted [`ChunkRecv`], the count and the one
+/// bound check, and yields each chunk with the payload offset it belongs
+/// at; what landing means — stage, store, forward, fold — is the body's.
+/// The next chunk's receive is posted by the poll that asks for it, so
+/// *when* the body comes back is part of the model (the chunk patience
+/// runs from there).
+#[derive(Default)]
+pub(crate) struct CountedRecv {
+    want: usize,
+    /// Leading bytes of every wire message that are framing, not payload
+    /// (the broadcast's algorithm byte).
+    header: usize,
+    got: usize,
+    /// `None` between a chunk taken and the next poll.
+    recv: Option<ChunkRecv>,
+}
+
+impl CountedRecv {
+    pub(crate) fn new(want: usize, header: usize) -> Self {
+        CountedRecv {
+            want,
+            header,
+            ..Default::default()
+        }
+    }
+
+    /// Has every wanted byte been yielded?
+    pub(crate) fn is_complete(&self) -> bool {
+        self.got >= self.want
+    }
+
+    /// Look for the next wire chunk from `src` at `now` — posting its
+    /// receive first if none is posted — and yield it with its payload
+    /// offset. A chunk that would run past `want` fails the receive;
+    /// `upstream_dead` is [`ChunkRecv::poll`]'s.
+    pub(crate) fn poll(
+        &mut self,
+        cx: &mut OpCx,
+        now: SimNs,
+        actor: &Actor,
+        (src, wire_tag): (Option<Rank>, Tag),
+        upstream_dead: impl FnOnce(&Inner) -> Option<Rank>,
+    ) -> Result<RecvPoll<(usize, RecvResult)>, RecvFail> {
+        let recv = self
+            .recv
+            .get_or_insert_with(|| ChunkRecv::post(&cx.inner, actor, src, wire_tag, now));
+        let chunk = match recv.poll(cx, now, actor, upstream_dead)? {
+            RecvPoll::Ready(chunk) => chunk,
+            RecvPoll::Pending(hint) => return Ok(RecvPoll::Pending(hint)),
+        };
+        self.recv = None;
+        let at = self.got;
+        self.got += chunk.data.len().saturating_sub(self.header);
+        if self.got > self.want {
+            let (got, want) = (self.got, self.want);
+            return Err(RecvFail::Overflow { got, want });
+        }
+        Ok(RecvPoll::Ready((at, chunk)))
     }
 }
 
@@ -1178,11 +1253,21 @@ impl Hop {
 // Device-buffer transfer bodies (enqueue_send/recv_buffer, gpu-aware)
 // ----------------------------------------------------------------------
 
-/// Read a body's source bytes. Every entry point range-checks its buffer
-/// region on the calling thread, so a body's loads and stores cannot
-/// miss — here is the one place that relies on it.
+/// Read a body's source bytes: the one copy its device→host hop stands
+/// for. Every entry point range-checks its buffer region on the calling
+/// thread, so a body's loads and stores cannot miss — here, and in
+/// [`store`], is the place that relies on it.
 pub(crate) fn load(buf: &Buffer, offset: usize, len: usize) -> Vec<u8> {
-    buf.load(offset, len).expect("range checked at enqueue")
+    load_behind(&[], buf, offset, len)
+}
+
+/// [`load`] straight behind a wire `header`, so framing a chunk does not
+/// copy it a second time.
+pub(crate) fn load_behind(header: &[u8], buf: &Buffer, offset: usize, len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(header.len() + len);
+    out.extend_from_slice(header);
+    buf.read(|d| out.extend_from_slice(&d.as_slice()[offset..offset + len]));
+    out
 }
 
 /// Land bytes in a body's destination region (see [`load`]).
@@ -1218,9 +1303,11 @@ impl Lowering {
     /// separately on the relevant resource timeline).
     fn gather(&self, buf: &Buffer, offset: usize, lo: usize, hi: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(hi - lo);
-        for (soff, slen) in self.ty.segments_for_packed_range(lo, hi) {
-            out.extend_from_slice(&load(buf, offset + soff, slen));
-        }
+        buf.read(|d| {
+            for (soff, slen) in self.ty.segments_for_packed_range(lo, hi) {
+                out.extend_from_slice(&d.as_slice()[offset + soff..][..slen]);
+            }
+        });
         out
     }
 
@@ -1424,7 +1511,8 @@ pub(crate) type RecvBody = TransferBody<RecvRun>;
 
 #[derive(Default)]
 pub(crate) struct RecvRun {
-    received: usize,
+    /// Of `size` bytes, once the body starts.
+    recv: CountedRecv,
     state: RecvState,
 }
 
@@ -1437,9 +1525,10 @@ enum RecvState {
     Setup {
         resume_at: SimNs,
     },
-    Await(ChunkRecv),
-    /// Staged path: the chunk is crossing PCIe.
+    Await,
+    /// Staged path: the chunk for offset `at` is crossing PCIe.
     Stage {
+        at: usize,
         data: Vec<u8>,
         span: Span,
     },
@@ -1448,6 +1537,7 @@ enum RecvState {
     /// through the type map (reserved on the pack timeline, so it
     /// serializes with the other pack kernels).
     Unpack {
+        at: usize,
         data: Vec<u8>,
         span: Span,
     },
@@ -1458,13 +1548,12 @@ enum RecvState {
 }
 
 impl RecvBody {
-    /// A chunk of `len` bytes is in device memory: post the next receive,
-    /// or finish the command.
-    fn chunk_done(&mut self, cx: &OpCx, len: usize, now: SimNs, actor: &Actor) -> Option<Advance> {
-        self.run.received += len;
-        if self.run.received < self.size {
-            let recv = ChunkRecv::post(&cx.inner, actor, Some(self.peer), self.wire_tag, now);
-            self.run.state = RecvState::Await(recv);
+    /// A chunk is in device memory (or the setup is paid): go back for the
+    /// next one — its receive is posted at this instant — or finish the
+    /// command.
+    fn chunk_done(&mut self, cx: &OpCx, now: SimNs) -> Option<Advance> {
+        if !self.run.recv.is_complete() {
+            self.run.state = RecvState::Await;
             return None;
         }
         if self.strategy == TransferStrategy::Mapped {
@@ -1498,6 +1587,7 @@ impl OpBody for RecvBody {
                             unreachable!("strategy resolved before dispatch; rma is one-sided")
                         }
                     };
+                    self.run.recv = CountedRecv::new(self.size, 0);
                     self.run.state = RecvState::Setup {
                         resume_at: now + setup,
                     };
@@ -1506,9 +1596,9 @@ impl OpBody for RecvBody {
                     if now < resume_at {
                         return Advance::Park(Some(resume_at));
                     }
-                    // Posts the first receive, or — for a zero-byte
-                    // transfer — goes straight to completion.
-                    if let Some(done) = self.chunk_done(cx, 0, now, actor) {
+                    // On to the first chunk, or — for a zero-byte
+                    // transfer — straight to completion.
+                    if let Some(done) = self.chunk_done(cx, now) {
                         return done;
                     }
                 }
@@ -1518,31 +1608,24 @@ impl OpBody for RecvBody {
                     }
                     return self.finish(cx, now);
                 }
-                RecvState::Await(recv) => {
-                    let src = self.peer;
+                RecvState::Await => {
+                    let (src, tag) = (self.peer, self.wire_tag);
                     let dead = |inner: &Inner| inner.peer_failed(src, now).then_some(src);
-                    let data = match recv.poll(cx, now, actor, dead) {
-                        Ok(RecvPoll::Ready(r)) => r.data,
+                    let from = (Some(src), tag);
+                    let (at, data) = match self.run.recv.poll(cx, now, actor, from, dead) {
+                        Ok(RecvPoll::Ready((at, chunk))) => (at, chunk.data),
                         Ok(RecvPoll::Pending(hint)) => return Advance::Park(hint),
                         Err(f) => {
-                            let what = format!("receive from rank {src} (tag {})", self.wire_tag);
+                            let what = format!("receive from rank {src} (tag {tag})");
                             return self.fail(cx, f.into_error(&what), now);
                         }
                     };
-                    let upto = self.run.received + data.len();
-                    if upto > self.size {
-                        let e = ClError::TransferFailed(format!(
-                            "clMPI transfer overflow: got {upto} bytes into a {}-byte receive",
-                            self.size
-                        ));
-                        return self.fail(cx, e, now);
-                    }
                     if self.strategy == TransferStrategy::Mapped {
                         // Zero-copy: the NIC already wrote through PCIe
                         // during the sender-fused stream; the data is
                         // usable at arrival.
-                        store(&self.buf, self.offset + self.run.received, &data);
-                        if let Some(done) = self.chunk_done(cx, data.len(), now, actor) {
+                        store(&self.buf, self.offset + at, &data);
+                        if let Some(done) = self.chunk_done(cx, now) {
                             return done;
                         }
                         continue;
@@ -1553,25 +1636,25 @@ impl OpBody for RecvBody {
                     // packed bytes in one hop.
                     let cost = match &self.lowering {
                         Some(l) if l.mode == PackMode::HostPack => {
-                            l.host_staged_ns(&pcie, self.run.received, upto)
+                            l.host_staged_ns(&pcie, at, at + data.len())
                         }
                         _ => pcie.staged_ns(data.len(), true),
                     };
                     let span = Hop::H2d.reserve(&self.device, cost, now);
-                    self.run.state = RecvState::Stage { data, span };
+                    self.run.state = RecvState::Stage { at, data, span };
                 }
-                RecvState::Stage { data, span } => {
+                RecvState::Stage { at, data, span } => {
                     if now < span.1 {
                         return Advance::Park(Some(span.1));
                     }
-                    let (data, span) = (std::mem::take(data), *span);
+                    let (at, data, span) = (*at, std::mem::take(data), *span);
                     Hop::H2d.record(cx, span, data.len(), true);
                     match &self.lowering {
-                        None => store(&self.buf, self.offset + self.run.received, &data),
+                        None => store(&self.buf, self.offset + at, &data),
                         // The host already scattered segment-by-segment
                         // during the h2d hop.
                         Some(l) if l.mode == PackMode::HostPack => {
-                            l.scatter(&self.buf, self.offset, self.run.received, &data)
+                            l.scatter(&self.buf, self.offset, at, &data)
                         }
                         Some(_) => {
                             // The packed chunk landed in device staging
@@ -1580,24 +1663,24 @@ impl OpBody for RecvBody {
                             // the type map.
                             let cost = self.device.spec().membound_kernel_ns(2 * data.len());
                             let span = Hop::Unpack.reserve(&self.device, cost, span.1);
-                            self.run.state = RecvState::Unpack { data, span };
+                            self.run.state = RecvState::Unpack { at, data, span };
                             continue;
                         }
                     }
-                    if let Some(done) = self.chunk_done(cx, data.len(), now, actor) {
+                    if let Some(done) = self.chunk_done(cx, now) {
                         return done;
                     }
                 }
-                RecvState::Unpack { data, span } => {
+                RecvState::Unpack { at, data, span } => {
                     if now < span.1 {
                         return Advance::Park(Some(span.1));
                     }
-                    let (data, span) = (std::mem::take(data), *span);
+                    let (at, data, span) = (*at, std::mem::take(data), *span);
                     if let Some(l) = &self.lowering {
-                        l.scatter(&self.buf, self.offset, self.run.received, &data);
+                        l.scatter(&self.buf, self.offset, at, &data);
                     }
                     Hop::Unpack.record(cx, span, data.len(), true);
-                    if let Some(done) = self.chunk_done(cx, data.len(), now, actor) {
+                    if let Some(done) = self.chunk_done(cx, now) {
                         return done;
                     }
                 }
@@ -1698,48 +1781,27 @@ impl EngineOp for HostSendOp {
 pub(crate) struct IrecvBody {
     pub(crate) src: Rank,
     pub(crate) wire_tag: Tag,
-    pub(crate) size: usize,
     pub(crate) host: HostBuffer,
-    pub(crate) run: IrecvRun,
-}
-
-#[derive(Default)]
-pub(crate) struct IrecvRun {
-    received: usize,
-    recv: Option<ChunkRecv>,
+    /// Of the request's size.
+    pub(crate) recv: CountedRecv,
 }
 
 impl OpBody for IrecvBody {
     fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
         // A zero-byte receive completes immediately.
-        while self.run.received < self.size {
+        while !self.recv.is_complete() {
             let (src, tag) = (self.src, self.wire_tag);
-            let recv = self
-                .run
-                .recv
-                .get_or_insert_with(|| ChunkRecv::post(&cx.inner, actor, Some(src), tag, now));
             let dead = |inner: &Inner| inner.peer_failed(src, now).then_some(src);
-            let data = match recv.poll(cx, now, actor, dead) {
-                Ok(RecvPoll::Ready(r)) => r.data,
+            let (at, data) = match self.recv.poll(cx, now, actor, (Some(src), tag), dead) {
+                Ok(RecvPoll::Ready((at, chunk))) => (at, chunk.data),
                 Ok(RecvPoll::Pending(hint)) => return Advance::Park(hint),
                 Err(f) => {
                     let what = format!("irecv_cl from rank {src} (tag {tag})");
                     return Advance::Failed(f.into_error(&what), now);
                 }
             };
-            self.run.recv = None;
-            let at = self.run.received;
-            if at + data.len() > self.size {
-                let e = ClError::TransferFailed(format!(
-                    "irecv_cl overflow: got {} bytes into a {}-byte receive",
-                    at + data.len(),
-                    self.size
-                ));
-                return Advance::Failed(e, now);
-            }
             self.host
                 .write(|h| h.as_mut_slice()[at..at + data.len()].copy_from_slice(&data));
-            self.run.received += data.len();
         }
         Advance::Done(now)
     }
@@ -1943,7 +2005,7 @@ impl PutBody {
             let at = self.win_offset + coff;
             let h = self
                 .win
-                .put_routed(self.target, at, &bytes, route, wire_earliest)?;
+                .put_routed(self.target, at, bytes, route, wire_earliest)?;
             flights.push(RmaFlight::new(h, wire_earliest));
         }
         Ok(flights)
@@ -2102,9 +2164,9 @@ impl OpBody for AccumulateBody {
                         return Advance::Park(Some(end));
                     }
                     let bytes = load(&self.buf, self.offset, self.size);
-                    let posted = self
-                        .win
-                        .accumulate(self.target, self.win_offset, &bytes, self.op);
+                    let posted =
+                        self.win
+                            .accumulate_owned(self.target, self.win_offset, bytes, self.op);
                     match posted {
                         Ok(h) => self.state = AccState::Transfer(RmaFlight::new(h, now)),
                         Err(e) => return fail(e, now),

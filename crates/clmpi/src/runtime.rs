@@ -30,9 +30,9 @@ use minimpi::{
 use simtime::{Actor, Monitor, SimClock, SimNs, Trace};
 
 use crate::engine::{
-    record_envelope, AccumulateBody, Engine, Envelope, EventFromRequestBody, FenceBody, GetBody,
-    HostSendOp, IrecvBody, Lowering, OpCx, OpFrame, OpSpec, PutBody, RecvBody, ResultSlot,
-    SendBody, SendSlot,
+    record_envelope, AccumulateBody, CountedRecv, Engine, Envelope, EventFromRequestBody,
+    FenceBody, GetBody, HostSendOp, IrecvBody, Lowering, OpCx, OpFrame, OpSpec, PutBody, RecvBody,
+    ResultSlot, SendBody, SendSlot,
 };
 use crate::obs::{ChildIds, ObsCounters};
 use crate::retry::RetryPolicy;
@@ -251,11 +251,6 @@ impl ClMpi {
     /// backoff schedule, degradation threshold, receiver patience).
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
         *self.inner.retry.lock() = policy;
-    }
-
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        *self.inner.retry.lock()
     }
 
     /// True once repeated chunk loss has degraded pipelined transfers to
@@ -828,9 +823,8 @@ impl ClMpi {
         let body = IrecvBody {
             src,
             wire_tag,
-            size,
             host: data.clone(),
-            run: Default::default(),
+            recv: CountedRecv::new(size, 0),
         };
         let event = self.submit_gated(label, env, &[], body);
         ClRecvRequest { event, data }
@@ -856,8 +850,7 @@ impl ClMpi {
         buf.check_range(0, size)?;
         let win = Win::create(&self.inner.comm, actor, size) // blocking-api: collective window creation
             .map_err(|e| ClError::TransferFailed(format!("win_create: {e}")))?;
-        let image = buf.load(0, size)?;
-        win.write_local(0, &image);
+        buf.read(|d| win.write_local(0, &d.as_slice()[..size]));
         win.fence(actor) // blocking-api: opens the first access epoch collectively
             .map_err(|e| ClError::TransferFailed(format!("win_create fence: {e}")))?;
         Ok(ClWindow {

@@ -291,8 +291,56 @@ mod protocol {
         issue: fn(&Cx, &[Event]) -> Option<Option<i32>>,
     }
 
+    fn accepted(e: minicl::ClResult<Event>) -> Event {
+        e.expect("enqueue accepted")
+    }
+
+    /// What a [`Cx`] borrows: one rank's runtime (short chunk patience,
+    /// two attempts), queue, `SIZE`-byte buffer exposed as a window, disk.
+    struct Rig {
+        rt: ClMpi,
+        q: CommandQueue,
+        buf: Buffer,
+        win: ClWindow,
+        disk: SimStorage,
+    }
+
+    impl Rig {
+        fn new(p: &Process) -> Rig {
+            let rt = ClMpi::new(p, SystemConfig::ricc());
+            rt.set_retry_policy(RetryPolicy {
+                chunk_timeout_ns: 2_000_000,
+                ..RetryPolicy::new(2, 5_000)
+            });
+            let q = rt.context().create_queue(0, format!("r{}", p.rank()));
+            let buf = rt.context().create_buffer(SIZE);
+            let win = rt
+                .expose_buffer_as_window(&buf, SIZE, &p.actor)
+                .expect("window exposed");
+            let disk = SimStorage::node_local_disk(p.clock().clone());
+            Rig {
+                rt,
+                q,
+                buf,
+                win,
+                disk,
+            }
+        }
+
+        fn cx<'a>(&'a self, p: &'a Process) -> Cx<'a> {
+            Cx {
+                rt: &self.rt,
+                q: &self.q,
+                buf: &self.buf,
+                win: &self.win,
+                disk: &self.disk,
+                p,
+            }
+        }
+    }
+
     fn settled(e: minicl::ClResult<Event>, cx: &Cx) -> Option<Option<i32>> {
-        let e = e.expect("enqueue accepted");
+        let e = accepted(e);
         e.wait(&cx.p.actor);
         Some(e.error_code())
     }
@@ -731,11 +779,8 @@ mod protocol {
         };
         let cluster = SystemConfig::ricc().cluster.clone();
         let res = run_world_faulty(cluster, 2, plan, move |p: Process| {
-            let rt = ClMpi::new(&p, SystemConfig::ricc());
-            rt.set_retry_policy(RetryPolicy {
-                chunk_timeout_ns: 2_000_000,
-                ..RetryPolicy::new(2, 5_000)
-            });
+            let rig = Rig::new(&p);
+            let (rt, q, disk) = (&rig.rt, &rig.q, &rig.disk);
             // One candidate each: `choose` is a constant, one `observe`
             // locks the winner, one `observe_failure` retires it.
             let p2p = Arc::new(AdaptiveSelector::with_candidates(vec![
@@ -756,12 +801,6 @@ mod protocol {
             rt.set_rma_adaptive(Some(rma.clone()));
             rt.set_bcast_adaptive(Some(bcast.clone()));
             rt.set_allreduce_adaptive(Some(allreduce.clone()));
-            let q = rt.context().create_queue(0, format!("r{}", p.rank()));
-            let buf = rt.context().create_buffer(SIZE);
-            let win = rt
-                .expose_buffer_as_window(&buf, SIZE, &p.actor)
-                .expect("window exposed");
-            let disk = SimStorage::node_local_disk(p.clock().clone());
             disk.write_file("raw", vec![3u8; SIZE]);
             disk.write_file("ck", encode_checkpoint(&[4u8; SIZE]));
             let wait = if scenario == Scenario::PoisonedGate {
@@ -771,17 +810,9 @@ mod protocol {
             } else {
                 Vec::new()
             };
-            let cx = Cx {
-                rt: &rt,
-                q: &q,
-                buf: &buf,
-                win: &win,
-                disk: &disk,
-                p: &p,
-            };
             q.enqueue_kernel("setup-done", 2 * KILL_AT, &[], || {})
                 .wait(&p.actor);
-            let outcome = issue(&cx, &wait);
+            let outcome = issue(&rig.cx(&p), &wait);
             rt.shutdown(&p.actor);
             // (winner locked, candidate retired) per selector. With one
             // candidate a retirement also locks the all-fail fallback, so
@@ -939,6 +970,152 @@ mod protocol {
                     );
                 }
             }
+        }
+    }
+
+    /// A matched pair of commands whose two sides can be told different
+    /// sizes: rank 0 handles `size` bytes, rank 1 — the short side — is
+    /// told half of that, so its peer sends more than it posted.
+    struct Mismatch {
+        name: &'static str,
+        /// Does the long side fail as well — starved of the bytes the
+        /// short side never sends, until its chunk patience runs out?
+        long_fails: bool,
+        /// Issue this rank's half for `size` bytes on `tag`, gated on
+        /// nothing: its event or, where the entry point has none, its
+        /// settled error code.
+        issue: fn(&Cx, usize, Tag) -> Result<Event, Option<i32>>,
+    }
+
+    /// Every payload below is one wire chunk (16 KiB against blocks of a
+    /// MiB and more), so the overflowing chunk is the only one: when both
+    /// sides have settled, no message is left behind on the tag.
+    const MISMATCHES: [Mismatch; 4] = [
+        Mismatch {
+            name: "enqueue_send_buffer | enqueue_recv_buffer",
+            long_fails: false,
+            issue: |cx, size, tag| {
+                let (rt, q, buf, a) = (cx.rt, cx.q, cx.buf, &cx.p.actor);
+                Ok(accepted(if cx.p.rank() == 0 {
+                    rt.enqueue_send_buffer(q, buf, false, 0, size, 1, tag, &[], a)
+                } else {
+                    rt.enqueue_recv_buffer(q, buf, false, 0, size, 0, tag, &[], a)
+                }))
+            },
+        },
+        Mismatch {
+            name: "isend_cl | irecv_cl",
+            long_fails: false,
+            issue: |cx, size, tag| {
+                let a = &cx.p.actor;
+                if cx.p.rank() == 0 {
+                    let sent = cx.rt.isend_cl(a, 1, tag, &vec![7u8; size]).wait_result(a);
+                    Err(sent.err().map(|_| CL_MPI_TRANSFER_ERROR))
+                } else {
+                    Ok(cx.rt.irecv_cl(a, 0, tag, size).event)
+                }
+            },
+        },
+        // In a two-rank world the non-root is a leaf under every
+        // algorithm. (A relay that fails starves its subtree, which on a
+        // clean fabric is a deadlock, not a test.)
+        Mismatch {
+            name: "enqueue_bcast_buffer (root | leaf)",
+            long_fails: false,
+            issue: |cx, size, tag| {
+                let (rt, q, buf, a) = (cx.rt, cx.q, cx.buf, &cx.p.actor);
+                Ok(accepted(rt.enqueue_bcast_buffer(
+                    q,
+                    buf,
+                    0,
+                    size,
+                    0,
+                    tag,
+                    &[],
+                    a,
+                )))
+            },
+        },
+        // Both ranks receive in a ring round: the short one overflows, the
+        // long one is left waiting for the rest of its segment.
+        Mismatch {
+            name: "enqueue_allreduce_buffer",
+            long_fails: true,
+            issue: |cx, size, tag| {
+                let (rt, q, buf, a) = (cx.rt, cx.q, cx.buf, &cx.p.actor);
+                let sum = ReduceOp::Sum;
+                Ok(accepted(rt.enqueue_allreduce_buffer(
+                    q,
+                    buf,
+                    0,
+                    size / 8,
+                    sum,
+                    tag,
+                    &[],
+                    a,
+                )))
+            },
+        },
+    ];
+
+    /// A peer that sends more than was posted is the short side's
+    /// `CL_MPI_TRANSFER_ERROR` — a dependant gets −14 — and nobody hangs:
+    /// the long side succeeds or, where it needed the short side's bytes,
+    /// times out. No receive stays posted behind the failure, so once both
+    /// sides have settled the same tag carries a matched pair, and so does
+    /// a fresh one. The plan drops nothing; it is there to arm the chunk
+    /// patience a starved peer gives up by.
+    #[test]
+    fn a_peer_that_sends_more_than_was_posted_fails_the_short_side() {
+        const FAR: u64 = 3_600_000_000_000;
+        for row in &MISMATCHES {
+            let issue = row.issue;
+            let plan = data_plane_faults(FaultPlan::none().with_down_window(FAR, FAR + 1));
+            let cluster = SystemConfig::ricc().cluster.clone();
+            let res = run_world_faulty(cluster, 2, plan, move |p: Process| {
+                let rig = Rig::new(&p);
+                let (rt, q, cx) = (&rig.rt, &rig.q, rig.cx(&p));
+                rt.set_forced_strategy(Some(TransferStrategy::Pinned));
+                // (the command's code, its dependant's code)
+                let run = |size: usize, tag: Tag| match issue(&cx, size, tag) {
+                    Err(code) => (code, None),
+                    Ok(e) => {
+                        let dependant = q.enqueue_marker(std::slice::from_ref(&e));
+                        e.wait(&p.actor);
+                        dependant.wait(&p.actor);
+                        (e.error_code(), dependant.error_code())
+                    }
+                };
+                let told = SIZE >> p.rank();
+                let mismatched = run(told, 3);
+                // Both sides have settled before either goes on.
+                p.comm.barrier(&p.actor);
+                let same_tag = run(SIZE / 2, 3);
+                let fresh_tag = run(SIZE / 2, 4);
+                rt.shutdown(&p.actor);
+                (
+                    mismatched,
+                    same_tag,
+                    fresh_tag,
+                    rt.obs_counters().in_flight(),
+                )
+            });
+            let poisoned = Some(EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST);
+            let failed = (Some(CL_MPI_TRANSFER_ERROR), poisoned);
+            let fine = (None, None);
+            let long = if row.long_fails { failed } else { fine };
+            assert_eq!(
+                res.outputs[0],
+                (long, fine, fine, 0),
+                "{}: long side",
+                row.name
+            );
+            assert_eq!(
+                res.outputs[1],
+                (failed, fine, fine, 0),
+                "{}: short side",
+                row.name
+            );
         }
     }
 }

@@ -141,14 +141,44 @@ impl Buffer {
 
     /// Validate an (offset, len) range against the buffer size.
     pub fn check_range(&self, offset: usize, len: usize) -> ClResult<()> {
-        if offset.checked_add(len).is_none_or(|end| end > self.size) {
-            return Err(ClError::InvalidValue(format!(
-                "range {offset}+{len} exceeds buffer of {} bytes",
-                self.size
-            )));
-        }
-        Ok(())
+        check_range("buffer", self.size, offset, len)
     }
+
+    /// One PCIe hop is one `memcpy`: copy `len` bytes between `offset` of
+    /// this buffer and `host_offset` of `host`, which way `dir` says, under
+    /// both locks — always the device lock first, then the host one. Both
+    /// ranges are the caller's to check.
+    pub(crate) fn copy(&self, dir: Dir, offset: usize, len: usize, host: &HostBuffer, at: usize) {
+        self.write(|d| {
+            host.write(|h| {
+                let d = &mut d.as_mut_slice()[offset..offset + len];
+                let h = &mut h.as_mut_slice()[at..at + len];
+                match dir {
+                    Dir::ToHost => h.copy_from_slice(d),
+                    Dir::ToDevice => d.copy_from_slice(h),
+                }
+            })
+        });
+    }
+}
+
+/// Which way a transfer between a [`Buffer`] and a [`HostBuffer`] goes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dir {
+    /// Device→host: a read, a map.
+    ToHost,
+    /// Host→device: a write, an unmap.
+    ToDevice,
+}
+
+/// `[offset, offset + len)` must lie inside the `size` bytes of `what`.
+fn check_range(what: &str, size: usize, offset: usize, len: usize) -> ClResult<()> {
+    if offset.checked_add(len).is_none_or(|end| end > size) {
+        return Err(ClError::InvalidValue(format!(
+            "range {offset}+{len} exceeds {what} of {size} bytes"
+        )));
+    }
+    Ok(())
 }
 
 /// A host memory allocation, pinned or pageable. PCIe transfers to/from
@@ -188,6 +218,11 @@ impl HostBuffer {
     /// Size in bytes.
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// Validate an (offset, len) range against the allocation.
+    pub(crate) fn check_range(&self, offset: usize, len: usize) -> ClResult<()> {
+        check_range("host buffer", self.size, offset, len)
     }
 
     /// Run `f` over an immutable view.

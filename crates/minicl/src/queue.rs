@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use simtime::{Actor, MachineHandle, MachineStep, SimActor, SimChannel, SimClock, SimNs, Trace};
 
+use crate::buffer::Dir;
 use crate::status::EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST;
 use crate::{Buffer, ClResult, CommandStatus, Device, Event, HostBuffer, WaitListStatus};
 
@@ -30,20 +31,12 @@ enum Command {
         body: Option<Body>,
         kind: &'static str,
     },
-    /// Device→host transfer over PCIe.
-    ReadBuffer {
+    /// Transfer over PCIe between a device and a host buffer: a read
+    /// ([`Dir::ToHost`]) or a write.
+    Transfer {
         event: Event,
         wait: Vec<Event>,
-        buf: Buffer,
-        offset: usize,
-        size: usize,
-        host: HostBuffer,
-        host_offset: usize,
-    },
-    /// Host→device transfer over PCIe.
-    WriteBuffer {
-        event: Event,
-        wait: Vec<Event>,
+        dir: Dir,
         buf: Buffer,
         offset: usize,
         size: usize,
@@ -146,21 +139,8 @@ impl CommandQueue {
         host_offset: usize,
         wait_list: &[Event],
     ) -> ClResult<Event> {
-        buf.check_range(offset, size)?;
-        let event = Event::new_queued(self.shared.clock.clone(), "read-buffer");
-        self.shared.chan.send(Command::ReadBuffer {
-            event: event.clone(),
-            wait: wait_list.to_vec(),
-            buf: buf.clone(),
-            offset,
-            size,
-            host: host.clone(),
-            host_offset,
-        });
-        if blocking {
-            event.wait(actor);
-        }
-        Ok(event)
+        let region = (buf, offset, size, host, host_offset);
+        self.enqueue_transfer(actor, Dir::ToHost, blocking, region, wait_list)
     }
 
     /// Enqueue a host→device write (`clEnqueueWriteBuffer`).
@@ -176,11 +156,32 @@ impl CommandQueue {
         host_offset: usize,
         wait_list: &[Event],
     ) -> ClResult<Event> {
+        let region = (buf, offset, size, host, host_offset);
+        self.enqueue_transfer(actor, Dir::ToDevice, blocking, region, wait_list)
+    }
+
+    /// Both of the above. Misuse — either range outside its buffer — is
+    /// the caller's `CL_INVALID_VALUE`, found here on the calling thread
+    /// with nothing enqueued: the executor's copy cannot miss.
+    fn enqueue_transfer(
+        &self,
+        actor: &Actor,
+        dir: Dir,
+        blocking: bool,
+        (buf, offset, size, host, host_offset): (&Buffer, usize, usize, &HostBuffer, usize),
+        wait_list: &[Event],
+    ) -> ClResult<Event> {
         buf.check_range(offset, size)?;
-        let event = Event::new_queued(self.shared.clock.clone(), "write-buffer");
-        self.shared.chan.send(Command::WriteBuffer {
+        host.check_range(host_offset, size)?;
+        let label = match dir {
+            Dir::ToHost => "read-buffer",
+            Dir::ToDevice => "write-buffer",
+        };
+        let event = Event::new_queued(self.shared.clock.clone(), label);
+        self.shared.chan.send(Command::Transfer {
             event: event.clone(),
             wait: wait_list.to_vec(),
+            dir,
             buf: buf.clone(),
             offset,
             size,
@@ -217,8 +218,7 @@ impl CommandQueue {
             wait: wait_list.to_vec(),
             cost_ns: cost,
             body: Some(Box::new(move || {
-                let bytes = buf2.load(offset, size).expect("range checked");
-                host2.fill_from(&bytes);
+                buf2.copy(Dir::ToHost, offset, size, &host2, 0)
             })),
             kind: "map-buffer",
         });
@@ -249,8 +249,7 @@ impl CommandQueue {
             wait: wait_list.to_vec(),
             cost_ns: cost,
             body: Some(Box::new(move || {
-                let bytes = mapped2.to_vec();
-                buf2.store(offset, &bytes).expect("range checked");
+                buf2.copy(Dir::ToDevice, offset, size, &mapped2, 0)
             })),
             kind: "unmap",
         });
@@ -258,7 +257,8 @@ impl CommandQueue {
     }
 
     /// Device→device copy within the same device (`clEnqueueCopyBuffer`):
-    /// charged at device memory bandwidth (read + write).
+    /// charged at device memory bandwidth (read + write), and moved that
+    /// way — a load and a store, the two passes its 2 × `size` cost models.
     #[allow(clippy::too_many_arguments)]
     pub fn enqueue_copy_buffer(
         &self,
@@ -350,9 +350,7 @@ impl Command {
     fn event(&self) -> Option<&Event> {
         match self {
             Command::Shutdown => None,
-            Command::Task { event, .. }
-            | Command::ReadBuffer { event, .. }
-            | Command::WriteBuffer { event, .. } => Some(event),
+            Command::Task { event, .. } | Command::Transfer { event, .. } => Some(event),
         }
     }
 
@@ -361,9 +359,7 @@ impl Command {
     fn wait_list(&self) -> &[Event] {
         match self {
             Command::Shutdown => &[],
-            Command::Task { wait, .. }
-            | Command::ReadBuffer { wait, .. }
-            | Command::WriteBuffer { wait, .. } => wait,
+            Command::Task { wait, .. } | Command::Transfer { wait, .. } => wait,
         }
     }
 
@@ -371,8 +367,10 @@ impl Command {
         match self {
             Command::Shutdown => "shutdown",
             Command::Task { kind, .. } => kind,
-            Command::ReadBuffer { .. } => "read",
-            Command::WriteBuffer { .. } => "write",
+            Command::Transfer { dir, .. } => match dir {
+                Dir::ToHost => "read",
+                Dir::ToDevice => "write",
+            },
         }
     }
 }
@@ -392,8 +390,7 @@ enum ExecState {
 }
 
 /// The queue executor as a resumable machine: dequeue → settle deps →
-/// reserve and run → complete, strictly in order, exactly as the old
-/// dedicated-thread loop did instant for instant. Identical code serves
+/// reserve and run → complete, strictly in order. Identical code serves
 /// both execution modes.
 struct QueueCore {
     shared: Arc<QueueShared>,
@@ -417,7 +414,7 @@ impl SimActor for QueueCore {
                     }
                     Some(cmd) => {
                         // Submission instant: when the executor reaches
-                        // the command (the old loop's dequeue instant).
+                        // the command.
                         cmd.event().expect("non-shutdown").mark_submitted(now);
                         transitions += 1;
                         self.state = ExecState::AwaitDeps(cmd);
@@ -472,8 +469,8 @@ impl SimActor for QueueCore {
 }
 
 /// Start the head command at `start`: mark it running, execute its host
-/// body (Task bodies run at the start instant, as the old loop did), and
-/// reserve its device engine/link. Returns the occupancy end instant.
+/// body (a Task's body runs at its start instant), and reserve its device
+/// engine/link. Returns the occupancy end instant.
 fn begin_command(shared: &QueueShared, cmd: &mut Command, start: SimNs) -> SimNs {
     cmd.event().expect("non-shutdown").mark_running(start);
     match cmd {
@@ -494,27 +491,31 @@ fn begin_command(shared: &QueueShared, cmd: &mut Command, start: SimNs) -> SimNs
                 start
             }
         }
-        Command::ReadBuffer { size, host, .. } => {
+        Command::Transfer {
+            dir, size, host, ..
+        } => {
             let dur = shared.device.spec().pcie.staged_ns(*size, host.is_pinned());
-            shared.device.d2h_link().reserve_duration(dur, start).end
-        }
-        Command::WriteBuffer { size, host, .. } => {
-            let dur = shared.device.spec().pcie.staged_ns(*size, host.is_pinned());
-            shared.device.h2d_link().reserve_duration(dur, start).end
+            let link = match dir {
+                Dir::ToHost => shared.device.d2h_link(),
+                Dir::ToDevice => shared.device.h2d_link(),
+            };
+            link.reserve_duration(dur, start).end
         }
     }
 }
 
-/// Finish the head command at `end`: transfer payloads move at the
-/// completion instant (the old loop copied after `advance_until(end)`),
-/// then the event completes and the span is recorded.
+/// Finish the head command at `end`: a transfer's payload moves at its
+/// completion instant — whoever reads the destination before the event
+/// completes sees the old bytes — then the event completes and the span is
+/// recorded.
 fn complete_command(shared: &QueueShared, cmd: Command, start: SimNs, end: SimNs) {
     let kind = cmd.kind();
     let event = match cmd {
         Command::Shutdown => unreachable!("shutdown never runs"),
         Command::Task { event, .. } => event,
-        Command::ReadBuffer {
+        Command::Transfer {
             event,
+            dir,
             buf,
             offset,
             size,
@@ -522,23 +523,7 @@ fn complete_command(shared: &QueueShared, cmd: Command, start: SimNs, end: SimNs
             host_offset,
             ..
         } => {
-            let bytes = buf.load(offset, size).expect("range checked at enqueue");
-            host.write(|h| {
-                h.as_mut_slice()[host_offset..host_offset + size].copy_from_slice(&bytes)
-            });
-            event
-        }
-        Command::WriteBuffer {
-            event,
-            buf,
-            offset,
-            size,
-            host,
-            host_offset,
-            ..
-        } => {
-            let bytes = host.read(|h| h.as_slice()[host_offset..host_offset + size].to_vec());
-            buf.store(offset, &bytes).expect("range checked at enqueue");
+            buf.copy(dir, offset, size, &host, host_offset);
             event
         }
     };
@@ -781,6 +766,29 @@ mod tests {
             .enqueue_read_buffer(&actor, &buf, false, 8, 16, &host, 0, &[])
             .is_err());
         q.finish(&actor);
+    }
+
+    /// A host buffer shorter than `host_offset + size` is the caller's
+    /// `CL_INVALID_VALUE`, found on the calling thread with nothing
+    /// enqueued — never an out-of-range slice on the executor, whose panic
+    /// poisons the clock for every actor.
+    #[test]
+    fn short_host_buffer_rejected_at_enqueue() {
+        let (ctx, actor) = ctx_and_actor();
+        let q = ctx.create_queue(0, "q0");
+        let buf = ctx.create_buffer(64);
+        let host = HostBuffer::pinned(16);
+        for (host_offset, size) in [(0, 64), (8, 16), (usize::MAX, 2)] {
+            let r = q.enqueue_read_buffer(&actor, &buf, false, 0, size, &host, host_offset, &[]);
+            assert!(matches!(r, Err(crate::ClError::InvalidValue(_))), "read");
+            let w = q.enqueue_write_buffer(&actor, &buf, false, 0, size, &host, host_offset, &[]);
+            assert!(matches!(w, Err(crate::ClError::InvalidValue(_))), "write");
+        }
+        // Nothing was enqueued, and the queue still works.
+        q.finish(&actor);
+        assert_eq!(actor.now_ns(), 0);
+        let e = q.enqueue_read_buffer(&actor, &buf, true, 0, 8, &host, 8, &[]);
+        assert!(e.is_ok_and(|e| e.is_complete()));
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Shared negative event-status codes.
 //!
-//! These codes used to be defined independently in `minicl::event` (−14)
-//! and `clmpi` (−1100); any crate matching on the *other* crate's code had
-//! to restate the literal. They now live in one place, re-exported by
-//! [`crate::error`], the crate root, and `clmpi`, so every layer of the
-//! stack (queue executor, progress engine, application tests) names the
-//! same constants.
+//! Defined here once and re-exported by [`crate::error`], the crate root,
+//! and `clmpi`, so every layer of the stack (queue executor, progress
+//! engine, application tests) names the same constants instead of
+//! restating a literal (`clmpi-check` pass `status-literal`).
 //!
 //! OpenCL encodes abnormal command termination as a **negative** event
 //! execution status; both constants here follow that convention and are

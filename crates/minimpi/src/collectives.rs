@@ -96,7 +96,7 @@ impl Comm {
         } else {
             None
         };
-        let npow = next_pow2(n);
+        let npow = n.next_power_of_two();
         // Receive from parent (higher bits cleared), then forward to
         // children in decreasing mask order.
         let mut mask = 1;
@@ -162,17 +162,13 @@ impl Comm {
     pub fn allreduce(&self, actor: &Actor, op: ReduceOp, contrib: &[f64]) -> Vec<f64> {
         match self.reduce(actor, 0, op, contrib) {
             Some(acc) => {
-                let bytes = crate::datatype::f64_as_bytes(&acc).to_vec();
-                // Reuse bcast's tree but on the ALLREDUCE tag via payload
-                // broadcast (distinct tag avoids interleaving with user
-                // bcasts of the same iteration).
-                self.bcast_tagged(actor, 0, Some(&bytes), COLL_ALLREDUCE)
-                    .chunks_exact(8)
-                    .map(|c| f64::from_ne_bytes(c.try_into().expect("8-byte chunk")))
-                    .collect()
+                // A tag of its own, so the result cannot interleave with a
+                // user bcast of the same iteration.
+                self.send_to_all(actor, COLL_ALLREDUCE, crate::datatype::f64_as_bytes(&acc));
+                acc
             }
             None => {
-                let data = self.bcast_tagged(actor, 0, None, COLL_ALLREDUCE);
+                let data = self.recv(actor, Some(0), Some(COLL_ALLREDUCE)).data;
                 crate::datatype::try_bytes_to_f64(&data)
                     .unwrap_or_else(|e| panic!("allreduce: broadcast result: {e}"))
             }
@@ -231,11 +227,11 @@ impl Comm {
                 for v in &all {
                     flat.extend_from_slice(v);
                 }
-                self.bcast_tagged(actor, 0, Some(&flat), COLL_ALLGATHER);
+                self.send_to_all(actor, COLL_ALLGATHER, &flat);
                 all
             }
             None => {
-                let flat = self.bcast_tagged(actor, 0, None, COLL_ALLGATHER);
+                let flat = self.recv(actor, Some(0), Some(COLL_ALLGATHER)).data;
                 let n = self.size();
                 let mut lens = Vec::with_capacity(n);
                 for i in 0..n {
@@ -255,23 +251,12 @@ impl Comm {
         }
     }
 
-    fn bcast_tagged(&self, actor: &Actor, root: Rank, data: Option<&[u8]>, tag: Tag) -> Vec<u8> {
-        // Linear broadcast on a private tag; used by allreduce only, where
-        // payloads are small.
-        if self.rank() == root {
-            let payload = data.expect("root supplies payload").to_vec();
-            for r in 0..self.size() {
-                if r != root {
-                    self.send(actor, r, tag, &payload);
-                }
-            }
-            payload
-        } else {
-            self.recv(actor, Some(root), Some(tag)).data
+    /// The sending half of a linear broadcast on a private tag (allreduce
+    /// and allgather results, which are small): `data` goes to every other
+    /// rank, which receives it from this one on `tag`.
+    fn send_to_all(&self, actor: &Actor, tag: Tag, data: &[u8]) {
+        for r in (0..self.size()).filter(|&r| r != self.rank()) {
+            self.send(actor, r, tag, data);
         }
     }
-}
-
-fn next_pow2(n: usize) -> usize {
-    n.next_power_of_two()
 }

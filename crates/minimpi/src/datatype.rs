@@ -46,15 +46,20 @@ pub fn f64_as_bytes(v: &[f64]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), std::mem::size_of_val(v)) }
 }
 
+/// `len` bytes must hold whole elements of `elem` bytes: a ragged tail is
+/// a truncated payload.
+pub(crate) fn check_whole(len: usize, elem: usize) -> Result<(), crate::p2p::MpiError> {
+    if !len.is_multiple_of(elem) {
+        let capacity = len - len % elem;
+        return Err(crate::p2p::MpiError::Truncated { len, capacity });
+    }
+    Ok(())
+}
+
 /// Copy bytes into a `f32` vector, reporting a misaligned (truncated)
 /// payload as [`MpiError::Truncated`](crate::p2p::MpiError::Truncated) instead of panicking.
 pub fn try_bytes_to_f32(b: &[u8]) -> Result<Vec<f32>, crate::p2p::MpiError> {
-    if !b.len().is_multiple_of(4) {
-        return Err(crate::p2p::MpiError::Truncated {
-            len: b.len(),
-            capacity: b.len() - b.len() % 4,
-        });
-    }
+    check_whole(b.len(), 4)?;
     Ok(b.chunks_exact(4)
         .map(|c| f32::from_ne_bytes([c[0], c[1], c[2], c[3]]))
         .collect())
@@ -63,12 +68,7 @@ pub fn try_bytes_to_f32(b: &[u8]) -> Result<Vec<f32>, crate::p2p::MpiError> {
 /// Copy bytes into a `f64` vector, reporting a misaligned (truncated)
 /// payload as [`MpiError::Truncated`](crate::p2p::MpiError::Truncated) instead of panicking.
 pub fn try_bytes_to_f64(b: &[u8]) -> Result<Vec<f64>, crate::p2p::MpiError> {
-    if !b.len().is_multiple_of(8) {
-        return Err(crate::p2p::MpiError::Truncated {
-            len: b.len(),
-            capacity: b.len() - b.len() % 8,
-        });
-    }
+    check_whole(b.len(), 8)?;
     Ok(b.chunks_exact(8)
         .map(|c| f64::from_ne_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
         .collect())

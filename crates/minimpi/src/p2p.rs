@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use simnet::{DropReason, FaultOutcome};
+use simtime::plock::Mutex;
 use simtime::{Actor, Monitor, SimNs, WakeKey};
 
 use crate::world::{Comm, World};
@@ -296,11 +297,17 @@ pub struct Request {
 /// Injection outcome of a send, filled in by the fabric arbiter's grant
 /// callback. `drop_reason` is `Some` when the fault plan dropped the
 /// message (the sender's NIC learns the fate at injection time — a
-/// link-layer NACK — which is what the clMPI retry layer polls).
-#[derive(Debug, Clone, Copy)]
+/// link-layer NACK — which is what the clMPI retry layer polls), and the
+/// payload the fabric refused waits in `refused` for the sender to take
+/// back ([`Request::take_refused`]); a delivered one has moved into the
+/// receiver's inbox.
+#[derive(Debug)]
 struct SendOutcome {
     done_at: SimNs,
     drop_reason: Option<DropReason>,
+    /// Behind a lock of its own: taking the bytes back changes nothing a
+    /// waiter's predicate reads, so it must not notify the monitor.
+    refused: Mutex<Option<Vec<u8>>>,
 }
 
 enum ReqKind {
@@ -358,33 +365,19 @@ impl Request {
         }
     }
 
-    /// True for send requests.
-    pub fn is_send(&self) -> bool {
-        matches!(self.kind, ReqKind::Send { .. })
-    }
-
-    /// For send requests: did the fabric deliver the message? `false`
-    /// means the fault plan dropped it (link-layer NACK observed by the
-    /// sender NIC at injection time); the payload never reaches the
-    /// receiver's inbox and the sender must retransmit. Always `true`
-    /// for receive requests and for sends whose injection the arbiter
-    /// has not granted yet — poll [`Request::known_completion`] (or
-    /// block with [`Request::wait_delivered`]) before trusting the fate.
-    pub fn delivered(&self) -> bool {
-        self.drop_reason().is_none()
-    }
-
-    /// For dropped send requests: why the fabric dropped the message.
-    /// `None` for delivered or still-in-arbitration sends and for
-    /// receive requests. A [`DropReason::NodeDown`] fate tells the
-    /// sender retransmission is futile — the ULFM layer turns it into
-    /// [`MpiError::ProcFailed`].
-    pub fn drop_reason(&self) -> Option<DropReason> {
+    /// For a dropped [`Comm::isend_raw`] (link-layer NACK, observed by the
+    /// sender's NIC at injection time): why the fabric dropped the message
+    /// — after [`DropReason::NodeDown`] a retransmit is futile — and the
+    /// payload it refused, the very allocation the send was given, so a
+    /// retransmit can hand it over again. `None` for a delivered or
+    /// still-arbitrating send (ask [`Request::known_completion`] first),
+    /// for a receive, and once taken.
+    pub fn take_refused(&self) -> Option<(DropReason, Vec<u8>)> {
         match &self.kind {
-            ReqKind::Send { outcome, .. } => {
-                self.pump();
-                outcome.peek(|o| o.and_then(|o| o.drop_reason))
-            }
+            ReqKind::Send { outcome, .. } => outcome.peek(|o| {
+                let o = o.as_ref()?;
+                o.drop_reason.zip(o.refused.lock().take())
+            }),
             ReqKind::Recv { .. } => None,
         }
     }
@@ -399,9 +392,9 @@ impl Request {
             ReqKind::Send { outcome, world } => {
                 let o = actor.wait_on(&keys, "mpi send (fate)", || {
                     world.inner.fabric.pump(world.inner.clock.now_ns());
-                    outcome.peek(|o| *o)
+                    outcome.peek(|o| o.as_ref().map(|o| o.drop_reason))
                 });
-                o.drop_reason.is_none()
+                o.is_none()
             }
             ReqKind::Recv { .. } => true,
         }
@@ -412,7 +405,7 @@ impl Request {
     pub fn known_completion(&self) -> Option<SimNs> {
         self.pump();
         match &self.kind {
-            ReqKind::Send { outcome, .. } => outcome.peek(|o| o.map(|o| o.done_at)),
+            ReqKind::Send { outcome, .. } => outcome.peek(|o| o.as_ref().map(|o| o.done_at)),
             ReqKind::Recv { id, state, .. } => {
                 state.peek(|st| st.matched.get(id).map(|m| m.visible_at))
             }
@@ -427,7 +420,7 @@ impl Request {
             ReqKind::Send { outcome, world } => {
                 let done_at = actor.wait_on(&keys, "mpi send", || {
                     world.inner.fabric.pump(world.inner.clock.now_ns());
-                    outcome.peek(|o| o.map(|o| o.done_at))
+                    outcome.peek(|o| o.as_ref().map(|o| o.done_at))
                 });
                 actor.advance_until(done_at);
                 None
@@ -470,8 +463,8 @@ impl Request {
                 let res = actor.wait_on(&keys, "mpi send (timeout)", || {
                     let now = world.inner.clock.now_ns();
                     world.inner.fabric.pump(now);
-                    if let Some(o) = outcome.peek(|o| *o) {
-                        return Some(Some(o.done_at));
+                    if let Some(done_at) = outcome.peek(|o| o.as_ref().map(|o| o.done_at)) {
+                        return Some(Some(done_at));
                     }
                     (now >= deadline).then_some(None)
                 });
@@ -553,10 +546,12 @@ impl Request {
     pub fn test(&mut self, actor: &Actor) -> Option<Option<RecvResult>> {
         self.pump();
         match &mut self.kind {
-            ReqKind::Send { outcome, .. } => match outcome.peek(|o| *o) {
-                Some(o) if actor.now_ns() >= o.done_at => Some(None),
-                _ => None,
-            },
+            ReqKind::Send { outcome, .. } => {
+                match outcome.peek(|o| o.as_ref().map(|o| o.done_at)) {
+                    Some(done_at) if actor.now_ns() >= done_at => Some(None),
+                    _ => None,
+                }
+            }
             ReqKind::Recv {
                 id, state, members, ..
             } => state
@@ -597,7 +592,8 @@ impl Comm {
     /// snapshotted (buffered send) and fabric capacity is reserved
     /// immediately; the request completes when injection ends.
     pub fn isend(&self, actor: &Actor, dst: Rank, tag: Tag, data: &[u8]) -> Request {
-        self.isend_typed_from(actor, dst, tag, Datatype::Bytes, data, actor.now_ns())
+        let now = actor.now_ns();
+        self.isend_raw(actor, dst, tag, Datatype::Bytes, data.to_vec(), now, None)
     }
 
     /// [`Comm::isend`] that reports an out-of-range destination as an
@@ -632,26 +628,14 @@ impl Comm {
         Ok(())
     }
 
-    /// [`Comm::isend`] with an explicit datatype tag and an earliest
-    /// injection instant (used by the clMPI runtime to launch a network
-    /// stage when a device→host stage will finish, without any thread
-    /// having to wait for it).
-    pub fn isend_typed_from(
-        &self,
-        actor: &Actor,
-        dst: Rank,
-        tag: Tag,
-        datatype: Datatype,
-        data: &[u8],
-        earliest: SimNs,
-    ) -> Request {
-        self.isend_raw(actor, dst, tag, datatype, data, earliest, None)
-    }
-
-    /// Lowest-level send: optionally overrides the injection duration
-    /// (`duration_override`), for transfers whose effective rate is not
-    /// the raw link rate — e.g. the clMPI *mapped* strategy, where the NIC
-    /// streams through PCIe at the device's zero-copy rate.
+    /// Lowest-level send, and the one that takes its payload by value: the
+    /// wire owns the bytes from here on and moves them into the receiver's
+    /// inbox on delivery; if the fabric drops the message instead, the
+    /// sender gets them back from [`Request::take_refused`]. Optionally
+    /// overrides the injection duration (`duration_override`), for
+    /// transfers whose effective rate is not the raw link rate — e.g. the
+    /// clMPI *mapped* strategy, where the NIC streams through PCIe at the
+    /// device's zero-copy rate.
     #[allow(clippy::too_many_arguments)]
     pub fn isend_raw(
         &self,
@@ -659,7 +643,7 @@ impl Comm {
         dst: Rank,
         tag: Tag,
         datatype: Datatype,
-        data: &[u8],
+        payload: Vec<u8>,
         earliest: SimNs,
         duration_override: Option<SimNs>,
     ) -> Request {
@@ -667,6 +651,7 @@ impl Comm {
         let gdst = self.global_rank(dst);
         let inner = &self.world.inner;
         let outcome = Arc::new(Monitor::new(inner.clock.clone(), None));
+        let len = payload.len();
         // The reservation goes through the fabric's arbiter: claiming
         // link time eagerly here would serialize same-instant injections
         // from different engine threads in OS-scheduling order. The grant
@@ -677,7 +662,6 @@ impl Comm {
             let outcome = outcome.clone();
             let src = self.rank;
             let context = self.context;
-            let payload = data.to_vec();
             Box::new(move |res| {
                 let inner = &world.inner;
                 // The fate of the message is decided at injection time: a
@@ -686,14 +670,14 @@ impl Comm {
                 // inbox, and the sender observes the loss on its request
                 // (link-layer NACK model).
                 let fate = inner.fabric.fault_decision(src, gdst, tag, res.start);
-                let drop_reason = match fate {
+                let (drop_reason, refused) = match fate {
                     FaultOutcome::Deliver { extra_latency_ns } => {
                         let visible_at = res.arrival + extra_latency_ns;
                         inner.ranks[gdst]
                             .with(|st| st.post(src, context, tag, datatype, payload, visible_at));
                         // Wake the receiver's request waiters at arrival.
                         inner.ranks[gdst].alarm_at(visible_at);
-                        None
+                        (None, None)
                     }
                     FaultOutcome::Drop(reason) => {
                         let label = match reason {
@@ -702,7 +686,7 @@ impl Comm {
                             DropReason::NodeDown => format!("dead r{src}→r{gdst} #{tag}"),
                         };
                         inner.trace.record("net.fault", label, res.start, res.end);
-                        Some(reason)
+                        (Some(reason), Some(payload))
                     }
                 };
                 // Wake this request's waiters at send completion.
@@ -711,16 +695,15 @@ impl Comm {
                     *o = Some(SendOutcome {
                         done_at: res.end,
                         drop_reason,
+                        refused: Mutex::new(refused),
                     })
                 });
             })
         };
         match duration_override {
-            None => {
-                inner
-                    .fabric
-                    .reserve_deferred(self.rank, gdst, tag, data.len(), earliest, complete)
-            }
+            None => inner
+                .fabric
+                .reserve_deferred(self.rank, gdst, tag, len, earliest, complete),
             Some(d) => inner
                 .fabric
                 .reserve_duration_deferred(self.rank, gdst, tag, d, earliest, complete),
@@ -737,12 +720,6 @@ impl Comm {
     /// when the payload has been injected and the buffer is reusable).
     pub fn send(&self, actor: &Actor, dst: Rank, tag: Tag, data: &[u8]) {
         self.isend(actor, dst, tag, data).wait(actor);
-    }
-
-    /// Blocking typed send.
-    pub fn send_typed(&self, actor: &Actor, dst: Rank, tag: Tag, datatype: Datatype, data: &[u8]) {
-        self.isend_typed_from(actor, dst, tag, datatype, data, actor.now_ns())
-            .wait(actor);
     }
 
     /// Non-blocking receive matching `src`/`tag` (use [`crate::ANY_SOURCE`]
@@ -838,25 +815,56 @@ impl Comm {
         sreq.wait(actor);
         res
     }
+}
 
-    /// Non-blocking probe: is a matching message *arrived* (visible)?
-    pub fn iprobe(&self, actor: &Actor, src: Option<Rank>, tag: Option<Tag>) -> bool {
-        let now = actor.now_ns();
-        // Grant any due deferred sends first: the probed message may be
-        // posted but not yet arbitrated.
-        self.world
-            .inner
-            .fabric
-            .pump(self.world.inner.clock.now_ns());
-        let gsrc = src.map(|s| self.global_rank(s));
-        let context = self.context;
-        self.world.inner.ranks[self.rank].peek(|st| {
-            st.inbox.iter().any(|m| {
-                m.visible_at <= now
-                    && m.context == context
-                    && gsrc.is_none_or(|s| s == m.src)
-                    && tag.is_none_or(|t| t == m.tag)
-            })
-        })
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{run_world_faulty, FaultPlan};
+    use simnet::ClusterSpec;
+
+    /// What rank 0 saw of its send: (delivered, the allocation came back,
+    /// the bytes that came back, a second take got something).
+    type Seen = (bool, bool, Option<Vec<u8>>, bool);
+
+    fn payload() -> Vec<u8> {
+        (0..4096u32).map(|i| (i * 7) as u8).collect()
+    }
+
+    /// Rank 0 hands `isend_raw` a payload under `plan`. Rank 1 reports
+    /// the bytes it received (third field), if the plan lets any through.
+    fn send_by_value(plan: FaultPlan, deliver: bool) -> Vec<Seen> {
+        let res = run_world_faulty(ClusterSpec::cichlid(), 2, plan, move |p| {
+            let a = &p.actor;
+            if p.rank() == 1 {
+                let got = deliver.then(|| p.comm.recv(a, Some(0), Some(5)).data);
+                return (true, false, got, false);
+            }
+            let payload = payload();
+            let allocation = payload.as_ptr();
+            let req = p
+                .comm
+                .isend_raw(a, 1, 5, Datatype::ClMem, payload, a.now_ns(), None);
+            let delivered = req.wait_delivered(a);
+            let back = req.take_refused();
+            let random = |(why, b): (DropReason, Vec<u8>)| (why == DropReason::Random).then_some(b);
+            let back = back.and_then(random);
+            let same = back.as_ref().is_some_and(|b| b.as_ptr() == allocation);
+            (delivered, same, back, req.take_refused().is_some())
+        });
+        res.outputs
+    }
+
+    #[test]
+    fn dropped_send_by_value_hands_back_the_very_bytes_it_was_given() {
+        let out = send_by_value(FaultPlan::drops(9, 1.0), false);
+        assert_eq!(out[0], (false, true, Some(payload()), false));
+    }
+
+    #[test]
+    fn delivered_send_by_value_hands_back_nothing_and_arrives_unchanged() {
+        let out = send_by_value(FaultPlan::none(), true);
+        assert_eq!(out[0], (true, false, None, false));
+        assert_eq!(out[1].2, Some(payload()));
     }
 }

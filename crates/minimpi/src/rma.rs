@@ -47,7 +47,7 @@ use simtime::plock::Mutex;
 use simtime::{Actor, Monitor, SimNs};
 
 use crate::collectives::ReduceOp;
-use crate::datatype::{f64_as_bytes, try_bytes_to_f64};
+use crate::datatype::{check_whole, f64_as_bytes, try_bytes_to_f64};
 use crate::p2p::MpiError;
 use crate::world::Comm;
 use crate::Rank;
@@ -318,39 +318,6 @@ impl RmaInner {
 }
 
 impl RmaHandle {
-    #[allow(clippy::too_many_arguments)]
-    fn issue(
-        win: &Win,
-        kind: RmaKind,
-        target: Rank,
-        offset: usize,
-        payload: Vec<u8>,
-        len: usize,
-        route: RmaRoute,
-        earliest: SimNs,
-    ) -> Self {
-        let comm = win.comm.clone();
-        let now = comm.world().clock().now_ns();
-        let inner = Arc::new(RmaInner {
-            gsrc: comm.global_rank(comm.rank()),
-            gdst: comm.global_rank(target),
-            comm,
-            shared: Arc::clone(&win.shared),
-            kind,
-            target,
-            offset,
-            payload,
-            len,
-            route,
-            posted_at: now,
-            attempts: AtomicU32::new(0),
-            slot: Monitor::new(win.comm.world().clock().clone(), RmaSlot::InFlight),
-        });
-        let h = RmaHandle { inner };
-        h.post(earliest.max(now));
-        h
-    }
-
     /// Post (or re-post) the transfer to the arbiter, on the route the op
     /// was issued with.
     fn post(&self, earliest: SimNs) {
@@ -576,6 +543,9 @@ impl Win {
         Ok(())
     }
 
+    /// Validate the access, then build the op — which owns `payload` from
+    /// here to its last retransmit — post it and book it for the epoch's
+    /// closing call.
     #[allow(clippy::too_many_arguments)]
     fn issue(
         &self,
@@ -590,48 +560,52 @@ impl Win {
         self.comm.ensure_not_revoked()?;
         self.check_access(target)?;
         self.check_range(target, offset, len)?;
-        let h = RmaHandle::issue(self, kind, target, offset, payload, len, route, earliest);
+        let comm = self.comm.clone();
+        let clock = comm.world().clock().clone();
+        let now = clock.now_ns();
+        let inner = Arc::new(RmaInner {
+            gsrc: comm.global_rank(comm.rank()),
+            gdst: comm.global_rank(target),
+            comm,
+            shared: Arc::clone(&self.shared),
+            kind,
+            target,
+            offset,
+            payload,
+            len,
+            route,
+            posted_at: now,
+            attempts: AtomicU32::new(0),
+            slot: Monitor::new(clock, RmaSlot::InFlight),
+        });
+        let h = RmaHandle { inner };
+        h.post(earliest.max(now));
         self.epoch.lock().pending.push(h.clone());
         Ok(h)
     }
 
     /// One-sided write of `data` into `target`'s window at `offset`
     /// (`MPI_Put`). Non-blocking: completes at the next epoch-closing
-    /// call, or via the returned handle.
+    /// call, or via the returned handle. `data` is snapshotted (the
+    /// caller's buffer is reusable on return).
     pub fn put(&self, target: Rank, offset: usize, data: &[u8]) -> Result<RmaHandle, MpiError> {
-        let len = data.len();
-        self.issue(
-            RmaKind::Put,
-            target,
-            offset,
-            data.to_vec(),
-            len,
-            RmaRoute::Auto,
-            0,
-        )
+        self.put_routed(target, offset, data.to_vec(), RmaRoute::Auto, 0)
     }
 
-    /// [`Win::put`] with an explicit wire route and earliest claim instant
-    /// (the clMPI engine accounts device→host staging before the wire and
-    /// sweeps the same put across transports).
+    /// [`Win::put`] of a payload handed over by value — no snapshot — with
+    /// an explicit wire route and earliest claim instant (the clMPI engine
+    /// loads the bytes itself, accounts device→host staging before the
+    /// wire and sweeps the same put across transports).
     pub fn put_routed(
         &self,
         target: Rank,
         offset: usize,
-        data: &[u8],
+        data: Vec<u8>,
         route: RmaRoute,
         earliest: SimNs,
     ) -> Result<RmaHandle, MpiError> {
         let len = data.len();
-        self.issue(
-            RmaKind::Put,
-            target,
-            offset,
-            data.to_vec(),
-            len,
-            route,
-            earliest,
-        )
+        self.issue(RmaKind::Put, target, offset, data, len, route, earliest)
     }
 
     /// One-sided read of `len` bytes from `target`'s window at `offset`
@@ -652,6 +626,7 @@ impl Win {
     /// (f64s) into `target`'s window with `op`. Lengths must be 8-byte
     /// multiples ([`MpiError::Truncated`] otherwise). Concurrent
     /// accumulates are applied in the arbiter's canonical grant order.
+    /// `data` is snapshotted (the caller's buffer is reusable on return).
     pub fn accumulate(
         &self,
         target: Rank,
@@ -659,17 +634,22 @@ impl Win {
         data: &[u8],
         op: ReduceOp,
     ) -> Result<RmaHandle, MpiError> {
-        try_bytes_to_f64(data)?; // validate alignment up front
+        self.accumulate_owned(target, offset, data.to_vec(), op)
+    }
+
+    /// [`Win::accumulate`] of an operand handed over by value — no
+    /// snapshot (the clMPI engine loads the bytes itself).
+    pub fn accumulate_owned(
+        &self,
+        target: Rank,
+        offset: usize,
+        data: Vec<u8>,
+        op: ReduceOp,
+    ) -> Result<RmaHandle, MpiError> {
         let len = data.len();
-        self.issue(
-            RmaKind::Acc(op),
-            target,
-            offset,
-            data.to_vec(),
-            len,
-            RmaRoute::Auto,
-            0,
-        )
+        check_whole(len, 8)?; // f64 operands, validated up front
+        let kind = RmaKind::Acc(op);
+        self.issue(kind, target, offset, data, len, RmaRoute::Auto, 0)
     }
 
     /// Drive every pending op of the current epoch once; returns true
@@ -687,11 +667,6 @@ impl Win {
         }
         ep.pending.retain(|h| !h.settled());
         ep.pending.is_empty()
-    }
-
-    /// Number of ops still pending in the current epoch.
-    pub fn pending_ops(&self) -> usize {
-        self.epoch.lock().pending.len()
     }
 
     /// Take the first op failure latched this epoch (cleared).

@@ -226,15 +226,6 @@ impl Comm {
         }
     }
 
-    /// Translate a global rank to this communicator's local rank (None if
-    /// the rank is not a member).
-    pub fn local_rank(&self, global: Rank) -> Option<Rank> {
-        match &self.members {
-            None => (global < self.world.size()).then_some(global),
-            Some(m) => m.iter().position(|&g| g == global),
-        }
-    }
-
     /// The world this endpoint belongs to.
     pub fn world(&self) -> &World {
         &self.world

@@ -187,9 +187,8 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
         if let Some(m) = model.as_mut() {
             m.host_phase(step);
             p.actor.advance_ns(HOST_PHASE_NS);
-            let n_bytes = f32_as_bytes(&m.n).to_vec();
             for r in 1..nodes {
-                let _ = p.comm.isend(&p.actor, r, TAG_N, &n_bytes);
+                let _ = p.comm.isend(&p.actor, r, TAG_N, f32_as_bytes(&m.n));
             }
             let full = m.scaled_rows(step, 0, k);
             let bytes = f32_as_bytes(&full);
@@ -288,7 +287,11 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
             }
             m.integrate(&dn_all);
         } else {
-            p.comm.send(&p.actor, 0, TAG_DN, &dn_stage.to_vec());
+            // The send snapshots the staged rates under the buffer's lock
+            // and is waited for outside it.
+            dn_stage
+                .read(|h| p.comm.isend(&p.actor, 0, TAG_DN, h.as_slice()))
+                .wait(&p.actor);
         }
     }
     rt.shutdown(&p.actor);

@@ -53,11 +53,6 @@ impl XorShift64 {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// Next 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         // 53 random mantissa bits.

@@ -2,9 +2,9 @@
 //!
 //! ### Two execution modes, one machine contract
 //!
-//! Long-lived *service* actors (the clMPI progress engine, the OpenCL
-//! queue executors) used to each own an OS thread parked in one big
-//! predicate wait. That is faithful but tops out at a few hundred actors:
+//! A long-lived *service* actor (the clMPI progress engine, an OpenCL
+//! queue executor) that owns an OS thread parked in one big predicate
+//! wait is faithful but tops out at a few hundred actors:
 //! every clock notification wakes every thread, and a 1,024-rank world
 //! needs thousands of threads doing nothing but re-evaluating predicates.
 //!
@@ -30,10 +30,9 @@
 //!   repeat until nobody is flagged → the clock advances), not one per
 //!   notify.
 //! * [`ExecMode::Threads`] — the **oracle** (`SIM_EXEC_MODE=threads`): one
-//!   OS thread per machine, driven by `run_on_thread`. This is
-//!   byte-for-byte the historical thread-per-actor semantics (the
-//!   machine's whole life happens inside one labeled predicate wait). It
-//!   is signalled by every notify and never held: its owner joins it
+//!   OS thread per machine, driven by `run_on_thread`: the machine's
+//!   whole life happens inside one labeled predicate wait. It is
+//!   signalled by every notify and never held: its owner joins it
 //!   while still a runnable actor (`CommandQueue::drop`), so "until every
 //!   other actor has parked" would never come.
 //!
@@ -140,8 +139,8 @@ pub trait SimActor: Send {
 /// How a [`SimClock`] executes spawned machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One OS thread per machine (the historical model; differential
-    /// oracle for the event core).
+    /// One OS thread per machine: the differential oracle for the event
+    /// core.
     Threads,
     /// Sharded worker pool over per-shard machine queues.
     Events,
