@@ -14,21 +14,24 @@
 //!    wake accounting ([`simtime::WakeStats`]: notifies, alarms fired,
 //!    clock advances, shard passes, machine polls and ready marks, and
 //!    per wait label parks / wake-ups / successes — the counts depend on
-//!    how the OS schedules the woken threads).
-//!    Informative only, never diffed.
+//!    how the OS schedules the woken threads), and on Linux what the
+//!    kernel charged the process per config ([`ProcUsage`]: minor faults,
+//!    user and system CPU ms). `--before` copies the rows of an earlier
+//!    sidecar — the parent commit's, measured in the same session — into
+//!    a `before` array beside them. Informative only, never diffed.
 //!
 //! The binary *asserts* the PR's acceptance bar in-process: Himeno M
 //! completes at world 256 and nanopowder at world 64 under the event
 //! core, and at world 64 the event core reproduces the thread-per-actor
 //! oracle exactly (virtual makespan, event count, ObsSummary hash).
 //!
-//! Usage: `scale [--out path] [--results path]`
+//! Usage: `scale [--out path] [--results path] [--before path]`
 
 use std::time::Instant;
 
 use clmpi::obs::ObsSummary;
 use clmpi::SystemConfig;
-use clmpi_bench::write_artifact;
+use clmpi_bench::{write_artifact, ProcUsage};
 use himeno::{run_himeno_with_faults_mode, GridSize, HimenoConfig, Variant};
 use minimpi::FaultPlan;
 use nanopowder::{run_nanopowder_mode, NanoConfig, NanoVariant};
@@ -61,6 +64,8 @@ struct ConfigRow {
     wall_ms: f64,
     /// Host-dependent: sidecar only.
     wake: WakeStats,
+    /// Host-dependent: sidecar only; `None` where there is no `/proc`.
+    usage: Option<ProcUsage>,
 }
 
 impl ConfigRow {
@@ -70,6 +75,17 @@ impl ConfigRow {
 
     fn wall_ms_per_vsec(&self) -> f64 {
         self.wall_ms / (self.elapsed_ns as f64 / 1e9).max(1e-12)
+    }
+
+    /// What the kernel charged the process for this config as sidecar JSON
+    /// members, trailing comma included; empty off Linux.
+    fn usage_json(&self) -> String {
+        self.usage.map_or(String::new(), |u| {
+            format!(
+                "\"minflt\": {}, \"utime_ms\": {}, \"stime_ms\": {}, ",
+                u.minflt, u.utime_ms, u.stime_ms
+            )
+        })
     }
 
     /// The wake accounting as sidecar JSON members (labels are static
@@ -124,7 +140,9 @@ fn himeno_cfg(nodes: usize) -> HimenoConfig {
 
 fn run_himeno_row(nodes: usize, mode: ExecMode) -> (ConfigRow, u64) {
     let t0 = Instant::now();
-    let r = run_himeno_with_faults_mode(Variant::ClMpi, himeno_cfg(nodes), FaultPlan::none(), mode);
+    let (r, usage) = ProcUsage::during(|| {
+        run_himeno_with_faults_mode(Variant::ClMpi, himeno_cfg(nodes), FaultPlan::none(), mode)
+    });
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert!(
         r.gosa.is_finite() && r.gosa > 0.0,
@@ -145,6 +163,7 @@ fn run_himeno_row(nodes: usize, mode: ExecMode) -> (ConfigRow, u64) {
             ],
             wall_ms,
             wake: r.wake,
+            usage,
         },
         obs,
     )
@@ -152,16 +171,18 @@ fn run_himeno_row(nodes: usize, mode: ExecMode) -> (ConfigRow, u64) {
 
 fn run_nano_row(nodes: usize, sections: usize, mode: ExecMode) -> ConfigRow {
     let t0 = Instant::now();
-    let r = run_nanopowder_mode(
-        NanoVariant::ClMpi,
-        NanoConfig {
-            sections,
-            steps: NANO_STEPS,
-            sys: ricc_scaled(nodes),
-            nodes,
-        },
-        mode,
-    );
+    let (r, usage) = ProcUsage::during(|| {
+        run_nanopowder_mode(
+            NanoVariant::ClMpi,
+            NanoConfig {
+                sections,
+                steps: NANO_STEPS,
+                sys: ricc_scaled(nodes),
+                nodes,
+            },
+            mode,
+        )
+    });
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let n_sum: f64 = r.final_n.iter().map(|&v| v as f64).sum();
     assert!(
@@ -176,6 +197,7 @@ fn run_nano_row(nodes: usize, sections: usize, mode: ExecMode) -> ConfigRow {
         fingerprints: vec![("final_n_sum_bits", n_sum.to_bits())],
         wall_ms,
         wake: r.wake,
+        usage,
     }
 }
 
@@ -194,11 +216,13 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = "BENCH_scale.json".to_string();
     let mut results = "results/scale.json".to_string();
+    let mut before: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--out" => out = it.next().expect("--out needs a value").clone(),
             "--results" => results = it.next().expect("--results needs a value").clone(),
+            "--before" => before = Some(it.next().expect("--before needs a value").clone()),
             other => panic!("unknown argument {other}"),
         }
     }
@@ -272,16 +296,29 @@ fn main() {
     let mut side = String::new();
     for (i, r) in rows.iter().enumerate() {
         side.push_str(&format!(
-            "  {{ \"config\": \"{}\", \"wall_ms\": {:.1}, \"events_per_sec\": {}, \"wall_ms_per_virtual_sec\": {:.1}, {} }}{}\n",
+            "  {{ \"config\": \"{}\", \"wall_ms\": {:.1}, \"events_per_sec\": {}, \"wall_ms_per_virtual_sec\": {:.1}, {}{} }}{}\n",
             r.label,
             r.wall_ms,
             r.events_per_sec(),
             r.wall_ms_per_vsec(),
+            r.usage_json(),
             r.wake_json(),
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
-    let side_json = format!("{{\n\"bench\": \"scale-wallclock\",\n\"configs\": [\n{side}]\n}}\n");
+    // An earlier sidecar's rows, verbatim. `before` is written ahead of
+    // `configs` so that a sidecar that has one lends only its own rows.
+    let before = before.map_or(String::new(), |path| {
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        let rows = text
+            .split_once("\"configs\": [\n")
+            .and_then(|(_, rest)| rest.rsplit_once("]\n}"))
+            .unwrap_or_else(|| panic!("{path} is not a scale sidecar"))
+            .0;
+        format!("\"before\": [\n{rows}],\n")
+    });
+    let side_json =
+        format!("{{\n\"bench\": \"scale-wallclock\",\n{before}\"configs\": [\n{side}]\n}}\n");
     write_artifact(&results, &side_json); // the host-dependent wall-clock sidecar
 
     for r in &rows {

@@ -231,6 +231,53 @@ pub fn write_artifact(path: &str, json: &str) {
     eprintln!("(artifact written to {path})");
 }
 
+/// What the kernel charged this process (`/proc/self/stat`): minor page
+/// faults and user / system CPU time. Host-dependent — for sidecars under
+/// `results/`, never for a `BENCH_*.json`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProcUsage {
+    /// Minor page faults: pages the kernel handed over without I/O.
+    pub minflt: u64,
+    /// CPU time in user mode, ms.
+    pub utime_ms: u64,
+    /// CPU time in the kernel, ms.
+    pub stime_ms: u64,
+}
+
+impl ProcUsage {
+    /// Parse the text of `/proc/<pid>/stat` (proc(5): `minflt` is field
+    /// 10, `utime` 14 and `stime` 15, the times in clock ticks of 10 ms —
+    /// `USER_HZ` is 100 on every Linux ABI).
+    fn parse(stat: &str) -> Option<ProcUsage> {
+        // The command name (field 2) may hold spaces and parentheses;
+        // field 3 starts after its closing one.
+        let mut fields = stat[stat.rfind(')')? + 1..].split_ascii_whitespace();
+        let mut field = |skip: usize| fields.nth(skip)?.parse::<u64>().ok();
+        Some(ProcUsage {
+            minflt: field(7)?,
+            utime_ms: field(3)? * 10,
+            stime_ms: field(0)? * 10,
+        })
+    }
+
+    /// Totals so far; `None` where there is no `/proc` (anything but Linux).
+    fn now() -> Option<ProcUsage> {
+        ProcUsage::parse(&std::fs::read_to_string("/proc/self/stat").ok()?)
+    }
+
+    /// Run `f` and report what the whole process was charged meanwhile.
+    pub fn during<R>(f: impl FnOnce() -> R) -> (R, Option<ProcUsage>) {
+        let before = ProcUsage::now();
+        let out = f();
+        let used = before.zip(ProcUsage::now()).map(|(b, a)| ProcUsage {
+            minflt: a.minflt - b.minflt,
+            utime_ms: a.utime_ms - b.utime_ms,
+            stime_ms: a.stime_ms - b.stime_ms,
+        });
+        (out, used)
+    }
+}
+
 /// One measured bandwidth point as `BENCH_p2p.json` / `BENCH_rma.json`
 /// persist it. `mbps` is stored as an IEEE-754 bit pattern (exact
 /// equality across runs); the human-readable rate is recoverable as
@@ -339,6 +386,21 @@ mod tests {
         assert_eq!(bp.size, 1);
         assert!(bp.mbps > 0.0, "1 transferred byte yields nonzero MB/s");
         assert!(bp.per_transfer_ns >= 1);
+    }
+
+    #[test]
+    fn proc_usage_reads_past_a_command_name_with_spaces() {
+        let stat =
+            "4242 (scale (v2) x) S 1 4242 4242 0 -1 4194560 6913 0 2 0 121 9 0 0 20 0 26 0 1";
+        assert_eq!(
+            ProcUsage::parse(stat),
+            Some(ProcUsage {
+                minflt: 6913,
+                utime_ms: 1210,
+                stime_ms: 90,
+            })
+        );
+        assert_eq!(ProcUsage::parse("4242 (scale) S 1 4242"), None);
     }
 
     #[test]

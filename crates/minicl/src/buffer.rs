@@ -12,9 +12,19 @@ use crate::{ClError, ClResult};
 static NEXT_BUFFER_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A byte array with 8-byte alignment, so typed float views are valid.
+///
+/// Bytes read as zero until written, and the zeroes are written only where
+/// somebody looks: `words` is allocated for the whole array but holds only
+/// the initialised prefix, `overwrite` extends it with the bytes it is
+/// given, and `settle` writes the rest as zeroes before [`Buffer`] /
+/// [`HostBuffer`] hand out a view. Every view is bounded by the prefix, so
+/// one taken without settling is short, not unsound.
 pub struct AlignedBytes {
     words: Vec<u64>,
     len: usize,
+    /// Bytes written as zeroes so far: gaps and `settle`, never the < 8
+    /// bytes that pad a ragged word.
+    zero_filled: usize,
 }
 
 impl AlignedBytes {
@@ -23,6 +33,16 @@ impl AlignedBytes {
         AlignedBytes {
             words: vec![0u64; len.div_ceil(8)],
             len,
+            zero_filled: len,
+        }
+    }
+
+    /// Storage of `len` bytes that reads as zeroes, none of them written yet.
+    fn reserved(len: usize) -> Self {
+        AlignedBytes {
+            words: Vec::with_capacity(len.div_ceil(8)),
+            len,
+            zero_filled: 0,
         }
     }
 
@@ -36,50 +56,87 @@ impl AlignedBytes {
         self.len == 0
     }
 
+    /// Initialised bytes a view may cover: all `len` once settled.
+    fn visible(&self) -> usize {
+        self.len.min(self.words.len() * 8)
+    }
+
+    /// Write the zeroes nobody has overwritten yet.
+    fn settle(&mut self) -> &mut Self {
+        self.zero_filled += self.len - self.visible();
+        self.words.resize(self.len.div_ceil(8), 0);
+        self
+    }
+
+    /// Copy `src` to `offset`, zero-filling only a gap between the
+    /// initialised prefix and `offset`.
+    fn overwrite(&mut self, offset: usize, src: &[u8]) {
+        assert!(offset + src.len() <= self.len, "write past the end");
+        if src.is_empty() {
+            return;
+        }
+        let prefix = self.words.len() * 8;
+        if offset > prefix {
+            self.zero_filled += offset - prefix;
+            self.words.resize(offset.div_ceil(8), 0);
+        }
+        let (inside, beyond) = src.split_at(src.len().min(self.words.len() * 8 - offset));
+        self.as_mut_slice()[offset..offset + inside.len()].copy_from_slice(inside);
+        let (whole, ragged) = beyond.split_at(beyond.len() & !7);
+        let word = |bytes: &[u8]| {
+            let mut w = [0u8; 8];
+            w[..bytes.len()].copy_from_slice(bytes);
+            u64::from_ne_bytes(w)
+        };
+        self.words.extend(whole.chunks_exact(8).map(word));
+        if !ragged.is_empty() {
+            self.words.push(word(ragged));
+        }
+    }
+
     /// Byte view.
     pub fn as_slice(&self) -> &[u8] {
-        // SAFETY: the Vec<u64> owns at least `len` initialized bytes and
-        // u8 has no alignment requirement.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.len) }
+        // SAFETY: the Vec<u64> holds at least `visible()` initialized bytes
+        // and u8 has no alignment requirement.
+        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.visible()) }
     }
 
     /// Mutable byte view.
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
+        let n = self.visible();
         // SAFETY: as above; we hold &mut self.
-        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<u8>(), self.len) }
+        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<u8>(), n) }
     }
 
     /// `f32` view; panics unless the length is a multiple of 4.
     pub fn as_f32(&self) -> &[f32] {
         assert_eq!(self.len % 4, 0, "buffer length not a multiple of 4");
         // SAFETY: storage is 8-byte aligned (Vec<u64>), every bit pattern
-        // is a valid f32, and the length is scaled.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<f32>(), self.len / 4) }
+        // is a valid f32, and the initialized length is scaled.
+        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<f32>(), self.visible() / 4) }
     }
 
     /// Mutable `f32` view; panics unless the length is a multiple of 4.
     pub fn as_f32_mut(&mut self) -> &mut [f32] {
         assert_eq!(self.len % 4, 0, "buffer length not a multiple of 4");
+        let n = self.visible() / 4;
         // SAFETY: as above; we hold &mut self.
-        unsafe {
-            std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<f32>(), self.len / 4)
-        }
+        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<f32>(), n) }
     }
 
     /// `f64` view; panics unless the length is a multiple of 8.
     pub fn as_f64(&self) -> &[f64] {
         assert_eq!(self.len % 8, 0, "buffer length not a multiple of 8");
         // SAFETY: as above.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<f64>(), self.len / 8) }
+        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<f64>(), self.visible() / 8) }
     }
 
     /// Mutable `f64` view; panics unless the length is a multiple of 8.
     pub fn as_f64_mut(&mut self) -> &mut [f64] {
         assert_eq!(self.len % 8, 0, "buffer length not a multiple of 8");
+        let n = self.visible() / 8;
         // SAFETY: as above; we hold &mut self.
-        unsafe {
-            std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<f64>(), self.len / 8)
-        }
+        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<f64>(), n) }
     }
 }
 
@@ -97,12 +154,12 @@ pub struct Buffer {
 }
 
 impl Buffer {
-    /// Allocate a zero-filled device buffer of `size` bytes.
+    /// Allocate a device buffer of `size` bytes that reads as zeroes.
     pub(crate) fn alloc(size: usize) -> Self {
         Buffer {
             id: NEXT_BUFFER_ID.fetch_add(1, Ordering::Relaxed),
             size,
-            data: Arc::new(Mutex::new(AlignedBytes::zeroed(size))),
+            data: Arc::new(Mutex::new(AlignedBytes::reserved(size))),
         }
     }
 
@@ -118,25 +175,25 @@ impl Buffer {
 
     /// Run `f` over an immutable view of the contents.
     pub fn read<R>(&self, f: impl FnOnce(&AlignedBytes) -> R) -> R {
-        f(&self.data.lock())
+        f(self.data.lock().settle())
     }
 
     /// Run `f` over a mutable view of the contents.
     pub fn write<R>(&self, f: impl FnOnce(&mut AlignedBytes) -> R) -> R {
-        f(&mut self.data.lock())
+        f(self.data.lock().settle())
     }
 
     /// Copy `src` into the buffer at `offset`.
     pub fn store(&self, offset: usize, src: &[u8]) -> ClResult<()> {
         self.check_range(offset, src.len())?;
-        self.data.lock().as_mut_slice()[offset..offset + src.len()].copy_from_slice(src);
+        self.data.lock().overwrite(offset, src);
         Ok(())
     }
 
     /// Copy `len` bytes starting at `offset` out of the buffer.
     pub fn load(&self, offset: usize, len: usize) -> ClResult<Vec<u8>> {
         self.check_range(offset, len)?;
-        Ok(self.data.lock().as_slice()[offset..offset + len].to_vec())
+        Ok(self.data.lock().settle().as_slice()[offset..offset + len].to_vec())
     }
 
     /// Validate an (offset, len) range against the buffer size.
@@ -149,16 +206,16 @@ impl Buffer {
     /// both locks — always the device lock first, then the host one. Both
     /// ranges are the caller's to check.
     pub(crate) fn copy(&self, dir: Dir, offset: usize, len: usize, host: &HostBuffer, at: usize) {
-        self.write(|d| {
-            host.write(|h| {
-                let d = &mut d.as_mut_slice()[offset..offset + len];
-                let h = &mut h.as_mut_slice()[at..at + len];
-                match dir {
-                    Dir::ToHost => h.copy_from_slice(d),
-                    Dir::ToDevice => d.copy_from_slice(h),
-                }
-            })
-        });
+        match dir {
+            Dir::ToHost => self.read(|d| {
+                let src = &d.as_slice()[offset..offset + len];
+                host.data.lock().overwrite(at, src)
+            }),
+            Dir::ToDevice => {
+                let mut d = self.data.lock();
+                host.read(|h| d.overwrite(offset, &h.as_slice()[at..at + len]))
+            }
+        }
     }
 }
 
@@ -196,7 +253,7 @@ impl HostBuffer {
     pub fn pageable(size: usize) -> Self {
         HostBuffer {
             pinned: false,
-            data: Arc::new(Mutex::new(AlignedBytes::zeroed(size))),
+            data: Arc::new(Mutex::new(AlignedBytes::reserved(size))),
             size,
         }
     }
@@ -205,7 +262,7 @@ impl HostBuffer {
     pub fn pinned(size: usize) -> Self {
         HostBuffer {
             pinned: true,
-            data: Arc::new(Mutex::new(AlignedBytes::zeroed(size))),
+            data: Arc::new(Mutex::new(AlignedBytes::reserved(size))),
             size,
         }
     }
@@ -227,29 +284,30 @@ impl HostBuffer {
 
     /// Run `f` over an immutable view.
     pub fn read<R>(&self, f: impl FnOnce(&AlignedBytes) -> R) -> R {
-        f(&self.data.lock())
+        f(self.data.lock().settle())
     }
 
     /// Run `f` over a mutable view.
     pub fn write<R>(&self, f: impl FnOnce(&mut AlignedBytes) -> R) -> R {
-        f(&mut self.data.lock())
+        f(self.data.lock().settle())
     }
 
     /// Fill from a byte slice (must fit).
     pub fn fill_from(&self, src: &[u8]) {
         assert!(src.len() <= self.size, "host buffer overflow");
-        self.data.lock().as_mut_slice()[..src.len()].copy_from_slice(src);
+        self.data.lock().overwrite(0, src);
     }
 
     /// Snapshot contents as a byte vector.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.data.lock().as_slice().to_vec()
+        self.data.lock().settle().as_slice().to_vec()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simtime::XorShift64;
 
     #[test]
     fn aligned_bytes_round_to_words() {
@@ -316,5 +374,394 @@ mod tests {
         let h = HostBuffer::pageable(6);
         h.fill_from(&[5, 6, 7]);
         assert_eq!(h.to_vec(), vec![5, 6, 7, 0, 0, 0]);
+    }
+
+    /// Sizes around a word, a page and a ragged end.
+    const SIZES: [usize; 7] = [0, 1, 7, 8, 9, 4_099, 65_536];
+
+    fn zero_filled(data: &Mutex<AlignedBytes>) -> usize {
+        data.lock().zero_filled
+    }
+
+    #[test]
+    fn a_fresh_buffer_reads_as_zeroes_through_every_view() {
+        for size in SIZES {
+            let zeroes = vec![0u8; size];
+            assert_eq!(Buffer::alloc(size).load(0, size), Ok(zeroes.clone()));
+            assert_eq!(HostBuffer::pinned(size).to_vec(), zeroes);
+            assert!(Buffer::alloc(size).read(|d| d.as_slice() == zeroes));
+            assert!(HostBuffer::pageable(size).write(|h| h.as_mut_slice() == zeroes));
+            if size % 4 == 0 {
+                assert!(Buffer::alloc(size).read(|d| d.as_f32() == vec![0.0; size / 4]));
+                assert!(Buffer::alloc(size).write(|d| d.as_f32_mut() == vec![0.0; size / 4]));
+            }
+            if size % 8 == 0 {
+                assert!(HostBuffer::pinned(size).read(|h| h.as_f64() == vec![0.0; size / 8]));
+                assert!(HostBuffer::pinned(size).write(|h| h.as_f64_mut() == vec![0.0; size / 8]));
+            }
+        }
+    }
+
+    #[test]
+    fn a_buffer_clone_sees_the_same_prefix() {
+        let a = Buffer::alloc(4_099);
+        let b = a.clone();
+        assert_eq!(a.store(0, &[1; 13]), Ok(()));
+        assert_eq!(b.store(11, &[2; 30]), Ok(()));
+        assert_eq!(
+            a.data.lock().words.len(),
+            6,
+            "41 bytes through either handle"
+        );
+        assert_eq!(zero_filled(&b.data), 0);
+        let mut expect = vec![0u8; 4_099];
+        expect[..11].fill(1);
+        expect[11..41].fill(2);
+        assert_eq!(b.load(0, 4_099), Ok(expect));
+        assert_eq!(zero_filled(&a.data), 4_099 - 48);
+    }
+
+    #[test]
+    fn zeroes_are_written_only_where_nobody_wrote() {
+        const SIZE: usize = 16 << 20;
+        let chunk = SIZE / 60;
+        let pieces: Vec<(usize, usize)> = (0..SIZE)
+            .step_by(chunk)
+            .map(|at| (at, chunk.min(SIZE - at)))
+            .collect();
+        assert_eq!(
+            pieces.last(),
+            Some(&(60 * chunk, 16)),
+            "a ragged 61st chunk"
+        );
+        let payload = vec![7u8; chunk];
+
+        // The ring broadcast's receiver: ascending chunk stores, then a kernel
+        // reads. A zero-length write asks for no gap before it.
+        let dev = Buffer::alloc(SIZE);
+        assert_eq!(dev.store(SIZE, &[]), Ok(()));
+        for &(at, len) in &pieces {
+            assert_eq!(dev.store(at, &payload[..len]), Ok(()));
+        }
+        assert!(dev.read(|d| d.as_slice().iter().all(|&b| b == 7)));
+        assert_eq!(zero_filled(&dev.data), 0);
+
+        // The root: `fill_from` at 0 into its stage, one whole-buffer write; and a map back.
+        let (stage, root, mapped) = (
+            HostBuffer::pinned(SIZE),
+            Buffer::alloc(SIZE),
+            HostBuffer::pageable(SIZE),
+        );
+        stage.fill_from(&vec![9u8; SIZE]);
+        root.copy(Dir::ToDevice, 0, SIZE, &stage, 0);
+        root.copy(Dir::ToHost, 0, SIZE, &mapped, 0);
+        assert!(mapped.to_vec() == vec![9u8; SIZE]);
+        for data in [&stage.data, &root.data, &mapped.data] {
+            assert_eq!(zero_filled(data), 0);
+        }
+
+        // Chunks 7 and 8 arriving swapped cost the gap chunk 8 leaves
+        // behind it, from the end of chunk 6's last (padded) word.
+        let swapped = Buffer::alloc(SIZE);
+        let mut order = pieces.clone();
+        order.swap(7, 8);
+        for &(at, len) in &order {
+            assert_eq!(swapped.store(at, &payload[..len]), Ok(()));
+        }
+        assert!(swapped.read(|d| d.as_slice().iter().all(|&b| b == 7)));
+        assert_eq!(
+            zero_filled(&swapped.data),
+            8 * chunk - (7 * chunk).next_multiple_of(8)
+        );
+
+        // Nobody wrote: the whole length, once, at the first view.
+        let untouched = HostBuffer::pinned(SIZE);
+        assert_eq!(zero_filled(&untouched.data), 0);
+        assert_eq!(untouched.read(|h| h.as_f32().len()), SIZE / 4);
+        assert_eq!(untouched.write(|h| h.len()), SIZE);
+        assert_eq!(zero_filled(&untouched.data), SIZE);
+    }
+
+    /// One generated operation on a device buffer / host buffer pair.
+    /// Written bytes are odd, so never a zero; `width` is 4 (`f32`) or 8.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Store {
+            offset: usize,
+            len: usize,
+            salt: u8,
+        },
+        FillFrom {
+            len: usize,
+            salt: u8,
+        },
+        Copy {
+            to_host: bool,
+            offset: usize,
+            at: usize,
+            len: usize,
+        },
+        WriteBytes {
+            host: bool,
+            offset: usize,
+            len: usize,
+            salt: u8,
+        },
+        WriteTyped {
+            host: bool,
+            width: usize,
+            salt: u8,
+        },
+        Load {
+            offset: usize,
+            len: usize,
+        },
+        ToVec,
+        ReadBytes {
+            host: bool,
+        },
+        ReadTyped {
+            host: bool,
+            width: usize,
+        },
+    }
+
+    fn payload(len: usize, salt: u8) -> Vec<u8> {
+        (0..len).map(|i| salt.wrapping_add(i as u8) | 1).collect()
+    }
+
+    /// A range of a `size`-byte target: half the time within a word or so
+    /// of `near`, where its initialised prefix ends.
+    fn range(rng: &mut XorShift64, size: usize, near: usize) -> (usize, usize) {
+        let offset = if rng.gen_bool(0.5) {
+            (near + rng.gen_range_usize(0, 10)).saturating_sub(rng.gen_range_usize(0, 10))
+        } else {
+            rng.gen_range_usize(0, size + 1)
+        }
+        .min(size);
+        let len = match rng.gen_range_usize(0, 4) {
+            0 => 0,
+            1 => rng.gen_range_usize(0, 18),
+            _ => rng.gen_range_usize(0, size - offset + 1),
+        };
+        (offset, len.min(size - offset))
+    }
+
+    /// The buffers under test beside the plain zero-initialised vectors
+    /// they must read like, and how far each has been written.
+    struct Pair {
+        dev: Buffer,
+        host: HostBuffer,
+        dev_model: Vec<u8>,
+        host_model: Vec<u8>,
+        dev_end: usize,
+        host_end: usize,
+    }
+
+    impl Pair {
+        fn generate(&self, rng: &mut XorShift64) -> Op {
+            let (dev, host) = (self.dev_model.len(), self.host_model.len());
+            let (to_host, salt) = (rng.gen_bool(0.5), rng.next_u64() as u8);
+            let width = if salt % 2 == 0 { 4 } else { 8 };
+            let (offset, len) = range(rng, dev, self.dev_end);
+            let (at, room) = range(rng, host, self.host_end);
+            match rng.gen_range_usize(0, 20) {
+                0..=5 => Op::Store { offset, len, salt },
+                6..=8 => Op::FillFrom { len: at, salt },
+                9..=12 => Op::Copy {
+                    to_host,
+                    offset,
+                    at,
+                    len: len.min(room),
+                },
+                13 if to_host => Op::WriteBytes {
+                    host: true,
+                    offset: at,
+                    len: room,
+                    salt,
+                },
+                13 => Op::WriteBytes {
+                    host: false,
+                    offset,
+                    len,
+                    salt,
+                },
+                14 | 15 => Op::WriteTyped {
+                    host: to_host,
+                    width,
+                    salt,
+                },
+                16 => Op::Load { offset, len },
+                17 => Op::ToVec,
+                18 => Op::ReadBytes { host: to_host },
+                _ => Op::ReadTyped {
+                    host: to_host,
+                    width,
+                },
+            }
+        }
+
+        /// Whether a `write` closure over the chosen target returns what
+        /// `model` returns over its vector.
+        fn write<R: PartialEq>(
+            &mut self,
+            host: bool,
+            f: impl FnOnce(&mut AlignedBytes) -> R,
+            model: impl FnOnce(&mut [u8]) -> R,
+        ) -> bool {
+            if host {
+                self.host.write(f) == model(&mut self.host_model)
+            } else {
+                self.dev.write(f) == model(&mut self.dev_model)
+            }
+        }
+
+        /// Whether `f` of the chosen target, under a `read` closure, is
+        /// its model byte for byte.
+        fn reads_as(&self, host: bool, f: impl FnOnce(&AlignedBytes) -> Vec<u8>) -> bool {
+            if host {
+                self.host.read(f) == self.host_model
+            } else {
+                self.dev.read(f) == self.dev_model
+            }
+        }
+
+        /// Apply `op` to the buffers and the models; false when what the
+        /// buffers show differs from the models.
+        fn apply(&mut self, op: Op) -> bool {
+            match op {
+                Op::Store { offset, len, salt } => {
+                    let src = payload(len, salt);
+                    self.dev_model[offset..offset + len].copy_from_slice(&src);
+                    self.dev_end = self.dev_end.max(offset + len);
+                    self.dev.store(offset, &src) == Ok(())
+                }
+                Op::FillFrom { len, salt } => {
+                    let src = payload(len, salt);
+                    self.host_model[..len].copy_from_slice(&src);
+                    self.host_end = self.host_end.max(len);
+                    self.host.fill_from(&src);
+                    true
+                }
+                Op::Copy {
+                    to_host,
+                    offset,
+                    at,
+                    len,
+                } => {
+                    let d = &mut self.dev_model[offset..offset + len];
+                    let h = &mut self.host_model[at..at + len];
+                    if to_host {
+                        h.copy_from_slice(d);
+                        self.host_end = self.host_end.max(at + len);
+                        self.dev.copy(Dir::ToHost, offset, len, &self.host, at);
+                    } else {
+                        d.copy_from_slice(h);
+                        self.dev_end = self.dev_end.max(offset + len);
+                        self.dev.copy(Dir::ToDevice, offset, len, &self.host, at);
+                    }
+                    true
+                }
+                Op::WriteBytes {
+                    host,
+                    offset,
+                    len,
+                    salt,
+                } => {
+                    let src = payload(len, salt);
+                    self.write(
+                        host,
+                        |b| b.as_mut_slice()[offset..offset + len].copy_from_slice(&src),
+                        |m| m[offset..offset + len].copy_from_slice(&src),
+                    )
+                }
+                // Set the middle element of the typed view, if the length
+                // allows the view and it has one; report its length.
+                Op::WriteTyped { host, width, salt } => self.write(
+                    host,
+                    |b| match (b.len() % width, width) {
+                        (0, 4) => {
+                            let v = b.as_f32_mut();
+                            if let Some(x) = v.get_mut(v.len() / 2) {
+                                *x = f32::from_ne_bytes([salt | 1; 4]);
+                            }
+                            v.len()
+                        }
+                        (0, _) => {
+                            let v = b.as_f64_mut();
+                            if let Some(x) = v.get_mut(v.len() / 2) {
+                                *x = f64::from_ne_bytes([salt | 1; 8]);
+                            }
+                            v.len()
+                        }
+                        _ => 0,
+                    },
+                    |m| match m.len() % width {
+                        0 => {
+                            let n = m.len() / width;
+                            m.chunks_exact_mut(width)
+                                .skip(n / 2)
+                                .take(1)
+                                .for_each(|x| x.fill(salt | 1));
+                            n
+                        }
+                        _ => 0,
+                    },
+                ),
+                Op::Load { offset, len } => {
+                    self.dev.load(offset, len).as_deref()
+                        == Ok(&self.dev_model[offset..offset + len])
+                }
+                Op::ToVec => self.host.to_vec() == self.host_model,
+                Op::ReadBytes { host } => self.reads_as(host, |b| b.as_slice().to_vec()),
+                Op::ReadTyped { host, width } => {
+                    self.reads_as(host, |b| match (b.len() % width, width) {
+                        (0, 4) => b.as_f32().iter().flat_map(|x| x.to_ne_bytes()).collect(),
+                        (0, _) => b.as_f64().iter().flat_map(|x| x.to_ne_bytes()).collect(),
+                        _ => b.as_slice().to_vec(),
+                    })
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn buffers_read_like_zero_initialised_vectors_under_random_ops() {
+        const CASES: u64 = 800;
+        const OPS_PER_CASE: usize = 16;
+        let mut root = XorShift64::new(0xC1_B0FF);
+        for case in 0..CASES {
+            let mut rng = root.fork(case);
+            let dev_size = SIZES[rng.gen_range_usize(0, SIZES.len())];
+            let host_size = SIZES[rng.gen_range_usize(0, SIZES.len())];
+            let mut pair = Pair {
+                dev: Buffer::alloc(dev_size),
+                host: HostBuffer::pinned(host_size),
+                dev_model: vec![0; dev_size],
+                host_model: vec![0; host_size],
+                dev_end: 0,
+                host_end: 0,
+            };
+            // Whatever the generated ops left unread is read at the end.
+            let closing = [
+                Op::Load {
+                    offset: 0,
+                    len: dev_size,
+                },
+                Op::ToVec,
+            ];
+            let mut ops = Vec::new();
+            for i in 0..OPS_PER_CASE + closing.len() {
+                let op = closing.get(i.wrapping_sub(OPS_PER_CASE)).copied();
+                ops.push(op.unwrap_or_else(|| pair.generate(&mut rng)));
+                assert!(
+                    pair.apply(ops[i]),
+                    "case {case} (device {dev_size} B, host {host_size} B) diverged from its model \
+                     at the last of:{}",
+                    ops.iter().map(|op| format!("\n  {op:?}")).collect::<String>()
+                );
+            }
+        }
+        assert!(CASES as usize * OPS_PER_CASE >= 10_000);
     }
 }

@@ -128,7 +128,7 @@ impl Context {
         &self.inner.devices[index]
     }
 
-    /// Allocate a zero-filled device buffer (`clCreateBuffer`).
+    /// Allocate a device buffer that reads as zeroes (`clCreateBuffer`).
     pub fn create_buffer(&self, size: usize) -> Buffer {
         Buffer::alloc(size)
     }

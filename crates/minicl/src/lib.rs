@@ -22,6 +22,8 @@
 //! Device presets reproduce Table I: [`DeviceSpec::tesla_c2070`]
 //! (Cichlid) and [`DeviceSpec::tesla_c1060`] (RICC).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod buffer;
 mod context;
 mod device;

@@ -43,6 +43,8 @@
 //!   return and the next one would fault them back in. The process then
 //!   holds its high-water mark.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod collectives;
 pub mod datatype;
 mod ft;

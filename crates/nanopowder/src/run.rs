@@ -253,7 +253,7 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
             }
         };
         // Coagulation kernel, gated on its inputs.
-        let dn_shared = Arc::new(Mutex::new(vec![0.0f32; rows]));
+        let dn_shared = Arc::new(Mutex::new(Vec::new()));
         let (c2, n2, d2, dns) = (
             c_dev.clone(),
             n_dev.clone(),
