@@ -44,10 +44,25 @@ impl GridSize {
         }
     }
 
-    /// Number of interior (updated) points.
+    /// Number of interior (updated) points: zero if any dimension is
+    /// below 3.
     pub fn interior_points(self) -> usize {
         let (mi, mj, mk) = self.dims();
-        (mi - 2) * (mj - 2) * (mk - 2)
+        mi.saturating_sub(2) * mj.saturating_sub(2) * mk.saturating_sub(2)
+    }
+
+    /// [`dims`](Self::dims) for a solve. Every `run_himeno*` entry point
+    /// and `reference_jacobi` start here, on the caller's thread and
+    /// before a world exists: a grid with a dimension below 3 has no
+    /// interior point, and the `mk - 2` / `mj - 2` further down would
+    /// wrap on it inside a rank.
+    pub(crate) fn solve_dims(self) -> (usize, usize, usize) {
+        let (mi, mj, mk) = self.dims();
+        assert!(
+            mi >= 3 && mj >= 3 && mk >= 3,
+            "Himeno grid {mi}x{mj}x{mk} has no interior point: every dimension must be at least 3"
+        );
+        (mi, mj, mk)
     }
 
     /// Parse "xs"/"s"/"m"/"l" (case-insensitive).
@@ -129,12 +144,22 @@ pub fn fill_planes(p: &mut [f32], size: GridSize, lo: usize) {
 /// time* model still charges the full array traffic via
 /// [`BYTES_PER_POINT`].
 ///
-/// Never inlined: this loop nest is where a Himeno repetition's host
-/// time goes, and whether rustc folds it into its callers depends on how
-/// it happens to partition the crate — which moved, and cost the
-/// reference solve 8%, when generic `simtime` code instantiated here
-/// grew by a few instructions (PR 16). Standing alone it compiles the
-/// same whatever changes around it.
+/// Each `(i, j)` row of `mk - 2` points is two passes. The first is
+/// elementwise over seven equal-length windows of `old` and one of `new`:
+/// no iteration reads what another wrote, so rustc vectorises it, and
+/// every lane performs the `f32` operations of the scalar loop on the
+/// same operands (Rust never contracts `a * b + c` to an FMA). It parks
+/// `ss * ss`, still `f32`, in `sq`. The second adds `sq` into the `f64`
+/// residual one element at a time in `k` order — the order the sum has
+/// always had, so `gosa` keeps its bits; summing a row apart and adding
+/// that, or one accumulator per lane, would round differently.
+/// `tests::jacobi_sweep_spec` is the scalar loop this is diffed against.
+///
+/// Never inlined. On this form the attribute changes no instruction
+/// (`nm` and the disassembly are the same with and without it: DESIGN.md
+/// §14, "Host kernels"); it stays so that a change elsewhere in the crate
+/// cannot fold the nest into a caller, which in PR 16 slowed it by a
+/// sixth.
 #[inline(never)]
 pub fn jacobi_sweep(
     old: &[f32],
@@ -146,46 +171,29 @@ pub fn jacobi_sweep(
 ) -> f64 {
     const A3: f32 = 1.0 / 6.0;
     let plane = mj * mk;
+    let n = mk - 2;
+    let mut sq = vec![0.0f32; n];
     let mut gosa = 0.0f64;
     for i in i_lo..i_hi {
         for j in 1..mj - 1 {
-            let base = i * plane + j * mk;
-            for k in 1..mk - 1 {
-                let c = base + k;
-                let s0 = old[c + plane]          // a0 * p[i+1][j][k]
-                    + old[c + mk]                // a1 * p[i][j+1][k]
-                    + old[c + 1]                 // a2 * p[i][j][k+1]
-                    + old[c - plane]             // c0 * p[i-1][j][k]
-                    + old[c - mk]                // c1 * p[i][j-1][k]
-                    + old[c - 1]; // c2 * p[i][j][k-1]
-                let ss = s0 * A3 - old[c]; // (s0*a3 - p) * bnd
-                gosa += (ss * ss) as f64;
-                new[c] = old[c] + OMEGA * ss;
+            let c = i * plane + j * mk + 1;
+            let row = |at: usize| &old[at..at + n];
+            // a0..a2 * p[i+1], p[j+1], p[k+1]; c0..c2 * p[i-1], p[j-1], p[k-1]
+            let (ip, jp, kp) = (row(c + plane), row(c + mk), row(c + 1));
+            let (im, jm, km) = (row(c - plane), row(c - mk), row(c - 1));
+            let (centre, out) = (row(c), &mut new[c..c + n]);
+            for k in 0..n {
+                let s0 = ip[k] + jp[k] + kp[k] + im[k] + jm[k] + km[k];
+                let ss = s0 * A3 - centre[k]; // (s0*a3 - p) * bnd
+                sq[k] = ss * ss;
+                out[k] = centre[k] + OMEGA * ss;
+            }
+            for &s in &sq {
+                gosa += s as f64;
             }
         }
     }
     gosa
-}
-
-/// Copy the non-interior shell of `old` into `new` for planes
-/// `i_lo..i_hi` (the stencil leaves boundaries untouched; with double
-/// buffering they must be carried forward explicitly once).
-pub fn copy_shell(old: &[f32], new: &mut [f32], mj: usize, mk: usize, i_lo: usize, i_hi: usize) {
-    let plane = mj * mk;
-    for i in i_lo..i_hi {
-        let (o, n) = (
-            &old[i * plane..(i + 1) * plane],
-            &mut new[i * plane..(i + 1) * plane],
-        );
-        // j = 0 and j = mj-1 rows.
-        n[..mk].copy_from_slice(&o[..mk]);
-        n[(mj - 1) * mk..].copy_from_slice(&o[(mj - 1) * mk..]);
-        // k = 0 and k = mk-1 columns.
-        for j in 1..mj - 1 {
-            n[j * mk] = o[j * mk];
-            n[j * mk + mk - 1] = o[j * mk + mk - 1];
-        }
-    }
 }
 
 #[cfg(test)]
@@ -196,6 +204,9 @@ mod tests {
     fn dims_and_interior_counts() {
         assert_eq!(GridSize::M.dims(), (129, 129, 257));
         assert_eq!(GridSize::Xs.interior_points(), 31 * 31 * 63);
+        for (mi, mj, mk) in [(9, 3, 2), (9, 3, 1), (9, 3, 0), (2, 3, 3)] {
+            assert_eq!(GridSize::Custom(mi, mj, mk).interior_points(), 0);
+        }
         assert_eq!(GridSize::by_name("m"), Some(GridSize::M));
         assert_eq!(GridSize::by_name("xl"), None);
     }
@@ -250,15 +261,90 @@ mod tests {
         }
     }
 
+    /// The scalar loop nest that defines `jacobi_sweep`: which `f32`
+    /// operations happen on which operands, and in which order the
+    /// residual is summed.
+    fn jacobi_sweep_spec(
+        old: &[f32],
+        new: &mut [f32],
+        mj: usize,
+        mk: usize,
+        i_lo: usize,
+        i_hi: usize,
+    ) -> f64 {
+        const A3: f32 = 1.0 / 6.0;
+        let plane = mj * mk;
+        let mut gosa = 0.0f64;
+        for i in i_lo..i_hi {
+            for j in 1..mj - 1 {
+                let base = i * plane + j * mk;
+                for k in 1..mk - 1 {
+                    let c = base + k;
+                    let s0 = old[c + plane]          // a0 * p[i+1][j][k]
+                        + old[c + mk]                // a1 * p[i][j+1][k]
+                        + old[c + 1]                 // a2 * p[i][j][k+1]
+                        + old[c - plane]             // c0 * p[i-1][j][k]
+                        + old[c - mk]                // c1 * p[i][j-1][k]
+                        + old[c - 1]; // c2 * p[i][j][k-1]
+                    let ss = s0 * A3 - old[c]; // (s0*a3 - p) * bnd
+                    gosa += (ss * ss) as f64;
+                    new[c] = old[c] + OMEGA * ss;
+                }
+            }
+        }
+        gosa
+    }
+
+    /// 7 row lengths x 32 seeded cases against the scalar spec, bit for
+    /// bit. The fields differ in every cell and span twenty binary orders
+    /// of magnitude: the standard init is constant in `j` and `k`, so on it
+    /// a swapped neighbour or a reordered residual sum would change nothing.
     #[test]
-    fn copy_shell_preserves_boundaries() {
-        let size = GridSize::Custom(5, 5, 5);
-        let (mi, mj, mk) = size.dims();
-        let g = HimenoGrid::new(size);
-        let mut new = vec![0.0f32; g.p.len()];
-        copy_shell(&g.p, &mut new, mj, mk, 0, mi);
-        assert_eq!(new[1], g.p[1]); // j=0 row copied
-        assert_eq!(new[(2 * mj) * mk + 3], g.p[(2 * mj) * mk + 3]);
-        assert_eq!(new[(2 * mj + 2) * mk + 2], 0.0, "interior not copied");
+    fn sweep_matches_the_scalar_spec_bit_for_bit() {
+        const SENTINEL: u32 = 0xc442_4000; // -777.0, which no update produces
+        let mut rng = simtime::XorShift64::new(22);
+        for row in [1, 2, 3, 5, 9, 63, 255] {
+            for case in 0..32 {
+                let (mj, mk) = ([3, 3, 4, 7][case % 4], row + 2);
+                let planes = rng.gen_range_usize(3, 7);
+                // One case in four is an empty range, one a single plane,
+                // one the whole slab, one anything.
+                let i_lo = rng.gen_range_usize(1, planes - 1);
+                let (i_lo, i_hi) = match case / 4 % 4 {
+                    0 => (i_lo, i_lo),
+                    1 => (i_lo, i_lo + 1),
+                    2 => (1, planes - 1),
+                    _ => (i_lo, rng.gen_range_usize(i_lo, planes)),
+                };
+                let old: Vec<f32> = (0..planes * mj * mk)
+                    .map(|_| {
+                        let scale = 1.0 / (1u32 << rng.gen_range_usize(0, 21)) as f32;
+                        (rng.next_f32() - 0.5) * scale
+                    })
+                    .collect();
+                let mut want = vec![f32::from_bits(SENTINEL); old.len()];
+                let mut got = want.clone();
+                let want_gosa = jacobi_sweep_spec(&old, &mut want, mj, mk, i_lo, i_hi);
+                let got_gosa = jacobi_sweep(&old, &mut got, mj, mk, i_lo, i_hi);
+                let what =
+                    format!("row {row} case {case}: {planes}x{mj}x{mk}, planes {i_lo}..{i_hi}");
+                assert_eq!(got_gosa.to_bits(), want_gosa.to_bits(), "gosa, {what}");
+                if i_lo == i_hi {
+                    assert_eq!(got_gosa.to_bits(), 0.0f64.to_bits(), "empty range, {what}");
+                }
+                for (c, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "cell {c}, {what}");
+                    let (i, j, k) = (c / (mj * mk), c / mk % mj, c % mk);
+                    let updated = (i_lo..i_hi).contains(&i)
+                        && (1..mj - 1).contains(&j)
+                        && (1..mk - 1).contains(&k);
+                    assert_eq!(
+                        g.to_bits() != SENTINEL,
+                        updated,
+                        "cell {c} = ({i},{j},{k}), {what}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -118,7 +118,12 @@ enum RankOut {
 /// Run the recoverable Himeno solve under `plan`. With a
 /// [`FaultPlan::none`] plan this is an ordinary (checkpointing) solve;
 /// with a node-kill schedule the survivors shrink, restore, and finish.
+///
+/// # Panics
+/// On the calling thread, before the world is launched, if `cfg.size` has
+/// a dimension below 3 (no interior point).
 pub fn run_himeno_recover(cfg: RecoverConfig, plan: FaultPlan) -> RecoverResult {
+    cfg.size.solve_dims();
     let cluster = cfg.sys.cluster.clone();
     let nodes = cfg.nodes;
     let cfg = Arc::new(cfg);

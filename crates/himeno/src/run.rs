@@ -326,12 +326,14 @@ impl<'a> RankCx<'a> {
         let slab = &self.slab;
         self.bufs[self.cfg.iters % 2].read(|d| {
             let f = d.as_f32();
-            let plane = slab.mj * slab.mk;
+            let (mj, mk) = (slab.mj, slab.mk);
             let mut sum = 0.0f64;
             for i in 1..=slab.n {
-                for j in 1..slab.mj - 1 {
-                    for k in 1..slab.mk - 1 {
-                        sum += f[i * plane + j * slab.mk + k].abs() as f64;
+                for j in 1..mj - 1 {
+                    let row = (i * mj + j) * mk;
+                    // One accumulator, in `k` order: the sum keeps its bits.
+                    for x in &f[row + 1..row + mk - 1] {
+                        sum += x.abs() as f64;
                     }
                 }
             }
@@ -467,12 +469,17 @@ pub fn run_himeno_with_faults(
 /// in-world machines (clMPI engines, queue executors), overriding the
 /// `SIM_EXEC_MODE` default — the scale harness pins [`simtime::ExecMode::Events`]
 /// (and the oracle) regardless of the environment.
+///
+/// # Panics
+/// On the calling thread, before the world is launched, if `cfg.size` has
+/// a dimension below 3 (no interior point).
 pub fn run_himeno_with_faults_mode(
     variant: Variant,
     cfg: HimenoConfig,
     plan: FaultPlan,
     mode: simtime::ExecMode,
 ) -> HimenoResult {
+    cfg.size.solve_dims();
     let cluster = cfg.sys.cluster.clone();
     let nodes = cfg.nodes;
     let cfg = Arc::new(cfg);
