@@ -149,6 +149,16 @@ fn run_himeno_row(nodes: usize, mode: ExecMode) -> (ConfigRow, u64) {
         "himeno world {nodes}: residual must be finite and positive, got {}",
         r.gosa
     );
+    // A blocked receive parks once per message, on its rank's arrival
+    // key (two parks per success until that key existed); what is left
+    // above one is the receive a grant alarm picked to pump the arbiter.
+    let recv = r.wake.labels.get("mpi recv").copied().unwrap_or_default();
+    assert!(
+        recv.parked <= recv.successes + recv.successes / 4,
+        "himeno world {nodes}: `mpi recv` parked {} times for {} successes",
+        recv.parked,
+        recv.successes
+    );
     let obs = ObsSummary::from_trace(&r.trace).hash();
     (
         ConfigRow {

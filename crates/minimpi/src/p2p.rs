@@ -323,6 +323,8 @@ enum ReqKind {
     Recv {
         id: u64,
         state: Arc<Monitor<RankState>>,
+        /// The receiving rank's arrival key (`WorldInner::arrivals`).
+        arrival: WakeKey,
         /// Communicator member table for translating the global source
         /// rank back to a communicator-local one (None = world).
         members: Option<Arc<Vec<Rank>>>,
@@ -357,7 +359,9 @@ impl Request {
     /// monitor its state lives in (the send's outcome cell, the receiver's
     /// rank state) and the fabric arbiter's key, because every such wait
     /// pumps — the grant that fills the monitor in may be the waiter's own
-    /// job to run.
+    /// job to run. [`Request::wait`] parks a receive on the rank's arrival
+    /// key instead of its state: it has no deadline to watch and nothing
+    /// to do with a message that is matched but not here yet.
     fn wake_keys(&self) -> [WakeKey; 2] {
         match &self.kind {
             ReqKind::Send { outcome, world } => [outcome.key(), world.inner.fabric.wake_key()],
@@ -428,10 +432,12 @@ impl Request {
             ReqKind::Recv {
                 id,
                 state,
+                arrival,
                 members,
                 world,
             } => {
                 let clock = state.clock().clone();
+                let keys = [arrival, world.inner.fabric.wake_key()];
                 // Pump *outside* the state lock: a grant callback posts
                 // into this very monitor, so pumping from inside its
                 // predicate would self-deadlock.
@@ -486,6 +492,7 @@ impl Request {
                 state,
                 members,
                 world,
+                ..
             } => {
                 let clock = state.clock().clone();
                 state.alarm_at(deadline);
@@ -516,28 +523,39 @@ impl Request {
     /// receive that has not matched is withdrawn and `true` is returned; a
     /// receive whose message already matched cannot be cancelled — the
     /// message is returned to the inbox for other receives and `false` is
-    /// returned. Sends are eager (injected at post time) and never
-    /// cancellable.
+    /// returned. A send is never cancellable: its injection is arbitrated
+    /// by the fabric after the post ([`Comm::isend_raw`]), and nothing
+    /// takes a posted job back out of the arbiter.
     pub fn cancel(self) -> bool {
-        match self.kind {
-            ReqKind::Send { .. } => false,
-            ReqKind::Recv { id, state, .. } => state.with(|st| {
-                // No pump: a withdrawn receive does not need in-flight
-                // grants, and callers may hold engine-side locks.
-                let before = st.pending.len();
-                st.pending.retain(|p| p.id != id);
-                if st.pending.len() < before {
-                    return true;
-                }
-                if let Some(msg) = st.matched.remove(&id) {
-                    // Seq is preserved, so non-overtaking order survives
-                    // the round trip through the matcher.
-                    st.inbox.push(msg);
-                    st.try_match();
-                }
-                false
-            }),
+        let ReqKind::Recv {
+            id, state, arrival, ..
+        } = self.kind
+        else {
+            return false;
+        };
+        let (withdrawn, handed_back) = state.with(|st| {
+            // No pump: a withdrawn receive does not need in-flight
+            // grants, and callers may hold engine-side locks.
+            let before = st.pending.len();
+            st.pending.retain(|p| p.id != id);
+            if st.pending.len() < before {
+                return (true, false);
+            }
+            let Some(msg) = st.matched.remove(&id) else {
+                return (false, false);
+            };
+            // Seq is preserved, so non-overtaking order survives the
+            // round trip through the matcher.
+            st.inbox.push(msg);
+            st.try_match();
+            (false, true)
+        });
+        if handed_back {
+            // Whichever receive the message went to may be blocked past
+            // the arrival instant its alarm announced.
+            state.clock().notify_key(arrival);
         }
+        withdrawn
     }
 
     /// Non-blocking completion check. On completion returns
@@ -675,8 +693,13 @@ impl Comm {
                         let visible_at = res.arrival + extra_latency_ns;
                         inner.ranks[gdst]
                             .with(|st| st.post(src, context, tag, datatype, payload, visible_at));
-                        // Wake the receiver's request waiters at arrival.
+                        // Wake the receiver's request waiters at arrival:
+                        // the machines and deadline waits parked on its
+                        // state, and a blocked receive on its arrival key
+                        // (at once, if this grant was pumped late).
                         inner.ranks[gdst].alarm_at(visible_at);
+                        let arrival = inner.arrivals[gdst];
+                        inner.clock.schedule_alarm_keyed(visible_at, arrival);
                         (None, None)
                     }
                     FaultOutcome::Drop(reason) => {
@@ -736,6 +759,7 @@ impl Comm {
             kind: ReqKind::Recv {
                 id,
                 state,
+                arrival: self.world.inner.arrivals[self.rank],
                 members: self.members.clone(),
                 world: self.world.clone(),
             },
@@ -820,7 +844,7 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_world_faulty, FaultPlan};
+    use crate::{run_world_faulty, run_world_sized, FaultPlan};
     use simnet::ClusterSpec;
 
     /// What rank 0 saw of its send: (delivered, the allocation came back,
@@ -866,5 +890,74 @@ mod tests {
         let out = send_by_value(FaultPlan::none(), true);
         assert_eq!(out[0], (true, false, None, false));
         assert_eq!(out[1].2, Some(payload()));
+    }
+
+    // The two moments a blocked receive's arrival key is notified by hand
+    // rather than by the alarm at `visible_at`. Take either notify away
+    // and the receive below is never woken: the world ends in the
+    // deadlock report, naming `Blocked("mpi recv") [keyed: 2 key(s)]`.
+
+    #[test]
+    fn cancelling_a_matched_receive_completes_the_one_blocked_behind_it() {
+        const CANCEL_AT: SimNs = 5_000_000;
+        let res = run_world_sized(ClusterSpec::cichlid(), 2, |p| {
+            let a = &p.actor;
+            if p.rank() == 1 {
+                p.comm.send(a, 0, 5, &[7u8; 64]);
+                return (0, None);
+            }
+            // Same signature, so the one message matches `first`; the wait
+            // on `second` is woken when it arrives, finds nothing of its
+            // own and parks again — past the only alarm there will be.
+            let first = p.comm.irecv(a, Some(1), Some(5));
+            let second = p.comm.irecv(a, Some(1), Some(5));
+            // Registered while this thread is runnable (`SimClock::register`).
+            let canceller = p.clock().register("rank0:canceller");
+            let t = std::thread::spawn(move || {
+                canceller.advance_until(CANCEL_AT);
+                first.cancel()
+            });
+            let got = second.wait(a).map(|r| r.data);
+            assert_eq!(got, Some(vec![7u8; 64]));
+            (a.now_ns(), t.join().ok())
+        });
+        // Matched long before: not withdrawn, handed to `second` — which
+        // completes at the cancel instant.
+        assert_eq!(res.outputs[0], (CANCEL_AT, Some(false)));
+    }
+
+    #[test]
+    fn grant_pumped_after_the_arrival_instant_wakes_the_blocked_receive_at_once() {
+        // A parked receive is itself registered on the arbiter's pump key,
+        // so in a well-formed world the grant alarm, one nanosecond after
+        // the post, picks it or a pumper registered before it, and no
+        // grant reaches it late. Rank 0 is a pumper that does not pump: it
+        // absorbs the alarm, and the job waits for the sender to come
+        // back, long after the message "arrived". The rule — an arrival
+        // that is already past notifies at once — stays local instead of
+        // resting on that argument.
+        const LATE: SimNs = 50_000_000;
+        let res = run_world_sized(ClusterSpec::cichlid(), 3, |p| {
+            let a = &p.actor;
+            match p.rank() {
+                0 => {
+                    let clock = p.clock();
+                    let done = clock.new_key();
+                    clock.schedule_alarm_keyed(LATE + 1, done);
+                    let pump = p.comm.world.inner.fabric.wake_key();
+                    a.wait_on(&[pump, done], "decoy pumper", || {
+                        (clock.now_ns() > LATE).then_some(())
+                    });
+                }
+                1 => assert_eq!(p.comm.recv(a, Some(2), Some(5)).data, vec![3u8; 64]),
+                _ => {
+                    let req = p.comm.isend(a, 1, 5, &[3u8; 64]);
+                    a.advance_until(LATE);
+                    req.wait(a); // the first pump since the post
+                }
+            }
+            a.now_ns()
+        });
+        assert_eq!(res.outputs, vec![LATE + 1, LATE, LATE]);
     }
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use simnet::{ClusterSpec, Fabric, FaultCounts, FaultPlan};
 use simtime::plock::Mutex;
-use simtime::{Actor, Monitor, SimClock, SimNs, Trace};
+use simtime::{Actor, Monitor, SimClock, SimNs, Trace, WakeKey};
 
 use crate::p2p::RankState;
 use crate::{Rank, Tag};
@@ -22,6 +22,15 @@ pub(crate) struct WorldInner {
     pub clock: SimClock,
     pub fabric: Fabric,
     pub ranks: Vec<Arc<Monitor<RankState>>>,
+    /// Per rank, the key a blocking receive parks on instead of the
+    /// rank's monitor key: alarmed at the instant each delivered message
+    /// becomes visible, and notified when a cancelled receive hands its
+    /// message back to the matcher — the two moments a matched message
+    /// can complete somebody's receive. The monitor's key is also
+    /// notified when a message is merely *matched*, still in flight: a
+    /// machine needs that to arm its timer, a blocked thread can do
+    /// nothing with it.
+    pub arrivals: Vec<WakeKey>,
     pub trace: Trace,
     /// Contexts of revoked communicators (ULFM `MPI_Comm_revoke`). One
     /// shared registry stands in for the asynchronous revoke broadcast a
@@ -55,11 +64,13 @@ impl World {
         let ranks = (0..size)
             .map(|_| Arc::new(Monitor::new(clock.clone(), RankState::default())))
             .collect();
+        let arrivals = (0..size).map(|_| clock.new_key()).collect();
         World {
             inner: Arc::new(WorldInner {
                 clock,
                 fabric,
                 ranks,
+                arrivals,
                 trace: Trace::new(),
                 revoked: Mutex::new(BTreeSet::new()),
                 windows: Mutex::new(std::collections::BTreeMap::new()),

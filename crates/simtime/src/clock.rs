@@ -9,6 +9,15 @@
 //!   it is for. A 256-rank world makes tens of thousands of notifies per
 //!   run; with one shared condvar each of them woke every blocked actor
 //!   to re-run a predicate that was false 97% of the time.
+//! * **Signals after the lock.** Nothing but `poison` signals a token
+//!   while holding the clock mutex: whoever flags a waiter or wakes a
+//!   sleeper queues its token in `ClockState::signals`, and the queue is
+//!   signalled once the mutex has been released — when the `ClockGuard`
+//!   drops, and before its holder parks (`ClockGuard::park`). Signalled
+//!   under the lock, a woken thread that preempts its waker (one CPU)
+//!   runs only to block on the mutex the waker still holds: two context
+//!   switches and two futex calls that move nothing. A signal that comes
+//!   late is harmless — every park loops on its own condition.
 //! * **Wake keys.** Cross-actor state is owned by something with a
 //!   [`WakeKey`] (every `Monitor`, the fabric's deferred arbiter). A
 //!   blocked actor registers the keys its predicate reads
@@ -229,6 +238,13 @@ struct ClockState {
     /// Set when a registered actor panics or a deadlock is detected, so
     /// every other actor unblocks and fails fast instead of hanging.
     poisoned: bool,
+    /// Park tokens owed a signal: queued by whoever flags a waiter or
+    /// wakes a sleeper, signalled by [`ClockGuard`] once the lock is
+    /// released.
+    signals: Vec<Arc<Condvar>>,
+    /// [`Actor::advance_ns`] calls that let time pass: the `sleep` label
+    /// of [`SimClock::wake_stats`].
+    sleeps: u64,
     stats: WakeStats,
 }
 
@@ -246,7 +262,7 @@ impl ClockState {
     /// reaches one dependant: the first registered waiter (whether this
     /// flags it or an earlier notify did and it has yet to resume), or,
     /// when no actor waits on it, the first registered machine. A flagged
-    /// waiter is signalled unless it is a shard worker: that one is held.
+    /// waiter is owed a signal unless it is a shard worker: that one is held.
     /// Any caller that may run with nobody runnable must follow up with
     /// [`ClockState::release_held`], or the held workers never resume.
     fn wake_dependants(&mut self, key: WakeKey) {
@@ -258,6 +274,7 @@ impl ClockState {
             actors,
             recheck_pending,
             held,
+            signals,
             stats,
             ..
         } = self;
@@ -272,7 +289,7 @@ impl ClockState {
                     a.held = true;
                     held.push(id);
                 } else {
-                    a.token.notify_one();
+                    signals.push(a.token.clone());
                 }
             }
         };
@@ -320,13 +337,14 @@ impl ClockState {
         for id in self.held.drain(..) {
             if let Some(a) = self.actors.get_mut(&id) {
                 a.held = false;
-                a.token.notify_one();
+                self.signals.push(a.token.clone());
             }
         }
     }
 
     /// Poison the clock and unpark every waiter and sleeper so each fails
-    /// fast with the poison panic.
+    /// fast with the poison panic. Signals under the lock: the run is
+    /// over, and the caller may be about to panic.
     fn poison(&mut self) {
         self.poisoned = true;
         self.gen += 1;
@@ -337,6 +355,75 @@ impl ClockState {
 
     fn label_stats(&mut self, label: &'static str) -> &mut LabelWakes {
         self.stats.labels.entry(label).or_default()
+    }
+}
+
+/// Park tokens taken off `ClockState::signals`; signals them when dropped.
+#[derive(Default)]
+struct Signals(Vec<Arc<Condvar>>);
+
+impl Drop for Signals {
+    fn drop(&mut self) {
+        for token in &self.0 {
+            token.notify_one();
+        }
+    }
+}
+
+/// The clock lock as every site holds it ([`ClockInner::lock`]): releasing
+/// it signals the park tokens queued under it, after the mutex is free
+/// (module notes, "Signals after the lock").
+struct ClockGuard<'a> {
+    // Declaration order is drop order: the mutex is released, and then the
+    // tokens `Drop` moved into `owed` are signalled.
+    st: MutexGuard<'a, ClockState>,
+    owed: Signals,
+    inner: &'a ClockInner,
+}
+
+impl Drop for ClockGuard<'_> {
+    fn drop(&mut self) {
+        self.owed.0 = std::mem::take(&mut self.st.signals);
+    }
+}
+
+impl std::ops::Deref for ClockGuard<'_> {
+    type Target = ClockState;
+    fn deref(&self) -> &ClockState {
+        &self.st
+    }
+}
+
+impl std::ops::DerefMut for ClockGuard<'_> {
+    fn deref_mut(&mut self) -> &mut ClockState {
+        &mut self.st
+    }
+}
+
+impl ClockGuard<'_> {
+    /// Park the calling thread on `token` until `resumed` holds or the
+    /// clock is poisoned. The one place a thread sleeps on the clock
+    /// mutex, so that none sleeps on wake-ups it owes: with tokens queued
+    /// the lock is released (which signals them) and taken again first —
+    /// whoever ran in between may already have made `resumed` true, which
+    /// is why it is looked at before the first wait, as after every one.
+    /// Called as `ClockGuard::park(st, ..)`: the guard is handed over like
+    /// a condvar's, which is also how `clmpi-check` tells this from a
+    /// thread parking with a lock held.
+    fn park(mut self, token: &Condvar, resumed: impl Fn(&ClockState) -> bool) -> Self {
+        // An actor whose own advance woke it is awake already.
+        self.st
+            .signals
+            .retain(|t| !std::ptr::eq(Arc::as_ptr(t), token));
+        if !self.st.signals.is_empty() {
+            let inner = self.inner;
+            drop(self);
+            self = inner.lock();
+        }
+        while !self.st.poisoned && !resumed(&self.st) {
+            token.wait(&mut self.st);
+        }
+        self
     }
 }
 
@@ -363,6 +450,14 @@ struct ClockInner {
 }
 
 impl ClockInner {
+    fn lock(&self) -> ClockGuard<'_> {
+        ClockGuard {
+            st: self.state.lock(),
+            owed: Signals::default(),
+            inner: self,
+        }
+    }
+
     /// Advance the clock if every actor is quiescent. Must be called by any
     /// path that decrements `runnable` (possibly) to zero.
     fn maybe_advance(&self, st: &mut ClockState) {
@@ -417,7 +512,7 @@ impl ClockInner {
                 st.sleepers.pop();
                 st.pending_wakes += 1;
                 if let Some(a) = st.actors.get(&id) {
-                    a.token.notify_one();
+                    st.signals.push(a.token.clone());
                 }
             }
             // Alarms due at one instant pop grouped by key: wake a key's
@@ -579,7 +674,7 @@ impl SimClock {
             return;
         }
         self.inner.pool.wait_retired();
-        SimClock::check_poison(&self.inner.state.lock());
+        SimClock::check_poison(&self.inner.lock());
     }
 
     /// Spawn a resumable machine according to this clock's [`ExecMode`].
@@ -652,7 +747,7 @@ impl SimClock {
     /// (`run_on_thread`): it would be held for ever.
     fn register_as(&self, label: String, worker: bool) -> Actor {
         let token = Arc::new(Condvar::new());
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.lock();
         let id = st.next_actor;
         st.next_actor += 1;
         st.runnable += 1;
@@ -706,7 +801,7 @@ impl SimClock {
     /// registered on `key` (and the [`WakeKey::ALL`] waiters) re-evaluate
     /// their predicates. Called automatically by [`crate::sync`].
     pub fn notify_key(&self, key: WakeKey) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.lock();
         st.stats.notifies += 1;
         st.wake_dependants(key);
         // The caller may be a thread that holds no runnable actor.
@@ -726,7 +821,7 @@ impl SimClock {
     /// (and the [`WakeKey::ALL`] waiters). The alarm still drives the
     /// clock to `at` like any other while somebody is blocked.
     pub fn schedule_alarm_keyed(&self, at: SimNs, key: WakeKey) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.lock();
         if at <= st.now {
             st.stats.notifies += 1;
             st.wake_dependants(key);
@@ -738,8 +833,20 @@ impl SimClock {
 
     /// Snapshot of the wake accounting since the clock was created.
     pub fn wake_stats(&self) -> WakeStats {
-        let mut stats = self.inner.state.lock().stats.clone();
+        let (mut stats, sleeps) = {
+            let st = self.inner.lock();
+            (st.stats.clone(), st.sleeps)
+        };
         stats.machine_polls = self.inner.machine_polls.load(Ordering::Relaxed);
+        if sleeps > 0 {
+            // A sleeper parks once and never wakes in vain.
+            let slept = LabelWakes {
+                parked: sleeps,
+                wakeups: sleeps,
+                successes: sleeps,
+            };
+            stats.labels.insert("sleep", slept);
+        }
         stats
     }
 
@@ -753,7 +860,7 @@ impl SimClock {
         residents: usize,
         batch: &mut Vec<MachineId>,
     ) -> (u64, bool) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.lock();
         let st = &mut *st;
         st.stats.shard_passes += 1;
         let r = &mut st.ready[shard];
@@ -773,7 +880,7 @@ impl SimClock {
     /// Lock the machine registry for shard `shard`, at the end of a pass
     /// whose batch was taken at generation `gen`.
     pub(crate) fn registry(&self, shard: usize, gen: u64) -> Registry<'_> {
-        let st = self.inner.state.lock();
+        let st = self.inner.lock();
         Registry {
             moved: st.gen != gen,
             shard: shard as u32,
@@ -783,13 +890,13 @@ impl SimClock {
 
     /// Number of currently registered actors (diagnostics / tests).
     pub fn actor_count(&self) -> usize {
-        self.inner.state.lock().actors.len()
+        self.inner.lock().actors.len()
     }
 
     /// True once the clock has been poisoned by a panicking actor or a
     /// detected deadlock.
     pub fn is_poisoned(&self) -> bool {
-        self.inner.state.lock().poisoned
+        self.inner.lock().poisoned
     }
 
     fn check_poison(st: &ClockState) {
@@ -802,7 +909,7 @@ impl SimClock {
 /// The clock lock, held by a shard worker to bring `ClockState::machines`
 /// up to date with what its machines read during the pass just made.
 pub(crate) struct Registry<'a> {
-    st: MutexGuard<'a, ClockState>,
+    st: ClockGuard<'a>,
     shard: u32,
     /// `gen` moved since the pass took its batch: a notify may have
     /// landed between a machine's poll and this registration.
@@ -889,7 +996,7 @@ impl Actor {
             return;
         }
         let inner = &self.clock.inner;
-        let mut st = inner.state.lock();
+        let mut st = inner.lock();
         SimClock::check_poison(&st);
         let wake = st.now + ns;
         st.sleepers.push(Reverse((wake, self.id)));
@@ -897,10 +1004,9 @@ impl Actor {
         if let Some(a) = st.actors.get_mut(&self.id) {
             a.status = ActorStatus::Sleeping(wake);
         }
+        st.sleeps += 1;
         inner.maybe_advance(&mut st);
-        while st.now < wake && !st.poisoned {
-            self.token.wait(&mut st);
-        }
+        let mut st = ClockGuard::park(st, &self.token, |st| st.now >= wake);
         if st.poisoned {
             // Our sleeper entry may or may not have been consumed; the run
             // is aborting anyway.
@@ -957,17 +1063,17 @@ impl Actor {
         let mut woken = false;
         loop {
             let gen = {
-                let st = inner.state.lock();
+                let st = inner.lock();
                 SimClock::check_poison(&st);
                 st.gen
             };
             if let Some(v) = pred() {
                 if woken {
-                    inner.state.lock().label_stats(label).successes += 1;
+                    inner.lock().label_stats(label).successes += 1;
                 }
                 return v;
             }
-            let mut st = inner.state.lock();
+            let mut st = inner.lock();
             SimClock::check_poison(&st);
             if st.gen != gen {
                 continue; // something changed while we evaluated; recheck
@@ -982,14 +1088,11 @@ impl Actor {
             }
             st.label_stats(label).parked += 1;
             inner.maybe_advance(&mut st);
-            while !st.poisoned
-                && !st
-                    .actors
-                    .get(&self.id)
-                    .is_some_and(|a| a.flagged && !a.held)
-            {
-                self.token.wait(&mut st);
-            }
+            let resumed = |st: &ClockState| {
+                let me = st.actors.get(&self.id);
+                me.is_some_and(|a| a.flagged && !a.held)
+            };
+            let mut st = ClockGuard::park(st, &self.token, resumed);
             for &k in keys {
                 st.waiting.remove(&(k, self.id));
             }
@@ -1014,7 +1117,7 @@ impl Actor {
 impl Drop for Actor {
     fn drop(&mut self) {
         let inner = &self.clock.inner;
-        let mut st = inner.state.lock();
+        let mut st = inner.lock();
         // An actor normally drops while Running; during a panic unwind it
         // may drop while Blocked (the deadlock panic fires inside its own
         // park) or Sleeping, whose counter lives in the sleeper heap /
@@ -1041,6 +1144,7 @@ impl Drop for Actor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Monitor;
     use std::thread;
 
     #[test]
@@ -1234,7 +1338,7 @@ mod tests {
             })
         });
         driver.advance_ns(10); // the worker is parked
-        let report = |c: &SimClock| c.inner.render_actors(&c.inner.state.lock());
+        let report = |c: &SimClock| c.inner.render_actors(&c.inner.lock());
         let idle = "Blocked(\"sched shard\") [shard worker: woken through its machines, below]";
         assert!(report(&c).contains(idle), "{}", report(&c));
         assert!(!report(&c).contains("[held]"));
@@ -1248,7 +1352,7 @@ mod tests {
 
     #[test]
     fn report_names_each_parked_machine_and_what_it_is_parked_on() {
-        use crate::{MachineStep, Monitor, SimActor};
+        use crate::MachineStep;
         /// Parks on `m` (if any) and on a timer at t=900, where it ends.
         struct Parked(Option<Arc<Monitor<u32>>>);
         impl SimActor for Parked {
@@ -1274,7 +1378,7 @@ mod tests {
         c.spawn_machine(0, "queue:r3", Box::new(Parked(None)))
             .reap();
         driver.advance_ns(10); // both machines are parked
-        let report = c.inner.render_actors(&c.inner.state.lock());
+        let report = c.inner.render_actors(&c.inner.lock());
         for line in [
             "  shard 0: 2 parked + 0 queued machine(s)",
             "    engine:r3 [keyed: 1 key(s), timer t=900]",
@@ -1342,5 +1446,172 @@ mod tests {
         let got = cons.join().expect("worker thread panicked");
         assert_eq!(got, (0..100).collect::<Vec<_>>());
         assert_eq!(c.now_ns(), 100);
+    }
+
+    #[test]
+    fn tokens_are_signalled_in_the_flush_and_in_poison_and_nowhere_else() {
+        // "Signals after the lock" is structural only while nobody adds a
+        // signal under the lock, or a second way to take it.
+        let shipped = include_str!("clock.rs");
+        let shipped = shipped.split("\n#[cfg(test)]").next().unwrap_or(shipped);
+        let mut current_fn = "";
+        let mut signallers = Vec::new();
+        for line in shipped.lines().map(str::trim_start) {
+            if let Some(rest) = line.strip_prefix("fn ") {
+                current_fn = rest.split(['(', '<']).next().unwrap_or(rest);
+            }
+            if !line.starts_with("//") && line.contains("notify_one(") {
+                signallers.push(current_fn);
+            }
+        }
+        // `ClockState::poison`, then `Signals::drop`.
+        assert_eq!(signallers, ["poison", "drop"]);
+        assert_eq!(
+            shipped.matches("state.lock()").count(),
+            1,
+            "ClockInner::lock is the one way in"
+        );
+        assert_eq!(
+            shipped.matches(".wait(&mut").count(),
+            1,
+            "ClockGuard::park is the one place a thread sleeps on the clock mutex"
+        );
+    }
+
+    /// One participant of [`stress`]: `STEPS` rounds of "maybe sleep, hand
+    /// a token to the next actor, take one from the previous", with stray
+    /// notifies and alarms of other actors' keys thrown in.
+    fn stress_actor(
+        actor: Actor,
+        me: usize,
+        cells: Arc<Vec<Monitor<u32>>>,
+        pump: WakeKey,
+        finished: Arc<Monitor<usize>>,
+    ) {
+        let clock = actor.clock().clone();
+        let mut rng = crate::XorShift64::new(0x5eed + me as u64);
+        let n = cells.len();
+        for _ in 0..STRESS_STEPS {
+            match rng.gen_range_usize(0, 6) {
+                0 | 1 => actor.advance_ns(rng.gen_range_u64(1, 60)),
+                2 => clock.notify_key(cells[rng.gen_range_usize(0, n)].key()),
+                3 => cells[rng.gen_range_usize(0, n)].alarm_at(clock.now_ns() + 40),
+                4 => clock.schedule_alarm_keyed(clock.now_ns() + rng.gen_range_u64(1, 30), pump),
+                _ => {}
+            }
+            cells[(me + 1) % n].with(|v| *v += 1);
+            // Registered on the pump key too: a machine that stops reading
+            // it passes the wake-up on from inside `Registry`.
+            actor.wait_on(&[cells[me].key(), pump], "stress take", || {
+                cells[me].try_now(|v| v.checked_sub(1).map(|left| *v = left))
+            });
+        }
+        finished.with(|f| *f += 1);
+    }
+
+    const STRESS_ACTORS: usize = 32;
+    const STRESS_STEPS: usize = 320;
+
+    /// 32 actors on threads of their own and one machine (a held shard
+    /// worker on the event core, a wildcard runner under the oracle)
+    /// through 10,240 rounds of sleeps, keyed waits, notifies and alarms.
+    /// A wake-up that is owed and never signalled ends it in the
+    /// watchdog; one signalled to the wrong token, in the deadlock report.
+    fn stress(mode: ExecMode) {
+        use crate::{note_read, MachineStep};
+        /// Reads cell 0 on every step, the pump key on every other one,
+        /// and asks for a timer, until told to stop.
+        struct Onlooker {
+            cells: Arc<Vec<Monitor<u32>>>,
+            stop: Arc<Monitor<bool>>,
+            pump: WakeKey,
+            steps: u64,
+        }
+        impl SimActor for Onlooker {
+            fn wait_label(&self) -> &'static str {
+                "onlooker"
+            }
+            fn poll(&mut self, now: SimNs, _actor: &Actor) -> MachineStep {
+                self.steps += 1;
+                self.cells[0].peek(|_| ());
+                if self.steps.is_multiple_of(2) {
+                    note_read(self.pump);
+                }
+                if self.stop.peek(|s| *s) {
+                    return MachineStep::Done;
+                }
+                MachineStep::Pending(Some(now + 97))
+            }
+        }
+        let c = SimClock::with_mode(mode);
+        let cells: Arc<Vec<Monitor<u32>>> = Arc::new(
+            (0..STRESS_ACTORS)
+                .map(|_| Monitor::new(c.clone(), 0))
+                .collect(),
+        );
+        let finished = Arc::new(Monitor::new(c.clone(), 0usize));
+        let stop = Arc::new(Monitor::new(c.clone(), false));
+        let pump = c.new_pump_key();
+        let driver = c.register("driver");
+        // Every actor is registered before any thread starts.
+        let actors: Vec<Actor> = (0..STRESS_ACTORS)
+            .map(|i| c.register(format!("a{i}")))
+            .collect();
+        let onlooker = Onlooker {
+            cells: cells.clone(),
+            stop: stop.clone(),
+            pump,
+            steps: 0,
+        };
+        let machine = c.spawn_machine(0, "onlooker", Box::new(onlooker));
+        let threads: Vec<_> = actors
+            .into_iter()
+            .enumerate()
+            .map(|(me, actor)| {
+                let (cells, finished) = (cells.clone(), finished.clone());
+                thread::spawn(move || stress_actor(actor, me, cells, pump, finished))
+            })
+            .collect();
+        finished.wait(&driver, |f| (*f == STRESS_ACTORS).then_some(()));
+        for t in threads {
+            assert!(t.join().is_ok(), "a stress actor panicked");
+        }
+        stop.with(|s| *s = true);
+        drop(driver);
+        machine.reap();
+        c.quiesce_machines();
+        assert!(!c.is_poisoned());
+        let st = c.inner.lock();
+        assert_eq!(
+            (
+                st.recheck_pending,
+                st.pending_wakes,
+                st.runnable,
+                st.blocked
+            ),
+            (0, 0, 0, 0)
+        );
+        assert!(st.held.is_empty() && st.signals.is_empty() && st.actors.is_empty());
+        assert!(st.sleeps > 1_000 && st.stats.alarms_fired > 1_000);
+    }
+
+    #[test]
+    fn no_wake_up_is_lost_in_ten_thousand_mixed_rounds_under_either_executor() {
+        for mode in [ExecMode::Events, ExecMode::Threads] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let t = thread::spawn(move || {
+                stress(mode);
+                let _ = tx.send(());
+            });
+            let waited = rx.recv_timeout(Duration::from_secs(60));
+            assert!(
+                waited != Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+                "{mode:?}: still running after 60 s — a park token was owed a signal and never got it"
+            );
+            // Re-raises the world's own panic (a deadlock report).
+            if let Err(p) = t.join() {
+                std::panic::resume_unwind(p);
+            }
+        }
     }
 }
