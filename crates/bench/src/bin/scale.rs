@@ -1,5 +1,5 @@
 //! Simulator scale benchmark: Himeno and nanopowder worlds far past the
-//! thread-per-actor wall, run under the sharded event scheduler
+//! thread-per-actor wall, run under the event scheduler
 //! ([`ExecMode::Events`]), with simulator *self-throughput* recorded
 //! alongside the virtual results.
 //!
@@ -12,7 +12,7 @@
 //! 2. `results/scale.json` — the host-dependent sidecar: wall-clock per
 //!    config, events/sec, wall-ms per virtual second, and the clock's
 //!    wake accounting ([`simtime::WakeStats`]: notifies, alarms fired,
-//!    clock advances, shard passes, machine polls and ready marks, and
+//!    clock advances, scheduler passes, machine polls and ready marks, and
 //!    per wait label parks / wake-ups / successes — the counts depend on
 //!    how the OS schedules the woken threads), and on Linux what the
 //!    kernel charged the process per config ([`ProcUsage`]: minor faults,
@@ -104,12 +104,12 @@ impl ConfigRow {
             .collect();
         format!(
             "\"notifies\": {}, \"alarms_fired\": {}, \"clock_advances\": {}, \
-             \"shard_passes\": {}, \"machine_polls\": {}, \"machine_readies\": {}, \
+             \"sched_passes\": {}, \"machine_polls\": {}, \"machine_readies\": {}, \
              \"waits\": {{ {} }}",
             self.wake.notifies,
             self.wake.alarms_fired,
             self.wake.advances,
-            self.wake.shard_passes,
+            self.wake.sched_passes,
             self.wake.machine_polls,
             self.wake.machine_readies,
             waits.join(", ")

@@ -6,7 +6,7 @@
 //! level deep, which is as far as a name-based analysis stays honest:
 //!
 //! 1. Every `fn` in the library crates gets a [`FnSummary`]: the named
-//!    locks it acquires lexically (`state`, `shard`, `defer`, …,
+//!    locks it acquires lexically (`state`, `slab`, `defer`, …,
 //!    qualified by crate), and the workspace functions it calls directly.
 //! 2. For each guard span, every lock acquired — lexically or via a
 //!    direct callee's summary — while the guard is live becomes an edge
@@ -26,7 +26,7 @@
 //! `try_lock` never appears on the *acquired* side of an edge: it cannot
 //! wait, so it cannot complete a deadlock cycle — it is exactly the
 //! cycle-breaking primitive (the clock's deadlock reporter uses it to
-//! peek at shard state from inside the state lock). It still counts on
+//! peek at the slab from inside the state lock). It still counts on
 //! the *held* side.
 
 use std::collections::{BTreeMap, BTreeSet};

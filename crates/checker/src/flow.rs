@@ -74,7 +74,7 @@ pub struct GuardSpan {
 
 /// The last field/method identifier of the receiver chain before
 /// `.lock()` at `lock_idx`: `self.inner.state.lock()` → `state`,
-/// `clock.shard(i).lock()` → `shard`. Falls back to `<expr>` when the
+/// `clock.pool().slab.lock()` → `slab`. Falls back to `<expr>` when the
 /// receiver is not a plain chain (e.g. a parenthesized expression).
 pub fn lock_receiver_name(f: &SourceFile, lock_idx: usize) -> String {
     // prev_code(lock_idx) is the `.`; look before it.
@@ -84,7 +84,7 @@ pub fn lock_receiver_name(f: &SourceFile, lock_idx: usize) -> String {
     let Some(mut i) = f.prev_code(dot) else {
         return "<expr>".into();
     };
-    // Skip a call's argument list: `shard(i).lock()`.
+    // Skip a call's argument list: `cell(i).lock()`.
     if matches!(f.tok(i), Tok::Punct(')')) {
         let mut depth = 0usize;
         loop {
@@ -546,11 +546,11 @@ mod tests {
 
     #[test]
     fn receiver_names_resolve_chains_and_calls() {
-        let src = "fn f(&self) {\n    let a = self.inner.state.lock();\n    drop(a);\n    let b = clock.shard(i).lock();\n}\n";
+        let src = "fn f(&self) {\n    let a = self.inner.state.lock();\n    drop(a);\n    let b = clock.cell(i).lock();\n}\n";
         let (_, spans) = spans_of(src);
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].lock_name, "state");
-        assert_eq!(spans[1].lock_name, "shard");
+        assert_eq!(spans[1].lock_name, "cell");
     }
 
     #[test]

@@ -67,14 +67,14 @@ const EXPLANATIONS: [(&str, &str); 9] = [
          it is live — lexically, and one level through direct calls via a\n\
          per-function lock summary. The resulting named-lock order graph must\n\
          be acyclic: a cycle means two paths take the same locks in opposite\n\
-         orders, which deadlocks under shard-worker interleaving. try_lock\n\
+         orders, which deadlocks the moment two threads interleave. try_lock\n\
          never appears on the acquired side (it cannot wait). (DESIGN.md §9 P7)",
     ),
     (
         "actor-hygiene",
         "poll/on_wake of every `impl SimActor`, step of every `impl EngineOp`\n\
          and advance of every `impl OpBody` (a clMPI operation is a body run\n\
-         by the one op frame's step) run on shard workers at a frozen virtual\n\
+         by the one op frame's step) run on the scheduler at a frozen virtual\n\
          instant. They must stay resumable: no OS-blocking primitive and no\n\
          direct thread::spawn — machines return Pending (bodies: Park) with a\n\
          wake hint and spawn through the clock so the scheduler can account\n\
@@ -87,8 +87,8 @@ const EXPLANATIONS: [(&str, &str); 9] = [
          parked machine is registered on the keys its last poll read. The\n\
          unkeyed forms — .notify(), schedule_alarm(t), wait_until(…),\n\
          wait_until_labeled(…) — match every key in both directions: one such\n\
-         notify flags every blocked actor and readies every machine on every\n\
-         shard, and one such wait is re-run on every notify and alarm of the\n\
+         notify flags every blocked actor and readies every machine, and one\n\
+         such wait is re-run on every notify and alarm of the\n\
          world. That is always correct (\"a wait that has not been taught its\n\
          keys is slow, never wrong\") and is what made a 256-rank world spend\n\
          97% of its wake-ups on nothing. Outside crates/simtime and outside test\n\

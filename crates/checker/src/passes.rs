@@ -583,7 +583,7 @@ pub fn pass_lock_lifetime(ws: &Workspace, out: &mut Vec<Diag>) {
 /// guard spans, propagated one level through direct calls
 /// ([`crate::callgraph`]) — must be acyclic. A cycle means two code
 /// paths take the same locks in opposite orders, which deadlocks the
-/// moment two shard workers interleave. Edges acquired via `try_lock`
+/// moment two threads interleave. Edges acquired via `try_lock`
 /// don't exist (it cannot wait), and an edge site annotated
 /// `// checker-allow(lock-order): <why>` is removed before the check.
 pub fn pass_lock_order(ws: &Workspace, out: &mut Vec<Diag>) {
@@ -631,7 +631,7 @@ pub fn pass_lock_order(ws: &Workspace, out: &mut Vec<Diag>) {
 /// DESIGN.md §9 P8: machine bodies — `poll`/`on_wake` of any
 /// `impl SimActor`, `step` of any `impl EngineOp`, and `advance` of any
 /// `impl OpBody` (the part of a clMPI operation its frame's `step` runs)
-/// — run on shard workers at a frozen virtual instant and must stay
+/// — run on the scheduler at a frozen virtual instant and must stay
 /// *resumable*: no
 /// OS-blocking primitive (the [`BLOCKING_CALLS`] vocabulary) and no
 /// direct `thread::spawn` (machines are spawned through the clock so
@@ -686,7 +686,7 @@ pub fn pass_actor_hygiene(ws: &Workspace, out: &mut Vec<Diag>) {
                         line,
                         msg: format!(
                             "{what} inside machine body `{fn_name}` — machines run on \
-                             shard workers and must stay resumable: return Pending with \
+                             the scheduler and must stay resumable: return Pending with \
                              a wake hint instead (DESIGN.md §9 P8)"
                         ),
                     });

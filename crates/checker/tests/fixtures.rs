@@ -520,7 +520,7 @@ fn f(&self, actor: &Actor) {
     drop(st);
 }
 fn q(&self) {
-    let g = self.shard.lock();
+    let g = self.slab.lock();
     self.pool.wait_retired();
 }
 impl SimActor for Pumper {
@@ -776,7 +776,7 @@ fn p8_allow_marker_and_test_impls_are_exempt() {
 impl SimActor for Probe {
     fn poll(&mut self, now: SimNs, actor: &Actor) -> MachineStep {
         // checker-allow(actor-hygiene): diagnostic probe; the harness
-        // guarantees a dedicated shard for it.
+        // guarantees a scheduler of its own for it.
         self.chan.recv();
         MachineStep::Pending
     }

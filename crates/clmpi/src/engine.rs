@@ -142,8 +142,8 @@ struct EngineShared {
 
 /// The per-rank progress engine. Owns one scheduled machine
 /// (`EngineCore`) that steps every registered [`EngineOp`] to
-/// completion — on a dedicated thread in thread mode, on its shard's
-/// worker in event mode.
+/// completion — on a dedicated thread in thread mode, on the clock's
+/// scheduler in event mode.
 pub struct Engine {
     shared: Arc<Monitor<EngineShared>>,
     handle: Mutex<Option<MachineHandle>>,
@@ -152,15 +152,14 @@ pub struct Engine {
 impl Engine {
     /// Start an engine on `clock`. The calling thread must be a running
     /// clock actor (the registration rule): the machine's executing actor
-    /// is registered here, before any thread spawns. `hint` places the
-    /// machine in event mode (the runtime passes the MPI rank).
-    pub fn start(clock: &SimClock, label: String, hint: u64) -> Engine {
+    /// is registered here, before any thread spawns.
+    pub fn start(clock: &SimClock, label: String) -> Engine {
         let shared = Arc::new(Monitor::new(clock.clone(), EngineShared::default()));
         let core = EngineCore {
             shared: shared.clone(),
             ops: Vec::new(),
         };
-        let handle = clock.spawn_machine(hint, label, Box::new(core));
+        let handle = clock.spawn_machine(0, label, Box::new(core));
         Engine {
             shared,
             handle: Mutex::new(Some(handle)),
@@ -2297,7 +2296,7 @@ mod tests {
         // Register the caller first: the engine worker must never be the
         // only actor (the deadlock detector would trip at start-up).
         let actor = clock.register("caller");
-        let engine = Engine::start(&clock, "test-engine".into(), 0);
+        let engine = Engine::start(&clock, "test-engine".into());
         let fired = Arc::new(Monitor::new(clock.clone(), None));
         engine.submit(Box::new(TimerOp {
             fire_at: 5_000,
@@ -2314,7 +2313,7 @@ mod tests {
         // Register the caller first: the engine worker must never be the
         // only actor (the deadlock detector would trip at start-up).
         let actor = clock.register("caller");
-        let engine = Engine::start(&clock, "test-engine".into(), 0);
+        let engine = Engine::start(&clock, "test-engine".into());
         let order = Arc::new(Monitor::new(clock.clone(), Vec::<SimNs>::new()));
         struct LoggingTimer {
             fire_at: SimNs,
@@ -2349,7 +2348,7 @@ mod tests {
         // Register the caller first: the engine worker must never be the
         // only actor (the deadlock detector would trip at start-up).
         let actor = clock.register("caller");
-        let engine = Engine::start(&clock, "test-engine".into(), 0);
+        let engine = Engine::start(&clock, "test-engine".into());
         engine.wait_idle(&actor);
         engine.shared.with(|s| s.shutdown = true);
         let fired = Arc::new(Monitor::new(clock.clone(), None));

@@ -148,11 +148,7 @@ impl ClMpi {
         let ctx = Context::new(clock.clone(), &[cfg.device]);
         let device = ctx.device(0).clone();
         let trace = comm.world().trace().clone();
-        let engine = Engine::start(
-            &clock,
-            format!("clmpi-engine-r{}", comm.rank()),
-            comm.rank() as u64,
-        );
+        let engine = Engine::start(&clock, format!("clmpi-engine-r{}", comm.rank()));
         let failed = Monitor::new(clock.clone(), std::collections::BTreeSet::new());
         ClMpi {
             inner: Arc::new(Inner {

@@ -222,7 +222,7 @@ fn datatype_fingerprint(mode: ExecMode, seed: u64) -> (u64, u64) {
     (ObsSummary::from_trace(&res.trace).hash(), res.elapsed_ns)
 }
 
-/// 16 seeds × {thread-per-actor oracle, sharded event core}: the
+/// 16 seeds × {thread-per-actor oracle, event core}: the
 /// fingerprint and makespan of the datatype workload must be identical
 /// across execution modes for every seed.
 #[test]

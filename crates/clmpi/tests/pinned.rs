@@ -10,8 +10,8 @@
 //! transition count are all bytes. A refactor of the op frame, the
 //! primitives, a body or the counters behind them must not need to edit
 //! the table; on a mismatch the test prints the measured one ready to
-//! paste. Executor- and shard-count-independent (CI runs it under
-//! `SIM_EXEC_MODE=threads` and `SIM_SHARDS` 1 / 3 as well).
+//! paste. Executor-independent (CI runs it under
+//! `SIM_EXEC_MODE=threads` as well).
 
 use clmpi::obs::{chrome_trace, fnv1a, ObsSummary};
 use clmpi::{

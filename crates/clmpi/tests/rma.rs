@@ -5,7 +5,7 @@
 //! * **Differential correctness** — Put / Get / Accumulate rounds at
 //!   worlds {2, 3, 5, 8} on every fabric (Cichlid GbE, RICC IPoIB,
 //!   CXL-Pod), bitwise against a host-side serial reference, with the
-//!   thread-per-actor oracle and the sharded event core required to
+//!   thread-per-actor oracle and the event core required to
 //!   produce identical `ObsSummary` fingerprints; plus a halo exchange
 //!   written with `Put` that must land bit-identical to the two-sided
 //!   baseline.

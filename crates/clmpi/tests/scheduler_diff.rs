@@ -1,5 +1,5 @@
 //! World-level differential suite for the event-driven scheduler: the
-//! thread-per-actor oracle ([`ExecMode::Threads`]) and the sharded event
+//! thread-per-actor oracle ([`ExecMode::Threads`]) and the event
 //! core ([`ExecMode::Events`]) must produce **byte-identical**
 //! observability fingerprints and virtual makespans for the same
 //! scenario. Three matrices:

@@ -1,8 +1,7 @@
-//! Wake-by-dependency at world level: the virtual result of a Himeno
-//! world — and of the recovery benchmark's kill scenarios — does not
-//! depend on how many shard workers serve its machines, at 256 ranks the
-//! rank threads' waits are woken for their own dependencies, not for
-//! everybody's, and a shard worker runs when something one of its
+//! Wake-by-dependency at world level: the virtual result of the recovery
+//! benchmark's kill scenarios does not depend on the executor, at 256
+//! ranks the rank threads' waits are woken for their own dependencies,
+//! not for everybody's, and the scheduler runs when something one of its
 //! machines read has changed, to poll that machine.
 
 use std::process::Command;
@@ -34,22 +33,6 @@ fn himeno_events(size: GridSize, nodes: usize) -> HimenoResult {
 }
 
 const FINGERPRINT: &str = "world-fingerprint:";
-
-/// Child half of [`himeno_world_is_identical_under_any_shard_count`]:
-/// `SIM_SHARDS` is read when a clock is created, and a test must not set
-/// a process-global variable under its sibling tests, so each shard count
-/// gets a process of its own.
-#[test]
-#[ignore = "helper: run by himeno_world_is_identical_under_any_shard_count"]
-fn print_himeno_fingerprint() {
-    let r = himeno_events(GridSize::S, 8);
-    println!(
-        "{FINGERPRINT} {} {} {:016x}",
-        r.elapsed_ns,
-        r.sched_events,
-        ObsSummary::from_trace(&r.trace).hash()
-    );
-}
 
 /// Child half of [`recovery_scenarios_are_identical_under_any_executor`]:
 /// the one-kill and two-kill scenarios of `BENCH_recovery.json` (Himeno
@@ -83,21 +66,20 @@ fn print_recovery_fingerprint() {
     );
 }
 
-/// Run the ignored helper test `helper` in a child with `env` set and
+/// Run the ignored helper test `print_recovery_fingerprint` in a child
+/// under `SIM_EXEC_MODE=mode` (read when a clock is created, and a test
+/// must not set a process-global variable under its sibling tests) and
 /// return the fingerprint it printed.
-fn child_fingerprint(helper: &str, env: (&str, &str)) -> std::io::Result<String> {
+fn child_fingerprint(mode: &str) -> std::io::Result<String> {
+    let helper = "print_recovery_fingerprint";
     let out = Command::new(std::env::current_exe()?)
         .args(["--exact", helper, "--ignored", "--nocapture"])
-        .env_remove("SIM_SHARDS")
-        .env_remove("SIM_EXEC_MODE")
-        .env(env.0, env.1)
+        .env("SIM_EXEC_MODE", mode)
         .output()?;
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
-        "{}={} child failed:\n{stdout}\n{}",
-        env.0,
-        env.1,
+        "SIM_EXEC_MODE={mode} child failed:\n{stdout}\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     stdout
@@ -106,39 +88,22 @@ fn child_fingerprint(helper: &str, env: (&str, &str)) -> std::io::Result<String>
         .ok_or_else(|| std::io::Error::other(format!("no fingerprint in:\n{stdout}")))
 }
 
-#[test]
-fn himeno_world_is_identical_under_any_shard_count() -> std::io::Result<()> {
-    let one = child_fingerprint("print_himeno_fingerprint", ("SIM_SHARDS", "1"))?;
-    assert_eq!(one.split_whitespace().count(), 3, "{one}");
-    for shards in ["3", "8"] {
-        assert_eq!(
-            child_fingerprint("print_himeno_fingerprint", ("SIM_SHARDS", shards))?,
-            one,
-            "(virtual_ns, events, obs hash) at SIM_SHARDS={shards}"
-        );
-    }
-    Ok(())
-}
-
 /// A receive aborts on `peer_failed(src, now)` the first time it is
 /// polled past the plan's kill instant, and no alarm announces that
 /// instant — so *when* a machine is polled is visible in virtual time
 /// here as nowhere else. With machines woken by what they read this
-/// diverged (`rank 2 comm_ns`, and the two-kill makespan at one shard)
+/// diverged (`rank 2 comm_ns`, and the two-kill makespan)
 /// while every other test stayed green; `Fabric::node_down_at` keeps
 /// such a machine a wildcard, and this pins the result to the oracle's.
 #[test]
 fn recovery_scenarios_are_identical_under_any_executor() -> std::io::Result<()> {
-    let helper = "print_recovery_fingerprint";
-    let oracle = child_fingerprint(helper, ("SIM_EXEC_MODE", "threads"))?;
+    let oracle = child_fingerprint("threads")?;
     assert_eq!(oracle.split_whitespace().count(), 3, "{oracle}");
-    for shards in ["1", "3", "8"] {
-        assert_eq!(
-            child_fingerprint(helper, ("SIM_SHARDS", shards))?,
-            oracle,
-            "(one-kill ns, two-kill ns, one-kill obs hash) at SIM_SHARDS={shards}"
-        );
-    }
+    assert_eq!(
+        child_fingerprint("events")?,
+        oracle,
+        "(one-kill ns, two-kill ns, one-kill obs hash) on the event core"
+    );
     Ok(())
 }
 
@@ -165,25 +130,21 @@ fn himeno_w256_rank_waits_wake_for_their_own_dependencies() {
             w.successes
         );
     }
-    // A shard worker is flagged when a notify or alarm readies one of its
-    // machines, and held until every rank thread has parked: 720–890
-    // wake-ups here. Flagged by every notify and alarm it made 3,500–
+    // The scheduler is flagged when a notify or alarm readies one of its
+    // machines, and held until every rank thread has parked: 140–141
+    // wake-ups here (176–180 at w1024). Eight scheduler threads made
+    // 720–890 between them; flagged by every notify and alarm, 3,500–
     // 4,100; signalled at once, 12,000–77,000.
-    let shard = r
-        .wake
-        .labels
-        .get("sched shard")
-        .copied()
-        .unwrap_or_default();
-    assert!(shard.successes > 0, "no shard worker ran? {shard:?}");
+    let sched = r.wake.labels.get("sched").copied().unwrap_or_default();
+    assert!(sched.successes > 0, "no scheduler ran? {sched:?}");
     assert!(
-        shard.wakeups <= 2_000,
-        "sched shard: {} wake-ups in one Himeno w256 run",
-        shard.wakeups
+        sched.wakeups <= 400,
+        "sched: {} wake-ups in one Himeno w256 run",
+        sched.wakeups
     );
     // A pass polls the machines that were readied, not every resident:
     // 2.7 polls per machine transition here, 38 when every pass polled
-    // all ~100 residents of its shard.
+    // every resident.
     assert!(
         r.wake.machine_polls <= 4 * r.sched_events,
         "{} machine polls for {} transitions",

@@ -3,7 +3,7 @@
 //! exists. Let through, `Custom(9, 3, 1)` wraps `mk - 2` inside a rank
 //! (release: an `elapsed_ns` of 7e17; debug: an overflow panic) and
 //! `Custom(9, 3, 0)` panics in `rank0` / `rank1` and poisons the clock
-//! under the shard workers.
+//! under the scheduler.
 //!
 //! This file holds one test because it installs a panic hook, which is
 //! process-wide.

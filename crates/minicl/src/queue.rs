@@ -2,7 +2,7 @@
 //!
 //! Each queue owns one executor machine ([`QueueCore`]) spawned through
 //! [`SimClock::spawn_machine`]: a dedicated clock-actor thread in thread
-//! mode, a shard-worker resident in event mode. Commands are dispatched
+//! mode, a resident of the scheduler in event mode. Commands are dispatched
 //! strictly in enqueue order; a command first waits for its wait-list
 //! events (possibly from other queues), then runs. This is the OpenCL
 //! in-order execution model, and because the executor is a real
@@ -72,9 +72,7 @@ impl CommandQueue {
             shared: shared.clone(),
             state: ExecState::Idle,
         };
-        // Shard placement by label hash: host-independent.
-        let hint = simtime::fnv1a(label.as_bytes());
-        let joiner = clock.spawn_machine(hint, format!("queue:{label}"), Box::new(core));
+        let joiner = clock.spawn_machine(0, format!("queue:{label}"), Box::new(core));
         CommandQueue {
             shared,
             joiner: Mutex::new(Some(joiner)),
@@ -340,7 +338,7 @@ impl Drop for CommandQueue {
             // If the owning thread is panicking the clock is poisoned and
             // the executor dies by panic; joining would double-panic.
             // (`reap` skips the join in that case, and has nothing to
-            // join in event mode — the machine retires on its shard.)
+            // join in event mode — the machine retires on the scheduler.)
             j.reap();
         }
     }

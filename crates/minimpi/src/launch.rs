@@ -123,8 +123,8 @@ where
         })
         .collect();
     // Event mode: the ranks' drop paths only *signal* their machines
-    // (queue shutdowns, engine drains) — the shard workers process those
-    // final transitions asynchronously. Wait for every shard to drain and
+    // (queue shutdowns, engine drains) — the scheduler processes those
+    // final transitions asynchronously. Wait for it to drain and
     // retire before reading the clock, or `events`/`elapsed_ns` would be
     // timing-dependent where the thread-mode oracle (which joins machine
     // threads inside the rank bodies) is complete. No-op in thread mode.

@@ -90,7 +90,7 @@ impl<K: Ord, J> DeferredArbiter<K, J> {
     /// receiver-side message sequence). A grant may therefore take only
     /// leaf locks: a timeline, a per-job cell, the clock's (a notify).
     pub fn pump(&self, now: SimNs, mut grant: impl FnMut(SimNs, K, J)) {
-        // The queue is not a `Monitor`: tell a recording shard worker
+        // The queue is not a `Monitor`: tell a recording scheduler
         // that this machine pumps, so a grant alarm can pick it.
         simtime::note_read(self.key);
         let mut q = self.queue.lock();

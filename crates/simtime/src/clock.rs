@@ -28,28 +28,28 @@
 //!   waiter registered on `ALL` ([`Actor::wait_until`]) is flagged by
 //!   every notify and alarm whatever its key — so a wait that has not
 //!   been taught its keys is slow, never wrong.
-//! * **Held waiters and settle rounds.** A shard worker's actor is
-//!   registered as a *worker* (`SimClock::register_as`): whatever
-//!   flags it — an alarm on its shard's own key, a machine it owns being
-//!   marked ready — counts it in `recheck_pending` like any flagged
-//!   waiter, so the clock cannot move and no deadlock can be declared
-//!   over its head, but its token is not signalled. `release_held`
-//!   signals all held waiters once `runnable` and `pending_wakes` are
-//!   zero and the held ones are the only flagged waiters left. A frozen
-//!   instant thus settles in rounds — the other actors run until they
-//!   park, the flagged workers make one pass each, repeat until nobody
-//!   is flagged — and reaches the fixpoint it always did. The release
-//!   check runs wherever a flag can be set or a counter can fall with
-//!   nobody runnable: at the top of every `maybe_advance` round (alarms
-//!   fired by the advance itself may flag only held waiters) and after a
-//!   notify (its caller may hold no actor).
-//! * **Ready machines.** A shard worker is not woken by everything: the
+//! * **The held scheduler and settle rounds.** The event core's one
+//!   scheduler thread registers its actor as a *worker*
+//!   (`SimClock::register_as`): whatever flags it — an alarm on its own
+//!   key, a machine being marked ready — counts it in `recheck_pending`
+//!   like any flagged waiter, so the clock cannot move and no deadlock
+//!   can be declared over its head, but its token is not signalled.
+//!   `release_held` signals it once `runnable` and `pending_wakes` are
+//!   zero and it is the only flagged waiter left. A frozen instant thus
+//!   settles in rounds — the other actors run until they park, the
+//!   flagged scheduler makes one pass, repeat until nobody is flagged —
+//!   and reaches the fixpoint it always did. The release check runs
+//!   wherever a flag can be set or a counter can fall with nobody
+//!   runnable: at the top of every `maybe_advance` round (alarms fired
+//!   by the advance itself may flag nobody but the scheduler) and after
+//!   a notify (its caller may hold no actor).
+//! * **Ready machines.** The scheduler is not woken by everything: the
 //!   keys a machine's last poll read (recorded by `sched`, see there) are
-//!   registered as `(key, shard, machine)` in `ClockState::machines`,
-//!   next to `waiting`. `wake_dependants(key)` marks the matching
-//!   machines on their shard's `ReadyList` and flags only those shards'
-//!   workers; an `ALL` notify or alarm marks every machine of every
-//!   shard. A registration stays in place while its machine is being
+//!   registered as `(key, machine)` in `ClockState::machines`, next to
+//!   `waiting`. `wake_dependants(key)` marks the matching machines on
+//!   the `ReadyList` and flags the scheduler only if there is one; an
+//!   `ALL` notify or alarm marks every machine. A registration stays in
+//!   place while its machine is being
 //!   polled, so a notify of a key the machine already read is never
 //!   lost; a key it reads for the first time is registered only after the
 //!   pass, and `Registry::reregister` closes that window by comparing
@@ -79,7 +79,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::sched::{self, ExecMode, MachineHandle, SchedPool, ShardState, SimActor};
+use crate::sched::{self, ExecMode, MachineHandle, SchedPool, SimActor};
 use crate::SimNs;
 
 /// Names one source of wake-ups: a piece of cross-actor state (a
@@ -98,18 +98,14 @@ impl WakeKey {
     /// waiters: the wake hints of a thread-mode machine runner, which
     /// concern that (wildcard) waiter and nobody else.
     pub(crate) const RUNNERS: WakeKey = WakeKey(1);
-    /// Shard `i`'s worker waits on `FIRST_SHARD + i`; fresh keys start
-    /// after the last shard's.
-    const FIRST_SHARD: u64 = 2;
+    /// The key the event core's scheduler parks on: its timer alarms and
+    /// the notify of a spawned machine carry this key, and marking a
+    /// machine ready flags whoever waits on it.
+    pub(crate) const SCHED: WakeKey = WakeKey(2);
+    /// Fresh keys start after the fixed ones.
+    const FIRST_FRESH: u64 = 3;
     /// Marks a pump key ([`SimClock::new_pump_key`]).
     const PUMP: u64 = 1 << 63;
-
-    /// The key shard `shard`'s worker parks on: its timer alarms and the
-    /// notify of a machine spawned onto it carry this key, and marking
-    /// one of its machines ready flags whoever waits on it.
-    pub(crate) fn shard(shard: usize) -> WakeKey {
-        WakeKey(Self::FIRST_SHARD + shard as u64)
-    }
 
     fn is_pump(self) -> bool {
         self.0 & Self::PUMP != 0
@@ -121,8 +117,8 @@ impl WakeKey {
     }
 
     /// The range of `ClockState::machines` holding this key's machines.
-    fn machines(self) -> std::ops::RangeInclusive<(WakeKey, u32, MachineId)> {
-        (self, 0, 0)..=(self, u32::MAX, MachineId::MAX)
+    fn machines(self) -> std::ops::RangeInclusive<(WakeKey, MachineId)> {
+        (self, 0)..=(self, MachineId::MAX)
     }
 }
 
@@ -161,13 +157,13 @@ pub struct WakeStats {
     pub alarms_fired: u64,
     /// Times the clock moved.
     pub advances: u64,
-    /// Times a shard worker looked for ready machines (one per evaluation
+    /// Times the scheduler looked for ready machines (one per evaluation
     /// of its wait predicate, whether or not it found any).
-    pub shard_passes: u64,
-    /// Machine steps (`poll` or `on_wake`) taken by shard workers.
+    pub sched_passes: u64,
+    /// Machine steps (`poll` or `on_wake`) taken by the scheduler.
     pub machine_polls: u64,
-    /// Ready marks: times a notify or alarm put a parked machine on its
-    /// shard's ready list (an unkeyed one counts every resident).
+    /// Ready marks: times a notify or alarm put a parked machine on the
+    /// ready list (an unkeyed one counts every resident).
     pub machine_readies: u64,
     /// Per wait label, in label order.
     pub labels: BTreeMap<&'static str, LabelWakes>,
@@ -181,19 +177,16 @@ struct ActorInfo {
     /// Set when a notify or alarm this blocked actor depends on happened;
     /// cleared when it resumes. Counted in `recheck_pending` while set.
     flagged: bool,
-    /// A shard worker ([`SimClock::register_as`]): a flag holds it
-    /// instead of signalling it.
+    /// The scheduler's actor ([`SimClock::register_as`]): a flag holds it
+    /// (`ClockState::held`) instead of signalling it.
     worker: bool,
-    /// A flagged worker not yet released: its token has not been
-    /// signalled, and its id is in `ClockState::held`.
-    held: bool,
 }
 
-/// A machine's index in its shard's slab (`sched::ShardState::resident`).
+/// A machine's index in the slab (`sched::Slab::resident`).
 pub(crate) type MachineId = u32;
 
-/// The machines of one shard that a notify or alarm has marked since the
-/// shard's worker last took its batch ([`SimClock::take_ready`]).
+/// The machines that a notify or alarm has marked since the scheduler
+/// last took its batch ([`SimClock::take_ready`]).
 #[derive(Default)]
 struct ReadyList {
     ids: BTreeSet<MachineId>,
@@ -214,9 +207,9 @@ struct ClockState {
     /// scheduled to re-evaluate their predicates. While nonzero the clock
     /// must not advance and a deadlock must not be declared.
     recheck_pending: usize,
-    /// The flagged workers nobody has signalled yet (each is counted in
-    /// `recheck_pending`).
-    held: Vec<u64>,
+    /// The flagged worker nobody has signalled yet (counted in
+    /// `recheck_pending`). One at most: a clock has one scheduler.
+    held: Option<u64>,
     /// Actors blocked in `wait_on` (for deadlock detection only).
     blocked: usize,
     /// (wake_time, actor id) per sleeping actor.
@@ -226,11 +219,11 @@ struct ClockState {
     alarms: BinaryHeap<Reverse<(SimNs, WakeKey)>>,
     /// (key, actor id) for every key a currently blocked actor registered.
     waiting: BTreeSet<(WakeKey, u64)>,
-    /// (key, shard, machine) for every key the last fruitless poll of an
+    /// (key, machine) for every key the last fruitless poll of an
     /// event-mode machine read: what the machine is parked on.
-    machines: BTreeSet<(WakeKey, u32, MachineId)>,
-    /// Per shard, the machines marked ready.
-    ready: Vec<ReadyList>,
+    machines: BTreeSet<(WakeKey, MachineId)>,
+    /// The machines marked ready.
+    ready: ReadyList,
     next_actor: u64,
     /// Registered actors by id. A `BTreeMap` so that any iteration (the
     /// deadlock report) is in deterministic id order by construction.
@@ -249,22 +242,15 @@ struct ClockState {
 }
 
 impl ClockState {
-    fn new(shards: usize) -> Self {
-        ClockState {
-            ready: (0..shards).map(|_| ReadyList::default()).collect(),
-            ..Default::default()
-        }
-    }
-
     /// Bump `gen`, flag the blocked waiters registered on `key` and on
     /// the wildcard, and mark the parked machines registered on either —
     /// every waiter and every machine when `key` is `ALL`. A pump key
     /// reaches one dependant: the first registered waiter (whether this
     /// flags it or an earlier notify did and it has yet to resume), or,
     /// when no actor waits on it, the first registered machine. A flagged
-    /// waiter is owed a signal unless it is a shard worker: that one is held.
+    /// waiter is owed a signal unless it is the scheduler: that one is held.
     /// Any caller that may run with nobody runnable must follow up with
-    /// [`ClockState::release_held`], or the held workers never resume.
+    /// [`ClockState::release_held`], or the held scheduler never resumes.
     fn wake_dependants(&mut self, key: WakeKey) {
         self.gen += 1;
         let Self {
@@ -286,8 +272,7 @@ impl ClockState {
                 a.flagged = true;
                 *recheck_pending += 1;
                 if a.worker {
-                    a.held = true;
-                    held.push(id);
+                    *held = Some(id);
                 } else {
                     signals.push(a.token.clone());
                 }
@@ -295,7 +280,7 @@ impl ClockState {
         };
         if key == WakeKey::ALL {
             waiting.iter().for_each(&mut flag);
-            ready.iter_mut().for_each(|r| r.all = true);
+            ready.all = true;
             return;
         }
         let one = if key.is_pump() { 1 } else { usize::MAX };
@@ -311,34 +296,26 @@ impl ClockState {
             .range(key.machines())
             .take(keyed)
             .chain(machines.range(WakeKey::ALL.machines()));
-        for &(_, shard, m) in dependants {
-            // Marked already: its worker was flagged then, or was running
+        for &(_, m) in dependants {
+            // Marked already: the scheduler was flagged then, or was running
             // and has yet to pass the `gen` check on its way to parking.
-            if ready[shard as usize].ids.insert(m) {
+            if ready.ids.insert(m) {
                 stats.machine_readies += 1;
-                let worker = WakeKey::shard(shard as usize);
-                waiting.range(worker.waiters()).for_each(&mut flag);
+                waiting.range(WakeKey::SCHED.waiters()).for_each(&mut flag);
             }
         }
     }
 
-    /// Signal the held workers once they are all that is left to run:
+    /// Signal the held scheduler once it is all that is left to run:
     /// nobody runnable, no sleeper or signalled waiter still to resume.
-    /// They stay counted in `recheck_pending` until each has resumed, so
+    /// It stays counted in `recheck_pending` until it has resumed, so
     /// the clock cannot move and no deadlock can be declared meanwhile.
     fn release_held(&mut self) {
-        if self.held.is_empty()
-            || self.runnable > 0
-            || self.pending_wakes > 0
-            || self.recheck_pending > self.held.len()
-        {
+        if self.runnable > 0 || self.pending_wakes > 0 || self.recheck_pending > 1 {
             return;
         }
-        for id in self.held.drain(..) {
-            if let Some(a) = self.actors.get_mut(&id) {
-                a.held = false;
-                self.signals.push(a.token.clone());
-            }
+        if let Some(a) = self.held.take().and_then(|id| self.actors.get(&id)) {
+            self.signals.push(a.token.clone());
         }
     }
 
@@ -438,13 +415,13 @@ struct ClockInner {
     next_key: AtomicU64,
     /// How spawned machines execute ([`SimClock::spawn_machine`]).
     mode: ExecMode,
-    /// Event-mode shard pool (empty queues in thread mode).
+    /// Event-mode machine pool (empty in thread mode).
     pool: SchedPool,
     /// Machine state transitions observed by the scheduler cores, for the
     /// simulator self-throughput metric (events/sec). Deterministic for a
     /// fixed scenario: only actual transitions count, never idle re-polls.
     events: AtomicU64,
-    /// [`WakeStats::machine_polls`]: shard workers add to it once per
+    /// [`WakeStats::machine_polls`]: the scheduler adds to it once per
     /// pass, outside the clock lock.
     machine_polls: AtomicU64,
 }
@@ -466,7 +443,7 @@ impl ClockInner {
         // its receiver is off sleeping past it); the clock must then keep
         // advancing to the next target, because no other thread will
         // re-drive it. Each round starts at the release check: the alarms
-        // fired below may have flagged nobody but held waiters.
+        // fired below may have flagged nobody but the held scheduler.
         loop {
             st.release_held();
             if st.runnable > 0 || st.pending_wakes > 0 || st.recheck_pending > 0 {
@@ -528,8 +505,8 @@ impl ClockInner {
                     st.wake_dependants(key);
                 }
             }
-            // Round again: woken threads drive further progress, held
-            // waiters are released, and if only alarms fired and none of
+            // Round again: woken threads drive further progress, the held
+            // scheduler is released, and if only alarms fired and none of
             // their dependants was parked the clock advances further.
         }
     }
@@ -544,11 +521,11 @@ impl ClockInner {
                     // A wait converted with a missing key names itself
                     // here: it is the keyed waiter nothing could reach.
                     if a.worker {
-                        line.push_str(" [shard worker: woken through its machines, below]");
+                        line.push_str(" [scheduler: woken through its machines, below]");
                         // Never seen unless a release was missed: a held
-                        // worker keeps `recheck_pending` above zero, and
+                        // scheduler keeps `recheck_pending` above zero, and
                         // no deadlock is declared over that.
-                        if a.held {
+                        if st.held == Some(*id) {
                             line.push_str(" [held]");
                         }
                     } else if st.waiting.contains(&(WakeKey::ALL, *id)) {
@@ -563,19 +540,17 @@ impl ClockInner {
             .collect();
         lines.sort();
         if self.mode == ExecMode::Events {
-            // Per-shard view: each machine a worker holds, how many keys
+            // The scheduler's view: each machine it holds, how many keys
             // it is parked on and the earliest timer it has armed — a
             // lost wake-up must name the machine and what it waited on.
             // `try_lock` because this runs under the clock lock (the lock
-            // order is shard → clock); at deadlock time every worker is
-            // parked outside its shard lock, so contention means a bug
+            // order is slab → clock); at deadlock time the scheduler is
+            // parked outside the slab lock, so contention means a bug
             // elsewhere and is reported rather than deadlocking the
             // reporter.
-            for (i, shard) in self.pool.shards.iter().enumerate() {
-                match shard.try_lock() {
-                    Some(s) => lines.extend(s.report(i)),
-                    None => lines.push(format!("  shard {i}: <locked — worker mid-pass?>")),
-                }
+            match self.pool.slab.try_lock() {
+                Some(slab) => lines.extend(slab.report()),
+                None => lines.push("  scheduler: <locked — mid-pass?>".into()),
             }
         }
         lines.join("\n")
@@ -605,14 +580,13 @@ impl SimClock {
 
     /// Create a new clock with an explicit machine execution mode.
     pub fn with_mode(mode: ExecMode) -> Self {
-        let shards = sched::shard_count_from_env();
         SimClock {
             inner: Arc::new(ClockInner {
-                state: Mutex::new(ClockState::new(shards)),
+                state: Mutex::default(),
                 now: AtomicU64::new(0),
-                next_key: AtomicU64::new(WakeKey::shard(shards).0),
+                next_key: AtomicU64::new(WakeKey::FIRST_FRESH),
                 mode,
-                pool: SchedPool::new(shards),
+                pool: SchedPool::default(),
                 events: AtomicU64::new(0),
                 machine_polls: AtomicU64::new(0),
             }),
@@ -635,38 +609,33 @@ impl SimClock {
         self.inner.events.load(Ordering::Relaxed)
     }
 
-    /// Access one event-mode shard (shard workers and diagnostics).
-    pub(crate) fn shard(&self, i: usize) -> &Mutex<ShardState> {
-        &self.inner.pool.shards[i]
-    }
-
-    /// The event-mode pool (shard workers report their retirement to it).
+    /// The event-mode pool (the scheduler locks its slab for a pass and
+    /// reports its retirement to it).
     pub(crate) fn pool(&self) -> &SchedPool {
         &self.inner.pool
     }
 
     /// Block (in real time) until the event-mode scheduler is fully
-    /// quiescent: every shard worker has drained its machine queues,
-    /// retired and deregistered its actor. A no-op in thread mode, where
+    /// quiescent: the scheduler has drained its slab, retired and
+    /// deregistered its actor. A no-op in thread mode, where
     /// machines are joined by their owners' drop paths.
     ///
-    /// Shard workers process machine shutdowns *asynchronously* after the
+    /// The scheduler processes machine shutdowns *asynchronously* after the
     /// spawning actors have exited: a queue's `Shutdown` transition and an
     /// engine's trailing drain — including their [`SimClock::count_events`]
     /// contributions and any final alarm-driven advance — may run after
     /// the owners dropped their handles. A reader that wants the complete
     /// [`SimClock::events`] total or the final [`SimClock::now_ns`] must
     /// quiesce first. The caller parks on the pool's live-worker count;
-    /// the last worker to retire wakes it, and taking that count's lock
-    /// orders every worker's last counted pass before the caller's
-    /// subsequent reads.
+    /// the scheduler's retirement wakes it, and taking that count's lock
+    /// orders its last counted pass before the caller's subsequent reads.
     ///
     /// Preconditions: every spawned machine has been asked to shut down
     /// (its owner dropped), and the caller holds no registered actor —
     /// retiring machines may still need the clock to advance (trailing
     /// device reservations), which a runnable caller would stall.
     ///
-    /// Panics if a worker panicked during that trailing drain (the clock
+    /// Panics if the scheduler panicked during that trailing drain (the clock
     /// is poisoned), so the failure reaches the caller instead of a
     /// half-drained total.
     pub fn quiesce_machines(&self) {
@@ -681,18 +650,18 @@ impl SimClock {
     ///
     /// The caller must be a running clock actor (the registration
     /// ordering rule): the machine's executing actor — its own thread's
-    /// in thread mode, its shard worker's in event mode — is registered
+    /// in thread mode, the scheduler's in event mode — is registered
     /// here, before any thread spawns. The machine's first poll happens
     /// at the caller's current virtual instant.
     ///
-    /// `hint` selects the event-mode shard (`hint % shards`); it must be
-    /// a host-independent value (a rank, a label hash) so machine
-    /// placement is reproducible. Machines must never spawn further
-    /// machines from inside `poll` — the executing shard holds its own
-    /// lock across the pass.
+    /// `_hint` is unused: it chose among scheduler threads when a clock
+    /// had several, and stays only because `benchmark/` compiles against
+    /// this signature (ROADMAP, leftovers). Machines must never spawn
+    /// further machines from inside `poll` — the scheduler holds the
+    /// slab's lock across the pass.
     pub fn spawn_machine(
         &self,
-        hint: u64,
+        _hint: u64,
         label: impl Into<String>,
         body: Box<dyn SimActor>,
     ) -> MachineHandle {
@@ -707,21 +676,23 @@ impl SimClock {
                 MachineHandle::thread(handle)
             }
             ExecMode::Events => {
-                let shards = self.inner.pool.shards.len();
-                let shard = (hint % shards as u64) as usize;
-                let needs_worker = self.shard(shard).lock().enqueue(label, body);
+                debug_assert!(
+                    !sched::on_pool_worker(),
+                    "machine {label:?} spawned from inside a poll: the pass holds the slab's lock"
+                );
+                let needs_worker = self.inner.pool.slab.lock().enqueue(label, body);
                 if needs_worker {
-                    let actor = self.register_as(format!("sched:shard{shard}"), true);
+                    let actor = self.register_as("sched".into(), true);
                     self.inner.pool.worker_started();
                     let clock = self.clone();
                     std::thread::Builder::new()
-                        .name(format!("sim-shard{shard}"))
-                        .spawn(move || sched::shard_worker(actor, clock, shard))
-                        .expect("spawn shard worker");
+                        .name("sim-sched".into())
+                        .spawn(move || sched::run_scheduler(actor, clock))
+                        .expect("spawn scheduler thread");
                 }
-                // An already-parked worker adopts only on notification,
-                // and nobody but this shard's worker cares.
-                self.notify_key(WakeKey::shard(shard));
+                // A parked scheduler adopts only on notification, and
+                // nobody else cares.
+                self.notify_key(WakeKey::SCHED);
                 MachineHandle::event()
             }
         }
@@ -741,7 +712,7 @@ impl SimClock {
         self.register_as(label.into(), false)
     }
 
-    /// [`SimClock::register`]; a `worker` (a shard worker's actor) is
+    /// [`SimClock::register`]; a `worker` (the scheduler's actor) is
     /// held, not signalled, when flagged ([`ClockState::release_held`]).
     /// Never for a waiter somebody joins while still runnable
     /// (`run_on_thread`): it would be held for ever.
@@ -759,7 +730,6 @@ impl SimClock {
                 token: token.clone(),
                 flagged: false,
                 worker,
-                held: false,
             },
         );
         Actor {
@@ -850,22 +820,15 @@ impl SimClock {
         stats
     }
 
-    /// Start a pass of shard `shard`'s worker: move the machines marked
-    /// ready since its last pass into `batch` and return the registry
-    /// generation the pass starts from, plus whether an unkeyed notify or
-    /// alarm readied every one of the shard's `residents` machines.
-    pub(crate) fn take_ready(
-        &self,
-        shard: usize,
-        residents: usize,
-        batch: &mut Vec<MachineId>,
-    ) -> (u64, bool) {
+    /// Start a scheduler pass: move the machines marked ready since the
+    /// last one into `batch` and return the registry generation the pass
+    /// starts from, plus whether an unkeyed notify or alarm readied every
+    /// one of the `residents` machines.
+    pub(crate) fn take_ready(&self, residents: usize, batch: &mut Vec<MachineId>) -> (u64, bool) {
         let mut st = self.inner.lock();
-        let st = &mut *st;
-        st.stats.shard_passes += 1;
-        let r = &mut st.ready[shard];
-        batch.extend(std::mem::take(&mut r.ids));
-        let all = std::mem::take(&mut r.all);
+        st.stats.sched_passes += 1;
+        batch.extend(std::mem::take(&mut st.ready.ids));
+        let all = std::mem::take(&mut st.ready.all);
         if all {
             st.stats.machine_readies += residents as u64;
         }
@@ -877,13 +840,12 @@ impl SimClock {
         self.inner.machine_polls.fetch_add(polls, Ordering::Relaxed);
     }
 
-    /// Lock the machine registry for shard `shard`, at the end of a pass
-    /// whose batch was taken at generation `gen`.
-    pub(crate) fn registry(&self, shard: usize, gen: u64) -> Registry<'_> {
+    /// Lock the machine registry, at the end of a pass whose batch was
+    /// taken at generation `gen`.
+    pub(crate) fn registry(&self, gen: u64) -> Registry<'_> {
         let st = self.inner.lock();
         Registry {
             moved: st.gen != gen,
-            shard: shard as u32,
             st,
         }
     }
@@ -906,11 +868,10 @@ impl SimClock {
     }
 }
 
-/// The clock lock, held by a shard worker to bring `ClockState::machines`
+/// The clock lock, held by the scheduler to bring `ClockState::machines`
 /// up to date with what its machines read during the pass just made.
 pub(crate) struct Registry<'a> {
     st: ClockGuard<'a>,
-    shard: u32,
     /// `gen` moved since the pass took its batch: a notify may have
     /// landed between a machine's poll and this registration.
     moved: bool,
@@ -925,22 +886,22 @@ impl Registry<'_> {
     /// pump key it leaves passes its wake-up on: it may have been the one
     /// pumper an alarm of this instant picked.
     pub(crate) fn reregister(&mut self, m: MachineId, old: &[WakeKey], new: &[WakeKey]) {
-        let (st, shard) = (&mut *self.st, self.shard);
+        let st = &mut *self.st;
         let mut added = false;
         for &k in new {
             if old.binary_search(&k).is_err() {
-                st.machines.insert((k, shard, m));
+                st.machines.insert((k, m));
                 added = true;
             }
         }
-        // The caller is this shard's worker, running: the `gen` check on
-        // its way to parking sends it round again.
-        if added && self.moved && st.ready[shard as usize].ids.insert(m) {
+        // The caller is the scheduler, running: the `gen` check on its
+        // way to parking sends it round again.
+        if added && self.moved && st.ready.ids.insert(m) {
             st.stats.machine_readies += 1;
         }
         for &k in old {
             if new.binary_search(&k).is_err() {
-                st.machines.remove(&(k, shard, m));
+                st.machines.remove(&(k, m));
                 if k.is_pump() {
                     st.wake_dependants(k);
                 }
@@ -951,14 +912,13 @@ impl Registry<'_> {
     /// Machine `m`, parked on `keys`, finished.
     pub(crate) fn retire(&mut self, m: MachineId, keys: &[WakeKey]) {
         self.reregister(m, keys, &[]);
-        self.st.ready[self.shard as usize].ids.remove(&m);
+        self.st.ready.ids.remove(&m);
     }
 
-    /// Forget every machine of the shard (its worker is unwinding).
+    /// Forget every machine (the scheduler is unwinding).
     pub(crate) fn clear(&mut self) {
-        let (st, shard) = (&mut *self.st, self.shard);
-        st.machines.retain(|&(_, s, _)| s != shard);
-        st.ready[shard as usize] = ReadyList::default();
+        self.st.machines.clear();
+        self.st.ready = ReadyList::default();
     }
 }
 
@@ -1090,7 +1050,7 @@ impl Actor {
             inner.maybe_advance(&mut st);
             let resumed = |st: &ClockState| {
                 let me = st.actors.get(&self.id);
-                me.is_some_and(|a| a.flagged && !a.held)
+                me.is_some_and(|a| a.flagged) && st.held != Some(self.id)
             };
             let mut st = ClockGuard::park(st, &self.token, resumed);
             for &k in keys {
@@ -1100,12 +1060,12 @@ impl Actor {
             st.runnable += 1;
             if let Some(a) = st.actors.get_mut(&self.id) {
                 a.status = ActorStatus::Running;
-                let (flagged, held) = (std::mem::take(&mut a.flagged), std::mem::take(&mut a.held));
+                let flagged = std::mem::take(&mut a.flagged);
                 st.recheck_pending -= usize::from(flagged);
-                if held {
-                    // Poison resumes a held worker without a release.
-                    st.held.retain(|&id| id != self.id);
-                }
+            }
+            if st.held == Some(self.id) {
+                // Poison resumes a held scheduler without a release.
+                st.held = None;
             }
             SimClock::check_poison(&st);
             st.label_stats(label).wakeups += 1;
@@ -1333,17 +1293,15 @@ mod tests {
         let go = Arc::new(Mutex::new(false));
         let g1 = go.clone();
         let t = thread::spawn(move || {
-            worker.wait_on(&[WakeKey::shard(0)], "sched shard", || {
-                g1.lock().then_some(())
-            })
+            worker.wait_on(&[WakeKey::SCHED], "sched", || g1.lock().then_some(()))
         });
         driver.advance_ns(10); // the worker is parked
         let report = |c: &SimClock| c.inner.render_actors(&c.inner.lock());
-        let idle = "Blocked(\"sched shard\") [shard worker: woken through its machines, below]";
+        let idle = "Blocked(\"sched\") [scheduler: woken through its machines, below]";
         assert!(report(&c).contains(idle), "{}", report(&c));
         assert!(!report(&c).contains("[held]"));
         *go.lock() = true;
-        c.notify_key(WakeKey::shard(0)); // flags the worker; the driver is still runnable
+        c.notify_key(WakeKey::SCHED); // flags the worker; the driver is still runnable
         let held = format!("{idle} [held]");
         assert!(report(&c).contains(&held), "{}", report(&c));
         drop(driver); // the last runnable actor leaves: released
@@ -1380,7 +1338,7 @@ mod tests {
         driver.advance_ns(10); // both machines are parked
         let report = c.inner.render_actors(&c.inner.lock());
         for line in [
-            "  shard 0: 2 parked + 0 queued machine(s)",
+            "  scheduler: 2 parked + 0 queued machine(s)",
             "    engine:r3 [keyed: 1 key(s), timer t=900]",
             "    queue:r3 [wildcard, timer t=900]",
         ] {
@@ -1512,8 +1470,8 @@ mod tests {
     const STRESS_ACTORS: usize = 32;
     const STRESS_STEPS: usize = 320;
 
-    /// 32 actors on threads of their own and one machine (a held shard
-    /// worker on the event core, a wildcard runner under the oracle)
+    /// 32 actors on threads of their own and one machine (the held
+    /// scheduler on the event core, a wildcard runner under the oracle)
     /// through 10,240 rounds of sleeps, keyed waits, notifies and alarms.
     /// A wake-up that is owed and never signalled ends it in the
     /// watchdog; one signalled to the wrong token, in the deadlock report.
@@ -1591,7 +1549,7 @@ mod tests {
             ),
             (0, 0, 0, 0)
         );
-        assert!(st.held.is_empty() && st.signals.is_empty() && st.actors.is_empty());
+        assert!(st.held.is_none() && st.signals.is_empty() && st.actors.is_empty());
         assert!(st.sleeps > 1_000 && st.stats.alarms_fired > 1_000);
     }
 

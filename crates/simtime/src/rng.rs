@@ -8,8 +8,8 @@
 //! injection in virtual time.
 
 /// FNV-1a over a byte stream: the workspace's stable fingerprint and its
-/// host-independent way to derive an id (communicator contexts, shard
-/// placement, checkpoint checksums, every `*_fnv1a` artifact field).
+/// host-independent way to derive an id (communicator contexts,
+/// checkpoint checksums, every `*_fnv1a` artifact field).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {

@@ -1,4 +1,4 @@
-//! The sharded discrete-event scheduler: resumable actor state machines.
+//! The discrete-event scheduler: resumable actor state machines.
 //!
 //! ### Two execution modes, one machine contract
 //!
@@ -11,23 +11,23 @@
 //! This module turns those actors into **resumable state machines**: a
 //! [`SimActor`] exposes an explicit [`SimActor::poll`]/[`SimActor::on_wake`]
 //! step that runs at a frozen virtual instant and *parks* with an optional
-//! wake hint instead of blocking. [`SimClock::spawn_machine`] then places
+//! wake hint instead of blocking. [`SimClock::spawn_machine`] then runs
 //! the machine according to the clock's [`ExecMode`]:
 //!
-//! * [`ExecMode::Events`] — the **event core**, and the default: machines
-//!   are distributed over a fixed set of shards (`hint % SIM_SHARDS`), and
-//!   each shard is served by a single worker thread registered as one
-//!   clock actor. Between passes the worker is one blocked actor, so the
+//! * [`ExecMode::Events`] — the **event core**, and the default: every
+//!   machine of a clock lives in one slab (`Slab`) served by one
+//!   scheduler thread registered as one clock actor. Between passes the
+//!   scheduler is one blocked actor, so the
 //!   conservative-advance invariant (`runnable`/`pending_wakes`/
 //!   `recheck_pending` bookkeeping, alarms, deadlock detection) is
 //!   untouched. A pass steps the machines with something to look at —
 //!   those a notify or alarm marked **ready**, those whose own wake hint
 //!   came due, those just adopted — not every resident (see "Ready
-//!   machines" below). The worker is **held until idle**: what readies
+//!   machines" below). The scheduler is **held until idle**: what readies
 //!   one of its machines flags it, and it resumes once every other actor
 //!   has parked — one pass per *settle round* of a frozen instant (rank
-//!   threads run until they park → flagged workers make a pass each →
-//!   repeat until nobody is flagged → the clock advances), not one per
+//!   threads run until they park → the flagged scheduler makes a pass →
+//!   repeat until it is not flagged → the clock advances), not one per
 //!   notify.
 //! * [`ExecMode::Threads`] — the **oracle** (`SIM_EXEC_MODE=threads`): one
 //!   OS thread per machine, driven by `run_on_thread`: the machine's
@@ -41,28 +41,31 @@
 //! differential suite (`tests/scheduler.rs` and the clMPI world-level
 //! matrix) enforces exactly that.
 //!
-//! ### The sharding rule
+//! ### One scheduler thread
 //!
-//! A machine's shard is `hint % shards` where the hint is chosen by the
-//! spawner (the clMPI runtime uses the MPI rank; minicl hashes the queue
-//! label). Shard assignment affects only *which worker thread* polls a
-//! machine, never the virtual instants at which it progresses: machines
-//! communicate exclusively through clock-notifying monitors, and every
-//! poll pass runs at a frozen instant, so the fixpoint the shard reaches
-//! is the same one the thread-per-actor oracle reaches.
+//! The paper's runtime progresses every enqueued transfer from one
+//! internal communication thread (§V-A); so does the event core. A pass
+//! only runs once every other actor has parked, so a second scheduler
+//! thread could add nothing but a pass running beside the first on
+//! another CPU, at the price of a futex hand-off per thread per settle
+//! round — and no workload ever showed that to pay (DESIGN.md §14). Which
+//! thread polls a machine was never visible in virtual time anyway:
+//! machines communicate exclusively through clock-notifying monitors, and
+//! every pass runs at a frozen instant, so the fixpoint the scheduler
+//! reaches is the one the thread-per-machine oracle reaches.
 //!
 //! ### Ready machines: parked on what the last poll read
 //!
-//! Nobody annotates a machine with its wake keys. While a worker steps a
-//! machine, every [`crate::Monitor`] access (`with`, `peek`, `try_now`)
-//! and every explicit [`note_read`] notes its [`WakeKey`] into a
+//! Nobody annotates a machine with its wake keys. While the scheduler
+//! steps a machine, every [`crate::Monitor`] access (`with`, `peek`,
+//! `try_now`) and every explicit [`note_read`] notes its [`WakeKey`] into a
 //! thread-local read-set; the set the last fruitless step touched *is*
-//! what the machine is parked on, and the worker registers it with the
+//! what the machine is parked on, and the scheduler registers it with the
 //! clock (`Registry::reregister`). A notify or alarm of one of those
-//! keys marks the machine ready and flags its shard's worker; an unkeyed
+//! keys marks the machine ready and flags the scheduler; an unkeyed
 //! one readies every machine. A wake hint (`Pending(Some(t))`) is a
-//! per-machine timer in the shard (`Timers`), with one clock alarm on
-//! the shard's own key per distinct instant; its machine is stepped
+//! per-machine timer in the slab (`Timers`), with one clock alarm on
+//! the scheduler's own key per distinct instant; its machine is stepped
 //! through `on_wake`, a readied one through `poll`.
 //!
 //! Why that is enough: a step is a deterministic function of the state it
@@ -80,8 +83,8 @@
 //! * *Instants nobody announces* — a verdict that flips when `now` passes
 //!   some instant for which the machine returned no hint and nobody
 //!   scheduled an alarm (a fault plan's kill instants). Such a step was
-//!   only ever re-run "whenever something else woke the worker past that
-//!   instant".
+//!   only ever re-run "whenever something else woke the scheduler past
+//!   that instant".
 //!
 //! The rule: **if a step's outcome can change without a notify or an
 //! alarm on something it read, it notes [`WakeKey::ALL`]** and the
@@ -124,7 +127,7 @@ pub trait SimActor: Send {
     fn wait_label(&self) -> &'static str;
 
     /// Advance as far as possible at virtual instant `now`. `actor` is the
-    /// executing worker's clock actor: machines may use it for non-blocking
+    /// executing thread's clock actor: machines may use it for non-blocking
     /// calls but must never park or sleep it.
     fn poll(&mut self, now: SimNs, actor: &Actor) -> MachineStep;
 
@@ -142,7 +145,7 @@ pub enum ExecMode {
     /// One OS thread per machine: the differential oracle for the event
     /// core.
     Threads,
-    /// Sharded worker pool over per-shard machine queues.
+    /// One scheduler thread over one slab of machines.
     Events,
 }
 
@@ -152,47 +155,30 @@ impl ExecMode {
     /// must not silently pick a core and void a differential run.
     pub fn from_env() -> Self {
         match std::env::var("SIM_EXEC_MODE").as_deref() {
-            Ok("events" | "event" | "") | Err(_) => ExecMode::Events,
-            Ok("threads" | "thread") => ExecMode::Threads,
+            Ok("events" | "") | Err(_) => ExecMode::Events,
+            Ok("threads") => ExecMode::Threads,
             Ok(v) => panic!("SIM_EXEC_MODE={v:?}: expected \"threads\" or \"events\""),
         }
     }
 }
 
-/// Default shard count for [`ExecMode::Events`], overridable via
-/// `SIM_SHARDS`. Fixed (not host-derived) so two hosts running the same
-/// scenario use the same machine placement.
-const DEFAULT_SHARDS: usize = 8;
-
-/// Number of shards for a new pool: `SIM_SHARDS` or [`DEFAULT_SHARDS`].
-pub(crate) fn shard_count_from_env() -> usize {
-    match std::env::var("SIM_SHARDS") {
-        Ok(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| panic!("SIM_SHARDS={v:?}: expected a positive integer")),
-        Err(_) => DEFAULT_SHARDS,
-    }
-}
-
 std::thread_local! {
-    /// Set for the lifetime of a shard worker thread. Lets drop paths that
+    /// Set for the lifetime of a scheduler thread. Lets drop paths that
     /// must not block the scheduler (e.g. the clMPI runtime's self-drain
-    /// guard) recognize they are running *on* the pool.
+    /// guard) recognize they are running *on* it.
     static ON_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
-    /// The read-set of the machine this pool worker is polling.
+    /// The read-set of the machine this scheduler thread is polling.
     static READS: RefCell<Vec<WakeKey>> = const { RefCell::new(Vec::new()) };
 }
 
-/// True when the current thread is an event-mode shard worker.
+/// True when the current thread is an event-mode scheduler thread.
 pub fn on_pool_worker() -> bool {
     ON_POOL_WORKER.with(|f| f.get())
 }
 
 /// Note that the code running now read the state `key` names, for state
 /// that lives outside a [`crate::Monitor`] (which notes its own key): if
-/// a shard worker is polling a machine, the machine will be polled again
+/// the scheduler is polling a machine, the machine will be polled again
 /// when `key` is notified or an alarm carrying it fires. Note
 /// [`WakeKey::ALL`] where the outcome depends on something no notify or
 /// alarm announces. Costs one thread-local load anywhere else.
@@ -266,7 +252,7 @@ impl Timers {
 
 /// Drive one machine at the frozen instant `now`; `due` says a wake hint
 /// it asked for has come. Shared between the thread-mode runner and the
-/// shard workers, as is [`Timers`], which decides `due` and which hints
+/// scheduler, as is [`Timers`], which decides `due` and which hints
 /// become clock alarms — together they are the mode-equivalence argument.
 fn step(body: &mut dyn SimActor, due: bool, now: SimNs, actor: &Actor) -> MachineStep {
     let step = if due {
@@ -308,7 +294,7 @@ pub(crate) fn run_on_thread(actor: Actor, mut body: Box<dyn SimActor>) {
     });
 }
 
-/// One machine resident on a shard.
+/// One machine resident in the slab.
 struct Slot {
     label: String,
     body: Box<dyn SimActor>,
@@ -323,30 +309,31 @@ struct Slot {
     read: Vec<WakeKey>,
 }
 
-/// State of one shard: machines waiting to be adopted plus machines
-/// resident on the worker. Guarded by its own mutex so spawners never
+/// The machines of one clock: those waiting to be adopted plus those
+/// resident on the scheduler. Guarded by its own mutex so spawners never
 /// contend on the clock lock, and so the deadlock reporter can inspect
-/// shard queues (via `try_lock`) while holding the clock lock. Lock
-/// order: shard, then clock — a worker holds its shard across a pass and
-/// takes the clock lock inside it; nothing takes them the other way.
+/// it (via `try_lock`) while holding the clock lock. Lock order: slab,
+/// then clock — the scheduler holds the slab across a pass and takes the
+/// clock lock inside it; nothing takes them the other way.
 #[derive(Default)]
-pub(crate) struct ShardState {
-    /// Machines handed to the shard, not yet polled.
+pub(crate) struct Slab {
+    /// Machines handed to the scheduler, not yet polled.
     incoming: Vec<(String, Box<dyn SimActor>)>,
-    /// Machines the worker serves, by [`MachineId`]; `None` is a free id.
+    /// Machines the scheduler serves, by [`MachineId`]; `None` is a free id.
     resident: Vec<Option<Slot>>,
     /// How many of `resident` are `Some`.
     live: usize,
     /// The residents' pending wake hints. The clock holds one alarm on
-    /// this shard's key per distinct instant in here.
+    /// [`WakeKey::SCHED`] per distinct instant in here.
     timers: Timers,
-    /// Whether a worker thread currently owns this shard. Workers retire
-    /// when their shard drains; the flag makes the next spawn revive one.
+    /// Whether a scheduler thread currently owns the slab. It retires
+    /// when the slab drains; the flag makes the next spawn revive one.
     running: bool,
 }
 
-impl ShardState {
-    /// Queue a machine for adoption; true when the shard needs a worker.
+impl Slab {
+    /// Queue a machine for adoption; true when a scheduler thread must be
+    /// started.
     pub(crate) fn enqueue(&mut self, label: String, body: Box<dyn SimActor>) -> bool {
         self.incoming.push((label, body));
         !std::mem::replace(&mut self.running, true)
@@ -374,14 +361,14 @@ impl ShardState {
         }
     }
 
-    /// Deadlock-report lines for shard `i`: every parked machine with
-    /// what it is parked on. Empty for an idle shard.
-    pub(crate) fn report(&self, i: usize) -> Vec<String> {
+    /// Deadlock-report lines: every parked machine with what it is
+    /// parked on. Empty for an idle slab.
+    pub(crate) fn report(&self) -> Vec<String> {
         if self.live == 0 && self.incoming.is_empty() && !self.running {
             return Vec::new();
         }
         let mut lines = vec![format!(
-            "  shard {i}: {} parked + {} queued machine(s)",
+            "  scheduler: {} parked + {} queued machine(s)",
             self.live,
             self.incoming.len()
         )];
@@ -407,35 +394,27 @@ impl ShardState {
     }
 }
 
-/// The event-mode worker pool: a fixed array of shards. Held by the clock
-/// (`ClockInner`), but deliberately clock-free itself — shard workers
-/// reach it through their own `SimClock` clones.
+/// The event-mode machine pool. Held by the clock (`ClockInner`), but
+/// deliberately clock-free itself — the scheduler reaches it through its
+/// own `SimClock` clone.
+#[derive(Default)]
 pub(crate) struct SchedPool {
-    pub(crate) shards: Vec<Mutex<ShardState>>,
-    /// Worker threads spawned and not yet retired;
+    pub(crate) slab: Mutex<Slab>,
+    /// Scheduler threads spawned and not yet retired (a revived one may
+    /// start while its predecessor is still unwinding its locals);
     /// [`SimClock::quiesce_machines`] parks on `retired` until it is zero.
     live_workers: Mutex<usize>,
     retired: Condvar,
 }
 
 impl SchedPool {
-    pub(crate) fn new(shards: usize) -> Self {
-        SchedPool {
-            shards: (0..shards)
-                .map(|_| Mutex::new(ShardState::default()))
-                .collect(),
-            live_workers: Mutex::new(0),
-            retired: Condvar::new(),
-        }
-    }
-
-    /// Count a worker about to be spawned (before its thread starts, so a
-    /// quiescing caller can never observe zero between spawn and start).
+    /// Count a scheduler thread about to be spawned (before it starts, so
+    /// a quiescing caller can never observe zero between spawn and start).
     pub(crate) fn worker_started(&self) {
         *self.live_workers.lock() += 1;
     }
 
-    /// Park the calling thread until every counted worker has retired.
+    /// Park the calling thread until every counted thread has retired.
     pub(crate) fn wait_retired(&self) {
         let mut live = self.live_workers.lock();
         while *live > 0 {
@@ -444,22 +423,19 @@ impl SchedPool {
     }
 }
 
-/// Reports a shard worker's retirement when dropped — after the worker's
-/// actor, and also when the worker unwinds from a panicking machine, so a
-/// quiescing caller is released to observe the poison instead of hanging.
-/// An unwinding worker leaves machines behind; what they were parked on
+/// Reports the scheduler's retirement when dropped — after its actor,
+/// and also when it unwinds from a panicking machine, so a quiescing
+/// caller is released to observe the poison instead of hanging. An
+/// unwinding scheduler leaves machines behind; what they were parked on
 /// leaves the registry with it.
-struct Retire<'a> {
-    clock: &'a SimClock,
-    shard: usize,
-}
+struct Retire<'a>(&'a SimClock);
 
 impl Drop for Retire<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.clock.registry(self.shard, 0).clear();
+            self.0.registry(0).clear();
         }
-        let pool = self.clock.pool();
+        let pool = self.0.pool();
         let mut live = pool.live_workers.lock();
         *live -= 1;
         if *live == 0 {
@@ -478,7 +454,7 @@ fn normalise(read: &mut Vec<WakeKey>) {
     }
 }
 
-/// A shard worker's scratch lists, kept across passes.
+/// The scheduler's scratch lists, kept across passes.
 #[derive(Default)]
 struct Pass {
     /// The machines this pass steps, in id order.
@@ -492,10 +468,10 @@ struct Pass {
 }
 
 impl Pass {
-    /// One frozen-instant pass over shard `shard`: step the machines that
+    /// One frozen-instant pass over the slab: step the machines that
     /// were marked ready, those with a hint due and those just adopted —
     /// not every resident — and register what each is now parked on.
-    /// True when the shard has drained.
+    /// True when the slab has drained.
     ///
     /// Machines progressing mid-pass notify the clock themselves (monitor
     /// mutations bump `gen`), which makes the surrounding `wait_on`
@@ -503,14 +479,14 @@ impl Pass {
     /// readied, not an inner loop, is what drives same-instant
     /// cross-machine chains, exactly as notify does for separate threads
     /// in oracle mode.
-    fn run(&mut self, actor: &Actor, clock: &SimClock, shard: usize) -> bool {
+    fn run(&mut self, actor: &Actor, clock: &SimClock) -> bool {
         let Pass {
             batch,
             due,
             changed,
             done,
         } = self;
-        let mut st = clock.shard(shard).lock();
+        let mut st = clock.pool().slab.lock();
         let now = clock.now_ns();
         batch.clear();
         due.clear();
@@ -523,7 +499,7 @@ impl Pass {
         st.timers.pop_due(now, due);
         due.sort_unstable();
         due.dedup();
-        let (gen, all) = clock.take_ready(shard, st.live, batch);
+        let (gen, all) = clock.take_ready(st.live, batch);
         if all {
             batch.clear();
             let live = st.resident.iter().enumerate().filter(|(_, s)| s.is_some());
@@ -533,7 +509,7 @@ impl Pass {
             batch.sort_unstable();
             batch.dedup();
         }
-        let ShardState {
+        let Slab {
             resident,
             timers,
             live,
@@ -558,7 +534,7 @@ impl Pass {
                 MachineStep::Pending(hint) => {
                     if let Some(t) = hint.filter(|&t| t > now) {
                         if timers.arm(t, m, &mut slot.armed) {
-                            clock.schedule_alarm_keyed(t, WakeKey::shard(shard));
+                            clock.schedule_alarm_keyed(t, WakeKey::SCHED);
                         }
                     }
                     READS.with(|r| std::mem::swap(&mut *r.borrow_mut(), &mut slot.read));
@@ -574,7 +550,7 @@ impl Pass {
         // needs nothing: the registration stood all along, so no notify
         // of those keys was lost. Most passes end without this lock.
         if !(changed.is_empty() && done.is_empty()) {
-            let mut registry = clock.registry(shard, gen);
+            let mut registry = clock.registry(gen);
             for m in changed.drain(..) {
                 if let Some(slot) = resident[m as usize].as_mut() {
                     registry.reregister(m, &slot.keys, &slot.read);
@@ -601,31 +577,28 @@ impl Pass {
     }
 }
 
-/// The shard worker loop: one registered clock actor serving every
-/// machine of one shard. Each predicate evaluation is one frozen-instant
-/// pass over the machines with something to look at; between passes the
-/// worker is a single blocked actor, *held* when flagged — through its
-/// shard's key (a timer alarm, a spawn) or through a machine of its that
-/// a notify or alarm marked ready — until every other actor has parked.
-/// The worker retires (clearing `running`) once the shard drains.
-pub(crate) fn shard_worker(actor: Actor, clock: SimClock, shard: usize) {
+/// The scheduler loop: one registered clock actor serving every machine
+/// of a clock. Each predicate evaluation is one frozen-instant pass over
+/// the machines with something to look at; between passes the scheduler
+/// is a single blocked actor, *held* when flagged — through its own key
+/// (a timer alarm, a spawn) or through a machine that a notify or alarm
+/// marked ready — until every other actor has parked. It retires
+/// (clearing `running`) once the slab drains.
+pub(crate) fn run_scheduler(actor: Actor, clock: SimClock) {
     ON_POOL_WORKER.with(|f| f.set(true));
     // Locals drop in reverse order: the actor deregisters (its last clock
     // advance included) before the retirement is reported.
-    let _retire = Retire {
-        clock: &clock,
-        shard,
-    };
+    let _retire = Retire(&clock);
     let actor = actor;
     let mut pass = Pass::default();
-    actor.wait_on(&[WakeKey::shard(shard)], "sched shard", || {
-        pass.run(&actor, &clock, shard).then_some(())
+    actor.wait_on(&[WakeKey::SCHED], "sched", || {
+        pass.run(&actor, &clock).then_some(())
     });
 }
 
 /// Handle to a spawned machine: how to reap it and how to recognize its
 /// executing thread. In event mode there is nothing to join — the machine
-/// retires inside its shard worker when it reports [`MachineStep::Done`].
+/// retires inside the scheduler when it reports [`MachineStep::Done`].
 pub struct MachineHandle {
     inner: HandleInner,
 }
@@ -656,8 +629,8 @@ impl MachineHandle {
     }
 
     /// True when called from the thread that executes this machine: its
-    /// dedicated thread in thread mode, any pool worker in event mode
-    /// (machines share workers, so per-machine attribution is
+    /// dedicated thread in thread mode, the scheduler in event mode
+    /// (machines share it, so per-machine attribution is
     /// impossible — and drop paths only need "am I on the scheduler?").
     pub fn on_worker_thread(&self) -> bool {
         match &self.inner {

@@ -26,8 +26,8 @@ use crate::{note_read, Actor, SimClock, SimNs, WakeKey};
 /// more registers the other keys itself through [`Actor::wait_on`] and
 /// [`Monitor::key`].
 ///
-/// A machine polled by a shard worker registers nothing by hand: `with`,
-/// `peek` and `try_now` note this monitor's key into the worker's
+/// A machine polled by the scheduler registers nothing by hand: `with`,
+/// `peek` and `try_now` note this monitor's key into the scheduler's
 /// read-set ([`crate::note_read`]), and the machine is parked on whatever
 /// its last step noted. What that cannot see is state kept *outside* a
 /// monitor and instants no alarm announces — `sched`'s module notes say

@@ -1,15 +1,17 @@
-//! Differential suite for the sharded discrete-event scheduler.
+//! Differential suite for the discrete-event scheduler.
 //!
 //! The same [`SimActor`] machines run under both execution modes —
 //! [`ExecMode::Threads`] (one OS thread per machine, the historical
-//! oracle) and [`ExecMode::Events`] (sharded worker pool) — and every
+//! oracle) and [`ExecMode::Events`] (one scheduler thread) — and every
 //! virtual timestamp they observe must be identical. The workloads
 //! exercise the full machine contract: alarm-driven wake-ups, channel
-//! notification chains across shards, same-instant hand-offs, and
+//! notification chains across machines, same-instant hand-offs, and
 //! retirement.
 
 use std::sync::Arc;
+use std::thread::ThreadId;
 
+use simtime::plock::Mutex;
 use simtime::{
     on_pool_worker, Actor, ExecMode, MachineStep, Monitor, SimActor, SimChannel, SimClock, SimNs,
     XorShift64,
@@ -264,8 +266,11 @@ fn pool_worker_flag_matches_mode() {
     }
 }
 
-/// A machine that parks forever with no wake hint.
-struct Stuck;
+/// A machine that parks forever with no wake hint, after noting which
+/// thread polled it.
+struct Stuck {
+    polled_by: Arc<Mutex<Vec<ThreadId>>>,
+}
 
 impl SimActor for Stuck {
     fn wait_label(&self) -> &'static str {
@@ -273,51 +278,62 @@ impl SimActor for Stuck {
     }
 
     fn poll(&mut self, _now: SimNs, _actor: &Actor) -> MachineStep {
+        self.polled_by.lock().push(std::thread::current().id());
         MachineStep::Pending(None)
     }
 }
 
-#[test]
-fn event_mode_deadlock_report_names_shards() {
-    use std::sync::Mutex as StdMutex;
-    // The deadlock panic fires on whichever actor blocks last (the main
-    // test actor or the shard worker), so capture the message through a
-    // panic hook instead of relying on which thread unwinds with it.
-    static CAPTURED: StdMutex<Option<String>> = StdMutex::new(None);
+/// Run `world`, which must end in the clock's deadlock panic, and return
+/// the report. The panic fires on whichever actor blocks last (the main
+/// test actor or the scheduler), so the message is captured through a
+/// panic hook instead of relying on which thread unwinds with it — and
+/// the hook is the process's, hence one caller at a time.
+fn deadlock_report(world: impl FnOnce()) -> String {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    static CAPTURED: Mutex<Option<String>> = Mutex::new(None);
+    let _serial = ONE_AT_A_TIME.lock();
+    *CAPTURED.lock() = None;
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         let msg = info.to_string();
         if msg.contains("simtime: deadlock") {
-            *CAPTURED.lock().unwrap() = Some(msg);
+            *CAPTURED.lock() = Some(msg);
         } else {
             prev(info);
         }
     }));
-    let result = std::panic::catch_unwind(|| {
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(world));
+    assert!(result.is_err(), "the deadlock must panic");
+    // The scheduler may take a moment to observe the poison and unwind.
+    let mut tries = 0;
+    let report = loop {
+        if let Some(r) = CAPTURED.lock().take() {
+            break r;
+        }
+        tries += 1;
+        assert!(tries < 500, "deadlock report never captured");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    let _ = std::panic::take_hook();
+    report
+}
+
+#[test]
+fn event_mode_deadlock_report_names_the_parked_machine() {
+    let report = deadlock_report(|| {
         let clock = SimClock::with_mode(ExecMode::Events);
         let main = clock.register("main");
-        let _h = clock.spawn_machine(3, "stuck", Box::new(Stuck));
+        let stuck = Stuck {
+            polled_by: Arc::default(),
+        };
+        let _h = clock.spawn_machine(3, "stuck", Box::new(stuck));
         // Never satisfied: with the machine parked hint-less, nothing can
         // advance the clock — a deadlock by construction.
         main.wait_until(|| -> Option<()> { None })
     });
-    let _ = std::panic::take_hook();
-    assert!(result.is_err(), "the deadlock must panic");
-    // The worker may take a moment to observe the poison and unwind.
-    let report = {
-        let mut tries = 0;
-        loop {
-            if let Some(r) = CAPTURED.lock().unwrap().clone() {
-                break r;
-            }
-            tries += 1;
-            assert!(tries < 500, "deadlock report never captured");
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-    };
     assert!(
-        report.contains("shard "),
-        "event-mode report lists per-shard state:\n{report}"
+        report.contains("\n  scheduler: 1 parked"),
+        "event-mode report lists the scheduler's machines:\n{report}"
     );
     assert!(
         report.contains("stuck"),
@@ -330,9 +346,36 @@ fn event_mode_deadlock_report_names_shards() {
 }
 
 #[test]
-fn machines_spread_across_shards_by_hint() {
-    // 16 tickers with distinct hints across the default 8 shards: all
-    // complete and retire even when several share one worker.
+fn sixteen_hints_are_one_scheduler_thread() {
+    // Hints are legal arguments that place nothing: 16 tickers under 16
+    // of them all complete and retire ...
     let (log, _) = run_tickers(ExecMode::Events, 16);
     assert_eq!(log.len(), 16 * 5);
+    // ... and 16 machines under 16 of them are one actor, one thread and
+    // one block of the deadlock report.
+    let polled_by: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+    let report = deadlock_report(|| {
+        let clock = SimClock::with_mode(ExecMode::Events);
+        let main = clock.register("main");
+        for i in 0..16u64 {
+            let stuck = Stuck {
+                polled_by: polled_by.clone(),
+            };
+            let _h = clock.spawn_machine(i * 7 + 1, format!("stuck{i}"), Box::new(stuck));
+        }
+        assert_eq!(clock.actor_count(), 2, "main and one scheduler");
+        main.wait_until(|| -> Option<()> { None })
+    });
+    let polled_by = polled_by.lock().clone();
+    assert!(polled_by.len() >= 16, "every machine was stepped");
+    assert!(
+        polled_by.iter().all(|id| *id == polled_by[0]),
+        "by one thread: {polled_by:?}"
+    );
+    let blocks = report.lines().filter(|l| l.starts_with("  scheduler:"));
+    assert_eq!(blocks.count(), 1, "{report}");
+    assert!(
+        report.contains("scheduler: 16 parked + 0 queued machine(s)"),
+        "{report}"
+    );
 }

@@ -8,8 +8,8 @@
 //! parked, so "the waiters are parked before the driver acts" needs no
 //! sleeps or barriers.
 //!
-//! The second half is about shard workers, which are *held*: flagged
-//! when a machine of theirs is readied (by a notify or alarm of a key it
+//! The second half is about the scheduler thread, which is *held*: flagged
+//! when a machine is readied (by a notify or alarm of a key it
 //! read, or by any unkeyed one), but resumed only once every other actor
 //! has parked. Those tests run under a wall-clock watchdog, because what
 //! a missed release looks like is a world that never ends.
@@ -320,7 +320,7 @@ fn within_watchdog(f: impl FnOnce() + Send + 'static) {
         rx.recv_timeout(Duration::from_secs(10)) == Err(mpsc::RecvTimeoutError::Timeout);
     assert!(
         !timed_out,
-        "still running after 10 s: a held shard worker was never released"
+        "still running after 10 s: the held scheduler was never released"
     );
     join(h); // re-raises `f`'s own panic, if that is how it ended
 }
@@ -348,7 +348,7 @@ impl SimActor for Watcher {
     }
 }
 
-/// Put one [`Watcher`] — hence one shard worker — on `clock`; returns the
+/// Put one [`Watcher`] — hence the scheduler — on `clock`; returns the
 /// watcher's poll counter and stop flag.
 fn spawn_watcher(clock: &SimClock, ticks: &[SimNs]) -> (Arc<AtomicU64>, Arc<AtomicBool>) {
     let polls = Arc::new(AtomicU64::new(0));
@@ -362,7 +362,7 @@ fn spawn_watcher(clock: &SimClock, ticks: &[SimNs]) -> (Arc<AtomicU64>, Arc<Atom
     (polls, stop)
 }
 
-const SHARD: &str = "sched shard";
+const SCHED: &str = "sched";
 
 #[test]
 fn held_worker_resumes_when_the_last_runnable_actor_parks_and_not_before() {
@@ -372,7 +372,7 @@ fn held_worker_resumes_when_the_last_runnable_actor_parks_and_not_before() {
         let (polls, stop) = spawn_watcher(&clock, &[]);
         // t=10: the worker is parked (or the clock could not have moved).
         driver.advance_ns(10);
-        let (before, polled) = (label(&clock, SHARD), polls.load(Ordering::SeqCst));
+        let (before, polled) = (label(&clock, SCHED), polls.load(Ordering::SeqCst));
         for _ in 0..5 {
             clock.notify();
         }
@@ -380,7 +380,7 @@ fn held_worker_resumes_when_the_last_runnable_actor_parks_and_not_before() {
         // it must stay parked for as long as the driver is runnable.
         thread::sleep(Duration::from_millis(50));
         assert_eq!(
-            label(&clock, SHARD),
+            label(&clock, SCHED),
             before,
             "resumed beside a runnable actor"
         );
@@ -388,7 +388,7 @@ fn held_worker_resumes_when_the_last_runnable_actor_parks_and_not_before() {
         // The driver parks: the worker makes one pass for all five
         // notifies, and only then can the clock reach t=20.
         driver.advance_ns(10);
-        let after = label(&clock, SHARD);
+        let after = label(&clock, SCHED);
         assert_eq!(
             (after.wakeups, after.parked),
             (before.wakeups + 1, before.parked + 1)
@@ -445,20 +445,20 @@ fn notify_from_a_thread_without_an_actor_reaches_the_held_worker() {
         while clock.now_ns() < 10 {
             thread::yield_now();
         }
-        let (before, polled) = (label(&clock, SHARD), polls.load(Ordering::SeqCst));
+        let (before, polled) = (label(&clock, SCHED), polls.load(Ordering::SeqCst));
         stop.store(true, Ordering::SeqCst);
         for _ in 0..3 {
             clock.notify();
         }
         thread::sleep(Duration::from_millis(50));
         assert_eq!(
-            label(&clock, SHARD),
+            label(&clock, SCHED),
             before,
             "resumed beside a runnable actor"
         );
         assert!(open_gate.send(()).is_ok(), "the driver waits at the gate");
         let driver = join(t);
-        assert_eq!(label(&clock, SHARD).wakeups, before.wakeups + 1);
+        assert_eq!(label(&clock, SCHED).wakeups, before.wakeups + 1);
         assert_eq!(polls.load(Ordering::SeqCst), polled + 1);
         drop(driver);
         clock.quiesce_machines();
@@ -507,13 +507,13 @@ fn actor_dropped_while_a_worker_is_held_keeps_the_clock_advancing() {
             sleeper.now_ns()
         });
         driver.advance_ns(10);
-        let (before, polled) = (label(&clock, SHARD), polls.load(Ordering::SeqCst));
+        let (before, polled) = (label(&clock, SCHED), polls.load(Ordering::SeqCst));
         clock.notify();
         drop(driver);
         assert_eq!(join(t), 100);
         clock.quiesce_machines();
         // One pass released by the drop, one by the sleeper's exit.
-        assert_eq!(label(&clock, SHARD).wakeups, before.wakeups + 2);
+        assert_eq!(label(&clock, SCHED).wakeups, before.wakeups + 2);
         assert_eq!(polls.load(Ordering::SeqCst), polled + 2);
         assert_eq!(clock.actor_count(), 0);
     });
@@ -543,20 +543,20 @@ impl<F: FnMut(bool, SimNs) -> MachineStep + Send> SimActor for FnMachine<F> {
 
 fn spawn_fn(
     clock: &SimClock,
-    shard: u64,
+    hint: u64,
     label: &str,
     step: impl FnMut(bool, SimNs) -> MachineStep + Send + 'static,
 ) {
     clock
-        .spawn_machine(shard, label, Box::new(FnMachine(step)))
+        .spawn_machine(hint, label, Box::new(FnMachine(step)))
         .reap();
 }
 
 /// A machine that finishes once `m` holds 1; its polls are counted.
-fn spawn_until_one(clock: &SimClock, shard: u64, m: &Arc<Monitor<u32>>) -> Arc<AtomicU64> {
+fn spawn_until_one(clock: &SimClock, hint: u64, m: &Arc<Monitor<u32>>) -> Arc<AtomicU64> {
     let polls = Arc::new(AtomicU64::new(0));
     let (m, p) = (m.clone(), polls.clone());
-    spawn_fn(clock, shard, "until one", move |_, _| {
+    spawn_fn(clock, hint, "until one", move |_, _| {
         p.fetch_add(1, Ordering::SeqCst);
         if m.peek(|v| *v == 1) {
             MachineStep::Done
@@ -567,11 +567,11 @@ fn spawn_until_one(clock: &SimClock, shard: u64, m: &Arc<Monitor<u32>>) -> Arc<A
     polls
 }
 
-/// (`sched shard` wake-ups, machine polls, ready marks) so far.
+/// (`sched` wake-ups, machine polls, ready marks) so far.
 fn machine_stats(clock: &SimClock) -> (u64, u64, u64) {
     let w = clock.wake_stats();
     (
-        w.labels.get(SHARD).map_or(0, |l| l.wakeups),
+        w.labels.get(SCHED).map_or(0, |l| l.wakeups),
         w.machine_polls,
         w.machine_readies,
     )
@@ -680,7 +680,7 @@ fn notify_between_a_poll_and_its_registration_is_not_lost() {
     });
 }
 
-/// Three machines (one shard each) that each wait for a flag of their
+/// Three machines (a hint each) that each wait for a flag of their
 /// own and pump a queue of two jobs first: at t=50 set flag 2, at t=100
 /// set flags 0 and 1 (and 3, the flag an actor waits for when
 /// `with_actor`). Returns the instants each machine was stepped at.
@@ -795,7 +795,7 @@ fn hint_steps_through_on_wake_and_key_through_poll() {
 
 #[test]
 fn unkeyed_notify_and_alarm_still_ready_every_machine() {
-    // Three machines on three shards that read nothing a monitor owns: a
+    // Three machines under three hints that read nothing a monitor owns: a
     // raw flag and the clock. Only the wildcard forms can reach them.
     within_watchdog(|| {
         let clock = SimClock::with_mode(ExecMode::Events);
@@ -837,8 +837,8 @@ fn retired_machine_and_poisoned_worker_leave_the_registry() {
         let a = Arc::new(Monitor::new(clock.clone(), 0u32));
         let b = Arc::new(Monitor::new(clock.clone(), 0u32));
         let driver = clock.register("driver");
-        // Same shard: the survivor keeps the worker — and the shard's
-        // ready list — alive after the first machine has gone.
+        // The survivor keeps the scheduler — and the ready list — alive
+        // after the first machine has gone.
         let _ = spawn_until_one(&clock, 0, &a);
         let _ = spawn_until_one(&clock, 0, &b);
         driver.advance_ns(10);
@@ -871,6 +871,43 @@ fn retired_machine_and_poisoned_worker_leave_the_registry() {
             "an unwound worker's machines are parked on nothing"
         );
     });
+}
+
+/// A machine must not spawn a machine from inside `poll`: the pass holds
+/// the slab's lock, and the newcomer would wait for it on the thread
+/// that holds it — an OS-level hang no deadlock report can see. A debug
+/// build says so instead.
+#[cfg(debug_assertions)]
+#[test]
+fn machine_that_spawns_from_poll_poisons_the_clock_instead_of_hanging() {
+    static CAPTURED: Mutex<Option<String>> = Mutex::new(None);
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.to_string();
+        if msg.contains("spawned from inside a poll") {
+            *CAPTURED.lock() = Some(msg);
+        } else {
+            prev(info);
+        }
+    }));
+    within_watchdog(|| {
+        let clock = SimClock::with_mode(ExecMode::Events);
+        let driver = clock.register("driver");
+        let c1 = clock.clone();
+        spawn_fn(&clock, 0, "parent", move |_, _| {
+            let child = FnMachine(|_: bool, _: SimNs| MachineStep::Done);
+            c1.spawn_machine(1, "child", Box::new(child)).reap();
+            MachineStep::Done
+        });
+        drop(driver);
+        let c2 = clock.clone();
+        let quiesce = thread::spawn(move || c2.quiesce_machines());
+        assert!(quiesce.join().is_err(), "quiesce reports the poison");
+        assert!(clock.is_poisoned());
+    });
+    let _ = std::panic::take_hook();
+    let msg = CAPTURED.lock().take().unwrap_or_default();
+    assert!(msg.contains("machine \"child\" spawned"), "{msg:?}");
 }
 
 // ---------------------------------------------------------------------
@@ -995,7 +1032,7 @@ fn run_network(mode: ExecMode, seed: u64) -> Vec<Vec<(SimNs, usize)>> {
     let n = rng.gen_range_usize(2, 7);
     let counters = rng.gen_range_usize(1, 4);
     let ops = rng.gen_range_usize(10, 60);
-    // Few shards' worth of hints, so machines share workers.
+    // A few different hints: legal arguments that place nothing.
     let spread = rng.gen_range_u64(1, 5);
     let mut scripts = scripts(&mut rng, n + 1, counters, ops);
     let clock = SimClock::with_mode(mode);
