@@ -91,8 +91,7 @@ use minimpi::{
     CommittedType, Datatype, DropReason, MpiError, Rank, RecvResult, ReduceOp, Request, RmaHandle,
     RmaPoll, RmaRoute, Tag, Win, RMA_PATIENCE_NS,
 };
-use simtime::plock::Mutex;
-use simtime::{Actor, MachineHandle, MachineStep, Monitor, OpSpan, SimActor, SimClock, SimNs};
+use simtime::{Actor, MachineStep, Monitor, OpSpan, SimActor, SimClock, SimNs};
 
 use crate::obs::{ChildIds, FaultStats, Via};
 use crate::retry::RetryPolicy;
@@ -140,30 +139,24 @@ struct EngineShared {
     shutdown: bool,
 }
 
-/// The per-rank progress engine. Owns one scheduled machine
-/// (`EngineCore`) that steps every registered [`EngineOp`] to
-/// completion — on a dedicated thread in thread mode, on the clock's
-/// scheduler in event mode.
+/// The per-rank progress engine. Owns one machine (`EngineCore`) on the
+/// clock's scheduler that steps every registered [`EngineOp`] to
+/// completion.
 pub struct Engine {
     shared: Arc<Monitor<EngineShared>>,
-    handle: Mutex<Option<MachineHandle>>,
 }
 
 impl Engine {
     /// Start an engine on `clock`. The calling thread must be a running
-    /// clock actor (the registration rule): the machine's executing actor
-    /// is registered here, before any thread spawns.
+    /// clock actor (the registration rule, [`SimClock::spawn_machine`]).
     pub fn start(clock: &SimClock, label: String) -> Engine {
         let shared = Arc::new(Monitor::new(clock.clone(), EngineShared::default()));
         let core = EngineCore {
             shared: shared.clone(),
             ops: Vec::new(),
         };
-        let handle = clock.spawn_machine(0, label, Box::new(core));
-        Engine {
-            shared,
-            handle: Mutex::new(Some(handle)),
-        }
+        clock.spawn_machine(0, label, Box::new(core));
+        Engine { shared }
     }
 
     /// Register a machine. It is first stepped at the caller's current
@@ -191,34 +184,16 @@ impl Engine {
     pub fn active(&self) -> usize {
         self.shared.peek(|s| s.active)
     }
-
-    /// True when called from the thread executing the engine's machine
-    /// (used by drop paths that must not block the scheduler).
-    pub(crate) fn on_worker_thread(&self) -> bool {
-        self.handle
-            .lock()
-            .as_ref()
-            .is_some_and(|h| h.on_worker_thread())
-    }
 }
 
 impl Drop for Engine {
-    /// Ask the machine to exit once its ops drain, and reap it. Callers
-    /// must drain first ([`Engine::wait_idle`]) unless dropping from the
-    /// machine's own executor — joining an engine that still owes
-    /// virtual-time progress would stall the clock.
+    /// Ask the machine to exit once its ops drain; it retires on the
+    /// scheduler.
     fn drop(&mut self) {
         if std::thread::panicking() {
             return; // clock is poisoned; the machine dies on its own
         }
         self.shared.with(|s| s.shutdown = true);
-        // Take the handle out before reaping: an `if let` scrutinee would
-        // keep the MutexGuard alive across the join, deadlocking any
-        // `on_worker_thread` call from the machine being joined.
-        let h = self.handle.lock().take();
-        if let Some(h) = h {
-            h.reap();
-        }
     }
 }
 

@@ -1079,17 +1079,17 @@ impl Drop for Inner {
         if std::thread::panicking() {
             return; // clock is poisoned; the engine worker dies on its own
         }
-        if self.engine.on_worker_thread() {
+        if simtime::on_pool_worker() {
             // The engine's last machine held the last runtime handle: the
-            // worker is already draining, and must not join itself (the
-            // Engine field's drop skips the self-join too).
+            // scheduler is already draining it, and must not wait on
+            // itself.
             return;
         }
         if self.engine.active() > 0 {
             // Wait clock-aware for outstanding machines with a temporary
             // actor (the dropping thread is a running actor, so
-            // registration is legal); the Engine field's drop then reaps
-            // the worker thread.
+            // registration is legal); the Engine field's drop then asks
+            // the machine to retire.
             let tmp = self.clock.register("clmpi-drop");
             self.engine.wait_idle(&tmp);
         }

@@ -10,8 +10,8 @@
 //! transition count are all bytes. A refactor of the op frame, the
 //! primitives, a body or the counters behind them must not need to edit
 //! the table; on a mismatch the test prints the measured one ready to
-//! paste. Executor-independent (CI runs it under
-//! `SIM_EXEC_MODE=threads` as well).
+//! paste. Independent of the order the scheduler steps a pass in (CI
+//! runs it under 32 `SIM_PERMUTE_SEED` seeds).
 
 use clmpi::obs::{chrome_trace, fnv1a, ObsSummary};
 use clmpi::{

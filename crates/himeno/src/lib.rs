@@ -35,7 +35,4 @@ mod run;
 pub use grid::{init_planes, GridSize, HimenoGrid, FLOPS_PER_POINT, OMEGA};
 pub use recover::{run_himeno_recover, RecoverConfig, RecoverResult};
 pub use reference::{checksum, reference_jacobi};
-pub use run::{
-    run_himeno, run_himeno_with_faults, run_himeno_with_faults_mode, HaloMode, HimenoConfig,
-    HimenoResult, Variant,
-};
+pub use run::{run_himeno, run_himeno_with_faults, HaloMode, HimenoConfig, HimenoResult, Variant};

@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use clmpi::{ClMpi, PackMode, SystemConfig, TransferStrategy};
 use minicl::{Buffer, CommandQueue, Event, HostBuffer};
-use minimpi::{run_world_faulty_mode, CommittedType, DerivedType, FaultPlan, Process, Tag};
+use minimpi::{run_world_faulty, CommittedType, DerivedType, FaultPlan, Process, Tag};
 use simtime::plock::Mutex;
 use simtime::SimNs;
 
@@ -138,7 +138,7 @@ pub struct HimenoResult {
     /// on a perfect fabric).
     pub transfer_faults: clmpi::FaultStats,
     /// Scheduler machine transitions over the whole run (simulator
-    /// self-throughput numerator; mode-independent).
+    /// self-throughput numerator; independent of the poll order).
     pub sched_events: u64,
     /// The clock's wake accounting over the whole run (host-scheduling
     /// dependent diagnostic; see [`simtime::WakeStats`]).
@@ -457,27 +457,14 @@ pub fn run_himeno(variant: Variant, cfg: HimenoConfig) -> HimenoResult {
 /// (scope it with [`clmpi::data_plane_faults`] to spare the plain-MPI
 /// halo control traffic). With a [`FaultPlan::none`] plan this is
 /// exactly `run_himeno`.
-pub fn run_himeno_with_faults(
-    variant: Variant,
-    cfg: HimenoConfig,
-    plan: FaultPlan,
-) -> HimenoResult {
-    run_himeno_with_faults_mode(variant, cfg, plan, simtime::ExecMode::from_env())
-}
-
-/// [`run_himeno_with_faults`] with an explicit executor mode for the
-/// in-world machines (clMPI engines, queue executors), overriding the
-/// `SIM_EXEC_MODE` default — the scale harness pins [`simtime::ExecMode::Events`]
-/// (and the oracle) regardless of the environment.
 ///
 /// # Panics
 /// On the calling thread, before the world is launched, if `cfg.size` has
 /// a dimension below 3 (no interior point).
-pub fn run_himeno_with_faults_mode(
+pub fn run_himeno_with_faults(
     variant: Variant,
     cfg: HimenoConfig,
     plan: FaultPlan,
-    mode: simtime::ExecMode,
 ) -> HimenoResult {
     cfg.size.solve_dims();
     let cluster = cfg.sys.cluster.clone();
@@ -485,7 +472,7 @@ pub fn run_himeno_with_faults_mode(
     let cfg = Arc::new(cfg);
     let interior_global: usize = cfg.size.interior_points();
     let iters = cfg.iters;
-    let res = run_world_faulty_mode(cluster, nodes, plan, mode, move |p: Process| {
+    let res = run_world_faulty(cluster, nodes, plan, move |p: Process| {
         rank_main(variant, &cfg, p)
     });
     // Per-rank outputs: (gosa, checksum, comp, comm, loop_ns, faults).

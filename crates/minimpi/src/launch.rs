@@ -1,7 +1,7 @@
 //! SPMD launcher: run `n` ranks as threads over a simulated cluster.
 
 use simnet::{ClusterSpec, FaultCounts, FaultPlan};
-use simtime::{ExecMode, SimClock, SimNs, Trace, WakeStats};
+use simtime::{SimClock, SimNs, Trace, WakeStats};
 
 use crate::world::{Process, World};
 
@@ -18,8 +18,8 @@ pub struct WorldResult<R> {
     pub fault_counts: FaultCounts,
     /// Machine state transitions counted by the scheduler cores (clMPI
     /// engines, command-queue executors) — the simulator self-throughput
-    /// numerator. Deterministic for a fixed scenario and identical in
-    /// both executor modes.
+    /// numerator. Deterministic for a fixed scenario, whatever order the
+    /// scheduler steps its machines in.
     pub events: u64,
     /// The clock's wake accounting over the whole run (notifies, and per
     /// wait label parks / wake-ups / successes). Host-scheduling
@@ -53,7 +53,9 @@ where
 /// [`run_world_sized`] with a fault plan attached to the fabric: messages
 /// may be dropped, delayed, or blocked by link-down windows, all
 /// deterministically from `plan.seed`. [`FaultPlan::none`] reproduces
-/// [`run_world_sized`] bit-identically.
+/// [`run_world_sized`] bit-identically. Rank bodies run on their own OS
+/// threads; the machines spawned inside the world (clMPI engines,
+/// command-queue executors) run on the clock's scheduler.
 pub fn run_world_faulty<R, F>(
     spec: ClusterSpec,
     nodes: usize,
@@ -64,29 +66,8 @@ where
     R: Send + 'static,
     F: Fn(Process) -> R + Send + Sync + 'static,
 {
-    run_world_faulty_mode(spec, nodes, plan, ExecMode::from_env(), f)
-}
-
-/// [`run_world_faulty`] with an explicit executor mode for the auxiliary
-/// machines (clMPI engines, command-queue executors), overriding the
-/// `SIM_EXEC_MODE` environment default. Rank bodies always run on their
-/// own OS threads; the mode only selects how machines spawned *inside*
-/// the world execute. Both modes produce identical virtual timings —
-/// [`ExecMode::Threads`] serves as the differential oracle for
-/// [`ExecMode::Events`].
-pub fn run_world_faulty_mode<R, F>(
-    spec: ClusterSpec,
-    nodes: usize,
-    plan: FaultPlan,
-    mode: ExecMode,
-    f: F,
-) -> WorldResult<R>
-where
-    R: Send + 'static,
-    F: Fn(Process) -> R + Send + Sync + 'static,
-{
     crate::heap::keep_freed();
-    let clock = SimClock::with_mode(mode);
+    let clock = SimClock::new();
     let world = World::with_faults(clock.clone(), spec, nodes, plan);
     let trace = world.trace().clone();
     // Register every rank's actor before spawning any thread (see
@@ -122,12 +103,11 @@ where
             })
         })
         .collect();
-    // Event mode: the ranks' drop paths only *signal* their machines
-    // (queue shutdowns, engine drains) — the scheduler processes those
-    // final transitions asynchronously. Wait for it to drain and
-    // retire before reading the clock, or `events`/`elapsed_ns` would be
-    // timing-dependent where the thread-mode oracle (which joins machine
-    // threads inside the rank bodies) is complete. No-op in thread mode.
+    // The ranks' drop paths only *signal* their machines (queue
+    // shutdowns, engine drains) — the scheduler processes those final
+    // transitions asynchronously. Wait for it to drain and retire before
+    // reading the clock, or `events`/`elapsed_ns` would be
+    // timing-dependent.
     clock.quiesce_machines();
     // Grant any deferred sends still in the arbiter (fire-and-forget
     // isends nobody waited on), single-threaded and in canonical order,

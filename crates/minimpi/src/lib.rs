@@ -56,9 +56,7 @@ mod world;
 
 pub use collectives::ReduceOp;
 pub use datatype::{CommittedType, Datatype, DatatypeError, DerivedType};
-pub use launch::{
-    run_world, run_world_faulty, run_world_faulty_mode, run_world_sized, WorldResult,
-};
+pub use launch::{run_world, run_world_faulty, run_world_sized, WorldResult};
 pub use p2p::{wait_all, wait_any, MpiError, RecvResult, Request, Status};
 pub use rma::{RmaHandle, RmaPoll, RmaRoute, Win, RMA_PATIENCE_NS, RMA_TAG_BASE};
 pub use world::{Comm, Process, World, ANY_SOURCE, ANY_TAG, MAX_USER_TAG};

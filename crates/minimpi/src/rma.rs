@@ -17,7 +17,7 @@
 //! single load/store timeline. Reservations go through the deferred
 //! arbiter, so same-instant claims on a shared pool port are granted in
 //! canonical `(earliest, src, dst, tag, seq)` order and runs are
-//! byte-deterministic in both exec modes.
+//! byte-deterministic in any scheduler poll order.
 //!
 //! ## Faults
 //!

@@ -36,4 +36,4 @@ mod model;
 mod run;
 
 pub use model::{coagulation_step, reference_simulation, NanoModel};
-pub use run::{run_nanopowder, run_nanopowder_mode, NanoConfig, NanoResult, NanoVariant};
+pub use run::{run_nanopowder, NanoConfig, NanoResult, NanoVariant};

@@ -5,9 +5,8 @@ use std::sync::Arc;
 use clmpi::{ClMpi, SystemConfig};
 use minicl::HostBuffer;
 use minimpi::datatype::{bytes_to_f32, f32_as_bytes};
-use minimpi::{run_world_faulty_mode, FaultPlan, Process, Tag};
+use minimpi::{run_world_faulty, FaultPlan, Process, Tag};
 use simtime::plock::Mutex;
-use simtime::ExecMode;
 use simtime::SimNs;
 
 use crate::model::{coagulation_step, pair_count, NanoModel};
@@ -84,7 +83,7 @@ pub struct NanoResult {
     /// Final concentration vector (rank 0's state) for validation.
     pub final_n: Vec<f32>,
     /// Scheduler machine transitions over the whole run (simulator
-    /// self-throughput numerator; mode-independent).
+    /// self-throughput numerator; independent of the poll order).
     pub sched_events: u64,
     /// The clock's wake accounting over the whole run (host-scheduling
     /// dependent diagnostic; see [`simtime::WakeStats`]).
@@ -93,12 +92,6 @@ pub struct NanoResult {
 
 /// Run `variant` under `cfg`.
 pub fn run_nanopowder(variant: NanoVariant, cfg: NanoConfig) -> NanoResult {
-    run_nanopowder_mode(variant, cfg, ExecMode::from_env())
-}
-
-/// [`run_nanopowder`] with an explicit executor mode for the in-world
-/// machines, overriding the `SIM_EXEC_MODE` default.
-pub fn run_nanopowder_mode(variant: NanoVariant, cfg: NanoConfig, mode: ExecMode) -> NanoResult {
     assert!(
         cfg.sections.is_multiple_of(cfg.nodes),
         "nodes ({}) must divide sections ({})",
@@ -109,13 +102,9 @@ pub fn run_nanopowder_mode(variant: NanoVariant, cfg: NanoConfig, mode: ExecMode
     let nodes = cfg.nodes;
     let steps = cfg.steps;
     let cfg = Arc::new(cfg);
-    let res = run_world_faulty_mode(
-        cluster,
-        nodes,
-        FaultPlan::none(),
-        mode,
-        move |p: Process| rank_main(variant, &cfg, p),
-    );
+    let res = run_world_faulty(cluster, nodes, FaultPlan::none(), move |p: Process| {
+        rank_main(variant, &cfg, p)
+    });
     let total_ns = res
         .outputs
         .iter()

@@ -55,7 +55,7 @@ pub mod trace;
 
 pub use clock::{Actor, ActorStatus, LabelWakes, SimClock, WakeKey, WakeStats};
 pub use rng::{fnv1a, XorShift64};
-pub use sched::{note_read, on_pool_worker, ExecMode, MachineHandle, MachineStep, SimActor};
+pub use sched::{note_read, on_pool_worker, MachineHandle, MachineStep, SimActor};
 pub use sync::{Monitor, SimBarrier, SimChannel};
 pub use trace::{OpSpan, Span, Trace};
 
