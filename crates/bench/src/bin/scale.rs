@@ -150,8 +150,9 @@ fn run_himeno_row(nodes: usize) -> ConfigRow {
         r.gosa
     );
     // A blocked receive parks once per message, on its rank's arrival
-    // key (two parks per success until that key existed); what is left
-    // above one is the receive a grant alarm picked to pump the arbiter.
+    // key (two parks per success until that key existed). What is left
+    // above one is a receive woken by the arrival of a message another
+    // receive of its rank matched: the arrival key is per rank.
     let recv = r.wake.labels.get("mpi recv").copied().unwrap_or_default();
     assert!(
         recv.parked <= recv.successes + recv.successes / 4,

@@ -639,15 +639,6 @@ pub fn pass_lock_order(ws: &Workspace, out: &mut Vec<Diag>) {
 /// deliberately build stuck machines.
 pub fn pass_actor_hygiene(ws: &Workspace, out: &mut Vec<Diag>) {
     const PASS: &str = "actor-hygiene";
-    // `pump` is in the lock-lifetime vocabulary because it acquires the
-    // defer queue, but it never blocks the OS thread — machines pumping
-    // deferred completions at a frozen instant is the intended progress
-    // pattern, so it is not a hygiene violation.
-    let os_blocking: Vec<&str> = BLOCKING_CALLS
-        .iter()
-        .copied()
-        .filter(|n| *n != "pump")
-        .collect();
     for f in ws.files.iter().filter(|f| !f.in_tests_dir) {
         let regions = machine_regions(f);
         if regions.is_empty() {
@@ -659,7 +650,7 @@ pub fn pass_actor_hygiene(ws: &Workspace, out: &mut Vec<Diag>) {
             }
             for idx in body.0..body.1 {
                 let line = f.tokens[idx].line;
-                let found = if let Some(n) = f.any_call_at(idx, &os_blocking) {
+                let found = if let Some(n) = f.any_call_at(idx, BLOCKING_CALLS) {
                     if n == "join" && !blocking_join_shape(f, idx) {
                         None // slice::join(sep)
                     } else {

@@ -740,12 +740,13 @@ impl ReliableChunkSend {
         match &self.state {
             ChunkState::Injecting { req, earliest } => {
                 let earliest = *earliest;
-                // `known_completion` pumps the arbiter; `None` means the
-                // grant instant has not passed yet. The arbiter clamps a
-                // stale `earliest` up to the posting instant, so the park
-                // hint must be strictly future relative to `now` — one tick
-                // later the pump's strict `earliest < now` test admits the
-                // grant.
+                // `None` means the clock has not granted the injection
+                // yet; the grant notifies the outcome cell
+                // `known_completion` reads, which readies this machine.
+                // The park hint is the grant instant: the arbiter clamps a
+                // stale `earliest` up to the posting instant and grants
+                // one tick later, so it is strictly future relative to
+                // `now`.
                 let Some(done) = req.known_completion() else {
                     return ChunkStep::Park(now.max(earliest) + 1);
                 };
@@ -1811,16 +1812,16 @@ impl OpBody for EventFromRequestBody {
 // ----------------------------------------------------------------------
 //
 // These bodies drive `minimpi`'s non-blocking RMA handles from the
-// engine. Liveness note: a handle's grant only lands when *someone*
-// pumps the fabric arbiter past the reservation's earliest instant, and
-// for one-sided traffic the issuing machine is usually the only pumper
-// — so a body with a pending flight always parks with an explicit time
-// hint. Before the first grant the wire-claim earliest is known
-// exactly; after a retransmit has been re-posted, the claim instant is
-// arbiter-internal, so the body falls back to a fixed virtual polling
-// quantum.
+// engine. A handle's poll reads its slot, and the clock's grant of the
+// reservation fills that slot in (or marks it dropped) with a notify, so
+// the grant readies the body at the instant it happens. The time hint a
+// body with a pending flight parks with is therefore not what keeps it
+// live: before the first grant it is the wire-claim earliest plus one,
+// the grant instant itself; after a retransmit, whose claim instant is
+// arbiter-internal, it is a fixed virtual polling quantum, which only
+// re-steps a body whose slot has not changed.
 
-/// Virtual polling cadence for an RMA flight whose next wake instant is
+/// Virtual polling cadence for an RMA flight whose next grant instant is
 /// unknowable from outside the arbiter (post-retransmit).
 const RMA_POLL_QUANTUM_NS: SimNs = 100_000;
 
@@ -1829,7 +1830,7 @@ const RMA_POLL_QUANTUM_NS: SimNs = 100_000;
 pub(crate) struct RmaFlight {
     handle: RmaHandle,
     /// Wire-claim earliest of the initial post: the park target before
-    /// the first grant (one tick later the pump's strict `earliest <
+    /// the first grant (one tick later the arbiter's strict `earliest <
     /// now` test admits it).
     earliest: SimNs,
     /// Attempts already converted into drop/retry child spans.
@@ -1888,7 +1889,7 @@ fn poll_flights(cx: &mut OpCx, flights: &mut [RmaFlight], now: SimNs) -> Flights
             done_at = done_at.max(at);
             continue;
         }
-        let verdict = f.handle.poll(now);
+        let verdict = f.handle.poll();
         f.note_attempts(cx, now);
         match verdict {
             RmaPoll::Done { at } => {
@@ -2199,7 +2200,7 @@ impl OpBody for FenceBody {
         let err = loop {
             match &mut self.state {
                 FenceState::Drain => {
-                    if !self.win.poll_pending(now) {
+                    if !self.win.poll_pending() {
                         return Advance::Park(Some(now + RMA_POLL_QUANTUM_NS));
                     }
                     let op_err = self.win.take_epoch_err();

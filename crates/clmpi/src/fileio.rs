@@ -25,7 +25,6 @@ use crate::obs::fnv1a;
 #[derive(Clone)]
 pub struct SimStorage {
     files: Arc<Mutex<BTreeMap<String, Vec<u8>>>>,
-    link: Arc<Link>,
     clock: SimClock,
     /// Several ranks share one storage device (the shared-PFS model), and
     /// their engine threads hit the timeline at the same virtual instant;
@@ -36,8 +35,8 @@ pub struct SimStorage {
 }
 
 /// Where a deferred reservation's arrival instant lands once granted. A
-/// `Monitor`, so a grant made by another rank's pump wakes the op that
-/// owns the cell.
+/// `Monitor`, so the grant the clock makes wakes the op that owns the
+/// cell.
 type GrantCell = Arc<Monitor<Option<SimNs>>>;
 
 impl SimStorage {
@@ -56,10 +55,17 @@ impl SimStorage {
 
     /// Storage with an explicit cost model.
     pub fn with_spec(clock: SimClock, spec: LinkSpec) -> Self {
+        let link = Link::new(clock.clone(), spec);
+        // Reservations are backdated to their (clamped) post instants, so
+        // the timeline is identical to the eager first-come order — minus
+        // the race.
+        let grant = move |earliest, _prio, (bytes, cell): (usize, GrantCell)| {
+            let r = link.reserve(bytes, earliest);
+            cell.with(|g| *g = Some(r.arrival));
+        };
         SimStorage {
             files: Arc::new(Mutex::new(BTreeMap::new())),
-            link: Arc::new(Link::new(clock.clone(), spec)),
-            defer: Arc::new(DeferredArbiter::new(clock.clone())),
+            defer: DeferredArbiter::new(clock.clone(), grant),
             clock,
         }
     }
@@ -79,34 +85,15 @@ impl SimStorage {
         self.files.lock().insert(path.to_string(), data);
     }
 
-    /// Synchronous reservation (first-come timeline order). Only safe
-    /// when a single thread drives the storage; the engine machines go
-    /// through [`SimStorage::reserve_deferred`] instead.
-    #[cfg(test)]
-    pub(crate) fn reserve(&self, bytes: usize, earliest: SimNs) -> SimNs {
-        let r = self.link.reserve(bytes, earliest);
-        r.arrival
-    }
-
     /// Post a reservation to the deferred arbiter. The returned cell is
-    /// filled with the arrival instant once [`SimStorage::pump`] grants
-    /// the job; poll it after pumping. `prio` breaks same-instant ties
-    /// canonically (pass the poster's global rank).
+    /// filled with the arrival instant once the clock has passed
+    /// `earliest` and granted the job, in canonical `(earliest, prio,
+    /// seq)` order. `prio` breaks same-instant ties canonically (pass the
+    /// poster's global rank).
     pub(crate) fn reserve_deferred(&self, prio: u64, bytes: usize, earliest: SimNs) -> GrantCell {
         let cell = Arc::new(Monitor::new(self.clock.clone(), None));
         self.defer.post(earliest, prio, (bytes, cell.clone()));
         cell
-    }
-
-    /// Grant every deferred job whose instant has strictly passed, in
-    /// canonical `(earliest, prio, seq)` order. Reservations are
-    /// backdated to their (clamped) post instants, so the timeline is
-    /// identical to the eager first-come order — minus the race.
-    pub(crate) fn pump(&self, now: SimNs) {
-        self.defer.pump(now, |earliest, _prio, (bytes, cell)| {
-            let r = self.link.reserve(bytes, earliest);
-            cell.with(|g| *g = Some(r.arrival));
-        });
     }
 }
 
@@ -341,10 +328,9 @@ impl DiskWait {
         }
     }
 
-    /// Pump the arbiter: the reservation's arrival instant once granted,
-    /// else the instant to look again.
-    fn poll(&self, storage: &SimStorage, now: SimNs) -> Result<SimNs, SimNs> {
-        storage.pump(now);
+    /// The reservation's arrival instant once granted, else the instant
+    /// to look again.
+    fn poll(&self, now: SimNs) -> Result<SimNs, SimNs> {
         self.cell.peek(|g| *g).ok_or(now.max(self.earliest) + 1)
     }
 }
@@ -411,7 +397,7 @@ impl OpBody for FileStoreBody {
                     }
                     self.state = FileStoreState::Disk { wait, file };
                 }
-                FileStoreState::Disk { wait, file } => match wait.poll(&self.storage, now) {
+                FileStoreState::Disk { wait, file } => match wait.poll(now) {
                     Err(again) => return Advance::Park(Some(again)),
                     Ok(at) => {
                         self.state = FileStoreState::Written {
@@ -529,7 +515,7 @@ impl OpBody for FileLoadBody {
                     self.state = FileLoadState::Disk { wait, data };
                 }
                 FileLoadState::Disk { wait, data } => {
-                    let read_done = match wait.poll(&self.storage, now) {
+                    let read_done = match wait.poll(now) {
                         Err(again) => return Advance::Park(Some(again)),
                         Ok(at) => at,
                     };
@@ -628,11 +614,12 @@ mod tests {
 
     #[test]
     fn storage_operations_serialize_on_the_device() {
-        let clock = SimClock::new();
-        let s = SimStorage::node_local_disk(clock);
-        let a = s.reserve(1 << 20, 0);
-        let b = s.reserve(1 << 20, 0);
-        assert!(b > a, "second op queues behind the first");
+        let s = SimStorage::node_local_disk(SimClock::new());
+        let b = s.reserve_deferred(1, 1 << 20, 0);
+        let a = s.reserve_deferred(0, 1 << 20, 0);
+        s.defer.pump(1); // what the clock does once it passes t=0
+        let (a, b) = (a.peek(|g| *g), b.peek(|g| *g));
+        assert!(a.is_some() && b > a, "second op queues behind the first");
     }
 
     #[test]

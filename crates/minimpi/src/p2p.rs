@@ -19,7 +19,7 @@ use simnet::{DropReason, FaultOutcome};
 use simtime::plock::Mutex;
 use simtime::{Actor, Monitor, SimNs, WakeKey};
 
-use crate::world::{Comm, World};
+use crate::world::Comm;
 use crate::{Datatype, Rank, Tag};
 
 /// Errors surfaced through the `Result`-returning request/receive APIs
@@ -317,7 +317,6 @@ enum ReqKind {
     /// injection instant — so the outcome cell fills in asynchronously.
     Send {
         outcome: Arc<Monitor<Option<SendOutcome>>>,
-        world: World,
     },
     /// An `irecv`: completes when the matched message has arrived.
     Recv {
@@ -328,7 +327,6 @@ enum ReqKind {
         /// Communicator member table for translating the global source
         /// rank back to a communicator-local one (None = world).
         members: Option<Arc<Vec<Rank>>>,
-        world: World,
     },
 }
 
@@ -343,29 +341,17 @@ fn to_local(members: &Option<Arc<Vec<Rank>>>, global: Rank) -> Rank {
 }
 
 impl Request {
-    /// Drive the fabric's deferred-send arbiter up to the present. Every
-    /// accessor pumps first: a request's state may depend on sends — its
-    /// own, or a peer's feeding its receive — whose grant instant has
-    /// passed but which no blocked thread has granted yet.
-    fn pump(&self) {
-        let world = match &self.kind {
-            ReqKind::Send { world, .. } => world,
-            ReqKind::Recv { world, .. } => world,
-        };
-        world.inner.fabric.pump(world.inner.clock.now_ns());
-    }
-
-    /// The wake keys a blocking wait on this request registers: the
+    /// The wake key a blocking wait on this request registers: the
     /// monitor its state lives in (the send's outcome cell, the receiver's
-    /// rank state) and the fabric arbiter's key, because every such wait
-    /// pumps — the grant that fills the monitor in may be the waiter's own
-    /// job to run. [`Request::wait`] parks a receive on the rank's arrival
-    /// key instead of its state: it has no deadline to watch and nothing
-    /// to do with a message that is matched but not here yet.
-    fn wake_keys(&self) -> [WakeKey; 2] {
+    /// rank state), which the fabric arbiter's grant fills in. The clock
+    /// grants before anybody runs at an instant, so nobody waits on the
+    /// arbiter itself. [`Request::wait`] parks a receive on the rank's
+    /// arrival key instead of its state: it has no deadline to watch and
+    /// nothing to do with a message that is matched but not here yet.
+    fn wake_key(&self) -> WakeKey {
         match &self.kind {
-            ReqKind::Send { outcome, world } => [outcome.key(), world.inner.fabric.wake_key()],
-            ReqKind::Recv { state, world, .. } => [state.key(), world.inner.fabric.wake_key()],
+            ReqKind::Send { outcome } => outcome.key(),
+            ReqKind::Recv { state, .. } => state.key(),
         }
     }
 
@@ -391,11 +377,9 @@ impl Request {
     /// the caller can still [`Request::wait`] for completion). Receives
     /// return `true` immediately.
     pub fn wait_delivered(&self, actor: &Actor) -> bool {
-        let keys = self.wake_keys();
         match &self.kind {
-            ReqKind::Send { outcome, world } => {
-                let o = actor.wait_on(&keys, "mpi send (fate)", || {
-                    world.inner.fabric.pump(world.inner.clock.now_ns());
+            ReqKind::Send { outcome } => {
+                let o = actor.wait_on(&[outcome.key()], "mpi send (fate)", || {
                     outcome.peek(|o| o.as_ref().map(|o| o.drop_reason))
                 });
                 o.is_none()
@@ -407,7 +391,6 @@ impl Request {
     /// Virtual completion instant, if already determined (`Send` once
     /// the arbiter grants its injection; `Recv` once matched).
     pub fn known_completion(&self) -> Option<SimNs> {
-        self.pump();
         match &self.kind {
             ReqKind::Send { outcome, .. } => outcome.peek(|o| o.as_ref().map(|o| o.done_at)),
             ReqKind::Recv { id, state, .. } => {
@@ -419,11 +402,9 @@ impl Request {
     /// Block the calling actor until the operation completes. Returns the
     /// payload for receives, `None` for sends.
     pub fn wait(self, actor: &Actor) -> Option<RecvResult> {
-        let keys = self.wake_keys();
         match self.kind {
-            ReqKind::Send { outcome, world } => {
-                let done_at = actor.wait_on(&keys, "mpi send", || {
-                    world.inner.fabric.pump(world.inner.clock.now_ns());
+            ReqKind::Send { outcome } => {
+                let done_at = actor.wait_on(&[outcome.key()], "mpi send", || {
                     outcome.peek(|o| o.as_ref().map(|o| o.done_at))
                 });
                 actor.advance_until(done_at);
@@ -434,15 +415,9 @@ impl Request {
                 state,
                 arrival,
                 members,
-                world,
             } => {
                 let clock = state.clock().clone();
-                let keys = [arrival, world.inner.fabric.wake_key()];
-                // Pump *outside* the state lock: a grant callback posts
-                // into this very monitor, so pumping from inside its
-                // predicate would self-deadlock.
-                let res = actor.wait_on(&keys, "mpi recv", || {
-                    world.inner.fabric.pump(clock.now_ns());
+                let res = actor.wait_on(&[arrival], "mpi recv", || {
                     state.try_now(|st| st.take_visible(id, clock.now_ns(), &members))
                 });
                 Some(res)
@@ -462,13 +437,12 @@ impl Request {
         timeout_ns: SimNs,
     ) -> Result<Option<RecvResult>, MpiError> {
         let deadline = actor.now_ns() + timeout_ns;
-        let keys = self.wake_keys();
+        let keys = [self.wake_key()];
         match self.kind {
-            ReqKind::Send { outcome, world } => {
+            ReqKind::Send { outcome } => {
                 outcome.alarm_at(deadline);
                 let res = actor.wait_on(&keys, "mpi send (timeout)", || {
-                    let now = world.inner.clock.now_ns();
-                    world.inner.fabric.pump(now);
+                    let now = outcome.clock().now_ns();
                     if let Some(done_at) = outcome.peek(|o| o.as_ref().map(|o| o.done_at)) {
                         return Some(Some(done_at));
                     }
@@ -488,16 +462,11 @@ impl Request {
                 }
             }
             ReqKind::Recv {
-                id,
-                state,
-                members,
-                world,
-                ..
+                id, state, members, ..
             } => {
                 let clock = state.clock().clone();
                 state.alarm_at(deadline);
                 let res = actor.wait_on(&keys, "mpi recv (timeout)", || {
-                    world.inner.fabric.pump(clock.now_ns());
                     state.try_now(|st| {
                         let now = clock.now_ns();
                         if let Some(r) = st.take_visible(id, now, &members) {
@@ -534,8 +503,6 @@ impl Request {
             return false;
         };
         let (withdrawn, handed_back) = state.with(|st| {
-            // No pump: a withdrawn receive does not need in-flight
-            // grants, and callers may hold engine-side locks.
             let before = st.pending.len();
             st.pending.retain(|p| p.id != id);
             if st.pending.len() < before {
@@ -562,7 +529,6 @@ impl Request {
     /// `Some(payload-for-receives)`; `None` means still in flight.
     #[allow(clippy::option_option)]
     pub fn test(&mut self, actor: &Actor) -> Option<Option<RecvResult>> {
-        self.pump();
         match &mut self.kind {
             ReqKind::Send { outcome, .. } => {
                 match outcome.peek(|o| o.as_ref().map(|o| o.done_at)) {
@@ -592,7 +558,7 @@ pub fn wait_any(
     actor: &Actor,
 ) -> (usize, Option<RecvResult>, Vec<Request>) {
     assert!(!requests.is_empty(), "wait_any needs at least one request");
-    let keys: Vec<WakeKey> = requests.iter().flat_map(Request::wake_keys).collect();
+    let keys: Vec<WakeKey> = requests.iter().map(Request::wake_key).collect();
     let (idx, res) = actor.wait_on(&keys, "mpi wait_any", || {
         for (i, r) in requests.iter_mut().enumerate() {
             if let Some(res) = r.test(actor) {
@@ -696,7 +662,7 @@ impl Comm {
                         // Wake the receiver's request waiters at arrival:
                         // the machines and deadline waits parked on its
                         // state, and a blocked receive on its arrival key
-                        // (at once, if this grant was pumped late).
+                        // (at once, if this grant came late).
                         inner.ranks[gdst].alarm_at(visible_at);
                         let arrival = inner.arrivals[gdst];
                         inner.clock.schedule_alarm_keyed(visible_at, arrival);
@@ -732,10 +698,7 @@ impl Comm {
                 .reserve_duration_deferred(self.rank, gdst, tag, d, earliest, complete),
         }
         Request {
-            kind: ReqKind::Send {
-                outcome,
-                world: self.world.clone(),
-            },
+            kind: ReqKind::Send { outcome },
         }
     }
 
@@ -761,7 +724,6 @@ impl Comm {
                 state,
                 arrival: self.world.inner.arrivals[self.rank],
                 members: self.members.clone(),
-                world: self.world.clone(),
             },
         }
     }
@@ -892,10 +854,10 @@ mod tests {
         assert_eq!(out[1].2, Some(payload()));
     }
 
-    // The two moments a blocked receive's arrival key is notified by hand
-    // rather than by the alarm at `visible_at`. Take either notify away
-    // and the receive below is never woken: the world ends in the
-    // deadlock report, naming `Blocked("mpi recv") [keyed: 2 key(s)]`.
+    // The moment a blocked receive's arrival key is notified by hand
+    // rather than by the alarm at `visible_at`. Take that notify away and
+    // the receive below is never woken: the world ends in the deadlock
+    // report, naming `Blocked("mpi recv") [keyed: 1 key(s)]`.
 
     #[test]
     fn cancelling_a_matched_receive_completes_the_one_blocked_behind_it() {
@@ -927,15 +889,12 @@ mod tests {
     }
 
     #[test]
-    fn grant_pumped_after_the_arrival_instant_wakes_the_blocked_receive_at_once() {
-        // A parked receive is itself registered on the arbiter's pump key,
-        // so in a well-formed world the grant alarm, one nanosecond after
-        // the post, picks it or a pumper registered before it, and no
-        // grant reaches it late. Rank 0 is a pumper that does not pump: it
-        // absorbs the alarm, and the job waits for the sender to come
-        // back, long after the message "arrived". The rule — an arrival
-        // that is already past notifies at once — stays local instead of
-        // resting on that argument.
+    fn no_waiter_can_hold_a_grant_back() {
+        // Nobody reads the fabric arbiter: rank 0 is blocked on a key of
+        // its own until `LATE`, the receiver on its arrival key, and the
+        // sender sleeps past the arrival before it looks at its request.
+        // The clock grants the send one nanosecond after the post all the
+        // same, so the receive completes when the message arrives.
         const LATE: SimNs = 50_000_000;
         let res = run_world_sized(ClusterSpec::cichlid(), 3, |p| {
             let a = &p.actor;
@@ -944,8 +903,7 @@ mod tests {
                     let clock = p.clock();
                     let done = clock.new_key();
                     clock.schedule_alarm_keyed(LATE + 1, done);
-                    let pump = p.comm.world.inner.fabric.wake_key();
-                    a.wait_on(&[pump, done], "decoy pumper", || {
+                    a.wait_on(&[done], "bystander", || {
                         (clock.now_ns() > LATE).then_some(())
                     });
                 }
@@ -953,11 +911,12 @@ mod tests {
                 _ => {
                     let req = p.comm.isend(a, 1, 5, &[3u8; 64]);
                     a.advance_until(LATE);
-                    req.wait(a); // the first pump since the post
+                    req.wait(a);
                 }
             }
             a.now_ns()
         });
-        assert_eq!(res.outputs, vec![LATE + 1, LATE, LATE]);
+        // 30 µs per-message overhead, 545 ns on the wire, 50 µs latency.
+        assert_eq!(res.outputs, vec![LATE + 1, 80_545, LATE]);
     }
 }

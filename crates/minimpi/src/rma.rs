@@ -373,11 +373,10 @@ impl RmaHandle {
         })
     }
 
-    /// Drive the op: pump the arbiter, handle a drop (retransmit with
-    /// backoff, or classify a terminal failure), and report state.
-    /// Non-blocking; safe from engine state machines.
-    pub fn poll(&self, now: SimNs) -> RmaPoll {
-        self.inner.comm.world().inner.fabric.pump(now);
+    /// Drive the op: handle a drop (retransmit with backoff, or classify
+    /// a terminal failure), and report state. Non-blocking; safe from
+    /// engine state machines.
+    pub fn poll(&self) -> RmaPoll {
         // Read-only fast path first: no notify when nothing changes.
         enum Next {
             AsIs(RmaPoll),
@@ -429,11 +428,9 @@ impl RmaHandle {
     /// Block until the op settles; on success the calling actor's clock
     /// reaches the completion instant.
     pub fn wait(&self, actor: &Actor) -> Result<SimNs, MpiError> {
-        let world = self.inner.comm.world();
-        let clock = world.clock().clone();
-        // `poll` pumps the arbiter and reads this op's slot.
-        let keys = [self.inner.slot.key(), world.inner.fabric.wake_key()];
-        let r = actor.wait_on(&keys, "rma op", || match self.poll(clock.now_ns()) {
+        // `poll` reads this op's slot, which the arbiter's grant fills in.
+        let keys = [self.inner.slot.key()];
+        let r = actor.wait_on(&keys, "rma op", || match self.poll() {
             RmaPoll::Pending => None,
             RmaPoll::Done { at } => Some(Ok(at)),
             RmaPoll::Failed { err, .. } => Some(Err(err)),
@@ -655,10 +652,10 @@ impl Win {
     /// Drive every pending op of the current epoch once; returns true
     /// when all have settled. Failures are latched into the epoch error
     /// reported by the closing call. Non-blocking.
-    pub fn poll_pending(&self, now: SimNs) -> bool {
+    pub fn poll_pending(&self) -> bool {
         let hs: Vec<RmaHandle> = self.epoch.lock().pending.clone();
         for h in &hs {
-            let _ = h.poll(now);
+            let _ = h.poll();
         }
         let first_err = hs.iter().find_map(|h| h.error());
         let mut ep = self.epoch.lock();
@@ -724,23 +721,22 @@ impl Win {
 
     /// Block until the ops of the current epoch that `which` selects
     /// have settled: the closing call's half of "complete what was issued
-    /// before me". The wait is registered on exactly those ops' slots
-    /// and on the arbiter every poll pumps; an op another thread of this
-    /// rank issues meanwhile belongs to the next closing call.
+    /// before me". The wait is registered on exactly those ops' slots; an
+    /// op another thread of this rank issues meanwhile belongs to the next
+    /// closing call.
     fn settle(&self, actor: &Actor, label: &'static str, which: impl Fn(&RmaHandle) -> bool) {
-        let world = self.comm.world();
-        let clock = world.clock().clone();
         let pending = self.epoch.lock().pending.clone();
         let hs: Vec<RmaHandle> = pending.into_iter().filter(|h| which(h)).collect();
-        let mut keys = vec![world.inner.fabric.wake_key()];
-        keys.extend(hs.iter().map(|h| h.inner.slot.key()));
+        if hs.is_empty() {
+            return; // a wait on no key could never be woken
+        }
+        let keys: Vec<_> = hs.iter().map(|h| h.inner.slot.key()).collect();
         actor.wait_on(&keys, label, || {
-            let now = clock.now_ns();
             // Poll every op, settled or not: a poll is also what
             // re-posts a dropped transfer.
             let busy = hs
                 .iter()
-                .filter(|h| matches!(h.poll(now), RmaPoll::Pending))
+                .filter(|h| matches!(h.poll(), RmaPoll::Pending))
                 .count();
             (busy == 0).then_some(())
         });
@@ -755,7 +751,7 @@ impl Win {
         let clock = self.comm.world().clock().clone();
         self.settle(actor, "rma fence ops", |_| true);
         // Latch the epoch's first failure and forget the settled ops.
-        self.poll_pending(clock.now_ns());
+        self.poll_pending();
         let op_err = self.take_epoch_err();
         let start = clock.now_ns();
         let gen = self.fence_enter(start);
@@ -765,10 +761,8 @@ impl Win {
             ctrl.alarm_at(d);
             d
         });
-        let keys = [ctrl.key(), self.comm.world().inner.fabric.wake_key()];
-        let sync = actor.wait_on(&keys, "rma fence", || {
+        let sync = actor.wait_on(&[ctrl.key()], "rma fence", || {
             let now = clock.now_ns();
-            self.comm.world().inner.fabric.pump(now);
             if self.fence_ready(gen) {
                 return Some(Ok(()));
             }
@@ -810,7 +804,6 @@ impl Win {
     /// Drive lock arbitration; true once this rank holds `target`'s lock
     /// (the passive epoch is then open). Non-blocking.
     pub fn lock_ready(&self, target: Rank, now: SimNs) -> bool {
-        self.comm.world().inner.fabric.pump(now);
         let me = self.comm.rank();
         if self.shared.ctrl.peek(|c| WinShared::grants_due(c, now)) {
             self.shared.ctrl.with(|c| WinShared::grant_locks(c, now));
@@ -837,9 +830,8 @@ impl Win {
             ctrl.alarm_at(d);
             d
         });
-        // `lock_ready` pumps the arbiter and reads the control block.
-        let keys = [ctrl.key(), self.comm.world().inner.fabric.wake_key()];
-        actor.wait_on(&keys, "rma lock", || {
+        // `lock_ready` reads the control block.
+        actor.wait_on(&[ctrl.key()], "rma lock", || {
             let now = clock.now_ns();
             if self.lock_ready(target, now) {
                 return Some(Ok(()));

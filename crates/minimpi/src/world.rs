@@ -20,7 +20,7 @@ pub const MAX_USER_TAG: Tag = (1 << 20) - 1;
 
 pub(crate) struct WorldInner {
     pub clock: SimClock,
-    pub fabric: Fabric,
+    pub fabric: Arc<Fabric>,
     pub ranks: Vec<Arc<Monitor<RankState>>>,
     /// Per rank, the key a blocking receive parks on instead of the
     /// rank's monitor key: alarmed at the instant each delivered message
@@ -137,8 +137,9 @@ impl World {
 
     /// Grant every reservation still sitting in the fabric's deferred-send
     /// arbiter, in canonical order. Called once at teardown (after all
-    /// ranks joined): fire-and-forget isends nobody waited on still get
-    /// their trace spans and fault counters, deterministically.
+    /// ranks joined, when the clock will not advance again to grant
+    /// them): fire-and-forget isends nobody waited on still get their
+    /// trace spans and fault counters, deterministically.
     pub fn drain_deferred(&self) {
         self.inner.fabric.pump(SimNs::MAX);
     }

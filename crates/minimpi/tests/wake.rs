@@ -3,7 +3,9 @@
 //! becomes visible — not on the rank's matching state, whose notify at
 //! *grant* time woke the thread a first time only to find the message
 //! still in flight (exactly two parks per completed receive, at every
-//! world size, until the arrival key existed).
+//! world size, until the arrival key existed) — and nothing else: the
+//! clock grants the fabric's reservations itself, so no receive is woken
+//! to do it for everybody.
 
 use minimpi::{run_world_faulty, FaultPlan, WorldResult};
 use simnet::ClusterSpec;
@@ -29,32 +31,57 @@ fn barriers_then_a_ring() -> WorldResult<SimNs> {
     })
 }
 
+/// Two ranks trade 64 bytes a hundred times: every receive parks.
+fn ping_pong() -> WorldResult<SimNs> {
+    run_world_faulty(ClusterSpec::cichlid(), 2, FaultPlan::none(), |p| {
+        let (a, peer) = (&p.actor, 1 - p.rank());
+        for _ in 0..100 {
+            if p.rank() == 1 {
+                p.comm.recv(a, Some(peer), Some(3));
+            }
+            p.comm.send(a, peer, 3, &[7u8; 64]);
+            if p.rank() == 0 {
+                p.comm.recv(a, Some(peer), Some(3));
+            }
+        }
+        a.now_ns()
+    })
+}
+
 #[test]
 fn a_blocked_receive_parks_once_per_message() {
-    let res = barriers_then_a_ring();
-    assert_eq!(
-        res.elapsed_ns, 1_656_151,
-        "the committed makespan (the thread-per-machine executor reproduced it \
-         before it was retired) — who is woken never moves an instant"
-    );
-    let recv = res.wake.labels.get("mpi recv").copied().unwrap_or_default();
-    // Of 4 × 6 × 64 barrier receives and 64 ring receives; those whose
-    // message was already there never park.
-    assert!(recv.successes >= 1_000, "{recv:?}");
-    // What is left above one park per success is the receive the
-    // fabric arbiter's grant alarm picked to pump for everybody.
-    assert!(
-        recv.parked <= recv.successes + recv.successes / 4,
-        "`mpi recv` parked {} times for {} successes",
-        recv.parked,
-        recv.successes
-    );
-    // Every park of a run is counted: the ranks' compute phases and
-    // the `advance_until(done_at)` that ends a blocking send.
-    let sleep = res.wake.labels.get("sleep").copied().unwrap_or_default();
-    assert!(sleep.parked >= 4 * RANKS as u64, "{sleep:?}");
-    assert_eq!(
-        (sleep.wakeups, sleep.successes),
-        (sleep.parked, sleep.parked)
-    );
+    // (world, its committed makespan, receives that park at least, sleeps
+    // at least). Of the 4 × 6 × 64 barrier receives and 64 ring receives,
+    // those whose message was already there never park. Every sleep of a
+    // run is counted: the ranks' compute phases and the
+    // `advance_until(done_at)` that ends a blocking send.
+    let worlds = [
+        (
+            "barriers then a ring",
+            barriers_then_a_ring(),
+            1_656_151,
+            1_000,
+            4 * RANKS,
+        ),
+        ("ping-pong", ping_pong(), 16_109_000, 200, 200),
+    ];
+    for (world, res, makespan, receives, sleeps) in worlds {
+        assert_eq!(
+            res.elapsed_ns, makespan,
+            "{world}: the committed makespan — who is woken never moves an instant"
+        );
+        let recv = res.wake.labels.get("mpi recv").copied().unwrap_or_default();
+        assert!(recv.successes >= receives, "{world}: {recv:?}");
+        assert_eq!(
+            (recv.parked, recv.wakeups),
+            (recv.successes, recv.successes),
+            "{world}: `mpi recv` parks and wakes once per message"
+        );
+        let sleep = res.wake.labels.get("sleep").copied().unwrap_or_default();
+        assert!(sleep.parked >= sleeps as u64, "{world}: {sleep:?}");
+        assert_eq!(
+            (sleep.wakeups, sleep.successes),
+            (sleep.parked, sleep.parked)
+        );
+    }
 }

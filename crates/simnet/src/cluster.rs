@@ -1,6 +1,8 @@
 //! Cluster topology: nodes with per-direction NIC timelines over a shared
 //! fabric spec, with presets for the paper's two systems (Table I).
 
+use std::sync::{Arc, Weak};
+
 use crate::arbiter::DeferredArbiter;
 use crate::fault::{DropReason, FaultInjector, FaultOutcome, FaultPlan};
 use crate::link::{reserve_pair, Link, LinkSpec, Reservation};
@@ -172,7 +174,7 @@ pub struct Fabric {
     /// Same-instant jobs sort by `(src, dst, tag)`: one node's engine and
     /// app threads may post same-instant jobs to the same peer, and their
     /// flows (distinct tags) must not be ordered by which OS thread won.
-    defer: DeferredArbiter<(NodeId, NodeId, i32), DeferredSend>,
+    defer: Arc<DeferredArbiter<(NodeId, NodeId, i32), DeferredSend>>,
 }
 
 /// How much link time a deferred reservation claims.
@@ -192,14 +194,19 @@ type DeferredSend = (DeferSize, Box<dyn FnOnce(Reservation) + Send>);
 
 impl Fabric {
     /// Build a fabric for the first `nodes` nodes of `spec`.
-    pub fn new(clock: SimClock, spec: ClusterSpec, nodes: usize) -> Self {
+    pub fn new(clock: SimClock, spec: ClusterSpec, nodes: usize) -> Arc<Self> {
         Self::with_faults(clock, spec, nodes, FaultPlan::none())
     }
 
     /// Build a fabric whose links run under `plan`. A [`FaultPlan::none`]
     /// plan attaches no injectors and behaves bit-identically to
     /// [`Fabric::new`].
-    pub fn with_faults(clock: SimClock, spec: ClusterSpec, nodes: usize, plan: FaultPlan) -> Self {
+    pub fn with_faults(
+        clock: SimClock,
+        spec: ClusterSpec,
+        nodes: usize,
+        plan: FaultPlan,
+    ) -> Arc<Self> {
         assert!(nodes >= 1, "fabric needs at least one node");
         assert!(
             nodes <= spec.nodes,
@@ -226,15 +233,29 @@ impl Fabric {
                 .map(|i| FaultInjector::new(plan.clone(), i as u64))
                 .collect()
         });
-        Fabric {
-            defer: DeferredArbiter::new(clock),
-            spec,
-            tx,
-            rx,
-            pools,
-            plan,
-            faults,
-        }
+        // The grants claim this fabric's own timelines; a job still queued
+        // when the fabric is dropped is never granted.
+        Arc::new_cyclic(|me: &Weak<Fabric>| {
+            let me = me.clone();
+            let grant = move |earliest, (src, dst, _): (NodeId, NodeId, i32), job| {
+                let (size, complete): DeferredSend = job;
+                let Some(f) = me.upgrade() else { return };
+                complete(match size {
+                    DeferSize::Bytes(b) => f.reserve(src, dst, b, earliest),
+                    DeferSize::Duration(d) => f.reserve_duration(src, dst, d, earliest),
+                    DeferSize::RmaBytes(b) => f.reserve_rma(src, dst, b, earliest),
+                });
+            };
+            Fabric {
+                defer: DeferredArbiter::new(clock, grant),
+                spec,
+                tx,
+                rx,
+                pools,
+                plan,
+                faults,
+            }
+        })
     }
 
     /// The static description this fabric was built from.
@@ -462,16 +483,16 @@ impl Fabric {
     /// virtual instant, link occupancy depends on which OS thread got
     /// there first — a real-time race inside a virtual-time simulation.
     /// A deferred job instead waits until the clock has *passed* its
-    /// start instant; [`Fabric::pump`] then grants every due job in
+    /// start instant; the clock then grants every due job in
     /// `(earliest, src, dst, tag, seq)` order and runs `complete` with
     /// its reservation. Reservations are backdated to `earliest`, so the
     /// simulated timeline is exactly what an eager reservation in the
     /// canonical order would have produced.
     ///
     /// Liveness: posting schedules an alarm just past `earliest` on the
-    /// arbiter's [`Fabric::wake_key`], so a blocked actor that pumps — one
-    /// of the waits registered on that key, and every wildcard wait —
-    /// re-checks (and pumps) once the job is grantable.
+    /// arbiter's progress key; the thread that advances the clock there
+    /// grants the job before any actor or machine runs at that instant,
+    /// and `complete` notifies whatever its waiters read.
     pub fn reserve_deferred(
         &self,
         src: NodeId,
@@ -521,32 +542,15 @@ impl Fabric {
         self.defer.post(earliest, (src, dst, tag), (size, complete));
     }
 
-    /// The arbiter's wake key, a pump key
-    /// ([`SimClock::new_pump_key`]): the alarm that makes a deferred job
-    /// grantable fires on it and wakes one of the waits registered on it
-    /// to pump for everybody. A wait registers it (next to the keys of
-    /// the state the grant callbacks fill in) exactly when its predicate
-    /// starts with [`Fabric::pump`].
-    pub fn wake_key(&self) -> WakeKey {
-        self.defer.key()
-    }
-
-    /// Grant every deferred reservation with `earliest < now`, in
-    /// `(earliest, src, dst, tag, seq)` order. Idempotent and callable
-    /// from any thread; the request and engine layers pump from their
-    /// wait predicates, which [`Fabric::wake_key`] wakes when a job comes
-    /// due. Completions run under the queue lock so that the
-    /// grant order also fixes receiver-side message sequence numbers —
-    /// the other place same-instant order is observable.
-    pub fn pump(&self, now: SimNs) {
-        self.defer
-            .pump(now, |earliest, (src, dst, _tag), (size, complete)| {
-                complete(match size {
-                    DeferSize::Bytes(b) => self.reserve(src, dst, b, earliest),
-                    DeferSize::Duration(d) => self.reserve_duration(src, dst, d, earliest),
-                    DeferSize::RmaBytes(b) => self.reserve_rma(src, dst, b, earliest),
-                });
-            });
+    /// Grant every deferred reservation with `earliest < until`, in
+    /// `(earliest, src, dst, tag, seq)` order. The clock does this at
+    /// each instant a job comes due; call it by hand only where the clock
+    /// will not advance again (a world's teardown drain). Completions run
+    /// under the queue lock so that the grant order also fixes
+    /// receiver-side message sequence numbers — the other place
+    /// same-instant order is observable.
+    pub fn pump(&self, until: SimNs) {
+        self.defer.pump(until);
     }
 
     /// Number of posted-but-ungranted deferred reservations (diagnostics).

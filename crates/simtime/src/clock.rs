@@ -19,8 +19,8 @@
 //!   switches and two futex calls that move nothing. A signal that comes
 //!   late is harmless — every park loops on its own condition.
 //! * **Wake keys.** Cross-actor state is owned by something with a
-//!   [`WakeKey`] (every `Monitor`, the fabric's deferred arbiter). A
-//!   blocked actor registers the keys its predicate reads
+//!   [`WakeKey`] (every `Monitor`). A blocked actor registers the keys
+//!   its predicate reads
 //!   ([`Actor::wait_on`]); [`SimClock::notify_key`] and keyed alarms flag
 //!   only the waiters registered on that key. [`WakeKey::ALL`] matches
 //!   everything in both directions: an unkeyed [`SimClock::notify`] /
@@ -28,6 +28,17 @@
 //!   waiter registered on `ALL` ([`Actor::wait_until`]) is flagged by
 //!   every notify and alarm whatever its key — so a wait that has not
 //!   been taught its keys is slow, never wrong.
+//! * **Progress is the clock's job.** A queue of jobs that come due at
+//!   instants (the fabric's deferred arbiter) is not something anybody
+//!   waits on: it registers as a [`Progress`] source
+//!   ([`SimClock::progress_key`]), and an alarm on its key wakes nobody.
+//!   The thread that advances the clock to the alarm's instant runs the
+//!   source there instead, before any actor or machine runs at that
+//!   instant (`ClockInner::progress`). Meanwhile it counts as runnable,
+//!   so the clock cannot move and no deadlock can be declared, and
+//!   `progressing` holds every park token back, so nobody resumes to a
+//!   half-run batch. The clock lock is released while a source runs:
+//!   its jobs notify.
 //! * **The held scheduler and settle rounds.** The event core's one
 //!   scheduler thread registers its actor as a *worker*
 //!   (`SimClock::register_as`): whatever flags it — an alarm on its own
@@ -76,7 +87,7 @@ use crate::plock::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use crate::sched::{self, MachineHandle, SchedPool, SimActor};
@@ -84,11 +95,21 @@ use crate::SimNs;
 
 /// Names one source of wake-ups: a piece of cross-actor state (a
 /// `Monitor`) whose changes some blocked actor may be waiting for, or a
-/// queue of due jobs somebody blocked must run (the fabric's deferred
-/// arbiter). Obtain fresh keys from [`SimClock::new_key`] and
-/// [`SimClock::new_pump_key`].
+/// [`Progress`] source the clock runs itself. Obtain fresh keys from
+/// [`SimClock::new_key`] and [`SimClock::progress_key`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WakeKey(u64);
+
+/// Work the clock does itself as it advances ([`SimClock::progress_key`]):
+/// a queue of jobs, each due once the clock reaches an instant announced
+/// by an alarm on the source's key.
+pub trait Progress: Send + Sync {
+    /// Run every job due at `now`. Called by the thread that advanced the
+    /// clock to `now`, without the clock lock and before any actor or
+    /// machine runs at `now`. May notify and schedule alarms; must not
+    /// block or advance time.
+    fn run(&self, now: SimNs);
+}
 
 impl WakeKey {
     /// Matches every key: notifying it wakes every blocked waiter, and a
@@ -100,12 +121,6 @@ impl WakeKey {
     pub(crate) const SCHED: WakeKey = WakeKey(1);
     /// Fresh keys start after the fixed ones.
     const FIRST_FRESH: u64 = 2;
-    /// Marks a pump key ([`SimClock::new_pump_key`]).
-    const PUMP: u64 = 1 << 63;
-
-    fn is_pump(self) -> bool {
-        self.0 & Self::PUMP != 0
-    }
 
     /// The range of `ClockState::waiting` holding this key's waiters.
     fn waiters(self) -> std::ops::RangeInclusive<(WakeKey, u64)> {
@@ -216,6 +231,11 @@ struct ClockState {
     /// Thread-less wake-up targets (e.g. "a message becomes visible at
     /// t"), each with the key whose dependants it wakes.
     alarms: BinaryHeap<Reverse<(SimNs, WakeKey)>>,
+    /// The [`Progress`] sources, by key: an alarm on one runs it.
+    progress: BTreeMap<WakeKey, Weak<dyn Progress>>,
+    /// A progress source is running: signals stay queued, and no parked
+    /// thread resumes, until it is done.
+    progressing: bool,
     /// (key, actor id) for every key a currently blocked actor registered.
     waiting: BTreeSet<(WakeKey, u64)>,
     /// (key, machine) for every key the last fruitless poll of an
@@ -243,10 +263,7 @@ struct ClockState {
 impl ClockState {
     /// Bump `gen`, flag the blocked waiters registered on `key` and on
     /// the wildcard, and mark the parked machines registered on either —
-    /// every waiter and every machine when `key` is `ALL`. A pump key
-    /// reaches one dependant: the first registered waiter (whether this
-    /// flags it or an earlier notify did and it has yet to resume), or,
-    /// when no actor waits on it, the first registered machine. A flagged
+    /// every waiter and every machine when `key` is `ALL`. A flagged
     /// waiter is owed a signal unless it is the scheduler: that one is held.
     /// Any caller that may run with nobody runnable must follow up with
     /// [`ClockState::release_held`], or the held scheduler never resumes.
@@ -282,18 +299,10 @@ impl ClockState {
             ready.all = true;
             return;
         }
-        let one = if key.is_pump() { 1 } else { usize::MAX };
-        let mut waiters = 0;
-        for w in waiting.range(key.waiters()).take(one) {
-            waiters += 1;
-            flag(w);
-        }
+        waiting.range(key.waiters()).for_each(&mut flag);
         waiting.range(WakeKey::ALL.waiters()).for_each(&mut flag);
-        // One pumper does a pump key's job for everybody.
-        let keyed = if key.is_pump() && waiters > 0 { 0 } else { one };
         let dependants = machines
             .range(key.machines())
-            .take(keyed)
             .chain(machines.range(WakeKey::ALL.machines()));
         for &(_, m) in dependants {
             // Marked already: the scheduler was flagged then, or was running
@@ -359,7 +368,11 @@ struct ClockGuard<'a> {
 
 impl Drop for ClockGuard<'_> {
     fn drop(&mut self) {
-        self.owed.0 = std::mem::take(&mut self.st.signals);
+        // While a progress source runs, the thread that advanced the clock
+        // signals for it once the source is done.
+        if !self.st.progressing {
+            self.owed.0 = std::mem::take(&mut self.st.signals);
+        }
     }
 }
 
@@ -385,7 +398,8 @@ impl ClockGuard<'_> {
     /// is why it is looked at before the first wait, as after every one.
     /// Called as `ClockGuard::park(st, ..)`: the guard is handed over like
     /// a condvar's, which is also how `clmpi-check` tells this from a
-    /// thread parking with a lock held.
+    /// thread parking with a lock held. A spurious wake-up while a
+    /// progress source runs parks again, whatever `resumed` says.
     fn park(mut self, token: &Condvar, resumed: impl Fn(&ClockState) -> bool) -> Self {
         // An actor whose own advance woke it is awake already.
         self.st
@@ -396,7 +410,7 @@ impl ClockGuard<'_> {
             drop(self);
             self = inner.lock();
         }
-        while !self.st.poisoned && !resumed(&self.st) {
+        while !self.st.poisoned && (self.st.progressing || !resumed(&self.st)) {
             token.wait(&mut self.st);
         }
         self
@@ -438,8 +452,9 @@ impl ClockInner {
     }
 
     /// Advance the clock if every actor is quiescent. Must be called by any
-    /// path that decrements `runnable` (possibly) to zero.
-    fn maybe_advance(&self, st: &mut ClockState) {
+    /// path that decrements `runnable` (possibly) to zero. The lock is
+    /// released and taken again while a progress source runs.
+    fn maybe_advance<'a>(&'a self, mut st: ClockGuard<'a>) -> ClockGuard<'a> {
         // Loop: an alarm may fire at an instant where no sleeper is due and
         // none of its dependants is blocked (e.g. a message arrives while
         // its receiver is off sleeping past it); the clock must then keep
@@ -449,7 +464,7 @@ impl ClockInner {
         loop {
             st.release_held();
             if st.runnable > 0 || st.pending_wakes > 0 || st.recheck_pending > 0 {
-                return;
+                return st;
             }
             let next_sleep = st.sleepers.peek().map(|Reverse((t, _))| *t);
             // Alarms exist to re-check blocked predicate waiters. With
@@ -469,7 +484,7 @@ impl ClockInner {
                 (None, Some(b)) => b,
                 (None, None) => {
                     if st.blocked > 0 {
-                        let report = self.render_actors(st);
+                        let report = self.render_actors(&st);
                         st.poison();
                         panic!(
                             "simtime: deadlock — all {} blocked actor(s) wait on predicates and \
@@ -477,7 +492,7 @@ impl ClockInner {
                             st.blocked, st.now
                         );
                     }
-                    return; // all actors exited; nothing to do
+                    return st; // all actors exited; nothing to do
                 }
             };
             debug_assert!(target >= st.now, "clock would move backwards");
@@ -490,27 +505,56 @@ impl ClockInner {
                 }
                 st.sleepers.pop();
                 st.pending_wakes += 1;
-                if let Some(a) = st.actors.get(&id) {
-                    st.signals.push(a.token.clone());
+                if let Some(token) = st.actors.get(&id).map(|a| a.token.clone()) {
+                    st.signals.push(token);
                 }
             }
             // Alarms due at one instant pop grouped by key: wake a key's
-            // dependants once, however many consecutive alarms share it.
+            // dependants once, however many consecutive alarms share it,
+            // or run its progress source once, after the last pop.
             let mut last_key = None;
+            let mut due = Vec::new();
             while let Some(&Reverse((t, key))) = st.alarms.peek() {
                 if t > target {
                     break;
                 }
                 st.alarms.pop();
                 st.stats.alarms_fired += 1;
-                if last_key.replace(key) != Some(key) {
-                    st.wake_dependants(key);
+                if last_key.replace(key) == Some(key) {
+                    continue;
                 }
+                match st.progress.get(&key) {
+                    Some(source) => due.push(source.clone()),
+                    None => st.wake_dependants(key),
+                }
+            }
+            if !due.is_empty() {
+                st = self.progress(st, target, &due);
             }
             // Round again: woken threads drive further progress, the held
             // scheduler is released, and if only alarms fired and none of
             // their dependants was parked the clock advances further.
         }
+    }
+
+    /// Run the progress sources `due` at `now`, the instant the clock has
+    /// just reached, before anybody else runs there (module notes).
+    fn progress<'a>(
+        &'a self,
+        mut st: ClockGuard<'a>,
+        now: SimNs,
+        due: &[Weak<dyn Progress>],
+    ) -> ClockGuard<'a> {
+        st.runnable += 1;
+        st.progressing = true;
+        drop(st);
+        for source in due.iter().filter_map(Weak::upgrade) {
+            source.run(now);
+        }
+        let mut st = self.lock();
+        st.runnable -= 1;
+        st.progressing = false;
+        st
     }
 
     fn render_actors(&self, st: &ClockState) -> String {
@@ -736,15 +780,15 @@ impl SimClock {
         WakeKey(self.inner.next_key.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// A fresh **pump key**: one that names not state but a queue of
-    /// jobs (the fabric's deferred arbiter) which any registered waiter's
-    /// predicate drains on behalf of all — the state a job fills in
-    /// notifies its own key when it runs. A notify or alarm on a pump
-    /// key therefore flags just one of the waiters registered on it
-    /// (plus, as always, the [`WakeKey::ALL`] waiters). Every wait that
-    /// registers a pump key must drain the queue in its predicate.
-    pub fn new_pump_key(&self) -> WakeKey {
-        WakeKey(self.new_key().0 | WakeKey::PUMP)
+    /// A fresh key whose alarms run `source` instead of waking anybody:
+    /// the thread that advances the clock to an instant where one is due
+    /// runs [`Progress::run`] there, before any actor or machine runs at
+    /// that instant. Schedule those alarms strictly in the future; a
+    /// source whose owner was dropped is skipped.
+    pub fn progress_key(&self, source: Weak<dyn Progress>) -> WakeKey {
+        let key = self.new_key();
+        self.inner.lock().progress.insert(key, source);
+        key
     }
 
     /// Announce that cross-actor state changed without saying which:
@@ -874,9 +918,7 @@ impl Registry<'_> {
     /// duplicate-free). A key read for the first time was registered
     /// nowhere while its notify may already have happened, so if `gen`
     /// moved during the pass the machine goes back on the ready list —
-    /// "something changed while we evaluated; recheck", per machine. A
-    /// pump key it leaves passes its wake-up on: it may have been the one
-    /// pumper an alarm of this instant picked.
+    /// "something changed while we evaluated; recheck", per machine.
     pub(crate) fn reregister(&mut self, m: MachineId, old: &[WakeKey], new: &[WakeKey]) {
         let st = &mut *self.st;
         let mut added = false;
@@ -894,9 +936,6 @@ impl Registry<'_> {
         for &k in old {
             if new.binary_search(&k).is_err() {
                 st.machines.remove(&(k, m));
-                if k.is_pump() {
-                    st.wake_dependants(k);
-                }
             }
         }
     }
@@ -957,7 +996,7 @@ impl Actor {
             a.status = ActorStatus::Sleeping(wake);
         }
         st.sleeps += 1;
-        inner.maybe_advance(&mut st);
+        let st = inner.maybe_advance(st);
         let mut st = ClockGuard::park(st, &self.token, |st| st.now >= wake);
         if st.poisoned {
             // Our sleeper entry may or may not have been consumed; the run
@@ -1039,7 +1078,7 @@ impl Actor {
                 a.status = ActorStatus::Blocked(label);
             }
             st.label_stats(label).parked += 1;
-            inner.maybe_advance(&mut st);
+            let st = inner.maybe_advance(st);
             let resumed = |st: &ClockState| {
                 let me = st.actors.get(&self.id);
                 me.is_some_and(|a| a.flagged) && st.held != Some(self.id)
@@ -1088,7 +1127,7 @@ impl Drop for Actor {
         if std::thread::panicking() {
             st.poison();
         } else if !st.poisoned {
-            inner.maybe_advance(&mut st);
+            drop(inner.maybe_advance(st));
         }
     }
 }
@@ -1428,12 +1467,13 @@ mod tests {
 
     /// One participant of [`stress`]: `STEPS` rounds of "maybe sleep, hand
     /// a token to the next actor, take one from the previous", with stray
-    /// notifies and alarms of other actors' keys thrown in.
+    /// notifies and alarms of other actors' keys and of the progress
+    /// source's thrown in.
     fn stress_actor(
         actor: Actor,
         me: usize,
         cells: Arc<Vec<Monitor<u32>>>,
-        pump: WakeKey,
+        stir: WakeKey,
         finished: Arc<Monitor<usize>>,
     ) {
         let clock = actor.clock().clone();
@@ -1444,13 +1484,10 @@ mod tests {
                 0 | 1 => actor.advance_ns(rng.gen_range_u64(1, 60)),
                 2 => clock.notify_key(cells[rng.gen_range_usize(0, n)].key()),
                 3 => cells[rng.gen_range_usize(0, n)].alarm_at(clock.now_ns() + 40),
-                4 => clock.schedule_alarm_keyed(clock.now_ns() + rng.gen_range_u64(1, 30), pump),
-                _ => {}
+                _ => clock.schedule_alarm_keyed(clock.now_ns() + rng.gen_range_u64(1, 30), stir),
             }
             cells[(me + 1) % n].with(|v| *v += 1);
-            // Registered on the pump key too: a machine that stops reading
-            // it passes the wake-up on from inside `Registry`.
-            actor.wait_on(&[cells[me].key(), pump], "stress take", || {
+            actor.wait_on(&[cells[me].key()], "stress take", || {
                 cells[me].try_now(|v| v.checked_sub(1).map(|left| *v = left))
             });
         }
@@ -1460,34 +1497,47 @@ mod tests {
     const STRESS_ACTORS: usize = 32;
     const STRESS_STEPS: usize = 320;
 
-    /// 32 actors on threads of their own and one machine (hence the held
-    /// scheduler) through 10,240 rounds of sleeps, keyed waits, notifies and alarms.
-    /// A wake-up that is owed and never signalled ends it in the
-    /// watchdog; one signalled to the wrong token, in the deadlock report.
+    /// 32 actors on threads of their own, one machine (hence the held
+    /// scheduler) and one progress source through 10,240 rounds of sleeps,
+    /// keyed waits, notifies and alarms. A wake-up that is owed and never
+    /// signalled ends it in the watchdog; one signalled to the wrong token,
+    /// in the deadlock report.
     fn stress() {
-        use crate::{note_read, MachineStep};
-        /// Reads cell 0 on every step, the pump key on every other one,
-        /// and asks for a timer, until told to stop.
+        use crate::MachineStep;
+        /// Reads cell 0 on every step and asks for a timer, until told to
+        /// stop.
         struct Onlooker {
             cells: Arc<Vec<Monitor<u32>>>,
             stop: Arc<Monitor<bool>>,
-            pump: WakeKey,
-            steps: u64,
         }
         impl SimActor for Onlooker {
             fn wait_label(&self) -> &'static str {
                 "onlooker"
             }
             fn poll(&mut self, now: SimNs, _actor: &Actor) -> MachineStep {
-                self.steps += 1;
                 self.cells[0].peek(|_| ());
-                if self.steps.is_multiple_of(2) {
-                    note_read(self.pump);
-                }
                 if self.stop.peek(|s| *s) {
                     return MachineStep::Done;
                 }
                 MachineStep::Pending(Some(now + 97))
+            }
+        }
+        /// Notifies a random cell on every run, and counts the runs whose
+        /// notify queued a park token: one `progressing` held back.
+        struct Stirrer {
+            cells: Arc<Vec<Monitor<u32>>>,
+            rng: Mutex<crate::XorShift64>,
+            held: AtomicU64,
+        }
+        impl Progress for Stirrer {
+            fn run(&self, _now: SimNs) {
+                let cell = &self.cells[self.rng.lock().gen_range_usize(0, self.cells.len())];
+                let queued = || cell.clock().inner.lock().signals.len();
+                let before = queued();
+                cell.clock().notify_key(cell.key());
+                if queued() > before {
+                    self.held.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
         let c = SimClock::new();
@@ -1498,7 +1548,12 @@ mod tests {
         );
         let finished = Arc::new(Monitor::new(c.clone(), 0usize));
         let stop = Arc::new(Monitor::new(c.clone(), false));
-        let pump = c.new_pump_key();
+        let stirrer = Arc::new(Stirrer {
+            cells: cells.clone(),
+            rng: Mutex::new(crate::XorShift64::new(0x5717)),
+            held: AtomicU64::new(0),
+        });
+        let stir = c.progress_key(Arc::downgrade(&stirrer) as Weak<dyn Progress>);
         let driver = c.register("driver");
         // Every actor is registered before any thread starts.
         let actors: Vec<Actor> = (0..STRESS_ACTORS)
@@ -1507,8 +1562,6 @@ mod tests {
         let onlooker = Onlooker {
             cells: cells.clone(),
             stop: stop.clone(),
-            pump,
-            steps: 0,
         };
         c.spawn_machine(0, "onlooker", Box::new(onlooker));
         let threads: Vec<_> = actors
@@ -1516,7 +1569,7 @@ mod tests {
             .enumerate()
             .map(|(me, actor)| {
                 let (cells, finished) = (cells.clone(), finished.clone());
-                thread::spawn(move || stress_actor(actor, me, cells, pump, finished))
+                thread::spawn(move || stress_actor(actor, me, cells, stir, finished))
             })
             .collect();
         finished.wait(&driver, |f| (*f == STRESS_ACTORS).then_some(()));
@@ -1539,6 +1592,8 @@ mod tests {
         );
         assert!(st.held.is_none() && st.signals.is_empty() && st.actors.is_empty());
         assert!(st.sleeps > 1_000 && st.stats.alarms_fired > 1_000);
+        let held = stirrer.held.load(Ordering::Relaxed);
+        assert!(held > 1_000, "{held} signals held behind `progressing`");
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod sched;
 pub mod sync;
 pub mod trace;
 
-pub use clock::{Actor, ActorStatus, LabelWakes, SimClock, WakeKey, WakeStats};
+pub use clock::{Actor, ActorStatus, LabelWakes, Progress, SimClock, WakeKey, WakeStats};
 pub use rng::{fnv1a, XorShift64};
 pub use sched::{note_read, on_pool_worker, MachineHandle, MachineStep, SimActor};
 pub use sync::{Monitor, SimBarrier, SimChannel};

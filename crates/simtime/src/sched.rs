@@ -72,11 +72,11 @@
 //! it reaches the same fixpoint. What recording **cannot** see, and what
 //! therefore needs a note by hand:
 //!
-//! * *State outside a `Monitor`* — a raw atomic, a plain mutex, a job
-//!   queue. Whoever changes it must notify a key the reader noted:
-//!   `simnet::Fabric::pump` notes the arbiter's pump key, and a writer of
-//!   raw state that calls the unkeyed [`SimClock::notify`] reaches every
-//!   machine whatever it noted.
+//! * *State outside a `Monitor`* — a raw atomic, a plain mutex. Whoever
+//!   changes it must notify a key the reader noted, or call the unkeyed
+//!   [`SimClock::notify`], which reaches every machine whatever it noted.
+//!   (A job queue the clock runs itself, [`SimClock::progress_key`], is
+//!   read by nobody: its jobs fill in monitors.)
 //! * *Instants nobody announces* — a verdict that flips when `now` passes
 //!   some instant for which the machine returned no hint and nobody
 //!   scheduled an alarm (a fault plan's kill instants). Such a step was

@@ -21,14 +21,14 @@
 //! fingerprints.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier, Weak};
 use std::thread;
 use std::time::Duration;
 
 use simtime::plock::Mutex;
 use simtime::{
-    note_read, Actor, LabelWakes, MachineStep, Monitor, SimActor, SimChannel, SimClock, SimNs,
-    XorShift64,
+    Actor, LabelWakes, MachineStep, Monitor, Progress, SimActor, SimChannel, SimClock, SimNs,
+    WakeKey, XorShift64,
 };
 
 /// Join a worker, re-raising its own panic (with its message) if it died.
@@ -129,6 +129,30 @@ fn unkeyed_notify_and_alarm_still_wake_keyed_waiters() {
     assert_eq!(label(&clock, "raw deadline").successes, 1);
 }
 
+#[test]
+fn alarm_for_an_instant_already_reached_flags_at_once_and_never_moves_the_clock_back() {
+    // A grant the clock reaches late (nobody was blocked to drive it)
+    // alarms for a `visible_at` already behind `now`.
+    let clock = SimClock::new();
+    let m = Arc::new(Monitor::new(clock.clone(), ()));
+    let flag = Arc::new(AtomicBool::new(false));
+    let waiter = clock.register("keyed");
+    let driver = clock.register("driver");
+    let (m1, f1) = (m.clone(), flag.clone());
+    let t = thread::spawn(move || {
+        waiter.wait_on(&[m1.key()], "past due", || {
+            f1.load(Ordering::SeqCst).then_some(())
+        });
+        waiter.now_ns()
+    });
+    driver.advance_ns(100);
+    flag.store(true, Ordering::SeqCst);
+    m.alarm_at(50);
+    driver.advance_ns(10);
+    assert_eq!(join(t), 100);
+    assert_eq!(clock.now_ns(), 110);
+}
+
 /// Alarms at 100 and 200 that concern nobody parked, one at 300 for the
 /// waiter on `a`; a wildcard observer logs every instant it is woken at.
 /// Returns (observer's log, a-waiter's wake accounting, final time).
@@ -181,58 +205,6 @@ fn keyed_alarm_drives_the_clock_like_an_unkeyed_one_but_wakes_only_dependants() 
     );
     assert_eq!(on_a_u.wakeups, 3, "unkeyed alarms wake it each time");
     assert_eq!((on_a_k.successes, on_a_u.successes), (1, 1));
-}
-
-#[test]
-fn pump_key_alarm_wakes_one_pumper_who_serves_everybody() {
-    // Three waiters, each on its own flag plus a shared pump key whose
-    // "queue" holds two jobs: at t=50 set c, at t=100 set a and b. Every
-    // predicate pumps first, as the contract demands. Each alarm must
-    // wake one pumper (the first registered: a); the others are woken
-    // only by the notify of their own flag when the job runs.
-    let clock = SimClock::new();
-    let flags: Vec<Arc<Monitor<bool>>> = (0..3)
-        .map(|_| Arc::new(Monitor::new(clock.clone(), false)))
-        .collect();
-    let pump_key = clock.new_pump_key();
-    clock.schedule_alarm_keyed(50, pump_key);
-    clock.schedule_alarm_keyed(100, pump_key);
-    let set = |m: &Monitor<bool>| {
-        if !m.peek(|v| *v) {
-            m.with(|v| *v = true);
-        }
-    };
-    // Register every actor before any thread starts (see `register`).
-    let labels = ["pump a", "pump b", "pump c"];
-    let actors: Vec<_> = labels.iter().map(|&l| clock.register(l)).collect();
-    let handles: Vec<_> = actors
-        .into_iter()
-        .zip(labels)
-        .enumerate()
-        .map(|(i, (actor, label))| {
-            let (flags, clock) = (flags.clone(), clock.clone());
-            thread::spawn(move || {
-                actor.wait_on(&[flags[i].key(), pump_key], label, || {
-                    let now = clock.now_ns();
-                    if now >= 50 {
-                        set(&flags[2]);
-                    }
-                    if now >= 100 {
-                        set(&flags[0]);
-                        set(&flags[1]);
-                    }
-                    flags[i].peek(|v| v.then_some(()))
-                });
-                actor.now_ns()
-            })
-        })
-        .collect();
-    let done_at: Vec<SimNs> = handles.into_iter().map(join).collect();
-    assert_eq!(done_at, vec![100, 100, 50]);
-    let woken = |l| label(&clock, l).wakeups;
-    assert_eq!(woken("pump a"), 2, "the pumper of both alarms");
-    assert_eq!(woken("pump b"), 1, "slept through the t=50 alarm");
-    assert_eq!(woken("pump c"), 1, "woken by its flag, not by the alarm");
 }
 
 #[test]
@@ -678,82 +650,86 @@ fn notify_between_a_poll_and_its_registration_is_not_lost() {
     });
 }
 
-/// Three machines (a hint each) that each wait for a flag of their
-/// own and pump a queue of two jobs first: at t=50 set flag 2, at t=100
-/// set flags 0 and 1 (and 3, the flag an actor waits for when
-/// `with_actor`). Returns the instants each machine was stepped at.
-fn pump_world(with_actor: bool) -> Vec<Vec<SimNs>> {
-    let clock = SimClock::new();
-    let flags: Vec<Arc<Monitor<bool>>> = (0..4)
-        .map(|_| Arc::new(Monitor::new(clock.clone(), false)))
-        .collect();
-    let pump_key = clock.new_pump_key();
-    clock.schedule_alarm_keyed(50, pump_key);
-    clock.schedule_alarm_keyed(100, pump_key);
-    let pump = move |flags: &[Arc<Monitor<bool>>], now: SimNs| {
-        let set = |m: &Monitor<bool>| {
-            if !m.peek(|v| *v) {
-                m.with(|v| *v = true);
-            }
-        };
-        if now >= 50 {
-            set(&flags[2]);
-        }
-        if now >= 100 {
-            [0, 1, 3].iter().for_each(|&i| set(&flags[i]));
-        }
-    };
-    let main = clock.register("main");
-    let pumper = with_actor.then(|| clock.register("pumper"));
-    let logs: Vec<Arc<Mutex<Vec<SimNs>>>> = (0..3).map(|_| Arc::default()).collect();
-    for (i, log) in logs.iter().enumerate() {
-        let (flags, log) = (flags.clone(), log.clone());
-        spawn_fn(&clock, i as u64, "pumping machine", move |_, now| {
-            let mut log = log.lock();
-            if log.last() != Some(&now) {
-                log.push(now);
-            }
-            note_read(pump_key); // the queue lives outside any monitor
-            pump(&flags, now);
-            if flags[i].peek(|v| *v) {
-                MachineStep::Done
-            } else {
-                MachineStep::Pending(None)
-            }
-        });
+/// A progress source that sets a flag, logging the instants it ran at.
+struct Raiser {
+    flag: Arc<Monitor<bool>>,
+    ran: Mutex<Vec<SimNs>>,
+}
+
+impl Progress for Raiser {
+    fn run(&self, now: SimNs) {
+        self.ran.lock().push(now);
+        self.flag.with(|f| *f = true);
     }
-    let t = pumper.map(|actor| {
-        let (flags, clock) = (flags.clone(), clock.clone());
-        thread::spawn(move || {
-            actor.wait_on(&[flags[3].key(), pump_key], "pump actor", || {
-                pump(&flags, clock.now_ns());
-                flags[3].peek(|v| v.then_some(()))
-            })
-        })
+}
+
+fn raiser(clock: &SimClock) -> (Arc<Raiser>, WakeKey) {
+    let flag = Arc::new(Monitor::new(clock.clone(), false));
+    let source = Arc::new(Raiser {
+        flag,
+        ran: Mutex::default(),
     });
-    drop(main);
-    if let Some(t) = t {
-        join(t);
-    }
-    clock.quiesce_machines();
-    logs.iter().map(|l| l.lock().clone()).collect()
+    let key = clock.progress_key(Arc::downgrade(&source) as Weak<dyn Progress>);
+    (source, key)
 }
 
 #[test]
-fn pump_key_alarm_readies_one_machine_and_none_when_an_actor_pumps() {
+fn progress_alarm_runs_its_source_before_anybody_runs_at_its_instant() {
     within_watchdog(|| {
-        // Every machine is registered on the pump key; each alarm picks
-        // the first. The others are stepped when their own flag is set.
+        let clock = SimClock::new();
+        let (source, key) = raiser(&clock);
+        clock.schedule_alarm_keyed(50, key);
+        let (gone, gone_key) = raiser(&clock);
+        let gone_flag = gone.flag.clone();
+        clock.schedule_alarm_keyed(50, gone_key);
+        drop(gone); // its alarm is skipped
+        let later = clock.new_key();
+        clock.schedule_alarm_keyed(70, later);
+        let main = clock.register("main");
+        let sleeper = clock.register("sleeper");
+        let waiter = clock.register("waiter");
+        // A machine with a hint at 50, which reads the flag on every step.
+        let log: Arc<Mutex<Vec<(bool, SimNs, bool)>>> = Arc::default();
+        let (l1, f1) = (log.clone(), source.flag.clone());
+        spawn_fn(&clock, 0, "hinted", move |woken, now| {
+            l1.lock().push((woken, now, f1.peek(|f| *f)));
+            if now < 50 {
+                MachineStep::Pending(Some(50))
+            } else {
+                MachineStep::Done
+            }
+        });
+        let f2 = source.flag.clone();
+        let s = thread::spawn(move || {
+            sleeper.advance_until(50);
+            f2.peek(|f| *f)
+        });
+        // Registered on the progress key, which is nobody's to wait on.
+        let c = clock.clone();
+        let w = thread::spawn(move || {
+            waiter.wait_on(&[key, later], "on a progress key", || {
+                (c.now_ns() >= 70).then_some(())
+            })
+        });
+        drop(main);
+        assert!(join(s), "the sleeper due at 50 sees the flag set");
+        join(w);
+        clock.quiesce_machines();
         assert_eq!(
-            pump_world(false),
-            vec![vec![0, 50, 100], vec![0, 100], vec![0, 50]],
-            "machine 0 pumps both alarms; machine 1 sleeps through t=50"
+            *log.lock(),
+            vec![(false, 0, false), (true, 50, true)],
+            "so does the machine whose hint is due at 50"
         );
-        // A blocked actor registered on the key is the pumper instead.
+        assert_eq!(*source.ran.lock(), vec![50]);
+        assert!(!gone_flag.peek(|f| *f), "a dropped source is skipped");
         assert_eq!(
-            pump_world(true),
-            vec![vec![0, 100], vec![0, 100], vec![0, 50]],
-            "no machine is readied by an alarm the actor takes"
+            label(&clock, "on a progress key"),
+            LabelWakes {
+                parked: 1,
+                wakeups: 1,
+                successes: 1
+            },
+            "woken at 70 only: a progress alarm flags nobody"
         );
     });
 }
