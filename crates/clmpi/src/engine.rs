@@ -1814,16 +1814,11 @@ impl OpBody for EventFromRequestBody {
 // These bodies drive `minimpi`'s non-blocking RMA handles from the
 // engine. A handle's poll reads its slot, and the clock's grant of the
 // reservation fills that slot in (or marks it dropped) with a notify, so
-// the grant readies the body at the instant it happens. The time hint a
-// body with a pending flight parks with is therefore not what keeps it
-// live: before the first grant it is the wire-claim earliest plus one,
-// the grant instant itself; after a retransmit, whose claim instant is
-// arbiter-internal, it is a fixed virtual polling quantum, which only
-// re-steps a body whose slot has not changed.
-
-/// Virtual polling cadence for an RMA flight whose next grant instant is
-/// unknowable from outside the arbiter (post-retransmit).
-const RMA_POLL_QUANTUM_NS: SimNs = 100_000;
+// the grant readies the body at the instant it happens. A body with a
+// pending flight parks on that slot alone, plus, before the first grant,
+// a time hint at the wire-claim earliest plus one: the grant instant
+// itself. After a retransmit, whose claim instant is arbiter-internal,
+// it has no hint at all.
 
 /// One in-flight one-sided op plus the bookkeeping needed to park
 /// precisely and to convert retransmit deltas into drop/retry spans.
@@ -1875,13 +1870,14 @@ enum FlightsVerdict {
     /// already accounted, and stamped no earlier than the polling instant.
     Failed { err: MpiError, at: SimNs },
     /// Still in flight; `wake` is the earliest useful re-poll instant
-    /// (strictly future).
-    Pending { wake: SimNs },
+    /// (strictly future), if any flight has one.
+    Pending { wake: Option<SimNs> },
 }
 
 /// Drive every unfinished flight of an operation once at `now`.
 fn poll_flights(cx: &mut OpCx, flights: &mut [RmaFlight], now: SimNs) -> FlightsVerdict {
     let mut done_at = 0;
+    let mut pending = false;
     let mut wake: Option<SimNs> = None;
     let mut failed: Option<(MpiError, SimNs)> = None;
     for f in flights.iter_mut() {
@@ -1900,12 +1896,11 @@ fn poll_flights(cx: &mut OpCx, flights: &mut [RmaFlight], now: SimNs) -> Flights
                 failed.get_or_insert((err, at));
             }
             RmaPoll::Pending => {
-                let next = if f.handle.attempts() == 0 {
-                    now.max(f.earliest) + 1
-                } else {
-                    now + RMA_POLL_QUANTUM_NS
-                };
-                wake = Some(wake.map_or(next, |w: SimNs| w.min(next)));
+                pending = true;
+                if f.handle.attempts() == 0 {
+                    let next = now.max(f.earliest) + 1;
+                    wake = Some(wake.map_or(next, |w: SimNs| w.min(next)));
+                }
             }
         }
     }
@@ -1913,7 +1908,7 @@ fn poll_flights(cx: &mut OpCx, flights: &mut [RmaFlight], now: SimNs) -> Flights
         let at = at.max(now);
         cx.rma_failed(&err, at);
         FlightsVerdict::Failed { err, at }
-    } else if let Some(wake) = wake {
+    } else if pending {
         FlightsVerdict::Pending { wake }
     } else {
         FlightsVerdict::Done { at: done_at }
@@ -2006,7 +2001,7 @@ impl OpBody for PutBody {
             }
         }
         match poll_flights(cx, &mut self.flights, now) {
-            FlightsVerdict::Pending { wake } => Advance::Park(Some(wake)),
+            FlightsVerdict::Pending { wake } => Advance::Park(wake),
             FlightsVerdict::Failed { err, at } => self.fail(cx, err, at),
             FlightsVerdict::Done { at } => {
                 let done_at = at.max(cx.t0);
@@ -2064,7 +2059,7 @@ impl OpBody for GetBody {
                 GetState::Transfer(flight) => {
                     let flights = std::slice::from_mut(flight);
                     match poll_flights(cx, flights, now) {
-                        FlightsVerdict::Pending { wake } => return Advance::Park(Some(wake)),
+                        FlightsVerdict::Pending { wake } => return Advance::Park(wake),
                         FlightsVerdict::Failed { err, at } => return fail(err, at),
                         FlightsVerdict::Done { at } => {
                             let data = flight
@@ -2150,7 +2145,7 @@ impl OpBody for AccumulateBody {
                 AccState::Transfer(flight) => {
                     let flights = std::slice::from_mut(flight);
                     return match poll_flights(cx, flights, now) {
-                        FlightsVerdict::Pending { wake } => Advance::Park(Some(wake)),
+                        FlightsVerdict::Pending { wake } => Advance::Park(wake),
                         FlightsVerdict::Failed { err, at } => fail(err, at),
                         FlightsVerdict::Done { at } => {
                             let done_at = at.max(cx.t0);
@@ -2173,11 +2168,11 @@ impl OpBody for AccumulateBody {
 /// take precedence over synchronization failures, and a patience expiry
 /// under a fault plan is classified against the laggards.
 ///
-/// Parking: the drain phase polls at the fixed quantum (the pending
-/// handles' own machines park precisely; this is the backstop), and the
-/// await phase parks on notification — a peer's fence arrival is a
-/// control-block write that notifies — plus the patience deadline when a
-/// fault plan is armed.
+/// Parking: the drain phase parks on what [`Win::poll_pending`] read:
+/// every pending op's slot, which its grant notifies, and the window's
+/// booking key, which a newly booked op notifies. The await phase parks
+/// on notification — a peer's fence arrival is a control-block write that
+/// notifies — plus the patience deadline when a fault plan is armed.
 pub(crate) struct FenceBody {
     pub(crate) win: Win,
     pub(crate) state: FenceState,
@@ -2201,7 +2196,7 @@ impl OpBody for FenceBody {
             match &mut self.state {
                 FenceState::Drain => {
                     if !self.win.poll_pending() {
-                        return Advance::Park(Some(now + RMA_POLL_QUANTUM_NS));
+                        return Advance::Park(None);
                     }
                     let op_err = self.win.take_epoch_err();
                     let gen = self.win.fence_enter(now);

@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use simnet::{DropReason, FabricClass, FaultOutcome, Reservation};
 use simtime::plock::Mutex;
-use simtime::{Actor, Monitor, SimNs};
+use simtime::{note_read, Actor, Monitor, SimNs, WakeKey};
 
 use crate::collectives::ReduceOp;
 use crate::datatype::{check_whole, f64_as_bytes, try_bytes_to_f64};
@@ -176,6 +176,10 @@ pub struct Win {
     comm: Comm,
     shared: Arc<WinShared>,
     epoch: Arc<Mutex<LocalEpoch>>,
+    /// Notified whenever an op is booked into `epoch.pending`, a plain
+    /// mutex: [`Win::poll_pending`] notes it, so a machine parked on a
+    /// drain re-polls an op another thread booked meanwhile.
+    booked: WakeKey,
 }
 
 enum RmaKind {
@@ -462,6 +466,7 @@ impl Win {
         let key = (comm.context, seq);
         let n = comm.size();
         let clock = comm.world().clock().clone();
+        let booked = clock.new_key();
         let shared = {
             let mut reg = comm.world().inner.windows.lock();
             Arc::clone(
@@ -482,6 +487,7 @@ impl Win {
                 pending: Vec::new(),
                 epoch_err: None,
             })),
+            booked,
         })
     }
 
@@ -578,6 +584,7 @@ impl Win {
         let h = RmaHandle { inner };
         h.post(earliest.max(now));
         self.epoch.lock().pending.push(h.clone());
+        self.comm.world().clock().notify_key(self.booked);
         Ok(h)
     }
 
@@ -651,8 +658,11 @@ impl Win {
 
     /// Drive every pending op of the current epoch once; returns true
     /// when all have settled. Failures are latched into the epoch error
-    /// reported by the closing call. Non-blocking.
+    /// reported by the closing call. Non-blocking. A machine that polls
+    /// this is parked on every pending op's slot and on the booking of a
+    /// new op.
     pub fn poll_pending(&self) -> bool {
+        note_read(self.booked);
         let hs: Vec<RmaHandle> = self.epoch.lock().pending.clone();
         for h in &hs {
             let _ = h.poll();

@@ -9,7 +9,7 @@ use minimpi::{run_world_faulty, FaultPlan, Process, Tag};
 use simtime::plock::Mutex;
 use simtime::SimNs;
 
-use crate::model::{coagulation_step, pair_count, NanoModel};
+use crate::model::{check_sections, coagulation_step, pair_count, NanoModel};
 
 const TAG_N: Tag = 200; // concentration broadcast
 const TAG_C: Tag = 201; // coefficient block distribution
@@ -90,8 +90,11 @@ pub struct NanoResult {
     pub wake: simtime::WakeStats,
 }
 
-/// Run `variant` under `cfg`.
+/// Run `variant` under `cfg`. Panics on the calling thread, before any
+/// world exists, if `cfg.sections` exceeds 46,340 (see
+/// [`NanoModel::new`]) or `cfg.nodes` does not divide it.
 pub fn run_nanopowder(variant: NanoVariant, cfg: NanoConfig) -> NanoResult {
+    check_sections(cfg.sections);
     assert!(
         cfg.sections.is_multiple_of(cfg.nodes),
         "nodes ({}) must divide sections ({})",

@@ -805,6 +805,7 @@ impl SimClock {
         st.stats.notifies += 1;
         st.wake_dependants(key);
         // The caller may be a thread that holds no runnable actor.
+        // Dropping this fails no test; no reachable state needs it (DESIGN.md §14).
         st.release_held();
     }
 
@@ -825,6 +826,7 @@ impl SimClock {
         if at <= st.now {
             st.stats.notifies += 1;
             st.wake_dependants(key);
+            // Dropping this fails no test; no reachable state needs it (DESIGN.md §14).
             st.release_held();
         } else {
             st.alarms.push(Reverse((at, key)));
