@@ -22,7 +22,7 @@
 use clmpi::obs::ObsSummary;
 use clmpi::SystemConfig;
 use clmpi_bench::write_artifact;
-use himeno::{reference_jacobi, run_himeno_recover, GridSize, RecoverConfig};
+use himeno::{interior_checksum, reference_jacobi, run_himeno_recover, GridSize, RecoverConfig};
 use minimpi::FaultPlan;
 
 const NODES: usize = 4;
@@ -112,14 +112,7 @@ fn main() {
     // -- Acceptance: the recovered solve converges to the reference ------
     let r = reference_jacobi(GridSize::M, ITERS);
     let (mi, mj, mk) = GridSize::M.dims();
-    let mut ref_sum = 0.0f64;
-    for i in 1..mi - 1 {
-        for j in 1..mj - 1 {
-            for k in 1..mk - 1 {
-                ref_sum += r.p[(i * mj + j) * mk + k].abs() as f64;
-            }
-        }
-    }
+    let ref_sum = interior_checksum(&r.p, mj, mk, 1..mi - 1);
     for (name, res) in [
         ("fault-free", &base),
         ("early-kill", &early),

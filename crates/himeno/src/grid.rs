@@ -1,5 +1,7 @@
 //! Grid sizes, initialization, and the stencil definition.
 
+use std::ops::Range;
+
 /// Floating-point operations per stencil point (the benchmark's own
 /// accounting, used for its MFLOPS metric).
 pub const FLOPS_PER_POINT: f64 = 34.0;
@@ -149,11 +151,12 @@ pub fn fill_planes(p: &mut [f32], size: GridSize, lo: usize) {
 /// no iteration reads what another wrote, so rustc vectorises it, and
 /// every lane performs the `f32` operations of the scalar loop on the
 /// same operands (Rust never contracts `a * b + c` to an FMA). It parks
-/// `ss * ss`, still `f32`, in `sq`. The second adds `sq` into the `f64`
-/// residual one element at a time in `k` order — the order the sum has
-/// always had, so `gosa` keeps its bits; summing a row apart and adding
-/// that, or one accumulator per lane, would round differently.
-/// `tests::jacobi_sweep_spec` is the scalar loop this is diffed against.
+/// `ss * ss`, still `f32`, in `sq`. The second is [`add_row`]: by
+/// definition the `f64` residual plus `sq` one element at a time in `k`
+/// order — the order the sum has always had, so `gosa` keeps its bits —
+/// and summed in lanes only where a certificate proves no partial sum
+/// rounds. `tests::jacobi_sweep_spec` is the scalar loop this is diffed
+/// against.
 ///
 /// Never inlined. On this form the attribute changes no instruction
 /// (`nm` and the disassembly are the same with and without it: DESIGN.md
@@ -188,12 +191,111 @@ pub fn jacobi_sweep(
                 sq[k] = ss * ss;
                 out[k] = centre[k] + OMEGA * ss;
             }
-            for &s in &sq {
-                gosa += s as f64;
-            }
+            gosa = add_row(gosa, &sq);
         }
     }
     gosa
+}
+
+/// The sum of `|p|` as `f64` over the interior of `planes` of a field
+/// shaped `(_, mj, mk)`, in `(i, j, k)` order: every `(i, j)` row without
+/// its first and last `k` goes through `add_row`, so the sum has the bits
+/// of one accumulator in that order.
+pub fn interior_checksum(p: &[f32], mj: usize, mk: usize, planes: Range<usize>) -> f64 {
+    let mut abs = vec![0.0f32; mk - 2];
+    let mut sum = 0.0;
+    for i in planes {
+        for j in 1..mj - 1 {
+            let row = (i * mj + j) * mk + 1;
+            for (a, x) in abs.iter_mut().zip(&p[row..row + mk - 2]) {
+                *a = x.abs();
+            }
+            sum = add_row(sum, &abs);
+        }
+    }
+    sum
+}
+
+/// `acc` plus every element of `row` as `f64`, and by definition what
+/// `for &x in row { acc += x as f64 }` returns, bit for bit, for any
+/// input. The row is added in eight lanes when [`lanes`] proves that no
+/// partial sum rounds, and in row order otherwise.
+pub fn add_row(acc: f64, row: &[f32]) -> f64 {
+    lanes(acc, row).unwrap_or_else(|| k_order(acc, row))
+}
+
+/// The definition of [`add_row`], and its fallback.
+fn k_order(mut acc: f64, row: &[f32]) -> f64 {
+    for &x in row {
+        acc += x as f64;
+    }
+    acc
+}
+
+/// `acc` plus `row` summed in eight `f64` lanes, or `None` unless that is
+/// provably the row-order sum.
+///
+/// **The certificate.** Let `acc ≥ 0` and every `x` be a positive `f32`,
+/// `lo` the smallest. Let `unit = min(lsb(acc), ulp32(lo))`, where
+/// `lsb(acc)` is the value of `acc`'s lowest set bit (`∞` for 0) and
+/// `ulp32(x) = 2^(max(e, 1) − 150)` for `x`'s biased exponent `e`. Every
+/// `x ≥ lo` has an exponent at least `lo`'s, so `acc` and every `x` (exact
+/// in `f64`) are integer multiples of `unit`, and so is every partial sum
+/// in any order: the row-order prefixes, the lanes, their combination and
+/// `acc + s`. No term is negative, so each partial sum is at most the true
+/// total `T`. If `T < 2⁵³·unit`, each partial sum is an integer below 2⁵³
+/// times a power of two no smaller than 2⁻¹⁰⁷⁴, so it is exact in `f64`:
+/// no addition rounds, and every order returns the positive number `T`.
+///
+/// The check is `acc + s < 2⁵²·unit` on the computed sum. When `T <
+/// 2⁵³·unit` the computed sum is `T`, so a pass means `T < 2⁵²·unit`. When
+/// `T ≥ 2⁵³·unit` it fails: rounding to nearest is monotone and `2⁵³·unit`
+/// is representable, so every computed partial sum is at least the smaller
+/// of its exact value and `2⁵³·unit`. That alone makes `2⁵³·unit` a sound
+/// bound; the factor two is margin, and is also what the plain error
+/// bound needs for rows under 2⁵¹ terms (the computed sum then exceeds
+/// `T·e^(−1/4)`).
+///
+/// The bit patterns of non-negative `f32` are ordered like their values,
+/// so the minimum is taken over `x.to_bits() as i32`, a packed `i32` min
+/// on SSE2. A negative input or a NaN with its sign set makes that minimum
+/// negative and fails `lo > 0`, and so does a zero; a positive NaN or an
+/// `inf` makes `s` non-finite; an empty row leaves `lo` a NaN. All of them
+/// fall back, as does an `acc` that is negative or NaN.
+fn lanes(acc: f64, row: &[f32]) -> Option<f64> {
+    const LANES: usize = 8;
+    let mut sum = [0.0f64; LANES];
+    let mut min = [i32::MAX; LANES];
+    let chunks = row.chunks_exact(LANES);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for l in 0..LANES {
+            sum[l] += chunk[l] as f64;
+            min[l] = min[l].min(chunk[l].to_bits() as i32);
+        }
+    }
+    for ((s, m), &x) in sum.iter_mut().zip(&mut min).zip(rest) {
+        *s += x as f64;
+        *m = (*m).min(x.to_bits() as i32);
+    }
+    let s: f64 = sum.iter().sum();
+    let lo = f32::from_bits(min.into_iter().fold(i32::MAX, i32::min) as u32);
+    if !(acc >= 0.0 && lo > 0.0 && s.is_finite()) {
+        return None;
+    }
+    // log2(unit): `acc`'s lowest set bit, `lo`'s ulp.
+    let bits = acc.to_bits();
+    let e = (bits >> 52 & 0x7ff) as i32;
+    let significand = bits & ((1 << 52) - 1) | u64::from(e > 0) << 52;
+    let acc_lsb = match significand.trailing_zeros() {
+        64 => i32::MAX,
+        tz => e.max(1) - 1075 + tz as i32,
+    };
+    let lo_ulp = ((lo.to_bits() >> 23) as i32).max(1) - 150;
+    // 52 + log2(unit) lies in [-1022, 157]: a normal power of two.
+    let bound = f64::from_bits(((1023 + 52 + acc_lsb.min(lo_ulp)) as u64) << 52);
+    let total = acc + s;
+    (total < bound).then_some(total)
 }
 
 #[cfg(test)]
@@ -346,5 +448,144 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `2^e` for `e` in the normal `f64` range.
+    fn pow2(e: i32) -> f64 {
+        f64::from_bits(((1023 + e) as u64) << 52)
+    }
+
+    /// Seeded rows against the `k`-order loop, bit for bit. Accumulators
+    /// of every shape the certificate reads — zero, subnormal, an odd last
+    /// bit, one ulp below a power of two, a power of two (and exact
+    /// round-half-even ties at its ulp), negative, `-0.0`, NaN and `inf` —
+    /// over row lengths 0..=17, 255 and 1,029 of values spanning up to
+    /// forty binary orders, with zeros, `f32` subnormals, `inf`, NaN and
+    /// negatives mixed in. Both paths must be taken often.
+    #[test]
+    fn add_row_is_the_k_order_sum_bit_for_bit() {
+        let mut rng = simtime::XorShift64::new(28);
+        let (mut lane_rows, mut k_rows) = (0, 0);
+        for len in (0..=17).chain([255, 1029]) {
+            for case in 0..1000 {
+                let e = rng.gen_range_usize(0, 81) as i32 - 40;
+                let acc = match case % 6 {
+                    0 => 0.0,
+                    1 => f64::from_bits(rng.gen_range_u64(1, 1 << 52)),
+                    2 => f64::from_bits((pow2(e) * (1.0 + rng.next_f64())).to_bits() | 1),
+                    3 => f64::from_bits(pow2(e).to_bits() - 1),
+                    4 => pow2(e),
+                    _ => [-0.0, -pow2(e), f64::NAN, f64::INFINITY][case / 6 % 4],
+                };
+                // The row's binary orders: its first value's, `low`, near
+                // `acc`'s (or anywhere for a zero or subnormal `acc`), up
+                // to `low + span`.
+                let low = if case % 6 < 2 {
+                    rng.gen_range_usize(0, 121) as i32 - 80
+                } else {
+                    e - rng.gen_range_usize(0, 57) as i32
+                };
+                let span = [0, 1, 3, 8, 20, 40][rng.gen_range_usize(0, 6)];
+                let mut row: Vec<f32> = (0..len)
+                    .map(|i| {
+                        let order = match i {
+                            0 => low,
+                            _ => low + rng.gen_range_usize(0, span + 1) as i32,
+                        };
+                        (pow2(order) * (1.0 + rng.next_f64())) as f32
+                    })
+                    .collect();
+                if case % 6 == 4 && rng.gen_bool(0.25) {
+                    // Every add is an exact tie at `acc`'s ulp (or one and
+                    // a half of it).
+                    let half_ulp = pow2(e - 53) as f32;
+                    row.fill(half_ulp * [1.0, 3.0][rng.gen_range_usize(0, 2)]);
+                }
+                if len > 0 && rng.gen_bool(0.3) {
+                    let at = rng.gen_range_usize(0, len);
+                    let subnormal = f32::from_bits(rng.gen_range_u64(1, 1 << 23) as u32);
+                    match rng.gen_range_usize(0, 6) {
+                        0 => row[at] = 0.0,
+                        1 => row[at] = subnormal,
+                        2 => row[at] = f32::INFINITY,
+                        3 => row[at] = [f32::NAN, -f32::NAN][rng.gen_range_usize(0, 2)],
+                        _ => row.iter_mut().for_each(|x| {
+                            if rng.gen_bool(0.5) {
+                                *x = -*x;
+                            }
+                        }),
+                    }
+                }
+                let want = k_order(acc, &row);
+                let got = add_row(acc, &row);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "len {len} case {case}: acc {acc:e}, row {row:?}"
+                );
+                match lanes(acc, &row) {
+                    Some(_) => lane_rows += 1,
+                    None => k_rows += 1,
+                }
+            }
+        }
+        assert!(
+            lane_rows >= 100 && k_rows >= 100,
+            "lanes {lane_rows}, k order {k_rows}"
+        );
+    }
+
+    /// The shape `himeno_paper` runs: Himeno M over 8 ranks, each slab
+    /// swept as two halves, so 16 plane blocks whose residuals start at
+    /// zero. A certificate that always failed would keep the bits and lose
+    /// the speed: over 4 sweeps, at least 99% of the rows take the lanes.
+    #[test]
+    fn the_eight_rank_m_shape_takes_the_lane_path() {
+        const A3: f32 = 1.0 / 6.0;
+        let (ranks, iters) = (8, 4);
+        let (mi, mj, mk) = GridSize::M.dims();
+        let plane = mj * mk;
+        let mut blocks = Vec::new();
+        let mut start = 1;
+        for r in 0..ranks {
+            let n = (mi - 2) / ranks + usize::from(r < (mi - 2) % ranks);
+            blocks.extend([(start, start + n / 2), (start + n / 2, start + n)]);
+            start += n;
+        }
+        let mut old = HimenoGrid::new(GridSize::M).p;
+        let mut new = old.clone();
+        let mut sq = vec![0.0f32; mk - 2];
+        let (mut rows, mut lane_rows) = (0, 0);
+        for _ in 0..iters {
+            for &(i_lo, i_hi) in &blocks {
+                let mut gosa = 0.0;
+                for i in i_lo..i_hi {
+                    for j in 1..mj - 1 {
+                        for (k, s) in (1..mk - 1).zip(&mut sq) {
+                            let c = i * plane + j * mk + k;
+                            let s0 = old[c + plane]
+                                + old[c + mk]
+                                + old[c + 1]
+                                + old[c - plane]
+                                + old[c - mk]
+                                + old[c - 1];
+                            let ss = s0 * A3 - old[c];
+                            *s = ss * ss;
+                        }
+                        rows += 1;
+                        lane_rows += usize::from(lanes(gosa, &sq).is_some());
+                        gosa = add_row(gosa, &sq);
+                    }
+                }
+                let swept = jacobi_sweep(&old, &mut new, mj, mk, i_lo, i_hi);
+                assert_eq!(swept.to_bits(), gosa.to_bits(), "planes {i_lo}..{i_hi}");
+            }
+            std::mem::swap(&mut old, &mut new);
+        }
+        assert_eq!(rows, iters * (mi - 2) * (mj - 2));
+        assert!(
+            lane_rows * 100 >= rows * 99,
+            "{lane_rows} of {rows} rows took the lanes"
+        );
     }
 }

@@ -32,7 +32,7 @@ mod recover;
 mod reference;
 mod run;
 
-pub use grid::{init_planes, GridSize, HimenoGrid, FLOPS_PER_POINT, OMEGA};
+pub use grid::{init_planes, interior_checksum, GridSize, HimenoGrid, FLOPS_PER_POINT, OMEGA};
 pub use recover::{run_himeno_recover, RecoverConfig, RecoverResult};
-pub use reference::{checksum, reference_jacobi};
+pub use reference::reference_jacobi;
 pub use run::{run_himeno, run_himeno_with_faults, HaloMode, HimenoConfig, HimenoResult, Variant};

@@ -210,7 +210,9 @@ fn step_iter(
             .try_into()
             .expect("sliced"),
     );
-    if (t + 1).is_multiple_of(ckpt_every) {
+    // A rank that owns no plane holds no state to checkpoint (its buffers
+    // are empty: `RankCx::new`), and restores none.
+    if slab.n > 0 && (t + 1).is_multiple_of(ckpt_every) {
         let path = ckpt_path(epoch, cx.p.rank(), t);
         let ec =
             rt.enqueue_checkpoint_buffer(q, new, 0, slab.slab_bytes(), storage, path, &[], actor)?;
@@ -295,10 +297,13 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
     for (j, &slot) in slots.iter().enumerate() {
         let all_ok = (0..cfg.nodes).all(|g| {
             let s0 = Slab::new(&hcfg, g);
-            match storage.read_file(&ckpt_path(0, g, slot)) {
-                Some(f) => matches!(decode_checkpoint(&f), Ok(pl) if pl.len() == s0.slab_bytes()),
-                None => false,
-            }
+            s0.n == 0
+                || match storage.read_file(&ckpt_path(0, g, slot)) {
+                    Some(f) => {
+                        matches!(decode_checkpoint(&f), Ok(pl) if pl.len() == s0.slab_bytes())
+                    }
+                    None => false,
+                }
         });
         if all_ok {
             mask |= 1 << j;
@@ -325,7 +330,7 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
     let gbuf2 = rt2.context().create_buffer(8);
     let q2 = cx2.traced_queue("q2", "gpu");
 
-    if let Some(slot) = resume_slot {
+    if let Some(slot) = resume_slot.filter(|_| cx2.slab.n > 0) {
         let (target, _) = cx2.generation(resume_iter);
         restore_slab(&hcfg, &cx2, &q2, &storage, slot, target);
     }
@@ -405,25 +410,21 @@ fn restore_slab(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference_jacobi;
+    use crate::{interior_checksum, reference_jacobi};
 
     fn reference_checksum(size: GridSize, iters: usize) -> (f64, f64) {
         let r = reference_jacobi(size, iters);
         let (mi, mj, mk) = size.dims();
-        let mut sum = 0.0f64;
-        for i in 1..mi - 1 {
-            for j in 1..mj - 1 {
-                for k in 1..mk - 1 {
-                    sum += r.p[(i * mj + j) * mk + k].abs() as f64;
-                }
-            }
-        }
-        (sum, r.gosa)
+        (interior_checksum(&r.p, mj, mk, 1..mi - 1), r.gosa)
     }
 
     fn cfg(nodes: usize, iters: usize) -> RecoverConfig {
+        cfg_on(GridSize::Xs, nodes, iters)
+    }
+
+    fn cfg_on(size: GridSize, nodes: usize, iters: usize) -> RecoverConfig {
         RecoverConfig {
-            size: GridSize::Xs,
+            size,
             iters,
             sys: SystemConfig::cichlid(),
             nodes,
@@ -476,6 +477,32 @@ mod tests {
             "gosa {} vs reference {ref_gosa}",
             res.gosa
         );
+    }
+
+    /// Two interior planes over four ranks: ranks 2 and 3 own none, hold
+    /// empty buffers and checkpoint nothing, and after rank 1 dies the
+    /// three survivors' rank 2 owns none and restores nothing.
+    #[test]
+    fn ranks_without_planes_checkpoint_and_restore_nothing() {
+        let (size, iters) = (GridSize::Custom(4, 9, 9), 8);
+        let probe = run_himeno_recover(cfg_on(size, 4, iters), FaultPlan::none());
+        let t_kill = probe.elapsed_ns / 2;
+        let res = run_himeno_recover(
+            cfg_on(size, 4, iters),
+            FaultPlan::none().with_node_down(1, t_kill),
+        );
+        assert_eq!((probe.survivors, probe.recovered), (4, false));
+        assert_eq!((res.survivors, res.recovered), (3, true));
+        assert_eq!(
+            res.resumed_from,
+            Some(1),
+            "slot 1 validates without ranks 2 and 3"
+        );
+        let (ref_sum, ref_gosa) = reference_checksum(size, iters);
+        for r in [&probe, &res] {
+            assert!((r.checksum - ref_sum).abs() / ref_sum < 1e-10);
+            assert!((r.gosa - ref_gosa).abs() / ref_gosa < 1e-9);
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ use minimpi::{run_world_faulty, CommittedType, DerivedType, FaultPlan, Process, 
 use simtime::plock::Mutex;
 use simtime::SimNs;
 
-use crate::grid::{jacobi_sweep, GridSize, BYTES_PER_POINT, FLOPS_PER_POINT};
+use crate::grid::{interior_checksum, jacobi_sweep, GridSize, BYTES_PER_POINT, FLOPS_PER_POINT};
 
 const TAG_DOWN: Tag = 100; // payload travels towards rank 0
 const TAG_UP: Tag = 101; // payload travels towards rank P-1
@@ -281,11 +281,14 @@ pub(crate) struct RankCx<'a> {
 impl<'a> RankCx<'a> {
     /// Decompose `cfg`'s grid for `rank` of `rt`'s communicator and fill
     /// both pressure buffers in place (halo planes included) with the
-    /// standard grid's values; residual cells start at zero.
+    /// standard grid's values; residual cells start at zero. A rank that
+    /// owns no plane gets two empty buffers: no kernel, exchange, checksum
+    /// or checkpoint reads its ghost planes.
     pub(crate) fn new(cfg: &'a HimenoConfig, p: &'a Process, rt: &'a ClMpi, rank: usize) -> Self {
         let slab = Slab::new(cfg, rank);
+        let bytes = if slab.n == 0 { 0 } else { slab.slab_bytes() };
         let bufs = [(); 2].map(|()| {
-            let b = rt.context().create_buffer(slab.slab_bytes());
+            let b = rt.context().create_buffer(bytes);
             b.write(|d| crate::grid::fill_planes(d.as_f32_mut(), cfg.size, slab.start - 1));
             b
         });
@@ -320,25 +323,12 @@ impl<'a> RankCx<'a> {
         *self.gosa[t].lock()
     }
 
-    /// Order-tolerant checksum of the final field's interior: it lives in
-    /// the last iteration's `new` buffer.
+    /// Checksum of the final field's interior: it lives in the last
+    /// iteration's `new` buffer.
     pub(crate) fn checksum(&self) -> f64 {
         let slab = &self.slab;
-        self.bufs[self.cfg.iters % 2].read(|d| {
-            let f = d.as_f32();
-            let (mj, mk) = (slab.mj, slab.mk);
-            let mut sum = 0.0f64;
-            for i in 1..=slab.n {
-                for j in 1..mj - 1 {
-                    let row = (i * mj + j) * mk;
-                    // One accumulator, in `k` order: the sum keeps its bits.
-                    for x in &f[row + 1..row + mk - 1] {
-                        sum += x.abs() as f64;
-                    }
-                }
-            }
-            sum
-        })
+        self.bufs[self.cfg.iters % 2]
+            .read(|d| interior_checksum(d.as_f32(), slab.mj, slab.mk, 1..slab.n + 1))
     }
 
     /// Enqueue iteration `t`'s kernel over `half`; the body performs the

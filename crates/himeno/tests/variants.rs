@@ -4,7 +4,9 @@
 
 use clmpi::obs::{chrome_trace, fnv1a, ObsSummary};
 use clmpi::{PackMode, SystemConfig};
-use himeno::{reference_jacobi, run_himeno, GridSize, HaloMode, HimenoConfig, Variant};
+use himeno::{
+    interior_checksum, reference_jacobi, run_himeno, GridSize, HaloMode, HimenoConfig, Variant,
+};
 
 fn cfg(sys: SystemConfig, nodes: usize, iters: usize) -> HimenoConfig {
     HimenoConfig {
@@ -20,15 +22,7 @@ fn cfg(sys: SystemConfig, nodes: usize, iters: usize) -> HimenoConfig {
 fn reference_checksum(size: GridSize, iters: usize) -> (f64, f64) {
     let r = reference_jacobi(size, iters);
     let (mi, mj, mk) = size.dims();
-    let mut sum = 0.0f64;
-    for i in 1..mi - 1 {
-        for j in 1..mj - 1 {
-            for k in 1..mk - 1 {
-                sum += r.p[(i * mj + j) * mk + k].abs() as f64;
-            }
-        }
-    }
-    (sum, r.gosa)
+    (interior_checksum(&r.p, mj, mk, 1..mi - 1), r.gosa)
 }
 
 fn assert_matches_reference(variant: Variant, nodes: usize) {
