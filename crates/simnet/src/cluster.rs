@@ -170,6 +170,9 @@ pub struct Fabric {
     /// One fault injector per source node's tx link (None: perfect fabric,
     /// zero overhead on the hot path).
     faults: Option<Vec<FaultInjector>>,
+    /// The key of the alarms announcing the plan's kill and restart
+    /// instants (None: the plan kills no node).
+    kills: Option<WakeKey>,
     /// Deferred-reservation arbiter (see [`Fabric::reserve_deferred`]).
     /// Same-instant jobs sort by `(src, dst, tag)`: one node's engine and
     /// app threads may post same-instant jobs to the same peer, and their
@@ -233,6 +236,18 @@ impl Fabric {
                 .map(|i| FaultInjector::new(plan.clone(), i as u64))
                 .collect()
         });
+        // A kill or a restart is an event: each window's `from` and finite
+        // `until` is announced by an alarm on a key of the plan's own.
+        let kills = (!plan.node_down.is_empty()).then(|| {
+            let key = clock.new_key();
+            for w in &plan.node_down {
+                clock.schedule_alarm_keyed(w.from, key);
+                if w.until != SimNs::MAX {
+                    clock.schedule_alarm_keyed(w.until, key);
+                }
+            }
+            key
+        });
         // The grants claim this fabric's own timelines; a job still queued
         // when the fabric is dropped is never granted.
         Arc::new_cyclic(|me: &Weak<Fabric>| {
@@ -254,6 +269,7 @@ impl Fabric {
                 pools,
                 plan,
                 faults,
+                kills,
             }
         })
     }
@@ -282,16 +298,14 @@ impl Fabric {
     /// True if `node` is scheduled dead at virtual instant `t` (the
     /// deterministic ground truth higher layers classify timeouts with).
     ///
-    /// No alarm announces a kill instant: a machine that asks with `t =
-    /// now` finds out the first time *anything* wakes it past the kill.
-    /// So under a plan that kills nodes the asker reads
-    /// [`WakeKey::ALL`] — it stays a wildcard, polled at every instant an
-    /// alarm stops the clock at, as every machine was before read-sets.
-    /// A known modelling impurity (DESIGN.md §14 "Ready machines");
-    /// worlds without kills pay nothing.
+    /// The answer for `t = now` flips only at a window's `from` or
+    /// `until`, and [`Fabric::with_faults`] scheduled an alarm on the
+    /// plan's key at each of them: the asker notes that key, so a machine
+    /// parked on the answer is stepped again exactly at the instant it
+    /// flips. Worlds without kills allocate no key and note nothing.
     pub fn node_down_at(&self, node: NodeId, t: SimNs) -> bool {
-        if !self.plan.node_down.is_empty() {
-            simtime::note_read(WakeKey::ALL);
+        if let Some(key) = self.kills {
+            simtime::note_read(key);
         }
         self.plan.node_down_at(node, t)
     }
@@ -673,6 +687,53 @@ mod tests {
             FaultOutcome::Drop(_) => {}
             other => panic!("NIC-routed RMA composes with FaultPlan: {other:?}"),
         }
+    }
+
+    /// `(instant, node_down_at(1, instant))` per step of a [`Prober`].
+    type Seen = Vec<(SimNs, bool)>;
+
+    /// Logs what `node_down_at(1, now)` says at every step, parks with no
+    /// hint, and finishes once node 1 has been down and is up again.
+    struct Prober {
+        fabric: Arc<Fabric>,
+        seen: Seen,
+        done: Arc<simtime::Monitor<Option<Seen>>>,
+    }
+
+    impl simtime::SimActor for Prober {
+        fn wait_label(&self) -> &'static str {
+            "prober"
+        }
+
+        fn poll(&mut self, now: SimNs, _actor: &simtime::Actor) -> simtime::MachineStep {
+            let down = self.fabric.node_down_at(1, now);
+            self.seen.push((now, down));
+            if !down && self.seen.iter().any(|&(_, was)| was) {
+                self.done.with(|d| *d = Some(self.seen.clone()));
+                return simtime::MachineStep::Done;
+            }
+            simtime::MachineStep::Pending(None)
+        }
+    }
+
+    #[test]
+    fn kill_and_restart_instants_are_announced() {
+        let clock = SimClock::new();
+        let plan = FaultPlan::none().with_node_down_window(1, 1_000, 5_000);
+        let fabric = Fabric::with_faults(clock.clone(), ClusterSpec::cichlid(), 2, plan);
+        let done = Arc::new(simtime::Monitor::new(clock.clone(), None));
+        let main = clock.register("main");
+        let prober = Prober {
+            fabric,
+            seen: Vec::new(),
+            done: done.clone(),
+        };
+        clock.spawn_machine(0, "prober", Box::new(prober));
+        // Nothing but the plan's own alarms can move the clock here.
+        let seen = done.wait(&main, |d| d.take());
+        drop(main);
+        clock.quiesce_machines();
+        assert_eq!(seen, vec![(0, false), (1_000, true), (5_000, false)]);
     }
 
     #[test]
