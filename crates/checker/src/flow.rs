@@ -535,7 +535,7 @@ mod tests {
 
     #[test]
     fn closure_argument_lock_is_statement_scoped() {
-        let src = "fn f(a: &Actor, m: &Mutex<u32>) {\n    let r = a.wait_until(|| pred(&mut m.lock()));\n    other.join();\n}\n";
+        let src = "fn f(a: &Actor, m: &Mutex<u32>) {\n    let r = a.wait_on(&keys, label, || pred(&mut m.lock()));\n    other.join();\n}\n";
         let (f, spans) = spans_of(src);
         assert_eq!(spans.len(), 1);
         let join_idx = (0..f.tokens.len())

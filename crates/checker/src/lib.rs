@@ -11,7 +11,7 @@
 //! express anything deeper (attribute scope, token adjacency, counts
 //! against a baseline). This crate replaces them with a hand-rolled
 //! comment/string/raw-string-aware Rust [`lexer`] and a small pass
-//! framework ([`passes`]) running nine checks:
+//! framework ([`passes`]) running eight checks:
 //!
 //! | id | pass | invariant |
 //! |----|------|-----------|
@@ -23,9 +23,8 @@
 //! | P6 | `lock-lifetime` | no blocking call / nested lock while a guard is live ([`flow`]) |
 //! | P7 | `lock-order` | the cross-function lock-order graph is acyclic ([`callgraph`]) |
 //! | P8 | `actor-hygiene` | SimActor/EngineOp/OpBody machine bodies never OS-block or spawn threads |
-//! | P9 | `wildcard-wake` | outside simtime, unkeyed `.notify()` / `schedule_alarm` / `wait_until*` carry a justified allow marker |
 //!
-//! P1–P5 and P9 are token-level lints. P6–P8 are flow-aware (PR 8),
+//! P1–P5 are token-level lints. P6–P8 are flow-aware (PR 8),
 //! motivated by the PR-7 drop deadlock: a `MutexGuard` kept live by an
 //! `if let` scrutinee across a thread join. [`flow`] computes per-function
 //! guard-lifetime spans on top of the lexer; [`callgraph`] lifts the
@@ -46,7 +45,7 @@
 //! * `cargo test -p checker` — tier-1 coverage: the lexer and flow unit
 //!   tests, fixture-driven positive/negative tests per pass (including
 //!   the PR-7 deadlock regression fixture), and a test that runs all
-//!   nine passes over the real workspace.
+//!   eight passes over the real workspace.
 //!
 //! See DESIGN.md §9 for the invariant rationale and the allow-marker
 //! grammar (`// checker-allow(<pass-id>): <non-empty why>`).

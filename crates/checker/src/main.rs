@@ -1,4 +1,4 @@
-//! CLI entry point: run the nine passes over the workspace (the CI
+//! CLI entry point: run the eight passes over the workspace (the CI
 //! gate), print a machine-readable report (`--json`), explain a pass
 //! (`--explain <pass>`), or regenerate the ratchet baseline
 //! (`--write-baseline`).
@@ -9,7 +9,7 @@ use checker::{current_baseline, run_all, workspace_root, Diag, Workspace, PASS_I
 
 /// Rule and rationale per pass, printed by `--explain`. Kept next to the
 /// CLI so the text stays a usage surface, not analysis logic.
-const EXPLANATIONS: [(&str, &str); 9] = [
+const EXPLANATIONS: [(&str, &str); 8] = [
     (
         "non-blocking-engine",
         "crates/clmpi/src/engine.rs is the data plane. It must never block the\n\
@@ -79,22 +79,6 @@ const EXPLANATIONS: [(&str, &str); 9] = [
          direct thread::spawn — machines return Pending (bodies: Park) with a\n\
          wake hint and spawn through the clock so the scheduler can account\n\
          for them. (DESIGN.md §9 P8)",
-    ),
-    (
-        "wildcard-wake",
-        "A wake-up names who it is for: every Monitor owns a WakeKey, a blocked\n\
-         actor registers the keys its predicate reads (Actor::wait_on), and a\n\
-         parked machine is registered on the keys its last poll read. The\n\
-         unkeyed forms — .notify(), schedule_alarm(t), wait_until(…),\n\
-         wait_until_labeled(…) — match every key in both directions: one such\n\
-         notify flags every blocked actor and readies every machine, and one\n\
-         such wait is re-run on every notify and alarm of the\n\
-         world. That is always correct (\"a wait that has not been taught its\n\
-         keys is slow, never wrong\") and is what made a 256-rank world spend\n\
-         97% of its wake-ups on nothing. Outside crates/simtime and outside test\n\
-         code each remaining site carries\n\
-         `// checker-allow(wildcard-wake): <why it cannot be keyed>`; the marker\n\
-         count is ratcheted in baseline.toml. (DESIGN.md §9 P9, §14)",
     ),
 ];
 

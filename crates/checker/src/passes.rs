@@ -1,4 +1,4 @@
-//! The nine invariant passes.
+//! The eight invariant passes.
 //!
 //! Each pass walks the lexed token streams of the library crates and
 //! reports [`Diag`]s. All passes share two conventions:
@@ -16,7 +16,7 @@
 //!
 //! Passes P1–P5 are token-level lints (PR 3). P6–P8 are flow-aware: they
 //! reason over guard lifetimes ([`crate::flow`]) and one-level call
-//! summaries ([`crate::callgraph`]). P9 is token-level again.
+//! summaries ([`crate::callgraph`]).
 
 use crate::baseline::{Baseline, Counts};
 use crate::callgraph;
@@ -26,7 +26,7 @@ use crate::workspace::{SourceFile, Workspace, LIBRARY_CRATES};
 
 /// Every pass id, in run order. The allow-marker ratchet and
 /// `--explain` both key off this list.
-pub const PASS_IDS: [&str; 9] = [
+pub const PASS_IDS: [&str; 8] = [
     "non-blocking-engine",
     "blocking-marker",
     "panic-ratchet",
@@ -35,7 +35,6 @@ pub const PASS_IDS: [&str; 9] = [
     "lock-lifetime",
     "lock-order",
     "actor-hygiene",
-    "wildcard-wake",
 ];
 
 /// One reported violation, printed as `file:line: [pass] message`.
@@ -69,7 +68,6 @@ pub fn run_all(ws: &Workspace) -> Vec<Diag> {
     pass_lock_lifetime(ws, &mut out);
     pass_lock_order(ws, &mut out);
     pass_actor_hygiene(ws, &mut out);
-    pass_wildcard_wake(ws, &mut out);
     out
 }
 
@@ -470,8 +468,6 @@ pub const BLOCKING_CALLS: &[&str] = &[
     "wait",
     "wait_timeout",
     "wait_labeled",
-    "wait_until",
-    "wait_until_labeled",
     "wait_on",
     "wait_result",
     "wait_delivered",
@@ -734,65 +730,4 @@ fn machine_regions(f: &SourceFile) -> Vec<(String, (usize, usize))> {
         }
     }
     out
-}
-
-// ----------------------------------------------------------------------
-// Pass 9 — wildcard wake-ups
-// ----------------------------------------------------------------------
-
-/// DESIGN.md §14 "Wake by dependency": a wake-up names who it is for. An
-/// unkeyed `.notify()` or `schedule_alarm(t)` flags every blocked actor
-/// and readies every parked machine of the world, and a `wait_until*`
-/// is woken by every notify and alarm of every key — always correct,
-/// and exactly the cost the keyed forms (`Monitor`, `notify_key`,
-/// `Monitor::alarm_at`, `schedule_alarm_keyed`, `Actor::wait_on`) exist
-/// to avoid. Outside `crates/simtime` (which defines both forms) each
-/// wildcard site needs a `// checker-allow(wildcard-wake): <why>`
-/// saying what keeps it from being keyed. Test code is exempt.
-pub fn pass_wildcard_wake(ws: &Workspace, out: &mut Vec<Diag>) {
-    const PASS: &str = "wildcard-wake";
-    const WILDCARDS: &[&str] = &["schedule_alarm", "wait_until", "wait_until_labeled"];
-    for f in ws
-        .files
-        .iter()
-        .filter(|f| f.krate != "simtime" && !f.in_tests_dir)
-    {
-        for idx in 0..f.tokens.len() {
-            if f.is_test_token(idx) {
-                continue;
-            }
-            let what = if let Some(n) = f.method_call_at(idx, WILDCARDS) {
-                format!("`.{n}(`")
-            } else if f.method_call_at(idx, &["notify"]).is_some() && call_is_nullary(f, idx) {
-                "unkeyed `.notify()`".to_string()
-            } else {
-                continue;
-            };
-            if f.allowed_at(idx, PASS) {
-                continue;
-            }
-            out.push(Diag {
-                pass: PASS,
-                file: f.path.clone(),
-                line: f.tokens[idx].line,
-                msg: format!(
-                    "{what} wakes (or is woken by) everything — use the keyed form \
-                     (Monitor, notify_key, alarm_at / schedule_alarm_keyed, wait_on) or \
-                     say why not with `// checker-allow(wildcard-wake): <why>` \
-                     (DESIGN.md §9 P9)"
-                ),
-            });
-        }
-    }
-}
-
-/// Is the call whose name sits at `idx` written `name()`?
-fn call_is_nullary(f: &SourceFile, idx: usize) -> bool {
-    let Some(open) = f.next_code(idx + 1) else {
-        return false;
-    };
-    matches!(
-        f.next_code(open + 1).map(|i| f.tok(i)),
-        Some(Tok::Punct(')'))
-    )
 }

@@ -1,4 +1,4 @@
-//! Fixture-driven pass tests: for each of the nine passes, one fixture
+//! Fixture-driven pass tests: for each of the eight passes, one fixture
 //! that MUST trip it (positive) and one near-identical fixture that must
 //! NOT (negative). The P1–P5 negatives are chosen to be exactly the
 //! situations the old CI grep gates got wrong — forbidden tokens inside
@@ -9,7 +9,6 @@
 use checker::passes::{
     pass_actor_hygiene, pass_blocking_markers, pass_determinism, pass_lock_lifetime,
     pass_lock_order, pass_nonblocking_engine, pass_panic_ratchet, pass_status_literals,
-    pass_wildcard_wake,
 };
 use checker::{Diag, Workspace};
 
@@ -510,9 +509,8 @@ fn names(&self) -> String {
 
 #[test]
 fn p6_and_p8_keyed_park_is_blocking_vocabulary() {
-    // `wait_on` parks the actor exactly like `wait_until`: a guard held
-    // across it is the PR-7 deadlock shape, and a machine body must not
-    // call it. `wait_retired` is the scheduler pool's own park.
+    // `wait_on` parks the actor: a guard held across it is the PR-7
+    // deadlock shape, and a machine body must not call it. `wait_retired` is the scheduler pool's own park.
     let src = r#"
 fn f(&self, actor: &Actor) {
     let st = self.state.lock();
@@ -800,82 +798,4 @@ mod tests {
 "#;
     let out = diags(pass_actor_hygiene, &[("crates/simtime/src/a.rs", live)], "");
     assert!(out.is_empty(), "{out:?}");
-}
-
-// ------------------------------------------------------------------
-// P9 — wildcard wake-ups
-// ------------------------------------------------------------------
-
-#[test]
-fn p9_flags_every_unkeyed_form_outside_simtime() {
-    let src = r#"
-fn f(w: &World, actor: &Actor, at: SimNs) {
-    w.clock.notify();
-    w.clock.schedule_alarm(at);
-    actor.wait_until(|| w.ready());
-    actor.wait_until_labeled("rma fence", || w.ready());
-}
-"#;
-    let out = diags(
-        pass_wildcard_wake,
-        &[("crates/minimpi/src/rma.rs", src)],
-        "",
-    );
-    let lines: Vec<u32> = out.iter().map(|d| d.line).collect();
-    assert_eq!(lines, vec![3, 4, 5, 6], "{out:?}");
-    assert!(out[0].msg.contains(".notify()"), "{}", out[0].msg);
-    assert!(out[1].msg.contains(".schedule_alarm("), "{}", out[1].msg);
-    assert!(
-        out[3].msg.contains(".wait_until_labeled("),
-        "{}",
-        out[3].msg
-    );
-}
-
-#[test]
-fn p9_keyed_forms_simtime_tests_and_justified_sites_are_clean() {
-    let keyed = r#"
-//! Docs may say `.notify()` and `schedule_alarm(` freely.
-fn f(w: &World, actor: &Actor, slot: &Monitor<u8>, at: SimNs) {
-    w.clock.notify_key(slot.key());
-    w.clock.schedule_alarm_keyed(at, slot.key());
-    slot.alarm_at(at);
-    actor.wait_on(&[slot.key()], "rma op", || w.ready());
-    cv.notify(token); // not the clock's nullary wildcard
-    let msg = "call .notify() later";
-    // checker-allow(wildcard-wake): the flag is a raw atomic no monitor owns
-    w.clock.notify();
-}
-#[cfg(test)]
-mod tests {
-    fn t(c: &SimClock, a: &Actor) { c.notify(); a.wait_until(|| None::<()>); }
-}
-"#;
-    let inside = "fn settle(a: &Actor, c: &SimClock) { c.notify(); a.wait_until(|| None::<()>); }";
-    let out = diags(
-        pass_wildcard_wake,
-        &[
-            ("crates/minimpi/src/rma.rs", keyed),
-            ("crates/simtime/src/sync.rs", inside),
-            ("crates/clmpi/tests/wake.rs", inside),
-        ],
-        "",
-    );
-    assert!(out.is_empty(), "false positives: {out:?}");
-}
-
-#[test]
-fn p9_empty_rationale_does_not_suppress_and_markers_are_ratcheted() {
-    let src = "fn f(c: &SimClock) {\n    // checker-allow(wildcard-wake):\n    c.notify();\n}\n";
-    let out = diags(pass_wildcard_wake, &[("crates/simnet/src/x.rs", src)], "");
-    assert_eq!(out.len(), 1, "an empty why is no why: {out:?}");
-
-    let src =
-        "fn f(c: &SimClock) {\n    // checker-allow(wildcard-wake): raw flag\n    c.notify();\n}\n";
-    let out = diags(pass_panic_ratchet, &[("crates/simnet/src/x.rs", src)], "");
-    assert!(
-        out.iter()
-            .any(|d| d.msg.contains("checker-allow(wildcard-wake)") && d.msg.contains("UP")),
-        "a new wildcard-wake suppression trips the [allow] ratchet: {out:?}"
-    );
 }

@@ -1,4 +1,4 @@
-//! Tier-1 integration: run all nine passes over the *real* workspace.
+//! Tier-1 integration: run all eight passes over the *real* workspace.
 //!
 //! This is the same check `cargo run -p checker` (the CI gate) performs;
 //! having it as a test means plain `cargo test` cannot pass while an

@@ -78,8 +78,9 @@ fn alarms_never_move_clock_backwards() {
             .collect();
         let clock = SimClock::new();
         let a = clock.register("stepper");
+        let key = clock.new_key();
         for t in alarms {
-            clock.schedule_alarm(t);
+            clock.schedule_alarm_keyed(t, key);
         }
         let mut last = 0;
         for d in steps {
@@ -141,8 +142,9 @@ fn barrier_rounds_align() {
     }
 }
 
-/// Message passing via notify: a receiver observes each token at the
-/// sender's virtual send time, never later than the next send.
+/// Message passing via a notify of the slot's key: a receiver observes
+/// each token at the sender's virtual send time, never later than the
+/// next send.
 #[test]
 fn token_stream_preserves_timestamps() {
     for case in 0..24u64 {
@@ -151,6 +153,7 @@ fn token_stream_preserves_timestamps() {
             .map(|_| rng.gen_range_u64(1, 10_000))
             .collect();
         let clock = SimClock::new();
+        let key = clock.new_key();
         let slot: Arc<Mutex<Option<u64>>> = Arc::new(Mutex::new(None));
         let s = clock.register("send");
         let r = clock.register("recv");
@@ -160,15 +163,17 @@ fn token_stream_preserves_timestamps() {
             for g in gaps {
                 s.advance_ns(g);
                 // one-slot channel: wait for it to be empty
-                s.wait_until(|| s_slot.lock().is_none().then_some(()));
+                s.wait_on(&[key], "slot free", || {
+                    s_slot.lock().is_none().then_some(())
+                });
                 *s_slot.lock() = Some(s.now_ns());
-                s.clock().notify();
+                s.clock().notify_key(key);
             }
         });
         let mut last = 0u64;
         for _ in 0..n {
-            let sent_at = r.wait_until(|| slot.lock().take());
-            r.clock().notify();
+            let sent_at = r.wait_on(&[key], "slot full", || slot.lock().take());
+            r.clock().notify_key(key);
             assert!(sent_at >= last, "case {case}");
             assert!(r.now_ns() >= sent_at, "case {case}");
             last = sent_at;

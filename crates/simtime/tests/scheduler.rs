@@ -490,7 +490,7 @@ fn deadlock_report_names_the_parked_machine() {
         let _h = clock.spawn_machine(3, "stuck", Box::new(stuck));
         // Never satisfied: with the machine parked hint-less, nothing can
         // advance the clock — a deadlock by construction.
-        main.wait_until(|| -> Option<()> { None })
+        main.wait_on(&[clock.new_key()], "never", || -> Option<()> { None })
     });
     assert!(
         report.contains("\n  scheduler: 1 parked"),
@@ -501,8 +501,8 @@ fn deadlock_report_names_the_parked_machine() {
         "report names the parked machine:\n{report}"
     );
     assert!(
-        report.contains("[wildcard"),
-        "report says the blocked waiters take any key:\n{report}"
+        report.contains("Blocked(\"never\") [keyed: 1 key(s)]"),
+        "report says what the blocked waiter is keyed on:\n{report}"
     );
 }
 
@@ -525,13 +525,17 @@ fn sixteen_hints_are_one_scheduler_thread() {
             let _h = clock.spawn_machine(i * 7 + 1, format!("stuck{i}"), Box::new(stuck));
         }
         assert_eq!(clock.actor_count(), 2, "main and one scheduler");
-        main.wait_until(|| -> Option<()> { None })
+        main.wait_on(&[clock.new_key()], "never", || -> Option<()> { None })
     });
     let polled_by = polled_by.lock().clone();
     assert!(polled_by.len() >= 16, "every machine was stepped");
     assert!(
         polled_by.iter().all(|id| *id == polled_by[0]),
         "by one thread: {polled_by:?}"
+    );
+    assert!(
+        report.contains("Blocked(\"never\") [keyed: 1 key(s)]"),
+        "{report}"
     );
     let blocks = report.lines().filter(|l| l.starts_with("  scheduler:"));
     assert_eq!(blocks.count(), 1, "{report}");

@@ -1,7 +1,6 @@
-//! Wake-by-dependency: keyed notifies and alarms reach their dependants
-//! and nobody else, unkeyed ones still reach everybody, and neither the
-//! clock's trajectory nor the lost-wake-up and poison guarantees depend
-//! on keys.
+//! Wake-by-dependency: notifies and alarms reach the dependants of their
+//! key and nobody else, and neither the clock's trajectory nor the
+//! lost-wake-up and poison guarantees depend on keys.
 //!
 //! Interleavings are forced through virtual time itself: an actor that
 //! has `advance_ns`'d to instant t only runs once every other actor is
@@ -10,7 +9,7 @@
 //!
 //! The second half is about the scheduler thread, which is *held*: flagged
 //! when a machine is readied (by a notify or alarm of a key it
-//! read, or by any unkeyed one), but resumed only once every other actor
+//! read), but resumed only once every other actor
 //! has parked. Those tests run under a wall-clock watchdog, because what
 //! a missed release looks like is a world that never ends.
 //!
@@ -99,37 +98,6 @@ fn keyed_notify_does_not_wake_a_waiter_on_another_monitor() {
 }
 
 #[test]
-fn unkeyed_notify_and_alarm_still_wake_keyed_waiters() {
-    let clock = SimClock::new();
-    let m = Arc::new(Monitor::new(clock.clone(), ()));
-    let flag = Arc::new(AtomicBool::new(false));
-    let waiter = clock.register("keyed");
-    let driver = clock.register("driver");
-
-    let (m1, f1, c1) = (m.clone(), flag.clone(), clock.clone());
-    let t = thread::spawn(move || {
-        // Registered on m's key only, but reading state m does not own:
-        // legal exactly because its writers notify unkeyed.
-        waiter.wait_on(&[m1.key()], "raw flag", || {
-            f1.load(Ordering::SeqCst).then_some(())
-        });
-        let at_flag = waiter.now_ns();
-        waiter.wait_on(&[m1.key()], "raw deadline", || {
-            (c1.now_ns() >= 5_000).then_some(())
-        });
-        (at_flag, waiter.now_ns())
-    });
-    driver.advance_ns(100);
-    flag.store(true, Ordering::SeqCst);
-    clock.notify();
-    clock.schedule_alarm(5_000);
-    drop(driver);
-    assert_eq!(join(t), (100, 5_000));
-    assert_eq!(label(&clock, "raw flag").successes, 1);
-    assert_eq!(label(&clock, "raw deadline").successes, 1);
-}
-
-#[test]
 fn alarm_for_an_instant_already_reached_flags_at_once_and_never_moves_the_clock_back() {
     // A grant the clock reaches late (nobody was blocked to drive it)
     // alarms for a `visible_at` already behind `now`.
@@ -153,31 +121,26 @@ fn alarm_for_an_instant_already_reached_flags_at_once_and_never_moves_the_clock_
     assert_eq!(clock.now_ns(), 110);
 }
 
-/// Alarms at 100 and 200 that concern nobody parked, one at 300 for the
-/// waiter on `a`; a wildcard observer logs every instant it is woken at.
-/// Returns (observer's log, a-waiter's wake accounting, final time).
-fn alarm_trajectory(keyed: bool) -> (Vec<SimNs>, LabelWakes, SimNs) {
+/// Alarms at 100 and 200 on `b`, one at 300 for the waiter on `a`; an
+/// observer of both logs every instant it is woken at. Returns
+/// (observer's log, a-waiter's wake accounting, final time).
+fn alarm_trajectory() -> (Vec<SimNs>, LabelWakes, SimNs) {
     let clock = SimClock::new();
     let a = Arc::new(Monitor::new(clock.clone(), ()));
     let b = Monitor::new(clock.clone(), ());
     let wa = clock.register("on-a");
     let observer = clock.register("observer");
-    if keyed {
-        b.alarm_at(100);
-        b.alarm_at(200);
-        a.alarm_at(300);
-    } else {
-        for t in [100, 200, 300] {
-            clock.schedule_alarm(t);
-        }
-    }
+    b.alarm_at(100);
+    b.alarm_at(200);
+    a.alarm_at(300);
     let (a1, c1) = (a.clone(), clock.clone());
     let ta =
         thread::spawn(move || a1.wait_labeled(&wa, "on a", |_| (c1.now_ns() >= 300).then_some(())));
     let log = Arc::new(Mutex::new(Vec::new()));
     let (l1, c2) = (log.clone(), clock.clone());
+    let both = [a.key(), b.key()];
     let to = thread::spawn(move || {
-        observer.wait_until(|| {
+        observer.wait_on(&both, "observer", || {
             let now = c2.now_ns();
             let mut log = l1.lock();
             if log.last() != Some(&now) {
@@ -193,18 +156,12 @@ fn alarm_trajectory(keyed: bool) -> (Vec<SimNs>, LabelWakes, SimNs) {
 }
 
 #[test]
-fn keyed_alarm_drives_the_clock_like_an_unkeyed_one_but_wakes_only_dependants() {
-    let (seen_k, on_a_k, end_k) = alarm_trajectory(true);
-    let (seen_u, on_a_u, end_u) = alarm_trajectory(false);
-    assert_eq!(seen_k, vec![0, 100, 200, 300], "every due alarm drives");
-    assert_eq!(seen_k, seen_u, "keys never change where `now` goes");
-    assert_eq!((end_k, end_u), (300, 300));
-    assert_eq!(
-        on_a_k.wakeups, 1,
-        "b's alarms pass a's waiter by: {on_a_k:?}"
-    );
-    assert_eq!(on_a_u.wakeups, 3, "unkeyed alarms wake it each time");
-    assert_eq!((on_a_k.successes, on_a_u.successes), (1, 1));
+fn keyed_alarm_drives_the_clock_but_wakes_only_dependants() {
+    let (seen, on_a, end) = alarm_trajectory();
+    assert_eq!(seen, vec![0, 100, 200, 300], "every due alarm drives");
+    assert_eq!(end, 300);
+    assert_eq!(on_a.wakeups, 1, "b's alarms pass a's waiter by: {on_a:?}");
+    assert_eq!(on_a.successes, 1);
 }
 
 #[test]
@@ -252,13 +209,14 @@ fn panicking_actor_unparks_every_keyed_waiter_and_sleeper() {
     let b = Arc::new(Monitor::new(clock.clone(), ()));
     let on_a = clock.register("on-a");
     let on_b = clock.register("on-b");
-    let wildcard = clock.register("wildcard");
+    let on_raw = clock.register("on-raw");
+    let raw = clock.new_key();
     let sleeper = clock.register("sleeper");
     let panicker = clock.register("panicker");
     let parked = vec![
         thread::spawn(move || a.wait(&on_a, |_| None::<()>)),
         thread::spawn(move || b.wait(&on_b, |_| None::<()>)),
-        thread::spawn(move || wildcard.wait_until(|| None::<()>)),
+        thread::spawn(move || on_raw.wait_on(&[raw], "raw", || None::<()>)),
         thread::spawn(move || sleeper.advance_ns(1_000_000_000)),
     ];
     let boom = thread::spawn(move || {
@@ -299,10 +257,12 @@ fn within_watchdog(f: impl FnOnce() + Send + 'static) {
 
 /// A machine that counts its polls. It asks to be woken at each of
 /// `ticks` and retires at the last one, or — with no ticks — when `stop`
-/// is set (a raw flag: whoever sets it notifies the clock unkeyed).
+/// is set (a raw flag: whoever sets it notifies `key`, which every poll
+/// notes).
 struct Watcher {
     polls: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
+    key: WakeKey,
     ticks: Vec<SimNs>,
 }
 
@@ -313,6 +273,7 @@ impl SimActor for Watcher {
 
     fn poll(&mut self, now: SimNs, _actor: &Actor) -> MachineStep {
         self.polls.fetch_add(1, Ordering::SeqCst);
+        simtime::note_read(self.key);
         if self.stop.load(Ordering::SeqCst) || self.ticks.last().is_some_and(|&t| now >= t) {
             return MachineStep::Done;
         }
@@ -320,18 +281,26 @@ impl SimActor for Watcher {
     }
 }
 
-/// Put one [`Watcher`] — hence the scheduler — on `clock`; returns the
-/// watcher's poll counter and stop flag.
-fn spawn_watcher(clock: &SimClock, ticks: &[SimNs]) -> (Arc<AtomicU64>, Arc<AtomicBool>) {
+/// What a test holds of its [`Watcher`].
+struct Watched {
+    polls: Arc<AtomicU64>,
+    stop: Arc<AtomicBool>,
+    key: WakeKey,
+}
+
+/// Put one [`Watcher`] — hence the scheduler — on `clock`.
+fn spawn_watcher(clock: &SimClock, ticks: &[SimNs]) -> Watched {
     let polls = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
+    let key = clock.new_key();
     let watcher = Watcher {
         polls: polls.clone(),
         stop: stop.clone(),
+        key,
         ticks: ticks.to_vec(),
     };
     clock.spawn_machine(0, "watcher", Box::new(watcher));
-    (polls, stop)
+    Watched { polls, stop, key }
 }
 
 const SCHED: &str = "sched";
@@ -341,12 +310,12 @@ fn held_worker_resumes_when_the_last_runnable_actor_parks_and_not_before() {
     within_watchdog(|| {
         let clock = SimClock::new();
         let driver = clock.register("driver");
-        let (polls, stop) = spawn_watcher(&clock, &[]);
+        let Watched { polls, stop, key } = spawn_watcher(&clock, &[]);
         // t=10: the worker is parked (or the clock could not have moved).
         driver.advance_ns(10);
         let (before, polled) = (label(&clock, SCHED), polls.load(Ordering::SeqCst));
         for _ in 0..5 {
-            clock.notify();
+            clock.notify_key(key);
         }
         // The worker is flagged now. Give the OS every chance to run it:
         // it must stay parked for as long as the driver is runnable.
@@ -367,7 +336,7 @@ fn held_worker_resumes_when_the_last_runnable_actor_parks_and_not_before() {
         );
         assert_eq!(polls.load(Ordering::SeqCst), polled + 1);
         stop.store(true, Ordering::SeqCst);
-        clock.notify();
+        clock.notify_key(key);
         drop(driver);
         clock.quiesce_machines();
         assert_eq!(clock.now_ns(), 20);
@@ -383,7 +352,7 @@ fn alarm_firing_during_a_clock_advance_releases_the_held_worker() {
     within_watchdog(|| {
         let clock = SimClock::new();
         let main = clock.register("main");
-        let (polls, _) = spawn_watcher(&clock, &[100, 200, 300]);
+        let polls = spawn_watcher(&clock, &[100, 200, 300]).polls;
         drop(main);
         clock.quiesce_machines();
         assert_eq!(clock.now_ns(), 300);
@@ -404,7 +373,7 @@ fn notify_from_a_thread_without_an_actor_reaches_the_held_worker() {
     within_watchdog(|| {
         let clock = SimClock::new();
         let driver = clock.register("driver");
-        let (polls, stop) = spawn_watcher(&clock, &[]);
+        let Watched { polls, stop, key } = spawn_watcher(&clock, &[]);
         let (open_gate, gate) = mpsc::channel::<()>();
         let t = thread::spawn(move || {
             driver.advance_ns(10);
@@ -420,7 +389,7 @@ fn notify_from_a_thread_without_an_actor_reaches_the_held_worker() {
         let (before, polled) = (label(&clock, SCHED), polls.load(Ordering::SeqCst));
         stop.store(true, Ordering::SeqCst);
         for _ in 0..3 {
-            clock.notify();
+            clock.notify_key(key);
         }
         thread::sleep(Duration::from_millis(50));
         assert_eq!(
@@ -442,11 +411,11 @@ fn poison_unparks_a_held_worker() {
     within_watchdog(|| {
         let clock = SimClock::new();
         let driver = clock.register("driver");
-        let _ = spawn_watcher(&clock, &[]);
+        let key = spawn_watcher(&clock, &[]).key;
         let c1 = clock.clone();
         let boom = thread::spawn(move || {
             driver.advance_ns(10);
-            c1.notify(); // the worker is flagged and held: we are runnable
+            c1.notify_key(key); // the worker is flagged and held: we are runnable
             std::panic::panic_any("boom");
         });
         assert!(boom.join().is_err());
@@ -470,17 +439,17 @@ fn actor_dropped_while_a_worker_is_held_keeps_the_clock_advancing() {
         let clock = SimClock::new();
         let driver = clock.register("driver");
         let sleeper = clock.register("sleeper");
-        let (polls, stop) = spawn_watcher(&clock, &[]);
-        let (c1, s1) = (clock.clone(), stop.clone());
+        let Watched { polls, stop, key } = spawn_watcher(&clock, &[]);
+        let c1 = clock.clone();
         let t = thread::spawn(move || {
             sleeper.advance_ns(100);
-            s1.store(true, Ordering::SeqCst);
-            c1.notify();
+            stop.store(true, Ordering::SeqCst);
+            c1.notify_key(key);
             sleeper.now_ns()
         });
         driver.advance_ns(10);
         let (before, polled) = (label(&clock, SCHED), polls.load(Ordering::SeqCst));
-        clock.notify();
+        clock.notify_key(key);
         drop(driver);
         assert_eq!(join(t), 100);
         clock.quiesce_machines();
@@ -764,43 +733,6 @@ fn hint_steps_through_on_wake_and_key_through_poll() {
             1,
             "one alarm for one instant"
         );
-    });
-}
-
-#[test]
-fn unkeyed_notify_and_alarm_still_ready_every_machine() {
-    // Three machines under three hints that read nothing a monitor owns: a
-    // raw flag and the clock. Only the wildcard forms can reach them.
-    within_watchdog(|| {
-        let clock = SimClock::new();
-        let flag = Arc::new(AtomicBool::new(false));
-        let seen: Vec<Arc<Mutex<Vec<SimNs>>>> = (0..3).map(|_| Arc::default()).collect();
-        let driver = clock.register("driver");
-        for (i, seen) in seen.iter().enumerate() {
-            let (flag, seen) = (flag.clone(), seen.clone());
-            spawn_fn(&clock, i as u64, "raw reader", move |_, now| {
-                seen.lock().push(now);
-                if flag.load(Ordering::SeqCst) && now >= 500 {
-                    MachineStep::Done
-                } else {
-                    MachineStep::Pending(None)
-                }
-            });
-        }
-        driver.advance_ns(10);
-        let before = machine_stats(&clock);
-        flag.store(true, Ordering::SeqCst);
-        clock.notify();
-        driver.advance_ns(10);
-        let after = machine_stats(&clock);
-        assert_eq!((after.1, after.2), (before.1 + 3, before.2 + 3));
-        clock.schedule_alarm(500);
-        drop(driver);
-        clock.quiesce_machines();
-        assert_eq!(clock.now_ns(), 500);
-        for seen in &seen {
-            assert_eq!(*seen.lock(), vec![0, 10, 500]);
-        }
     });
 }
 
