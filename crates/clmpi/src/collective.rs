@@ -46,15 +46,16 @@
 //! collide with it.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use minicl::{Buffer, ClError, ClResult, CommandQueue, Device, Event};
 use minimpi::datatype::{bytes_to_f64, f64_as_bytes};
-use minimpi::{Rank, RecvResult, ReduceOp, Tag};
+use minimpi::{Rank, ReduceOp, Tag};
 use simtime::{Actor, SimNs};
 
 use crate::engine::{
     load_behind, store, Advance, ChunkRecv, CountedRecv, Envelope, Hop, OpBody, OpCx, RecvPoll,
-    ReliableChunkSend, SendQueue,
+    ReliableChunkSend, SendQueue, WireChunk,
 };
 use crate::obs::Via;
 use crate::runtime::{ClMpi, Inner};
@@ -538,28 +539,19 @@ fn report_outcome(
 // ----------------------------------------------------------------------
 
 /// Queue the wire message `msg` for every child, armed at `at` and named
-/// `{what}→r{child}`. The last child gets the message itself; a clone is
-/// made only where the topology has a second edge to feed (a ring has
-/// none).
+/// `{what}→r{child}`. Every child shares the one allocation.
 fn fan_out(
     queue: &mut SendQueue,
     cx: &OpCx,
     (children, wire_tag): (&[Rank], Tag),
-    msg: Vec<u8>,
+    msg: &Arc<Vec<u8>>,
     at: SimNs,
     (what, cat): (String, &'static str),
 ) {
-    let Some((&last, others)) = children.split_last() else {
-        return;
-    };
-    let mut push = |c: Rank, msg: Vec<u8>| {
-        let send = ReliableChunkSend::new(&cx.inner, c, wire_tag, msg, at, None);
+    for &c in children {
+        let send = ReliableChunkSend::new(&cx.inner, c, wire_tag, msg.clone(), at, None);
         queue.push(send, at, format!("{what}→r{c}"), cat);
-    };
-    for &c in others {
-        push(c, msg.clone());
     }
-    push(last, msg);
 }
 
 // ----------------------------------------------------------------------
@@ -600,12 +592,12 @@ impl BcastRootBody {
         let mut first = true;
         let layout = chunk_layout(self.size, self.tuning.chunk.max(1));
         for (k, &(coff, clen)) in layout.iter().enumerate() {
-            let msg = load_behind(
+            let msg = Arc::new(load_behind(
                 &[self.tuning.algo.id()],
                 &self.buf,
                 self.offset + coff,
                 clen,
-            );
+            ));
             let send_from = if clen == 0 {
                 now
             } else {
@@ -615,7 +607,7 @@ impl BcastRootBody {
             };
             let to = (&children[..], self.wire_tag);
             let named = (format!("bcast[{k}]"), "chunk");
-            fan_out(&mut self.run.queue, cx, to, msg, send_from, named);
+            fan_out(&mut self.run.queue, cx, to, &msg, send_from, named);
         }
     }
 
@@ -699,11 +691,12 @@ enum BcastRecvState {
 impl BcastRecvBody {
     /// Take one arrived wire message, whose payload belongs at `at`: learn
     /// or check the topology, land the payload, and forward the message
-    /// downstream.
+    /// downstream. The device buffer and every child share the message's
+    /// one allocation; no byte of it is copied here.
     fn take_chunk(
         &mut self,
         cx: &mut OpCx,
-        (at, r): (usize, RecvResult),
+        (at, r): (usize, WireChunk),
         now: SimNs,
     ) -> Result<(), String> {
         let msg = r.data;
@@ -728,10 +721,12 @@ impl BcastRecvBody {
                 self.run.children = bcast_children(algo, self.root, n, me);
             }
         }
-        let payload = &msg[1..];
-        if !payload.is_empty() {
-            store(&self.buf, self.offset + at, payload);
-            let h2d = Hop::H2d.stage(cx, &self.device, payload.len(), now);
+        let len = msg.len() - 1;
+        if len > 0 {
+            self.buf
+                .land(self.offset + at, msg.clone(), 1)
+                .map_err(|e| e.to_string())?;
+            let h2d = Hop::H2d.stage(cx, &self.device, len, now);
             self.run.last_h2d_end = self.run.last_h2d_end.max(h2d.1);
         }
         // Store-and-forward: re-inject the verbatim wire message (header
@@ -739,7 +734,7 @@ impl BcastRecvBody {
         // inbound.
         let to = (&self.run.children[..], self.wire_tag);
         let named = (format!("fwd[{}]", self.run.chunk_idx), "forward");
-        fan_out(&mut self.run.queue, cx, to, msg, now, named);
+        fan_out(&mut self.run.queue, cx, to, &msg, now, named);
         self.run.chunk_idx += 1;
         Ok(())
     }
@@ -921,7 +916,7 @@ impl SegRecv {
             let dead = |inner: &Inner| inner.peer_failed(prev, now).then_some(prev);
             let from = (Some(prev), wire_tag);
             let chunk = match self.recv.poll(cx, now, actor, from, dead) {
-                Ok(RecvPoll::Ready((_, chunk))) => chunk.data,
+                Ok(RecvPoll::Ready((_, chunk))) => Arc::unwrap_or_clone(chunk.data),
                 Ok(RecvPoll::Pending(hint)) => return Ok(RecvPoll::Pending(hint)),
                 Err(f) => {
                     let what = format!("ring segment from rank {prev} (tag {wire_tag})");
@@ -984,7 +979,7 @@ impl RingReduceBody {
         // Serialised here, once, a wire chunk at a time.
         let bytes = f64_as_bytes(&self.run.host[off..off + len]);
         for (k, &(coff, clen)) in chunk_layout(bytes.len(), self.chunk).iter().enumerate() {
-            let chunk = bytes[coff..coff + clen].to_vec();
+            let chunk = Arc::new(bytes[coff..coff + clen].to_vec());
             let send = ReliableChunkSend::new(&cx.inner, dst, self.wire_tag, chunk, at, None);
             self.run.queue.push(send, at, name(k), "chunk");
         }

@@ -63,10 +63,12 @@
 //! the traps (what is byte-visible about *when* a body reserves, posts
 //! and records).
 //!
-//! A payload has one owner at a time: a body loads it ([`load`]), hands
-//! it to the wire by value, and has it back only if the fabric refuses it
-//! — so a byte is copied where the model has a hop and nowhere else
-//! (DESIGN.md §8d has the count per operation).
+//! A body loads a payload ([`load`]), hands it to the wire as an `Arc`,
+//! and has it back only if the fabric refuses it. A point-to-point
+//! payload has one owner at a time; a broadcast chunk is shared by every
+//! child and every relay's device buffer. So a byte is copied where the
+//! model has a hop and somebody reads it, nowhere else (DESIGN.md §8d
+//! has the count per operation).
 //!
 //! [`HostSendOp`] (`isend_cl`) is the one operation that keeps its own
 //! `impl EngineOp`; its doc says why.
@@ -655,9 +657,11 @@ impl<B: OpBody + 'static> EngineOp for OpFrame<B> {
 pub(crate) struct ReliableChunkSend {
     dst: Rank,
     wire_tag: Tag,
-    /// The payload while this side owns it: an injection hands it to the
+    /// The payload while this side holds it: an injection hands it to the
     /// wire, a refusal hands it back for the retransmit (empty meanwhile).
-    bytes: Vec<u8>,
+    /// Shared with a broadcast's other children and the relay's own
+    /// device buffer, so a further child costs a reference, not a copy.
+    bytes: Arc<Vec<u8>>,
     /// Its length, for the spans recorded while the wire has it.
     len: usize,
     duration: Option<SimNs>,
@@ -703,7 +707,7 @@ impl ReliableChunkSend {
         inner: &Inner,
         dst: Rank,
         wire_tag: Tag,
-        bytes: Vec<u8>,
+        bytes: Arc<Vec<u8>>,
         earliest: SimNs,
         duration: Option<SimNs>,
     ) -> Self {
@@ -798,7 +802,7 @@ impl ReliableChunkSend {
         cx: &mut OpCx,
         earliest: SimNs,
         done: SimNs,
-        refused: Option<(DropReason, Vec<u8>)>,
+        refused: Option<(DropReason, Arc<Vec<u8>>)>,
     ) -> ChunkStep {
         let Some((reason, bytes)) = refused else {
             cx.inner.ledger.lock().chunk_delivered();
@@ -963,9 +967,13 @@ pub(crate) struct ChunkRecv {
     deadline: Option<(SimNs, SimNs)>,
 }
 
+/// A received wire chunk, its payload the very allocation the sender
+/// handed the wire: a broadcast shares it between relays.
+pub(crate) type WireChunk = RecvResult<Arc<Vec<u8>>>;
+
 /// What a receive has for its body at one instant: for a [`ChunkRecv`]
 /// the chunk, for a multi-chunk receive built on it whatever it yields.
-pub(crate) enum RecvPoll<T = RecvResult> {
+pub(crate) enum RecvPoll<T = WireChunk> {
     /// It is here.
     Ready(T),
     /// Not yet; the wake hint to park with.
@@ -1034,7 +1042,7 @@ impl ChunkRecv {
             .req
             .as_mut()
             .expect("a taken receive is replaced before the next poll");
-        if let Some(result) = req.test(actor) {
+        if let Some(result) = req.test_shared(actor) {
             self.req = None;
             return Ok(RecvPoll::Ready(
                 result.expect("matched receive yields a payload"),
@@ -1118,7 +1126,7 @@ impl CountedRecv {
         actor: &Actor,
         (src, wire_tag): (Option<Rank>, Tag),
         upstream_dead: impl FnOnce(&Inner) -> Option<Rank>,
-    ) -> Result<RecvPoll<(usize, RecvResult)>, RecvFail> {
+    ) -> Result<RecvPoll<(usize, WireChunk)>, RecvFail> {
         let recv = self
             .recv
             .get_or_insert_with(|| ChunkRecv::post(&cx.inner, actor, src, wire_tag, now));
@@ -1445,7 +1453,7 @@ impl SendBody {
             &cx.inner,
             self.peer,
             self.wire_tag,
-            bytes,
+            Arc::new(bytes),
             earliest,
             duration,
         );
@@ -1588,7 +1596,7 @@ impl OpBody for RecvBody {
                     let dead = |inner: &Inner| inner.peer_failed(src, now).then_some(src);
                     let from = (Some(src), tag);
                     let (at, data) = match self.run.recv.poll(cx, now, actor, from, dead) {
-                        Ok(RecvPoll::Ready((at, chunk))) => (at, chunk.data),
+                        Ok(RecvPoll::Ready((at, chunk))) => (at, Arc::unwrap_or_clone(chunk.data)),
                         Ok(RecvPoll::Pending(hint)) => return Advance::Park(hint),
                         Err(f) => {
                             let what = format!("receive from rank {src} (tag {tag})");
@@ -1722,7 +1730,7 @@ impl HostSendOp {
                         &self.cx.inner,
                         self.dst,
                         self.wire_tag,
-                        bytes,
+                        Arc::new(bytes),
                         t0,
                         duration,
                     );

@@ -19,12 +19,21 @@ static NEXT_BUFFER_ID: AtomicU64 = AtomicU64::new(1);
 /// given, and `settle` writes the rest as zeroes before [`Buffer`] /
 /// [`HostBuffer`] hand out a view. Every view is bounded by the prefix, so
 /// one taken without settling is short, not unsound.
+///
+/// Bytes that arrive as a shared allocation are not even copied in until
+/// somebody looks: `land` keeps the allocation in `landed`, and
+/// `overwrite` and `settle` copy every landed extent into `words`, oldest
+/// first, before they touch it. So `landed` is always newer than `words`,
+/// and a `read_through` of a range copies just that range out of both.
 pub struct AlignedBytes {
     words: Vec<u64>,
     len: usize,
     /// Bytes written as zeroes so far: gaps and `settle`, never the < 8
     /// bytes that pad a ragged word.
     zero_filled: usize,
+    /// Extents landed by reference, oldest first: `(offset, src, from)`
+    /// holds `src[from..]` for `[offset, offset + src.len() - from)`.
+    landed: Vec<(usize, Arc<Vec<u8>>, usize)>,
 }
 
 impl AlignedBytes {
@@ -34,6 +43,7 @@ impl AlignedBytes {
             words: vec![0u64; len.div_ceil(8)],
             len,
             zero_filled: len,
+            landed: Vec::new(),
         }
     }
 
@@ -43,6 +53,7 @@ impl AlignedBytes {
             words: Vec::with_capacity(len.div_ceil(8)),
             len,
             zero_filled: 0,
+            landed: Vec::new(),
         }
     }
 
@@ -61,16 +72,69 @@ impl AlignedBytes {
         self.len.min(self.words.len() * 8)
     }
 
-    /// Write the zeroes nobody has overwritten yet.
+    /// Copy the landed extents in, then write the zeroes nobody has
+    /// overwritten yet.
     fn settle(&mut self) -> &mut Self {
+        self.flush_landed();
         self.zero_filled += self.len - self.visible();
         self.words.resize(self.len.div_ceil(8), 0);
         self
     }
 
+    /// Copy `src` to `offset` (after every landed extent, which it may
+    /// overwrite in turn).
+    fn overwrite(&mut self, offset: usize, src: &[u8]) {
+        self.flush_landed();
+        self.put(offset, src);
+    }
+
+    /// Hold `src[from..]` for `offset` without copying it. Earlier extents
+    /// it covers completely are dropped; if what is held would then exceed
+    /// the array's length, the earlier ones are copied in first, so a
+    /// buffer that receives a broadcast every step holds one step's worth.
+    fn land(&mut self, offset: usize, src: Arc<Vec<u8>>, from: usize) {
+        let end = offset + src.len() - from;
+        assert!(end <= self.len, "write past the end");
+        if end == offset {
+            return;
+        }
+        self.landed
+            .retain(|(at, s, f)| *at < offset || at + s.len() - f > end);
+        let held: usize = self.landed.iter().map(|(_, s, f)| s.len() - f).sum();
+        if held + end - offset > self.len {
+            self.flush_landed();
+        }
+        self.landed.push((offset, src, from));
+    }
+
+    /// Copy every landed extent into `words`, oldest first.
+    fn flush_landed(&mut self) {
+        for (offset, src, from) in std::mem::take(&mut self.landed) {
+            self.put(offset, &src[from..]);
+        }
+    }
+
+    /// Copy `[offset, offset + len)` out without settling: the initialised
+    /// prefix's share of it, zeroes for the rest, then every landed extent
+    /// over both, oldest first.
+    fn read_through(&self, offset: usize, len: usize) -> Vec<u8> {
+        let (prefix, end) = (self.as_slice(), offset + len);
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(&prefix[offset.min(prefix.len())..end.min(prefix.len())]);
+        out.resize(len, 0);
+        for (at, src, from) in &self.landed {
+            let bytes = &src[*from..];
+            let (lo, hi) = (offset.max(*at), end.min(at + bytes.len()));
+            if lo < hi {
+                out[lo - offset..hi - offset].copy_from_slice(&bytes[lo - at..hi - at]);
+            }
+        }
+        out
+    }
+
     /// Copy `src` to `offset`, zero-filling only a gap between the
     /// initialised prefix and `offset`.
-    fn overwrite(&mut self, offset: usize, src: &[u8]) {
+    fn put(&mut self, offset: usize, src: &[u8]) {
         assert!(offset + src.len() <= self.len, "write past the end");
         if src.is_empty() {
             return;
@@ -190,10 +254,29 @@ impl Buffer {
         Ok(())
     }
 
-    /// Copy `len` bytes starting at `offset` out of the buffer.
+    /// Land `src[from..]` in the buffer at `offset` by reference: the
+    /// buffer keeps the allocation (a broadcast's wire chunk, shared with
+    /// every relay that forwards it) and copies its bytes in only when
+    /// somebody views or overwrites the buffer. Every read sees what a
+    /// [`Buffer::store`] of the same bytes would have left.
+    pub fn land(&self, offset: usize, src: Arc<Vec<u8>>, from: usize) -> ClResult<()> {
+        let Some(bytes) = src.get(from..) else {
+            return Err(ClError::InvalidValue(format!(
+                "landing from byte {from} of a {}-byte payload",
+                src.len()
+            )));
+        };
+        self.check_range(offset, bytes.len())?;
+        self.data.lock().land(offset, src, from);
+        Ok(())
+    }
+
+    /// Copy `len` bytes starting at `offset` out of the buffer. Reads
+    /// through: no zeroes are written and nothing landed is copied in, so
+    /// a range costs its own length, not the buffer's.
     pub fn load(&self, offset: usize, len: usize) -> ClResult<Vec<u8>> {
         self.check_range(offset, len)?;
-        Ok(self.data.lock().settle().as_slice()[offset..offset + len].to_vec())
+        Ok(self.data.lock().read_through(offset, len))
     }
 
     /// Validate an (offset, len) range against the buffer size.
@@ -418,7 +501,89 @@ mod tests {
         expect[..11].fill(1);
         expect[11..41].fill(2);
         assert_eq!(b.load(0, 4_099), Ok(expect));
-        assert_eq!(zero_filled(&a.data), 4_099 - 48);
+        // `load` reads through: it zeroes its own copy, not the buffer.
+        assert_eq!(zero_filled(&a.data), 0);
+    }
+
+    /// `len` bytes of `salt` behind `from` bytes of framing.
+    fn framed(from: usize, len: usize, salt: u8) -> Arc<Vec<u8>> {
+        let mut msg = vec![0xEE; from];
+        msg.extend(payload(len, salt));
+        Arc::new(msg)
+    }
+
+    #[test]
+    fn the_newer_of_a_store_and_a_landing_wins() {
+        let b = Buffer::alloc(64);
+        assert_eq!(b.land(8, framed(1, 16, 3), 1), Ok(()));
+        assert_eq!(b.store(12, &[2; 4]), Ok(()));
+        assert_eq!(b.land(20, framed(2, 8, 5), 2), Ok(()));
+        let mut expect = vec![0u8; 64];
+        expect[8..24].copy_from_slice(&payload(16, 3));
+        expect[12..16].fill(2);
+        expect[20..28].copy_from_slice(&payload(8, 5));
+        assert_eq!(b.load(0, 64), Ok(expect.clone()));
+        assert!(b.read(|d| d.as_slice() == expect));
+        assert_eq!(
+            b.land(0, framed(0, 4, 1), 5),
+            Err(ClError::InvalidValue(
+                "landing from byte 5 of a 4-byte payload".into()
+            ))
+        );
+        assert!(b.land(62, framed(1, 4, 1), 1).is_err());
+    }
+
+    #[test]
+    fn a_buffer_holds_at_most_its_length_whatever_the_chunk_layout() {
+        const SIZE: usize = 1_000;
+        let dev = Buffer::alloc(SIZE);
+        let mut model = vec![0u8; SIZE];
+        for (step, chunk) in [100, 70, 130, 100].into_iter().enumerate() {
+            for at in (0..SIZE).step_by(chunk) {
+                let len = chunk.min(SIZE - at);
+                let msg = framed(1, len, (16 * step + at / chunk) as u8);
+                model[at..at + len].copy_from_slice(&msg[1..]);
+                assert_eq!(dev.land(at, msg, 1), Ok(()));
+                let data = dev.data.lock();
+                let held: usize = data.landed.iter().map(|(_, s, f)| s.len() - f).sum();
+                assert!(held <= SIZE, "step {step}: {held} bytes held");
+            }
+        }
+        assert_eq!(dev.load(0, SIZE), Ok(model.clone()));
+        assert!(dev.read(|d| d.as_slice() == model));
+    }
+
+    #[test]
+    fn a_landed_broadcast_is_copied_only_where_somebody_reads() {
+        const SIZE: usize = 16 << 20;
+        let chunk = SIZE / 60;
+        let pieces: Vec<(usize, usize)> = (0..SIZE)
+            .step_by(chunk)
+            .map(|at| (at, chunk.min(SIZE - at)))
+            .collect();
+        assert_eq!(pieces.len(), 61);
+        let dev = Buffer::alloc(SIZE);
+        let mut model = vec![0u8; SIZE];
+        // Two steps of the ring broadcast's relay, each chunk behind its
+        // algorithm byte: the second step's chunks replace the first's.
+        for step in 0..2u8 {
+            for (k, &(at, len)) in pieces.iter().enumerate() {
+                let msg = framed(1, len, step.wrapping_mul(61).wrapping_add(k as u8));
+                model[at..at + len].copy_from_slice(&msg[1..]);
+                assert_eq!(dev.land(at, msg, 1), Ok(()));
+            }
+            assert_eq!(dev.data.lock().landed.len(), 61);
+        }
+        // One rank's row block of a 16-rank kernel.
+        let (at, len) = (5 * SIZE / 16, SIZE / 16);
+        assert_eq!(dev.load(at, len).as_deref(), Ok(&model[at..at + len]));
+        assert_eq!(dev.data.lock().words.len(), 0);
+        assert_eq!(zero_filled(&dev.data), 0);
+        // A whole view copies every landed byte in, once.
+        assert!(dev.read(|d| d.as_slice() == model));
+        let data = dev.data.lock();
+        assert_eq!((data.words.len(), data.landed.len()), (SIZE / 8, 0));
+        assert_eq!(data.zero_filled, 0);
     }
 
     #[test]
@@ -490,6 +655,13 @@ mod tests {
             offset: usize,
             len: usize,
             salt: u8,
+        },
+        /// `len` bytes landed behind `from` bytes of framing.
+        Land {
+            offset: usize,
+            len: usize,
+            salt: u8,
+            from: usize,
         },
         FillFrom {
             len: usize,
@@ -565,8 +737,14 @@ mod tests {
             let width = if salt % 2 == 0 { 4 } else { 8 };
             let (offset, len) = range(rng, dev, self.dev_end);
             let (at, room) = range(rng, host, self.host_end);
-            match rng.gen_range_usize(0, 20) {
+            match rng.gen_range_usize(0, 23) {
                 0..=5 => Op::Store { offset, len, salt },
+                20.. => Op::Land {
+                    offset,
+                    len,
+                    salt,
+                    from: rng.gen_range_usize(0, 3),
+                },
                 6..=8 => Op::FillFrom { len: at, salt },
                 9..=12 => Op::Copy {
                     to_host,
@@ -635,6 +813,17 @@ mod tests {
                     self.dev_model[offset..offset + len].copy_from_slice(&src);
                     self.dev_end = self.dev_end.max(offset + len);
                     self.dev.store(offset, &src) == Ok(())
+                }
+                Op::Land {
+                    offset,
+                    len,
+                    salt,
+                    from,
+                } => {
+                    let msg = framed(from, len, salt);
+                    self.dev_model[offset..offset + len].copy_from_slice(&msg[from..]);
+                    self.dev_end = self.dev_end.max(offset + len);
+                    self.dev.land(offset, msg, from) == Ok(())
                 }
                 Op::FillFrom { len, salt } => {
                     let src = payload(len, salt);

@@ -147,13 +147,26 @@ pub struct Status {
     pub datatype: Datatype,
 }
 
-/// Payload + status from a completed receive.
+/// Payload + status from a completed receive. The bytes are a plain
+/// `Vec<u8>`; [`Request::test_shared`] yields them as the wire's shared
+/// allocation (`D = Arc<Vec<u8>>`) instead.
 #[derive(Debug, Clone)]
-pub struct RecvResult {
+pub struct RecvResult<D = Vec<u8>> {
     /// The received bytes.
-    pub data: Vec<u8>,
+    pub data: D,
     /// Delivery information.
     pub status: Status,
+}
+
+impl RecvResult<Arc<Vec<u8>>> {
+    /// The payload as its own vector: a move when this receive is its
+    /// only owner (every point-to-point message), a copy otherwise.
+    fn owned(self) -> RecvResult {
+        RecvResult {
+            data: Arc::unwrap_or_clone(self.data),
+            status: self.status,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -164,7 +177,7 @@ pub(crate) struct InMsg {
     context: u64,
     tag: Tag,
     datatype: Datatype,
-    payload: Vec<u8>,
+    payload: Arc<Vec<u8>>,
     visible_at: SimNs,
     seq: u64,
 }
@@ -200,7 +213,7 @@ impl RankState {
         id: u64,
         now: SimNs,
         members: &Option<Arc<Vec<Rank>>>,
-    ) -> Option<RecvResult> {
+    ) -> Option<RecvResult<Arc<Vec<u8>>>> {
         if self.matched.get(&id)?.visible_at > now {
             return None;
         }
@@ -252,7 +265,7 @@ impl RankState {
         context: u64,
         tag: Tag,
         datatype: Datatype,
-        payload: Vec<u8>,
+        payload: Arc<Vec<u8>>,
         visible_at: SimNs,
     ) {
         let seq = self.next_seq;
@@ -307,7 +320,7 @@ struct SendOutcome {
     drop_reason: Option<DropReason>,
     /// Behind a lock of its own: taking the bytes back changes nothing a
     /// waiter's predicate reads, so it must not notify the monitor.
-    refused: Mutex<Option<Vec<u8>>>,
+    refused: Mutex<Option<Arc<Vec<u8>>>>,
 }
 
 enum ReqKind {
@@ -362,7 +375,7 @@ impl Request {
     /// retransmit can hand it over again. `None` for a delivered or
     /// still-arbitrating send (ask [`Request::known_completion`] first),
     /// for a receive, and once taken.
-    pub fn take_refused(&self) -> Option<(DropReason, Vec<u8>)> {
+    pub fn take_refused(&self) -> Option<(DropReason, Arc<Vec<u8>>)> {
         match &self.kind {
             ReqKind::Send { outcome, .. } => outcome.peek(|o| {
                 let o = o.as_ref()?;
@@ -420,7 +433,7 @@ impl Request {
                 let res = actor.wait_on(&[arrival], "mpi recv", || {
                     state.try_now(|st| st.take_visible(id, clock.now_ns(), &members))
                 });
-                Some(res)
+                Some(res.owned())
             }
         }
     }
@@ -470,7 +483,7 @@ impl Request {
                     state.try_now(|st| {
                         let now = clock.now_ns();
                         if let Some(r) = st.take_visible(id, now, &members) {
-                            return Some(Ok(r));
+                            return Some(Ok(r.owned()));
                         }
                         // Keep waiting inside the deadline — and past it
                         // once matched: an in-flight arrival is committed.
@@ -529,6 +542,14 @@ impl Request {
     /// `Some(payload-for-receives)`; `None` means still in flight.
     #[allow(clippy::option_option)]
     pub fn test(&mut self, actor: &Actor) -> Option<Option<RecvResult>> {
+        self.test_shared(actor).map(|r| r.map(RecvResult::owned))
+    }
+
+    /// [`Request::test`] that leaves a receive's payload where the wire
+    /// put it: the allocation the sender handed [`Comm::isend_raw`], which
+    /// a broadcast relay may be forwarding to others as well.
+    #[allow(clippy::option_option)]
+    pub fn test_shared(&mut self, actor: &Actor) -> Option<Option<RecvResult<Arc<Vec<u8>>>>> {
         match &mut self.kind {
             ReqKind::Send { outcome, .. } => {
                 match outcome.peek(|o| o.as_ref().map(|o| o.done_at)) {
@@ -577,7 +598,8 @@ impl Comm {
     /// immediately; the request completes when injection ends.
     pub fn isend(&self, actor: &Actor, dst: Rank, tag: Tag, data: &[u8]) -> Request {
         let now = actor.now_ns();
-        self.isend_raw(actor, dst, tag, Datatype::Bytes, data.to_vec(), now, None)
+        let payload = Arc::new(data.to_vec());
+        self.isend_raw(actor, dst, tag, Datatype::Bytes, payload, now, None)
     }
 
     /// [`Comm::isend`] that reports an out-of-range destination as an
@@ -612,10 +634,14 @@ impl Comm {
         Ok(())
     }
 
-    /// Lowest-level send, and the one that takes its payload by value: the
-    /// wire owns the bytes from here on and moves them into the receiver's
-    /// inbox on delivery; if the fabric drops the message instead, the
-    /// sender gets them back from [`Request::take_refused`]. Optionally
+    /// Lowest-level send, and the one that takes its payload by reference
+    /// count: the wire holds the bytes from here on and moves them into the
+    /// receiver's inbox on delivery; if the fabric drops the message
+    /// instead, the sender gets them back from [`Request::take_refused`].
+    /// A payload nobody else holds reaches the receiver's
+    /// [`RecvResult::data`] without a copy; one shared with other sends
+    /// (a broadcast's children) is copied only by a receiver that asks
+    /// for its own vector. Optionally
     /// overrides the injection duration (`duration_override`), for
     /// transfers whose effective rate is not the raw link rate — e.g. the
     /// clMPI *mapped* strategy, where the NIC streams through PCIe at the
@@ -627,7 +653,7 @@ impl Comm {
         dst: Rank,
         tag: Tag,
         datatype: Datatype,
-        payload: Vec<u8>,
+        payload: Arc<Vec<u8>>,
         earliest: SimNs,
         duration_override: Option<SimNs>,
     ) -> Request {
@@ -819,24 +845,30 @@ mod tests {
 
     /// Rank 0 hands `isend_raw` a payload under `plan`. Rank 1 reports
     /// the bytes it received (third field), if the plan lets any through.
-    fn send_by_value(plan: FaultPlan, deliver: bool) -> Vec<Seen> {
+    /// Beside each rank's view: the address of the bytes it sent or got.
+    fn send_by_value(plan: FaultPlan, deliver: bool) -> Vec<(Seen, usize)> {
         let res = run_world_faulty(ClusterSpec::cichlid(), 2, plan, move |p| {
             let a = &p.actor;
             if p.rank() == 1 {
                 let got = deliver.then(|| p.comm.recv(a, Some(0), Some(5)).data);
-                return (true, false, got, false);
+                let at = got.as_ref().map_or(0, |b| b.as_ptr() as usize);
+                return ((true, false, got, false), at);
             }
-            let payload = payload();
-            let allocation = payload.as_ptr();
+            let payload = Arc::new(payload());
+            let (sent, at) = (Arc::downgrade(&payload), payload.as_ptr() as usize);
             let req = p
                 .comm
                 .isend_raw(a, 1, 5, Datatype::ClMem, payload, a.now_ns(), None);
             let delivered = req.wait_delivered(a);
             let back = req.take_refused();
-            let random = |(why, b): (DropReason, Vec<u8>)| (why == DropReason::Random).then_some(b);
+            let random = |(why, b)| (why == DropReason::Random).then_some(b);
             let back = back.and_then(random);
-            let same = back.as_ref().is_some_and(|b| b.as_ptr() == allocation);
-            (delivered, same, back, req.take_refused().is_some())
+            let same = back
+                .as_ref()
+                .zip(sent.upgrade())
+                .is_some_and(|(b, s)| Arc::ptr_eq(b, &s));
+            let back = back.map(Arc::unwrap_or_clone);
+            ((delivered, same, back, req.take_refused().is_some()), at)
         });
         res.outputs
     }
@@ -844,14 +876,17 @@ mod tests {
     #[test]
     fn dropped_send_by_value_hands_back_the_very_bytes_it_was_given() {
         let out = send_by_value(FaultPlan::drops(9, 1.0), false);
-        assert_eq!(out[0], (false, true, Some(payload()), false));
+        assert_eq!(out[0].0, (false, true, Some(payload()), false));
     }
 
     #[test]
     fn delivered_send_by_value_hands_back_nothing_and_arrives_unchanged() {
         let out = send_by_value(FaultPlan::none(), true);
-        assert_eq!(out[0], (true, false, None, false));
-        assert_eq!(out[1].2, Some(payload()));
+        assert_eq!(out[0].0, (true, false, None, false));
+        assert_eq!(out[1].0 .2, Some(payload()));
+        // The receiver was the payload's one owner: it got the sender's
+        // allocation itself, not a copy.
+        assert_eq!(out[1].1, out[0].1);
     }
 
     // The moment a blocked receive's arrival key is notified by hand

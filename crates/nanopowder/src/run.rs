@@ -254,14 +254,12 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
         );
         let e_k = q.enqueue_kernel("coagulation", kernel_cost, &[e_n, e_c], move || {
             let mut out = vec![0.0f32; r1 - r0];
-            // Read in place (consistent lock order: coefficients, then
-            // concentrations) — no 42 MB clone per step.
-            c2.read(|cb| {
-                n2.read(|nb| {
-                    let full = cb.as_f32();
-                    coagulation_step(&full[r0 * k..r1 * k], nb.as_f32(), r0, r1, &mut out);
-                })
-            });
+            // Only this rank's row block is copied out of the coefficients:
+            // a broadcast landed them by reference, and nobody else reads
+            // the other `nodes − 1` blocks here.
+            let block = c2.load(r0 * k * 4, rows * k * 4).expect("row block fits");
+            let block = bytes_to_f32(&block);
+            n2.read(|nb| coagulation_step(&block, nb.as_f32(), r0, r1, &mut out));
             d2.store(0, f32_as_bytes(&out)).expect("dn fits");
             *dns.lock() = out;
         });

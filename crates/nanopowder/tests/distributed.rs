@@ -41,6 +41,15 @@ fn clmpi_matches_reference_six_nodes() {
 }
 
 #[test]
+fn clmpi_matches_reference_over_a_multi_chunk_broadcast_every_step() {
+    // K = 512 is 1 MiB of coefficients: a ring broadcast cut into 13
+    // chunks at 4 nodes, so every relay lands a step's chunks over the
+    // previous step's before the kernel loads its row block.
+    let res = run_nanopowder(NanoVariant::ClMpi, cfg(4, 512, 3));
+    assert_eq!(res.final_n, reference_simulation(512, 3));
+}
+
+#[test]
 fn variants_agree_with_each_other() {
     let a = run(NanoVariant::Baseline, 3);
     let b = run(NanoVariant::ClMpi, 3);
