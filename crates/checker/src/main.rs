@@ -72,7 +72,7 @@ const EXPLANATIONS: [(&str, &str); 8] = [
     ),
     (
         "actor-hygiene",
-        "poll/on_wake of every `impl SimActor`, step of every `impl EngineOp`\n\
+        "poll of every `impl SimActor`, step of every `impl EngineOp`\n\
          and advance of every `impl OpBody` (a clMPI operation is a body run\n\
          by the one op frame's step) run on the scheduler at a frozen virtual\n\
          instant. They must stay resumable: no OS-blocking primitive and no\n\

@@ -624,11 +624,10 @@ pub fn pass_lock_order(ws: &Workspace, out: &mut Vec<Diag>) {
 // Pass 8 — actor hygiene
 // ----------------------------------------------------------------------
 
-/// DESIGN.md §9 P8: machine bodies — `poll`/`on_wake` of any
-/// `impl SimActor`, `step` of any `impl EngineOp`, and `advance` of any
-/// `impl OpBody` (the part of a clMPI operation its frame's `step` runs)
-/// — run on the scheduler at a frozen virtual instant and must stay
-/// *resumable*: no
+/// DESIGN.md §9 P8: machine bodies — `poll` of any `impl SimActor`,
+/// `step` of any `impl EngineOp`, and `advance` of any `impl OpBody` (the
+/// part of a clMPI operation its frame's `step` runs) — run on the
+/// scheduler at a frozen virtual instant and must stay *resumable*: no
 /// OS-blocking primitive (the [`BLOCKING_CALLS`] vocabulary) and no
 /// direct `thread::spawn` (machines are spawned through the clock so
 /// the scheduler can account for them). Test code is exempt — fixtures
@@ -684,7 +683,7 @@ pub fn pass_actor_hygiene(ws: &Workspace, out: &mut Vec<Diag>) {
 }
 
 /// Machine-body regions of a file: for each `impl SimActor …` block the
-/// bodies of `poll` and `on_wake`; for each `impl EngineOp …` block the
+/// body of `poll`; for each `impl EngineOp …` block the
 /// body of `step`; for each `impl OpBody …` block the body of `advance`.
 /// Returns `(fn name, body token range)` pairs.
 fn machine_regions(f: &SourceFile) -> Vec<(String, (usize, usize))> {
@@ -714,7 +713,7 @@ fn machine_regions(f: &SourceFile) -> Vec<(String, (usize, usize))> {
         };
         let Some(open) = open else { continue };
         let targets: &[&str] = if header_names.contains(&"SimActor") {
-            &["poll", "on_wake"]
+            &["poll"]
         } else if header_names.contains(&"EngineOp") {
             &["step"]
         } else if header_names.contains(&"OpBody") {

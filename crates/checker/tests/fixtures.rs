@@ -686,11 +686,8 @@ fn p8_blocking_and_thread_spawn_in_machine_bodies() {
 impl SimActor for QueueCore {
     fn poll(&mut self, now: SimNs, actor: &Actor) -> MachineStep {
         self.chan.recv();
-        MachineStep::Pending
-    }
-    fn on_wake(&mut self, now: SimNs, actor: &Actor) -> MachineStep {
         std::thread::spawn(move || {});
-        MachineStep::Done
+        MachineStep::Pending
     }
 }
 impl EngineOp for Copy2D {

@@ -90,13 +90,12 @@ use minicl::{
     CL_MPI_TRANSFER_ERROR, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST,
 };
 use minimpi::{
-    CommittedType, Datatype, DropReason, MpiError, Rank, RecvResult, ReduceOp, Request, RmaHandle,
-    RmaPoll, RmaRoute, Tag, Win, RMA_PATIENCE_NS,
+    CommittedType, Datatype, DropReason, Fence, FencePoll, MpiError, Rank, RecvResult, ReduceOp,
+    Request, RetryPolicy, RmaHandle, RmaPoll, RmaRoute, Tag, Win,
 };
 use simtime::{Actor, MachineStep, Monitor, OpSpan, SimActor, SimClock, SimNs};
 
 use crate::obs::{ChildIds, FaultStats, Via};
-use crate::retry::RetryPolicy;
 use crate::runtime::Inner;
 use crate::strategy::{PackMode, ResolvedStrategy, TransferStrategy};
 
@@ -106,7 +105,7 @@ use crate::strategy::{PackMode, ResolvedStrategy, TransferStrategy};
 
 /// Verdict of one [`EngineOp::step`] call at the engine's current instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Step {
+pub(crate) enum Step {
     /// Nothing to do right now. `Some(t)` asks for a wake-up at the
     /// strictly-future instant `t` (a retry backoff expiry, an injection
     /// end); `None` means "wake me on any cross-actor notification"
@@ -123,7 +122,7 @@ pub enum Step {
 /// An in-flight operation driven by the engine. Implementations are
 /// state machines: `step` runs at a frozen virtual instant, must never
 /// block, and reports how the engine should treat the machine next.
-pub trait EngineOp: Send {
+pub(crate) trait EngineOp: Send {
     /// Advance the machine as far as possible at virtual instant `now`.
     /// `actor` is the engine's own clock actor: machines may use it to
     /// post non-blocking MPI calls, but must never park it.
@@ -144,7 +143,7 @@ struct EngineShared {
 /// The per-rank progress engine. Owns one machine (`EngineCore`) on the
 /// clock's scheduler that steps every registered [`EngineOp`] to
 /// completion.
-pub struct Engine {
+pub(crate) struct Engine {
     shared: Arc<Monitor<EngineShared>>,
 }
 
@@ -2169,81 +2168,26 @@ impl OpBody for AccumulateBody {
     }
 }
 
-/// `clEnqueueWinFence`: close the window's current access epoch and open
-/// the next — drain this rank's pending one-sided ops, mark the fence
-/// arrival, then await every rank's matching arrival. Mirrors the
-/// blocking [`Win::fence`] exactly: op failures latched during the epoch
-/// take precedence over synchronization failures, and a patience expiry
-/// under a fault plan is classified against the laggards.
-///
-/// Parking: the drain phase parks on what [`Win::poll_pending`] read:
-/// every pending op's slot, which its grant notifies, and the window's
-/// booking key, which a newly booked op notifies. The await phase parks
-/// on notification — a peer's fence arrival is a control-block write that
-/// notifies — plus the patience deadline when a fault plan is armed.
+/// `clEnqueueWinFence`: the one fence machine, [`Fence`], stepped on the
+/// engine. Its pending hint (the patience deadline) is the park hint, and
+/// it parks on what its poll read; its classified failure fails the
+/// event.
 pub(crate) struct FenceBody {
     pub(crate) win: Win,
-    pub(crate) state: FenceState,
-}
-
-#[derive(Default)]
-pub(crate) enum FenceState {
-    #[default]
-    Drain,
-    Await {
-        start: SimNs,
-        gen: u64,
-        op_err: Option<MpiError>,
-        deadline: Option<SimNs>,
-    },
+    pub(crate) fence: Fence,
 }
 
 impl OpBody for FenceBody {
     fn advance(&mut self, cx: &mut OpCx, now: SimNs, _actor: &Actor) -> Advance {
-        let err = loop {
-            match &mut self.state {
-                FenceState::Drain => {
-                    if !self.win.poll_pending() {
-                        return Advance::Park(None);
-                    }
-                    let op_err = self.win.take_epoch_err();
-                    let gen = self.win.fence_enter(now);
-                    let faulty = self.win.comm().world().has_faults();
-                    self.state = FenceState::Await {
-                        start: now,
-                        gen,
-                        op_err,
-                        deadline: faulty.then(|| now + RMA_PATIENCE_NS),
-                    };
-                }
-                FenceState::Await {
-                    start,
-                    gen,
-                    op_err,
-                    deadline,
-                } => {
-                    if self.win.fence_ready(*gen) {
-                        // Epoch op failures outrank a clean sync (the
-                        // blocking fence's `op_err.map_or(sync, Err)`).
-                        match op_err.take() {
-                            None => return Advance::Done(now),
-                            Some(e) => break e,
-                        }
-                    }
-                    match *deadline {
-                        Some(d) if now >= d => {
-                            let laggards = self.win.fence_laggards(*gen);
-                            let sync = self.win.classify_stall(&laggards, now, now - *start);
-                            break op_err.take().unwrap_or(sync);
-                        }
-                        deadline => return Advance::Park(deadline),
-                    }
-                }
+        match self.fence.poll(&self.win, now) {
+            FencePoll::Pending(hint) => Advance::Park(hint),
+            FencePoll::Done => Advance::Done(now),
+            FencePoll::Failed(err) => {
+                cx.rma_failed(&err, now);
+                let e = ClError::TransferFailed(format!("rma epoch: {err}"));
+                Advance::Failed(e, now)
             }
-        };
-        cx.rma_failed(&err, now);
-        let e = ClError::TransferFailed(format!("rma epoch: {err}"));
-        Advance::Failed(e, now)
+        }
     }
 }
 

@@ -55,19 +55,16 @@ mod collective;
 mod engine;
 mod fileio;
 pub mod obs;
-mod retry;
 mod runtime;
 mod strategy;
 mod system;
 
 pub use adaptive::{AdaptiveSelector, CollectiveSelector, PeerSelector};
 pub use collective::{CollAlgo, CollTuning};
-pub use engine::{Engine, EngineOp, Step};
 pub use fileio::{decode_checkpoint, encode_checkpoint, SimStorage, CKPT_HEADER_LEN, CKPT_MAGIC};
 pub use obs::{
     chrome_trace, validate_json, FaultStats, ObsCounters, ObsSummary, OverlapReport, RankOverlap,
 };
-pub use retry::RetryPolicy;
 pub use runtime::{ClMpi, ClRecvRequest, ClSendRequest, ClWindow, RequestOutcome};
 pub use strategy::{analytic, chunk_layout, PackMode, ResolvedStrategy, TransferStrategy};
 pub use system::SystemConfig;
@@ -78,9 +75,11 @@ pub use system::SystemConfig;
 // re-exported here so `clmpi::CL_MPI_TRANSFER_ERROR` keeps working.
 pub use minicl::status::CL_MPI_TRANSFER_ERROR;
 
-// Collectives reduce over f64 with minimpi's operator set; re-exported so
-// applications don't need a direct minimpi dependency for the enum.
-pub use minimpi::ReduceOp;
+// Collectives reduce over f64 with minimpi's operator set, and every
+// retransmit schedule — clMPI's wire chunks and minimpi's one-sided ops —
+// is a minimpi `RetryPolicy`; both re-exported so applications don't need
+// a direct minimpi dependency for them.
+pub use minimpi::{ReduceOp, RetryPolicy};
 
 /// Tag space base for clMPI-internal messages; user tags passed to
 /// `enqueue_*_buffer` and the `*_cl` wrappers are mapped above

@@ -25,7 +25,8 @@ use std::sync::Arc;
 
 use minicl::{Buffer, ClError, ClResult, CommandQueue, Context, Device, Event, HostBuffer};
 use minimpi::{
-    Comm, CommittedType, MpiError, Process, Rank, RecvResult, ReduceOp, Request, Tag, Win,
+    Comm, CommittedType, MpiError, Process, Rank, RecvResult, ReduceOp, Request, RetryPolicy, Tag,
+    Win,
 };
 use simtime::{Actor, Monitor, SimClock, SimNs, Trace};
 
@@ -35,7 +36,6 @@ use crate::engine::{
     ResultSlot, SendBody, SendSlot,
 };
 use crate::obs::{ChildIds, ObsCounters};
-use crate::retry::RetryPolicy;
 use crate::strategy::{PackMode, ResolvedStrategy, TransferStrategy};
 use crate::system::SystemConfig;
 
@@ -194,11 +194,6 @@ impl ClMpi {
     /// This rank.
     pub fn rank(&self) -> Rank {
         self.inner.comm.rank()
-    }
-
-    /// The rank's progress engine (the machines behind every command).
-    pub fn engine(&self) -> &Engine {
-        &self.inner.engine
     }
 
     /// Force every subsequent transfer onto `strategy` (`None` restores
@@ -995,7 +990,7 @@ impl ClMpi {
     ) -> ClResult<Event> {
         let body = FenceBody {
             win: win.win.clone(),
-            state: Default::default(),
+            fence: Default::default(),
         };
         let env = Envelope::new("op.fence", "win-fence".into(), None);
         let event = self.submit_gated("win-fence".into(), env, wait_list, body);

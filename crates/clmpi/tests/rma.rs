@@ -502,7 +502,7 @@ fn epoch_misuse_returns_documented_errors() {
             // Nested lock of one target; unlock of an unheld target.
             w.lock(&p.actor, 1 - p.rank()).unwrap();
             assert!(matches!(
-                w.lock_request(1 - p.rank()),
+                w.lock(&p.actor, 1 - p.rank()),
                 Err(MpiError::RmaAlreadyLocked { .. })
             ));
             w.unlock(&p.actor, 1 - p.rank()).unwrap();

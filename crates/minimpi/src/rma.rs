@@ -29,6 +29,12 @@
 //! deadline whenever a fault plan is attached, classifying expiry against
 //! the plan's ground truth instead of wedging.
 //!
+//! ## One fence
+//!
+//! `MPI_Win_fence` is written once, as the non-blocking [`Fence`] machine:
+//! the clMPI engine steps it from `clEnqueueWinFence`, and the blocking
+//! [`Win::fence`] is a wait loop over the same machine.
+//!
 //! ## Memory model
 //!
 //! All ranks are threads of one process, so a window is literally shared
@@ -49,6 +55,7 @@ use simtime::{note_read, Actor, Monitor, SimNs, WakeKey};
 use crate::collectives::ReduceOp;
 use crate::datatype::{check_whole, f64_as_bytes, try_bytes_to_f64};
 use crate::p2p::MpiError;
+use crate::retry::RetryPolicy;
 use crate::world::Comm;
 use crate::Rank;
 
@@ -58,18 +65,20 @@ use crate::Rank;
 /// hit RMA traffic exactly like two-sided transfers.
 pub const RMA_TAG_BASE: i32 = 1 << 23;
 
-/// Retransmit budget for a dropped one-sided transfer.
-const MAX_RMA_ATTEMPTS: u32 = 30;
+/// Retransmit schedule of a dropped one-sided transfer: 30 attempts,
+/// 200 µs doubling per retransmit up to the policy cap. The chunk fields
+/// keep their defaults; no one-sided op reads them.
+const RMA_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 30,
+    backoff_base_ns: 200_000,
+    backoff_factor: 2,
+    degrade_after: 3,
+    chunk_timeout_ns: 1_000_000_000,
+};
 
 /// Patience for epoch-closing synchronization when a fault plan is
 /// attached (virtual ns); expiry is classified against the plan.
 pub const RMA_PATIENCE_NS: SimNs = 5_000_000_000;
-
-/// Exponential virtual-time backoff before retransmitting attempt
-/// `attempt` (0-based), capped at 50 ms.
-fn backoff_ns(attempt: u32) -> SimNs {
-    (200_000u64 << attempt.min(8)).min(50_000_000)
-}
 
 /// How a one-sided op claims wire time. The default class-routing is what
 /// `MPI_Put` semantics imply; the forced-NIC variants exist for the clMPI
@@ -103,8 +112,6 @@ struct WinCtrl {
     sizes: Vec<usize>,
     /// Completed fence-arrival count per rank.
     fence_gen: Vec<u64>,
-    /// Virtual instant of each rank's latest fence arrival.
-    fence_at: Vec<SimNs>,
     locks: Vec<LockState>,
 }
 
@@ -127,7 +134,6 @@ impl WinShared {
                 WinCtrl {
                     sizes: vec![0; n],
                     fence_gen: vec![0; n],
-                    fence_at: vec![0; n],
                     locks: vec![LockState::default(); n],
                 },
             )),
@@ -177,8 +183,8 @@ pub struct Win {
     shared: Arc<WinShared>,
     epoch: Arc<Mutex<LocalEpoch>>,
     /// Notified whenever an op is booked into `epoch.pending`, a plain
-    /// mutex: [`Win::poll_pending`] notes it, so a machine parked on a
-    /// drain re-polls an op another thread booked meanwhile.
+    /// mutex: a [`Fence`] drain notes it, so a fence parked on its drain
+    /// re-polls an op another thread booked meanwhile.
     booked: WakeKey,
 }
 
@@ -400,7 +406,7 @@ impl RmaHandle {
                         },
                         at: *at,
                     }
-                } else if attempt + 1 >= MAX_RMA_ATTEMPTS {
+                } else if attempt + 1 >= RMA_RETRY.max_attempts {
                     Next::Fail {
                         err: MpiError::Timeout {
                             waited_ns: at.saturating_sub(self.inner.posted_at),
@@ -409,7 +415,7 @@ impl RmaHandle {
                     }
                 } else {
                     Next::Retry {
-                        earliest: at + backoff_ns(attempt),
+                        earliest: at + RMA_RETRY.backoff_ns(attempt + 1),
                     }
                 }
             }
@@ -656,12 +662,11 @@ impl Win {
         self.issue(kind, target, offset, data, len, RmaRoute::Auto, 0)
     }
 
-    /// Drive every pending op of the current epoch once; returns true
-    /// when all have settled. Failures are latched into the epoch error
-    /// reported by the closing call. Non-blocking. A machine that polls
-    /// this is parked on every pending op's slot and on the booking of a
-    /// new op.
-    pub fn poll_pending(&self) -> bool {
+    /// Drive every pending op of the current epoch once; true when all
+    /// have settled. The epoch's first failure is latched for the closing
+    /// call and settled ops are forgotten. Notes the booking key, so a
+    /// machine parked on a drain re-polls an op another thread books.
+    fn drain(&self) -> bool {
         note_read(self.booked);
         let hs: Vec<RmaHandle> = self.epoch.lock().pending.clone();
         for h in &hs {
@@ -676,50 +681,15 @@ impl Win {
         ep.pending.is_empty()
     }
 
-    /// Take the first op failure latched this epoch (cleared).
-    pub fn take_epoch_err(&self) -> Option<MpiError> {
-        self.epoch.lock().epoch_err.take()
-    }
-
-    /// Mark this rank's fence arrival (non-blocking half of
-    /// [`Win::fence`], for engine state machines). Local pending ops must
-    /// already be settled. Returns the generation to pass to
-    /// [`Win::fence_ready`]. Opens the window for active-target access.
-    pub fn fence_enter(&self, now: SimNs) -> u64 {
-        let me = self.comm.rank();
-        self.epoch.lock().fence_open = true;
-        self.shared.ctrl.with(|c| {
-            c.fence_gen[me] += 1;
-            c.fence_at[me] = now;
-            c.fence_gen[me]
-        })
-    }
-
-    /// True once every rank has arrived at fence generation `gen`.
-    pub fn fence_ready(&self, gen: u64) -> bool {
-        self.shared
-            .ctrl
-            .peek(|c| c.fence_gen.iter().all(|&g| g >= gen))
-    }
-
-    /// Ranks that have not yet arrived at fence generation `gen` (for
-    /// classifying a patience expiry against the fault plan).
-    pub fn fence_laggards(&self, gen: u64) -> Vec<Rank> {
-        self.shared.ctrl.peek(|c| {
-            c.fence_gen
-                .iter()
-                .enumerate()
-                .filter(|(_, &g)| g < gen)
-                .map(|(r, _)| r)
-                .collect()
-        })
+    /// The slot keys of the epoch's pending ops.
+    fn pending_slots(&self) -> Vec<WakeKey> {
+        let ep = self.epoch.lock();
+        ep.pending.iter().map(|h| h.inner.slot.key()).collect()
     }
 
     /// Classify a synchronization stall against the fault plan: a laggard
     /// scheduled dead is [`MpiError::ProcFailed`], otherwise a timeout.
-    /// Public so non-blocking fence drivers (the clMPI engine) classify
-    /// their own patience expiries identically.
-    pub fn classify_stall(&self, laggards: &[Rank], now: SimNs, waited_ns: SimNs) -> MpiError {
+    fn classify_stall(&self, laggards: &[Rank], now: SimNs, waited_ns: SimNs) -> MpiError {
         for &r in laggards {
             let g = self.comm.global_rank(r);
             if self.comm.world().node_down_at(g, now) {
@@ -729,67 +699,44 @@ impl Win {
         MpiError::Timeout { waited_ns }
     }
 
-    /// Block until the ops of the current epoch that `which` selects
-    /// have settled: the closing call's half of "complete what was issued
-    /// before me". The wait is registered on exactly those ops' slots; an
-    /// op another thread of this rank issues meanwhile belongs to the next
-    /// closing call.
-    fn settle(&self, actor: &Actor, label: &'static str, which: impl Fn(&RmaHandle) -> bool) {
-        let pending = self.epoch.lock().pending.clone();
-        let hs: Vec<RmaHandle> = pending.into_iter().filter(|h| which(h)).collect();
-        if hs.is_empty() {
-            return; // a wait on no key could never be woken
-        }
-        let keys: Vec<_> = hs.iter().map(|h| h.inner.slot.key()).collect();
-        actor.wait_on(&keys, label, || {
-            // Poll every op, settled or not: a poll is also what
-            // re-posts a dropped transfer.
-            let busy = hs
-                .iter()
-                .filter(|h| matches!(h.poll(), RmaPoll::Pending))
-                .count();
-            (busy == 0).then_some(())
-        });
-    }
-
-    /// Close the current epoch and open the next (`MPI_Win_fence`):
-    /// settles this rank's pending ops, then synchronizes with every
-    /// rank's matching fence. Under a fault plan the synchronization
-    /// carries a patience deadline classified against the plan; op
-    /// failures latched during the epoch are reported here.
+    /// Close the current epoch and open the next (`MPI_Win_fence`): a
+    /// wait loop over the [`Fence`] machine, which the clMPI engine steps
+    /// for `clEnqueueWinFence` too.
     pub fn fence(&self, actor: &Actor) -> Result<(), MpiError> {
         let clock = self.comm.world().clock().clone();
-        self.settle(actor, "rma fence ops", |_| true);
-        // Latch the epoch's first failure and forget the settled ops.
-        self.poll_pending();
-        let op_err = self.take_epoch_err();
-        let start = clock.now_ns();
-        let gen = self.fence_enter(start);
         let ctrl = &self.shared.ctrl;
-        let deadline = self.comm.world().has_faults().then(|| {
-            let d = start + RMA_PATIENCE_NS;
-            ctrl.alarm_at(d);
-            d
-        });
-        let sync = actor.wait_on(&[ctrl.key()], "rma fence", || {
-            let now = clock.now_ns();
-            if self.fence_ready(gen) {
-                return Some(Ok(()));
-            }
-            match deadline {
-                Some(d) if now >= d => {
-                    let laggards = self.fence_laggards(gen);
-                    Some(Err(self.classify_stall(&laggards, now, now - start)))
+        let mut fence = Fence::default();
+        let mut alarmed = None;
+        loop {
+            // What a poll reads: every pending op's slot, the booking of
+            // a new op and the control block.
+            let mut keys = self.pending_slots();
+            keys.extend([self.booked, ctrl.key()]);
+            // `Some(None)`: an op was booked after the keys were taken, so
+            // the wait starts over with its slot in the set.
+            let outcome = actor.wait_on(&keys, "rma fence", || {
+                let hint = match fence.poll(self, clock.now_ns()) {
+                    FencePoll::Pending(hint) => hint,
+                    FencePoll::Done => return Some(Some(Ok(()))),
+                    FencePoll::Failed(err) => return Some(Some(Err(err))),
+                };
+                if let Some(d) = hint.filter(|&d| alarmed != Some(d)) {
+                    ctrl.alarm_at(d);
+                    alarmed = Some(d);
                 }
-                _ => None,
+                let booked_since = self.pending_slots().iter().any(|k| !keys.contains(k));
+                booked_since.then_some(None)
+            });
+            if let Some(outcome) = outcome {
+                return outcome;
             }
-        });
-        op_err.map_or(sync, Err)
+        }
     }
 
-    /// Post a passive-target lock request on `target` (non-blocking half
-    /// of [`Win::lock`]). Fails fast on epoch misuse.
-    pub fn lock_request(&self, target: Rank) -> Result<SimNs, MpiError> {
+    /// Acquire an exclusive passive-target lock on `target`'s window
+    /// (`MPI_Win_lock`). Nested locks of one target are refused; a stall
+    /// under a fault plan is classified against it.
+    pub fn lock(&self, actor: &Actor, target: Rank) -> Result<(), MpiError> {
         self.comm.ensure_not_revoked()?;
         if target >= self.comm.size() {
             return Err(MpiError::RankOutOfRange {
@@ -800,55 +747,31 @@ impl Win {
         if self.epoch.lock().locked.contains(&target) {
             return Err(MpiError::RmaAlreadyLocked { target });
         }
-        let clock = self.comm.world().clock();
-        let now = clock.now_ns();
-        let me = self.comm.rank();
-        self.shared
-            .ctrl
-            .with(|c| c.locks[target].queue.push((now, me)));
-        // The request is grantable once the clock has passed `now`.
-        self.shared.ctrl.alarm_at(now + 1);
-        Ok(now)
-    }
-
-    /// Drive lock arbitration; true once this rank holds `target`'s lock
-    /// (the passive epoch is then open). Non-blocking.
-    pub fn lock_ready(&self, target: Rank, now: SimNs) -> bool {
-        let me = self.comm.rank();
-        if self.shared.ctrl.peek(|c| WinShared::grants_due(c, now)) {
-            self.shared.ctrl.with(|c| WinShared::grant_locks(c, now));
-        }
-        let held = self
-            .shared
-            .ctrl
-            .peek(|c| c.locks[target].holder == Some(me));
-        if held {
-            self.epoch.lock().locked.insert(target);
-        }
-        held
-    }
-
-    /// Acquire an exclusive passive-target lock on `target`'s window
-    /// (`MPI_Win_lock`). Nested locks of one target are refused; a stall
-    /// under a fault plan is classified against it.
-    pub fn lock(&self, actor: &Actor, target: Rank) -> Result<(), MpiError> {
-        let start = self.lock_request(target)?;
         let clock = self.comm.world().clock().clone();
+        let start = clock.now_ns();
+        let me = self.comm.rank();
         let ctrl = &self.shared.ctrl;
+        ctrl.with(|c| c.locks[target].queue.push((start, me)));
+        // The request is grantable once the clock has passed `start`.
+        ctrl.alarm_at(start + 1);
         let deadline = self.comm.world().has_faults().then(|| {
             let d = start + RMA_PATIENCE_NS;
             ctrl.alarm_at(d);
             d
         });
-        // `lock_ready` reads the control block.
+        // Lock arbitration reads and writes the control block alone.
         actor.wait_on(&[ctrl.key()], "rma lock", || {
             let now = clock.now_ns();
-            if self.lock_ready(target, now) {
+            if ctrl.peek(|c| WinShared::grants_due(c, now)) {
+                ctrl.with(|c| WinShared::grant_locks(c, now));
+            }
+            if ctrl.peek(|c| c.locks[target].holder == Some(me)) {
+                self.epoch.lock().locked.insert(target);
                 return Some(Ok(()));
             }
             match deadline {
                 Some(d) if now >= d => {
-                    let holder = self.shared.ctrl.peek(|c| c.locks[target].holder);
+                    let holder = ctrl.peek(|c| c.locks[target].holder);
                     let laggards: Vec<Rank> = holder.into_iter().collect();
                     Some(Err(self.classify_stall(&laggards, now, now - start)))
                 }
@@ -859,25 +782,39 @@ impl Win {
 
     /// Release the passive-target lock on `target` (`MPI_Win_unlock`):
     /// settles every pending op addressed to `target` first, so all
-    /// effects are visible at the target once unlock returns.
+    /// effects are visible at the target once unlock returns. The wait is
+    /// registered on exactly the slots of the ops pending at the call; an
+    /// op another thread of this rank issues meanwhile belongs to the next
+    /// closing call.
     pub fn unlock(&self, actor: &Actor, target: Rank) -> Result<(), MpiError> {
         if !self.epoch.lock().locked.contains(&target) {
             return Err(MpiError::RmaNotLocked { target });
         }
-        self.settle(actor, "rma unlock ops", |h| h.target() == target);
-        let mut first_err = None;
-        {
+        let to_target = |h: &&RmaHandle| h.target() == target;
+        let hs: Vec<RmaHandle> = {
+            let ep = self.epoch.lock();
+            ep.pending.iter().filter(to_target).cloned().collect()
+        };
+        // A wait on no key could never be woken.
+        if !hs.is_empty() {
+            let keys: Vec<_> = hs.iter().map(|h| h.inner.slot.key()).collect();
+            actor.wait_on(&keys, "rma unlock ops", || {
+                // Poll every op, settled or not: a poll is also what
+                // re-posts a dropped transfer.
+                let busy = hs
+                    .iter()
+                    .filter(|h| matches!(h.poll(), RmaPoll::Pending))
+                    .count();
+                (busy == 0).then_some(())
+            });
+        }
+        let first_err = {
             let mut ep = self.epoch.lock();
-            for h in ep.pending.iter().filter(|h| h.target() == target) {
-                if let Some(e) = h.error() {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
+            let first_err = ep.pending.iter().filter(to_target).find_map(|h| h.error());
             ep.pending.retain(|h| h.target() != target || !h.settled());
             ep.locked.remove(&target);
-        }
+            first_err
+        };
         let me = self.comm.rank();
         self.shared.ctrl.with(|c| {
             if c.locks[target].holder == Some(me) {
@@ -886,6 +823,103 @@ impl Win {
             WinShared::grant_locks(c, self.comm.world().clock().now_ns());
         });
         first_err.map_or(Ok(()), Err)
+    }
+}
+
+/// `MPI_Win_fence` as a non-blocking machine: the one copy of the
+/// protocol. [`Fence::poll`] drains this rank's pending ops of the epoch
+/// (an op another thread books meanwhile is drained too), marks the fence
+/// arrival, which opens the window for active-target access, and awaits
+/// every rank's matching arrival. Under a fault plan the await carries a
+/// patience deadline whose expiry is classified against the laggards; an
+/// op failure latched during the epoch outranks a synchronization
+/// failure. The clMPI engine steps it for `clEnqueueWinFence`;
+/// [`Win::fence`] drives it from a blocking wait.
+///
+/// Parking: a pending drain has read every pending op's slot, which its
+/// grant notifies, and the window's booking key, which a newly booked op
+/// notifies. A pending await has read the control block, which a peer's
+/// arrival notifies, and hints its patience deadline when it has one.
+#[derive(Default)]
+pub struct Fence(FencePhase);
+
+#[derive(Default)]
+enum FencePhase {
+    #[default]
+    Drain,
+    Await {
+        start: SimNs,
+        gen: u64,
+        op_err: Option<MpiError>,
+        deadline: Option<SimNs>,
+    },
+}
+
+/// What one [`Fence::poll`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FencePoll {
+    /// Not yet. `Some(t)` is the patience deadline to be woken at; all
+    /// else the fence awaits notifies what the poll read.
+    Pending(Option<SimNs>),
+    /// Every rank arrived and every op of the epoch succeeded.
+    Done,
+    /// The classified failure: the epoch's first op failure, or else the
+    /// synchronization's.
+    Failed(MpiError),
+}
+
+impl Fence {
+    /// Advance the fence on `win` as far as it goes at instant `now`.
+    /// Non-blocking.
+    pub fn poll(&mut self, win: &Win, now: SimNs) -> FencePoll {
+        loop {
+            match &mut self.0 {
+                FencePhase::Drain => {
+                    if !win.drain() {
+                        return FencePoll::Pending(None);
+                    }
+                    let op_err = {
+                        let mut ep = win.epoch.lock();
+                        ep.fence_open = true;
+                        ep.epoch_err.take()
+                    };
+                    let me = win.comm.rank();
+                    let gen = win.shared.ctrl.with(|c| {
+                        c.fence_gen[me] += 1;
+                        c.fence_gen[me]
+                    });
+                    let faulty = win.comm.world().has_faults();
+                    self.0 = FencePhase::Await {
+                        start: now,
+                        gen,
+                        op_err,
+                        deadline: faulty.then(|| now + RMA_PATIENCE_NS),
+                    };
+                }
+                FencePhase::Await {
+                    start,
+                    gen,
+                    op_err,
+                    deadline,
+                } => {
+                    let ctrl = &win.shared.ctrl;
+                    if ctrl.peek(|c| c.fence_gen.iter().all(|&g| g >= *gen)) {
+                        return op_err.take().map_or(FencePoll::Done, FencePoll::Failed);
+                    }
+                    return match *deadline {
+                        Some(d) if now >= d => {
+                            let laggards: Vec<Rank> = ctrl.peek(|c| {
+                                let n = c.fence_gen.len();
+                                (0..n).filter(|&r| c.fence_gen[r] < *gen).collect()
+                            });
+                            let sync = win.classify_stall(&laggards, now, now - *start);
+                            FencePoll::Failed(op_err.take().unwrap_or(sync))
+                        }
+                        deadline => FencePoll::Pending(deadline),
+                    };
+                }
+            }
+        }
     }
 }
 
@@ -973,6 +1007,50 @@ mod tests {
             );
             win.unlock(&p.actor, p.rank()).expect("unlock");
         });
+    }
+
+    #[test]
+    fn blocking_fence_drains_a_put_booked_while_it_waits() {
+        // Rank 0's fence starts draining a put granted at 1 ms; meanwhile a
+        // second actor of the rank books another, granted at 2 ms. The
+        // fence settles both before it enters, so rank 1's closing fence
+        // returns with both in its window.
+        let res = run_world_sized(ClusterSpec::cichlid(), 2, |p| {
+            let win = Win::create(&p.comm, &p.actor, 16)?;
+            win.fence(&p.actor)?;
+            if p.rank() == 1 {
+                win.fence(&p.actor)?;
+                return Ok((None, win.read_local()));
+            }
+            let booked = Mutex::new(None);
+            let second = p.actor.clock().register("second");
+            std::thread::scope(|s| {
+                let (w2, slot) = (win.clone(), &booked);
+                s.spawn(move || {
+                    second.advance_ns(100_000);
+                    let late = w2.put_routed(1, 8, vec![2; 8], RmaRoute::Auto, 2_000_000);
+                    *slot.lock() = Some(late);
+                });
+                win.put_routed(1, 0, vec![1; 8], RmaRoute::Auto, 1_000_000)?;
+                win.fence(&p.actor)
+            })?;
+            let late = booked.lock().take().transpose()?;
+            Ok((late.map(|h| h.settled()), win.read_local()))
+        });
+        assert_eq!(res.outputs[0].as_ref().map(|o| o.0), Ok(Some(true)));
+        let both = [[1u8; 8], [2u8; 8]].concat();
+        assert_eq!(res.outputs[1], Ok::<_, MpiError>((None, both)));
+    }
+
+    #[test]
+    fn the_rma_policy_reproduces_the_schedule_it_replaced() {
+        // A literal copy of the retransmit schedule one-sided ops kept of
+        // their own: the backoff before retransmitting 0-based attempt `a`.
+        let replaced = |a: u32| (200_000u64 << a.min(8)).min(50_000_000);
+        for a in 0..30 {
+            assert_eq!(RMA_RETRY.backoff_ns(a + 1), replaced(a), "attempt {a}");
+        }
+        assert_eq!(RMA_RETRY.max_attempts, 30);
     }
 
     #[test]

@@ -165,7 +165,7 @@ pub struct WakeStats {
     /// Times the scheduler looked for ready machines (one per evaluation
     /// of its wait predicate, whether or not it found any).
     pub sched_passes: u64,
-    /// Machine steps (`poll` or `on_wake`) taken by the scheduler.
+    /// Machine steps (`poll`s) taken by the scheduler.
     pub machine_polls: u64,
     /// Passes that stepped two or more machines: those whose order a
     /// permutation seed ([`SimClock::with_permute_seed`]) can change.

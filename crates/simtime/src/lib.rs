@@ -25,7 +25,7 @@
 //! [`WakeKey`] the waiter registered ([`Actor::wait_on`]). An instant a
 //! waiter compares `now` against needs an alarm on such a key
 //! ([`SimClock::schedule_alarm_keyed`]). The synchronization
-//! primitives in [`sync`] ([`Monitor`], [`SimChannel`], [`SimBarrier`])
+//! primitives in [`sync`] ([`Monitor`], [`SimChannel`])
 //! uphold this automatically — each monitor owns a key, notifies it on
 //! every mutation and registers it for its waiters; use them instead of
 //! raw locks for cross-actor state.
@@ -57,7 +57,7 @@ pub mod trace;
 pub use clock::{Actor, ActorStatus, LabelWakes, Progress, SimClock, WakeKey, WakeStats};
 pub use rng::{fnv1a, XorShift64};
 pub use sched::{note_read, on_pool_worker, MachineHandle, MachineStep, SimActor};
-pub use sync::{Monitor, SimBarrier, SimChannel};
+pub use sync::{Monitor, SimChannel};
 pub use trace::{OpSpan, Span, Trace};
 
 /// Virtual nanoseconds since simulation start.

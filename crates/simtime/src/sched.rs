@@ -9,7 +9,7 @@
 //! needs thousands of threads doing nothing but re-evaluating predicates.
 //!
 //! This module turns those actors into **resumable state machines**: a
-//! [`SimActor`] exposes an explicit [`SimActor::poll`]/[`SimActor::on_wake`]
+//! [`SimActor`] exposes an explicit [`SimActor::poll`]
 //! step that runs at a frozen virtual instant and *parks* with an optional
 //! wake hint instead of blocking. [`SimClock::spawn_machine`] hands the
 //! machine to the clock's **event core**: every machine of a clock lives
@@ -62,8 +62,8 @@
 //! keys marks the machine ready and flags the scheduler. A wake hint
 //! (`Pending(Some(t))`) is a
 //! per-machine timer in the slab (`Timers`), with one clock alarm on
-//! the scheduler's own key per distinct instant; its machine is stepped
-//! through `on_wake`, a readied one through `poll`.
+//! the scheduler's own key per distinct instant. A machine whose hint
+//! came due and a readied one are stepped alike, through `poll`.
 //!
 //! Why that is enough: a step is a deterministic function of the state it
 //! reads and of `now`. If nothing it read has been notified and no
@@ -93,7 +93,7 @@ use crate::clock::{Actor, MachineId, SimClock, WakeKey};
 use crate::plock::{Condvar, Mutex};
 use crate::{SimNs, XorShift64};
 
-/// Verdict of one [`SimActor::poll`]/[`SimActor::on_wake`] step.
+/// Verdict of one [`SimActor::poll`] step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MachineStep {
     /// The machine cannot progress further at this instant. `Some(t)`
@@ -122,13 +122,6 @@ pub trait SimActor: Send {
     /// executing thread's clock actor: machines may use it for non-blocking
     /// calls but must never park or sleep it.
     fn poll(&mut self, now: SimNs, actor: &Actor) -> MachineStep;
-
-    /// Called instead of [`SimActor::poll`] when a wake hint the machine
-    /// asked for has come due. The default forwards to `poll`; machines
-    /// with a cheaper timer-expiry path may override it.
-    fn on_wake(&mut self, now: SimNs, actor: &Actor) -> MachineStep {
-        self.poll(now, actor)
-    }
 }
 
 /// Read `SIM_PERMUTE_SEED`: unset or empty means a pass steps its batch
@@ -201,11 +194,11 @@ pub(crate) struct Timers {
 type Armed = Option<SimNs>;
 
 impl Timers {
-    /// Move the machines with a hint due at `now` into `due`.
-    fn pop_due(&mut self, now: SimNs, due: &mut Vec<MachineId>) {
+    /// Move the machines with a hint due at `now` into `batch`.
+    fn pop_due(&mut self, now: SimNs, batch: &mut Vec<MachineId>) {
         while let Some(first) = self.at.first_entry().filter(|e| *e.key() <= now) {
             self.spare = first.remove();
-            due.append(&mut self.spare);
+            batch.append(&mut self.spare);
         }
     }
 
@@ -397,8 +390,6 @@ struct Pass {
     /// The machines this pass steps, in id order unless the clock has a
     /// permutation seed ([`SimClock::with_permute_seed`]).
     batch: Vec<MachineId>,
-    /// Those of them with a wake hint due.
-    due: Vec<MachineId>,
     /// Those whose read-set differs from what the registry holds.
     changed: Vec<MachineId>,
     /// Those that finished.
@@ -419,25 +410,20 @@ impl Pass {
     fn run(&mut self, actor: &Actor, clock: &SimClock) -> bool {
         let Pass {
             batch,
-            due,
             changed,
             done,
         } = self;
         let mut st = clock.pool().slab.lock();
         let now = clock.now_ns();
         batch.clear();
-        due.clear();
         // Adopt machines spawned since the last pass. They are polled at
         // this very instant: the spawner is still runnable, so the clock
         // cannot have advanced past the spawn instant.
         for (label, body) in std::mem::take(&mut st.incoming) {
             batch.push(st.adopt(label, body));
         }
-        st.timers.pop_due(now, due);
-        due.sort_unstable();
-        due.dedup();
+        st.timers.pop_due(now, batch);
         let gen = clock.take_ready(batch);
-        batch.extend_from_slice(due);
         batch.sort_unstable();
         batch.dedup();
         if let Some(seed) = clock.permute_seed() {
@@ -458,11 +444,7 @@ impl Pass {
             };
             READS.with(|r| r.borrow_mut().clear());
             polls += 1;
-            let step = if due.binary_search(&m).is_ok() {
-                slot.body.on_wake(now, actor)
-            } else {
-                slot.body.poll(now, actor)
-            };
+            let step = slot.body.poll(now, actor);
             debug_assert!(
                 !matches!(step, MachineStep::Pending(Some(t)) if t <= now),
                 "machines must progress, not park, when due"

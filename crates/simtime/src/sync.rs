@@ -186,56 +186,6 @@ impl<T: Send> SimChannel<T> {
     }
 }
 
-/// A reusable barrier for `n` actors in virtual time.
-pub struct SimBarrier {
-    inner: Monitor<BarrierState>,
-    n: usize,
-}
-
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-}
-
-impl SimBarrier {
-    /// Barrier for `n` participants (panics if `n == 0`).
-    pub fn new(clock: SimClock, n: usize) -> Self {
-        assert!(n > 0, "barrier needs at least one participant");
-        SimBarrier {
-            inner: Monitor::new(
-                clock,
-                BarrierState {
-                    arrived: 0,
-                    generation: 0,
-                },
-            ),
-            n,
-        }
-    }
-
-    /// Wait until all `n` participants arrive. Returns `true` for exactly
-    /// one (the last) participant per generation, like `std::sync::Barrier`.
-    pub fn wait(&self, actor: &Actor) -> bool {
-        let (my_gen, leader) = self.inner.with(|st| {
-            st.arrived += 1;
-            if st.arrived == self.n {
-                st.arrived = 0;
-                st.generation += 1;
-                (st.generation, true)
-            } else {
-                (st.generation + 1, false)
-            }
-        });
-        if leader {
-            return true;
-        }
-        self.inner.wait_labeled(actor, "barrier", |st| {
-            (st.generation >= my_gen).then_some(())
-        });
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,72 +230,6 @@ mod tests {
         assert_eq!(ch.recv(&r), Some(99));
         assert_eq!(r.now_ns(), 250);
         sender.join().expect("worker thread panicked");
-    }
-
-    #[test]
-    fn barrier_synchronizes_virtual_times() {
-        let clock = SimClock::new();
-        let bar = Arc::new(SimBarrier::new(clock.clone(), 3));
-        let actors: Vec<_> = (0..3).map(|i| clock.register(format!("p{i}"))).collect();
-        let h: Vec<_> = actors
-            .into_iter()
-            .zip([10u64, 20, 30])
-            .map(|(actor, d)| {
-                let bar = bar.clone();
-                thread::spawn(move || {
-                    actor.advance_ns(d);
-                    bar.wait(&actor);
-                    // All leave the barrier at the last arrival's time or
-                    // later (a waiter cannot run before the leader posted).
-                    actor.now_ns()
-                })
-            })
-            .collect();
-        let times: Vec<u64> = h
-            .into_iter()
-            .map(|t| t.join().expect("worker thread panicked"))
-            .collect();
-        // Leader arrives at 30; everyone observes >= their own arrival and
-        // the clock never exceeded 30 (no spurious advancement).
-        assert!(times.iter().all(|&t| t <= 30));
-        assert_eq!(clock.now_ns(), 30);
-    }
-
-    #[test]
-    fn barrier_is_reusable() {
-        let clock = SimClock::new();
-        let bar = Arc::new(SimBarrier::new(clock.clone(), 2));
-        let a = clock.register("a");
-        let bar2 = bar.clone();
-        let b = clock.register("b");
-        let t = thread::spawn(move || {
-            for _ in 0..10 {
-                bar2.wait(&b);
-            }
-        });
-        for _ in 0..10 {
-            bar.wait(&a);
-        }
-        t.join().expect("worker thread panicked");
-    }
-
-    #[test]
-    fn barrier_reports_one_leader() {
-        let clock = SimClock::new();
-        let bar = Arc::new(SimBarrier::new(clock.clone(), 4));
-        let actors: Vec<_> = (0..4).map(|i| clock.register(format!("p{i}"))).collect();
-        let h: Vec<_> = actors
-            .into_iter()
-            .map(|actor| {
-                let bar = bar.clone();
-                thread::spawn(move || bar.wait(&actor) as usize)
-            })
-            .collect();
-        let leaders: usize = h
-            .into_iter()
-            .map(|t| t.join().expect("worker thread panicked"))
-            .sum();
-        assert_eq!(leaders, 1);
     }
 
     #[test]

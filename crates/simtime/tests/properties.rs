@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::thread;
 
 use simtime::plock::Mutex;
-use simtime::{SimBarrier, SimClock, XorShift64};
+use simtime::{SimClock, XorShift64};
 
 /// A single actor's advances always sum exactly.
 #[test]
@@ -88,56 +88,6 @@ fn alarms_never_move_clock_backwards() {
             let now = a.now_ns();
             assert!(now >= last, "case {case}");
             last = now;
-        }
-    }
-}
-
-/// Barriers align every participant to exactly the latest arrival, for
-/// arbitrary per-actor workloads, repeatedly.
-#[test]
-fn barrier_rounds_align() {
-    for case in 0..16u64 {
-        let mut rng = XorShift64::new(0xBA44_0000 + case);
-        let rounds: Vec<Vec<u64>> = (0..rng.gen_range_usize(1, 6))
-            .map(|_| (0..3).map(|_| rng.gen_range_u64(1, 50_000)).collect())
-            .collect();
-        let clock = SimClock::new();
-        let bar = Arc::new(SimBarrier::new(clock.clone(), 3));
-        let actors: Vec<_> = (0..3).map(|i| clock.register(format!("p{i}"))).collect();
-        let rounds = Arc::new(rounds);
-        let handles: Vec<_> = actors
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| {
-                let bar = bar.clone();
-                let rounds = rounds.clone();
-                thread::spawn(move || {
-                    let mut outs = Vec::new();
-                    for r in rounds.iter() {
-                        a.advance_ns(r[i]);
-                        bar.wait(&a);
-                        outs.push(a.now_ns());
-                    }
-                    outs
-                })
-            })
-            .collect();
-        let outs: Vec<Vec<u64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let mut floor = 0u64;
-        for (ri, r) in rounds.iter().enumerate() {
-            floor += *r.iter().max().unwrap();
-            for out in &outs {
-                assert!(
-                    out[ri] <= floor,
-                    "case {case}: no one leaves after the bound"
-                );
-            }
-            let times: Vec<u64> = outs.iter().map(|o| o[ri]).collect();
-            assert_eq!(times[0], floor, "case {case}");
-            assert!(
-                times.iter().all(|&t| t == times[0]),
-                "case {case}: aligned exit"
-            );
         }
     }
 }

@@ -464,21 +464,16 @@ fn actor_dropped_while_a_worker_is_held_keeps_the_clock_advancing() {
 // Ready machines: parked on what the last poll read
 // ---------------------------------------------------------------------
 
-/// A machine whose step is a closure `(woken, now) -> MachineStep`;
-/// `woken` says the step is an `on_wake` (a hint came due), not a `poll`.
+/// A machine whose step is a closure `now -> MachineStep`.
 struct FnMachine<F>(F);
 
-impl<F: FnMut(bool, SimNs) -> MachineStep + Send> SimActor for FnMachine<F> {
+impl<F: FnMut(SimNs) -> MachineStep + Send> SimActor for FnMachine<F> {
     fn wait_label(&self) -> &'static str {
         "fn machine"
     }
 
     fn poll(&mut self, now: SimNs, _actor: &Actor) -> MachineStep {
-        (self.0)(false, now)
-    }
-
-    fn on_wake(&mut self, now: SimNs, _actor: &Actor) -> MachineStep {
-        (self.0)(true, now)
+        (self.0)(now)
     }
 }
 
@@ -486,7 +481,7 @@ fn spawn_fn(
     clock: &SimClock,
     hint: u64,
     label: &str,
-    step: impl FnMut(bool, SimNs) -> MachineStep + Send + 'static,
+    step: impl FnMut(SimNs) -> MachineStep + Send + 'static,
 ) {
     clock.spawn_machine(hint, label, Box::new(FnMachine(step)));
 }
@@ -495,7 +490,7 @@ fn spawn_fn(
 fn spawn_until_one(clock: &SimClock, hint: u64, m: &Arc<Monitor<u32>>) -> Arc<AtomicU64> {
     let polls = Arc::new(AtomicU64::new(0));
     let (m, p) = (m.clone(), polls.clone());
-    spawn_fn(clock, hint, "until one", move |_, _| {
+    spawn_fn(clock, hint, "until one", move |_| {
         p.fetch_add(1, Ordering::SeqCst);
         if m.peek(|v| *v == 1) {
             MachineStep::Done
@@ -555,7 +550,7 @@ fn machine_that_reparks_on_another_monitor_is_reregistered() {
             .collect();
         let driver = clock.register("driver");
         let (w, ms) = (which.clone(), mons.clone());
-        spawn_fn(&clock, 0, "follower", move |_, _| {
+        spawn_fn(&clock, 0, "follower", move |_| {
             if ms[w.peek(|i| *i)].peek(|v| *v == 1) {
                 MachineStep::Done
             } else {
@@ -596,7 +591,7 @@ fn notify_between_a_poll_and_its_registration_is_not_lost() {
         let polls = Arc::new(AtomicU64::new(0));
         let driver = clock.register("driver");
         let (m1, g1, p1) = (m.clone(), gate.clone(), polls.clone());
-        spawn_fn(&clock, 0, "racer", move |_, _| {
+        spawn_fn(&clock, 0, "racer", move |_| {
             let first = p1.fetch_add(1, Ordering::SeqCst) == 0;
             let seen = m1.peek(|v| *v);
             if first {
@@ -658,10 +653,10 @@ fn progress_alarm_runs_its_source_before_anybody_runs_at_its_instant() {
         let sleeper = clock.register("sleeper");
         let waiter = clock.register("waiter");
         // A machine with a hint at 50, which reads the flag on every step.
-        let log: Arc<Mutex<Vec<(bool, SimNs, bool)>>> = Arc::default();
+        let log: Arc<Mutex<Vec<(SimNs, bool)>>> = Arc::default();
         let (l1, f1) = (log.clone(), source.flag.clone());
-        spawn_fn(&clock, 0, "hinted", move |woken, now| {
-            l1.lock().push((woken, now, f1.peek(|f| *f)));
+        spawn_fn(&clock, 0, "hinted", move |now| {
+            l1.lock().push((now, f1.peek(|f| *f)));
             if now < 50 {
                 MachineStep::Pending(Some(50))
             } else {
@@ -686,7 +681,7 @@ fn progress_alarm_runs_its_source_before_anybody_runs_at_its_instant() {
         clock.quiesce_machines();
         assert_eq!(
             *log.lock(),
-            vec![(false, 0, false), (true, 50, true)],
+            vec![(0, false), (50, true)],
             "so does the machine whose hint is due at 50"
         );
         assert_eq!(*source.ran.lock(), vec![50]);
@@ -704,15 +699,15 @@ fn progress_alarm_runs_its_source_before_anybody_runs_at_its_instant() {
 }
 
 #[test]
-fn hint_steps_through_on_wake_and_key_through_poll() {
+fn hint_and_key_both_step_through_poll() {
     within_watchdog(|| {
         let clock = SimClock::new();
         let m = Arc::new(Monitor::new(clock.clone(), 0u32));
-        let log: Arc<Mutex<Vec<(bool, SimNs, u32)>>> = Arc::default();
+        let log: Arc<Mutex<Vec<(SimNs, u32)>>> = Arc::default();
         let driver = clock.register("driver");
         let (m1, l1) = (m.clone(), log.clone());
-        spawn_fn(&clock, 0, "timed reader", move |woken, now| {
-            l1.lock().push((woken, now, m1.peek(|v| *v)));
+        spawn_fn(&clock, 0, "timed reader", move |now| {
+            l1.lock().push((now, m1.peek(|v| *v)));
             if now >= 100 {
                 MachineStep::Done
             } else {
@@ -725,8 +720,8 @@ fn hint_steps_through_on_wake_and_key_through_poll() {
         clock.quiesce_machines();
         assert_eq!(
             *log.lock(),
-            vec![(false, 0, 0), (false, 10, 7), (true, 100, 7)],
-            "adopted by poll, readied by m's key through poll, timer through on_wake"
+            vec![(0, 0), (10, 7), (100, 7)],
+            "adopted, readied by m's key, then stepped by the timer"
         );
         assert_eq!(
             clock.wake_stats().alarms_fired,
@@ -800,8 +795,8 @@ fn machine_that_spawns_from_poll_poisons_the_clock_instead_of_hanging() {
         let clock = SimClock::new();
         let driver = clock.register("driver");
         let c1 = clock.clone();
-        spawn_fn(&clock, 0, "parent", move |_, _| {
-            let child = FnMachine(|_: bool, _: SimNs| MachineStep::Done);
+        spawn_fn(&clock, 0, "parent", move |_| {
+            let child = FnMachine(|_: SimNs| MachineStep::Done);
             c1.spawn_machine(1, "child", Box::new(child));
             MachineStep::Done
         });
