@@ -137,7 +137,8 @@ pub fn fill_planes(p: &mut [f32], size: GridSize, lo: usize) {
 
 /// One Jacobi sweep over planes `i_lo..i_hi` (local indices, interior
 /// only) of a slab shaped `(planes, mjmax, mkmax)`: reads `old`, writes
-/// `new` for those planes, and returns the partial `gosa`.
+/// `new` for those planes, and returns the partial `gosa` if `RESIDUAL`,
+/// otherwise 0.0.
 ///
 /// This is the exact Himeno update with the benchmark's constant
 /// coefficients folded in (a0..a2 = 1, a3 = 1/6, b = 0, c = 1, bnd = 1,
@@ -158,13 +159,19 @@ pub fn fill_planes(p: &mut [f32], size: GridSize, lo: usize) {
 /// rounds. `tests::jacobi_sweep_spec` is the scalar loop this is diffed
 /// against.
 ///
+/// The residual is about half the sweep's host time, and most callers
+/// read it for one iteration in many. `RESIDUAL = false` compiles the
+/// same loop without `sq` and without the second pass: `new` gets the
+/// same bits, and nothing is summed. The device-time model charges the
+/// residual either way ([`FLOPS_PER_POINT`], [`BYTES_PER_POINT`]).
+///
 /// Never inlined. On this form the attribute changes no instruction
 /// (`nm` and the disassembly are the same with and without it: DESIGN.md
 /// §14, "Host kernels"); it stays so that a change elsewhere in the crate
 /// cannot fold the nest into a caller, which in PR 16 slowed it by a
 /// sixth.
 #[inline(never)]
-pub fn jacobi_sweep(
+pub fn jacobi_sweep<const RESIDUAL: bool>(
     old: &[f32],
     new: &mut [f32],
     mj: usize,
@@ -175,7 +182,7 @@ pub fn jacobi_sweep(
     const A3: f32 = 1.0 / 6.0;
     let plane = mj * mk;
     let n = mk - 2;
-    let mut sq = vec![0.0f32; n];
+    let mut sq = vec![0.0f32; if RESIDUAL { n } else { 0 }];
     let mut gosa = 0.0f64;
     for i in i_lo..i_hi {
         for j in 1..mj - 1 {
@@ -188,10 +195,14 @@ pub fn jacobi_sweep(
             for k in 0..n {
                 let s0 = ip[k] + jp[k] + kp[k] + im[k] + jm[k] + km[k];
                 let ss = s0 * A3 - centre[k]; // (s0*a3 - p) * bnd
-                sq[k] = ss * ss;
+                if RESIDUAL {
+                    sq[k] = ss * ss;
+                }
                 out[k] = centre[k] + OMEGA * ss;
             }
-            gosa = add_row(gosa, &sq);
+            if RESIDUAL {
+                gosa = add_row(gosa, &sq);
+            }
         }
     }
     gosa
@@ -333,7 +344,7 @@ mod tests {
         let mut new = g.p.clone();
         let mut last = f64::MAX;
         for _ in 0..5 {
-            let gosa = jacobi_sweep(&old, &mut new, mj, mk, 1, mi - 1);
+            let gosa = jacobi_sweep::<true>(&old, &mut new, mj, mk, 1, mi - 1);
             assert!(gosa < last, "residual decreases");
             last = gosa;
             std::mem::swap(&mut old, &mut new);
@@ -347,7 +358,7 @@ mod tests {
         let (mi, mj, mk) = size.dims();
         let g = HimenoGrid::new(size);
         let mut new = vec![-1.0f32; g.p.len()];
-        jacobi_sweep(&g.p, &mut new, mj, mk, 1, mi - 1);
+        jacobi_sweep::<true>(&g.p, &mut new, mj, mk, 1, mi - 1);
         // Boundary untouched (still -1), interior written.
         assert_eq!(new[0], -1.0);
         assert_ne!(new[(mj + 1) * mk + 1], -1.0);
@@ -362,6 +373,9 @@ mod tests {
             assert_eq!(init_planes(size, lo, hi), g.planes(lo, hi));
         }
     }
+
+    /// Either form of [`jacobi_sweep`].
+    type Sweep = fn(&[f32], &mut [f32], usize, usize, usize, usize) -> f64;
 
     /// The scalar loop nest that defines `jacobi_sweep`: which `f32`
     /// operations happen on which operands, and in which order the
@@ -398,9 +412,11 @@ mod tests {
     }
 
     /// 7 row lengths x 32 seeded cases against the scalar spec, bit for
-    /// bit. The fields differ in every cell and span twenty binary orders
-    /// of magnitude: the standard init is constant in `j` and `k`, so on it
-    /// a swapped neighbour or a reordered residual sum would change nothing.
+    /// bit, in both forms: each writes the spec's `new`, the residual form
+    /// returns its `gosa` and the residual-free form 0.0. The fields differ
+    /// in every cell and span twenty binary orders of magnitude: the
+    /// standard init is constant in `j` and `k`, so on it a swapped
+    /// neighbour or a reordered residual sum would change nothing.
     #[test]
     fn sweep_matches_the_scalar_spec_bit_for_bit() {
         const SENTINEL: u32 = 0xc442_4000; // -777.0, which no update produces
@@ -425,26 +441,36 @@ mod tests {
                     })
                     .collect();
                 let mut want = vec![f32::from_bits(SENTINEL); old.len()];
-                let mut got = want.clone();
                 let want_gosa = jacobi_sweep_spec(&old, &mut want, mj, mk, i_lo, i_hi);
-                let got_gosa = jacobi_sweep(&old, &mut got, mj, mk, i_lo, i_hi);
                 let what =
                     format!("row {row} case {case}: {planes}x{mj}x{mk}, planes {i_lo}..{i_hi}");
-                assert_eq!(got_gosa.to_bits(), want_gosa.to_bits(), "gosa, {what}");
                 if i_lo == i_hi {
-                    assert_eq!(got_gosa.to_bits(), 0.0f64.to_bits(), "empty range, {what}");
+                    assert_eq!(want_gosa.to_bits(), 0.0f64.to_bits(), "empty range, {what}");
                 }
-                for (c, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(g.to_bits(), w.to_bits(), "cell {c}, {what}");
-                    let (i, j, k) = (c / (mj * mk), c / mk % mj, c % mk);
-                    let updated = (i_lo..i_hi).contains(&i)
-                        && (1..mj - 1).contains(&j)
-                        && (1..mk - 1).contains(&k);
+                let forms: [(&str, Sweep, f64); 2] = [
+                    ("residual", jacobi_sweep::<true>, want_gosa),
+                    ("residual-free", jacobi_sweep::<false>, 0.0),
+                ];
+                for (form, sweep, want_gosa) in forms {
+                    let mut got = vec![f32::from_bits(SENTINEL); old.len()];
+                    let got_gosa = sweep(&old, &mut got, mj, mk, i_lo, i_hi);
                     assert_eq!(
-                        g.to_bits() != SENTINEL,
-                        updated,
-                        "cell {c} = ({i},{j},{k}), {what}"
+                        got_gosa.to_bits(),
+                        want_gosa.to_bits(),
+                        "{form} gosa, {what}"
                     );
+                    for (c, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{form} cell {c}, {what}");
+                        let (i, j, k) = (c / (mj * mk), c / mk % mj, c % mk);
+                        let updated = (i_lo..i_hi).contains(&i)
+                            && (1..mj - 1).contains(&j)
+                            && (1..mk - 1).contains(&k);
+                        assert_eq!(
+                            g.to_bits() != SENTINEL,
+                            updated,
+                            "{form} cell {c} = ({i},{j},{k}), {what}"
+                        );
+                    }
                 }
             }
         }
@@ -577,7 +603,7 @@ mod tests {
                         gosa = add_row(gosa, &sq);
                     }
                 }
-                let swept = jacobi_sweep(&old, &mut new, mj, mk, i_lo, i_hi);
+                let swept = jacobi_sweep::<true>(&old, &mut new, mj, mk, i_lo, i_hi);
                 assert_eq!(swept.to_bits(), gosa.to_bits(), "planes {i_lo}..{i_hi}");
             }
             std::mem::swap(&mut old, &mut new);

@@ -48,7 +48,7 @@ use minimpi::{run_world_faulty, FaultPlan, Process, Tag};
 use simtime::SimNs;
 
 use crate::grid::{init_planes, GridSize};
-use crate::run::{HimenoConfig, RankCx, Slab};
+use crate::run::{HimenoConfig, RankCx, Residuals, Slab};
 
 /// User tag of the per-iteration residual allreduce.
 const TAG_GOSA: Tag = 7;
@@ -70,8 +70,19 @@ pub struct RecoverConfig {
     /// Initial number of ranks/nodes.
     pub nodes: usize,
     /// Checkpoint after every `ckpt_every`-th iteration (the slab of
-    /// iteration `t` is checkpointed when `(t + 1) % ckpt_every == 0`).
+    /// iteration `t` is checkpointed when `(t + 1) % ckpt_every == 0`);
+    /// 0 never checkpoints, so a recovery restarts from the initial field.
+    /// At most 64 iterations may be checkpointed.
     pub ckpt_every: usize,
+}
+
+impl RecoverConfig {
+    /// The checkpointed iterations, oldest first.
+    fn ckpt_slots(&self) -> Vec<usize> {
+        (0..self.iters)
+            .filter(|t| (t + 1).is_multiple_of(self.ckpt_every))
+            .collect()
+    }
 }
 
 /// Outcome of a recoverable run.
@@ -121,9 +132,18 @@ enum RankOut {
 ///
 /// # Panics
 /// On the calling thread, before the world is launched, if `cfg.size` has
-/// a dimension below 3 (no interior point).
+/// a dimension below 3 (no interior point), or if `cfg` checkpoints more
+/// than 64 iterations (the survivors agree on a resume slot through one
+/// `u64` mask).
 pub fn run_himeno_recover(cfg: RecoverConfig, plan: FaultPlan) -> RecoverResult {
     cfg.size.solve_dims();
+    let slots = cfg.ckpt_slots().len();
+    assert!(
+        slots <= 64,
+        "{} iterations checkpointed every {} make {slots} checkpoint slots: at most 64 fit the resume agreement's mask",
+        cfg.iters,
+        cfg.ckpt_every
+    );
     let cluster = cfg.sys.cluster.clone();
     let nodes = cfg.nodes;
     let cfg = Arc::new(cfg);
@@ -232,7 +252,7 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
     };
     let me = p.rank();
     let rt = ClMpi::new(&p, cfg.sys.clone());
-    let cx = RankCx::new(&hcfg, &p, &rt, me);
+    let cx = RankCx::new(&hcfg, &p, &rt, me, Residuals::Every);
     let gbuf = rt.context().create_buffer(8);
     let q = cx.traced_queue("q", "gpu");
 
@@ -289,10 +309,8 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
         .expect("survivors agree on the shrunken communicator");
 
     // ---- Agree on the newest globally-valid checkpoint slot ------------
-    let slots: Vec<usize> = (0..cfg.iters)
-        .filter(|t| (t + 1) % cfg.ckpt_every == 0)
-        .collect();
-    assert!(slots.len() <= 64, "agreement mask is one u64");
+    // At most 64 slots: `run_himeno_recover` refuses more.
+    let slots = cfg.ckpt_slots();
     let mut mask = 0u64;
     for (j, &slot) in slots.iter().enumerate() {
         let all_ok = (0..cfg.nodes).all(|g| {
@@ -326,7 +344,7 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
         nodes: sub.size(),
         ..hcfg.clone()
     };
-    let cx2 = RankCx::new(&cfg2, &p, &rt2, sub.rank());
+    let cx2 = RankCx::new(&cfg2, &p, &rt2, sub.rank(), Residuals::Every);
     let gbuf2 = rt2.context().create_buffer(8);
     let q2 = cx2.traced_queue("q2", "gpu");
 
@@ -528,6 +546,36 @@ mod tests {
             res.checksum
         );
         assert!((res.gosa - ref_gosa).abs() / ref_gosa < 1e-9);
+    }
+
+    /// `ckpt_every: 0` never checkpoints: a kill mid-run leaves no slot,
+    /// and the survivors restart from the initial field.
+    #[test]
+    fn never_checkpointing_recovers_from_the_initial_field() {
+        let iters = 6;
+        let never = || RecoverConfig {
+            ckpt_every: 0,
+            ..cfg(4, iters)
+        };
+        let probe = run_himeno_recover(never(), FaultPlan::none());
+        let t_kill = probe.elapsed_ns / 2;
+        let res = run_himeno_recover(never(), FaultPlan::none().with_node_down(1, t_kill));
+        assert_eq!((probe.survivors, probe.recovered), (4, false));
+        assert_eq!((res.survivors, res.recovered), (3, true));
+        assert_eq!(res.resumed_from, None, "nothing was checkpointed");
+        let (ref_sum, ref_gosa) = reference_checksum(GridSize::Xs, iters);
+        for r in [&probe, &res] {
+            assert!(
+                (r.checksum - ref_sum).abs() / ref_sum < 1e-10,
+                "checksum {} vs reference {ref_sum}",
+                r.checksum
+            );
+            assert!(
+                (r.gosa - ref_gosa).abs() / ref_gosa < 1e-9,
+                "gosa {} vs reference {ref_gosa}",
+                r.gosa
+            );
+        }
     }
 
     #[test]

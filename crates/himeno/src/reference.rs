@@ -14,15 +14,21 @@ pub struct ReferenceResult {
 /// Run `iters` Jacobi sweeps on a full grid, double-buffered exactly like
 /// the distributed variants (so results are bitwise comparable). Both
 /// buffers start as the initial field and a sweep writes interior points
-/// only, so nothing has to carry the boundary shell forward. Panics if
+/// only, so nothing has to carry the boundary shell forward. Only the
+/// final sweep sums its residual; with no sweep, `gosa` is 0.0. Panics if
 /// `size` has a dimension below 3 (no interior point).
 pub fn reference_jacobi(size: GridSize, iters: usize) -> ReferenceResult {
     let (mi, mj, mk) = size.solve_dims();
     let mut old = HimenoGrid::new(size).p;
     let mut new = old.clone();
     let mut gosa = 0.0;
-    for _ in 0..iters {
-        gosa = jacobi_sweep(&old, &mut new, mj, mk, 1, mi - 1);
+    for t in 0..iters {
+        let sweep = if t + 1 == iters {
+            jacobi_sweep::<true>
+        } else {
+            jacobi_sweep::<false>
+        };
+        gosa = sweep(&old, &mut new, mj, mk, 1, mi - 1);
         std::mem::swap(&mut old, &mut new);
     }
     ReferenceResult { p: old, gosa }

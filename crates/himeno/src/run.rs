@@ -266,6 +266,17 @@ impl Slab {
     }
 }
 
+/// Which iterations' residuals a rank body reads. A kernel sums its
+/// residual only for those ([`RankCx::enqueue_half_kernel`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Residuals {
+    /// The last iteration's: every [`run_himeno`] variant's result.
+    Last,
+    /// Every iteration's: the recovery harness allreduces each one as its
+    /// failure detector.
+    Every,
+}
+
 /// What every variant's rank body works on: the run's parameters, this
 /// rank's endpoint and runtime, its slab, the two pressure buffers and
 /// the per-iteration residual cells.
@@ -275,16 +286,24 @@ pub(crate) struct RankCx<'a> {
     pub(crate) rt: &'a ClMpi,
     pub(crate) slab: Slab,
     bufs: [Buffer; 2],
+    residuals: Residuals,
     gosa: Arc<Vec<Mutex<f64>>>,
 }
 
 impl<'a> RankCx<'a> {
     /// Decompose `cfg`'s grid for `rank` of `rt`'s communicator and fill
     /// both pressure buffers in place (halo planes included) with the
-    /// standard grid's values; residual cells start at zero. A rank that
-    /// owns no plane gets two empty buffers: no kernel, exchange, checksum
-    /// or checkpoint reads its ghost planes.
-    pub(crate) fn new(cfg: &'a HimenoConfig, p: &'a Process, rt: &'a ClMpi, rank: usize) -> Self {
+    /// standard grid's values; residual cells start at zero, and only the
+    /// `residuals` ones are summed into. A rank that owns no plane gets two
+    /// empty buffers: no kernel, exchange, checksum or checkpoint reads its
+    /// ghost planes.
+    pub(crate) fn new(
+        cfg: &'a HimenoConfig,
+        p: &'a Process,
+        rt: &'a ClMpi,
+        rank: usize,
+        residuals: Residuals,
+    ) -> Self {
         let slab = Slab::new(cfg, rank);
         let bytes = if slab.n == 0 { 0 } else { slab.slab_bytes() };
         let bufs = [(); 2].map(|()| {
@@ -298,6 +317,7 @@ impl<'a> RankCx<'a> {
             rt,
             slab,
             bufs,
+            residuals,
             gosa: Arc::new((0..cfg.iters).map(|_| Mutex::new(0.0)).collect()),
         }
     }
@@ -318,9 +338,22 @@ impl<'a> RankCx<'a> {
         q
     }
 
-    /// Iteration `t`'s local residual so far.
+    /// Iteration `t`'s local residual so far. Only an iteration the rank
+    /// body said it reads has one.
     pub(crate) fn residual(&self, t: usize) -> f64 {
+        debug_assert!(
+            self.reads_residual(t),
+            "iteration {t}'s residual is not summed"
+        );
         *self.gosa[t].lock()
+    }
+
+    /// Whether iteration `t`'s kernels sum its residual.
+    fn reads_residual(&self, t: usize) -> bool {
+        match self.residuals {
+            Residuals::Last => t + 1 == self.cfg.iters,
+            Residuals::Every => true,
+        }
     }
 
     /// Checksum of the final field's interior: it lives in the last
@@ -332,7 +365,8 @@ impl<'a> RankCx<'a> {
     }
 
     /// Enqueue iteration `t`'s kernel over `half`; the body performs the
-    /// real stencil and adds the partial residual to cell `t`.
+    /// real stencil and, if iteration `t`'s residual is read, adds the
+    /// partial residual to cell `t`.
     pub(crate) fn enqueue_half_kernel(
         &self,
         q: &CommandQueue,
@@ -346,10 +380,17 @@ impl<'a> RankCx<'a> {
         let cost = q.device().spec().stencil_kernel_ns(points, BYTES_PER_POINT);
         let (old, new) = self.generation(t);
         let (old, new, gosa) = (old.clone(), new.clone(), self.gosa.clone());
+        let read = self.reads_residual(t);
+        let sweep = if read {
+            jacobi_sweep::<true>
+        } else {
+            jacobi_sweep::<false>
+        };
         q.enqueue_kernel(name, cost, waits, move || {
-            let g = old
-                .read(|o| new.write(|n| jacobi_sweep(o.as_f32(), n.as_f32_mut(), mj, mk, lo, hi)));
-            *gosa[t].lock() += g;
+            let g = old.read(|o| new.write(|n| sweep(o.as_f32(), n.as_f32_mut(), mj, mk, lo, hi)));
+            if read {
+                *gosa[t].lock() += g;
+            }
         })
     }
 
@@ -498,7 +539,7 @@ fn rank_main(variant: Variant, cfg: &HimenoConfig, p: Process) -> RankOut {
     if let Some(s) = cfg.strategy {
         rt.set_forced_strategy(Some(s));
     }
-    let cx = RankCx::new(cfg, &p, &rt, p.rank());
+    let cx = RankCx::new(cfg, &p, &rt, p.rank(), Residuals::Last);
 
     // Warm-up alignment, then the timed loop.
     p.comm.barrier(&p.actor);
@@ -514,7 +555,8 @@ fn rank_main(variant: Variant, cfg: &HimenoConfig, p: Process) -> RankOut {
     p.comm.barrier(&p.actor);
     let loop_ns = p.actor.now_ns() - t0;
 
-    let gosa = cx.residual(cfg.iters - 1);
+    // With no iteration there is no residual: `reference_jacobi`'s 0.0.
+    let gosa = cfg.iters.checked_sub(1).map_or(0.0, |t| cx.residual(t));
     (
         gosa,
         cx.checksum(),
@@ -750,6 +792,36 @@ mod tests {
             halo: HaloMode::Plane,
         };
         (0..nodes).map(|r| Slab::new(&cfg, r)).collect()
+    }
+
+    /// A variant sums only the residual it reads, its last iteration's:
+    /// the other cells stay zero. Summing them too would keep every bit
+    /// and double most sweeps' host time.
+    #[test]
+    fn a_variant_sums_only_the_last_residual() {
+        let cfg = Arc::new(HimenoConfig {
+            size: GridSize::Xs,
+            iters: 3,
+            sys: SystemConfig::cichlid(),
+            nodes: 2,
+            strategy: None,
+            halo: HaloMode::Plane,
+        });
+        let spec = cfg.sys.cluster.clone();
+        let res = run_world_faulty(spec, cfg.nodes, FaultPlan::none(), move |p: Process| {
+            let rt = ClMpi::new(&p, cfg.sys.clone());
+            let cx = RankCx::new(&cfg, &p, &rt, p.rank(), Residuals::Last);
+            run_serial(&cx);
+            rt.shutdown(&p.actor);
+            cx.gosa
+                .iter()
+                .map(|cell| *cell.lock())
+                .collect::<Vec<f64>>()
+        });
+        for (rank, cells) in res.outputs.iter().enumerate() {
+            assert_eq!(cells[..2], [0.0, 0.0], "rank {rank}");
+            assert!(cells[2] > 0.0, "rank {rank}: {cells:?}");
+        }
     }
 
     #[test]
