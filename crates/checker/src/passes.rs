@@ -474,7 +474,6 @@ pub const BLOCKING_CALLS: &[&str] = &[
     "wait_idle",
     "pump",
     "quiesce_machines",
-    "wait_retired",
     "park",
     "sleep",
     "advance_until",

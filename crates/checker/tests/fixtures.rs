@@ -510,7 +510,8 @@ fn names(&self) -> String {
 #[test]
 fn p6_and_p8_keyed_park_is_blocking_vocabulary() {
     // `wait_on` parks the actor: a guard held across it is the PR-7
-    // deadlock shape, and a machine body must not call it. `wait_retired` is the scheduler pool's own park.
+    // deadlock shape, and a machine body must not call it.
+    // `quiesce_machines` is the clock's own end-of-world check.
     let src = r#"
 fn f(&self, actor: &Actor) {
     let st = self.state.lock();
@@ -519,7 +520,7 @@ fn f(&self, actor: &Actor) {
 }
 fn q(&self) {
     let g = self.slab.lock();
-    self.pool.wait_retired();
+    self.clock.quiesce_machines();
 }
 impl SimActor for Pumper {
     fn poll(&mut self, now: SimNs, actor: &Actor) -> MachineStep {
@@ -533,10 +534,10 @@ impl SimActor for Pumper {
     assert_eq!(
         held.len(),
         2,
-        "wait_on + wait_retired under a guard: {held:?}"
+        "wait_on + quiesce_machines under a guard: {held:?}"
     );
     assert!(held.iter().any(|d| d.msg.contains("wait_on")));
-    assert!(held.iter().any(|d| d.msg.contains("wait_retired")));
+    assert!(held.iter().any(|d| d.msg.contains("quiesce_machines")));
     let hygiene = diags(pass_actor_hygiene, &files, "");
     assert_eq!(hygiene.len(), 1, "{hygiene:?}");
     assert!(hygiene[0].msg.contains("wait_on") && hygiene[0].msg.contains("`poll`"));

@@ -1074,10 +1074,9 @@ impl Drop for Inner {
         if std::thread::panicking() {
             return; // clock is poisoned; the engine worker dies on its own
         }
-        if simtime::on_pool_worker() {
+        if simtime::in_sched_pass() {
             // The engine's last machine held the last runtime handle: the
-            // scheduler is already draining it, and must not wait on
-            // itself.
+            // pass is already draining it, and must not wait on itself.
             return;
         }
         if self.engine.active() > 0 {

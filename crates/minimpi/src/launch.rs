@@ -104,10 +104,10 @@ where
         })
         .collect();
     // The ranks' drop paths only *signal* their machines (queue
-    // shutdowns, engine drains) — the scheduler processes those final
-    // transitions asynchronously. Wait for it to drain and retire before
-    // reading the clock, or `events`/`elapsed_ns` would be
-    // timing-dependent.
+    // shutdowns, engine drains); the last rank's drop runs the passes
+    // that retire them, so once the threads are joined `events` and
+    // `elapsed_ns` are final. A panic in that trailing drain poisoned the
+    // clock: surface it here.
     clock.quiesce_machines();
     // Grant any deferred sends still in the arbiter (fire-and-forget
     // isends nobody waited on), single-threaded and in canonical order,

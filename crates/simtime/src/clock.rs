@@ -37,31 +37,32 @@
 //!   `progressing` holds every park token back, so nobody resumes to a
 //!   half-run batch. The clock lock is released while a source runs:
 //!   its jobs notify.
-//! * **The held scheduler and settle rounds.** The event core's one
-//!   scheduler thread registers its actor as a *worker*
-//!   (`SimClock::register_as`): whatever flags it — an alarm on its own
-//!   key, a machine being marked ready — counts it in `recheck_pending`
-//!   like any flagged waiter, so the clock cannot move and no deadlock
-//!   can be declared over its head, but its token is not signalled.
-//!   `release_held` signals it once `runnable` and `pending_wakes` are
-//!   zero and it is the only flagged waiter left. A frozen instant thus
-//!   settles in rounds — the other actors run until they park, the
-//!   flagged scheduler makes one pass, repeat until nobody is flagged —
-//!   and reaches the fixpoint it always did. The release check runs
-//!   wherever a flag can be set or a counter can fall with nobody
-//!   runnable: at the top of every `maybe_advance` round (alarms fired
-//!   by the advance itself may flag nobody but the scheduler) and after
-//!   a notify (its caller may hold no actor).
-//! * **Ready machines.** The scheduler is not woken by everything: the
-//!   keys a machine's last poll read (recorded by `sched`, see there) are
+//! * **Settle rounds run the scheduler pass.** No thread serves the
+//!   event core's machines. A spawn owes a pass, and so does a notify or
+//!   alarm that marks a machine ready or fires the scheduler's timer
+//!   (`ClockState::pass_owed`). An owed pass holds the clock the way a
+//!   flagged waiter does: `maybe_advance` neither moves `now` nor
+//!   declares a deadlock while one is owed. Once `runnable`,
+//!   `pending_wakes` and `recheck_pending` are all zero, the thread in
+//!   `maybe_advance` runs the pass itself (`SimClock::pass`) — without
+//!   the clock lock and counted as runnable, the shape `progress` has —
+//!   and then starts the round again. A frozen instant thus settles in
+//!   rounds — the actors run until they park, the settling thread makes
+//!   the owed pass, repeat until nothing is owed — and reaches the
+//!   fixpoint it always did. While any machine is resident
+//!   (`ClockState::resident`), alarms drive the clock and a deadlock may
+//!   be declared over it, as over a blocked actor.
+//! * **Ready machines.** A pass does not step everything: the keys a
+//!   machine's last poll read (recorded by `sched`, see there) are
 //!   registered as `(key, machine)` in `ClockState::machines`, next to
 //!   `waiting`. `wake_dependants(key)` marks the matching machines
-//!   ready and flags the scheduler only if there is one. A registration
+//!   ready and owes a pass only if there is one. A registration
 //!   stays in place while its machine is being polled, so a notify of a
 //!   key the machine already read is never
 //!   lost; a key it reads for the first time is registered only after the
 //!   pass, and `Registry::reregister` closes that window by comparing
-//!   `gen` with its value when the pass took its batch.
+//!   `gen` with its value when the pass took its batch: a machine it
+//!   puts back on the ready list owes the next pass.
 //! * `runnable` counts actors currently executing user code. Whenever it
 //!   (together with `pending_wakes` and `recheck_pending`) reaches zero,
 //!   the decrementing thread advances the clock to the earliest pending
@@ -87,7 +88,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use crate::sched::{self, MachineHandle, SchedPool, SimActor};
+use crate::sched::{self, MachineHandle, SimActor, Slab};
 use crate::SimNs;
 
 /// Names one source of wake-ups: a piece of cross-actor state (a
@@ -109,9 +110,8 @@ pub trait Progress: Send + Sync {
 }
 
 impl WakeKey {
-    /// The key the event core's scheduler parks on: its timer alarms and
-    /// the notify of a spawned machine carry this key, and marking a
-    /// machine ready flags whoever waits on it.
+    /// The scheduler's own key: its timer alarms and the notify of a
+    /// spawned machine carry it, and either owes a pass.
     pub(crate) const SCHED: WakeKey = WakeKey(1);
     /// Fresh keys start after the fixed ones.
     const FIRST_FRESH: u64 = 2;
@@ -162,10 +162,9 @@ pub struct WakeStats {
     pub alarms_fired: u64,
     /// Times the clock moved.
     pub advances: u64,
-    /// Times the scheduler looked for ready machines (one per evaluation
-    /// of its wait predicate, whether or not it found any).
+    /// Scheduler passes run, each by the thread that settled a round.
     pub sched_passes: u64,
-    /// Machine steps (`poll`s) taken by the scheduler.
+    /// Machine steps (`poll`s) taken by the passes.
     pub machine_polls: u64,
     /// Passes that stepped two or more machines: those whose order a
     /// permutation seed ([`SimClock::with_permute_seed`]) can change.
@@ -185,9 +184,6 @@ struct ActorInfo {
     /// Set when a notify or alarm this blocked actor depends on happened;
     /// cleared when it resumes. Counted in `recheck_pending` while set.
     flagged: bool,
-    /// The scheduler's actor ([`SimClock::register_as`]): a flag holds it
-    /// (`ClockState::held`) instead of signalling it.
-    worker: bool,
 }
 
 /// A machine's index in the slab (`sched::Slab::resident`).
@@ -206,11 +202,15 @@ struct ClockState {
     /// scheduled to re-evaluate their predicates. While nonzero the clock
     /// must not advance and a deadlock must not be declared.
     recheck_pending: usize,
-    /// The flagged worker nobody has signalled yet (counted in
-    /// `recheck_pending`). One at most: a clock has one scheduler.
-    held: Option<u64>,
+    /// A scheduler pass is owed: a machine was spawned or readied, or the
+    /// scheduler's timer fired, since the last pass took its batch. Holds
+    /// the clock like `recheck_pending` until the settling thread runs it.
+    pass_owed: bool,
     /// Actors blocked in `wait_on` (for deadlock detection only).
     blocked: usize,
+    /// Machines spawned and not yet retired. While any is, alarms drive
+    /// the clock and a deadlock may be declared, as for a blocked actor.
+    resident: usize,
     /// (wake_time, actor id) per sleeping actor.
     sleepers: BinaryHeap<Reverse<(SimNs, u64)>>,
     /// Thread-less wake-up targets (e.g. "a message becomes visible at
@@ -226,8 +226,8 @@ struct ClockState {
     /// (key, machine) for every key the last fruitless poll of an
     /// machine read: what the machine is parked on.
     machines: BTreeSet<(WakeKey, MachineId)>,
-    /// The machines that a notify or alarm has marked since the scheduler
-    /// last took its batch ([`SimClock::take_ready`]).
+    /// The machines that a notify or alarm has marked since the last pass
+    /// took its batch ([`SimClock::take_ready`]).
     ready: BTreeSet<MachineId>,
     next_actor: u64,
     /// Registered actors by id. A `BTreeMap` so that any iteration (the
@@ -247,59 +247,31 @@ struct ClockState {
 }
 
 impl ClockState {
-    /// Bump `gen`, flag the blocked waiters registered on `key`, and mark
-    /// the parked machines registered on it ready. A flagged waiter is
-    /// owed a signal unless it is the scheduler: that one is held.
-    /// Any caller that may run with nobody runnable must follow up with
-    /// [`ClockState::release_held`], or the held scheduler never resumes.
+    /// Bump `gen`, flag the blocked waiters registered on `key` (each is
+    /// owed a signal), and mark the parked machines registered on it
+    /// ready. A ready mark owes a pass, and so does the scheduler's own
+    /// key.
     fn wake_dependants(&mut self, key: WakeKey) {
         self.gen += 1;
-        let Self {
-            waiting,
-            machines,
-            ready,
-            actors,
-            recheck_pending,
-            held,
-            signals,
-            stats,
-            ..
-        } = self;
-        let mut flag = |&(_, id): &(WakeKey, u64)| {
+        self.pass_owed |= key == WakeKey::SCHED;
+        for &(_, id) in self.waiting.range(key.waiters()) {
             // A deadlock panic can unwind an actor out of the map while
             // its registrations are still in `waiting`.
-            let Some(a) = actors.get_mut(&id) else { return };
+            let Some(a) = self.actors.get_mut(&id) else {
+                continue;
+            };
             if !a.flagged {
                 a.flagged = true;
-                *recheck_pending += 1;
-                if a.worker {
-                    *held = Some(id);
-                } else {
-                    signals.push(a.token.clone());
-                }
-            }
-        };
-        waiting.range(key.waiters()).for_each(&mut flag);
-        for &(_, m) in machines.range(key.machines()) {
-            // Marked already: the scheduler was flagged then, or was running
-            // and has yet to pass the `gen` check on its way to parking.
-            if ready.insert(m) {
-                stats.machine_readies += 1;
-                waiting.range(WakeKey::SCHED.waiters()).for_each(&mut flag);
+                self.recheck_pending += 1;
+                self.signals.push(a.token.clone());
             }
         }
-    }
-
-    /// Signal the held scheduler once it is all that is left to run:
-    /// nobody runnable, no sleeper or signalled waiter still to resume.
-    /// It stays counted in `recheck_pending` until it has resumed, so
-    /// the clock cannot move and no deadlock can be declared meanwhile.
-    fn release_held(&mut self) {
-        if self.runnable > 0 || self.pending_wakes > 0 || self.recheck_pending > 1 {
-            return;
-        }
-        if let Some(a) = self.held.take().and_then(|id| self.actors.get(&id)) {
-            self.signals.push(a.token.clone());
+        for &(_, m) in self.machines.range(key.machines()) {
+            // Marked already: the pass it owes has not taken its batch.
+            if self.ready.insert(m) {
+                self.stats.machine_readies += 1;
+                self.pass_owed = true;
+            }
         }
     }
 
@@ -405,8 +377,8 @@ struct ClockInner {
     /// The seed a pass shuffles its batch with; `None` steps it in
     /// machine-id order ([`SimClock::with_permute_seed`]).
     permute: Option<u64>,
-    /// The machine pool ([`SimClock::spawn_machine`]).
-    pool: SchedPool,
+    /// The machines ([`SimClock::spawn_machine`]).
+    slab: Mutex<Slab>,
     /// Machine state transitions observed by the scheduler cores, for the
     /// simulator self-throughput metric (events/sec). Deterministic for a
     /// fixed scenario: only actual transitions count, never idle re-polls.
@@ -424,92 +396,6 @@ impl ClockInner {
             st: self.state.lock(),
             owed: Signals::default(),
             inner: self,
-        }
-    }
-
-    /// Advance the clock if every actor is quiescent. Must be called by any
-    /// path that decrements `runnable` (possibly) to zero. The lock is
-    /// released and taken again while a progress source runs.
-    fn maybe_advance<'a>(&'a self, mut st: ClockGuard<'a>) -> ClockGuard<'a> {
-        // Loop: an alarm may fire at an instant where no sleeper is due and
-        // none of its dependants is blocked (e.g. a message arrives while
-        // its receiver is off sleeping past it); the clock must then keep
-        // advancing to the next target, because no other thread will
-        // re-drive it. Each round starts at the release check: the alarms
-        // fired below may have flagged nobody but the held scheduler.
-        loop {
-            st.release_held();
-            if st.runnable > 0 || st.pending_wakes > 0 || st.recheck_pending > 0 {
-                return st;
-            }
-            let next_sleep = st.sleepers.peek().map(|Reverse((t, _))| *t);
-            // Alarms exist to re-check blocked predicate waiters. With
-            // nobody blocked they must not *drive* the advance — a stale
-            // alarm (e.g. a recv timeout satisfied early) would otherwise
-            // drag the clock forward after the run's real work ended. They
-            // stay queued: a sleeper may still wake and block on a
-            // predicate whose wake-up is one of these alarms.
-            let next_alarm = if st.blocked > 0 {
-                st.alarms.peek().map(|Reverse((t, _))| *t)
-            } else {
-                None
-            };
-            let target = match (next_sleep, next_alarm) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => {
-                    if st.blocked > 0 {
-                        let report = self.render_actors(&st);
-                        st.poison();
-                        panic!(
-                            "simtime: deadlock — all {} blocked actor(s) wait on predicates and \
-                             no sleeper or alarm can advance the clock past t={}:\n{report}",
-                            st.blocked, st.now
-                        );
-                    }
-                    return st; // all actors exited; nothing to do
-                }
-            };
-            debug_assert!(target >= st.now, "clock would move backwards");
-            st.now = target;
-            self.now.store(target, Ordering::Release);
-            st.stats.advances += 1;
-            while let Some(&Reverse((t, id))) = st.sleepers.peek() {
-                if t > target {
-                    break;
-                }
-                st.sleepers.pop();
-                st.pending_wakes += 1;
-                if let Some(token) = st.actors.get(&id).map(|a| a.token.clone()) {
-                    st.signals.push(token);
-                }
-            }
-            // Alarms due at one instant pop grouped by key: wake a key's
-            // dependants once, however many consecutive alarms share it,
-            // or run its progress source once, after the last pop.
-            let mut last_key = None;
-            let mut due = Vec::new();
-            while let Some(&Reverse((t, key))) = st.alarms.peek() {
-                if t > target {
-                    break;
-                }
-                st.alarms.pop();
-                st.stats.alarms_fired += 1;
-                if last_key.replace(key) == Some(key) {
-                    continue;
-                }
-                match st.progress.get(&key) {
-                    Some(source) => due.push(source.clone()),
-                    None => st.wake_dependants(key),
-                }
-            }
-            if !due.is_empty() {
-                st = self.progress(st, target, &due);
-            }
-            // Round again: woken threads drive further progress, the held
-            // scheduler is released, and if only alarms fired and none of
-            // their dependants was parked the clock advances further.
         }
     }
 
@@ -542,31 +428,20 @@ impl ClockInner {
                 if matches!(a.status, ActorStatus::Blocked(_)) {
                     // A wait with a missing key names itself here: it is
                     // the keyed waiter nothing could reach.
-                    if a.worker {
-                        line.push_str(" [scheduler: woken through its machines, below]");
-                        // Never seen unless a release was missed: a held
-                        // scheduler keeps `recheck_pending` above zero, and
-                        // no deadlock is declared over that.
-                        if st.held == Some(*id) {
-                            line.push_str(" [held]");
-                        }
-                    } else {
-                        let keys = st.waiting.iter().filter(|(_, w)| w == id).count();
-                        line.push_str(&format!(" [keyed: {keys} key(s)]"));
-                    }
+                    let keys = st.waiting.iter().filter(|(_, w)| w == id).count();
+                    line.push_str(&format!(" [keyed: {keys} key(s)]"));
                 }
                 line
             })
             .collect();
         lines.sort();
-        // The scheduler's view: each machine it holds, how many keys it is
+        // The slab's view: each resident machine, how many keys it is
         // parked on and the earliest timer it has armed — a lost wake-up
         // must name the machine and what it waited on. `try_lock` because
         // this runs under the clock lock (the lock order is slab → clock);
-        // at deadlock time the scheduler is parked outside the slab lock,
-        // so contention means a bug elsewhere and is reported rather than
-        // deadlocking the reporter.
-        match self.pool.slab.try_lock() {
+        // no pass runs at deadlock time, so contention means a bug
+        // elsewhere and is reported rather than deadlocking the reporter.
+        match self.slab.try_lock() {
             Some(slab) => lines.extend(slab.report()),
             None => lines.push("  scheduler: <locked — mid-pass?>".into()),
         }
@@ -588,14 +463,14 @@ impl Default for SimClock {
 
 impl SimClock {
     /// Create a new clock at virtual time zero with no registered actors.
-    /// Its scheduler steps the machines of a pass in id order unless
+    /// A pass steps its machines in id order unless
     /// `SIM_PERMUTE_SEED` holds a seed ([`SimClock::with_permute_seed`]).
     pub fn new() -> Self {
         Self::with_permute_seed(sched::permute_seed_from_env())
     }
 
-    /// Create a new clock whose scheduler steps the machines of one pass
-    /// in an order shuffled with `seed` (`None`: machine-id order, what
+    /// Create a new clock whose passes step their machines in an order
+    /// shuffled with `seed` (`None`: machine-id order, what
     /// [`SimClock::new`] does unless `SIM_PERMUTE_SEED` says otherwise).
     /// Machines step at a frozen instant and talk only through
     /// clock-notifying state, so no order may move a virtual instant: a
@@ -607,7 +482,7 @@ impl SimClock {
                 now: AtomicU64::new(0),
                 next_key: AtomicU64::new(WakeKey::FIRST_FRESH),
                 permute,
-                pool: SchedPool::default(),
+                slab: Mutex::default(),
                 events: AtomicU64::new(0),
                 machine_polls: AtomicU64::new(0),
                 multi_machine_passes: AtomicU64::new(0),
@@ -615,7 +490,7 @@ impl SimClock {
         }
     }
 
-    /// The seed this clock's scheduler shuffles each pass's batch with.
+    /// The seed this clock shuffles each pass's batch with.
     pub(crate) fn permute_seed(&self) -> Option<u64> {
         self.inner.permute
     }
@@ -631,50 +506,37 @@ impl SimClock {
         self.inner.events.load(Ordering::Relaxed)
     }
 
-    /// The machine pool (the scheduler locks its slab for a pass and
-    /// reports its retirement to it).
-    pub(crate) fn pool(&self) -> &SchedPool {
-        &self.inner.pool
+    /// The machines (a pass locks them).
+    pub(crate) fn slab(&self) -> &Mutex<Slab> {
+        &self.inner.slab
     }
 
-    /// Block (in real time) until the scheduler is fully quiescent: it
-    /// has drained its slab, retired and deregistered its actor.
+    /// Panic if the clock is poisoned; nothing else is left to wait for.
     ///
-    /// The scheduler processes machine shutdowns *asynchronously* after the
-    /// spawning actors have exited: a queue's `Shutdown` transition and an
-    /// engine's trailing drain — including their [`SimClock::count_events`]
-    /// contributions and any final alarm-driven advance — may run after
-    /// the owners dropped their handles. A reader that wants the complete
-    /// [`SimClock::events`] total or the final [`SimClock::now_ns`] must
-    /// quiesce first. The caller parks on the pool's live-worker count;
-    /// the scheduler's retirement wakes it, and taking that count's lock
-    /// orders its last counted pass before the caller's subsequent reads.
-    ///
-    /// Preconditions: every spawned machine has been asked to shut down
-    /// (its owner dropped), and the caller holds no registered actor —
-    /// retiring machines may still need the clock to advance (trailing
-    /// device reservations), which a runnable caller would stall.
-    ///
-    /// Panics if the scheduler panicked during that trailing drain (the clock
-    /// is poisoned), so the failure reaches the caller instead of a
-    /// half-drained total.
+    /// Machines retire inside passes, and a pass is run by the thread that
+    /// settles a round — the last actor's drop included: it runs every
+    /// pass still owed, and drives the clock through the machines' timers
+    /// (trailing device reservations, a queue's `Shutdown` transition, an
+    /// engine's trailing drain) until none is resident. So once every
+    /// actor has dropped, [`SimClock::events`] and [`SimClock::now_ns`]
+    /// are final; a reader that joined the threads that dropped them
+    /// calls this to have a panic in that trailing drain (the clock is
+    /// poisoned) reach it instead of a half-drained total.
     pub fn quiesce_machines(&self) {
-        self.inner.pool.wait_retired();
         SimClock::check_poison(&self.inner.lock());
     }
 
-    /// Hand a resumable machine to this clock's scheduler.
+    /// Hand a resumable machine to this clock's event core.
     ///
-    /// The caller must be a running clock actor (the registration
-    /// ordering rule): the scheduler's actor, if it has none yet, is
-    /// registered here, before its thread spawns. The machine's first
-    /// poll happens at the caller's current virtual instant.
+    /// The caller must be a running clock actor: the spawn owes a pass,
+    /// which polls the machine first at the caller's current virtual
+    /// instant.
     ///
     /// `_hint` is unused: it chose among scheduler threads when a clock
     /// had several, and stays only because `benchmark/` compiles against
     /// this signature (ROADMAP, leftovers). Machines must never spawn
-    /// further machines from inside `poll` — the scheduler holds the
-    /// slab's lock across the pass.
+    /// further machines from inside `poll` — the pass holds the slab's
+    /// lock.
     pub fn spawn_machine(
         &self,
         _hint: u64,
@@ -683,22 +545,14 @@ impl SimClock {
     ) -> MachineHandle {
         let label = label.into();
         debug_assert!(
-            !sched::on_pool_worker(),
+            !sched::in_sched_pass(),
             "machine {label:?} spawned from inside a poll: the pass holds the slab's lock"
         );
-        let needs_worker = self.inner.pool.slab.lock().enqueue(label, body);
-        if needs_worker {
-            let actor = self.register_as("sched".into(), true);
-            self.inner.pool.worker_started();
-            let clock = self.clone();
-            std::thread::Builder::new()
-                .name("sim-sched".into())
-                .spawn(move || sched::run_scheduler(actor, clock))
-                .expect("spawn scheduler thread");
-        }
-        // A parked scheduler adopts only on notification, and nobody else
-        // cares.
-        self.notify_key(WakeKey::SCHED);
+        self.inner.slab.lock().enqueue(label, body);
+        let mut st = self.inner.lock();
+        st.resident += 1;
+        st.stats.notifies += 1;
+        st.wake_dependants(WakeKey::SCHED);
         MachineHandle
     }
 
@@ -713,14 +567,7 @@ impl SimClock {
     /// Otherwise the clock may advance before the newcomer is accounted
     /// for.
     pub fn register(&self, label: impl Into<String>) -> Actor {
-        self.register_as(label.into(), false)
-    }
-
-    /// [`SimClock::register`]; a `worker` (the scheduler's actor) is
-    /// held, not signalled, when flagged ([`ClockState::release_held`]).
-    /// Never for a waiter somebody joins while still runnable: it would be
-    /// held for ever.
-    fn register_as(&self, label: String, worker: bool) -> Actor {
+        let label = label.into();
         let token = Arc::new(Condvar::new());
         let mut st = self.inner.lock();
         let id = st.next_actor;
@@ -733,7 +580,6 @@ impl SimClock {
                 status: ActorStatus::Running,
                 token: token.clone(),
                 flagged: false,
-                worker,
             },
         );
         Actor {
@@ -773,9 +619,6 @@ impl SimClock {
         let mut st = self.inner.lock();
         st.stats.notifies += 1;
         st.wake_dependants(key);
-        // The caller may be a thread that holds no runnable actor.
-        // Dropping this fails no test; no reachable state needs it (DESIGN.md §14).
-        st.release_held();
     }
 
     /// Schedule a thread-less wake-up: at virtual time `at`, the
@@ -790,8 +633,6 @@ impl SimClock {
         if at <= st.now {
             st.stats.notifies += 1;
             st.wake_dependants(key);
-            // Dropping this fails no test; no reachable state needs it (DESIGN.md §14).
-            st.release_held();
         } else {
             st.alarms.push(Reverse((at, key)));
         }
@@ -818,11 +659,12 @@ impl SimClock {
     }
 
     /// Start a scheduler pass: move the machines marked ready since the
-    /// last one into `batch` and return the registry generation the pass
-    /// starts from.
+    /// last one into `batch`, which pays what was owed, and return the
+    /// registry generation the pass starts from.
     pub(crate) fn take_ready(&self, batch: &mut Vec<MachineId>) -> u64 {
         let mut st = self.inner.lock();
         st.stats.sched_passes += 1;
+        st.pass_owed = false;
         batch.extend(std::mem::take(&mut st.ready));
         st.gen
     }
@@ -858,6 +700,110 @@ impl SimClock {
         self.inner.lock().poisoned
     }
 
+    /// Advance the clock if every actor is quiescent, running the owed
+    /// scheduler pass first. Must be called by any path that decrements
+    /// `runnable` (possibly) to zero. The lock is released and taken again
+    /// while a pass or a progress source runs.
+    fn maybe_advance<'a>(&'a self, mut st: ClockGuard<'a>) -> ClockGuard<'a> {
+        // Loop: an alarm may fire at an instant where no sleeper is due and
+        // none of its dependants is blocked (e.g. a message arrives while
+        // its receiver is off sleeping past it); the clock must then keep
+        // advancing to the next target, because no other thread will
+        // re-drive it. Each round starts at the owed pass: the alarms
+        // fired below may have readied nobody but machines.
+        loop {
+            if st.poisoned || st.runnable > 0 || st.pending_wakes > 0 || st.recheck_pending > 0 {
+                return st;
+            }
+            if st.pass_owed {
+                st = self.pass(st);
+                continue;
+            }
+            let next_sleep = st.sleepers.peek().map(|Reverse((t, _))| *t);
+            // Alarms exist to re-check blocked predicate waiters and parked
+            // machines. With neither they must not *drive* the advance — a
+            // stale alarm (e.g. a recv timeout satisfied early) would
+            // otherwise drag the clock forward after the run's real work
+            // ended. They stay queued: a sleeper may still wake and block on
+            // a predicate whose wake-up is one of these alarms.
+            let waiting = st.blocked > 0 || st.resident > 0;
+            let next_alarm = if waiting {
+                st.alarms.peek().map(|Reverse((t, _))| *t)
+            } else {
+                None
+            };
+            let target = match (next_sleep, next_alarm) {
+                (Some(a), Some(b)) => a.min(b),
+                (Some(a), None) => a,
+                (None, Some(b)) => b,
+                (None, None) => {
+                    if waiting {
+                        let report = self.inner.render_actors(&st);
+                        st.poison();
+                        panic!(
+                            "simtime: deadlock — all {} blocked actor(s) and {} machine(s) wait \
+                             on predicates and no sleeper or alarm can advance the clock past \
+                             t={}:\n{report}",
+                            st.blocked, st.resident, st.now
+                        );
+                    }
+                    return st; // all actors exited; nothing to do
+                }
+            };
+            debug_assert!(target >= st.now, "clock would move backwards");
+            st.now = target;
+            self.inner.now.store(target, Ordering::Release);
+            st.stats.advances += 1;
+            while let Some(&Reverse((t, id))) = st.sleepers.peek() {
+                if t > target {
+                    break;
+                }
+                st.sleepers.pop();
+                st.pending_wakes += 1;
+                if let Some(token) = st.actors.get(&id).map(|a| a.token.clone()) {
+                    st.signals.push(token);
+                }
+            }
+            // Alarms due at one instant pop grouped by key: wake a key's
+            // dependants once, however many consecutive alarms share it,
+            // or run its progress source once, after the last pop.
+            let mut last_key = None;
+            let mut due = Vec::new();
+            while let Some(&Reverse((t, key))) = st.alarms.peek() {
+                if t > target {
+                    break;
+                }
+                st.alarms.pop();
+                st.stats.alarms_fired += 1;
+                if last_key.replace(key) == Some(key) {
+                    continue;
+                }
+                match st.progress.get(&key) {
+                    Some(source) => due.push(source.clone()),
+                    None => st.wake_dependants(key),
+                }
+            }
+            if !due.is_empty() {
+                st = self.inner.progress(st, target, &due);
+            }
+            // Round again: woken threads drive further progress, a pass the
+            // alarms owed runs, and if only alarms fired and none of their
+            // dependants was parked the clock advances further.
+        }
+    }
+
+    /// Run the owed scheduler pass on the calling thread, which settled
+    /// the round (module notes, "Settle rounds"). It counts as runnable
+    /// meanwhile, so the clock cannot move and no deadlock can be declared.
+    fn pass<'a>(&'a self, mut st: ClockGuard<'a>) -> ClockGuard<'a> {
+        st.runnable += 1;
+        drop(st);
+        sched::run_pass(self);
+        let mut st = self.inner.lock();
+        st.runnable -= 1;
+        st
+    }
+
     fn check_poison(st: &ClockState) {
         if st.poisoned {
             panic!("simtime: clock poisoned by a panicking actor or detected deadlock");
@@ -865,8 +811,8 @@ impl SimClock {
     }
 }
 
-/// The clock lock, held by the scheduler to bring `ClockState::machines`
-/// up to date with what its machines read during the pass just made.
+/// The clock lock, held by a pass to bring `ClockState::machines` up to
+/// date with what its machines read.
 pub(crate) struct Registry<'a> {
     st: ClockGuard<'a>,
     /// `gen` moved since the pass took its batch: a notify may have
@@ -889,10 +835,9 @@ impl Registry<'_> {
                 added = true;
             }
         }
-        // The caller is the scheduler, running: the `gen` check on its
-        // way to parking sends it round again.
         if added && self.moved && st.ready.insert(m) {
             st.stats.machine_readies += 1;
+            st.pass_owed = true;
         }
         for &k in old {
             if new.binary_search(&k).is_err() {
@@ -905,12 +850,7 @@ impl Registry<'_> {
     pub(crate) fn retire(&mut self, m: MachineId, keys: &[WakeKey]) {
         self.reregister(m, keys, &[]);
         self.st.ready.remove(&m);
-    }
-
-    /// Forget every machine (the scheduler is unwinding).
-    pub(crate) fn clear(&mut self) {
-        self.st.machines.clear();
-        self.st.ready.clear();
+        self.st.resident -= 1;
     }
 }
 
@@ -927,6 +867,18 @@ pub struct Actor {
 }
 
 impl Actor {
+    /// The handle a scheduler pass gives its machines
+    /// ([`SimActor::poll`]): registered as no actor, so it neither counts
+    /// for the clock nor drives it when dropped — except that, dropped by
+    /// a pass a machine's panic unwinds, it poisons the clock.
+    pub(crate) fn for_pass(clock: &SimClock) -> Actor {
+        Actor {
+            clock: clock.clone(),
+            id: u64::MAX,
+            token: Arc::default(),
+        }
+    }
+
     /// The clock this actor is registered with.
     pub fn clock(&self) -> &SimClock {
         &self.clock
@@ -947,8 +899,7 @@ impl Actor {
         if ns == 0 {
             return;
         }
-        let inner = &self.clock.inner;
-        let mut st = inner.lock();
+        let mut st = self.clock.inner.lock();
         SimClock::check_poison(&st);
         let wake = st.now + ns;
         st.sleepers.push(Reverse((wake, self.id)));
@@ -957,7 +908,7 @@ impl Actor {
             a.status = ActorStatus::Sleeping(wake);
         }
         st.sleeps += 1;
-        let st = inner.maybe_advance(st);
+        let st = self.clock.maybe_advance(st);
         let mut st = ClockGuard::park(st, &self.token, |st| st.now >= wake);
         if st.poisoned {
             // Our sleeper entry may or may not have been consumed; the run
@@ -1027,11 +978,8 @@ impl Actor {
                 a.status = ActorStatus::Blocked(label);
             }
             st.label_stats(label).parked += 1;
-            let st = inner.maybe_advance(st);
-            let resumed = |st: &ClockState| {
-                let me = st.actors.get(&self.id);
-                me.is_some_and(|a| a.flagged) && st.held != Some(self.id)
-            };
+            let st = self.clock.maybe_advance(st);
+            let resumed = |st: &ClockState| st.actors.get(&self.id).is_some_and(|a| a.flagged);
             let mut st = ClockGuard::park(st, &self.token, resumed);
             for &k in keys {
                 st.waiting.remove(&(k, self.id));
@@ -1043,10 +991,6 @@ impl Actor {
                 let flagged = std::mem::take(&mut a.flagged);
                 st.recheck_pending -= usize::from(flagged);
             }
-            if st.held == Some(self.id) {
-                // Poison resumes a held scheduler without a release.
-                st.held = None;
-            }
             SimClock::check_poison(&st);
             st.label_stats(label).wakeups += 1;
             woken = true;
@@ -1056,14 +1000,15 @@ impl Actor {
 
 impl Drop for Actor {
     fn drop(&mut self) {
-        let inner = &self.clock.inner;
-        let mut st = inner.lock();
+        let mut st = self.clock.inner.lock();
         // An actor normally drops while Running; during a panic unwind it
         // may drop while Blocked (the deadlock panic fires inside its own
         // park) or Sleeping, whose counter lives in the sleeper heap /
         // pending_wakes and no longer matters once poisoned. Adjust the
-        // counter its status actually holds.
-        if let Some(info) = st.actors.remove(&self.id) {
+        // counter its status actually holds. A pass's handle
+        // ([`Actor::for_pass`]) is in no map and holds no counter.
+        let registered = st.actors.remove(&self.id);
+        if let Some(info) = &registered {
             match info.status {
                 ActorStatus::Running => st.runnable -= 1,
                 ActorStatus::Blocked(_) => {
@@ -1075,8 +1020,8 @@ impl Drop for Actor {
         }
         if std::thread::panicking() {
             st.poison();
-        } else if !st.poisoned {
-            drop(inner.maybe_advance(st));
+        } else if registered.is_some() {
+            drop(self.clock.maybe_advance(st));
         }
     }
 }
@@ -1275,29 +1220,6 @@ mod tests {
     }
 
     #[test]
-    fn deadlock_report_marks_a_held_worker() {
-        let c = SimClock::new();
-        let driver = c.register("driver");
-        let worker = c.register_as("worker".into(), true);
-        let go = Arc::new(Mutex::new(false));
-        let g1 = go.clone();
-        let t = thread::spawn(move || {
-            worker.wait_on(&[WakeKey::SCHED], "sched", || g1.lock().then_some(()))
-        });
-        driver.advance_ns(10); // the worker is parked
-        let report = |c: &SimClock| c.inner.render_actors(&c.inner.lock());
-        let idle = "Blocked(\"sched\") [scheduler: woken through its machines, below]";
-        assert!(report(&c).contains(idle), "{}", report(&c));
-        assert!(!report(&c).contains("[held]"));
-        *go.lock() = true;
-        c.notify_key(WakeKey::SCHED); // flags the worker; the driver is still runnable
-        let held = format!("{idle} [held]");
-        assert!(report(&c).contains(&held), "{}", report(&c));
-        drop(driver); // the last runnable actor leaves: released
-        assert!(t.join().is_ok(), "worker thread panicked");
-    }
-
-    #[test]
     fn report_names_each_parked_machine_and_what_it_is_parked_on() {
         use crate::MachineStep;
         /// Parks on `m` (if any; on nothing else) and on a timer at t=900,
@@ -1456,8 +1378,9 @@ mod tests {
     const STRESS_ACTORS: usize = 32;
     const STRESS_STEPS: usize = 320;
 
-    /// 32 actors on threads of their own, one machine (hence the held
-    /// scheduler) and one progress source through 10,240 rounds of sleeps,
+    /// 32 actors on threads of their own, one machine (hence passes owed
+    /// and run by whoever settles a round) and one progress source through
+    /// 10,240 rounds of sleeps,
     /// keyed waits, notifies and alarms. A wake-up that is owed and never
     /// signalled ends it in the watchdog; one signalled to the wrong token,
     /// in the deadlock report.
@@ -1549,7 +1472,8 @@ mod tests {
             ),
             (0, 0, 0, 0)
         );
-        assert!(st.held.is_none() && st.signals.is_empty() && st.actors.is_empty());
+        assert!(!st.pass_owed && st.resident == 0);
+        assert!(st.signals.is_empty() && st.actors.is_empty());
         assert!(st.sleeps > 1_000 && st.stats.alarms_fired > 1_000);
         let held = stirrer.held.load(Ordering::Relaxed);
         assert!(held > 1_000, "{held} signals held behind `progressing`");

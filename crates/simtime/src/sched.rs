@@ -13,19 +13,19 @@
 //! step that runs at a frozen virtual instant and *parks* with an optional
 //! wake hint instead of blocking. [`SimClock::spawn_machine`] hands the
 //! machine to the clock's **event core**: every machine of a clock lives
-//! in one slab (`Slab`) served by one scheduler thread registered as one
-//! clock actor. Between passes the scheduler is one blocked actor, so the
-//! conservative-advance invariant (`runnable`/`pending_wakes`/
-//! `recheck_pending` bookkeeping, alarms, deadlock detection) is
-//! untouched. A pass steps the machines with something to look at —
-//! those a notify or alarm marked **ready**, those whose own wake hint
-//! came due, those just adopted — not every resident (see "Ready
-//! machines" below). The scheduler is **held until idle**: what readies
-//! one of its machines flags it, and it resumes once every other actor
-//! has parked — one pass per *settle round* of a frozen instant (rank
-//! threads run until they park → the flagged scheduler makes a pass →
-//! repeat until it is not flagged → the clock advances), not one per
-//! notify.
+//! in one slab (`Slab`), and no thread of its own serves it. A spawn, a
+//! notify or alarm that marks a machine **ready**, and a machine's timer
+//! coming due each *owe a pass*, and an owed pass holds the clock the way
+//! a flagged waiter does: it cannot move and no deadlock can be declared.
+//! Whichever thread settles a round — the last actor to park, sleep or
+//! leave — runs the owed pass itself, inside `maybe_advance`, counted as
+//! runnable meanwhile (the clock module notes, "Settle rounds"). A pass
+//! steps the machines with something to look at — those readied, those
+//! whose own wake hint came due, those just adopted — not every resident
+//! (see "Ready machines" below). So a frozen instant settles in rounds:
+//! actors run until they park → the settling thread makes the owed pass
+//! → repeat until nothing is owed → the clock advances. One pass per
+//! settle round, not one per notify.
 //!
 //! ### Poll order: machine-id order, or a permutation seed
 //!
@@ -40,30 +40,30 @@
 //! that served as the differential oracle until it was retired was the
 //! uncontrolled form of the same test: the host chose the order.
 //!
-//! ### One scheduler thread
+//! ### No scheduler thread
 //!
 //! The paper's runtime progresses every enqueued transfer from one
-//! internal communication thread (§V-A); so does the event core. A pass
-//! only runs once every other actor has parked, so a second scheduler
-//! thread could add nothing but a pass running beside the first on
-//! another CPU, at the price of a futex hand-off per thread per settle
-//! round — and no workload ever showed that to pay (DESIGN.md §14). Which
-//! thread polls a machine was never visible in virtual time anyway, for
-//! the same reason the poll order is not (above).
+//! internal communication thread (§V-A). Here a pass can only run once
+//! every actor has parked, so a thread of its own could add nothing but
+//! a hand-off per settle round; the thread that settles the round runs
+//! the pass instead, as "MPI Progress For All" (PAPERS.md) asks of MPI
+//! progress. Which thread polls a machine is not visible in virtual
+//! time, for the same reason the poll order is not (above).
+//! [`in_sched_pass`] says whether the current thread is inside a pass.
 //!
 //! ### Ready machines: parked on what the last poll read
 //!
-//! Nobody annotates a machine with its wake keys. While the scheduler
+//! Nobody annotates a machine with its wake keys. While a pass
 //! steps a machine, every [`crate::Monitor`] access (`with`, `peek`,
 //! `try_now`) and every explicit [`note_read`] notes its [`WakeKey`] into a
 //! thread-local read-set; the set the last fruitless step touched *is*
-//! what the machine is parked on, and the scheduler registers it with the
+//! what the machine is parked on, and the pass registers it with the
 //! clock (`Registry::reregister`). A notify or alarm of one of those
-//! keys marks the machine ready and flags the scheduler. A wake hint
-//! (`Pending(Some(t))`) is a
-//! per-machine timer in the slab (`Timers`), with one clock alarm on
-//! the scheduler's own key per distinct instant. A machine whose hint
-//! came due and a readied one are stepped alike, through `poll`.
+//! keys marks the machine ready and owes a pass. A wake hint
+//! (`Pending(Some(t))`) is a per-machine timer in the slab (`Timers`),
+//! with one clock alarm on the scheduler's own key (`WakeKey::SCHED`)
+//! per distinct instant, whose firing owes a pass too. A machine whose
+//! hint came due and a readied one are stepped alike, through `poll`.
 //!
 //! Why that is enough: a step is a deterministic function of the state it
 //! reads and of `now`. If nothing it read has been notified and no
@@ -90,7 +90,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::btree_map::{BTreeMap, Entry};
 
 use crate::clock::{Actor, MachineId, SimClock, WakeKey};
-use crate::plock::{Condvar, Mutex};
 use crate::{SimNs, XorShift64};
 
 /// Verdict of one [`SimActor::poll`] step.
@@ -102,7 +101,7 @@ pub enum MachineStep {
     /// on notifies and alarms of what the step read alone. A machine that could settle now must keep
     /// stepping internally instead of parking.
     Pending(Option<SimNs>),
-    /// The machine finished; the scheduler retires it.
+    /// The machine finished; the pass retires it.
     Done,
 }
 
@@ -119,8 +118,8 @@ pub trait SimActor: Send {
     fn wait_label(&self) -> &'static str;
 
     /// Advance as far as possible at virtual instant `now`. `actor` is the
-    /// executing thread's clock actor: machines may use it for non-blocking
-    /// calls but must never park or sleep it.
+    /// pass's handle on the clock, registered as no actor: machines may use
+    /// it for non-blocking calls but must never park or sleep it.
     fn poll(&mut self, now: SimNs, actor: &Actor) -> MachineStep;
 }
 
@@ -149,26 +148,42 @@ fn permute(batch: &mut [MachineId], seed: u64, now: SimNs) {
 }
 
 std::thread_local! {
-    /// Set for the lifetime of a scheduler thread. Lets drop paths that
-    /// must not block the scheduler (e.g. the clMPI runtime's self-drain
-    /// guard) recognize they are running *on* it.
-    static ON_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
-    /// The read-set of the machine this scheduler thread is polling.
+    /// Set while this thread runs a scheduler pass. Lets drop paths that
+    /// must not wait on the machines (e.g. the clMPI runtime's self-drain
+    /// guard) recognize they are running *inside* one.
+    static IN_PASS: Cell<bool> = const { Cell::new(false) };
+    /// The read-set of the machine this thread's pass is polling.
     static READS: RefCell<Vec<WakeKey>> = const { RefCell::new(Vec::new()) };
 }
 
-/// True when the current thread is a scheduler thread.
-pub fn on_pool_worker() -> bool {
-    ON_POOL_WORKER.with(|f| f.get())
+/// True when the current thread is inside a scheduler pass.
+pub fn in_sched_pass() -> bool {
+    IN_PASS.with(|f| f.get())
+}
+
+/// Marks the thread as inside a pass for its lifetime, unwinding included.
+struct InPass;
+
+impl InPass {
+    fn enter() -> Self {
+        IN_PASS.with(|f| f.set(true));
+        InPass
+    }
+}
+
+impl Drop for InPass {
+    fn drop(&mut self) {
+        IN_PASS.with(|f| f.set(false));
+    }
 }
 
 /// Note that the code running now read the state `key` names, for state
 /// that lives outside a [`crate::Monitor`] (which notes its own key): if
-/// the scheduler is polling a machine, the machine will be polled again
-/// when `key` is notified or an alarm carrying it fires. Costs one
+/// a pass is polling a machine, the machine will be polled again when
+/// `key` is notified or an alarm carrying it fires. Costs one
 /// thread-local load anywhere else.
 pub fn note_read(key: WakeKey) {
-    if on_pool_worker() {
+    if in_sched_pass() {
         READS.with(|r| {
             let mut r = r.borrow_mut();
             if r.last() != Some(&key) {
@@ -251,33 +266,34 @@ struct Slot {
 }
 
 /// The machines of one clock: those waiting to be adopted plus those
-/// resident on the scheduler. Guarded by its own mutex so spawners never
-/// contend on the clock lock, and so the deadlock reporter can inspect
-/// it (via `try_lock`) while holding the clock lock. Lock order: slab,
-/// then clock — the scheduler holds the slab across a pass and takes the
-/// clock lock inside it; nothing takes them the other way.
+/// resident. Guarded by its own mutex so spawners never contend on the
+/// clock lock, and so the deadlock reporter can inspect it (via
+/// `try_lock`) while holding the clock lock. Lock order: slab, then
+/// clock — a pass holds the slab and takes the clock lock inside it;
+/// nothing takes them the other way.
 #[derive(Default)]
 pub(crate) struct Slab {
-    /// Machines handed to the scheduler, not yet polled.
+    /// Machines handed to the event core, not yet polled.
     incoming: Vec<(String, Box<dyn SimActor>)>,
-    /// Machines the scheduler serves, by [`MachineId`]; `None` is a free id.
+    /// The resident machines, by [`MachineId`]; `None` is a free id.
     resident: Vec<Option<Slot>>,
-    /// How many of `resident` are `Some`.
-    live: usize,
     /// The residents' pending wake hints. The clock holds one alarm on
     /// [`WakeKey::SCHED`] per distinct instant in here.
     timers: Timers,
-    /// Whether a scheduler thread currently owns the slab. It retires
-    /// when the slab drains; the flag makes the next spawn revive one.
-    running: bool,
+    /// The machines a pass steps, in id order unless the clock has a
+    /// permutation seed ([`SimClock::with_permute_seed`]); scratch kept
+    /// across passes, as are `changed` and `done`.
+    batch: Vec<MachineId>,
+    /// Those whose read-set differs from what the registry holds.
+    changed: Vec<MachineId>,
+    /// Those that finished.
+    done: Vec<MachineId>,
 }
 
 impl Slab {
-    /// Queue a machine for adoption; true when a scheduler thread must be
-    /// started.
-    pub(crate) fn enqueue(&mut self, label: String, body: Box<dyn SimActor>) -> bool {
+    /// Queue a machine for adoption by the next pass.
+    pub(crate) fn enqueue(&mut self, label: String, body: Box<dyn SimActor>) {
         self.incoming.push((label, body));
-        !std::mem::replace(&mut self.running, true)
     }
 
     /// Give a machine the lowest free id.
@@ -289,7 +305,6 @@ impl Slab {
             keys: Vec::new(),
             read: Vec::new(),
         });
-        self.live += 1;
         match self.resident.iter().position(Option::is_none) {
             Some(free) => {
                 self.resident[free] = slot;
@@ -305,12 +320,12 @@ impl Slab {
     /// Deadlock-report lines: every parked machine with what it is
     /// parked on. Empty for an idle slab.
     pub(crate) fn report(&self) -> Vec<String> {
-        if self.live == 0 && self.incoming.is_empty() && !self.running {
+        let live = self.resident.iter().flatten().count();
+        if live == 0 && self.incoming.is_empty() {
             return Vec::new();
         }
         let mut lines = vec![format!(
-            "  scheduler: {} parked + {} queued machine(s)",
-            self.live,
+            "  scheduler: {live} parked + {} queued machine(s)",
             self.incoming.len()
         )];
         for (m, slot) in self.resident.iter().enumerate() {
@@ -332,109 +347,41 @@ impl Slab {
         );
         lines
     }
-}
 
-/// The machine pool. Held by the clock (`ClockInner`), but
-/// deliberately clock-free itself — the scheduler reaches it through its
-/// own `SimClock` clone.
-#[derive(Default)]
-pub(crate) struct SchedPool {
-    pub(crate) slab: Mutex<Slab>,
-    /// Scheduler threads spawned and not yet retired (a revived one may
-    /// start while its predecessor is still unwinding its locals);
-    /// [`SimClock::quiesce_machines`] parks on `retired` until it is zero.
-    live_workers: Mutex<usize>,
-    retired: Condvar,
-}
-
-impl SchedPool {
-    /// Count a scheduler thread about to be spawned (before it starts, so
-    /// a quiescing caller can never observe zero between spawn and start).
-    pub(crate) fn worker_started(&self) {
-        *self.live_workers.lock() += 1;
-    }
-
-    /// Park the calling thread until every counted thread has retired.
-    pub(crate) fn wait_retired(&self) {
-        let mut live = self.live_workers.lock();
-        while *live > 0 {
-            self.retired.wait(&mut live);
-        }
-    }
-}
-
-/// Reports the scheduler's retirement when dropped — after its actor,
-/// and also when it unwinds from a panicking machine, so a quiescing
-/// caller is released to observe the poison instead of hanging. An
-/// unwinding scheduler leaves machines behind; what they were parked on
-/// leaves the registry with it.
-struct Retire<'a>(&'a SimClock);
-
-impl Drop for Retire<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.registry(0).clear();
-        }
-        let pool = self.0.pool();
-        let mut live = pool.live_workers.lock();
-        *live -= 1;
-        if *live == 0 {
-            pool.retired.notify_all();
-        }
-    }
-}
-
-/// The scheduler's scratch lists, kept across passes.
-#[derive(Default)]
-struct Pass {
-    /// The machines this pass steps, in id order unless the clock has a
-    /// permutation seed ([`SimClock::with_permute_seed`]).
-    batch: Vec<MachineId>,
-    /// Those whose read-set differs from what the registry holds.
-    changed: Vec<MachineId>,
-    /// Those that finished.
-    done: Vec<MachineId>,
-}
-
-impl Pass {
     /// One frozen-instant pass over the slab: step the machines that
     /// were marked ready, those with a hint due and those just adopted —
     /// not every resident — and register what each is now parked on.
-    /// True when the slab has drained.
     ///
-    /// Machines progressing mid-pass notify the clock themselves (monitor
-    /// mutations bump `gen`), which makes the surrounding `wait_on`
-    /// re-evaluate this predicate — that re-pass over whatever they
-    /// readied, not an inner loop, is what drives same-instant
-    /// cross-machine chains.
-    fn run(&mut self, actor: &Actor, clock: &SimClock) -> bool {
-        let Pass {
+    /// Machines progressing mid-pass notify the clock themselves; a
+    /// notify that readies a machine owes the next pass, which the
+    /// settling thread runs once whoever the notifies woke has parked
+    /// again — that re-pass, not an inner loop, is what drives
+    /// same-instant cross-machine chains.
+    fn pass(&mut self, actor: &Actor, clock: &SimClock) {
+        let now = clock.now_ns();
+        self.batch.clear();
+        // Adopt machines spawned since the last pass. They are polled at
+        // this very instant: a spawn owes a pass, so the clock cannot
+        // have advanced past the spawn instant.
+        for (label, body) in std::mem::take(&mut self.incoming) {
+            let m = self.adopt(label, body);
+            self.batch.push(m);
+        }
+        let Slab {
+            resident,
+            timers,
             batch,
             changed,
             done,
+            ..
         } = self;
-        let mut st = clock.pool().slab.lock();
-        let now = clock.now_ns();
-        batch.clear();
-        // Adopt machines spawned since the last pass. They are polled at
-        // this very instant: the spawner is still runnable, so the clock
-        // cannot have advanced past the spawn instant.
-        for (label, body) in std::mem::take(&mut st.incoming) {
-            batch.push(st.adopt(label, body));
-        }
-        st.timers.pop_due(now, batch);
+        timers.pop_due(now, batch);
         let gen = clock.take_ready(batch);
         batch.sort_unstable();
         batch.dedup();
         if let Some(seed) = clock.permute_seed() {
             permute(batch, seed, now);
         }
-        let Slab {
-            resident,
-            timers,
-            live,
-            ..
-        } = &mut *st;
         let mut polls = 0;
         for &m in batch.iter() {
             // Retirement takes a machine off every list batches are built
@@ -489,38 +436,23 @@ impl Pass {
         for m in done.drain(..) {
             resident[m as usize] = None;
             timers.forget(m);
-            *live -= 1;
         }
-        if st.live == 0 && st.incoming.is_empty() {
-            st.running = false;
-            return true;
-        }
-        false
     }
 }
 
-/// The scheduler loop: one registered clock actor serving every machine
-/// of a clock. Each predicate evaluation is one frozen-instant pass over
-/// the machines with something to look at; between passes the scheduler
-/// is a single blocked actor, *held* when flagged — through its own key
-/// (a timer alarm, a spawn) or through a machine that a notify or alarm
-/// marked ready — until every other actor has parked. It retires
-/// (clearing `running`) once the slab drains.
-pub(crate) fn run_scheduler(actor: Actor, clock: SimClock) {
-    ON_POOL_WORKER.with(|f| f.set(true));
-    // Locals drop in reverse order: the actor deregisters (its last clock
-    // advance included) before the retirement is reported.
-    let _retire = Retire(&clock);
-    let actor = actor;
-    let mut pass = Pass::default();
-    actor.wait_on(&[WakeKey::SCHED], "sched", || {
-        pass.run(&actor, &clock).then_some(())
-    });
+/// Run one pass on the calling thread: the clock owes one, and the
+/// caller settled the round (`SimClock::maybe_advance`, which counts it
+/// runnable meanwhile and holds no lock). The machines get a handle that
+/// is registered as no actor; if one of them panics, that handle's drop
+/// poisons the clock on the way out.
+pub(crate) fn run_pass(clock: &SimClock) {
+    let _in_pass = InPass::enter();
+    let actor = Actor::for_pass(clock);
+    clock.slab().lock().pass(&actor, clock);
 }
 
 /// What [`SimClock::spawn_machine`] returns. There is nothing to hold:
-/// a machine retires inside the scheduler when it reports
-/// [`MachineStep::Done`].
+/// a machine retires inside a pass when it reports [`MachineStep::Done`].
 pub struct MachineHandle;
 
 impl MachineHandle {

@@ -12,7 +12,7 @@ use std::thread::ThreadId;
 
 use simtime::plock::Mutex;
 use simtime::{
-    fnv1a, on_pool_worker, Actor, MachineStep, Monitor, SimActor, SimChannel, SimClock, SimNs,
+    fnv1a, in_sched_pass, Actor, MachineStep, Monitor, SimActor, SimChannel, SimClock, SimNs,
     XorShift64,
 };
 
@@ -400,7 +400,7 @@ fn concurrent_tickers_overlap_not_serialize() {
     );
 }
 
-/// A machine that reports whether it runs on a scheduler thread.
+/// A machine that reports whether it runs inside a scheduler pass.
 struct ContextProbe {
     out: Arc<Monitor<Option<bool>>>,
 }
@@ -411,20 +411,23 @@ impl SimActor for ContextProbe {
     }
 
     fn poll(&mut self, _now: SimNs, _actor: &Actor) -> MachineStep {
-        self.out.with(|o| *o = Some(on_pool_worker()));
+        self.out.with(|o| *o = Some(in_sched_pass()));
         MachineStep::Done
     }
 }
 
 #[test]
-fn machines_run_on_a_pool_worker_and_the_caller_does_not() {
+fn machines_run_inside_a_pass_and_the_caller_outside_one() {
     let clock = SimClock::new();
     let main = clock.register("main");
     let out = Arc::new(Monitor::new(clock.clone(), None));
     clock.spawn_machine(0, "probe", Box::new(ContextProbe { out: out.clone() }));
     out.wait(&main, |o| *o);
     assert_eq!(out.peek(|o| *o), Some(true));
-    assert!(!on_pool_worker(), "the main thread is never a pool worker");
+    assert!(
+        !in_sched_pass(),
+        "the main thread ran the pass while it parked, and left it"
+    );
 }
 
 /// A machine that parks forever with no wake hint, after noting which
@@ -445,10 +448,10 @@ impl SimActor for Stuck {
 }
 
 /// Run `world`, which must end in the clock's deadlock panic, and return
-/// the report. The panic fires on whichever actor blocks last (the main
-/// test actor or the scheduler), so the message is captured through a
-/// panic hook instead of relying on which thread unwinds with it — and
-/// the hook is the process's, hence one caller at a time.
+/// the report. The panic fires on whichever thread settles the last
+/// round, so the message is captured through a panic hook instead of
+/// relying on which thread unwinds with it — and the hook is the
+/// process's, hence one caller at a time.
 fn deadlock_report(world: impl FnOnce()) -> String {
     static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
     static CAPTURED: Mutex<Option<String>> = Mutex::new(None);
@@ -465,7 +468,7 @@ fn deadlock_report(world: impl FnOnce()) -> String {
     }));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(world));
     assert!(result.is_err(), "the deadlock must panic");
-    // The scheduler may take a moment to observe the poison and unwind.
+    // Another thread may take a moment to observe the poison and unwind.
     let mut tries = 0;
     let report = loop {
         if let Some(r) = CAPTURED.lock().take() {
@@ -507,14 +510,16 @@ fn deadlock_report_names_the_parked_machine() {
 }
 
 #[test]
-fn sixteen_hints_are_one_scheduler_thread() {
+fn sixteen_hints_are_stepped_by_the_settling_thread() {
     // Hints are legal arguments that place nothing: 16 tickers under 16
     // of them all complete and retire ...
     let (log, _) = run_tickers(16);
     assert_eq!(log.len(), 16 * 5);
-    // ... and 16 machines under 16 of them are one actor, one thread and
-    // one block of the deadlock report.
+    // ... and 16 machines under 16 of them are no actor and no thread of
+    // their own: the only actor's thread, which settles every round, steps
+    // them all, and the deadlock report shows them as one block.
     let polled_by: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+    let main_thread = std::thread::current().id();
     let report = deadlock_report(|| {
         let clock = SimClock::new();
         let main = clock.register("main");
@@ -524,14 +529,14 @@ fn sixteen_hints_are_one_scheduler_thread() {
             };
             let _h = clock.spawn_machine(i * 7 + 1, format!("stuck{i}"), Box::new(stuck));
         }
-        assert_eq!(clock.actor_count(), 2, "main and one scheduler");
+        assert_eq!(clock.actor_count(), 1, "main alone: no scheduler actor");
         main.wait_on(&[clock.new_key()], "never", || -> Option<()> { None })
     });
     let polled_by = polled_by.lock().clone();
     assert!(polled_by.len() >= 16, "every machine was stepped");
     assert!(
-        polled_by.iter().all(|id| *id == polled_by[0]),
-        "by one thread: {polled_by:?}"
+        polled_by.iter().all(|id| *id == main_thread),
+        "by the settling thread, main's: {polled_by:?}"
     );
     assert!(
         report.contains("Blocked(\"never\") [keyed: 1 key(s)]"),

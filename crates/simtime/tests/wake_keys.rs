@@ -7,11 +7,11 @@
 //! parked, so "the waiters are parked before the driver acts" needs no
 //! sleeps or barriers.
 //!
-//! The second half is about the scheduler thread, which is *held*: flagged
-//! when a machine is readied (by a notify or alarm of a key it
-//! read), but resumed only once every other actor
-//! has parked. Those tests run under a wall-clock watchdog, because what
-//! a missed release looks like is a world that never ends.
+//! The second half is about scheduler passes, which are *owed*: a pass is
+//! owed when a machine is readied (by a notify or alarm of a key it
+//! read), and run only by the thread that settles a round, once every
+//! actor has parked. Those tests run under a wall-clock watchdog, because
+//! what an owed pass nobody runs looks like is a world that never ends.
 //!
 //! The third part is about the machines themselves: a machine is parked
 //! on the keys its last poll read, and is polled again when one of them
@@ -250,7 +250,7 @@ fn within_watchdog(f: impl FnOnce() + Send + 'static) {
         rx.recv_timeout(Duration::from_secs(10)) == Err(mpsc::RecvTimeoutError::Timeout);
     assert!(
         !timed_out,
-        "still running after 10 s: the held scheduler was never released"
+        "still running after 10 s: a pass was owed and nobody ran it"
     );
     join(h); // re-raises `f`'s own panic, if that is how it ended
 }
@@ -288,7 +288,7 @@ struct Watched {
     key: WakeKey,
 }
 
-/// Put one [`Watcher`] — hence the scheduler — on `clock`.
+/// Put one [`Watcher`] — hence owed passes — on `clock`.
 fn spawn_watcher(clock: &SimClock, ticks: &[SimNs]) -> Watched {
     let polls = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
@@ -303,37 +303,32 @@ fn spawn_watcher(clock: &SimClock, ticks: &[SimNs]) -> Watched {
     Watched { polls, stop, key }
 }
 
-const SCHED: &str = "sched";
+/// Scheduler passes run so far.
+fn passes(clock: &SimClock) -> u64 {
+    clock.wake_stats().sched_passes
+}
 
 #[test]
-fn held_worker_resumes_when_the_last_runnable_actor_parks_and_not_before() {
+fn owed_pass_runs_when_the_last_runnable_actor_parks_and_not_before() {
     within_watchdog(|| {
         let clock = SimClock::new();
         let driver = clock.register("driver");
         let Watched { polls, stop, key } = spawn_watcher(&clock, &[]);
-        // t=10: the worker is parked (or the clock could not have moved).
+        // t=10: the watcher is parked (or the clock could not have moved).
         driver.advance_ns(10);
-        let (before, polled) = (label(&clock, SCHED), polls.load(Ordering::SeqCst));
+        let (before, polled) = (passes(&clock), polls.load(Ordering::SeqCst));
         for _ in 0..5 {
             clock.notify_key(key);
         }
-        // The worker is flagged now. Give the OS every chance to run it:
-        // it must stay parked for as long as the driver is runnable.
+        // A pass is owed now. Give the OS every chance to run one: none
+        // may run for as long as the driver is runnable.
         thread::sleep(Duration::from_millis(50));
-        assert_eq!(
-            label(&clock, SCHED),
-            before,
-            "resumed beside a runnable actor"
-        );
+        assert_eq!(passes(&clock), before, "a pass beside a runnable actor");
         assert_eq!(polls.load(Ordering::SeqCst), polled);
-        // The driver parks: the worker makes one pass for all five
-        // notifies, and only then can the clock reach t=20.
+        // The driver parks: it makes one pass for all five notifies, and
+        // only then can the clock reach t=20.
         driver.advance_ns(10);
-        let after = label(&clock, SCHED);
-        assert_eq!(
-            (after.wakeups, after.parked),
-            (before.wakeups + 1, before.parked + 1)
-        );
+        assert_eq!(passes(&clock), before + 1);
         assert_eq!(polls.load(Ordering::SeqCst), polled + 1);
         stop.store(true, Ordering::SeqCst);
         clock.notify_key(key);
@@ -344,11 +339,11 @@ fn held_worker_resumes_when_the_last_runnable_actor_parks_and_not_before() {
 }
 
 #[test]
-fn alarm_firing_during_a_clock_advance_releases_the_held_worker() {
-    // Nobody but the worker is left: it parks, its own park advances the
-    // clock to the watcher's next tick, and the alarm firing there — in
-    // the middle of `maybe_advance`, with nobody runnable — flags only
-    // the worker that is held. Whoever advances must also release.
+fn alarm_firing_during_a_clock_advance_runs_the_pass_it_owes() {
+    // No actor is left: the last one's drop advances the clock to the
+    // watcher's next tick, and the alarm firing there — in the middle of
+    // `maybe_advance`, with nobody runnable — readies nobody but the
+    // watcher. Whoever advances must also run the pass that alarm owes.
     within_watchdog(|| {
         let clock = SimClock::new();
         let main = clock.register("main");
@@ -363,13 +358,13 @@ fn alarm_firing_during_a_clock_advance_releases_the_held_worker() {
 }
 
 #[test]
-fn notify_from_a_thread_without_an_actor_reaches_the_held_worker() {
+fn notify_from_a_thread_without_an_actor_owes_a_pass_the_next_park_runs() {
     // The notifier owns no actor, so it never parks and never passes
     // through `maybe_advance`. With every actor parked such a notify
     // cannot be staged — the clock has moved on, or declared a deadlock,
     // before it arrives — so the driver here is runnable but stuck on a
-    // real-time gate: the worker is held, and released by the driver's
-    // park with all three notifies absorbed in one pass.
+    // real-time gate: the pass is owed, and the driver's park runs it
+    // with all three notifies absorbed in one pass.
     within_watchdog(|| {
         let clock = SimClock::new();
         let driver = clock.register("driver");
@@ -382,24 +377,20 @@ fn notify_from_a_thread_without_an_actor_reaches_the_held_worker() {
             driver
         });
         // Wait (real time) until the driver stands at the gate at t=10;
-        // the worker has been parked since before the clock got there.
+        // the watcher has been parked since before the clock got there.
         while clock.now_ns() < 10 {
             thread::yield_now();
         }
-        let (before, polled) = (label(&clock, SCHED), polls.load(Ordering::SeqCst));
+        let (before, polled) = (passes(&clock), polls.load(Ordering::SeqCst));
         stop.store(true, Ordering::SeqCst);
         for _ in 0..3 {
             clock.notify_key(key);
         }
         thread::sleep(Duration::from_millis(50));
-        assert_eq!(
-            label(&clock, SCHED),
-            before,
-            "resumed beside a runnable actor"
-        );
+        assert_eq!(passes(&clock), before, "a pass beside a runnable actor");
         assert!(open_gate.send(()).is_ok(), "the driver waits at the gate");
         let driver = join(t);
-        assert_eq!(label(&clock, SCHED).wakeups, before.wakeups + 1);
+        assert_eq!(passes(&clock), before + 1);
         assert_eq!(polls.load(Ordering::SeqCst), polled + 1);
         drop(driver);
         clock.quiesce_machines();
@@ -407,34 +398,34 @@ fn notify_from_a_thread_without_an_actor_reaches_the_held_worker() {
 }
 
 #[test]
-fn poison_unparks_a_held_worker() {
+fn poison_leaves_an_owed_pass_unrun() {
     within_watchdog(|| {
         let clock = SimClock::new();
         let driver = clock.register("driver");
-        let key = spawn_watcher(&clock, &[]).key;
+        let Watched { polls, key, .. } = spawn_watcher(&clock, &[]);
         let c1 = clock.clone();
         let boom = thread::spawn(move || {
             driver.advance_ns(10);
-            c1.notify_key(key); // the worker is flagged and held: we are runnable
+            c1.notify_key(key); // a pass is owed: we are runnable
             std::panic::panic_any("boom");
         });
         assert!(boom.join().is_err());
-        // The worker fails fast with the poison panic and retires, which
-        // is what lets a quiescing caller through to see the poison.
+        // The unwinding driver poisons the clock instead of settling the
+        // round, and a quiescing caller sees the poison.
         let c2 = clock.clone();
         let quiesce = thread::spawn(move || c2.quiesce_machines());
         assert!(quiesce.join().is_err(), "quiesce reports the poison");
         assert!(clock.is_poisoned());
-        assert_eq!(clock.actor_count(), 0, "the held worker deregistered");
+        assert_eq!(clock.actor_count(), 0);
+        assert_eq!(polls.load(Ordering::SeqCst), 1, "adoption only");
     });
 }
 
 #[test]
-fn actor_dropped_while_a_worker_is_held_keeps_the_clock_advancing() {
-    // The driver flags the worker and leaves without ever parking; a
-    // sleeper is waiting for t=100. The drop must release the worker,
-    // and the worker's resume must leave `recheck_pending` at zero, or
-    // the clock never reaches the sleeper.
+fn actor_dropped_while_a_pass_is_owed_keeps_the_clock_advancing() {
+    // The driver owes a pass and leaves without ever parking; a sleeper
+    // is waiting for t=100. The drop must run the pass, and the pass must
+    // leave nothing owed, or the clock never reaches the sleeper.
     within_watchdog(|| {
         let clock = SimClock::new();
         let driver = clock.register("driver");
@@ -448,13 +439,13 @@ fn actor_dropped_while_a_worker_is_held_keeps_the_clock_advancing() {
             sleeper.now_ns()
         });
         driver.advance_ns(10);
-        let (before, polled) = (label(&clock, SCHED), polls.load(Ordering::SeqCst));
+        let (before, polled) = (passes(&clock), polls.load(Ordering::SeqCst));
         clock.notify_key(key);
         drop(driver);
         assert_eq!(join(t), 100);
         clock.quiesce_machines();
-        // One pass released by the drop, one by the sleeper's exit.
-        assert_eq!(label(&clock, SCHED).wakeups, before.wakeups + 2);
+        // One pass run by the drop, one by the sleeper's exit.
+        assert_eq!(passes(&clock), before + 2);
         assert_eq!(polls.load(Ordering::SeqCst), polled + 2);
         assert_eq!(clock.actor_count(), 0);
     });
@@ -501,30 +492,26 @@ fn spawn_until_one(clock: &SimClock, hint: u64, m: &Arc<Monitor<u32>>) -> Arc<At
     polls
 }
 
-/// (`sched` wake-ups, machine polls, ready marks) so far.
+/// (passes, machine polls, ready marks) so far.
 fn machine_stats(clock: &SimClock) -> (u64, u64, u64) {
     let w = clock.wake_stats();
-    (
-        w.labels.get(SCHED).map_or(0, |l| l.wakeups),
-        w.machine_polls,
-        w.machine_readies,
-    )
+    (w.sched_passes, w.machine_polls, w.machine_readies)
 }
 
 #[test]
-fn notify_of_a_key_no_machine_read_leaves_the_worker_parked() {
+fn notify_of_a_key_no_machine_read_owes_no_pass() {
     within_watchdog(|| {
         let clock = SimClock::new();
         let a = Arc::new(Monitor::new(clock.clone(), 0u32));
         let b = Monitor::new(clock.clone(), 0u32);
         let driver = clock.register("driver");
         let polls = spawn_until_one(&clock, 0, &a);
-        driver.advance_ns(10); // the worker is parked, its machine on `a`
+        driver.advance_ns(10); // the machine is parked on `a`
         let before = machine_stats(&clock);
         for _ in 0..5 {
             b.with(|v| *v += 1);
         }
-        // Parking is what would release a held worker, had b flagged it.
+        // Parking is what would run the pass, had b owed one.
         driver.advance_ns(10);
         assert_eq!(machine_stats(&clock), before, "b is none of its business");
         a.with(|v| *v = 1);
@@ -534,7 +521,7 @@ fn notify_of_a_key_no_machine_read_leaves_the_worker_parked() {
         assert_eq!(
             (after.0, after.1, after.2),
             (before.0 + 1, before.1 + 1, before.2 + 1),
-            "one ready mark, one release, one poll for a's notify"
+            "one pass, one poll, one ready mark for a's notify"
         );
         assert_eq!(polls.load(Ordering::SeqCst), 2, "adoption + a's notify");
     });
@@ -579,24 +566,36 @@ fn machine_that_reparks_on_another_monitor_is_reregistered() {
 
 #[test]
 fn notify_between_a_poll_and_its_registration_is_not_lost() {
-    // The machine's first poll reads `m` (0) and then stands at a real
-    // barrier while the driver sets `m` to 1: the notify happens after
-    // the read and before the worker has registered the machine on m's
-    // key. Without the generation check at registration the worker parks
-    // on an empty ready list and nothing ever wakes it.
+    // The machine's first poll reads `m` (0), then resumes a second actor
+    // and stands at a real barrier while that actor sets `m` to 1: the
+    // notify happens after the read and before the pass has registered
+    // the machine on m's key. Without the generation check at
+    // registration nothing owes the pass that would see the 1, and the
+    // world ends in a deadlock report.
     within_watchdog(|| {
         let clock = SimClock::new();
         let m = Arc::new(Monitor::new(clock.clone(), 0u32));
+        let go = Arc::new(Monitor::new(clock.clone(), false));
         let gate = Arc::new(Barrier::new(2));
         let polls = Arc::new(AtomicU64::new(0));
         let driver = clock.register("driver");
-        let (m1, g1, p1) = (m.clone(), gate.clone(), polls.clone());
+        let notifier = clock.register("notifier");
+        let (m1, go1, g1) = (m.clone(), go.clone(), gate.clone());
+        let t = thread::spawn(move || {
+            go1.wait(&notifier, |g| g.then_some(()));
+            m1.with(|v| *v = 1);
+            g1.wait(); // notify done
+        });
+        // t=10: the notifier is parked, so the driver settles the next
+        // round — and runs the racer's first poll on this thread.
+        driver.advance_ns(10);
+        let (m2, go2, g2, p2) = (m.clone(), go.clone(), gate.clone(), polls.clone());
         spawn_fn(&clock, 0, "racer", move |_| {
-            let first = p1.fetch_add(1, Ordering::SeqCst) == 0;
-            let seen = m1.peek(|v| *v);
+            let first = p2.fetch_add(1, Ordering::SeqCst) == 0;
+            let seen = m2.peek(|v| *v);
             if first {
-                g1.wait(); // read done
-                g1.wait(); // notify done
+                go2.with(|g| *g = true); // read done: the notifier resumes
+                g2.wait();
             }
             if seen == 1 {
                 MachineStep::Done
@@ -604,10 +603,8 @@ fn notify_between_a_poll_and_its_registration_is_not_lost() {
                 MachineStep::Pending(None)
             }
         });
-        gate.wait();
-        m.with(|v| *v = 1);
-        gate.wait();
         drop(driver);
+        join(t);
         clock.quiesce_machines();
         assert_eq!(polls.load(Ordering::SeqCst), 2);
         assert_eq!(clock.wake_stats().machine_readies, 1, "the re-queue");
@@ -732,14 +729,14 @@ fn hint_and_key_both_step_through_poll() {
 }
 
 #[test]
-fn retired_machine_and_poisoned_worker_leave_the_registry() {
+fn retired_machine_leaves_the_registry_and_a_panicking_pass_poisons_the_clock() {
     within_watchdog(|| {
         let clock = SimClock::new();
         let a = Arc::new(Monitor::new(clock.clone(), 0u32));
         let b = Arc::new(Monitor::new(clock.clone(), 0u32));
         let driver = clock.register("driver");
-        // The survivor keeps the scheduler — and the ready list — alive
-        // after the first machine has gone.
+        // The survivor keeps a machine — and the ready list — alive after
+        // the first machine has gone.
         let _ = spawn_until_one(&clock, 0, &a);
         let _ = spawn_until_one(&clock, 0, &b);
         driver.advance_ns(10);
@@ -755,21 +752,22 @@ fn retired_machine_and_poisoned_worker_leave_the_registry() {
             before,
             "a retired machine's key readies nobody"
         );
-        // Now the worker dies with b's machine still parked on b.
-        let boom = thread::spawn(move || {
-            let _driver = driver;
-            std::panic::panic_any("boom");
-        });
-        assert!(boom.join().is_err());
+        // Now a machine panics in the pass the driver's drop runs, with
+        // b's machine still parked on b. The driver is deregistered by
+        // then: the pass's own handle must poison the clock as it unwinds.
+        spawn_fn(&clock, 0, "bomb", |_| std::panic::panic_any("boom"));
+        let boom = thread::spawn(move || drop(driver));
+        assert!(boom.join().is_err(), "the settling thread unwinds");
+        assert!(clock.is_poisoned());
         let c1 = clock.clone();
         let quiesce = thread::spawn(move || c1.quiesce_machines());
         assert!(quiesce.join().is_err(), "quiesce reports the poison");
         let before = machine_stats(&clock);
         b.with(|v| *v = 1);
         assert_eq!(
-            machine_stats(&clock).2,
-            before.2,
-            "an unwound worker's machines are parked on nothing"
+            (machine_stats(&clock).0, machine_stats(&clock).1),
+            (before.0, before.1),
+            "a poisoned clock's machines are stepped by nobody"
         );
     });
 }
@@ -777,7 +775,7 @@ fn retired_machine_and_poisoned_worker_leave_the_registry() {
 /// A machine must not spawn a machine from inside `poll`: the pass holds
 /// the slab's lock, and the newcomer would wait for it on the thread
 /// that holds it — an OS-level hang no deadlock report can see. A debug
-/// build says so instead.
+/// build says so instead, on the thread that settled the round.
 #[cfg(debug_assertions)]
 #[test]
 fn machine_that_spawns_from_poll_poisons_the_clock_instead_of_hanging() {
@@ -800,7 +798,8 @@ fn machine_that_spawns_from_poll_poisons_the_clock_instead_of_hanging() {
             c1.spawn_machine(1, "child", Box::new(child));
             MachineStep::Done
         });
-        drop(driver);
+        let settler = thread::spawn(move || drop(driver));
+        assert!(settler.join().is_err(), "the pass unwinds its thread");
         let c2 = clock.clone();
         let quiesce = thread::spawn(move || c2.quiesce_machines());
         assert!(quiesce.join().is_err(), "quiesce reports the poison");
