@@ -1006,7 +1006,8 @@ impl RecvFail {
 
 impl ChunkRecv {
     /// Post the receive for the next wire chunk from `src` (`None`: any
-    /// source) at `now`.
+    /// source) at `now`. A patience that would end past the last instant
+    /// sets no deadline.
     pub(crate) fn post(
         inner: &Inner,
         actor: &Actor,
@@ -1015,13 +1016,14 @@ impl ChunkRecv {
         now: SimNs,
     ) -> Self {
         let req = inner.comm.irecv(actor, src, Some(wire_tag));
-        let deadline = inner.comm.world().has_faults().then(|| {
-            let patience = inner.retry.lock().chunk_timeout_ns;
-            (now + patience, patience)
-        });
+        let patience = inner
+            .comm
+            .world()
+            .has_faults()
+            .then(|| inner.retry.lock().chunk_timeout_ns);
         ChunkRecv {
             req: Some(req),
-            deadline,
+            deadline: patience.and_then(|p| Some((now.checked_add(p)?, p))),
         }
     }
 

@@ -239,9 +239,13 @@ impl ClMpi {
     }
 
     /// Set how transfers react to observed chunk loss (attempt budget,
-    /// backoff schedule, degradation threshold, receiver patience).
+    /// backoff schedule, degradation threshold, receiver patience). An
+    /// attempt budget of 0 is taken as 1, as [`RetryPolicy::new`] does.
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        *self.inner.retry.lock() = policy;
+        *self.inner.retry.lock() = RetryPolicy {
+            max_attempts: policy.max_attempts.max(1),
+            ..policy
+        };
     }
 
     /// True once repeated chunk loss has degraded pipelined transfers to

@@ -5,7 +5,7 @@
 use clmpi::{data_plane_faults, ClMpi, RetryPolicy, SystemConfig, TransferStrategy};
 use minicl::{CL_MPI_TRANSFER_ERROR, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST};
 use minimpi::{run_world_faulty, run_world_sized, FaultPlan, Process};
-use simtime::XorShift64;
+use simtime::{SimNs, XorShift64};
 
 fn pattern(len: usize, seed: u64) -> Vec<u8> {
     let mut rng = XorShift64::new(seed);
@@ -162,6 +162,82 @@ fn permanent_failure_poisons_dependent_commands() {
         Some(EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST),
         "poisoning propagates transitively"
     );
+}
+
+/// A zero attempt budget is a budget of one, as `RetryPolicy::new` reads
+/// it: on a black-hole fabric the send fails after one drop and no
+/// retransmission, instead of retransmitting forever. Watchdogged: a
+/// budget that never runs out keeps the world running.
+#[test]
+fn a_zero_attempt_budget_fails_after_one_drop() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let world = std::thread::spawn(move || {
+        let plan = data_plane_faults(FaultPlan::drops(11, 1.0));
+        let cluster = SystemConfig::ricc().cluster.clone();
+        let res = run_world_faulty(cluster, 2, plan, move |p: Process| {
+            let rt = ClMpi::new(&p, SystemConfig::ricc());
+            rt.set_retry_policy(RetryPolicy {
+                max_attempts: 0,
+                chunk_timeout_ns: 50_000_000,
+                ..RetryPolicy::default()
+            });
+            rt.set_forced_strategy(Some(TransferStrategy::Pinned));
+            let q = rt.context().create_queue(0, format!("r{}", p.rank()));
+            let buf = rt.context().create_buffer(1 << 16);
+            let code = if p.rank() == 0 {
+                let e = rt.enqueue_send_buffer(&q, &buf, false, 0, 1 << 16, 1, 1, &[], &p.actor);
+                e.map(|e| {
+                    e.wait(&p.actor);
+                    e.error_code()
+                })
+            } else {
+                Ok(None)
+            };
+            let faults = rt.obs_counters().faults;
+            rt.shutdown(&p.actor);
+            (code, faults.chunk_drops, faults.retries)
+        });
+        let _ = tx.send(res.outputs[0].clone());
+    });
+    let sender = rx.recv_timeout(std::time::Duration::from_secs(20));
+    assert_eq!(sender, Ok((Ok(Some(CL_MPI_TRANSFER_ERROR)), 1, 0)));
+    assert!(world.join().is_ok());
+}
+
+/// A chunk patience that would end past the last instant is no deadline:
+/// a receive posted after time has passed waits for its chunk instead of
+/// timing out at once.
+#[test]
+fn a_chunk_patience_past_the_last_instant_is_no_deadline() {
+    // Jitter alone puts the world under a fault plan, which arms the
+    // patience, and drops nothing.
+    let plan = data_plane_faults(FaultPlan::none().with_jitter(1_000));
+    let cluster = SystemConfig::ricc().cluster.clone();
+    let res = run_world_faulty(cluster, 2, plan, move |p: Process| {
+        let rt = ClMpi::new(&p, SystemConfig::ricc());
+        rt.set_retry_policy(RetryPolicy {
+            chunk_timeout_ns: SimNs::MAX,
+            ..RetryPolicy::default()
+        });
+        let q = rt.context().create_queue(0, format!("r{}", p.rank()));
+        let buf = rt.context().create_buffer(1 << 16);
+        // The receive is posted at 1 µs, so `now + patience` overflows;
+        // the chunk comes at 1 ms.
+        p.actor
+            .advance_ns(if p.rank() == 0 { 1_000_000 } else { 1_000 });
+        let e = if p.rank() == 0 {
+            rt.enqueue_send_buffer(&q, &buf, false, 0, 1 << 16, 1, 1, &[], &p.actor)
+        } else {
+            rt.enqueue_recv_buffer(&q, &buf, false, 0, 1 << 16, 0, 1, &[], &p.actor)
+        };
+        let code = e.map(|e| {
+            e.wait(&p.actor);
+            e.error_code()
+        });
+        rt.shutdown(&p.actor);
+        code
+    });
+    assert_eq!(res.outputs, [Ok(None), Ok(None)]);
 }
 
 /// The determinism claim of the engine design: virtual-time outcomes

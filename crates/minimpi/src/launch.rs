@@ -613,6 +613,24 @@ mod tests {
     }
 
     #[test]
+    fn a_timeout_past_the_last_instant_is_no_deadline() {
+        let res = run_world_sized(ClusterSpec::cichlid(), 2, |p| {
+            if p.rank() == 0 {
+                p.actor.advance_ns(5_000);
+                p.comm.send(&p.actor, 1, 4, &[9u8; 256]);
+                Ok(0)
+            } else {
+                // Time has passed, so `now + timeout` overflows.
+                p.actor.advance_ns(1_000);
+                let req = p.comm.irecv(&p.actor, Some(0), Some(4));
+                let got = req.wait_timeout(&p.actor, simtime::SimNs::MAX);
+                got.map(|r| r.map_or(0, |r| r.data.len()))
+            }
+        });
+        assert_eq!(res.outputs[1], Ok(256));
+    }
+
+    #[test]
     #[should_panic(expected = "message of 128 bytes truncated into 16-byte buffer")]
     fn recv_into_truncation_panics() {
         run_world_sized(ClusterSpec::cichlid(), 2, |p| {

@@ -443,13 +443,16 @@ impl Request {
     /// has matched the request its arrival instant is committed, so the
     /// wait sees it through even past the deadline (retrying a message the
     /// fabric already delivered would duplicate it). On timeout the
-    /// request is cancelled and consumed.
+    /// request is cancelled and consumed. A timeout that would end past
+    /// the last instant is no deadline: this is [`Request::wait`].
     pub fn wait_timeout(
         self,
         actor: &Actor,
         timeout_ns: SimNs,
     ) -> Result<Option<RecvResult>, MpiError> {
-        let deadline = actor.now_ns() + timeout_ns;
+        let Some(deadline) = actor.now_ns().checked_add(timeout_ns) else {
+            return Ok(self.wait(actor));
+        };
         let keys = [self.wake_key()];
         match self.kind {
             ReqKind::Send { outcome } => {

@@ -16,8 +16,8 @@ const MAX_BACKOFF_NS: SimNs = 50_000_000; // 50 ms
 /// How a sender reacts to observed loss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Transmission attempts per transfer (>= 1). Exhausting the budget
-    /// fails the transfer permanently.
+    /// Transmission attempts per transfer (>= 1; 0 is taken as 1).
+    /// Exhausting the budget fails the transfer permanently.
     pub max_attempts: u32,
     /// Backoff before the first retransmit, virtual ns.
     pub backoff_base_ns: SimNs,

@@ -10,8 +10,8 @@
 //!   run; with one shared condvar each of them woke every blocked actor
 //!   to re-run a predicate that was false 97% of the time.
 //! * **Signals after the lock.** Nothing but `poison` signals a token
-//!   while holding the clock mutex: whoever flags a waiter or wakes a
-//!   sleeper queues its token in `ClockState::signals`, and the queue is
+//!   while holding the clock mutex: whoever flags a waiter queues its
+//!   token in `ClockState::signals`, and the queue is
 //!   signalled once the mutex has been released — when the `ClockGuard`
 //!   drops, and before its holder parks (`ClockGuard::park`). Signalled
 //!   under the lock, a woken thread that preempts its waker (one CPU)
@@ -42,8 +42,8 @@
 //!   alarm that marks a machine ready or fires the scheduler's timer
 //!   (`ClockState::pass_owed`). An owed pass holds the clock the way a
 //!   flagged waiter does: `maybe_advance` neither moves `now` nor
-//!   declares a deadlock while one is owed. Once `runnable`,
-//!   `pending_wakes` and `recheck_pending` are all zero, the thread in
+//!   declares a deadlock while one is owed. Once `runnable` and
+//!   `recheck_pending` are both zero, the thread in
 //!   `maybe_advance` runs the pass itself (`SimClock::pass`) — without
 //!   the clock lock and counted as runnable, the shape `progress` has —
 //!   and then starts the round again. A frozen instant thus settles in
@@ -63,17 +63,20 @@
 //!   pass, and `Registry::reregister` closes that window by comparing
 //!   `gen` with its value when the pass took its batch: a machine it
 //!   puts back on the ready list owes the next pass.
+//! * **A sleep is a wait.** [`Actor::advance_ns`] schedules an alarm on
+//!   a key the actor owns and waits on that key until `now` reaches the
+//!   alarm's instant, so every parked actor is a keyed waiter and there
+//!   is one way to park.
 //! * `runnable` counts actors currently executing user code. Whenever it
-//!   (together with `pending_wakes` and `recheck_pending`) reaches zero,
-//!   the decrementing thread advances the clock to the earliest pending
-//!   target (sleeper or alarm). *Any* due alarm drives the advance while
-//!   somebody is blocked, whatever its key: keys decide who is woken,
-//!   never where `now` goes.
-//! * `pending_wakes` closes the race between "the clock advanced to time t,
-//!   waking k sleepers" and "those k threads have not been scheduled by the
-//!   OS yet": until every due sleeper has resumed, the clock must not move
-//!   again. `recheck_pending` does the same for predicate waiters: it
-//!   counts exactly the waiters that were flagged and have not resumed.
+//!   (together with `recheck_pending`) reaches zero, the decrementing
+//!   thread advances the clock to the earliest alarm. *Any* due alarm
+//!   drives the advance while somebody is blocked, whatever its key: keys
+//!   decide who is woken, never where `now` goes.
+//! * `recheck_pending` closes the race between "the clock advanced to
+//!   time t, flagging k waiters" and "those k threads have not been
+//!   scheduled by the OS yet": it counts exactly the waiters that were
+//!   flagged and have not resumed, and until it is zero the clock must
+//!   not move again.
 //! * A generation counter (`gen`) implements lost-wakeup-free predicate
 //!   waiting: a waiter snapshots `gen`, evaluates the predicate *outside*
 //!   the clock lock, and only parks if `gen` is unchanged. `gen` is
@@ -132,9 +135,8 @@ impl WakeKey {
 pub enum ActorStatus {
     /// Executing user code (counts towards `runnable`).
     Running,
-    /// Sleeping in [`Actor::advance`] until the given virtual instant.
-    Sleeping(SimNs),
-    /// Blocked in [`Actor::wait_on`] on the described predicate.
+    /// Blocked in [`Actor::wait_on`] on the described predicate
+    /// (`"sleep"`: in [`Actor::advance`]).
     Blocked(&'static str),
 }
 
@@ -196,8 +198,6 @@ struct ClockState {
     gen: u64,
     /// Actors currently executing user code.
     runnable: usize,
-    /// Sleepers the clock has advanced to, that have not yet resumed.
-    pending_wakes: usize,
     /// Blocked waiters that have been flagged but have not yet been
     /// scheduled to re-evaluate their predicates. While nonzero the clock
     /// must not advance and a deadlock must not be declared.
@@ -206,13 +206,9 @@ struct ClockState {
     /// scheduler's timer fired, since the last pass took its batch. Holds
     /// the clock like `recheck_pending` until the settling thread runs it.
     pass_owed: bool,
-    /// Actors blocked in `wait_on` (for deadlock detection only).
-    blocked: usize,
     /// Machines spawned and not yet retired. While any is, alarms drive
     /// the clock and a deadlock may be declared, as for a blocked actor.
     resident: usize,
-    /// (wake_time, actor id) per sleeping actor.
-    sleepers: BinaryHeap<Reverse<(SimNs, u64)>>,
     /// Thread-less wake-up targets (e.g. "a message becomes visible at
     /// t"), each with the key whose dependants it wakes.
     alarms: BinaryHeap<Reverse<(SimNs, WakeKey)>>,
@@ -236,13 +232,9 @@ struct ClockState {
     /// Set when a registered actor panics or a deadlock is detected, so
     /// every other actor unblocks and fails fast instead of hanging.
     poisoned: bool,
-    /// Park tokens owed a signal: queued by whoever flags a waiter or
-    /// wakes a sleeper, signalled by [`ClockGuard`] once the lock is
-    /// released.
+    /// Park tokens owed a signal: queued by whoever flags a waiter,
+    /// signalled by [`ClockGuard`] once the lock is released.
     signals: Vec<Arc<Condvar>>,
-    /// [`Actor::advance_ns`] calls that let time pass: the `sleep` label
-    /// of [`SimClock::wake_stats`].
-    sleeps: u64,
     stats: WakeStats,
 }
 
@@ -275,7 +267,7 @@ impl ClockState {
         }
     }
 
-    /// Poison the clock and unpark every waiter and sleeper so each fails
+    /// Poison the clock and unpark every waiter so each fails
     /// fast with the poison panic. Signals under the lock: the run is
     /// over, and the caller may be about to panic.
     fn poison(&mut self) {
@@ -349,7 +341,7 @@ impl ClockGuard<'_> {
     /// thread parking with a lock held. A spurious wake-up while a
     /// progress source runs parks again, whatever `resumed` says.
     fn park(mut self, token: &Condvar, resumed: impl Fn(&ClockState) -> bool) -> Self {
-        // An actor whose own advance woke it is awake already.
+        // An actor whose own advance flagged it is awake already.
         self.st
             .signals
             .retain(|t| !std::ptr::eq(Arc::as_ptr(t), token));
@@ -586,6 +578,7 @@ impl SimClock {
             clock: self.clone(),
             id,
             token,
+            alarm: self.new_key(),
         }
     }
 
@@ -640,21 +633,9 @@ impl SimClock {
 
     /// Snapshot of the wake accounting since the clock was created.
     pub fn wake_stats(&self) -> WakeStats {
-        let (mut stats, sleeps) = {
-            let st = self.inner.lock();
-            (st.stats.clone(), st.sleeps)
-        };
+        let mut stats = self.inner.lock().stats.clone();
         stats.machine_polls = self.inner.machine_polls.load(Ordering::Relaxed);
         stats.multi_machine_passes = self.inner.multi_machine_passes.load(Ordering::Relaxed);
-        if sleeps > 0 {
-            // A sleeper parks once and never wakes in vain.
-            let slept = LabelWakes {
-                parked: sleeps,
-                wakeups: sleeps,
-                successes: sleeps,
-            };
-            stats.labels.insert("sleep", slept);
-        }
         stats
     }
 
@@ -705,65 +686,43 @@ impl SimClock {
     /// `runnable` (possibly) to zero. The lock is released and taken again
     /// while a pass or a progress source runs.
     fn maybe_advance<'a>(&'a self, mut st: ClockGuard<'a>) -> ClockGuard<'a> {
-        // Loop: an alarm may fire at an instant where no sleeper is due and
-        // none of its dependants is blocked (e.g. a message arrives while
-        // its receiver is off sleeping past it); the clock must then keep
-        // advancing to the next target, because no other thread will
-        // re-drive it. Each round starts at the owed pass: the alarms
-        // fired below may have readied nobody but machines.
+        // Loop: an alarm may fire at an instant where none of its
+        // dependants is blocked (e.g. a message arrives while its receiver
+        // is off sleeping past it); the clock must then keep advancing to
+        // the next alarm, because no other thread will re-drive it. Each
+        // round starts at the owed pass: the alarms fired below may have
+        // readied nobody but machines.
         loop {
-            if st.poisoned || st.runnable > 0 || st.pending_wakes > 0 || st.recheck_pending > 0 {
+            if st.poisoned || st.runnable > 0 || st.recheck_pending > 0 {
                 return st;
             }
             if st.pass_owed {
                 st = self.pass(st);
                 continue;
             }
-            let next_sleep = st.sleepers.peek().map(|Reverse((t, _))| *t);
-            // Alarms exist to re-check blocked predicate waiters and parked
-            // machines. With neither they must not *drive* the advance — a
-            // stale alarm (e.g. a recv timeout satisfied early) would
-            // otherwise drag the clock forward after the run's real work
-            // ended. They stay queued: a sleeper may still wake and block on
-            // a predicate whose wake-up is one of these alarms.
-            let waiting = st.blocked > 0 || st.resident > 0;
-            let next_alarm = if waiting {
-                st.alarms.peek().map(|Reverse((t, _))| *t)
-            } else {
-                None
-            };
-            let target = match (next_sleep, next_alarm) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => {
-                    if waiting {
-                        let report = self.inner.render_actors(&st);
-                        st.poison();
-                        panic!(
-                            "simtime: deadlock — all {} blocked actor(s) and {} machine(s) wait \
-                             on predicates and no sleeper or alarm can advance the clock past \
-                             t={}:\n{report}",
-                            st.blocked, st.resident, st.now
-                        );
-                    }
-                    return st; // all actors exited; nothing to do
-                }
+            // Nobody runs, so every registered actor is blocked. Alarms
+            // exist to re-check blocked waiters and parked machines; with
+            // neither they must not *drive* the advance — a stale alarm
+            // (e.g. a recv timeout satisfied early) would otherwise drag
+            // the clock forward after the run's real work ended.
+            if st.actors.is_empty() && st.resident == 0 {
+                return st; // all actors exited; nothing to do
+            }
+            let Some(&Reverse((target, _))) = st.alarms.peek() else {
+                let report = self.inner.render_actors(&st);
+                st.poison();
+                panic!(
+                    "simtime: deadlock — all {} blocked actor(s) and {} machine(s) wait \
+                     on predicates and no alarm can advance the clock past t={}:\n{report}",
+                    st.actors.len(),
+                    st.resident,
+                    st.now
+                );
             };
             debug_assert!(target >= st.now, "clock would move backwards");
             st.now = target;
             self.inner.now.store(target, Ordering::Release);
             st.stats.advances += 1;
-            while let Some(&Reverse((t, id))) = st.sleepers.peek() {
-                if t > target {
-                    break;
-                }
-                st.sleepers.pop();
-                st.pending_wakes += 1;
-                if let Some(token) = st.actors.get(&id).map(|a| a.token.clone()) {
-                    st.signals.push(token);
-                }
-            }
             // Alarms due at one instant pop grouped by key: wake a key's
             // dependants once, however many consecutive alarms share it,
             // or run its progress source once, after the last pop.
@@ -861,9 +820,12 @@ impl Registry<'_> {
 pub struct Actor {
     clock: SimClock,
     id: u64,
-    /// Where this actor parks, sleeping or blocked: its own condition
-    /// variable on the clock mutex, so a wake-up reaches it alone.
+    /// Where this actor parks: its own condition variable on the clock
+    /// mutex, so a wake-up reaches it alone.
     token: Arc<Condvar>,
+    /// The key of this actor's sleeps: nobody else waits on it or
+    /// schedules alarms on it.
+    alarm: WakeKey,
 }
 
 impl Actor {
@@ -876,6 +838,8 @@ impl Actor {
             clock: clock.clone(),
             id: u64::MAX,
             token: Arc::default(),
+            // A machine never sleeps on its pass's handle.
+            alarm: WakeKey(0),
         }
     }
 
@@ -894,32 +858,25 @@ impl Actor {
         self.advance_ns(crate::dur_ns(d));
     }
 
-    /// Spend `ns` virtual nanoseconds.
+    /// Spend `ns` virtual nanoseconds: an alarm on the actor's own key at
+    /// `now + ns`, and a wait on that key (label `"sleep"`) until `now`
+    /// gets there.
+    ///
+    /// # Panics
+    ///
+    /// If `now + ns` is past [`SimNs::MAX`]: no instant can end the sleep.
     pub fn advance_ns(&self, ns: SimNs) {
         if ns == 0 {
             return;
         }
-        let mut st = self.clock.inner.lock();
-        SimClock::check_poison(&st);
-        let wake = st.now + ns;
-        st.sleepers.push(Reverse((wake, self.id)));
-        st.runnable -= 1;
-        if let Some(a) = st.actors.get_mut(&self.id) {
-            a.status = ActorStatus::Sleeping(wake);
-        }
-        st.sleeps += 1;
-        let st = self.clock.maybe_advance(st);
-        let mut st = ClockGuard::park(st, &self.token, |st| st.now >= wake);
-        if st.poisoned {
-            // Our sleeper entry may or may not have been consumed; the run
-            // is aborting anyway.
-            panic!("simtime: clock poisoned while sleeping");
-        }
-        st.pending_wakes -= 1;
-        st.runnable += 1;
-        if let Some(a) = st.actors.get_mut(&self.id) {
-            a.status = ActorStatus::Running;
-        }
+        let now = self.now_ns();
+        let Some(wake) = now.checked_add(ns) else {
+            panic!("simtime: a sleep of {ns} ns from t={now} would end past SimNs::MAX");
+        };
+        self.clock.schedule_alarm_keyed(wake, self.alarm);
+        self.wait_on(&[self.alarm], "sleep", || {
+            (self.now_ns() >= wake).then_some(())
+        });
     }
 
     /// Advance to absolute virtual time `t` (no-op if already past it).
@@ -970,7 +927,6 @@ impl Actor {
                 continue; // something changed while we evaluated; recheck
             }
             st.runnable -= 1;
-            st.blocked += 1;
             for &k in keys {
                 st.waiting.insert((k, self.id));
             }
@@ -984,7 +940,6 @@ impl Actor {
             for &k in keys {
                 st.waiting.remove(&(k, self.id));
             }
-            st.blocked -= 1;
             st.runnable += 1;
             if let Some(a) = st.actors.get_mut(&self.id) {
                 a.status = ActorStatus::Running;
@@ -1003,19 +958,14 @@ impl Drop for Actor {
         let mut st = self.clock.inner.lock();
         // An actor normally drops while Running; during a panic unwind it
         // may drop while Blocked (the deadlock panic fires inside its own
-        // park) or Sleeping, whose counter lives in the sleeper heap /
-        // pending_wakes and no longer matters once poisoned. Adjust the
-        // counter its status actually holds. A pass's handle
-        // ([`Actor::for_pass`]) is in no map and holds no counter.
+        // park), and then its registrations go instead of its `runnable`
+        // count. A pass's handle ([`Actor::for_pass`]) is in no map and
+        // holds no counter.
         let registered = st.actors.remove(&self.id);
         if let Some(info) = &registered {
             match info.status {
                 ActorStatus::Running => st.runnable -= 1,
-                ActorStatus::Blocked(_) => {
-                    st.blocked -= 1;
-                    st.waiting.retain(|&(_, id)| id != self.id);
-                }
-                ActorStatus::Sleeping(_) => {}
+                ActorStatus::Blocked(_) => st.waiting.retain(|&(_, id)| id != self.id),
             }
         }
         if std::thread::panicking() {
@@ -1200,6 +1150,34 @@ mod tests {
         drop(b);
         sender.join().expect("worker thread panicked");
         assert_eq!(c.now_ns(), 100);
+    }
+
+    #[test]
+    fn progress_alarm_before_a_sleepers_wake_runs_at_its_own_instant() {
+        /// Records the instants it runs at.
+        struct Log(Mutex<Vec<SimNs>>);
+        impl Progress for Log {
+            fn run(&self, now: SimNs) {
+                self.0.lock().push(now);
+            }
+        }
+        let c = SimClock::new();
+        let log = Arc::new(Log(Mutex::new(Vec::new())));
+        let key = c.progress_key(Arc::downgrade(&log) as Weak<dyn Progress>);
+        let a = c.register("sleeper");
+        c.schedule_alarm_keyed(50, key);
+        a.advance_ns(100);
+        assert_eq!(*log.0.lock(), [50]);
+        assert_eq!(c.now_ns(), 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "a sleep of 18446744073709551615 ns from t=10")]
+    fn a_sleep_past_the_last_instant_panics_on_the_sleeper() {
+        let c = SimClock::new();
+        let a = c.register("sleeper");
+        a.advance_ns(10);
+        a.advance_ns(SimNs::MAX);
     }
 
     #[test]
@@ -1463,18 +1441,11 @@ mod tests {
         c.quiesce_machines();
         assert!(!c.is_poisoned());
         let st = c.inner.lock();
-        assert_eq!(
-            (
-                st.recheck_pending,
-                st.pending_wakes,
-                st.runnable,
-                st.blocked
-            ),
-            (0, 0, 0, 0)
-        );
+        assert_eq!((st.recheck_pending, st.runnable), (0, 0));
         assert!(!st.pass_owed && st.resident == 0);
-        assert!(st.signals.is_empty() && st.actors.is_empty());
-        assert!(st.sleeps > 1_000 && st.stats.alarms_fired > 1_000);
+        assert!(st.signals.is_empty() && st.actors.is_empty() && st.waiting.is_empty());
+        let slept = st.stats.labels.get("sleep").map_or(0, |l| l.parked);
+        assert!(slept > 1_000 && st.stats.alarms_fired > 1_000);
         let held = stirrer.held.load(Ordering::Relaxed);
         assert!(held > 1_000, "{held} signals held behind `progressing`");
     }

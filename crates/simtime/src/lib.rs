@@ -3,10 +3,10 @@
 //! Every simulated activity in this workspace (MPI ranks, OpenCL command
 //! queue executors, clMPI communication threads) runs on a **real OS
 //! thread**, but time is **virtual**. The [`SimClock`] only advances when
-//! every registered [`Actor`] is quiescent — either sleeping until a known
-//! virtual instant ([`Actor::advance`]) or blocked on a predicate
-//! ([`Actor::wait_on`]). The clock then jumps to the earliest pending
-//! wake-up target: a sleeper's instant, or an alarm's.
+//! every registered [`Actor`] is quiescent: blocked on a predicate
+//! ([`Actor::wait_on`]), which is also how it sleeps until a known
+//! virtual instant ([`Actor::advance`] waits on an alarm of its own).
+//! The clock then jumps to the earliest pending alarm.
 //!
 //! This gives the two properties the clMPI reproduction needs:
 //!

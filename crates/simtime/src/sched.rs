@@ -17,9 +17,10 @@
 //! notify or alarm that marks a machine **ready**, and a machine's timer
 //! coming due each *owe a pass*, and an owed pass holds the clock the way
 //! a flagged waiter does: it cannot move and no deadlock can be declared.
-//! Whichever thread settles a round — the last actor to park, sleep or
-//! leave — runs the owed pass itself, inside `maybe_advance`, counted as
-//! runnable meanwhile (the clock module notes, "Settle rounds"). A pass
+//! Whichever thread settles a round — the last actor to park (a sleep is
+//! a park) or leave — runs the owed pass itself, inside `maybe_advance`,
+//! counted as runnable meanwhile (the clock module notes, "Settle
+//! rounds"). A pass
 //! steps the machines with something to look at — those readied, those
 //! whose own wake hint came due, those just adopted — not every resident
 //! (see "Ready machines" below). So a frozen instant settles in rounds:
