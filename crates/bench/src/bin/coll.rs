@@ -52,7 +52,10 @@ fn timed_bcast(algo: CollAlgo) -> (u64, Trace) {
                 .expect("broadcast");
             e.wait(&p.actor);
             assert!(!e.is_failed(), "fault-free broadcast must succeed");
-            assert_eq!(buf.load(0, BYTES).expect("payload"), vec![0x5A; BYTES]);
+            assert_eq!(
+                buf.load(0, BYTES).expect("payload").as_slice(),
+                vec![0x5A; BYTES]
+            );
             rt.shutdown(&p.actor);
             p.actor.now_ns() - t0
         },

@@ -580,7 +580,7 @@ mod tests {
                 .expect("enqueue accepted");
             er.wait(&p.actor);
             assert_eq!(
-                b.load(0, 1 << 20).expect("load in range"),
+                b.load(0, 1 << 20).expect("load in range").as_slice(),
                 vec![42u8; 1 << 20]
             );
             assert_eq!(storage.file_len("ckpt.bin"), Some(1 << 20));
@@ -639,7 +639,7 @@ mod tests {
                 .enqueue_restore_buffer(&q, &b, 0, 1 << 16, &storage, "ck", &[ew], &p.actor)
                 .expect("enqueue accepted");
             er.wait_result(&p.actor).expect("restore validates");
-            assert_eq!(b.load(0, 1 << 16).expect("load in range"), data);
+            assert_eq!(b.load(0, 1 << 16).expect("load in range").as_slice(), data);
             // The file carries the framing header on top of the payload.
             assert_eq!(storage.file_len("ck"), Some((1 << 16) + CKPT_HEADER_LEN));
             let file = storage.read_file("ck").expect("file durable");
@@ -670,7 +670,10 @@ mod tests {
                 .expect("enqueue accepted");
             e2.wait_result(&p.actor).expect_err("missing file rejected");
             // The buffer kept its prior contents through both rejections.
-            assert_eq!(buf.load(0, 1024).expect("load in range"), vec![7u8; 1024]);
+            assert_eq!(
+                buf.load(0, 1024).expect("load in range").as_slice(),
+                vec![7u8; 1024]
+            );
             rt.shutdown(&p.actor);
         });
     }
@@ -736,7 +739,10 @@ mod tests {
                     "{path}: the probe paid the 4 ms access ({t0} → {now})"
                 );
             }
-            assert_eq!(buf.load(0, 64).expect("load in range"), vec![7u8; 64]);
+            assert_eq!(
+                buf.load(0, 64).expect("load in range").as_slice(),
+                vec![7u8; 64]
+            );
             rt.shutdown(&p.actor);
         });
     }

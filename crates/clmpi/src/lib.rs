@@ -42,7 +42,7 @@
 //!     } else {
 //!         let e = rt.enqueue_recv_buffer(&q, &buf, false, 0, 1024, 0, 7, &[], &p.actor).unwrap();
 //!         e.wait(&p.actor);
-//!         assert_eq!(buf.load(0, 1024).unwrap(), vec![42u8; 1024]);
+//!         assert_eq!(buf.load(0, 1024).unwrap().as_slice(), vec![42u8; 1024]);
 //!     }
 //!     rt.shutdown(&p.actor);
 //!     p.actor.now_ns()

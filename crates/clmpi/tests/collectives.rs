@@ -70,13 +70,16 @@ fn bcast_matches_host_reference_for_all_algos_roots_and_worlds() {
                         e.wait(&p.actor);
                         assert!(!e.is_failed(), "{algo:?} root {root} world {world}");
                         assert_eq!(
-                            buf.load(OFFSET, SIZE).unwrap(),
+                            buf.load(OFFSET, SIZE).unwrap().as_slice(),
                             want,
                             "{algo:?} root {root} world {world} rank {}",
                             p.rank()
                         );
-                        assert_eq!(buf.load(0, OFFSET).unwrap(), vec![0xAB; OFFSET]);
-                        assert_eq!(buf.load(OFFSET + SIZE, TAIL).unwrap(), vec![0xAB; TAIL]);
+                        assert_eq!(buf.load(0, OFFSET).unwrap().as_slice(), vec![0xAB; OFFSET]);
+                        assert_eq!(
+                            buf.load(OFFSET + SIZE, TAIL).unwrap().as_slice(),
+                            vec![0xAB; TAIL]
+                        );
                     }
                     rt.shutdown(&p.actor);
                     true
@@ -121,8 +124,8 @@ fn degenerate_bcast_sizes_complete_on_every_topology() {
                     e.wait(&p.actor);
                     assert!(!e.is_failed());
                     assert_eq!(
-                        buf.load(0, size).unwrap(),
-                        pattern(256, 5 + tag as u64)[..size]
+                        buf.load(0, size).unwrap().as_slice(),
+                        &pattern(256, 5 + tag as u64)[..size]
                     );
                 }
                 rt.shutdown(&p.actor);
@@ -198,12 +201,12 @@ fn allreduce_matches_host_reference_for_all_ops_and_worlds() {
                     e.wait(&p.actor);
                     assert!(!e.is_failed());
                     assert_eq!(
-                        bytes_to_f64s(&buf.load(OFFSET, COUNT * 8).unwrap()),
+                        bytes_to_f64s(buf.load(OFFSET, COUNT * 8).unwrap().as_slice()),
                         reduced(world, COUNT, op),
                         "{op:?} world {world} rank {}",
                         p.rank()
                     );
-                    assert_eq!(buf.load(0, OFFSET).unwrap(), vec![0xCD; OFFSET]);
+                    assert_eq!(buf.load(0, OFFSET).unwrap().as_slice(), vec![0xCD; OFFSET]);
                 }
                 rt.shutdown(&p.actor);
                 true
@@ -231,7 +234,8 @@ fn allreduce_default_tuning_path_agrees() {
                 .unwrap();
             e.wait(&p.actor);
             assert!(!e.is_failed());
-            bytes_to_f64s(&buf.load(0, 4096 * 8).unwrap()) == reduced(5, 4096, ReduceOp::Sum)
+            bytes_to_f64s(buf.load(0, 4096 * 8).unwrap().as_slice())
+                == reduced(5, 4096, ReduceOp::Sum)
         },
     );
     assert!(res.outputs.iter().all(|&ok| ok));
@@ -271,12 +275,12 @@ fn reduce_to_root_leaves_non_root_buffers_untouched() {
                 let got = buf.load(0, COUNT * 8).unwrap();
                 if p.rank() == root {
                     assert_eq!(
-                        bytes_to_f64s(&got),
+                        bytes_to_f64s(got.as_slice()),
                         reduced(5, COUNT, ReduceOp::Max),
                         "root {root}"
                     );
                 } else {
-                    assert_eq!(got, mine, "non-root buffer must stay untouched");
+                    assert_eq!(got.as_slice(), mine, "non-root buffer must stay untouched");
                 }
             }
             rt.shutdown(&p.actor);
@@ -325,7 +329,7 @@ fn sixteen_seed_matrix_fingerprints_identically() {
                 .unwrap();
             e.wait(&p.actor);
             assert!(!e.is_failed(), "5% loss must be absorbed by retries");
-            assert_eq!(buf.load(0, SIZE).unwrap(), pattern(SIZE, seed));
+            assert_eq!(buf.load(0, SIZE).unwrap().as_slice(), pattern(SIZE, seed));
             let rbuf = rt.context().create_buffer(COUNT * 8);
             rbuf.store(0, &f64s_to_bytes(&contrib(p.rank(), COUNT)))
                 .unwrap();
@@ -345,7 +349,7 @@ fn sixteen_seed_matrix_fingerprints_identically() {
             e.wait(&p.actor);
             assert!(!e.is_failed());
             assert_eq!(
-                bytes_to_f64s(&rbuf.load(0, COUNT * 8).unwrap()),
+                bytes_to_f64s(rbuf.load(0, COUNT * 8).unwrap().as_slice()),
                 reduced(4, COUNT, ReduceOp::Sum)
             );
             rt.shutdown(&p.actor);
@@ -398,7 +402,7 @@ fn lossy_ring_collectives_retry_and_complete() {
             .unwrap();
         e.wait(&p.actor);
         assert!(!e.is_failed(), "30% loss must be absorbed by retries");
-        assert_eq!(buf.load(0, SIZE).unwrap(), pattern(SIZE, 88));
+        assert_eq!(buf.load(0, SIZE).unwrap().as_slice(), pattern(SIZE, 88));
         let rbuf = rt.context().create_buffer(COUNT * 8);
         rbuf.store(0, &f64s_to_bytes(&contrib(p.rank(), COUNT)))
             .unwrap();
@@ -408,7 +412,7 @@ fn lossy_ring_collectives_retry_and_complete() {
         e.wait(&p.actor);
         assert!(!e.is_failed());
         assert_eq!(
-            bytes_to_f64s(&rbuf.load(0, COUNT * 8).unwrap()),
+            bytes_to_f64s(rbuf.load(0, COUNT * 8).unwrap().as_slice()),
             reduced(5, COUNT, ReduceOp::Min)
         );
         rt.shutdown(&p.actor);
@@ -563,8 +567,8 @@ fn failed_collectives_withdraw_their_receives_so_the_tag_is_reusable() {
             }
         }
         let got = (
-            buf.load(0, SIZE).expect("in range"),
-            bytes_to_f64s(&rbuf.load(0, COUNT * 8).expect("in range")),
+            buf.load(0, SIZE).expect("in range").as_slice().to_vec(),
+            bytes_to_f64s(rbuf.load(0, COUNT * 8).expect("in range").as_slice()),
         );
         rt.shutdown(&p.actor);
         (codes, got)
@@ -627,6 +631,7 @@ fn forward_failure_mid_stream_hands_the_next_chunk_to_a_later_receive() {
             // Chunks land in the buffer as they arrive: the stored prefix
             // says which chunk the dead machine was waiting for.
             let have = buf.load(0, SIZE).expect("in range");
+            let have = have.as_slice();
             let want = pattern(SIZE, 33);
             let stored = (0..SIZE / CHUNK)
                 .take_while(|k| have[k * CHUNK..][..CHUNK] == want[k * CHUNK..][..CHUNK])

@@ -113,7 +113,7 @@ fn differential_ring(mode: PackMode, world: usize) {
                 let mut expected = pattern(extent, recv_init_seed);
                 ty.unpack(&wire, &mut expected).unwrap();
                 assert_eq!(
-                    rbuf.load(0, extent).unwrap(),
+                    rbuf.load(0, extent).unwrap().as_slice(),
                     expected,
                     "{name} via {} in world {world}: received region must match \
                  the serial pack/unpack reference bit-for-bit",
@@ -317,7 +317,7 @@ fn thirty_percent_drop_replays_packed_chunks() {
                 let mut expected = pattern(extent, 88);
                 ty.unpack(&wire, &mut expected).unwrap();
                 assert_eq!(
-                    buf.load(0, extent).unwrap(),
+                    buf.load(0, extent).unwrap().as_slice(),
                     expected,
                     "retransmitted packed chunks must reassemble bit-for-bit"
                 );

@@ -82,8 +82,8 @@ fn diamond_dag_orders_cl_events_and_mpi_requests() {
                     "consuming kernel must run after {name}"
                 );
             }
-            assert_eq!(buf.load(0, SIZE).unwrap(), pattern(SIZE, 1));
-            assert_eq!(buf.load(SIZE, SIZE).unwrap(), pattern(SIZE, 2));
+            assert_eq!(buf.load(0, SIZE).unwrap().as_slice(), pattern(SIZE, 1));
+            assert_eq!(buf.load(SIZE, SIZE).unwrap().as_slice(), pattern(SIZE, 2));
             let payload = outcome.take().expect("wrapped receive carries payload");
             assert_eq!(payload.data, pattern(64, 3));
             rt.shutdown(&p.actor);
@@ -276,7 +276,7 @@ fn lossy_runs_are_deterministic_across_reruns() {
                 hreq.event.wait(&p.actor);
                 let body = buf.load(0, SIZE).unwrap();
                 let host = hreq.data.read(|h| h.as_slice().to_vec());
-                assert_eq!(body, pattern(SIZE, seed ^ 0xabc));
+                assert_eq!(body.as_slice(), pattern(SIZE, seed ^ 0xabc));
                 assert_eq!(host, pattern(1 << 12, seed));
                 e.completion_time().unwrap_or(0)
             };

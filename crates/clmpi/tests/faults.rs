@@ -37,7 +37,7 @@ fn lossy_pipelined_transfer_delivers_intact_with_retries() {
                 .unwrap();
             e.wait(&p.actor);
             assert!(!e.is_failed());
-            buf.load(0, size).unwrap() == pattern(size, 9)
+            buf.load(0, size).unwrap().as_slice() == pattern(size, 9)
         };
         rt.shutdown(&p.actor);
         let f = rt.obs_counters().faults;
@@ -157,7 +157,7 @@ fn same_fault_seed_is_fully_deterministic() {
                     .enqueue_recv_buffer(&q, &buf, false, 0, 1 << 20, 0, 1, &[], &p.actor)
                     .unwrap();
                 e.wait(&p.actor);
-                buf.load(0, 1 << 20).unwrap()
+                buf.load(0, 1 << 20).unwrap().as_slice().to_vec()
             };
             rt.shutdown(&p.actor);
             out

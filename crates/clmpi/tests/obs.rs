@@ -44,7 +44,7 @@ fn traced_exchange(seed: u64) -> WorldResult<ObsCounters> {
                 .unwrap();
             e.wait(&p.actor);
             assert!(!e.is_failed());
-            assert_eq!(buf.load(0, size).unwrap(), pattern(size, seed));
+            assert_eq!(buf.load(0, size).unwrap().as_slice(), pattern(size, seed));
         }
         rt.shutdown(&p.actor);
         let c = rt.obs_counters();

@@ -103,7 +103,7 @@ fn transfer(cx: &Cx, buf: &Buffer, size: usize, src: Rank, dst: Rank, tag: Tag) 
     } else if cx.rank() == dst
         && cx.settle(rt.enqueue_recv_buffer(q, buf, false, 0, size, src, tag, &[], a))?
     {
-        assert_eq!(buf.load(0, size)?, pattern(size, tag as u64));
+        assert_eq!(buf.load(0, size)?.as_slice(), pattern(size, tag as u64));
     }
     Ok(())
 }
@@ -187,7 +187,7 @@ fn datatype(cx: &Cx) -> Outcome {
                     let e = rt.enqueue_recv_datatype(q, &buf, false, 0, ty, mode, src, tag, &[], a);
                     if cx.settle(e)? {
                         let (got, want) = (buf.load(0, EXTENT)?, pattern(EXTENT, tag as u64));
-                        assert_eq!(ty.pack(&got), ty.pack(&want), "{mode:?} #{tag}");
+                        assert_eq!(ty.pack(got.as_slice()), ty.pack(&want), "{mode:?} #{tag}");
                     }
                 }
             }
@@ -208,7 +208,7 @@ fn host(cx: &Cx) -> Outcome {
             buf.store(0, &pattern(SIZE, tag as u64))?;
             let _ = rt.gpu_aware_send(a, q, &buf, 0, SIZE, dst, tag);
         } else if cx.rank() == dst && rt.gpu_aware_recv(a, q, &buf, 0, SIZE, src, tag).is_ok() {
-            assert_eq!(buf.load(0, SIZE)?, pattern(SIZE, tag as u64));
+            assert_eq!(buf.load(0, SIZE)?.as_slice(), pattern(SIZE, tag as u64));
         }
     }
     let strategies = [
@@ -310,7 +310,7 @@ fn rma(cx: &Cx) -> Outcome {
                 a,
             );
             if cx.settle(acc)? && !get.is_failed() {
-                assert_eq!(buf.load(0, PUT)?, pattern(PUT, target as u64));
+                assert_eq!(buf.load(0, PUT)?.as_slice(), pattern(PUT, target as u64));
             }
         }
     }
@@ -334,7 +334,7 @@ fn coll(cx: &Cx) -> Outcome {
         }
         let e = rt.enqueue_bcast_buffer_as(q, &buf, 0, SIZE, root, tag, algo, 8 << 10, &[], a);
         if cx.settle(e)? {
-            assert_eq!(buf.load(0, SIZE)?, pattern(SIZE, tag as u64));
+            assert_eq!(buf.load(0, SIZE)?.as_slice(), pattern(SIZE, tag as u64));
         }
     }
     if cx.rank() == 0 {
@@ -367,11 +367,11 @@ fn coll(cx: &Cx) -> Outcome {
     let clean = cx.settle(all_as)? && !bcast.is_failed() && !all.is_failed();
     if clean {
         // Max and Min of identical vectors leave them alone.
-        assert_eq!(buf.load(0, SIZE)?, pattern(SIZE, 20));
+        assert_eq!(buf.load(0, SIZE)?.as_slice(), pattern(SIZE, 20));
     }
     cx.settle(rt.enqueue_reduce_buffer(q, &buf, 0, COUNT, ReduceOp::Max, 2, 23, &[], a))?;
     if clean && cx.rank() != 2 {
-        assert_eq!(buf.load(0, SIZE)?, pattern(SIZE, 20));
+        assert_eq!(buf.load(0, SIZE)?.as_slice(), pattern(SIZE, 20));
     }
     Ok(())
 }
@@ -391,11 +391,11 @@ fn file(cx: &Cx) -> Outcome {
     let c = rt.enqueue_checkpoint_buffer(q, &buf, 0, SIZE, &disk, "ck", &[], a)?;
     let r = rt.enqueue_read_file(q, &buf, SIZE, SIZE, &disk, "raw", &[w], a);
     assert!(cx.settle(r)?);
-    assert_eq!(buf.load(SIZE, SIZE)?, pattern(SIZE, 5));
+    assert_eq!(buf.load(SIZE, SIZE)?.as_slice(), pattern(SIZE, 5));
     buf.store(SIZE, &vec![0u8; SIZE])?;
     let r = rt.enqueue_restore_buffer(q, &buf, SIZE, SIZE, &disk, "ck", &[c], a);
     assert!(cx.settle(r)?);
-    assert_eq!(buf.load(SIZE, SIZE)?, pattern(SIZE, 5));
+    assert_eq!(buf.load(SIZE, SIZE)?.as_slice(), pattern(SIZE, 5));
     assert!(!cx.settle(rt.enqueue_read_file(q, &buf, 0, SIZE, &disk, "absent", &[], a))?);
     assert!(!cx.settle(rt.enqueue_restore_buffer(q, &buf, 0, SIZE, &disk, "absent", &[], a))?);
     Ok(())

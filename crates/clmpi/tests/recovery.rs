@@ -83,7 +83,7 @@ fn collectives_reroute_on_shrunken_comm_for_every_victim() {
                             )
                         });
                         assert_eq!(
-                            buf.load(0, SIZE).unwrap(),
+                            buf.load(0, SIZE).unwrap().as_slice(),
                             want,
                             "{algo:?} world {world} victim {victim} sub-rank {}",
                             sub.rank()
@@ -110,7 +110,9 @@ fn collectives_reroute_on_shrunken_comm_for_every_victim() {
                         .unwrap();
                     e.wait_result(&p.actor).expect("allreduce on shrunk comm");
                     let n = sub.size() as f64;
-                    let got = minimpi::datatype::bytes_to_f64(&abuf.load(0, COUNT * 8).unwrap());
+                    let got = minimpi::datatype::bytes_to_f64(
+                        abuf.load(0, COUNT * 8).unwrap().as_slice(),
+                    );
                     for (i, g) in got.iter().enumerate() {
                         let want = n * (n + 1.0) / 2.0 * (i + 1) as f64;
                         assert!(

@@ -110,7 +110,7 @@ fn differential_run(world: usize, name: &'static str) -> (u64, SimNs) {
                 .unwrap();
             e_get.wait_result(&p.actor).unwrap();
             f2.wait_result(&p.actor).unwrap();
-            let got = buf.load(GET_LAND, SEG).unwrap();
+            let got = buf.load(GET_LAND, SEG).unwrap().as_slice().to_vec();
 
             // Epoch 3: all ranks accumulate into rank 0 (exact integers).
             let vals: Vec<f64> = (0..ACC_N).map(|i| (p.rank() * ACC_N + i) as f64).collect();
@@ -138,7 +138,7 @@ fn differential_run(world: usize, name: &'static str) -> (u64, SimNs) {
             // Sync the settled window back into the device buffer and
             // snapshot both views.
             rt.window_to_buffer(&win, 0, WIN).unwrap();
-            let shadow = buf.load(0, WIN).unwrap();
+            let shadow = buf.load(0, WIN).unwrap().as_slice().to_vec();
             assert_eq!(shadow, win.win().read_local(), "shadow sync is bitwise");
             q.finish(&p.actor);
             rt.shutdown(&p.actor);
@@ -254,7 +254,7 @@ fn halo_exchange_via_put_matches_two_sided_baseline() {
         e2.wait_result(&p.actor).unwrap();
         f.wait_result(&p.actor).unwrap();
         rt.window_to_buffer(&win, 0, FIELD).unwrap();
-        let field = buf.load(0, FIELD).unwrap();
+        let field = buf.load(0, FIELD).unwrap().as_slice().to_vec();
         rt.shutdown(&p.actor);
         field
     };
@@ -300,7 +300,7 @@ fn halo_exchange_via_put_matches_two_sided_baseline() {
         for e in [es1, es2, er1, er2] {
             e.wait_result(&p.actor).unwrap();
         }
-        let field = buf.load(0, FIELD).unwrap();
+        let field = buf.load(0, FIELD).unwrap().as_slice().to_vec();
         rt.shutdown(&p.actor);
         field
     };

@@ -30,7 +30,7 @@ fn one_transfer(sys: fn() -> SystemConfig, strategy: TransferStrategy, size: usi
                 .enqueue_recv_buffer(&q, &buf, false, 0, size, 0, 3, &[], &p.actor)
                 .unwrap();
             e.wait(&p.actor);
-            buf.load(0, size).unwrap() == pattern(size, 7)
+            buf.load(0, size).unwrap().as_slice() == pattern(size, 7)
         };
         rt.shutdown(&p.actor);
         ok
@@ -234,7 +234,7 @@ fn bidirectional_exchange_with_distinct_tags() {
             er.wait(&p.actor);
             let got = theirs.load(0, size).unwrap();
             rt.shutdown(&p.actor);
-            got == vec![peer as u8 + 1; size]
+            got.as_slice() == vec![peer as u8 + 1; size]
         },
     );
     assert!(res.outputs.iter().all(|&b| b));
@@ -257,10 +257,10 @@ fn event_from_request_gates_write_buffer() {
             // Write the received host data to the device after the event.
             let buf = rt.context().create_buffer(2048);
             let host = minicl::HostBuffer::pinned(2048);
-            host.fill_from(&got.data);
+            assert_eq!(host.store(0, &got.data), Ok(()));
             q.enqueue_write_buffer(&p.actor, &buf, true, 0, 2048, &host, 0, &[ev])
                 .unwrap();
-            assert_eq!(buf.load(0, 2048).unwrap(), vec![7u8; 2048]);
+            assert_eq!(buf.load(0, 2048).unwrap().as_slice(), vec![7u8; 2048]);
         } else {
             p.comm.send(&p.actor, 0, 9, &[7u8; 2048]);
         }
@@ -292,7 +292,7 @@ fn host_to_device_cl_mem_send() {
                     .enqueue_recv_buffer(&q, &buf, true, 0, size, 0, 5, &[], &p.actor)
                     .unwrap();
                 assert!(e.is_complete());
-                let ok = buf.load(0, size).unwrap() == pattern(size, 42);
+                let ok = buf.load(0, size).unwrap().as_slice() == pattern(size, 42);
                 rt.shutdown(&p.actor);
                 ok
             }
@@ -346,8 +346,8 @@ fn offset_subrange_transfers() {
             rt.enqueue_recv_buffer(&q, &buf, true, 128, 512, 0, 1, &[], &p.actor)
                 .unwrap();
             let expect = &pattern(1024, 1)[256..768];
-            let ok = buf.load(128, 512).unwrap() == expect
-                && buf.load(0, 128).unwrap() == vec![0u8; 128];
+            let ok = buf.load(128, 512).unwrap().as_slice() == expect
+                && buf.load(0, 128).unwrap().as_slice() == vec![0u8; 128];
             rt.shutdown(&p.actor);
             ok
         }
@@ -392,7 +392,7 @@ fn gpu_aware_mpi_comparator_delivers_intact() {
             } else {
                 rt.gpu_aware_recv(&p.actor, &q, &buf, 0, size, 0, 4)
                     .unwrap();
-                buf.load(0, size).unwrap() == pattern(size, 3)
+                buf.load(0, size).unwrap().as_slice() == pattern(size, 3)
             };
             rt.shutdown(&p.actor);
             ok
@@ -426,7 +426,7 @@ fn enqueue_bcast_buffer_reaches_every_device() {
                 *s2.lock() = b2.read(|d| d.as_slice().iter().map(|&x| x as u64).sum());
             });
             ek.wait(&p.actor);
-            let ok = buf.load(0, size).unwrap() == pattern(size, 11) && *sum.lock() > 0;
+            let ok = buf.load(0, size).unwrap().as_slice() == pattern(size, 11) && *sum.lock() > 0;
             rt.shutdown(&p.actor);
             ok
         },
@@ -481,7 +481,7 @@ fn timed_bcast(nodes: usize, size: usize, algo: clmpi::CollAlgo, chunk: usize) -
                 .enqueue_bcast_buffer_as(&q, &buf, 0, size, 0, 1, algo, chunk, &[], &p.actor)
                 .unwrap();
             e.wait(&p.actor);
-            assert_eq!(buf.load(0, size).unwrap(), pattern(size, 29));
+            assert_eq!(buf.load(0, size).unwrap().as_slice(), pattern(size, 29));
             rt.shutdown(&p.actor);
             p.actor.now_ns() - t0
         },
@@ -603,7 +603,7 @@ fn sendrecv_buffer_convenience_exchanges() {
             er.wait(&p.actor);
             let got = buf.load(size, size).unwrap();
             rt.shutdown(&p.actor);
-            got == vec![peer as u8 + 1; size]
+            got.as_slice() == vec![peer as u8 + 1; size]
         },
     );
     assert!(res.outputs.iter().all(|&b| b));

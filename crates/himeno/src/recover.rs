@@ -43,7 +43,7 @@ use std::sync::{Arc, OnceLock};
 
 use clmpi::{decode_checkpoint, ClMpi, ReduceOp, SimStorage, SystemConfig};
 use minicl::{Buffer, ClError, CommandQueue};
-use minimpi::datatype::{bytes_to_f32, f32_as_bytes};
+use minimpi::datatype::f32_as_bytes;
 use minimpi::{run_world_faulty, FaultPlan, Process, Tag};
 use simtime::SimNs;
 
@@ -227,6 +227,7 @@ fn step_iter(
     let g = f64::from_le_bytes(
         gbuf.load(0, 8)
             .expect("8-byte gosa cell")
+            .as_slice()
             .try_into()
             .expect("sliced"),
     );
@@ -413,7 +414,7 @@ fn restore_slab(
             .expect("enqueue restore");
         e.wait_result(actor).expect("agreed checkpoint restores");
         let payload = scratch.load(0, bytes).expect("range checked");
-        let f = bytes_to_f32(&payload);
+        let f = payload.as_f32();
         for gp in lo..hi {
             let src = (gp - (s0.start - 1)) * plane_f32;
             let dst = (gp - (start2 - 1)) * plane_f32;

@@ -410,7 +410,7 @@ impl<'a> RankCx<'a> {
         let (comm, send_tag, recv_tag) = (&p.comm, edge.send_tag, edge.recv_tag);
         let got = comm.sendrecv(actor, nb, send_tag, &out, Some(nb), Some(recv_tag));
         assert_eq!(got.data.len(), bytes, "halo plane size");
-        stage.fill_from(&got.data);
+        stage.store(0, &got.data).expect("halo plane fits");
         let ghost_off = slab.plane_off(edge.ghost_plane);
         q.enqueue_write_buffer(actor, buf, true, ghost_off, bytes, stage, 0, &[])
             .expect("write ghost plane");

@@ -24,7 +24,7 @@ static NEXT_BUFFER_ID: AtomicU64 = AtomicU64::new(1);
 /// somebody looks: `land` keeps the allocation in `landed`, and
 /// `overwrite` and `settle` copy every landed extent into `words`, oldest
 /// first, before they touch it. So `landed` is always newer than `words`,
-/// and a `read_through` of a range copies just that range out of both.
+/// and [`Buffer::load`] of a range copies just that range out of both.
 pub struct AlignedBytes {
     words: Vec<u64>,
     len: usize,
@@ -112,24 +112,6 @@ impl AlignedBytes {
         for (offset, src, from) in std::mem::take(&mut self.landed) {
             self.put(offset, &src[from..]);
         }
-    }
-
-    /// Copy `[offset, offset + len)` out without settling: the initialised
-    /// prefix's share of it, zeroes for the rest, then every landed extent
-    /// over both, oldest first.
-    fn read_through(&self, offset: usize, len: usize) -> Vec<u8> {
-        let (prefix, end) = (self.as_slice(), offset + len);
-        let mut out = Vec::with_capacity(len);
-        out.extend_from_slice(&prefix[offset.min(prefix.len())..end.min(prefix.len())]);
-        out.resize(len, 0);
-        for (at, src, from) in &self.landed {
-            let bytes = &src[*from..];
-            let (lo, hi) = (offset.max(*at), end.min(at + bytes.len()));
-            if lo < hi {
-                out[lo - offset..hi - offset].copy_from_slice(&bytes[lo - at..hi - at]);
-            }
-        }
-        out
     }
 
     /// Copy `src` to `offset`, zero-filling only a gap between the
@@ -271,12 +253,31 @@ impl Buffer {
         Ok(())
     }
 
-    /// Copy `len` bytes starting at `offset` out of the buffer. Reads
-    /// through: no zeroes are written and nothing landed is copied in, so
-    /// a range costs its own length, not the buffer's.
-    pub fn load(&self, offset: usize, len: usize) -> ClResult<Vec<u8>> {
+    /// Copy `len` bytes starting at `offset` out of the buffer into
+    /// aligned storage of their own, so typed views need no second copy.
+    /// Reads through: the buffer writes no zeroes and copies nothing
+    /// landed in, so a range costs its own length, not the buffer's. Each
+    /// byte of the result is copied once — the initialised prefix's share,
+    /// then every landed extent over it, oldest first — and only bytes
+    /// nobody wrote are zero-filled.
+    pub fn load(&self, offset: usize, len: usize) -> ClResult<AlignedBytes> {
         self.check_range(offset, len)?;
-        Ok(self.data.lock().read_through(offset, len))
+        let end = offset + len;
+        let mut out = AlignedBytes::reserved(len);
+        {
+            let data = self.data.lock();
+            let prefix = data.as_slice();
+            out.put(0, &prefix[offset.min(prefix.len())..end.min(prefix.len())]);
+            for (at, src, from) in &data.landed {
+                let bytes = &src[*from..];
+                let (lo, hi) = (offset.max(*at), end.min(at + bytes.len()));
+                if lo < hi {
+                    out.put(lo - offset, &bytes[lo - at..hi - at]);
+                }
+            }
+        }
+        out.settle();
+        Ok(out)
     }
 
     /// Validate an (offset, len) range against the buffer size.
@@ -375,10 +376,11 @@ impl HostBuffer {
         f(self.data.lock().settle())
     }
 
-    /// Fill from a byte slice (must fit).
-    pub fn fill_from(&self, src: &[u8]) {
-        assert!(src.len() <= self.size, "host buffer overflow");
-        self.data.lock().overwrite(0, src);
+    /// Copy `src` into the allocation at `offset`.
+    pub fn store(&self, offset: usize, src: &[u8]) -> ClResult<()> {
+        self.check_range(offset, src.len())?;
+        self.data.lock().overwrite(offset, src);
+        Ok(())
     }
 
     /// Snapshot contents as a byte vector.
@@ -425,8 +427,11 @@ mod tests {
     fn buffer_store_load_roundtrip() {
         let b = Buffer::alloc(64);
         b.store(8, &[1, 2, 3, 4]).expect("store in range");
-        assert_eq!(b.load(8, 4).expect("load in range"), vec![1, 2, 3, 4]);
-        assert_eq!(b.load(0, 4).expect("load in range"), vec![0; 4]);
+        assert_eq!(
+            b.load(8, 4).expect("load in range").as_slice(),
+            [1, 2, 3, 4]
+        );
+        assert_eq!(b.load(0, 4).expect("load in range").as_slice(), [0; 4]);
     }
 
     #[test]
@@ -442,7 +447,7 @@ mod tests {
         let a = Buffer::alloc(8);
         let b = a.clone();
         a.store(0, &[9; 8]).expect("store in range");
-        assert_eq!(b.load(0, 8).expect("load in range"), vec![9; 8]);
+        assert_eq!(b.load(0, 8).expect("load in range").as_slice(), [9; 8]);
         assert_eq!(a.id(), b.id());
     }
 
@@ -453,10 +458,23 @@ mod tests {
     }
 
     #[test]
-    fn host_buffer_fill_and_snapshot() {
+    fn host_buffer_store_and_snapshot() {
         let h = HostBuffer::pageable(6);
-        h.fill_from(&[5, 6, 7]);
-        assert_eq!(h.to_vec(), vec![5, 6, 7, 0, 0, 0]);
+        assert_eq!(h.store(2, &[5, 6, 7]), Ok(()));
+        assert_eq!(h.to_vec(), vec![0, 0, 5, 6, 7, 0]);
+    }
+
+    #[test]
+    fn a_host_store_out_of_range_is_invalid_not_a_panic() {
+        let h = HostBuffer::pinned(6);
+        assert_eq!(
+            h.store(4, &[1, 2, 3]),
+            Err(ClError::InvalidValue(
+                "range 4+3 exceeds host buffer of 6 bytes".into()
+            ))
+        );
+        assert!(h.store(usize::MAX, &[1]).is_err());
+        assert_eq!(h.to_vec(), vec![0; 6], "a refused store writes nothing");
     }
 
     /// Sizes around a word, a page and a ragged end.
@@ -466,11 +484,16 @@ mod tests {
         data.lock().zero_filled
     }
 
+    /// `b.load(offset, len)` as a byte vector.
+    fn loaded(b: &Buffer, offset: usize, len: usize) -> ClResult<Vec<u8>> {
+        b.load(offset, len).map(|l| l.as_slice().to_vec())
+    }
+
     #[test]
     fn a_fresh_buffer_reads_as_zeroes_through_every_view() {
         for size in SIZES {
             let zeroes = vec![0u8; size];
-            assert_eq!(Buffer::alloc(size).load(0, size), Ok(zeroes.clone()));
+            assert_eq!(loaded(&Buffer::alloc(size), 0, size), Ok(zeroes.clone()));
             assert_eq!(HostBuffer::pinned(size).to_vec(), zeroes);
             assert!(Buffer::alloc(size).read(|d| d.as_slice() == zeroes));
             assert!(HostBuffer::pageable(size).write(|h| h.as_mut_slice() == zeroes));
@@ -500,7 +523,7 @@ mod tests {
         let mut expect = vec![0u8; 4_099];
         expect[..11].fill(1);
         expect[11..41].fill(2);
-        assert_eq!(b.load(0, 4_099), Ok(expect));
+        assert_eq!(loaded(&b, 0, 4_099), Ok(expect));
         // `load` reads through: it zeroes its own copy, not the buffer.
         assert_eq!(zero_filled(&a.data), 0);
     }
@@ -522,7 +545,7 @@ mod tests {
         expect[8..24].copy_from_slice(&payload(16, 3));
         expect[12..16].fill(2);
         expect[20..28].copy_from_slice(&payload(8, 5));
-        assert_eq!(b.load(0, 64), Ok(expect.clone()));
+        assert_eq!(loaded(&b, 0, 64), Ok(expect.clone()));
         assert!(b.read(|d| d.as_slice() == expect));
         assert_eq!(
             b.land(0, framed(0, 4, 1), 5),
@@ -531,6 +554,41 @@ mod tests {
             ))
         );
         assert!(b.land(62, framed(1, 4, 1), 1).is_err());
+    }
+
+    #[test]
+    fn a_load_decodes_in_place_across_extents_that_split_an_f32() -> ClResult<()> {
+        let b = Buffer::alloc(64);
+        let mut model = [0u8; 64];
+        // A prefix of 40 bytes, then extents at odd offsets whose edges fall
+        // inside an `f32`: the newer ones overlay part of the prefix and
+        // each other, and [51, 57) is written by nobody.
+        let prefix = payload(40, 1);
+        assert_eq!(b.store(0, &prefix), Ok(()));
+        model[..40].copy_from_slice(&prefix);
+        for (at, len, salt, from) in [(13, 17, 3, 1), (27, 24, 5, 2), (57, 7, 7, 0), (21, 3, 9, 1)]
+        {
+            let msg = framed(from, len, salt);
+            model[at..at + len].copy_from_slice(&msg[from..]);
+            assert_eq!(b.land(at, msg, from), Ok(()));
+        }
+        for (offset, len) in [(0, 64), (4, 56), (12, 20), (52, 12), (8, 0)] {
+            let l = b.load(offset, len)?;
+            let want = &model[offset..offset + len];
+            assert_eq!(l.as_slice(), want, "load({offset}, {len})");
+            assert_eq!(f32_bits(l.as_f32()), decoded_f32_bits(want));
+            // Zeroes only where nobody wrote (less the padding of a ragged
+            // word, which is not counted).
+            let unwritten = (51..57)
+                .filter(|i| (offset..offset + len).contains(i))
+                .count();
+            assert!(l.zero_filled <= unwritten, "load({offset}, {len})");
+        }
+        // Loads read through: the buffer itself is still the prefix plus
+        // four landed extents.
+        let data = b.data.lock();
+        assert_eq!((data.words.len(), data.landed.len()), (5, 4));
+        Ok(())
     }
 
     #[test]
@@ -549,12 +607,12 @@ mod tests {
                 assert!(held <= SIZE, "step {step}: {held} bytes held");
             }
         }
-        assert_eq!(dev.load(0, SIZE), Ok(model.clone()));
+        assert_eq!(loaded(&dev, 0, SIZE), Ok(model.clone()));
         assert!(dev.read(|d| d.as_slice() == model));
     }
 
     #[test]
-    fn a_landed_broadcast_is_copied_only_where_somebody_reads() {
+    fn a_landed_broadcast_is_copied_only_where_somebody_reads() -> ClResult<()> {
         const SIZE: usize = 16 << 20;
         let chunk = SIZE / 60;
         let pieces: Vec<(usize, usize)> = (0..SIZE)
@@ -574,9 +632,18 @@ mod tests {
             }
             assert_eq!(dev.data.lock().landed.len(), 61);
         }
-        // One rank's row block of a 16-rank kernel.
+        // One rank's row block of a 16-rank kernel: landed extents cover
+        // it, so the copy it gets zero-fills nothing, and its typed view is
+        // the bytes in place.
         let (at, len) = (5 * SIZE / 16, SIZE / 16);
-        assert_eq!(dev.load(at, len).as_deref(), Ok(&model[at..at + len]));
+        let block = dev.load(at, len)?;
+        assert_eq!(block.as_slice(), &model[at..at + len]);
+        assert_eq!(block.zero_filled, 0);
+        assert_eq!(block.as_f32().len(), len / 4);
+        assert_eq!(
+            block.as_f32().as_ptr().cast::<u8>(),
+            block.as_slice().as_ptr()
+        );
         assert_eq!(dev.data.lock().words.len(), 0);
         assert_eq!(zero_filled(&dev.data), 0);
         // A whole view copies every landed byte in, once.
@@ -584,6 +651,7 @@ mod tests {
         let data = dev.data.lock();
         assert_eq!((data.words.len(), data.landed.len()), (SIZE / 8, 0));
         assert_eq!(data.zero_filled, 0);
+        Ok(())
     }
 
     #[test]
@@ -611,13 +679,17 @@ mod tests {
         assert!(dev.read(|d| d.as_slice().iter().all(|&b| b == 7)));
         assert_eq!(zero_filled(&dev.data), 0);
 
-        // The root: `fill_from` at 0 into its stage, one whole-buffer write; and a map back.
+        // The root: ascending 128 KiB `store`s into its stage, one
+        // whole-buffer write; and a map back.
         let (stage, root, mapped) = (
             HostBuffer::pinned(SIZE),
             Buffer::alloc(SIZE),
             HostBuffer::pageable(SIZE),
         );
-        stage.fill_from(&vec![9u8; SIZE]);
+        let block = vec![9u8; 128 << 10];
+        for at in (0..SIZE).step_by(block.len()) {
+            assert_eq!(stage.store(at, &block), Ok(()));
+        }
         root.copy(Dir::ToDevice, 0, SIZE, &stage, 0);
         root.copy(Dir::ToHost, 0, SIZE, &mapped, 0);
         assert!(mapped.to_vec() == vec![9u8; SIZE]);
@@ -663,7 +735,8 @@ mod tests {
             salt: u8,
             from: usize,
         },
-        FillFrom {
+        HostStore {
+            offset: usize,
             len: usize,
             salt: u8,
         },
@@ -696,6 +769,17 @@ mod tests {
             host: bool,
             width: usize,
         },
+    }
+
+    fn f32_bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The bit patterns `minimpi::datatype::bytes_to_f32` decodes `b` to.
+    fn decoded_f32_bits(b: &[u8]) -> Vec<u32> {
+        b.chunks_exact(4)
+            .map(|c| u32::from_ne_bytes([c[0], c[1], c[2], c[3]]))
+            .collect()
     }
 
     fn payload(len: usize, salt: u8) -> Vec<u8> {
@@ -745,7 +829,11 @@ mod tests {
                     salt,
                     from: rng.gen_range_usize(0, 3),
                 },
-                6..=8 => Op::FillFrom { len: at, salt },
+                6..=8 => Op::HostStore {
+                    offset: at,
+                    len: room,
+                    salt,
+                },
                 9..=12 => Op::Copy {
                     to_host,
                     offset,
@@ -825,12 +913,11 @@ mod tests {
                     self.dev_end = self.dev_end.max(offset + len);
                     self.dev.land(offset, msg, from) == Ok(())
                 }
-                Op::FillFrom { len, salt } => {
+                Op::HostStore { offset, len, salt } => {
                     let src = payload(len, salt);
-                    self.host_model[..len].copy_from_slice(&src);
-                    self.host_end = self.host_end.max(len);
-                    self.host.fill_from(&src);
-                    true
+                    self.host_model[offset..offset + len].copy_from_slice(&src);
+                    self.host_end = self.host_end.max(offset + len);
+                    self.host.store(offset, &src) == Ok(())
                 }
                 Op::Copy {
                     to_host,
@@ -897,9 +984,14 @@ mod tests {
                         _ => 0,
                     },
                 ),
+                // The bytes, and where the length allows it the `f32` view
+                // in place against the model's bytes decoded.
                 Op::Load { offset, len } => {
-                    self.dev.load(offset, len).as_deref()
-                        == Ok(&self.dev_model[offset..offset + len])
+                    let model = &self.dev_model[offset..offset + len];
+                    self.dev.load(offset, len).is_ok_and(|l| {
+                        l.as_slice() == model
+                            && (len % 4 != 0 || f32_bits(l.as_f32()) == decoded_f32_bits(model))
+                    })
                 }
                 Op::ToVec => self.host.to_vec() == self.host_model,
                 Op::ReadBytes { host } => self.reads_as(host, |b| b.as_slice().to_vec()),

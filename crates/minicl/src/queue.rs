@@ -274,7 +274,8 @@ impl CommandQueue {
             cost_ns: cost,
             body: Some(Box::new(move || {
                 let bytes = src.load(src_offset, size).expect("range checked");
-                dst.store(dst_offset, &bytes).expect("range checked");
+                dst.store(dst_offset, bytes.as_slice())
+                    .expect("range checked");
             })),
             kind: "copy-buffer",
         });
@@ -631,7 +632,7 @@ mod tests {
         let q = ctx.create_queue(0, "q0");
         let buf = ctx.create_buffer(1 << 20);
         let src = HostBuffer::pinned(1 << 20);
-        src.fill_from(&vec![7u8; 1 << 20]);
+        assert_eq!(src.store(0, &vec![7u8; 1 << 20]), Ok(()));
         let dst = HostBuffer::pinned(1 << 20);
         q.enqueue_write_buffer(&actor, &buf, true, 0, 1 << 20, &src, 0, &[])
             .unwrap();
@@ -671,10 +672,10 @@ mod tests {
             .unwrap();
         assert!(me.is_complete());
         assert_eq!(mapped.to_vec(), vec![3u8; 64]);
-        mapped.fill_from(&[9u8; 64]);
+        assert_eq!(mapped.store(0, &[9u8; 64]), Ok(()));
         let ue = q.enqueue_unmap(&buf, 0, &mapped, &[]).unwrap();
         ue.wait(&actor);
-        assert_eq!(buf.load(0, 64).unwrap(), vec![9u8; 64]);
+        assert_eq!(buf.load(0, 64).unwrap().as_slice(), [9u8; 64]);
     }
 
     #[test]
@@ -686,7 +687,7 @@ mod tests {
         a.store(0, &vec![3u8; 1 << 20]).unwrap();
         let e = q.enqueue_copy_buffer(&a, 0, &b, 0, 1 << 20, &[]).unwrap();
         e.wait(&actor);
-        assert_eq!(b.load(0, 1 << 20).unwrap(), vec![3u8; 1 << 20]);
+        assert_eq!(b.load(0, 1 << 20).unwrap().as_slice(), vec![3u8; 1 << 20]);
         let p = e.profiling().unwrap();
         // 2 MiB through 144 GB/s ≈ 14.5 us + launch overhead.
         assert!(p.completed - p.started > 10_000);
@@ -702,6 +703,7 @@ mod tests {
             .unwrap();
         e.wait(&actor);
         let out = b.load(0, 32).unwrap();
+        let out = out.as_slice();
         assert!(out[..8].iter().all(|&x| x == 0));
         assert_eq!(&out[8..12], &[0xAB, 0xCD, 0xAB, 0xCD]);
         assert!(out[24..].iter().all(|&x| x == 0));

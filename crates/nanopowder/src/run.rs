@@ -15,6 +15,10 @@ const TAG_N: Tag = 200; // concentration broadcast
 const TAG_C: Tag = 201; // coefficient block distribution
 const TAG_DN: Tag = 202; // rate gather
 
+/// Coefficient rows the clMPI root scales at a time on their way into its
+/// pinned stage: 128 KiB at K = 2048, built in cache and written once.
+const STAGE_ROWS: usize = 16;
+
 /// Virtual time of the serial host phase (nucleation, condensation, and
 /// the rest of the host-resident physics) per step. Calibrated so the
 /// host-resident physics is ~10% of the serial step — the paper reports
@@ -76,7 +80,7 @@ pub struct NanoConfig {
 /// Measured output.
 #[derive(Debug, Clone)]
 pub struct NanoResult {
-    /// Average virtual time per simulation step.
+    /// Average virtual time per simulation step; 0 for a run of no steps.
     pub step_ns: SimNs,
     /// Total virtual time of the timed loop.
     pub total_ns: SimNs,
@@ -117,7 +121,7 @@ pub fn run_nanopowder(variant: NanoVariant, cfg: NanoConfig) -> NanoResult {
         .max(1);
     let final_n = res.outputs[0].1.clone().expect("rank 0 returns state");
     NanoResult {
-        step_ns: total_ns / steps as u64,
+        step_ns: total_ns.checked_div(steps as u64).unwrap_or(0),
         total_ns,
         final_n,
         sched_events: res.events,
@@ -182,23 +186,29 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
             for r in 1..nodes {
                 let _ = p.comm.isend(&p.actor, r, TAG_N, f32_as_bytes(&m.n));
             }
-            let full = m.scaled_rows(step, 0, k);
-            let bytes = f32_as_bytes(&full);
             match variant {
                 NanoVariant::Baseline => {
+                    let full = m.scaled_rows(step, 0, k);
                     for r in 0..nodes {
-                        let _ = p.comm.isend(&p.actor, r, TAG_C, bytes);
+                        let _ = p.comm.isend(&p.actor, r, TAG_C, f32_as_bytes(&full));
                     }
                 }
                 NanoVariant::ClMpiFanout => {
+                    let full = m.scaled_rows(step, 0, k);
                     for r in 0..nodes {
-                        let _ = rt.isend_cl(&p.actor, r, TAG_C, bytes);
+                        let _ = rt.isend_cl(&p.actor, r, TAG_C, f32_as_bytes(&full));
                     }
                 }
                 NanoVariant::ClMpi => {
-                    // Stage into the root's own device buffer once; the
-                    // broadcast below fans it out chunk-pipelined.
-                    c_stage.fill_from(bytes);
+                    // Scale straight into the stage, a row block at a
+                    // time, then stage into the root's own device buffer
+                    // once; the broadcast below fans it out chunk-pipelined.
+                    for b0 in (0..k).step_by(STAGE_ROWS) {
+                        let block = m.scaled_rows(step, b0, (b0 + STAGE_ROWS).min(k));
+                        c_stage
+                            .store(b0 * k * 4, f32_as_bytes(&block))
+                            .expect("row block fits the stage");
+                    }
                     c_write = Some(
                         q.enqueue_write_buffer(
                             &p.actor,
@@ -221,7 +231,9 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
         } else {
             bytes_to_f32(&p.comm.recv(&p.actor, Some(0), Some(TAG_N)).data)
         };
-        n_stage.fill_from(f32_as_bytes(&n_local));
+        n_stage
+            .store(0, f32_as_bytes(&n_local))
+            .expect("concentrations fit");
         let e_n = q
             .enqueue_write_buffer(&p.actor, &n_dev, false, 0, k * 4, &n_stage, 0, &[])
             .expect("write concentrations");
@@ -231,7 +243,7 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
                 // staged write — the conventional pattern.
                 let got = p.comm.recv(&p.actor, Some(0), Some(TAG_C));
                 assert_eq!(got.data.len(), full_bytes);
-                c_stage.fill_from(&got.data);
+                c_stage.store(0, &got.data).expect("coefficients fit");
                 q.enqueue_write_buffer(&p.actor, &c_dev, false, 0, full_bytes, &c_stage, 0, &[])
                     .expect("write coefficients")
             }
@@ -256,10 +268,10 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
             let mut out = vec![0.0f32; r1 - r0];
             // Only this rank's row block is copied out of the coefficients:
             // a broadcast landed them by reference, and nobody else reads
-            // the other `nodes − 1` blocks here.
+            // the other `nodes − 1` blocks here. The copy is aligned, so
+            // the kernel reads it as `f32`s in place.
             let block = c2.load(r0 * k * 4, rows * k * 4).expect("row block fits");
-            let block = bytes_to_f32(&block);
-            n2.read(|nb| coagulation_step(&block, nb.as_f32(), r0, r1, &mut out));
+            n2.read(|nb| coagulation_step(block.as_f32(), nb.as_f32(), r0, r1, &mut out));
             d2.store(0, f32_as_bytes(&out)).expect("dn fits");
             *dns.lock() = out;
         });

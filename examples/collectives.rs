@@ -53,7 +53,7 @@ fn main() {
             .unwrap();
         ea.wait(&p.actor);
         let got = acc.load(0, 16).unwrap();
-        let first = f64::from_le_bytes(got[..8].try_into().unwrap());
+        let first = f64::from_le_bytes(got.as_slice()[..8].try_into().unwrap());
         // Σ over ranks of (rank + 0) = 0+1+2+3+4.
         assert_eq!(first, 10.0);
 

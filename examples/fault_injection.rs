@@ -37,7 +37,11 @@ fn main() {
                 .enqueue_recv_buffer(&q, &buf, false, 0, BYTES, 0, 1, &[], &p.actor)
                 .expect("enqueue recv");
             e.wait(&p.actor);
-            assert_eq!(buf.load(0, BYTES).unwrap(), vec![7u8; BYTES], "data intact");
+            assert_eq!(
+                buf.load(0, BYTES).unwrap().as_slice(),
+                vec![7u8; BYTES],
+                "data intact"
+            );
         }
         rt.shutdown(&p.actor);
         (p.rank(), rt.obs_counters().faults, rt.is_degraded())

@@ -50,7 +50,7 @@ fn main() {
                 fmt_ns(req.event.completion_time().expect("recv done"))
             );
             assert!(pw.started >= req.event.completion_time().unwrap());
-            assert_eq!(buf.load(0, 8).unwrap(), vec![9u8; 8]);
+            assert_eq!(buf.load(0, 8).unwrap().as_slice(), vec![9u8; 8]);
         } else {
             // Device side: fill a buffer and send it to the remote host.
             let buf = rt.context().create_buffer(BYTES);
@@ -68,7 +68,7 @@ fn main() {
             let buf = rt.context().create_buffer(4096);
             rt.enqueue_recv_buffer(&q, &buf, true, 0, 4096, 0, 1, &[], &p.actor)
                 .expect("recv");
-            assert_eq!(buf.load(0, 4096).unwrap(), vec![5u8; 4096]);
+            assert_eq!(buf.load(0, 4096).unwrap().as_slice(), vec![5u8; 4096]);
             println!("rank 1: host→device MPI_CL_MEM send landed in device memory");
         }
         rt.shutdown(&p.actor);

@@ -41,7 +41,7 @@ fn main() {
         let got = p
             .comm
             .sendrecv(&p.actor, peer, 1, &host.to_vec(), Some(peer), Some(1));
-        host.fill_from(&got.data);
+        host.store(0, &got.data).expect("halo fits");
         q.enqueue_write_buffer(&p.actor, &buf, true, 0, BYTES, &host, 0, &[])
             .expect("write");
         let sample = buf.read(|d| d.as_f32()[0]);

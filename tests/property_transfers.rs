@@ -48,10 +48,10 @@ fn any_transfer_delivers_intact() {
             } else {
                 rt.enqueue_recv_buffer(&q, &buf, true, offset, size, 0, 1, &[], &p.actor)
                     .unwrap();
-                buf.load(offset, size).unwrap() == payload
+                buf.load(offset, size).unwrap().as_slice() == payload
                     // Bytes outside the transfer window untouched:
-                    && buf.load(0, offset).unwrap() == vec![0u8; offset]
-                    && buf.load(offset + size, 128).unwrap() == vec![0u8; 128]
+                    && buf.load(0, offset).unwrap().as_slice() == vec![0u8; offset]
+                    && buf.load(offset + size, 128).unwrap().as_slice() == vec![0u8; 128]
             };
             rt.shutdown(&p.actor);
             (ok, p.actor.now_ns())
@@ -144,7 +144,7 @@ fn same_fault_plan_reproduces_the_run_exactly() {
                 } else {
                     rt.enqueue_recv_buffer(&q, &buf, true, 0, 512 << 10, 0, 1, &[], &p.actor)
                         .unwrap();
-                    buf.load(0, 512 << 10).unwrap()
+                    buf.load(0, 512 << 10).unwrap().as_slice().to_vec()
                 };
                 rt.shutdown(&p.actor);
                 out
