@@ -160,6 +160,15 @@ fn run_himeno_row(nodes: usize) -> ConfigRow {
         recv.parked,
         recv.successes
     );
+    // The warm-up and closing barriers run their rounds as machines, so
+    // each parks every rank thread exactly once.
+    let barrier = r.wake.labels.get("barrier").copied().unwrap_or_default();
+    assert_eq!(
+        barrier.parked,
+        2 * nodes as u64,
+        "himeno world {nodes}: `barrier` parked {} times",
+        barrier.parked
+    );
     ConfigRow {
         label: format!("himeno-M-w{nodes}"),
         nodes,

@@ -7,10 +7,13 @@
 //! Tags above [`crate::MAX_USER_TAG`] are reserved; collectives use the
 //! `COLL_*` bases so they never collide with application traffic.
 
-use simtime::Actor;
+use std::sync::Arc;
 
+use simtime::{Actor, MachineStep, Monitor, SimActor, SimNs};
+
+use crate::p2p::Request;
 use crate::world::Comm;
-use crate::{Rank, Tag};
+use crate::{wait_all, Rank, Tag};
 
 const COLL_BARRIER: Tag = (1 << 20) + 0x100;
 const COLL_BCAST: Tag = (1 << 20) + 0x200;
@@ -58,27 +61,27 @@ impl Comm {
     /// synchronize without cross-talk. `sub` must be below 8: each barrier
     /// consumes one 32-tag stripe (one tag per round) of the `COLL_BARRIER`
     /// region.
+    ///
+    /// The rounds run as a machine (`BarrierRun`) on the clock's event
+    /// core, so the calling thread parks once per barrier, not once per
+    /// round.
     pub fn barrier_tagged(&self, actor: &Actor, sub: Tag) {
         assert!((0..8).contains(&sub), "barrier sub-tag {sub} out of range");
-        // Dissemination barrier: in round k every rank sends to
-        // (r + 2^k) mod n and receives from (r − 2^k) mod n. After
-        // ⌈log₂ n⌉ rounds each rank has (transitively) heard from every
-        // other, with no single-rank serialization point — unlike the old
-        // flat gather-release this costs O(log n) rounds on every NIC
-        // instead of O(n) messages on rank 0's.
-        let n = self.size();
-        let r = self.rank();
-        let mut k = 0;
-        while (1usize << k) < n {
-            let tag = COLL_BARRIER + sub * 32 + k as Tag;
-            let dist = 1usize << k;
-            let to = (r + dist) % n;
-            let from = (r + n - dist) % n;
-            let req = self.isend(actor, to, tag, &[]);
-            self.recv(actor, Some(from), Some(tag));
-            req.wait(actor);
-            k += 1;
+        if self.size() == 1 {
+            return;
         }
+        let clock = actor.clock();
+        let done = Arc::new(Monitor::new(clock.clone(), false));
+        let run = BarrierRun {
+            comm: self.clone(),
+            sub,
+            k: 0,
+            round: None,
+            done: done.clone(),
+        };
+        let label = format!("barrier:r{}", self.global_rank(self.rank()));
+        clock.spawn_machine(0, label, Box::new(run));
+        actor.wait_on(&[done.key()], "barrier", || done.peek(|&d| d.then_some(())));
     }
 
     /// Broadcast `data` from `root` to all ranks (binomial tree). Returns
@@ -129,7 +132,8 @@ impl Comm {
 
     /// Reduce `contrib` elementwise to `root` (linear gather at root —
     /// adequate for the world sizes in this workspace). Returns the result
-    /// at the root, `None` elsewhere.
+    /// at the root, `None` elsewhere. The root folds the others'
+    /// contributions into its own in rank order.
     pub fn reduce(
         &self,
         actor: &Actor,
@@ -139,11 +143,9 @@ impl Comm {
     ) -> Option<Vec<f64>> {
         if self.rank() == root {
             let mut acc = contrib.to_vec();
-            for _ in 0..self.size() - 1 {
-                let res = self.recv(actor, None, Some(COLL_REDUCE));
-                let vals = crate::datatype::try_bytes_to_f64(&res.data).unwrap_or_else(|e| {
-                    panic!("reduce: contribution from rank {}: {e}", res.status.source)
-                });
+            for (src, data) in self.recv_from_each(actor, COLL_REDUCE) {
+                let vals = crate::datatype::try_bytes_to_f64(&data)
+                    .unwrap_or_else(|e| panic!("reduce: contribution from rank {src}: {e}"));
                 op.fold(&mut acc, &vals);
             }
             Some(acc)
@@ -179,17 +181,12 @@ impl Comm {
     /// Returns `Some` at the root, `None` elsewhere.
     pub fn gather(&self, actor: &Actor, root: Rank, contrib: &[u8]) -> Option<Vec<Vec<u8>>> {
         if self.rank() == root {
-            let mut out: Vec<Option<Vec<u8>>> = vec![None; self.size()];
-            out[root] = Some(contrib.to_vec());
-            for _ in 0..self.size() - 1 {
-                let res = self.recv(actor, None, Some(COLL_GATHER));
-                out[res.status.source] = Some(res.data);
-            }
-            Some(
-                out.into_iter()
-                    .map(|o| o.expect("every rank contributes"))
-                    .collect(),
-            )
+            let mut out: Vec<Vec<u8>> = self
+                .recv_from_each(actor, COLL_GATHER)
+                .map(|(_, data)| data)
+                .collect();
+            out.insert(root, contrib.to_vec());
+            Some(out)
         } else {
             self.send(actor, root, COLL_GATHER, contrib);
             None
@@ -251,12 +248,88 @@ impl Comm {
         }
     }
 
+    /// The root's half of a linear gather on `tag`: one receive per other
+    /// rank, posted up front and yielded in rank order. Each names its
+    /// source, so per-pair non-overtaking keeps a fast rank's contribution
+    /// to the *next* call away from this one.
+    fn recv_from_each(&self, actor: &Actor, tag: Tag) -> impl Iterator<Item = (Rank, Vec<u8>)> {
+        let me = self.rank();
+        let srcs: Vec<Rank> = (0..self.size()).filter(|&r| r != me).collect();
+        let reqs = srcs
+            .iter()
+            .map(|&r| self.irecv(actor, Some(r), Some(tag)))
+            .collect();
+        let got = wait_all(reqs, actor);
+        srcs.into_iter()
+            .zip(got)
+            .map(|(r, res)| (r, res.expect("a receive yields a payload").data))
+    }
+
     /// The sending half of a linear broadcast on a private tag (allreduce
     /// and allgather results, which are small): `data` goes to every other
     /// rank, which receives it from this one on `tag`.
     fn send_to_all(&self, actor: &Actor, tag: Tag, data: &[u8]) {
         for r in (0..self.size()).filter(|&r| r != self.rank()) {
             self.send(actor, r, tag, data);
+        }
+    }
+}
+
+/// One rank's part of a dissemination barrier: in round k it sends to
+/// (r + 2^k) mod n and receives from (r − 2^k) mod n, and round k + 1
+/// starts at the instant both finished. After ⌈log₂ n⌉ rounds each rank
+/// has (transitively) heard from every other, with no single-rank
+/// serialization point: O(log n) rounds on every NIC instead of a flat
+/// gather-release's O(n) messages on rank 0's.
+///
+/// A round's two requests are posted when it starts, not all rounds' up
+/// front, so matching order is that of a blocking loop over the rounds.
+/// Their tests note the send's outcome and the rank's matching state,
+/// which are alarmed at the send's completion and the message's arrival,
+/// so the machine is re-polled at the instant a round finishes.
+struct BarrierRun {
+    comm: Comm,
+    sub: Tag,
+    /// The round in flight, or the next to start.
+    k: u32,
+    /// The round's send and receive, each `None` once it completed.
+    round: Option<[Option<Request>; 2]>,
+    /// Set when the last round finished; the calling rank waits on it.
+    done: Arc<Monitor<bool>>,
+}
+
+impl SimActor for BarrierRun {
+    fn wait_label(&self) -> &'static str {
+        "barrier round"
+    }
+
+    fn poll(&mut self, _now: SimNs, actor: &Actor) -> MachineStep {
+        let (n, r) = (self.comm.size(), self.comm.rank());
+        loop {
+            let round = match &mut self.round {
+                Some(round) => round,
+                None if (1usize << self.k) >= n => {
+                    self.done.with(|d| *d = true);
+                    return MachineStep::Done;
+                }
+                None => {
+                    let tag = COLL_BARRIER + self.sub * 32 + self.k as Tag;
+                    let dist = 1usize << self.k;
+                    let send = self.comm.isend(actor, (r + dist) % n, tag, &[]);
+                    let recv = self.comm.irecv(actor, Some((r + n - dist) % n), Some(tag));
+                    self.round.insert([Some(send), Some(recv)])
+                }
+            };
+            for req in round.iter_mut() {
+                if req.as_mut().is_some_and(|q| q.test_shared(actor).is_some()) {
+                    *req = None;
+                }
+            }
+            if round.iter().any(Option::is_some) {
+                return MachineStep::Pending(None);
+            }
+            self.round = None;
+            self.k += 1;
         }
     }
 }

@@ -1,16 +1,24 @@
-//! Keep freed memory in the process between worlds.
+//! Keep freed memory in the process between worlds, in one heap.
 //!
 //! A world builds per-rank state (device buffers, staging buffers, wire
 //! payloads — hundreds of megabytes at 16 ranks of nanopowder) and frees
 //! all of it when its ranks return. glibc's defaults hand most of that
 //! back to the kernel (top-of-heap trimming, deleting empty thread-arena
 //! heaps, `mmap` for anything above a threshold it keeps adjusting), and
-//! the next world faults it back in page by page. How much depends on
-//! which rank thread landed in which arena and in what order the ranks
-//! freed, so it differs from one world to the next: measured on
-//! identical `nanopowder` repetitions in one process, 12,750–107,610
-//! minor faults and 0.26–0.42 s; on Himeno at 256 ranks 15,000–69,000
-//! and 0.26–0.31 s (DESIGN.md §14, "Allocator").
+//! the next world faults it back in page by page: measured on identical
+//! `nanopowder` repetitions in one process, 12,750–107,610 minor faults
+//! and 0.26–0.42 s; on Himeno at 256 ranks 15,000–69,000 and 0.26–0.31 s
+//! (DESIGN.md §14, "Allocator").
+//!
+//! Keeping the memory is not enough while glibc gives each thread an
+//! arena of its own (up to 8 per core, shared round-robin past that):
+//! what one world's rank threads freed is reusable only by whichever of
+//! the next world's threads land in the same arenas, and a scheduler pass
+//! allocates from the arena of whichever rank thread happens to run it.
+//! So every thread created after the first launch allocates from the
+//! arenas that exist by then — the main thread's alone, in a program that
+//! launches before it starts threads of its own — and a world's memory is
+//! there for the next world whichever threads it lands on.
 //!
 //! MPI libraries meet the same allocator from the other side — a
 //! registration cache is only valid while the pages stay mapped — and
@@ -19,7 +27,8 @@
 //! is that call for this runtime, made once by the launcher.
 
 /// Ask the allocator to keep what worlds free instead of returning it to
-/// the kernel. Idempotent.
+/// the kernel, and to give no thread created from now on an arena of its
+/// own. Idempotent.
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 pub(crate) fn keep_freed() {
     extern "C" {
@@ -29,6 +38,7 @@ pub(crate) fn keep_freed() {
     const M_TRIM_THRESHOLD: i32 = -1;
     const M_TOP_PAD: i32 = -2;
     const M_MMAP_THRESHOLD: i32 = -3;
+    const M_ARENA_MAX: i32 = -8;
     /// The largest threshold glibc accepts (half a thread-arena heap);
     /// setting it also stops glibc adjusting it.
     const MMAP_THRESHOLD: i32 = 32 << 20;
@@ -45,6 +55,7 @@ pub(crate) fn keep_freed() {
             mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD);
             mallopt(M_TRIM_THRESHOLD, i32::MAX);
             mallopt(M_TOP_PAD, TOP_PAD);
+            mallopt(M_ARENA_MAX, 1);
         }
     });
 }

@@ -369,6 +369,32 @@ mod tests {
     }
 
     #[test]
+    fn consecutive_reduces_and_gathers_keep_their_contributions_apart() {
+        // Rank 2 arrives late, so rank 1's contribution to the *second*
+        // call reaches the root before rank 2's to the first.
+        let res = run_world_sized(ClusterSpec::ricc(), 3, |p| {
+            let r = p.rank();
+            if r == 2 {
+                p.host_compute_ns(1_000_000);
+            }
+            let first = p.comm.reduce(&p.actor, 0, ReduceOp::Sum, &[r as f64]);
+            let second = p
+                .comm
+                .reduce(&p.actor, 0, ReduceOp::Sum, &[100.0 * r as f64]);
+            let g1 = p.comm.gather(&p.actor, 0, &[r as u8]);
+            let g2 = p.comm.gather(&p.actor, 0, &[10 + r as u8]);
+            (first, second, g1, g2)
+        });
+        let (first, second, g1, g2) = &res.outputs[0];
+        assert_eq!(
+            (first.as_deref(), second.as_deref()),
+            (Some(&[3.0][..]), Some(&[300.0][..]))
+        );
+        assert_eq!(g1.as_deref(), Some(&[vec![0u8], vec![1], vec![2]][..]));
+        assert_eq!(g2.as_deref(), Some(&[vec![10u8], vec![11], vec![12]][..]));
+    }
+
+    #[test]
     fn split_creates_isolated_subcommunicators() {
         // 6 ranks → even/odd halves. Traffic in one child never matches
         // receives in the other, and local ranks are dense.

@@ -39,9 +39,10 @@
 //!   caller buffer.
 //! * The first launch in a process tells glibc to keep freed memory
 //!   (`mallopt`, as MVAPICH2 and Open MPI's `leave_pinned` do at
-//!   `MPI_Init`): a world frees hundreds of megabytes when its ranks
-//!   return and the next one would fault them back in. The process then
-//!   holds its high-water mark.
+//!   `MPI_Init`), and to give no later thread an arena of its own: a
+//!   world frees hundreds of megabytes when its ranks return and the next
+//!   one's rank threads would fault them back in. The process then holds
+//!   its high-water mark.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 

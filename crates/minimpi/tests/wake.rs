@@ -5,7 +5,8 @@
 //! still in flight (exactly two parks per completed receive, at every
 //! world size, until the arrival key existed) — and nothing else: the
 //! clock grants the fabric's reservations itself, so no receive is woken
-//! to do it for everybody.
+//! to do it for everybody. A barrier parks its rank thread once: its
+//! rounds run as a machine, which no receive of theirs parks.
 
 use minimpi::{run_world_faulty, FaultPlan, WorldResult};
 use simnet::ClusterSpec;
@@ -50,25 +51,34 @@ fn ping_pong() -> WorldResult<SimNs> {
 
 #[test]
 fn a_blocked_receive_parks_once_per_message() {
-    // (world, its committed makespan, receives that park at least, sleeps
-    // at least). Of the 4 × 6 × 64 barrier receives and 64 ring receives,
-    // those whose message was already there never park. Every sleep of a
-    // run is counted: the ranks' compute phases and the
-    // `advance_until(done_at)` that ends a blocking send.
+    // (world, its committed makespan, barrier parks, receives that park
+    // at least, sleeps at least). A barrier's rounds run as a machine, so
+    // its rank thread parks on `barrier` exactly once per barrier and its
+    // round receives park no thread; of the 64 ring receives, those whose
+    // message was already there would not park. Every sleep of a run is
+    // counted: the ranks' compute phases and the `advance_until(done_at)`
+    // that ends a blocking send.
     let worlds = [
         (
             "barriers then a ring",
             barriers_then_a_ring(),
             1_656_151,
-            1_000,
-            4 * RANKS,
+            4 * RANKS as u64,
+            RANKS as u64,
+            4 * RANKS as u64,
         ),
-        ("ping-pong", ping_pong(), 16_109_000, 200, 200),
+        ("ping-pong", ping_pong(), 16_109_000, 0, 200, 200),
     ];
-    for (world, res, makespan, receives, sleeps) in worlds {
+    for (world, res, makespan, barriers, receives, sleeps) in worlds {
         assert_eq!(
             res.elapsed_ns, makespan,
             "{world}: the committed makespan — who is woken never moves an instant"
+        );
+        let barrier = res.wake.labels.get("barrier").copied().unwrap_or_default();
+        assert_eq!(
+            (barrier.parked, barrier.wakeups, barrier.successes),
+            (barriers, barriers, barriers),
+            "{world}: a barrier parks its rank thread once"
         );
         let recv = res.wake.labels.get("mpi recv").copied().unwrap_or_default();
         assert!(recv.successes >= receives, "{world}: {recv:?}");
@@ -78,7 +88,7 @@ fn a_blocked_receive_parks_once_per_message() {
             "{world}: `mpi recv` parks and wakes once per message"
         );
         let sleep = res.wake.labels.get("sleep").copied().unwrap_or_default();
-        assert!(sleep.parked >= sleeps as u64, "{world}: {sleep:?}");
+        assert!(sleep.parked >= sleeps, "{world}: {sleep:?}");
         assert_eq!(
             (sleep.wakeups, sleep.successes),
             (sleep.parked, sleep.parked)

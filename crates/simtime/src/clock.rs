@@ -152,9 +152,12 @@ pub struct LabelWakes {
 }
 
 /// Always-on wake accounting of one clock ([`SimClock::wake_stats`]).
-/// The counts depend on OS scheduling (how many notifies one resume
+/// Most counts depend on OS scheduling (how many notifies one resume
 /// absorbs), so they are diagnostics, never part of a deterministic
-/// artifact.
+/// artifact. A wait that exactly one notify satisfies is a model count
+/// instead: `minimpi`'s `barrier` label parks, wakes and succeeds once
+/// per rank per barrier (the rounds run as a machine), whatever the OS
+/// does.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WakeStats {
     /// [`SimClock::notify_key`] calls, including alarms scheduled for an
