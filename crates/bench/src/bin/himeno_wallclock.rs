@@ -1,7 +1,9 @@
-//! Wall-clock benchmark of the Himeno M overlap run (clMPI variant),
-//! plus the repo's machine-readable perf artifacts.
+//! The Himeno M overlap run (clMPI variant) and a small nanopowder run,
+//! written as the repo's machine-readable perf artifacts. The simulator's
+//! own wall-clock speed is measured in one place, the repo benchmark
+//! (`BENCHMARK.json`, whose `himeno_paper` workload times this run).
 //!
-//! Three outputs:
+//! Two outputs:
 //!
 //! 1. `BENCH_himeno_m.json` (repo root) — the **virtual-time** outcome of
 //!    the run: elapsed ns, GFLOPS, gosa/checksum bit patterns, the
@@ -11,37 +13,27 @@
 //!    point CI archives.
 //! 2. `BENCH_himeno_m.trace.json` — the same run exported as Chrome
 //!    `trace_events` JSON (open in `chrome://tracing` or Perfetto).
-//! 3. `results/bench_himeno_m.json` — wall-clock samples of the
-//!    *simulator's own* speed (min/median/max), for before/after
-//!    comparisons of engine refactors. Not deterministic by nature.
 //!
-//! Usage: `himeno_wallclock [--label before|after] [--out path]
-//!                          [--bench-out path] [--trace-out path]
-//!                          [--samples N] [--iters N] [--nodes N]`
+//! Usage: `himeno_wallclock [--bench-out path] [--trace-out path]
+//!                          [--iters N] [--nodes N]`
 
 use clmpi::obs::{chrome_trace, ObsSummary};
 use clmpi::SystemConfig;
-use clmpi_bench::{fnv1a_f32s, wallclock_samples, write_artifact};
+use clmpi_bench::{fnv1a_f32s, write_artifact};
 use himeno::{run_himeno, GridSize, HimenoConfig, Variant};
 use nanopowder::{run_nanopowder, NanoConfig, NanoVariant};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut label = "run".to_string();
-    let mut out = "results/bench_himeno_m.json".to_string();
     let mut bench_out = "BENCH_himeno_m.json".to_string();
     let mut trace_out = "BENCH_himeno_m.trace.json".to_string();
-    let mut samples = 3usize;
     let mut iters = 12usize;
     let mut nodes = 4usize;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--label" => label = it.next().expect("--label needs a value").clone(),
-            "--out" => out = it.next().expect("--out needs a value").clone(),
             "--bench-out" => bench_out = it.next().expect("--bench-out needs a value").clone(),
             "--trace-out" => trace_out = it.next().expect("--trace-out needs a value").clone(),
-            "--samples" => samples = it.next().expect("value").parse().expect("samples"),
             "--iters" => iters = it.next().expect("value").parse().expect("iters"),
             "--nodes" => nodes = it.next().expect("value").parse().expect("nodes"),
             other => panic!("unknown argument {other}"),
@@ -56,13 +48,7 @@ fn main() {
         strategy: None,
         halo: Default::default(),
     };
-    // One canonical run for the virtual-time witnesses...
     let him = run_himeno(Variant::ClMpi, cfg());
-    // ...then the timed wall-clock samples of the same run.
-    let times = wallclock_samples(samples, || {
-        let _ = run_himeno(Variant::ClMpi, cfg());
-    });
-    let ms = |n: u128| n as f64 / 1e6;
 
     let nano = run_nanopowder(
         NanoVariant::ClMpi,
@@ -107,28 +93,4 @@ fn main() {
 
     println!("overlap accounting (quantitative Fig. 4, himeno M / clMPI):");
     println!("{}", summary.overlap.render());
-
-    // -- Wall-clock samples (simulator speed; not deterministic) --------
-    let json = format!(
-        "{{\n  \"bench\": \"himeno_m_overlap\",\n  \"label\": \"{label}\",\n  \
-         \"himeno\": {{\n    \"grid\": \"M\", \"variant\": \"clMPI\", \"system\": \"cichlid\",\n    \
-         \"nodes\": {nodes}, \"iters\": {iters},\n    \
-         \"virtual_elapsed_ns\": {}, \"gflops\": {:.6},\n    \
-         \"gosa_bits\": {}, \"checksum_bits\": {}\n  }},\n  \
-         \"nanopowder\": {{\n    \"sections\": 120, \"steps\": 2, \"system\": \"ricc\", \"nodes\": 4,\n    \
-         \"virtual_total_ns\": {}, \"virtual_step_ns\": {}, \"final_n_fnv1a\": {}\n  }},\n  \
-         \"wallclock_ms\": {{ \"samples\": {samples}, \"min\": {:.3}, \"median\": {:.3}, \"max\": {:.3} }}\n}}\n",
-        him.elapsed_ns,
-        him.gflops,
-        him.gosa.to_bits(),
-        him.checksum.to_bits(),
-        nano.total_ns,
-        nano.step_ns,
-        nano_fnv,
-        ms(times[0]),
-        ms(times[times.len() / 2]),
-        ms(times[times.len() - 1]),
-    );
-    println!("{json}");
-    write_artifact(&out, &json); // wall-clock fields: host-dependent, gitignored
 }

@@ -127,22 +127,7 @@ pub fn measure_rma(
 /// access). Warms up twice, takes `samples` timed runs, and prints a
 /// min/median/max line. What it measures is the *wall time of the
 /// simulation* — regressions in the engine itself show up here.
-pub fn wallclock_bench(name: &str, samples: usize, f: impl FnMut()) {
-    let times = wallclock_samples(samples, f);
-    let ms = |n: u128| n as f64 / 1e6;
-    println!(
-        "{name:<44} min {:>9.3} ms  median {:>9.3} ms  max {:>9.3} ms",
-        ms(times[0]),
-        ms(times[times.len() / 2]),
-        ms(times[times.len() - 1])
-    );
-}
-
-/// The sampling loop of [`wallclock_bench`], returning the sorted raw
-/// sample times in wall-clock nanoseconds (two untimed warmup runs, then
-/// `samples` timed ones). Used by harnesses that persist the numbers
-/// (e.g. the before/after BENCH json of the progress-engine refactor).
-pub fn wallclock_samples(samples: usize, mut f: impl FnMut()) -> Vec<u128> {
+pub fn wallclock_bench(name: &str, samples: usize, mut f: impl FnMut()) {
     f();
     f();
     let mut times: Vec<u128> = (0..samples.max(1))
@@ -153,7 +138,13 @@ pub fn wallclock_samples(samples: usize, mut f: impl FnMut()) -> Vec<u128> {
         })
         .collect();
     times.sort_unstable();
-    times
+    let ms = |n: u128| n as f64 / 1e6;
+    println!(
+        "{name:<44} min {:>9.3} ms  median {:>9.3} ms  max {:>9.3} ms",
+        ms(times[0]),
+        ms(times[times.len() / 2]),
+        ms(times[times.len() - 1])
+    );
 }
 
 /// The strategy set plotted in Fig. 8.

@@ -13,7 +13,7 @@ const EXPLANATIONS: [(&str, &str); 8] = [
     (
         "non-blocking-engine",
         "crates/clmpi/src/engine.rs is the data plane. It must never block the\n\
-         engine thread (.wait/.recv/.wait_labeled/.wait_result) and must never\n\
+         engine thread (.wait/.recv/.wait_labeled/.wait_result/.block_on) and must never\n\
          advance virtual time itself (advance_until/advance_ns). Machines park\n\
          with a wake hint instead; blocking there would stall every in-flight\n\
          command on the engine. (DESIGN.md §9 P1)",
@@ -72,13 +72,15 @@ const EXPLANATIONS: [(&str, &str); 8] = [
     ),
     (
         "actor-hygiene",
-        "poll of every `impl SimActor`, step of every `impl EngineOp`\n\
-         and advance of every `impl OpBody` (a clMPI operation is a body run\n\
-         by the one op frame's step) run on the scheduler at a frozen virtual\n\
-         instant. They must stay resumable: no OS-blocking primitive and no\n\
-         direct thread::spawn — machines return Pending (bodies: Park) with a\n\
-         wake hint and spawn through the clock so the scheduler can account\n\
-         for them. (DESIGN.md §9 P8)",
+        "poll of every `impl SimActor`, step of every `impl EngineOp`,\n\
+         advance of every `impl OpBody` (a clMPI operation is a body run\n\
+         by the one op frame's step) and every async block and async fn body\n\
+         (a task's, or a future a machine polls) run on the scheduler at a\n\
+         frozen virtual instant. They must stay resumable: no OS-blocking\n\
+         primitive (block_on included) and no direct thread::spawn — machines\n\
+         return Pending (bodies: Park) with a wake hint, async bodies .await,\n\
+         and everything spawns through the clock so the scheduler can account\n\
+         for it. (DESIGN.md §9 P8)",
     ),
 ];
 

@@ -77,13 +77,13 @@ pub fn run_all(ws: &Workspace) -> Vec<Diag> {
 
 /// DESIGN.md §8c invariant 1: `crates/clmpi/src/engine.rs` is the data
 /// plane; it must never block the engine thread (`.wait(…)`, `.recv(…)`,
-/// `.wait_labeled(…)`, `.wait_result(…)`) and must never advance virtual
+/// `.wait_labeled(…)`, `.wait_result(…)`, `.block_on(…)`) and must never advance virtual
 /// time itself (`advance_until(…)`, `advance_ns(…)`). Machines *park*
 /// with a wake hint instead. Test modules inside engine.rs are exempt —
 /// tests sit on the control-plane side of the line.
 pub fn pass_nonblocking_engine(ws: &Workspace, out: &mut Vec<Diag>) {
     const PASS: &str = "non-blocking-engine";
-    const BLOCKING: &[&str] = &["wait", "recv", "wait_labeled", "wait_result"];
+    const BLOCKING: &[&str] = &["wait", "recv", "wait_labeled", "wait_result", "block_on"];
     const CLOCK: &[&str] = &["advance_until", "advance_ns"];
     for f in ws
         .files
@@ -133,7 +133,7 @@ pub fn pass_nonblocking_engine(ws: &Workspace, out: &mut Vec<Diag>) {
 /// outright); test code blocks freely.
 pub fn pass_blocking_markers(ws: &Workspace, out: &mut Vec<Diag>) {
     const PASS: &str = "blocking-marker";
-    const BLOCKING: &[&str] = &["wait", "recv", "wait_labeled", "wait_result"];
+    const BLOCKING: &[&str] = &["wait", "recv", "wait_labeled", "wait_result", "block_on"];
     for f in ws.files.iter().filter(|f| {
         f.krate == "clmpi"
             && !f.in_tests_dir
@@ -459,7 +459,8 @@ pub fn pass_status_literals(ws: &Workspace, out: &mut Vec<Diag>) {
 /// Calls that block the OS thread or advance virtual time — either way,
 /// running one with a `MutexGuard` live is how PR 7's drop deadlock
 /// happened. The set covers std blocking (`join`, `park`, `sleep`,
-/// channel `recv`), the simtime wait vocabulary, and the progress pumps.
+/// channel `recv`), the simtime wait vocabulary (`block_on` included: it
+/// parks the thread until its future is ready), and the progress pumps.
 pub const BLOCKING_CALLS: &[&str] = &[
     "join",
     "reap",
@@ -472,6 +473,7 @@ pub const BLOCKING_CALLS: &[&str] = &[
     "wait_result",
     "wait_delivered",
     "wait_idle",
+    "block_on",
     "pump",
     "quiesce_machines",
     "park",
@@ -624,9 +626,11 @@ pub fn pass_lock_order(ws: &Workspace, out: &mut Vec<Diag>) {
 // ----------------------------------------------------------------------
 
 /// DESIGN.md §9 P8: machine bodies — `poll` of any `impl SimActor`,
-/// `step` of any `impl EngineOp`, and `advance` of any `impl OpBody` (the
-/// part of a clMPI operation its frame's `step` runs) — run on the
-/// scheduler at a frozen virtual instant and must stay *resumable*: no
+/// `step` of any `impl EngineOp`, `advance` of any `impl OpBody` (the
+/// part of a clMPI operation its frame's `step` runs), and every `async`
+/// block and `async fn` body (a task's, or a future the engine polls) —
+/// run on the scheduler at a frozen virtual instant and must stay
+/// *resumable*: they wait with `.await`, never with a thread park — no
 /// OS-blocking primitive (the [`BLOCKING_CALLS`] vocabulary) and no
 /// direct `thread::spawn` (machines are spawned through the clock so
 /// the scheduler can account for them). Test code is exempt — fixtures
@@ -672,7 +676,7 @@ pub fn pass_actor_hygiene(ws: &Workspace, out: &mut Vec<Diag>) {
                         msg: format!(
                             "{what} inside machine body `{fn_name}` — machines run on \
                              the scheduler and must stay resumable: return Pending with \
-                             a wake hint instead (DESIGN.md §9 P8)"
+                             a wake hint, or `.await`, instead (DESIGN.md §9 P8)"
                         ),
                     });
                 }
@@ -683,49 +687,64 @@ pub fn pass_actor_hygiene(ws: &Workspace, out: &mut Vec<Diag>) {
 
 /// Machine-body regions of a file: for each `impl SimActor …` block the
 /// body of `poll`; for each `impl EngineOp …` block the
-/// body of `step`; for each `impl OpBody …` block the body of `advance`.
+/// body of `step`; for each `impl OpBody …` block the body of `advance`;
+/// every `async fn` body and every `async` block not inside one of those.
 /// Returns `(fn name, body token range)` pairs.
 fn machine_regions(f: &SourceFile) -> Vec<(String, (usize, usize))> {
     let mut out = Vec::new();
     let defs = f.fn_defs();
+    let mut async_end = 0; // an async body inside another is scanned with it
     for idx in 0..f.tokens.len() {
-        if f.ident_at(idx, &["impl"]).is_none() {
+        let keyword = f.ident_at(idx, &["impl", "async"]);
+        let Some(open) = keyword.and_then(|_| body_open(f, idx)) else {
+            continue;
+        };
+        let end = f.match_delim(open).map_or(f.tokens.len(), |e| e + 1);
+        if keyword == Some("async") {
+            if idx >= async_end {
+                let name = match (f.next_code(idx + 1), defs.iter().find(|d| d.body.0 == open)) {
+                    (Some(n), Some(d)) if f.ident_at(n, &["fn"]).is_some() => {
+                        format!("async fn {}", d.name)
+                    }
+                    _ => "async block".to_string(),
+                };
+                out.push((name, (open, end)));
+                async_end = end;
+            }
             continue;
         }
-        // Header: tokens up to the body `{` at paren/bracket depth 0.
-        let mut header_names: Vec<&str> = Vec::new();
-        let mut depth = 0i32;
-        let mut j = idx;
-        let open = loop {
-            let Some(nj) = f.next_code(j + 1) else {
-                break None;
-            };
-            j = nj;
-            match f.tok(j) {
-                Tok::Punct('(' | '[') => depth += 1,
-                Tok::Punct(')' | ']') => depth -= 1,
-                Tok::Punct('{') if depth == 0 => break Some(j),
-                Tok::Punct(';') if depth == 0 => break None,
-                Tok::Ident(s) => header_names.push(s.as_str()),
-                _ => {}
-            }
-        };
-        let Some(open) = open else { continue };
-        let targets: &[&str] = if header_names.contains(&"SimActor") {
+        // The `impl` header: the identifiers up to the body `{`.
+        let header = |name: &str| (idx..open).any(|i| f.ident_at(i, &[name]).is_some());
+        let targets: &[&str] = if header("SimActor") {
             &["poll"]
-        } else if header_names.contains(&"EngineOp") {
+        } else if header("EngineOp") {
             &["step"]
-        } else if header_names.contains(&"OpBody") {
+        } else if header("OpBody") {
             &["advance"]
         } else {
             continue;
         };
-        let close = f.match_delim(open).unwrap_or(f.tokens.len());
         for d in &defs {
-            if d.body.0 > open && d.body.1 <= close + 1 && targets.contains(&d.name.as_str()) {
+            if d.body.0 > open && d.body.1 <= end && targets.contains(&d.name.as_str()) {
                 out.push((d.name.clone(), d.body));
             }
         }
     }
     out
+}
+
+/// The body `{` that the `impl` or `async` at `idx` introduces: the first
+/// one outside parentheses and brackets after it (`None` at a `;` first).
+fn body_open(f: &SourceFile, idx: usize) -> Option<usize> {
+    let (mut j, mut depth) = (idx, 0i32);
+    loop {
+        j = f.next_code(j + 1)?;
+        match f.tok(j) {
+            Tok::Punct('(' | '[') => depth += 1,
+            Tok::Punct(')' | ']') => depth -= 1,
+            Tok::Punct('{') if depth == 0 => return Some(j),
+            Tok::Punct(';') if depth == 0 => return None,
+            _ => {}
+        }
+    }
 }

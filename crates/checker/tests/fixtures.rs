@@ -797,3 +797,80 @@ mod tests {
     let out = diags(pass_actor_hygiene, &[("crates/simtime/src/a.rs", live)], "");
     assert!(out.is_empty(), "{out:?}");
 }
+
+#[test]
+fn p8_blocking_inside_async_bodies_is_flagged() {
+    let src = r#"
+impl CommandQueue {
+    fn new(clock: &SimClock, shared: Arc<Shared>) {
+        clock.spawn_task("queue:q", "queue executor", move |task| async move {
+            shared.event.wait(&task);
+            shared.actor.block_on("nested", other());
+        });
+    }
+}
+async fn execute(shared: Arc<Shared>, a: &Actor) {
+    shared.chan.recv();
+}
+"#;
+    let out = diags(
+        pass_actor_hygiene,
+        &[("crates/minicl/src/queue.rs", src)],
+        "",
+    );
+    assert_eq!(out.len(), 3, "{out:?}");
+    assert!(out[0].msg.contains("`wait(`") && out[0].msg.contains("`async block`"));
+    assert!(out[1].msg.contains("`block_on(`"), "{}", out[1].msg);
+    assert!(out[2].msg.contains("`async fn execute`"), "{}", out[2].msg);
+}
+
+#[test]
+fn p8_awaiting_inside_async_bodies_is_clean() {
+    let src = r#"
+impl CommandQueue {
+    fn new(clock: &SimClock, shared: Arc<Shared>) {
+        clock.spawn_task("queue:q", "queue executor", move |_| async move {
+            let cmd = until(|| shared.chan.try_recv()).await;
+            shared.clock.sleep_until(cmd.end).await;
+        });
+    }
+    // Not an async body: the thread driver blocks here on purpose.
+    fn fence(&self, actor: &Actor) {
+        actor.block_on("rma fence", self.clone().fence_async());
+    }
+}
+async fn execute(shared: Arc<Shared>) {
+    let deps = until(|| shared.deps()).await;
+    execute_inner(deps).await;
+}
+"#;
+    let out = diags(
+        pass_actor_hygiene,
+        &[("crates/minicl/src/queue.rs", src)],
+        "",
+    );
+    assert!(out.is_empty(), "{out:?}");
+}
+
+#[test]
+fn p1_and_p2_count_block_on_as_blocking() {
+    let src = r#"
+fn f(a: &Actor, fut: Fence) {
+    a.block_on("rma fence", fut);
+}
+"#;
+    let engine = diags(
+        pass_nonblocking_engine,
+        &[("crates/clmpi/src/engine.rs", src)],
+        "",
+    );
+    assert_eq!(engine.len(), 1, "{engine:?}");
+    assert!(engine[0].msg.contains(".block_on("), "{}", engine[0].msg);
+    let runtime = diags(
+        pass_blocking_markers,
+        &[("crates/clmpi/src/runtime.rs", src)],
+        "",
+    );
+    assert_eq!(runtime.len(), 1, "{runtime:?}");
+    assert!(runtime[0].msg.contains(".block_on("), "{}", runtime[0].msg);
+}

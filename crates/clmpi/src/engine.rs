@@ -83,6 +83,8 @@
 //! (one thread per command would race them).
 
 use std::collections::VecDeque;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
 
 use minicl::{
@@ -90,8 +92,8 @@ use minicl::{
     CL_MPI_TRANSFER_ERROR, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST,
 };
 use minimpi::{
-    CommittedType, Datatype, DropReason, Fence, FencePoll, MpiError, Rank, RecvResult, ReduceOp,
-    Request, RetryPolicy, RmaHandle, RmaPoll, RmaRoute, Tag, Win,
+    CommittedType, Datatype, DropReason, MpiError, Rank, RecvResult, ReduceOp, Request,
+    RetryPolicy, RmaHandle, RmaPoll, RmaRoute, Tag, Win,
 };
 use simtime::{Actor, MachineStep, Monitor, OpSpan, SimActor, SimClock, SimNs};
 
@@ -2170,21 +2172,19 @@ impl OpBody for AccumulateBody {
     }
 }
 
-/// `clEnqueueWinFence`: the one fence machine, [`Fence`], stepped on the
-/// engine. Its pending hint (the patience deadline) is the park hint, and
-/// it parks on what its poll read; its classified failure fails the
-/// event.
+/// `clEnqueueWinFence`: the one fence, [`Win::fence_async`], polled on the
+/// engine ([`simtime::poll_future`]): parked on what the poll read, the
+/// instant it noted as the hint; its classified failure fails the event.
 pub(crate) struct FenceBody {
-    pub(crate) win: Win,
-    pub(crate) fence: Fence,
+    pub(crate) fence: Pin<Box<dyn Future<Output = Result<(), MpiError>> + Send>>,
 }
 
 impl OpBody for FenceBody {
     fn advance(&mut self, cx: &mut OpCx, now: SimNs, _actor: &Actor) -> Advance {
-        match self.fence.poll(&self.win, now) {
-            FencePoll::Pending(hint) => Advance::Park(hint),
-            FencePoll::Done => Advance::Done(now),
-            FencePoll::Failed(err) => {
+        match simtime::poll_future(self.fence.as_mut()) {
+            Err(wake) => Advance::Park(wake),
+            Ok(Ok(())) => Advance::Done(now),
+            Ok(Err(err)) => {
                 cx.rma_failed(&err, now);
                 let e = ClError::TransferFailed(format!("rma epoch: {err}"));
                 Advance::Failed(e, now)

@@ -993,8 +993,7 @@ impl ClMpi {
         actor: &Actor,
     ) -> ClResult<Event> {
         let body = FenceBody {
-            win: win.win.clone(),
-            fence: Default::default(),
+            fence: Box::pin(win.win.clone().fence_async()),
         };
         let env = Envelope::new("op.fence", "win-fence".into(), None);
         let event = self.submit_gated("win-fence".into(), env, wait_list, body);

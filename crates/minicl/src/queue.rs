@@ -1,18 +1,17 @@
-//! In-order command queues with scheduled executor machines.
+//! In-order command queues with executor tasks.
 //!
-//! Each queue owns one executor machine ([`QueueCore`]) spawned through
-//! [`SimClock::spawn_machine`], a resident of the clock's scheduler.
-//! Commands are dispatched strictly in enqueue order; a command first
-//! waits for its wait-list events (possibly from other queues), then
-//! runs. This is the OpenCL
-//! in-order execution model, and because the executor is a real
-//! concurrent actor, enqueues never block the host thread — the exact
-//! property the paper's clMPI design builds on.
+//! Each queue owns one executor, an `async` loop ([`execute`]) spawned as
+//! a task through [`SimClock::spawn_task`], a resident of the clock's
+//! scheduler. Commands are dispatched strictly in enqueue order; a command
+//! first waits for its wait-list events (possibly from other queues), then
+//! runs. This is the OpenCL in-order execution model, and because the
+//! executor is a concurrent actor of its own, enqueues never block the
+//! host thread — the exact property the paper's clMPI design builds on.
 
 use simtime::plock::Mutex;
 use std::sync::Arc;
 
-use simtime::{Actor, MachineStep, SimActor, SimChannel, SimClock, SimNs, Trace};
+use simtime::{until, Actor, SimChannel, SimClock, SimNs, Trace};
 
 use crate::buffer::Dir;
 use crate::status::EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST;
@@ -67,11 +66,10 @@ impl CommandQueue {
             label: label.clone(),
             trace: Mutex::new(None),
         });
-        let core = QueueCore {
-            shared: shared.clone(),
-            state: ExecState::Idle,
-        };
-        clock.spawn_machine(0, format!("queue:{label}"), Box::new(core));
+        let exec = shared.clone();
+        clock.spawn_task(format!("queue:{label}"), "queue executor", |_| {
+            execute(exec)
+        });
         CommandQueue { shared }
     }
 
@@ -361,96 +359,43 @@ impl Command {
     }
 }
 
-/// Where the executor machine stands between polls.
-enum ExecState {
-    /// Between commands: dequeue the next one at the current instant.
-    Idle,
-    /// The head command's wait list has unsettled events.
-    AwaitDeps(Command),
-    /// The head command occupies its engine/link reservation until `end`.
-    Running {
-        cmd: Command,
-        start: SimNs,
-        end: SimNs,
-    },
-}
-
-/// The queue executor as a resumable machine: dequeue → settle deps →
-/// reserve and run → complete, strictly in order. Identical code serves
-/// both execution modes.
-struct QueueCore {
-    shared: Arc<QueueShared>,
-    state: ExecState,
-}
-
-impl SimActor for QueueCore {
-    fn wait_label(&self) -> &'static str {
-        "queue executor"
-    }
-
-    fn poll(&mut self, now: SimNs, _actor: &Actor) -> MachineStep {
-        let mut transitions: u64 = 0;
-        let step = loop {
-            match std::mem::replace(&mut self.state, ExecState::Idle) {
-                ExecState::Idle => match self.shared.chan.try_recv() {
-                    None => break MachineStep::Pending(None),
-                    Some(Command::Shutdown) => {
-                        transitions += 1;
-                        break MachineStep::Done;
-                    }
-                    Some(cmd) => {
-                        // Submission instant: when the executor reaches
-                        // the command.
-                        cmd.event().expect("non-shutdown").mark_submitted(now);
-                        transitions += 1;
-                        self.state = ExecState::AwaitDeps(cmd);
-                    }
-                },
-                ExecState::AwaitDeps(cmd) => match Event::poll_wait_list(cmd.wait_list()) {
-                    WaitListStatus::Pending => {
-                        self.state = ExecState::AwaitDeps(cmd);
-                        break MachineStep::Pending(None);
-                    }
-                    WaitListStatus::Failed { .. } => {
-                        // A dependency failed: poison the command (its
-                        // body never runs, no device time is charged)
-                        // and move on to the next one.
-                        let event = cmd.event().expect("non-shutdown");
-                        event.fail(now, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST);
-                        if let Some((trace, lane)) = self.shared.trace.lock().as_ref() {
-                            trace.record(
-                                lane.clone(),
-                                format!("{}@{} poisoned", cmd.kind(), self.shared.label),
-                                now,
-                                now,
-                            );
-                        }
-                        transitions += 1;
-                        self.state = ExecState::Idle;
-                    }
-                    WaitListStatus::Ready => {
-                        let start = now;
-                        let mut cmd = cmd;
-                        let end = begin_command(&self.shared, &mut cmd, start);
-                        transitions += 1;
-                        self.state = ExecState::Running { cmd, start, end };
-                    }
-                },
-                ExecState::Running { cmd, start, end } => {
-                    if now < end {
-                        self.state = ExecState::Running { cmd, start, end };
-                        break MachineStep::Pending(Some(end));
-                    }
-                    complete_command(&self.shared, cmd, start, end);
-                    transitions += 1;
-                    self.state = ExecState::Idle;
-                }
-            }
-        };
-        if transitions > 0 {
-            self.shared.clock.count_events(transitions);
+/// The queue executor: dequeue → settle the wait list → reserve and run →
+/// sleep until the reservation ends → complete, strictly in order, until
+/// the queue's `Shutdown`. Every transition counts one scheduler event.
+async fn execute(shared: Arc<QueueShared>) {
+    let clock = &shared.clock;
+    loop {
+        let mut cmd = until(|| shared.chan.try_recv()).await;
+        clock.count_events(1);
+        // Submission instant: when the executor reaches the command.
+        match cmd.event() {
+            Some(event) => event.mark_submitted(clock.now_ns()),
+            None => return, // Shutdown
         }
-        step
+        let wait = cmd.wait_list();
+        let deps = until(|| match Event::poll_wait_list(wait) {
+            WaitListStatus::Pending => None,
+            settled => Some(settled),
+        })
+        .await;
+        let start = clock.now_ns();
+        clock.count_events(1);
+        if let WaitListStatus::Failed { .. } = deps {
+            // The command is poisoned: its body never runs, no device
+            // time is charged.
+            if let Some(event) = cmd.event() {
+                event.fail(start, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST);
+            }
+            if let Some((trace, lane)) = shared.trace.lock().as_ref() {
+                let poisoned = format!("{}@{} poisoned", cmd.kind(), shared.label);
+                trace.record(lane.clone(), poisoned, start, start);
+            }
+            continue;
+        }
+        let end = begin_command(&shared, &mut cmd, start);
+        clock.sleep_until(end).await;
+        complete_command(&shared, cmd, start, end);
+        clock.count_events(1);
     }
 }
 

@@ -9,9 +9,8 @@
 
 use std::sync::Arc;
 
-use simtime::{Actor, MachineStep, Monitor, SimActor, SimNs};
+use simtime::{until, Actor, Monitor};
 
-use crate::p2p::Request;
 use crate::world::Comm;
 use crate::{wait_all, Rank, Tag};
 
@@ -62,9 +61,8 @@ impl Comm {
     /// consumes one 32-tag stripe (one tag per round) of the `COLL_BARRIER`
     /// region.
     ///
-    /// The rounds run as a machine (`BarrierRun`) on the clock's event
-    /// core, so the calling thread parks once per barrier, not once per
-    /// round.
+    /// The rounds run as a task (`Comm::barrier_rounds`), so the calling
+    /// thread parks once per barrier, on the task's `done` flag alone.
     pub fn barrier_tagged(&self, actor: &Actor, sub: Tag) {
         assert!((0..8).contains(&sub), "barrier sub-tag {sub} out of range");
         if self.size() == 1 {
@@ -72,16 +70,47 @@ impl Comm {
         }
         let clock = actor.clock();
         let done = Arc::new(Monitor::new(clock.clone(), false));
-        let run = BarrierRun {
-            comm: self.clone(),
-            sub,
-            k: 0,
-            round: None,
-            done: done.clone(),
-        };
+        let (comm, finished) = (self.clone(), done.clone());
         let label = format!("barrier:r{}", self.global_rank(self.rank()));
-        clock.spawn_machine(0, label, Box::new(run));
+        clock.spawn_task(label, "barrier round", move |task| async move {
+            comm.barrier_rounds(&task, sub).await;
+            finished.with(|d| *d = true);
+        });
         actor.wait_on(&[done.key()], "barrier", || done.peek(|&d| d.then_some(())));
+    }
+
+    /// One rank's part of a dissemination barrier: in round k it sends to
+    /// (r + 2^k) mod n and receives from (r − 2^k) mod n, and round k + 1
+    /// starts at the instant both finished. After ⌈log₂ n⌉ rounds each
+    /// rank has (transitively) heard from every other, with no single-rank
+    /// serialization point: O(log n) rounds on every NIC instead of a flat
+    /// gather-release's O(n) messages on rank 0's.
+    ///
+    /// A round's two requests are posted when it starts, not all rounds'
+    /// up front, so matching order is that of a blocking loop over the
+    /// rounds. Their tests read the send's outcome and the rank's matching
+    /// state, which are alarmed at the send's completion and the message's
+    /// arrival, so the task is polled again at the instant a round ends.
+    async fn barrier_rounds(&self, task: &Actor, sub: Tag) {
+        let (n, r) = (self.size(), self.rank());
+        let mut k = 0;
+        while (1usize << k) < n {
+            let tag = COLL_BARRIER + sub * 32 + k as Tag;
+            let dist = 1usize << k;
+            let send = self.isend(task, (r + dist) % n, tag, &[]);
+            let recv = self.irecv(task, Some((r + n - dist) % n), Some(tag));
+            let mut round = [Some(send), Some(recv)];
+            until(|| {
+                for req in round.iter_mut() {
+                    if req.as_mut().is_some_and(|q| q.test_shared(task).is_some()) {
+                        *req = None;
+                    }
+                }
+                round.iter().all(Option::is_none).then_some(())
+            })
+            .await;
+            k += 1;
+        }
     }
 
     /// Broadcast `data` from `root` to all ranks (binomial tree). Returns
@@ -271,65 +300,6 @@ impl Comm {
     fn send_to_all(&self, actor: &Actor, tag: Tag, data: &[u8]) {
         for r in (0..self.size()).filter(|&r| r != self.rank()) {
             self.send(actor, r, tag, data);
-        }
-    }
-}
-
-/// One rank's part of a dissemination barrier: in round k it sends to
-/// (r + 2^k) mod n and receives from (r − 2^k) mod n, and round k + 1
-/// starts at the instant both finished. After ⌈log₂ n⌉ rounds each rank
-/// has (transitively) heard from every other, with no single-rank
-/// serialization point: O(log n) rounds on every NIC instead of a flat
-/// gather-release's O(n) messages on rank 0's.
-///
-/// A round's two requests are posted when it starts, not all rounds' up
-/// front, so matching order is that of a blocking loop over the rounds.
-/// Their tests note the send's outcome and the rank's matching state,
-/// which are alarmed at the send's completion and the message's arrival,
-/// so the machine is re-polled at the instant a round finishes.
-struct BarrierRun {
-    comm: Comm,
-    sub: Tag,
-    /// The round in flight, or the next to start.
-    k: u32,
-    /// The round's send and receive, each `None` once it completed.
-    round: Option<[Option<Request>; 2]>,
-    /// Set when the last round finished; the calling rank waits on it.
-    done: Arc<Monitor<bool>>,
-}
-
-impl SimActor for BarrierRun {
-    fn wait_label(&self) -> &'static str {
-        "barrier round"
-    }
-
-    fn poll(&mut self, _now: SimNs, actor: &Actor) -> MachineStep {
-        let (n, r) = (self.comm.size(), self.comm.rank());
-        loop {
-            let round = match &mut self.round {
-                Some(round) => round,
-                None if (1usize << self.k) >= n => {
-                    self.done.with(|d| *d = true);
-                    return MachineStep::Done;
-                }
-                None => {
-                    let tag = COLL_BARRIER + self.sub * 32 + self.k as Tag;
-                    let dist = 1usize << self.k;
-                    let send = self.comm.isend(actor, (r + dist) % n, tag, &[]);
-                    let recv = self.comm.irecv(actor, Some((r + n - dist) % n), Some(tag));
-                    self.round.insert([Some(send), Some(recv)])
-                }
-            };
-            for req in round.iter_mut() {
-                if req.as_mut().is_some_and(|q| q.test_shared(actor).is_some()) {
-                    *req = None;
-                }
-            }
-            if round.iter().any(Option::is_some) {
-                return MachineStep::Pending(None);
-            }
-            self.round = None;
-            self.k += 1;
         }
     }
 }

@@ -61,7 +61,7 @@ pub use datatype::{CommittedType, Datatype, DatatypeError, DerivedType};
 pub use launch::{run_world, run_world_faulty, run_world_sized, WorldResult};
 pub use p2p::{wait_all, wait_any, MpiError, RecvResult, Request, Status};
 pub use retry::RetryPolicy;
-pub use rma::{Fence, FencePoll, RmaHandle, RmaPoll, RmaRoute, Win, RMA_PATIENCE_NS, RMA_TAG_BASE};
+pub use rma::{RmaHandle, RmaPoll, RmaRoute, Win, RMA_PATIENCE_NS, RMA_TAG_BASE};
 pub use world::{Comm, Process, World, ANY_SOURCE, ANY_TAG, MAX_USER_TAG};
 
 // Fault-plan types come from the fabric layer; re-exported so apps can

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use simnet::{DropReason, FaultOutcome};
 use simtime::plock::Mutex;
-use simtime::{Actor, Monitor, SimNs, WakeKey};
+use simtime::{until, Actor, Monitor, SimNs, WakeKey};
 
 use crate::world::Comm;
 use crate::{Datatype, Rank, Tag};
@@ -354,20 +354,6 @@ fn to_local(members: &Option<Arc<Vec<Rank>>>, global: Rank) -> Rank {
 }
 
 impl Request {
-    /// The wake key a blocking wait on this request registers: the
-    /// monitor its state lives in (the send's outcome cell, the receiver's
-    /// rank state), which the fabric arbiter's grant fills in. The clock
-    /// grants before anybody runs at an instant, so nobody waits on the
-    /// arbiter itself. [`Request::wait`] parks a receive on the rank's
-    /// arrival key instead of its state: it has no deadline to watch and
-    /// nothing to do with a message that is matched but not here yet.
-    fn wake_key(&self) -> WakeKey {
-        match &self.kind {
-            ReqKind::Send { outcome } => outcome.key(),
-            ReqKind::Recv { state, .. } => state.key(),
-        }
-    }
-
     /// For a dropped [`Comm::isend_raw`] (link-layer NACK, observed by the
     /// sender's NIC at injection time): why the fabric dropped the message
     /// — after [`DropReason::NodeDown`] a retransmit is futile — and the
@@ -414,6 +400,10 @@ impl Request {
 
     /// Block the calling actor until the operation completes. Returns the
     /// payload for receives, `None` for sends.
+    ///
+    /// A receive parks on its rank's arrival key, narrower than the rank
+    /// state it reads: the state is notified when a message matches, still
+    /// in flight, the arrival key when it lands — one wake per message.
     pub fn wait(self, actor: &Actor) -> Option<RecvResult> {
         match self.kind {
             ReqKind::Send { outcome } => {
@@ -453,17 +443,17 @@ impl Request {
         let Some(deadline) = actor.now_ns().checked_add(timeout_ns) else {
             return Ok(self.wait(actor));
         };
-        let keys = [self.wake_key()];
         match self.kind {
             ReqKind::Send { outcome } => {
                 outcome.alarm_at(deadline);
-                let res = actor.wait_on(&keys, "mpi send (timeout)", || {
+                let fate = until(|| {
                     let now = outcome.clock().now_ns();
                     if let Some(done_at) = outcome.peek(|o| o.as_ref().map(|o| o.done_at)) {
                         return Some(Some(done_at));
                     }
                     (now >= deadline).then_some(None)
                 });
+                let res = actor.block_on("mpi send (timeout)", fate);
                 match res {
                     Some(done_at) if done_at <= deadline => {
                         actor.advance_until(done_at);
@@ -482,7 +472,7 @@ impl Request {
             } => {
                 let clock = state.clock().clone();
                 state.alarm_at(deadline);
-                let res = actor.wait_on(&keys, "mpi recv (timeout)", || {
+                let arrived = until(|| {
                     state.try_now(|st| {
                         let now = clock.now_ns();
                         if let Some(r) = st.take_visible(id, now, &members) {
@@ -499,7 +489,7 @@ impl Request {
                         }))
                     })
                 });
-                res.map(Some)
+                actor.block_on("mpi recv (timeout)", arrived).map(Some)
             }
         }
     }
@@ -582,8 +572,7 @@ pub fn wait_any(
     actor: &Actor,
 ) -> (usize, Option<RecvResult>, Vec<Request>) {
     assert!(!requests.is_empty(), "wait_any needs at least one request");
-    let keys: Vec<WakeKey> = requests.iter().map(Request::wake_key).collect();
-    let (idx, res) = actor.wait_on(&keys, "mpi wait_any", || {
+    let any = until(|| {
         for (i, r) in requests.iter_mut().enumerate() {
             if let Some(res) = r.test(actor) {
                 return Some((i, res));
@@ -591,6 +580,7 @@ pub fn wait_any(
         }
         None
     });
+    let (idx, res) = actor.block_on("mpi wait_any", any);
     let _consumed = requests.remove(idx); // completed by the test() above
     (idx, res, requests)
 }

@@ -31,9 +31,10 @@
 //!
 //! ## One fence
 //!
-//! `MPI_Win_fence` is written once, as the non-blocking [`Fence`] machine:
-//! the clMPI engine steps it from `clEnqueueWinFence`, and the blocking
-//! [`Win::fence`] is a wait loop over the same machine.
+//! `MPI_Win_fence` is written once, as [`Win::fence_async`]: the clMPI
+//! engine polls it ([`simtime::poll_future`]) and [`Win::fence`] runs it
+//! under [`Actor::block_on`]. The other blocking calls are one
+//! [`simtime::until`] check each under `block_on`: none lists keys.
 //!
 //! ## Memory model
 //!
@@ -50,7 +51,7 @@ use std::sync::Arc;
 
 use simnet::{DropReason, FabricClass, FaultOutcome, Reservation};
 use simtime::plock::Mutex;
-use simtime::{note_read, Actor, Monitor, SimNs, WakeKey};
+use simtime::{note_read, note_wake_at, until, Actor, Monitor, SimNs, WakeKey};
 
 use crate::collectives::ReduceOp;
 use crate::datatype::{check_whole, f64_as_bytes, try_bytes_to_f64};
@@ -183,7 +184,7 @@ pub struct Win {
     shared: Arc<WinShared>,
     epoch: Arc<Mutex<LocalEpoch>>,
     /// Notified whenever an op is booked into `epoch.pending`, a plain
-    /// mutex: a [`Fence`] drain notes it, so a fence parked on its drain
+    /// mutex: a fence's drain notes it, so a fence parked on its drain
     /// re-polls an op another thread booked meanwhile.
     booked: WakeKey,
 }
@@ -399,6 +400,10 @@ impl RmaHandle {
             RmaSlot::Failed { err, at } => Next::AsIs(RmaPoll::Failed { err: *err, at: *at }),
             RmaSlot::Dropped { reason, at } => {
                 let attempt = self.inner.attempts.load(Ordering::Relaxed);
+                // Out of attempts, or a retransmit past the last instant.
+                let retry_at = (attempt + 1 < RMA_RETRY.max_attempts)
+                    .then(|| at.checked_add(RMA_RETRY.backoff_ns(attempt + 1)))
+                    .flatten();
                 if matches!(reason, DropReason::NodeDown) {
                     Next::Fail {
                         err: MpiError::ProcFailed {
@@ -406,16 +411,14 @@ impl RmaHandle {
                         },
                         at: *at,
                     }
-                } else if attempt + 1 >= RMA_RETRY.max_attempts {
+                } else if let Some(earliest) = retry_at {
+                    Next::Retry { earliest }
+                } else {
                     Next::Fail {
                         err: MpiError::Timeout {
                             waited_ns: at.saturating_sub(self.inner.posted_at),
                         },
                         at: *at,
-                    }
-                } else {
-                    Next::Retry {
-                        earliest: at + RMA_RETRY.backoff_ns(attempt + 1),
                     }
                 }
             }
@@ -439,12 +442,12 @@ impl RmaHandle {
     /// reaches the completion instant.
     pub fn wait(&self, actor: &Actor) -> Result<SimNs, MpiError> {
         // `poll` reads this op's slot, which the arbiter's grant fills in.
-        let keys = [self.inner.slot.key()];
-        let r = actor.wait_on(&keys, "rma op", || match self.poll() {
+        let settled = until(|| match self.poll() {
             RmaPoll::Pending => None,
             RmaPoll::Done { at } => Some(Ok(at)),
             RmaPoll::Failed { err, .. } => Some(Err(err)),
         });
+        let r = actor.block_on("rma op", settled);
         if let Ok(at) = r {
             actor.advance_until(at);
         }
@@ -662,31 +665,6 @@ impl Win {
         self.issue(kind, target, offset, data, len, RmaRoute::Auto, 0)
     }
 
-    /// Drive every pending op of the current epoch once; true when all
-    /// have settled. The epoch's first failure is latched for the closing
-    /// call and settled ops are forgotten. Notes the booking key, so a
-    /// machine parked on a drain re-polls an op another thread books.
-    fn drain(&self) -> bool {
-        note_read(self.booked);
-        let hs: Vec<RmaHandle> = self.epoch.lock().pending.clone();
-        for h in &hs {
-            let _ = h.poll();
-        }
-        let first_err = hs.iter().find_map(|h| h.error());
-        let mut ep = self.epoch.lock();
-        if ep.epoch_err.is_none() {
-            ep.epoch_err = first_err;
-        }
-        ep.pending.retain(|h| !h.settled());
-        ep.pending.is_empty()
-    }
-
-    /// The slot keys of the epoch's pending ops.
-    fn pending_slots(&self) -> Vec<WakeKey> {
-        let ep = self.epoch.lock();
-        ep.pending.iter().map(|h| h.inner.slot.key()).collect()
-    }
-
     /// Classify a synchronization stall against the fault plan: a laggard
     /// scheduled dead is [`MpiError::ProcFailed`], otherwise a timeout.
     fn classify_stall(&self, laggards: &[Rank], now: SimNs, waited_ns: SimNs) -> MpiError {
@@ -699,38 +677,72 @@ impl Win {
         MpiError::Timeout { waited_ns }
     }
 
-    /// Close the current epoch and open the next (`MPI_Win_fence`): a
-    /// wait loop over the [`Fence`] machine, which the clMPI engine steps
-    /// for `clEnqueueWinFence` too.
+    /// Close the current epoch and open the next (`MPI_Win_fence`):
+    /// [`Win::fence_async`] on the calling thread.
     pub fn fence(&self, actor: &Actor) -> Result<(), MpiError> {
-        let clock = self.comm.world().clock().clone();
-        let ctrl = &self.shared.ctrl;
-        let mut fence = Fence::default();
-        let mut alarmed = None;
-        loop {
-            // What a poll reads: every pending op's slot, the booking of
-            // a new op and the control block.
-            let mut keys = self.pending_slots();
-            keys.extend([self.booked, ctrl.key()]);
-            // `Some(None)`: an op was booked after the keys were taken, so
-            // the wait starts over with its slot in the set.
-            let outcome = actor.wait_on(&keys, "rma fence", || {
-                let hint = match fence.poll(self, clock.now_ns()) {
-                    FencePoll::Pending(hint) => hint,
-                    FencePoll::Done => return Some(Some(Ok(()))),
-                    FencePoll::Failed(err) => return Some(Some(Err(err))),
-                };
-                if let Some(d) = hint.filter(|&d| alarmed != Some(d)) {
-                    ctrl.alarm_at(d);
-                    alarmed = Some(d);
-                }
-                let booked_since = self.pending_slots().iter().any(|k| !keys.contains(k));
-                booked_since.then_some(None)
-            });
-            if let Some(outcome) = outcome {
-                return outcome;
+        actor.block_on("rma fence", self.clone().fence_async())
+    }
+
+    /// `MPI_Win_fence`, the one copy: drain this rank's pending ops (one
+    /// another thread books meanwhile too), mark the arrival, which opens
+    /// the window for active-target access, and await every rank's. Under
+    /// a fault plan the await has a patience deadline (none past the last
+    /// instant) whose expiry is classified against the laggards; an op
+    /// failure latched during the epoch outranks the sync failure.
+    pub async fn fence_async(self) -> Result<(), MpiError> {
+        // Poll every pending op (a poll also re-posts a dropped transfer)
+        // until all settled, latching the first failure; `booked` re-polls
+        // the drain when another thread books an op.
+        until(|| {
+            note_read(self.booked);
+            let hs: Vec<RmaHandle> = self.epoch.lock().pending.clone();
+            for h in &hs {
+                let _ = h.poll();
             }
-        }
+            let first_err = hs.iter().find_map(|h| h.error());
+            let mut ep = self.epoch.lock();
+            ep.epoch_err = ep.epoch_err.or(first_err);
+            ep.pending.retain(|h| !h.settled());
+            ep.pending.is_empty().then_some(())
+        })
+        .await;
+        let op_err = {
+            let mut ep = self.epoch.lock();
+            ep.fence_open = true;
+            ep.epoch_err.take()
+        };
+        let me = self.comm.rank();
+        let ctrl = &self.shared.ctrl;
+        let gen = ctrl.with(|c| {
+            c.fence_gen[me] += 1;
+            c.fence_gen[me]
+        });
+        let clock = self.comm.world().clock();
+        let start = clock.now_ns();
+        let faulty = self.comm.world().has_faults();
+        let deadline = faulty.then(|| start.checked_add(RMA_PATIENCE_NS)).flatten();
+        let sync_err = until(|| {
+            if ctrl.peek(|c| c.fence_gen.iter().all(|&g| g >= gen)) {
+                return Some(None);
+            }
+            let now = clock.now_ns();
+            match deadline {
+                Some(d) if now >= d => {
+                    let laggards: Vec<Rank> = ctrl.peek(|c| {
+                        let n = c.fence_gen.len();
+                        (0..n).filter(|&r| c.fence_gen[r] < gen).collect()
+                    });
+                    Some(Some(self.classify_stall(&laggards, now, now - start)))
+                }
+                Some(d) => {
+                    note_wake_at(d);
+                    None
+                }
+                None => None,
+            }
+        })
+        .await;
+        op_err.or(sync_err).map_or(Ok(()), Err)
     }
 
     /// Acquire an exclusive passive-target lock on `target`'s window
@@ -752,15 +764,18 @@ impl Win {
         let me = self.comm.rank();
         let ctrl = &self.shared.ctrl;
         ctrl.with(|c| c.locks[target].queue.push((start, me)));
-        // The request is grantable once the clock has passed `start`.
-        ctrl.alarm_at(start + 1);
-        let deadline = self.comm.world().has_faults().then(|| {
-            let d = start + RMA_PATIENCE_NS;
+        // Grantable once the clock has passed `start`; no deadline past the
+        // last instant.
+        if let Some(grantable) = start.checked_add(1) {
+            ctrl.alarm_at(grantable);
+        }
+        let faulty = self.comm.world().has_faults();
+        let deadline = faulty.then(|| start.checked_add(RMA_PATIENCE_NS)).flatten();
+        if let Some(d) = deadline {
             ctrl.alarm_at(d);
-            d
-        });
+        }
         // Lock arbitration reads and writes the control block alone.
-        actor.wait_on(&[ctrl.key()], "rma lock", || {
+        let granted = until(|| {
             let now = clock.now_ns();
             if ctrl.peek(|c| WinShared::grants_due(c, now)) {
                 ctrl.with(|c| WinShared::grant_locks(c, now));
@@ -777,15 +792,15 @@ impl Win {
                 }
                 _ => None,
             }
-        })
+        });
+        actor.block_on("rma lock", granted)
     }
 
     /// Release the passive-target lock on `target` (`MPI_Win_unlock`):
     /// settles every pending op addressed to `target` first, so all
-    /// effects are visible at the target once unlock returns. The wait is
-    /// registered on exactly the slots of the ops pending at the call; an
-    /// op another thread of this rank issues meanwhile belongs to the next
-    /// closing call.
+    /// effects are visible at the target once unlock returns. The wait
+    /// polls exactly the ops pending at the call; an op another thread of
+    /// this rank issues meanwhile belongs to the next closing call.
     pub fn unlock(&self, actor: &Actor, target: Rank) -> Result<(), MpiError> {
         if !self.epoch.lock().locked.contains(&target) {
             return Err(MpiError::RmaNotLocked { target });
@@ -795,19 +810,16 @@ impl Win {
             let ep = self.epoch.lock();
             ep.pending.iter().filter(to_target).cloned().collect()
         };
-        // A wait on no key could never be woken.
-        if !hs.is_empty() {
-            let keys: Vec<_> = hs.iter().map(|h| h.inner.slot.key()).collect();
-            actor.wait_on(&keys, "rma unlock ops", || {
-                // Poll every op, settled or not: a poll is also what
-                // re-posts a dropped transfer.
-                let busy = hs
-                    .iter()
-                    .filter(|h| matches!(h.poll(), RmaPoll::Pending))
-                    .count();
-                (busy == 0).then_some(())
-            });
-        }
+        // Poll every op, settled or not: a poll is also what re-posts a
+        // dropped transfer.
+        let settled = until(|| {
+            let busy = hs
+                .iter()
+                .filter(|h| matches!(h.poll(), RmaPoll::Pending))
+                .count();
+            (busy == 0).then_some(())
+        });
+        actor.block_on("rma unlock ops", settled);
         let first_err = {
             let mut ep = self.epoch.lock();
             let first_err = ep.pending.iter().filter(to_target).find_map(|h| h.error());
@@ -823,103 +835,6 @@ impl Win {
             WinShared::grant_locks(c, self.comm.world().clock().now_ns());
         });
         first_err.map_or(Ok(()), Err)
-    }
-}
-
-/// `MPI_Win_fence` as a non-blocking machine: the one copy of the
-/// protocol. [`Fence::poll`] drains this rank's pending ops of the epoch
-/// (an op another thread books meanwhile is drained too), marks the fence
-/// arrival, which opens the window for active-target access, and awaits
-/// every rank's matching arrival. Under a fault plan the await carries a
-/// patience deadline whose expiry is classified against the laggards; an
-/// op failure latched during the epoch outranks a synchronization
-/// failure. The clMPI engine steps it for `clEnqueueWinFence`;
-/// [`Win::fence`] drives it from a blocking wait.
-///
-/// Parking: a pending drain has read every pending op's slot, which its
-/// grant notifies, and the window's booking key, which a newly booked op
-/// notifies. A pending await has read the control block, which a peer's
-/// arrival notifies, and hints its patience deadline when it has one.
-#[derive(Default)]
-pub struct Fence(FencePhase);
-
-#[derive(Default)]
-enum FencePhase {
-    #[default]
-    Drain,
-    Await {
-        start: SimNs,
-        gen: u64,
-        op_err: Option<MpiError>,
-        deadline: Option<SimNs>,
-    },
-}
-
-/// What one [`Fence::poll`] reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FencePoll {
-    /// Not yet. `Some(t)` is the patience deadline to be woken at; all
-    /// else the fence awaits notifies what the poll read.
-    Pending(Option<SimNs>),
-    /// Every rank arrived and every op of the epoch succeeded.
-    Done,
-    /// The classified failure: the epoch's first op failure, or else the
-    /// synchronization's.
-    Failed(MpiError),
-}
-
-impl Fence {
-    /// Advance the fence on `win` as far as it goes at instant `now`.
-    /// Non-blocking.
-    pub fn poll(&mut self, win: &Win, now: SimNs) -> FencePoll {
-        loop {
-            match &mut self.0 {
-                FencePhase::Drain => {
-                    if !win.drain() {
-                        return FencePoll::Pending(None);
-                    }
-                    let op_err = {
-                        let mut ep = win.epoch.lock();
-                        ep.fence_open = true;
-                        ep.epoch_err.take()
-                    };
-                    let me = win.comm.rank();
-                    let gen = win.shared.ctrl.with(|c| {
-                        c.fence_gen[me] += 1;
-                        c.fence_gen[me]
-                    });
-                    let faulty = win.comm.world().has_faults();
-                    self.0 = FencePhase::Await {
-                        start: now,
-                        gen,
-                        op_err,
-                        deadline: faulty.then(|| now + RMA_PATIENCE_NS),
-                    };
-                }
-                FencePhase::Await {
-                    start,
-                    gen,
-                    op_err,
-                    deadline,
-                } => {
-                    let ctrl = &win.shared.ctrl;
-                    if ctrl.peek(|c| c.fence_gen.iter().all(|&g| g >= *gen)) {
-                        return op_err.take().map_or(FencePoll::Done, FencePoll::Failed);
-                    }
-                    return match *deadline {
-                        Some(d) if now >= d => {
-                            let laggards: Vec<Rank> = ctrl.peek(|c| {
-                                let n = c.fence_gen.len();
-                                (0..n).filter(|&r| c.fence_gen[r] < *gen).collect()
-                            });
-                            let sync = win.classify_stall(&laggards, now, now - *start);
-                            FencePoll::Failed(op_err.take().unwrap_or(sync))
-                        }
-                        deadline => FencePoll::Pending(deadline),
-                    };
-                }
-            }
-        }
     }
 }
 
@@ -1117,6 +1032,36 @@ mod tests {
             win.read_local()
         });
         assert_eq!(res.outputs[0], vec![9u8; 64]);
+    }
+
+    #[test]
+    fn a_deadline_past_the_last_instant_is_no_deadline() {
+        // Within `RMA_PATIENCE_NS` of the last instant `now + patience`
+        // overflows: unchecked, a debug build panicked on the calling
+        // thread, and a release build wrapped the deadline into the past
+        // and failed the late peer's partners at once.
+        let plan = FaultPlan::drops(42, 0.30).with_tag_floor(RMA_TAG_BASE);
+        let res = run_world_faulty(ClusterSpec::cichlid(), 3, plan, |p| {
+            p.actor.advance_until(SimNs::MAX - 1_000_000_000);
+            let win = Win::create(&p.comm, &p.actor, 64)?;
+            if p.rank() == 2 {
+                p.actor.advance_ns(1_000_000); // the late peer
+            }
+            win.fence(&p.actor)?;
+            if p.rank() == 0 {
+                win.put(1, 8, &[7u8; 16])?;
+            }
+            win.lock(&p.actor, (p.rank() + 1) % 3)?;
+            win.unlock(&p.actor, (p.rank() + 1) % 3)?;
+            win.fence(&p.actor)?;
+            Ok::<_, MpiError>(win.read_local())
+        });
+        let mut put = vec![0u8; 64];
+        put[8..24].copy_from_slice(&[7u8; 16]);
+        let expected = [vec![0u8; 64], put, vec![0u8; 64]];
+        for (r, mem) in expected.into_iter().enumerate() {
+            assert_eq!(res.outputs[r], Ok(mem), "rank {r}");
+        }
     }
 
     #[test]

@@ -67,6 +67,10 @@
 //!   a key the actor owns and waits on that key until `now` reaches the
 //!   alarm's instant, so every parked actor is a keyed waiter and there
 //!   is one way to park.
+//! * **Blocking is a future.** [`Actor::block_on`] parks through that
+//!   same `wait_on` on what its future's poll read (`sched`, "One wait,
+//!   two drivers"). A wait names its keys only where they are narrower
+//!   than what its predicate reads (its doc says why).
 //! * `runnable` counts actors currently executing user code. Whenever it
 //!   (together with `recheck_pending`) reaches zero, the decrementing
 //!   thread advances the clock to the earliest alarm. *Any* due alarm
@@ -87,6 +91,7 @@
 use crate::plock::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -156,7 +161,7 @@ pub struct LabelWakes {
 /// absorbs), so they are diagnostics, never part of a deterministic
 /// artifact. A wait that exactly one notify satisfies is a model count
 /// instead: `minimpi`'s `barrier` label parks, wakes and succeeds once
-/// per rank per barrier (the rounds run as a machine), whatever the OS
+/// per rank per barrier (the rounds run as a task), whatever the OS
 /// does.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WakeStats {
@@ -551,6 +556,34 @@ impl SimClock {
         MachineHandle
     }
 
+    /// Run a future as a machine labelled `label`: the machine driver
+    /// (`sched`, "One wait, two drivers"). `task` builds it from a handle
+    /// registered as no actor, like the one [`SimActor::poll`] gets: for
+    /// non-blocking calls, never for a park.
+    pub fn spawn_task<F>(
+        &self,
+        label: impl Into<String>,
+        wait_label: &'static str,
+        task: impl FnOnce(Actor) -> F,
+    ) where
+        F: Future<Output = ()> + Send + 'static,
+    {
+        let fut = Box::pin(task(Actor::for_pass(self)));
+        self.spawn_machine(0, label, Box::new(sched::Task { wait_label, fut }));
+    }
+
+    /// A future ready once the clock reaches `t`, noting `t` while
+    /// pending ([`crate::note_wake_at`]): a sleep needs no keyed alarm.
+    pub fn sleep_until(&self, t: SimNs) -> impl Future<Output = ()> + '_ {
+        sched::until(move || {
+            if self.now_ns() >= t {
+                return Some(());
+            }
+            sched::note_wake_at(t);
+            None
+        })
+    }
+
     /// Register a new actor. The returned handle **must** live on exactly
     /// one thread at a time.
     ///
@@ -833,7 +866,8 @@ pub struct Actor {
 
 impl Actor {
     /// The handle a scheduler pass gives its machines
-    /// ([`SimActor::poll`]): registered as no actor, so it neither counts
+    /// ([`SimActor::poll`]), and a task its future
+    /// ([`SimClock::spawn_task`]): registered as no actor, so it neither counts
     /// for the clock nor drives it when dropped — except that, dropped by
     /// a pass a machine's panic unwinds, it poisons the clock.
     pub(crate) fn for_pass(clock: &SimClock) -> Actor {
@@ -865,6 +899,9 @@ impl Actor {
     /// `now + ns`, and a wait on that key (label `"sleep"`) until `now`
     /// gets there.
     ///
+    /// It keeps its explicit key, not [`Actor::block_on`]: its predicate
+    /// reads `now` alone, and its own alarm is the key `block_on` would add.
+    ///
     /// # Panics
     ///
     /// If `now + ns` is past [`SimNs::MAX`]: no instant can end the sleep.
@@ -887,6 +924,46 @@ impl Actor {
         let now = self.now_ns();
         if t > now {
             self.advance_ns(t - now);
+        }
+    }
+
+    /// Run `fut` to completion on this thread: the thread driver (`sched`,
+    /// "One wait, two drivers"). Between polls the thread parks through
+    /// [`Actor::wait_on`], under `label`, on what the last poll read plus
+    /// its own alarm at the instant the poll noted; a poll that reads a
+    /// key outside the parked-on set starts the wait over on the new set.
+    /// A poll that reads nothing and notes no instant panics in `wait_on`.
+    pub fn block_on<F: Future>(&self, label: &'static str, fut: F) -> F::Output {
+        debug_assert!(!sched::in_sched_pass(), "block_on({label:?}) inside a pass");
+        let mut fut = std::pin::pin!(fut);
+        let mut alarmed = None;
+        let mut poll = |keys: &mut Vec<WakeKey>| {
+            let t = match sched::poll_recording(fut.as_mut(), keys) {
+                Ok(v) => return Some(v),
+                Err(wake) => wake?,
+            };
+            if alarmed.replace(t) != Some(t) {
+                self.clock.schedule_alarm_keyed(t, self.alarm);
+            }
+            if let Err(i) = keys.binary_search(&self.alarm) {
+                keys.insert(i, self.alarm);
+            }
+            None
+        };
+        let (mut keys, mut read) = (Vec::new(), Vec::new());
+        if let Some(v) = poll(&mut keys) {
+            return v;
+        }
+        loop {
+            let out = self.wait_on(&keys, label, || match poll(&mut read) {
+                Some(v) => Some(Some(v)),
+                None if read.iter().all(|k| keys.binary_search(k).is_ok()) => None,
+                None => Some(None), // read a key outside the parked-on set
+            });
+            match out {
+                Some(v) => return v,
+                None => std::mem::swap(&mut keys, &mut read),
+            }
         }
     }
 

@@ -56,7 +56,10 @@ pub mod trace;
 
 pub use clock::{Actor, ActorStatus, LabelWakes, Progress, SimClock, WakeKey, WakeStats};
 pub use rng::{fnv1a, XorShift64};
-pub use sched::{in_sched_pass, note_read, MachineHandle, MachineStep, SimActor};
+pub use sched::{
+    in_sched_pass, note_read, note_wake_at, poll_future, until, MachineHandle, MachineStep,
+    SimActor,
+};
 pub use sync::{Monitor, SimChannel};
 pub use trace::{OpSpan, Span, Trace};
 

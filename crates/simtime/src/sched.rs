@@ -2,55 +2,37 @@
 //!
 //! ### One executor, one machine contract
 //!
-//! A long-lived *service* actor (the clMPI progress engine, an OpenCL
-//! queue executor) that owns an OS thread parked in one big predicate
-//! wait is faithful but tops out at a few hundred actors:
-//! every clock notification wakes every thread, and a 1,024-rank world
-//! needs thousands of threads doing nothing but re-evaluating predicates.
-//!
-//! This module turns those actors into **resumable state machines**: a
-//! [`SimActor`] exposes an explicit [`SimActor::poll`]
-//! step that runs at a frozen virtual instant and *parks* with an optional
-//! wake hint instead of blocking. [`SimClock::spawn_machine`] hands the
-//! machine to the clock's **event core**: every machine of a clock lives
-//! in one slab (`Slab`), and no thread of its own serves it. A spawn, a
-//! notify or alarm that marks a machine **ready**, and a machine's timer
-//! coming due each *owe a pass*, and an owed pass holds the clock the way
-//! a flagged waiter does: it cannot move and no deadlock can be declared.
-//! Whichever thread settles a round — the last actor to park (a sleep is
-//! a park) or leave — runs the owed pass itself, inside `maybe_advance`,
-//! counted as runnable meanwhile (the clock module notes, "Settle
-//! rounds"). A pass
-//! steps the machines with something to look at — those readied, those
-//! whose own wake hint came due, those just adopted — not every resident
-//! (see "Ready machines" below). So a frozen instant settles in rounds:
-//! actors run until they park → the settling thread makes the owed pass
-//! → repeat until nothing is owed → the clock advances. One pass per
-//! settle round, not one per notify.
+//! A service actor (the clMPI progress engine, an OpenCL queue executor)
+//! is a **resumable state machine**, not an OS thread parked in one big
+//! predicate wait: a [`SimActor`]'s [`SimActor::poll`] step runs at a
+//! frozen virtual instant and *parks* with an optional wake hint instead
+//! of blocking. [`SimClock::spawn_machine`] hands the machine to the
+//! clock's **event core**: every machine of a clock lives in one slab
+//! (`Slab`), and no thread of its own serves it. A spawn, a notify or
+//! alarm that marks a machine **ready**, and a machine's timer coming due
+//! each *owe a pass*, and an owed pass holds the clock the way a flagged
+//! waiter does: it cannot move and no deadlock can be declared. Whichever
+//! thread settles a round — the last actor to park or leave — runs the
+//! owed pass itself, inside `maybe_advance`, counted as runnable
+//! meanwhile (the clock module notes, "Settle rounds"), as "MPI Progress
+//! For All" (PAPERS.md) asks of MPI progress; [`in_sched_pass`] says
+//! whether the current thread is inside one. A pass steps the machines
+//! with something to look at — those readied, those whose own wake hint
+//! came due, those just adopted — not every resident ("Ready machines"
+//! below). So a frozen instant settles in rounds: actors run until they
+//! park → the settling thread makes the owed pass → repeat until nothing
+//! is owed → the clock advances.
 //!
 //! ### Poll order: machine-id order, or a permutation seed
 //!
 //! A pass steps its batch in machine-id order, or — under
 //! `SIM_PERMUTE_SEED` ([`SimClock::with_permute_seed`]) — in an order
 //! shuffled by the seed and the instant. Machines step at a frozen
-//! instant and communicate only through clock-notifying state, so the
-//! order must not move an instant: the committed fingerprint tables
-//! (`tests/scheduler.rs`, the clMPI world-level tables, the Himeno and
-//! clMPI pin tables) reproduce under any seed, and a seed that moves a
-//! row has found an order dependence. The thread-per-machine executor
-//! that served as the differential oracle until it was retired was the
-//! uncontrolled form of the same test: the host chose the order.
-//!
-//! ### No scheduler thread
-//!
-//! The paper's runtime progresses every enqueued transfer from one
-//! internal communication thread (§V-A). Here a pass can only run once
-//! every actor has parked, so a thread of its own could add nothing but
-//! a hand-off per settle round; the thread that settles the round runs
-//! the pass instead, as "MPI Progress For All" (PAPERS.md) asks of MPI
-//! progress. Which thread polls a machine is not visible in virtual
-//! time, for the same reason the poll order is not (above).
-//! [`in_sched_pass`] says whether the current thread is inside a pass.
+//! instant and communicate only through clock-notifying state, so neither
+//! the order nor the thread that polls may move an instant: the committed
+//! fingerprint tables (`tests/scheduler.rs`, the clMPI world-level
+//! tables, the Himeno and clMPI pin tables) reproduce under any seed, and
+//! a seed that moves a row has found an order dependence.
 //!
 //! ### Ready machines: parked on what the last poll read
 //!
@@ -86,9 +68,25 @@
 //! The rule: **if a step's outcome can change, a notify or an alarm on
 //! something it read must say so.** A missed key is a machine the
 //! deadlock report names (`[keyed: n key(s), no timer]`).
+//!
+//! ### One wait, two drivers
+//!
+//! A predicate that notes what it read and says "not yet" is a
+//! [`Future::poll`] with a read-set, so a waiting body is written once, as
+//! a future ([`until`] over a check, [`SimClock::sleep_until`], `async`),
+//! and polled with [`Waker::noop`] by either driver. The *machine driver*,
+//! [`SimClock::spawn_task`], steps it as a machine: parked on what the
+//! poll read, and on a slab timer at the instant a sleep noted
+//! ([`note_wake_at`]). The *thread driver*, [`Actor::block_on`], parks
+//! the calling thread through [`Actor::wait_on`] on the same read-set,
+//! plus its own alarm at that instant. Nothing wakes a waker: a notify
+//! of a noted key does.
 
 use std::cell::{Cell, RefCell};
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::future::Future;
+use std::pin::Pin;
+use std::task::{Context, Poll, Waker};
 
 use crate::clock::{Actor, MachineId, SimClock, WakeKey};
 use crate::{SimNs, XorShift64};
@@ -153,8 +151,13 @@ std::thread_local! {
     /// must not wait on the machines (e.g. the clMPI runtime's self-drain
     /// guard) recognize they are running *inside* one.
     static IN_PASS: Cell<bool> = const { Cell::new(false) };
-    /// The read-set of the machine this thread's pass is polling.
+    /// Set while a pass or [`Actor::block_on`] polls: [`note_read`] and
+    /// [`note_wake_at`] record into the two cells below only then.
+    static RECORDING: Cell<bool> = const { Cell::new(false) };
+    /// The read-set of the machine or future being polled.
     static READS: RefCell<Vec<WakeKey>> = const { RefCell::new(Vec::new()) };
+    /// The earliest instant the future being polled noted.
+    static WAKE_AT: Cell<Option<SimNs>> = const { Cell::new(None) };
 }
 
 /// True when the current thread is inside a scheduler pass.
@@ -162,35 +165,110 @@ pub fn in_sched_pass() -> bool {
     IN_PASS.with(|f| f.get())
 }
 
-/// Marks the thread as inside a pass for its lifetime, unwinding included.
-struct InPass;
+/// Sets a thread-local flag for its lifetime, unwinding included: the
+/// thread is in a pass ([`IN_PASS`]), recording what it reads
+/// ([`RECORDING`]).
+struct Flag(&'static std::thread::LocalKey<Cell<bool>>);
 
-impl InPass {
-    fn enter() -> Self {
-        IN_PASS.with(|f| f.set(true));
-        InPass
+impl Flag {
+    fn set(key: &'static std::thread::LocalKey<Cell<bool>>) -> Self {
+        key.set(true);
+        Flag(key)
     }
 }
 
-impl Drop for InPass {
+impl Drop for Flag {
     fn drop(&mut self) {
-        IN_PASS.with(|f| f.set(false));
+        self.0.set(false);
     }
 }
 
 /// Note that the code running now read the state `key` names, for state
 /// that lives outside a [`crate::Monitor`] (which notes its own key): if
-/// a pass is polling a machine, the machine will be polled again when
-/// `key` is notified or an alarm carrying it fires. Costs one
+/// a driver is polling a machine or a future, it will be polled again
+/// when `key` is notified or an alarm carrying it fires. Costs one
 /// thread-local load anywhere else.
 pub fn note_read(key: WakeKey) {
-    if in_sched_pass() {
+    if RECORDING.get() {
         READS.with(|r| {
             let mut r = r.borrow_mut();
             if r.last() != Some(&key) {
                 r.push(key);
             }
         });
+    }
+}
+
+/// The time half of [`note_read`]: the future being polled waits for the
+/// instant `t`. Its driver wakes it then (a task's slab timer, a blocked
+/// thread's own alarm), so nobody schedules a keyed alarm for it.
+pub fn note_wake_at(t: SimNs) {
+    if RECORDING.get() {
+        WAKE_AT.set(Some(WAKE_AT.get().map_or(t, |w| w.min(t))));
+    }
+}
+
+/// Poll `fut` once, as both drivers do: `Ok` with its output, or, pending,
+/// `Err` with the earliest instant it noted ([`note_wake_at`]). Its reads
+/// are noted as usual, so a machine polling a future in its step parks
+/// on them.
+pub fn poll_future<F: Future + ?Sized>(fut: Pin<&mut F>) -> Result<F::Output, Option<SimNs>> {
+    let outer = WAKE_AT.replace(None);
+    let polled = fut.poll(&mut Context::from_waker(Waker::noop()));
+    let wake = WAKE_AT.replace(outer);
+    match polled {
+        Poll::Ready(v) => Ok(v),
+        Poll::Pending => Err(wake),
+    }
+}
+
+/// [`poll_future`] on a thread outside any pass ([`Actor::block_on`]),
+/// recording what it read into `reads`.
+pub(crate) fn poll_recording<F: Future + ?Sized>(
+    fut: Pin<&mut F>,
+    reads: &mut Vec<WakeKey>,
+) -> Result<F::Output, Option<SimNs>> {
+    debug_assert!(
+        !RECORDING.get(),
+        "block_on inside a poll: a poll must not block"
+    );
+    let recording = Flag::set(&RECORDING);
+    READS.with(|r| r.borrow_mut().clear());
+    let polled = poll_future(fut);
+    drop(recording);
+    take_reads(reads);
+    polled
+}
+
+/// Move the read-set just recorded into `into`, sorted and duplicate-free.
+fn take_reads(into: &mut Vec<WakeKey>) {
+    READS.with(|r| std::mem::swap(&mut *r.borrow_mut(), into));
+    into.sort_unstable();
+    into.dedup();
+}
+
+/// A future over a non-blocking check, ready with its value once it
+/// returns `Some`: a [`Actor::wait_on`] predicate that names no keys.
+pub fn until<T>(mut check: impl FnMut() -> Option<T>) -> impl Future<Output = T> {
+    std::future::poll_fn(move |_| check().map_or(Poll::Pending, Poll::Ready))
+}
+
+/// A future as a machine ([`SimClock::spawn_task`]).
+pub(crate) struct Task<F> {
+    pub(crate) wait_label: &'static str,
+    pub(crate) fut: Pin<Box<F>>,
+}
+
+impl<F: Future<Output = ()> + Send> SimActor for Task<F> {
+    fn wait_label(&self) -> &'static str {
+        self.wait_label
+    }
+
+    fn poll(&mut self, _now: SimNs, _actor: &Actor) -> MachineStep {
+        match poll_future(self.fut.as_mut()) {
+            Ok(()) => MachineStep::Done,
+            Err(wake) => MachineStep::Pending(wake),
+        }
     }
 }
 
@@ -405,10 +483,7 @@ impl Slab {
                             clock.schedule_alarm_keyed(t, WakeKey::SCHED);
                         }
                     }
-                    // The form the registry keeps: sorted, no duplicates.
-                    READS.with(|r| std::mem::swap(&mut *r.borrow_mut(), &mut slot.read));
-                    slot.read.sort_unstable();
-                    slot.read.dedup();
+                    take_reads(&mut slot.read);
                     if slot.read != slot.keys {
                         changed.push(m);
                     }
@@ -447,7 +522,7 @@ impl Slab {
 /// is registered as no actor; if one of them panics, that handle's drop
 /// poisons the clock on the way out.
 pub(crate) fn run_pass(clock: &SimClock) {
-    let _in_pass = InPass::enter();
+    let (_in_pass, _recording) = (Flag::set(&IN_PASS), Flag::set(&RECORDING));
     let actor = Actor::for_pass(clock);
     clock.slab().lock().pass(&actor, clock);
 }

@@ -89,6 +89,8 @@ impl<T> Monitor<T> {
     }
 
     /// Like [`Monitor::wait`] with a diagnostic label for deadlock reports.
+    /// It keeps its one key, not [`Actor::block_on`]: by the contract
+    /// above nothing else can change the verdict, so nothing else wakes it.
     pub fn wait_labeled<R>(
         &self,
         actor: &Actor,
