@@ -95,7 +95,7 @@ use minimpi::{
     CommittedType, Datatype, DropReason, MpiError, Rank, RecvResult, ReduceOp, Request,
     RetryPolicy, RmaHandle, RmaPoll, RmaRoute, Tag, Win,
 };
-use simtime::{Actor, MachineStep, Monitor, OpSpan, SimActor, SimClock, SimNs};
+use simtime::{until, Actor, MachineStep, Monitor, OpSpan, SimActor, SimClock, SimNs};
 
 use crate::obs::{ChildIds, FaultStats, Via};
 use crate::runtime::Inner;
@@ -176,11 +176,16 @@ impl Engine {
     /// Block `actor` (in virtual time) until every submitted machine has
     /// finished.
     pub fn wait_idle(&self, actor: &Actor) {
-        self.shared
-            // checker-allow(non-blocking-engine): host-side control-plane
-            // API (shutdown quiescence); it blocks the *calling* actor,
-            // never the engine worker thread.
-            .wait_labeled(actor, "clmpi shutdown", |s| (s.active == 0).then_some(()));
+        // checker-allow(non-blocking-engine): host-side control-plane
+        // API (shutdown quiescence); it blocks the *calling* actor,
+        // never the engine worker thread.
+        actor.block_on("clmpi shutdown", self.idle());
+    }
+
+    /// The future of [`Engine::wait_idle`]: ready once every submitted
+    /// machine has finished.
+    pub fn idle(&self) -> impl Future<Output = ()> + '_ {
+        until(|| self.shared.peek(|s| (s.active == 0).then_some(())))
     }
 
     /// Number of machines submitted but not yet finished.

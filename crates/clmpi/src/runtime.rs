@@ -21,6 +21,7 @@
 //! each marked `// blocking-api:` for the CI lint.
 
 use simtime::plock::Mutex;
+use std::future::Future;
 use std::sync::Arc;
 
 use minicl::{Buffer, ClError, ClResult, CommandQueue, Context, Device, Event, HostBuffer};
@@ -28,7 +29,7 @@ use minimpi::{
     Comm, CommittedType, MpiError, Process, Rank, RecvResult, ReduceOp, Request, RetryPolicy, Tag,
     Win,
 };
-use simtime::{Actor, Monitor, SimClock, SimNs, Trace};
+use simtime::{until, Actor, Monitor, SimClock, SimNs, Trace};
 
 use crate::engine::{
     record_envelope, AccumulateBody, CountedRecv, Engine, Envelope, EventFromRequestBody,
@@ -315,6 +316,12 @@ impl ClMpi {
     /// has finished. Call before the rank returns.
     pub fn shutdown(&self, actor: &Actor) {
         self.inner.engine.wait_idle(actor);
+    }
+
+    /// The future of [`ClMpi::shutdown`], for a rank body that runs as a
+    /// task.
+    pub fn shutdown_async(&self) -> impl Future<Output = ()> + '_ {
+        self.inner.engine.idle()
     }
 
     // ------------------------------------------------------------------
@@ -676,14 +683,32 @@ impl ClMpi {
         dst: Rank,
         tag: Tag,
     ) -> ClResult<()> {
-        buf.check_range(offset, size)?;
-        let wire_tag = self.check_peer_tag(dst, tag)?;
-        let strategy = self.resolve(size);
-        let body = SendBody::new(queue.device(), buf, offset, size, dst, wire_tag, strategy);
-        let slot: ResultSlot = Arc::new(Monitor::new(self.inner.clock.clone(), None));
-        self.submit_send("gpu-send", body, tag, &[], Some(slot.clone()));
+        let sent = self.gpu_aware_send_async(queue, buf, offset, size, dst, tag);
         // blocking-api: GPU-aware MPI is synchronous by definition.
-        slot.wait_labeled(actor, "gpu-aware send", |s| s.take())
+        actor.block_on("gpu-aware send", sent)
+    }
+
+    /// The future of [`ClMpi::gpu_aware_send`]. The call checks its
+    /// arguments and submits the send; the future is ready once it is
+    /// done.
+    pub fn gpu_aware_send_async(
+        &self,
+        queue: &CommandQueue,
+        buf: &Buffer,
+        offset: usize,
+        size: usize,
+        dst: Rank,
+        tag: Tag,
+    ) -> impl Future<Output = ClResult<()>> + 'static {
+        let submitted = buf.check_range(offset, size).and_then(|()| {
+            let wire_tag = self.check_peer_tag(dst, tag)?;
+            let strategy = self.resolve(size);
+            let body = SendBody::new(queue.device(), buf, offset, size, dst, wire_tag, strategy);
+            let slot: ResultSlot = Arc::new(Monitor::new(self.inner.clock.clone(), None));
+            self.submit_send("gpu-send", body, tag, &[], Some(slot.clone()));
+            Ok(slot)
+        });
+        gpu_aware_result(submitted)
     }
 
     /// GPU-aware MPI receive into a device buffer; blocks the calling
@@ -699,14 +724,31 @@ impl ClMpi {
         src: Rank,
         tag: Tag,
     ) -> ClResult<()> {
-        buf.check_range(offset, size)?;
-        let wire_tag = self.check_peer_tag(src, tag)?;
-        let strategy = self.resolve(size);
-        let body = RecvBody::new(queue.device(), buf, offset, size, src, wire_tag, strategy);
-        let slot: ResultSlot = Arc::new(Monitor::new(self.inner.clock.clone(), None));
-        self.submit_recv("gpu-recv", body, tag, &[], Some(slot.clone()));
+        let received = self.gpu_aware_recv_async(queue, buf, offset, size, src, tag);
         // blocking-api: GPU-aware MPI is synchronous by definition.
-        slot.wait_labeled(actor, "gpu-aware recv", |s| s.take())
+        actor.block_on("gpu-aware recv", received)
+    }
+
+    /// The future of [`ClMpi::gpu_aware_recv`], submitted by the call as
+    /// [`ClMpi::gpu_aware_send_async`]'s send is.
+    pub fn gpu_aware_recv_async(
+        &self,
+        queue: &CommandQueue,
+        buf: &Buffer,
+        offset: usize,
+        size: usize,
+        src: Rank,
+        tag: Tag,
+    ) -> impl Future<Output = ClResult<()>> + 'static {
+        let submitted = buf.check_range(offset, size).and_then(|()| {
+            let wire_tag = self.check_peer_tag(src, tag)?;
+            let strategy = self.resolve(size);
+            let body = RecvBody::new(queue.device(), buf, offset, size, src, wire_tag, strategy);
+            let slot: ResultSlot = Arc::new(Monitor::new(self.inner.clock.clone(), None));
+            self.submit_recv("gpu-recv", body, tag, &[], Some(slot.clone()));
+            Ok(slot)
+        });
+        gpu_aware_result(submitted)
     }
 
     // ------------------------------------------------------------------
@@ -1032,6 +1074,13 @@ impl ClMpi {
         }
         Ok(())
     }
+}
+
+/// A submitted GPU-aware operation's result, once its engine machine has
+/// put it in the slot; a rejected submission's error at once.
+async fn gpu_aware_result(submitted: ClResult<ResultSlot>) -> ClResult<()> {
+    let slot = submitted?;
+    until(|| slot.try_now(Option::take)).await
 }
 
 /// The `blocking` flag of an enqueue call: wait for the command on

@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use clmpi::{ClMpi, PackMode, SystemConfig, TransferStrategy};
 use minicl::{Buffer, CommandQueue, Event, HostBuffer};
-use minimpi::{run_world_faulty, CommittedType, DerivedType, FaultPlan, Process, Tag};
+use minimpi::{run_world_tasks, CommittedType, DerivedType, FaultPlan, Process, Tag};
 use simtime::plock::Mutex;
 use simtime::SimNs;
 
@@ -140,8 +140,8 @@ pub struct HimenoResult {
     /// Scheduler machine transitions over the whole run (simulator
     /// self-throughput numerator; independent of the poll order).
     pub sched_events: u64,
-    /// The clock's wake accounting over the whole run (host-scheduling
-    /// dependent diagnostic; see [`simtime::WakeStats`]).
+    /// The clock's wake accounting over the whole run. The ranks run as
+    /// tasks on one thread, so it repeats exactly ([`simtime::WakeStats`]).
     pub wake: simtime::WakeStats,
 }
 
@@ -398,22 +398,29 @@ impl<'a> RankCx<'a> {
     /// blocking device→host read of the edge's boundary plane,
     /// `MPI_Sendrecv`, blocking host→device write into its ghost plane.
     /// Stages through a reusable pinned buffer, exactly the conventional
-    /// joint-programming pattern of Fig. 1.
-    fn host_exchange(&self, q: &CommandQueue, buf: &Buffer, edge: &Edge, stage: &HostBuffer) {
+    /// joint-programming pattern of Fig. 1. Each blocking step is an
+    /// enqueue and an `.await` on it: the host goes on only after it.
+    async fn host_exchange(&self, q: &CommandQueue, buf: &Buffer, edge: &Edge, stage: &HostBuffer) {
         let Some(nb) = edge.neighbor else { return };
         let (p, actor, slab, bytes) = (self.p, &self.p.actor, &self.slab, self.slab.plane_bytes);
         let t0 = actor.now_ns();
         let send_off = slab.plane_off(edge.send_plane);
-        q.enqueue_read_buffer(actor, buf, true, send_off, bytes, stage, 0, &[])
-            .expect("read boundary plane");
+        q.enqueue_read_buffer(actor, buf, false, send_off, bytes, stage, 0, &[])
+            .expect("read boundary plane")
+            .settled()
+            .await;
         let out = stage.to_vec();
         let (comm, send_tag, recv_tag) = (&p.comm, edge.send_tag, edge.recv_tag);
-        let got = comm.sendrecv(actor, nb, send_tag, &out, Some(nb), Some(recv_tag));
+        let got = comm
+            .sendrecv_async(actor, nb, send_tag, &out, Some(nb), Some(recv_tag))
+            .await;
         assert_eq!(got.data.len(), bytes, "halo plane size");
         stage.store(0, &got.data).expect("halo plane fits");
         let ghost_off = slab.plane_off(edge.ghost_plane);
-        q.enqueue_write_buffer(actor, buf, true, ghost_off, bytes, stage, 0, &[])
-            .expect("write ghost plane");
+        q.enqueue_write_buffer(actor, buf, false, ghost_off, bytes, stage, 0, &[])
+            .expect("write ghost plane")
+            .settled()
+            .await;
         // The whole staged exchange blocks the host, so one comm-lane span
         // covers it; this is what the overlap accounting (and Fig. 4 a/b)
         // sees as the variant's exposed communication.
@@ -467,14 +474,16 @@ impl<'a> RankCx<'a> {
 
     /// One GPU-aware halo exchange: blocking device-buffer send + receive
     /// on the host thread.
-    fn exchange_gpu_aware(&self, q: &CommandQueue, buf: &Buffer, edge: &Edge) {
+    async fn exchange_gpu_aware(&self, q: &CommandQueue, buf: &Buffer, edge: &Edge) {
         let Some(nb) = edge.neighbor else { return };
-        let (rt, actor, bytes) = (self.rt, &self.p.actor, self.slab.plane_bytes);
+        let (rt, bytes) = (self.rt, self.slab.plane_bytes);
         let send_off = self.slab.plane_off(edge.send_plane);
-        rt.gpu_aware_send(actor, q, buf, send_off, bytes, nb, edge.send_tag)
+        rt.gpu_aware_send_async(q, buf, send_off, bytes, nb, edge.send_tag)
+            .await
             .expect("gpu-aware send");
         let ghost_off = self.slab.plane_off(edge.ghost_plane);
-        rt.gpu_aware_recv(actor, q, buf, ghost_off, bytes, nb, edge.recv_tag)
+        rt.gpu_aware_recv_async(q, buf, ghost_off, bytes, nb, edge.recv_tag)
+            .await
             .expect("gpu-aware recv");
     }
 }
@@ -487,7 +496,8 @@ pub fn run_himeno(variant: Variant, cfg: HimenoConfig) -> HimenoResult {
 /// [`run_himeno`] on a faulty fabric: `plan` is attached to every link
 /// (scope it with [`clmpi::data_plane_faults`] to spare the plain-MPI
 /// halo control traffic). With a [`FaultPlan::none`] plan this is
-/// exactly `run_himeno`.
+/// exactly `run_himeno`. Every rank runs as a task ([`run_world_tasks`]),
+/// so the calling thread drives the whole world.
 ///
 /// # Panics
 /// On the calling thread, before the world is launched, if `cfg.size` has
@@ -503,8 +513,8 @@ pub fn run_himeno_with_faults(
     let cfg = Arc::new(cfg);
     let interior_global: usize = cfg.size.interior_points();
     let iters = cfg.iters;
-    let res = run_world_faulty(cluster, nodes, plan, move |p: Process| {
-        rank_main(variant, &cfg, p)
+    let res = run_world_tasks(cluster, nodes, plan, |p: Process| {
+        rank_main(variant, cfg.clone(), p)
     });
     // Per-rank outputs: (gosa, checksum, comp, comm, loop_ns, faults).
     let gosa: f64 = res.outputs.iter().map(|o| o.0).sum();
@@ -534,7 +544,10 @@ pub fn run_himeno_with_faults(
 
 type RankOut = (f64, f64, SimNs, SimNs, SimNs, clmpi::FaultStats);
 
-fn rank_main(variant: Variant, cfg: &HimenoConfig, p: Process) -> RankOut {
+/// One rank's body, run as a task ([`run_world_tasks`]): it waits with
+/// `.await` wherever the paper's host thread blocks.
+async fn rank_main(variant: Variant, cfg: Arc<HimenoConfig>, p: Process) -> RankOut {
+    let cfg = &*cfg;
     let rt = ClMpi::new(&p, cfg.sys.clone());
     if let Some(s) = cfg.strategy {
         rt.set_forced_strategy(Some(s));
@@ -542,17 +555,17 @@ fn rank_main(variant: Variant, cfg: &HimenoConfig, p: Process) -> RankOut {
     let cx = RankCx::new(cfg, &p, &rt, p.rank(), Residuals::Last);
 
     // Warm-up alignment, then the timed loop.
-    p.comm.barrier(&p.actor);
+    p.comm.barrier_async(&p.actor).await;
     let t0 = p.actor.now_ns();
     let (comp_ns, comm_ns) = match variant {
-        Variant::Serial => run_serial(&cx),
-        Variant::HandOptimized => run_hand(&cx),
-        Variant::ClMpi => run_clmpi(&cx, false),
-        Variant::ClMpiBlocked => run_clmpi(&cx, true),
-        Variant::GpuAwareMpi => run_gpu_aware(&cx),
+        Variant::Serial => run_serial(&cx).await,
+        Variant::HandOptimized => run_hand(&cx).await,
+        Variant::ClMpi => run_clmpi(&cx, false).await,
+        Variant::ClMpiBlocked => run_clmpi(&cx, true).await,
+        Variant::GpuAwareMpi => run_gpu_aware(&cx).await,
     };
-    rt.shutdown(&p.actor);
-    p.comm.barrier(&p.actor);
+    rt.shutdown_async().await;
+    p.comm.barrier_async(&p.actor).await;
     let loop_ns = p.actor.now_ns() - t0;
 
     // With no iteration there is no residual: `reference_jacobi`'s 0.0.
@@ -568,7 +581,7 @@ fn rank_main(variant: Variant, cfg: &HimenoConfig, p: Process) -> RankOut {
 }
 
 /// Fig. 1 structure: kernel, halo reads, MPI, halo writes — serialized.
-fn run_serial(cx: &RankCx) -> (SimNs, SimNs) {
+async fn run_serial(cx: &RankCx<'_>) -> (SimNs, SimNs) {
     let actor = &cx.p.actor;
     let q = cx.traced_queue("q0", "gpu");
     let stage = HostBuffer::pinned(cx.slab.plane_bytes);
@@ -577,15 +590,15 @@ fn run_serial(cx: &RankCx) -> (SimNs, SimNs) {
     for t in 0..cx.cfg.iters {
         let (_, new) = cx.generation(t);
         let k0 = actor.now_ns();
-        cx.enqueue_half_kernel(&q, &whole, t, &[]).wait(actor);
+        cx.enqueue_half_kernel(&q, &whole, t, &[]).settled().await;
         comp += actor.now_ns() - k0;
         let c0 = actor.now_ns();
         // Exchange the freshly-written buffer's boundary planes.
-        cx.host_exchange(&q, new, &down, &stage);
-        cx.host_exchange(&q, new, &up, &stage);
+        cx.host_exchange(&q, new, &down, &stage).await;
+        cx.host_exchange(&q, new, &up, &stage).await;
         comm += actor.now_ns() - c0;
     }
-    q.finish(actor);
+    q.finish_async().await;
     (comp, comm)
 }
 
@@ -593,8 +606,7 @@ fn run_serial(cx: &RankCx) -> (SimNs, SimNs) {
 /// the first half while the host exchanges the other half's halo (on the
 /// *old* buffer); phase 2 computes the second half while exchanging the
 /// first half's product (on the *new* buffer).
-fn run_hand(cx: &RankCx) -> (SimNs, SimNs) {
-    let actor = &cx.p.actor;
+async fn run_hand(cx: &RankCx<'_>) -> (SimNs, SimNs) {
     let q0 = cx.traced_queue("q0", "gpu0");
     let q1 = cx.traced_queue("q1", "gpu1");
     let stage0 = HostBuffer::pinned(cx.slab.plane_bytes);
@@ -611,10 +623,11 @@ fn run_hand(cx: &RankCx) -> (SimNs, SimNs) {
             // instead of overlapping with it. The edges are the phase
             // table's, so a 2-plane overlap slab neighboring a 1-plane
             // slab still pairs.
-            cx.host_exchange(&q1, old, &edge1, &stage1);
+            cx.host_exchange(&q1, old, &edge1, &stage1).await;
             cx.enqueue_half_kernel(&q0, &cx.slab.whole(), t, &[])
-                .wait(actor);
-            cx.host_exchange(&q0, new, &edge2, &stage0);
+                .settled()
+                .await;
+            cx.host_exchange(&q0, new, &edge2, &stage0).await;
             continue;
         }
         // Phase 1: first-half kernel on q0; host exchanges the second
@@ -622,7 +635,7 @@ fn run_hand(cx: &RankCx) -> (SimNs, SimNs) {
         // previous second-half kernel).
         let waits_first: Vec<Event> = e_second_prev.iter().cloned().collect();
         let e_first = cx.enqueue_half_kernel(&q0, &first, t, &waits_first);
-        cx.host_exchange(&q1, old, &edge1, &stage1);
+        cx.host_exchange(&q1, old, &edge1, &stage1).await;
         // Phase 2: second-half kernel on q1; host exchanges the first
         // half's product (boundary of `new`) through q0.
         // Gate the second kernel on the first: a single compute engine
@@ -631,20 +644,20 @@ fn run_hand(cx: &RankCx) -> (SimNs, SimNs) {
         let mut waits_second: Vec<Event> = e_first_prev.iter().cloned().collect();
         waits_second.push(e_first.clone());
         let e_second = cx.enqueue_half_kernel(&q1, &second, t, &waits_second);
-        cx.host_exchange(&q0, new, &edge2, &stage0);
+        cx.host_exchange(&q0, new, &edge2, &stage0).await;
         e_first_prev = Some(e_first);
         e_second_prev = Some(e_second);
     }
-    q0.finish(actor);
-    q1.finish(actor);
+    q0.finish_async().await;
+    q1.finish_async().await;
     (0, 0)
 }
 
 /// Fig. 6 structure: one in-order queue, every dependency expressed as an
 /// event, all calls non-blocking; the host thread only calls `clFinish`
 /// at the end of each iteration.
-fn run_clmpi(cx: &RankCx, block_each_iter: bool) -> (SimNs, SimNs) {
-    let (actor, slab) = (&cx.p.actor, &cx.slab);
+async fn run_clmpi(cx: &RankCx<'_>, block_each_iter: bool) -> (SimNs, SimNs) {
+    let slab = &cx.slab;
     let q = cx.traced_queue("q", "gpu");
     // The face datatype, committed once per rank: the plane's interior
     // (mj−2)×(mk−2) f32 window at starts (1,1) — the only bytes the
@@ -716,15 +729,15 @@ fn run_clmpi(cx: &RankCx, block_each_iter: bool) -> (SimNs, SimNs) {
         }
         // The host's only synchronization: drain the queue (kernels); the
         // exchanges keep flowing on their event chains (paper Fig. 4(c)).
-        q.finish(actor);
+        q.finish_async().await;
         if block_each_iter {
             // Ablation: serialize the host on every exchange completion.
-            Event::wait_all(&x1, actor);
-            Event::wait_all(&e_phase2_xfer, actor);
+            let _ = Event::all_settled(&x1).await;
+            let _ = Event::all_settled(&e_phase2_xfer).await;
         }
     }
     // Drain the final exchanges before validation.
-    Event::wait_all(&e_phase2_xfer, actor);
+    let _ = Event::all_settled(&e_phase2_xfer).await;
     (0, 0)
 }
 
@@ -734,8 +747,7 @@ fn run_clmpi(cx: &RankCx, block_each_iter: bool) -> (SimNs, SimNs) {
 /// [`ClMpi::gpu_aware_recv`]) — no manual staging, optimized transfer
 /// paths — executed by the host thread, which must first wait on the
 /// producing kernel's event (the serialization clMPI's events remove).
-fn run_gpu_aware(cx: &RankCx) -> (SimNs, SimNs) {
-    let actor = &cx.p.actor;
+async fn run_gpu_aware(cx: &RankCx<'_>) -> (SimNs, SimNs) {
     let rank = cx.p.rank();
     let q0 = cx.rt.context().create_queue(0, format!("r{rank}q0"));
     let q1 = cx.rt.context().create_queue(0, format!("r{rank}q1"));
@@ -749,10 +761,11 @@ fn run_gpu_aware(cx: &RankCx) -> (SimNs, SimNs) {
             // reads both ghosts), over the phase table's edges. The host
             // has already waited on the previous kernel, which produced
             // the plane the first exchange sends (§II's limitation).
-            cx.exchange_gpu_aware(&q1, old, &edge1);
+            cx.exchange_gpu_aware(&q1, old, &edge1).await;
             cx.enqueue_half_kernel(&q0, &cx.slab.whole(), t, &[])
-                .wait(actor);
-            cx.exchange_gpu_aware(&q0, new, &edge2);
+                .settled()
+                .await;
+            cx.exchange_gpu_aware(&q0, new, &edge2).await;
             continue;
         }
         let waits_first: Vec<Event> = e_second_prev.iter().cloned().collect();
@@ -761,20 +774,20 @@ fn run_gpu_aware(cx: &RankCx) -> (SimNs, SimNs) {
         // that produced the boundary plane (§II's limitation), then the
         // GPU-aware MPI calls transfer device memory directly.
         if let Some(e) = &e_second_prev {
-            e.wait(actor);
+            e.settled().await;
         }
-        cx.exchange_gpu_aware(&q1, old, &edge1);
+        cx.exchange_gpu_aware(&q1, old, &edge1).await;
         let mut waits_second: Vec<Event> = e_first_prev.iter().cloned().collect();
         waits_second.push(e_first.clone());
         let e_second = cx.enqueue_half_kernel(&q1, &second, t, &waits_second);
         // Phase-2 exchange on `new`: wait the first kernel, then transfer.
-        e_first.wait(actor);
-        cx.exchange_gpu_aware(&q0, new, &edge2);
+        e_first.settled().await;
+        cx.exchange_gpu_aware(&q0, new, &edge2).await;
         e_first_prev = Some(e_first);
         e_second_prev = Some(e_second);
     }
-    q0.finish(actor);
-    q1.finish(actor);
+    q0.finish_async().await;
+    q1.finish_async().await;
     (0, 0)
 }
 
@@ -808,15 +821,19 @@ mod tests {
             halo: HaloMode::Plane,
         });
         let spec = cfg.sys.cluster.clone();
-        let res = run_world_faulty(spec, cfg.nodes, FaultPlan::none(), move |p: Process| {
-            let rt = ClMpi::new(&p, cfg.sys.clone());
-            let cx = RankCx::new(&cfg, &p, &rt, p.rank(), Residuals::Last);
-            run_serial(&cx);
-            rt.shutdown(&p.actor);
-            cx.gosa
-                .iter()
-                .map(|cell| *cell.lock())
-                .collect::<Vec<f64>>()
+        let nodes = cfg.nodes;
+        let res = run_world_tasks(spec, nodes, FaultPlan::none(), |p: Process| {
+            let cfg = cfg.clone();
+            async move {
+                let rt = ClMpi::new(&p, cfg.sys.clone());
+                let cx = RankCx::new(&cfg, &p, &rt, p.rank(), Residuals::Last);
+                run_serial(&cx).await;
+                rt.shutdown_async().await;
+                cx.gosa
+                    .iter()
+                    .map(|cell| *cell.lock())
+                    .collect::<Vec<f64>>()
+            }
         });
         for (rank, cells) in res.outputs.iter().enumerate() {
             assert_eq!(cells[..2], [0.0, 0.0], "rank {rank}");

@@ -7,9 +7,10 @@
 //! commands return user events that "mimic event objects of standard
 //! OpenCL commands" (§V-A); this module is exactly that mimicry.
 
+use std::future::Future;
 use std::sync::Arc;
 
-use simtime::{Actor, Monitor, SimClock, SimNs};
+use simtime::{until, Actor, Monitor, SimClock, SimNs};
 
 use crate::{ClError, ClResult};
 
@@ -131,46 +132,64 @@ impl Event {
         self.core.peek(|st| st.label.clone())
     }
 
+    /// A future ready with the command's status once it settles —
+    /// completes or fails: the one wait every blocking form below and
+    /// every task body share.
+    pub fn settled(&self) -> impl Future<Output = CommandStatus> + '_ {
+        until(|| {
+            self.core
+                .peek(|st| st.status.is_settled().then_some(st.status))
+        })
+    }
+
     /// Block the calling actor until the command settles — completes or
     /// fails (`clWaitForEvents` with a single event). Use
     /// [`Event::wait_result`] to observe the failure.
     pub fn wait(&self, actor: &Actor) {
-        self.core.wait_labeled(actor, "event wait", |st| {
-            st.status.is_settled().then_some(())
-        });
+        actor.block_on("event wait", self.settled());
     }
 
     /// Block until the command settles, reporting abnormal termination as
     /// [`ClError::EventFailed`] — the checked form of [`Event::wait`].
     pub fn wait_result(&self, actor: &Actor) -> ClResult<()> {
-        let (status, label) = self.core.wait_labeled(actor, "event wait", |st| {
-            st.status
-                .is_settled()
-                .then(|| (st.status, st.label.clone()))
-        });
+        let status = actor.block_on("event wait", self.settled());
+        self.checked(status)
+    }
+
+    /// `status`, this event's settled status, as a result.
+    fn checked(&self, status: CommandStatus) -> ClResult<()> {
         match status.error_code() {
             None => Ok(()),
-            Some(code) => Err(ClError::EventFailed { code, label }),
+            Some(code) => Err(ClError::EventFailed {
+                code,
+                label: self.label(),
+            }),
         }
     }
 
     /// Block until every event in `events` settles (`clWaitForEvents`).
     pub fn wait_all(events: &[Event], actor: &Actor) {
-        for e in events {
-            e.wait(actor);
-        }
+        let _ = Event::wait_all_result(events, actor);
     }
 
     /// Block until every event settles; the first failure (in list order)
     /// is returned as an error. All events are waited either way, so the
     /// caller observes a quiescent state.
     pub fn wait_all_result(events: &[Event], actor: &Actor) -> ClResult<()> {
-        Event::wait_all(events, actor);
-        match Event::poll_wait_list(events) {
-            WaitListStatus::Ready => Ok(()),
-            WaitListStatus::Failed { code, label } => Err(ClError::EventFailed { code, label }),
-            WaitListStatus::Pending => unreachable!("all events settled"),
+        actor.block_on("event wait", Event::all_settled(events))
+    }
+
+    /// The future of [`Event::wait_all_result`]: every event settled, the
+    /// first failure in list order as the error.
+    pub async fn all_settled(events: &[Event]) -> ClResult<()> {
+        let mut first = Ok(());
+        for e in events {
+            let status = e.settled().await;
+            if first.is_ok() {
+                first = e.checked(status);
+            }
         }
+        first
     }
 
     /// Non-blocking wait-list poll: the one dependency-readiness rule
@@ -374,6 +393,27 @@ mod tests {
         e.wait(&waiter);
         assert_eq!(waiter.now_ns(), 500);
         t.join().expect("worker thread panicked");
+    }
+
+    /// A task must not block: `Event::wait` inside one panics, and the
+    /// message names the wait.
+    #[test]
+    fn a_task_that_waits_on_an_event_panics_naming_the_wait() {
+        let clock = SimClock::new();
+        let driver = clock.register("driver");
+        let e = Event::new_queued(clock.clone(), "never");
+        clock.spawn_task("waiter", "waiting task", move |task| async move {
+            e.wait(&task)
+        });
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| driver.advance_ns(10)));
+        let msg = run
+            .err()
+            .and_then(|payload| payload.downcast_ref::<String>().cloned());
+        assert!(
+            msg.as_deref().is_some_and(|m| m.contains("event wait")),
+            "{msg:?}"
+        );
+        assert!(clock.is_poisoned());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! host thread — the exact property the paper's clMPI design builds on.
 
 use simtime::plock::Mutex;
+use std::future::Future;
 use std::sync::Arc;
 
 use simtime::{until, Actor, SimChannel, SimClock, SimNs, Trace};
@@ -318,7 +319,16 @@ impl CommandQueue {
 
     /// Block until every enqueued command has completed (`clFinish`).
     pub fn finish(&self, actor: &Actor) {
-        self.enqueue_marker(&[]).wait(actor);
+        actor.block_on("event wait", self.finish_async());
+    }
+
+    /// The future of [`CommandQueue::finish`]: a marker is enqueued now,
+    /// and the future is ready once it has completed.
+    pub fn finish_async(&self) -> impl Future<Output = ()> + Send + 'static {
+        let marker = self.enqueue_marker(&[]);
+        async move {
+            marker.settled().await;
+        }
     }
 }
 

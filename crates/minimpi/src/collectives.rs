@@ -79,6 +79,12 @@ impl Comm {
         actor.wait_on(&[done.key()], "barrier", || done.peek(|&d| d.then_some(())));
     }
 
+    /// The future of [`Comm::barrier`], for a rank body that runs as a
+    /// task: it awaits the rounds itself.
+    pub async fn barrier_async(&self, actor: &Actor) {
+        self.barrier_rounds(actor, 0).await;
+    }
+
     /// One rank's part of a dissemination barrier: in round k it sends to
     /// (r + 2^k) mod n and receives from (r − 2^k) mod n, and round k + 1
     /// starts at the instant both finished. After ⌈log₂ n⌉ rounds each

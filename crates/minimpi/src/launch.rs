@@ -1,7 +1,11 @@
-//! SPMD launcher: run `n` ranks as threads over a simulated cluster.
+//! SPMD launchers: run `n` ranks over a simulated cluster, as threads
+//! ([`run_world_faulty`]) or as tasks ([`run_world_tasks`]).
+
+use std::future::Future;
+use std::sync::Arc;
 
 use simnet::{ClusterSpec, FaultCounts, FaultPlan};
-use simtime::{SimClock, SimNs, Trace, WakeStats};
+use simtime::{until, Monitor, SimClock, SimNs, Trace, WakeStats};
 
 use crate::world::{Process, World};
 
@@ -23,7 +27,8 @@ pub struct WorldResult<R> {
     pub events: u64,
     /// The clock's wake accounting over the whole run (notifies, and per
     /// wait label parks / wake-ups / successes). Host-scheduling
-    /// dependent: a diagnostic, never part of a deterministic artifact.
+    /// dependent on rank threads, a diagnostic; [`run_world_tasks`]
+    /// repeats it exactly.
     pub wake: WakeStats,
 }
 
@@ -66,48 +71,109 @@ where
     R: Send + 'static,
     F: Fn(Process) -> R + Send + Sync + 'static,
 {
+    launch(spec, nodes, plan, |clock, world| {
+        // Register every rank's actor before spawning any thread (see
+        // `SimClock::register` for the ordering rule).
+        let processes: Vec<Process> = (0..nodes)
+            .map(|r| Process {
+                comm: world.comm(r),
+                actor: clock.register(format!("rank{r}")),
+            })
+            .collect();
+        let f = Arc::new(f);
+        let handles: Vec<_> = processes
+            .into_iter()
+            .enumerate()
+            .map(|(r, proc_)| {
+                let f = f.clone();
+                std::thread::Builder::new()
+                    .name(format!("rank{r}"))
+                    .spawn(move || f(proc_))
+                    .expect("spawn rank thread")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                let name = h.thread().name().unwrap_or("<unnamed rank>").to_owned();
+                h.join().unwrap_or_else(|payload| {
+                    // Re-raise the rank's own panic payload so the original
+                    // assertion message (not a generic wrapper) reaches the
+                    // harness; the thread name says which rank died.
+                    eprintln!("minimpi: {name} panicked; propagating its panic");
+                    std::panic::resume_unwind(payload)
+                })
+            })
+            .collect()
+    })
+}
+
+/// [`run_world_faulty`] with every rank body an `async` task on the
+/// clock's event core instead of an OS thread: one launcher actor on the
+/// calling thread spawns task `rank{r}` per rank and waits (label
+/// `"launcher"`) until every output is in, and the passes that settle
+/// each round poll the ranks beside the queues and engines. A body waits
+/// with `.await` on the async cores (`Comm::barrier_async`,
+/// `Comm::sendrecv_async`, …); its [`Process::actor`] is the task's
+/// handle, registered as no actor, so a blocking call on it panics.
+///
+/// A panicking body poisons the clock, and its own payload reaches the
+/// caller.
+pub fn run_world_tasks<R, F, Fut>(
+    spec: ClusterSpec,
+    nodes: usize,
+    plan: FaultPlan,
+    f: F,
+) -> WorldResult<R>
+where
+    R: Send + 'static,
+    F: Fn(Process) -> Fut,
+    Fut: Future<Output = R> + Send + 'static,
+{
+    launch(spec, nodes, plan, |clock, world| {
+        let launcher = clock.register("launcher");
+        let slots: Vec<Option<R>> = (0..nodes).map(|_| None).collect();
+        let outputs = Arc::new(Monitor::new(clock.clone(), slots));
+        for r in 0..nodes {
+            let (comm, outputs) = (world.comm(r), outputs.clone());
+            clock.spawn_task(format!("rank{r}"), "rank task", |actor| {
+                let body = f(Process { comm, actor });
+                async move {
+                    let out = body.await;
+                    outputs.with(|o| o[r] = Some(out));
+                }
+            });
+        }
+        let all_in = until(|| {
+            outputs.try_now(|o| {
+                o.iter()
+                    .all(Option::is_some)
+                    .then(|| o.drain(..).flatten().collect())
+            })
+        });
+        launcher.block_on("launcher", all_in)
+    })
+}
+
+/// Build a world, run its ranks with `ranks` (which returns their outputs
+/// in rank order once every rank is done), and collect what the run
+/// produced.
+fn launch<R>(
+    spec: ClusterSpec,
+    nodes: usize,
+    plan: FaultPlan,
+    ranks: impl FnOnce(&SimClock, &World) -> Vec<R>,
+) -> WorldResult<R> {
     crate::heap::keep_freed();
     let clock = SimClock::new();
     let world = World::with_faults(clock.clone(), spec, nodes, plan);
     let trace = world.trace().clone();
-    // Register every rank's actor before spawning any thread (see
-    // `SimClock::register` for the ordering rule).
-    let processes: Vec<Process> = (0..nodes)
-        .map(|r| Process {
-            comm: world.comm(r),
-            actor: clock.register(format!("rank{r}")),
-        })
-        .collect();
-    let f = std::sync::Arc::new(f);
-    let handles: Vec<_> = processes
-        .into_iter()
-        .enumerate()
-        .map(|(r, proc_)| {
-            let f = f.clone();
-            std::thread::Builder::new()
-                .name(format!("rank{r}"))
-                .spawn(move || f(proc_))
-                .expect("spawn rank thread")
-        })
-        .collect();
-    let outputs: Vec<R> = handles
-        .into_iter()
-        .map(|h| {
-            let name = h.thread().name().unwrap_or("<unnamed rank>").to_owned();
-            h.join().unwrap_or_else(|payload| {
-                // Re-raise the rank's own panic payload so the original
-                // assertion message (not a generic wrapper) reaches the
-                // harness; the thread name says which rank died.
-                eprintln!("minimpi: {name} panicked; propagating its panic");
-                std::panic::resume_unwind(payload)
-            })
-        })
-        .collect();
+    let outputs = ranks(&clock, &world);
     // The ranks' drop paths only *signal* their machines (queue
-    // shutdowns, engine drains); the last rank's drop runs the passes
-    // that retire them, so once the threads are joined `events` and
-    // `elapsed_ns` are final. A panic in that trailing drain poisoned the
-    // clock: surface it here.
+    // shutdowns, engine drains); the last actor's drop runs the passes
+    // that retire them, so once `ranks` returns `events` and `elapsed_ns`
+    // are final. A panic in that trailing drain poisoned the clock:
+    // surface it here.
     clock.quiesce_machines();
     // Grant any deferred sends still in the arbiter (fire-and-forget
     // isends nobody waited on), single-threaded and in canonical order,
@@ -128,6 +194,32 @@ mod tests {
     use super::*;
     use crate::collectives::ReduceOp;
     use crate::{ANY_SOURCE, ANY_TAG};
+
+    /// A rank task that panics poisons the clock, and the caller gets the
+    /// task's own payload, not a generic wrapper.
+    #[test]
+    fn a_panicking_rank_task_hands_its_own_payload_to_the_caller() {
+        let run = std::panic::catch_unwind(|| {
+            run_world_tasks(
+                ClusterSpec::cichlid(),
+                3,
+                FaultPlan::none(),
+                |p| async move {
+                    p.comm.barrier_async(&p.actor).await;
+                    assert_ne!(p.rank(), 1, "rank 1 gives up");
+                    p.rank()
+                },
+            )
+        });
+        let msg = run
+            .err()
+            .and_then(|payload| payload.downcast_ref::<String>().cloned());
+        assert!(
+            msg.as_deref()
+                .is_some_and(|m| m.contains("rank 1 gives up")),
+            "{msg:?}"
+        );
+    }
 
     #[test]
     fn world_launch_returns_per_rank_outputs() {

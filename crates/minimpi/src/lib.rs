@@ -8,7 +8,9 @@
 //! Supported (the subset the paper's codes use, plus the common core):
 //!
 //! * SPMD launch: [`run_world`] starts `n` ranks, each on its own thread
-//!   with its own clock [`simtime::Actor`].
+//!   with its own clock [`simtime::Actor`]; [`run_world_tasks`] runs
+//!   each rank's `async` body as a task on the clock's event core
+//!   instead, all of them driven by the calling thread.
 //! * Point-to-point: [`Comm::send`]/[`Comm::recv`] (blocking),
 //!   [`Comm::isend`]/[`Comm::irecv`] (non-blocking, [`Request`]-based),
 //!   [`Comm::sendrecv`], wildcard source/tag, **non-overtaking** matching
@@ -58,7 +60,7 @@ mod world;
 
 pub use collectives::ReduceOp;
 pub use datatype::{CommittedType, Datatype, DatatypeError, DerivedType};
-pub use launch::{run_world, run_world_faulty, run_world_sized, WorldResult};
+pub use launch::{run_world, run_world_faulty, run_world_sized, run_world_tasks, WorldResult};
 pub use p2p::{wait_all, wait_any, MpiError, RecvResult, Request, Status};
 pub use retry::RetryPolicy;
 pub use rma::{RmaHandle, RmaPoll, RmaRoute, Win, RMA_PATIENCE_NS, RMA_TAG_BASE};

@@ -13,11 +13,12 @@
 //!   completion times are the same.)
 
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::sync::Arc;
 
 use simnet::{DropReason, FaultOutcome};
 use simtime::plock::Mutex;
-use simtime::{until, Actor, Monitor, SimNs, WakeKey};
+use simtime::{until, until_keyed, Actor, Monitor, SimNs, WakeKey};
 
 use crate::world::Comm;
 use crate::{Datatype, Rank, Tag};
@@ -815,10 +816,32 @@ impl Comm {
         src: Option<Rank>,
         recv_tag: Option<Tag>,
     ) -> RecvResult {
+        let exchange = self.sendrecv_async(actor, dst, send_tag, data, src, recv_tag);
+        actor.block_on("mpi recv", exchange)
+    }
+
+    /// The future of [`Comm::sendrecv`]. Both requests are posted by the
+    /// call, so what posting them touches is no part of what the future
+    /// waits on.
+    pub fn sendrecv_async<'a>(
+        &'a self,
+        actor: &'a Actor,
+        dst: Rank,
+        send_tag: Tag,
+        data: &[u8],
+        src: Option<Rank>,
+        recv_tag: Option<Tag>,
+    ) -> impl Future<Output = RecvResult> + 'a {
         let sreq = self.isend(actor, dst, send_tag, data);
-        let res = self.recv(actor, src, recv_tag);
-        sreq.wait(actor);
-        res
+        let mut rreq = self.irecv(actor, src, recv_tag);
+        // Parked on the arrival key alone, as `Request::wait`'s receive is.
+        let arrival = self.world.inner.arrivals[self.rank];
+        async move {
+            let res = until_keyed(arrival, || rreq.test(actor).flatten()).await;
+            let done_at = until(|| sreq.known_completion()).await;
+            actor.clock().sleep_until(done_at).await;
+            res
+        }
     }
 }
 

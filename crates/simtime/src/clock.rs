@@ -157,12 +157,14 @@ pub struct LabelWakes {
 }
 
 /// Always-on wake accounting of one clock ([`SimClock::wake_stats`]).
-/// Most counts depend on OS scheduling (how many notifies one resume
-/// absorbs), so they are diagnostics, never part of a deterministic
-/// artifact. A wait that exactly one notify satisfies is a model count
-/// instead: `minimpi`'s `barrier` label parks, wakes and succeeds once
-/// per rank per barrier (the rounds run as a task), whatever the OS
-/// does.
+/// With several threads driving a clock, most counts depend on OS
+/// scheduling (how many notifies one resume absorbs), so they are
+/// diagnostics, never part of a deterministic artifact. A wait that
+/// exactly one notify satisfies is a model count instead: `minimpi`'s
+/// `barrier` label parks, wakes and succeeds once per rank per barrier
+/// (the rounds run as a task), whatever the OS does. A clock that one
+/// thread drives alone — every rank a task (`minimpi::run_world_tasks`)
+/// — counts the same in every field on every run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WakeStats {
     /// [`SimClock::notify_key`] calls, including alarms scheduled for an
@@ -528,15 +530,16 @@ impl SimClock {
 
     /// Hand a resumable machine to this clock's event core.
     ///
-    /// The caller must be a running clock actor: the spawn owes a pass,
-    /// which polls the machine first at the caller's current virtual
-    /// instant.
+    /// The caller is a running clock actor or a machine inside its poll:
+    /// either way the clock cannot move meanwhile, and the spawn owes a
+    /// pass, which polls the machine first at the caller's current virtual
+    /// instant. A machine spawned inside a pass (a rank task building its
+    /// queues and engine) waits on this thread until the pass ends, since
+    /// the pass holds the slab's lock, and is adopted by the pass it owes.
     ///
     /// `_hint` is unused: it chose among scheduler threads when a clock
     /// had several, and stays only because `benchmark/` compiles against
-    /// this signature (ROADMAP, leftovers). Machines must never spawn
-    /// further machines from inside `poll` — the pass holds the slab's
-    /// lock.
+    /// this signature (ROADMAP, leftovers).
     pub fn spawn_machine(
         &self,
         _hint: u64,
@@ -544,11 +547,11 @@ impl SimClock {
         body: Box<dyn SimActor>,
     ) -> MachineHandle {
         let label = label.into();
-        debug_assert!(
-            !sched::in_sched_pass(),
-            "machine {label:?} spawned from inside a poll: the pass holds the slab's lock"
-        );
-        self.inner.slab.lock().enqueue(label, body);
+        if sched::in_sched_pass() {
+            sched::spawn_from_pass(label, body);
+        } else {
+            self.inner.slab.lock().enqueue(label, body);
+        }
         let mut st = self.inner.lock();
         st.resident += 1;
         st.stats.notifies += 1;
@@ -984,6 +987,12 @@ impl Actor {
         label: &'static str,
         mut pred: impl FnMut() -> Option<T>,
     ) -> T {
+        // A pass's handle is registered as no actor, and the pass holds
+        // the slab: parking it would wedge every machine of the clock.
+        assert!(
+            !sched::in_sched_pass(),
+            "wait_on({label:?}) inside a pass: a machine or task must not block"
+        );
         assert!(!keys.is_empty(), "a wait with no keys can never be woken");
         let inner = &self.clock.inner;
         // Whether the evaluation about to run follows a wake-up that has

@@ -57,8 +57,8 @@ pub mod trace;
 pub use clock::{Actor, ActorStatus, LabelWakes, Progress, SimClock, WakeKey, WakeStats};
 pub use rng::{fnv1a, XorShift64};
 pub use sched::{
-    in_sched_pass, note_read, note_wake_at, poll_future, until, MachineHandle, MachineStep,
-    SimActor,
+    in_sched_pass, note_read, note_wake_at, poll_future, until, until_keyed, MachineHandle,
+    MachineStep, SimActor,
 };
 pub use sync::{Monitor, SimChannel};
 pub use trace::{OpSpan, Span, Trace};

@@ -80,7 +80,12 @@
 //! ([`note_wake_at`]). The *thread driver*, [`Actor::block_on`], parks
 //! the calling thread through [`Actor::wait_on`] on the same read-set,
 //! plus its own alarm at that instant. Nothing wakes a waker: a notify
-//! of a noted key does.
+//! of a noted key does. A whole rank body can be a task
+//! (`minimpi::run_world_tasks`): it builds its queues and engine inside
+//! its poll, and a machine spawned inside a pass waits on this thread's
+//! list until the pass ends ([`SimClock::spawn_machine`]). Nothing may
+//! park inside a pass: [`Actor::wait_on`] panics there, naming its
+//! label, and a poll that panics names its machine on the way out.
 
 use std::cell::{Cell, RefCell};
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -158,6 +163,9 @@ std::thread_local! {
     static READS: RefCell<Vec<WakeKey>> = const { RefCell::new(Vec::new()) };
     /// The earliest instant the future being polled noted.
     static WAKE_AT: Cell<Option<SimNs>> = const { Cell::new(None) };
+    /// Machines spawned by the pass running on this thread: the pass holds
+    /// the slab's lock, so it moves them into `Slab::incoming` at its end.
+    static SPAWNED: RefCell<Vec<(String, Box<dyn SimActor>)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// True when the current thread is inside a scheduler pass.
@@ -251,6 +259,30 @@ fn take_reads(into: &mut Vec<WakeKey>) {
 /// returns `Some`: a [`Actor::wait_on`] predicate that names no keys.
 pub fn until<T>(mut check: impl FnMut() -> Option<T>) -> impl Future<Output = T> {
     std::future::poll_fn(move |_| check().map_or(Poll::Pending, Poll::Ready))
+}
+
+/// [`until`] parked on `key` alone: `check` runs unrecorded, and each poll
+/// notes `key` instead of what `check` read — the future form of an
+/// [`Actor::wait_on`] whose key is narrower than its predicate's reads.
+/// Whoever can change the verdict must notify `key` or alarm it; the
+/// caller's doc says why that holds.
+pub fn until_keyed<T>(
+    key: WakeKey,
+    mut check: impl FnMut() -> Option<T>,
+) -> impl Future<Output = T> {
+    std::future::poll_fn(move |_| {
+        let recording = RECORDING.replace(false);
+        let verdict = check();
+        RECORDING.set(recording);
+        note_read(key);
+        verdict.map_or(Poll::Pending, Poll::Ready)
+    })
+}
+
+/// Queue a machine spawned from inside a pass on this thread: the pass
+/// adopts it at its end ([`SPAWNED`]).
+pub(crate) fn spawn_from_pass(label: String, body: Box<dyn SimActor>) {
+    SPAWNED.with(|s| s.borrow_mut().push((label, body)));
 }
 
 /// A future as a machine ([`SimClock::spawn_task`]).
@@ -470,7 +502,9 @@ impl Slab {
             };
             READS.with(|r| r.borrow_mut().clear());
             polls += 1;
+            let named = Named(&slot.label, now);
             let step = slot.body.poll(now, actor);
+            std::mem::forget(named);
             debug_assert!(
                 !matches!(step, MachineStep::Pending(Some(t)) if t <= now),
                 "machines must progress, not park, when due"
@@ -513,6 +547,22 @@ impl Slab {
             resident[m as usize] = None;
             timers.forget(m);
         }
+        // What the pass's machines spawned (their spawns owe the next pass).
+        SPAWNED.with(|s| self.incoming.append(&mut s.borrow_mut()));
+    }
+}
+
+/// Names the machine whose poll unwinds: dropped only by a panic (a
+/// finished poll forgets it), it says which machine panicked and when,
+/// before the panic reaches the thread that settled the round.
+struct Named<'a>(&'a str, SimNs);
+
+impl Drop for Named<'_> {
+    fn drop(&mut self) {
+        eprintln!(
+            "simtime: machine {} panicked at t={}; propagating its panic",
+            self.0, self.1
+        );
     }
 }
 
@@ -523,6 +573,9 @@ impl Slab {
 /// poisons the clock on the way out.
 pub(crate) fn run_pass(clock: &SimClock) {
     let (_in_pass, _recording) = (Flag::set(&IN_PASS), Flag::set(&RECORDING));
+    // Spawns a pass on this thread queued before a machine's panic
+    // unwound it belong to that pass's (poisoned) clock.
+    SPAWNED.with(|s| s.borrow_mut().clear());
     let actor = Actor::for_pass(clock);
     clock.slab().lock().pass(&actor, clock);
 }
