@@ -22,7 +22,7 @@
 //! | P5 | `status-literal` | raw `-14`/`-1100` must use `minicl::status` constants |
 //! | P6 | `lock-lifetime` | no blocking call / nested lock while a guard is live ([`flow`]) |
 //! | P7 | `lock-order` | the cross-function lock-order graph is acyclic ([`callgraph`]) |
-//! | P8 | `actor-hygiene` | SimActor/EngineOp/OpBody machine bodies and async bodies never OS-block or spawn threads |
+//! | P8 | `actor-hygiene` | SimActor machine bodies and async bodies never OS-block or spawn threads |
 //!
 //! P1–P5 are token-level lints. P6–P8 are flow-aware (PR 8),
 //! motivated by the PR-7 drop deadlock: a `MutexGuard` kept live by an

@@ -14,9 +14,9 @@ const EXPLANATIONS: [(&str, &str); 8] = [
         "non-blocking-engine",
         "crates/clmpi/src/engine.rs is the data plane. It must never block the\n\
          engine thread (.wait/.recv/.wait_labeled/.wait_result/.block_on) and must never\n\
-         advance virtual time itself (advance_until/advance_ns). Machines park\n\
-         with a wake hint instead; blocking there would stall every in-flight\n\
-         command on the engine. (DESIGN.md §9 P1)",
+         advance virtual time itself (advance_until/advance_ns). Op bodies\n\
+         .await a check or an instant instead; blocking there would stall\n\
+         every in-flight command on the engine. (DESIGN.md §9 P1)",
     ),
     (
         "blocking-marker",
@@ -72,15 +72,14 @@ const EXPLANATIONS: [(&str, &str); 8] = [
     ),
     (
         "actor-hygiene",
-        "poll of every `impl SimActor`, step of every `impl EngineOp`,\n\
-         advance of every `impl OpBody` (a clMPI operation is a body run\n\
-         by the one op frame's step) and every async block and async fn body\n\
-         (a task's, or a future a machine polls) run on the scheduler at a\n\
-         frozen virtual instant. They must stay resumable: no OS-blocking\n\
-         primitive (block_on included) and no direct thread::spawn — machines\n\
-         return Pending (bodies: Park) with a wake hint, async bodies .await,\n\
-         and everything spawns through the clock so the scheduler can account\n\
-         for it. (DESIGN.md §9 P8)",
+        "poll of every `impl SimActor` and every async block and async fn\n\
+         body (a task's, a clMPI operation's body, or any other future a\n\
+         machine polls) run on the scheduler at a frozen virtual instant.\n\
+         They must stay resumable: no OS-blocking primitive (block_on\n\
+         included) and no direct thread::spawn — machines return Pending\n\
+         with a wake hint, async bodies .await, and everything spawns\n\
+         through the clock so the scheduler can account for it.\n\
+         (DESIGN.md §9 P8)",
     ),
 ];
 

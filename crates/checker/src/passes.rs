@@ -78,8 +78,8 @@ pub fn run_all(ws: &Workspace) -> Vec<Diag> {
 /// DESIGN.md §8c invariant 1: `crates/clmpi/src/engine.rs` is the data
 /// plane; it must never block the engine thread (`.wait(…)`, `.recv(…)`,
 /// `.wait_labeled(…)`, `.wait_result(…)`, `.block_on(…)`) and must never advance virtual
-/// time itself (`advance_until(…)`, `advance_ns(…)`). Machines *park*
-/// with a wake hint instead. Test modules inside engine.rs are exempt —
+/// time itself (`advance_until(…)`, `advance_ns(…)`). Op bodies `.await`
+/// a check or an instant instead. Test modules inside engine.rs are exempt —
 /// tests sit on the control-plane side of the line.
 pub fn pass_nonblocking_engine(ws: &Workspace, out: &mut Vec<Diag>) {
     const PASS: &str = "non-blocking-engine";
@@ -111,8 +111,8 @@ pub fn pass_nonblocking_engine(ws: &Workspace, out: &mut Vec<Diag>) {
                     file: f.path.clone(),
                     line,
                     msg: format!(
-                        "{what} in the progress engine — machines must park with a \
-                         wake hint, never block or advance the clock (DESIGN.md §9 P1)"
+                        "{what} in the progress engine — op bodies must `.await`, \
+                         never block or advance the clock (DESIGN.md §9 P1)"
                     ),
                 });
             }
@@ -625,11 +625,9 @@ pub fn pass_lock_order(ws: &Workspace, out: &mut Vec<Diag>) {
 // Pass 8 — actor hygiene
 // ----------------------------------------------------------------------
 
-/// DESIGN.md §9 P8: machine bodies — `poll` of any `impl SimActor`,
-/// `step` of any `impl EngineOp`, `advance` of any `impl OpBody` (the
-/// part of a clMPI operation its frame's `step` runs), and every `async`
-/// block and `async fn` body (a task's, or a future the engine polls) —
-/// run on the scheduler at a frozen virtual instant and must stay
+/// DESIGN.md §9 P8: machine bodies — `poll` of any `impl SimActor`, and
+/// every `async` block and `async fn` body (a task's, a clMPI operation's
+/// body, or any other future a machine polls) — run on the scheduler at a frozen virtual instant and must stay
 /// *resumable*: they wait with `.await`, never with a thread park — no
 /// OS-blocking primitive (the [`BLOCKING_CALLS`] vocabulary) and no
 /// direct `thread::spawn` (machines are spawned through the clock so
@@ -686,10 +684,8 @@ pub fn pass_actor_hygiene(ws: &Workspace, out: &mut Vec<Diag>) {
 }
 
 /// Machine-body regions of a file: for each `impl SimActor …` block the
-/// body of `poll`; for each `impl EngineOp …` block the
-/// body of `step`; for each `impl OpBody …` block the body of `advance`;
-/// every `async fn` body and every `async` block not inside one of those.
-/// Returns `(fn name, body token range)` pairs.
+/// body of `poll`; every `async fn` body and every `async` block not
+/// inside one of those. Returns `(fn name, body token range)` pairs.
 fn machine_regions(f: &SourceFile) -> Vec<(String, (usize, usize))> {
     let mut out = Vec::new();
     let defs = f.fn_defs();
@@ -714,18 +710,11 @@ fn machine_regions(f: &SourceFile) -> Vec<(String, (usize, usize))> {
             continue;
         }
         // The `impl` header: the identifiers up to the body `{`.
-        let header = |name: &str| (idx..open).any(|i| f.ident_at(i, &[name]).is_some());
-        let targets: &[&str] = if header("SimActor") {
-            &["poll"]
-        } else if header("EngineOp") {
-            &["step"]
-        } else if header("OpBody") {
-            &["advance"]
-        } else {
+        if !(idx..open).any(|i| f.ident_at(i, &["SimActor"]).is_some()) {
             continue;
-        };
+        }
         for d in &defs {
-            if d.body.0 > open && d.body.1 <= end && targets.contains(&d.name.as_str()) {
+            if d.body.0 > open && d.body.1 <= end && d.name == "poll" {
                 out.push((d.name.clone(), d.body));
             }
         }

@@ -691,16 +691,16 @@ impl SimActor for QueueCore {
         MachineStep::Pending
     }
 }
-impl EngineOp for Copy2D {
-    fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
-        self.event.wait(actor);
-        Step::Done
+impl OpBody for Copy2D {
+    async fn run(self, cx: &mut OpCx) -> Outcome {
+        self.event.wait(cx.actor());
+        Ok(cx.now())
     }
 }
 impl OpBody for Copy2DBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
-        self.grant.wait_labeled(actor, "grant", |g| g.take());
-        Advance::Done(now)
+    async fn run(self, cx: &mut OpCx) -> Outcome {
+        self.grant.wait_labeled(cx.actor(), "grant", |g| g.take());
+        Ok(cx.now())
     }
 }
 "#;
@@ -712,7 +712,7 @@ impl OpBody for Copy2DBody {
     assert_eq!(out.len(), 4, "{out:?}");
     assert!(
         out.iter()
-            .any(|d| d.msg.contains("wait_labeled") && d.msg.contains("`advance`")),
+            .any(|d| d.msg.contains("wait_labeled") && d.msg.contains("`async fn run`")),
         "an op body is a machine body: {out:?}"
     );
     assert!(out
@@ -743,16 +743,14 @@ impl QueueCore {
     }
 }
 impl OpBody for Copy2DBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
-        // Parking on a future instant is how a body waits.
-        if now < self.end {
-            return Advance::Park(Some(self.end));
-        }
-        Advance::Done(self.end)
+    async fn run(self, cx: &mut OpCx) -> Outcome {
+        // Awaiting a future instant is how a body waits.
+        cx.sleep_until(self.end).await;
+        Ok(self.end)
     }
 }
 impl Copy2DBody {
-    // Same type, but not `advance`: not a machine body.
+    // Same type, but not `async`: not a machine body.
     fn submit_blocking(&self, actor: &Actor) {
         self.event.wait(actor);
     }
@@ -778,10 +776,10 @@ impl SimActor for Probe {
     }
 }
 impl OpBody for ProbeBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
+    async fn run(self, cx: &mut OpCx) -> Outcome {
         // checker-allow(actor-hygiene): same probe, as an op body.
         self.chan.recv();
-        Advance::Park(None)
+        Ok(cx.now())
     }
 }
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! All commands return ordinary events, so kernels chain on them exactly
 //! like the point-to-point commands; wait-list failures poison the
 //! collective event with −14, transfer failures with
-//! `CL_MPI_TRANSFER_ERROR` (−1100), like every other machine.
+//! `CL_MPI_TRANSFER_ERROR` (−1100), like every other command.
 //!
 //! ### Wire protocol
 //!
@@ -48,13 +48,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use minicl::{Buffer, ClError, ClResult, CommandQueue, Device, Event};
-use minimpi::datatype::{bytes_to_f64, f64_as_bytes};
+use minicl::{AlignedBytes, Buffer, ClError, ClResult, CommandQueue, Device, Event};
 use minimpi::{Rank, ReduceOp, Tag};
-use simtime::{Actor, SimNs};
+use simtime::{until, Actor, SimNs};
 
 use crate::engine::{
-    load_behind, store, Advance, ChunkRecv, CountedRecv, Envelope, Hop, OpBody, OpCx, RecvPoll,
+    load_behind, peer_dead, store, ChunkRecv, CountedRecv, Envelope, Hop, OpBody, OpCx, Outcome,
     ReliableChunkSend, SendQueue, WireChunk,
 };
 use crate::obs::Via;
@@ -322,7 +321,6 @@ impl ClMpi {
                 wire_tag,
                 tuning,
                 report,
-                run: Default::default(),
             };
             self.submit_gated(label, env, wait_list, body)
         } else {
@@ -333,7 +331,6 @@ impl ClMpi {
                 size,
                 root,
                 wire_tag,
-                run: Default::default(),
             };
             self.submit_gated(label, env, wait_list, body)
         })
@@ -501,7 +498,6 @@ impl ClMpi {
             wire_tag,
             chunk: chunk.max(1),
             report,
-            run: Default::default(),
         };
         Ok(self.submit_gated(label, env, wait_list, body))
     }
@@ -571,23 +567,17 @@ struct BcastRootBody {
     tuning: CollTuning,
     /// Was `tuning` the attached selector's choice (so it hears back)?
     report: bool,
-    run: BcastRootRun,
-}
-
-#[derive(Default)]
-struct BcastRootRun {
-    armed: bool,
-    queue: SendQueue,
 }
 
 impl BcastRootBody {
     /// Stage every chunk and queue its injection to every child.
-    fn arm(&mut self, cx: &mut OpCx, now: SimNs) {
+    fn arm(&self, cx: &mut OpCx, queue: &mut SendQueue) {
         let me = cx.inner.comm.rank();
         let children = bcast_children(self.tuning.algo, me, cx.inner.comm.size(), me);
         if children.is_empty() {
             return; // World of one: nothing on the wire.
         }
+        let now = cx.now();
         let pin_setup_ns = self.device.spec().pcie.pin_setup_ns;
         let mut first = true;
         let layout = chunk_layout(self.size, self.tuning.chunk.max(1));
@@ -607,7 +597,7 @@ impl BcastRootBody {
             };
             let to = (&children[..], self.wire_tag);
             let named = (format!("bcast[{k}]"), "chunk");
-            fan_out(&mut self.run.queue, cx, to, &msg, send_from, named);
+            fan_out(queue, cx, to, &msg, send_from, named);
         }
     }
 
@@ -619,23 +609,18 @@ impl BcastRootBody {
 }
 
 impl OpBody for BcastRootBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
-        if !self.run.armed {
-            self.run.armed = true;
-            self.arm(cx, now);
+    async fn run(self, cx: &mut OpCx) -> Outcome {
+        let mut queue = SendQueue::default();
+        self.arm(cx, &mut queue);
+        let sent = queue.flush(cx).await;
+        let now = cx.now();
+        if let Err((at, e)) = sent {
+            self.report(cx, None);
+            return Err((e, at.max(now)));
         }
-        match self.run.queue.drive(cx, now, actor) {
-            Err((at, e)) => {
-                self.report(cx, None);
-                Advance::Failed(e, at.max(now))
-            }
-            Ok(Some(t)) => Advance::Park(Some(t)),
-            Ok(None) => {
-                let done_at = self.run.queue.done_at.max(now);
-                self.report(cx, Some(done_at - cx.t0));
-                Advance::Done(done_at)
-            }
-        }
+        let done_at = queue.done_at.max(now);
+        self.report(cx, Some(done_at - cx.t0));
+        Ok(done_at)
     }
 }
 
@@ -657,151 +642,120 @@ struct BcastRecvBody {
     size: usize,
     root: Rank,
     wire_tag: Tag,
-    run: BcastRecvRun,
 }
 
-#[derive(Default)]
-struct BcastRecvRun {
-    state: BcastRecvState,
-    algo: Option<CollAlgo>,
-    parent: Option<Rank>,
+/// What a relay learns from the first chunk it takes.
+struct Topology {
+    algo: CollAlgo,
+    parent: Rank,
     children: Vec<Rank>,
-    /// Of `size` payload bytes, each wire message one header byte longer
-    /// than its share of them (set up when the body starts). Polled
-    /// wildcard-source until the first chunk reveals the parent, from the
-    /// parent afterwards.
-    recv: CountedRecv,
-    chunk_idx: usize,
-    last_h2d_end: SimNs,
-    queue: SendQueue,
-}
-
-#[derive(Default)]
-enum BcastRecvState {
-    #[default]
-    Start,
-    Setup {
-        resume_at: SimNs,
-    },
-    Await,
-    /// Payload complete; flush the remaining forwards.
-    Drain,
 }
 
 impl BcastRecvBody {
     /// Take one arrived wire message, whose payload belongs at `at`: learn
-    /// or check the topology, land the payload, and forward the message
-    /// downstream. The device buffer and every child share the message's
-    /// one allocation; no byte of it is copied here.
+    /// or check the topology, land the payload, and queue the message's
+    /// forward to every child as chunk `k`. The device buffer and every
+    /// child share the message's one allocation; no byte of it is copied
+    /// here. Returns the end of the payload's h2d hop (0 without one).
     fn take_chunk(
-        &mut self,
+        &self,
         cx: &mut OpCx,
+        (topo, queue): (&mut Option<Topology>, &mut SendQueue),
         (at, r): (usize, WireChunk),
-        now: SimNs,
-    ) -> Result<(), String> {
+        k: usize,
+    ) -> Result<SimNs, String> {
         let msg = r.data;
         let Some(&id) = msg.first() else {
             return Err("broadcast chunk missing its algorithm header".into());
         };
-        match self.run.algo {
-            Some(algo) if algo.id() != id => {
-                let was = algo.id();
+        let topo = match topo {
+            Some(t) if t.algo.id() != id => {
+                let was = t.algo.id();
                 return Err(format!(
                     "broadcast algorithm id changed mid-stream ({was} → {id})"
                 ));
             }
-            Some(_) => {}
+            Some(t) => t,
             None => {
                 let Some(algo) = CollAlgo::from_id(id) else {
                     return Err(format!("unknown broadcast algorithm id {id}"));
                 };
                 let (n, me) = (cx.inner.comm.size(), cx.inner.comm.rank());
-                self.run.algo = Some(algo);
-                self.run.parent = Some(r.status.source);
-                self.run.children = bcast_children(algo, self.root, n, me);
+                topo.insert(Topology {
+                    algo,
+                    parent: r.status.source,
+                    children: bcast_children(algo, self.root, n, me),
+                })
             }
-        }
+        };
+        let now = cx.now();
         let len = msg.len() - 1;
+        let mut h2d_end = 0;
         if len > 0 {
             self.buf
                 .land(self.offset + at, msg.clone(), 1)
                 .map_err(|e| e.to_string())?;
-            let h2d = Hop::H2d.stage(cx, &self.device, len, now);
-            self.run.last_h2d_end = self.run.last_h2d_end.max(h2d.1);
+            h2d_end = Hop::H2d.stage(cx, &self.device, len, now).1;
         }
         // Store-and-forward: re-inject the verbatim wire message (header
         // included) to every child now — while later chunks are still
         // inbound.
-        let to = (&self.run.children[..], self.wire_tag);
-        let named = (format!("fwd[{}]", self.run.chunk_idx), "forward");
-        fan_out(&mut self.run.queue, cx, to, &msg, now, named);
-        self.run.chunk_idx += 1;
-        Ok(())
+        let to = (&topo.children[..], self.wire_tag);
+        fan_out(queue, cx, to, &msg, now, (format!("fwd[{k}]"), "forward"));
+        Ok(h2d_end)
     }
 }
 
 impl OpBody for BcastRecvBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
-        loop {
-            match &mut self.run.state {
-                BcastRecvState::Start => {
-                    let resume_at = now + self.device.spec().pcie.pin_setup_ns;
-                    self.run.recv = CountedRecv::new(self.size, 1);
-                    self.run.state = BcastRecvState::Setup { resume_at };
+    async fn run(self, cx: &mut OpCx) -> Outcome {
+        cx.inner
+            .clock
+            .sleep_until(cx.now() + self.device.spec().pcie.pin_setup_ns)
+            .await;
+        let tag = self.wire_tag;
+        // Of `size` payload bytes, each wire message one header byte longer
+        // than its share of them. Polled wildcard-source until the first
+        // chunk reveals the parent, from the parent afterwards.
+        let mut recv = CountedRecv::new(self.size, 1);
+        let mut topo: Option<Topology> = None;
+        let mut queue = SendQueue::default();
+        let mut last_h2d_end = 0;
+        // Even an empty broadcast is one (header-only) message.
+        for k in 0.. {
+            let parent = topo.as_ref().map(|t| t.parent);
+            let chunk = until(|| {
+                let now = cx.now();
+                // Forwards first: a forward failure fails the whole
+                // collective on this rank (and withdraws the receive: the
+                // body is gone before the frame settles).
+                if let Some(Err((at, e))) = queue.drive(cx) {
+                    return Some(Err((e, at.max(now))));
                 }
-                &mut BcastRecvState::Setup { resume_at } => {
-                    if now < resume_at {
-                        return Advance::Park(Some(resume_at));
-                    }
-                    self.run.state = BcastRecvState::Await;
-                }
-                BcastRecvState::Await => {
-                    // Forwards first: a forward failure poisons the whole
-                    // collective on this rank (and withdraws the receive:
-                    // the frame drops the body before settling).
-                    let fwd_hint = match self.run.queue.drive(cx, now, actor) {
-                        Ok(hint) => hint,
-                        Err((at, e)) => return Advance::Failed(e, at.max(now)),
-                    };
-                    // The upstream process: the learned parent, or the
-                    // root before the first chunk reveals one.
-                    let upstream = self.run.parent.unwrap_or(self.root);
-                    let dead = |inner: &Inner| inner.peer_failed(upstream, now).then_some(upstream);
-                    let from = (self.run.parent, self.wire_tag);
-                    let taken = match self.run.recv.poll(cx, now, actor, from, dead) {
-                        Ok(RecvPoll::Ready(chunk)) => self.take_chunk(cx, chunk, now),
-                        Ok(RecvPoll::Pending(hint)) => {
-                            return Advance::Park(fwd_hint.into_iter().chain(hint).min());
-                        }
-                        Err(f) => {
-                            let from = self
-                                .run
-                                .parent
-                                .map_or("any".into(), |p| format!("rank {p}"));
-                            let what =
-                                format!("broadcast chunk from {from} (tag {})", self.wire_tag);
-                            return Advance::Failed(f.into_error(&what), now);
-                        }
-                    };
-                    if let Err(why) = taken {
-                        return Advance::Failed(ClError::TransferFailed(why), now);
-                    }
-                    // Even an empty broadcast is one (header-only) message.
-                    if self.run.recv.is_complete() {
-                        self.run.state = BcastRecvState::Drain;
-                    }
-                }
-                BcastRecvState::Drain => {
-                    return match self.run.queue.drive(cx, now, actor) {
-                        Err((at, e)) => Advance::Failed(e, at.max(now)),
-                        Ok(Some(t)) => Advance::Park(Some(t)),
-                        Ok(None) => {
-                            let sent = self.run.queue.done_at;
-                            Advance::Done(self.run.last_h2d_end.max(sent).max(now))
-                        }
-                    };
-                }
+                // The upstream process: the learned parent, or the root
+                // before the first chunk reveals one.
+                let upstream = peer_dead(parent.unwrap_or(self.root));
+                let polled = recv.poll(cx, (parent, tag), upstream)?;
+                Some(polled.map_err(|f| {
+                    let from = parent.map_or("any".into(), |p| format!("rank {p}"));
+                    let what = format!("broadcast chunk from {from} (tag {tag})");
+                    (f.into_error(&what), now)
+                }))
+            })
+            .await?;
+            match self.take_chunk(cx, (&mut topo, &mut queue), chunk, k) {
+                Ok(end) => last_h2d_end = last_h2d_end.max(end),
+                Err(why) => return Err((ClError::TransferFailed(why), cx.now())),
             }
+            if recv.is_complete() {
+                break;
+            }
+        }
+        // Payload complete; flush the remaining forwards.
+        let flushed = queue.flush(cx).await;
+        let now = cx.now();
+        match flushed {
+            Err((at, e)) => Err((e, at.max(now))),
+            Ok(()) => Ok(last_h2d_end.max(queue.done_at).max(now)),
         }
     }
 }
@@ -827,22 +781,8 @@ enum RingPhase {
 struct SegRecv {
     recv: CountedRecv,
     seg: usize,
-    /// The segment's bytes so far: the first chunk's own allocation, any
-    /// further chunks appended.
-    data: Vec<u8>,
-}
-
-/// Root-side state of the reduce-to-root segment gather: every other
-/// rank streams its owned reduced segment; chunks are written straight
-/// into a byte image of the full region.
-struct GatherState {
-    recv: ChunkRecv,
-    /// Bytes received so far per source (chunk offset within its
-    /// segment).
-    per_src: BTreeMap<Rank, usize>,
-    got: usize,
-    expect: usize,
-    image: Vec<u8>,
+    /// The segment's bytes, each chunk landed at its offset.
+    data: AlignedBytes,
 }
 
 /// `enqueue_allreduce_buffer` / `enqueue_reduce_buffer` as one body:
@@ -864,35 +804,6 @@ struct RingReduceBody {
     chunk: usize,
     /// Was `chunk` the attached allreduce selector's choice?
     report: bool,
-    run: RingRun,
-}
-
-#[derive(Default)]
-struct RingRun {
-    host: Vec<f64>,
-    queue: SendQueue,
-    state: RingState,
-}
-
-#[derive(Default)]
-enum RingState {
-    #[default]
-    Start,
-    /// The d2h load of the local contribution is crossing PCIe.
-    Load { end: SimNs },
-    Round {
-        phase: RingPhase,
-        idx: usize,
-        start: SimNs,
-        recv: Option<SegRecv>,
-        recv_done: Option<SimNs>,
-    },
-    /// Non-root reduce: the owned segment is streaming to the root.
-    GatherSend,
-    /// Root reduce: collecting every other rank's owned segment.
-    GatherRoot(Box<GatherState>),
-    /// The final h2d store is crossing PCIe.
-    Store { end: SimNs },
 }
 
 /// Host-side fold charge for `bytes` bytes of reduction arithmetic.
@@ -901,36 +812,28 @@ fn fold_ns(bytes: usize) -> SimNs {
 }
 
 impl SegRecv {
-    /// Drain as many wire chunks of the segment from `prev` as are ready
-    /// at `now`; `Ready` once the segment is complete.
+    /// Drain as many wire chunks of the segment from `prev` as are here:
+    /// `Some(Ok)` once the segment is complete, `None` while it is not.
     fn drive(
         &mut self,
         cx: &mut OpCx,
-        now: SimNs,
-        actor: &Actor,
         (prev, wire_tag): (Rank, Tag),
-    ) -> Result<RecvPoll<()>, ClError> {
+    ) -> Option<Result<(), ClError>> {
         while !self.recv.is_complete() {
             // A dead predecessor with nothing in flight breaks the ring:
             // no segment chunk can ever arrive.
-            let dead = |inner: &Inner| inner.peer_failed(prev, now).then_some(prev);
-            let from = (Some(prev), wire_tag);
-            let chunk = match self.recv.poll(cx, now, actor, from, dead) {
-                Ok(RecvPoll::Ready((_, chunk))) => Arc::unwrap_or_clone(chunk.data),
-                Ok(RecvPoll::Pending(hint)) => return Ok(RecvPoll::Pending(hint)),
+            let dead = peer_dead(prev);
+            let (at, chunk) = match self.recv.poll(cx, (Some(prev), wire_tag), dead)? {
+                Ok(got) => got,
                 Err(f) => {
                     let what = format!("ring segment from rank {prev} (tag {wire_tag})");
-                    return Err(f.into_error(&what));
+                    return Some(Err(f.into_error(&what)));
                 }
             };
             // Per-(source, tag) FIFO: chunks arrive in offset order.
-            if self.data.is_empty() {
-                self.data = chunk;
-            } else {
-                self.data.extend_from_slice(&chunk);
-            }
+            self.data.as_mut_slice()[at..at + chunk.data.len()].copy_from_slice(&chunk.data);
         }
-        Ok(RecvPoll::Ready(()))
+        Some(Ok(()))
     }
 }
 
@@ -953,280 +856,228 @@ impl RingReduceBody {
         report_outcome(cx, sel.as_deref(), what, self.size(), tuning, dur);
     }
 
-    fn fail(&self, cx: &OpCx, e: ClError, at: SimNs) -> Advance {
+    fn fail(&self, cx: &OpCx, e: ClError, at: SimNs) -> Outcome {
         self.report(cx, None);
-        Advance::Failed(e, at)
+        Err((e, at))
     }
 
-    fn finish(&self, cx: &OpCx, done_at: SimNs) -> Advance {
+    fn finish(&self, cx: &OpCx, done_at: SimNs) -> Outcome {
         self.report(cx, Some(done_at.saturating_sub(cx.t0)));
-        Advance::Done(done_at)
+        Ok(done_at)
     }
 
-    /// Queue the elements `[off, off + len)` of the host vector for
-    /// `dst`, in wire chunks armed at `at` and named by `name(k)`.
+    /// Queue the elements `[off, off + len)` of the host image for `dst`,
+    /// in wire chunks armed at `at` and named by `name(k)`.
     fn queue_segment(
-        &mut self,
-        cx: &OpCx,
+        &self,
+        (cx, queue): (&OpCx, &mut SendQueue),
+        host: &AlignedBytes,
         (off, len): (usize, usize),
-        dst: Rank,
-        at: SimNs,
+        (dst, at): (Rank, SimNs),
         name: impl Fn(usize) -> String,
     ) {
         if len == 0 {
             return;
         }
-        // Serialised here, once, a wire chunk at a time.
-        let bytes = f64_as_bytes(&self.run.host[off..off + len]);
+        let bytes = &host.as_slice()[off * 8..(off + len) * 8];
         for (k, &(coff, clen)) in chunk_layout(bytes.len(), self.chunk).iter().enumerate() {
             let chunk = Arc::new(bytes[coff..coff + clen].to_vec());
             let send = ReliableChunkSend::new(&cx.inner, dst, self.wire_tag, chunk, at, None);
-            self.run.queue.push(send, at, name(k), "chunk");
+            queue.push(send, at, name(k), "chunk");
         }
     }
 
-    /// Arm round `idx` of `phase` starting at `start`: queue the send
-    /// segment's chunks and set up the receive of the inbound segment
-    /// (posted by the round's first poll, at this same instant).
-    fn begin_round(&mut self, cx: &OpCx, phase: RingPhase, idx: usize, start: SimNs) {
+    /// Round `idx` of `phase`, from now: queue the send segment's chunks,
+    /// drive them together with the receive of the inbound segment
+    /// (posted by the round's first poll, at this same instant), fold
+    /// (reduce-scatter) or copy (allgather) that segment into `host`,
+    /// and wait out the round's end.
+    async fn round(
+        &self,
+        cx: &mut OpCx,
+        (host, queue): (&mut AlignedBytes, &mut SendQueue),
+        phase: RingPhase,
+        idx: usize,
+    ) -> Result<(), (ClError, SimNs)> {
         let (n, me) = (cx.inner.comm.size(), cx.inner.comm.rank());
-        let next = (me + 1) % n;
+        let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
         let segs = seg_bounds(self.count, n);
         let (send_seg, recv_seg, tagn) = match phase {
             RingPhase::ReduceScatter => ((me + n - idx) % n, (me + 2 * n - idx - 1) % n, "rs"),
             RingPhase::Allgather => ((me + n + 1 - idx) % n, (me + n - idx) % n, "ag"),
         };
-        self.queue_segment(cx, segs[send_seg], next, start, |k| {
+        let start = cx.now();
+        self.queue_segment((cx, queue), host, segs[send_seg], (next, start), |k| {
             format!("{tagn}[{idx}][{k}]→r{next}")
         });
         let (_, rlen_el) = segs[recv_seg];
-        let recv = (rlen_el > 0).then(|| SegRecv {
+        let mut recv = (rlen_el > 0).then(|| SegRecv {
             recv: CountedRecv::new(rlen_el * 8, 0),
             seg: recv_seg,
-            data: Vec::new(),
+            data: AlignedBytes::zeroed(rlen_el * 8),
         });
-        self.run.state = RingState::Round {
-            phase,
-            idx,
-            start,
-            recv_done: recv.is_none().then_some(start),
-            recv,
+        let mut recv_done = recv.is_none().then_some(start);
+        let round_end = until(|| {
+            let now = cx.now();
+            // A send failure fails the round with its receive still
+            // posted; dropping the body withdraws it.
+            if let Some(Err((at, e))) = queue.drive(cx) {
+                return Some(Err((e, at.max(now))));
+            }
+            if let Some(sr) = recv.as_mut() {
+                match sr.drive(cx, (prev, self.wire_tag)) {
+                    None => {}
+                    Some(Err(e)) => return Some(Err((e, now))),
+                    Some(Ok(())) => {
+                        let (off, len) = segs[sr.seg];
+                        let bytes = sr.data.len();
+                        recv_done = Some(match phase {
+                            RingPhase::ReduceScatter => {
+                                let mine = &mut host.as_f64_mut()[off..off + len];
+                                self.op.fold(mine, sr.data.as_f64());
+                                let end = now + fold_ns(bytes);
+                                let name = format!("reduce[{}]", sr.seg);
+                                cx.child("dev", name, "reduce", (now, end), bytes as u64, true);
+                                end
+                            }
+                            RingPhase::Allgather => {
+                                let mine = &mut host.as_mut_slice()[off * 8..(off + len) * 8];
+                                mine.copy_from_slice(sr.data.as_slice());
+                                now
+                            }
+                        });
+                        recv = None;
+                    }
+                }
+            }
+            let end = recv_done.filter(|_| queue.is_empty());
+            end.map(|rd| Ok(rd.max(queue.done_at).max(start)))
+        })
+        .await?;
+        cx.inner.clock.sleep_until(round_end).await;
+        Ok(())
+    }
+
+    /// Every step after the d2h load: the rounds, then the store, the
+    /// gather send or the gather at the root. Done at the returned
+    /// instant.
+    async fn reduce(&self, cx: &mut OpCx, host: &mut AlignedBytes) -> Outcome {
+        let (n, me) = (cx.inner.comm.size(), cx.inner.comm.rank());
+        let mut queue = SendQueue::default();
+        for idx in 0..n - 1 {
+            let q = (&mut *host, &mut queue);
+            self.round(cx, q, RingPhase::ReduceScatter, idx).await?;
+        }
+        // Reduce-scatter done: this rank owns the fully reduced segment
+        // (me+1) mod n.
+        let segs = seg_bounds(self.count, n);
+        let own = segs[(me + 1) % n];
+        let root = match self.kind {
+            RingKind::Allreduce => {
+                for idx in 0..n - 1 {
+                    let q = (&mut *host, &mut queue);
+                    self.round(cx, q, RingPhase::Allgather, idx).await?;
+                }
+                return Ok(self.store(cx, host, cx.now()).await.max(queue.done_at));
+            }
+            RingKind::ReduceToRoot(root) => root,
         };
-    }
-
-    /// The round is fully done (sends delivered, segment folded); move
-    /// to the next round or the terminal phase.
-    fn advance_round(
-        &mut self,
-        cx: &mut OpCx,
-        phase: RingPhase,
-        idx: usize,
-        at: SimNs,
-        actor: &Actor,
-    ) {
-        let (n, me) = (cx.inner.comm.size(), cx.inner.comm.rank());
-        if idx + 1 < n - 1 {
-            return self.begin_round(cx, phase, idx + 1, at);
+        if me != root {
+            let now = cx.now();
+            self.queue_segment((cx, &mut queue), host, own, (root, now), |k| {
+                format!("gather[{k}]→r{root}")
+            });
+            let sent = queue.flush(cx).await;
+            let now = cx.now();
+            // MPI_Reduce semantics: a non-root buffer is left untouched —
+            // no device store.
+            return match sent {
+                Err((at, e)) => Err((e, at.max(now))),
+                Ok(()) => Ok(queue.done_at.max(now)),
+            };
         }
-        match (phase, self.kind) {
-            // Reduce-scatter done: this rank owns the fully reduced
-            // segment (me+1) mod n.
-            (RingPhase::ReduceScatter, RingKind::Allreduce) => {
-                self.begin_round(cx, RingPhase::Allgather, 0, at)
-            }
-            (RingPhase::ReduceScatter, RingKind::ReduceToRoot(root)) if me == root => {
-                self.begin_gather_root(cx, at, actor)
-            }
-            (RingPhase::ReduceScatter, RingKind::ReduceToRoot(root)) => {
-                let own = seg_bounds(self.count, n)[(me + 1) % n];
-                self.queue_segment(cx, own, root, at, |k| format!("gather[{k}]→r{root}"));
-                self.run.state = RingState::GatherSend;
-            }
-            (RingPhase::Allgather, _) => {
-                let host = std::mem::take(&mut self.run.host);
-                self.begin_store(cx, f64_as_bytes(&host), at);
-            }
-        }
-    }
-
-    /// Root side of reduce-to-root: collect every other rank's owned
-    /// segment into a byte image of the region.
-    fn begin_gather_root(&mut self, cx: &mut OpCx, at: SimNs, actor: &Actor) {
-        let (n, me) = (cx.inner.comm.size(), cx.inner.comm.rank());
-        let own = seg_bounds(self.count, n)[(me + 1) % n];
+        // The root collects every other rank's owned segment into its
+        // image of the region. A degenerate split — every foreign segment
+        // empty — has nothing to collect.
         let expect = (self.count - own.1) * 8;
-        if expect == 0 {
-            // Degenerate split: every foreign segment is empty.
-            let host = std::mem::take(&mut self.run.host);
-            return self.begin_store(cx, f64_as_bytes(&host), at);
+        let mut per_src: BTreeMap<Rank, usize> = BTreeMap::new();
+        let mut got = 0;
+        while got < expect {
+            // A contributor whose segment is still incomplete and whose
+            // process is dead can never finish the gather.
+            let dead = |inner: &Inner, now| {
+                (0..n).find(|&r| {
+                    let want = segs[(r + 1) % n].1 * 8;
+                    r != me
+                        && per_src.get(&r).copied().unwrap_or(0) < want
+                        && inner.peer_failed(r, now)
+                })
+            };
+            let recv = ChunkRecv::post(cx, None, self.wire_tag);
+            let r = match recv.take(cx, dead).await {
+                Ok(r) => r,
+                Err(f) => {
+                    let what = format!("reduce gather (tag {})", self.wire_tag);
+                    return Err((f.into_error(&what), cx.now()));
+                }
+            };
+            let src = r.status.source;
+            let (off_el, len_el) = segs[(src + 1) % n];
+            let within = per_src.entry(src).or_insert(0);
+            let upto = *within + r.data.len();
+            if upto > len_el * 8 {
+                let e = ClError::TransferFailed(format!(
+                    "reduce gather overflow from rank {src}: {upto} bytes \
+                     into a {}-byte segment",
+                    len_el * 8
+                ));
+                return Err((e, cx.now()));
+            }
+            let base = off_el * 8 + *within;
+            host.as_mut_slice()[base..base + r.data.len()].copy_from_slice(&r.data);
+            *within = upto;
+            got += r.data.len();
         }
-        self.run.state = RingState::GatherRoot(Box::new(GatherState {
-            recv: ChunkRecv::post(&cx.inner, actor, None, self.wire_tag, at),
-            per_src: BTreeMap::new(),
-            got: 0,
-            expect,
-            image: f64_as_bytes(&self.run.host).to_vec(),
-        }));
+        let mut at = cx.now();
+        if expect > 0 {
+            let end = at + fold_ns(expect);
+            let len = host.len() as u64;
+            let name = "reduce[gather]".to_string();
+            cx.child("dev", name, "reduce", (at, end), len, true);
+            at = end;
+        }
+        Ok(self.store(cx, host, at).await.max(queue.done_at))
     }
 
-    /// Write the final region bytes to the device: buffer store plus one
-    /// h2d staging reservation.
-    fn begin_store(&mut self, cx: &mut OpCx, bytes: &[u8], at: SimNs) {
-        store(&self.buf, self.offset, bytes);
-        let h2d = Hop::H2d.stage(cx, &self.device, bytes.len(), at);
-        self.run.state = RingState::Store { end: h2d.1 };
+    /// Write the final region bytes to the device — buffer store plus one
+    /// h2d staging reservation from `at` — and wait out the hop.
+    async fn store(&self, cx: &mut OpCx, host: &AlignedBytes, at: SimNs) -> SimNs {
+        store(&self.buf, self.offset, host.as_slice());
+        let h2d = Hop::H2d.stage(cx, &self.device, host.len(), at);
+        cx.inner.clock.sleep_until(h2d.1).await;
+        h2d.1
     }
 }
 
 impl OpBody for RingReduceBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
-        let (n, me) = (cx.inner.comm.size(), cx.inner.comm.rank());
-        loop {
-            match &mut self.run.state {
-                RingState::Start => {
-                    if n == 1 || self.count == 0 {
-                        // Identity reduction: the local contribution is
-                        // already the result, in place.
-                        return self.finish(cx, now);
-                    }
-                    let region = self.offset..self.offset + self.size();
-                    self.run.host = self.buf.read(|d| bytes_to_f64(&d.as_slice()[region]));
-                    let from = now + self.device.spec().pcie.pin_setup_ns;
-                    let d2h = Hop::D2h.stage(cx, &self.device, self.size(), from);
-                    self.run.state = RingState::Load { end: d2h.1 };
-                }
-                &mut RingState::Load { end } => {
-                    if now < end {
-                        return Advance::Park(Some(end));
-                    }
-                    self.begin_round(cx, RingPhase::ReduceScatter, 0, now);
-                }
-                RingState::Round {
-                    phase,
-                    idx,
-                    start,
-                    recv,
-                    recv_done,
-                } => {
-                    // A send failure fails the round with its receive
-                    // still posted; dropping the body withdraws it.
-                    let send_hint = match self.run.queue.drive(cx, now, actor) {
-                        Ok(hint) => hint,
-                        Err((at, e)) => return self.fail(cx, e, at.max(now)),
-                    };
-                    let mut recv_hint = None;
-                    if let Some(sr) = recv.as_mut() {
-                        let prev = (me + n - 1) % n;
-                        match sr.drive(cx, now, actor, (prev, self.wire_tag)) {
-                            Err(e) => return self.fail(cx, e, now),
-                            Ok(RecvPoll::Pending(hint)) => recv_hint = hint,
-                            Ok(RecvPoll::Ready(())) => {
-                                // Fold (reduce-scatter) or copy
-                                // (allgather) the complete segment.
-                                let (off, len) = seg_bounds(self.count, n)[sr.seg];
-                                let mine = &mut self.run.host[off..off + len];
-                                let vals = bytes_to_f64(&sr.data);
-                                *recv_done = Some(match *phase {
-                                    RingPhase::ReduceScatter => {
-                                        self.op.fold(mine, &vals);
-                                        let end = now + fold_ns(sr.data.len());
-                                        let name = format!("reduce[{}]", sr.seg);
-                                        let bytes = sr.data.len() as u64;
-                                        cx.child("dev", name, "reduce", (now, end), bytes, true);
-                                        end
-                                    }
-                                    RingPhase::Allgather => {
-                                        mine.copy_from_slice(&vals);
-                                        now
-                                    }
-                                });
-                                *recv = None;
-                            }
-                        }
-                    }
-                    let round_end = (*recv_done)
-                        .filter(|_| self.run.queue.is_empty())
-                        .map(|rd| rd.max(self.run.queue.done_at).max(*start));
-                    let Some(round_end) = round_end else {
-                        return Advance::Park(send_hint.into_iter().chain(recv_hint).min());
-                    };
-                    if now < round_end {
-                        return Advance::Park(Some(round_end));
-                    }
-                    let (phase, idx) = (*phase, *idx);
-                    self.advance_round(cx, phase, idx, now, actor);
-                }
-                RingState::GatherSend => {
-                    return match self.run.queue.drive(cx, now, actor) {
-                        Err((at, e)) => self.fail(cx, e, at.max(now)),
-                        Ok(Some(t)) => Advance::Park(Some(t)),
-                        // MPI_Reduce semantics: a non-root buffer is left
-                        // untouched — no device store.
-                        Ok(None) => self.finish(cx, self.run.queue.done_at.max(now)),
-                    };
-                }
-                RingState::GatherRoot(gs) => {
-                    let gs = &mut **gs;
-                    let segs = seg_bounds(self.count, n);
-                    // A contributor whose segment is still incomplete and
-                    // whose process is dead can never finish the gather.
-                    let per_src = &gs.per_src;
-                    let dead = |inner: &Inner| {
-                        (0..n).find(|&r| {
-                            let want = segs[(r + 1) % n].1 * 8;
-                            r != me
-                                && per_src.get(&r).copied().unwrap_or(0) < want
-                                && inner.peer_failed(r, now)
-                        })
-                    };
-                    let r = match gs.recv.poll(cx, now, actor, dead) {
-                        Ok(RecvPoll::Ready(r)) => r,
-                        Ok(RecvPoll::Pending(hint)) => return Advance::Park(hint),
-                        Err(f) => {
-                            let what = format!("reduce gather (tag {})", self.wire_tag);
-                            return self.fail(cx, f.into_error(&what), now);
-                        }
-                    };
-                    let src = r.status.source;
-                    let (off_el, len_el) = segs[(src + 1) % n];
-                    let within = gs.per_src.entry(src).or_insert(0);
-                    let upto = *within + r.data.len();
-                    if upto > len_el * 8 {
-                        let e = ClError::TransferFailed(format!(
-                            "reduce gather overflow from rank {src}: {upto} bytes \
-                             into a {}-byte segment",
-                            len_el * 8
-                        ));
-                        return self.fail(cx, e, now);
-                    }
-                    let base = off_el * 8 + *within;
-                    gs.image[base..base + r.data.len()].copy_from_slice(&r.data);
-                    *within = upto;
-                    gs.got += r.data.len();
-                    if gs.got < gs.expect {
-                        gs.recv = ChunkRecv::post(&cx.inner, actor, None, self.wire_tag, now);
-                        continue;
-                    }
-                    let end = now + fold_ns(gs.expect);
-                    let bytes = std::mem::take(&mut gs.image);
-                    let len = bytes.len() as u64;
-                    cx.child(
-                        "dev",
-                        "reduce[gather]".into(),
-                        "reduce",
-                        (now, end),
-                        len,
-                        true,
-                    );
-                    self.begin_store(cx, &bytes, end);
-                }
-                &mut RingState::Store { end } => {
-                    if now < end {
-                        return Advance::Park(Some(end));
-                    }
-                    return self.finish(cx, end.max(self.run.queue.done_at));
-                }
-            }
+    async fn run(self, cx: &mut OpCx) -> Outcome {
+        let now = cx.now();
+        if cx.inner.comm.size() == 1 || self.count == 0 {
+            // Identity reduction: the local contribution is already the
+            // result, in place.
+            return self.finish(cx, now);
+        }
+        let mut host = match self.buf.load(self.offset, self.size()) {
+            Ok(host) => host,
+            Err(e) => return self.fail(cx, e, now),
+        };
+        // The d2h load of the local contribution is crossing PCIe.
+        let from = now + self.device.spec().pcie.pin_setup_ns;
+        let d2h = Hop::D2h.stage(cx, &self.device, self.size(), from);
+        cx.inner.clock.sleep_until(d2h.1).await;
+        match self.reduce(cx, &mut host).await {
+            Ok(done_at) => self.finish(cx, done_at),
+            Err((e, at)) => self.fail(cx, e, at),
         }
     }
 }

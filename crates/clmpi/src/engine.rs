@@ -1,67 +1,67 @@
-//! The per-rank progress engine: one long-lived runtime actor that drives
-//! every in-flight clMPI operation as an explicit state machine.
+//! The per-rank progress engine: one machine that drives every in-flight
+//! clMPI operation of its rank, each operation one future.
 //!
-//! ### Why an engine (paper §V-A, revisited)
+//! ### Why an engine (paper §V-A)
 //!
 //! The paper's runtime executes communication commands on an internal
-//! thread so the host thread is never blocked. This module is that
-//! architecture: a single per-rank progress thread that multiplexes
-//! **all** outstanding work — chunked transfers, MPI request wrappers,
-//! collective fan-outs, file I/O, and retry/backoff timers — as
-//! cooperative state machines.
+//! thread so the host thread is never blocked. Here that thread is one
+//! machine per rank on the clock's scheduler, [`Engine`], which
+//! multiplexes **all** outstanding work — chunked transfers, MPI request
+//! wrappers, collective fan-outs, file I/O, and retry/backoff timers.
 //!
 //! ### Execution model
 //!
-//! What the engine steps is an [`EngineOp`]: a `step` function that runs
-//! at the engine's current virtual instant and returns a [`Step`]
-//! verdict. The engine actor evaluates all registered machines to a
-//! fixpoint at one frozen instant, then blocks until either a clock
-//! notification (event completed, message matched, new submission) or
-//! one of the future instants the machines asked to be woken at (retry
-//! backoff expiry, injection end, staging completion) — scheduled as
-//! thread-less clock alarms, never as a parked thread.
+//! An operation is one boxed future. [`Engine::submit`] queues it; the
+//! engine's poll adopts what was queued and polls every op in FIFO
+//! submission order, again and again until a round retires none, all at
+//! one frozen instant. A finished op is the only thing counted as a
+//! scheduler event. Then the engine parks: on the wake keys its polls read
+//! (an event settling, a message matching, a grant filling a cell), and
+//! on a timer at the earliest instant a pending op noted in the last round
+//! (`simtime::note_wake_at`: a backoff expiry, a reservation end, a
+//! receive deadline). FIFO order is what makes a rank's same-instant link
+//! reservations deterministic.
 //!
-//! **The engine never blocks inside a machine.** A machine that needs a
-//! future instant *parks* with a wake hint; a machine that needs another
-//! actor's progress parks without one and relies on the clock's notify
-//! protocol. This is what the repo's CI lint enforces: this file must
-//! contain no blocking wait, no blocking receive, and no virtual-time
-//! sleep — the only places the data plane may touch virtual time are
-//! reservation timelines and alarms.
+//! **Nothing in this file blocks.** A body waits by `.await`ing a check
+//! ([`until`]) or an instant (`SimClock::sleep_until`); `clmpi-check`
+//! keeps blocking waits, receives and virtual-time sleeps out of it. The
+//! only places the data plane touches virtual time are reservation
+//! timelines and those awaits.
 //!
 //! ### One frame, many bodies
 //!
-//! The paper's runtime treats every command the same way — wait for the
-//! event list, move the data by the chosen strategy, complete the user
-//! event — and so does this file: every event-backed command is an
-//! [`OpBody`] run by the one [`OpFrame`], which owns, exactly once,
+//! Every event-backed command is an [`OpBody`] — an `async` body — run
+//! by the one frame ([`OpSpec::submit`]), which owns, exactly once:
 //!
 //! * the **gate**: the wait list is polled until every event settles; a
 //!   failed dependency poisons the command with −14 without running the
 //!   body (the four file commands carry `poison: false` and are only
 //!   ordered by their list);
 //! * **when an outcome becomes visible**: a success at its instant (the
-//!   frame parks until then), a failure at once, stamped with its instant;
+//!   frame sleeps until then), a failure at once, stamped with its
+//!   instant;
 //! * the **settlement**: result slot, envelope span, `ObsCounters`, and
 //!   the user event with its `CL_MPI_TRANSFER_ERROR` / −14 mapping. The
-//!   body is dropped *before* that, so a receive it still has posted
-//!   ([`ChunkRecv`] cancels on drop) is withdrawn before anyone can see
+//!   body's future is gone before that, so a receive it still has posted
+//!   ([`ChunkRecv`] withdraws on drop) is withdrawn before anyone can see
 //!   the outcome and reuse the tag.
 //!
-//! A body is ordinary Rust, not a stage list — a broadcast relay drains
-//! its forward queue *while* awaiting the next chunk, a ring round
-//! advances a send queue and a segment receive together — composing the
-//! shared primitives: [`SendQueue`] of [`ReliableChunkSend`]s (the one
-//! chunk loop with retry, backoff and degradation), [`ChunkRecv`] (posted
-//! receive + patience + dead-peer fast-fail) and the [`CountedRecv`] built
-//! on it (a payload drained by byte count: the one bound check, repost,
-//! `(offset, chunk)` to the body), [`Hop`] (reserve a PCIe or pack-kernel
-//! hop, record its `stage.*` span), and `fileio`'s `DiskWait`. Bodies
-//! tell the ledger and selectors themselves, where the last chunk lands
-//! or the transfer fails; a poisoned gate never reaches a body, so it
-//! reaches no selector. DESIGN.md §8c has the table of all operations and
-//! the traps (what is byte-visible about *when* a body reserves, posts
-//! and records).
+//! A body is ordinary `async` Rust composing the shared primitives:
+//! [`SendQueue`] of [`ReliableChunkSend`]s (the one chunk loop with retry,
+//! backoff and degradation), [`ChunkRecv`] (posted receive + patience +
+//! dead-peer fast-fail) and the [`CountedRecv`] built on it (a payload
+//! drained by byte count: the one bound check, repost, `(offset, chunk)`
+//! to the body), [`Hop`] (reserve a PCIe or pack-kernel hop, record its
+//! `stage.*` span), and `fileio`'s `DiskWait`. The receive and send
+//! primitives keep a poll form — `Some` when done, `None` with the instant
+//! to look again noted — so a body can drive two at once inside one
+//! check: a broadcast relay drains its forwards while it awaits the next
+//! chunk, a ring round drives its sends and its segment receive together.
+//! Bodies tell the ledger and selectors themselves, where the last chunk
+//! lands or the transfer fails; a poisoned gate never reaches a body, so
+//! it reaches no selector. DESIGN.md §8c has the table of all operations
+//! and the traps (what is byte-visible about *when* a body reserves,
+//! posts and records).
 //!
 //! A body loads a payload ([`load`]), hands it to the wire as an `Arc`,
 //! and has it back only if the fabric refuses it. A point-to-point
@@ -70,20 +70,12 @@
 //! model has a hop and somebody reads it, nowhere else (DESIGN.md §8d
 //! has the count per operation).
 //!
-//! [`HostSendOp`] (`isend_cl`) is the one operation that keeps its own
-//! `impl EngineOp`; its doc says why.
-//!
-//! ### Determinism
-//!
-//! Submissions are handled at the submitting actor's *current* virtual
-//! instant: `submit` notifies the clock, and the clock cannot advance
-//! until every blocked actor — the engine included — has re-evaluated its
-//! predicate. Within one engine, machines step in FIFO submission order,
-//! which makes same-instant resource reservations deterministic per rank
-//! (one thread per command would race them).
+//! `isend_cl` ([`HostSend`]) runs on the same engine without the frame;
+//! its doc says why.
 
 use std::collections::VecDeque;
 use std::future::Future;
+use std::marker::PhantomData;
 use std::pin::Pin;
 use std::sync::Arc;
 
@@ -95,7 +87,9 @@ use minimpi::{
     CommittedType, Datatype, DropReason, MpiError, Rank, RecvResult, ReduceOp, Request,
     RetryPolicy, RmaHandle, RmaPoll, RmaRoute, Tag, Win,
 };
-use simtime::{until, Actor, MachineStep, Monitor, OpSpan, SimActor, SimClock, SimNs};
+use simtime::{
+    note_wake_at, until, Actor, MachineStep, Monitor, OpSpan, SimActor, SimClock, SimNs,
+};
 
 use crate::obs::{ChildIds, FaultStats, Via};
 use crate::runtime::Inner;
@@ -105,48 +99,28 @@ use crate::strategy::{PackMode, ResolvedStrategy, TransferStrategy};
 // Engine core
 // ----------------------------------------------------------------------
 
-/// Verdict of one [`EngineOp::step`] call at the engine's current instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Step {
-    /// Nothing to do right now. `Some(t)` asks for a wake-up at the
-    /// strictly-future instant `t` (a retry backoff expiry, an injection
-    /// end); `None` means "wake me on any cross-actor notification"
-    /// (an event completing, a message matching). A machine that can do
-    /// more at the current instant does it before returning — a `step`
-    /// runs as far as it can — so every operation is worth exactly one
-    /// scheduler event, its `Done`.
-    Park(Option<SimNs>),
-    /// The operation finished (its event settled, its result landed);
-    /// the engine unregisters it.
-    Done,
-}
-
-/// An in-flight operation driven by the engine. Implementations are
-/// state machines: `step` runs at a frozen virtual instant, must never
-/// block, and reports how the engine should treat the machine next.
-pub(crate) trait EngineOp: Send {
-    /// Advance the machine as far as possible at virtual instant `now`.
-    /// `actor` is the engine's own clock actor: machines may use it to
-    /// post non-blocking MPI calls, but must never park it.
-    fn step(&mut self, now: SimNs, actor: &Actor) -> Step;
-}
+/// One in-flight operation, its whole life as one future.
+pub(crate) type OpFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 
 #[derive(Default)]
 struct EngineShared {
-    /// Newly submitted machines, drained by the worker at the
-    /// submission instant.
-    incoming: Vec<Box<dyn EngineOp>>,
-    /// Machines submitted but not yet finished (incoming + registered).
+    /// Newly submitted ops, adopted by the engine at the submission
+    /// instant.
+    incoming: Vec<OpFuture>,
+    /// Ops submitted but not yet finished (incoming + adopted).
     active: usize,
-    /// Once set, the worker exits as soon as every machine finishes.
+    /// Once set, the engine retires as soon as every op finishes.
     shutdown: bool,
 }
 
-/// The per-rank progress engine. Owns one machine (`EngineCore`) on the
-/// clock's scheduler that steps every registered [`EngineOp`] to
-/// completion.
+/// The per-rank progress engine: one machine (`EngineCore`) on the
+/// clock's scheduler that polls every submitted op to completion.
 pub(crate) struct Engine {
     shared: Arc<Monitor<EngineShared>>,
+    /// The clock handle the ops make their non-blocking MPI calls with
+    /// (`isend_raw`, `irecv`, `Request::test`): registered as no actor,
+    /// like the one a pass gives its machines.
+    actor: Actor,
 }
 
 impl Engine {
@@ -159,13 +133,16 @@ impl Engine {
             ops: Vec::new(),
         };
         clock.spawn_machine(0, label, Box::new(core));
-        Engine { shared }
+        Engine {
+            shared,
+            actor: Actor::for_pass(clock),
+        }
     }
 
-    /// Register a machine. It is first stepped at the caller's current
-    /// virtual instant — the clock cannot advance past the submission
-    /// before the engine has seen it.
-    pub fn submit(&self, op: Box<dyn EngineOp>) {
+    /// Queue an op. It is first polled at the caller's current virtual
+    /// instant — the clock cannot advance past the submission before the
+    /// engine has seen it.
+    pub fn submit(&self, op: OpFuture) {
         self.shared.with(|s| {
             assert!(!s.shutdown, "clMPI engine already shut down");
             s.active += 1;
@@ -173,30 +150,29 @@ impl Engine {
         });
     }
 
-    /// Block `actor` (in virtual time) until every submitted machine has
+    /// Block `actor` (in virtual time) until every submitted op has
     /// finished.
     pub fn wait_idle(&self, actor: &Actor) {
         // checker-allow(non-blocking-engine): host-side control-plane
         // API (shutdown quiescence); it blocks the *calling* actor,
-        // never the engine worker thread.
+        // never the engine.
         actor.block_on("clmpi shutdown", self.idle());
     }
 
     /// The future of [`Engine::wait_idle`]: ready once every submitted
-    /// machine has finished.
+    /// op has finished.
     pub fn idle(&self) -> impl Future<Output = ()> + '_ {
         until(|| self.shared.peek(|s| (s.active == 0).then_some(())))
     }
 
-    /// Number of machines submitted but not yet finished.
+    /// Number of ops submitted but not yet finished.
     pub fn active(&self) -> usize {
         self.shared.peek(|s| s.active)
     }
 }
 
 impl Drop for Engine {
-    /// Ask the machine to exit once its ops drain; it retires on the
-    /// scheduler.
+    /// Ask the machine to retire once its ops drain.
     fn drop(&mut self) {
         if std::thread::panicking() {
             return; // clock is poisoned; the machine dies on its own
@@ -205,14 +181,12 @@ impl Drop for Engine {
     }
 }
 
-/// The engine loop as a resumable machine. Every poll happens at a frozen
-/// virtual instant (the executor is runnable while stepping); between
-/// polls the executor is a blocked actor whose scheduled alarms are
-/// eligible to drive the clock. Identical code serves both execution
-/// modes, which is what makes their virtual timings indistinguishable.
+/// The engine as a machine: every poll happens at a frozen virtual
+/// instant inside a scheduler pass, which parks it on what the poll read
+/// and on the hint it returns.
 struct EngineCore {
     shared: Arc<Monitor<EngineShared>>,
-    ops: Vec<Box<dyn EngineOp>>,
+    ops: Vec<OpFuture>,
 }
 
 impl SimActor for EngineCore {
@@ -230,9 +204,9 @@ impl SimActor for EngineCore {
         }) {
             self.ops.append(&mut newly);
         }
-        // The wake hint reported upward: the earliest future instant any
-        // op asked for *in the final, progress-free pass* (earlier passes
-        // recompute it — a parked op re-reports its hint every pass).
+        // The wake hint reported upward: the earliest instant any op
+        // noted *in the final, progress-free round* (earlier rounds
+        // recompute it — a pending op notes its instant every poll).
         let mut hint: Option<SimNs> = None;
         let mut made_progress = true;
         while made_progress {
@@ -240,29 +214,28 @@ impl SimActor for EngineCore {
             hint = None;
             let mut i = 0;
             while i < self.ops.len() {
-                match self.ops[i].step(now, actor) {
-                    Step::Park(h) => {
-                        if let Some(t) = h {
-                            debug_assert!(t > now, "machines must progress, not park, when due");
+                match simtime::poll_future(self.ops[i].as_mut()) {
+                    Err(wake) => {
+                        if let Some(t) = wake {
+                            debug_assert!(t > now, "ops must progress, not wait, when due");
                             if t > now {
                                 hint = Some(hint.map_or(t, |c: SimNs| c.min(t)));
                             }
                         }
                         i += 1;
                     }
-                    Step::Done => {
-                        let op = self.ops.remove(i);
-                        // Count only completions: idle re-polls of parked
+                    Ok(()) => {
+                        // The op's future has already dropped everything
+                        // it held (its runtime handle included); what is
+                        // left is the box.
+                        drop(self.ops.remove(i));
+                        // Count only completions: idle re-polls of pending
                         // ops are free, so the count is a property of the
                         // scenario, not of the host's wake-up pattern. And
                         // count before `active` says so: a rank that sees
                         // zero may return and let the world read the sum.
                         actor.clock().count_events(1);
-                        // Decrement while the op is still alive: dropping
-                        // it may release the last handle on the runtime,
-                        // whose drop path reads this counter.
                         self.shared.with(|s| s.active -= 1);
-                        drop(op);
                         made_progress = true;
                     }
                 }
@@ -280,9 +253,9 @@ impl SimActor for EngineCore {
 // The op frame
 // ----------------------------------------------------------------------
 
-/// Where a machine reports its final result when a caller is blocked on
-/// it (the gpu-aware comparator paths). The event carries the same
-/// outcome for event-ordered callers.
+/// Where an op reports its final result when a caller is blocked on it
+/// (the gpu-aware comparator paths). The event carries the same outcome
+/// for event-ordered callers.
 pub(crate) type ResultSlot = Arc<Monitor<Option<ClResult<()>>>>;
 
 /// What an operation leaves behind when it settles: its envelope span on
@@ -379,6 +352,12 @@ impl OpCx {
             t0: 0,
             obs,
         }
+    }
+
+    /// The current virtual instant. A check reads it on every poll: what
+    /// it compares with `now` must be the instant of *this* poll.
+    pub(crate) fn now(&self) -> SimNs {
+        self.inner.clock.now_ns()
     }
 
     /// The envelope, for the few bodies that only learn part of it while
@@ -501,30 +480,21 @@ impl OpCx {
     }
 }
 
-/// What a body reports from one [`OpBody::advance`] call.
-pub(crate) enum Advance {
-    /// Nothing more to do at this instant: `Some(t)` asks for a wake-up at
-    /// the strictly-future instant `t`, `None` waits for a notification.
-    Park(Option<SimNs>),
-    /// The work is done and becomes observable at the carried instant
-    /// (the frame parks until then before completing the event).
-    Done(SimNs),
-    /// The work failed; the failure settles at once, stamped with the
-    /// carried instant (which may lie ahead of `now` — dependants poll
-    /// wait lists, so parking a failure would move time).
-    Failed(ClError, SimNs),
-}
+/// How a body ends: `Ok(at)`, done and visible at `at` (the frame sleeps
+/// until then); `Err((e, at))`, failed — settled at once, stamped `at`,
+/// which may lie ahead of now (dependants poll wait lists, so waiting out
+/// a failure would move time).
+pub(crate) type Outcome = Result<SimNs, (ClError, SimNs)>;
 
 /// The part of an operation that differs from every other one: what it
-/// moves and how. Run by an [`OpFrame`] once the wait list has let it; a
-/// body is ordinary Rust composing the shared primitives below
+/// moves and how. Run by the frame once the wait list has let it; a body
+/// is ordinary `async` Rust composing the shared primitives below
 /// ([`SendQueue`], [`ChunkRecv`], [`Hop`]) and never touches the user
 /// event, the envelope or the counters itself.
-pub(crate) trait OpBody: Send {
-    /// Run as far as possible at the frozen instant `now`. Never blocks;
-    /// `actor` is the engine's own clock actor, for posting non-blocking
-    /// MPI calls.
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance;
+pub(crate) trait OpBody: Send + 'static {
+    /// The body, from the instant its gate opened (`cx.t0`). It never
+    /// blocks: it awaits checks and instants.
+    fn run(self, cx: &mut OpCx) -> impl Future<Output = Outcome> + Send;
 }
 
 /// How an operation is submitted: everything about it that is not its
@@ -554,100 +524,76 @@ impl<'a> OpSpec<'a> {
             result: None,
         }
     }
+
+    /// Wrap `body` in the frame, hand it to `inner`'s engine and return
+    /// the event that will carry its outcome.
+    pub(crate) fn submit(self, inner: &Arc<Inner>, body: impl OpBody) -> Event {
+        let ue = inner.ctx.create_user_event(self.event);
+        let event = ue.event();
+        let cx = OpCx::new(inner, self.env);
+        let wait = self.wait.to_vec();
+        let frame = frame(cx, wait, self.poison, body, ue, self.result);
+        inner.engine.submit(Box::pin(frame));
+        event
+    }
 }
 
 /// Every event-backed operation: the one place that owns the wait-list
 /// gate, the rule for when an outcome becomes visible, and the
 /// settlement (envelope, counters, result slot, user event and its
 /// error-code mapping).
-pub(crate) struct OpFrame<B> {
-    cx: OpCx,
+async fn frame(
+    mut cx: OpCx,
     wait: Vec<Event>,
     poison: bool,
-    gated: bool,
+    body: impl OpBody,
     ue: UserEvent,
     result: Option<ResultSlot>,
-    /// `Some` until the body reports. Dropped the moment it does, so what
-    /// it still holds — a posted receive above all — is released *before*
-    /// the outcome is visible to anyone who might reuse the tag.
-    body: Option<B>,
-    done_at: SimNs,
-}
-
-impl<B: OpBody + 'static> OpFrame<B> {
-    /// Wrap `body` in a frame, hand it to `inner`'s engine and return
-    /// the event that will carry its outcome.
-    pub(crate) fn submit(inner: &Arc<Inner>, spec: OpSpec<'_>, body: B) -> Event {
-        let ue = inner.ctx.create_user_event(spec.event);
-        let event = ue.event();
-        inner.engine.submit(Box::new(OpFrame {
-            cx: OpCx::new(inner, spec.env),
-            wait: spec.wait.to_vec(),
-            poison: spec.poison,
-            gated: false,
-            ue,
-            result: spec.result,
-            body: Some(body),
-            done_at: 0,
-        }));
-        event
-    }
-
-    fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        if let Some(slot) = &self.result {
-            slot.with(|s| *s = Some(outcome.clone()));
+) {
+    // `Pending` until *every* event settles, then the first failure in
+    // list order, or `Ready`. An empty list is `Ready`.
+    let gate = until(|| match Event::poll_wait_list(&wait) {
+        WaitListStatus::Pending => None,
+        status => Some(status),
+    })
+    .await;
+    let now = cx.now();
+    let (outcome, at) = match gate {
+        // The body never runs: a poisoned gate says nothing about the
+        // strategy, so no selector hears of it.
+        WaitListStatus::Failed { code, label } if poison => {
+            (Err(ClError::EventFailed { code, label }), now)
         }
-        self.cx.close(outcome.is_ok(), at);
-        let settled = match outcome {
-            Ok(()) => self.ue.set_complete(at),
-            // A failed dependency poisons this command, as the queue
-            // executor does for ordinary commands.
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST),
-            Err(_) => self.ue.set_failed(at, CL_MPI_TRANSFER_ERROR),
-        };
-        settled.expect("an operation's event settles once");
-        Step::Done
-    }
-}
-
-impl<B: OpBody + 'static> EngineOp for OpFrame<B> {
-    fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
-        if !self.gated {
-            // `Pending` until *every* event settles, then the first
-            // failure in list order, or `Ready`. An empty list is `Ready`.
-            match Event::poll_wait_list(&self.wait) {
-                WaitListStatus::Pending => return Step::Park(None),
-                WaitListStatus::Failed { code, label } if self.poison => {
-                    // The body never runs: a poisoned gate says nothing
-                    // about the strategy, so no selector hears of it.
-                    return self.settle(Err(ClError::EventFailed { code, label }), now);
+        _ => {
+            cx.t0 = now;
+            // The body's future, and whatever it still holds — a posted
+            // receive above all — is dropped at the end of this statement,
+            // before the outcome is visible to anyone who might reuse
+            // the tag.
+            let ran = body.run(&mut cx).await;
+            match ran {
+                Ok(at) => {
+                    cx.inner.clock.sleep_until(at).await;
+                    (Ok(()), at)
                 }
-                WaitListStatus::Failed { .. } | WaitListStatus::Ready => {
-                    self.gated = true;
-                    self.cx.t0 = now;
-                }
+                Err((e, at)) => (Err(e), at),
             }
         }
-        if let Some(body) = self.body.as_mut() {
-            match body.advance(&mut self.cx, now, actor) {
-                Advance::Park(hint) => return Step::Park(hint),
-                Advance::Failed(e, at) => {
-                    self.body = None;
-                    return self.settle(Err(e), at);
-                }
-                Advance::Done(at) => {
-                    self.body = None;
-                    self.done_at = at;
-                }
-            }
-        }
-        if now < self.done_at {
-            return Step::Park(Some(self.done_at));
-        }
-        self.settle(Ok(()), self.done_at)
+    };
+    if let Some(slot) = &result {
+        slot.with(|s| *s = Some(outcome.clone()));
     }
+    cx.close(outcome.is_ok(), at);
+    let settled = match outcome {
+        Ok(()) => ue.set_complete(at),
+        // A failed dependency poisons this command, as the queue
+        // executor does for ordinary commands.
+        Err(ClError::EventFailed { .. }) => {
+            ue.set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
+        }
+        Err(_) => ue.set_failed(at, CL_MPI_TRANSFER_ERROR),
+    };
+    settled.expect("an operation's event settles once");
 }
 
 // ----------------------------------------------------------------------
@@ -655,11 +601,10 @@ impl<B: OpBody + 'static> EngineOp for OpFrame<B> {
 // ----------------------------------------------------------------------
 
 /// One wire chunk injected reliably: on sender-observed loss (the
-/// fabric's link-layer NACK model) the machine enters a virtual-time
+/// fabric's link-layer NACK model) the chunk enters a virtual-time
 /// backoff and retransmits when the engine wakes it, up to the policy's
 /// attempt budget. Feeds the degradation latch and the fault counters.
-/// The backoff is a real engine-scheduled timer, not a pre-dated
-/// reservation.
+/// The backoff is a real engine timer, not a pre-dated reservation.
 pub(crate) struct ReliableChunkSend {
     dst: Rank,
     wire_tag: Tag,
@@ -674,7 +619,7 @@ pub(crate) struct ReliableChunkSend {
     policy: RetryPolicy,
     attempt: u32,
     /// Set when the drop was caused by a dead endpoint: retransmission
-    /// can never succeed, so the machine fails without burning retries.
+    /// can never succeed, so the chunk fails without burning retries.
     peer_dead: bool,
     state: ChunkState,
 }
@@ -698,7 +643,8 @@ enum ChunkState {
 enum ChunkStep {
     /// State changed; step again at the same instant.
     Progressed,
-    /// Waiting for a future instant (backoff expiry or failure charge).
+    /// Waiting for a future instant (grant, backoff expiry or failure
+    /// charge).
     Park(SimNs),
     /// Delivered; injection ended at the given instant.
     Sent(SimNs),
@@ -746,17 +692,18 @@ impl ReliableChunkSend {
         ))
     }
 
-    fn step(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> ChunkStep {
+    fn step(&mut self, cx: &mut OpCx) -> ChunkStep {
+        let now = cx.now();
         match &self.state {
             ChunkState::Injecting { req, earliest } => {
                 let earliest = *earliest;
                 // `None` means the clock has not granted the injection
                 // yet; the grant notifies the outcome cell
-                // `known_completion` reads, which readies this machine.
-                // The park hint is the grant instant: the arbiter clamps a
-                // stale `earliest` up to the posting instant and grants
-                // one tick later, so it is strictly future relative to
-                // `now`.
+                // `known_completion` reads, which readies the engine.
+                // The wake instant is the grant instant: the arbiter
+                // clamps a stale `earliest` up to the posting instant and
+                // grants one tick later, so it is strictly future
+                // relative to `now`.
                 let Some(done) = req.known_completion() else {
                     return ChunkStep::Park(now.max(earliest) + 1);
                 };
@@ -766,7 +713,7 @@ impl ReliableChunkSend {
             &ChunkState::Ready { earliest } => {
                 self.attempt += 1;
                 let req = cx.inner.comm.isend_raw(
-                    actor,
+                    &cx.inner.engine.actor,
                     self.dst,
                     self.wire_tag,
                     Datatype::ClMem,
@@ -822,7 +769,7 @@ impl ReliableChunkSend {
         cx.dropped(reason, name, (earliest, done), len);
         if reason == DropReason::NodeDown {
             // Dead endpoint: no retransmission can ever succeed. Fail the
-            // transfer now — this is what keeps machines from hanging out
+            // transfer now — this is what keeps an op from hanging out
             // a full retry budget per chunk after a rank failure.
             cx.proc_failure(self.dst, done);
             self.peer_dead = true;
@@ -863,8 +810,8 @@ struct QueuedSend {
 
 /// A FIFO of [`ReliableChunkSend`]s driven head-first — the one chunk
 /// loop every sending body shares. On a perfect fabric every queued
-/// injection resolves in the same engine pass (the fate of an
-/// `isend_raw` is known at injection), so serial stepping equals a
+/// injection resolves in the same engine round (the fate of an
+/// `isend_raw` is known at its grant), so serial stepping equals a
 /// burst; under faults the head's backoff timer serializes the retries
 /// deterministically.
 #[derive(Default)]
@@ -873,6 +820,9 @@ pub(crate) struct SendQueue {
     /// Latest injection end among completed sends.
     pub(crate) done_at: SimNs,
 }
+
+/// A send that failed for good: the instant it is charged at, and why.
+pub(crate) type SendFail = (SimNs, ClError);
 
 impl SendQueue {
     /// Queue `send`; its wire span is recorded as `name` / `cat` from
@@ -916,20 +866,19 @@ impl SendQueue {
         self.q.is_empty()
     }
 
-    /// Step the head injection as far as possible at `now`. `Ok(None)`:
-    /// queue drained (all injections delivered; the last ends at
-    /// `done_at`). `Ok(Some(t))`: head is waiting until `t`. `Err`: head
-    /// exhausted its retry budget at the carried instant.
-    pub(crate) fn drive(
-        &mut self,
-        cx: &mut OpCx,
-        now: SimNs,
-        actor: &Actor,
-    ) -> Result<Option<SimNs>, (SimNs, ClError)> {
+    /// Step the head injection as far as possible now: `Some(Ok(()))`
+    /// once the queue is drained (all injections delivered, the last
+    /// ending at `done_at`), `Some(Err)` once the head has exhausted its
+    /// retry budget, `None` — with the head's instant noted — while it
+    /// waits.
+    pub(crate) fn drive(&mut self, cx: &mut OpCx) -> Option<Result<(), SendFail>> {
         while let Some(head) = self.q.front_mut() {
-            match head.send.step(cx, now, actor) {
+            match head.send.step(cx) {
                 ChunkStep::Progressed => continue,
-                ChunkStep::Park(t) => return Ok(Some(t)),
+                ChunkStep::Park(t) => {
+                    note_wake_at(t);
+                    return None;
+                }
                 ChunkStep::Sent(done) => {
                     let len = head.send.len;
                     let name = std::mem::take(&mut head.name);
@@ -947,11 +896,16 @@ impl SendQueue {
                 ChunkStep::Failed(at) => {
                     let e = head.send.exhaustion_error();
                     self.q.clear();
-                    return Err((at, e));
+                    return Some(Err((at, e)));
                 }
             }
         }
-        Ok(None)
+        Some(Ok(()))
+    }
+
+    /// [`SendQueue::drive`] until the queue drains or its head fails.
+    pub(crate) async fn flush(&mut self, cx: &mut OpCx) -> Result<(), SendFail> {
+        until(|| self.drive(cx)).await
     }
 }
 
@@ -967,7 +921,8 @@ impl SendQueue {
 /// while the message has not been taken withdraws the receive, so no
 /// failure path can leave one behind for the matcher to feed.
 pub(crate) struct ChunkRecv {
-    /// `None` once the message has been taken.
+    /// `None` only on the way out of the poll that took the message, so
+    /// the drop withdraws nothing then.
     req: Option<Request>,
     /// (expiry instant, patience), read per chunk from the policy.
     deadline: Option<(SimNs, SimNs)>,
@@ -977,13 +932,13 @@ pub(crate) struct ChunkRecv {
 /// handed the wire: a broadcast shares it between relays.
 pub(crate) type WireChunk = RecvResult<Arc<Vec<u8>>>;
 
-/// What a receive has for its body at one instant: for a [`ChunkRecv`]
-/// the chunk, for a multi-chunk receive built on it whatever it yields.
-pub(crate) enum RecvPoll<T = WireChunk> {
-    /// It is here.
-    Ready(T),
-    /// Not yet; the wake hint to park with.
-    Pending(Option<SimNs>),
+/// What one [`ChunkRecv::poll`] found.
+pub(crate) enum RecvPoll {
+    /// The chunk; the receive is spent.
+    Ready(WireChunk),
+    /// Not yet: the receive, still posted, with the instant to look
+    /// again (if any) noted.
+    Pending(ChunkRecv),
 }
 
 /// Why a receive gave up. A dead peer and a timeout are already counted
@@ -1013,16 +968,13 @@ impl RecvFail {
 
 impl ChunkRecv {
     /// Post the receive for the next wire chunk from `src` (`None`: any
-    /// source) at `now`. A patience that would end past the last instant
-    /// sets no deadline.
-    pub(crate) fn post(
-        inner: &Inner,
-        actor: &Actor,
-        src: Option<Rank>,
-        wire_tag: Tag,
-        now: SimNs,
-    ) -> Self {
-        let req = inner.comm.irecv(actor, src, Some(wire_tag));
+    /// source) now. A patience that would end past the last instant sets
+    /// no deadline.
+    pub(crate) fn post(cx: &OpCx, src: Option<Rank>, wire_tag: Tag) -> Self {
+        let inner = &cx.inner;
+        let req = inner
+            .comm
+            .irecv(&cx.inner.engine.actor, src, Some(wire_tag));
         let patience = inner
             .comm
             .world()
@@ -1030,39 +982,37 @@ impl ChunkRecv {
             .then(|| inner.retry.lock().chunk_timeout_ns);
         ChunkRecv {
             req: Some(req),
-            deadline: patience.and_then(|p| Some((now.checked_add(p)?, p))),
+            deadline: patience.and_then(|p| Some((cx.now().checked_add(p)?, p))),
         }
     }
 
-    /// Look for the chunk at `now`. `upstream_dead` names a dead process
-    /// without which it can never arrive; it is only asked — in this
-    /// order, because what a poll reads is what the machine is parked on
-    /// — when nothing has arrived and nothing is in flight, and before
-    /// the deadline is looked at.
+    /// Look for the chunk now. `upstream_dead` names a dead process
+    /// without which it can never arrive, at the instant it is given; it
+    /// is only asked — in this order, because what a poll reads is what
+    /// the engine is parked on — when nothing has arrived and nothing is
+    /// in flight, and before the deadline is looked at. A failure
+    /// withdraws the receive.
     pub(crate) fn poll(
-        &mut self,
+        mut self,
         cx: &mut OpCx,
-        now: SimNs,
-        actor: &Actor,
-        upstream_dead: impl FnOnce(&Inner) -> Option<Rank>,
+        upstream_dead: impl FnOnce(&Inner, SimNs) -> Option<Rank>,
     ) -> Result<RecvPoll, RecvFail> {
-        let req = self
-            .req
-            .as_mut()
-            .expect("a taken receive is replaced before the next poll");
-        if let Some(result) = req.test_shared(actor) {
+        let now = cx.now();
+        let actor = &cx.inner.engine.actor;
+        if let Some(result) = self.req.as_mut().and_then(|r| r.test_shared(actor)) {
             self.req = None;
             return Ok(RecvPoll::Ready(
                 result.expect("matched receive yields a payload"),
             ));
         }
-        if let Some(at) = req.known_completion() {
+        if let Some(at) = self.req.as_ref().and_then(Request::known_completion) {
             // Matched, in flight: the arrival instant is committed (even
             // past a deadline — retrying a message the fabric already
             // delivered would duplicate it).
-            return Ok(RecvPoll::Pending(Some(at.max(now + 1))));
+            note_wake_at(at.max(now + 1));
+            return Ok(RecvPoll::Pending(self));
         }
-        if let Some(rank) = upstream_dead(&cx.inner) {
+        if let Some(rank) = upstream_dead(&cx.inner, now) {
             // Nothing in flight and the source is gone: abort now
             // instead of waiting out the chunk patience (ULFM lets a
             // failed peer fail pending communication).
@@ -1074,9 +1024,30 @@ impl ChunkRecv {
                 cx.gave_up();
                 Err(RecvFail::TimedOut(patience))
             }
-            Some((at, _)) => Ok(RecvPoll::Pending(Some(at))),
-            None => Ok(RecvPoll::Pending(None)),
+            Some((at, _)) => {
+                note_wake_at(at);
+                Ok(RecvPoll::Pending(self))
+            }
+            None => Ok(RecvPoll::Pending(self)),
         }
+    }
+
+    /// [`ChunkRecv::poll`] until the chunk is here or the receive fails.
+    pub(crate) async fn take(
+        self,
+        cx: &mut OpCx,
+        upstream_dead: impl Fn(&Inner, SimNs) -> Option<Rank>,
+    ) -> Result<WireChunk, RecvFail> {
+        let mut posted = Some(self);
+        until(|| match posted.take()?.poll(cx, &upstream_dead) {
+            Ok(RecvPoll::Ready(chunk)) => Some(Ok(chunk)),
+            Ok(RecvPoll::Pending(recv)) => {
+                posted = Some(recv);
+                None
+            }
+            Err(f) => Some(Err(f)),
+        })
+        .await
     }
 }
 
@@ -1098,7 +1069,6 @@ impl Drop for ChunkRecv {
 /// The next chunk's receive is posted by the poll that asks for it, so
 /// *when* the body comes back is part of the model (the chunk patience
 /// runs from there).
-#[derive(Default)]
 pub(crate) struct CountedRecv {
     want: usize,
     /// Leading bytes of every wire message that are framing, not payload
@@ -1114,7 +1084,8 @@ impl CountedRecv {
         CountedRecv {
             want,
             header,
-            ..Default::default()
+            got: 0,
+            recv: None,
         }
     }
 
@@ -1123,34 +1094,52 @@ impl CountedRecv {
         self.got >= self.want
     }
 
-    /// Look for the next wire chunk from `src` at `now` — posting its
-    /// receive first if none is posted — and yield it with its payload
-    /// offset. A chunk that would run past `want` fails the receive;
-    /// `upstream_dead` is [`ChunkRecv::poll`]'s.
+    /// Look for the next wire chunk from `src` — posting its receive
+    /// first if none is posted — and yield it with its payload offset;
+    /// `None` while it is not here. A chunk that would run past `want`
+    /// fails the receive; `upstream_dead` is [`ChunkRecv::poll`]'s.
     pub(crate) fn poll(
         &mut self,
         cx: &mut OpCx,
-        now: SimNs,
-        actor: &Actor,
         (src, wire_tag): (Option<Rank>, Tag),
-        upstream_dead: impl FnOnce(&Inner) -> Option<Rank>,
-    ) -> Result<RecvPoll<(usize, WireChunk)>, RecvFail> {
-        let recv = self
-            .recv
-            .get_or_insert_with(|| ChunkRecv::post(&cx.inner, actor, src, wire_tag, now));
-        let chunk = match recv.poll(cx, now, actor, upstream_dead)? {
-            RecvPoll::Ready(chunk) => chunk,
-            RecvPoll::Pending(hint) => return Ok(RecvPoll::Pending(hint)),
+        upstream_dead: impl FnOnce(&Inner, SimNs) -> Option<Rank>,
+    ) -> Option<Result<(usize, WireChunk), RecvFail>> {
+        let recv = match self.recv.take() {
+            Some(recv) => recv,
+            None => ChunkRecv::post(cx, src, wire_tag),
         };
-        self.recv = None;
+        let chunk = match recv.poll(cx, upstream_dead) {
+            Ok(RecvPoll::Ready(chunk)) => chunk,
+            Ok(RecvPoll::Pending(recv)) => {
+                self.recv = Some(recv);
+                return None;
+            }
+            Err(f) => return Some(Err(f)),
+        };
         let at = self.got;
         self.got += chunk.data.len().saturating_sub(self.header);
         if self.got > self.want {
             let (got, want) = (self.got, self.want);
-            return Err(RecvFail::Overflow { got, want });
+            return Some(Err(RecvFail::Overflow { got, want }));
         }
-        Ok(RecvPoll::Ready((at, chunk)))
+        Some(Ok((at, chunk)))
     }
+
+    /// [`CountedRecv::poll`] until the next chunk is here or the receive
+    /// fails.
+    async fn next(
+        &mut self,
+        cx: &mut OpCx,
+        from: (Option<Rank>, Tag),
+        upstream_dead: impl Fn(&Inner, SimNs) -> Option<Rank>,
+    ) -> Result<(usize, WireChunk), RecvFail> {
+        until(|| self.poll(cx, from, &upstream_dead)).await
+    }
+}
+
+/// The `upstream_dead` of a receive from one known peer.
+pub(crate) fn peer_dead(peer: Rank) -> impl Fn(&Inner, SimNs) -> Option<Rank> {
+    move |inner, now| inner.peer_failed(peer, now).then_some(peer)
 }
 
 // ----------------------------------------------------------------------
@@ -1313,9 +1302,10 @@ impl Lowering {
     }
 }
 
-/// One device-buffer transfer with `peer` as its entry point describes
-/// it — the same for both directions — plus the direction's run state.
-pub(crate) struct TransferBody<R> {
+/// One device-buffer transfer as its entry point describes it — the same
+/// for both directions, which the marker `D` tells apart ([`SendBody`],
+/// [`RecvBody`]).
+pub(crate) struct TransferBody<D> {
     pub(crate) device: Device,
     pub(crate) buf: Buffer,
     pub(crate) offset: usize,
@@ -1327,10 +1317,14 @@ pub(crate) struct TransferBody<R> {
     /// type map (and, for the device modes, through a pack / unpack
     /// kernel).
     pub(crate) lowering: Option<Lowering>,
-    run: R,
+    direction: PhantomData<D>,
 }
 
-impl<R: Default> TransferBody<R> {
+/// The direction markers of [`TransferBody`].
+pub(crate) enum Outbound {}
+pub(crate) enum Inbound {}
+
+impl<D> TransferBody<D> {
     /// A contiguous transfer of `size` bytes at `offset` of `buf`.
     pub(crate) fn new(
         device: &Device,
@@ -1350,12 +1344,10 @@ impl<R: Default> TransferBody<R> {
             wire_tag,
             strategy,
             lowering: None,
-            run: R::default(),
+            direction: PhantomData,
         }
     }
-}
 
-impl<R> TransferBody<R> {
     /// Who is told when the last chunk lands `dur` after the gate opened:
     /// the ledger and the attached tuner.
     fn landed(&self, cx: &OpCx, direction: &'static str, dur: SimNs) {
@@ -1368,11 +1360,11 @@ impl<R> TransferBody<R> {
     /// A transfer-level failure (retry budget, receiver timeout,
     /// overflow) is a completed — failed — probe: tell the tuner, so it
     /// retires the strategy instead of starving on it.
-    fn fail(&self, cx: &OpCx, e: ClError, at: SimNs) -> Advance {
+    fn fail(&self, cx: &OpCx, e: ClError, at: SimNs) -> Outcome {
         if let Some(sel) = cx.inner.adaptive.lock().as_ref() {
             sel.observe_failure(self.size, self.strategy);
         }
-        Advance::Failed(e, at)
+        Err((e, at))
     }
 }
 
@@ -1381,20 +1373,12 @@ impl<R> TransferBody<R> {
 /// k+1's staging is reserved only once chunk k is known delivered;
 /// retransmits re-inject from the host staging copy — the d2h stage (and
 /// any pack kernel) is not repeated.
-pub(crate) type SendBody = TransferBody<SendRun>;
-
-#[derive(Default)]
-pub(crate) struct SendRun {
-    /// The strategy's chunk plan (never empty), made at the gate instant.
-    chunks: Vec<(usize, usize)>,
-    next: usize,
-    queue: SendQueue,
-}
+pub(crate) type SendBody = TransferBody<Outbound>;
 
 impl SendBody {
-    /// Stage chunk `k` and queue its injection.
-    fn arm(&mut self, cx: &mut OpCx, k: usize) {
-        let (coff, clen) = self.run.chunks[k];
+    /// Stage chunk `k` — `(coff, clen)` of the strategy's plan — and
+    /// queue its injection.
+    fn arm(&self, cx: &OpCx, queue: &mut SendQueue, k: usize, (coff, clen): (usize, usize)) {
         let pcie = self.device.spec().pcie;
         let plain = || load(&self.buf, self.offset + coff, clen);
         // (payload, hops staged, wire-span start, injection earliest,
@@ -1466,31 +1450,24 @@ impl SendBody {
             duration,
         );
         let name = format!("{what}→{}", self.peer);
-        self.run.queue.push_staged(send, start, name, staged);
+        queue.push_staged(send, start, name, staged);
     }
 }
 
 impl OpBody for SendBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
-        if self.run.chunks.is_empty() {
-            self.run.chunks = ResolvedStrategy::plan(self.strategy, self.size).chunks;
-        }
-        loop {
-            match self.run.queue.drive(cx, now, actor) {
-                Err((at, e)) => return self.fail(cx, e, at),
-                Ok(Some(t)) => return Advance::Park(Some(t)),
-                Ok(None) if self.run.next == self.run.chunks.len() => break,
-                // The previous chunk is delivered: arm the next one at
-                // this instant.
-                Ok(None) => {
-                    self.arm(cx, self.run.next);
-                    self.run.next += 1;
-                }
+    async fn run(self, cx: &mut OpCx) -> Outcome {
+        let mut queue = SendQueue::default();
+        let plan = ResolvedStrategy::plan(self.strategy, self.size);
+        for (k, &chunk) in plan.chunks.iter().enumerate() {
+            // The previous chunk is delivered: arm this one now.
+            self.arm(cx, &mut queue, k, chunk);
+            if let Err((at, e)) = queue.flush(cx).await {
+                return self.fail(cx, e, at);
             }
         }
-        let done_at = self.run.queue.done_at.max(cx.t0);
+        let done_at = queue.done_at.max(cx.t0);
         self.landed(cx, "send", done_at - cx.t0);
-        Advance::Done(done_at)
+        Ok(done_at)
     }
 }
 
@@ -1498,185 +1475,83 @@ impl OpBody for SendBody {
 /// host→device staging (and unpack) → completion with the data in
 /// device memory. Chunk k+1's receive is posted only after chunk k's
 /// staging ends.
-pub(crate) type RecvBody = TransferBody<RecvRun>;
+pub(crate) type RecvBody = TransferBody<Inbound>;
 
-#[derive(Default)]
-pub(crate) struct RecvRun {
-    /// Of `size` bytes, once the body starts.
-    recv: CountedRecv,
-    state: RecvState,
-}
-
-#[derive(Default)]
-enum RecvState {
-    #[default]
-    Start,
-    /// One-time staging setup cost, paid up front (it overlaps the wait
-    /// for the first chunk, which it precedes).
-    Setup {
-        resume_at: SimNs,
-    },
-    Await,
-    /// Staged path: the chunk for offset `at` is crossing PCIe.
-    Stage {
-        at: usize,
-        data: Vec<u8>,
-        span: Span,
-    },
-    /// Device-unpack lowering: the packed chunk landed in device staging
-    /// memory at the end of its h2d hop; an unpack kernel scatters it
-    /// through the type map (reserved on the pack timeline, so it
-    /// serializes with the other pack kernels).
-    Unpack {
-        at: usize,
-        data: Vec<u8>,
-        span: Span,
-    },
-    /// Mapped path: the post-transfer unmap cost.
-    Unmap {
-        resume_at: SimNs,
-    },
-}
-
-impl RecvBody {
-    /// A chunk is in device memory (or the setup is paid): go back for the
-    /// next one — its receive is posted at this instant — or finish the
-    /// command.
-    fn chunk_done(&mut self, cx: &OpCx, now: SimNs) -> Option<Advance> {
-        if !self.run.recv.is_complete() {
-            self.run.state = RecvState::Await;
-            return None;
+impl OpBody for RecvBody {
+    async fn run(self, cx: &mut OpCx) -> Outcome {
+        let pcie = self.device.spec().pcie;
+        let setup = match self.strategy {
+            TransferStrategy::Mapped => pcie.map_setup_ns,
+            TransferStrategy::Pinned | TransferStrategy::Pipelined(_) => pcie.pin_setup_ns,
+            TransferStrategy::Auto | TransferStrategy::Rma => {
+                unreachable!("strategy resolved before dispatch; rma is one-sided")
+            }
+        };
+        // One-time staging setup, paid up front (it overlaps the wait for
+        // the first chunk, which it precedes).
+        cx.inner.clock.sleep_until(cx.now() + setup).await;
+        let (src, tag) = (self.peer, self.wire_tag);
+        let mut recv = CountedRecv::new(self.size, 0);
+        // A zero-byte transfer goes straight to completion.
+        while !recv.is_complete() {
+            let (at, chunk) = match recv.next(cx, (Some(src), tag), peer_dead(src)).await {
+                Ok(got) => got,
+                Err(f) => {
+                    let what = format!("receive from rank {src} (tag {tag})");
+                    return self.fail(cx, f.into_error(&what), cx.now());
+                }
+            };
+            let data = Arc::unwrap_or_clone(chunk.data);
+            if self.strategy == TransferStrategy::Mapped {
+                // Zero-copy: the NIC already wrote through PCIe during
+                // the sender-fused stream; the data is usable at arrival.
+                store(&self.buf, self.offset + at, &data);
+                continue;
+            }
+            // Host-unpack baseline: the chunk's type-map segments are
+            // scattered one by one across PCIe, each paying the staged
+            // latency. Every other path moves the packed bytes in one hop.
+            let cost = match &self.lowering {
+                Some(l) if l.mode == PackMode::HostPack => {
+                    l.host_staged_ns(&pcie, at, at + data.len())
+                }
+                _ => pcie.staged_ns(data.len(), true),
+            };
+            let h2d = Hop::H2d.reserve(&self.device, cost, cx.now());
+            cx.inner.clock.sleep_until(h2d.1).await;
+            Hop::H2d.record(cx, h2d, data.len(), true);
+            match &self.lowering {
+                None => store(&self.buf, self.offset + at, &data),
+                // The host already scattered segment-by-segment during
+                // the h2d hop.
+                Some(l) if l.mode == PackMode::HostPack => {
+                    l.scatter(&self.buf, self.offset, at, &data)
+                }
+                Some(l) => {
+                    // The packed chunk landed in device staging memory at
+                    // the end of its h2d hop; an unpack kernel (2× the
+                    // bytes through device memory) scatters it through the
+                    // type map, reserved on the pack timeline so it
+                    // serializes with the other pack kernels.
+                    let cost = self.device.spec().membound_kernel_ns(2 * data.len());
+                    let unpack = Hop::Unpack.reserve(&self.device, cost, h2d.1);
+                    cx.inner.clock.sleep_until(unpack.1).await;
+                    l.scatter(&self.buf, self.offset, at, &data);
+                    Hop::Unpack.record(cx, unpack, data.len(), true);
+                }
+            }
         }
         if self.strategy == TransferStrategy::Mapped {
             // Unmap after the MPI transfer completes (map → MPI → unmap,
             // the paper's mapped implementation).
-            let resume_at = now + self.device.spec().pcie.map_setup_ns;
-            self.run.state = RecvState::Unmap { resume_at };
-            return None;
+            cx.inner
+                .clock
+                .sleep_until(cx.now() + pcie.map_setup_ns)
+                .await;
         }
-        Some(self.finish(cx, now))
-    }
-
-    fn finish(&self, cx: &OpCx, now: SimNs) -> Advance {
+        let now = cx.now();
         self.landed(cx, "recv", now.saturating_sub(cx.t0));
-        Advance::Done(now)
-    }
-}
-
-impl OpBody for RecvBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
-        let pcie = self.device.spec().pcie;
-        loop {
-            match &mut self.run.state {
-                RecvState::Start => {
-                    let setup = match self.strategy {
-                        TransferStrategy::Mapped => pcie.map_setup_ns,
-                        TransferStrategy::Pinned | TransferStrategy::Pipelined(_) => {
-                            pcie.pin_setup_ns
-                        }
-                        TransferStrategy::Auto | TransferStrategy::Rma => {
-                            unreachable!("strategy resolved before dispatch; rma is one-sided")
-                        }
-                    };
-                    self.run.recv = CountedRecv::new(self.size, 0);
-                    self.run.state = RecvState::Setup {
-                        resume_at: now + setup,
-                    };
-                }
-                &mut RecvState::Setup { resume_at } => {
-                    if now < resume_at {
-                        return Advance::Park(Some(resume_at));
-                    }
-                    // On to the first chunk, or — for a zero-byte
-                    // transfer — straight to completion.
-                    if let Some(done) = self.chunk_done(cx, now) {
-                        return done;
-                    }
-                }
-                &mut RecvState::Unmap { resume_at } => {
-                    if now < resume_at {
-                        return Advance::Park(Some(resume_at));
-                    }
-                    return self.finish(cx, now);
-                }
-                RecvState::Await => {
-                    let (src, tag) = (self.peer, self.wire_tag);
-                    let dead = |inner: &Inner| inner.peer_failed(src, now).then_some(src);
-                    let from = (Some(src), tag);
-                    let (at, data) = match self.run.recv.poll(cx, now, actor, from, dead) {
-                        Ok(RecvPoll::Ready((at, chunk))) => (at, Arc::unwrap_or_clone(chunk.data)),
-                        Ok(RecvPoll::Pending(hint)) => return Advance::Park(hint),
-                        Err(f) => {
-                            let what = format!("receive from rank {src} (tag {tag})");
-                            return self.fail(cx, f.into_error(&what), now);
-                        }
-                    };
-                    if self.strategy == TransferStrategy::Mapped {
-                        // Zero-copy: the NIC already wrote through PCIe
-                        // during the sender-fused stream; the data is
-                        // usable at arrival.
-                        store(&self.buf, self.offset + at, &data);
-                        if let Some(done) = self.chunk_done(cx, now) {
-                            return done;
-                        }
-                        continue;
-                    }
-                    // Host-unpack baseline: the chunk's type-map segments
-                    // are scattered one by one across PCIe, each paying
-                    // the staged latency. Every other path moves the
-                    // packed bytes in one hop.
-                    let cost = match &self.lowering {
-                        Some(l) if l.mode == PackMode::HostPack => {
-                            l.host_staged_ns(&pcie, at, at + data.len())
-                        }
-                        _ => pcie.staged_ns(data.len(), true),
-                    };
-                    let span = Hop::H2d.reserve(&self.device, cost, now);
-                    self.run.state = RecvState::Stage { at, data, span };
-                }
-                RecvState::Stage { at, data, span } => {
-                    if now < span.1 {
-                        return Advance::Park(Some(span.1));
-                    }
-                    let (at, data, span) = (*at, std::mem::take(data), *span);
-                    Hop::H2d.record(cx, span, data.len(), true);
-                    match &self.lowering {
-                        None => store(&self.buf, self.offset + at, &data),
-                        // The host already scattered segment-by-segment
-                        // during the h2d hop.
-                        Some(l) if l.mode == PackMode::HostPack => {
-                            l.scatter(&self.buf, self.offset, at, &data)
-                        }
-                        Some(_) => {
-                            // The packed chunk landed in device staging
-                            // memory; an unpack kernel (2× the bytes
-                            // through device memory) scatters it through
-                            // the type map.
-                            let cost = self.device.spec().membound_kernel_ns(2 * data.len());
-                            let span = Hop::Unpack.reserve(&self.device, cost, span.1);
-                            self.run.state = RecvState::Unpack { at, data, span };
-                            continue;
-                        }
-                    }
-                    if let Some(done) = self.chunk_done(cx, now) {
-                        return done;
-                    }
-                }
-                RecvState::Unpack { at, data, span } => {
-                    if now < span.1 {
-                        return Advance::Park(Some(span.1));
-                    }
-                    let (at, data, span) = (*at, std::mem::take(data), *span);
-                    if let Some(l) = &self.lowering {
-                        l.scatter(&self.buf, self.offset, at, &data);
-                    }
-                    Hop::Unpack.record(cx, span, data.len(), true);
-                    if let Some(done) = self.chunk_done(cx, now) {
-                        return done;
-                    }
-                }
-            }
-        }
+        Ok(now)
     }
 }
 
@@ -1685,84 +1560,69 @@ impl OpBody for RecvBody {
 // clCreateEventFromMPIRequest
 // ----------------------------------------------------------------------
 
-/// Where [`HostSendOp`] reports its outcome: the last injection's end
+/// Where [`HostSend`] reports its outcome: the last injection's end
 /// instant on success, the exhaustion error on permanent failure.
 pub(crate) type SendSlot = Arc<Monitor<Option<ClResult<SimNs>>>>;
 
 /// `MPI_Isend` on `MPI_CL_MEM` (`isend_cl`): the payload chunks are
 /// injected reliably from the submission instant, each armed once its
 /// predecessor is delivered. In a zero-fault run every chunk is accepted
-/// in the first burst and the machine retires immediately. Under
-/// faults, retries continue on engine timers after the caller has
-/// resumed.
+/// in the first burst and the op retires at once. Under faults, retries
+/// continue on engine timers after the caller has resumed.
 ///
-/// The one operation that is not an [`OpFrame`] body: it has no event
-/// and no wait list, reports through a [`SendSlot`], owes its caller the
+/// The one operation that does not run in the frame: it has no event and
+/// no wait list, reports through a [`SendSlot`], owes its caller the
 /// `issued` handshake, and — unlike every framed op — retires a success
-/// at once instead of parking until its instant, because an un-awaited
+/// at once instead of sleeping until its instant, because an un-awaited
 /// request must never delay shutdown. It shares the chunk loop
 /// ([`SendQueue`]) and the settlement of its envelope and counters
 /// ([`OpCx::close`]).
-pub(crate) struct HostSendOp {
-    pub(crate) cx: OpCx,
+pub(crate) struct HostSend {
     pub(crate) dst: Rank,
     pub(crate) wire_tag: Tag,
     /// Per-chunk payload and duration override, prepared on the caller.
     pub(crate) chunks: Vec<(Vec<u8>, Option<SimNs>)>,
-    /// Handshake: flipped after the machine's first pass so the caller
-    /// resumes only once the initial injection burst is on the wire
-    /// (keeping the fabric reservation order of an inline send).
-    pub(crate) issued: Arc<Monitor<bool>>,
     pub(crate) slot: SendSlot,
-    pub(crate) run: HostSendRun,
 }
 
-#[derive(Default)]
-pub(crate) struct HostSendRun {
-    t0: Option<SimNs>,
-    next: usize,
-    queue: SendQueue,
-    issued: bool,
-}
-
-impl HostSendOp {
-    fn drive(&mut self, now: SimNs, actor: &Actor) -> Step {
-        let t0 = *self.run.t0.get_or_insert(now);
-        let (outcome, at) = loop {
-            match self.run.queue.drive(&mut self.cx, now, actor) {
-                Ok(Some(t)) => return Step::Park(Some(t)),
-                Ok(None) if self.run.next < self.chunks.len() => {
-                    let (bytes, duration) = std::mem::take(&mut self.chunks[self.run.next]);
-                    self.run.next += 1;
-                    let send = ReliableChunkSend::new(
-                        &self.cx.inner,
-                        self.dst,
-                        self.wire_tag,
-                        Arc::new(bytes),
-                        t0,
-                        duration,
-                    );
-                    let name = format!("net→{}", self.dst);
-                    self.run.queue.push(send, t0, name, "chunk");
+impl HostSend {
+    /// Hand the send to `inner`'s engine. `issued` is flipped after the
+    /// op's first poll, so the caller resumes only once the initial
+    /// injection burst is on the wire (keeping the fabric reservation
+    /// order of an inline send).
+    pub(crate) fn submit(self, inner: &Arc<Inner>, env: Envelope, issued: Arc<Monitor<bool>>) {
+        let send = self.run(OpCx::new(inner, Some(env)));
+        inner.engine.submit(Box::pin(async move {
+            let mut send = std::pin::pin!(send);
+            let mut issued = Some(issued);
+            std::future::poll_fn(|ctx| {
+                let polled = send.as_mut().poll(ctx);
+                if let Some(issued) = issued.take() {
+                    issued.with(|i| *i = true);
                 }
-                Ok(None) => break (Ok(self.run.queue.done_at), self.run.queue.done_at),
-                Err((at, e)) => break (Err(e), at),
-            }
-        };
-        self.cx.close(outcome.is_ok(), at);
-        self.slot.with(|s| *s = Some(outcome));
-        Step::Done
+                polled
+            })
+            .await
+        }));
     }
-}
 
-impl EngineOp for HostSendOp {
-    fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
-        let verdict = self.drive(now, actor);
-        if !self.run.issued {
-            self.run.issued = true;
-            self.issued.with(|i| *i = true);
-        }
-        verdict
+    async fn run(self, mut cx: OpCx) {
+        let t0 = cx.now();
+        let mut queue = SendQueue::default();
+        let mut chunks = self.chunks.into_iter();
+        let (outcome, at) = loop {
+            if let Err((at, e)) = queue.flush(&mut cx).await {
+                break (Err(e), at);
+            }
+            let Some((bytes, duration)) = chunks.next() else {
+                break (Ok(queue.done_at), queue.done_at);
+            };
+            let (dst, tag) = (self.dst, self.wire_tag);
+            let send = ReliableChunkSend::new(&cx.inner, dst, tag, Arc::new(bytes), t0, duration);
+            queue.push(send, t0, format!("net→{dst}"), "chunk");
+        };
+        cx.close(outcome.is_ok(), at);
+        self.slot.with(|s| *s = Some(outcome));
     }
 }
 
@@ -1773,53 +1633,58 @@ pub(crate) struct IrecvBody {
     pub(crate) src: Rank,
     pub(crate) wire_tag: Tag,
     pub(crate) host: HostBuffer,
-    /// Of the request's size.
-    pub(crate) recv: CountedRecv,
+    /// The request's size.
+    pub(crate) size: usize,
 }
 
 impl OpBody for IrecvBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
-        // A zero-byte receive completes immediately.
-        while !self.recv.is_complete() {
-            let (src, tag) = (self.src, self.wire_tag);
-            let dead = |inner: &Inner| inner.peer_failed(src, now).then_some(src);
-            let (at, data) = match self.recv.poll(cx, now, actor, (Some(src), tag), dead) {
-                Ok(RecvPoll::Ready((at, chunk))) => (at, chunk.data),
-                Ok(RecvPoll::Pending(hint)) => return Advance::Park(hint),
+    async fn run(self, cx: &mut OpCx) -> Outcome {
+        let (src, tag) = (self.src, self.wire_tag);
+        let mut recv = CountedRecv::new(self.size, 0);
+        // A zero-byte receive completes at once.
+        while !recv.is_complete() {
+            let (at, chunk) = match recv.next(cx, (Some(src), tag), peer_dead(src)).await {
+                Ok(got) => got,
                 Err(f) => {
                     let what = format!("irecv_cl from rank {src} (tag {tag})");
-                    return Advance::Failed(f.into_error(&what), now);
+                    return Err((f.into_error(&what), cx.now()));
                 }
             };
+            let data = chunk.data;
             self.host
                 .write(|h| h.as_mut_slice()[at..at + data.len()].copy_from_slice(&data));
         }
-        Advance::Done(now)
+        Ok(cx.now())
     }
 }
 
 /// `clCreateEventFromMPIRequest`: adapts a plain MPI request into an
 /// event. The body asks the request for its completion instant and, once
 /// that is due, publishes the payload (if any); the event completes at
-/// the settlement instant.
+/// that instant.
 pub(crate) struct EventFromRequestBody {
     pub(crate) req: Request,
     pub(crate) slot: Arc<Monitor<Option<RecvResult>>>,
 }
 
 impl OpBody for EventFromRequestBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, actor: &Actor) -> Advance {
-        let done_at = self.req.known_completion();
-        if done_at.is_none_or(|at| at > now) {
-            return Advance::Park(done_at);
-        }
-        let result = self.req.test(actor).expect("completion is due");
+    async fn run(mut self, cx: &mut OpCx) -> Outcome {
+        let result = until(|| match self.req.known_completion() {
+            Some(at) if at <= cx.now() => self.req.test(&cx.inner.engine.actor),
+            at => {
+                if let Some(at) = at {
+                    note_wake_at(at);
+                }
+                None
+            }
+        })
+        .await;
         let bytes = result.as_ref().map_or(0, |r| r.data.len() as u64);
         if let Some(env) = cx.env_mut() {
             (env.bytes, env.received) = (bytes, bytes);
         }
         self.slot.with(|s| *s = result);
-        Advance::Done(now)
+        Ok(cx.now())
     }
 }
 
@@ -1830,17 +1695,17 @@ impl OpBody for EventFromRequestBody {
 // These bodies drive `minimpi`'s non-blocking RMA handles from the
 // engine. A handle's poll reads its slot, and the clock's grant of the
 // reservation fills that slot in (or marks it dropped) with a notify, so
-// the grant readies the body at the instant it happens. A body with a
-// pending flight parks on that slot alone, plus, before the first grant,
-// a time hint at the wire-claim earliest plus one: the grant instant
+// the grant readies the engine at the instant it happens. A body with a
+// pending flight waits on that slot alone, plus, before the first grant,
+// an instant at the wire-claim earliest plus one: the grant instant
 // itself. After a retransmit, whose claim instant is arbiter-internal,
-// it has no hint at all.
+// it notes no instant at all.
 
-/// One in-flight one-sided op plus the bookkeeping needed to park
+/// One in-flight one-sided op plus the bookkeeping needed to wait
 /// precisely and to convert retransmit deltas into drop/retry spans.
 pub(crate) struct RmaFlight {
     handle: RmaHandle,
-    /// Wire-claim earliest of the initial post: the park target before
+    /// Wire-claim earliest of the initial post: the wake instant before
     /// the first grant (one tick later the arbiter's strict `earliest <
     /// now` test admits it).
     earliest: SimNs,
@@ -1859,7 +1724,7 @@ impl RmaFlight {
         }
     }
 
-    /// Convert retransmits since the last step into drop + retry child
+    /// Convert retransmits since the last poll into drop + retry child
     /// spans and fault counters — the one-sided analogue of
     /// [`ReliableChunkSend`]'s accounting. The handle does not retain
     /// per-attempt wire times or reasons (a `NodeDown` drop is terminal,
@@ -1878,20 +1743,16 @@ impl RmaFlight {
     }
 }
 
-/// Collective verdict of one polling pass over an operation's flights.
-enum FlightsVerdict {
-    /// Every flight delivered; `at` is the last arrival instant.
-    Done { at: SimNs },
-    /// Some flight failed terminally (first failure in issue order);
-    /// already accounted, and stamped no earlier than the polling instant.
-    Failed { err: MpiError, at: SimNs },
-    /// Still in flight; `wake` is the earliest useful re-poll instant
-    /// (strictly future), if any flight has one.
-    Pending { wake: Option<SimNs> },
-}
-
-/// Drive every unfinished flight of an operation once at `now`.
-fn poll_flights(cx: &mut OpCx, flights: &mut [RmaFlight], now: SimNs) -> FlightsVerdict {
+/// Poll every unfinished flight of an operation once: `Some(Ok(at))`
+/// once every flight delivered (`at` the last arrival), `Some(Err)` for
+/// the first terminal failure in issue order — already accounted, and
+/// stamped no earlier than now — and `None` while any is in flight, with
+/// the earliest useful instant to look again noted if a flight has one.
+fn poll_flights(
+    cx: &mut OpCx,
+    flights: &mut [RmaFlight],
+) -> Option<Result<SimNs, (MpiError, SimNs)>> {
+    let now = cx.now();
     let mut done_at = 0;
     let mut pending = false;
     let mut wake: Option<SimNs> = None;
@@ -1923,11 +1784,14 @@ fn poll_flights(cx: &mut OpCx, flights: &mut [RmaFlight], now: SimNs) -> Flights
     if let Some((err, at)) = failed {
         let at = at.max(now);
         cx.rma_failed(&err, at);
-        FlightsVerdict::Failed { err, at }
+        Some(Err((err, at)))
     } else if pending {
-        FlightsVerdict::Pending { wake }
+        if let Some(t) = wake {
+            note_wake_at(t);
+        }
+        None
     } else {
-        FlightsVerdict::Done { at: done_at }
+        Some(Ok(done_at))
     }
 }
 
@@ -1956,8 +1820,6 @@ pub(crate) struct PutBody {
     pub(crate) size: usize,
     pub(crate) target: Rank,
     pub(crate) strategy: TransferStrategy,
-    /// One per chunk of the strategy's plan (never empty) once posted.
-    pub(crate) flights: Vec<RmaFlight>,
 }
 
 impl PutBody {
@@ -1999,36 +1861,32 @@ impl PutBody {
 
     /// A transfer-level failure retires the probed lowering for this
     /// (peer, size) class.
-    fn fail(&self, cx: &OpCx, err: MpiError, at: SimNs) -> Advance {
+    fn fail(&self, cx: &OpCx, err: MpiError, at: SimNs) -> Outcome {
         if let Some(sel) = cx.inner.rma_adaptive.lock().as_ref() {
             sel.observe_failure((self.target, self.size), self.strategy);
         }
         let e = ClError::TransferFailed(format!("put to rank {}: {err}", self.target));
-        Advance::Failed(e, at)
+        Err((e, at))
     }
 }
 
 impl OpBody for PutBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, _actor: &Actor) -> Advance {
-        if self.flights.is_empty() {
-            match self.arm(cx) {
-                Ok(flights) => self.flights = flights,
-                Err(e) => return self.fail(cx, e, now),
-            }
+    async fn run(self, cx: &mut OpCx) -> Outcome {
+        let mut flights = match self.arm(cx) {
+            Ok(flights) => flights,
+            Err(e) => return self.fail(cx, e, cx.now()),
+        };
+        let at = match until(|| poll_flights(cx, &mut flights)).await {
+            Ok(at) => at,
+            Err((err, at)) => return self.fail(cx, err, at),
+        };
+        let done_at = at.max(cx.t0);
+        let dur = done_at - cx.t0;
+        cx.landed("put", Via::Strategy(self.strategy), self.size, dur);
+        if let Some(sel) = cx.inner.rma_adaptive.lock().as_ref() {
+            sel.observe((self.target, self.size), self.strategy, dur);
         }
-        match poll_flights(cx, &mut self.flights, now) {
-            FlightsVerdict::Pending { wake } => Advance::Park(wake),
-            FlightsVerdict::Failed { err, at } => self.fail(cx, err, at),
-            FlightsVerdict::Done { at } => {
-                let done_at = at.max(cx.t0);
-                let dur = done_at - cx.t0;
-                cx.landed("put", Via::Strategy(self.strategy), self.size, dur);
-                if let Some(sel) = cx.inner.rma_adaptive.lock().as_ref() {
-                    sel.observe((self.target, self.size), self.strategy, dur);
-                }
-                Advance::Done(done_at)
-            }
-        }
+        Ok(done_at)
     }
 }
 
@@ -2045,61 +1903,35 @@ pub(crate) struct GetBody {
     pub(crate) win_offset: usize,
     pub(crate) size: usize,
     pub(crate) target: Rank,
-    pub(crate) state: GetState,
-}
-
-#[derive(Default)]
-pub(crate) enum GetState {
-    #[default]
-    Start,
-    Transfer(RmaFlight),
-    /// The payload is crossing PCIe until `end`.
-    Stage {
-        data: Vec<u8>,
-        end: SimNs,
-    },
 }
 
 impl OpBody for GetBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, _actor: &Actor) -> Advance {
+    async fn run(self, cx: &mut OpCx) -> Outcome {
         let fail = |err: MpiError, at| {
             let e = ClError::TransferFailed(format!("get from rank {}: {err}", self.target));
-            Advance::Failed(e, at)
+            Err((e, at))
         };
-        loop {
-            match &mut self.state {
-                GetState::Start => match self.win.get(self.target, self.win_offset, self.size) {
-                    Ok(h) => self.state = GetState::Transfer(RmaFlight::new(h, now)),
-                    Err(e) => return fail(e, now),
-                },
-                GetState::Transfer(flight) => {
-                    let flights = std::slice::from_mut(flight);
-                    match poll_flights(cx, flights, now) {
-                        FlightsVerdict::Pending { wake } => return Advance::Park(wake),
-                        FlightsVerdict::Failed { err, at } => return fail(err, at),
-                        FlightsVerdict::Done { at } => {
-                            let data = flight
-                                .handle
-                                .take_data()
-                                .expect("settled get yields its payload");
-                            let from = at.max(cx.t0);
-                            let h2d = Hop::H2d.stage(cx, &self.device, data.len(), from);
-                            self.state = GetState::Stage { data, end: h2d.1 };
-                        }
-                    }
-                }
-                GetState::Stage { data, end } => {
-                    let end = *end;
-                    if now < end {
-                        return Advance::Park(Some(end));
-                    }
-                    store(&self.buf, self.offset, data);
-                    let dur = end.saturating_sub(cx.t0);
-                    cx.landed("get", Via::Strategy(TransferStrategy::Rma), self.size, dur);
-                    return Advance::Done(end);
-                }
-            }
-        }
+        let now = cx.now();
+        let mut flight = match self.win.get(self.target, self.win_offset, self.size) {
+            Ok(h) => [RmaFlight::new(h, now)],
+            Err(e) => return fail(e, now),
+        };
+        let at = match until(|| poll_flights(cx, &mut flight)).await {
+            Ok(at) => at,
+            Err((err, at)) => return fail(err, at),
+        };
+        let [flight] = flight;
+        let data = flight
+            .handle
+            .take_data()
+            .expect("settled get yields its payload");
+        // The payload is crossing PCIe until `h2d.1`.
+        let h2d = Hop::H2d.stage(cx, &self.device, data.len(), at.max(cx.t0));
+        cx.inner.clock.sleep_until(h2d.1).await;
+        store(&self.buf, self.offset, &data);
+        let dur = h2d.1.saturating_sub(cx.t0);
+        cx.landed("get", Via::Strategy(TransferStrategy::Rma), self.size, dur);
+        Ok(h2d.1)
     }
 }
 
@@ -2118,81 +1950,53 @@ pub(crate) struct AccumulateBody {
     pub(crate) size: usize,
     pub(crate) target: Rank,
     pub(crate) op: ReduceOp,
-    pub(crate) state: AccState,
-}
-
-#[derive(Default)]
-pub(crate) enum AccState {
-    #[default]
-    Start,
-    /// The operand is crossing PCIe until `end`.
-    Stage {
-        end: SimNs,
-    },
-    Transfer(RmaFlight),
 }
 
 impl OpBody for AccumulateBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, _actor: &Actor) -> Advance {
+    async fn run(self, cx: &mut OpCx) -> Outcome {
         let fail = |err: MpiError, at| {
             let e = ClError::TransferFailed(format!("accumulate to rank {}: {err}", self.target));
-            Advance::Failed(e, at)
+            Err((e, at))
         };
-        loop {
-            match &mut self.state {
-                AccState::Start => {
-                    let from = now + self.device.spec().pcie.pin_setup_ns;
-                    let d2h = Hop::D2h.stage(cx, &self.device, self.size, from);
-                    self.state = AccState::Stage { end: d2h.1 };
-                }
-                &mut AccState::Stage { end } => {
-                    if now < end {
-                        return Advance::Park(Some(end));
-                    }
-                    let bytes = load(&self.buf, self.offset, self.size);
-                    let posted =
-                        self.win
-                            .accumulate_owned(self.target, self.win_offset, bytes, self.op);
-                    match posted {
-                        Ok(h) => self.state = AccState::Transfer(RmaFlight::new(h, now)),
-                        Err(e) => return fail(e, now),
-                    }
-                }
-                AccState::Transfer(flight) => {
-                    let flights = std::slice::from_mut(flight);
-                    return match poll_flights(cx, flights, now) {
-                        FlightsVerdict::Pending { wake } => Advance::Park(wake),
-                        FlightsVerdict::Failed { err, at } => fail(err, at),
-                        FlightsVerdict::Done { at } => {
-                            let done_at = at.max(cx.t0);
-                            let dur = done_at - cx.t0;
-                            let rma = Via::Strategy(TransferStrategy::Rma);
-                            cx.landed("acc", rma, self.size, dur);
-                            Advance::Done(done_at)
-                        }
-                    };
-                }
-            }
-        }
+        // The operand is crossing PCIe until `d2h.1`.
+        let from = cx.now() + self.device.spec().pcie.pin_setup_ns;
+        let d2h = Hop::D2h.stage(cx, &self.device, self.size, from);
+        cx.inner.clock.sleep_until(d2h.1).await;
+        let bytes = load(&self.buf, self.offset, self.size);
+        let now = cx.now();
+        let posted = self
+            .win
+            .accumulate_owned(self.target, self.win_offset, bytes, self.op);
+        let mut flight = match posted {
+            Ok(h) => [RmaFlight::new(h, now)],
+            Err(e) => return fail(e, now),
+        };
+        let at = match until(|| poll_flights(cx, &mut flight)).await {
+            Ok(at) => at,
+            Err((err, at)) => return fail(err, at),
+        };
+        let done_at = at.max(cx.t0);
+        let dur = done_at - cx.t0;
+        cx.landed("acc", Via::Strategy(TransferStrategy::Rma), self.size, dur);
+        Ok(done_at)
     }
 }
 
-/// `clEnqueueWinFence`: the one fence, [`Win::fence_async`], polled on the
-/// engine ([`simtime::poll_future`]): parked on what the poll read, the
-/// instant it noted as the hint; its classified failure fails the event.
+/// `clEnqueueWinFence`: the one fence, [`Win::fence_async`], awaited in
+/// the body; its classified failure fails the event.
 pub(crate) struct FenceBody {
-    pub(crate) fence: Pin<Box<dyn Future<Output = Result<(), MpiError>> + Send>>,
+    pub(crate) win: Win,
 }
 
 impl OpBody for FenceBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, _actor: &Actor) -> Advance {
-        match simtime::poll_future(self.fence.as_mut()) {
-            Err(wake) => Advance::Park(wake),
-            Ok(Ok(())) => Advance::Done(now),
-            Ok(Err(err)) => {
+    async fn run(self, cx: &mut OpCx) -> Outcome {
+        let fenced = self.win.fence_async().await;
+        let now = cx.now();
+        match fenced {
+            Ok(()) => Ok(now),
+            Err(err) => {
                 cx.rma_failed(&err, now);
-                let e = ClError::TransferFailed(format!("rma epoch: {err}"));
-                Advance::Failed(e, now)
+                Err((ClError::TransferFailed(format!("rma epoch: {err}")), now))
             }
         }
     }
@@ -2203,68 +2007,41 @@ mod tests {
     use super::*;
     use simtime::SimClock;
 
-    /// A machine that parks until a fixed instant, then records when the
-    /// engine retired it.
-    struct TimerOp {
-        fire_at: SimNs,
-        fired: Arc<Monitor<Option<SimNs>>>,
-    }
-
-    impl EngineOp for TimerOp {
-        fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
-            if now < self.fire_at {
-                return Step::Park(Some(self.fire_at));
-            }
-            self.fired.with(|f| *f = Some(now));
-            Step::Done
-        }
+    /// An op that waits until a fixed instant, then records when it ran.
+    fn timer_op(clock: &SimClock, fire_at: SimNs, fired: Arc<Monitor<Vec<SimNs>>>) -> OpFuture {
+        let clock = clock.clone();
+        Box::pin(async move {
+            clock.sleep_until(fire_at).await;
+            fired.with(|f| f.push(clock.now_ns()));
+        })
     }
 
     #[test]
     fn engine_fires_timers_at_their_virtual_instant() {
         let clock = SimClock::new();
-        // Register the caller first: the engine worker must never be the
-        // only actor (the deadlock detector would trip at start-up).
+        // Register the caller first: the engine must never be the only
+        // actor (the deadlock detector would trip at start-up).
         let actor = clock.register("caller");
         let engine = Engine::start(&clock, "test-engine".into());
-        let fired = Arc::new(Monitor::new(clock.clone(), None));
-        engine.submit(Box::new(TimerOp {
-            fire_at: 5_000,
-            fired: fired.clone(),
-        }));
+        let fired = Arc::new(Monitor::new(clock.clone(), Vec::new()));
+        engine.submit(timer_op(&clock, 5_000, fired.clone()));
         engine.wait_idle(&actor);
-        assert_eq!(fired.peek(|f| *f), Some(5_000));
+        assert_eq!(fired.peek(|f| f.clone()), vec![5_000]);
         assert_eq!(actor.now_ns(), 5_000);
     }
 
     #[test]
     fn engine_orders_independent_timers_without_blocking_each_other() {
         let clock = SimClock::new();
-        // Register the caller first: the engine worker must never be the
-        // only actor (the deadlock detector would trip at start-up).
+        // Register the caller first: the engine must never be the only
+        // actor (the deadlock detector would trip at start-up).
         let actor = clock.register("caller");
         let engine = Engine::start(&clock, "test-engine".into());
-        let order = Arc::new(Monitor::new(clock.clone(), Vec::<SimNs>::new()));
-        struct LoggingTimer {
-            fire_at: SimNs,
-            order: Arc<Monitor<Vec<SimNs>>>,
-        }
-        impl EngineOp for LoggingTimer {
-            fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
-                if now < self.fire_at {
-                    return Step::Park(Some(self.fire_at));
-                }
-                self.order.with(|o| o.push(now));
-                Step::Done
-            }
-        }
+        let order = Arc::new(Monitor::new(clock.clone(), Vec::new()));
         // Submit out of order; the engine must retire them in virtual
-        // order because each parks on its own alarm.
+        // order because each waits on its own instant.
         for &at in &[20_000u64, 12_000, 16_000] {
-            engine.submit(Box::new(LoggingTimer {
-                fire_at: at,
-                order: order.clone(),
-            }));
+            engine.submit(timer_op(&clock, at, order.clone()));
         }
         engine.wait_idle(&actor);
         assert_eq!(order.peek(|o| o.clone()), vec![12_000, 16_000, 20_000]);
@@ -2275,13 +2052,13 @@ mod tests {
     #[should_panic(expected = "already shut down")]
     fn submitting_after_shutdown_panics() {
         let clock = SimClock::new();
-        // Register the caller first: the engine worker must never be the
-        // only actor (the deadlock detector would trip at start-up).
+        // Register the caller first: the engine must never be the only
+        // actor (the deadlock detector would trip at start-up).
         let actor = clock.register("caller");
         let engine = Engine::start(&clock, "test-engine".into());
         engine.wait_idle(&actor);
         engine.shared.with(|s| s.shutdown = true);
-        let fired = Arc::new(Monitor::new(clock.clone(), None));
-        engine.submit(Box::new(TimerOp { fire_at: 1, fired }));
+        let fired = Arc::new(Monitor::new(clock.clone(), Vec::new()));
+        engine.submit(timer_op(&clock, 1, fired));
     }
 }

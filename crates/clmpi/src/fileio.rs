@@ -14,9 +14,9 @@ use std::sync::Arc;
 use minicl::{Buffer, ClError, ClResult, CommandQueue, Device, Event};
 use simnet::{DeferredArbiter, Link, LinkSpec};
 use simtime::plock::Mutex;
-use simtime::{Actor, Monitor, SimClock, SimNs};
+use simtime::{note_wake_at, until, Actor, Monitor, SimClock, SimNs};
 
-use crate::engine::{load, store, Advance, Envelope, Hop, OpBody, OpCx, OpFrame, OpSpec};
+use crate::engine::{load, store, Envelope, Hop, OpBody, OpCx, OpSpec, Outcome};
 use crate::obs::fnv1a;
 
 /// A simulated node-local storage device: an in-memory "filesystem" plus
@@ -174,7 +174,6 @@ impl crate::runtime::ClMpi {
             storage: storage.clone(),
             path: path.into(),
             framed: false,
-            state: Default::default(),
         };
         Ok(self.submit_file(format!("write-file {size}B"), None, wait_list, body))
     }
@@ -205,7 +204,6 @@ impl crate::runtime::ClMpi {
             storage: storage.clone(),
             path: path.into(),
             framed: false,
-            state: Default::default(),
         };
         Ok(self.submit_file(format!("read-file {size}B"), None, wait_list, body))
     }
@@ -245,7 +243,6 @@ impl crate::runtime::ClMpi {
             storage: storage.clone(),
             path,
             framed: true,
-            state: Default::default(),
         };
         Ok(self.submit_file(format!("ckpt {size}B"), Some(env), wait_list, body))
     }
@@ -283,7 +280,6 @@ impl crate::runtime::ClMpi {
             storage: storage.clone(),
             path,
             framed: true,
-            state: Default::default(),
         };
         Ok(self.submit_file(format!("restore {size}B"), Some(env), wait_list, body))
     }
@@ -298,7 +294,7 @@ impl crate::runtime::ClMpi {
         event: String,
         env: Option<Envelope>,
         wait: &[Event],
-        body: impl OpBody + 'static,
+        body: impl OpBody,
     ) -> Event {
         let spec = OpSpec {
             event,
@@ -307,7 +303,7 @@ impl crate::runtime::ClMpi {
             env,
             result: None,
         };
-        OpFrame::submit(&self.inner, spec, body)
+        spec.submit(&self.inner, body)
     }
 }
 
@@ -328,10 +324,17 @@ impl DiskWait {
         }
     }
 
-    /// The reservation's arrival instant once granted, else the instant
-    /// to look again.
-    fn poll(&self, now: SimNs) -> Result<SimNs, SimNs> {
-        self.cell.peek(|g| *g).ok_or(now.max(self.earliest) + 1)
+    /// The reservation's arrival instant, once granted. The grant comes
+    /// one tick after the clamped post instant.
+    async fn granted(&self, cx: &OpCx) -> SimNs {
+        until(|| {
+            let granted = self.cell.peek(|g| *g);
+            if granted.is_none() {
+                note_wake_at(cx.now().max(self.earliest) + 1);
+            }
+            granted
+        })
+        .await
     }
 }
 
@@ -352,85 +355,45 @@ struct FileStoreBody {
     storage: SimStorage,
     path: String,
     framed: bool,
-    state: FileStoreState,
-}
-
-#[derive(Default)]
-enum FileStoreState {
-    #[default]
-    Start,
-    /// Storage reservation posted; the file's bytes are held here until
-    /// they are durable.
-    Disk { wait: DiskWait, file: Vec<u8> },
-    /// Granted: the write is in flight until `at`.
-    Written {
-        at: SimNs,
-        write_start: SimNs,
-        file: Vec<u8>,
-    },
 }
 
 impl OpBody for FileStoreBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, _actor: &Actor) -> Advance {
-        loop {
-            match &mut self.state {
-                FileStoreState::Start => {
-                    let pcie = self.device.spec().pcie;
-                    let cost = pcie.staged_ns(self.size, true);
-                    let staged = Hop::D2h.reserve(&self.device, cost, now + pcie.pin_setup_ns);
-                    // Snapshot the region when staging starts: later
-                    // device-side writes do not leak into the file.
-                    let payload = load(&self.buf, self.offset, self.size);
-                    let file = if self.framed {
-                        encode_checkpoint(&payload)
-                    } else {
-                        payload
-                    };
-                    let wait = DiskWait::post(&self.storage, cx, file.len(), staged.1);
-                    if self.framed {
-                        // The file exists — torn — from the moment the
-                        // storage write begins, like a file growing on a
-                        // real disk. Header plus half the payload: enough
-                        // for restore to see the promise it cannot keep.
-                        let torn = CKPT_HEADER_LEN + (file.len() - CKPT_HEADER_LEN) / 2;
-                        self.storage.write_file(&self.path, file[..torn].to_vec());
-                    }
-                    self.state = FileStoreState::Disk { wait, file };
-                }
-                FileStoreState::Disk { wait, file } => match wait.poll(now) {
-                    Err(again) => return Advance::Park(Some(again)),
-                    Ok(at) => {
-                        self.state = FileStoreState::Written {
-                            at,
-                            write_start: wait.earliest,
-                            file: std::mem::take(file),
-                        };
-                    }
-                },
-                FileStoreState::Written {
-                    at,
-                    write_start,
-                    file,
-                } => {
-                    let (at, write_start) = (*at, *write_start);
-                    if now < at {
-                        return Advance::Park(Some(at));
-                    }
-                    let me = cx.inner.comm.global_rank(cx.inner.comm.rank());
-                    if self.framed && cx.inner.comm.world().node_down_in(me, write_start, at) {
-                        // Killed mid-write: the torn file is what the
-                        // survivors find on the shared storage.
-                        let why = format!("ckpt torn {}", self.path);
-                        if let Some(env) = cx.env_mut() {
-                            env.name = why.clone();
-                        }
-                        return Advance::Failed(ClError::TransferFailed(why), at);
-                    }
-                    self.storage.write_file(&self.path, std::mem::take(file));
-                    return Advance::Done(at);
-                }
-            }
+    async fn run(self, cx: &mut OpCx) -> Outcome {
+        let pcie = self.device.spec().pcie;
+        let cost = pcie.staged_ns(self.size, true);
+        let staged = Hop::D2h.reserve(&self.device, cost, cx.now() + pcie.pin_setup_ns);
+        // Snapshot the region when staging starts: later device-side
+        // writes do not leak into the file.
+        let payload = load(&self.buf, self.offset, self.size);
+        let file = if self.framed {
+            encode_checkpoint(&payload)
+        } else {
+            payload
+        };
+        let wait = DiskWait::post(&self.storage, cx, file.len(), staged.1);
+        if self.framed {
+            // The file exists — torn — from the moment the storage write
+            // begins, like a file growing on a real disk. Header plus half
+            // the payload: enough for restore to see the promise it cannot
+            // keep.
+            let torn = CKPT_HEADER_LEN + (file.len() - CKPT_HEADER_LEN) / 2;
+            self.storage.write_file(&self.path, file[..torn].to_vec());
         }
+        // Granted: the write is in flight until `at`.
+        let at = wait.granted(cx).await;
+        cx.inner.clock.sleep_until(at).await;
+        let me = cx.inner.comm.global_rank(cx.inner.comm.rank());
+        if self.framed && cx.inner.comm.world().node_down_in(me, wait.earliest, at) {
+            // Killed mid-write: the torn file is what the survivors find
+            // on the shared storage.
+            let why = format!("ckpt torn {}", self.path);
+            if let Some(env) = cx.env_mut() {
+                env.name = why.clone();
+            }
+            return Err((ClError::TransferFailed(why), at));
+        }
+        self.storage.write_file(&self.path, file);
+        Ok(at)
     }
 }
 
@@ -451,23 +414,6 @@ struct FileLoadBody {
     /// be exactly `size` bytes, or raw bytes of which the first `size`
     /// are wanted?
     framed: bool,
-    state: FileLoadState,
-}
-
-#[derive(Default)]
-enum FileLoadState {
-    #[default]
-    Start,
-    /// Storage read (or missing-file probe, `data == None`) posted to
-    /// the arbiter.
-    Disk {
-        wait: DiskWait,
-        data: Option<Vec<u8>>,
-    },
-    /// Validated: the payload lands in device memory at `at`.
-    Land { at: SimNs, payload: Vec<u8> },
-    /// Rejected: poison at `at`.
-    Fail { at: SimNs, why: String },
 }
 
 impl FileLoadBody {
@@ -499,58 +445,37 @@ impl FileLoadBody {
 }
 
 impl OpBody for FileLoadBody {
-    fn advance(&mut self, cx: &mut OpCx, now: SimNs, _actor: &Actor) -> Advance {
-        loop {
-            match &mut self.state {
-                FileLoadState::Start => {
-                    // Snapshot the file when the read starts: later
-                    // writes do not leak into it. A checkpoint streams
-                    // whole; a raw read streams the bytes asked for — or
-                    // what there is of them: a missing file still pays
-                    // the access latency before the probe fails.
-                    let data = self.storage.read_file(&self.path);
-                    let len = data.as_ref().map_or(0, Vec::len);
-                    let bytes = if self.framed { len } else { len.min(self.size) };
-                    let wait = DiskWait::post(&self.storage, cx, bytes, now);
-                    self.state = FileLoadState::Disk { wait, data };
+    async fn run(self, cx: &mut OpCx) -> Outcome {
+        // Snapshot the file when the read starts: later writes do not
+        // leak into it. A checkpoint streams whole; a raw read streams the
+        // bytes asked for — or what there is of them: a missing file still
+        // pays the access latency before the probe fails.
+        let data = self.storage.read_file(&self.path);
+        let len = data.as_ref().map_or(0, Vec::len);
+        let bytes = if self.framed { len } else { len.min(self.size) };
+        let wait = DiskWait::post(&self.storage, cx, bytes, cx.now());
+        let read_done = wait.granted(cx).await;
+        match self.validate(data) {
+            Err(why) => {
+                // Rejected: the failure waits out the read it paid for.
+                cx.inner.clock.sleep_until(read_done).await;
+                if let Some(env) = cx.env_mut() {
+                    env.name = format!("{}: {why}", env.name);
                 }
-                FileLoadState::Disk { wait, data } => {
-                    let read_done = match wait.poll(now) {
-                        Err(again) => return Advance::Park(Some(again)),
-                        Ok(at) => at,
-                    };
-                    let data = data.take();
-                    self.state = match self.validate(data) {
-                        Err(why) => FileLoadState::Fail { at: read_done, why },
-                        Ok(payload) => {
-                            // The per-rank h2d link has a single driving
-                            // thread, so the synchronous reservation
-                            // stays deterministic.
-                            let pcie = self.device.spec().pcie;
-                            let cost = pcie.staged_ns(self.size, true);
-                            let from = read_done + pcie.pin_setup_ns;
-                            let h2d = Hop::H2d.reserve(&self.device, cost, from);
-                            FileLoadState::Land { at: h2d.1, payload }
-                        }
-                    };
-                }
-                FileLoadState::Land { at, payload } => {
-                    if now < *at {
-                        return Advance::Park(Some(*at));
-                    }
-                    store(&self.buf, self.offset, payload);
-                    return Advance::Done(*at);
-                }
-                FileLoadState::Fail { at, why } => {
-                    if now < *at {
-                        return Advance::Park(Some(*at));
-                    }
-                    if let Some(env) = cx.env_mut() {
-                        env.name = format!("{}: {why}", env.name);
-                    }
-                    let e = ClError::TransferFailed(format!("{}: {why}", self.path));
-                    return Advance::Failed(e, *at);
-                }
+                Err((
+                    ClError::TransferFailed(format!("{}: {why}", self.path)),
+                    read_done,
+                ))
+            }
+            Ok(payload) => {
+                // The per-rank h2d link has a single driving engine, so
+                // the synchronous reservation stays deterministic.
+                let pcie = self.device.spec().pcie;
+                let cost = pcie.staged_ns(self.size, true);
+                let h2d = Hop::H2d.reserve(&self.device, cost, read_done + pcie.pin_setup_ns);
+                cx.inner.clock.sleep_until(h2d.1).await;
+                store(&self.buf, self.offset, &payload);
+                Ok(h2d.1)
             }
         }
     }

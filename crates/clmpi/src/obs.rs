@@ -54,8 +54,8 @@ pub fn op_id(rank: usize, seq: u64) -> u64 {
 }
 
 /// Allocator of child-span ids under one operation id. Owned by the
-/// operation's state machine, so allocation order is the machine's own
-/// step order — deterministic by the engine's FIFO stepping.
+/// operation's context, so allocation order is the order its body
+/// records in — deterministic by the engine's FIFO polling.
 #[derive(Debug, Clone, Copy)]
 pub struct ChildIds {
     base: u64,
@@ -170,7 +170,7 @@ pub(crate) enum Via {
 /// from spans instead.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsCounters {
-    /// Operations submitted to the engine (transfer + interop machines).
+    /// Operations submitted to the engine (transfers and interop ops).
     pub submitted: u64,
     /// Operations that settled successfully.
     pub completed: u64,
@@ -518,7 +518,7 @@ pub struct RankSummary {
     /// carried the bytes.
     pub rma_bytes: u64,
     /// Peer-failure notifications observed (`op.failure` annotations —
-    /// dead-peer detections by in-flight machines plus explicit
+    /// dead-peer detections by in-flight ops plus explicit
     /// [`crate::ClMpi::notify_proc_failure`] calls). Recovery
     /// annotations are control-plane records, not operations: they never
     /// count into `ops` / `ops_ok` / `ops_failed` or the queue-depth

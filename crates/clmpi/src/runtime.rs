@@ -7,8 +7,8 @@
 //! command events, and a runtime-internal thread executes the MPI calls so
 //! the host thread is never blocked. This reproduction does the same, the
 //! paper's way: one long-lived per-rank progress thread (the
-//! [`crate::Engine`]) multiplexes every outstanding command as a
-//! cooperative state machine — chunked transfers, MPI request wrappers,
+//! [`crate::Engine`]) multiplexes every outstanding command as one
+//! `async` body — chunked transfers, MPI request wrappers,
 //! collective fan-outs, file I/O, and the retry/backoff timers of the
 //! failure model (see `engine.rs` for the execution model). Transfers
 //! begin when their wait lists complete and progress with no host
@@ -16,7 +16,7 @@
 //! through the shared reservation timelines.
 //!
 //! This module is the *control plane*: argument validation, strategy
-//! resolution, machine construction and submission. The only places it
+//! resolution, body construction and submission. The only places it
 //! blocks the calling actor are the explicitly blocking API flavors,
 //! each marked `// blocking-api:` for the CI lint.
 
@@ -32,9 +32,8 @@ use minimpi::{
 use simtime::{until, Actor, Monitor, SimClock, SimNs, Trace};
 
 use crate::engine::{
-    record_envelope, AccumulateBody, CountedRecv, Engine, Envelope, EventFromRequestBody,
-    FenceBody, GetBody, HostSendOp, IrecvBody, Lowering, OpCx, OpFrame, OpSpec, PutBody, RecvBody,
-    ResultSlot, SendBody, SendSlot,
+    record_envelope, AccumulateBody, Engine, Envelope, EventFromRequestBody, FenceBody, GetBody,
+    HostSend, IrecvBody, Lowering, OpSpec, PutBody, RecvBody, ResultSlot, SendBody, SendSlot,
 };
 use crate::obs::{ChildIds, ObsCounters};
 use crate::strategy::{PackMode, ResolvedStrategy, TransferStrategy};
@@ -97,7 +96,7 @@ pub(crate) struct Inner {
     pub(crate) retry: Mutex<RetryPolicy>,
     pub(crate) ledger: Mutex<Ledger>,
     /// Communicator-local ranks explicitly reported failed
-    /// ([`ClMpi::notify_proc_failure`]); machines consult this set in
+    /// ([`ClMpi::notify_proc_failure`]); op bodies consult this set in
     /// addition to the fault plan's schedule. A `Monitor`: a report
     /// re-polls the engine ops that looked here.
     pub(crate) failed: Monitor<std::collections::BTreeSet<Rank>>,
@@ -312,8 +311,8 @@ impl ClMpi {
         self.degrade(chosen, size)
     }
 
-    /// Wait (in virtual time) until every outstanding command's machine
-    /// has finished. Call before the rank returns.
+    /// Wait (in virtual time) until every outstanding command has
+    /// finished. Call before the rank returns.
     pub fn shutdown(&self, actor: &Actor) {
         self.inner.engine.wait_idle(actor);
     }
@@ -329,7 +328,7 @@ impl ClMpi {
     // ------------------------------------------------------------------
 
     /// Report communicator-local rank `rank` as failed. In-flight and
-    /// future machines touching it abort-and-poison instead of waiting
+    /// future commands touching it abort-and-poison instead of waiting
     /// out their patience; recorded as an `op.failure` span. Idempotent.
     pub fn notify_proc_failure(&self, rank: Rank) {
         if !self.inner.failed.with(|f| f.insert(rank)) {
@@ -397,9 +396,9 @@ impl ClMpi {
         event: String,
         env: Envelope,
         wait: &[Event],
-        body: impl crate::engine::OpBody + 'static,
+        body: impl crate::engine::OpBody,
     ) -> Event {
-        OpFrame::submit(&self.inner, OpSpec::gated(event, env, wait), body)
+        OpSpec::gated(event, env, wait).submit(&self.inner, body)
     }
 
     /// Misuse is the caller's `CL_INVALID_VALUE`, found on the calling
@@ -443,7 +442,7 @@ impl ClMpi {
             result,
             ..OpSpec::gated(format!("{kind}→{dst}#{tag}"), env, wait)
         };
-        OpFrame::submit(&self.inner, spec, body)
+        spec.submit(&self.inner, body)
     }
 
     /// The receive-side twin of [`ClMpi::submit_send`].
@@ -466,7 +465,7 @@ impl ClMpi {
             result,
             ..OpSpec::gated(format!("{kind}←{src}#{tag}"), env, wait)
         };
-        OpFrame::submit(&self.inner, spec, body)
+        spec.submit(&self.inner, body)
     }
 
     // ------------------------------------------------------------------
@@ -810,15 +809,13 @@ impl ClMpi {
             sent: total,
             ..Envelope::new("op.isend", format!("isend→{dst}"), Some(dst))
         };
-        self.inner.engine.submit(Box::new(HostSendOp {
-            cx: OpCx::new(&self.inner, Some(env)),
+        let send = HostSend {
             dst,
             wire_tag,
             chunks,
-            issued: issued.clone(),
             slot: slot.clone(),
-            run: Default::default(),
-        }));
+        };
+        send.submit(&self.inner, env, issued.clone());
         // Hand-off handshake: resume once the engine has pushed the first
         // injection burst onto the wire, keeping the fabric reservation
         // order identical to an inline send (costs no virtual time — the
@@ -861,7 +858,7 @@ impl ClMpi {
             src,
             wire_tag,
             host: data.clone(),
-            recv: CountedRecv::new(size, 0),
+            size,
         };
         let event = self.submit_gated(label, env, &[], body);
         ClRecvRequest { event, data }
@@ -926,7 +923,6 @@ impl ClMpi {
             size,
             target,
             strategy: self.resolve_rma(target, size),
-            flights: Vec::new(),
         };
         let env = Envelope {
             bytes: size as u64,
@@ -964,7 +960,6 @@ impl ClMpi {
             win_offset,
             size,
             target,
-            state: Default::default(),
         };
         let env = Envelope {
             bytes: size as u64,
@@ -1010,7 +1005,6 @@ impl ClMpi {
             size,
             target,
             op,
-            state: Default::default(),
         };
         let env = Envelope {
             bytes: size as u64,
@@ -1035,7 +1029,7 @@ impl ClMpi {
         actor: &Actor,
     ) -> ClResult<Event> {
         let body = FenceBody {
-            fence: Box::pin(win.win.clone().fence_async()),
+            win: win.win.clone(),
         };
         let env = Envelope::new("op.fence", "win-fence".into(), None);
         let event = self.submit_gated("win-fence".into(), env, wait_list, body);
@@ -1124,18 +1118,18 @@ impl ClWindow {
 impl Drop for Inner {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            return; // clock is poisoned; the engine worker dies on its own
+            return; // clock is poisoned; the engine dies on its own
         }
         if simtime::in_sched_pass() {
-            // The engine's last machine held the last runtime handle: the
-            // pass is already draining it, and must not wait on itself.
+            // The engine's last op held the last runtime handle: the pass
+            // is already draining it, and must not wait on itself.
             return;
         }
         if self.engine.active() > 0 {
-            // Wait clock-aware for outstanding machines with a temporary
-            // actor (the dropping thread is a running actor, so
-            // registration is legal); the Engine field's drop then asks
-            // the machine to retire.
+            // Wait clock-aware for outstanding ops with a temporary actor
+            // (the dropping thread is a running actor, so registration is
+            // legal); the Engine field's drop then asks the engine to
+            // retire.
             let tmp = self.clock.register("clmpi-drop");
             self.engine.wait_idle(&tmp);
         }

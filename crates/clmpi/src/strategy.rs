@@ -194,7 +194,7 @@ pub mod analytic {
         size as f64 * 1e9 / transfer_ns(sys, strategy, size) as f64
     }
 
-    /// Coarse idle-resource model of the chunked broadcast machines in
+    /// Coarse idle-resource model of the chunked broadcast bodies in
     /// the collective module: stage-in, sender-side chunk serialization,
     /// store-and-forward drain, stage-out. Used by the bench binaries to
     /// cross-check simulated collective timings — never by the engine.

@@ -178,3 +178,140 @@ fn same_fault_seed_is_fully_deterministic() {
     assert_eq!(a.3, b.3, "trace must be reproducible");
     assert_eq!(a.1[1], pattern(1 << 20, 77), "data must still be intact");
 }
+
+/// What one rank of `failed_receives_withdraw_so_the_tag_is_reusable`
+/// reports: per round, its commands' error codes (a rejected `isend_cl`
+/// as `CL_MPI_TRANSFER_ERROR`); the root's reduce folds recorded in round
+/// 0; and whether round 1 delivered the right bytes.
+type WithdrawReport = (Vec<Vec<Option<i32>>>, usize, bool);
+
+/// One rank of that test: rank 0 sends to ranks 1 (`enqueue_send_buffer`)
+/// and 2 (`isend_cl`), and every rank reduces onto rank 0, twice on the
+/// same tags.
+fn withdraw_rounds(
+    p: &Process,
+) -> Result<WithdrawReport, Box<dyn std::error::Error + Send + Sync>> {
+    use clmpi::{ReduceOp, CL_MPI_TRANSFER_ERROR};
+    const SIZE: usize = 64 << 10;
+    const COUNT: usize = 1 << 20;
+    let rt = ClMpi::new(p, SystemConfig::ricc());
+    rt.set_retry_policy(RetryPolicy {
+        chunk_timeout_ns: 5_000_000,
+        ..RetryPolicy::new(2, 5_000)
+    });
+    let (a, me) = (&p.actor, p.rank());
+    let q = rt.context().create_queue(0, format!("r{me}"));
+    let buf = rt.context().create_buffer(SIZE);
+    let rbuf = rt.context().create_buffer(COUNT * 8);
+    // Small integers: the sum is exact in any order.
+    let contrib = |r: usize| (0..COUNT).map(move |i| (r * 1000 + i % 997) as f64);
+    let mut codes = Vec::new();
+    let (mut folds, mut delivered) = (0, true);
+    for round in 0..2 {
+        let words: Vec<u8> = contrib(me).flat_map(f64::to_le_bytes).collect();
+        rbuf.store(0, &words)?;
+        let er = rt.enqueue_reduce_buffer(&q, &rbuf, 0, COUNT, ReduceOp::Sum, 0, 1, &[], a)?;
+        if round == 0 {
+            // The host joins the outage, with the reduce mid-ring.
+            q.enqueue_kernel("until-down", WITHDRAW_DOWN, &[], || {})
+                .wait(a);
+        }
+        let mut round_codes = Vec::new();
+        match me {
+            0 => {
+                buf.store(0, &pattern(SIZE, 31))?;
+                let es = rt.enqueue_send_buffer(&q, &buf, false, 0, SIZE, 1, 1, &[], a)?;
+                let sent = rt.isend_cl(a, 2, 2, &pattern(SIZE, 32)).wait_result(a);
+                es.wait(a);
+                round_codes.push(es.error_code());
+                round_codes.push(sent.err().map(|_| CL_MPI_TRANSFER_ERROR));
+            }
+            1 => {
+                buf.store(0, &[0u8; SIZE])?;
+                let er = rt.enqueue_recv_buffer(&q, &buf, false, 0, SIZE, 0, 1, &[], a)?;
+                er.wait(a);
+                round_codes.push(er.error_code());
+                delivered &= round == 0 || buf.load(0, SIZE)?.as_slice() == pattern(SIZE, 31);
+            }
+            _ => {
+                let r = rt.irecv_cl(a, 0, 2, SIZE);
+                r.event.wait(a);
+                round_codes.push(r.event.error_code());
+                delivered &= round == 0 || r.data.read(|h| h.as_slice() == pattern(SIZE, 32));
+            }
+        }
+        er.wait(a);
+        round_codes.push(er.error_code());
+        codes.push(round_codes);
+        if round == 0 {
+            let trace = p.comm.world().trace().ops();
+            folds = trace
+                .iter()
+                .filter(|o| o.rank == 0 && o.cat == "reduce")
+                .count();
+            // Sit out the rest of the outage, then line the ranks up.
+            let rest = WITHDRAW_LINK_BACK - a.now_ns();
+            q.enqueue_kernel("outage", rest, &[], || {}).wait(a);
+            p.comm.barrier(a);
+        }
+    }
+    if me == 0 {
+        let got = rbuf.load(0, COUNT * 8)?;
+        let want = (0..COUNT).map(|i| (0..3).map(|r| (r * 1000 + i % 997) as f64).sum::<f64>());
+        delivered &= got.as_f64().iter().copied().eq(want);
+    }
+    rt.shutdown(a);
+    Ok((codes, folds, delivered))
+}
+
+/// Where the data plane goes down and comes back. On RICC with three
+/// ranks and an 8 MiB reduce, the ring's last reduce-scatter injections
+/// are granted by ~4.2 ms and the gather's at ~6.8 ms, so the window
+/// opens between them: the root completes its ring, and its wildcard
+/// gather receive is what fails (a window from 0 would fail the ring
+/// first, and the gather would never be posted).
+const WITHDRAW_DOWN: u64 = 6_000_000;
+const WITHDRAW_LINK_BACK: u64 = 50_000_000;
+
+/// While the data plane is down, `enqueue_recv_buffer`, `irecv_cl` and
+/// `enqueue_reduce_buffer`'s root gather each fail by running out of
+/// patience with a receive still posted. Once the link is back, the same
+/// commands on the same tags among the same ranks deliver the right
+/// bytes: a receive left behind by a failed command would have been
+/// posted first and swallowed the new command's first chunk.
+#[test]
+fn failed_receives_withdraw_so_the_tag_is_reusable() {
+    use clmpi::CL_MPI_TRANSFER_ERROR;
+    let plan =
+        data_plane_faults(FaultPlan::none().with_down_window(WITHDRAW_DOWN, WITHDRAW_LINK_BACK));
+    let cluster = SystemConfig::ricc().cluster.clone();
+    let res = run_world_faulty(cluster, 3, plan, move |p: Process| {
+        withdraw_rounds(&p).map_err(|e| e.to_string())
+    });
+    let dead = Some(CL_MPI_TRANSFER_ERROR);
+    for (rank, out) in res.outputs.iter().enumerate() {
+        let Ok((codes, folds, delivered)) = out else {
+            assert_eq!(
+                out.as_ref().err(),
+                None,
+                "rank {rank}: a command was rejected"
+            );
+            continue;
+        };
+        assert!(
+            codes[0].iter().all(|&c| c == dead),
+            "rank {rank}: outage fails all: {codes:?}"
+        );
+        assert!(
+            codes[1].iter().all(|&c| c.is_none()),
+            "rank {rank}: second round clean: {codes:?}"
+        );
+        assert!(delivered, "rank {rank}: second round's bytes");
+        if rank == 0 {
+            assert_eq!(
+                *folds, 2,
+                "the root's ring completed before its gather failed"
+            );
+        }
+    }
+}

@@ -872,8 +872,10 @@ impl Actor {
     /// ([`SimActor::poll`]), and a task its future
     /// ([`SimClock::spawn_task`]): registered as no actor, so it neither counts
     /// for the clock nor drives it when dropped — except that, dropped by
-    /// a pass a machine's panic unwinds, it poisons the clock.
-    pub(crate) fn for_pass(clock: &SimClock) -> Actor {
+    /// a pass a machine's panic unwinds, it poisons the clock. A machine
+    /// that polls futures of its own (clMPI's engine) gives them one:
+    /// for non-blocking calls, never for a park.
+    pub fn for_pass(clock: &SimClock) -> Actor {
         Actor {
             clock: clock.clone(),
             id: u64::MAX,
