@@ -53,10 +53,12 @@
 //!   (`ClockState::resident`), alarms drive the clock and a deadlock may
 //!   be declared over it, as over a blocked actor.
 //! * **Ready machines.** A pass does not step everything: the keys a
-//!   machine's last poll read (recorded by `sched`, see there) are
-//!   registered as `(key, machine)` in `ClockState::machines`, next to
-//!   `waiting`. `wake_dependants(key)` marks the matching machines
-//!   ready and owes a pass only if there is one. A registration
+//!   machine's last poll read (recorded by `sched`, see there) list the
+//!   machine among that key's dependants in `ClockState::deps`, beside
+//!   the blocked actors waiting on it. `wake_dependants(key)` looks the
+//!   key up once, flags its waiters, marks its machines ready and owes a
+//!   pass only if it marked one; a notify costs what the key has
+//!   registered, not what every other key has. A registration
 //!   stays in place while its machine is being polled, so a notify of a
 //!   key the machine already read is never
 //!   lost; a key it reads for the first time is registered only after the
@@ -90,8 +92,9 @@
 
 use crate::plock::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::future::Future;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -123,15 +126,89 @@ impl WakeKey {
     pub(crate) const SCHED: WakeKey = WakeKey(1);
     /// Fresh keys start after the fixed ones.
     const FIRST_FRESH: u64 = 2;
+}
 
-    /// The range of `ClockState::waiting` holding this key's waiters.
-    fn waiters(self) -> std::ops::RangeInclusive<(WakeKey, u64)> {
-        (self, 0)..=(self, u64::MAX)
+/// Hashes a [`WakeKey`]'s `u64` with one multiplication: keys come from a
+/// counter, so the product spreads consecutive keys over the table, and a
+/// fixed hasher keeps every run of a world the same.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
     }
 
-    /// The range of `ClockState::machines` holding this key's machines.
-    fn machines(self) -> std::ops::RangeInclusive<(WakeKey, MachineId)> {
-        (self, 0)..=(self, MachineId::MAX)
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// What is registered on one key: the parked machines whose last poll
+/// read it and the blocked actors waiting on it. Order within a list is
+/// registration order, which nothing observes (`ClockState::deps`).
+#[derive(Default)]
+struct Deps {
+    machines: Vec<MachineId>,
+    waiters: Vec<u64>,
+}
+
+impl Deps {
+    fn is_empty(&self) -> bool {
+        self.machines.is_empty() && self.waiters.is_empty()
+    }
+}
+
+/// Remove one `x` from `list`, if it is there; order is not kept.
+fn swap_out<T: PartialEq>(list: &mut Vec<T>, x: &T) {
+    if let Some(i) = list.iter().position(|y| y == x) {
+        list.swap_remove(i);
+    }
+}
+
+/// The machines a notify or alarm has marked since the last pass took its
+/// batch, in marking order, and a flag per machine id saying whether it
+/// is in the list. The pass sorts its batch, so the order is unobserved.
+#[derive(Default)]
+struct ReadyMarks {
+    list: Vec<MachineId>,
+    /// Indexed by [`MachineId`] (the slab's dense ids).
+    marked: Vec<bool>,
+}
+
+impl ReadyMarks {
+    /// Mark `m` ready; false if it is marked already.
+    fn mark(&mut self, m: MachineId) -> bool {
+        let i = m as usize;
+        if self.marked.len() <= i {
+            self.marked.resize(i + 1, false);
+        }
+        if std::mem::replace(&mut self.marked[i], true) {
+            return false;
+        }
+        self.list.push(m);
+        true
+    }
+
+    /// Take `m` off the list (it retired).
+    fn unmark(&mut self, m: MachineId) {
+        if self.marked.get_mut(m as usize).is_some_and(std::mem::take) {
+            swap_out(&mut self.list, &m);
+        }
+    }
+
+    /// Move every marked machine into `batch`, clearing the marks.
+    fn drain_into(&mut self, batch: &mut Vec<MachineId>) {
+        for &m in &self.list {
+            self.marked[m as usize] = false;
+        }
+        batch.append(&mut self.list);
     }
 }
 
@@ -227,14 +304,18 @@ struct ClockState {
     /// A progress source is running: signals stay queued, and no parked
     /// thread resumes, until it is done.
     progressing: bool,
-    /// (key, actor id) for every key a currently blocked actor registered.
-    waiting: BTreeSet<(WakeKey, u64)>,
-    /// (key, machine) for every key the last fruitless poll of an
-    /// machine read: what the machine is parked on.
-    machines: BTreeSet<(WakeKey, MachineId)>,
+    /// Every key something is registered on, with its dependants: the
+    /// blocked actors that registered it and the parked machines whose
+    /// last fruitless poll read it. A key with neither has no entry.
+    // checker-allow(determinism): every access is by key; iteration only
+    // counts (`render_actors`) or retains (`forget_waiter`). Order within
+    // a key's lists decides only the order ready marks are set in, which
+    // the pass sorts away, and the order park tokens are signalled in,
+    // which is host scheduling. The hasher is fixed, not random.
+    deps: std::collections::HashMap<WakeKey, Deps, BuildHasherDefault<KeyHasher>>,
     /// The machines that a notify or alarm has marked since the last pass
     /// took its batch ([`SimClock::take_ready`]).
-    ready: BTreeSet<MachineId>,
+    ready: ReadyMarks,
     next_actor: u64,
     /// Registered actors by id. A `BTreeMap` so that any iteration (the
     /// deadlock report) is in deterministic id order by construction.
@@ -256,10 +337,13 @@ impl ClockState {
     fn wake_dependants(&mut self, key: WakeKey) {
         self.gen += 1;
         self.pass_owed |= key == WakeKey::SCHED;
-        for &(_, id) in self.waiting.range(key.waiters()) {
+        let Some(deps) = self.deps.get(&key) else {
+            return;
+        };
+        for id in &deps.waiters {
             // A deadlock panic can unwind an actor out of the map while
-            // its registrations are still in `waiting`.
-            let Some(a) = self.actors.get_mut(&id) else {
+            // its registrations are still in `deps`.
+            let Some(a) = self.actors.get_mut(id) else {
                 continue;
             };
             if !a.flagged {
@@ -268,11 +352,47 @@ impl ClockState {
                 self.signals.push(a.token.clone());
             }
         }
-        for &(_, m) in self.machines.range(key.machines()) {
+        for &m in &deps.machines {
             // Marked already: the pass it owes has not taken its batch.
-            if self.ready.insert(m) {
+            if self.ready.mark(m) {
                 self.stats.machine_readies += 1;
                 self.pass_owed = true;
+            }
+        }
+    }
+
+    /// Register blocked actor `id` on each of `keys`.
+    fn add_waiter(&mut self, keys: &[WakeKey], id: u64) {
+        for &k in keys {
+            let waiters = &mut self.deps.entry(k).or_default().waiters;
+            if !waiters.contains(&id) {
+                waiters.push(id);
+            }
+        }
+    }
+
+    /// Undo [`ClockState::add_waiter`]: actor `id` resumed.
+    fn remove_waiter(&mut self, keys: &[WakeKey], id: u64) {
+        for k in keys {
+            self.unregister(*k, |d| swap_out(&mut d.waiters, &id));
+        }
+    }
+
+    /// Drop every registration of actor `id`, whatever its keys.
+    fn forget_waiter(&mut self, id: u64) {
+        self.deps.retain(|_, d| {
+            d.waiters.retain(|&w| w != id);
+            !d.is_empty()
+        });
+    }
+
+    /// Take something off `key`'s dependants, and the key's entry with
+    /// it once nothing is left there.
+    fn unregister(&mut self, key: WakeKey, take: impl FnOnce(&mut Deps)) {
+        if let std::collections::hash_map::Entry::Occupied(mut e) = self.deps.entry(key) {
+            take(e.get_mut());
+            if e.get().is_empty() {
+                e.remove();
             }
         }
     }
@@ -430,7 +550,7 @@ impl ClockInner {
                 if matches!(a.status, ActorStatus::Blocked(_)) {
                     // A wait with a missing key names itself here: it is
                     // the keyed waiter nothing could reach.
-                    let keys = st.waiting.iter().filter(|(_, w)| w == id).count();
+                    let keys = st.deps.values().filter(|d| d.waiters.contains(id)).count();
                     line.push_str(&format!(" [keyed: {keys} key(s)]"));
                 }
                 line
@@ -685,7 +805,7 @@ impl SimClock {
         let mut st = self.inner.lock();
         st.stats.sched_passes += 1;
         st.pass_owed = false;
-        batch.extend(std::mem::take(&mut st.ready));
+        st.ready.drain_into(batch);
         st.gen
     }
 
@@ -809,8 +929,8 @@ impl SimClock {
     }
 }
 
-/// The clock lock, held by a pass to bring `ClockState::machines` up to
-/// date with what its machines read.
+/// The clock lock, held by a pass to bring the machines' entries in
+/// `ClockState::deps` up to date with what its machines read.
 pub(crate) struct Registry<'a> {
     st: ClockGuard<'a>,
     /// `gen` moved since the pass took its batch: a notify may have
@@ -820,7 +940,9 @@ pub(crate) struct Registry<'a> {
 
 impl Registry<'_> {
     /// Machine `m` is now parked on `new` instead of `old` (both sorted,
-    /// duplicate-free). A key read for the first time was registered
+    /// duplicate-free): it joins the dependants of each key only `new`
+    /// has and leaves those of each key only `old` has. A key read for
+    /// the first time was registered
     /// nowhere while its notify may already have happened, so if `gen`
     /// moved during the pass the machine goes back on the ready list —
     /// "something changed while we evaluated; recheck", per machine.
@@ -829,17 +951,17 @@ impl Registry<'_> {
         let mut added = false;
         for &k in new {
             if old.binary_search(&k).is_err() {
-                st.machines.insert((k, m));
+                st.deps.entry(k).or_default().machines.push(m);
                 added = true;
             }
         }
-        if added && self.moved && st.ready.insert(m) {
+        if added && self.moved && st.ready.mark(m) {
             st.stats.machine_readies += 1;
             st.pass_owed = true;
         }
         for &k in old {
             if new.binary_search(&k).is_err() {
-                st.machines.remove(&(k, m));
+                st.unregister(k, |d| swap_out(&mut d.machines, &m));
             }
         }
     }
@@ -847,7 +969,7 @@ impl Registry<'_> {
     /// Machine `m`, parked on `keys`, finished.
     pub(crate) fn retire(&mut self, m: MachineId, keys: &[WakeKey]) {
         self.reregister(m, keys, &[]);
-        self.st.ready.remove(&m);
+        self.st.ready.unmark(m);
         self.st.resident -= 1;
     }
 }
@@ -1018,9 +1140,7 @@ impl Actor {
                 continue; // something changed while we evaluated; recheck
             }
             st.runnable -= 1;
-            for &k in keys {
-                st.waiting.insert((k, self.id));
-            }
+            st.add_waiter(keys, self.id);
             if let Some(a) = st.actors.get_mut(&self.id) {
                 a.status = ActorStatus::Blocked(label);
             }
@@ -1028,9 +1148,7 @@ impl Actor {
             let st = self.clock.maybe_advance(st);
             let resumed = |st: &ClockState| st.actors.get(&self.id).is_some_and(|a| a.flagged);
             let mut st = ClockGuard::park(st, &self.token, resumed);
-            for &k in keys {
-                st.waiting.remove(&(k, self.id));
-            }
+            st.remove_waiter(keys, self.id);
             st.runnable += 1;
             if let Some(a) = st.actors.get_mut(&self.id) {
                 a.status = ActorStatus::Running;
@@ -1056,7 +1174,7 @@ impl Drop for Actor {
         if let Some(info) = &registered {
             match info.status {
                 ActorStatus::Running => st.runnable -= 1,
-                ActorStatus::Blocked(_) => st.waiting.retain(|&(_, id)| id != self.id),
+                ActorStatus::Blocked(_) => st.forget_waiter(self.id),
             }
         }
         if std::thread::panicking() {
@@ -1534,7 +1652,7 @@ mod tests {
         let st = c.inner.lock();
         assert_eq!((st.recheck_pending, st.runnable), (0, 0));
         assert!(!st.pass_owed && st.resident == 0);
-        assert!(st.signals.is_empty() && st.actors.is_empty() && st.waiting.is_empty());
+        assert!(st.signals.is_empty() && st.actors.is_empty() && st.deps.is_empty());
         let slept = st.stats.labels.get("sleep").map_or(0, |l| l.parked);
         assert!(slept > 1_000 && st.stats.alarms_fired > 1_000);
         let held = stirrer.held.load(Ordering::Relaxed);
@@ -1556,6 +1674,227 @@ mod tests {
         // Re-raises the world's own panic (a deadlock report).
         if let Err(p) = t.join() {
             std::panic::resume_unwind(p);
+        }
+    }
+
+    /// One registration: a key and an actor or machine registered on it.
+    type Reg<T> = (WakeKey, T);
+
+    /// The registry as ordered sets of `(key, dependant)` pairs and of
+    /// ready machines, the way the clock kept it before its keyed index:
+    /// the reference [`keyed_registry_matches_the_ordered_set_model`]
+    /// holds `ClockState::{deps, ready}` to.
+    #[derive(Default)]
+    struct SetModel {
+        waiting: std::collections::BTreeSet<Reg<u64>>,
+        machines: std::collections::BTreeSet<Reg<MachineId>>,
+        ready: std::collections::BTreeSet<MachineId>,
+        flagged: std::collections::BTreeSet<u64>,
+        pass_owed: bool,
+        machine_readies: u64,
+    }
+
+    impl SetModel {
+        fn wake(&mut self, key: WakeKey) {
+            self.pass_owed |= key == WakeKey::SCHED;
+            for &(_, id) in self.waiting.range((key, 0)..=(key, u64::MAX)) {
+                self.flagged.insert(id);
+            }
+            for &(_, m) in self.machines.range((key, 0)..=(key, MachineId::MAX)) {
+                if self.ready.insert(m) {
+                    self.machine_readies += 1;
+                    self.pass_owed = true;
+                }
+            }
+        }
+
+        fn reregister(&mut self, m: MachineId, old: &[WakeKey], new: &[WakeKey], moved: bool) {
+            let mut added = false;
+            for &k in new {
+                if old.binary_search(&k).is_err() {
+                    self.machines.insert((k, m));
+                    added = true;
+                }
+            }
+            if added && moved && self.ready.insert(m) {
+                self.machine_readies += 1;
+                self.pass_owed = true;
+            }
+            for &k in old {
+                if new.binary_search(&k).is_err() {
+                    self.machines.remove(&(k, m));
+                }
+            }
+        }
+    }
+
+    /// Up to `max` keys drawn from `pool`, sorted and duplicate-free.
+    fn key_set(rng: &mut crate::XorShift64, pool: &[WakeKey], max: usize) -> Vec<WakeKey> {
+        let mut keys: Vec<WakeKey> = (0..rng.gen_range_usize(0, max + 1))
+            .map(|_| pool[rng.gen_range_usize(0, pool.len())])
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    /// Random re-registrations (moved or not), retirements, waiter
+    /// registrations, resumptions and drops, notifies and pass batches,
+    /// each applied to the clock's keyed registry and to [`SetModel`]:
+    /// after every step the registrations, the ready marks, the flagged
+    /// waiters, `machine_readies` and `pass_owed` agree, and so does every
+    /// batch a pass takes once sorted. A registration the index drops or
+    /// keeps too long shows as a wake-up one side has and the other lacks.
+    #[test]
+    fn keyed_registry_matches_the_ordered_set_model() {
+        const MACHINES: usize = 6;
+        const ACTORS: u64 = 5;
+        for case in 0..64u64 {
+            let mut rng = crate::XorShift64::new(0x7e9_0000 + case);
+            let c = SimClock::with_permute_seed(None);
+            let mut pool: Vec<WakeKey> = (0..5).map(|_| c.new_key()).collect();
+            pool.push(WakeKey::SCHED);
+            for id in 0..ACTORS {
+                let token = Arc::new(Condvar::new());
+                let info = ActorInfo {
+                    label: format!("w{id}"),
+                    status: ActorStatus::Blocked("model"),
+                    token,
+                    flagged: false,
+                };
+                c.inner.lock().actors.insert(id, info);
+            }
+            let mut model = SetModel::default();
+            let mut machines: Vec<Option<Vec<WakeKey>>> = vec![None; MACHINES];
+            let mut waiters: Vec<Option<Vec<WakeKey>>> = vec![None; ACTORS as usize];
+            let mut batch = Vec::new();
+            for step in 0..400 {
+                let at = format!("case {case} step {step}");
+                match rng.gen_range_usize(0, 9) {
+                    0 | 1 => {
+                        let m = rng.gen_range_usize(0, MACHINES);
+                        if machines[m].is_none() {
+                            c.inner.lock().resident += 1;
+                        }
+                        let old = machines[m].take().unwrap_or_default();
+                        let new = key_set(&mut rng, &pool, 4);
+                        let moved = rng.gen_bool(0.5);
+                        let mut registry = Registry {
+                            st: c.inner.lock(),
+                            moved,
+                        };
+                        registry.reregister(m as MachineId, &old, &new);
+                        model.reregister(m as MachineId, &old, &new, moved);
+                        machines[m] = Some(new);
+                    }
+                    2 => {
+                        let m = rng.gen_range_usize(0, MACHINES);
+                        if let Some(keys) = machines[m].take() {
+                            let mut registry = Registry {
+                                st: c.inner.lock(),
+                                moved: rng.gen_bool(0.5),
+                            };
+                            registry.retire(m as MachineId, &keys);
+                            model.reregister(m as MachineId, &keys, &[], false);
+                            model.ready.remove(&(m as MachineId));
+                        }
+                    }
+                    3 | 4 => {
+                        let id = rng.gen_range_u64(0, ACTORS);
+                        let slot = &mut waiters[id as usize];
+                        let mut st = c.inner.lock();
+                        match slot.take() {
+                            // `wait_on` parks: its keys as given, repeats
+                            // and all.
+                            None => {
+                                let keys: Vec<WakeKey> = (0..rng.gen_range_usize(1, 4))
+                                    .map(|_| pool[rng.gen_range_usize(0, pool.len())])
+                                    .collect();
+                                st.add_waiter(&keys, id);
+                                model.waiting.extend(keys.iter().map(|&k| (k, id)));
+                                *slot = Some(keys);
+                            }
+                            // ... and resumes, or is dropped while blocked.
+                            Some(keys) => {
+                                if rng.gen_bool(0.5) {
+                                    st.remove_waiter(&keys, id);
+                                } else {
+                                    st.forget_waiter(id);
+                                }
+                                model.waiting.retain(|&(_, w)| w != id);
+                                let flagged = st
+                                    .actors
+                                    .get_mut(&id)
+                                    .is_some_and(|a| std::mem::take(&mut a.flagged));
+                                st.recheck_pending -= usize::from(flagged);
+                                model.flagged.remove(&id);
+                            }
+                        }
+                    }
+                    5..=7 => {
+                        let key = pool[rng.gen_range_usize(0, pool.len())];
+                        c.inner.lock().wake_dependants(key);
+                        model.wake(key);
+                    }
+                    _ => {
+                        batch.clear();
+                        c.take_ready(&mut batch);
+                        batch.sort_unstable();
+                        batch.dedup();
+                        let want: Vec<MachineId> =
+                            std::mem::take(&mut model.ready).into_iter().collect();
+                        model.pass_owed = false;
+                        assert_eq!(batch, want, "{at}: batch");
+                    }
+                }
+                let st = c.inner.lock();
+                let mut waiting = std::collections::BTreeSet::new();
+                let mut parked = std::collections::BTreeSet::new();
+                for (&k, d) in &st.deps {
+                    assert!(!d.is_empty(), "{at}: an empty entry for {k:?} stayed");
+                    for &id in &d.waiters {
+                        assert!(waiting.insert((k, id)), "{at}: ({k:?}, {id}) twice");
+                    }
+                    for &m in &d.machines {
+                        assert!(parked.insert((k, m)), "{at}: ({k:?}, m{m}) twice");
+                    }
+                }
+                assert_eq!(waiting, model.waiting, "{at}: waiters");
+                assert_eq!(parked, model.machines, "{at}: machines");
+                let mut ready = st.ready.list.clone();
+                ready.sort_unstable();
+                assert_eq!(
+                    ready,
+                    model.ready.iter().copied().collect::<Vec<_>>(),
+                    "{at}: ready"
+                );
+                for (m, &marked) in st.ready.marked.iter().enumerate() {
+                    assert_eq!(
+                        marked,
+                        model.ready.contains(&(m as MachineId)),
+                        "{at}: mark of m{m}"
+                    );
+                }
+                let flagged: std::collections::BTreeSet<u64> = st
+                    .actors
+                    .iter()
+                    .filter(|(_, a)| a.flagged)
+                    .map(|(&id, _)| id)
+                    .collect();
+                assert_eq!(flagged, model.flagged, "{at}: flagged waiters");
+                assert_eq!(
+                    st.recheck_pending,
+                    model.flagged.len(),
+                    "{at}: recheck_pending"
+                );
+                assert_eq!(
+                    st.stats.machine_readies, model.machine_readies,
+                    "{at}: machine_readies"
+                );
+                assert_eq!(st.pass_owed, model.pass_owed, "{at}: pass_owed");
+                let live = machines.iter().flatten().count();
+                assert_eq!(st.resident, live, "{at}: resident");
+            }
         }
     }
 }
