@@ -1246,7 +1246,7 @@ pub(crate) fn load(buf: &Buffer, offset: usize, len: usize) -> Vec<u8> {
 pub(crate) fn load_behind(header: &[u8], buf: &Buffer, offset: usize, len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(header.len() + len);
     out.extend_from_slice(header);
-    buf.read(|d| out.extend_from_slice(&d.as_slice()[offset..offset + len]));
+    buf.load_onto(&mut out, [(offset, len)]);
     out
 }
 
@@ -1283,11 +1283,13 @@ impl Lowering {
     /// separately on the relevant resource timeline).
     fn gather(&self, buf: &Buffer, offset: usize, lo: usize, hi: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(hi - lo);
-        buf.read(|d| {
-            for (soff, slen) in self.ty.segments_for_packed_range(lo, hi) {
-                out.extend_from_slice(&d.as_slice()[offset + soff..][..slen]);
-            }
-        });
+        let segments = self.ty.segments_for_packed_range(lo, hi);
+        buf.load_onto(
+            &mut out,
+            segments
+                .into_iter()
+                .map(|(soff, slen)| (offset + soff, slen)),
+        );
         out
     }
 

@@ -884,7 +884,7 @@ impl ClMpi {
         buf.check_range(0, size)?;
         let win = Win::create(&self.inner.comm, actor, size) // blocking-api: collective window creation
             .map_err(|e| ClError::TransferFailed(format!("win_create: {e}")))?;
-        buf.read(|d| win.write_local(0, &d.as_slice()[..size]));
+        win.write_local(0, buf.load(0, size)?.as_slice());
         win.fence(actor) // blocking-api: opens the first access epoch collectively
             .map_err(|e| ClError::TransferFailed(format!("win_create fence: {e}")))?;
         Ok(ClWindow {

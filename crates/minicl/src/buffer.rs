@@ -24,17 +24,21 @@ static NEXT_BUFFER_ID: AtomicU64 = AtomicU64::new(1);
 /// somebody looks: `land` keeps the allocation in `landed`, and
 /// `overwrite` and `settle` copy every landed extent into `words`, oldest
 /// first, before they touch it. So `landed` is always newer than `words`,
-/// and [`Buffer::load`] of a range copies just that range out of both.
+/// and a ranged read ([`Buffer::load`], [`Buffer::load_onto`], a PCIe hop)
+/// walks just that range of both (`walk`), settling nothing.
 pub struct AlignedBytes {
     words: Vec<u64>,
     len: usize,
     /// Bytes written as zeroes so far: gaps and `settle`, never the < 8
     /// bytes that pad a ragged word.
     zero_filled: usize,
-    /// Extents landed by reference, oldest first: `(offset, src, from)`
-    /// holds `src[from..]` for `[offset, offset + src.len() - from)`.
-    landed: Vec<(usize, Arc<Vec<u8>>, usize)>,
+    /// Extents landed by reference, oldest first.
+    landed: Vec<Extent>,
 }
+
+/// A landed extent: `(offset, src, from)` holds `src[from..]` for
+/// `[offset, offset + src.len() - from)`.
+type Extent = (usize, Arc<Vec<u8>>, usize);
 
 impl AlignedBytes {
     /// Zero-filled storage of `len` bytes.
@@ -105,6 +109,71 @@ impl AlignedBytes {
             self.flush_landed();
         }
         self.landed.push((offset, src, from));
+    }
+
+    /// Hand `put` the pieces `[offset, offset + len)` reads as, each at
+    /// its offset into the range: the initialised prefix's share, then
+    /// every landed extent's share over it, oldest first. A later piece
+    /// overwrites an earlier one; bytes no piece covers read as zero.
+    fn walk(&self, offset: usize, len: usize, mut put: impl FnMut(usize, &[u8])) {
+        let end = offset + len;
+        assert!(end <= self.len, "read past the end");
+        let prefix = self.as_slice();
+        put(0, &prefix[offset.min(prefix.len())..end.min(prefix.len())]);
+        for (at, src, from) in &self.landed {
+            let bytes = &src[*from..];
+            let (lo, hi) = (offset.max(*at), end.min(at + bytes.len()));
+            if lo < hi {
+                put(lo - offset, &bytes[lo - at..hi - at]);
+            }
+        }
+    }
+
+    /// The landed extents that tile `[offset, offset + len)`, ascending:
+    /// the range lies above the initialised prefix, and the extents over
+    /// it leave no gap, overlap nowhere and stop at its ends. `None` when
+    /// they do not.
+    fn tiling(&self, offset: usize, len: usize) -> Option<Vec<&Extent>> {
+        let end = offset + len;
+        if len == 0 || offset < self.words.len() * 8 {
+            return None;
+        }
+        let mut tiles: Vec<_> = self
+            .landed
+            .iter()
+            .filter(|(at, src, from)| *at < end && at + src.len() - from > offset)
+            .collect();
+        tiles.sort_unstable_by_key(|(at, ..)| *at);
+        let mut next = offset;
+        for (at, src, from) in &tiles {
+            if *at != next {
+                return None;
+            }
+            next = at + src.len() - from;
+        }
+        (next == end).then_some(tiles)
+    }
+
+    /// Make `[at, at + len)` read as `[offset, offset + len)` of `src`
+    /// does. Where landed extents tile the source range, the same
+    /// allocations land here by reference; otherwise `src` is walked and
+    /// each piece copied, over zeroes where `src` has no prefix. `src`
+    /// settles nothing either way.
+    fn copy_from(&mut self, at: usize, src: &AlignedBytes, offset: usize, len: usize) {
+        if let Some(tiles) = src.tiling(offset, len) {
+            for (t, bytes, from) in tiles {
+                self.land(at + t - offset, bytes.clone(), *from);
+            }
+            return;
+        }
+        self.flush_landed();
+        let share = src.visible().clamp(offset, offset + len) - offset;
+        // Only the initialised prefix holds anything but zeroes.
+        let (lo, hi) = (at + share, (at + len).min(self.visible()));
+        if lo < hi {
+            self.as_mut_slice()[lo..hi].fill(0);
+        }
+        src.walk(offset, len, |rel, bytes| self.put(at + rel, bytes));
     }
 
     /// Copy every landed extent into `words`, oldest first.
@@ -262,22 +331,24 @@ impl Buffer {
     /// nobody wrote are zero-filled.
     pub fn load(&self, offset: usize, len: usize) -> ClResult<AlignedBytes> {
         self.check_range(offset, len)?;
-        let end = offset + len;
         let mut out = AlignedBytes::reserved(len);
-        {
-            let data = self.data.lock();
-            let prefix = data.as_slice();
-            out.put(0, &prefix[offset.min(prefix.len())..end.min(prefix.len())]);
-            for (at, src, from) in &data.landed {
-                let bytes = &src[*from..];
-                let (lo, hi) = (offset.max(*at), end.min(at + bytes.len()));
-                if lo < hi {
-                    out.put(lo - offset, &bytes[lo - at..hi - at]);
-                }
-            }
-        }
+        self.data
+            .lock()
+            .walk(offset, len, |at, bytes| out.put(at, bytes));
         out.settle();
         Ok(out)
+    }
+
+    /// Append each `(offset, len)` range of the buffer to `out`, read
+    /// through as [`Buffer::load`] reads it, under one lock. Panics if a
+    /// range runs past the end: every caller has checked its ranges.
+    pub fn load_onto(&self, out: &mut Vec<u8>, ranges: impl IntoIterator<Item = (usize, usize)>) {
+        let data = self.data.lock();
+        for (offset, len) in ranges {
+            let base = out.len();
+            data.walk(offset, len, |at, bytes| put_bytes(out, base + at, bytes));
+            out.resize(base + len, 0);
+        }
     }
 
     /// Validate an (offset, len) range against the buffer size.
@@ -285,22 +356,31 @@ impl Buffer {
         check_range("buffer", self.size, offset, len)
     }
 
-    /// One PCIe hop is one `memcpy`: copy `len` bytes between `offset` of
-    /// this buffer and `host_offset` of `host`, which way `dir` says, under
-    /// both locks — always the device lock first, then the host one. Both
-    /// ranges are the caller's to check.
+    /// One PCIe hop: make `len` bytes at `host_offset` of `host` and at
+    /// `offset` of this buffer read alike, copying which way `dir` says,
+    /// under both locks — always the device lock first, then the host
+    /// one. The source is read through, never settled: where its landed
+    /// extents tile the range, the destination lands the same
+    /// allocations and no byte is copied; otherwise each byte is copied
+    /// once. Both ranges are the caller's to check.
     pub(crate) fn copy(&self, dir: Dir, offset: usize, len: usize, host: &HostBuffer, at: usize) {
+        let mut d = self.data.lock();
         match dir {
-            Dir::ToHost => self.read(|d| {
-                let src = &d.as_slice()[offset..offset + len];
-                host.data.lock().overwrite(at, src)
-            }),
-            Dir::ToDevice => {
-                let mut d = self.data.lock();
-                host.read(|h| d.overwrite(offset, &h.as_slice()[at..at + len]))
-            }
+            Dir::ToHost => host.as_is(|h| h.copy_from(at, &d, offset, len)),
+            Dir::ToDevice => host.as_is(|h| d.copy_from(offset, h, at, len)),
         }
     }
+}
+
+/// `AlignedBytes::put` for a byte vector: copy `src` to `at`, zero-filling
+/// a gap before it.
+fn put_bytes(out: &mut Vec<u8>, at: usize, src: &[u8]) {
+    if at > out.len() {
+        out.resize(at, 0);
+    }
+    let inside = src.len().min(out.len() - at);
+    out[at..at + inside].copy_from_slice(&src[..inside]);
+    out.extend_from_slice(&src[inside..]);
 }
 
 /// Which way a transfer between a [`Buffer`] and a [`HostBuffer`] goes.
@@ -376,10 +456,25 @@ impl HostBuffer {
         f(self.data.lock().settle())
     }
 
+    /// Run `f` over the allocation as it stands: its landed extents and
+    /// unwritten bytes are left as they are.
+    fn as_is<R>(&self, f: impl FnOnce(&mut AlignedBytes) -> R) -> R {
+        f(&mut self.data.lock())
+    }
+
     /// Copy `src` into the allocation at `offset`.
     pub fn store(&self, offset: usize, src: &[u8]) -> ClResult<()> {
         self.check_range(offset, src.len())?;
         self.data.lock().overwrite(offset, src);
+        Ok(())
+    }
+
+    /// Land `src` in the allocation at `offset` by reference, as
+    /// [`Buffer::land`] does: a write to the device from a range that
+    /// landed extents tile shares their allocations instead of copying.
+    pub fn land(&self, offset: usize, src: Arc<Vec<u8>>) -> ClResult<()> {
+        self.check_range(offset, src.len())?;
+        self.data.lock().land(offset, src, 0);
         Ok(())
     }
 
@@ -654,6 +749,134 @@ mod tests {
         Ok(())
     }
 
+    /// The allocations `data` holds landed, oldest first.
+    fn landed_allocations(data: &Mutex<AlignedBytes>) -> Vec<Extent> {
+        data.lock().landed.clone()
+    }
+
+    #[test]
+    fn a_write_of_a_tiled_stage_lands_the_same_allocations() -> ClResult<()> {
+        // The nanopowder root: row blocks landed in a pinned stage, the
+        // last one short, then one write of the whole stage.
+        const SIZE: usize = 10_000;
+        let stage = HostBuffer::pinned(SIZE);
+        let mut model = vec![0u8; SIZE];
+        for (k, at) in (0..SIZE).step_by(1_536).enumerate() {
+            let block = payload(1_536.min(SIZE - at), k as u8);
+            model[at..at + block.len()].copy_from_slice(&block);
+            stage.land(at, Arc::new(block))?;
+        }
+        let dev = Buffer::alloc(SIZE);
+        dev.copy(Dir::ToDevice, 0, SIZE, &stage, 0);
+        let (held, shared) = (
+            landed_allocations(&stage.data),
+            landed_allocations(&dev.data),
+        );
+        assert_eq!(shared.len(), 7);
+        for ((at, src, from), (d_at, d_src, d_from)) in held.iter().zip(&shared) {
+            assert!(Arc::ptr_eq(src, d_src), "extent at {at} copied");
+            assert_eq!((at, from), (d_at, d_from));
+        }
+        assert_eq!(dev.data.lock().words.len(), 0, "nothing copied in");
+        assert_eq!(loaded(&dev, 0, SIZE), Ok(model.clone()));
+        // A range of the device tiled by extents 2..5 shares back to the
+        // host, at another offset.
+        let back = HostBuffer::pageable(SIZE);
+        dev.copy(Dir::ToHost, 3_072, 4_608, &back, 100);
+        assert_eq!(landed_allocations(&back.data).len(), 3);
+        for (got, want) in landed_allocations(&back.data).iter().zip(&held[2..5]) {
+            assert!(Arc::ptr_eq(&got.1, &want.1));
+            assert_eq!(got.0, want.0 - 3_072 + 100);
+        }
+        for data in [&stage.data, &dev.data, &back.data] {
+            assert_eq!(zero_filled(data), 0);
+        }
+        let mut expect = vec![0u8; SIZE];
+        expect[100..4_708].copy_from_slice(&model[3_072..7_680]);
+        assert_eq!(back.to_vec(), expect);
+        Ok(())
+    }
+
+    #[test]
+    fn a_range_the_extents_do_not_tile_is_copied() -> ClResult<()> {
+        const SIZE: usize = 4_096;
+        let stage = HostBuffer::pinned(SIZE);
+        // A prefix of 1 KiB, then extents over [1024, 2048) and
+        // [2560, 3072) — a gap between them, and nothing past 3072 — and
+        // one over [256, 768), inside the prefix.
+        let mut model = vec![0u8; SIZE];
+        for (at, len, salt) in [
+            (0, 1_024, 1),
+            (1_024, 1_024, 3),
+            (2_560, 512, 5),
+            (256, 512, 7),
+        ] {
+            let bytes = payload(len, salt);
+            model[at..at + len].copy_from_slice(&bytes);
+            match at {
+                0 => stage.store(at, &bytes)?,
+                _ => stage.land(at, Arc::new(bytes))?,
+            }
+        }
+        // Ranges over the prefix — one of them tiled by the extent there —
+        // one over the gap, one past the last extent, and one that starts
+        // inside an extent: each is copied, byte for byte, over a
+        // destination that held other bytes.
+        let ranges = [
+            (512, 1_024),
+            (256, 512),
+            (1_024, 2_048),
+            (2_560, 1_024),
+            (1_536, 1_024),
+        ];
+        for (offset, len) in ranges {
+            let dev = Buffer::alloc(SIZE);
+            dev.store(0, &[0xFF; SIZE])?;
+            dev.copy(Dir::ToDevice, 7, len, &stage, offset);
+            let mut expect = vec![0xFF; SIZE];
+            expect[7..7 + len].copy_from_slice(&model[offset..offset + len]);
+            assert_eq!(
+                landed_allocations(&dev.data).len(),
+                0,
+                "{offset}+{len} shared"
+            );
+            assert_eq!(loaded(&dev, 0, SIZE), Ok(expect), "{offset}+{len}");
+        }
+        // The stage read through: still a prefix and three extents.
+        assert_eq!(landed_allocations(&stage.data).len(), 3);
+        assert_eq!(stage.data.lock().words.len(), 128);
+        assert_eq!(zero_filled(&stage.data), 0);
+        Ok(())
+    }
+
+    #[test]
+    fn a_ranged_load_onto_leaves_extents_and_an_unwritten_tail_alone() -> ClResult<()> {
+        // What a broadcast root's `load_behind` and a datatype send's
+        // gather do: append ranges behind a header.
+        const SIZE: usize = 65_536;
+        let dev = Buffer::alloc(SIZE);
+        let mut model = vec![0u8; SIZE];
+        let prefix = payload(1_000, 2);
+        dev.store(0, &prefix)?;
+        model[..1_000].copy_from_slice(&prefix);
+        for (at, len, salt) in [(900, 300, 4), (4_000, 2_000, 6), (5_000, 100, 8)] {
+            let msg = framed(1, len, salt);
+            model[at..at + len].copy_from_slice(&msg[1..]);
+            dev.land(at, msg, 1)?;
+        }
+        let mut out = vec![0xEE];
+        dev.load_onto(&mut out, [(800, 5_000), (30_000, 9), (0, 0), (5_050, 20)]);
+        let mut expect = vec![0xEE];
+        for (offset, len) in [(800, 5_000), (30_000, 9), (0, 0), (5_050, 20)] {
+            expect.extend_from_slice(&model[offset..offset + len]);
+        }
+        assert_eq!(out, expect);
+        let data = dev.data.lock();
+        assert_eq!((data.words.len(), data.landed.len()), (125, 3));
+        assert_eq!(data.zero_filled, 0);
+        Ok(())
+    }
+
     #[test]
     fn zeroes_are_written_only_where_nobody_wrote() {
         const SIZE: usize = 16 << 20;
@@ -740,6 +963,11 @@ mod tests {
             len: usize,
             salt: u8,
         },
+        HostLand {
+            offset: usize,
+            len: usize,
+            salt: u8,
+        },
         Copy {
             to_host: bool,
             offset: usize,
@@ -804,7 +1032,9 @@ mod tests {
     }
 
     /// The buffers under test beside the plain zero-initialised vectors
-    /// they must read like, and how far each has been written.
+    /// they must read like, how far each has been written, where each
+    /// one's last landed extent ends, and how many copies shared landed
+    /// extents device → host and host → device.
     struct Pair {
         dev: Buffer,
         host: HostBuffer,
@@ -812,34 +1042,127 @@ mod tests {
         host_model: Vec<u8>,
         dev_end: usize,
         host_end: usize,
+        dev_landed_end: usize,
+        host_landed_end: usize,
+        shared: [usize; 2],
+        leans_on_landings: bool,
+    }
+
+    /// Half the time a landing starts where the last one ended, so landed
+    /// extents come to tile ranges a copy can share.
+    fn landing(
+        rng: &mut XorShift64,
+        size: usize,
+        last_end: usize,
+        (offset, len): (usize, usize),
+    ) -> (usize, usize) {
+        match rng.gen_bool(0.5) {
+            true => (last_end, len.min(size - last_end)),
+            false => (offset, len),
+        }
     }
 
     impl Pair {
+        /// `(offset, len)` of a run of the source's landed extents, each
+        /// starting where the one before it ends; `None` without extents.
+        fn tiled(&self, to_host: bool, rng: &mut XorShift64) -> Option<(usize, usize)> {
+            let src = if to_host {
+                &self.dev.data
+            } else {
+                &self.host.data
+            };
+            let mut extents: Vec<(usize, usize)> = src
+                .lock()
+                .landed
+                .iter()
+                .map(|(at, s, from)| (*at, at + s.len() - from))
+                .collect();
+            extents.sort_unstable();
+            let first = rng.gen_range_usize(0, extents.len().max(1));
+            let &(lo, mut hi) = extents.get(first)?;
+            for &(at, end) in &extents[first + 1..] {
+                if at != hi || rng.gen_bool(0.3) {
+                    break;
+                }
+                hi = end;
+            }
+            Some((lo, hi - lo))
+        }
+
+        /// A copy between the pair; of a range the source's landed
+        /// extents tile, where one fits the destination, half the time —
+        /// every time in a case that leans on landings.
+        fn copy(
+            &self,
+            rng: &mut XorShift64,
+            to_host: bool,
+            dev: (usize, usize),
+            host: (usize, usize),
+        ) -> Op {
+            let dst_size = match to_host {
+                true => self.host_model.len(),
+                false => self.dev_model.len(),
+            };
+            let tiled = (self.leans_on_landings || rng.gen_bool(0.5))
+                .then(|| self.tiled(to_host, rng))
+                .flatten()
+                .filter(|&(_, len)| len <= dst_size);
+            match (tiled, to_host) {
+                (Some((src, len)), true) => Op::Copy {
+                    to_host,
+                    offset: src,
+                    at: rng.gen_range_usize(0, dst_size - len + 1),
+                    len,
+                },
+                (Some((src, len)), false) => Op::Copy {
+                    to_host,
+                    offset: rng.gen_range_usize(0, dst_size - len + 1),
+                    at: src,
+                    len,
+                },
+                (None, _) => Op::Copy {
+                    to_host,
+                    offset: dev.0,
+                    at: host.0,
+                    len: dev.1.min(host.1),
+                },
+            }
+        }
+
         fn generate(&self, rng: &mut XorShift64) -> Op {
             let (dev, host) = (self.dev_model.len(), self.host_model.len());
             let (to_host, salt) = (rng.gen_bool(0.5), rng.next_u64() as u8);
             let width = if salt % 2 == 0 { 4 } else { 8 };
             let (offset, len) = range(rng, dev, self.dev_end);
             let (at, room) = range(rng, host, self.host_end);
-            match rng.gen_range_usize(0, 23) {
+            // A case that leans on landings makes two ops in three a
+            // landing or a copy, so copies meet sources their landed
+            // extents tile before a store or a whole view copies them in.
+            let pick = match self.leans_on_landings && rng.gen_bool(2.0 / 3.0) {
+                true => [9, 20, 25][rng.gen_range_usize(0, 3)],
+                false => rng.gen_range_usize(0, 30),
+            };
+            match pick {
                 0..=5 => Op::Store { offset, len, salt },
-                20.. => Op::Land {
-                    offset,
-                    len,
-                    salt,
-                    from: rng.gen_range_usize(0, 3),
-                },
+                20..=24 => {
+                    let (offset, len) = landing(rng, dev, self.dev_landed_end, (offset, len));
+                    Op::Land {
+                        offset,
+                        len,
+                        salt,
+                        from: rng.gen_range_usize(0, 3),
+                    }
+                }
+                25.. => {
+                    let (offset, len) = landing(rng, host, self.host_landed_end, (at, room));
+                    Op::HostLand { offset, len, salt }
+                }
                 6..=8 => Op::HostStore {
                     offset: at,
                     len: room,
                     salt,
                 },
-                9..=12 => Op::Copy {
-                    to_host,
-                    offset,
-                    at,
-                    len: len.min(room),
-                },
+                9..=12 => self.copy(rng, to_host, (offset, len), (at, room)),
                 13 if to_host => Op::WriteBytes {
                     host: true,
                     offset: at,
@@ -911,7 +1234,15 @@ mod tests {
                     let msg = framed(from, len, salt);
                     self.dev_model[offset..offset + len].copy_from_slice(&msg[from..]);
                     self.dev_end = self.dev_end.max(offset + len);
+                    self.dev_landed_end = offset + len;
                     self.dev.land(offset, msg, from) == Ok(())
+                }
+                Op::HostLand { offset, len, salt } => {
+                    let src = payload(len, salt);
+                    self.host_model[offset..offset + len].copy_from_slice(&src);
+                    self.host_end = self.host_end.max(offset + len);
+                    self.host_landed_end = offset + len;
+                    self.host.land(offset, Arc::new(src)) == Ok(())
                 }
                 Op::HostStore { offset, len, salt } => {
                     let src = payload(len, salt);
@@ -925,6 +1256,13 @@ mod tests {
                     at,
                     len,
                 } => {
+                    let (src, from) = match to_host {
+                        true => (&self.dev.data, offset),
+                        false => (&self.host.data, at),
+                    };
+                    if src.lock().tiling(from, len).is_some() {
+                        self.shared[usize::from(!to_host)] += 1;
+                    }
                     let d = &mut self.dev_model[offset..offset + len];
                     let h = &mut self.host_model[at..at + len];
                     if to_host {
@@ -1011,10 +1349,15 @@ mod tests {
         const CASES: u64 = 800;
         const OPS_PER_CASE: usize = 16;
         let mut root = XorShift64::new(0xC1_B0FF);
+        let mut shared = [0; 2];
         for case in 0..CASES {
             let mut rng = root.fork(case);
-            let dev_size = SIZES[rng.gen_range_usize(0, SIZES.len())];
-            let host_size = SIZES[rng.gen_range_usize(0, SIZES.len())];
+            // Every other case leans on landings, in buffers of more than
+            // a word.
+            let leans_on_landings = case % 2 == 1;
+            let smallest = if leans_on_landings { 4 } else { 0 };
+            let dev_size = SIZES[rng.gen_range_usize(smallest, SIZES.len())];
+            let host_size = SIZES[rng.gen_range_usize(smallest, SIZES.len())];
             let mut pair = Pair {
                 dev: Buffer::alloc(dev_size),
                 host: HostBuffer::pinned(host_size),
@@ -1022,6 +1365,10 @@ mod tests {
                 host_model: vec![0; host_size],
                 dev_end: 0,
                 host_end: 0,
+                dev_landed_end: 0,
+                host_landed_end: 0,
+                shared: [0; 2],
+                leans_on_landings,
             };
             // Whatever the generated ops left unread is read at the end.
             let closing = [
@@ -1042,7 +1389,10 @@ mod tests {
                     ops.iter().map(|op| format!("\n  {op:?}")).collect::<String>()
                 );
             }
+            shared = [0, 1].map(|i| shared[i] + pair.shared[i]);
         }
         assert!(CASES as usize * OPS_PER_CASE >= 10_000);
+        println!("copies that shared landed extents (to host, to device): {shared:?}");
+        assert!(shared.iter().all(|&n| n >= 100), "{shared:?}");
     }
 }

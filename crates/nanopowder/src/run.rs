@@ -15,8 +15,9 @@ const TAG_N: Tag = 200; // concentration broadcast
 const TAG_C: Tag = 201; // coefficient block distribution
 const TAG_DN: Tag = 202; // rate gather
 
-/// Coefficient rows the clMPI root scales at a time on their way into its
-/// pinned stage: 128 KiB at K = 2048, built in cache and written once.
+/// Coefficient rows the clMPI root scales at a time and lands in its
+/// pinned stage: 128 KiB at K = 2048, scaled in cache and copied once,
+/// into the allocation the stage and the root's device buffer share.
 const STAGE_ROWS: usize = 16;
 
 /// Virtual time of the serial host phase (nucleation, condensation, and
@@ -200,13 +201,14 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
                     }
                 }
                 NanoVariant::ClMpi => {
-                    // Scale straight into the stage, a row block at a
-                    // time, then stage into the root's own device buffer
-                    // once; the broadcast below fans it out chunk-pipelined.
+                    // Scale a row block at a time and land each in the
+                    // stage by reference; the write below then lands the
+                    // same blocks in the root's own device buffer, and the
+                    // broadcast fans them out chunk-pipelined.
                     for b0 in (0..k).step_by(STAGE_ROWS) {
                         let block = m.scaled_rows(step, b0, (b0 + STAGE_ROWS).min(k));
                         c_stage
-                            .store(b0 * k * 4, f32_as_bytes(&block))
+                            .land(b0 * k * 4, Arc::new(f32_as_bytes(&block).to_vec()))
                             .expect("row block fits the stage");
                     }
                     c_write = Some(

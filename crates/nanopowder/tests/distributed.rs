@@ -50,6 +50,16 @@ fn clmpi_matches_reference_over_a_multi_chunk_broadcast_every_step() {
 }
 
 #[test]
+fn clmpi_matches_reference_when_row_blocks_straddle_chunks() {
+    // K = 520 is not a multiple of the root's 16-row blocks, so the last
+    // block it lands in its stage is 8 rows. Its device buffer shares the
+    // blocks, and the 1,081,600 B ring broadcast's chunks cut across
+    // block boundaries, so the root's chunk loads read across extents.
+    let res = run_nanopowder(NanoVariant::ClMpi, cfg(4, 520, 2));
+    assert_eq!(res.final_n, reference_simulation(520, 2));
+}
+
+#[test]
 fn variants_agree_with_each_other() {
     let a = run(NanoVariant::Baseline, 3);
     let b = run(NanoVariant::ClMpi, 3);
