@@ -12,10 +12,9 @@
 //!    config, events/sec, wall-ms per virtual second, and the clock's
 //!    wake accounting ([`simtime::WakeStats`]: notifies, alarms fired,
 //!    clock advances, scheduler passes, machine polls and ready marks, and
-//!    per wait label parks / wake-ups / successes — on nanopowder's rank
-//!    threads the counts depend on how the OS schedules the woken
-//!    threads; Himeno's ranks run as tasks driven by one thread, so its
-//!    rows repeat exactly), and on Linux what the
+//!    per wait label parks / wake-ups / successes — every config's ranks
+//!    run as tasks driven by one thread, so these counts repeat exactly),
+//!    and on Linux what the
 //!    kernel charged the process per config ([`ProcUsage`]: minor faults,
 //!    user and system CPU ms). `--before` copies the rows of an earlier
 //!    sidecar — the parent commit's, measured in the same session — into

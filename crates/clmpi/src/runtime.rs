@@ -781,14 +781,52 @@ impl ClMpi {
     /// submits nothing: the returned request's
     /// [`ClSendRequest::wait_result`] is the `InvalidValue` error.
     pub fn isend_cl(&self, actor: &Actor, dst: Rank, tag: Tag, data: &[u8]) -> ClSendRequest {
-        let clock = &self.inner.clock;
-        let wire_tag = match self.check_peer_tag(dst, tag) {
-            Ok(wire_tag) => wire_tag,
+        let handed_off = self.isend_cl_async(dst, tag, data);
+        // blocking-api: submission handshake at one frozen virtual instant.
+        actor.block_on("clmpi isend_cl", handed_off)
+    }
+
+    /// The future of [`ClMpi::isend_cl`], for a rank body that runs as a
+    /// task. The call checks the arguments, copies the payload and submits
+    /// the send; the future is the hand-off handshake, ready with the
+    /// request once the engine has pushed the first injection burst onto
+    /// the wire. That keeps the fabric reservation order identical to an
+    /// inline send, and costs no virtual time: the engine runs at this
+    /// same frozen instant.
+    pub fn isend_cl_async(
+        &self,
+        dst: Rank,
+        tag: Tag,
+        data: &[u8],
+    ) -> impl Future<Output = ClSendRequest> + 'static {
+        let (slot, issued) = match self.check_peer_tag(dst, tag) {
+            Ok(wire_tag) => {
+                let (slot, issued) = self.submit_host_send(dst, wire_tag, data);
+                (slot, Some(issued))
+            }
             Err(e) => {
-                let slot = Arc::new(Monitor::new(clock.clone(), Some(Err(e))));
-                return ClSendRequest { slot };
+                let slot = Arc::new(Monitor::new(self.inner.clock.clone(), Some(Err(e))));
+                (slot, None)
             }
         };
+        async move {
+            if let Some(issued) = issued {
+                until(|| issued.peek(|&i| i.then_some(()))).await;
+            }
+            ClSendRequest { slot }
+        }
+    }
+
+    /// Chunk `data` as the resolved strategy plans and hand the send to
+    /// the engine. Returns the slot the engine fills with the outcome and
+    /// the flag it sets after its first poll.
+    fn submit_host_send(
+        &self,
+        dst: Rank,
+        wire_tag: Tag,
+        data: &[u8],
+    ) -> (SendSlot, Arc<Monitor<bool>>) {
+        let clock = &self.inner.clock;
         let strategy = self.resolve(data.len());
         let plan = ResolvedStrategy::plan(strategy, data.len());
         let chunks: Vec<(Vec<u8>, Option<SimNs>)> = plan
@@ -800,8 +838,6 @@ impl ClMpi {
                 (data[off..off + len].to_vec(), duration)
             })
             .collect();
-        let issued = Arc::new(Monitor::new(clock.clone(), false));
-        let slot: SendSlot = Arc::new(Monitor::new(clock.clone(), None));
         let total = data.len() as u64;
         let env = Envelope {
             bytes: total,
@@ -809,6 +845,8 @@ impl ClMpi {
             sent: total,
             ..Envelope::new("op.isend", format!("isend→{dst}"), Some(dst))
         };
+        let issued = Arc::new(Monitor::new(clock.clone(), false));
+        let slot: SendSlot = Arc::new(Monitor::new(clock.clone(), None));
         let send = HostSend {
             dst,
             wire_tag,
@@ -816,13 +854,7 @@ impl ClMpi {
             slot: slot.clone(),
         };
         send.submit(&self.inner, env, issued.clone());
-        // Hand-off handshake: resume once the engine has pushed the first
-        // injection burst onto the wire, keeping the fabric reservation
-        // order identical to an inline send (costs no virtual time — the
-        // engine runs at this same frozen instant).
-        // blocking-api: submission handshake at one frozen virtual instant.
-        issued.wait_labeled(actor, "clmpi isend_cl", |i| i.then_some(()));
-        ClSendRequest { slot }
+        (slot, issued)
     }
 
     /// Blocking [`ClMpi::isend_cl`] (`MPI_Send` with `MPI_CL_MEM`).

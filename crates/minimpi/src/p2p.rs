@@ -404,13 +404,13 @@ impl Request {
     ///
     /// A receive parks on its rank's arrival key, narrower than the rank
     /// state it reads: the state is notified when a message matches, still
-    /// in flight, the arrival key when it lands — one wake per message.
+    /// in flight, the arrival key when it lands — one wake per message. A
+    /// send parks until the fabric grants its injection, then sleeps to the
+    /// instant the injection ends (label `"sleep"`, as every sleep).
     pub fn wait(self, actor: &Actor) -> Option<RecvResult> {
         match self.kind {
             ReqKind::Send { outcome } => {
-                let done_at = actor.wait_on(&[outcome.key()], "mpi send", || {
-                    outcome.peek(|o| o.as_ref().map(|o| o.done_at))
-                });
+                let done_at = actor.block_on("mpi send", granted(&outcome));
                 actor.advance_until(done_at);
                 None
             }
@@ -419,13 +419,25 @@ impl Request {
                 state,
                 arrival,
                 members,
-            } => {
-                let clock = state.clock().clone();
-                let res = actor.wait_on(&[arrival], "mpi recv", || {
-                    state.try_now(|st| st.take_visible(id, clock.now_ns(), &members))
-                });
-                Some(res.owned())
+            } => Some(actor.block_on("mpi recv", arrived(id, state, arrival, members))),
+        }
+    }
+
+    /// The future of [`Request::wait`], for a body that runs as a task:
+    /// it waits on the same keys and instants.
+    pub async fn wait_async(self) -> Option<RecvResult> {
+        match self.kind {
+            ReqKind::Send { outcome } => {
+                let done_at = granted(&outcome).await;
+                outcome.clock().sleep_until(done_at).await;
+                None
             }
+            ReqKind::Recv {
+                id,
+                state,
+                arrival,
+                members,
+            } => Some(arrived(id, state, arrival, members).await),
         }
     }
 
@@ -558,6 +570,27 @@ impl Request {
                 .map(Some),
         }
     }
+}
+
+/// The instant a send's injection ends, once the fabric has granted it.
+fn granted(outcome: &Monitor<Option<SendOutcome>>) -> impl Future<Output = SimNs> + '_ {
+    until(|| outcome.peek(|o| o.as_ref().map(|o| o.done_at)))
+}
+
+/// Receive `id`'s payload once its message has arrived, parked on the
+/// rank's arrival key alone: whatever makes a matched message claimable
+/// alarms or notifies that key.
+fn arrived(
+    id: u64,
+    state: Arc<Monitor<RankState>>,
+    arrival: WakeKey,
+    members: Option<Arc<Vec<Rank>>>,
+) -> impl Future<Output = RecvResult> {
+    let clock = state.clock().clone();
+    let res = until_keyed(arrival, move || {
+        state.try_now(|st| st.take_visible(id, clock.now_ns(), &members))
+    });
+    async move { res.await.owned() }
 }
 
 /// Wait for every request; results are positionally aligned (sends yield
@@ -750,9 +783,21 @@ impl Comm {
 
     /// Blocking receive; returns payload and status.
     pub fn recv(&self, actor: &Actor, src: Option<Rank>, tag: Option<Tag>) -> RecvResult {
-        self.irecv(actor, src, tag)
-            .wait(actor)
-            .expect("recv request yields a payload")
+        actor.block_on("mpi recv", self.recv_async(actor, src, tag))
+    }
+
+    /// The future of [`Comm::recv`]. The receive is posted by the call, so
+    /// it matches in call order; the future parks on the rank's arrival
+    /// key alone, as [`Request::wait`]'s receive does.
+    pub fn recv_async<'a>(
+        &'a self,
+        actor: &'a Actor,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+    ) -> impl Future<Output = RecvResult> + 'a {
+        let mut req = self.irecv(actor, src, tag);
+        let arrival = self.world.inner.arrivals[self.rank];
+        until_keyed(arrival, move || req.test(actor).flatten())
     }
 
     /// Blocking receive that gives up after `timeout_ns` of virtual time
@@ -833,13 +878,10 @@ impl Comm {
         recv_tag: Option<Tag>,
     ) -> impl Future<Output = RecvResult> + 'a {
         let sreq = self.isend(actor, dst, send_tag, data);
-        let mut rreq = self.irecv(actor, src, recv_tag);
-        // Parked on the arrival key alone, as `Request::wait`'s receive is.
-        let arrival = self.world.inner.arrivals[self.rank];
+        let received = self.recv_async(actor, src, recv_tag);
         async move {
-            let res = until_keyed(arrival, || rreq.test(actor).flatten()).await;
-            let done_at = until(|| sreq.known_completion()).await;
-            actor.clock().sleep_until(done_at).await;
+            let res = received.await;
+            sreq.wait_async().await;
             res
         }
     }

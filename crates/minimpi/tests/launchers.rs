@@ -77,3 +77,93 @@ fn one_body_runs_alike_as_tasks_and_on_threads() {
         "run_world_faulty and run_world_tasks agree"
     );
 }
+
+/// The receive paths of a rank body: rank `me` posts a receive from the
+/// previous rank and sends the next one a page that grows with `me`, then
+/// waits for both (`irecv` + wait, `isend` + wait). It sends a second
+/// page, sleeps until that page from its own predecessor has surely
+/// arrived, and receives it (`recv` of a message that is already there).
+/// Returns the instants each step ended at.
+async fn receives(p: &Process) -> Vec<SimNs> {
+    let (a, me, n) = (&p.actor, p.rank(), p.size());
+    let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
+    let clock = p.clock();
+    let mut ends = Vec::new();
+
+    let rreq = p.comm.irecv(a, Some(prev), Some(3));
+    let sreq = p.comm.isend(a, next, 3, &vec![me as u8; 4096 * (me + 1)]);
+    let got = rreq.wait_async().await.map(|r| r.data);
+    assert_eq!(got, Some(vec![prev as u8; 4096 * (prev + 1)]));
+    ends.push(clock.now_ns());
+    assert!(
+        sreq.wait_async().await.is_none(),
+        "a send yields no payload"
+    );
+    ends.push(clock.now_ns());
+
+    p.comm.isend(a, next, 4, &[me as u8; 64]).wait_async().await;
+    ends.push(clock.now_ns());
+    clock.sleep_until(clock.now_ns() + 1_000_000).await;
+    let got = p.comm.recv_async(a, Some(prev), Some(4)).await;
+    assert_eq!((got.data, got.status.source), (vec![prev as u8; 64], prev));
+    ends.push(clock.now_ns());
+    ends
+}
+
+/// [`receives`] in the blocking calls a rank thread makes.
+fn receives_blocking(p: &Process) -> Vec<SimNs> {
+    let (a, me, n) = (&p.actor, p.rank(), p.size());
+    let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
+    let mut ends = Vec::new();
+
+    let rreq = p.comm.irecv(a, Some(prev), Some(3));
+    let sreq = p.comm.isend(a, next, 3, &vec![me as u8; 4096 * (me + 1)]);
+    let got = rreq.wait(a).map(|r| r.data);
+    assert_eq!(got, Some(vec![prev as u8; 4096 * (prev + 1)]));
+    ends.push(a.now_ns());
+    assert!(sreq.wait(a).is_none(), "a send yields no payload");
+    ends.push(a.now_ns());
+
+    p.comm.send(a, next, 4, &[me as u8; 64]);
+    ends.push(a.now_ns());
+    a.advance_ns(1_000_000);
+    let got = p.comm.recv(a, Some(prev), Some(4));
+    assert_eq!((got.data, got.status.source), (vec![prev as u8; 64], prev));
+    ends.push(a.now_ns());
+    ends
+}
+
+#[test]
+fn receives_and_waits_end_alike_as_tasks_and_on_threads() {
+    let spec = || ClusterSpec::ricc();
+    let as_tasks = run_world_tasks(spec(), RANKS, FaultPlan::none(), |p| async move {
+        receives(&p).await
+    });
+    let on_threads = run_world_faulty(spec(), RANKS, FaultPlan::none(), |p| {
+        p.actor.block_on("body", receives(&p))
+    });
+    let blocking = run_world_faulty(spec(), RANKS, FaultPlan::none(), |p| receives_blocking(&p));
+    let ends = |r: &WorldResult<Vec<SimNs>>| (r.elapsed_ns, r.events, r.outputs.clone());
+    let want = ends(&as_tasks);
+    for (rank, e) in want.2.iter().enumerate() {
+        assert!(e[0] > 0 && e[2] > e[1], "rank {rank}: {e:?}");
+        assert_eq!(
+            e[3],
+            e[2] + 1_000_000,
+            "rank {rank}: a receive of a message already there takes no time"
+        );
+    }
+    assert_eq!(ends(&on_threads), want, "the async cores on rank threads");
+    assert_eq!(ends(&blocking), want, "the blocking calls on rank threads");
+    for (label, w) in &as_tasks.wake.labels {
+        assert!(
+            *label == "launcher" || w.parked == 0,
+            "as tasks only the launcher parks, but `{label}` did: {w:?}"
+        );
+    }
+    let recv = blocking.wake.labels.get("mpi recv").copied();
+    assert!(
+        recv.is_some_and(|w| w.parked > 0),
+        "the first receives park their rank threads: {recv:?}"
+    );
+}

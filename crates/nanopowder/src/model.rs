@@ -10,17 +10,15 @@ pub struct NanoModel {
     /// Number of size sections (paper setup: `K = 3240`, making the
     /// coefficient matrix `K²·4 B ≈ 42 MB`).
     pub sections: usize,
-    /// Base collision kernel, row-major `K × K` (constant part).
-    pub coeff_base: Vec<f32>,
     /// Section concentrations.
     pub n: Vec<f32>,
 }
 
 /// The largest section count the model takes: `K² < 2³¹`, so every
-/// `i + j + 2` and `i·j + 1` of the coefficient table is an exact `i32`.
+/// `i + j + 2` and `i·j + 1` of a coefficient row is an exact `i32`.
 pub(crate) const MAX_SECTIONS: usize = 46_340;
 
-/// Refuse a section count the coefficient table's index math cannot
+/// Refuse a section count the coefficient rows' index math cannot
 /// represent. [`NanoModel::new`] (and through it [`reference_simulation`])
 /// and `run_nanopowder` start here, on the caller's thread, before
 /// anything is allocated or a world exists.
@@ -31,8 +29,8 @@ pub(crate) fn check_sections(sections: usize) {
     );
 }
 
-/// Row `i` of the coefficient table: `β(i,j) = (i+j+2) / √(i·j+1) · 10⁻³`
-/// for `j` in `0..sections`.
+/// Row `i` of the unscaled coefficient matrix: `β(i,j) = (i+j+2) /
+/// √(i·j+1) · 10⁻³` for `j` in `0..sections`.
 ///
 /// The indices are `i32`, not `usize`: the baseline `x86-64` target has a
 /// packed `i32 → f32` conversion and no packed `usize → f32` one, so with
@@ -40,7 +38,7 @@ pub(crate) fn check_sections(sections: usize) {
 /// Every lane computes the scalar expression on the same operands in the
 /// same order. IEEE `sqrt` and division are correctly rounded, and `i32 →
 /// f32` rounds the same integer the same way `usize → f32` does, so the
-/// bits are those of the `usize` loop (`tests::new_spec`) while
+/// bits are those of the `usize` loop (`tests::row_spec`) while
 /// [`check_sections`] holds.
 fn coefficient_row(i: usize, sections: usize) -> impl Iterator<Item = f32> {
     let i = i as i32;
@@ -50,26 +48,19 @@ fn coefficient_row(i: usize, sections: usize) -> impl Iterator<Item = f32> {
 impl NanoModel {
     /// Build the model: a smooth synthetic Brownian-like collision kernel
     /// `β(i,j) ~ (i+j+2)/(i·j+1)` scaled into f32 range, and an initial
-    /// concentration spectrum concentrated in the smallest sections.
+    /// concentration spectrum concentrated in the smallest sections. The
+    /// kernel is kept as its formula, with no `K × K` table:
+    /// [`NanoModel::scaled_rows`] computes each step's rows where the
+    /// caller needs them.
     ///
-    /// Panics if `sections` exceeds 46,340: the table's `i32` index math
+    /// Panics if `sections` exceeds 46,340: the kernel's `i32` index math
     /// needs `K² < 2³¹`.
     pub fn new(sections: usize) -> Self {
         check_sections(sections);
-        // Extended row by row rather than zeroed and then written: the
-        // table is `4·K²` bytes.
-        let mut coeff_base = Vec::with_capacity(sections * sections);
-        for i in 0..sections {
-            coeff_base.extend(coefficient_row(i, sections));
-        }
         let n = (0..sections)
             .map(|i| 1.0f32 / ((i + 1) as f32 * (i + 1) as f32))
             .collect();
-        NanoModel {
-            sections,
-            coeff_base,
-            n,
-        }
+        NanoModel { sections, n }
     }
 
     /// Per-step temperature scaling of the collision kernel — the reason
@@ -79,13 +70,53 @@ impl NanoModel {
         1.0 + 0.01 * (step as f32 + 1.0)
     }
 
-    /// The scaled coefficient rows `[r0, r1)` for `step`, row-major.
+    /// The scaled coefficient rows `[r0, r1)` for `step`, row-major: each
+    /// element is the kernel's `β(i,j)`, rounded to `f32`, times
+    /// [`NanoModel::theta`]. Panics unless `r0 ≤ r1 ≤ sections`.
     pub fn scaled_rows(&self, step: usize, r0: usize, r1: usize) -> Vec<f32> {
-        let th = Self::theta(step);
-        self.coeff_base[r0 * self.sections..r1 * self.sections]
-            .iter()
-            .map(|&c| c * th)
-            .collect()
+        self.rows_times(Self::theta(step), r0, r1)
+    }
+
+    /// [`NanoModel::scaled_rows`] as the bytes of its `f32`s, each
+    /// element written once, straight into the vector returned: the block
+    /// the clMPI root lands in its stage. Panics unless `r0 ≤ r1 ≤
+    /// sections`.
+    pub fn scaled_row_bytes(&self, step: usize, r0: usize, r1: usize) -> Vec<u8> {
+        let (k, th) = (self.sections, Self::theta(step));
+        let mut bytes = Vec::with_capacity(4 * self.elements(r0, r1));
+        for i in r0..r1 {
+            bytes.extend(coefficient_row(i, k).flat_map(|c| (c * th).to_ne_bytes()));
+        }
+        bytes
+    }
+
+    /// The unscaled coefficient rows `[r0, r1)`, row-major: what every
+    /// step scales. Panics unless `r0 ≤ r1 ≤ sections`.
+    pub fn base_rows(&self, r0: usize, r1: usize) -> Vec<f32> {
+        // `β · 1.0` is `β`, bit for bit.
+        self.rows_times(1.0, r0, r1)
+    }
+
+    /// Rows `[r0, r1)` of the kernel, each element times `th`.
+    fn rows_times(&self, th: f32, r0: usize, r1: usize) -> Vec<f32> {
+        // Extended row by row rather than zeroed and then written.
+        let mut rows = Vec::with_capacity(self.elements(r0, r1));
+        for i in r0..r1 {
+            rows.extend(coefficient_row(i, self.sections).map(|c| c * th));
+        }
+        rows
+    }
+
+    /// The element count of rows `[r0, r1)`. Panics unless `r0 ≤ r1 ≤
+    /// sections`: with no table to index, a row past the last would
+    /// otherwise compute silently.
+    fn elements(&self, r0: usize, r1: usize) -> usize {
+        let k = self.sections;
+        assert!(
+            r0 <= r1 && r1 <= k,
+            "coefficient rows {r0}..{r1} of a {k}-section model"
+        );
+        (r1 - r0) * k
     }
 
     /// Host-side nucleation/condensation: a cheap serial update of the
@@ -228,18 +259,39 @@ mod tests {
         let m = NanoModel::new(64);
         assert!(m.n.iter().all(|&x| x > 0.0));
         assert!(m.n[0] > m.n[10]);
-        assert_eq!(m.coeff_base.len(), 64 * 64);
+        assert_eq!(m.scaled_rows(0, 0, 64).len(), 64 * 64);
+    }
+
+    /// `scaled_rows` and `scaled_row_bytes` are the scalar spec's element
+    /// times θ, bit for bit: whole matrices, the empty range and one row,
+    /// at 13 sizes and three steps.
+    #[test]
+    fn theta_scales_rows() {
+        for k in SIZES {
+            for step in [0, 4, 99] {
+                let th = NanoModel::theta(step);
+                let m = NanoModel::new(k);
+                for (r0, r1) in [(0, k), (k, k), (k / 2, k / 2 + 1)] {
+                    let want: Vec<f32> = row_spec(k, r0, r1).iter().map(|&c| c * th).collect();
+                    let what = format!("K {k}, step {step}, rows {r0}..{r1}");
+                    assert_bits(&m.scaled_rows(step, r0, r1), &want, &what);
+                    let bytes: Vec<u8> = want.iter().flat_map(|c| c.to_ne_bytes()).collect();
+                    assert_eq!(m.scaled_row_bytes(step, r0, r1), bytes, "{what}, as bytes");
+                }
+            }
+        }
     }
 
     #[test]
-    fn theta_scales_rows() {
-        let m = NanoModel::new(8);
-        let r = m.scaled_rows(4, 2, 3);
-        let expect: Vec<f32> = m.coeff_base[16..24]
-            .iter()
-            .map(|&c| c * NanoModel::theta(4))
-            .collect();
-        assert_eq!(r, expect);
+    #[should_panic(expected = "coefficient rows 7..9 of a 8-section model")]
+    fn rows_past_the_last_section_are_refused() {
+        let _ = NanoModel::new(8).scaled_rows(0, 7, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "coefficient rows 7..9 of a 8-section model")]
+    fn row_bytes_past_the_last_section_are_refused() {
+        let _ = NanoModel::new(8).scaled_row_bytes(0, 7, 9);
     }
 
     #[test]
@@ -284,9 +336,9 @@ mod tests {
         assert!(a.iter().all(|x| x.is_finite() && *x >= 0.0));
     }
 
-    /// The scalar loop that defines rows `[i0, i1)` of the coefficient
-    /// table: `usize` indices, one element at a time.
-    fn new_spec(sections: usize, i0: usize, i1: usize) -> Vec<f32> {
+    /// The scalar loop that defines rows `[i0, i1)` of the unscaled
+    /// coefficient matrix: `usize` indices, one element at a time.
+    fn row_spec(sections: usize, i0: usize, i1: usize) -> Vec<f32> {
         let mut rows = vec![0.0f32; (i1 - i0) * sections];
         for i in i0..i1 {
             for j in 0..sections {
@@ -324,25 +376,22 @@ mod tests {
 
     const SIZES: [usize; 13] = [1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 257];
 
-    /// Whole tables at 13 sizes, and single rows up to the largest size
+    /// Whole matrices at 13 sizes, and single rows up to the largest size
     /// the model takes. Below `i·j + 1 = 2²⁴` every index is exact in
     /// `f32`, so only the large rows can tell the integer product from a
     /// floating one; in debug they also prove that no `i32` overflows.
     #[test]
-    fn new_matches_the_scalar_spec_bit_for_bit() {
+    fn coefficient_rows_match_the_scalar_spec_bit_for_bit() {
         for k in SIZES {
-            assert_bits(
-                &NanoModel::new(k).coeff_base,
-                &new_spec(k, 0, k),
-                &format!("K {k}"),
-            );
+            let got: Vec<f32> = (0..k).flat_map(|i| coefficient_row(i, k)).collect();
+            assert_bits(&got, &row_spec(k, 0, k), &format!("K {k}"));
         }
         let mut rng = simtime::XorShift64::new(27);
         for k in [4_097, 20_000, MAX_SECTIONS] {
             let random = std::array::from_fn::<_, 4, _>(|_| rng.gen_range_usize(4_096, k));
             for i in [0, 1, k / 2, k - 2, k - 1].into_iter().chain(random) {
                 let got: Vec<f32> = coefficient_row(i, k).collect();
-                assert_bits(&got, &new_spec(k, i, i + 1), &format!("K {k} row {i}"));
+                assert_bits(&got, &row_spec(k, i, i + 1), &format!("K {k} row {i}"));
             }
         }
     }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use clmpi::{ClMpi, SystemConfig};
 use minicl::HostBuffer;
 use minimpi::datatype::{bytes_to_f32, f32_as_bytes};
-use minimpi::{run_world_faulty, FaultPlan, Process, Tag};
+use minimpi::{run_world_tasks, FaultPlan, Process, Tag};
 use simtime::plock::Mutex;
 use simtime::SimNs;
 
@@ -15,9 +15,9 @@ const TAG_N: Tag = 200; // concentration broadcast
 const TAG_C: Tag = 201; // coefficient block distribution
 const TAG_DN: Tag = 202; // rate gather
 
-/// Coefficient rows the clMPI root scales at a time and lands in its
-/// pinned stage: 128 KiB at K = 2048, scaled in cache and copied once,
-/// into the allocation the stage and the root's device buffer share.
+/// Coefficient rows the clMPI root computes at a time and lands in its
+/// pinned stage: 128 KiB at K = 2048, each element written once, into
+/// the allocation the stage and the root's device buffer share.
 const STAGE_ROWS: usize = 16;
 
 /// Virtual time of the serial host phase (nucleation, condensation, and
@@ -90,14 +90,16 @@ pub struct NanoResult {
     /// Scheduler machine transitions over the whole run (simulator
     /// self-throughput numerator; independent of the poll order).
     pub sched_events: u64,
-    /// The clock's wake accounting over the whole run (host-scheduling
-    /// dependent diagnostic; see [`simtime::WakeStats`]).
+    /// The clock's wake accounting over the whole run. The ranks run as
+    /// tasks on one thread, so it repeats exactly ([`simtime::WakeStats`]).
     pub wake: simtime::WakeStats,
 }
 
-/// Run `variant` under `cfg`. Panics on the calling thread, before any
-/// world exists, if `cfg.sections` exceeds 46,340 (see
-/// [`NanoModel::new`]) or `cfg.nodes` does not divide it.
+/// Run `variant` under `cfg`. Every rank runs as a task
+/// ([`run_world_tasks`]), so the calling thread drives the whole world.
+/// Panics on the calling thread, before any world exists, if
+/// `cfg.sections` exceeds 46,340 (see [`NanoModel::new`]) or `cfg.nodes`
+/// does not divide it.
 pub fn run_nanopowder(variant: NanoVariant, cfg: NanoConfig) -> NanoResult {
     check_sections(cfg.sections);
     assert!(
@@ -110,8 +112,8 @@ pub fn run_nanopowder(variant: NanoVariant, cfg: NanoConfig) -> NanoResult {
     let nodes = cfg.nodes;
     let steps = cfg.steps;
     let cfg = Arc::new(cfg);
-    let res = run_world_faulty(cluster, nodes, FaultPlan::none(), move |p: Process| {
-        rank_main(variant, &cfg, p)
+    let res = run_world_tasks(cluster, nodes, FaultPlan::none(), |p: Process| {
+        rank_main(variant, cfg.clone(), p)
     });
     let total_ns = res
         .outputs
@@ -132,7 +134,10 @@ pub fn run_nanopowder(variant: NanoVariant, cfg: NanoConfig) -> NanoResult {
 
 type RankOut = (SimNs, Option<Vec<f32>>);
 
-fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
+/// One rank's body, run as a task ([`run_world_tasks`]): it waits with
+/// `.await` wherever the paper's host thread blocks.
+async fn rank_main(variant: NanoVariant, cfg: Arc<NanoConfig>, p: Process) -> RankOut {
+    let cfg = &*cfg;
     let rank = p.rank();
     let nodes = cfg.nodes;
     let k = cfg.sections;
@@ -176,14 +181,15 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
             .compute_kernel_ns(pairs as f64 * FLOPS_PER_PAIR, COAG_EFFICIENCY)
     };
 
-    p.comm.barrier(&p.actor);
+    p.comm.barrier_async(&p.actor).await;
     let t0 = p.actor.now_ns();
     for step in 0..cfg.steps {
         // --- Host phase + distribution (rank 0) ---
         let mut c_write = None;
         if let Some(m) = model.as_mut() {
             m.host_phase(step);
-            p.actor.advance_ns(HOST_PHASE_NS);
+            let host_done = p.actor.now_ns() + HOST_PHASE_NS;
+            p.clock().sleep_until(host_done).await;
             for r in 1..nodes {
                 let _ = p.comm.isend(&p.actor, r, TAG_N, f32_as_bytes(&m.n));
             }
@@ -197,18 +203,18 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
                 NanoVariant::ClMpiFanout => {
                     let full = m.scaled_rows(step, 0, k);
                     for r in 0..nodes {
-                        let _ = rt.isend_cl(&p.actor, r, TAG_C, f32_as_bytes(&full));
+                        let _ = rt.isend_cl_async(r, TAG_C, f32_as_bytes(&full)).await;
                     }
                 }
                 NanoVariant::ClMpi => {
-                    // Scale a row block at a time and land each in the
+                    // Compute a row block at a time and land each in the
                     // stage by reference; the write below then lands the
                     // same blocks in the root's own device buffer, and the
                     // broadcast fans them out chunk-pipelined.
                     for b0 in (0..k).step_by(STAGE_ROWS) {
-                        let block = m.scaled_rows(step, b0, (b0 + STAGE_ROWS).min(k));
+                        let block = m.scaled_row_bytes(step, b0, (b0 + STAGE_ROWS).min(k));
                         c_stage
-                            .land(b0 * k * 4, Arc::new(f32_as_bytes(&block).to_vec()))
+                            .land(b0 * k * 4, Arc::new(block))
                             .expect("row block fits the stage");
                     }
                     c_write = Some(
@@ -231,7 +237,8 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
         let n_local: Vec<f32> = if rank == 0 {
             model.as_ref().expect("rank 0 model").n.clone()
         } else {
-            bytes_to_f32(&p.comm.recv(&p.actor, Some(0), Some(TAG_N)).data)
+            let got = p.comm.recv_async(&p.actor, Some(0), Some(TAG_N)).await;
+            bytes_to_f32(&got.data)
         };
         n_stage
             .store(0, f32_as_bytes(&n_local))
@@ -243,7 +250,7 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
             NanoVariant::Baseline => {
                 // Blocking recv to pageable host memory, then a blocking
                 // staged write — the conventional pattern.
-                let got = p.comm.recv(&p.actor, Some(0), Some(TAG_C));
+                let got = p.comm.recv_async(&p.actor, Some(0), Some(TAG_C)).await;
                 assert_eq!(got.data.len(), full_bytes);
                 c_stage.store(0, &got.data).expect("coefficients fit");
                 q.enqueue_write_buffer(&p.actor, &c_dev, false, 0, full_bytes, &c_stage, 0, &[])
@@ -277,15 +284,18 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
             d2.store(0, f32_as_bytes(&out)).expect("dn fits");
             *dns.lock() = out;
         });
-        // Read rates back (blocking, after the kernel) and gather.
-        q.enqueue_read_buffer(&p.actor, &dn_dev, true, 0, rows * 4, &dn_stage, 0, &[e_k])
-            .expect("read rates");
+        // Read rates back (the host waits for it, after the kernel) and
+        // gather.
+        q.enqueue_read_buffer(&p.actor, &dn_dev, false, 0, rows * 4, &dn_stage, 0, &[e_k])
+            .expect("read rates")
+            .settled()
+            .await;
         if rank == 0 {
             let m = model.as_mut().expect("rank 0 model");
             let mut dn_all = vec![0.0f32; k];
             dn_all[r0..r1].copy_from_slice(&dn_shared.lock());
             for _ in 1..nodes {
-                let got = p.comm.recv(&p.actor, None, Some(TAG_DN));
+                let got = p.comm.recv_async(&p.actor, None, Some(TAG_DN)).await;
                 let src = got.status.source;
                 dn_all[src * rows..(src + 1) * rows].copy_from_slice(&bytes_to_f32(&got.data));
             }
@@ -295,11 +305,12 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
             // and is waited for outside it.
             dn_stage
                 .read(|h| p.comm.isend(&p.actor, 0, TAG_DN, h.as_slice()))
-                .wait(&p.actor);
+                .wait_async()
+                .await;
         }
     }
-    rt.shutdown(&p.actor);
-    p.comm.barrier(&p.actor);
+    rt.shutdown_async().await;
+    p.comm.barrier_async(&p.actor).await;
     let total = p.actor.now_ns() - t0;
     (total, model.map(|m| m.n))
 }

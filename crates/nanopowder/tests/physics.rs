@@ -1,5 +1,5 @@
-//! The physics, pinned: `fnv1a` over the bits of the coefficient table and
-//! of the serial reference. Every other nanopowder oracle — the
+//! The physics, pinned: `fnv1a` over the bits of the unscaled coefficient
+//! matrix and of the serial reference. Every other nanopowder oracle — the
 //! distributed runs in `distributed.rs`, the benchmark's bitwise check,
 //! `results/fig10.txt` — compares against `reference_simulation`, so a
 //! kernel that is wrong the same way everywhere passes them all. These
@@ -17,8 +17,10 @@ fn hash(values: &[f32]) -> u64 {
     fnv1a(&bytes)
 }
 
-/// `(K, fnv1a(NanoModel::new(K).coeff_base), fnv1a(reference_simulation(K, 1)),
-/// fnv1a(reference_simulation(K, 3)))`.
+/// `(K, fnv1a(NanoModel::new(K).base_rows(0, K)), fnv1a(reference_simulation(K, 1)),
+/// fnv1a(reference_simulation(K, 3)))`. The coefficient column was
+/// recorded over the `K × K` table the model once kept; its rows are now
+/// computed where they are used, to the same bits.
 #[rustfmt::skip]
 const PINNED: &[(usize, u64, u64, u64)] = &[
     (48, 0xc21c8e2a4fefac6d, 0xf2689dc76c0c27ce, 0xc4864bd4d24d1d9f),
@@ -34,7 +36,7 @@ fn coefficient_table_and_reference_reproduce_their_pinned_bits() {
     for &(k, coeff, one, three) in PINNED {
         let got = (
             k,
-            hash(&NanoModel::new(k).coeff_base),
+            hash(&NanoModel::new(k).base_rows(0, k)),
             hash(&reference_simulation(k, 1)),
             hash(&reference_simulation(k, 3)),
         );

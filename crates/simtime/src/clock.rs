@@ -234,14 +234,17 @@ pub struct LabelWakes {
 }
 
 /// Always-on wake accounting of one clock ([`SimClock::wake_stats`]).
-/// With several threads driving a clock, most counts depend on OS
-/// scheduling (how many notifies one resume absorbs), so they are
-/// diagnostics, never part of a deterministic artifact. A wait that
-/// exactly one notify satisfies is a model count instead: `minimpi`'s
-/// `barrier` label parks, wakes and succeeds once per rank per barrier
-/// (the rounds run as a task), whatever the OS does. A clock that one
-/// thread drives alone — every rank a task (`minimpi::run_world_tasks`)
-/// — counts the same in every field on every run.
+/// A clock that one thread drives alone — every rank a task
+/// (`minimpi::run_world_tasks`) — counts the same in every field on every
+/// run: every field is a model count. Every Himeno and nanopowder world
+/// is such a task world, the scale bench's configurations included.
+/// With several threads driving a clock (rank threads of
+/// `minimpi::run_world_faulty`: the recovery harness, the examples and
+/// thread-launched tests), most counts depend on OS scheduling (how many
+/// notifies one resume absorbs), so they are diagnostics there. A wait
+/// that exactly one notify satisfies is a model count even then:
+/// `minimpi`'s `barrier` label parks, wakes and succeeds once per rank
+/// per barrier (the rounds run as a task), whatever the OS does.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WakeStats {
     /// [`SimClock::notify_key`] calls, including alarms scheduled for an
