@@ -1235,8 +1235,8 @@ impl Hop {
 
 /// Read a body's source bytes: the one copy its device→host hop stands
 /// for. Every entry point range-checks its buffer region on the calling
-/// thread, so a body's loads and stores cannot miss — here, and in
-/// [`store`], is the place that relies on it.
+/// thread, so a body's loads, stores and landings cannot miss — here, and
+/// in [`store`] and [`land`], is the place that relies on it.
 pub(crate) fn load(buf: &Buffer, offset: usize, len: usize) -> Vec<u8> {
     load_behind(&[], buf, offset, len)
 }
@@ -1250,9 +1250,21 @@ pub(crate) fn load_behind(header: &[u8], buf: &Buffer, offset: usize, len: usize
     out
 }
 
-/// Land bytes in a body's destination region (see [`load`]).
+/// Copy bytes into a body's destination region (see [`load`]).
 pub(crate) fn store(buf: &Buffer, offset: usize, data: &[u8]) {
-    buf.store(offset, data).expect("range checked at enqueue");
+    in_range(buf.store(offset, data));
+}
+
+/// Land a received wire chunk in a body's destination region by
+/// reference: the buffer keeps the allocation and copies nothing until
+/// somebody views the bytes (see [`load`]).
+fn land(buf: &Buffer, offset: usize, chunk: Arc<Vec<u8>>) {
+    in_range(buf.land(offset, chunk, 0));
+}
+
+/// The outcome of a write to a range its entry point checked.
+fn in_range(written: ClResult<()>) {
+    written.expect("range checked at enqueue");
 }
 
 /// A derived-datatype lowering attached to a transfer body: the
@@ -1503,27 +1515,27 @@ impl OpBody for RecvBody {
                     return self.fail(cx, f.into_error(&what), cx.now());
                 }
             };
-            let data = Arc::unwrap_or_clone(chunk.data);
+            let (len, data) = (chunk.data.len(), chunk.data);
             if self.strategy == TransferStrategy::Mapped {
                 // Zero-copy: the NIC already wrote through PCIe during
                 // the sender-fused stream; the data is usable at arrival.
-                store(&self.buf, self.offset + at, &data);
+                land(&self.buf, self.offset + at, data);
                 continue;
             }
             // Host-unpack baseline: the chunk's type-map segments are
             // scattered one by one across PCIe, each paying the staged
             // latency. Every other path moves the packed bytes in one hop.
             let cost = match &self.lowering {
-                Some(l) if l.mode == PackMode::HostPack => {
-                    l.host_staged_ns(&pcie, at, at + data.len())
-                }
-                _ => pcie.staged_ns(data.len(), true),
+                Some(l) if l.mode == PackMode::HostPack => l.host_staged_ns(&pcie, at, at + len),
+                _ => pcie.staged_ns(len, true),
             };
             let h2d = Hop::H2d.reserve(&self.device, cost, cx.now());
             cx.inner.clock.sleep_until(h2d.1).await;
-            Hop::H2d.record(cx, h2d, data.len(), true);
+            Hop::H2d.record(cx, h2d, len, true);
             match &self.lowering {
-                None => store(&self.buf, self.offset + at, &data),
+                // The hop is the model's one copy; the host shares the
+                // wire chunk instead of making it.
+                None => land(&self.buf, self.offset + at, data),
                 // The host already scattered segment-by-segment during
                 // the h2d hop.
                 Some(l) if l.mode == PackMode::HostPack => {
@@ -1535,11 +1547,11 @@ impl OpBody for RecvBody {
                     // bytes through device memory) scatters it through the
                     // type map, reserved on the pack timeline so it
                     // serializes with the other pack kernels.
-                    let cost = self.device.spec().membound_kernel_ns(2 * data.len());
+                    let cost = self.device.spec().membound_kernel_ns(2 * len);
                     let unpack = Hop::Unpack.reserve(&self.device, cost, h2d.1);
                     cx.inner.clock.sleep_until(unpack.1).await;
                     l.scatter(&self.buf, self.offset, at, &data);
-                    Hop::Unpack.record(cx, unpack, data.len(), true);
+                    Hop::Unpack.record(cx, unpack, len, true);
                 }
             }
         }

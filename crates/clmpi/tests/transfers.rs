@@ -355,6 +355,75 @@ fn offset_subrange_transfers() {
     assert!(res.outputs.iter().all(|&b| b));
 }
 
+/// A receive leaves the wire chunks where they landed, and every view of
+/// the buffer reads the bytes that were sent: a ranged view (which reads
+/// a single landed chunk in place), a `load`, a whole view (which copies
+/// them in) and a `load` after it. The region sits between bytes the
+/// receiver stored, one chunk, or chunks that do not tile it evenly.
+#[test]
+fn a_landed_receive_reads_back_settles_and_loads_the_sent_bytes() {
+    const SIZE: usize = 150_000;
+    const AT: usize = 1_000;
+    const TOTAL: usize = SIZE + 3_000;
+    let cases = [
+        (
+            SystemConfig::ricc as fn() -> SystemConfig,
+            TransferStrategy::Pinned,
+            true,
+        ),
+        (SystemConfig::cichlid, TransferStrategy::Mapped, true),
+        (
+            SystemConfig::ricc,
+            TransferStrategy::Pipelined(40_000),
+            false,
+        ),
+        (
+            SystemConfig::ricc,
+            TransferStrategy::Pipelined(1 << 16),
+            false,
+        ),
+    ];
+    for (sys, strategy, one_chunk) in cases {
+        let res = run_world_sized(sys().cluster.clone(), 2, move |p: Process| {
+            let rt = ClMpi::new(&p, sys());
+            rt.set_forced_strategy(Some(strategy));
+            let q = rt.context().create_queue(0, format!("r{}", p.rank()));
+            let buf = rt.context().create_buffer(TOTAL);
+            let sent = pattern(SIZE, 11);
+            let checked = (|| {
+                if p.rank() == 0 {
+                    buf.store(0, &sent)?;
+                    rt.enqueue_send_buffer(&q, &buf, true, 0, SIZE, 1, 5, &[], &p.actor)?;
+                    return Ok(vec![true; 5]);
+                }
+                let mut expect = pattern(TOTAL, 12);
+                buf.store(0, &expect)?;
+                expect[AT..AT + SIZE].copy_from_slice(&sent);
+                rt.enqueue_recv_buffer(&q, &buf, true, AT, SIZE, 0, 5, &[], &p.actor)?;
+                let (in_place, viewed) = buf.read_range(AT, SIZE, [(AT, SIZE)], |d, [got]| {
+                    let bytes = got.unwrap_or(&d.as_slice()[AT..AT + SIZE]);
+                    (got.is_some(), bytes == sent)
+                });
+                let loaded = buf.load(0, TOTAL)?.as_slice() == expect;
+                let settled = buf.read(|d| d.as_slice() == expect);
+                let reloaded = buf.load(0, TOTAL)?.as_slice() == expect;
+                Ok::<_, minicl::ClError>(vec![
+                    in_place == one_chunk,
+                    viewed,
+                    loaded,
+                    settled,
+                    reloaded,
+                ])
+            })();
+            rt.shutdown(&p.actor);
+            checked
+        });
+        for (rank, out) in res.outputs.into_iter().enumerate() {
+            assert_eq!(out, Ok(vec![true; 5]), "{strategy:?}, rank {rank}");
+        }
+    }
+}
+
 #[test]
 fn invalid_arguments_are_rejected() {
     run_world_sized(SystemConfig::cichlid().cluster.clone(), 2, |p: Process| {

@@ -140,6 +140,11 @@ pub fn fill_planes(p: &mut [f32], size: GridSize, lo: usize) {
 /// `new` for those planes, and returns the partial `gosa` if `RESIDUAL`,
 /// otherwise 0.0.
 ///
+/// `ghosts` may hand over planes `i_lo − 1` and `i_hi`, the two the sweep
+/// reads but does not write, as the bytes of `mjmax × mkmax` native-endian
+/// `f32`s at any alignment: a halo plane read where it landed. Where one
+/// is `Some`, that plane of `old` is not read at all.
+///
 /// This is the exact Himeno update with the benchmark's constant
 /// coefficients folded in (a0..a2 = 1, a3 = 1/6, b = 0, c = 1, bnd = 1,
 /// wrk1 = 0), which leaves the full 19-point data dependence intact while
@@ -151,11 +156,13 @@ pub fn fill_planes(p: &mut [f32], size: GridSize, lo: usize) {
 /// elementwise over seven equal-length windows of `old` and one of `new`:
 /// no iteration reads what another wrote, so rustc vectorises it, and
 /// every lane performs the `f32` operations of the scalar loop on the
-/// same operands (Rust never contracts `a * b + c` to an FMA). It parks
-/// `ss * ss`, still `f32`, in `sq`. The second is [`add_row`]: by
-/// definition the `f64` residual plus `sq` one element at a time in `k`
-/// order — the order the sum has always had, so `gosa` keeps its bits —
-/// and summed in lanes only where a certificate proves no partial sum
+/// same operands (Rust never contracts `a * b + c` to an FMA). A window
+/// of a ghost plane handed over as bytes is read through
+/// `f32::from_ne_bytes`, an unaligned load of the same bits. The first
+/// pass parks `ss * ss`, still `f32`, in `sq`. The second is [`add_row`]:
+/// by definition the `f64` residual plus `sq` one element at a time in
+/// `k` order — the order the sum has always had, so `gosa` keeps its bits
+/// — and summed in lanes only where a certificate proves no partial sum
 /// rounds. `tests::jacobi_sweep_spec` is the scalar loop this is diffed
 /// against.
 ///
@@ -165,44 +172,108 @@ pub fn fill_planes(p: &mut [f32], size: GridSize, lo: usize) {
 /// same bits, and nothing is summed. The device-time model charges the
 /// residual either way ([`FLOPS_PER_POINT`], [`BYTES_PER_POINT`]).
 ///
-/// Never inlined. On this form the attribute changes no instruction
-/// (`nm` and the disassembly are the same with and without it: DESIGN.md
-/// §14, "Host kernels"); it stays so that a change elsewhere in the crate
-/// cannot fold the nest into a caller, which in PR 16 slowed it by a
-/// sixth.
+/// Never inlined, so that a change elsewhere in the crate cannot fold the
+/// nest into a caller, which once slowed it by a sixth (DESIGN.md §14,
+/// "Host kernels").
+///
+/// # Panics
+/// If a ghost plane is not `mjmax × mkmax × 4` bytes long.
 #[inline(never)]
 pub fn jacobi_sweep<const RESIDUAL: bool>(
     old: &[f32],
+    ghosts: [Option<&[u8]>; 2],
     new: &mut [f32],
     mj: usize,
     mk: usize,
     i_lo: usize,
     i_hi: usize,
 ) -> f64 {
-    const A3: f32 = 1.0 / 6.0;
     let plane = mj * mk;
-    let n = mk - 2;
-    let mut sq = vec![0.0f32; if RESIDUAL { n } else { 0 }];
+    let mut sq = vec![0.0f32; if RESIDUAL { mk - 2 } else { 0 }];
     let mut gosa = 0.0f64;
+    let [below, above] = ghosts.map(|g| {
+        g.map(|bytes| {
+            let (cells, rest) = bytes.as_chunks::<4>();
+            assert!(
+                rest.is_empty() && cells.len() == plane,
+                "a ghost plane is {plane} f32s, not {} bytes",
+                bytes.len()
+            );
+            cells
+        })
+    });
+    let cells = |i: usize| &old[i * plane..(i + 1) * plane];
     for i in i_lo..i_hi {
-        for j in 1..mj - 1 {
-            let c = i * plane + j * mk + 1;
-            let row = |at: usize| &old[at..at + n];
-            // a0..a2 * p[i+1], p[j+1], p[k+1]; c0..c2 * p[i-1], p[j-1], p[k-1]
-            let (ip, jp, kp) = (row(c + plane), row(c + mk), row(c + 1));
-            let (im, jm, km) = (row(c - plane), row(c - mk), row(c - 1));
-            let (centre, out) = (row(c), &mut new[c..c + n]);
-            for k in 0..n {
-                let s0 = ip[k] + jp[k] + kp[k] + im[k] + jm[k] + km[k];
-                let ss = s0 * A3 - centre[k]; // (s0*a3 - p) * bnd
-                if RESIDUAL {
-                    sq[k] = ss * ss;
-                }
-                out[k] = centre[k] + OMEGA * ss;
+        let (centre, out) = (cells(i), &mut new[i * plane..(i + 1) * plane]);
+        let sq = &mut sq[..];
+        gosa = match (below.filter(|_| i == i_lo), above.filter(|_| i + 1 == i_hi)) {
+            (None, None) => {
+                sweep_plane::<RESIDUAL, _, _>(cells(i - 1), centre, cells(i + 1), out, mk, sq, gosa)
             }
+            (Some(b), None) => {
+                sweep_plane::<RESIDUAL, _, _>(b, centre, cells(i + 1), out, mk, sq, gosa)
+            }
+            (None, Some(a)) => {
+                sweep_plane::<RESIDUAL, _, _>(cells(i - 1), centre, a, out, mk, sq, gosa)
+            }
+            (Some(b), Some(a)) => sweep_plane::<RESIDUAL, _, _>(b, centre, a, out, mk, sq, gosa),
+        };
+    }
+    gosa
+}
+
+/// One cell of a plane the sweep reads: an `f32` of the slab, or the four
+/// bytes of one in a ghost plane read where it landed.
+trait Cell: Copy {
+    fn value(self) -> f32;
+}
+
+impl Cell for f32 {
+    #[inline(always)]
+    fn value(self) -> f32 {
+        self
+    }
+}
+
+impl Cell for [u8; 4] {
+    #[inline(always)]
+    fn value(self) -> f32 {
+        f32::from_ne_bytes(self)
+    }
+}
+
+/// Plane `i` of [`jacobi_sweep`]: `centre` is plane `i` of `old`, `below`
+/// and `above` planes `i − 1` and `i + 1`, `out` plane `i` of `new`;
+/// returns `gosa` plus the plane's residual if `RESIDUAL`.
+#[inline(always)]
+fn sweep_plane<const RESIDUAL: bool, B: Cell, A: Cell>(
+    below: &[B],
+    centre: &[f32],
+    above: &[A],
+    out: &mut [f32],
+    mk: usize,
+    sq: &mut [f32],
+    mut gosa: f64,
+) -> f64 {
+    const A3: f32 = 1.0 / 6.0;
+    let (mj, n) = (centre.len() / mk, mk - 2);
+    for j in 1..mj - 1 {
+        let c = j * mk + 1;
+        let row = |at: usize| &centre[at..at + n];
+        // a0..a2 * p[i+1], p[j+1], p[k+1]; c0..c2 * p[i-1], p[j-1], p[k-1]
+        let (ip, jp, kp) = (&above[c..c + n], row(c + mk), row(c + 1));
+        let (im, jm, km) = (&below[c..c + n], row(c - mk), row(c - 1));
+        let (p, out) = (row(c), &mut out[c..c + n]);
+        for k in 0..n {
+            let s0 = ip[k].value() + jp[k] + kp[k] + im[k].value() + jm[k] + km[k];
+            let ss = s0 * A3 - p[k]; // (s0*a3 - p) * bnd
             if RESIDUAL {
-                gosa = add_row(gosa, &sq);
+                sq[k] = ss * ss;
             }
+            out[k] = p[k] + OMEGA * ss;
+        }
+        if RESIDUAL {
+            gosa = add_row(gosa, sq);
         }
     }
     gosa
@@ -344,7 +415,7 @@ mod tests {
         let mut new = g.p.clone();
         let mut last = f64::MAX;
         for _ in 0..5 {
-            let gosa = jacobi_sweep::<true>(&old, &mut new, mj, mk, 1, mi - 1);
+            let gosa = jacobi_sweep::<true>(&old, [None, None], &mut new, mj, mk, 1, mi - 1);
             assert!(gosa < last, "residual decreases");
             last = gosa;
             std::mem::swap(&mut old, &mut new);
@@ -358,7 +429,7 @@ mod tests {
         let (mi, mj, mk) = size.dims();
         let g = HimenoGrid::new(size);
         let mut new = vec![-1.0f32; g.p.len()];
-        jacobi_sweep::<true>(&g.p, &mut new, mj, mk, 1, mi - 1);
+        jacobi_sweep::<true>(&g.p, [None, None], &mut new, mj, mk, 1, mi - 1);
         // Boundary untouched (still -1), interior written.
         assert_eq!(new[0], -1.0);
         assert_ne!(new[(mj + 1) * mk + 1], -1.0);
@@ -375,7 +446,7 @@ mod tests {
     }
 
     /// Either form of [`jacobi_sweep`].
-    type Sweep = fn(&[f32], &mut [f32], usize, usize, usize, usize) -> f64;
+    type Sweep = fn(&[f32], [Option<&[u8]>; 2], &mut [f32], usize, usize, usize, usize) -> f64;
 
     /// The scalar loop nest that defines `jacobi_sweep`: which `f32`
     /// operations happen on which operands, and in which order the
@@ -417,13 +488,23 @@ mod tests {
     /// in every cell and span twenty binary orders of magnitude: the
     /// standard init is constant in `j` and `k`, so on it a swapped
     /// neighbour or a reordered residual sum would change nothing.
+    ///
+    /// Each case also runs with its ghost planes, `i_lo − 1` and `i_hi`,
+    /// handed over as bytes, as a kernel reads a halo plane where it
+    /// landed: the lower one alone (a half whose lower ghost landed), the
+    /// upper one alone, and both (a 1-plane slab whose ghosts both
+    /// landed). The lower plane's bytes start at an odd address, and the
+    /// planes of `old` they stand for are spoiled with NaN, so a sweep
+    /// that read them there would differ.
     #[test]
     fn sweep_matches_the_scalar_spec_bit_for_bit() {
         const SENTINEL: u32 = 0xc442_4000; // -777.0, which no update produces
         let mut rng = simtime::XorShift64::new(22);
+        let mut swept_with_ghosts = [0; 3];
         for row in [1, 2, 3, 5, 9, 63, 255] {
             for case in 0..32 {
                 let (mj, mk) = ([3, 3, 4, 7][case % 4], row + 2);
+                let plane = mj * mk;
                 let planes = rng.gen_range_usize(3, 7);
                 // One case in four is an empty range, one a single plane,
                 // one the whole slab, one anything.
@@ -434,7 +515,7 @@ mod tests {
                     2 => (1, planes - 1),
                     _ => (i_lo, rng.gen_range_usize(i_lo, planes)),
                 };
-                let old: Vec<f32> = (0..planes * mj * mk)
+                let old: Vec<f32> = (0..planes * plane)
                     .map(|_| {
                         let scale = 1.0 / (1u32 << rng.gen_range_usize(0, 21)) as f32;
                         (rng.next_f32() - 0.5) * scale
@@ -447,33 +528,74 @@ mod tests {
                 if i_lo == i_hi {
                     assert_eq!(want_gosa.to_bits(), 0.0f64.to_bits(), "empty range, {what}");
                 }
-                let forms: [(&str, Sweep, f64); 2] = [
-                    ("residual", jacobi_sweep::<true>, want_gosa),
-                    ("residual-free", jacobi_sweep::<false>, 0.0),
-                ];
-                for (form, sweep, want_gosa) in forms {
-                    let mut got = vec![f32::from_bits(SENTINEL); old.len()];
-                    let got_gosa = sweep(&old, &mut got, mj, mk, i_lo, i_hi);
-                    assert_eq!(
-                        got_gosa.to_bits(),
-                        want_gosa.to_bits(),
-                        "{form} gosa, {what}"
+                // Ghost plane `i` as bytes behind `pad` bytes of framing.
+                let framed = |i: usize, pad: usize| {
+                    let mut bytes = vec![0xA5; pad];
+                    bytes.extend(
+                        old[i * plane..(i + 1) * plane]
+                            .iter()
+                            .flat_map(|x| x.to_ne_bytes()),
                     );
-                    for (c, (g, w)) in got.iter().zip(&want).enumerate() {
-                        assert_eq!(g.to_bits(), w.to_bits(), "{form} cell {c}, {what}");
-                        let (i, j, k) = (c / (mj * mk), c / mk % mj, c % mk);
-                        let updated = (i_lo..i_hi).contains(&i)
-                            && (1..mj - 1).contains(&j)
-                            && (1..mk - 1).contains(&k);
+                    bytes
+                };
+                let (below, above) = (framed(i_lo - 1, 1), framed(i_hi, 2));
+                let layouts = [[false, false], [true, false], [false, true], [true, true]];
+                for (layout, landed) in layouts.into_iter().enumerate() {
+                    let mut spoiled = old.clone();
+                    for (i, on) in [(i_lo - 1, landed[0]), (i_hi, landed[1])] {
+                        if on {
+                            spoiled[i * plane..(i + 1) * plane].fill(f32::NAN);
+                        }
+                    }
+                    let ghosts = [
+                        landed[0].then_some(&below[1..]),
+                        landed[1].then_some(&above[2..]),
+                    ];
+                    if layout > 0 && i_lo < i_hi {
+                        swept_with_ghosts[layout - 1] += 1;
+                    }
+                    let forms: [(&str, Sweep, f64); 2] = [
+                        ("residual", jacobi_sweep::<true>, want_gosa),
+                        ("residual-free", jacobi_sweep::<false>, 0.0),
+                    ];
+                    for (form, sweep, want_gosa) in forms {
+                        let form = format!("{form}, ghosts landed {landed:?}");
+                        let mut got = vec![f32::from_bits(SENTINEL); old.len()];
+                        let got_gosa = sweep(&spoiled, ghosts, &mut got, mj, mk, i_lo, i_hi);
                         assert_eq!(
-                            g.to_bits() != SENTINEL,
-                            updated,
-                            "{form} cell {c} = ({i},{j},{k}), {what}"
+                            got_gosa.to_bits(),
+                            want_gosa.to_bits(),
+                            "{form} gosa, {what}"
                         );
+                        for (c, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(g.to_bits(), w.to_bits(), "{form} cell {c}, {what}");
+                            let (i, j, k) = (c / plane, c / mk % mj, c % mk);
+                            let updated = (i_lo..i_hi).contains(&i)
+                                && (1..mj - 1).contains(&j)
+                                && (1..mk - 1).contains(&k);
+                            assert_eq!(
+                                g.to_bits() != SENTINEL,
+                                updated,
+                                "{form} cell {c} = ({i},{j},{k}), {what}"
+                            );
+                        }
                     }
                 }
             }
         }
+        // Every layout swept planes: the 1-plane cases alone are 56.
+        assert!(
+            swept_with_ghosts.iter().all(|&n| n >= 56),
+            "{swept_with_ghosts:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a ghost plane is 27 f32s, not 104 bytes")]
+    fn a_ghost_plane_of_the_wrong_length_is_refused() {
+        let old = vec![0.0f32; 3 * 27];
+        let ghost = vec![0u8; 104];
+        jacobi_sweep::<false>(&old, [Some(&ghost), None], &mut old.clone(), 3, 9, 1, 2);
     }
 
     /// `2^e` for `e` in the normal `f64` range.
@@ -603,7 +725,7 @@ mod tests {
                         gosa = add_row(gosa, &sq);
                     }
                 }
-                let swept = jacobi_sweep::<true>(&old, &mut new, mj, mk, i_lo, i_hi);
+                let swept = jacobi_sweep::<true>(&old, [None, None], &mut new, mj, mk, i_lo, i_hi);
                 assert_eq!(swept.to_bits(), gosa.to_bits(), "planes {i_lo}..{i_hi}");
             }
             std::mem::swap(&mut old, &mut new);

@@ -28,7 +28,7 @@ pub fn reference_jacobi(size: GridSize, iters: usize) -> ReferenceResult {
         } else {
             jacobi_sweep::<false>
         };
-        gosa = sweep(&old, &mut new, mj, mk, 1, mi - 1);
+        gosa = sweep(&old, [None, None], &mut new, mj, mk, 1, mi - 1);
         std::mem::swap(&mut old, &mut new);
     }
     ReferenceResult { p: old, gosa }

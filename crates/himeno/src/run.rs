@@ -211,6 +211,11 @@ impl Slab {
         local_plane * self.plane_bytes
     }
 
+    /// The bytes of planes `[lo, hi)`: `(offset, len)`.
+    fn planes(&self, lo: usize, hi: usize) -> (usize, usize) {
+        (self.plane_off(lo), self.plane_off(hi - lo))
+    }
+
     /// The whole slab as one kernel (serial, recovery, and slabs of fewer
     /// than two planes).
     pub(crate) fn whole(&self) -> Half {
@@ -357,16 +362,27 @@ impl<'a> RankCx<'a> {
     }
 
     /// Checksum of the final field's interior: it lives in the last
-    /// iteration's `new` buffer.
+    /// iteration's `new` buffer. Reads planes `1..=n` through a ranged
+    /// view, so the ghost planes that landed there stay where they are.
     pub(crate) fn checksum(&self) -> f64 {
         let slab = &self.slab;
-        self.bufs[self.cfg.iters % 2]
-            .read(|d| interior_checksum(d.as_f32(), slab.mj, slab.mk, 1..slab.n + 1))
+        if slab.n == 0 {
+            // No plane, and an empty buffer to view.
+            return 0.0;
+        }
+        let (offset, len) = slab.planes(1, slab.n + 1);
+        self.bufs[self.cfg.iters % 2].read_range(offset, len, [], |d, []| {
+            interior_checksum(d.as_f32(), slab.mj, slab.mk, 1..slab.n + 1)
+        })
     }
 
     /// Enqueue iteration `t`'s kernel over `half`; the body performs the
     /// real stencil and, if iteration `t`'s residual is read, adds the
-    /// partial residual to cell `t`.
+    /// partial residual to cell `t`. It views only the planes it reads of
+    /// `old`, `lo − 1 ..= hi`, and writes only `lo..hi` of `new`, so the
+    /// ghost planes clMPI receives landed elsewhere in either stay landed;
+    /// one of the two it reads that landed whole, as one extent, it reads
+    /// where it landed (`jacobi_sweep`'s `ghosts`).
     pub(crate) fn enqueue_half_kernel(
         &self,
         q: &CommandQueue,
@@ -386,8 +402,19 @@ impl<'a> RankCx<'a> {
         } else {
             jacobi_sweep::<false>
         };
+        let (reads, writes) = (self.slab.planes(lo - 1, hi + 1), self.slab.planes(lo, hi));
+        let ghosts = [self.slab.planes(lo - 1, lo), self.slab.planes(hi, hi + 1)];
         q.enqueue_kernel(name, cost, waits, move || {
-            let g = old.read(|o| new.write(|n| sweep(o.as_f32(), n.as_f32_mut(), mj, mk, lo, hi)));
+            if lo == hi {
+                // Nothing to sweep; a slab with no plane has an empty
+                // buffer, which has no planes to view.
+                return;
+            }
+            let g = old.read_range(reads.0, reads.1, ghosts, |o, ghosts| {
+                new.write_range(writes.0, writes.1, |n| {
+                    sweep(o.as_f32(), ghosts, n.as_f32_mut(), mj, mk, lo, hi)
+                })
+            });
             if read {
                 *gosa[t].lock() += g;
             }

@@ -25,7 +25,10 @@ static NEXT_BUFFER_ID: AtomicU64 = AtomicU64::new(1);
 /// `overwrite` and `settle` copy every landed extent into `words`, oldest
 /// first, before they touch it. So `landed` is always newer than `words`,
 /// and a ranged read ([`Buffer::load`], [`Buffer::load_onto`], a PCIe hop)
-/// walks just that range of both (`walk`), settling nothing.
+/// walks just that range of both (`walk`), settling nothing. A ranged view
+/// ([`Buffer::read_range`], [`Buffer::write_range`]) settles just its
+/// range (`settle_range`): it copies in the extents over it, and may leave
+/// one that covers exactly a region its reader asked for where it landed.
 pub struct AlignedBytes {
     words: Vec<u64>,
     len: usize,
@@ -39,6 +42,11 @@ pub struct AlignedBytes {
 /// A landed extent: `(offset, src, from)` holds `src[from..]` for
 /// `[offset, offset + src.len() - from)`.
 type Extent = (usize, Arc<Vec<u8>>, usize);
+
+/// The `[start, end)` an extent holds.
+fn span((at, src, from): &Extent) -> (usize, usize) {
+    (*at, at + src.len() - from)
+}
 
 impl AlignedBytes {
     /// Zero-filled storage of `len` bytes.
@@ -80,9 +88,61 @@ impl AlignedBytes {
     /// overwritten yet.
     fn settle(&mut self) -> &mut Self {
         self.flush_landed();
-        self.zero_filled += self.len - self.visible();
-        self.words.resize(self.len.div_ceil(8), 0);
+        self.zero_to(self.len);
         self
+    }
+
+    /// Make `[offset, offset + len)` of the initialised prefix read as the
+    /// array does: copy in every landed extent over the range except the
+    /// `kept` ones (indices into `landed`), then write zeroes up to the
+    /// range's end. An older extent under one copied in is copied in too,
+    /// before it, so every byte outside the range reads as it did; extents
+    /// elsewhere stay landed.
+    fn settle_range(&mut self, offset: usize, len: usize, kept: &[usize]) {
+        let end = offset + len;
+        assert!(end <= self.len, "view past the end");
+        // Newest first: copy an extent in if it overlaps the range and is
+        // not kept, or if it lies under one that is copied in.
+        let mut copied: Vec<(usize, usize)> = Vec::new();
+        let mut copy = vec![false; self.landed.len()];
+        for (i, e) in self.landed.iter().enumerate().rev() {
+            let (lo, hi) = span(e);
+            let over = |&(a, b): &(usize, usize)| lo < b && a < hi;
+            if (over(&(offset, end)) && !kept.contains(&i)) || copied.iter().any(over) {
+                copy[i] = true;
+                copied.push((lo, hi));
+            }
+        }
+        let mut flags = copy.into_iter();
+        let flushed: Vec<Extent> = self
+            .landed
+            .extract_if(.., |_| flags.next() == Some(true))
+            .collect();
+        for (at, src, from) in flushed {
+            self.put(at, &src[from..]);
+        }
+        self.zero_to(end);
+    }
+
+    /// The index in `landed` of the extent that covers exactly `[at, at +
+    /// len)`, with no newer one over any of it.
+    fn exact(&self, (at, len): (usize, usize)) -> Option<usize> {
+        let (i, e) = self
+            .landed
+            .iter()
+            .enumerate()
+            .rev()
+            .find(|(_, e)| span(e).0 < at + len && at < span(e).1)?;
+        (span(e) == (at, at + len)).then_some(i)
+    }
+
+    /// Write zeroes from the end of the initialised prefix to `end`.
+    fn zero_to(&mut self, end: usize) {
+        let prefix = self.words.len() * 8;
+        if end > prefix {
+            self.zero_filled += end - prefix;
+            self.words.resize(end.div_ceil(8), 0);
+        }
     }
 
     /// Copy `src` to `offset` (after every landed extent, which it may
@@ -190,11 +250,7 @@ impl AlignedBytes {
         if src.is_empty() {
             return;
         }
-        let prefix = self.words.len() * 8;
-        if offset > prefix {
-            self.zero_filled += offset - prefix;
-            self.words.resize(offset.div_ceil(8), 0);
-        }
+        self.zero_to(offset);
         let (inside, beyond) = src.split_at(src.len().min(self.words.len() * 8 - offset));
         self.as_mut_slice()[offset..offset + inside.len()].copy_from_slice(inside);
         let (whole, ragged) = beyond.split_at(beyond.len() & !7);
@@ -296,6 +352,47 @@ impl Buffer {
     /// Run `f` over a mutable view of the contents.
     pub fn write<R>(&self, f: impl FnOnce(&mut AlignedBytes) -> R) -> R {
         f(self.data.lock().settle())
+    }
+
+    /// Run `f` over a view in which `[offset, offset + len)` reads as the
+    /// buffer does; `f` may look at nothing outside that range. Copies in
+    /// only the landed extents over the range (and any older one under
+    /// them), except where one covers exactly an `in_place` region, with
+    /// no newer extent over it: that one stays landed, and `f` gets its
+    /// bytes for the region instead of the view's, which are stale there.
+    /// Every other region gets `None`, and reads from the view. Writes
+    /// zeroes only between the initialised prefix and the range's end.
+    /// Panics if the range runs past the end.
+    pub fn read_range<const N: usize, R>(
+        &self,
+        offset: usize,
+        len: usize,
+        in_place: [(usize, usize); N],
+        f: impl FnOnce(&AlignedBytes, [Option<&[u8]>; N]) -> R,
+    ) -> R {
+        let mut data = self.data.lock();
+        let kept: Vec<usize> = in_place.iter().filter_map(|&r| data.exact(r)).collect();
+        data.settle_range(offset, len, &kept);
+        let data = &*data;
+        let landed = |r| data.exact(r).map(|i| &data.landed[i].1[data.landed[i].2..]);
+        f(data, in_place.map(landed))
+    }
+
+    /// Run `f` over a mutable view in which `[offset, offset + len)` reads
+    /// as the buffer does; `f` may read and write nothing outside that
+    /// range. Copies in only the landed extents over the range (and any
+    /// older one under them), so what `f` writes there is what the buffer
+    /// holds; extents elsewhere stay landed. Panics if the range runs past
+    /// the end.
+    pub fn write_range<R>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&mut AlignedBytes) -> R,
+    ) -> R {
+        let mut data = self.data.lock();
+        data.settle_range(offset, len, &[]);
+        f(&mut data)
     }
 
     /// Copy `src` into the buffer at `offset`.
@@ -997,6 +1094,18 @@ mod tests {
             host: bool,
             width: usize,
         },
+        /// A ranged view of the device buffer, asking for `in_place`.
+        ReadRange {
+            offset: usize,
+            len: usize,
+            in_place: (usize, usize),
+        },
+        /// A ranged write of the device buffer.
+        WriteRange {
+            offset: usize,
+            len: usize,
+            salt: u8,
+        },
     }
 
     fn f32_bits(v: &[f32]) -> Vec<u32> {
@@ -1033,8 +1142,9 @@ mod tests {
 
     /// The buffers under test beside the plain zero-initialised vectors
     /// they must read like, how far each has been written, where each
-    /// one's last landed extent ends, and how many copies shared landed
-    /// extents device → host and host → device.
+    /// one's last landed extent ends, how many copies shared landed
+    /// extents device → host and host → device, and how many ranged views
+    /// met each case `Views` counts.
     struct Pair {
         dev: Buffer,
         host: HostBuffer,
@@ -1045,7 +1155,24 @@ mod tests {
         dev_landed_end: usize,
         host_landed_end: usize,
         shared: [usize; 2],
+        views: Views,
         leans_on_landings: bool,
+        leans_on_views: bool,
+    }
+
+    /// Ranged views that: left an extent covering the asked region landed
+    /// and read it in place; copied in an extent straddling an edge of
+    /// their range; wrote beside an extent that stayed landed.
+    #[derive(Clone, Copy, Default, Debug)]
+    struct Views {
+        in_place: usize,
+        straddled: usize,
+        beside: usize,
+    }
+
+    /// The spans of the landed extents `data` holds, oldest first.
+    fn spans(data: &Mutex<AlignedBytes>) -> Vec<(usize, usize)> {
+        data.lock().landed.iter().map(span).collect()
     }
 
     /// Half the time a landing starts where the last one ended, so landed
@@ -1129,6 +1256,57 @@ mod tests {
             }
         }
 
+        /// A ranged view of the device buffer: around one of its landed
+        /// extents — exactly over it, wider, or across one of its edges —
+        /// three times in four when it has one.
+        fn read_range(&self, rng: &mut XorShift64, (offset, len): (usize, usize)) -> Op {
+            let size = self.dev_model.len();
+            let extents = spans(&self.dev.data);
+            let Some(&(lo, hi)) = extents.get(rng.gen_range_usize(0, extents.len() + 1)) else {
+                let in_place = range(rng, size, offset);
+                return Op::ReadRange {
+                    offset,
+                    len,
+                    in_place,
+                };
+            };
+            let (offset, end) = match rng.gen_range_usize(0, 3) {
+                0 => (lo, hi),
+                1 => (
+                    lo.saturating_sub(rng.gen_range_usize(0, 9)),
+                    (hi + rng.gen_range_usize(0, 9)).min(size),
+                ),
+                _ => {
+                    let cut = rng.gen_range_usize(lo, hi);
+                    match rng.gen_bool(0.5) {
+                        true => (cut, (cut + rng.gen_range_usize(1, 64)).min(size)),
+                        false => (rng.gen_range_usize(0, cut + 1), cut),
+                    }
+                }
+            };
+            Op::ReadRange {
+                offset,
+                len: end - offset,
+                in_place: (lo, hi - lo),
+            }
+        }
+
+        /// A ranged write of the device buffer: half the time ending where
+        /// one of its landed extents starts or starting where one ends.
+        fn write_range(&self, rng: &mut XorShift64, (offset, len): (usize, usize), salt: u8) -> Op {
+            let size = self.dev_model.len();
+            let extents = spans(&self.dev.data);
+            let (offset, len) = match extents.get(rng.gen_range_usize(0, 2 * extents.len() + 1)) {
+                Some(&(lo, _)) if rng.gen_bool(0.5) => {
+                    let len = rng.gen_range_usize(0, lo + 1).min(64);
+                    (lo - len, len)
+                }
+                Some(&(_, hi)) => (hi, rng.gen_range_usize(0, size - hi + 1).min(64)),
+                None => (offset, len),
+            };
+            Op::WriteRange { offset, len, salt }
+        }
+
         fn generate(&self, rng: &mut XorShift64) -> Op {
             let (dev, host) = (self.dev_model.len(), self.host_model.len());
             let (to_host, salt) = (rng.gen_bool(0.5), rng.next_u64() as u8);
@@ -1137,10 +1315,16 @@ mod tests {
             let (at, room) = range(rng, host, self.host_end);
             // A case that leans on landings makes two ops in three a
             // landing or a copy, so copies meet sources their landed
-            // extents tile before a store or a whole view copies them in.
-            let pick = match self.leans_on_landings && rng.gen_bool(2.0 / 3.0) {
-                true => [9, 20, 25][rng.gen_range_usize(0, 3)],
-                false => rng.gen_range_usize(0, 30),
+            // extents tile before a store or a whole view copies them in;
+            // one that leans on views, a landing or a ranged view.
+            let lean: &[usize] = match (self.leans_on_landings, self.leans_on_views) {
+                (true, _) => &[9, 20, 25],
+                (_, true) => &[20, 30, 32],
+                _ => &[],
+            };
+            let pick = match !lean.is_empty() && rng.gen_bool(2.0 / 3.0) {
+                true => lean[rng.gen_range_usize(0, lean.len())],
+                false => rng.gen_range_usize(0, 34),
             };
             match pick {
                 0..=5 => Op::Store { offset, len, salt },
@@ -1153,10 +1337,12 @@ mod tests {
                         from: rng.gen_range_usize(0, 3),
                     }
                 }
-                25.. => {
+                25..=29 => {
                     let (offset, len) = landing(rng, host, self.host_landed_end, (at, room));
                     Op::HostLand { offset, len, salt }
                 }
+                30 | 31 => self.read_range(rng, (offset, len)),
+                32.. => self.write_range(rng, (offset, len), salt),
                 6..=8 => Op::HostStore {
                     offset: at,
                     len: room,
@@ -1331,6 +1517,70 @@ mod tests {
                             && (len % 4 != 0 || f32_bits(l.as_f32()) == decoded_f32_bits(model))
                     })
                 }
+                // The range reads as the model, a region read in place as
+                // well; afterwards nothing landed lies over the range but
+                // the region's extent, if it was read in place.
+                Op::ReadRange {
+                    offset,
+                    len,
+                    in_place: (at, n),
+                } => {
+                    let end = offset + len;
+                    let straddles = spans(&self.dev.data)
+                        .iter()
+                        .any(|&(lo, hi)| (lo < offset && offset < hi) || (lo < end && end < hi));
+                    let model = &self.dev_model;
+                    let (agrees, kept) = self.dev.read_range(offset, len, [(at, n)], |d, [got]| {
+                        let view = &d.as_slice()[offset..end];
+                        let agrees = (offset..end).all(|x| match got {
+                            Some(g) if (at..at + n).contains(&x) => g[x - at] == model[x],
+                            _ => view[x - offset] == model[x],
+                        });
+                        (
+                            agrees && got.is_none_or(|g| g == &model[at..at + n]),
+                            got.is_some(),
+                        )
+                    });
+                    let left = spans(&self.dev.data);
+                    let over: Vec<_> = left
+                        .iter()
+                        .filter(|&&(lo, hi)| lo < end && offset < hi)
+                        .collect();
+                    self.views.in_place += usize::from(kept && len > 0);
+                    self.views.straddled += usize::from(straddles);
+                    agrees
+                        && match kept {
+                            true => {
+                                over.iter().all(|&&s| s == (at, at + n))
+                                    && left.contains(&(at, at + n))
+                            }
+                            false => over.is_empty(),
+                        }
+                }
+                // The range reads as the model before the write; afterwards
+                // nothing landed lies over it.
+                Op::WriteRange { offset, len, salt } => {
+                    let (end, src) = (offset + len, payload(len, salt));
+                    let before = spans(&self.dev.data);
+                    let model = &mut self.dev_model[offset..end];
+                    let current = self.dev.write_range(offset, len, |d| {
+                        let view = &mut d.as_mut_slice()[offset..end];
+                        let current = view == model;
+                        view.copy_from_slice(&src);
+                        current
+                    });
+                    model.copy_from_slice(&src);
+                    self.dev_end = self.dev_end.max(end);
+                    let left = spans(&self.dev.data);
+                    self.views.beside += before
+                        .iter()
+                        .filter(|&&(lo, hi)| {
+                            len > 0 && (hi == offset || lo == end) && left.contains(&(lo, hi))
+                        })
+                        .count()
+                        .min(1);
+                    current && left.iter().all(|&(lo, hi)| hi <= offset || end <= lo)
+                }
                 Op::ToVec => self.host.to_vec() == self.host_model,
                 Op::ReadBytes { host } => self.reads_as(host, |b| b.as_slice().to_vec()),
                 Op::ReadTyped { host, width } => {
@@ -1346,16 +1596,16 @@ mod tests {
 
     #[test]
     fn buffers_read_like_zero_initialised_vectors_under_random_ops() {
-        const CASES: u64 = 800;
+        const CASES: u64 = 1_200;
         const OPS_PER_CASE: usize = 16;
         let mut root = XorShift64::new(0xC1_B0FF);
-        let mut shared = [0; 2];
+        let (mut shared, mut views) = ([0; 2], Views::default());
         for case in 0..CASES {
             let mut rng = root.fork(case);
-            // Every other case leans on landings, in buffers of more than
-            // a word.
-            let leans_on_landings = case % 2 == 1;
-            let smallest = if leans_on_landings { 4 } else { 0 };
+            // One case in three leans on landings and one on ranged views,
+            // in buffers of more than a word.
+            let (leans_on_landings, leans_on_views) = (case % 3 == 1, case % 3 == 2);
+            let smallest = if case % 3 > 0 { 4 } else { 0 };
             let dev_size = SIZES[rng.gen_range_usize(smallest, SIZES.len())];
             let host_size = SIZES[rng.gen_range_usize(smallest, SIZES.len())];
             let mut pair = Pair {
@@ -1368,7 +1618,9 @@ mod tests {
                 dev_landed_end: 0,
                 host_landed_end: 0,
                 shared: [0; 2],
+                views: Views::default(),
                 leans_on_landings,
+                leans_on_views,
             };
             // Whatever the generated ops left unread is read at the end.
             let closing = [
@@ -1390,9 +1642,19 @@ mod tests {
                 );
             }
             shared = [0, 1].map(|i| shared[i] + pair.shared[i]);
+            views.in_place += pair.views.in_place;
+            views.straddled += pair.views.straddled;
+            views.beside += pair.views.beside;
         }
         assert!(CASES as usize * OPS_PER_CASE >= 10_000);
         println!("copies that shared landed extents (to host, to device): {shared:?}");
+        println!("ranged views: {views:?}");
         assert!(shared.iter().all(|&n| n >= 100), "{shared:?}");
+        let Views {
+            in_place,
+            straddled,
+            beside,
+        } = views;
+        assert!(in_place.min(straddled).min(beside) >= 100, "{views:?}");
     }
 }

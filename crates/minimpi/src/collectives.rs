@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use simtime::{until, Actor, Monitor};
+use simtime::{Actor, Monitor};
 
 use crate::world::Comm;
 use crate::{wait_all, Rank, Tag};
@@ -94,9 +94,10 @@ impl Comm {
     ///
     /// A round's two requests are posted when it starts, not all rounds'
     /// up front, so matching order is that of a blocking loop over the
-    /// rounds. Their tests read the send's outcome and the rank's matching
-    /// state, which are alarmed at the send's completion and the message's
-    /// arrival, so the task is polled again at the instant a round ends.
+    /// rounds. A round waits as [`Comm::sendrecv_async`] does: for its own
+    /// message, parked on the rank's arrival key alone, then for its send's
+    /// end. So the task is polled when that message arrives, not on every
+    /// match, grant and arrival of the rank.
     async fn barrier_rounds(&self, task: &Actor, sub: Tag) {
         let (n, r) = (self.size(), self.rank());
         let mut k = 0;
@@ -104,17 +105,9 @@ impl Comm {
             let tag = COLL_BARRIER + sub * 32 + k as Tag;
             let dist = 1usize << k;
             let send = self.isend(task, (r + dist) % n, tag, &[]);
-            let recv = self.irecv(task, Some((r + n - dist) % n), Some(tag));
-            let mut round = [Some(send), Some(recv)];
-            until(|| {
-                for req in round.iter_mut() {
-                    if req.as_mut().is_some_and(|q| q.test_shared(task).is_some()) {
-                        *req = None;
-                    }
-                }
-                round.iter().all(Option::is_none).then_some(())
-            })
-            .await;
+            self.recv_async(task, Some((r + n - dist) % n), Some(tag))
+                .await;
+            send.wait_async().await;
             k += 1;
         }
     }
