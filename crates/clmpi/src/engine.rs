@@ -1394,7 +1394,14 @@ impl SendBody {
     /// queue its injection.
     fn arm(&self, cx: &OpCx, queue: &mut SendQueue, k: usize, (coff, clen): (usize, usize)) {
         let pcie = self.device.spec().pcie;
-        let plain = || load(&self.buf, self.offset + coff, clen);
+        // The hop's one copy: a chunk that is exactly one landed extent
+        // (a Himeno edge plane) shares its allocation instead.
+        let plain = || {
+            let at = self.offset + coff;
+            self.buf
+                .share(at, clen)
+                .unwrap_or_else(|| Arc::new(load(&self.buf, at, clen)))
+        };
         // (payload, hops staged, wire-span start, injection earliest,
         // duration override, wire-span name)
         let (bytes, staged, start, earliest, duration, what) = match self.strategy {
@@ -1430,7 +1437,7 @@ impl SendBody {
                         let cost = l.host_staged_ns(&pcie, coff, coff + clen);
                         let bytes = l.gather(&self.buf, self.offset, coff, coff + clen);
                         let d2h = Hop::D2h.reserve(&self.device, cost, from);
-                        (bytes, [Some((Hop::D2h, d2h)), None], d2h.1)
+                        (Arc::new(bytes), [Some((Hop::D2h, d2h)), None], d2h.1)
                     }
                     Some(l) => {
                         // An on-device pack kernel canonicalizes this
@@ -1446,7 +1453,7 @@ impl SendBody {
                         let cost = pcie.staged_ns(clen, true);
                         let d2h = Hop::D2h.reserve(&self.device, cost, pack.1);
                         let staged = [Some((Hop::Pack, pack)), Some((Hop::D2h, d2h))];
-                        (bytes, staged, d2h.1)
+                        (Arc::new(bytes), staged, d2h.1)
                     }
                 };
                 (bytes, staged, end, end, None, "net")
@@ -1459,7 +1466,7 @@ impl SendBody {
             &cx.inner,
             self.peer,
             self.wire_tag,
-            Arc::new(bytes),
+            bytes,
             earliest,
             duration,
         );

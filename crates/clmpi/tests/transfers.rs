@@ -356,9 +356,9 @@ fn offset_subrange_transfers() {
 }
 
 /// A receive leaves the wire chunks where they landed, and every view of
-/// the buffer reads the bytes that were sent: a ranged view (which reads
-/// a single landed chunk in place), a `load`, a whole view (which copies
-/// them in) and a `load` after it. The region sits between bytes the
+/// the buffer reads the bytes that were sent: a view of the region (which
+/// reads a single landed chunk in place), a `load`, a whole view (which
+/// copies them in) and a `load` after it. The region sits between bytes the
 /// receiver stored, one chunk, or chunks that do not tile it evenly.
 #[test]
 fn a_landed_receive_reads_back_settles_and_loads_the_sent_bytes() {
@@ -400,9 +400,13 @@ fn a_landed_receive_reads_back_settles_and_loads_the_sent_bytes() {
                 buf.store(0, &expect)?;
                 expect[AT..AT + SIZE].copy_from_slice(&sent);
                 rt.enqueue_recv_buffer(&q, &buf, true, AT, SIZE, 0, 5, &[], &p.actor)?;
-                let (in_place, viewed) = buf.read_range(AT, SIZE, [(AT, SIZE)], |d, [got]| {
-                    let bytes = got.unwrap_or(&d.as_slice()[AT..AT + SIZE]);
-                    (got.is_some(), bytes == sent)
+                let landed = buf.share(AT, SIZE);
+                let (in_place, viewed) = buf.read_regions(AT, SIZE, SIZE, |views| {
+                    let at = views[0].as_ptr();
+                    (
+                        landed.is_some_and(|l| l.as_ptr() == at),
+                        views[0] == &sent[..],
+                    )
                 });
                 let loaded = buf.load(0, TOTAL)?.as_slice() == expect;
                 let settled = buf.read(|d| d.as_slice() == expect);
@@ -420,6 +424,87 @@ fn a_landed_receive_reads_back_settles_and_loads_the_sent_bytes() {
         });
         for (rank, out) in res.outputs.into_iter().enumerate() {
             assert_eq!(out, Ok(vec![true; 5]), "{strategy:?}, rank {rank}");
+        }
+    }
+}
+
+/// A send whose range is exactly one landed extent shares it: the wire
+/// carries the sender's allocation, and the receiver lands that same
+/// allocation, staged or mapped. A send over part of the extent — a
+/// `Pipelined` chunk of it, or a range cut short — copies, and delivers
+/// the same bytes. The sender's extent stays landed either way.
+#[test]
+fn a_send_over_one_landed_extent_delivers_the_same_allocation() {
+    const LEN: usize = 100_000;
+    const AT: usize = 4_096;
+    let cases = [
+        (
+            SystemConfig::ricc as fn() -> SystemConfig,
+            TransferStrategy::Pinned,
+            (AT, LEN),
+            true,
+        ),
+        (
+            SystemConfig::cichlid,
+            TransferStrategy::Mapped,
+            (AT, LEN),
+            true,
+        ),
+        (
+            SystemConfig::ricc,
+            TransferStrategy::Pipelined(LEN / 3 + 4),
+            (AT, LEN),
+            false,
+        ),
+        (
+            SystemConfig::ricc,
+            TransferStrategy::Pinned,
+            (AT + 8, LEN - 8),
+            false,
+        ),
+    ];
+    for (sys, strategy, (offset, len), same) in cases {
+        let plane = std::sync::Arc::new(pattern(LEN, 21));
+        let sent = plane[offset - AT..offset - AT + len].to_vec();
+        let res = run_world_sized(sys().cluster.clone(), 2, move |p: Process| {
+            let rt = ClMpi::new(&p, sys());
+            rt.set_forced_strategy(Some(strategy));
+            let q = rt.context().create_queue(0, format!("r{}", p.rank()));
+            let buf = rt.context().create_buffer(2 * AT + LEN);
+            let checked = (|| {
+                if p.rank() == 0 {
+                    buf.land(AT, plane.clone(), 0)?;
+                    rt.enqueue_send_buffer(&q, &buf, true, offset, len, 1, 5, &[], &p.actor)?;
+                    let kept = buf.share(AT, LEN);
+                    return Ok(vec![
+                        kept.is_some_and(|k| std::sync::Arc::ptr_eq(&k, &plane));
+                        3
+                    ]);
+                }
+                rt.enqueue_recv_buffer(&q, &buf, true, 0, len, 0, 5, &[], &p.actor)?;
+                let first = match strategy {
+                    TransferStrategy::Pipelined(chunk) => chunk,
+                    _ => len,
+                };
+                // The first wire chunk landed whole: the sender's
+                // allocation itself, or a copy of its bytes.
+                let got = buf.share(0, first);
+                Ok::<_, minicl::ClError>(vec![
+                    got.as_ref()
+                        .is_some_and(|g| std::sync::Arc::ptr_eq(g, &plane) == same),
+                    got.is_some_and(|g| g[..] == sent[..first]),
+                    buf.load(0, len)?.as_slice() == sent,
+                ])
+            })();
+            rt.shutdown(&p.actor);
+            checked
+        });
+        for (rank, out) in res.outputs.into_iter().enumerate() {
+            assert_eq!(
+                out,
+                Ok(vec![true; 3]),
+                "{strategy:?} of {offset}+{len}, rank {rank}"
+            );
         }
     }
 }

@@ -95,12 +95,8 @@ impl HimenoGrid {
     /// c=1; bnd=1; wrk1=0) and are generated on the fly by the kernels.
     pub fn new(size: GridSize) -> Self {
         let (mi, mj, mk) = size.dims();
-        let denom = ((mi - 1) * (mi - 1)) as f32;
         let mut p = vec![0.0f32; mi * mj * mk];
-        for i in 0..mi {
-            let v = (i * i) as f32 / denom;
-            p[i * mj * mk..(i + 1) * mj * mk].fill(v);
-        }
+        fill_planes(&mut p, size, 0);
         HimenoGrid { size, p }
     }
 
@@ -124,26 +120,40 @@ pub fn init_planes(size: GridSize, lo: usize, hi: usize) -> Vec<f32> {
 }
 
 /// [`init_planes`] in place: `p` holds whole planes of the standard grid
-/// starting at plane `lo`. A rank fills its device buffers through this,
-/// so slab set-up allocates and copies nothing.
+/// starting at plane `lo`. A rank fills the planes of its device buffers
+/// that no neighbour reads through this, so slab set-up allocates and
+/// copies nothing.
 pub fn fill_planes(p: &mut [f32], size: GridSize, lo: usize) {
-    let (mi, mj, mk) = size.dims();
-    let denom = ((mi - 1) * (mi - 1)) as f32;
+    let (_, mj, mk) = size.dims();
     debug_assert_eq!(p.len() % (mj * mk), 0, "whole planes");
     for (i, plane) in (lo..).zip(p.chunks_exact_mut(mj * mk)) {
-        plane.fill((i * i) as f32 / denom);
+        plane.fill(plane_value(size, i));
     }
 }
 
-/// One Jacobi sweep over planes `i_lo..i_hi` (local indices, interior
-/// only) of a slab shaped `(planes, mjmax, mkmax)`: reads `old`, writes
-/// `new` for those planes, and returns the partial `gosa` if `RESIDUAL`,
-/// otherwise 0.0.
-///
-/// `ghosts` may hand over planes `i_lo − 1` and `i_hi`, the two the sweep
-/// reads but does not write, as the bytes of `mjmax × mkmax` native-endian
-/// `f32`s at any alignment: a halo plane read where it landed. Where one
-/// is `Some`, that plane of `old` is not read at all.
+/// Plane `i` of the standard grid as the native-endian bytes of its
+/// `mjmax × mkmax` `f32`s, in an allocation of its own: a slab lands its
+/// edge planes as these.
+pub(crate) fn init_plane_bytes(size: GridSize, i: usize) -> Vec<u8> {
+    let (_, mj, mk) = size.dims();
+    plane_value(size, i).to_ne_bytes().repeat(mj * mk)
+}
+
+/// The value every point of plane `i` of the standard grid starts at.
+fn plane_value(size: GridSize, i: usize) -> f32 {
+    let (mi, _, _) = size.dims();
+    (i * i) as f32 / ((mi - 1) * (mi - 1)) as f32
+}
+
+/// One Jacobi sweep: writes the interior of each plane in `new` from the
+/// planes of `old` below, at and above it, and returns the partial `gosa`
+/// if `RESIDUAL`, otherwise 0.0. `old` holds `new.len() + 2` consecutive
+/// planes of a field shaped `(_, mjmax, mkmax)` — plane `i` of `new` is
+/// swept from planes `i..=i + 2` of `old` — and every plane holds
+/// `mjmax × mkmax` cells of one [`Cell`] type: `f32`s of a field in
+/// memory, or the native-endian bytes of them in a device buffer's view,
+/// whether a plane landed where it arrived or is seen in the buffer's
+/// words. A sweep writes no shell cell of `new`.
 ///
 /// This is the exact Himeno update with the benchmark's constant
 /// coefficients folded in (a0..a2 = 1, a3 = 1/6, b = 0, c = 1, bnd = 1,
@@ -156,9 +166,9 @@ pub fn fill_planes(p: &mut [f32], size: GridSize, lo: usize) {
 /// elementwise over seven equal-length windows of `old` and one of `new`:
 /// no iteration reads what another wrote, so rustc vectorises it, and
 /// every lane performs the `f32` operations of the scalar loop on the
-/// same operands (Rust never contracts `a * b + c` to an FMA). A window
-/// of a ghost plane handed over as bytes is read through
-/// `f32::from_ne_bytes`, an unaligned load of the same bits. The first
+/// same operands (Rust never contracts `a * b + c` to an FMA). A byte
+/// cell is read through `f32::from_ne_bytes` and written through
+/// `to_ne_bytes`, an unaligned load or store of the same bits. The first
 /// pass parks `ss * ss`, still `f32`, in `sq`. The second is [`add_row`]:
 /// by definition the `f64` residual plus `sq` one element at a time in
 /// `k` order — the order the sum has always had, so `gosa` keeps its bits
@@ -177,61 +187,52 @@ pub fn fill_planes(p: &mut [f32], size: GridSize, lo: usize) {
 /// "Host kernels").
 ///
 /// # Panics
-/// If a ghost plane is not `mjmax × mkmax × 4` bytes long.
+/// If `old` does not hold two planes more than `new`, or a plane is not
+/// `mjmax × mkmax` cells.
 #[inline(never)]
-pub fn jacobi_sweep<const RESIDUAL: bool>(
-    old: &[f32],
-    ghosts: [Option<&[u8]>; 2],
-    new: &mut [f32],
+pub(crate) fn jacobi_sweep<const RESIDUAL: bool, C: Cell>(
+    old: &[&[C]],
+    new: &mut [&mut [C]],
     mj: usize,
     mk: usize,
-    i_lo: usize,
-    i_hi: usize,
 ) -> f64 {
     let plane = mj * mk;
+    assert_eq!(
+        old.len(),
+        new.len() + 2,
+        "a sweep reads one plane either side"
+    );
+    for p in old
+        .iter()
+        .map(|p| p.len())
+        .chain(new.iter().map(|p| p.len()))
+    {
+        assert_eq!(p, plane, "a plane is {plane} cells, not {p}");
+    }
     let mut sq = vec![0.0f32; if RESIDUAL { mk - 2 } else { 0 }];
     let mut gosa = 0.0f64;
-    let [below, above] = ghosts.map(|g| {
-        g.map(|bytes| {
-            let (cells, rest) = bytes.as_chunks::<4>();
-            assert!(
-                rest.is_empty() && cells.len() == plane,
-                "a ghost plane is {plane} f32s, not {} bytes",
-                bytes.len()
-            );
-            cells
-        })
-    });
-    let cells = |i: usize| &old[i * plane..(i + 1) * plane];
-    for i in i_lo..i_hi {
-        let (centre, out) = (cells(i), &mut new[i * plane..(i + 1) * plane]);
-        let sq = &mut sq[..];
-        gosa = match (below.filter(|_| i == i_lo), above.filter(|_| i + 1 == i_hi)) {
-            (None, None) => {
-                sweep_plane::<RESIDUAL, _, _>(cells(i - 1), centre, cells(i + 1), out, mk, sq, gosa)
-            }
-            (Some(b), None) => {
-                sweep_plane::<RESIDUAL, _, _>(b, centre, cells(i + 1), out, mk, sq, gosa)
-            }
-            (None, Some(a)) => {
-                sweep_plane::<RESIDUAL, _, _>(cells(i - 1), centre, a, out, mk, sq, gosa)
-            }
-            (Some(b), Some(a)) => sweep_plane::<RESIDUAL, _, _>(b, centre, a, out, mk, sq, gosa),
-        };
+    for (planes, out) in old.windows(3).zip(new) {
+        gosa = sweep_plane::<RESIDUAL, C>(planes, out, mk, &mut sq, gosa);
     }
     gosa
 }
 
-/// One cell of a plane the sweep reads: an `f32` of the slab, or the four
-/// bytes of one in a ghost plane read where it landed.
-trait Cell: Copy {
+/// One cell of a plane: an `f32` of a field in memory, or the four bytes
+/// of one in a device buffer's view.
+pub(crate) trait Cell: Copy {
     fn value(self) -> f32;
+    fn of(x: f32) -> Self;
 }
 
 impl Cell for f32 {
     #[inline(always)]
     fn value(self) -> f32 {
         self
+    }
+
+    #[inline(always)]
+    fn of(x: f32) -> Self {
+        x
     }
 }
 
@@ -240,22 +241,26 @@ impl Cell for [u8; 4] {
     fn value(self) -> f32 {
         f32::from_ne_bytes(self)
     }
+
+    #[inline(always)]
+    fn of(x: f32) -> Self {
+        x.to_ne_bytes()
+    }
 }
 
-/// Plane `i` of [`jacobi_sweep`]: `centre` is plane `i` of `old`, `below`
-/// and `above` planes `i − 1` and `i + 1`, `out` plane `i` of `new`;
-/// returns `gosa` plus the plane's residual if `RESIDUAL`.
+/// One plane of [`jacobi_sweep`]: `planes` are the planes below, at and
+/// above it, `out` the plane it writes; returns `gosa` plus the plane's
+/// residual if `RESIDUAL`.
 #[inline(always)]
-fn sweep_plane<const RESIDUAL: bool, B: Cell, A: Cell>(
-    below: &[B],
-    centre: &[f32],
-    above: &[A],
-    out: &mut [f32],
+fn sweep_plane<const RESIDUAL: bool, C: Cell>(
+    planes: &[&[C]],
+    out: &mut [C],
     mk: usize,
     sq: &mut [f32],
     mut gosa: f64,
 ) -> f64 {
     const A3: f32 = 1.0 / 6.0;
+    let (below, centre, above) = (planes[0], planes[1], planes[2]);
     let (mj, n) = (centre.len() / mk, mk - 2);
     for j in 1..mj - 1 {
         let c = j * mk + 1;
@@ -265,12 +270,17 @@ fn sweep_plane<const RESIDUAL: bool, B: Cell, A: Cell>(
         let (im, jm, km) = (&below[c..c + n], row(c - mk), row(c - 1));
         let (p, out) = (row(c), &mut out[c..c + n]);
         for k in 0..n {
-            let s0 = ip[k].value() + jp[k] + kp[k] + im[k].value() + jm[k] + km[k];
-            let ss = s0 * A3 - p[k]; // (s0*a3 - p) * bnd
+            let s0 = ip[k].value()
+                + jp[k].value()
+                + kp[k].value()
+                + im[k].value()
+                + jm[k].value()
+                + km[k].value();
+            let ss = s0 * A3 - p[k].value(); // (s0*a3 - p) * bnd
             if RESIDUAL {
                 sq[k] = ss * ss;
             }
-            out[k] = p[k] + OMEGA * ss;
+            out[k] = C::of(p[k].value() + OMEGA * ss);
         }
         if RESIDUAL {
             gosa = add_row(gosa, sq);
@@ -284,13 +294,24 @@ fn sweep_plane<const RESIDUAL: bool, B: Cell, A: Cell>(
 /// its first and last `k` goes through `add_row`, so the sum has the bits
 /// of one accumulator in that order.
 pub fn interior_checksum(p: &[f32], mj: usize, mk: usize, planes: Range<usize>) -> f64 {
+    let plane = mj * mk;
+    checksum_planes(planes.map(|i| &p[i * plane..(i + 1) * plane]), mj, mk)
+}
+
+/// [`interior_checksum`] over planes handed over one by one, each
+/// `mj × mk` cells of one [`Cell`] type.
+pub(crate) fn checksum_planes<'a, C: Cell + 'a>(
+    planes: impl IntoIterator<Item = &'a [C]>,
+    mj: usize,
+    mk: usize,
+) -> f64 {
     let mut abs = vec![0.0f32; mk - 2];
     let mut sum = 0.0;
-    for i in planes {
+    for p in planes {
         for j in 1..mj - 1 {
-            let row = (i * mj + j) * mk + 1;
+            let row = j * mk + 1;
             for (a, x) in abs.iter_mut().zip(&p[row..row + mk - 2]) {
-                *a = x.abs();
+                *a = x.value().abs();
             }
             sum = add_row(sum, &abs);
         }
@@ -415,7 +436,7 @@ mod tests {
         let mut new = g.p.clone();
         let mut last = f64::MAX;
         for _ in 0..5 {
-            let gosa = jacobi_sweep::<true>(&old, [None, None], &mut new, mj, mk, 1, mi - 1);
+            let gosa = sweep_field::<true>(&old, &mut new, mj, mk, 1, mi - 1);
             assert!(gosa < last, "residual decreases");
             last = gosa;
             std::mem::swap(&mut old, &mut new);
@@ -429,7 +450,7 @@ mod tests {
         let (mi, mj, mk) = size.dims();
         let g = HimenoGrid::new(size);
         let mut new = vec![-1.0f32; g.p.len()];
-        jacobi_sweep::<true>(&g.p, [None, None], &mut new, mj, mk, 1, mi - 1);
+        sweep_field::<true>(&g.p, &mut new, mj, mk, 1, mi - 1);
         // Boundary untouched (still -1), interior written.
         assert_eq!(new[0], -1.0);
         assert_ne!(new[(mj + 1) * mk + 1], -1.0);
@@ -445,8 +466,25 @@ mod tests {
         }
     }
 
-    /// Either form of [`jacobi_sweep`].
-    type Sweep = fn(&[f32], [Option<&[u8]>; 2], &mut [f32], usize, usize, usize, usize) -> f64;
+    /// [`jacobi_sweep`] over planes `i_lo..i_hi` of a field of `f32`s in
+    /// memory, as `reference_jacobi` calls it.
+    fn sweep_field<const RESIDUAL: bool>(
+        old: &[f32],
+        new: &mut [f32],
+        mj: usize,
+        mk: usize,
+        i_lo: usize,
+        i_hi: usize,
+    ) -> f64 {
+        let plane = mj * mk;
+        let planes: Vec<&[f32]> = old[(i_lo - 1) * plane..(i_hi + 1) * plane]
+            .chunks_exact(plane)
+            .collect();
+        let mut out: Vec<&mut [f32]> = new[i_lo * plane..i_hi * plane]
+            .chunks_exact_mut(plane)
+            .collect();
+        jacobi_sweep::<RESIDUAL, f32>(&planes, &mut out, mj, mk)
+    }
 
     /// The scalar loop nest that defines `jacobi_sweep`: which `f32`
     /// operations happen on which operands, and in which order the
@@ -482,6 +520,9 @@ mod tests {
         gosa
     }
 
+    /// Either form of [`jacobi_sweep`] over one cell type.
+    type Sweep<C> = fn(&[&[C]], &mut [&mut [C]], usize, usize) -> f64;
+
     /// 7 row lengths x 32 seeded cases against the scalar spec, bit for
     /// bit, in both forms: each writes the spec's `new`, the residual form
     /// returns its `gosa` and the residual-free form 0.0. The fields differ
@@ -489,18 +530,20 @@ mod tests {
     /// standard init is constant in `j` and `k`, so on it a swapped
     /// neighbour or a reordered residual sum would change nothing.
     ///
-    /// Each case also runs with its ghost planes, `i_lo − 1` and `i_hi`,
-    /// handed over as bytes, as a kernel reads a halo plane where it
-    /// landed: the lower one alone (a half whose lower ghost landed), the
-    /// upper one alone, and both (a 1-plane slab whose ghosts both
-    /// landed). The lower plane's bytes start at an odd address, and the
-    /// planes of `old` they stand for are spoiled with NaN, so a sweep
-    /// that read them there would differ.
+    /// Each case runs over `f32` cells, a field in memory as
+    /// `reference_jacobi` sweeps it, and over byte cells, as a kernel
+    /// sweeps a device buffer: every plane it reads an allocation of its
+    /// own behind 0–2 bytes of framing (odd addresses), as a plane that
+    /// landed, and each plane it writes either in one words array or in a
+    /// fresh copy of the plane it is swept from — all in words, all
+    /// fresh, the first and last fresh (a slab's edge planes) and every
+    /// other one fresh. A plane in the words keeps its shell; a fresh one
+    /// keeps the shell it was copied with, the centre plane's.
     #[test]
     fn sweep_matches_the_scalar_spec_bit_for_bit() {
         const SENTINEL: u32 = 0xc442_4000; // -777.0, which no update produces
         let mut rng = simtime::XorShift64::new(22);
-        let mut swept_with_ghosts = [0; 3];
+        let (mut fresh_planes, mut word_planes) = (0, 0);
         for row in [1, 2, 3, 5, 9, 63, 255] {
             for case in 0..32 {
                 let (mj, mk) = ([3, 3, 4, 7][case % 4], row + 2);
@@ -528,74 +571,132 @@ mod tests {
                 if i_lo == i_hi {
                     assert_eq!(want_gosa.to_bits(), 0.0f64.to_bits(), "empty range, {what}");
                 }
-                // Ghost plane `i` as bytes behind `pad` bytes of framing.
-                let framed = |i: usize, pad: usize| {
-                    let mut bytes = vec![0xA5; pad];
-                    bytes.extend(
-                        old[i * plane..(i + 1) * plane]
-                            .iter()
-                            .flat_map(|x| x.to_ne_bytes()),
-                    );
-                    bytes
+                let interior = |c: usize| {
+                    let (j, k) = (c / mk % mj, c % mk);
+                    (1..mj - 1).contains(&j) && (1..mk - 1).contains(&k)
                 };
-                let (below, above) = (framed(i_lo - 1, 1), framed(i_hi, 2));
-                let layouts = [[false, false], [true, false], [false, true], [true, true]];
-                for (layout, landed) in layouts.into_iter().enumerate() {
-                    let mut spoiled = old.clone();
-                    for (i, on) in [(i_lo - 1, landed[0]), (i_hi, landed[1])] {
-                        if on {
-                            spoiled[i * plane..(i + 1) * plane].fill(f32::NAN);
-                        }
+
+                let forms: [(&str, Sweep<f32>, f64); 2] = [
+                    ("residual", jacobi_sweep::<true, f32>, want_gosa),
+                    ("residual-free", jacobi_sweep::<false, f32>, 0.0),
+                ];
+                for (form, sweep, want_gosa) in forms {
+                    let mut got = vec![f32::from_bits(SENTINEL); old.len()];
+                    let got_gosa = {
+                        let planes: Vec<&[f32]> = old[(i_lo - 1) * plane..(i_hi + 1) * plane]
+                            .chunks_exact(plane)
+                            .collect();
+                        let mut out: Vec<&mut [f32]> = got[i_lo * plane..i_hi * plane]
+                            .chunks_exact_mut(plane)
+                            .collect();
+                        sweep(&planes, &mut out, mj, mk)
+                    };
+                    let form = format!("{form}, f32 cells");
+                    assert_eq!(
+                        got_gosa.to_bits(),
+                        want_gosa.to_bits(),
+                        "{form} gosa, {what}"
+                    );
+                    for (c, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{form} cell {c}, {what}");
+                        let updated = (i_lo..i_hi).contains(&(c / plane)) && interior(c);
+                        assert_eq!(g.to_bits() != SENTINEL, updated, "{form} cell {c}, {what}");
                     }
-                    let ghosts = [
-                        landed[0].then_some(&below[1..]),
-                        landed[1].then_some(&above[2..]),
-                    ];
-                    if layout > 0 && i_lo < i_hi {
-                        swept_with_ghosts[layout - 1] += 1;
-                    }
-                    let forms: [(&str, Sweep, f64); 2] = [
-                        ("residual", jacobi_sweep::<true>, want_gosa),
-                        ("residual-free", jacobi_sweep::<false>, 0.0),
+                }
+
+                // Plane `i` of `old` as bytes behind `i % 3` bytes of framing.
+                let framed: Vec<Vec<u8>> = (0..planes)
+                    .map(|i| {
+                        let mut bytes = vec![0xA5; i % 3];
+                        bytes.extend(
+                            old[i * plane..(i + 1) * plane]
+                                .iter()
+                                .flat_map(|x| x.to_ne_bytes()),
+                        );
+                        bytes
+                    })
+                    .collect();
+                let landed = |i: usize| &framed[i][i % 3..];
+                let cells: Vec<&[[u8; 4]]> =
+                    (i_lo - 1..=i_hi).map(|i| landed(i).as_chunks().0).collect();
+                let n = i_hi - i_lo;
+                for layout in 0..4 {
+                    let fresh_at = |k: usize| match layout {
+                        0 => false,
+                        1 => true,
+                        2 => k == 0 || k + 1 == n,
+                        _ => k % 2 == 1,
+                    };
+                    let forms: [(&str, Sweep<[u8; 4]>, f64); 2] = [
+                        ("residual", jacobi_sweep::<true, [u8; 4]>, want_gosa),
+                        ("residual-free", jacobi_sweep::<false, [u8; 4]>, 0.0),
                     ];
                     for (form, sweep, want_gosa) in forms {
-                        let form = format!("{form}, ghosts landed {landed:?}");
-                        let mut got = vec![f32::from_bits(SENTINEL); old.len()];
-                        let got_gosa = sweep(&spoiled, ghosts, &mut got, mj, mk, i_lo, i_hi);
+                        let mut words = SENTINEL.to_ne_bytes().repeat(n * plane);
+                        let mut fresh: Vec<Vec<u8>> = (0..n)
+                            .filter(|&k| fresh_at(k))
+                            .map(|k| landed(i_lo + k).to_vec())
+                            .collect();
+                        let got_gosa = {
+                            let (mut w, mut f) =
+                                (words.chunks_exact_mut(4 * plane), fresh.iter_mut());
+                            let mut out: Vec<&mut [[u8; 4]]> = (0..n)
+                                .filter_map(|k| match fresh_at(k) {
+                                    true => f.next().map(Vec::as_mut_slice),
+                                    false => w.next(),
+                                })
+                                .map(|p| p.as_chunks_mut().0)
+                                .collect();
+                            assert_eq!(out.len(), n);
+                            sweep(&cells, &mut out, mj, mk)
+                        };
+                        let form = format!("{form}, byte cells, layout {layout}");
                         assert_eq!(
                             got_gosa.to_bits(),
                             want_gosa.to_bits(),
                             "{form} gosa, {what}"
                         );
-                        for (c, (g, w)) in got.iter().zip(&want).enumerate() {
-                            assert_eq!(g.to_bits(), w.to_bits(), "{form} cell {c}, {what}");
-                            let (i, j, k) = (c / plane, c / mk % mj, c % mk);
-                            let updated = (i_lo..i_hi).contains(&i)
-                                && (1..mj - 1).contains(&j)
-                                && (1..mk - 1).contains(&k);
-                            assert_eq!(
-                                g.to_bits() != SENTINEL,
-                                updated,
-                                "{form} cell {c} = ({i},{j},{k}), {what}"
-                            );
+                        let untouched = SENTINEL.to_ne_bytes().repeat(plane);
+                        let (mut w, mut f) = (words.chunks_exact(4 * plane), fresh.iter());
+                        for k in 0..n {
+                            let i = i_lo + k;
+                            let (got, shell) = match fresh_at(k) {
+                                true => (f.next().map(Vec::as_slice), landed(i)),
+                                false => (w.next(), &untouched[..]),
+                            };
+                            let got = got.unwrap_or_default();
+                            for c in 0..plane {
+                                let bits = |b: &[u8]| b.get(4 * c..4 * c + 4).map(|x| x.to_vec());
+                                let expect = match interior(c) {
+                                    true => Some(want[i * plane + c].to_ne_bytes().to_vec()),
+                                    false => bits(shell),
+                                };
+                                assert_eq!(bits(got), expect, "{form} plane {i} cell {c}, {what}");
+                            }
+                            match fresh_at(k) {
+                                true => fresh_planes += 1,
+                                false => word_planes += 1,
+                            }
                         }
                     }
                 }
             }
         }
-        // Every layout swept planes: the 1-plane cases alone are 56.
+        // Both forms and layouts 0 and 1 alone sweep 6 planes per
+        // whole-slab case into each.
         assert!(
-            swept_with_ghosts.iter().all(|&n| n >= 56),
-            "{swept_with_ghosts:?}"
+            fresh_planes.min(word_planes) >= 500,
+            "planes swept fresh {fresh_planes}, into words {word_planes}"
         );
     }
 
     #[test]
-    #[should_panic(expected = "a ghost plane is 27 f32s, not 104 bytes")]
-    fn a_ghost_plane_of_the_wrong_length_is_refused() {
+    #[should_panic(expected = "a plane is 27 cells, not 26")]
+    fn a_plane_of_the_wrong_length_is_refused() {
         let old = vec![0.0f32; 3 * 27];
-        let ghost = vec![0u8; 104];
-        jacobi_sweep::<false>(&old, [Some(&ghost), None], &mut old.clone(), 3, 9, 1, 2);
+        let mut new = old.clone();
+        let planes = [&old[..27], &old[27..53], &old[54..]];
+        jacobi_sweep::<false, f32>(&planes, &mut [&mut new[27..54]], 3, 9);
     }
 
     /// `2^e` for `e` in the normal `f64` range.
@@ -725,7 +826,7 @@ mod tests {
                         gosa = add_row(gosa, &sq);
                     }
                 }
-                let swept = jacobi_sweep::<true>(&old, [None, None], &mut new, mj, mk, i_lo, i_hi);
+                let swept = sweep_field::<true>(&old, &mut new, mj, mk, i_lo, i_hi);
                 assert_eq!(swept.to_bits(), gosa.to_bits(), "planes {i_lo}..{i_hi}");
             }
             std::mem::swap(&mut old, &mut new);

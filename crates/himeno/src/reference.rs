@@ -22,13 +22,18 @@ pub fn reference_jacobi(size: GridSize, iters: usize) -> ReferenceResult {
     let mut old = HimenoGrid::new(size).p;
     let mut new = old.clone();
     let mut gosa = 0.0;
+    let plane = mj * mk;
     for t in 0..iters {
         let sweep = if t + 1 == iters {
-            jacobi_sweep::<true>
+            jacobi_sweep::<true, f32>
         } else {
-            jacobi_sweep::<false>
+            jacobi_sweep::<false, f32>
         };
-        gosa = sweep(&old, [None, None], &mut new, mj, mk, 1, mi - 1);
+        let planes: Vec<&[f32]> = old.chunks_exact(plane).collect();
+        let mut out: Vec<&mut [f32]> = new[plane..(mi - 1) * plane]
+            .chunks_exact_mut(plane)
+            .collect();
+        gosa = sweep(&planes, &mut out, mj, mk);
         std::mem::swap(&mut old, &mut new);
     }
     ReferenceResult { p: old, gosa }

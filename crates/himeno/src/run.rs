@@ -29,8 +29,12 @@
 //! Double-buffered pressure (`old`/`new` swap each iteration): kernels
 //! read `old` and write `new`, halo exchanges carry freshly-written
 //! boundary planes into the ghost planes of the same buffer generation.
-//! All variants perform identical arithmetic, so their pressure fields
-//! match the single-threaded reference bitwise.
+//! A plane that crosses a rank boundary ([`Slab::is_edge`]) is an
+//! allocation of its own, landed in the buffer, from the kernel that
+//! writes it (or the slab's set-up) to the neighbour's ghost: a send
+//! shares it and the receive lands it. The planes between live in the
+//! buffer's words. All variants perform identical arithmetic, so their
+//! pressure fields match the single-threaded reference bitwise.
 
 use std::sync::Arc;
 
@@ -40,7 +44,10 @@ use minimpi::{run_world_tasks, CommittedType, DerivedType, FaultPlan, Process, T
 use simtime::plock::Mutex;
 use simtime::SimNs;
 
-use crate::grid::{interior_checksum, jacobi_sweep, GridSize, BYTES_PER_POINT, FLOPS_PER_POINT};
+use crate::grid::{
+    checksum_planes, fill_planes, init_plane_bytes, jacobi_sweep, GridSize, BYTES_PER_POINT,
+    FLOPS_PER_POINT,
+};
 
 const TAG_DOWN: Tag = 100; // payload travels towards rank 0
 const TAG_UP: Tag = 101; // payload travels towards rank P-1
@@ -216,6 +223,21 @@ impl Slab {
         (self.plane_off(lo), self.plane_off(hi - lo))
     }
 
+    /// Whether plane `i` crosses a rank boundary: the ghosts `0` and
+    /// `n + 1`, which receives fill, and the planes `1` and `n`, which
+    /// sends share. Each is an allocation of its own in both pressure
+    /// buffers; the planes between them live in the buffers' words.
+    fn is_edge(&self, i: usize) -> bool {
+        i <= 1 || i >= self.n
+    }
+
+    /// The bytes of the planes of `[lo, hi)` that live in the words: the
+    /// ones that are no edge.
+    fn word_planes(&self, lo: usize, hi: usize) -> (usize, usize) {
+        let lo = lo.max(2);
+        self.planes(lo, hi.min(self.n).max(lo))
+    }
+
     /// The whole slab as one kernel (serial, recovery, and slabs of fewer
     /// than two planes).
     pub(crate) fn whole(&self) -> Half {
@@ -296,12 +318,13 @@ pub(crate) struct RankCx<'a> {
 }
 
 impl<'a> RankCx<'a> {
-    /// Decompose `cfg`'s grid for `rank` of `rt`'s communicator and fill
-    /// both pressure buffers in place (halo planes included) with the
-    /// standard grid's values; residual cells start at zero, and only the
-    /// `residuals` ones are summed into. A rank that owns no plane gets two
-    /// empty buffers: no kernel, exchange, checksum or checkpoint reads its
-    /// ghost planes.
+    /// Decompose `cfg`'s grid for `rank` of `rt`'s communicator and set
+    /// both pressure buffers to the standard grid's values: each edge
+    /// plane ([`Slab::is_edge`]) is one allocation, landed in both, and
+    /// only the planes between them are filled into the words. Residual
+    /// cells start at zero, and only the `residuals` ones are summed into.
+    /// A rank that owns no plane gets two empty buffers: no kernel,
+    /// exchange, checksum or checkpoint reads its ghost planes.
     pub(crate) fn new(
         cfg: &'a HimenoConfig,
         p: &'a Process,
@@ -311,11 +334,24 @@ impl<'a> RankCx<'a> {
     ) -> Self {
         let slab = Slab::new(cfg, rank);
         let bytes = if slab.n == 0 { 0 } else { slab.slab_bytes() };
-        let bufs = [(); 2].map(|()| {
-            let b = rt.context().create_buffer(bytes);
-            b.write(|d| crate::grid::fill_planes(d.as_f32_mut(), cfg.size, slab.start - 1));
-            b
-        });
+        let bufs = [(); 2].map(|()| rt.context().create_buffer(bytes));
+        let edges = (0..slab.n + 2).filter(|&i| slab.n > 0 && slab.is_edge(i));
+        for i in edges {
+            let plane = Arc::new(init_plane_bytes(cfg.size, slab.start - 1 + i));
+            for b in &bufs {
+                b.land(slab.plane_off(i), plane.clone(), 0)
+                    .expect("an edge plane lies in the slab");
+            }
+        }
+        let (offset, len) = slab.word_planes(1, slab.n + 1);
+        if len > 0 {
+            for b in &bufs {
+                b.write_range(offset, len, |d| {
+                    let words = &mut d.as_f32_mut()[offset / 4..(offset + len) / 4];
+                    fill_planes(words, cfg.size, slab.start + 1);
+                });
+            }
+        }
         RankCx {
             cfg,
             p,
@@ -362,8 +398,9 @@ impl<'a> RankCx<'a> {
     }
 
     /// Checksum of the final field's interior: it lives in the last
-    /// iteration's `new` buffer. Reads planes `1..=n` through a ranged
-    /// view, so the ghost planes that landed there stay where they are.
+    /// iteration's `new` buffer. Reads planes `1..=n` a plane at a time,
+    /// each where it is — an edge plane where it landed, the others in
+    /// the words — so nothing is copied in.
     pub(crate) fn checksum(&self) -> f64 {
         let slab = &self.slab;
         if slab.n == 0 {
@@ -371,18 +408,20 @@ impl<'a> RankCx<'a> {
             return 0.0;
         }
         let (offset, len) = slab.planes(1, slab.n + 1);
-        self.bufs[self.cfg.iters % 2].read_range(offset, len, [], |d, []| {
-            interior_checksum(d.as_f32(), slab.mj, slab.mk, 1..slab.n + 1)
+        let buf = &self.bufs[self.cfg.iters % 2];
+        buf.read_regions(offset, len, slab.plane_bytes, |planes| {
+            checksum_planes(planes.iter().map(|p| p.as_chunks().0), slab.mj, slab.mk)
         })
     }
 
     /// Enqueue iteration `t`'s kernel over `half`; the body performs the
     /// real stencil and, if iteration `t`'s residual is read, adds the
-    /// partial residual to cell `t`. It views only the planes it reads of
-    /// `old`, `lo − 1 ..= hi`, and writes only `lo..hi` of `new`, so the
-    /// ghost planes clMPI receives landed elsewhere in either stay landed;
-    /// one of the two it reads that landed whole, as one extent, it reads
-    /// where it landed (`jacobi_sweep`'s `ghosts`).
+    /// partial residual to cell `t`. It reads planes `lo − 1 ..= hi` of
+    /// `old` a plane at a time, each where it is — an edge plane where it
+    /// landed, the others in the words — and writes `lo..hi` of `new`: an
+    /// edge plane into a fresh allocation, whose shell (which no sweep
+    /// writes) is copied from the plane it is swept from, landed in `new`
+    /// for a send to share; the others into the words.
     pub(crate) fn enqueue_half_kernel(
         &self,
         q: &CommandQueue,
@@ -390,7 +429,8 @@ impl<'a> RankCx<'a> {
         t: usize,
         waits: &[Event],
     ) -> Event {
-        let (mj, mk) = (self.slab.mj, self.slab.mk);
+        let slab = &self.slab;
+        let (mj, mk, plane_bytes) = (slab.mj, slab.mk, slab.plane_bytes);
         let &Half { name, lo, hi } = half;
         let points = (hi - lo) * (mj - 2) * (mk - 2);
         let cost = q.device().spec().stencil_kernel_ns(points, BYTES_PER_POINT);
@@ -398,23 +438,46 @@ impl<'a> RankCx<'a> {
         let (old, new, gosa) = (old.clone(), new.clone(), self.gosa.clone());
         let read = self.reads_residual(t);
         let sweep = if read {
-            jacobi_sweep::<true>
+            jacobi_sweep::<true, [u8; 4]>
         } else {
-            jacobi_sweep::<false>
+            jacobi_sweep::<false, [u8; 4]>
         };
-        let (reads, writes) = (self.slab.planes(lo - 1, hi + 1), self.slab.planes(lo, hi));
-        let ghosts = [self.slab.planes(lo - 1, lo), self.slab.planes(hi, hi + 1)];
+        let (reads, words) = (slab.planes(lo - 1, hi + 1), slab.word_planes(lo, hi));
+        let edges: Vec<usize> = (lo..hi).filter(|&i| slab.is_edge(i)).collect();
         q.enqueue_kernel(name, cost, waits, move || {
             if lo == hi {
                 // Nothing to sweep; a slab with no plane has an empty
                 // buffer, which has no planes to view.
                 return;
             }
-            let g = old.read_range(reads.0, reads.1, ghosts, |o, ghosts| {
-                new.write_range(writes.0, writes.1, |n| {
-                    sweep(o.as_f32(), ghosts, n.as_f32_mut(), mj, mk, lo, hi)
-                })
+            let (g, fresh) = old.read_regions(reads.0, reads.1, plane_bytes, |planes| {
+                let cells: Vec<&[[u8; 4]]> = planes.iter().map(|p| p.as_chunks().0).collect();
+                let mut fresh: Vec<Vec<u8>> =
+                    edges.iter().map(|&i| planes[i + 1 - lo].to_vec()).collect();
+                // Plane 1 comes first, plane `n` last: the words lie
+                // between them.
+                let (first, last) = fresh.split_at_mut(usize::from(lo == 1));
+                let mut sweep_into = |words: &mut [u8]| {
+                    let mut out: Vec<&mut [[u8; 4]]> = first
+                        .iter_mut()
+                        .map(Vec::as_mut_slice)
+                        .chain(words.chunks_exact_mut(plane_bytes))
+                        .chain(last.iter_mut().map(Vec::as_mut_slice))
+                        .map(|p| p.as_chunks_mut().0)
+                        .collect();
+                    sweep(&cells, &mut out, mj, mk)
+                };
+                let g = match words {
+                    (_, 0) => sweep_into(&mut []),
+                    (at, len) => new
+                        .write_range(at, len, |n| sweep_into(&mut n.as_mut_slice()[at..at + len])),
+                };
+                (g, fresh)
             });
+            for (&i, plane) in edges.iter().zip(fresh) {
+                new.land(i * plane_bytes, Arc::new(plane), 0)
+                    .expect("an edge plane lies in the slab");
+            }
             if read {
                 *gosa[t].lock() += g;
             }

@@ -21,14 +21,16 @@ static NEXT_BUFFER_ID: AtomicU64 = AtomicU64::new(1);
 /// one taken without settling is short, not unsound.
 ///
 /// Bytes that arrive as a shared allocation are not even copied in until
-/// somebody looks: `land` keeps the allocation in `landed`, and
-/// `overwrite` and `settle` copy every landed extent into `words`, oldest
-/// first, before they touch it. So `landed` is always newer than `words`,
-/// and a ranged read ([`Buffer::load`], [`Buffer::load_onto`], a PCIe hop)
-/// walks just that range of both (`walk`), settling nothing. A ranged view
-/// ([`Buffer::read_range`], [`Buffer::write_range`]) settles just its
+/// somebody looks: `land` keeps the allocation in `landed`, `settle`
+/// copies every landed extent into `words`, oldest first, and `overwrite`
+/// copies in the ones over the bytes it writes before it writes them. So
+/// `landed` is always newer than `words`, and a ranged read
+/// ([`Buffer::load`], [`Buffer::load_onto`], a PCIe hop) walks just that
+/// range of both (`walk`), settling nothing. A ranged view
+/// ([`Buffer::read_regions`], [`Buffer::write_range`]) settles just its
 /// range (`settle_range`): it copies in the extents over it, and may leave
 /// one that covers exactly a region its reader asked for where it landed.
+/// [`Buffer::share`] hands out such an extent's allocation itself.
 pub struct AlignedBytes {
     words: Vec<u64>,
     len: usize,
@@ -59,10 +61,12 @@ impl AlignedBytes {
         }
     }
 
-    /// Storage of `len` bytes that reads as zeroes, none of them written yet.
+    /// Storage of `len` bytes that reads as zeroes, none of them written
+    /// yet. The words are allocated at the first write (`reserve`), so an
+    /// array whose bytes all land allocates none.
     fn reserved(len: usize) -> Self {
         AlignedBytes {
-            words: Vec::with_capacity(len.div_ceil(8)),
+            words: Vec::new(),
             len,
             zero_filled: 0,
             landed: Vec::new(),
@@ -101,6 +105,19 @@ impl AlignedBytes {
     fn settle_range(&mut self, offset: usize, len: usize, kept: &[usize]) {
         let end = offset + len;
         assert!(end <= self.len, "view past the end");
+        self.flush_over(offset, len, kept);
+        self.zero_to(end);
+    }
+
+    /// Copy in every landed extent over `[offset, offset + len)` except the
+    /// `kept` ones, and every older one under an extent copied in, oldest
+    /// first, so every byte outside the range reads as it did; extents
+    /// elsewhere stay landed.
+    fn flush_over(&mut self, offset: usize, len: usize, kept: &[usize]) {
+        if self.landed.is_empty() {
+            return;
+        }
+        let end = offset + len;
         // Newest first: copy an extent in if it overlaps the range and is
         // not kept, or if it lies under one that is copied in.
         let mut copied: Vec<(usize, usize)> = Vec::new();
@@ -121,7 +138,19 @@ impl AlignedBytes {
         for (at, src, from) in flushed {
             self.put(at, &src[from..]);
         }
-        self.zero_to(end);
+    }
+
+    /// Make room for a write of `[offset, offset + len)` to the initialised
+    /// prefix: drop the landed extents the write covers completely, and
+    /// copy in the others over it ([`AlignedBytes::flush_over`]).
+    fn clear_for_write(&mut self, offset: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let end = offset + len;
+        self.landed
+            .retain(|e| !(offset <= span(e).0 && span(e).1 <= end));
+        self.flush_over(offset, len, &[]);
     }
 
     /// The index in `landed` of the extent that covers exactly `[at, at +
@@ -141,14 +170,21 @@ impl AlignedBytes {
         let prefix = self.words.len() * 8;
         if end > prefix {
             self.zero_filled += end - prefix;
+            self.reserve();
             self.words.resize(end.div_ceil(8), 0);
         }
     }
 
-    /// Copy `src` to `offset` (after every landed extent, which it may
-    /// overwrite in turn).
+    /// Allocate the words for the whole array, once, so the prefix never
+    /// moves as it grows.
+    fn reserve(&mut self) {
+        self.words
+            .reserve_exact(self.len.div_ceil(8) - self.words.len());
+    }
+
+    /// Copy `src` to `offset`, over every landed extent there.
     fn overwrite(&mut self, offset: usize, src: &[u8]) {
-        self.flush_landed();
+        self.clear_for_write(offset, src.len());
         self.put(offset, src);
     }
 
@@ -226,7 +262,7 @@ impl AlignedBytes {
             }
             return;
         }
-        self.flush_landed();
+        self.clear_for_write(at, len);
         let share = src.visible().clamp(offset, offset + len) - offset;
         // Only the initialised prefix holds anything but zeroes.
         let (lo, hi) = (at + share, (at + len).min(self.visible()));
@@ -251,6 +287,7 @@ impl AlignedBytes {
             return;
         }
         self.zero_to(offset);
+        self.reserve();
         let (inside, beyond) = src.split_at(src.len().min(self.words.len() * 8 - offset));
         self.as_mut_slice()[offset..offset + inside.len()].copy_from_slice(inside);
         let (whole, ragged) = beyond.split_at(beyond.len() & !7);
@@ -354,28 +391,45 @@ impl Buffer {
         f(self.data.lock().settle())
     }
 
-    /// Run `f` over a view in which `[offset, offset + len)` reads as the
-    /// buffer does; `f` may look at nothing outside that range. Copies in
-    /// only the landed extents over the range (and any older one under
-    /// them), except where one covers exactly an `in_place` region, with
-    /// no newer extent over it: that one stays landed, and `f` gets its
-    /// bytes for the region instead of the view's, which are stale there.
-    /// Every other region gets `None`, and reads from the view. Writes
-    /// zeroes only between the initialised prefix and the range's end.
-    /// Panics if the range runs past the end.
-    pub fn read_range<const N: usize, R>(
+    /// Run `f` over `[offset, offset + len)` cut into regions of `region`
+    /// bytes, each as the buffer reads it. A region that one landed extent
+    /// covers exactly, with no newer extent over any of it, is handed over
+    /// where it landed, and that extent stays landed. Every other region is
+    /// the words under it, settled: the landed extents over it (and any
+    /// older one under them) are copied in, and zeroes are written between
+    /// the initialised prefix and the end of the last such region. So a
+    /// view whose regions all landed writes no byte. Nothing else in
+    /// `landed` changes. Panics if the range runs past the end, or if
+    /// `len` is not a multiple of a non-zero `region`.
+    pub fn read_regions<R>(
         &self,
         offset: usize,
         len: usize,
-        in_place: [(usize, usize); N],
-        f: impl FnOnce(&AlignedBytes, [Option<&[u8]>; N]) -> R,
+        region: usize,
+        f: impl FnOnce(&[&[u8]]) -> R,
     ) -> R {
+        assert!(
+            region > 0 && len.is_multiple_of(region),
+            "a {len}-byte view is not cut into {region}-byte regions"
+        );
         let mut data = self.data.lock();
-        let kept: Vec<usize> = in_place.iter().filter_map(|&r| data.exact(r)).collect();
-        data.settle_range(offset, len, &kept);
+        assert!(offset + len <= data.len, "view past the end");
+        let starts = (offset..offset + len).step_by(region);
+        let kept: Vec<Option<usize>> = starts.clone().map(|at| data.exact((at, region))).collect();
+        let words = kept.iter().position(Option::is_none);
+        if let (Some(a), Some(b)) = (words, kept.iter().rposition(Option::is_none)) {
+            let kept: Vec<usize> = kept.iter().flatten().copied().collect();
+            data.settle_range(offset + a * region, (b + 1 - a) * region, &kept);
+        }
+        // Copying in shifts `landed`: find the kept extents again.
         let data = &*data;
-        let landed = |r| data.exact(r).map(|i| &data.landed[i].1[data.landed[i].2..]);
-        f(data, in_place.map(landed))
+        let views: Vec<&[u8]> = starts
+            .map(|at| match data.exact((at, region)) {
+                Some(i) => &data.landed[i].1[data.landed[i].2..],
+                None => &data.as_slice()[at..at + region],
+            })
+            .collect();
+        f(&views)
     }
 
     /// Run `f` over a mutable view in which `[offset, offset + len)` reads
@@ -400,6 +454,16 @@ impl Buffer {
         self.check_range(offset, src.len())?;
         self.data.lock().overwrite(offset, src);
         Ok(())
+    }
+
+    /// The allocation of the landed extent that holds exactly `[offset,
+    /// offset + len)`, from its byte 0, with no newer extent over any of
+    /// it: the bytes a [`Buffer::load`] of the range would copy, shared
+    /// instead. `None` for any other range. Changes nothing in `landed`.
+    pub fn share(&self, offset: usize, len: usize) -> Option<Arc<Vec<u8>>> {
+        let data = self.data.lock();
+        let (_, src, from) = &data.landed[data.exact((offset, len))?];
+        (*from == 0).then(|| src.clone())
     }
 
     /// Land `src[from..]` in the buffer at `offset` by reference: the
@@ -1094,11 +1158,16 @@ mod tests {
             host: bool,
             width: usize,
         },
-        /// A ranged view of the device buffer, asking for `in_place`.
-        ReadRange {
+        /// A view of the device buffer cut into regions of `region` bytes.
+        ReadRegions {
             offset: usize,
             len: usize,
-            in_place: (usize, usize),
+            region: usize,
+        },
+        /// The device buffer's landed extent over exactly the range, shared.
+        Share {
+            offset: usize,
+            len: usize,
         },
         /// A ranged write of the device buffer.
         WriteRange {
@@ -1144,7 +1213,7 @@ mod tests {
     /// they must read like, how far each has been written, where each
     /// one's last landed extent ends, how many copies shared landed
     /// extents device → host and host → device, and how many ranged views
-    /// met each case `Views` counts.
+    /// and shares met each case `Views` and `Shares` count.
     struct Pair {
         dev: Buffer,
         host: HostBuffer,
@@ -1156,18 +1225,32 @@ mod tests {
         host_landed_end: usize,
         shared: [usize; 2],
         views: Views,
+        shares: Shares,
         leans_on_landings: bool,
         leans_on_views: bool,
+        leans_on_shares: bool,
     }
 
-    /// Ranged views that: left an extent covering the asked region landed
-    /// and read it in place; copied in an extent straddling an edge of
-    /// their range; wrote beside an extent that stayed landed.
+    /// Ranged views that: left an extent covering a region landed and
+    /// read it in place; copied in an extent straddling an edge of their
+    /// range; wrote beside an extent that stayed landed.
     #[derive(Clone, Copy, Default, Debug)]
     struct Views {
         in_place: usize,
         straddled: usize,
         beside: usize,
+    }
+
+    /// Shares that handed out an extent's allocation, and that refused a
+    /// range: one that extents overlap but none spans exactly, one an
+    /// extent spans exactly but from a byte other than 0, one an extent
+    /// spans exactly but a newer one lies over.
+    #[derive(Clone, Copy, Default, Debug)]
+    struct Shares {
+        shared: usize,
+        straddled: usize,
+        framed: usize,
+        overlaid: usize,
     }
 
     /// The spans of the landed extents `data` holds, oldest first.
@@ -1256,38 +1339,66 @@ mod tests {
             }
         }
 
-        /// A ranged view of the device buffer: around one of its landed
-        /// extents — exactly over it, wider, or across one of its edges —
-        /// three times in four when it has one.
-        fn read_range(&self, rng: &mut XorShift64, (offset, len): (usize, usize)) -> Op {
+        /// A view of the device buffer cut into regions: three times in
+        /// four when it has a landed extent, around one — the extent one of
+        /// the regions, or the regions cut across its edges. Otherwise
+        /// small regions anywhere.
+        fn read_regions(&self, rng: &mut XorShift64, (offset, len): (usize, usize)) -> Op {
             let size = self.dev_model.len();
             let extents = spans(&self.dev.data);
             let Some(&(lo, hi)) = extents.get(rng.gen_range_usize(0, extents.len() + 1)) else {
-                let in_place = range(rng, size, offset);
-                return Op::ReadRange {
+                let region = rng.gen_range_usize(1, 18);
+                return Op::ReadRegions {
                     offset,
-                    len,
-                    in_place,
+                    len: len - len % region,
+                    region,
                 };
             };
-            let (offset, end) = match rng.gen_range_usize(0, 3) {
-                0 => (lo, hi),
-                1 => (
-                    lo.saturating_sub(rng.gen_range_usize(0, 9)),
-                    (hi + rng.gen_range_usize(0, 9)).min(size),
-                ),
-                _ => {
-                    let cut = rng.gen_range_usize(lo, hi);
-                    match rng.gen_bool(0.5) {
-                        true => (cut, (cut + rng.gen_range_usize(1, 64)).min(size)),
-                        false => (rng.gen_range_usize(0, cut + 1), cut),
-                    }
-                }
+            let region = match rng.gen_range_usize(0, 3) {
+                0 | 1 => hi - lo,
+                _ => rng.gen_range_usize(1, hi - lo + 9),
             };
-            Op::ReadRange {
+            let below = rng.gen_range_usize(0, 3).min(lo / region);
+            let mut offset = lo - below * region;
+            if rng.gen_bool(0.25) {
+                offset = (offset + rng.gen_range_usize(1, 9)).min(size);
+            }
+            let count = (below + rng.gen_range_usize(0, 4)).min((size - offset) / region);
+            Op::ReadRegions {
                 offset,
-                len: end - offset,
-                in_place: (lo, hi - lo),
+                len: count * region,
+                region,
+            }
+        }
+
+        /// A share of the device buffer: when it has a landed extent, of
+        /// exactly one's span half the time — one time in three one a newer
+        /// extent partly overlays, where there is one — or of a range that
+        /// cuts across one's edges.
+        fn share(&self, rng: &mut XorShift64, (offset, len): (usize, usize)) -> Op {
+            let size = self.dev_model.len();
+            let extents = spans(&self.dev.data);
+            let overlaid: Vec<(usize, usize)> = (0..extents.len())
+                .filter(|&i| {
+                    let (lo, hi) = extents[i];
+                    extents[i + 1..].iter().any(|&(a, b)| a < hi && lo < b)
+                })
+                .map(|i| extents[i])
+                .collect();
+            let Some(&(lo, hi)) = extents.get(rng.gen_range_usize(0, extents.len().max(1))) else {
+                return Op::Share { offset, len };
+            };
+            let k = rng.gen_range_usize(1, 9);
+            let (lo, hi) = match rng.gen_range_usize(0, 6) {
+                0 => (lo.saturating_sub(k), hi),
+                1 => (lo, (hi + k).min(size)),
+                2 => ((lo + k).min(size), (hi + k).min(size)),
+                3 if !overlaid.is_empty() => overlaid[rng.gen_range_usize(0, overlaid.len())],
+                _ => (lo, hi),
+            };
+            Op::Share {
+                offset: lo,
+                len: hi - lo,
             }
         }
 
@@ -1316,20 +1427,32 @@ mod tests {
             // A case that leans on landings makes two ops in three a
             // landing or a copy, so copies meet sources their landed
             // extents tile before a store or a whole view copies them in;
-            // one that leans on views, a landing or a ranged view.
+            // one that leans on views, a landing or a ranged view; one
+            // that leans on shares, a landing or a share.
             let lean: &[usize] = match (self.leans_on_landings, self.leans_on_views) {
                 (true, _) => &[9, 20, 25],
                 (_, true) => &[20, 30, 32],
+                _ if self.leans_on_shares => &[20, 34],
                 _ => &[],
             };
             let pick = match !lean.is_empty() && rng.gen_bool(2.0 / 3.0) {
                 true => lean[rng.gen_range_usize(0, lean.len())],
-                false => rng.gen_range_usize(0, 34),
+                false => rng.gen_range_usize(0, 36),
             };
             match pick {
                 0..=5 => Op::Store { offset, len, salt },
                 20..=24 => {
-                    let (offset, len) = landing(rng, dev, self.dev_landed_end, (offset, len));
+                    // A case that leans on shares lands up to 64 bytes from
+                    // inside the newest extent one time in three, so shares
+                    // meet an extent a newer one partly overlays.
+                    let newest = spans(&self.dev.data).pop().filter(|&(lo, hi)| hi - lo > 1);
+                    let (offset, len) = match newest {
+                        Some((lo, hi)) if self.leans_on_shares && rng.gen_bool(1.0 / 3.0) => {
+                            let at = rng.gen_range_usize(lo + 1, hi);
+                            (at, rng.gen_range_usize(1, 65).min(dev - at))
+                        }
+                        _ => landing(rng, dev, self.dev_landed_end, (offset, len)),
+                    };
                     Op::Land {
                         offset,
                         len,
@@ -1341,8 +1464,9 @@ mod tests {
                     let (offset, len) = landing(rng, host, self.host_landed_end, (at, room));
                     Op::HostLand { offset, len, salt }
                 }
-                30 | 31 => self.read_range(rng, (offset, len)),
-                32.. => self.write_range(rng, (offset, len), salt),
+                30 | 31 => self.read_regions(rng, (offset, len)),
+                32 | 33 => self.write_range(rng, (offset, len), salt),
+                34.. => self.share(rng, (offset, len)),
                 6..=8 => Op::HostStore {
                     offset: at,
                     len: room,
@@ -1517,45 +1641,108 @@ mod tests {
                             && (len % 4 != 0 || f32_bits(l.as_f32()) == decoded_f32_bits(model))
                     })
                 }
-                // The range reads as the model, a region read in place as
-                // well; afterwards nothing landed lies over the range but
-                // the region's extent, if it was read in place.
-                Op::ReadRange {
+                // Every region reads as the model; afterwards the extents
+                // over the range are the ones that covered a region
+                // exactly, each handed over where it landed. A view that
+                // copied nothing in wrote no byte.
+                Op::ReadRegions {
                     offset,
                     len,
-                    in_place: (at, n),
+                    region,
                 } => {
                     let end = offset + len;
-                    let straddles = spans(&self.dev.data)
+                    let before = landed_allocations(&self.dev.data);
+                    let words = self.dev.data.lock().words.len();
+                    let straddles = before
                         .iter()
-                        .any(|&(lo, hi)| (lo < offset && offset < hi) || (lo < end && end < hi));
-                    let model = &self.dev_model;
-                    let (agrees, kept) = self.dev.read_range(offset, len, [(at, n)], |d, [got]| {
-                        let view = &d.as_slice()[offset..end];
-                        let agrees = (offset..end).all(|x| match got {
-                            Some(g) if (at..at + n).contains(&x) => g[x - at] == model[x],
-                            _ => view[x - offset] == model[x],
-                        });
-                        (
-                            agrees && got.is_none_or(|g| g == &model[at..at + n]),
-                            got.is_some(),
-                        )
-                    });
-                    let left = spans(&self.dev.data);
-                    let over: Vec<_> = left
+                        .map(span)
+                        .any(|(lo, hi)| (lo < offset && offset < hi) || (lo < end && end < hi));
+                    // The allocation each region reads in place: the newest
+                    // extent over any of it, if that one spans exactly it.
+                    let starts: Vec<usize> = (offset..end).step_by(region).collect();
+                    let in_place: Vec<Option<*const u8>> = starts
                         .iter()
-                        .filter(|&&(lo, hi)| lo < end && offset < hi)
+                        .map(|&at| {
+                            let newest = before
+                                .iter()
+                                .rev()
+                                .find(|e| span(e).0 < at + region && at < span(e).1)?;
+                            (span(newest) == (at, at + region))
+                                .then(|| newest.1[newest.2..].as_ptr())
+                        })
                         .collect();
-                    self.views.in_place += usize::from(kept && len > 0);
+                    let model = &self.dev_model;
+                    let handed = self.dev.read_regions(offset, len, region, |views| {
+                        let agrees = views.len() == starts.len()
+                            && views
+                                .iter()
+                                .zip(&starts)
+                                .all(|(v, &at)| *v == &model[at..at + region]);
+                        agrees.then(|| views.iter().map(|v| v.as_ptr()).collect::<Vec<_>>())
+                    });
+                    // Whatever is left over the range lies over kept
+                    // regions only (an older extent may lie under a kept
+                    // one), and each kept region's extent is still there.
+                    let left = spans(&self.dev.data);
+                    let is_kept = |at: usize| in_place[(at - offset) / region].is_some();
+                    let leftover_is_kept = left
+                        .iter()
+                        .all(|&(lo, hi)| (lo.max(offset)..hi.min(end)).all(is_kept));
+                    let kept = in_place.iter().flatten().count();
+                    self.views.in_place += usize::from(kept > 0);
                     self.views.straddled += usize::from(straddles);
-                    agrees
-                        && match kept {
-                            true => {
-                                over.iter().all(|&&s| s == (at, at + n))
-                                    && left.contains(&(at, at + n))
-                            }
-                            false => over.is_empty(),
+                    handed.is_some_and(|ptrs| {
+                        ptrs.iter()
+                            .zip(&in_place)
+                            .all(|(p, want)| want.is_none_or(|w| *p == w))
+                    }) && leftover_is_kept
+                        && starts
+                            .iter()
+                            .filter(|&&at| is_kept(at))
+                            .all(|&at| left.contains(&(at, at + region)))
+                        && (kept < starts.len() || self.dev.data.lock().words.len() == words)
+                }
+                // The allocation of the newest extent that spans exactly the
+                // range, from its byte 0, with nothing newer over it: the
+                // same allocation, reading as a load does. Anything else is
+                // refused.
+                Op::Share { offset, len } => {
+                    let end = offset + len;
+                    let before = landed_allocations(&self.dev.data);
+                    let exact = before.iter().rposition(|e| span(e) == (offset, end));
+                    let overlaid = exact.is_some_and(|i| {
+                        before[i + 1..]
+                            .iter()
+                            .any(|e| span(e).0 < end && offset < span(e).1)
+                    });
+                    let got = self.dev.share(offset, len);
+                    let model = &self.dev_model[offset..end];
+                    match exact.map(|i| &before[i]) {
+                        Some((_, src, 0)) if !overlaid => {
+                            self.shares.shared += 1;
+                            got.is_some_and(|g| {
+                                Arc::ptr_eq(&g, src)
+                                    && g[..] == *model
+                                    && loaded(&self.dev, offset, len).is_ok_and(|l| l == g[..])
+                            })
                         }
+                        Some(_) => {
+                            match overlaid {
+                                true => self.shares.overlaid += 1,
+                                false => self.shares.framed += 1,
+                            }
+                            got.is_none()
+                        }
+                        None => {
+                            self.shares.straddled += usize::from(
+                                before
+                                    .iter()
+                                    .map(span)
+                                    .any(|(lo, hi)| lo.max(offset) < hi.min(end)),
+                            );
+                            got.is_none()
+                        }
+                    }
                 }
                 // The range reads as the model before the write; afterwards
                 // nothing landed lies over it.
@@ -1596,16 +1783,17 @@ mod tests {
 
     #[test]
     fn buffers_read_like_zero_initialised_vectors_under_random_ops() {
-        const CASES: u64 = 1_200;
+        const CASES: u64 = 1_600;
         const OPS_PER_CASE: usize = 16;
         let mut root = XorShift64::new(0xC1_B0FF);
-        let (mut shared, mut views) = ([0; 2], Views::default());
+        let (mut shared, mut views, mut shares) = ([0; 2], Views::default(), Shares::default());
         for case in 0..CASES {
             let mut rng = root.fork(case);
-            // One case in three leans on landings and one on ranged views,
-            // in buffers of more than a word.
-            let (leans_on_landings, leans_on_views) = (case % 3 == 1, case % 3 == 2);
-            let smallest = if case % 3 > 0 { 4 } else { 0 };
+            // One case in four leans on landings, one on ranged views and
+            // one on shares, in buffers of more than a word.
+            let (leans_on_landings, leans_on_views, leans_on_shares) =
+                (case % 4 == 1, case % 4 == 2, case % 4 == 3);
+            let smallest = if case % 4 > 0 { 4 } else { 0 };
             let dev_size = SIZES[rng.gen_range_usize(smallest, SIZES.len())];
             let host_size = SIZES[rng.gen_range_usize(smallest, SIZES.len())];
             let mut pair = Pair {
@@ -1619,8 +1807,10 @@ mod tests {
                 host_landed_end: 0,
                 shared: [0; 2],
                 views: Views::default(),
+                shares: Shares::default(),
                 leans_on_landings,
                 leans_on_views,
+                leans_on_shares,
             };
             // Whatever the generated ops left unread is read at the end.
             let closing = [
@@ -1645,6 +1835,10 @@ mod tests {
             views.in_place += pair.views.in_place;
             views.straddled += pair.views.straddled;
             views.beside += pair.views.beside;
+            shares.shared += pair.shares.shared;
+            shares.straddled += pair.shares.straddled;
+            shares.framed += pair.shares.framed;
+            shares.overlaid += pair.shares.overlaid;
         }
         assert!(CASES as usize * OPS_PER_CASE >= 10_000);
         println!("copies that shared landed extents (to host, to device): {shared:?}");
@@ -1656,5 +1850,16 @@ mod tests {
             beside,
         } = views;
         assert!(in_place.min(straddled).min(beside) >= 100, "{views:?}");
+        println!("shares: {shares:?}");
+        let Shares {
+            shared,
+            straddled,
+            framed,
+            overlaid,
+        } = shares;
+        assert!(
+            shared.min(straddled).min(framed).min(overlaid) >= 100,
+            "{shares:?}"
+        );
     }
 }
