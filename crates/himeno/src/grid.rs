@@ -1,6 +1,7 @@
 //! Grid sizes, initialization, and the stencil definition.
 
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Floating-point operations per stencil point (the benchmark's own
 /// accounting, used for its MFLOPS metric).
@@ -121,8 +122,9 @@ pub fn init_planes(size: GridSize, lo: usize, hi: usize) -> Vec<f32> {
 
 /// [`init_planes`] in place: `p` holds whole planes of the standard grid
 /// starting at plane `lo`. A rank fills the planes of its device buffers
-/// that no neighbour reads through this, so slab set-up allocates and
-/// copies nothing.
+/// that live in the words (no neighbour reads them) through this, so
+/// those allocate and copy nothing; its edge planes come from the run's
+/// [`InitPlanes`].
 pub fn fill_planes(p: &mut [f32], size: GridSize, lo: usize) {
     let (_, mj, mk) = size.dims();
     debug_assert_eq!(p.len() % (mj * mk), 0, "whole planes");
@@ -132,11 +134,39 @@ pub fn fill_planes(p: &mut [f32], size: GridSize, lo: usize) {
 }
 
 /// Plane `i` of the standard grid as the native-endian bytes of its
-/// `mjmax × mkmax` `f32`s, in an allocation of its own: a slab lands its
-/// edge planes as these.
-pub(crate) fn init_plane_bytes(size: GridSize, i: usize) -> Vec<u8> {
+/// `mjmax × mkmax` `f32`s, in an allocation of its own. [`InitPlanes`]
+/// builds each plane a run's slabs land through this, once.
+fn init_plane_bytes(size: GridSize, i: usize) -> Vec<u8> {
     let (_, mj, mk) = size.dims();
     plane_value(size, i).to_ne_bytes().repeat(mj * mk)
+}
+
+/// One run's planes of the standard grid as slabs land them: plane `i` is
+/// built by [`init_plane_bytes`] the first time any rank asks for it, and
+/// every rank and buffer that holds it lands that one allocation. Nothing
+/// writes a landed extent in place (a kernel writes a fresh plane, a
+/// receive replaces the extent), so sharing it changes no byte. A table
+/// lives as long as its run and keeps every plane it built until then.
+pub(crate) struct InitPlanes {
+    size: GridSize,
+    planes: Vec<OnceLock<Arc<Vec<u8>>>>,
+}
+
+impl InitPlanes {
+    /// An empty table for the `mimax` planes of `size`.
+    pub(crate) fn new(size: GridSize) -> Self {
+        let (mi, _, _) = size.dims();
+        InitPlanes {
+            size,
+            planes: (0..mi).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Plane `i`, built by whichever caller asks first.
+    pub(crate) fn plane(&self, i: usize) -> Arc<Vec<u8>> {
+        let built = self.planes[i].get_or_init(|| Arc::new(init_plane_bytes(self.size, i)));
+        Arc::clone(built)
+    }
 }
 
 /// The value every point of plane `i` of the standard grid starts at.
@@ -299,21 +329,18 @@ pub fn interior_checksum(p: &[f32], mj: usize, mk: usize, planes: Range<usize>) 
 }
 
 /// [`interior_checksum`] over planes handed over one by one, each
-/// `mj × mk` cells of one [`Cell`] type.
+/// `mj × mk` cells of one [`Cell`] type. Each cell's `|p|` is summed as
+/// it is read ([`add_terms`]).
 pub(crate) fn checksum_planes<'a, C: Cell + 'a>(
     planes: impl IntoIterator<Item = &'a [C]>,
     mj: usize,
     mk: usize,
 ) -> f64 {
-    let mut abs = vec![0.0f32; mk - 2];
     let mut sum = 0.0;
     for p in planes {
         for j in 1..mj - 1 {
             let row = j * mk + 1;
-            for (a, x) in abs.iter_mut().zip(&p[row..row + mk - 2]) {
-                *a = x.value().abs();
-            }
-            sum = add_row(sum, &abs);
+            sum = add_terms(sum, &p[row..row + mk - 2], |x| x.value().abs());
         }
     }
     sum
@@ -324,13 +351,22 @@ pub(crate) fn checksum_planes<'a, C: Cell + 'a>(
 /// input. The row is added in eight lanes when [`lanes`] proves that no
 /// partial sum rounds, and in row order otherwise.
 pub fn add_row(acc: f64, row: &[f32]) -> f64 {
-    lanes(acc, row).unwrap_or_else(|| k_order(acc, row))
+    add_terms(acc, row, |x| x)
 }
 
-/// The definition of [`add_row`], and its fallback.
-fn k_order(mut acc: f64, row: &[f32]) -> f64 {
+/// [`add_row`] over `term(x)` for each cell `x` of `row`, each term
+/// computed where it is added.
+#[inline(always)]
+fn add_terms<C: Copy>(acc: f64, row: &[C], term: impl Fn(C) -> f32 + Copy) -> f64 {
+    lanes(acc, row, term).unwrap_or_else(|| k_order(acc, row, term))
+}
+
+/// The definition of [`add_row`] (over `term(x)` for each cell `x`), and
+/// its fallback.
+#[inline(always)]
+fn k_order<C: Copy>(mut acc: f64, row: &[C], term: impl Fn(C) -> f32) -> f64 {
     for &x in row {
-        acc += x as f64;
+        acc += term(x) as f64;
     }
     acc
 }
@@ -365,7 +401,8 @@ fn k_order(mut acc: f64, row: &[f32]) -> f64 {
 /// negative and fails `lo > 0`, and so does a zero; a positive NaN or an
 /// `inf` makes `s` non-finite; an empty row leaves `lo` a NaN. All of them
 /// fall back, as does an `acc` that is negative or NaN.
-fn lanes(acc: f64, row: &[f32]) -> Option<f64> {
+#[inline(always)]
+fn lanes<C: Copy>(acc: f64, row: &[C], term: impl Fn(C) -> f32) -> Option<f64> {
     const LANES: usize = 8;
     let mut sum = [0.0f64; LANES];
     let mut min = [i32::MAX; LANES];
@@ -373,11 +410,13 @@ fn lanes(acc: f64, row: &[f32]) -> Option<f64> {
     let rest = chunks.remainder();
     for chunk in chunks {
         for l in 0..LANES {
-            sum[l] += chunk[l] as f64;
-            min[l] = min[l].min(chunk[l].to_bits() as i32);
+            let x = term(chunk[l]);
+            sum[l] += x as f64;
+            min[l] = min[l].min(x.to_bits() as i32);
         }
     }
     for ((s, m), &x) in sum.iter_mut().zip(&mut min).zip(rest) {
+        let x = term(x);
         *s += x as f64;
         *m = (*m).min(x.to_bits() as i32);
     }
@@ -697,6 +736,86 @@ mod tests {
         let mut new = old.clone();
         let planes = [&old[..27], &old[27..53], &old[54..]];
         jacobi_sweep::<false, f32>(&planes, &mut [&mut new[27..54]], 3, 9);
+    }
+
+    /// The identity case of [`super::lanes`], which [`add_row`] takes.
+    fn lanes(acc: f64, row: &[f32]) -> Option<f64> {
+        super::lanes(acc, row, |x| x)
+    }
+
+    /// The identity case of [`super::k_order`]: [`add_row`]'s definition.
+    fn k_order(acc: f64, row: &[f32]) -> f64 {
+        super::k_order(acc, row, |x| x)
+    }
+
+    /// `checksum_planes` over byte cells against its scratch-row form (each
+    /// row's `|p|` into a row of its own, then `add_row` over it), bit for
+    /// bit: seeded planes of 1–4 × 3–7 × 3–66 cells whose values span
+    /// thirty binary orders, with negatives everywhere and, in one case in
+    /// three, a `±0.0`, NaN of either sign or `±inf` dropped in. Both of
+    /// `add_row`'s paths must be taken often, by the checksum's rows too.
+    #[test]
+    fn the_checksum_is_the_scratch_row_sum_bit_for_bit() {
+        let mut rng = simtime::XorShift64::new(47);
+        let (mut lane_rows, mut k_rows) = (0, 0);
+        for case in 0..2000 {
+            let (mj, mk) = (rng.gen_range_usize(3, 8), rng.gen_range_usize(3, 67));
+            let planes: Vec<Vec<[u8; 4]>> = (0..rng.gen_range_usize(1, 5))
+                .map(|_| {
+                    let order = rng.gen_range_usize(0, 31) as i32 - 20;
+                    let span = [0, 2, 10][rng.gen_range_usize(0, 3)];
+                    let mut p: Vec<f32> = (0..mj * mk)
+                        .map(|_| {
+                            let e = order + rng.gen_range_usize(0, span + 1) as i32;
+                            let x = (pow2(e) * (1.0 + rng.next_f64())) as f32;
+                            if rng.gen_bool(0.3) {
+                                -x
+                            } else {
+                                x
+                            }
+                        })
+                        .collect();
+                    if case % 3 == 0 {
+                        let special = [
+                            0.0,
+                            -0.0,
+                            f32::NAN,
+                            -f32::NAN,
+                            f32::INFINITY,
+                            -f32::INFINITY,
+                        ];
+                        let at = rng.gen_range_usize(0, p.len());
+                        p[at] = special[rng.gen_range_usize(0, special.len())];
+                    }
+                    p.iter().map(|x| x.to_ne_bytes()).collect()
+                })
+                .collect();
+            let (mut want, mut abs) = (0.0, vec![0.0f32; mk - 2]);
+            for p in &planes {
+                for j in 1..mj - 1 {
+                    let row = j * mk + 1;
+                    for (a, x) in abs.iter_mut().zip(&p[row..row + mk - 2]) {
+                        *a = x.value().abs();
+                    }
+                    match lanes(want, &abs) {
+                        Some(_) => lane_rows += 1,
+                        None => k_rows += 1,
+                    }
+                    want = add_row(want, &abs);
+                }
+            }
+            let got = checksum_planes(planes.iter().map(Vec::as_slice), mj, mk);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "case {case}: {} planes of {mj}x{mk}",
+                planes.len()
+            );
+        }
+        assert!(
+            lane_rows >= 1000 && k_rows >= 1000,
+            "lanes {lane_rows}, k order {k_rows}"
+        );
     }
 
     /// `2^e` for `e` in the normal `f64` range.

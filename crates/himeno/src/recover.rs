@@ -44,10 +44,10 @@ use std::sync::{Arc, OnceLock};
 use clmpi::{decode_checkpoint, ClMpi, ReduceOp, SimStorage, SystemConfig};
 use minicl::{Buffer, ClError, CommandQueue};
 use minimpi::datatype::f32_as_bytes;
-use minimpi::{run_world_faulty, FaultPlan, Process, Tag};
+use minimpi::{run_world_faulty, Comm, FaultPlan, Process, Tag};
 use simtime::SimNs;
 
-use crate::grid::{init_planes, GridSize};
+use crate::grid::{init_planes, GridSize, InitPlanes};
 use crate::run::{HimenoConfig, RankCx, Residuals, Slab};
 
 /// User tag of the per-iteration residual allreduce.
@@ -77,6 +77,18 @@ pub struct RecoverConfig {
 }
 
 impl RecoverConfig {
+    /// The solve every epoch runs, over the initial world.
+    fn himeno(&self) -> HimenoConfig {
+        HimenoConfig {
+            size: self.size,
+            iters: self.iters,
+            sys: self.sys.clone(),
+            nodes: self.nodes,
+            strategy: None,
+            halo: Default::default(),
+        }
+    }
+
     /// The checkpointed iterations, oldest first.
     fn ckpt_slots(&self) -> Vec<usize> {
         (0..self.iters)
@@ -150,11 +162,14 @@ pub fn run_himeno_recover(cfg: RecoverConfig, plan: FaultPlan) -> RecoverResult 
     // One storage instance shared by every rank: the shared-PFS model
     // (checkpoints must survive their writer's node).
     let storage: Arc<OnceLock<SimStorage>> = Arc::new(OnceLock::new());
+    // One table of initial planes for the run: both epochs' slabs, however
+    // they decompose the grid, land its allocations.
+    let planes = Arc::new(InitPlanes::new(cfg.size));
     let res = run_world_faulty(cluster, nodes, plan, move |p: Process| {
         let storage = storage
             .get_or_init(|| SimStorage::node_local_disk(p.clock().clone()))
             .clone();
-        rank_recover(&cfg, storage, p)
+        rank_recover(&cfg, storage, &planes, p)
     });
     let mut out = RecoverResult {
         gosa: 0.0,
@@ -189,6 +204,17 @@ pub fn run_himeno_recover(cfg: RecoverConfig, plan: FaultPlan) -> RecoverResult 
         out.transfer_faults = out.transfer_faults.merge(*faults);
     }
     out
+}
+
+/// Steps 2 and 3 of the protocol: classify the failed ranks, notify and
+/// revoke, then shrink `rt`'s communicator to the survivors.
+fn shrink(rt: &ClMpi, p: &Process) -> Comm {
+    for r in rt.failed_ranks(p.actor.now_ns()) {
+        rt.notify_proc_failure(r);
+    }
+    rt.revoke();
+    rt.shrink_comm(&p.actor, PATIENCE)
+        .expect("survivors agree on the shrunken communicator")
 }
 
 fn ckpt_path(epoch: usize, grank: usize, iter: usize) -> String {
@@ -242,18 +268,16 @@ fn step_iter(
     Ok(g)
 }
 
-fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut {
-    let hcfg = HimenoConfig {
-        size: cfg.size,
-        iters: cfg.iters,
-        sys: cfg.sys.clone(),
-        nodes: cfg.nodes,
-        strategy: None,
-        halo: Default::default(),
-    };
+fn rank_recover(
+    cfg: &RecoverConfig,
+    storage: SimStorage,
+    planes: &InitPlanes,
+    p: Process,
+) -> RankOut {
+    let hcfg = cfg.himeno();
     let me = p.rank();
     let rt = ClMpi::new(&p, cfg.sys.clone());
-    let cx = RankCx::new(&hcfg, &p, &rt, me, Residuals::Every);
+    let cx = RankCx::new(&hcfg, &p, &rt, me, Residuals::Every, planes);
     let gbuf = rt.context().create_buffer(8);
     let q = cx.traced_queue("q", "gpu");
 
@@ -301,13 +325,7 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
     }
 
     // ---- Recovery: classify, revoke, shrink -----------------------------
-    for r in rt.failed_ranks(p.actor.now_ns()) {
-        rt.notify_proc_failure(r);
-    }
-    rt.revoke();
-    let sub = rt
-        .shrink_comm(&p.actor, PATIENCE)
-        .expect("survivors agree on the shrunken communicator");
+    let sub = shrink(&rt, &p);
 
     // ---- Agree on the newest globally-valid checkpoint slot ------------
     // At most 64 slots: `run_himeno_recover` refuses more.
@@ -345,7 +363,7 @@ fn rank_recover(cfg: &RecoverConfig, storage: SimStorage, p: Process) -> RankOut
         nodes: sub.size(),
         ..hcfg.clone()
     };
-    let cx2 = RankCx::new(&cfg2, &p, &rt2, sub.rank(), Residuals::Every);
+    let cx2 = RankCx::new(&cfg2, &p, &rt2, sub.rank(), Residuals::Every, planes);
     let gbuf2 = rt2.context().create_buffer(8);
     let q2 = cx2.traced_queue("q2", "gpu");
 
@@ -429,6 +447,7 @@ fn restore_slab(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::tests::{assert_lands_the_table, edge_allocations, same_allocation};
     use crate::{interior_checksum, reference_jacobi};
 
     fn reference_checksum(size: GridSize, iters: usize) -> (f64, f64) {
@@ -522,6 +541,56 @@ mod tests {
             assert!((r.checksum - ref_sum).abs() / ref_sum < 1e-10);
             assert!((r.gosa - ref_gosa).abs() / ref_gosa < 1e-9);
         }
+    }
+
+    /// After a kill, the survivors re-decompose the same grid over the
+    /// shrunk communicator from the run's table: every edge plane the
+    /// shrunk world's slabs land is the table's allocation of it, and a
+    /// plane that was an edge before the kill too is the very allocation
+    /// the old world's slabs landed.
+    #[test]
+    fn the_shrunk_world_lands_the_runs_initial_planes() {
+        const T_KILL: SimNs = 1_000;
+        let c = cfg(4, 2);
+        let hcfg = c.himeno();
+        let table = InitPlanes::new(c.size);
+        let plan = FaultPlan::none().with_node_down(1, T_KILL);
+        let res = run_world_faulty(c.sys.cluster.clone(), c.nodes, plan, move |p: Process| {
+            let rt = ClMpi::new(&p, hcfg.sys.clone());
+            let cx = RankCx::new(&hcfg, &p, &rt, p.rank(), Residuals::Every, &table);
+            let before = edge_allocations(&cx);
+            assert_lands_the_table(&cx, &before, &table, &format!("rank {}", p.rank()));
+            p.actor.advance_until(2 * T_KILL);
+            rt.shutdown(&p.actor);
+            if p.comm.world().node_down_at(p.rank(), p.actor.now_ns()) {
+                return None;
+            }
+            let sub = shrink(&rt, &p);
+            let rt2 = ClMpi::with_comm(sub.clone(), hcfg.sys.clone());
+            let cfg2 = HimenoConfig {
+                nodes: sub.size(),
+                ..hcfg.clone()
+            };
+            let cx2 = RankCx::new(&cfg2, &p, &rt2, sub.rank(), Residuals::Every, &table);
+            let after = edge_allocations(&cx2);
+            assert_lands_the_table(&cx2, &after, &table, &format!("survivor {}", sub.rank()));
+            rt2.shutdown(&p.actor);
+            Some((before, after))
+        });
+        let survivors: Vec<_> = res.outputs.iter().flatten().collect();
+        assert_eq!(survivors.len(), 3, "rank 1 died");
+        let mut kept = 0;
+        for (_, after) in &survivors {
+            for (g, now) in after.iter().filter(|(_, a)| a[0].is_some()) {
+                let then = res.outputs.iter().flatten().flat_map(|(b, _)| b);
+                for (_, was) in then.filter(|(h, w)| h == g && w[0].is_some()) {
+                    let same = now.iter().zip(was).all(|(a, b)| same_allocation(a, b));
+                    assert!(same, "plane {g}");
+                    kept += 1;
+                }
+            }
+        }
+        assert!(kept > 0, "no edge plane was an edge before and after");
     }
 
     #[test]

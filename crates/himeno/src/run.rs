@@ -31,10 +31,13 @@
 //! boundary planes into the ghost planes of the same buffer generation.
 //! A plane that crosses a rank boundary ([`Slab::is_edge`]) is an
 //! allocation of its own, landed in the buffer, from the kernel that
-//! writes it (or the slab's set-up) to the neighbour's ghost: a send
-//! shares it and the receive lands it. The planes between live in the
-//! buffer's words. All variants perform identical arithmetic, so their
-//! pressure fields match the single-threaded reference bitwise.
+//! writes it to the neighbour's ghost: a send shares it and the receive
+//! lands it. Until a kernel or a receive replaces it, an edge plane is
+//! the run's one allocation of that plane of the initial field
+//! ([`InitPlanes`]), landed in both buffers of every slab that holds it.
+//! The planes between live in the buffer's words. All variants perform
+//! identical arithmetic, so their pressure fields match the
+//! single-threaded reference bitwise.
 
 use std::sync::Arc;
 
@@ -45,7 +48,7 @@ use simtime::plock::Mutex;
 use simtime::SimNs;
 
 use crate::grid::{
-    checksum_planes, fill_planes, init_plane_bytes, jacobi_sweep, GridSize, BYTES_PER_POINT,
+    checksum_planes, fill_planes, jacobi_sweep, GridSize, InitPlanes, BYTES_PER_POINT,
     FLOPS_PER_POINT,
 };
 
@@ -320,24 +323,27 @@ pub(crate) struct RankCx<'a> {
 impl<'a> RankCx<'a> {
     /// Decompose `cfg`'s grid for `rank` of `rt`'s communicator and set
     /// both pressure buffers to the standard grid's values: each edge
-    /// plane ([`Slab::is_edge`]) is one allocation, landed in both, and
-    /// only the planes between them are filled into the words. Residual
-    /// cells start at zero, and only the `residuals` ones are summed into.
-    /// A rank that owns no plane gets two empty buffers: no kernel,
-    /// exchange, checksum or checkpoint reads its ghost planes.
+    /// plane ([`Slab::is_edge`]) lands in both as `planes`' one allocation
+    /// of it, the one the neighbouring slabs land too, and only the planes
+    /// between are filled into the words. `planes` must be the run's
+    /// table for `cfg.size`. Residual cells start at zero, and only the
+    /// `residuals` ones are summed into. A rank that owns no plane gets
+    /// two empty buffers: no kernel, exchange, checksum or checkpoint
+    /// reads its ghost planes.
     pub(crate) fn new(
         cfg: &'a HimenoConfig,
         p: &'a Process,
         rt: &'a ClMpi,
         rank: usize,
         residuals: Residuals,
+        planes: &InitPlanes,
     ) -> Self {
         let slab = Slab::new(cfg, rank);
         let bytes = if slab.n == 0 { 0 } else { slab.slab_bytes() };
         let bufs = [(); 2].map(|()| rt.context().create_buffer(bytes));
         let edges = (0..slab.n + 2).filter(|&i| slab.n > 0 && slab.is_edge(i));
         for i in edges {
-            let plane = Arc::new(init_plane_bytes(cfg.size, slab.start - 1 + i));
+            let plane = planes.plane(slab.start - 1 + i);
             for b in &bufs {
                 b.land(slab.plane_off(i), plane.clone(), 0)
                     .expect("an edge plane lies in the slab");
@@ -600,11 +606,12 @@ pub fn run_himeno_with_faults(
     cfg.size.solve_dims();
     let cluster = cfg.sys.cluster.clone();
     let nodes = cfg.nodes;
+    let planes = Arc::new(InitPlanes::new(cfg.size));
     let cfg = Arc::new(cfg);
     let interior_global: usize = cfg.size.interior_points();
     let iters = cfg.iters;
     let res = run_world_tasks(cluster, nodes, plan, |p: Process| {
-        rank_main(variant, cfg.clone(), p)
+        rank_main(variant, cfg.clone(), planes.clone(), p)
     });
     // Per-rank outputs: (gosa, checksum, comp, comm, loop_ns, faults).
     let gosa: f64 = res.outputs.iter().map(|o| o.0).sum();
@@ -635,14 +642,20 @@ pub fn run_himeno_with_faults(
 type RankOut = (f64, f64, SimNs, SimNs, SimNs, clmpi::FaultStats);
 
 /// One rank's body, run as a task ([`run_world_tasks`]): it waits with
-/// `.await` wherever the paper's host thread blocks.
-async fn rank_main(variant: Variant, cfg: Arc<HimenoConfig>, p: Process) -> RankOut {
+/// `.await` wherever the paper's host thread blocks. `planes` is the
+/// run's table of initial planes, shared by every rank.
+async fn rank_main(
+    variant: Variant,
+    cfg: Arc<HimenoConfig>,
+    planes: Arc<InitPlanes>,
+    p: Process,
+) -> RankOut {
     let cfg = &*cfg;
     let rt = ClMpi::new(&p, cfg.sys.clone());
     if let Some(s) = cfg.strategy {
         rt.set_forced_strategy(Some(s));
     }
-    let cx = RankCx::new(cfg, &p, &rt, p.rank(), Residuals::Last);
+    let cx = RankCx::new(cfg, &p, &rt, p.rank(), Residuals::Last, &planes);
 
     // Warm-up alignment, then the timed loop.
     p.comm.barrier_async(&p.actor).await;
@@ -882,8 +895,60 @@ async fn run_gpu_aware(cx: &RankCx<'_>) -> (SimNs, SimNs) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::grid::init_planes;
+
+    /// One rank's edge planes as both its pressure buffers hold them:
+    /// `(global plane, [buffer 0's allocation, buffer 1's])` through
+    /// [`Buffer::share`], in plane order. A plane that is no edge lives in
+    /// the words, which share nothing: its entry says so with `None`s.
+    pub(crate) type EdgeAllocations = Vec<(usize, [Option<Arc<Vec<u8>>>; 2])>;
+
+    pub(crate) fn edge_allocations(cx: &RankCx) -> EdgeAllocations {
+        let slab = &cx.slab;
+        let planes = if slab.n == 0 { 0 } else { slab.n + 2 };
+        (0..planes)
+            .map(|i| {
+                let (offset, len) = slab.planes(i, i + 1);
+                (
+                    slab.start - 1 + i,
+                    cx.bufs.each_ref().map(|b| b.share(offset, len)),
+                )
+            })
+            .collect()
+    }
+
+    /// Whether two shares are the same allocation.
+    pub(crate) fn same_allocation(a: &Option<Arc<Vec<u8>>>, b: &Option<Arc<Vec<u8>>>) -> bool {
+        a.as_ref()
+            .zip(b.as_ref())
+            .is_some_and(|(a, b)| Arc::ptr_eq(a, b))
+    }
+
+    /// What [`edge_allocations`] must find on a slab built from `planes`:
+    /// every edge plane the table's allocation of it, in both buffers, and
+    /// every plane between them in the words.
+    pub(crate) fn assert_lands_the_table(
+        cx: &RankCx,
+        got: &EdgeAllocations,
+        planes: &InitPlanes,
+        what: &str,
+    ) {
+        for (i, (g, both)) in got.iter().enumerate() {
+            if !cx.slab.is_edge(i) {
+                assert!(both.iter().all(Option::is_none), "{what}: plane {g}");
+                continue;
+            }
+            let want = Some(planes.plane(*g));
+            for (b, got) in both.iter().enumerate() {
+                assert!(
+                    same_allocation(got, &want),
+                    "{what}: plane {g} in buffer {b}"
+                );
+            }
+        }
+    }
 
     fn slabs(size: GridSize, nodes: usize) -> Vec<Slab> {
         let cfg = HimenoConfig {
@@ -916,7 +981,8 @@ mod tests {
             let cfg = cfg.clone();
             async move {
                 let rt = ClMpi::new(&p, cfg.sys.clone());
-                let cx = RankCx::new(&cfg, &p, &rt, p.rank(), Residuals::Last);
+                let planes = InitPlanes::new(cfg.size);
+                let cx = RankCx::new(&cfg, &p, &rt, p.rank(), Residuals::Last, &planes);
                 run_serial(&cx).await;
                 rt.shutdown_async().await;
                 cx.gosa
@@ -928,6 +994,72 @@ mod tests {
         for (rank, cells) in res.outputs.iter().enumerate() {
             assert_eq!(cells[..2], [0.0, 0.0], "rank {rank}");
             assert!(cells[2] > 0.0, "rank {rank}: {cells:?}");
+        }
+    }
+
+    /// Neighbouring slabs meet at the same global planes: rank r's planes
+    /// `n` and `n + 1` are rank r+1's ghost 0 and plane 1. Each is one
+    /// allocation for the run, landed in both buffers of both ranks — on
+    /// slabs of one, two and three planes, mixed worlds, and one whose
+    /// last ranks own no plane. The table's planes hold the standard
+    /// grid's bytes.
+    #[test]
+    fn neighbouring_slabs_land_one_allocation_of_each_initial_plane() {
+        let worlds = [
+            (GridSize::Custom(5, 5, 6), 3),  // 1, 1, 1
+            (GridSize::Custom(8, 5, 6), 3),  // 2, 2, 2
+            (GridSize::Custom(11, 5, 6), 3), // 3, 3, 3
+            (GridSize::Custom(7, 5, 6), 3),  // 2, 2, 1
+            (GridSize::Custom(10, 5, 6), 3), // 3, 3, 2
+            (GridSize::Custom(6, 5, 6), 3),  // 2, 1, 1
+            (GridSize::Custom(4, 5, 6), 4),  // 1, 1, 0, 0
+        ];
+        for (size, nodes) in worlds {
+            let cfg = Arc::new(HimenoConfig {
+                size,
+                iters: 1,
+                sys: SystemConfig::cichlid(),
+                nodes,
+                strategy: None,
+                halo: HaloMode::Plane,
+            });
+            let planes = Arc::new(InitPlanes::new(size));
+            let spec = cfg.sys.cluster.clone();
+            let res = run_world_tasks(spec, nodes, FaultPlan::none(), |p: Process| {
+                let (cfg, planes) = (cfg.clone(), planes.clone());
+                async move {
+                    let rt = ClMpi::new(&p, cfg.sys.clone());
+                    let cx = RankCx::new(&cfg, &p, &rt, p.rank(), Residuals::Last, &planes);
+                    let got = edge_allocations(&cx);
+                    assert_lands_the_table(&cx, &got, &planes, &format!("rank {}", p.rank()));
+                    rt.shutdown_async().await;
+                    (cx.slab.n, got)
+                }
+            });
+            let what = |r: usize| format!("{size:?} over {nodes}, rank {r}");
+            for (r, pair) in res.outputs.windows(2).enumerate() {
+                let ((n, lower), (m, upper)) = (&pair[0], &pair[1]);
+                if *m == 0 {
+                    assert!(upper.is_empty(), "{}", what(r + 1));
+                    continue;
+                }
+                // Planes `n`, `n + 1` below are ghost 0 and plane 1 above.
+                for (below, above) in lower[*n..].iter().zip(upper) {
+                    assert_eq!(below.0, above.0, "{}", what(r));
+                    for (a, b) in below.1.iter().zip(&above.1) {
+                        assert!(same_allocation(a, b), "{}: plane {}", what(r), below.0);
+                    }
+                }
+            }
+            let (mi, mj, mk) = size.dims();
+            for g in 0..mi {
+                let bytes: Vec<u8> = init_planes(size, g, g + 1)
+                    .iter()
+                    .flat_map(|x| x.to_ne_bytes())
+                    .collect();
+                assert_eq!(*planes.plane(g), bytes, "plane {g}");
+                assert_eq!(bytes.len(), mj * mk * 4);
+            }
         }
     }
 
