@@ -120,16 +120,16 @@ pub fn init_planes(size: GridSize, lo: usize, hi: usize) -> Vec<f32> {
     p
 }
 
-/// [`init_planes`] in place: `p` holds whole planes of the standard grid
-/// starting at plane `lo`. A rank fills the planes of its device buffers
-/// that live in the words (no neighbour reads them) through this, so
-/// those allocate and copy nothing; its edge planes come from the run's
-/// [`InitPlanes`].
-pub fn fill_planes(p: &mut [f32], size: GridSize, lo: usize) {
+/// [`init_planes`] in place, in any cell type: `p` holds whole planes of
+/// the standard grid starting at plane `lo`. A rank fills the planes of
+/// its device buffers that live in words (no neighbour reads them)
+/// through this, as byte cells, so those allocate and copy nothing more;
+/// its edge planes come from the run's [`InitPlanes`].
+pub(crate) fn fill_planes<C: Cell>(p: &mut [C], size: GridSize, lo: usize) {
     let (_, mj, mk) = size.dims();
     debug_assert_eq!(p.len() % (mj * mk), 0, "whole planes");
     for (i, plane) in (lo..).zip(p.chunks_exact_mut(mj * mk)) {
-        plane.fill(plane_value(size, i));
+        plane.fill(C::of(plane_value(size, i)));
     }
 }
 
@@ -144,9 +144,10 @@ fn init_plane_bytes(size: GridSize, i: usize) -> Vec<u8> {
 /// One run's planes of the standard grid as slabs land them: plane `i` is
 /// built by [`init_plane_bytes`] the first time any rank asks for it, and
 /// every rank and buffer that holds it lands that one allocation. Nothing
-/// writes a landed extent in place (a kernel writes a fresh plane, a
-/// receive replaces the extent), so sharing it changes no byte. A table
-/// lives as long as its run and keeps every plane it built until then.
+/// writes a landed piece in place (a kernel writes a fresh plane, a
+/// receive replaces the piece), so sharing it changes no byte. A table
+/// keeps every plane it built while anyone holds it: `run_himeno` drops
+/// it once every slab is built; recovery keeps it for its shrunk restart.
 pub(crate) struct InitPlanes {
     size: GridSize,
     planes: Vec<OnceLock<Arc<Vec<u8>>>>,

@@ -353,8 +353,7 @@ impl<'a> RankCx<'a> {
         if len > 0 {
             for b in &bufs {
                 b.write_range(offset, len, |d| {
-                    let words = &mut d.as_f32_mut()[offset / 4..(offset + len) / 4];
-                    fill_planes(words, cfg.size, slab.start + 1);
+                    fill_planes(d.as_chunks_mut::<4>().0, cfg.size, slab.start + 1);
                 });
             }
         }
@@ -475,8 +474,7 @@ impl<'a> RankCx<'a> {
                 };
                 let g = match words {
                     (_, 0) => sweep_into(&mut []),
-                    (at, len) => new
-                        .write_range(at, len, |n| sweep_into(&mut n.as_mut_slice()[at..at + len])),
+                    (at, len) => new.write_range(at, len, sweep_into),
                 };
                 (g, fresh)
             });
@@ -606,12 +604,20 @@ pub fn run_himeno_with_faults(
     cfg.size.solve_dims();
     let cluster = cfg.sys.cluster.clone();
     let nodes = cfg.nodes;
+    // One handle on the run's table of initial planes per rank and none
+    // for the run: each rank drops its own after set-up, so a plane no
+    // buffer lands any more is freed once the last slab is built.
     let planes = Arc::new(InitPlanes::new(cfg.size));
+    let handles: Vec<_> = (0..nodes)
+        .map(|_| Mutex::new(Some(planes.clone())))
+        .collect();
+    drop(planes);
     let cfg = Arc::new(cfg);
     let interior_global: usize = cfg.size.interior_points();
     let iters = cfg.iters;
     let res = run_world_tasks(cluster, nodes, plan, |p: Process| {
-        rank_main(variant, cfg.clone(), planes.clone(), p)
+        let planes = handles[p.rank()].lock().take();
+        rank_main(variant, cfg.clone(), planes, p)
     });
     // Per-rank outputs: (gosa, checksum, comp, comm, loop_ns, faults).
     let gosa: f64 = res.outputs.iter().map(|o| o.0).sum();
@@ -642,12 +648,13 @@ pub fn run_himeno_with_faults(
 type RankOut = (f64, f64, SimNs, SimNs, SimNs, clmpi::FaultStats);
 
 /// One rank's body, run as a task ([`run_world_tasks`]): it waits with
-/// `.await` wherever the paper's host thread blocks. `planes` is the
-/// run's table of initial planes, shared by every rank.
+/// `.await` wherever the paper's host thread blocks. `planes` is this
+/// rank's handle on the run's table of initial planes (a table of its own
+/// if it has none), dropped once its slab is built.
 async fn rank_main(
     variant: Variant,
     cfg: Arc<HimenoConfig>,
-    planes: Arc<InitPlanes>,
+    planes: Option<Arc<InitPlanes>>,
     p: Process,
 ) -> RankOut {
     let cfg = &*cfg;
@@ -655,7 +662,9 @@ async fn rank_main(
     if let Some(s) = cfg.strategy {
         rt.set_forced_strategy(Some(s));
     }
+    let planes = planes.unwrap_or_else(|| Arc::new(InitPlanes::new(cfg.size)));
     let cx = RankCx::new(cfg, &p, &rt, p.rank(), Residuals::Last, &planes);
+    drop(planes);
 
     // Warm-up alignment, then the timed loop.
     p.comm.barrier_async(&p.actor).await;
@@ -1059,6 +1068,57 @@ pub(crate) mod tests {
                     .collect();
                 assert_eq!(*planes.plane(g), bytes, "plane {g}");
                 assert_eq!(bytes.len(), mj * mk * 4);
+            }
+        }
+    }
+
+    /// Set-up puts no word under a landed plane. On slabs of 3, 4 and 16
+    /// planes, planes 0, 1, `n` and `n + 1` of both buffers are the table's
+    /// allocations, and the planes between lie in words of their own: so
+    /// copying planes 0–1, or `n`–`n + 1`, into words puts them in an
+    /// allocation of their own. Had set-up allocated or zero-filled words
+    /// under those planes, the copy would land in those words, right beside
+    /// the word planes; two live allocations never abut, the allocator
+    /// keeps a header between them.
+    #[test]
+    fn set_up_writes_no_word_under_a_landed_plane() {
+        for n in [3, 4, 16] {
+            let size = GridSize::Custom(2 * n + 2, 5, 6);
+            let cfg = Arc::new(HimenoConfig {
+                size,
+                iters: 1,
+                sys: SystemConfig::cichlid(),
+                nodes: 2,
+                strategy: None,
+                halo: HaloMode::Plane,
+            });
+            let planes = Arc::new(InitPlanes::new(size));
+            let spec = cfg.sys.cluster.clone();
+            let res = run_world_tasks(spec, 2, FaultPlan::none(), |p: Process| {
+                let (cfg, planes) = (cfg.clone(), planes.clone());
+                async move {
+                    let rt = ClMpi::new(&p, cfg.sys.clone());
+                    let cx = RankCx::new(&cfg, &p, &rt, p.rank(), Residuals::Last, &planes);
+                    let what = format!("{n} planes, rank {}", p.rank());
+                    assert_eq!(cx.slab.n, n, "{what}");
+                    assert_lands_the_table(&cx, &edge_allocations(&cx), &planes, &what);
+                    let (slab, bytes) = (&cx.slab, cx.slab.plane_bytes);
+                    let (words, len) = slab.planes(2, n);
+                    let abut = cx.bufs.each_ref().map(|b| {
+                        let at = |offset, len| b.write_range(offset, len, |w| w.as_ptr() as usize);
+                        let words = b.read_regions(words, len, len, |v| v[0].as_ptr() as usize);
+                        let (low, high) = (at(0, 2 * bytes), at(slab.plane_off(n), 2 * bytes));
+                        [low + 2 * bytes == words, words + len == high]
+                    });
+                    rt.shutdown_async().await;
+                    (what, abut)
+                }
+            });
+            for (what, abut) in res.outputs {
+                assert_eq!(
+                    abut, [[false; 2]; 2],
+                    "{what}: planes 0–1, n–n+1 beside the words"
+                );
             }
         }
     }

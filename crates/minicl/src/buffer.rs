@@ -1,7 +1,13 @@
 //! Device and host memory objects.
 //!
-//! Contents are real bytes (kernels compute actual results); the backing
-//! store is 8-byte aligned so `f32`/`f64` views are sound without copies.
+//! A buffer's contents are one piece table (`Contents`): a sorted,
+//! non-overlapping map from offset to piece that tiles the buffer. A piece
+//! is bytes nobody wrote (`Zero`), bytes the buffer wrote into word arrays
+//! of its own (`Owned`), or bytes that landed by reference (`Shared`). A
+//! landing replaces its range with one `Shared` piece; a write replaces
+//! its range with one `Owned` piece; a reader walks its range's pieces in
+//! order, so it copies each byte once and zero-fills only `Zero` pieces;
+//! a view hands out in place what lies inside one piece.
 
 use simtime::plock::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,43 +17,12 @@ use crate::{ClError, ClResult};
 
 static NEXT_BUFFER_ID: AtomicU64 = AtomicU64::new(1);
 
-/// A byte array with 8-byte alignment, so typed float views are valid.
-///
-/// Bytes read as zero until written, and the zeroes are written only where
-/// somebody looks: `words` is allocated for the whole array but holds only
-/// the initialised prefix, `overwrite` extends it with the bytes it is
-/// given, and `settle` writes the rest as zeroes before [`Buffer`] /
-/// [`HostBuffer`] hand out a view. Every view is bounded by the prefix, so
-/// one taken without settling is short, not unsound.
-///
-/// Bytes that arrive as a shared allocation are not even copied in until
-/// somebody looks: `land` keeps the allocation in `landed`, `settle`
-/// copies every landed extent into `words`, oldest first, and `overwrite`
-/// copies in the ones over the bytes it writes before it writes them. So
-/// `landed` is always newer than `words`, and a ranged read
-/// ([`Buffer::load`], [`Buffer::load_onto`], a PCIe hop) walks just that
-/// range of both (`walk`), settling nothing. A ranged view
-/// ([`Buffer::read_regions`], [`Buffer::write_range`]) settles just its
-/// range (`settle_range`): it copies in the extents over it, and may leave
-/// one that covers exactly a region its reader asked for where it landed.
-/// [`Buffer::share`] hands out such an extent's allocation itself.
+/// A byte array with 8-byte alignment, so typed float views are valid:
+/// what [`Buffer::load`] returns and what the whole-buffer views
+/// ([`Buffer::read`], [`Buffer::write`]) hand out.
 pub struct AlignedBytes {
     words: Vec<u64>,
     len: usize,
-    /// Bytes written as zeroes so far: gaps and `settle`, never the < 8
-    /// bytes that pad a ragged word.
-    zero_filled: usize,
-    /// Extents landed by reference, oldest first.
-    landed: Vec<Extent>,
-}
-
-/// A landed extent: `(offset, src, from)` holds `src[from..]` for
-/// `[offset, offset + src.len() - from)`.
-type Extent = (usize, Arc<Vec<u8>>, usize);
-
-/// The `[start, end)` an extent holds.
-fn span((at, src, from): &Extent) -> (usize, usize) {
-    (*at, at + src.len() - from)
 }
 
 impl AlignedBytes {
@@ -56,20 +31,6 @@ impl AlignedBytes {
         AlignedBytes {
             words: vec![0u64; len.div_ceil(8)],
             len,
-            zero_filled: len,
-            landed: Vec::new(),
-        }
-    }
-
-    /// Storage of `len` bytes that reads as zeroes, none of them written
-    /// yet. The words are allocated at the first write (`reserve`), so an
-    /// array whose bytes all land allocates none.
-    fn reserved(len: usize) -> Self {
-        AlignedBytes {
-            words: Vec::new(),
-            len,
-            zero_filled: 0,
-            landed: Vec::new(),
         }
     }
 
@@ -83,237 +44,45 @@ impl AlignedBytes {
         self.len == 0
     }
 
-    /// Initialised bytes a view may cover: all `len` once settled.
-    fn visible(&self) -> usize {
-        self.len.min(self.words.len() * 8)
-    }
-
-    /// Copy the landed extents in, then write the zeroes nobody has
-    /// overwritten yet.
-    fn settle(&mut self) -> &mut Self {
-        self.flush_landed();
-        self.zero_to(self.len);
-        self
-    }
-
-    /// Make `[offset, offset + len)` of the initialised prefix read as the
-    /// array does: copy in every landed extent over the range except the
-    /// `kept` ones (indices into `landed`), then write zeroes up to the
-    /// range's end. An older extent under one copied in is copied in too,
-    /// before it, so every byte outside the range reads as it did; extents
-    /// elsewhere stay landed.
-    fn settle_range(&mut self, offset: usize, len: usize, kept: &[usize]) {
-        let end = offset + len;
-        assert!(end <= self.len, "view past the end");
-        self.flush_over(offset, len, kept);
-        self.zero_to(end);
-    }
-
-    /// Copy in every landed extent over `[offset, offset + len)` except the
-    /// `kept` ones, and every older one under an extent copied in, oldest
-    /// first, so every byte outside the range reads as it did; extents
-    /// elsewhere stay landed.
-    fn flush_over(&mut self, offset: usize, len: usize, kept: &[usize]) {
-        if self.landed.is_empty() {
-            return;
+    /// Write `n` bytes at `at` — `src`, or zeroes where it is `None` —
+    /// growing the array by what reaches past its end: each byte once.
+    fn put(&mut self, at: usize, src: Option<&[u8]>, n: usize) {
+        assert!(at <= self.len, "a gap before byte {at}");
+        let inside = n.min(self.words.len() * 8 - at);
+        self.len = self.len.max(at + inside);
+        let dst = &mut self.as_mut_slice()[at..at + inside];
+        match src {
+            Some(src) => dst.copy_from_slice(&src[..inside]),
+            None => dst.fill(0),
         }
-        let end = offset + len;
-        // Newest first: copy an extent in if it overlaps the range and is
-        // not kept, or if it lies under one that is copied in.
-        let mut copied: Vec<(usize, usize)> = Vec::new();
-        let mut copy = vec![false; self.landed.len()];
-        for (i, e) in self.landed.iter().enumerate().rev() {
-            let (lo, hi) = span(e);
-            let over = |&(a, b): &(usize, usize)| lo < b && a < hi;
-            if (over(&(offset, end)) && !kept.contains(&i)) || copied.iter().any(over) {
-                copy[i] = true;
-                copied.push((lo, hi));
-            }
-        }
-        let mut flags = copy.into_iter();
-        let flushed: Vec<Extent> = self
-            .landed
-            .extract_if(.., |_| flags.next() == Some(true))
-            .collect();
-        for (at, src, from) in flushed {
-            self.put(at, &src[from..]);
-        }
-    }
-
-    /// Make room for a write of `[offset, offset + len)` to the initialised
-    /// prefix: drop the landed extents the write covers completely, and
-    /// copy in the others over it ([`AlignedBytes::flush_over`]).
-    fn clear_for_write(&mut self, offset: usize, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let end = offset + len;
-        self.landed
-            .retain(|e| !(offset <= span(e).0 && span(e).1 <= end));
-        self.flush_over(offset, len, &[]);
-    }
-
-    /// The index in `landed` of the extent that covers exactly `[at, at +
-    /// len)`, with no newer one over any of it.
-    fn exact(&self, (at, len): (usize, usize)) -> Option<usize> {
-        let (i, e) = self
-            .landed
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, e)| span(e).0 < at + len && at < span(e).1)?;
-        (span(e) == (at, at + len)).then_some(i)
-    }
-
-    /// Write zeroes from the end of the initialised prefix to `end`.
-    fn zero_to(&mut self, end: usize) {
-        let prefix = self.words.len() * 8;
-        if end > prefix {
-            self.zero_filled += end - prefix;
-            self.reserve();
-            self.words.resize(end.div_ceil(8), 0);
-        }
-    }
-
-    /// Allocate the words for the whole array, once, so the prefix never
-    /// moves as it grows.
-    fn reserve(&mut self) {
-        self.words
-            .reserve_exact(self.len.div_ceil(8) - self.words.len());
-    }
-
-    /// Copy `src` to `offset`, over every landed extent there.
-    fn overwrite(&mut self, offset: usize, src: &[u8]) {
-        self.clear_for_write(offset, src.len());
-        self.put(offset, src);
-    }
-
-    /// Hold `src[from..]` for `offset` without copying it. Earlier extents
-    /// it covers completely are dropped; if what is held would then exceed
-    /// the array's length, the earlier ones are copied in first, so a
-    /// buffer that receives a broadcast every step holds one step's worth.
-    fn land(&mut self, offset: usize, src: Arc<Vec<u8>>, from: usize) {
-        let end = offset + src.len() - from;
-        assert!(end <= self.len, "write past the end");
-        if end == offset {
-            return;
-        }
-        self.landed
-            .retain(|(at, s, f)| *at < offset || at + s.len() - f > end);
-        let held: usize = self.landed.iter().map(|(_, s, f)| s.len() - f).sum();
-        if held + end - offset > self.len {
-            self.flush_landed();
-        }
-        self.landed.push((offset, src, from));
-    }
-
-    /// Hand `put` the pieces `[offset, offset + len)` reads as, each at
-    /// its offset into the range: the initialised prefix's share, then
-    /// every landed extent's share over it, oldest first. A later piece
-    /// overwrites an earlier one; bytes no piece covers read as zero.
-    fn walk(&self, offset: usize, len: usize, mut put: impl FnMut(usize, &[u8])) {
-        let end = offset + len;
-        assert!(end <= self.len, "read past the end");
-        let prefix = self.as_slice();
-        put(0, &prefix[offset.min(prefix.len())..end.min(prefix.len())]);
-        for (at, src, from) in &self.landed {
-            let bytes = &src[*from..];
-            let (lo, hi) = (offset.max(*at), end.min(at + bytes.len()));
-            if lo < hi {
-                put(lo - offset, &bytes[lo - at..hi - at]);
-            }
-        }
-    }
-
-    /// The landed extents that tile `[offset, offset + len)`, ascending:
-    /// the range lies above the initialised prefix, and the extents over
-    /// it leave no gap, overlap nowhere and stop at its ends. `None` when
-    /// they do not.
-    fn tiling(&self, offset: usize, len: usize) -> Option<Vec<&Extent>> {
-        let end = offset + len;
-        if len == 0 || offset < self.words.len() * 8 {
-            return None;
-        }
-        let mut tiles: Vec<_> = self
-            .landed
-            .iter()
-            .filter(|(at, src, from)| *at < end && at + src.len() - from > offset)
-            .collect();
-        tiles.sort_unstable_by_key(|(at, ..)| *at);
-        let mut next = offset;
-        for (at, src, from) in &tiles {
-            if *at != next {
-                return None;
-            }
-            next = at + src.len() - from;
-        }
-        (next == end).then_some(tiles)
-    }
-
-    /// Make `[at, at + len)` read as `[offset, offset + len)` of `src`
-    /// does. Where landed extents tile the source range, the same
-    /// allocations land here by reference; otherwise `src` is walked and
-    /// each piece copied, over zeroes where `src` has no prefix. `src`
-    /// settles nothing either way.
-    fn copy_from(&mut self, at: usize, src: &AlignedBytes, offset: usize, len: usize) {
-        if let Some(tiles) = src.tiling(offset, len) {
-            for (t, bytes, from) in tiles {
-                self.land(at + t - offset, bytes.clone(), *from);
-            }
-            return;
-        }
-        self.clear_for_write(at, len);
-        let share = src.visible().clamp(offset, offset + len) - offset;
-        // Only the initialised prefix holds anything but zeroes.
-        let (lo, hi) = (at + share, (at + len).min(self.visible()));
-        if lo < hi {
-            self.as_mut_slice()[lo..hi].fill(0);
-        }
-        src.walk(offset, len, |rel, bytes| self.put(at + rel, bytes));
-    }
-
-    /// Copy every landed extent into `words`, oldest first.
-    fn flush_landed(&mut self) {
-        for (offset, src, from) in std::mem::take(&mut self.landed) {
-            self.put(offset, &src[from..]);
-        }
-    }
-
-    /// Copy `src` to `offset`, zero-filling only a gap between the
-    /// initialised prefix and `offset`.
-    fn put(&mut self, offset: usize, src: &[u8]) {
-        assert!(offset + src.len() <= self.len, "write past the end");
-        if src.is_empty() {
-            return;
-        }
-        self.zero_to(offset);
-        self.reserve();
-        let (inside, beyond) = src.split_at(src.len().min(self.words.len() * 8 - offset));
-        self.as_mut_slice()[offset..offset + inside.len()].copy_from_slice(inside);
-        let (whole, ragged) = beyond.split_at(beyond.len() & !7);
+        let beyond = n - inside;
         let word = |bytes: &[u8]| {
             let mut w = [0u8; 8];
             w[..bytes.len()].copy_from_slice(bytes);
             u64::from_ne_bytes(w)
         };
-        self.words.extend(whole.chunks_exact(8).map(word));
-        if !ragged.is_empty() {
-            self.words.push(word(ragged));
+        match src.map(|src| src[inside..].chunks_exact(8)) {
+            Some(words) => {
+                let ragged = (!words.remainder().is_empty()).then(|| word(words.remainder()));
+                self.words.extend(words.map(word));
+                self.words.extend(ragged);
+            }
+            None => self.words.resize(self.words.len() + beyond.div_ceil(8), 0),
         }
+        self.len += beyond;
     }
 
     /// Byte view.
     pub fn as_slice(&self) -> &[u8] {
-        // SAFETY: the Vec<u64> holds at least `visible()` initialized bytes
-        // and u8 has no alignment requirement.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.visible()) }
+        // SAFETY: the Vec<u64> holds at least `len` initialized bytes and
+        // u8 has no alignment requirement.
+        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.len) }
     }
 
     /// Mutable byte view.
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        let n = self.visible();
         // SAFETY: as above; we hold &mut self.
-        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<u8>(), n) }
+        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<u8>(), self.len) }
     }
 
     /// `f32` view; panics unless the length is a multiple of 4.
@@ -321,13 +90,13 @@ impl AlignedBytes {
         assert_eq!(self.len % 4, 0, "buffer length not a multiple of 4");
         // SAFETY: storage is 8-byte aligned (Vec<u64>), every bit pattern
         // is a valid f32, and the initialized length is scaled.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<f32>(), self.visible() / 4) }
+        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<f32>(), self.len / 4) }
     }
 
     /// Mutable `f32` view; panics unless the length is a multiple of 4.
     pub fn as_f32_mut(&mut self) -> &mut [f32] {
         assert_eq!(self.len % 4, 0, "buffer length not a multiple of 4");
-        let n = self.visible() / 4;
+        let n = self.len / 4;
         // SAFETY: as above; we hold &mut self.
         unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<f32>(), n) }
     }
@@ -336,15 +105,281 @@ impl AlignedBytes {
     pub fn as_f64(&self) -> &[f64] {
         assert_eq!(self.len % 8, 0, "buffer length not a multiple of 8");
         // SAFETY: as above.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<f64>(), self.visible() / 8) }
+        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<f64>(), self.len / 8) }
     }
 
     /// Mutable `f64` view; panics unless the length is a multiple of 8.
     pub fn as_f64_mut(&mut self) -> &mut [f64] {
         assert_eq!(self.len % 8, 0, "buffer length not a multiple of 8");
-        let n = self.visible() / 8;
+        let n = self.len / 8;
         // SAFETY: as above; we hold &mut self.
         unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<f64>(), n) }
+    }
+}
+
+/// One piece of a buffer's contents; each holds its length first.
+#[derive(Clone)]
+enum Piece {
+    /// Bytes nobody wrote: they read as zeroes and exist nowhere.
+    Zero(usize),
+    /// Bytes of the word array based at this buffer offset: byte `at` of
+    /// the buffer is byte `at − base` of the array.
+    Owned(usize, usize),
+    /// `src[from..from + len]`, landed by reference.
+    Shared(usize, Arc<Vec<u8>>, usize),
+}
+
+impl Piece {
+    fn len(&self) -> usize {
+        match self {
+            Piece::Zero(len) | Piece::Owned(len, _) | Piece::Shared(len, ..) => *len,
+        }
+    }
+
+    /// Keep the first `k` bytes and return the rest, where they are.
+    fn split(&mut self, k: usize) -> Piece {
+        match self {
+            Piece::Zero(len) => Piece::Zero(std::mem::replace(len, k) - k),
+            Piece::Owned(len, base) => Piece::Owned(std::mem::replace(len, k) - k, *base),
+            Piece::Shared(len, src, from) => {
+                Piece::Shared(std::mem::replace(len, k) - k, src.clone(), *from + k)
+            }
+        }
+    }
+
+    /// Take `next` into this piece if both are `Zero`, or `Owned` in one
+    /// array.
+    fn absorb(&mut self, next: &Piece) -> bool {
+        match (self, next) {
+            (Piece::Zero(len), Piece::Zero(more)) => *len += *more,
+            (Piece::Owned(len, a), Piece::Owned(more, b)) if a == b => *len += *more,
+            _ => return false,
+        }
+        true
+    }
+
+    /// What a `Shared` piece pins: its allocation from `from` to the end,
+    /// however little of that it shows.
+    fn pinned(&self) -> usize {
+        match self {
+            Piece::Shared(_, src, from) => src.len() - from,
+            _ => 0,
+        }
+    }
+}
+
+/// A piece with its offset, and the part of a range it covers.
+type Span<'a> = (usize, &'a Piece, usize, usize);
+
+/// What a range that becomes one `Owned` piece reads as: what it reads
+/// as now, these bytes, or another buffer's contents from this offset.
+enum Fill<'a> {
+    Keep,
+    Bytes(&'a [u8]),
+    From(&'a Contents, usize),
+}
+
+/// A buffer's contents: pieces by offset, each starting where the one
+/// before it ends; and the word arrays `Owned` pieces show, by the buffer
+/// offset of their byte 0, each alive while a piece shows it. Pieces cut
+/// from one `Owned` piece share its array, so a cut copies nothing.
+struct Contents {
+    len: usize,
+    pieces: Vec<(usize, Piece)>,
+    words: Vec<(usize, AlignedBytes)>,
+}
+
+impl Contents {
+    /// `len` bytes nobody has written.
+    fn new(len: usize) -> Self {
+        let (pieces, words) = (vec![(0, Piece::Zero(len))], Vec::new());
+        Contents { len, pieces, words }
+    }
+
+    /// The pieces over `[offset, offset + len)`, ascending.
+    fn over(&self, offset: usize, len: usize) -> impl Iterator<Item = Span<'_>> {
+        let end = offset + len;
+        assert!(end <= self.len, "read past the end");
+        let i = self
+            .pieces
+            .partition_point(|(at, p)| at + p.len() <= offset);
+        self.pieces[i..]
+            .iter()
+            .take_while(move |(at, _)| *at < end)
+            .map(move |(at, p)| (*at, p, offset.max(*at), end.min(at + p.len())))
+    }
+
+    /// The bytes of the piece at `at`; `None` for a `Zero` one.
+    fn bytes<'a>(&'a self, at: usize, piece: &'a Piece) -> Option<&'a [u8]> {
+        match piece {
+            Piece::Zero(_) => None,
+            Piece::Owned(len, base) => {
+                let array = &self.words[self.words.partition_point(|(b, _)| b < base)].1;
+                Some(&array.as_slice()[at - base..at - base + len])
+            }
+            Piece::Shared(len, src, from) => Some(&src[*from..from + len]),
+        }
+    }
+
+    /// Hand `put` the range's bytes in order, a piece at a time, each at
+    /// its offset into the range: the bytes, or `None` and a count for
+    /// bytes nobody wrote.
+    fn walk(&self, offset: usize, len: usize, mut put: impl FnMut(usize, Option<&[u8]>, usize)) {
+        for (at, piece, lo, hi) in self.over(offset, len) {
+            let bytes = self.bytes(at, piece).map(|b| &b[lo - at..hi - at]);
+            put(lo - offset, bytes, hi - lo);
+        }
+    }
+
+    /// `[at, at + len)` in place, if it lies inside one piece that is not
+    /// `Zero`.
+    fn within(&self, at: usize, len: usize) -> Option<&[u8]> {
+        let (o, piece, lo, hi) = self.over(at, len).next()?;
+        let bytes = self.bytes(o, piece)?;
+        (hi - lo == len).then(|| &bytes[lo - o..hi - o])
+    }
+
+    /// Put a piece boundary at `at`, splitting the piece across it, and
+    /// return the index of the first piece at or after it.
+    fn cut(&mut self, at: usize) -> usize {
+        let i = self.pieces.partition_point(|(o, _)| *o < at);
+        if let Some((o, piece)) = i.checked_sub(1).map(|j| &mut self.pieces[j]) {
+            if at < *o + piece.len() {
+                let rest = piece.split(at - *o);
+                self.pieces.insert(i, (at, rest));
+            }
+        }
+        i
+    }
+
+    /// Replace `[offset, offset + len)` with `pieces`, which tile it; then
+    /// join neighbours and drop the word arrays no piece shows.
+    fn replace(
+        &mut self,
+        offset: usize,
+        len: usize,
+        with: impl IntoIterator<Item = (usize, Piece)>,
+    ) {
+        if len == 0 {
+            return;
+        }
+        let (i, j) = (self.cut(offset), self.cut(offset + len));
+        self.pieces.splice(i..j, with);
+        self.pieces
+            .dedup_by(|(_, next), (_, prev)| prev.absorb(next));
+        let pieces = &self.pieces;
+        self.words.retain(|(base, _)| {
+            pieces
+                .iter()
+                .any(|(_, p)| matches!(p, Piece::Owned(_, b) if b == base))
+        });
+    }
+
+    /// Land `src[from..]` at `offset` by reference.
+    fn land(&mut self, offset: usize, src: Arc<Vec<u8>>, from: usize) {
+        let len = src.len() - from;
+        assert!(offset + len <= self.len, "write past the end");
+        self.replace(offset, len, [(offset, Piece::Shared(len, src, from))]);
+        self.bound();
+    }
+
+    /// If `Shared` pieces pin more than the buffer's length, copy in each
+    /// that stops short of its allocation's end: the rest pin what they show.
+    fn bound(&mut self) {
+        let pinned: usize = self.pieces.iter().map(|(_, p)| p.pinned()).sum();
+        let pieces = (pinned > self.len).then(|| self.pieces.clone());
+        for (at, p) in pieces.into_iter().flatten() {
+            if p.pinned() > p.len() {
+                self.own(at, p.len(), Fill::Keep);
+            }
+        }
+    }
+
+    /// Make `[offset, offset + len)` one `Owned` piece that reads as
+    /// `fill` says; return its array and the range's position in it. The
+    /// array is the one the piece at `offset` shows, else one holding a
+    /// byte at `offset`, else a new one; bytes already in it stay put.
+    fn own(&mut self, offset: usize, len: usize, fill: Fill) -> (&mut AlignedBytes, usize) {
+        let end = offset + len;
+        assert!(end <= self.len, "write past the end");
+        let holds =
+            |(b, a): &&(usize, AlignedBytes)| *b == offset || (*b..b + a.len()).contains(&offset);
+        let (base, inside) = match self.over(offset, len).next() {
+            Some((at, Piece::Owned(l, base), ..)) => (*base, end <= at + l),
+            _ => (
+                self.words.iter().find(holds).map_or(offset, |(b, _)| *b),
+                false,
+            ),
+        };
+        let k = self.words.partition_point(|(b, _)| *b < base);
+        if self.words.get(k).is_none_or(|(b, _)| *b != base) {
+            self.words.insert(k, (base, AlignedBytes::zeroed(0)));
+        }
+        let mut array = std::mem::replace(&mut self.words[k].1, AlignedBytes::zeroed(0));
+        let more = (end - base).div_ceil(8).saturating_sub(array.words.len());
+        array.words.reserve(more);
+        let at = offset - base;
+        match fill {
+            Fill::Keep => {
+                for (o, piece, lo, hi) in self.over(offset, len) {
+                    if !matches!(piece, Piece::Owned(_, b) if *b == base) {
+                        let bytes = self.bytes(o, piece).map(|b| &b[lo - o..hi - o]);
+                        array.put(lo - base, bytes, hi - lo);
+                    }
+                }
+            }
+            Fill::Bytes(src) => array.put(at, Some(src), len),
+            Fill::From(src, from) => src.walk(from, len, |rel, b, n| array.put(at + rel, b, n)),
+        }
+        self.words[k].1 = array;
+        if !inside {
+            self.replace(offset, len, [(offset, Piece::Owned(len, base))]);
+        }
+        let k = self.words.partition_point(|(b, _)| *b < base);
+        (&mut self.words[k].1, at)
+    }
+
+    /// The whole `Shared` pieces that tile `[offset, offset + len)`, each
+    /// with its offset into the range; `None` if the range is empty, cuts
+    /// a piece or holds any other.
+    fn tiles(&self, offset: usize, len: usize) -> Option<Vec<(usize, Piece)>> {
+        let pieces: Vec<_> = self.over(offset, len).collect();
+        let whole = |&&(at, p, lo, hi): &&Span| {
+            matches!(p, Piece::Shared(..)) && (lo, hi) == (at, at + p.len())
+        };
+        let tiles = pieces.iter().take_while(whole);
+        let tiles: Vec<_> = tiles.map(|&(at, p, ..)| (at - offset, p.clone())).collect();
+        (len > 0 && tiles.len() == pieces.len()).then_some(tiles)
+    }
+
+    /// Make `[at, at + len)` read as `[offset, offset + len)` of `src`
+    /// does: where whole `Shared` pieces tile the source range, by landing
+    /// the same allocations; otherwise by copying each byte once.
+    fn copy_from(&mut self, at: usize, src: &Contents, offset: usize, len: usize) {
+        let Some(tiles) = src.tiles(offset, len) else {
+            self.own(at, len, Fill::From(src, offset));
+            return;
+        };
+        self.replace(at, len, tiles.into_iter().map(|(rel, p)| (at + rel, p)));
+        self.bound();
+    }
+
+    /// The allocation of the one `Shared` piece that spans exactly
+    /// `[offset, offset + len)` and shows all of it.
+    fn share(&self, offset: usize, len: usize) -> Option<Arc<Vec<u8>>> {
+        let piece = (offset + len <= self.len).then(|| self.over(offset, len).next());
+        let (at, Piece::Shared(l, src, 0), ..) = piece.flatten()? else {
+            return None;
+        };
+        ((at, *l, *l) == (offset, len, src.len())).then(|| src.clone())
+    }
+
+    /// Append `[offset, offset + len)` to `out`.
+    fn load_onto(&self, out: &mut Vec<u8>, offset: usize, len: usize) {
+        self.walk(offset, len, |_, bytes, n| match bytes {
+            Some(bytes) => out.extend_from_slice(bytes),
+            None => out.resize(out.len() + n, 0),
+        });
     }
 }
 
@@ -358,7 +393,7 @@ impl AlignedBytes {
 pub struct Buffer {
     id: u64,
     size: usize,
-    data: Arc<Mutex<AlignedBytes>>,
+    data: Arc<Mutex<Contents>>,
 }
 
 impl Buffer {
@@ -367,7 +402,7 @@ impl Buffer {
         Buffer {
             id: NEXT_BUFFER_ID.fetch_add(1, Ordering::Relaxed),
             size,
-            data: Arc::new(Mutex::new(AlignedBytes::reserved(size))),
+            data: Arc::new(Mutex::new(Contents::new(size))),
         }
     }
 
@@ -381,26 +416,23 @@ impl Buffer {
         self.size
     }
 
-    /// Run `f` over an immutable view of the contents.
+    /// Run `f` over an immutable view of the contents, copied into one
+    /// array first.
     pub fn read<R>(&self, f: impl FnOnce(&AlignedBytes) -> R) -> R {
-        f(self.data.lock().settle())
+        f(self.data.lock().own(0, self.size, Fill::Keep).0)
     }
 
-    /// Run `f` over a mutable view of the contents.
+    /// Run `f` over a mutable view of the contents, copied into one array
+    /// first.
     pub fn write<R>(&self, f: impl FnOnce(&mut AlignedBytes) -> R) -> R {
-        f(self.data.lock().settle())
+        f(self.data.lock().own(0, self.size, Fill::Keep).0)
     }
 
     /// Run `f` over `[offset, offset + len)` cut into regions of `region`
-    /// bytes, each as the buffer reads it. A region that one landed extent
-    /// covers exactly, with no newer extent over any of it, is handed over
-    /// where it landed, and that extent stays landed. Every other region is
-    /// the words under it, settled: the landed extents over it (and any
-    /// older one under them) are copied in, and zeroes are written between
-    /// the initialised prefix and the end of the last such region. So a
-    /// view whose regions all landed writes no byte. Nothing else in
-    /// `landed` changes. Panics if the range runs past the end, or if
-    /// `len` is not a multiple of a non-zero `region`.
+    /// bytes, each as the buffer reads it. A region inside one piece that
+    /// is not `Zero` is handed over where it is; each run of the others
+    /// becomes one `Owned` piece first. Panics if the range runs past the
+    /// end, or if `len` is not a multiple of a non-zero `region`.
     pub fn read_regions<R>(
         &self,
         offset: usize,
@@ -415,62 +447,49 @@ impl Buffer {
         let mut data = self.data.lock();
         assert!(offset + len <= data.len, "view past the end");
         let starts = (offset..offset + len).step_by(region);
-        let kept: Vec<Option<usize>> = starts.clone().map(|at| data.exact((at, region))).collect();
-        let words = kept.iter().position(Option::is_none);
-        if let (Some(a), Some(b)) = (words, kept.iter().rposition(Option::is_none)) {
-            let kept: Vec<usize> = kept.iter().flatten().copied().collect();
-            data.settle_range(offset + a * region, (b + 1 - a) * region, &kept);
+        let held: Vec<bool> = starts
+            .clone()
+            .map(|at| data.within(at, region).is_some())
+            .collect();
+        let mut at = offset;
+        for run in held.chunk_by(|a, b| a == b) {
+            if !run[0] {
+                data.own(at, run.len() * region, Fill::Keep);
+            }
+            at += run.len() * region;
         }
-        // Copying in shifts `landed`: find the kept extents again.
-        let data = &*data;
         let views: Vec<&[u8]> = starts
-            .map(|at| match data.exact((at, region)) {
-                Some(i) => &data.landed[i].1[data.landed[i].2..],
-                None => &data.as_slice()[at..at + region],
-            })
+            .map(|at| data.within(at, region).unwrap_or_default())
             .collect();
         f(&views)
     }
 
-    /// Run `f` over a mutable view in which `[offset, offset + len)` reads
-    /// as the buffer does; `f` may read and write nothing outside that
-    /// range. Copies in only the landed extents over the range (and any
-    /// older one under them), so what `f` writes there is what the buffer
-    /// holds; extents elsewhere stay landed. Panics if the range runs past
-    /// the end.
-    pub fn write_range<R>(
-        &self,
-        offset: usize,
-        len: usize,
-        f: impl FnOnce(&mut AlignedBytes) -> R,
-    ) -> R {
+    /// Run `f` over `[offset, offset + len)` as the buffer reads it,
+    /// mutably: in place when it lies inside one `Owned` piece, otherwise
+    /// after the range becomes one. Panics if the range runs past the end.
+    pub fn write_range<R>(&self, offset: usize, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut data = self.data.lock();
-        data.settle_range(offset, len, &[]);
-        f(&mut data)
+        let (array, at) = data.own(offset, len, Fill::Keep);
+        f(&mut array.as_mut_slice()[at..at + len])
     }
 
     /// Copy `src` into the buffer at `offset`.
     pub fn store(&self, offset: usize, src: &[u8]) -> ClResult<()> {
         self.check_range(offset, src.len())?;
-        self.data.lock().overwrite(offset, src);
+        self.data.lock().own(offset, src.len(), Fill::Bytes(src));
         Ok(())
     }
 
-    /// The allocation of the landed extent that holds exactly `[offset,
-    /// offset + len)`, from its byte 0, with no newer extent over any of
-    /// it: the bytes a [`Buffer::load`] of the range would copy, shared
-    /// instead. `None` for any other range. Changes nothing in `landed`.
+    /// The allocation a `Shared` piece shows all of, if that piece spans
+    /// exactly `[offset, offset + len)`: the bytes a [`Buffer::load`] of
+    /// the range would copy, shared instead. Changes nothing.
     pub fn share(&self, offset: usize, len: usize) -> Option<Arc<Vec<u8>>> {
-        let data = self.data.lock();
-        let (_, src, from) = &data.landed[data.exact((offset, len))?];
-        (*from == 0).then(|| src.clone())
+        self.data.lock().share(offset, len)
     }
 
-    /// Land `src[from..]` in the buffer at `offset` by reference: the
-    /// buffer keeps the allocation (a broadcast's wire chunk, shared with
-    /// every relay that forwards it) and copies its bytes in only when
-    /// somebody views or overwrites the buffer. Every read sees what a
-    /// [`Buffer::store`] of the same bytes would have left.
+    /// Land `src[from..]` at `offset` by reference, as one `Shared` piece
+    /// (a broadcast's wire chunk, shared with every relay that forwards
+    /// it). Every read sees what a [`Buffer::store`] would have left.
     pub fn land(&self, offset: usize, src: Arc<Vec<u8>>, from: usize) -> ClResult<()> {
         let Some(bytes) = src.get(from..) else {
             return Err(ClError::InvalidValue(format!(
@@ -483,20 +502,16 @@ impl Buffer {
         Ok(())
     }
 
-    /// Copy `len` bytes starting at `offset` out of the buffer into
-    /// aligned storage of their own, so typed views need no second copy.
-    /// Reads through: the buffer writes no zeroes and copies nothing
-    /// landed in, so a range costs its own length, not the buffer's. Each
-    /// byte of the result is copied once — the initialised prefix's share,
-    /// then every landed extent over it, oldest first — and only bytes
-    /// nobody wrote are zero-filled.
+    /// Copy `len` bytes starting at `offset` into aligned storage of their
+    /// own, so typed views need no second copy. The buffer changes nothing
+    /// and each byte of the result is written once.
     pub fn load(&self, offset: usize, len: usize) -> ClResult<AlignedBytes> {
         self.check_range(offset, len)?;
-        let mut out = AlignedBytes::reserved(len);
+        let mut out = AlignedBytes::zeroed(0);
+        out.words.reserve_exact(len.div_ceil(8));
         self.data
             .lock()
-            .walk(offset, len, |at, bytes| out.put(at, bytes));
-        out.settle();
+            .walk(offset, len, |at, bytes, n| out.put(at, bytes, n));
         Ok(out)
     }
 
@@ -506,9 +521,7 @@ impl Buffer {
     pub fn load_onto(&self, out: &mut Vec<u8>, ranges: impl IntoIterator<Item = (usize, usize)>) {
         let data = self.data.lock();
         for (offset, len) in ranges {
-            let base = out.len();
-            data.walk(offset, len, |at, bytes| put_bytes(out, base + at, bytes));
-            out.resize(base + len, 0);
+            data.load_onto(out, offset, len);
         }
     }
 
@@ -517,31 +530,17 @@ impl Buffer {
         check_range("buffer", self.size, offset, len)
     }
 
-    /// One PCIe hop: make `len` bytes at `host_offset` of `host` and at
-    /// `offset` of this buffer read alike, copying which way `dir` says,
-    /// under both locks — always the device lock first, then the host
-    /// one. The source is read through, never settled: where its landed
-    /// extents tile the range, the destination lands the same
-    /// allocations and no byte is copied; otherwise each byte is copied
-    /// once. Both ranges are the caller's to check.
+    /// One PCIe hop: make `len` bytes at `at` of `host` and at `offset` of
+    /// this buffer read alike, copying which way `dir` says, under both
+    /// locks, device first (`Contents::copy_from`). Both ranges are the
+    /// caller's to check.
     pub(crate) fn copy(&self, dir: Dir, offset: usize, len: usize, host: &HostBuffer, at: usize) {
         let mut d = self.data.lock();
-        match dir {
-            Dir::ToHost => host.as_is(|h| h.copy_from(at, &d, offset, len)),
-            Dir::ToDevice => host.as_is(|h| d.copy_from(offset, h, at, len)),
-        }
+        host.contents(|h| match dir {
+            Dir::ToHost => h.copy_from(at, &d, offset, len),
+            Dir::ToDevice => d.copy_from(offset, h, at, len),
+        })
     }
-}
-
-/// `AlignedBytes::put` for a byte vector: copy `src` to `at`, zero-filling
-/// a gap before it.
-fn put_bytes(out: &mut Vec<u8>, at: usize, src: &[u8]) {
-    if at > out.len() {
-        out.resize(at, 0);
-    }
-    let inside = src.len().min(out.len() - at);
-    out[at..at + inside].copy_from_slice(&src[..inside]);
-    out.extend_from_slice(&src[inside..]);
 }
 
 /// Which way a transfer between a [`Buffer`] and a [`HostBuffer`] goes.
@@ -569,7 +568,7 @@ fn check_range(what: &str, size: usize, offset: usize, len: usize) -> ClResult<(
 #[derive(Clone)]
 pub struct HostBuffer {
     pinned: bool,
-    data: Arc<Mutex<AlignedBytes>>,
+    data: Arc<Mutex<Contents>>,
     size: usize,
 }
 
@@ -578,7 +577,7 @@ impl HostBuffer {
     pub fn pageable(size: usize) -> Self {
         HostBuffer {
             pinned: false,
-            data: Arc::new(Mutex::new(AlignedBytes::reserved(size))),
+            data: Arc::new(Mutex::new(Contents::new(size))),
             size,
         }
     }
@@ -587,8 +586,7 @@ impl HostBuffer {
     pub fn pinned(size: usize) -> Self {
         HostBuffer {
             pinned: true,
-            data: Arc::new(Mutex::new(AlignedBytes::reserved(size))),
-            size,
+            ..HostBuffer::pageable(size)
         }
     }
 
@@ -607,41 +605,40 @@ impl HostBuffer {
         check_range("host buffer", self.size, offset, len)
     }
 
-    /// Run `f` over an immutable view.
+    /// Run `f` over an immutable view, as [`Buffer::read`] does.
     pub fn read<R>(&self, f: impl FnOnce(&AlignedBytes) -> R) -> R {
-        f(self.data.lock().settle())
+        f(self.data.lock().own(0, self.size, Fill::Keep).0)
     }
 
-    /// Run `f` over a mutable view.
+    /// Run `f` over a mutable view, as [`Buffer::write`] does.
     pub fn write<R>(&self, f: impl FnOnce(&mut AlignedBytes) -> R) -> R {
-        f(self.data.lock().settle())
-    }
-
-    /// Run `f` over the allocation as it stands: its landed extents and
-    /// unwritten bytes are left as they are.
-    fn as_is<R>(&self, f: impl FnOnce(&mut AlignedBytes) -> R) -> R {
-        f(&mut self.data.lock())
+        f(self.data.lock().own(0, self.size, Fill::Keep).0)
     }
 
     /// Copy `src` into the allocation at `offset`.
     pub fn store(&self, offset: usize, src: &[u8]) -> ClResult<()> {
         self.check_range(offset, src.len())?;
-        self.data.lock().overwrite(offset, src);
+        self.data.lock().own(offset, src.len(), Fill::Bytes(src));
         Ok(())
     }
 
-    /// Land `src` in the allocation at `offset` by reference, as
-    /// [`Buffer::land`] does: a write to the device from a range that
-    /// landed extents tile shares their allocations instead of copying.
+    /// Run `f` over the contents as they stand.
+    fn contents<R>(&self, f: impl FnOnce(&mut Contents) -> R) -> R {
+        f(&mut self.data.lock())
+    }
+
+    /// Land `src` at `offset` by reference, as [`Buffer::land`] does.
     pub fn land(&self, offset: usize, src: Arc<Vec<u8>>) -> ClResult<()> {
         self.check_range(offset, src.len())?;
         self.data.lock().land(offset, src, 0);
         Ok(())
     }
 
-    /// Snapshot contents as a byte vector.
+    /// Snapshot contents as a byte vector, read through.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.data.lock().settle().as_slice().to_vec()
+        let mut out = Vec::with_capacity(self.size);
+        self.data.lock().load_onto(&mut out, 0, self.size);
+        out
     }
 }
 
@@ -736,8 +733,64 @@ mod tests {
     /// Sizes around a word, a page and a ragged end.
     const SIZES: [usize; 7] = [0, 1, 7, 8, 9, 4_099, 65_536];
 
-    fn zero_filled(data: &Mutex<AlignedBytes>) -> usize {
-        data.lock().zero_filled
+    /// Where a piece's bytes live, for comparing piece tables.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Seen {
+        Zero,
+        /// In the word array based at this offset.
+        Owned(usize),
+        /// In this allocation, from this byte.
+        Shared(*const u8, usize),
+    }
+
+    /// `data`'s pieces: offset, length and where the bytes live.
+    fn table(data: &Mutex<Contents>) -> Vec<(usize, usize, Seen)> {
+        let seen = |p: &Piece| match p {
+            Piece::Zero(_) => Seen::Zero,
+            Piece::Owned(_, base) => Seen::Owned(*base),
+            Piece::Shared(_, src, from) => Seen::Shared(src.as_ptr(), *from),
+        };
+        let data = data.lock();
+        data.pieces
+            .iter()
+            .map(|(at, p)| (*at, p.len(), seen(p)))
+            .collect()
+    }
+
+    /// `data`'s word arrays: base and length.
+    fn arrays(data: &Mutex<Contents>) -> Vec<(usize, usize)> {
+        data.lock()
+            .words
+            .iter()
+            .map(|(b, a)| (*b, a.len()))
+            .collect()
+    }
+
+    /// Bytes of `data` nobody has written: what a whole view zero-fills.
+    fn unwritten(data: &Mutex<Contents>) -> usize {
+        table(data)
+            .iter()
+            .filter(|(.., s)| *s == Seen::Zero)
+            .map(|(_, len, _)| len)
+            .sum()
+    }
+
+    /// `data`'s `Shared` pieces, ascending: `(offset, allocation, from,
+    /// len)`.
+    fn landed(data: &Mutex<Contents>) -> Vec<(usize, Arc<Vec<u8>>, usize, usize)> {
+        let data = data.lock();
+        data.pieces
+            .iter()
+            .filter_map(|(at, p)| match p {
+                Piece::Shared(len, src, from) => Some((*at, src.clone(), *from, *len)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// What `data`'s `Shared` pieces pin.
+    fn pinned(data: &Mutex<Contents>) -> usize {
+        data.lock().pieces.iter().map(|(_, p)| p.pinned()).sum()
     }
 
     /// `b.load(offset, len)` as a byte vector.
@@ -765,23 +818,20 @@ mod tests {
     }
 
     #[test]
-    fn a_buffer_clone_sees_the_same_prefix() {
+    fn a_buffer_clone_sees_the_same_words() {
         let a = Buffer::alloc(4_099);
         let b = a.clone();
         assert_eq!(a.store(0, &[1; 13]), Ok(()));
         assert_eq!(b.store(11, &[2; 30]), Ok(()));
-        assert_eq!(
-            a.data.lock().words.len(),
-            6,
-            "41 bytes through either handle"
-        );
-        assert_eq!(zero_filled(&b.data), 0);
+        let words = [(0, 41, Seen::Owned(0)), (41, 4_058, Seen::Zero)];
+        assert_eq!(table(&a.data), words, "41 bytes through either handle");
+        assert_eq!(arrays(&b.data), [(0, 41)], "in one array");
         let mut expect = vec![0u8; 4_099];
         expect[..11].fill(1);
         expect[11..41].fill(2);
         assert_eq!(loaded(&b, 0, 4_099), Ok(expect));
         // `load` reads through: it zeroes its own copy, not the buffer.
-        assert_eq!(zero_filled(&a.data), 0);
+        assert_eq!(table(&a.data), words);
     }
 
     /// `len` bytes of `salt` behind `from` bytes of framing.
@@ -816,34 +866,39 @@ mod tests {
     fn a_load_decodes_in_place_across_extents_that_split_an_f32() -> ClResult<()> {
         let b = Buffer::alloc(64);
         let mut model = [0u8; 64];
-        // A prefix of 40 bytes, then extents at odd offsets whose edges fall
-        // inside an `f32`: the newer ones overlay part of the prefix and
-        // each other, and [51, 57) is written by nobody.
+        // 40 written bytes, then landings at odd offsets whose edges fall
+        // inside an `f32`: each cuts the words or an earlier landing, and
+        // [51, 57) is written by nobody.
         let prefix = payload(40, 1);
         assert_eq!(b.store(0, &prefix), Ok(()));
         model[..40].copy_from_slice(&prefix);
+        let mut msgs = Vec::new();
         for (at, len, salt, from) in [(13, 17, 3, 1), (27, 24, 5, 2), (57, 7, 7, 0), (21, 3, 9, 1)]
         {
             let msg = framed(from, len, salt);
             model[at..at + len].copy_from_slice(&msg[from..]);
-            assert_eq!(b.land(at, msg, from), Ok(()));
+            assert_eq!(b.land(at, msg.clone(), from), Ok(()));
+            msgs.push(msg.as_ptr());
         }
+        let pieces = [
+            (0, 13, Seen::Owned(0)),
+            (13, 8, Seen::Shared(msgs[0], 1)),
+            (21, 3, Seen::Shared(msgs[3], 1)),
+            (24, 3, Seen::Shared(msgs[0], 12)),
+            (27, 24, Seen::Shared(msgs[1], 2)),
+            (51, 6, Seen::Zero),
+            (57, 7, Seen::Shared(msgs[2], 0)),
+        ];
+        assert_eq!(table(&b.data), pieces);
         for (offset, len) in [(0, 64), (4, 56), (12, 20), (52, 12), (8, 0)] {
             let l = b.load(offset, len)?;
             let want = &model[offset..offset + len];
             assert_eq!(l.as_slice(), want, "load({offset}, {len})");
             assert_eq!(f32_bits(l.as_f32()), decoded_f32_bits(want));
-            // Zeroes only where nobody wrote (less the padding of a ragged
-            // word, which is not counted).
-            let unwritten = (51..57)
-                .filter(|i| (offset..offset + len).contains(i))
-                .count();
-            assert!(l.zero_filled <= unwritten, "load({offset}, {len})");
         }
-        // Loads read through: the buffer itself is still the prefix plus
-        // four landed extents.
-        let data = b.data.lock();
-        assert_eq!((data.words.len(), data.landed.len()), (5, 4));
+        // Loads read through: the table and the one array are as they were.
+        assert_eq!(table(&b.data), pieces);
+        assert_eq!(arrays(&b.data), [(0, 40)]);
         Ok(())
     }
 
@@ -858,8 +913,7 @@ mod tests {
                 let msg = framed(1, len, (16 * step + at / chunk) as u8);
                 model[at..at + len].copy_from_slice(&msg[1..]);
                 assert_eq!(dev.land(at, msg, 1), Ok(()));
-                let data = dev.data.lock();
-                let held: usize = data.landed.iter().map(|(_, s, f)| s.len() - f).sum();
+                let held = pinned(&dev.data);
                 assert!(held <= SIZE, "step {step}: {held} bytes held");
             }
         }
@@ -886,33 +940,26 @@ mod tests {
                 model[at..at + len].copy_from_slice(&msg[1..]);
                 assert_eq!(dev.land(at, msg, 1), Ok(()));
             }
-            assert_eq!(dev.data.lock().landed.len(), 61);
+            assert_eq!(landed(&dev.data).len(), 61);
         }
-        // One rank's row block of a 16-rank kernel: landed extents cover
+        // One rank's row block of a 16-rank kernel: landed pieces cover
         // it, so the copy it gets zero-fills nothing, and its typed view is
         // the bytes in place.
         let (at, len) = (5 * SIZE / 16, SIZE / 16);
         let block = dev.load(at, len)?;
         assert_eq!(block.as_slice(), &model[at..at + len]);
-        assert_eq!(block.zero_filled, 0);
         assert_eq!(block.as_f32().len(), len / 4);
         assert_eq!(
             block.as_f32().as_ptr().cast::<u8>(),
             block.as_slice().as_ptr()
         );
-        assert_eq!(dev.data.lock().words.len(), 0);
-        assert_eq!(zero_filled(&dev.data), 0);
-        // A whole view copies every landed byte in, once.
+        assert_eq!(arrays(&dev.data), [], "nothing copied in");
+        assert_eq!(unwritten(&dev.data), 0);
+        // A whole view copies every landed byte into one array, once.
         assert!(dev.read(|d| d.as_slice() == model));
-        let data = dev.data.lock();
-        assert_eq!((data.words.len(), data.landed.len()), (SIZE / 8, 0));
-        assert_eq!(data.zero_filled, 0);
+        assert_eq!(table(&dev.data), [(0, SIZE, Seen::Owned(0))]);
+        assert_eq!(arrays(&dev.data), [(0, SIZE)]);
         Ok(())
-    }
-
-    /// The allocations `data` holds landed, oldest first.
-    fn landed_allocations(data: &Mutex<AlignedBytes>) -> Vec<Extent> {
-        data.lock().landed.clone()
     }
 
     #[test]
@@ -929,28 +976,24 @@ mod tests {
         }
         let dev = Buffer::alloc(SIZE);
         dev.copy(Dir::ToDevice, 0, SIZE, &stage, 0);
-        let (held, shared) = (
-            landed_allocations(&stage.data),
-            landed_allocations(&dev.data),
-        );
+        let (held, shared) = (landed(&stage.data), landed(&dev.data));
         assert_eq!(shared.len(), 7);
-        for ((at, src, from), (d_at, d_src, d_from)) in held.iter().zip(&shared) {
-            assert!(Arc::ptr_eq(src, d_src), "extent at {at} copied");
-            assert_eq!((at, from), (d_at, d_from));
+        for ((at, src, from, len), (d_at, d_src, d_from, d_len)) in held.iter().zip(&shared) {
+            assert!(Arc::ptr_eq(src, d_src), "piece at {at} copied");
+            assert_eq!((at, from, len), (d_at, d_from, d_len));
         }
-        assert_eq!(dev.data.lock().words.len(), 0, "nothing copied in");
         assert_eq!(loaded(&dev, 0, SIZE), Ok(model.clone()));
-        // A range of the device tiled by extents 2..5 shares back to the
+        // A range of the device tiled by pieces 2..5 shares back to the
         // host, at another offset.
         let back = HostBuffer::pageable(SIZE);
         dev.copy(Dir::ToHost, 3_072, 4_608, &back, 100);
-        assert_eq!(landed_allocations(&back.data).len(), 3);
-        for (got, want) in landed_allocations(&back.data).iter().zip(&held[2..5]) {
+        assert_eq!(landed(&back.data).len(), 3);
+        for (got, want) in landed(&back.data).iter().zip(&held[2..5]) {
             assert!(Arc::ptr_eq(&got.1, &want.1));
             assert_eq!(got.0, want.0 - 3_072 + 100);
         }
         for data in [&stage.data, &dev.data, &back.data] {
-            assert_eq!(zero_filled(data), 0);
+            assert_eq!(arrays(data), [], "a byte was copied");
         }
         let mut expect = vec![0u8; SIZE];
         expect[100..4_708].copy_from_slice(&model[3_072..7_680]);
@@ -958,14 +1001,18 @@ mod tests {
         Ok(())
     }
 
+    /// A hop shares exactly the ranges whole `Shared` pieces tile — also
+    /// one over bytes the stage wrote before a landing cut them — and
+    /// copies every other.
     #[test]
     fn a_range_the_extents_do_not_tile_is_copied() -> ClResult<()> {
         const SIZE: usize = 4_096;
         let stage = HostBuffer::pinned(SIZE);
-        // A prefix of 1 KiB, then extents over [1024, 2048) and
-        // [2560, 3072) — a gap between them, and nothing past 3072 — and
-        // one over [256, 768), inside the prefix.
+        // 1 KiB written, then landings over [1024, 2048) and [2560,
+        // 3072) — a gap between them, and nothing past 3072 — and one over
+        // [256, 768), inside the written bytes.
         let mut model = vec![0u8; SIZE];
+        let mut inner = None;
         for (at, len, salt) in [
             (0, 1_024, 1),
             (1_024, 1_024, 3),
@@ -976,37 +1023,49 @@ mod tests {
             model[at..at + len].copy_from_slice(&bytes);
             match at {
                 0 => stage.store(at, &bytes)?,
-                _ => stage.land(at, Arc::new(bytes))?,
+                _ => {
+                    let bytes = Arc::new(bytes);
+                    inner = Some(bytes.clone());
+                    stage.land(at, bytes)?
+                }
             }
         }
-        // Ranges over the prefix — one of them tiled by the extent there —
-        // one over the gap, one past the last extent, and one that starts
-        // inside an extent: each is copied, byte for byte, over a
-        // destination that held other bytes.
+        let pieces = table(&stage.data);
+        // The landing inside the written bytes is one piece of its own:
+        // that range lands by reference. Ranges over the words, one over
+        // the gap, one past the last landing and one that starts inside a
+        // landing are copied, byte for byte, over a destination that held
+        // other bytes.
         let ranges = [
-            (512, 1_024),
-            (256, 512),
-            (1_024, 2_048),
-            (2_560, 1_024),
-            (1_536, 1_024),
+            (512, 1_024, false),
+            (256, 512, true),
+            (1_024, 2_048, false),
+            (2_560, 1_024, false),
+            (1_536, 1_024, false),
         ];
-        for (offset, len) in ranges {
+        for (offset, len, shares) in ranges {
             let dev = Buffer::alloc(SIZE);
             dev.store(0, &[0xFF; SIZE])?;
             dev.copy(Dir::ToDevice, 7, len, &stage, offset);
             let mut expect = vec![0xFF; SIZE];
             expect[7..7 + len].copy_from_slice(&model[offset..offset + len]);
-            assert_eq!(
-                landed_allocations(&dev.data).len(),
-                0,
-                "{offset}+{len} shared"
-            );
+            let got = landed(&dev.data);
+            match shares {
+                true => assert!(
+                    got.len() == 1
+                        && inner.as_ref().is_some_and(|i| Arc::ptr_eq(&got[0].1, i))
+                        && (got[0].0, got[0].3) == (7, len),
+                    "{offset}+{len} copied"
+                ),
+                false => assert_eq!(got.len(), 0, "{offset}+{len} shared"),
+            }
             assert_eq!(loaded(&dev, 0, SIZE), Ok(expect), "{offset}+{len}");
         }
-        // The stage read through: still a prefix and three extents.
-        assert_eq!(landed_allocations(&stage.data).len(), 3);
-        assert_eq!(stage.data.lock().words.len(), 128);
-        assert_eq!(zero_filled(&stage.data), 0);
+        // The stage read through: its pieces are as they were, over one
+        // array of the 1 KiB it wrote.
+        assert_eq!(table(&stage.data), pieces);
+        assert_eq!(landed(&stage.data).len(), 3);
+        assert_eq!(arrays(&stage.data), [(0, 1_024)]);
         Ok(())
     }
 
@@ -1025,6 +1084,7 @@ mod tests {
             model[at..at + len].copy_from_slice(&msg[1..]);
             dev.land(at, msg, 1)?;
         }
+        let pieces = table(&dev.data);
         let mut out = vec![0xEE];
         dev.load_onto(&mut out, [(800, 5_000), (30_000, 9), (0, 0), (5_050, 20)]);
         let mut expect = vec![0xEE];
@@ -1032,9 +1092,12 @@ mod tests {
             expect.extend_from_slice(&model[offset..offset + len]);
         }
         assert_eq!(out, expect);
-        let data = dev.data.lock();
-        assert_eq!((data.words.len(), data.landed.len()), (125, 3));
-        assert_eq!(data.zero_filled, 0);
+        // The landing at 5000 cut the one at 4000 in two: four pieces
+        // landed, the words and two unwritten gaps, none of it touched.
+        assert_eq!(table(&dev.data), pieces);
+        assert_eq!(landed(&dev.data).len(), 4);
+        assert_eq!(arrays(&dev.data), [(0, 1_000)]);
+        assert_eq!(unwritten(&dev.data), SIZE - 1_200 - 2_000);
         Ok(())
     }
 
@@ -1054,14 +1117,15 @@ mod tests {
         let payload = vec![7u8; chunk];
 
         // The ring broadcast's receiver: ascending chunk stores, then a kernel
-        // reads. A zero-length write asks for no gap before it.
+        // reads. A zero-length write asks for no piece.
         let dev = Buffer::alloc(SIZE);
         assert_eq!(dev.store(SIZE, &[]), Ok(()));
         for &(at, len) in &pieces {
             assert_eq!(dev.store(at, &payload[..len]), Ok(()));
         }
+        assert_eq!(unwritten(&dev.data), 0);
         assert!(dev.read(|d| d.as_slice().iter().all(|&b| b == 7)));
-        assert_eq!(zero_filled(&dev.data), 0);
+        assert_eq!(arrays(&dev.data), [(0, SIZE)]);
 
         // The root: ascending 128 KiB `store`s into its stage, one
         // whole-buffer write; and a map back.
@@ -1078,29 +1142,105 @@ mod tests {
         root.copy(Dir::ToHost, 0, SIZE, &mapped, 0);
         assert!(mapped.to_vec() == vec![9u8; SIZE]);
         for data in [&stage.data, &root.data, &mapped.data] {
-            assert_eq!(zero_filled(data), 0);
+            assert_eq!(unwritten(data), 0);
+        }
+        for data in [&root.data, &mapped.data] {
+            assert_eq!(arrays(data), [(0, SIZE)], "one copy");
         }
 
-        // Chunks 7 and 8 arriving swapped cost the gap chunk 8 leaves
-        // behind it, from the end of chunk 6's last (padded) word.
+        // Chunks 7 and 8 arriving swapped leave a gap only until chunk 7
+        // fills it: nothing writes a zero.
         let swapped = Buffer::alloc(SIZE);
         let mut order = pieces.clone();
         order.swap(7, 8);
         for &(at, len) in &order {
             assert_eq!(swapped.store(at, &payload[..len]), Ok(()));
         }
+        assert_eq!(unwritten(&swapped.data), 0);
         assert!(swapped.read(|d| d.as_slice().iter().all(|&b| b == 7)));
-        assert_eq!(
-            zero_filled(&swapped.data),
-            8 * chunk - (7 * chunk).next_multiple_of(8)
-        );
 
         // Nobody wrote: the whole length, once, at the first view.
         let untouched = HostBuffer::pinned(SIZE);
-        assert_eq!(zero_filled(&untouched.data), 0);
+        assert_eq!(arrays(&untouched.data), []);
         assert_eq!(untouched.read(|h| h.as_f32().len()), SIZE / 4);
         assert_eq!(untouched.write(|h| h.len()), SIZE);
-        assert_eq!(zero_filled(&untouched.data), SIZE);
+        assert_eq!(table(&untouched.data), [(0, SIZE, Seen::Owned(0))]);
+        assert_eq!(arrays(&untouched.data), [(0, SIZE)]);
+    }
+
+    /// A landing inside written bytes cuts their piece and copies nothing;
+    /// a later whole view copies only the landed bytes back into the same
+    /// array, and a store inside one piece writes in place.
+    #[test]
+    fn a_cut_keeps_both_remnants_in_their_array() -> ClResult<()> {
+        const SIZE: usize = 4_096;
+        let dev = Buffer::alloc(SIZE);
+        let words = payload(SIZE, 3);
+        dev.store(0, &words)?;
+        let base = dev.read(|d| d.as_slice().as_ptr());
+        let msg = framed(0, 100, 5);
+        dev.land(1_000, msg.clone(), 0)?;
+        assert_eq!(
+            table(&dev.data),
+            [
+                (0, 1_000, Seen::Owned(0)),
+                (1_000, 100, Seen::Shared(msg.as_ptr(), 0)),
+                (1_100, 2_996, Seen::Owned(0)),
+            ]
+        );
+        assert_eq!(arrays(&dev.data), [(0, SIZE)]);
+        let mut model = words.clone();
+        model[1_000..1_100].copy_from_slice(&msg);
+        assert!(dev.read(|d| d.as_slice() == model && d.as_slice().as_ptr() == base));
+        assert_eq!(table(&dev.data), [(0, SIZE, Seen::Owned(0))]);
+        dev.store(2_000, &[1; 8])?;
+        assert!(dev.read(|d| d.as_slice()[2_000..2_008] == [1; 8] && d.as_slice().as_ptr() == base));
+        Ok(())
+    }
+
+    /// A ranged view hands out in place whatever lies inside one piece —
+    /// all of a landing, part of one, part of the words — and copies only
+    /// the regions that straddle pieces or lie in unwritten bytes.
+    #[test]
+    fn a_ranged_view_copies_only_regions_no_piece_holds() -> ClResult<()> {
+        let dev = Buffer::alloc(64);
+        dev.store(0, &[1; 16])?;
+        let msg = framed(0, 32, 5);
+        dev.land(16, msg.clone(), 0)?;
+        let words = dev.read_regions(0, 8, 8, |v| v[0].as_ptr());
+        let before = table(&dev.data);
+        let ptrs = dev.read_regions(0, 48, 8, |v| {
+            v.iter().map(|r| r.as_ptr()).collect::<Vec<_>>()
+        });
+        assert_eq!(ptrs[0], words, "words in place");
+        for (i, p) in ptrs[2..6].iter().enumerate() {
+            assert_eq!(*p, msg[8 * i..].as_ptr(), "part of the landing in place");
+        }
+        assert_eq!(table(&dev.data), before, "nothing copied");
+        // [44, 52) straddles the landing's end and the unwritten bytes:
+        // only it becomes words; the landing keeps its other bytes.
+        let got = dev.read_regions(36, 16, 8, |v| [v[0].as_ptr(), v[1].as_ptr()]);
+        assert_eq!(got[0], msg[20..].as_ptr());
+        assert_eq!(
+            table(&dev.data),
+            [
+                (0, 16, Seen::Owned(0)),
+                (16, 28, Seen::Shared(msg.as_ptr(), 0)),
+                (44, 8, Seen::Owned(44)),
+                (52, 12, Seen::Zero),
+            ]
+        );
+        let written = dev.write_range(40, 4, |w| {
+            w.fill(9);
+            w.len()
+        });
+        assert_eq!(written, 4);
+        let mut model = [0u8; 64];
+        model[..16].fill(1);
+        model[16..48].copy_from_slice(&msg);
+        model[40..44].fill(9);
+        assert_eq!(loaded(&dev, 0, 64), Ok(model.to_vec()));
+        Ok(())
     }
 
     /// One generated operation on a device buffer / host buffer pair.
@@ -1211,9 +1351,11 @@ mod tests {
 
     /// The buffers under test beside the plain zero-initialised vectors
     /// they must read like, how far each has been written, where each
-    /// one's last landed extent ends, how many copies shared landed
-    /// extents device → host and host → device, and how many ranged views
-    /// and shares met each case `Views` and `Shares` count.
+    /// one's last landed extent ends, where the bytes it wrote rather than
+    /// landed reach, the bytes each is expected to show by reference
+    /// (`Run`s, in landing order), how many copies shared landed pieces
+    /// device → host and host → device, and how many ranged views and
+    /// shares met each case `Views` and `Shares` count.
     struct Pair {
         dev: Buffer,
         host: HostBuffer,
@@ -1223,7 +1365,12 @@ mod tests {
         host_end: usize,
         dev_landed_end: usize,
         host_landed_end: usize,
+        dev_written: usize,
+        host_written: usize,
+        dev_runs: Vec<Run>,
+        host_runs: Vec<Run>,
         shared: [usize; 2],
+        shared_over_words: usize,
         views: Views,
         shares: Shares,
         leans_on_landings: bool,
@@ -1231,20 +1378,117 @@ mod tests {
         leans_on_shares: bool,
     }
 
-    /// Ranged views that: left an extent covering a region landed and
-    /// read it in place; copied in an extent straddling an edge of their
-    /// range; wrote beside an extent that stayed landed.
+    /// Bytes the model expects a buffer to show by reference:
+    /// `src[from..from + len]` at `at`, cut from a landing that spanned
+    /// `landed`.
+    #[derive(Clone)]
+    struct Run {
+        at: usize,
+        src: Arc<Vec<u8>>,
+        from: usize,
+        len: usize,
+        landed: (usize, usize),
+    }
+
+    impl Run {
+        fn end(&self) -> usize {
+            self.at + self.len
+        }
+    }
+
+    /// Take `[a, b)` out of every run: what lay there is written now.
+    fn cut_out(runs: &mut Vec<Run>, (a, b): (usize, usize)) {
+        if a == b {
+            return;
+        }
+        *runs = std::mem::take(runs)
+            .into_iter()
+            .flat_map(|r| {
+                if r.end() <= a || b <= r.at {
+                    return vec![r];
+                }
+                let mut keep = Vec::new();
+                if r.at < a {
+                    keep.push(Run {
+                        len: a - r.at,
+                        ..r.clone()
+                    });
+                }
+                if b < r.end() {
+                    keep.push(Run {
+                        at: b,
+                        from: r.from + b - r.at,
+                        len: r.end() - b,
+                        ..r.clone()
+                    });
+                }
+                keep
+            })
+            .collect();
+    }
+
+    /// Land `new` (which tile `range`) over `range`, then keep what the
+    /// runs pin within `size`: past it, every run that stops short of its
+    /// allocation's end is written in.
+    fn land_runs(runs: &mut Vec<Run>, size: usize, range: (usize, usize), new: Vec<Run>) {
+        cut_out(runs, range);
+        runs.extend(new);
+        if runs.iter().map(|r| r.src.len() - r.from).sum::<usize>() > size {
+            runs.retain(|r| r.from + r.len == r.src.len());
+        }
+    }
+
+    /// The runs that tile `[offset, offset + len)` exactly, ascending;
+    /// `None` when the range is empty, cuts a run or has a byte no run
+    /// covers.
+    fn tiles(runs: &[Run], offset: usize, len: usize) -> Option<Vec<Run>> {
+        let mut over: Vec<&Run> = runs
+            .iter()
+            .filter(|r| r.at < offset + len && offset < r.end())
+            .collect();
+        over.sort_unstable_by_key(|r| r.at);
+        let mut next = offset;
+        for r in &over {
+            if r.at != next {
+                return None;
+            }
+            next = r.end();
+        }
+        (len > 0 && next == offset + len).then(|| over.into_iter().cloned().collect())
+    }
+
+    /// `data`'s `Shared` pieces as `(offset, allocation, from, len)`,
+    /// ascending, beside the model's runs in the same form.
+    fn shown(data: &Mutex<Contents>, runs: &[Run]) -> [Vec<(usize, *const u8, usize, usize)>; 2] {
+        let got = landed(data)
+            .into_iter()
+            .map(|(at, src, from, len)| (at, src.as_ptr(), from, len))
+            .collect();
+        let mut want: Vec<_> = runs
+            .iter()
+            .map(|r| (r.at, r.src.as_ptr(), r.from, r.len))
+            .collect();
+        want.sort_unstable();
+        [got, want]
+    }
+
+    /// Ranged views that: read a region in place where a landed piece
+    /// holds it; read one in place inside a landed piece it does not span
+    /// exactly (a region the initialised-prefix rule copied in); cut
+    /// across the edge of a landed piece; wrote beside one that stayed
+    /// landed.
     #[derive(Clone, Copy, Default, Debug)]
     struct Views {
         in_place: usize,
+        inside: usize,
         straddled: usize,
         beside: usize,
     }
 
-    /// Shares that handed out an extent's allocation, and that refused a
-    /// range: one that extents overlap but none spans exactly, one an
-    /// extent spans exactly but from a byte other than 0, one an extent
-    /// spans exactly but a newer one lies over.
+    /// Shares that handed out an allocation, and that refused a range:
+    /// one that landed pieces overlap but none spans exactly, one a piece
+    /// spans exactly without showing its whole allocation from byte 0,
+    /// one a landing spanned exactly before a newer write cut it.
     #[derive(Clone, Copy, Default, Debug)]
     struct Shares {
         shared: usize,
@@ -1253,9 +1497,11 @@ mod tests {
         overlaid: usize,
     }
 
-    /// The spans of the landed extents `data` holds, oldest first.
-    fn spans(data: &Mutex<AlignedBytes>) -> Vec<(usize, usize)> {
-        data.lock().landed.iter().map(span).collect()
+    /// The spans of the landings `runs` still show part of, oldest first.
+    fn spans(runs: &[Run]) -> Vec<(usize, usize)> {
+        let mut spans: Vec<(usize, usize)> = runs.iter().map(|r| r.landed).collect();
+        spans.dedup();
+        spans
     }
 
     /// Half the time a landing starts where the last one ended, so landed
@@ -1273,20 +1519,15 @@ mod tests {
     }
 
     impl Pair {
-        /// `(offset, len)` of a run of the source's landed extents, each
-        /// starting where the one before it ends; `None` without extents.
+        /// `(offset, len)` of a run of the source's landed pieces, each
+        /// starting where the one before it ends; `None` without any.
         fn tiled(&self, to_host: bool, rng: &mut XorShift64) -> Option<(usize, usize)> {
             let src = if to_host {
-                &self.dev.data
+                &self.dev_runs
             } else {
-                &self.host.data
+                &self.host_runs
             };
-            let mut extents: Vec<(usize, usize)> = src
-                .lock()
-                .landed
-                .iter()
-                .map(|(at, s, from)| (*at, at + s.len() - from))
-                .collect();
+            let mut extents: Vec<(usize, usize)> = src.iter().map(|r| (r.at, r.end())).collect();
             extents.sort_unstable();
             let first = rng.gen_range_usize(0, extents.len().max(1));
             let &(lo, mut hi) = extents.get(first)?;
@@ -1345,7 +1586,7 @@ mod tests {
         /// small regions anywhere.
         fn read_regions(&self, rng: &mut XorShift64, (offset, len): (usize, usize)) -> Op {
             let size = self.dev_model.len();
-            let extents = spans(&self.dev.data);
+            let extents = spans(&self.dev_runs);
             let Some(&(lo, hi)) = extents.get(rng.gen_range_usize(0, extents.len() + 1)) else {
                 let region = rng.gen_range_usize(1, 18);
                 return Op::ReadRegions {
@@ -1377,7 +1618,7 @@ mod tests {
         /// cuts across one's edges.
         fn share(&self, rng: &mut XorShift64, (offset, len): (usize, usize)) -> Op {
             let size = self.dev_model.len();
-            let extents = spans(&self.dev.data);
+            let extents = spans(&self.dev_runs);
             let overlaid: Vec<(usize, usize)> = (0..extents.len())
                 .filter(|&i| {
                     let (lo, hi) = extents[i];
@@ -1406,7 +1647,7 @@ mod tests {
         /// one of its landed extents starts or starting where one ends.
         fn write_range(&self, rng: &mut XorShift64, (offset, len): (usize, usize), salt: u8) -> Op {
             let size = self.dev_model.len();
-            let extents = spans(&self.dev.data);
+            let extents = spans(&self.dev_runs);
             let (offset, len) = match extents.get(rng.gen_range_usize(0, 2 * extents.len() + 1)) {
                 Some(&(lo, _)) if rng.gen_bool(0.5) => {
                     let len = rng.gen_range_usize(0, lo + 1).min(64);
@@ -1445,7 +1686,7 @@ mod tests {
                     // A case that leans on shares lands up to 64 bytes from
                     // inside the newest extent one time in three, so shares
                     // meet an extent a newer one partly overlays.
-                    let newest = spans(&self.dev.data).pop().filter(|&(lo, hi)| hi - lo > 1);
+                    let newest = spans(&self.dev_runs).pop().filter(|&(lo, hi)| hi - lo > 1);
                     let (offset, len) = match newest {
                         Some((lo, hi)) if self.leans_on_shares && rng.gen_bool(1.0 / 3.0) => {
                             let at = rng.gen_range_usize(lo + 1, hi);
@@ -1526,13 +1767,52 @@ mod tests {
         }
 
         /// Apply `op` to the buffers and the models; false when what the
-        /// buffers show differs from the models.
+        /// buffers show differs from the models, or when the pieces they
+        /// show by reference are not the runs the model expects.
         fn apply(&mut self, op: Op) -> bool {
+            let agrees = self.step(op);
+            let [dev, dev_runs] = shown(&self.dev.data, &self.dev_runs);
+            let [host, host_runs] = shown(&self.host.data, &self.host_runs);
+            agrees && dev == dev_runs && host == host_runs
+        }
+
+        /// A land of `len` bytes of `src` from `from` at `offset` of the
+        /// device (`host` false) or host buffer, in the model.
+        fn land(&mut self, host: bool, offset: usize, src: Arc<Vec<u8>>, from: usize) {
+            let (runs, size) = match host {
+                true => (&mut self.host_runs, self.host_model.len()),
+                false => (&mut self.dev_runs, self.dev_model.len()),
+            };
+            let len = src.len() - from;
+            let end = offset + len;
+            let new = (len > 0).then_some(Run {
+                at: offset,
+                src,
+                from,
+                len,
+                landed: (offset, end),
+            });
+            land_runs(runs, size, (offset, end), new.into_iter().collect());
+        }
+
+        /// Everything but the landings, in the model: `[offset, end)` of
+        /// the device (`host` false) or host buffer is written.
+        fn written(&mut self, host: bool, (offset, end): (usize, usize)) {
+            let (runs, written) = match host {
+                true => (&mut self.host_runs, &mut self.host_written),
+                false => (&mut self.dev_runs, &mut self.dev_written),
+            };
+            cut_out(runs, (offset, end));
+            *written = (*written).max(end);
+        }
+
+        fn step(&mut self, op: Op) -> bool {
             match op {
                 Op::Store { offset, len, salt } => {
                     let src = payload(len, salt);
                     self.dev_model[offset..offset + len].copy_from_slice(&src);
                     self.dev_end = self.dev_end.max(offset + len);
+                    self.written(false, (offset, offset + len));
                     self.dev.store(offset, &src) == Ok(())
                 }
                 Op::Land {
@@ -1545,33 +1825,73 @@ mod tests {
                     self.dev_model[offset..offset + len].copy_from_slice(&msg[from..]);
                     self.dev_end = self.dev_end.max(offset + len);
                     self.dev_landed_end = offset + len;
+                    self.land(false, offset, msg.clone(), from);
                     self.dev.land(offset, msg, from) == Ok(())
                 }
                 Op::HostLand { offset, len, salt } => {
-                    let src = payload(len, salt);
+                    let src = Arc::new(payload(len, salt));
                     self.host_model[offset..offset + len].copy_from_slice(&src);
                     self.host_end = self.host_end.max(offset + len);
                     self.host_landed_end = offset + len;
-                    self.host.land(offset, Arc::new(src)) == Ok(())
+                    self.land(true, offset, src.clone(), 0);
+                    self.host.land(offset, src) == Ok(())
                 }
                 Op::HostStore { offset, len, salt } => {
                     let src = payload(len, salt);
                     self.host_model[offset..offset + len].copy_from_slice(&src);
                     self.host_end = self.host_end.max(offset + len);
+                    self.written(true, (offset, offset + len));
                     self.host.store(offset, &src) == Ok(())
                 }
+                // A range whole landed pieces tile lands those pieces at
+                // the destination; any other is copied in.
                 Op::Copy {
                     to_host,
                     offset,
                     at,
                     len,
                 } => {
-                    let (src, from) = match to_host {
-                        true => (&self.dev.data, offset),
-                        false => (&self.host.data, at),
+                    let (src, from, written, dst, dst_size) = match to_host {
+                        true => (
+                            &self.dev_runs,
+                            offset,
+                            self.dev_written,
+                            at,
+                            self.host_model.len(),
+                        ),
+                        false => (
+                            &self.host_runs,
+                            at,
+                            self.host_written,
+                            offset,
+                            self.dev_model.len(),
+                        ),
                     };
-                    if src.lock().tiling(from, len).is_some() {
+                    let tiles = tiles(src, from, len);
+                    if tiles.is_some() {
                         self.shared[usize::from(!to_host)] += 1;
+                        self.shared_over_words += usize::from(from < written);
+                    }
+                    let dst_runs = match to_host {
+                        true => &mut self.host_runs,
+                        false => &mut self.dev_runs,
+                    };
+                    match tiles {
+                        Some(tiles) => {
+                            let moved = tiles
+                                .into_iter()
+                                .map(|r| {
+                                    let at = r.at - from + dst;
+                                    Run {
+                                        at,
+                                        landed: (at, at + r.len),
+                                        ..r
+                                    }
+                                })
+                                .collect();
+                            land_runs(dst_runs, dst_size, (dst, dst + len), moved);
+                        }
+                        None => self.written(to_host, (dst, dst + len)),
                     }
                     let d = &mut self.dev_model[offset..offset + len];
                     let h = &mut self.host_model[at..at + len];
@@ -1593,6 +1913,7 @@ mod tests {
                     salt,
                 } => {
                     let src = payload(len, salt);
+                    self.whole(host);
                     self.write(
                         host,
                         |b| b.as_mut_slice()[offset..offset + len].copy_from_slice(&src),
@@ -1601,37 +1922,40 @@ mod tests {
                 }
                 // Set the middle element of the typed view, if the length
                 // allows the view and it has one; report its length.
-                Op::WriteTyped { host, width, salt } => self.write(
-                    host,
-                    |b| match (b.len() % width, width) {
-                        (0, 4) => {
-                            let v = b.as_f32_mut();
-                            if let Some(x) = v.get_mut(v.len() / 2) {
-                                *x = f32::from_ne_bytes([salt | 1; 4]);
+                Op::WriteTyped { host, width, salt } => {
+                    self.whole(host);
+                    self.write(
+                        host,
+                        |b| match (b.len() % width, width) {
+                            (0, 4) => {
+                                let v = b.as_f32_mut();
+                                if let Some(x) = v.get_mut(v.len() / 2) {
+                                    *x = f32::from_ne_bytes([salt | 1; 4]);
+                                }
+                                v.len()
                             }
-                            v.len()
-                        }
-                        (0, _) => {
-                            let v = b.as_f64_mut();
-                            if let Some(x) = v.get_mut(v.len() / 2) {
-                                *x = f64::from_ne_bytes([salt | 1; 8]);
+                            (0, _) => {
+                                let v = b.as_f64_mut();
+                                if let Some(x) = v.get_mut(v.len() / 2) {
+                                    *x = f64::from_ne_bytes([salt | 1; 8]);
+                                }
+                                v.len()
                             }
-                            v.len()
-                        }
-                        _ => 0,
-                    },
-                    |m| match m.len() % width {
-                        0 => {
-                            let n = m.len() / width;
-                            m.chunks_exact_mut(width)
-                                .skip(n / 2)
-                                .take(1)
-                                .for_each(|x| x.fill(salt | 1));
-                            n
-                        }
-                        _ => 0,
-                    },
-                ),
+                            _ => 0,
+                        },
+                        |m| match m.len() % width {
+                            0 => {
+                                let n = m.len() / width;
+                                m.chunks_exact_mut(width)
+                                    .skip(n / 2)
+                                    .take(1)
+                                    .for_each(|x| x.fill(salt | 1));
+                                n
+                            }
+                            _ => 0,
+                        },
+                    )
+                }
                 // The bytes, and where the length allows it the `f32` view
                 // in place against the model's bytes decoded.
                 Op::Load { offset, len } => {
@@ -1641,36 +1965,45 @@ mod tests {
                             && (len % 4 != 0 || f32_bits(l.as_f32()) == decoded_f32_bits(model))
                     })
                 }
-                // Every region reads as the model; afterwards the extents
-                // over the range are the ones that covered a region
-                // exactly, each handed over where it landed. A view that
-                // copied nothing in wrote no byte.
+                // Every region reads as the model. A region inside one
+                // landed piece is handed over where it landed; every other
+                // one is copied in first unless it lies inside written
+                // bytes, and is handed over from no landed allocation. A
+                // view whose regions all lie in landed pieces changes
+                // nothing.
                 Op::ReadRegions {
                     offset,
                     len,
                     region,
                 } => {
                     let end = offset + len;
-                    let before = landed_allocations(&self.dev.data);
-                    let words = self.dev.data.lock().words.len();
-                    let straddles = before
-                        .iter()
-                        .map(span)
-                        .any(|(lo, hi)| (lo < offset && offset < hi) || (lo < end && end < hi));
-                    // The allocation each region reads in place: the newest
-                    // extent over any of it, if that one spans exactly it.
+                    let runs = &self.dev_runs;
+                    let straddles = runs.iter().any(|r| {
+                        (r.at < offset && offset < r.end()) || (r.at < end && end < r.end())
+                    });
                     let starts: Vec<usize> = (offset..end).step_by(region).collect();
-                    let in_place: Vec<Option<*const u8>> = starts
+                    // The run each region lies inside, if any.
+                    let holders: Vec<Option<&Run>> = starts
                         .iter()
-                        .map(|&at| {
-                            let newest = before
-                                .iter()
-                                .rev()
-                                .find(|e| span(e).0 < at + region && at < span(e).1)?;
-                            (span(newest) == (at, at + region))
-                                .then(|| newest.1[newest.2..].as_ptr())
-                        })
+                        .map(|&at| runs.iter().find(|r| r.at <= at && at + region <= r.end()))
                         .collect();
+                    let in_place: Vec<Option<*const u8>> = holders
+                        .iter()
+                        .zip(&starts)
+                        .map(|(r, &at)| r.map(|r| r.src[r.from + at - r.at..].as_ptr()))
+                        .collect();
+                    let inside = holders
+                        .iter()
+                        .zip(&starts)
+                        .any(|(r, &at)| r.is_some_and(|r| (r.at, r.end()) != (at, at + region)));
+                    let allocations: Vec<(*const u8, usize)> =
+                        runs.iter().map(|r| (r.src.as_ptr(), r.src.len())).collect();
+                    let landed_in = |p: *const u8| {
+                        allocations
+                            .iter()
+                            .any(|&(a, n)| (a as usize..a as usize + n).contains(&(p as usize)))
+                    };
+                    let before = table(&self.dev.data);
                     let model = &self.dev_model;
                     let handed = self.dev.read_regions(offset, len, region, |views| {
                         let agrees = views.len() == starts.len()
@@ -1680,85 +2013,80 @@ mod tests {
                                 .all(|(v, &at)| *v == &model[at..at + region]);
                         agrees.then(|| views.iter().map(|v| v.as_ptr()).collect::<Vec<_>>())
                     });
-                    // Whatever is left over the range lies over kept
-                    // regions only (an older extent may lie under a kept
-                    // one), and each kept region's extent is still there.
-                    let left = spans(&self.dev.data);
-                    let is_kept = |at: usize| in_place[(at - offset) / region].is_some();
-                    let leftover_is_kept = left
-                        .iter()
-                        .all(|&(lo, hi)| (lo.max(offset)..hi.min(end)).all(is_kept));
-                    let kept = in_place.iter().flatten().count();
-                    self.views.in_place += usize::from(kept > 0);
+                    let all_in_place = in_place.iter().all(Option::is_some);
+                    let pointers_hold = handed.is_some_and(|ptrs| {
+                        ptrs.iter().zip(&in_place).all(|(p, want)| match want {
+                            Some(w) => p == w,
+                            None => !landed_in(*p),
+                        })
+                    });
+                    self.views.in_place += usize::from(in_place.iter().any(Option::is_some));
+                    self.views.inside += usize::from(inside);
                     self.views.straddled += usize::from(straddles);
-                    handed.is_some_and(|ptrs| {
-                        ptrs.iter()
-                            .zip(&in_place)
-                            .all(|(p, want)| want.is_none_or(|w| *p == w))
-                    }) && leftover_is_kept
-                        && starts
-                            .iter()
-                            .filter(|&&at| is_kept(at))
-                            .all(|&at| left.contains(&(at, at + region)))
-                        && (kept < starts.len() || self.dev.data.lock().words.len() == words)
+                    let copied: Vec<usize> = starts
+                        .iter()
+                        .zip(&in_place)
+                        .filter(|(_, p)| p.is_none())
+                        .map(|(&at, _)| at)
+                        .collect();
+                    for at in copied {
+                        self.written(false, (at, at + region));
+                    }
+                    pointers_hold && (!all_in_place || table(&self.dev.data) == before)
                 }
-                // The allocation of the newest extent that spans exactly the
-                // range, from its byte 0, with nothing newer over it: the
-                // same allocation, reading as a load does. Anything else is
+                // The allocation of the run that spans exactly the range
+                // and shows all of it from its byte 0: the same
+                // allocation, reading as a load does. Anything else is
                 // refused.
                 Op::Share { offset, len } => {
                     let end = offset + len;
-                    let before = landed_allocations(&self.dev.data);
-                    let exact = before.iter().rposition(|e| span(e) == (offset, end));
-                    let overlaid = exact.is_some_and(|i| {
-                        before[i + 1..]
-                            .iter()
-                            .any(|e| span(e).0 < end && offset < span(e).1)
-                    });
+                    let runs = &self.dev_runs;
+                    let exact = runs.iter().find(|r| (r.at, r.end()) == (offset, end));
                     let got = self.dev.share(offset, len);
                     let model = &self.dev_model[offset..end];
-                    match exact.map(|i| &before[i]) {
-                        Some((_, src, 0)) if !overlaid => {
+                    match exact {
+                        Some(r) if r.from == 0 && r.len == r.src.len() => {
                             self.shares.shared += 1;
                             got.is_some_and(|g| {
-                                Arc::ptr_eq(&g, src)
+                                Arc::ptr_eq(&g, &r.src)
                                     && g[..] == *model
                                     && loaded(&self.dev, offset, len).is_ok_and(|l| l == g[..])
                             })
                         }
                         Some(_) => {
-                            match overlaid {
-                                true => self.shares.overlaid += 1,
-                                false => self.shares.framed += 1,
-                            }
+                            self.shares.framed += 1;
+                            got.is_none()
+                        }
+                        None if len > 0 && runs.iter().any(|r| r.landed == (offset, end)) => {
+                            self.shares.overlaid += 1;
                             got.is_none()
                         }
                         None => {
                             self.shares.straddled += usize::from(
-                                before
-                                    .iter()
-                                    .map(span)
-                                    .any(|(lo, hi)| lo.max(offset) < hi.min(end)),
+                                runs.iter().any(|r| r.at.max(offset) < r.end().min(end)),
                             );
                             got.is_none()
                         }
                     }
                 }
                 // The range reads as the model before the write; afterwards
-                // nothing landed lies over it.
+                // nothing landed lies over it, and what lay beside it is
+                // still landed.
                 Op::WriteRange { offset, len, salt } => {
                     let (end, src) = (offset + len, payload(len, salt));
-                    let before = spans(&self.dev.data);
+                    let before: Vec<(usize, usize)> =
+                        self.dev_runs.iter().map(|r| (r.at, r.end())).collect();
                     let model = &mut self.dev_model[offset..end];
-                    let current = self.dev.write_range(offset, len, |d| {
-                        let view = &mut d.as_mut_slice()[offset..end];
+                    let current = self.dev.write_range(offset, len, |view| {
                         let current = view == model;
                         view.copy_from_slice(&src);
                         current
                     });
                     model.copy_from_slice(&src);
                     self.dev_end = self.dev_end.max(end);
-                    let left = spans(&self.dev.data);
+                    self.written(false, (offset, end));
+                    let left: Vec<(usize, usize)> =
+                        self.dev_runs.iter().map(|r| (r.at, r.end())).collect();
                     self.views.beside += before
                         .iter()
                         .filter(|&&(lo, hi)| {
@@ -1766,11 +2094,15 @@ mod tests {
                         })
                         .count()
                         .min(1);
-                    current && left.iter().all(|&(lo, hi)| hi <= offset || end <= lo)
+                    current && left.iter().all(|&(lo, hi)| hi.min(end) <= lo.max(offset))
                 }
                 Op::ToVec => self.host.to_vec() == self.host_model,
-                Op::ReadBytes { host } => self.reads_as(host, |b| b.as_slice().to_vec()),
+                Op::ReadBytes { host } => {
+                    self.whole(host);
+                    self.reads_as(host, |b| b.as_slice().to_vec())
+                }
                 Op::ReadTyped { host, width } => {
+                    self.whole(host);
                     self.reads_as(host, |b| match (b.len() % width, width) {
                         (0, 4) => b.as_f32().iter().flat_map(|x| x.to_ne_bytes()).collect(),
                         (0, _) => b.as_f64().iter().flat_map(|x| x.to_ne_bytes()).collect(),
@@ -1778,6 +2110,15 @@ mod tests {
                     })
                 }
             }
+        }
+
+        /// A whole view, in the model: every byte is written.
+        fn whole(&mut self, host: bool) {
+            let size = match host {
+                true => self.host_model.len(),
+                false => self.dev_model.len(),
+            };
+            self.written(host, (0, size));
         }
     }
 
@@ -1787,6 +2128,7 @@ mod tests {
         const OPS_PER_CASE: usize = 16;
         let mut root = XorShift64::new(0xC1_B0FF);
         let (mut shared, mut views, mut shares) = ([0; 2], Views::default(), Shares::default());
+        let mut shared_over_words = 0;
         for case in 0..CASES {
             let mut rng = root.fork(case);
             // One case in four leans on landings, one on ranged views and
@@ -1805,7 +2147,12 @@ mod tests {
                 host_end: 0,
                 dev_landed_end: 0,
                 host_landed_end: 0,
+                dev_written: 0,
+                host_written: 0,
+                dev_runs: Vec::new(),
+                host_runs: Vec::new(),
                 shared: [0; 2],
+                shared_over_words: 0,
                 views: Views::default(),
                 shares: Shares::default(),
                 leans_on_landings,
@@ -1832,7 +2179,9 @@ mod tests {
                 );
             }
             shared = [0, 1].map(|i| shared[i] + pair.shared[i]);
+            shared_over_words += pair.shared_over_words;
             views.in_place += pair.views.in_place;
+            views.inside += pair.views.inside;
             views.straddled += pair.views.straddled;
             views.beside += pair.views.beside;
             shares.shared += pair.shares.shared;
@@ -1842,14 +2191,18 @@ mod tests {
         }
         assert!(CASES as usize * OPS_PER_CASE >= 10_000);
         println!("copies that shared landed extents (to host, to device): {shared:?}");
+        println!("  of them over bytes written before: {shared_over_words}");
         println!("ranged views: {views:?}");
         assert!(shared.iter().all(|&n| n >= 100), "{shared:?}");
+        assert!(shared_over_words >= 100, "{shared_over_words}");
         let Views {
             in_place,
+            inside,
             straddled,
             beside,
         } = views;
         assert!(in_place.min(straddled).min(beside) >= 100, "{views:?}");
+        assert!(inside >= 100, "{views:?}");
         println!("shares: {shares:?}");
         let Shares {
             shared,
