@@ -1074,12 +1074,12 @@ pub(crate) mod tests {
 
     /// Set-up puts no word under a landed plane. On slabs of 3, 4 and 16
     /// planes, planes 0, 1, `n` and `n + 1` of both buffers are the table's
-    /// allocations, and the planes between lie in words of their own: so
-    /// copying planes 0–1, or `n`–`n + 1`, into words puts them in an
-    /// allocation of their own. Had set-up allocated or zero-filled words
-    /// under those planes, the copy would land in those words, right beside
-    /// the word planes; two live allocations never abut, the allocator
-    /// keeps a header between them.
+    /// allocations, and the planes between lie in the buffer's word array,
+    /// which starts at the first byte set-up wrote. So a write of planes
+    /// 0–1, which start before it, or of plane `n + 1` alone, which leaves
+    /// plane `n` between, copies the word planes into a new array. Had
+    /// set-up written words under those planes, each write would land in
+    /// place, right beside the word planes it reads in the old array.
     #[test]
     fn set_up_writes_no_word_under_a_landed_plane() {
         for n in [3, 4, 16] {
@@ -1103,12 +1103,17 @@ pub(crate) mod tests {
                     assert_eq!(cx.slab.n, n, "{what}");
                     assert_lands_the_table(&cx, &edge_allocations(&cx), &planes, &what);
                     let (slab, bytes) = (&cx.slab, cx.slab.plane_bytes);
-                    let (words, len) = slab.planes(2, n);
+                    let (first, len) = slab.planes(2, n);
                     let abut = cx.bufs.each_ref().map(|b| {
                         let at = |offset, len| b.write_range(offset, len, |w| w.as_ptr() as usize);
-                        let words = b.read_regions(words, len, len, |v| v[0].as_ptr() as usize);
-                        let (low, high) = (at(0, 2 * bytes), at(slab.plane_off(n), 2 * bytes));
-                        [low + 2 * bytes == words, words + len == high]
+                        let words = || b.read_regions(first, len, len, |v| v[0].as_ptr() as usize);
+                        let before = words();
+                        let low = at(0, 2 * bytes) + 2 * bytes == before;
+                        let before = words();
+                        [
+                            low,
+                            at(slab.plane_off(n + 1), bytes) == before + len + bytes,
+                        ]
                     });
                     rt.shutdown_async().await;
                     (what, abut)

@@ -2,20 +2,18 @@
 //!
 //! A buffer's contents are one piece table (`Contents`): a sorted,
 //! non-overlapping map from offset to piece that tiles the buffer. A piece
-//! is bytes nobody wrote (`Zero`), bytes the buffer wrote into word arrays
-//! of its own (`Owned`), or bytes that landed by reference (`Shared`). A
+//! is bytes nobody wrote (`Zero`), bytes the buffer wrote into its one
+//! word array (`Owned`), or bytes that landed by reference (`Shared`). A
 //! landing replaces its range with one `Shared` piece; a write replaces
-//! its range with one `Owned` piece; a reader walks its range's pieces in
-//! order, so it copies each byte once and zero-fills only `Zero` pieces;
-//! a view hands out in place what lies inside one piece.
+//! its range with one `Owned` piece; a hop moves each piece as it is; a
+//! reader walks its range's pieces in order, so it copies each byte once
+//! and zero-fills only `Zero` pieces; a view hands out in place what lies
+//! inside one piece.
 
 use simtime::plock::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::{ClError, ClResult};
-
-static NEXT_BUFFER_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A byte array with 8-byte alignment, so typed float views are valid:
 /// what [`Buffer::load`] returns and what the whole-buffer views
@@ -122,9 +120,8 @@ impl AlignedBytes {
 enum Piece {
     /// Bytes nobody wrote: they read as zeroes and exist nowhere.
     Zero(usize),
-    /// Bytes of the word array based at this buffer offset: byte `at` of
-    /// the buffer is byte `at − base` of the array.
-    Owned(usize, usize),
+    /// Bytes of the buffer's word array, at their own offset in it.
+    Owned(usize),
     /// `src[from..from + len]`, landed by reference.
     Shared(usize, Arc<Vec<u8>>, usize),
 }
@@ -132,7 +129,7 @@ enum Piece {
 impl Piece {
     fn len(&self) -> usize {
         match self {
-            Piece::Zero(len) | Piece::Owned(len, _) | Piece::Shared(len, ..) => *len,
+            Piece::Zero(len) | Piece::Owned(len) | Piece::Shared(len, ..) => *len,
         }
     }
 
@@ -140,19 +137,19 @@ impl Piece {
     fn split(&mut self, k: usize) -> Piece {
         match self {
             Piece::Zero(len) => Piece::Zero(std::mem::replace(len, k) - k),
-            Piece::Owned(len, base) => Piece::Owned(std::mem::replace(len, k) - k, *base),
+            Piece::Owned(len) => Piece::Owned(std::mem::replace(len, k) - k),
             Piece::Shared(len, src, from) => {
                 Piece::Shared(std::mem::replace(len, k) - k, src.clone(), *from + k)
             }
         }
     }
 
-    /// Take `next` into this piece if both are `Zero`, or `Owned` in one
-    /// array.
+    /// Take `next` into this piece if both are `Zero` or both `Owned`.
     fn absorb(&mut self, next: &Piece) -> bool {
         match (self, next) {
-            (Piece::Zero(len), Piece::Zero(more)) => *len += *more,
-            (Piece::Owned(len, a), Piece::Owned(more, b)) if a == b => *len += *more,
+            (Piece::Zero(len), Piece::Zero(more)) | (Piece::Owned(len), Piece::Owned(more)) => {
+                *len += *more
+            }
             _ => return false,
         }
         true
@@ -171,29 +168,29 @@ impl Piece {
 /// A piece with its offset, and the part of a range it covers.
 type Span<'a> = (usize, &'a Piece, usize, usize);
 
-/// What a range that becomes one `Owned` piece reads as: what it reads
-/// as now, these bytes, or another buffer's contents from this offset.
-enum Fill<'a> {
-    Keep,
-    Bytes(&'a [u8]),
-    From(&'a Contents, usize),
-}
-
 /// A buffer's contents: pieces by offset, each starting where the one
-/// before it ends; and the word arrays `Owned` pieces show, by the buffer
-/// offset of their byte 0, each alive while a piece shows it. Pieces cut
-/// from one `Owned` piece share its array, so a cut copies nothing.
+/// before it ends; the one word array every `Owned` piece shows, which
+/// starts at the first byte ever written, so buffer byte `at` is array
+/// byte `at − base`; and what the `Shared` pieces pin. A cut copies
+/// nothing: both remnants of an `Owned` piece still show the array.
 struct Contents {
     len: usize,
     pieces: Vec<(usize, Piece)>,
-    words: Vec<(usize, AlignedBytes)>,
+    words: AlignedBytes,
+    base: usize,
+    pinned: usize,
 }
 
 impl Contents {
     /// `len` bytes nobody has written.
     fn new(len: usize) -> Self {
-        let (pieces, words) = (vec![(0, Piece::Zero(len))], Vec::new());
-        Contents { len, pieces, words }
+        Contents {
+            len,
+            pieces: vec![(0, Piece::Zero(len))],
+            words: AlignedBytes::zeroed(0),
+            base: 0,
+            pinned: 0,
+        }
     }
 
     /// The pieces over `[offset, offset + len)`, ascending.
@@ -213,10 +210,7 @@ impl Contents {
     fn bytes<'a>(&'a self, at: usize, piece: &'a Piece) -> Option<&'a [u8]> {
         match piece {
             Piece::Zero(_) => None,
-            Piece::Owned(len, base) => {
-                let array = &self.words[self.words.partition_point(|(b, _)| b < base)].1;
-                Some(&array.as_slice()[at - base..at - base + len])
-            }
+            Piece::Owned(len) => Some(&self.words.as_slice()[at - self.base..][..*len]),
             Piece::Shared(len, src, from) => Some(&src[*from..from + len]),
         }
     }
@@ -246,121 +240,130 @@ impl Contents {
         if let Some((o, piece)) = i.checked_sub(1).map(|j| &mut self.pieces[j]) {
             if at < *o + piece.len() {
                 let rest = piece.split(at - *o);
+                self.pinned += rest.pinned();
                 self.pieces.insert(i, (at, rest));
             }
         }
         i
     }
 
-    /// Replace `[offset, offset + len)` with `pieces`, which tile it; then
-    /// join neighbours and drop the word arrays no piece shows.
-    fn replace(
-        &mut self,
-        offset: usize,
-        len: usize,
-        with: impl IntoIterator<Item = (usize, Piece)>,
-    ) {
+    /// Replace `[offset, offset + len)` with `with`, which tile it and
+    /// join no neighbour among themselves; then join each end of them to
+    /// the piece beside it.
+    fn replace(&mut self, offset: usize, len: usize, with: Vec<(usize, Piece)>) {
         if len == 0 {
             return;
         }
-        let (i, j) = (self.cut(offset), self.cut(offset + len));
-        self.pieces.splice(i..j, with);
-        self.pieces
-            .dedup_by(|(_, next), (_, prev)| prev.absorb(next));
-        let pieces = &self.pieces;
-        self.words.retain(|(base, _)| {
-            pieces
-                .iter()
-                .any(|(_, p)| matches!(p, Piece::Owned(_, b) if b == base))
-        });
+        let (i, j, n) = (self.cut(offset), self.cut(offset + len), with.len());
+        self.pinned += with.iter().map(|(_, p)| p.pinned()).sum::<usize>();
+        let gone = self.pieces.splice(i..j, with);
+        self.pinned -= gone.map(|(_, p)| p.pinned()).sum::<usize>();
+        for k in [i + n, i] {
+            let (before, after) = self.pieces.split_at_mut(k);
+            if let (Some((_, p)), Some((_, next))) = (before.last_mut(), after.first()) {
+                if p.absorb(next) {
+                    self.pieces.remove(k);
+                }
+            }
+        }
     }
 
     /// Land `src[from..]` at `offset` by reference.
     fn land(&mut self, offset: usize, src: Arc<Vec<u8>>, from: usize) {
         let len = src.len() - from;
         assert!(offset + len <= self.len, "write past the end");
-        self.replace(offset, len, [(offset, Piece::Shared(len, src, from))]);
+        self.replace(offset, len, vec![(offset, Piece::Shared(len, src, from))]);
         self.bound();
     }
 
     /// If `Shared` pieces pin more than the buffer's length, copy in each
     /// that stops short of its allocation's end: the rest pin what they show.
     fn bound(&mut self) {
-        let pinned: usize = self.pieces.iter().map(|(_, p)| p.pinned()).sum();
-        let pieces = (pinned > self.len).then(|| self.pieces.clone());
+        let pieces = (self.pinned > self.len).then(|| self.pieces.clone());
         for (at, p) in pieces.into_iter().flatten() {
             if p.pinned() > p.len() {
-                self.own(at, p.len(), Fill::Keep);
+                self.own(at, p.len(), None);
             }
         }
     }
 
-    /// Make `[offset, offset + len)` one `Owned` piece that reads as
-    /// `fill` says; return its array and the range's position in it. The
-    /// array is the one the piece at `offset` shows, else one holding a
-    /// byte at `offset`, else a new one; bytes already in it stay put.
-    fn own(&mut self, offset: usize, len: usize, fill: Fill) -> (&mut AlignedBytes, usize) {
+    /// Make the array hold byte `offset` (or end there) and leave it room
+    /// up to `end`. An offset outside it copies the array into a new one,
+    /// with that room, that reaches from the lower of its start and
+    /// `offset`.
+    fn reach(&mut self, offset: usize, end: usize) {
+        if self.words.is_empty() {
+            self.base = offset;
+        }
+        let (base, held) = (self.base, self.words.len());
+        if offset < base || base + held < offset {
+            let lo = base.min(offset);
+            let mut array = AlignedBytes::zeroed(0);
+            array
+                .words
+                .reserve_exact((end.max(base + held) - lo).div_ceil(8));
+            array.put(0, None, (base + held).max(offset) - lo);
+            array.as_mut_slice()[base - lo..][..held].copy_from_slice(self.words.as_slice());
+            (self.words, self.base) = (array, lo);
+        }
+        let more = (end - self.base)
+            .div_ceil(8)
+            .saturating_sub(self.words.words.len());
+        self.words.words.reserve(more);
+    }
+
+    /// Make `[offset, offset + len)` one `Owned` piece holding `src`, or
+    /// what the range reads as now where `src` is `None`; return the
+    /// array and the range's position in it. Bytes the array already
+    /// shows stay put.
+    fn own(&mut self, offset: usize, len: usize, src: Option<&[u8]>) -> (&mut AlignedBytes, usize) {
         let end = offset + len;
         assert!(end <= self.len, "write past the end");
-        let holds =
-            |(b, a): &&(usize, AlignedBytes)| *b == offset || (*b..b + a.len()).contains(&offset);
-        let (base, inside) = match self.over(offset, len).next() {
-            Some((at, Piece::Owned(l, base), ..)) => (*base, end <= at + l),
-            _ => (
-                self.words.iter().find(holds).map_or(offset, |(b, _)| *b),
-                false,
-            ),
-        };
-        let k = self.words.partition_point(|(b, _)| *b < base);
-        if self.words.get(k).is_none_or(|(b, _)| *b != base) {
-            self.words.insert(k, (base, AlignedBytes::zeroed(0)));
-        }
-        let mut array = std::mem::replace(&mut self.words[k].1, AlignedBytes::zeroed(0));
-        let more = (end - base).div_ceil(8).saturating_sub(array.words.len());
-        array.words.reserve(more);
-        let at = offset - base;
-        match fill {
-            Fill::Keep => {
+        let inside = matches!(self.over(offset, len).next(),
+            Some((at, Piece::Owned(l), ..)) if end <= at + l);
+        self.reach(offset, end);
+        let at = offset - self.base;
+        match src {
+            Some(src) => self.words.put(at, Some(src), len),
+            None if inside => {}
+            None => {
+                let mut words = std::mem::replace(&mut self.words, AlignedBytes::zeroed(0));
                 for (o, piece, lo, hi) in self.over(offset, len) {
-                    if !matches!(piece, Piece::Owned(_, b) if *b == base) {
+                    if !matches!(piece, Piece::Owned(_)) {
                         let bytes = self.bytes(o, piece).map(|b| &b[lo - o..hi - o]);
-                        array.put(lo - base, bytes, hi - lo);
+                        words.put(lo - self.base, bytes, hi - lo);
                     }
                 }
+                self.words = words;
             }
-            Fill::Bytes(src) => array.put(at, Some(src), len),
-            Fill::From(src, from) => src.walk(from, len, |rel, b, n| array.put(at + rel, b, n)),
         }
-        self.words[k].1 = array;
         if !inside {
-            self.replace(offset, len, [(offset, Piece::Owned(len, base))]);
+            self.replace(offset, len, vec![(offset, Piece::Owned(len))]);
         }
-        let k = self.words.partition_point(|(b, _)| *b < base);
-        (&mut self.words[k].1, at)
-    }
-
-    /// The whole `Shared` pieces that tile `[offset, offset + len)`, each
-    /// with its offset into the range; `None` if the range is empty, cuts
-    /// a piece or holds any other.
-    fn tiles(&self, offset: usize, len: usize) -> Option<Vec<(usize, Piece)>> {
-        let pieces: Vec<_> = self.over(offset, len).collect();
-        let whole = |&&(at, p, lo, hi): &&Span| {
-            matches!(p, Piece::Shared(..)) && (lo, hi) == (at, at + p.len())
-        };
-        let tiles = pieces.iter().take_while(whole);
-        let tiles: Vec<_> = tiles.map(|&(at, p, ..)| (at - offset, p.clone())).collect();
-        (len > 0 && tiles.len() == pieces.len()).then_some(tiles)
+        (&mut self.words, at)
     }
 
     /// Make `[at, at + len)` read as `[offset, offset + len)` of `src`
-    /// does: where whole `Shared` pieces tile the source range, by landing
-    /// the same allocations; otherwise by copying each byte once.
+    /// does, moving each source piece as it is: a `Zero` piece stays
+    /// `Zero`, a `Shared` piece or part of one lands by reference, and
+    /// `Owned` bytes are copied into the array.
     fn copy_from(&mut self, at: usize, src: &Contents, offset: usize, len: usize) {
-        let Some(tiles) = src.tiles(offset, len) else {
-            self.own(at, len, Fill::From(src, offset));
-            return;
-        };
-        self.replace(at, len, tiles.into_iter().map(|(rel, p)| (at + rel, p)));
+        let mut pieces = Vec::new();
+        for (o, piece, lo, hi) in src.over(offset, len) {
+            let (to, n) = (at + lo - offset, hi - lo);
+            let moved = match piece {
+                Piece::Zero(_) => Piece::Zero(n),
+                Piece::Owned(_) => {
+                    self.reach(to, to + n);
+                    let bytes = src.bytes(o, piece).map(|b| &b[lo - o..hi - o]);
+                    self.words.put(to - self.base, bytes, n);
+                    Piece::Owned(n)
+                }
+                Piece::Shared(_, s, from) => Piece::Shared(n, s.clone(), from + lo - o),
+            };
+            pieces.push((to, moved));
+        }
+        self.replace(at, len, pieces);
         self.bound();
     }
 
@@ -391,7 +394,6 @@ impl Contents {
 /// application's job, exactly as in OpenCL.
 #[derive(Clone)]
 pub struct Buffer {
-    id: u64,
     size: usize,
     data: Arc<Mutex<Contents>>,
 }
@@ -400,15 +402,9 @@ impl Buffer {
     /// Allocate a device buffer of `size` bytes that reads as zeroes.
     pub(crate) fn alloc(size: usize) -> Self {
         Buffer {
-            id: NEXT_BUFFER_ID.fetch_add(1, Ordering::Relaxed),
             size,
             data: Arc::new(Mutex::new(Contents::new(size))),
         }
-    }
-
-    /// Stable identifier (diagnostics).
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// Size in bytes.
@@ -419,13 +415,13 @@ impl Buffer {
     /// Run `f` over an immutable view of the contents, copied into one
     /// array first.
     pub fn read<R>(&self, f: impl FnOnce(&AlignedBytes) -> R) -> R {
-        f(self.data.lock().own(0, self.size, Fill::Keep).0)
+        f(self.data.lock().own(0, self.size, None).0)
     }
 
     /// Run `f` over a mutable view of the contents, copied into one array
     /// first.
     pub fn write<R>(&self, f: impl FnOnce(&mut AlignedBytes) -> R) -> R {
-        f(self.data.lock().own(0, self.size, Fill::Keep).0)
+        f(self.data.lock().own(0, self.size, None).0)
     }
 
     /// Run `f` over `[offset, offset + len)` cut into regions of `region`
@@ -454,7 +450,7 @@ impl Buffer {
         let mut at = offset;
         for run in held.chunk_by(|a, b| a == b) {
             if !run[0] {
-                data.own(at, run.len() * region, Fill::Keep);
+                data.own(at, run.len() * region, None);
             }
             at += run.len() * region;
         }
@@ -469,14 +465,14 @@ impl Buffer {
     /// after the range becomes one. Panics if the range runs past the end.
     pub fn write_range<R>(&self, offset: usize, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut data = self.data.lock();
-        let (array, at) = data.own(offset, len, Fill::Keep);
+        let (array, at) = data.own(offset, len, None);
         f(&mut array.as_mut_slice()[at..at + len])
     }
 
     /// Copy `src` into the buffer at `offset`.
     pub fn store(&self, offset: usize, src: &[u8]) -> ClResult<()> {
         self.check_range(offset, src.len())?;
-        self.data.lock().own(offset, src.len(), Fill::Bytes(src));
+        self.data.lock().own(offset, src.len(), Some(src));
         Ok(())
     }
 
@@ -607,18 +603,18 @@ impl HostBuffer {
 
     /// Run `f` over an immutable view, as [`Buffer::read`] does.
     pub fn read<R>(&self, f: impl FnOnce(&AlignedBytes) -> R) -> R {
-        f(self.data.lock().own(0, self.size, Fill::Keep).0)
+        f(self.data.lock().own(0, self.size, None).0)
     }
 
     /// Run `f` over a mutable view, as [`Buffer::write`] does.
     pub fn write<R>(&self, f: impl FnOnce(&mut AlignedBytes) -> R) -> R {
-        f(self.data.lock().own(0, self.size, Fill::Keep).0)
+        f(self.data.lock().own(0, self.size, None).0)
     }
 
     /// Copy `src` into the allocation at `offset`.
     pub fn store(&self, offset: usize, src: &[u8]) -> ClResult<()> {
         self.check_range(offset, src.len())?;
-        self.data.lock().own(offset, src.len(), Fill::Bytes(src));
+        self.data.lock().own(offset, src.len(), Some(src));
         Ok(())
     }
 
@@ -701,7 +697,11 @@ mod tests {
         let b = a.clone();
         a.store(0, &[9; 8]).expect("store in range");
         assert_eq!(b.load(0, 8).expect("load in range").as_slice(), [9; 8]);
-        assert_eq!(a.id(), b.id());
+        assert!(
+            Arc::ptr_eq(&a.data, &b.data),
+            "a clone has contents of its own"
+        );
+        assert!(!Arc::ptr_eq(&a.data, &Buffer::alloc(8).data));
     }
 
     #[test]
@@ -737,8 +737,8 @@ mod tests {
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Seen {
         Zero,
-        /// In the word array based at this offset.
-        Owned(usize),
+        /// In the word array, at the piece's own offset.
+        Owned,
         /// In this allocation, from this byte.
         Shared(*const u8, usize),
     }
@@ -747,7 +747,7 @@ mod tests {
     fn table(data: &Mutex<Contents>) -> Vec<(usize, usize, Seen)> {
         let seen = |p: &Piece| match p {
             Piece::Zero(_) => Seen::Zero,
-            Piece::Owned(_, base) => Seen::Owned(*base),
+            Piece::Owned(_) => Seen::Owned,
             Piece::Shared(_, src, from) => Seen::Shared(src.as_ptr(), *from),
         };
         let data = data.lock();
@@ -757,13 +757,11 @@ mod tests {
             .collect()
     }
 
-    /// `data`'s word arrays: base and length.
-    fn arrays(data: &Mutex<Contents>) -> Vec<(usize, usize)> {
-        data.lock()
-            .words
-            .iter()
-            .map(|(b, a)| (*b, a.len()))
-            .collect()
+    /// `data`'s word array: the buffer offset of its byte 0, and its
+    /// length.
+    fn array(data: &Mutex<Contents>) -> (usize, usize) {
+        let data = data.lock();
+        (data.base, data.words.len())
     }
 
     /// Bytes of `data` nobody has written: what a whole view zero-fills.
@@ -823,9 +821,9 @@ mod tests {
         let b = a.clone();
         assert_eq!(a.store(0, &[1; 13]), Ok(()));
         assert_eq!(b.store(11, &[2; 30]), Ok(()));
-        let words = [(0, 41, Seen::Owned(0)), (41, 4_058, Seen::Zero)];
+        let words = [(0, 41, Seen::Owned), (41, 4_058, Seen::Zero)];
         assert_eq!(table(&a.data), words, "41 bytes through either handle");
-        assert_eq!(arrays(&b.data), [(0, 41)], "in one array");
+        assert_eq!(array(&b.data), (0, 41), "in one array");
         let mut expect = vec![0u8; 4_099];
         expect[..11].fill(1);
         expect[11..41].fill(2);
@@ -881,7 +879,7 @@ mod tests {
             msgs.push(msg.as_ptr());
         }
         let pieces = [
-            (0, 13, Seen::Owned(0)),
+            (0, 13, Seen::Owned),
             (13, 8, Seen::Shared(msgs[0], 1)),
             (21, 3, Seen::Shared(msgs[3], 1)),
             (24, 3, Seen::Shared(msgs[0], 12)),
@@ -898,7 +896,7 @@ mod tests {
         }
         // Loads read through: the table and the one array are as they were.
         assert_eq!(table(&b.data), pieces);
-        assert_eq!(arrays(&b.data), [(0, 40)]);
+        assert_eq!(array(&b.data), (0, 40));
         Ok(())
     }
 
@@ -953,12 +951,12 @@ mod tests {
             block.as_f32().as_ptr().cast::<u8>(),
             block.as_slice().as_ptr()
         );
-        assert_eq!(arrays(&dev.data), [], "nothing copied in");
+        assert_eq!(array(&dev.data).1, 0, "nothing copied in");
         assert_eq!(unwritten(&dev.data), 0);
         // A whole view copies every landed byte into one array, once.
         assert!(dev.read(|d| d.as_slice() == model));
-        assert_eq!(table(&dev.data), [(0, SIZE, Seen::Owned(0))]);
-        assert_eq!(arrays(&dev.data), [(0, SIZE)]);
+        assert_eq!(table(&dev.data), [(0, SIZE, Seen::Owned)]);
+        assert_eq!(array(&dev.data), (0, SIZE));
         Ok(())
     }
 
@@ -993,7 +991,7 @@ mod tests {
             assert_eq!(got.0, want.0 - 3_072 + 100);
         }
         for data in [&stage.data, &dev.data, &back.data] {
-            assert_eq!(arrays(data), [], "a byte was copied");
+            assert_eq!(array(data).1, 0, "a byte was copied");
         }
         let mut expect = vec![0u8; SIZE];
         expect[100..4_708].copy_from_slice(&model[3_072..7_680]);
@@ -1001,18 +999,17 @@ mod tests {
         Ok(())
     }
 
-    /// A hop shares exactly the ranges whole `Shared` pieces tile — also
-    /// one over bytes the stage wrote before a landing cut them — and
-    /// copies every other.
+    /// A hop moves each source piece as it is — a `Shared` piece or part
+    /// of one lands by reference, a `Zero` piece stays `Zero`, `Owned`
+    /// bytes are copied — over a destination that held other bytes.
     #[test]
-    fn a_range_the_extents_do_not_tile_is_copied() -> ClResult<()> {
+    fn a_hop_moves_each_source_piece_as_it_is() -> ClResult<()> {
         const SIZE: usize = 4_096;
         let stage = HostBuffer::pinned(SIZE);
         // 1 KiB written, then landings over [1024, 2048) and [2560,
         // 3072) — a gap between them, and nothing past 3072 — and one over
         // [256, 768), inside the written bytes.
         let mut model = vec![0u8; SIZE];
-        let mut inner = None;
         for (at, len, salt) in [
             (0, 1_024, 1),
             (1_024, 1_024, 3),
@@ -1023,49 +1020,85 @@ mod tests {
             model[at..at + len].copy_from_slice(&bytes);
             match at {
                 0 => stage.store(at, &bytes)?,
-                _ => {
-                    let bytes = Arc::new(bytes);
-                    inner = Some(bytes.clone());
-                    stage.land(at, bytes)?
-                }
+                _ => stage.land(at, Arc::new(bytes))?,
             }
         }
         let pieces = table(&stage.data);
-        // The landing inside the written bytes is one piece of its own:
-        // that range lands by reference. Ranges over the words, one over
-        // the gap, one past the last landing and one that starts inside a
-        // landing are copied, byte for byte, over a destination that held
-        // other bytes.
+        // Ranges that cut two landings and hold words between them, span
+        // one landing, hold landings and the gap, run past the last
+        // landing, start inside a landing, and hold only words or only
+        // unwritten bytes.
         let ranges = [
-            (512, 1_024, false),
-            (256, 512, true),
-            (1_024, 2_048, false),
-            (2_560, 1_024, false),
-            (1_536, 1_024, false),
+            (512, 1_024),
+            (256, 512),
+            (1_024, 2_048),
+            (2_560, 1_024),
+            (1_536, 1_024),
+            (0, 256),
+            (2_048, 512),
         ];
-        for (offset, len, shares) in ranges {
+        for (offset, len) in ranges {
             let dev = Buffer::alloc(SIZE);
             dev.store(0, &[0xFF; SIZE])?;
             dev.copy(Dir::ToDevice, 7, len, &stage, offset);
+            let mut want = vec![(0, 7, Seen::Owned)];
+            for &(at, n, seen) in &pieces {
+                let (lo, hi) = (at.max(offset), (at + n).min(offset + len));
+                let seen = match seen {
+                    Seen::Shared(src, from) => Seen::Shared(src, from + lo.saturating_sub(at)),
+                    seen => seen,
+                };
+                want.extend((lo < hi).then(|| (lo - offset + 7, hi - lo, seen)));
+            }
+            want.push((7 + len, SIZE - 7 - len, Seen::Owned));
+            // The table joins neighbouring `Owned` pieces.
+            want.dedup_by(|(_, n, s), (_, m, t)| {
+                let join = (*s, *t) == (Seen::Owned, Seen::Owned);
+                *m += if join { *n } else { 0 };
+                join
+            });
+            assert_eq!(table(&dev.data), want, "{offset}+{len}");
             let mut expect = vec![0xFF; SIZE];
             expect[7..7 + len].copy_from_slice(&model[offset..offset + len]);
-            let got = landed(&dev.data);
-            match shares {
-                true => assert!(
-                    got.len() == 1
-                        && inner.as_ref().is_some_and(|i| Arc::ptr_eq(&got[0].1, i))
-                        && (got[0].0, got[0].3) == (7, len),
-                    "{offset}+{len} copied"
-                ),
-                false => assert_eq!(got.len(), 0, "{offset}+{len} shared"),
-            }
             assert_eq!(loaded(&dev, 0, SIZE), Ok(expect), "{offset}+{len}");
         }
-        // The stage read through: its pieces are as they were, over one
+        // The stage read through: its pieces are as they were, over the
         // array of the 1 KiB it wrote.
         assert_eq!(table(&stage.data), pieces);
         assert_eq!(landed(&stage.data).len(), 3);
-        assert_eq!(arrays(&stage.data), [(0, 1_024)]);
+        assert_eq!(array(&stage.data), (0, 1_024));
+        Ok(())
+    }
+
+    /// A hop from bytes nobody wrote leaves the destination range `Zero`
+    /// and allocates no word array, either way.
+    #[test]
+    fn a_hop_from_unwritten_bytes_writes_nothing() -> ClResult<()> {
+        const SIZE: usize = 1 << 20;
+        let (stage, dev) = (HostBuffer::pinned(SIZE), Buffer::alloc(SIZE));
+        dev.copy(Dir::ToDevice, 0, SIZE, &stage, 0);
+        assert_eq!(table(&dev.data), [(0, SIZE, Seen::Zero)]);
+        assert_eq!(dev.data.lock().words.words.capacity(), 0, "words allocated");
+        // Over written bytes the range becomes `Zero` again, and the
+        // written bytes beside it stay where they are.
+        dev.store(0, &[5; 100])?;
+        let words = dev.read_regions(0, 50, 50, |v| v[0].as_ptr());
+        dev.copy(Dir::ToDevice, 50, 1_000, &stage, 7);
+        let pieces = [(0, 50, Seen::Owned), (50, SIZE - 50, Seen::Zero)];
+        assert_eq!(table(&dev.data), pieces);
+        assert_eq!(dev.read_regions(0, 50, 50, |v| v[0].as_ptr()), words);
+        let mut want = vec![0u8; 200];
+        want[..50].fill(5);
+        assert_eq!(loaded(&dev, 0, 200), Ok(want));
+        // A map of unwritten device bytes.
+        let back = HostBuffer::pageable(SIZE);
+        dev.copy(Dir::ToHost, 4_096, SIZE - 4_096, &back, 0);
+        assert_eq!(table(&back.data), [(0, SIZE, Seen::Zero)]);
+        assert_eq!(
+            back.data.lock().words.words.capacity(),
+            0,
+            "words allocated"
+        );
         Ok(())
     }
 
@@ -1096,7 +1129,7 @@ mod tests {
         // landed, the words and two unwritten gaps, none of it touched.
         assert_eq!(table(&dev.data), pieces);
         assert_eq!(landed(&dev.data).len(), 4);
-        assert_eq!(arrays(&dev.data), [(0, 1_000)]);
+        assert_eq!(array(&dev.data), (0, 1_000));
         assert_eq!(unwritten(&dev.data), SIZE - 1_200 - 2_000);
         Ok(())
     }
@@ -1125,7 +1158,7 @@ mod tests {
         }
         assert_eq!(unwritten(&dev.data), 0);
         assert!(dev.read(|d| d.as_slice().iter().all(|&b| b == 7)));
-        assert_eq!(arrays(&dev.data), [(0, SIZE)]);
+        assert_eq!(array(&dev.data), (0, SIZE));
 
         // The root: ascending 128 KiB `store`s into its stage, one
         // whole-buffer write; and a map back.
@@ -1145,7 +1178,7 @@ mod tests {
             assert_eq!(unwritten(data), 0);
         }
         for data in [&root.data, &mapped.data] {
-            assert_eq!(arrays(data), [(0, SIZE)], "one copy");
+            assert_eq!(array(data), (0, SIZE), "one copy");
         }
 
         // Chunks 7 and 8 arriving swapped leave a gap only until chunk 7
@@ -1161,40 +1194,51 @@ mod tests {
 
         // Nobody wrote: the whole length, once, at the first view.
         let untouched = HostBuffer::pinned(SIZE);
-        assert_eq!(arrays(&untouched.data), []);
+        assert_eq!(array(&untouched.data).1, 0);
         assert_eq!(untouched.read(|h| h.as_f32().len()), SIZE / 4);
         assert_eq!(untouched.write(|h| h.len()), SIZE);
-        assert_eq!(table(&untouched.data), [(0, SIZE, Seen::Owned(0))]);
-        assert_eq!(arrays(&untouched.data), [(0, SIZE)]);
+        assert_eq!(table(&untouched.data), [(0, SIZE, Seen::Owned)]);
+        assert_eq!(array(&untouched.data), (0, SIZE));
     }
 
-    /// A landing inside written bytes cuts their piece and copies nothing;
-    /// a later whole view copies only the landed bytes back into the same
-    /// array, and a store inside one piece writes in place.
+    /// A landing inside written bytes cuts their piece and copies nothing:
+    /// both remnants read from the one array, each at its own offset. A
+    /// write before the array's start copies it into one that starts
+    /// there; a later whole view copies only the landed bytes back into
+    /// that array, and a store inside one piece writes in place.
     #[test]
     fn a_cut_keeps_both_remnants_in_their_array() -> ClResult<()> {
         const SIZE: usize = 4_096;
         let dev = Buffer::alloc(SIZE);
         let words = payload(SIZE, 3);
-        dev.store(0, &words)?;
-        let base = dev.read(|d| d.as_slice().as_ptr());
+        dev.store(100, &words[100..])?;
+        let at = |offset| dev.read_regions(offset, 8, 8, |v| v[0].as_ptr() as usize);
+        let first = at(100);
         let msg = framed(0, 100, 5);
         dev.land(1_000, msg.clone(), 0)?;
         assert_eq!(
             table(&dev.data),
             [
-                (0, 1_000, Seen::Owned(0)),
+                (0, 100, Seen::Zero),
+                (100, 900, Seen::Owned),
                 (1_000, 100, Seen::Shared(msg.as_ptr(), 0)),
-                (1_100, 2_996, Seen::Owned(0)),
+                (1_100, 2_996, Seen::Owned),
             ]
         );
-        assert_eq!(arrays(&dev.data), [(0, SIZE)]);
+        assert_eq!(array(&dev.data), (100, SIZE - 100));
+        assert_eq!([at(100), at(1_100)], [first, first + 1_000]);
+        dev.store(0, &words[..100])?;
+        assert_eq!(array(&dev.data), (0, SIZE));
+        let first = at(0);
+        assert_eq!([at(100), at(1_100)], [first + 100, first + 1_100]);
         let mut model = words.clone();
         model[1_000..1_100].copy_from_slice(&msg);
-        assert!(dev.read(|d| d.as_slice() == model && d.as_slice().as_ptr() == base));
-        assert_eq!(table(&dev.data), [(0, SIZE, Seen::Owned(0))]);
+        assert!(dev.read(|d| d.as_slice() == model && d.as_slice().as_ptr() as usize == first));
+        assert_eq!(table(&dev.data), [(0, SIZE, Seen::Owned)]);
         dev.store(2_000, &[1; 8])?;
-        assert!(dev.read(|d| d.as_slice()[2_000..2_008] == [1; 8] && d.as_slice().as_ptr() == base));
+        let base =
+            dev.read(|d| (d.as_slice()[2_000..2_008] == [1; 8]).then_some(d.as_slice().as_ptr()));
+        assert_eq!(base.map(|p| p as usize), Some(first));
         Ok(())
     }
 
@@ -1224,12 +1268,17 @@ mod tests {
         assert_eq!(
             table(&dev.data),
             [
-                (0, 16, Seen::Owned(0)),
+                (0, 16, Seen::Owned),
                 (16, 28, Seen::Shared(msg.as_ptr(), 0)),
-                (44, 8, Seen::Owned(44)),
+                (44, 8, Seen::Owned),
                 (52, 12, Seen::Zero),
             ]
         );
+        // It lies in the one array at its own offset: the array now
+        // reaches from the buffer's byte 0 to its end.
+        assert_eq!(array(&dev.data), (0, 52));
+        let start = dev.read_regions(0, 8, 8, |v| v[0].as_ptr());
+        assert_eq!(got[1], start.wrapping_add(44));
         let written = dev.write_range(40, 4, |w| {
             w.fill(9);
             w.len()
@@ -1438,23 +1487,53 @@ mod tests {
         }
     }
 
-    /// The runs that tile `[offset, offset + len)` exactly, ascending;
-    /// `None` when the range is empty, cuts a run or has a byte no run
-    /// covers.
-    fn tiles(runs: &[Run], offset: usize, len: usize) -> Option<Vec<Run>> {
-        let mut over: Vec<&Run> = runs
+    /// The runs over `[offset, offset + len)`, each cut to it, ascending.
+    fn clipped(runs: &[Run], offset: usize, len: usize) -> Vec<Run> {
+        let end = offset + len;
+        let mut over: Vec<Run> = runs
             .iter()
-            .filter(|r| r.at < offset + len && offset < r.end())
+            .filter(|r| r.at.max(offset) < r.end().min(end))
+            .map(|r| {
+                let (lo, hi) = (r.at.max(offset), r.end().min(end));
+                Run {
+                    at: lo,
+                    from: r.from + lo - r.at,
+                    len: hi - lo,
+                    ..r.clone()
+                }
+            })
             .collect();
         over.sort_unstable_by_key(|r| r.at);
-        let mut next = offset;
-        for r in &over {
-            if r.at != next {
-                return None;
+        over
+    }
+
+    /// Whether `data`'s table is canonical — no `Zero` piece beside a
+    /// `Zero` piece, no `Owned` piece beside an `Owned` piece — with every
+    /// `Owned` piece reading `model`'s bytes from the one array at its own
+    /// offset, every `Zero` piece zeroes in `model`, every `Shared` piece
+    /// `model`'s bytes, and the pinned total what the `Shared` pieces pin.
+    fn canonical(data: &Mutex<Contents>, model: &[u8]) -> bool {
+        let data = data.lock();
+        let joins = data.pieces.windows(2).any(|w| {
+            matches!(
+                (&w[0].1, &w[1].1),
+                (Piece::Zero(_), Piece::Zero(_)) | (Piece::Owned(_), Piece::Owned(_))
+            )
+        });
+        let zeroes = vec![0u8; model.len()];
+        let reads = data.pieces.iter().all(|(at, p)| {
+            let want = &model[*at..at + p.len()];
+            match p {
+                Piece::Zero(len) => want == &zeroes[..*len],
+                Piece::Owned(len) => {
+                    let i = at.checked_sub(data.base);
+                    i.and_then(|i| data.words.as_slice().get(i..i + len)) == Some(want)
+                }
+                Piece::Shared(len, src, from) => src[*from..from + len] == *want,
             }
-            next = r.end();
-        }
-        (len > 0 && next == offset + len).then(|| over.into_iter().cloned().collect())
+        });
+        let pinned: usize = data.pieces.iter().map(|(_, p)| p.pinned()).sum();
+        !joins && reads && pinned == data.pinned
     }
 
     /// `data`'s `Shared` pieces as `(offset, allocation, from, len)`,
@@ -1767,13 +1846,18 @@ mod tests {
         }
 
         /// Apply `op` to the buffers and the models; false when what the
-        /// buffers show differs from the models, or when the pieces they
-        /// show by reference are not the runs the model expects.
+        /// buffers show differs from the models, when the pieces they show
+        /// by reference are not the runs the model expects, or when a
+        /// table is not canonical.
         fn apply(&mut self, op: Op) -> bool {
             let agrees = self.step(op);
             let [dev, dev_runs] = shown(&self.dev.data, &self.dev_runs);
             let [host, host_runs] = shown(&self.host.data, &self.host_runs);
-            agrees && dev == dev_runs && host == host_runs
+            agrees
+                && dev == dev_runs
+                && host == host_runs
+                && canonical(&self.dev.data, &self.dev_model)
+                && canonical(&self.host.data, &self.host_model)
         }
 
         /// A land of `len` bytes of `src` from `from` at `offset` of the
@@ -1843,8 +1927,8 @@ mod tests {
                     self.written(true, (offset, offset + len));
                     self.host.store(offset, &src) == Ok(())
                 }
-                // A range whole landed pieces tile lands those pieces at
-                // the destination; any other is copied in.
+                // Each run the source range holds lands at the destination,
+                // cut to the range; the bytes between are written.
                 Op::Copy {
                     to_host,
                     offset,
@@ -1867,32 +1951,29 @@ mod tests {
                             self.dev_model.len(),
                         ),
                     };
-                    let tiles = tiles(src, from, len);
-                    if tiles.is_some() {
+                    let moved: Vec<Run> = clipped(src, from, len)
+                        .into_iter()
+                        .map(|r| {
+                            let at = r.at - from + dst;
+                            Run {
+                                at,
+                                landed: (at, at + r.len),
+                                ..r
+                            }
+                        })
+                        .collect();
+                    if !moved.is_empty() {
                         self.shared[usize::from(!to_host)] += 1;
                         self.shared_over_words += usize::from(from < written);
+                    }
+                    if moved.iter().map(|r| r.len).sum::<usize>() < len {
+                        self.written(to_host, (dst, dst + len));
                     }
                     let dst_runs = match to_host {
                         true => &mut self.host_runs,
                         false => &mut self.dev_runs,
                     };
-                    match tiles {
-                        Some(tiles) => {
-                            let moved = tiles
-                                .into_iter()
-                                .map(|r| {
-                                    let at = r.at - from + dst;
-                                    Run {
-                                        at,
-                                        landed: (at, at + r.len),
-                                        ..r
-                                    }
-                                })
-                                .collect();
-                            land_runs(dst_runs, dst_size, (dst, dst + len), moved);
-                        }
-                        None => self.written(to_host, (dst, dst + len)),
-                    }
+                    land_runs(dst_runs, dst_size, (dst, dst + len), moved);
                     let d = &mut self.dev_model[offset..offset + len];
                     let h = &mut self.host_model[at..at + len];
                     if to_host {

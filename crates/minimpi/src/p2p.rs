@@ -190,7 +190,6 @@ struct PendingRecv {
     src: Option<Rank>,
     context: u64,
     tag: Option<Tag>,
-    order: u64,
 }
 
 /// Per-rank matching engine state (behind a [`Monitor`]).
@@ -203,7 +202,6 @@ pub(crate) struct RankState {
     matched: BTreeMap<u64, InMsg>,
     next_seq: u64,
     next_recv_id: u64,
-    next_order: u64,
 }
 
 impl RankState {
@@ -286,17 +284,13 @@ impl RankState {
     fn post_recv(&mut self, src: Option<Rank>, context: u64, tag: Option<Tag>) -> u64 {
         let id = self.next_recv_id;
         self.next_recv_id += 1;
-        let order = self.next_order;
-        self.next_order += 1;
+        // A push keeps `pending` in posting order.
         self.pending.push(PendingRecv {
             id,
             src,
             context,
             tag,
-            order,
         });
-        // pending stays sorted by order because orders are monotone.
-        debug_assert!(self.pending.windows(2).all(|w| w[0].order < w[1].order));
         self.try_match();
         id
     }

@@ -6,7 +6,6 @@ use clmpi::{ClMpi, SystemConfig};
 use minicl::HostBuffer;
 use minimpi::datatype::{bytes_to_f32, f32_as_bytes};
 use minimpi::{run_world_tasks, FaultPlan, Process, Tag};
-use simtime::plock::Mutex;
 use simtime::SimNs;
 
 use crate::model::{check_sections, coagulation_step, pair_count, NanoModel};
@@ -266,13 +265,7 @@ async fn rank_main(variant: NanoVariant, cfg: Arc<NanoConfig>, p: Process) -> Ra
             }
         };
         // Coagulation kernel, gated on its inputs.
-        let dn_shared = Arc::new(Mutex::new(Vec::new()));
-        let (c2, n2, d2, dns) = (
-            c_dev.clone(),
-            n_dev.clone(),
-            dn_dev.clone(),
-            dn_shared.clone(),
-        );
+        let (c2, n2, d2) = (c_dev.clone(), n_dev.clone(), dn_dev.clone());
         let e_k = q.enqueue_kernel("coagulation", kernel_cost, &[e_n, e_c], move || {
             let mut out = vec![0.0f32; r1 - r0];
             // Only this rank's row block is copied out of the coefficients:
@@ -282,7 +275,6 @@ async fn rank_main(variant: NanoVariant, cfg: Arc<NanoConfig>, p: Process) -> Ra
             let block = c2.load(r0 * k * 4, rows * k * 4).expect("row block fits");
             n2.read(|nb| coagulation_step(block.as_f32(), nb.as_f32(), r0, r1, &mut out));
             d2.store(0, f32_as_bytes(&out)).expect("dn fits");
-            *dns.lock() = out;
         });
         // Read rates back (the host waits for it, after the kernel) and
         // gather.
@@ -293,7 +285,7 @@ async fn rank_main(variant: NanoVariant, cfg: Arc<NanoConfig>, p: Process) -> Ra
         if rank == 0 {
             let m = model.as_mut().expect("rank 0 model");
             let mut dn_all = vec![0.0f32; k];
-            dn_all[r0..r1].copy_from_slice(&dn_shared.lock());
+            dn_stage.read(|h| dn_all[r0..r1].copy_from_slice(h.as_f32()));
             for _ in 1..nodes {
                 let got = p.comm.recv_async(&p.actor, None, Some(TAG_DN)).await;
                 let src = got.status.source;
